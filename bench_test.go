@@ -10,6 +10,7 @@ package semfs
 // EXPERIMENTS.md.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -157,57 +158,14 @@ func BenchmarkAppTraceGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkOverlapDetection compares Algorithm 1 against the brute-force
-// oracle as the record count grows (the paper notes the sweep is linear in
-// practice).
-func BenchmarkOverlapDetection(b *testing.B) {
-	mk := func(n int) []core.Interval {
-		ivs := make([]core.Interval, n)
-		for i := range ivs {
-			// Mostly disjoint strided blocks with occasional overlaps.
-			base := int64(i) * 100
-			if i%17 == 0 {
-				base -= 50
-			}
-			ivs[i] = core.Interval{T: uint64(i), TEnd: uint64(i) + 1,
-				Rank: int32(i % 64), Os: base, Oe: base + 100, Write: i%2 == 0}
-		}
-		return ivs
-	}
-	for _, n := range []int{100, 1000, 10000} {
-		ivs := mk(n)
-		b.Run(fmt.Sprintf("algorithm1/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.DetectOverlaps(ivs, func(core.OverlapPair) {})
-			}
-		})
-	}
-	for _, n := range []int{100, 1000, 10000} {
-		ivs := mk(n)
-		b.Run(fmt.Sprintf("merge/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.DetectOverlapsMerge(ivs, func(core.OverlapPair) {})
-			}
-		})
-	}
-	for _, n := range []int{100, 1000} {
-		ivs := mk(n)
-		b.Run(fmt.Sprintf("bruteforce/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.DetectOverlapsBruteForce(ivs, func(core.OverlapPair) {})
-			}
-		})
-	}
-}
-
 // BenchmarkMetadataConflictDetection measures the §7-extension analysis.
 func BenchmarkMetadataConflictDetection(b *testing.B) {
 	res := allResults(b)
 	tr := res.ByName["MACSio-Silo"].Trace
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cs := core.DetectMetadataConflicts(tr)
-		if len(cs) == 0 {
+		cs, err := core.DetectMetadataConflictsParallelCtx(context.Background(), tr, 1)
+		if err != nil || len(cs) == 0 {
 			b.Fatal("no metadata dependencies found")
 		}
 	}
@@ -245,7 +203,8 @@ func BenchmarkScaleSweep(b *testing.B) {
 				if err != nil || res.Err() != nil {
 					b.Fatal(err, res.Err())
 				}
-				_, sig := core.AnalyzeConflicts(res.Trace, pfs.Session)
+				_, sig := sessionConflicts(b, res.Trace)
+				core.InvalidateExtraction(res.Trace)
 				if !sig.WAWDiff {
 					b.Fatal("scale run lost the WAW-D signature")
 				}
@@ -273,6 +232,17 @@ func BenchmarkTraceEncodeDecode(b *testing.B) {
 	})
 }
 
+// sessionConflicts detects the trace's session-semantics conflicts over its
+// shared extraction.
+func sessionConflicts(b *testing.B, tr *recorder.Trace) (map[string][]core.Conflict, core.ConflictSignature) {
+	b.Helper()
+	fas, err := core.ExtractSharedCtx(context.Background(), tr, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return core.ConflictsOverFiles(fas, pfs.Session)
+}
+
 type countWriter struct{ n int }
 
 func (w *countWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
@@ -290,7 +260,8 @@ func BenchmarkHappensBefore(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		byFile, _ := core.AnalyzeConflicts(tr, pfs.Session)
+		core.InvalidateExtraction(tr)
+		byFile, _ := sessionConflicts(b, tr)
 		for _, cs := range byFile {
 			if un := core.ValidateConflicts(hb, cs); len(un) > 0 {
 				b.Fatal("unsynchronized conflicts")
@@ -299,34 +270,29 @@ func BenchmarkHappensBefore(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeParallel compares the serial analysis oracle against the
-// sharded engine over the full registry trace set at growing pool sizes.
-// Speedup only materializes with free hardware threads: on a machine with
-// >=8 cores expect workers=8 to finish the sweep at least 2x faster than
-// serial; on a 1-2 core host the parallel path degrades to roughly serial
-// cost plus scheduling noise. Record the host's core count with the numbers.
+// BenchmarkAnalyzeParallel runs the analysis over the full registry trace
+// set at growing pool sizes (workers=1 is the serial case). Speedup only
+// materializes with free hardware threads: on a machine with >=8 cores
+// expect workers=8 to finish the sweep at least 2x faster than workers=1;
+// on a 1-2 core host the larger pools cost roughly the serial time plus
+// scheduling noise. Record the host's core count with the numbers.
 func BenchmarkAnalyzeParallel(b *testing.B) {
 	res := allResults(b)
-	sweep := func(b *testing.B, analyze func(tr *recorder.Trace) *Analysis) {
+	sweep := func(b *testing.B, workers int) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
 			for _, name := range res.Ordered {
-				an := analyze(res.ByName[name].Trace)
-				if len(an.Patterns) == 0 {
-					b.Fatalf("%s: empty analysis", name)
+				an, err := AnalyzeParallelCtx(context.Background(), res.ByName[name].Trace, workers)
+				if err != nil || len(an.Patterns) == 0 {
+					b.Fatalf("%s: empty analysis (err %v)", name, err)
 				}
 				benchSink += an.Global.Total()
 			}
 		}
 	}
-	b.Run("serial", func(b *testing.B) {
-		sweep(b, Analyze)
-	})
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("parallel/workers=%d", workers), func(b *testing.B) {
-			sweep(b, func(tr *recorder.Trace) *Analysis {
-				return AnalyzeParallel(tr, workers)
-			})
+			sweep(b, workers)
 		})
 	}
 
@@ -345,68 +311,54 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 			was := reg.Enabled()
 			reg.SetEnabled(on)
 			defer reg.SetEnabled(was)
-			sweep(b, func(tr *recorder.Trace) *Analysis {
-				return AnalyzeParallel(tr, 4)
-			})
+			sweep(b, 4)
 		})
 	}
 }
 
-// BenchmarkFusedAnalyze compares the fused single-sweep multi-model
-// conflict engine against the pre-fusion per-model path over the full
-// registry at benchScale. Three shapes:
+// BenchmarkFusedAnalyze measures the fused single-sweep multi-model
+// conflict engine over the full registry at benchScale, in two shapes:
 //
-//   - per-model: one AnalyzeConflicts call per model — two extractions and
-//     two full sweeps per trace (the pre-PR production path);
-//   - fused-cold: one AnalyzeConflictsAll call with the extraction cache
-//     invalidated every iteration — one extraction plus one sweep;
-//   - fused-warm: the same with the cache hot — one sweep, zero extractions
-//     (the steady state of report/figure pipelines revisiting a trace).
-//
-// The equivalence of the two engines is proven by internal/analysistest
-// (CheckFused over randomized traces and all registry apps), so the delta
-// here is pure performance.
+//   - fused-cold: the extraction cache invalidated every iteration — one
+//     extraction plus one sweep per trace;
+//   - fused-warm: the cache hot — one sweep, zero extractions (the steady
+//     state of report/figure pipelines revisiting a trace).
 func BenchmarkFusedAnalyze(b *testing.B) {
 	res := allResults(b)
 	models := []pfs.Semantics{pfs.Session, pfs.Commit}
-	b.Run("per-model", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, name := range res.Ordered {
-				tr := res.ByName[name].Trace
-				for _, m := range models {
-					_, sig := core.AnalyzeConflicts(tr, m)
-					if sig.Any() {
-						benchSink++
-					}
-				}
+	sweep := func(b *testing.B, tr *recorder.Trace) {
+		ctx := context.Background()
+		fas, err := core.ExtractSharedCtx(ctx, tr, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ms, err := core.ConflictsAllForFilesCtx(ctx, fas, models, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, mc := range ms {
+			if mc.Signature.Any() {
+				benchSink++
 			}
 		}
-	})
+	}
 	b.Run("fused-cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, name := range res.Ordered {
 				tr := res.ByName[name].Trace
 				core.InvalidateExtraction(tr)
-				for _, mc := range core.AnalyzeConflictsAll(tr, models...) {
-					if mc.Signature.Any() {
-						benchSink++
-					}
-				}
+				sweep(b, tr)
 			}
 		}
 	})
 	b.Run("fused-warm", func(b *testing.B) {
 		for _, name := range res.Ordered {
-			core.ExtractShared(res.ByName[name].Trace) // prime the cache
+			sweep(b, res.ByName[name].Trace) // prime the cache
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, name := range res.Ordered {
-				for _, mc := range core.AnalyzeConflictsAll(res.ByName[name].Trace, models...) {
-					if mc.Signature.Any() {
-						benchSink++
-					}
-				}
+				sweep(b, res.ByName[name].Trace)
 			}
 		}
 	})
@@ -418,8 +370,9 @@ func BenchmarkExtract(b *testing.B) {
 	tr := res.ByName["FLASH-fbs"].Trace
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fas := core.Extract(tr)
-		if len(fas) == 0 {
+		core.InvalidateExtraction(tr)
+		fas, err := core.ExtractSharedCtx(context.Background(), tr, 1)
+		if err != nil || len(fas) == 0 {
 			b.Fatal("no files")
 		}
 	}

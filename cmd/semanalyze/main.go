@@ -66,7 +66,7 @@ func run() (code int) {
 		validate = flag.Bool("validate", true, "validate conflict ordering against MPI happens-before")
 		maxShow  = flag.Int("show", 5, "max conflicts to print per file")
 		full     = flag.Bool("report", false, "print the full per-run report (function counters, size histogram, per-file table)")
-		workers  = flag.Int("workers", 0, "analysis worker pool size: 0 = GOMAXPROCS (parallel), 1 = serial reference path")
+		workers  = flag.Int("workers", 0, "analysis worker pool size: 0 = GOMAXPROCS, 1 = a pool of one (every pass runs serially); the output is identical at every size")
 		lenient  = flag.Bool("lenient", false, "salvage valid records from truncated or corrupt rank streams instead of failing")
 		ckptDir  = flag.String("checkpoint", "", "journal completed analyses to this directory (crash-safe)")
 		resume   = flag.Bool("resume", false, "replay an analysis already journaled in -checkpoint instead of re-running it")
@@ -218,19 +218,10 @@ func analyze(w io.Writer, tr *semfs.Trace, validate bool, maxShow int, full bool
 		fmt.Fprintln(w, report.BuildRunReport(tr).Render())
 	}
 
-	// The parallel engine is bit-identical to the serial path (see the
-	// serial-equivalence tests); -workers 1 keeps the reference path for
-	// debugging.
-	var an *semfs.Analysis
-	if workers == 1 {
-		an = semfs.Analyze(tr)
-	} else {
-		var err error
-		an, err = semfs.AnalyzeParallelCtx(context.Background(), tr, workers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "semanalyze: %s: %v\n", tr.Meta.ConfigName(), err)
-			return exitError
-		}
+	an, err := semfs.AnalyzeParallelCtx(context.Background(), tr, workers)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "semanalyze: %s: %v\n", tr.Meta.ConfigName(), err)
+		return exitError
 	}
 
 	fmt.Fprintln(w, "High-level access patterns (Table 3):")

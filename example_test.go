@@ -1,6 +1,7 @@
 package semfs_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,7 +15,10 @@ func ExampleRun() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	an := semfs.Analyze(res.Trace)
+	an, err := semfs.AnalyzeParallelCtx(context.Background(), res.Trace, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("weakest sufficient model:", an.Verdict.Weakest)
 	fmt.Println("same-process WAW conflict:", an.Verdict.Session.WAWSame)
 	fmt.Println("cross-process conflicts:", an.Verdict.Session.HasDifferentProcess())
@@ -26,12 +30,15 @@ func ExampleRun() {
 
 // The FLASH result of Table 4: conflicts under session semantics that
 // disappear under commit semantics.
-func ExampleAnalyze() {
+func ExampleAnalyzeParallelCtx() {
 	res, err := semfs.Run("FLASH-nofbs", semfs.RunOptions{Ranks: 16, PPN: 2, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	an := semfs.Analyze(res.Trace)
+	an, err := semfs.AnalyzeParallelCtx(context.Background(), res.Trace, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("session WAW-D:", an.Verdict.Session.WAWDiff)
 	fmt.Println("commit WAW-D:", an.Verdict.Commit.WAWDiff)
 	fmt.Println("weakest sufficient model:", an.Verdict.Weakest)
@@ -60,7 +67,10 @@ func ExampleRunCustom() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	an := semfs.Analyze(res.Trace)
+	an, err := semfs.AnalyzeParallelCtx(context.Background(), res.Trace, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("conflicts:", an.Verdict.Session.Any())
 	fmt.Println("pattern:", an.Patterns[0].Key())
 	// Output:

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -66,7 +67,10 @@ func report(name string, fsync, reopen bool) {
 	if err != nil || res.Err() != nil {
 		log.Fatal(err, res.Err())
 	}
-	an := semfs.Analyze(res.Trace)
+	an, err := semfs.AnalyzeParallelCtx(context.Background(), res.Trace, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("%-28s commit: RAW-D=%-5v   session: RAW-D=%-5v   weakest=%s\n",
 		name, an.Verdict.Commit.RAWDiff, an.Verdict.Session.RAWDiff, an.Verdict.Weakest)
 

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,7 +24,10 @@ func main() {
 	// Run the full analysis: offset reconstruction, overlap detection,
 	// conflict detection under commit and session semantics, pattern
 	// classification and the metadata census.
-	an := semfs.Analyze(res.Trace)
+	an, err := semfs.AnalyzeParallelCtx(context.Background(), res.Trace, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("High-level access patterns (Table 3):")
 	for _, p := range an.Patterns {

@@ -1,13 +1,15 @@
-// Package analysistest is the serial-equivalence harness of the parallel
-// analysis engine: the serial semfs.Analyze path is the correctness oracle
-// (it is the literal transcription of the paper's algorithms), and any
-// concurrent path must produce identical results. Tests at every layer
-// reuse these helpers so the parallel engine can never silently diverge —
-// add a worker count or a new workload here and every equivalence test
-// picks it up.
+// Package analysistest is the worker-count and trace-format equivalence
+// harness of the analysis engine: semfs.AnalyzeParallelCtx on a pool of
+// one, over a freshly invalidated extraction, is the reference, and every
+// other pool size and every on-disk format round trip must reproduce it
+// exactly. Tests at every layer reuse these helpers so the parallel engine
+// can never silently diverge — add a worker count or a new workload here
+// and every equivalence test picks it up. (The fused conflict engine is
+// checked against the per-model oracle in package core's own tests.)
 package analysistest
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -15,7 +17,6 @@ import (
 
 	semfs "repro"
 	"repro/internal/core"
-	"repro/internal/pfs"
 	"repro/internal/recorder"
 	"repro/internal/recorder/colfmt"
 	"repro/internal/report"
@@ -35,7 +36,7 @@ func RequireEqual(t testing.TB, label string, serial, parallel *semfs.Analysis) 
 	check := func(field string, a, b any) {
 		t.Helper()
 		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: parallel %s diverges from serial oracle\nserial:   %+v\nparallel: %+v",
+			t.Errorf("%s: %s diverges from the serial reference\nserial: %+v\ngot:    %+v",
 				label, field, a, b)
 		}
 	}
@@ -50,87 +51,43 @@ func RequireEqual(t testing.TB, label string, serial, parallel *semfs.Analysis) 
 	check("MetaSignature", serial.MetaSignature, parallel.MetaSignature)
 }
 
-// CheckTrace asserts AnalyzeParallel(tr, w) == Analyze(tr) for every worker
-// count (DefaultWorkerCounts when none given), and that the fused
-// multi-model conflict engine matches the per-model oracle on the same
-// trace.
+// analyze runs semfs.AnalyzeParallelCtx on a pool of workers after
+// invalidating tr's cached extraction, so the extraction itself runs at
+// that worker count too. workers == 1 gives the serial reference every
+// other worker count and format must reproduce.
+func analyze(t testing.TB, label string, tr *recorder.Trace, workers int) *semfs.Analysis {
+	t.Helper()
+	core.InvalidateExtraction(tr)
+	an, err := semfs.AnalyzeParallelCtx(context.Background(), tr, workers)
+	if err != nil {
+		t.Fatalf("%s: analyze: %v", labelWorkers(label, workers), err)
+	}
+	return an
+}
+
+// CheckTrace asserts that analyzing tr on a pool of w workers equals the
+// serial reference for every worker count (DefaultWorkerCounts when none
+// given).
 func CheckTrace(t testing.TB, label string, tr *recorder.Trace, workerCounts ...int) {
 	t.Helper()
 	if len(workerCounts) == 0 {
 		workerCounts = DefaultWorkerCounts
 	}
-	oracle := semfs.Analyze(tr)
+	defer core.InvalidateExtraction(tr)
+	ref := analyze(t, label, tr, 1)
 	for _, w := range workerCounts {
-		RequireEqual(t, labelWorkers(label, w), oracle, semfs.AnalyzeParallel(tr, w))
+		RequireEqual(t, labelWorkers(label, w), ref, analyze(t, label, tr, w))
 	}
-	CheckFused(t, label, tr, workerCounts...)
-}
-
-// AllModels lists the four consistency models the fused engine is checked
-// against, strongest first.
-var AllModels = []pfs.Semantics{pfs.Strong, pfs.Commit, pfs.Session, pfs.Eventual}
-
-// CheckFused asserts the single-sweep multi-model engine
-// (core.AnalyzeConflictsAll, serial and parallel) produces byte-identical
-// per-file conflict lists and signatures to the per-model oracle
-// core.AnalyzeConflicts for every consistency model, and that the derived
-// verdicts agree.
-func CheckFused(t testing.TB, label string, tr *recorder.Trace, workerCounts ...int) {
-	t.Helper()
-	if len(workerCounts) == 0 {
-		workerCounts = DefaultWorkerCounts
-	}
-	wantByFile := make([]map[string][]core.Conflict, len(AllModels))
-	wantSig := make([]core.ConflictSignature, len(AllModels))
-	for i, m := range AllModels {
-		wantByFile[i], wantSig[i] = core.AnalyzeConflicts(tr, m)
-	}
-
-	requireModels := func(how string, ms []core.ModelConflicts) {
-		t.Helper()
-		for i, m := range AllModels {
-			if ms[i].Model != m {
-				t.Errorf("%s: %s model order: got %v want %v", label, how, ms[i].Model, m)
-			}
-			if ms[i].Signature != wantSig[i] {
-				t.Errorf("%s: %s signature under %v diverges from per-model oracle\noracle: %+v\nfused:  %+v",
-					label, how, m, wantSig[i], ms[i].Signature)
-			}
-			if !reflect.DeepEqual(ms[i].ByFile, wantByFile[i]) {
-				t.Errorf("%s: %s conflicts under %v diverge from per-model oracle", label, how, m)
-			}
-		}
-	}
-	requireModels("fused-serial", core.ConflictsAllOverFiles(core.Extract(tr), AllModels))
-	fas := core.ExtractShared(tr)
-	for _, w := range workerCounts {
-		requireModels(fmt.Sprintf("fused-parallel/workers=%d", w),
-			core.ConflictsAllForFiles(fas, AllModels, w))
-	}
-
-	sessionI, commitI := indexOf(pfs.Session), indexOf(pfs.Commit)
-	wantVerdict := core.VerdictFrom(wantSig[sessionI], wantSig[commitI])
-	if got := core.Analyze(tr); got != wantVerdict {
-		t.Errorf("%s: fused verdict %+v, per-model oracle %+v", label, got, wantVerdict)
-	}
-}
-
-func indexOf(m pfs.Semantics) int {
-	for i, x := range AllModels {
-		if x == m {
-			return i
-		}
-	}
-	panic("model not in AllModels")
 }
 
 // CheckFormats is the on-disk format equivalence gate: tr is saved in the
 // columnar and v1 formats plus both convert round trips, reloaded at every
 // worker count, and each reload must carry byte-identical records (the
 // strict v1 load is the disk oracle) and produce a byte-identical analysis
-// and rendered report. The columnar directory is additionally consumed
-// through the zero-copy cursor path (colfmt.OpenDirOn → core.ExtractCursors)
-// which must reproduce the materializing extraction exactly.
+// and rendered report (the serial analysis of the v1 reload is the
+// analysis oracle). The columnar directory is additionally consumed through
+// the zero-copy cursor path (colfmt.OpenDirOn → core.ExtractCursors) which
+// must reproduce the materializing extraction exactly.
 func CheckFormats(t testing.TB, label string, tr *recorder.Trace, workerCounts ...int) {
 	t.Helper()
 	if len(workerCounts) == 0 {
@@ -163,9 +120,13 @@ func CheckFormats(t testing.TB, label string, tr *recorder.Trace, workerCounts .
 	if err != nil {
 		t.Fatalf("%s: loading v1 oracle: %v", label, err)
 	}
-	oracleAnalysis := semfs.Analyze(oracle)
+	defer core.InvalidateExtraction(oracle)
+	oracleAnalysis := analyze(t, label, oracle, 1)
 	oracleReport := report.BuildRunReport(oracle).Render()
-	oracleFA := core.Extract(oracle)
+	oracleFA, err := core.ExtractSharedCtx(context.Background(), oracle, 1)
+	if err != nil {
+		t.Fatalf("%s: extracting v1 oracle: %v", label, err)
+	}
 
 	for _, d := range dirs {
 		for _, w := range workerCounts {
@@ -181,11 +142,12 @@ func CheckFormats(t testing.TB, label string, tr *recorder.Trace, workerCounts .
 				t.Errorf("%s/%s/workers=%d: records diverge from the v1 oracle", label, d.name, w)
 				continue
 			}
-			RequireEqual(t, fmt.Sprintf("%s/%s/workers=%d", label, d.name, w),
-				oracleAnalysis, semfs.Analyze(got))
+			dlabel := fmt.Sprintf("%s/%s/workers=%d", label, d.name, w)
+			RequireEqual(t, dlabel, oracleAnalysis, analyze(t, dlabel, got, 1))
 			if rep := report.BuildRunReport(got).Render(); rep != oracleReport {
-				t.Errorf("%s/%s/workers=%d: rendered report diverges", label, d.name, w)
+				t.Errorf("%s: rendered report diverges", dlabel)
 			}
+			core.InvalidateExtraction(got)
 		}
 	}
 
@@ -210,7 +172,7 @@ func CheckFormats(t testing.TB, label string, tr *recorder.Trace, workerCounts .
 }
 
 // CheckApp runs one registry application configuration and asserts
-// serial/parallel analysis equivalence on its trace.
+// worker-count equivalence of its analysis (see CheckTrace).
 func CheckApp(t testing.TB, name string, o semfs.RunOptions, workerCounts ...int) {
 	t.Helper()
 	res, err := semfs.Run(name, o)

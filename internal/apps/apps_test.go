@@ -1,12 +1,14 @@
 package apps
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/pfs"
+	"repro/internal/recorder"
 )
 
 const (
@@ -32,6 +34,24 @@ func execute(t *testing.T, name string, opts Options) *harness.Result {
 		t.Fatalf("%s: rank failure: %v", name, err)
 	}
 	return res
+}
+
+// extracted is the trace's serial extraction, evicted from the shared
+// cache again so the suite's traces do not pile up in it.
+func extracted(t *testing.T, tr *recorder.Trace) []*core.FileAccesses {
+	t.Helper()
+	fas, err := core.ExtractSharedCtx(context.Background(), tr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	core.InvalidateExtraction(tr)
+	return fas
+}
+
+// conflicts detects one model's conflicts over the trace.
+func conflicts(t *testing.T, tr *recorder.Trace, model pfs.Semantics) (map[string][]core.Conflict, core.ConflictSignature) {
+	t.Helper()
+	return core.ConflictsOverFiles(extracted(t, tr), model)
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -81,7 +101,7 @@ func TestTable4SessionConflicts(t *testing.T) {
 		t.Run(cfg.Name(), func(t *testing.T) {
 			t.Parallel()
 			res := execute(t, cfg.Name(), Options{})
-			_, sig := core.AnalyzeConflicts(res.Trace, pfs.Session)
+			_, sig := conflicts(t, res.Trace, pfs.Session)
 			want := table4Expected[cfg.Name()]
 			if sig != want {
 				t.Fatalf("session signature = %+v, want %+v (Table 4)", sig, want)
@@ -98,7 +118,7 @@ func TestTable4CommitConflicts(t *testing.T) {
 		t.Run(cfg.Name(), func(t *testing.T) {
 			t.Parallel()
 			res := execute(t, cfg.Name(), Options{})
-			_, sig := core.AnalyzeConflicts(res.Trace, pfs.Commit)
+			_, sig := conflicts(t, res.Trace, pfs.Commit)
 			want := table4Expected[cfg.Name()]
 			if strings.HasPrefix(cfg.Name(), "FLASH") {
 				want = core.ConflictSignature{}
@@ -147,8 +167,11 @@ func TestTable3HighLevelPatterns(t *testing.T) {
 		t.Run(cfg.Name(), func(t *testing.T) {
 			t.Parallel()
 			res := execute(t, cfg.Name(), Options{})
-			fas := core.Extract(res.Trace)
-			ps := core.ClassifyHighLevel(fas, core.HLOptions{WorldSize: testRanks})
+			ps, err := core.ClassifyHighLevelParallelCtx(context.Background(), extracted(t, res.Trace),
+				core.HLOptions{WorldSize: testRanks}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
 			want := table3Expected[cfg.Name()]
 			for _, p := range ps {
 				if p.Key() == want {
@@ -176,7 +199,7 @@ func TestConflictsAreSynchronized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			byFile, _ := core.AnalyzeConflicts(res.Trace, pfs.Session)
+			byFile, _ := conflicts(t, res.Trace, pfs.Session)
 			total := 0
 			for path, cs := range byFile {
 				if un := core.ValidateConflicts(hb, cs); len(un) > 0 {
@@ -200,8 +223,8 @@ func TestScaleInvariance(t *testing.T) {
 			t.Parallel()
 			small := execute(t, name, Options{Ranks: 8, PPN: 2})
 			large := execute(t, name, Options{Ranks: 32, PPN: 4})
-			_, sigS := core.AnalyzeConflicts(small.Trace, pfs.Session)
-			_, sigL := core.AnalyzeConflicts(large.Trace, pfs.Session)
+			_, sigS := conflicts(t, small.Trace, pfs.Session)
+			_, sigL := conflicts(t, large.Trace, pfs.Session)
 			if sigS != sigL {
 				t.Fatalf("signature changed with scale: %+v vs %+v", sigS, sigL)
 			}
@@ -217,7 +240,11 @@ func TestVerdicts(t *testing.T) {
 		t.Run(cfg.Name(), func(t *testing.T) {
 			t.Parallel()
 			res := execute(t, cfg.Name(), Options{})
-			v := core.Analyze(res.Trace)
+			v, err := core.AnalyzeParallelCtx(context.Background(), res.Trace, 1)
+			core.InvalidateExtraction(res.Trace)
+			if err != nil {
+				t.Fatal(err)
+			}
 			wantWeakest := pfs.Session
 			if strings.HasPrefix(cfg.Name(), "FLASH") {
 				wantWeakest = pfs.Commit
@@ -285,7 +312,7 @@ func TestFlashFixedByCollectiveMetadata(t *testing.T) {
 	if res.Err() != nil {
 		t.Fatalf("collective-metadata FLASH failed on session semantics: %v", res.Err())
 	}
-	_, sig := core.AnalyzeConflicts(res.Trace, pfs.Session)
+	_, sig := conflicts(t, res.Trace, pfs.Session)
 	if sig.HasDifferentProcess() {
 		t.Fatalf("cross-process conflicts remain with collective metadata: %+v", sig)
 	}

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -81,8 +82,16 @@ func TestFigure1ShapeInvariants(t *testing.T) {
 		t.Run(c.config, func(t *testing.T) {
 			t.Parallel()
 			res := execute(t, c.config, Options{Ranks: 32, PPN: 4})
-			fas := core.Extract(res.Trace)
-			c.check(t, core.GlobalPattern(fas), core.LocalPattern(fas))
+			fas := extracted(t, res.Trace)
+			global, err := core.GlobalPatternParallelCtx(context.Background(), fas, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			local, err := core.LocalPatternParallelCtx(context.Background(), fas, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.check(t, global, local)
 		})
 	}
 }

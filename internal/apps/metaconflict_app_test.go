@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -24,7 +25,10 @@ func TestMetadataDependencies(t *testing.T) {
 		t.Run(cfg.Name(), func(t *testing.T) {
 			t.Parallel()
 			res := execute(t, cfg.Name(), Options{})
-			cs := core.DetectMetadataConflicts(res.Trace)
+			cs, err := core.DetectMetadataConflictsParallelCtx(context.Background(), res.Trace, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
 			sig := core.MetaSignatureOf(cs)
 			if want := expected[cfg.Name()]; sig != want {
 				t.Fatalf("metadata signature = %+v, want %+v (pairs: %v)", sig, want, cs)

@@ -1,12 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sort"
 
 	"repro/internal/pfs"
-	"repro/internal/recorder"
 )
 
 // ConflictKind distinguishes the paper's two hazard classes.
@@ -48,12 +48,12 @@ func (c Conflict) String() string {
 }
 
 // MaxConflictsPerFile caps the conflicts materialized for one (file, model)
-// pair — the write-side counterpart of the read-read suppression in
-// DetectOverlaps. A write-heavy overlap storm (every write overlapping every
+// pair — the write-side counterpart of the read-read suppression in the
+// overlap sweep. A write-heavy overlap storm (every write overlapping every
 // write) would otherwise materialize a quadratic pair list; past the cap,
 // further conflicts are dropped and tallied in the
 // core.conflicts.suppressed counter, EXCEPT that the first conflict of each
-// of the four Table 4 classes is always kept, so Signature (and therefore
+// of the four Table 4 classes is always kept, so the signature (and therefore
 // every Verdict) is exact even on truncated lists. Set it before analysis
 // starts; it is read concurrently by the parallel passes.
 var MaxConflictsPerFile = 1 << 20
@@ -85,10 +85,9 @@ func (a *conflictAppender) add(c Conflict) {
 	a.out = append(a.out, c)
 }
 
-// sortConflicts imposes the report order shared by the per-model and fused
-// paths: entry time of the first operation, then of the second. The sort is
-// stable, so timestamp ties keep the deterministic sweep emission order —
-// which is what makes the fused pass byte-identical to the per-model one.
+// sortConflicts imposes the report order: entry time of the first
+// operation, then of the second. The sort is stable, so timestamp ties keep
+// the deterministic sweep emission order.
 func sortConflicts(cs []Conflict) {
 	slices.SortStableFunc(cs, func(a, b Conflict) int {
 		switch {
@@ -109,8 +108,7 @@ func sortConflicts(cs []Conflict) {
 }
 
 // conflictUnder evaluates one model's conflict predicate (§5.2) for a
-// time-ordered candidate pair — the shared core of DetectConflicts and the
-// fused DetectConflictsMulti:
+// time-ordered candidate pair:
 //
 //	(1) the pair overlaps,
 //	(2) the earlier operation is a write,
@@ -118,6 +116,10 @@ func sortConflicts(cs []Conflict) {
 //	    the two operations,
 //	(4) session semantics: there is no close by the writer followed by an
 //	    open by the second process, both between the two operations.
+//
+// Under strong semantics no pair conflicts (the PFS serializes them), and
+// under eventual semantics every candidate pair conflicts (no operation
+// bounds the propagation delay).
 func conflictUnder(fa *FileAccesses, model pfs.Semantics, first, second *Interval) bool {
 	switch model {
 	case pfs.Commit:
@@ -132,33 +134,67 @@ func conflictUnder(fa *FileAccesses, model pfs.Semantics, first, second *Interva
 	return false
 }
 
-// DetectConflicts finds the conflicting access pairs of one file under the
-// given consistency model (§5.2; see conflictUnder for the conditions).
-// Under strong semantics no pairs conflict (the PFS serializes them), and
-// under eventual semantics every candidate pair conflicts (no operation
-// bounds the propagation delay).
-func DetectConflicts(fa *FileAccesses, model pfs.Semantics) []Conflict {
-	if model == pfs.Strong {
-		return nil
+// ModelConflicts is one model's slice of a fused analysis: the per-file
+// conflict lists (files without conflicts omitted) and the aggregate
+// Table 4 signature.
+type ModelConflicts struct {
+	Model     pfs.Semantics
+	ByFile    map[string][]Conflict
+	Signature ConflictSignature
+}
+
+// detectConflictsMulti finds the conflicting access pairs of one file
+// (§5.2; see conflictUnder for the conditions), evaluating every model's
+// predicate in ONE offset-sorted sweep of the file's intervals. For each
+// candidate pair the Conflict value is built at most once and shared across
+// the models that admit it; each model's list is capped by
+// MaxConflictsPerFile and sorted by sortConflicts.
+func detectConflictsMulti(fa *FileAccesses, models []pfs.Semantics) [][]Conflict {
+	out := make([][]Conflict, len(models))
+	active := 0
+	for _, m := range models {
+		if m != pfs.Strong {
+			active++
+		}
 	}
-	app := conflictAppender{max: MaxConflictsPerFile}
-	sweepOverlaps(fa.Intervals, false, func(p OverlapPair) {
+	if active == 0 {
+		return out
+	}
+	apps := make([]conflictAppender, len(models))
+	for i := range apps {
+		apps[i].max = MaxConflictsPerFile
+	}
+	sweepOverlaps(fa.Intervals, func(p OverlapPair) {
 		first, second := &fa.Intervals[p.A], &fa.Intervals[p.B]
-		if conflictUnder(fa, model, first, second) {
-			app.add(Conflict{
-				Path:        fa.Path,
-				Kind:        kindOf(second),
-				SameProcess: first.Rank == second.Rank,
-				First:       *first,
-				Second:      *second,
-			})
+		var c Conflict
+		built := false
+		for i, m := range models {
+			if m == pfs.Strong || !conflictUnder(fa, m, first, second) {
+				continue
+			}
+			if !built {
+				c = Conflict{
+					Path:        fa.Path,
+					Kind:        kindOf(second),
+					SameProcess: first.Rank == second.Rank,
+					First:       *first,
+					Second:      *second,
+				}
+				built = true
+			}
+			apps[i].add(c)
 		}
 	})
-	if app.suppressed > 0 {
-		conflictsSuppressed.Add(app.suppressed)
+	var suppressed int64
+	for i := range apps {
+		suppressed += apps[i].suppressed
+		sortConflicts(apps[i].out)
+		out[i] = apps[i].out
 	}
-	sortConflicts(app.out)
-	return app.out
+	if suppressed > 0 {
+		conflictsSuppressed.Add(suppressed)
+	}
+	return out
 }
 
 func kindOf(second *Interval) ConflictKind {
@@ -209,8 +245,8 @@ func (s *ConflictSignature) merge(o ConflictSignature) {
 	s.RAWDiff = s.RAWDiff || o.RAWDiff
 }
 
-// Signature aggregates conflicts into a Table 4 row.
-func Signature(conflicts []Conflict) ConflictSignature {
+// signatureOf aggregates conflicts into a Table 4 row.
+func signatureOf(conflicts []Conflict) ConflictSignature {
 	var s ConflictSignature
 	for _, c := range conflicts {
 		switch {
@@ -227,32 +263,13 @@ func Signature(conflicts []Conflict) ConflictSignature {
 	return s
 }
 
-// ConflictsOverFiles runs per-file conflict detection for one model over
-// already-extracted accesses, serially — the per-model reference the fused
-// engine is equivalence-tested against. Files without conflicts are omitted
+// ConflictsOverFiles runs conflict detection for one model over
+// already-extracted accesses — the single-model form of
+// ConflictsAllForFilesCtx, serially. Files without conflicts are omitted
 // from the map.
 func ConflictsOverFiles(fas []*FileAccesses, model pfs.Semantics) (map[string][]Conflict, ConflictSignature) {
-	byFile := make(map[string][]Conflict)
-	var sig ConflictSignature
-	for _, fa := range fas {
-		cs := DetectConflicts(fa, model)
-		if len(cs) > 0 {
-			byFile[fa.Path] = cs
-			sig.merge(Signature(cs))
-		}
-	}
-	return byFile, sig
-}
-
-// AnalyzeConflicts runs extraction and conflict detection over a whole
-// trace for one model, returning conflicts per file (files without
-// conflicts omitted) and the aggregate signature. This is the per-model
-// oracle path: it extracts for itself (no cache) and sweeps once per model,
-// exactly as the paper's Algorithm 1 + §5.2 describe. Production callers
-// use AnalyzeConflictsAll, which shares one extraction and one sweep across
-// models.
-func AnalyzeConflicts(tr *recorder.Trace, model pfs.Semantics) (map[string][]Conflict, ConflictSignature) {
-	return ConflictsOverFiles(Extract(tr), model)
+	ms, _ := ConflictsAllForFilesCtx(context.Background(), fas, []pfs.Semantics{model}, 1)
+	return ms[0].ByFile, ms[0].Signature
 }
 
 // Verdict is the paper's bottom line for one application (§6.3): the
@@ -269,15 +286,8 @@ type Verdict struct {
 	NeedsPerProcessOrdering bool
 }
 
-// Analyze computes the full verdict for a trace, through the fused engine:
-// one (cached) extraction, one sweep evaluating both models.
-func Analyze(tr *recorder.Trace) Verdict {
-	ms := AnalyzeConflictsAll(tr, pfs.Session, pfs.Commit)
-	return VerdictFrom(ms[0].Signature, ms[1].Signature)
-}
-
-// VerdictFrom derives the §6.3 verdict from the two model signatures — the
-// shared tail of the serial and parallel analysis paths.
+// VerdictFrom derives the §6.3 verdict from the session and commit
+// signatures.
 func VerdictFrom(session, commit ConflictSignature) Verdict {
 	v := Verdict{Session: session, Commit: commit}
 	switch {

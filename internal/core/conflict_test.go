@@ -34,7 +34,7 @@ func TestStrongNeverConflicts(t *testing.T) {
 		iv(10, 0, 0, 100, true),
 		iv(20, 1, 0, 100, false),
 	}, nil, nil, nil)
-	if got := DetectConflicts(fa, pfs.Strong); len(got) != 0 {
+	if got := conflictsUnder(fa, pfs.Strong); len(got) != 0 {
 		t.Fatalf("strong semantics produced conflicts: %v", got)
 	}
 }
@@ -44,7 +44,7 @@ func TestCommitConflictWithoutCommit(t *testing.T) {
 		iv(10, 0, 0, 100, true),
 		iv(50, 1, 50, 60, false),
 	}, nil, nil, nil)
-	got := DetectConflicts(fa, pfs.Commit)
+	got := conflictsUnder(fa, pfs.Commit)
 	if len(got) != 1 {
 		t.Fatalf("conflicts = %v", got)
 	}
@@ -59,7 +59,7 @@ func TestCommitResolvedByFsyncBetween(t *testing.T) {
 		iv(10, 0, 0, 100, true),
 		iv(50, 1, 50, 60, false),
 	}, nil, nil, map[int32][]uint64{0: {30}}) // writer committed at t=30
-	if got := DetectConflicts(fa, pfs.Commit); len(got) != 0 {
+	if got := conflictsUnder(fa, pfs.Commit); len(got) != 0 {
 		t.Fatalf("commit at t=30 should clear the conflict: %v", got)
 	}
 }
@@ -69,7 +69,7 @@ func TestCommitAfterSecondOpDoesNotHelp(t *testing.T) {
 		iv(10, 0, 0, 100, true),
 		iv(50, 1, 50, 60, false),
 	}, nil, nil, map[int32][]uint64{0: {70}}) // commit too late
-	if got := DetectConflicts(fa, pfs.Commit); len(got) != 1 {
+	if got := conflictsUnder(fa, pfs.Commit); len(got) != 1 {
 		t.Fatalf("late commit must not clear the conflict: %v", got)
 	}
 }
@@ -79,7 +79,7 @@ func TestCommitByWrongProcessDoesNotHelp(t *testing.T) {
 		iv(10, 0, 0, 100, true),
 		iv(50, 1, 50, 60, false),
 	}, nil, nil, map[int32][]uint64{1: {30}}) // reader committed, not writer
-	if got := DetectConflicts(fa, pfs.Commit); len(got) != 1 {
+	if got := conflictsUnder(fa, pfs.Commit); len(got) != 1 {
 		t.Fatalf("reader's commit must not clear the conflict: %v", got)
 	}
 }
@@ -91,7 +91,7 @@ func TestSessionConflictAndResolution(t *testing.T) {
 	}
 	// No close/open pair: conflict.
 	fa := mkFA("/f", ivs, nil, nil, nil)
-	if got := DetectConflicts(fa, pfs.Session); len(got) != 1 {
+	if got := conflictsUnder(fa, pfs.Session); len(got) != 1 {
 		t.Fatalf("expected session conflict: %v", got)
 	}
 	// Writer closes at 30, reader opens at 50: ordered.
@@ -99,7 +99,7 @@ func TestSessionConflictAndResolution(t *testing.T) {
 		map[int32][]uint64{1: {50}},
 		map[int32][]uint64{0: {30}},
 		map[int32][]uint64{0: {30}})
-	if got := DetectConflicts(fa, pfs.Session); len(got) != 0 {
+	if got := conflictsUnder(fa, pfs.Session); len(got) != 0 {
 		t.Fatalf("close-then-open should clear the conflict: %v", got)
 	}
 	// Close after the reader's open: still a conflict.
@@ -107,7 +107,7 @@ func TestSessionConflictAndResolution(t *testing.T) {
 		map[int32][]uint64{1: {20}},
 		map[int32][]uint64{0: {30}},
 		map[int32][]uint64{0: {30}})
-	if got := DetectConflicts(fa, pfs.Session); len(got) != 1 {
+	if got := conflictsUnder(fa, pfs.Session); len(got) != 1 {
 		t.Fatalf("open-before-close must stay a conflict: %v", got)
 	}
 }
@@ -120,13 +120,13 @@ func TestSessionFsyncAloneDoesNotResolve(t *testing.T) {
 		iv(80, 1, 96, 368, true),
 	}
 	fa := mkFA("/f", ivs, nil, nil, map[int32][]uint64{0: {40}})
-	if got := DetectConflicts(fa, pfs.Session); len(got) != 1 {
+	if got := conflictsUnder(fa, pfs.Session); len(got) != 1 {
 		t.Fatalf("session must conflict despite fsync: %v", got)
 	}
-	if got := DetectConflicts(fa, pfs.Commit); len(got) != 0 {
+	if got := conflictsUnder(fa, pfs.Commit); len(got) != 0 {
 		t.Fatalf("commit must be clean with fsync between: %v", got)
 	}
-	c := DetectConflicts(fa, pfs.Session)[0]
+	c := conflictsUnder(fa, pfs.Session)[0]
 	if c.Kind != WAW || c.SameProcess {
 		t.Fatalf("misclassified: %v", c)
 	}
@@ -143,7 +143,7 @@ func TestSameProcessSessionCloseReopenResolves(t *testing.T) {
 		map[int32][]uint64{0: {5, 50}},
 		map[int32][]uint64{0: {30}},
 		map[int32][]uint64{0: {30}})
-	if got := DetectConflicts(fa, pfs.Session); len(got) != 0 {
+	if got := conflictsUnder(fa, pfs.Session); len(got) != 0 {
 		t.Fatalf("close-reopen by same process should order the pair: %v", got)
 	}
 }
@@ -157,7 +157,7 @@ func TestEventualAlwaysConflicts(t *testing.T) {
 		map[int32][]uint64{1: {50}},
 		map[int32][]uint64{0: {30}},
 		map[int32][]uint64{0: {30}})
-	if got := DetectConflicts(fa, pfs.Eventual); len(got) != 1 {
+	if got := conflictsUnder(fa, pfs.Eventual); len(got) != 1 {
 		t.Fatalf("eventual semantics should flag every candidate: %v", got)
 	}
 }
@@ -167,7 +167,7 @@ func TestWriteAfterReadIsNotAConflict(t *testing.T) {
 		iv(10, 0, 0, 100, false), // read first
 		iv(50, 1, 0, 100, true),  // write second
 	}, nil, nil, nil)
-	if got := DetectConflicts(fa, pfs.Session); len(got) != 0 {
+	if got := conflictsUnder(fa, pfs.Session); len(got) != 0 {
 		t.Fatalf("WAR pair flagged: %v", got)
 	}
 }
@@ -177,7 +177,7 @@ func TestSignature(t *testing.T) {
 		{Kind: WAW, SameProcess: true},
 		{Kind: RAW, SameProcess: false},
 	}
-	s := Signature(cs)
+	s := signatureOf(cs)
 	if !s.WAWSame || !s.RAWDiff || s.WAWDiff || s.RAWSame {
 		t.Fatalf("signature = %+v", s)
 	}

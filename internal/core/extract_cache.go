@@ -2,12 +2,13 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"repro/internal/recorder"
 )
 
-// The extraction cache shares one Extract result per trace across every
+// The extraction cache shares one extraction per trace across every
 // analysis surface (conflicts, patterns, reports, SVG/CSV figures). Traces
 // are immutable once recorded and FileAccesses are never mutated by
 // consumers (patterns and reports build their own index slices), so sharing
@@ -49,9 +50,7 @@ func (c *extractionCache) acquire(tr any) *extractionEntry {
 	}
 	extractCacheMisses.Inc()
 	if len(c.order) >= extractCacheCap {
-		evict := c.order[0]
-		c.order = c.order[1:]
-		delete(c.byTr, evict)
+		c.removeLocked(c.order[0], nil)
 		extractCacheEvictions.Inc()
 	}
 	e := &extractionEntry{}
@@ -60,60 +59,49 @@ func (c *extractionCache) acquire(tr any) *extractionEntry {
 	return e
 }
 
-// drop removes an entry, if still present with the same identity.
-func (c *extractionCache) drop(tr any, e *extractionEntry) {
+// remove evicts key's entry; when e is non-nil, only if the entry is still
+// e (a failed extraction must not evict a newer one for the same key).
+func (c *extractionCache) remove(key any, e *extractionEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if cur, ok := c.byTr[tr]; ok && cur == e {
-		delete(c.byTr, tr)
-		for i, t := range c.order {
-			if t == tr {
-				c.order = append(c.order[:i], c.order[i+1:]...)
-				break
-			}
-		}
+	c.removeLocked(key, e)
+}
+
+// removeLocked is remove with c.mu held. slices.Delete zeroes the vacated
+// tail slot, so the order slice's backing array does not keep the removed
+// key — for slice-backed extraction a whole trace — alive.
+func (c *extractionCache) removeLocked(key any, e *extractionEntry) {
+	if cur, ok := c.byTr[key]; !ok || (e != nil && cur != e) {
+		return
+	}
+	delete(c.byTr, key)
+	if i := slices.Index(c.order, key); i >= 0 {
+		c.order = slices.Delete(c.order, i, i+1)
 	}
 }
 
-// ExtractShared is Extract through the cache: the first call for a trace
-// extracts (serially) and every later call returns the same slice. Callers
-// must treat the result as read-only.
-func ExtractShared(tr *recorder.Trace) []*FileAccesses {
-	fas, _ := ExtractSharedCtx(context.Background(), tr, 1)
-	return fas
-}
-
-// ExtractSharedCtx is ExtractShared with a cancellable, parallel extraction
-// on a miss (workers as in ExtractParallelCtx). A failed (cancelled)
-// extraction is dropped from the cache so the error does not poison later
-// calls.
+// ExtractSharedCtx is the one extraction entry point: the first call for a
+// trace extracts it (§5.1 offset reconstruction plus the §5.2 To/Tc
+// annotation, on a pool of workers; 1 extracts serially) and every later
+// call returns the same slice, which callers must treat as read-only. A
+// failed (cancelled) extraction is dropped from the cache so the error does
+// not poison later calls.
 func ExtractSharedCtx(ctx context.Context, tr *recorder.Trace, workers int) ([]*FileAccesses, error) {
 	e := extractions.acquire(tr)
 	e.once.Do(func() {
-		e.fas, e.err = ExtractParallelCtx(ctx, tr, workers)
+		e.fas, e.err = extract(ctx, tr, workers)
 		if e.err != nil {
-			extractions.drop(tr, e)
+			extractions.remove(tr, e)
 		}
 	})
 	return e.fas, e.err
 }
 
 // InvalidateExtraction evicts a trace's cached extraction. Benchmarks use it
-// to measure the cold path; production code never needs it because traces
-// are immutable.
+// to measure the cold path and equivalence tests to force a re-extraction;
+// production code never needs it because traces are immutable.
 func InvalidateExtraction(tr *recorder.Trace) {
-	extractions.mu.Lock()
-	defer extractions.mu.Unlock()
-	if _, ok := extractions.byTr[tr]; !ok {
-		return
-	}
-	delete(extractions.byTr, tr)
-	for i, t := range extractions.order {
-		if t == tr {
-			extractions.order = append(extractions.order[:i], extractions.order[i+1:]...)
-			break
-		}
-	}
+	extractions.remove(tr, nil)
 }
 
 // ExtractCursorsSharedCtx is ExtractCursorsCtx through the cache: key
@@ -127,7 +115,7 @@ func ExtractCursorsSharedCtx(ctx context.Context, key any, cursors []RecordCurso
 	e.once.Do(func() {
 		e.fas, e.err = ExtractCursorsCtx(ctx, cursors, workers)
 		if e.err != nil {
-			extractions.drop(key, e)
+			extractions.remove(key, e)
 		}
 	})
 	return e.fas, e.err

@@ -19,7 +19,7 @@ func runTrace(t *testing.T, ranks int, body func(ctx *harness.Ctx) error) (*reco
 	if err := res.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return res.Trace, Extract(res.Trace)
+	return res.Trace, extractAll(res.Trace)
 }
 
 func findFile(t *testing.T, fas []*FileAccesses, path string) *FileAccesses {
@@ -198,7 +198,7 @@ func TestExtractOriginAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fas := Extract(res.Trace)
+	fas := extractAll(res.Trace)
 	fa := findFile(t, fas, "/h")
 	if fa.Intervals[0].Origin != recorder.LayerHDF5 {
 		t.Fatalf("first write origin = %v, want HDF5", fa.Intervals[0].Origin)

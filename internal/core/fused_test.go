@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/pfs"
 	"repro/internal/recorder"
@@ -12,15 +15,15 @@ import (
 var allModels = []pfs.Semantics{pfs.Strong, pfs.Commit, pfs.Session, pfs.Eventual}
 
 // TestFusedMatchesPerModelRandom: the single-sweep multi-model pass must be
-// byte-identical to one DetectConflicts call per model, on randomized
+// byte-identical to one per-model oracle sweep per model, on randomized
 // histories.
 func TestFusedMatchesPerModelRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 300; trial++ {
 		fa := randomFA(rng)
-		lists := DetectConflictsMulti(fa, allModels)
+		lists := detectConflictsMulti(fa, allModels)
 		for i, m := range allModels {
-			want := DetectConflicts(fa, m)
+			want := detectConflictsOracle(fa, m)
 			if !reflect.DeepEqual(lists[i], want) {
 				t.Fatalf("trial %d: fused list under %v diverges\nfused: %v\nwant:  %v",
 					trial, m, lists[i], want)
@@ -32,7 +35,7 @@ func TestFusedMatchesPerModelRandom(t *testing.T) {
 // TestConflictCapPreservesSignature: under a tiny MaxConflictsPerFile the
 // materialized list truncates but the Table 4 signature stays exact (the
 // appender always admits the first conflict of an unseen class), and the
-// fused pass still matches the per-model pass exactly.
+// fused pass still matches the per-model oracle exactly.
 func TestConflictCapPreservesSignature(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	orig := MaxConflictsPerFile
@@ -41,14 +44,14 @@ func TestConflictCapPreservesSignature(t *testing.T) {
 		fa := randomFA(rng)
 
 		MaxConflictsPerFile = orig
-		full := DetectConflicts(fa, pfs.Eventual)
+		full := conflictsUnder(fa, pfs.Eventual)
 		if len(full) < 8 {
 			continue // need a storm for the cap to bind
 		}
-		wantSig := Signature(full)
+		wantSig := signatureOf(full)
 
 		MaxConflictsPerFile = 3
-		capped := DetectConflicts(fa, pfs.Eventual)
+		capped := conflictsUnder(fa, pfs.Eventual)
 		// At most cap entries plus one extra per late-appearing class.
 		if len(capped) > 3+4 {
 			t.Fatalf("trial %d: cap not applied: %d conflicts", trial, len(capped))
@@ -56,12 +59,12 @@ func TestConflictCapPreservesSignature(t *testing.T) {
 		if len(capped) >= len(full) {
 			t.Fatalf("trial %d: cap did not truncate (%d vs %d)", trial, len(capped), len(full))
 		}
-		if got := Signature(capped); got != wantSig {
+		if got := signatureOf(capped); got != wantSig {
 			t.Fatalf("trial %d: capped signature %+v, want %+v", trial, got, wantSig)
 		}
-		lists := DetectConflictsMulti(fa, allModels)
+		lists := detectConflictsMulti(fa, allModels)
 		for i, m := range allModels {
-			if want := DetectConflicts(fa, m); !reflect.DeepEqual(lists[i], want) {
+			if want := detectConflictsOracle(fa, m); !reflect.DeepEqual(lists[i], want) {
 				t.Fatalf("trial %d: capped fused list under %v diverges", trial, m)
 			}
 		}
@@ -84,34 +87,34 @@ func TestConflictAppenderClassCoverage(t *testing.T) {
 	if len(app.out) != 3 || app.suppressed != 1 {
 		t.Fatalf("unseen class past cap: got %d kept, %d suppressed; want 3, 1", len(app.out), app.suppressed)
 	}
-	if got := Signature(app.out); !got.WAWDiff || !got.RAWSame {
+	if got := signatureOf(app.out); !got.WAWDiff || !got.RAWSame {
 		t.Fatalf("signature lost a class: %+v", got)
 	}
 }
 
 // TestExtractSharedCaches: same trace pointer -> same extraction slice;
 // invalidation forces a re-extract; distinct traces get distinct entries;
-// the cached result matches the plain serial Extract.
+// the cached result matches an uncached serial extraction.
 func TestExtractSharedCaches(t *testing.T) {
 	tr := synthTrace(3, 4)
-	a := ExtractShared(tr)
-	b := ExtractShared(tr)
+	a := extractShared(t, tr)
+	b := extractShared(t, tr)
 	if len(a) == 0 {
 		t.Fatal("empty extraction from a non-empty trace")
 	}
 	if &a[0] != &b[0] {
-		t.Fatal("second ExtractShared did not return the cached slice")
+		t.Fatal("second ExtractSharedCtx did not return the cached slice")
 	}
-	if want := Extract(tr); !reflect.DeepEqual(a, want) {
-		t.Fatal("cached extraction diverges from serial Extract")
+	if want := extractAll(tr); !reflect.DeepEqual(a, want) {
+		t.Fatal("cached extraction diverges from serial extraction")
 	}
 	InvalidateExtraction(tr)
-	c := ExtractShared(tr)
+	c := extractShared(t, tr)
 	if &c[0] == &a[0] {
 		t.Fatal("InvalidateExtraction did not evict: got the old slice back")
 	}
 	tr2 := synthTrace(2, 2)
-	d := ExtractShared(tr2)
+	d := extractShared(t, tr2)
 	if len(d) == len(c) && &d[0] == &c[0] {
 		t.Fatal("distinct traces share one cache entry")
 	}
@@ -119,16 +122,25 @@ func TestExtractSharedCaches(t *testing.T) {
 	InvalidateExtraction(tr2)
 }
 
+func extractShared(t *testing.T, tr *recorder.Trace) []*FileAccesses {
+	t.Helper()
+	fas, err := ExtractSharedCtx(context.Background(), tr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fas
+}
+
 // TestExtractSharedEviction fills the cache past its cap and checks old
 // entries are evicted while fresh ones still hit.
 func TestExtractSharedEviction(t *testing.T) {
 	first := synthTrace(1, 1)
-	ExtractShared(first)
+	extractShared(t, first)
 	var trs []*recorder.Trace
 	for i := 0; i < extractCacheCap; i++ {
 		tr := synthTrace(1, 1)
 		trs = append(trs, tr)
-		ExtractShared(tr)
+		extractShared(t, tr)
 	}
 	extractions.mu.Lock()
 	_, firstStill := extractions.byTr[first]
@@ -149,34 +161,29 @@ func TestExtractSharedEviction(t *testing.T) {
 	}
 }
 
-// TestSweepTableRankRegimes: the rank-pair table is identical across the
-// dense accumulator (small ranks), the map fallback (ranks past
-// denseRankLimit), and the brute-force oracle.
-func TestSweepTableRankRegimes(t *testing.T) {
-	rng := rand.New(rand.NewSource(67))
-	for trial := 0; trial < 50; trial++ {
-		var ivs []Interval
-		n := 2 + rng.Intn(30)
-		// Half the trials push ranks past the dense limit.
-		rankSpan := int32(4)
-		if trial%2 == 1 {
-			rankSpan = denseRankLimit + 4
-		}
-		for i := 0; i < n; i++ {
-			os := int64(rng.Intn(200))
-			ivs = append(ivs, Interval{
-				T: uint64(i + 1), Rank: rng.Int31n(rankSpan),
-				Os: os, Oe: os + int64(rng.Intn(50)) + 1,
-				Write: rng.Intn(2) == 0,
-			})
-		}
-		got := DetectOverlaps(ivs, nil)
-		want := DetectOverlapsBruteForce(ivs, nil)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (rankSpan=%d): table mismatch\ngot:  %v\nwant: %v",
-				trial, rankSpan, got, want)
+// TestInvalidateExtractionReleasesTrace: once a trace's extraction is
+// invalidated, the cache must hold no reference to the trace — not even in
+// the spare capacity of its FIFO order slice — so the trace is collectable.
+func TestInvalidateExtractionReleasesTrace(t *testing.T) {
+	collected := make(chan struct{})
+	cacheThenInvalidate(t, collected)
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
 		}
 	}
+	t.Fatal("trace still reachable after InvalidateExtraction")
+}
+
+// cacheThenInvalidate keeps the trace pointer off the test's own frame.
+func cacheThenInvalidate(t *testing.T, collected chan struct{}) {
+	tr := synthTrace(2, 2)
+	runtime.SetFinalizer(tr, func(*recorder.Trace) { close(collected) })
+	extractShared(t, tr)
+	InvalidateExtraction(tr)
 }
 
 // TestFdTableSpill pins the dense/map split of the descriptor table.

@@ -162,7 +162,7 @@ func TestValidateConflictsOnSynchronizedApp(t *testing.T) {
 	if err != nil || res.Err() != nil {
 		t.Fatal(err, res.Err())
 	}
-	byFile, sig := AnalyzeConflicts(res.Trace, pfs.Session)
+	byFile, sig := ConflictsOverFiles(extractAll(res.Trace), pfs.Session)
 	if !sig.WAWDiff {
 		t.Fatalf("expected a WAW-D conflict, got %+v", sig)
 	}
@@ -195,7 +195,7 @@ func TestAnalyzeVerdicts(t *testing.T) {
 	if err != nil || res.Err() != nil {
 		t.Fatal(err, res.Err())
 	}
-	v := Analyze(res.Trace)
+	v := analyzeVerdict(res.Trace)
 	if !v.Session.WAWDiff {
 		t.Fatalf("session signature = %+v", v.Session)
 	}

@@ -139,23 +139,6 @@ func (t *fdTable) closeFD(fd int64) *fdState {
 	return nil
 }
 
-// Extract reconstructs per-file access intervals from a trace. It walks
-// each rank's record stream in order, tracking the current offset of every
-// descriptor (updated by open flags, seeks and transfer sizes, per §5.1),
-// and annotates every data operation with its To/Tc times and originating
-// layer. Results are keyed by path and returned sorted by path.
-func Extract(tr *recorder.Trace) []*FileAccesses {
-	files := make(map[string]*FileAccesses)
-	for _, rs := range tr.PerRank {
-		extractRank(rs, files)
-	}
-	out := sortedFiles(files)
-	for _, fa := range out {
-		annotate(fa)
-	}
-	return out
-}
-
 // extractRank walks one rank's record stream and accumulates its file
 // accesses into files. Offset and size state is rank-local (§5.1), so rank
 // streams can be processed independently as long as each rank's records are

@@ -84,26 +84,6 @@ type metaEvent struct {
 	kind     MetaConflictKind // valid when mutation
 }
 
-// DetectMetadataConflicts finds cross-process metadata dependencies in a
-// trace. For every dependent use it reports the most recent prior mutation
-// of the path by a different process. A stat/access immediately followed by
-// the same process's own creating open of the same path is an existence
-// probe, not a dependency, and is skipped (the probe tolerates both
-// outcomes).
-func DetectMetadataConflicts(tr *recorder.Trace) []MetaConflict {
-	events := make(map[string][]metaEvent)
-	for _, rs := range tr.PerRank {
-		addMetaEvents(events, metaEventsRank(rs))
-	}
-
-	var out []MetaConflict
-	for p, evs := range events {
-		out = append(out, metaConflictsForPath(p, evs)...)
-	}
-	sortMetaConflicts(out)
-	return out
-}
-
 // metaEventsRank collects one rank's metadata events (with create-probe
 // suppression applied): it remembers the last stat-family use per path and
 // drops it if the next touch of the path by this rank is a creating open.

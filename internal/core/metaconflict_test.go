@@ -18,7 +18,7 @@ func metaRun(t *testing.T, ranks int, body func(ctx *harness.Ctx) error) []MetaC
 	if err := res.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return DetectMetadataConflicts(res.Trace)
+	return metaConflicts(res.Trace)
 }
 
 func TestCreateUseAcrossRanks(t *testing.T) {
@@ -157,7 +157,7 @@ func TestMetaConflictValidation(t *testing.T) {
 	if err != nil || res.Err() != nil {
 		t.Fatal(err, res.Err())
 	}
-	cs := DetectMetadataConflicts(res.Trace)
+	cs := metaConflicts(res.Trace)
 	if len(cs) == 0 {
 		t.Fatal("expected a create-use pair")
 	}

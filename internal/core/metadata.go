@@ -6,10 +6,10 @@ import (
 	"repro/internal/recorder"
 )
 
-// OriginName maps a record's originating layer to the categories Figure 3
+// originName maps a record's originating layer to the categories Figure 3
 // uses: the MPI library (MPI-IO), HDF5, other I/O libraries, or the
 // application itself.
-func OriginName(l recorder.Layer) string {
+func originName(l recorder.Layer) string {
 	switch l {
 	case recorder.LayerMPIIO:
 		return "MPI"
@@ -81,18 +81,6 @@ func (c *Census) Used(f recorder.Func) bool {
 	return false
 }
 
-// MetadataCensus reproduces the §6.4 analysis: it counts every POSIX
-// metadata/utility operation in the trace and attributes each call to the
-// I/O layer that issued it (the outermost enclosing library record, or the
-// application when none).
-func MetadataCensus(tr *recorder.Trace) *Census {
-	c := &Census{Counts: make(map[string]map[recorder.Func]int)}
-	for _, rs := range tr.PerRank {
-		censusRank(rs, c)
-	}
-	return c
-}
-
 // censusRank tallies one rank's metadata operations into c.
 func censusRank(rs []recorder.Record, c *Census) {
 	origins, _ := attributeOrigins(rs)
@@ -101,7 +89,7 @@ func censusRank(rs []recorder.Record, c *Census) {
 		if !r.IsMetadataOp() {
 			continue
 		}
-		origin := OriginName(origins[i])
+		origin := originName(origins[i])
 		m, ok := c.Counts[origin]
 		if !ok {
 			m = make(map[recorder.Func]int)

@@ -29,7 +29,7 @@ func TestMetadataCensusCountsAndAttributes(t *testing.T) {
 	if err != nil || res.Err() != nil {
 		t.Fatal(err, res.Err())
 	}
-	c := MetadataCensus(res.Trace)
+	c := census(res.Trace)
 	if c.Counts["App"][recorder.FuncGetcwd] != 1 {
 		t.Fatalf("getcwd count = %d", c.Counts["App"][recorder.FuncGetcwd])
 	}
@@ -64,8 +64,8 @@ func TestOriginNames(t *testing.T) {
 		recorder.LayerPOSIX:  "App",
 	}
 	for l, want := range cases {
-		if got := OriginName(l); got != want {
-			t.Errorf("OriginName(%v) = %q, want %q", l, got, want)
+		if got := originName(l); got != want {
+			t.Errorf("originName(%v) = %q, want %q", l, got, want)
 		}
 	}
 }
@@ -80,7 +80,7 @@ func TestCensusDataOpsNotCounted(t *testing.T) {
 	if err != nil || res.Err() != nil {
 		t.Fatal(err, res.Err())
 	}
-	c := MetadataCensus(res.Trace)
+	c := census(res.Trace)
 	if c.Total() != 0 {
 		t.Fatalf("open/write/close are not §6.4 metadata ops; census = %+v", c.Counts)
 	}

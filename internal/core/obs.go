@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime/metrics"
 	"time"
 
 	"repro/internal/obs"
@@ -10,7 +9,7 @@ import (
 // Telemetry for the parallel analysis engine. Pool instruments are updated
 // inside ParallelForCtx (one atomic add per task — a no-op load when the
 // registry is disabled); pass-level spans and duration histograms wrap each
-// *ParallelCtx entry point, so a -trace-spans export shows the extraction /
+// analysis entry point, so a -trace-spans export shows the extraction /
 // conflict / patterns / census / metadata passes as nested intervals with
 // per-worker lanes underneath.
 //
@@ -29,7 +28,6 @@ var (
 
 	passDur = map[string]*obs.Histogram{
 		"extract":         obs.Default().Histogram("core.pass.extract.wall_ns"),
-		"conflicts":       obs.Default().Histogram("core.pass.conflicts.wall_ns"),
 		"fused-conflicts": obs.Default().Histogram("core.pass.fused-conflicts.wall_ns"),
 		"patterns":        obs.Default().Histogram("core.pass.patterns.wall_ns"),
 		"classify":        obs.Default().Histogram("core.pass.classify.wall_ns"),
@@ -38,16 +36,12 @@ var (
 		"analyze":         obs.Default().Histogram("core.pass.analyze.wall_ns"),
 	}
 
-	// Fused engine instruments (DESIGN.md §11): extraction-cache traffic,
-	// rank-table accumulator selection, conflict-cap suppression, and the
-	// heap bytes allocated per fused conflict pass.
+	// Fused engine instruments (DESIGN.md §11): extraction-cache traffic
+	// and conflict-cap suppression.
 	extractCacheHits      = obs.Default().Counter("core.extract.cache.hits")
 	extractCacheMisses    = obs.Default().Counter("core.extract.cache.misses")
 	extractCacheEvictions = obs.Default().Counter("core.extract.cache.evictions")
-	sweepDenseTables      = obs.Default().Counter("core.sweep.dense_tables")
-	sweepMapTables        = obs.Default().Counter("core.sweep.map_tables")
 	conflictsSuppressed   = obs.Default().Counter("core.conflicts.suppressed")
-	fusedAllocBytes       = obs.Default().Histogram("core.pass.fused-conflicts.alloc_bytes")
 )
 
 // startPass opens a span plus a wall-clock histogram sample for one
@@ -61,31 +55,5 @@ func startPass(name string) func() {
 	return func() {
 		span.End()
 		h.Observe(time.Since(start).Nanoseconds())
-	}
-}
-
-// heapAllocBytes reads the cumulative heap-allocation byte counter. The
-// runtime/metrics read costs ~1µs, so the fused pass only samples it when
-// the registry is enabled.
-func heapAllocBytes() uint64 {
-	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
-	metrics.Read(s)
-	return s[0].Value.Uint64()
-}
-
-// startFusedPass wraps one fused conflict pass with the standard wall-time
-// span/histogram plus a bytes-allocated histogram. Allocation attribution is
-// goroutine-agnostic (it reads the process-wide counter), so it is only
-// meaningful for the serial fused pass; the parallel path records wall time
-// only.
-func startFusedPass() func() {
-	done := startPass("fused-conflicts")
-	if !obs.Default().Enabled() {
-		return done
-	}
-	before := heapAllocBytes()
-	return func() {
-		fusedAllocBytes.Observe(int64(heapAllocBytes() - before))
-		done()
 	}
 }

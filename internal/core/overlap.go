@@ -11,59 +11,30 @@ type OverlapPair struct {
 	A, B int
 }
 
-// RankPairTable is the paper's table P: counts of overlapping operation
-// pairs per (rank, rank) pair, with the smaller rank first.
-type RankPairTable map[[2]int32]int
-
-// denseRankLimit bounds the rank universe served by the dense rank-pair
-// accumulator; larger (or negative) ranks fall back to the map. 256 ranks
-// costs a 256 KiB pooled scratch table, far past the registry's scales.
-const denseRankLimit = 256
-
 // sweepBuf is the reusable scratch of one overlap sweep: the index
-// permutation Algorithm 1 sorts, and the dense rank-pair accumulator with
-// its touched-cell list. Pooled so the per-file conflict sweep allocates
-// nothing beyond its outputs.
+// permutation Algorithm 1 sorts. Pooled so the per-file conflict sweep
+// allocates nothing beyond its outputs.
 type sweepBuf struct {
-	idx     []int32
-	dense   []int32 // denseRankLimit*denseRankLimit cells, zeroed between uses
-	touched []int32 // dense cells written this sweep, for O(touched) reset
+	idx []int32
 }
 
 var sweepBufs = sync.Pool{New: func() any { return new(sweepBuf) }}
 
-// DetectOverlaps implements Algorithm 1: sort the tuples by starting
+// sweepOverlaps implements Algorithm 1: sort the tuples by starting
 // offset, then sweep — for each interval, scan forward until an interval
 // starts at or beyond its end (subsequent tuples cannot overlap it). The
-// returned table counts overlapping pairs per rank pair.
+// sort runs over a pooled index permutation.
 //
-// onPair, when non-nil, is invoked for every overlapping pair (time-ordered)
-// where the earlier operation is a write — the candidate conflicts of §4.1;
-// read-read overlaps are tallied in the table but never materialized, which
-// keeps read-heavy workloads (e.g. LBANN, where every rank reads the whole
-// file) from generating quadratic pair lists. (The conflict layer adds the
-// write-side counterpart of that guard: see MaxConflictsPerFile.)
-func DetectOverlaps(ivs []Interval, onPair func(OverlapPair)) RankPairTable {
-	table := sweepOverlaps(ivs, true, onPair)
-	if table == nil {
-		table = make(RankPairTable)
-	}
-	return table
-}
-
-// sweepOverlaps is the engine behind DetectOverlaps and the fused conflict
-// pass: one offset-sorted sweep over a pooled index permutation. When
-// wantTable is false (the conflict paths, which discard the table) no
-// rank-pair accounting runs at all; when true, small rank universes are
-// counted in a pooled dense table and converted to the map form once at the
-// end, so the hot loop never hashes.
-func sweepOverlaps(ivs []Interval, wantTable bool, onPair func(OverlapPair)) RankPairTable {
+// onPair is invoked for every overlapping pair (time-ordered) where the
+// earlier operation is a write — the candidate conflicts of §4.1; read-read
+// overlaps are never materialized, which keeps read-heavy workloads (e.g.
+// LBANN, where every rank reads the whole file) from generating quadratic
+// pair lists. (The conflict layer adds the write-side counterpart of that
+// guard: see MaxConflictsPerFile.)
+func sweepOverlaps(ivs []Interval, onPair func(OverlapPair)) {
 	n := len(ivs)
 	if n < 2 {
-		if wantTable {
-			return make(RankPairTable)
-		}
-		return nil
+		return
 	}
 	sb := sweepBufs.Get().(*sweepBuf)
 	defer sweepBufs.Put(sb)
@@ -71,14 +42,8 @@ func sweepOverlaps(ivs []Interval, wantTable bool, onPair func(OverlapPair)) Ran
 		sb.idx = make([]int32, n)
 	}
 	idx := sb.idx[:n]
-	minRank, maxRank := ivs[0].Rank, ivs[0].Rank
-	for i := 0; i < n; i++ {
+	for i := range idx {
 		idx[i] = int32(i)
-		if r := ivs[i].Rank; r < minRank {
-			minRank = r
-		} else if r > maxRank {
-			maxRank = r
-		}
 	}
 	// Total order (offset, time, index): deterministic regardless of input
 	// permutation, and a typed comparator — no reflect-based swaps.
@@ -100,44 +65,12 @@ func sweepOverlaps(ivs []Interval, wantTable bool, onPair func(OverlapPair)) Ran
 		}
 	})
 
-	var table RankPairTable
-	dense := minRank >= 0 && maxRank < denseRankLimit
-	if wantTable {
-		if dense {
-			if sb.dense == nil {
-				sb.dense = make([]int32, denseRankLimit*denseRankLimit)
-			}
-			sweepDenseTables.Inc()
-		} else {
-			table = make(RankPairTable)
-			sweepMapTables.Inc()
-		}
-	}
-
 	for a := 0; a < n; a++ {
 		ia := &ivs[idx[a]]
 		for b := a + 1; b < n; b++ {
 			ib := &ivs[idx[b]]
 			if ib.Os >= ia.Oe {
 				break // sorted by Os: no later tuple overlaps ia
-			}
-			if wantTable {
-				if dense {
-					lo, hi := ia.Rank, ib.Rank
-					if lo > hi {
-						lo, hi = hi, lo
-					}
-					cell := int32(lo)*denseRankLimit + int32(hi)
-					if sb.dense[cell] == 0 {
-						sb.touched = append(sb.touched, cell)
-					}
-					sb.dense[cell]++
-				} else {
-					table[rankKey(ia.Rank, ib.Rank)]++
-				}
-			}
-			if onPair == nil {
-				continue
 			}
 			// Time-order the pair; candidate conflicts need the earlier
 			// operation to be a write.
@@ -150,55 +83,14 @@ func sweepOverlaps(ivs []Interval, wantTable bool, onPair func(OverlapPair)) Ran
 			}
 		}
 	}
-
-	if wantTable && dense {
-		table = make(RankPairTable, len(sb.touched))
-		for _, cell := range sb.touched {
-			table[[2]int32{cell / denseRankLimit, cell % denseRankLimit}] = int(sb.dense[cell])
-			sb.dense[cell] = 0
-		}
-		sb.touched = sb.touched[:0]
-	}
-	return table
-}
-
-func rankKey(a, b int32) [2]int32 {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]int32{a, b}
 }
 
 // earlier deterministically orders two intervals by entry time, breaking
-// timestamp ties by slice index so Algorithm 1 and the brute-force oracle
-// always agree.
+// timestamp ties by slice index so the pair orientation is a function of
+// the input alone.
 func earlier(ivs []Interval, i, j int) bool {
 	if ivs[i].T != ivs[j].T {
 		return ivs[i].T < ivs[j].T
 	}
 	return i < j
-}
-
-// DetectOverlapsBruteForce is the O(n²) reference implementation used by
-// property tests to validate Algorithm 1.
-func DetectOverlapsBruteForce(ivs []Interval, onPair func(OverlapPair)) RankPairTable {
-	table := make(RankPairTable)
-	for i := 0; i < len(ivs); i++ {
-		for j := i + 1; j < len(ivs); j++ {
-			a, b := &ivs[i], &ivs[j]
-			if a.Os < b.Oe && b.Os < a.Oe {
-				table[rankKey(a.Rank, b.Rank)]++
-				if onPair != nil {
-					first, second := i, j
-					if earlier(ivs, second, first) {
-						first, second = second, first
-					}
-					if ivs[first].Write {
-						onPair(OverlapPair{A: first, B: second})
-					}
-				}
-			}
-		}
-	}
-	return table
 }

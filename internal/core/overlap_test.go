@@ -12,16 +12,16 @@ func iv(t uint64, rank int32, os, oe int64, write bool) Interval {
 		To: NoTime, TcCommit: NoTime, TcClose: NoTime}
 }
 
-func collectPairs(ivs []Interval, detect func([]Interval, func(OverlapPair)) RankPairTable) ([]OverlapPair, RankPairTable) {
+func collectPairs(ivs []Interval, detect func([]Interval, func(OverlapPair))) []OverlapPair {
 	var pairs []OverlapPair
-	table := detect(ivs, func(p OverlapPair) { pairs = append(pairs, p) })
+	detect(ivs, func(p OverlapPair) { pairs = append(pairs, p) })
 	sort.Slice(pairs, func(i, j int) bool {
 		if pairs[i].A != pairs[j].A {
 			return pairs[i].A < pairs[j].A
 		}
 		return pairs[i].B < pairs[j].B
 	})
-	return pairs, table
+	return pairs
 }
 
 func TestOverlapBasic(t *testing.T) {
@@ -31,18 +31,13 @@ func TestOverlapBasic(t *testing.T) {
 		iv(30, 2, 100, 200, true), // 2: touches 0 (no overlap), overlaps 1
 		iv(40, 3, 500, 600, true), // 3: disjoint
 	}
-	pairs, table := collectPairs(ivs, DetectOverlaps)
+	pairs := collectPairs(ivs, sweepOverlaps)
 	// Candidate pairs (earlier op is a write): (0,1) write-read, (1,2) has
-	// earlier=1 which is a read → skipped.
+	// earlier=1 which is a read → skipped, (0,2) only touch and 3 is
+	// disjoint.
 	want := []OverlapPair{{A: 0, B: 1}}
 	if !reflect.DeepEqual(pairs, want) {
 		t.Fatalf("pairs = %v, want %v", pairs, want)
-	}
-	if table[rankKey(0, 1)] != 1 || table[rankKey(1, 2)] != 1 {
-		t.Fatalf("table = %v", table)
-	}
-	if table[rankKey(0, 2)] != 0 || table[rankKey(0, 3)] != 0 {
-		t.Fatalf("touching or disjoint intervals counted as overlap: %v", table)
 	}
 }
 
@@ -51,7 +46,7 @@ func TestOverlapContained(t *testing.T) {
 		iv(10, 0, 0, 1000, true),
 		iv(20, 1, 400, 500, true), // fully inside
 	}
-	pairs, _ := collectPairs(ivs, DetectOverlaps)
+	pairs := collectPairs(ivs, sweepOverlaps)
 	if len(pairs) != 1 || pairs[0] != (OverlapPair{A: 0, B: 1}) {
 		t.Fatalf("pairs = %v", pairs)
 	}
@@ -63,7 +58,7 @@ func TestOverlapTimeOrdersPairs(t *testing.T) {
 		iv(50, 0, 0, 100, false), // read at t=50
 		iv(10, 1, 50, 60, true),  // write at t=10
 	}
-	pairs, _ := collectPairs(ivs, DetectOverlaps)
+	pairs := collectPairs(ivs, sweepOverlaps)
 	if len(pairs) != 1 {
 		t.Fatalf("pairs = %v", pairs)
 	}
@@ -77,12 +72,8 @@ func TestOverlapSkipsReadReadPairs(t *testing.T) {
 		iv(10, 0, 0, 100, false),
 		iv(20, 1, 0, 100, false),
 	}
-	pairs, table := collectPairs(ivs, DetectOverlaps)
-	if len(pairs) != 0 {
+	if pairs := collectPairs(ivs, sweepOverlaps); len(pairs) != 0 {
 		t.Fatalf("read-read pair materialized: %v", pairs)
-	}
-	if table[rankKey(0, 1)] != 1 {
-		t.Fatal("read-read overlap must still count in the rank table")
 	}
 }
 
@@ -95,30 +86,18 @@ func TestOverlapMatchesBruteForce(t *testing.T) {
 			os := int64(rng.Intn(500))
 			ivs[i] = iv(uint64(rng.Intn(1000)), int32(rng.Intn(4)), os, os+int64(rng.Intn(100)+1), rng.Intn(2) == 0)
 		}
-		gotPairs, gotTable := collectPairs(ivs, DetectOverlaps)
-		wantPairs, wantTable := collectPairs(ivs, DetectOverlapsBruteForce)
+		gotPairs := collectPairs(ivs, sweepOverlaps)
+		wantPairs := collectPairs(ivs, detectOverlapsBruteForce)
 		if !reflect.DeepEqual(gotPairs, wantPairs) {
 			t.Fatalf("trial %d: pair mismatch\n got %v\nwant %v\nivs=%v", trial, gotPairs, wantPairs, ivs)
-		}
-		if len(gotTable) != len(wantTable) {
-			t.Fatalf("trial %d: table size mismatch %v vs %v", trial, gotTable, wantTable)
-		}
-		for k, v := range wantTable {
-			if gotTable[k] != v {
-				t.Fatalf("trial %d: table[%v] = %d, want %d", trial, k, gotTable[k], v)
-			}
 		}
 	}
 }
 
 func TestOverlapEmptyAndSingle(t *testing.T) {
-	if got := DetectOverlaps(nil, nil); len(got) != 0 {
-		t.Fatal("empty input should produce empty table")
-	}
-	single := []Interval{iv(1, 0, 0, 10, true)}
-	if got := DetectOverlaps(single, func(OverlapPair) { t.Fatal("pair from single interval") }); len(got) != 0 {
-		t.Fatal("single interval cannot overlap")
-	}
+	noPair := func(OverlapPair) { t.Fatal("pair from fewer than two intervals") }
+	sweepOverlaps(nil, noPair)
+	sweepOverlaps([]Interval{iv(1, 0, 0, 10, true)}, noPair)
 }
 
 func TestOverlapIdenticalOffsets(t *testing.T) {
@@ -128,7 +107,7 @@ func TestOverlapIdenticalOffsets(t *testing.T) {
 		iv(20, 1, 96, 368, true),
 		iv(30, 2, 96, 368, true),
 	}
-	pairs, _ := collectPairs(ivs, DetectOverlaps)
+	pairs := collectPairs(ivs, sweepOverlaps)
 	if len(pairs) != 3 { // (0,1), (0,2), (1,2)
 		t.Fatalf("expected 3 pairs, got %v", pairs)
 	}

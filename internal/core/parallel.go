@@ -15,17 +15,16 @@ import (
 // Parallel analysis engine. Every pass of the paper's offline analysis is
 // embarrassingly parallel across rank streams (extraction, census, metadata
 // events) or across files (conflict detection, pattern classification), so
-// each *Parallel entry point shards its input over a bounded worker pool
-// and then performs a deterministic merge: shard results land in
-// index-addressed slots and are folded back in input (rank or path) order,
-// so the output is identical to the serial pass — the serial functions
-// remain the correctness oracle the equivalence tests compare against.
+// each pass has exactly one entry point, a (ctx, …, workers) function that
+// shards its input over a bounded worker pool and then performs a
+// deterministic merge: shard results land in index-addressed slots and are
+// folded back in input (rank or path) order, so the output is identical at
+// every worker count. workers == 1 is the serial case — a pool of one that
+// runs every task in the calling goroutine — not a separate implementation.
 //
-// Every entry point has a Ctx variant that threads a context.Context through
-// the pool: cancellation is observed at task boundaries (no index is handed
-// out after the context is done; in-flight tasks finish), and the variant
-// returns ctx.Err() instead of a partial result. The plain names wrap the
-// Ctx variants with context.Background().
+// Cancellation is observed at task boundaries (no index is handed out after
+// the context is done; in-flight tasks finish), and the entry point returns
+// ctx.Err() instead of a partial result.
 
 // EffectiveWorkers normalizes a requested worker count: values <= 0 select
 // runtime.GOMAXPROCS(0), everything else is used as given.
@@ -36,20 +35,13 @@ func EffectiveWorkers(workers int) int {
 	return workers
 }
 
-// ParallelFor runs fn(i) for every i in [0, n) on a bounded pool of
+// ParallelForCtx runs fn(i) for every i in [0, n) on a bounded pool of
 // workers goroutines (see EffectiveWorkers; capped at n). Indices are
 // handed out by an atomic counter, so the pool load-balances uneven work
-// items. fn must be safe to call concurrently for distinct indices; the
-// call returns once every index has been processed.
-func ParallelFor(n, workers int, fn func(i int)) {
-	ParallelForCtx(context.Background(), n, workers, fn)
-}
-
-// ParallelForCtx is ParallelFor under a context: the pool stops handing out
-// indices once ctx is done and returns ctx.Err(). Cancellation is checked
-// before every index — one in-flight fn per worker may still complete, so a
-// cancelled call stops within one task boundary. A nil error means every
-// index ran.
+// items; fn must be safe to call concurrently for distinct indices. The
+// pool stops handing out indices once ctx is done and returns ctx.Err():
+// cancellation is checked before every index, so one in-flight fn per
+// worker may still complete. A nil error means every index ran.
 func ParallelForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -114,25 +106,32 @@ func ParallelForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 	return ctx.Err()
 }
 
-// ExtractParallel is the sharded Extract: rank streams are processed
-// concurrently into per-rank partial maps, merged in rank order (which
-// reproduces the serial append order of every per-path table), and the
-// per-file §5.2 annotation pass is then sharded across files. Output is
-// identical to Extract.
-func ExtractParallel(tr *recorder.Trace, workers int) []*FileAccesses {
-	fas, _ := ExtractParallelCtx(context.Background(), tr, workers)
-	return fas
-}
-
-// ExtractParallelCtx is ExtractParallel under a context.
-func ExtractParallelCtx(ctx context.Context, tr *recorder.Trace, workers int) ([]*FileAccesses, error) {
+// extract reconstructs per-file access intervals from a trace. It walks
+// each rank's record stream in order, tracking the current offset of every
+// descriptor (updated by open flags, seeks and transfer sizes, per §5.1),
+// and annotates every data operation with its To/Tc times and originating
+// layer. Results are keyed by path and returned sorted by path.
+//
+// A pool of one (or a one-rank trace) folds every rank into one map; larger
+// pools process rank streams concurrently into per-rank partial maps,
+// merged in rank order (which reproduces the serial append order of every
+// per-path table), and then shard the §5.2 annotation pass across files.
+func extract(ctx context.Context, tr *recorder.Trace, workers int) ([]*FileAccesses, error) {
 	defer startPass("extract")()
 	n := len(tr.PerRank)
 	if EffectiveWorkers(workers) <= 1 || n <= 1 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		return Extract(tr), nil
+		files := make(map[string]*FileAccesses)
+		for _, rs := range tr.PerRank {
+			extractRank(rs, files)
+		}
+		out := sortedFiles(files)
+		for _, fa := range out {
+			annotate(fa)
+		}
+		return out, nil
 	}
 	partial := make([]map[string]*FileAccesses, n)
 	if err := ParallelForCtx(ctx, n, workers, func(r int) {
@@ -156,53 +155,15 @@ func mergeTimes(dst, src map[int32][]uint64) {
 	}
 }
 
-// ConflictsForFiles runs per-file conflict detection over already-extracted
-// accesses on a worker pool and merges in path order — the shared core of
-// AnalyzeConflictsParallel and semfs.AnalyzeParallel (which reuses one
-// extraction across passes). fas must not be mutated concurrently.
-func ConflictsForFiles(fas []*FileAccesses, model pfs.Semantics, workers int) (map[string][]Conflict, ConflictSignature) {
-	byFile, sig, _ := ConflictsForFilesCtx(context.Background(), fas, model, workers)
-	return byFile, sig
-}
-
-// ConflictsForFilesCtx is ConflictsForFiles under a context.
-func ConflictsForFilesCtx(ctx context.Context, fas []*FileAccesses, model pfs.Semantics, workers int) (map[string][]Conflict, ConflictSignature, error) {
-	defer startPass("conflicts")()
-	per := make([][]Conflict, len(fas))
-	if err := ParallelForCtx(ctx, len(fas), workers, func(i int) { per[i] = DetectConflicts(fas[i], model) }); err != nil {
-		return nil, ConflictSignature{}, err
-	}
-	byFile := make(map[string][]Conflict)
-	var all []Conflict
-	for i, fa := range fas {
-		if len(per[i]) > 0 {
-			byFile[fa.Path] = per[i]
-			all = append(all, per[i]...)
-		}
-	}
-	return byFile, Signature(all), nil
-}
-
-// AnalyzeConflictsParallel is the sharded AnalyzeConflicts.
-func AnalyzeConflictsParallel(tr *recorder.Trace, model pfs.Semantics, workers int) (map[string][]Conflict, ConflictSignature) {
-	return ConflictsForFiles(ExtractParallel(tr, workers), model, workers)
-}
-
-// ConflictsAllForFiles runs the fused multi-model sweep over
-// already-extracted accesses on a worker pool, merging in path order —
-// per-model results are identical to ConflictsForFiles. fas must not be
-// mutated concurrently.
-func ConflictsAllForFiles(fas []*FileAccesses, models []pfs.Semantics, workers int) []ModelConflicts {
-	ms, _ := ConflictsAllForFilesCtx(context.Background(), fas, models, workers)
-	return ms
-}
-
-// ConflictsAllForFilesCtx is ConflictsAllForFiles under a context.
+// ConflictsAllForFilesCtx runs the fused multi-model conflict sweep (one
+// offset-sorted sweep per file evaluating every model's predicate) over
+// already-extracted accesses on a worker pool, merging in path order.
+// Results index-match models. fas must not be mutated concurrently.
 func ConflictsAllForFilesCtx(ctx context.Context, fas []*FileAccesses, models []pfs.Semantics, workers int) ([]ModelConflicts, error) {
 	defer startPass("fused-conflicts")()
 	per := make([][][]Conflict, len(fas))
 	if err := ParallelForCtx(ctx, len(fas), workers, func(i int) {
-		per[i] = DetectConflictsMulti(fas[i], models)
+		per[i] = detectConflictsMulti(fas[i], models)
 	}); err != nil {
 		return nil, err
 	}
@@ -214,22 +175,17 @@ func ConflictsAllForFilesCtx(ctx context.Context, fas []*FileAccesses, models []
 		for j, cs := range per[i] {
 			if len(cs) > 0 {
 				ms[j].ByFile[fa.Path] = cs
-				ms[j].Signature.merge(Signature(cs))
+				ms[j].Signature.merge(signatureOf(cs))
 			}
 		}
 	}
 	return ms, nil
 }
 
-// AnalyzeParallel is the sharded Analyze: one (cached) extraction, then one
-// fused sweep evaluating both model predicates per candidate pair.
-func AnalyzeParallel(tr *recorder.Trace, workers int) Verdict {
-	v, _ := AnalyzeParallelCtx(context.Background(), tr, workers)
-	return v
-}
-
-// AnalyzeParallelCtx is AnalyzeParallel under a context: a cancelled ctx
-// stops the sweep within one per-file task boundary and returns ctx.Err().
+// AnalyzeParallelCtx computes the §6.3 verdict for a trace: one (cached)
+// extraction, then one fused sweep evaluating both model predicates per
+// candidate pair. A cancelled ctx stops the sweep within one per-file task
+// boundary and returns ctx.Err().
 func AnalyzeParallelCtx(ctx context.Context, tr *recorder.Trace, workers int) (Verdict, error) {
 	defer startPass("analyze")()
 	fas, err := ExtractSharedCtx(ctx, tr, workers)
@@ -243,25 +199,15 @@ func AnalyzeParallelCtx(ctx context.Context, tr *recorder.Trace, workers int) (V
 	return VerdictFrom(ms[0].Signature, ms[1].Signature), nil
 }
 
-// MetadataCensusParallel is the sharded MetadataCensus: per-rank partial
-// censuses merged by addition (commutative, so any merge order is exact).
-func MetadataCensusParallel(tr *recorder.Trace, workers int) *Census {
-	c, _ := MetadataCensusParallelCtx(context.Background(), tr, workers)
-	return c
-}
-
-// MetadataCensusParallelCtx is MetadataCensusParallel under a context.
+// MetadataCensusParallelCtx reproduces the §6.4 analysis: it counts every
+// POSIX metadata/utility operation in the trace and attributes each call to
+// the I/O layer that issued it (the outermost enclosing library record, or
+// the application when none). Per-rank partial censuses are merged by
+// addition (commutative, so any merge order is exact).
 func MetadataCensusParallelCtx(ctx context.Context, tr *recorder.Trace, workers int) (*Census, error) {
 	defer startPass("census")()
-	n := len(tr.PerRank)
-	if EffectiveWorkers(workers) <= 1 || n <= 1 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return MetadataCensus(tr), nil
-	}
-	partial := make([]*Census, n)
-	if err := ParallelForCtx(ctx, n, workers, func(r int) {
+	partial := make([]*Census, len(tr.PerRank))
+	if err := ParallelForCtx(ctx, len(tr.PerRank), workers, func(r int) {
 		c := &Census{Counts: make(map[string]map[recorder.Func]int)}
 		censusRank(tr.PerRank[r], c)
 		partial[r] = c
@@ -284,32 +230,24 @@ func MetadataCensusParallelCtx(ctx context.Context, tr *recorder.Trace, workers 
 	return out, nil
 }
 
-// DetectMetadataConflictsParallel is the sharded DetectMetadataConflicts:
-// per-rank event collection in parallel, folded in rank order, then the
-// per-path scans sharded across paths. The final total-order sort makes the
-// merge order immaterial.
-func DetectMetadataConflictsParallel(tr *recorder.Trace, workers int) []MetaConflict {
-	cs, _ := DetectMetadataConflictsParallelCtx(context.Background(), tr, workers)
-	return cs
-}
-
-// DetectMetadataConflictsParallelCtx is DetectMetadataConflictsParallel
-// under a context.
+// DetectMetadataConflictsParallelCtx finds cross-process metadata
+// dependencies in a trace. For every dependent use it reports the most
+// recent prior mutation of the path by a different process. A stat/access
+// immediately followed by the same process's own creating open of the same
+// path is an existence probe, not a dependency, and is skipped (the probe
+// tolerates both outcomes).
+//
+// Per-rank event collection runs on the pool and is folded in rank order,
+// then the per-path scans are sharded across paths. The final total-order
+// sort makes the merge order immaterial.
 func DetectMetadataConflictsParallelCtx(ctx context.Context, tr *recorder.Trace, workers int) ([]MetaConflict, error) {
 	defer startPass("meta-conflicts")()
-	n := len(tr.PerRank)
-	if EffectiveWorkers(workers) <= 1 || n <= 1 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return DetectMetadataConflicts(tr), nil
-	}
-	locals := make([][]metaEvent, n)
-	if err := ParallelForCtx(ctx, n, workers, func(r int) { locals[r] = metaEventsRank(tr.PerRank[r]) }); err != nil {
+	locals := make([][]metaEvent, len(tr.PerRank))
+	if err := ParallelForCtx(ctx, len(tr.PerRank), workers, func(r int) { locals[r] = metaEventsRank(tr.PerRank[r]) }); err != nil {
 		return nil, err
 	}
 	events := make(map[string][]metaEvent)
-	for _, local := range locals { // rank order, as in the serial pass
+	for _, local := range locals { // rank order
 		addMetaEvents(events, local)
 	}
 	paths := make([]string, 0, len(events))
@@ -330,25 +268,17 @@ func DetectMetadataConflictsParallelCtx(ctx context.Context, tr *recorder.Trace,
 	return out, nil
 }
 
-// GlobalPatternParallel is the sharded GlobalPattern (per-file mixes are
-// summed; addition is commutative so the merge is exact).
-func GlobalPatternParallel(fas []*FileAccesses, workers int) PatternMix {
-	m, _ := patternParallel(context.Background(), fas, workers, globalPatternFile)
-	return m
-}
-
-// GlobalPatternParallelCtx is GlobalPatternParallel under a context.
+// GlobalPatternParallelCtx computes Figure 1(a): transitions between
+// successive accesses to each file in global time order, across all
+// processes — the request stream the PFS actually sees. Per-file mixes are
+// summed (addition is commutative, so the merge is exact).
 func GlobalPatternParallelCtx(ctx context.Context, fas []*FileAccesses, workers int) (PatternMix, error) {
 	return patternParallel(ctx, fas, workers, globalPatternFile)
 }
 
-// LocalPatternParallel is the sharded LocalPattern.
-func LocalPatternParallel(fas []*FileAccesses, workers int) PatternMix {
-	m, _ := patternParallel(context.Background(), fas, workers, localPatternFile)
-	return m
-}
-
-// LocalPatternParallelCtx is LocalPatternParallel under a context.
+// LocalPatternParallelCtx computes Figure 1(b): transitions between
+// successive accesses of each process to each file, aggregated over the
+// whole trace.
 func LocalPatternParallelCtx(ctx context.Context, fas []*FileAccesses, workers int) (PatternMix, error) {
 	return patternParallel(ctx, fas, workers, localPatternFile)
 }
@@ -366,17 +296,17 @@ func patternParallel(ctx context.Context, fas []*FileAccesses, workers int, file
 	return mix, nil
 }
 
-// ClassifyHighLevelParallel is the sharded ClassifyHighLevel: the per-file
-// summaries (the expensive part — per-rank layout classification) are
-// computed concurrently, then compacted in path order and grouped serially,
-// reproducing the serial family order exactly. opts.Exclude, if supplied,
-// must be safe for concurrent calls.
-func ClassifyHighLevelParallel(fas []*FileAccesses, opts HLOptions, workers int) []HighLevelPattern {
-	ps, _ := ClassifyHighLevelParallelCtx(context.Background(), fas, opts, workers)
-	return ps
-}
-
-// ClassifyHighLevelParallelCtx is ClassifyHighLevelParallel under a context.
+// ClassifyHighLevelParallelCtx reproduces Table 3: it groups an
+// application's files into families (same directory, or same digit-stripped
+// name template), determines how many processes access how many files
+// concurrently, and classifies the per-process in-file layout. A family of
+// files written one after another (a checkpoint series) counts as repeated
+// X-1 phases; files written concurrently count as X-M / X-N.
+//
+// The per-file summaries (the expensive part — per-rank layout
+// classification) run on the pool, then are compacted in path order and
+// grouped serially, so the family order is the same at every worker count.
+// opts.Exclude, if supplied, must be safe for concurrent calls.
 func ClassifyHighLevelParallelCtx(ctx context.Context, fas []*FileAccesses, opts HLOptions, workers int) ([]HighLevelPattern, error) {
 	defer startPass("classify")()
 	o := opts.withDefaults()

@@ -92,11 +92,11 @@ func TestAnalyzeParallelCtxCancelled(t *testing.T) {
 	if _, err := AnalyzeParallelCtx(ctx, tr, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("AnalyzeParallelCtx err = %v, want Canceled", err)
 	}
-	if _, err := ExtractParallelCtx(ctx, tr, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ExtractParallelCtx err = %v, want Canceled", err)
+	if _, err := ExtractSharedCtx(ctx, tr, 4); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ExtractSharedCtx err = %v, want Canceled", err)
 	}
-	if _, _, err := ConflictsForFilesCtx(ctx, nil, pfs.Session, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ConflictsForFilesCtx err = %v, want Canceled", err)
+	if _, err := ConflictsAllForFilesCtx(ctx, nil, []pfs.Semantics{pfs.Session}, 4); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ConflictsAllForFilesCtx err = %v, want Canceled", err)
 	}
 	if _, err := MetadataCensusParallelCtx(ctx, tr, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("MetadataCensusParallelCtx err = %v, want Canceled", err)
@@ -104,10 +104,13 @@ func TestAnalyzeParallelCtxCancelled(t *testing.T) {
 	if _, err := DetectMetadataConflictsParallelCtx(ctx, tr, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("DetectMetadataConflictsParallelCtx err = %v, want Canceled", err)
 	}
-	// And uncancelled Ctx calls agree with the plain entry points.
-	want := AnalyzeParallel(tr, 4)
+	// A cancelled extraction does not poison the cache: an uncancelled call
+	// afterwards succeeds and agrees with the serial case.
+	want := analyzeVerdict(tr)
+	InvalidateExtraction(tr)
 	got, err := AnalyzeParallelCtx(context.Background(), tr, 4)
 	if err != nil || got != want {
 		t.Fatalf("AnalyzeParallelCtx = %+v, %v; want %+v", got, err, want)
 	}
+	InvalidateExtraction(tr)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -135,63 +136,68 @@ func randomTrace(rng *rand.Rand) *recorder.Trace {
 var equivWorkerCounts = []int{2, 3, 8, 64}
 
 // TestPropertyParallelAnalysisEquivalence drives every sharded pass with
-// randomized traces and asserts exact agreement with its serial oracle:
-// extraction, conflict detection per model (verdicts and per-file conflict
-// lists), pattern classification and mixes, the metadata census and the
+// randomized traces and asserts exact agreement with its serial case (a
+// pool of one) — and, for conflicts, with the per-model oracle: extraction,
+// conflict detection per model (verdicts and per-file conflict lists),
+// pattern classification and mixes, the metadata census and the
 // metadata-conflict list.
 func TestPropertyParallelAnalysisEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
+	bg := context.Background()
+	models := []pfs.Semantics{pfs.Session, pfs.Commit, pfs.Eventual}
 	for trial := 0; trial < 120; trial++ {
 		tr := randomTrace(rng)
-		fas := Extract(tr)
-		hl := ClassifyHighLevel(fas, HLOptions{WorldSize: tr.Meta.Ranks})
-		global, local := GlobalPattern(fas), LocalPattern(fas)
-		census := MetadataCensus(tr)
-		metas := DetectMetadataConflicts(tr)
-		verdict := Analyze(tr)
-		type modelConflicts struct {
-			byFile map[string][]Conflict
-			sig    ConflictSignature
-		}
-		models := map[pfs.Semantics]modelConflicts{}
-		for _, model := range []pfs.Semantics{pfs.Session, pfs.Commit, pfs.Eventual} {
-			byFile, sig := AnalyzeConflicts(tr, model)
-			models[model] = modelConflicts{byFile, sig}
+		fas := extractAll(tr)
+		hl := classifyHighLevel(fas, HLOptions{WorldSize: tr.Meta.Ranks})
+		global, local := globalPattern(fas), localPattern(fas)
+		wantCensus := census(tr)
+		metas := metaConflicts(tr)
+		verdict := analyzeVerdict(tr)
+		wantByFile := make([]map[string][]Conflict, len(models))
+		wantSig := make([]ConflictSignature, len(models))
+		for i, model := range models {
+			wantByFile[i], wantSig[i] = analyzeConflictsOracle(tr, model)
 		}
 
 		for _, w := range equivWorkerCounts {
 			ctx := fmt.Sprintf("trial %d workers %d", trial, w)
-			if got := ExtractParallel(tr, w); !reflect.DeepEqual(fas, got) {
-				t.Fatalf("%s: ExtractParallel diverges", ctx)
+			InvalidateExtraction(tr)
+			got, err := ExtractSharedCtx(bg, tr, w)
+			if err != nil || !reflect.DeepEqual(fas, got) {
+				t.Fatalf("%s: parallel extraction diverges (err %v)", ctx, err)
 			}
-			for model, want := range models {
-				gotByFile, gotSig := AnalyzeConflictsParallel(tr, model, w)
-				if !reflect.DeepEqual(want.byFile, gotByFile) {
+			ms, err := ConflictsAllForFilesCtx(bg, got, models, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, model := range models {
+				if !reflect.DeepEqual(wantByFile[i], ms[i].ByFile) {
 					t.Fatalf("%s: conflicts under %v diverge", ctx, model)
 				}
-				if want.sig != gotSig {
-					t.Fatalf("%s: signature under %v diverges: %+v vs %+v", ctx, model, want.sig, gotSig)
+				if wantSig[i] != ms[i].Signature {
+					t.Fatalf("%s: signature under %v diverges: %+v vs %+v", ctx, model, wantSig[i], ms[i].Signature)
 				}
 			}
-			if got := AnalyzeParallel(tr, w); got != verdict {
+			if got, _ := AnalyzeParallelCtx(bg, tr, w); got != verdict {
 				t.Fatalf("%s: verdict diverges: %+v vs %+v", ctx, verdict, got)
 			}
-			if got := ClassifyHighLevelParallel(fas, HLOptions{WorldSize: tr.Meta.Ranks}, w); !reflect.DeepEqual(hl, got) {
+			if got, _ := ClassifyHighLevelParallelCtx(bg, fas, HLOptions{WorldSize: tr.Meta.Ranks}, w); !reflect.DeepEqual(hl, got) {
 				t.Fatalf("%s: high-level patterns diverge:\n%+v\n%+v", ctx, hl, got)
 			}
-			if got := GlobalPatternParallel(fas, w); got != global {
+			if got, _ := GlobalPatternParallelCtx(bg, fas, w); got != global {
 				t.Fatalf("%s: global mix diverges: %+v vs %+v", ctx, global, got)
 			}
-			if got := LocalPatternParallel(fas, w); got != local {
+			if got, _ := LocalPatternParallelCtx(bg, fas, w); got != local {
 				t.Fatalf("%s: local mix diverges: %+v vs %+v", ctx, local, got)
 			}
-			if got := MetadataCensusParallel(tr, w); !reflect.DeepEqual(census, got) {
+			if got, _ := MetadataCensusParallelCtx(bg, tr, w); !reflect.DeepEqual(wantCensus, got) {
 				t.Fatalf("%s: census diverges", ctx)
 			}
-			if got := DetectMetadataConflictsParallel(tr, w); !reflect.DeepEqual(metas, got) {
+			if got, _ := DetectMetadataConflictsParallelCtx(bg, tr, w); !reflect.DeepEqual(metas, got) {
 				t.Fatalf("%s: metadata conflicts diverge:\n%v\n%v", ctx, metas, got)
 			}
 		}
+		InvalidateExtraction(tr)
 	}
 }
 
@@ -203,9 +209,9 @@ func TestPropertyMetaConflictOrderTotal(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	for trial := 0; trial < 60; trial++ {
 		tr := randomTrace(rng)
-		want := DetectMetadataConflicts(tr)
+		want := metaConflicts(tr)
 		for rep := 0; rep < 5; rep++ {
-			if got := DetectMetadataConflicts(tr); !reflect.DeepEqual(want, got) {
+			if got := metaConflicts(tr); !reflect.DeepEqual(want, got) {
 				t.Fatalf("trial %d: serial metadata conflict order unstable across runs", trial)
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sync/atomic"
@@ -14,7 +15,9 @@ func TestParallelForCoversEveryIndex(t *testing.T) {
 	for _, workers := range []int{-3, 0, 1, 2, 7, 64} {
 		for _, n := range []int{0, 1, 2, 13, 100} {
 			hits := make([]int32, n)
-			ParallelFor(n, workers, func(i int) { atomic.AddInt32(&hits[i], 1) })
+			if err := ParallelForCtx(context.Background(), n, workers, func(i int) { atomic.AddInt32(&hits[i], 1) }); err != nil {
+				t.Fatal(err)
+			}
 			for i, h := range hits {
 				if h != 1 {
 					t.Fatalf("workers=%d n=%d: index %d hit %d times", workers, n, i, h)
@@ -46,24 +49,27 @@ func emptyTraces() []*recorder.Trace {
 }
 
 func TestParallelAnalysisEmptyTrace(t *testing.T) {
+	ctx := context.Background()
 	for _, tr := range emptyTraces() {
 		for _, w := range []int{0, 1, 4} {
-			if got := ExtractParallel(tr, w); len(got) != 0 {
-				t.Fatalf("%s/w=%d: extracted %d files from empty trace", tr.Meta.App, w, len(got))
+			fas, err := extract(ctx, tr, w)
+			if err != nil || len(fas) != 0 {
+				t.Fatalf("%s/w=%d: extracted %d files from empty trace (err %v)", tr.Meta.App, w, len(fas), err)
 			}
-			byFile, sig := AnalyzeConflictsParallel(tr, pfs.Session, w)
-			if len(byFile) != 0 || sig.Any() {
-				t.Fatalf("%s/w=%d: conflicts from empty trace", tr.Meta.App, w)
+			ms, err := ConflictsAllForFilesCtx(ctx, fas, []pfs.Semantics{pfs.Session}, w)
+			if err != nil || len(ms[0].ByFile) != 0 || ms[0].Signature.Any() {
+				t.Fatalf("%s/w=%d: conflicts from empty trace (err %v)", tr.Meta.App, w, err)
 			}
-			if v := AnalyzeParallel(tr, w); v.Weakest != pfs.Session {
-				t.Fatalf("%s/w=%d: empty trace verdict %v", tr.Meta.App, w, v.Weakest)
+			if v, err := AnalyzeParallelCtx(ctx, tr, w); err != nil || v.Weakest != pfs.Session {
+				t.Fatalf("%s/w=%d: empty trace verdict %v (err %v)", tr.Meta.App, w, v.Weakest, err)
 			}
-			if c := MetadataCensusParallel(tr, w); c.Total() != 0 {
-				t.Fatalf("%s/w=%d: census of empty trace = %d", tr.Meta.App, w, c.Total())
+			if c, err := MetadataCensusParallelCtx(ctx, tr, w); err != nil || c.Total() != 0 {
+				t.Fatalf("%s/w=%d: census of empty trace = %v (err %v)", tr.Meta.App, w, c, err)
 			}
-			if cs := DetectMetadataConflictsParallel(tr, w); len(cs) != 0 {
-				t.Fatalf("%s/w=%d: metadata conflicts from empty trace", tr.Meta.App, w)
+			if cs, err := DetectMetadataConflictsParallelCtx(ctx, tr, w); err != nil || len(cs) != 0 {
+				t.Fatalf("%s/w=%d: metadata conflicts from empty trace (err %v)", tr.Meta.App, w, err)
 			}
+			InvalidateExtraction(tr)
 		}
 	}
 }
@@ -77,15 +83,18 @@ func TestParallelWorkersExceedFiles(t *testing.T) {
 		{Rank: 0, Layer: recorder.LayerPOSIX, Func: recorder.FuncWrite, TStart: 3, TEnd: 4, Args: []int64{3, 10, 10}},
 		{Rank: 0, Layer: recorder.LayerPOSIX, Func: recorder.FuncClose, TStart: 5, TEnd: 6, Args: []int64{3}},
 	}}}
-	want := Extract(tr)
+	want := extractAll(tr)
 	for _, w := range []int{2, 64} {
-		if got := ExtractParallel(tr, w); !reflect.DeepEqual(want, got) {
+		if got, _ := extract(context.Background(), tr, w); !reflect.DeepEqual(want, got) {
 			t.Fatalf("w=%d: extraction diverges on tiny trace", w)
 		}
 	}
-	if v := AnalyzeParallel(tr, 64); v != Analyze(tr) {
+	wantVerdict := analyzeVerdict(tr)
+	InvalidateExtraction(tr)
+	if v, _ := AnalyzeParallelCtx(context.Background(), tr, 64); v != wantVerdict {
 		t.Fatal("verdict diverges with 64 workers on a one-file trace")
 	}
+	InvalidateExtraction(tr)
 }
 
 // TestParallelManySmallFilesStress floods the engine with a many-file,
@@ -123,28 +132,32 @@ func TestParallelManySmallFilesStress(t *testing.T) {
 		tr.PerRank[r] = rs
 	}
 
-	fas := Extract(tr)
+	ctx := context.Background()
+	fas := extractAll(tr)
 	if len(fas) < 40 {
 		t.Fatalf("stress trace only has %d files", len(fas))
 	}
-	wantVerdict := Analyze(tr)
-	wantByFile, wantSig := AnalyzeConflicts(tr, pfs.Session)
-	wantCensus := MetadataCensus(tr)
+	wantVerdict := analyzeVerdict(tr)
+	wantByFile, wantSig := analyzeConflictsOracle(tr, pfs.Session)
+	wantCensus := census(tr)
 	for iter := 0; iter < 5; iter++ {
 		for _, w := range []int{4, 8} {
-			if got := ExtractParallel(tr, w); !reflect.DeepEqual(fas, got) {
-				t.Fatalf("iter %d w=%d: extraction diverges", iter, w)
+			InvalidateExtraction(tr)
+			got, err := ExtractSharedCtx(ctx, tr, w)
+			if err != nil || !reflect.DeepEqual(fas, got) {
+				t.Fatalf("iter %d w=%d: extraction diverges (err %v)", iter, w, err)
 			}
-			byFile, sig := AnalyzeConflictsParallel(tr, pfs.Session, w)
-			if !reflect.DeepEqual(wantByFile, byFile) || sig != wantSig {
-				t.Fatalf("iter %d w=%d: session conflicts diverge", iter, w)
+			ms, err := ConflictsAllForFilesCtx(ctx, got, []pfs.Semantics{pfs.Session}, w)
+			if err != nil || !reflect.DeepEqual(wantByFile, ms[0].ByFile) || ms[0].Signature != wantSig {
+				t.Fatalf("iter %d w=%d: session conflicts diverge (err %v)", iter, w, err)
 			}
-			if got := AnalyzeParallel(tr, w); got != wantVerdict {
-				t.Fatalf("iter %d w=%d: verdict diverges", iter, w)
+			if got, err := AnalyzeParallelCtx(ctx, tr, w); err != nil || got != wantVerdict {
+				t.Fatalf("iter %d w=%d: verdict diverges (err %v)", iter, w, err)
 			}
-			if got := MetadataCensusParallel(tr, w); !reflect.DeepEqual(wantCensus, got) {
-				t.Fatalf("iter %d w=%d: census diverges", iter, w)
+			if got, err := MetadataCensusParallelCtx(ctx, tr, w); err != nil || !reflect.DeepEqual(wantCensus, got) {
+				t.Fatalf("iter %d w=%d: census diverges (err %v)", iter, w, err)
 			}
 		}
 	}
+	InvalidateExtraction(tr)
 }

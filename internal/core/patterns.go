@@ -52,8 +52,8 @@ func (m PatternMix) Pct() (float64, float64, float64) {
 }
 
 // plus returns the element-wise sum of two mixes (class counts are
-// additive across files, which is what makes the per-file shard merge of
-// the parallel path exact).
+// additive across files, which is what makes the per-file shard merge
+// exact).
 func (m PatternMix) plus(o PatternMix) PatternMix {
 	return PatternMix{
 		Consecutive: m.Consecutive + o.Consecutive,
@@ -84,16 +84,6 @@ func classify(prev, next *Interval) AccessClass {
 	}
 }
 
-// LocalPattern computes Figure 1(b): transitions between successive accesses
-// of each process to each file, aggregated over the whole trace.
-func LocalPattern(fas []*FileAccesses) PatternMix {
-	var mix PatternMix
-	for _, fa := range fas {
-		mix = mix.plus(localPatternFile(fa))
-	}
-	return mix
-}
-
 // localPatternFile computes one file's local transition mix.
 func localPatternFile(fa *FileAccesses) PatternMix {
 	var mix PatternMix
@@ -107,17 +97,6 @@ func localPatternFile(fa *FileAccesses) PatternMix {
 		for i := 1; i < len(seq); i++ {
 			mix.add(classify(seq[i-1], seq[i]))
 		}
-	}
-	return mix
-}
-
-// GlobalPattern computes Figure 1(a): transitions between successive
-// accesses to each file in global time order, across all processes — the
-// request stream the PFS actually sees.
-func GlobalPattern(fas []*FileAccesses) PatternMix {
-	var mix PatternMix
-	for _, fa := range fas {
-		mix = mix.plus(globalPatternFile(fa))
 	}
 	return mix
 }
@@ -234,26 +213,8 @@ type fileSummary struct {
 	layout     Layout
 }
 
-// ClassifyHighLevel reproduces Table 3: it groups an application's files
-// into families (same directory, or same digit-stripped name template),
-// determines how many processes access how many files concurrently, and
-// classifies the per-process in-file layout. A family of files written one
-// after another (a checkpoint series) counts as repeated X-1 phases; files
-// written concurrently count as X-M / X-N.
-func ClassifyHighLevel(fas []*FileAccesses, opts HLOptions) []HighLevelPattern {
-	o := opts.withDefaults()
-	var sums []*fileSummary
-	for _, fa := range fas {
-		if o.Exclude(fa.Path) || len(fa.Intervals) == 0 {
-			continue
-		}
-		sums = append(sums, summarize(fa, o.MetaSizeThreshold))
-	}
-	return groupSummaries(sums, o.WorldSize)
-}
-
-// groupSummaries is the family-grouping tail of ClassifyHighLevel, shared
-// with the parallel path: sums must be in fas (path-sorted) order.
+// groupSummaries is the family-grouping tail of ClassifyHighLevelParallelCtx:
+// sums must be in fas (path-sorted) order.
 func groupSummaries(sums []*fileSummary, worldSize int) []HighLevelPattern {
 	families := make(map[string][]*fileSummary)
 	for _, s := range sums {

@@ -37,11 +37,11 @@ func TestLocalVsGlobalPattern(t *testing.T) {
 		)
 	}
 	fas := []*FileAccesses{fa}
-	local := LocalPattern(fas)
+	local := localPattern(fas)
 	if local.Consecutive != 18 || local.Random != 0 || local.Monotonic != 0 {
 		t.Fatalf("local mix = %+v", local)
 	}
-	global := GlobalPattern(fas)
+	global := globalPattern(fas)
 	if global.Random == 0 {
 		t.Fatalf("global mix should contain random transitions: %+v", global)
 	}
@@ -79,7 +79,7 @@ func TestHighLevelFilePerProcess(t *testing.T) {
 			seqIv(r, 20, 1024, 1024, true),
 		))
 	}
-	ps := ClassifyHighLevel(fas, HLOptions{WorldSize: 4})
+	ps := classifyHighLevel(fas, HLOptions{WorldSize: 4})
 	if len(ps) != 1 {
 		t.Fatalf("patterns = %+v", ps)
 	}
@@ -97,7 +97,7 @@ func TestHighLevelSharedSingleFile(t *testing.T) {
 			seqIv(r, uint64(20+r), 4096+int64(r)*1024, 1024, true),
 		)
 	}
-	ps := ClassifyHighLevel([]*FileAccesses{fa}, HLOptions{WorldSize: 4})
+	ps := classifyHighLevel([]*FileAccesses{fa}, HLOptions{WorldSize: 4})
 	if len(ps) != 1 || ps[0].Key() != "N-1 strided" {
 		t.Fatalf("patterns = %+v", ps)
 	}
@@ -115,7 +115,7 @@ func TestHighLevelCheckpointSeriesIsX1(t *testing.T) {
 		}
 		fas = append(fas, fa)
 	}
-	ps := ClassifyHighLevel(fas, HLOptions{WorldSize: 4})
+	ps := classifyHighLevel(fas, HLOptions{WorldSize: 4})
 	if len(ps) != 1 || ps[0].X != N || ps[0].Y != One {
 		t.Fatalf("patterns = %+v", ps)
 	}
@@ -134,7 +134,7 @@ func TestHighLevelConcurrentMultiFile(t *testing.T) {
 		}
 		fas = append(fas, fa)
 	}
-	ps := ClassifyHighLevel(fas, HLOptions{WorldSize: 4})
+	ps := classifyHighLevel(fas, HLOptions{WorldSize: 4})
 	if len(ps) != 1 || ps[0].X != N || ps[0].Y != M || ps[0].Layout != LayoutStrided {
 		t.Fatalf("patterns = %+v", ps)
 	}
@@ -149,7 +149,7 @@ func TestHighLevelReadOnlyUsesReaders(t *testing.T) {
 				seqIv(r, uint64(10+int(i)*4+int(r)), i*4096, 4096, false))
 		}
 	}
-	ps := ClassifyHighLevel([]*FileAccesses{fa}, HLOptions{WorldSize: 4})
+	ps := classifyHighLevel([]*FileAccesses{fa}, HLOptions{WorldSize: 4})
 	if len(ps) != 1 || ps[0].Key() != "N-1 consecutive" {
 		t.Fatalf("patterns = %+v", ps)
 	}
@@ -159,7 +159,7 @@ func TestHighLevelRank0Only(t *testing.T) {
 	fa := hlFA("/out.log",
 		seqIv(0, 10, 0, 100, true),
 		seqIv(0, 20, 100, 100, true))
-	ps := ClassifyHighLevel([]*FileAccesses{fa}, HLOptions{WorldSize: 4})
+	ps := classifyHighLevel([]*FileAccesses{fa}, HLOptions{WorldSize: 4})
 	if len(ps) != 1 || ps[0].Key() != "1-1 consecutive" {
 		t.Fatalf("patterns = %+v", ps)
 	}
@@ -176,7 +176,7 @@ func TestHighLevelStridedCyclic(t *testing.T) {
 			fa.Intervals = append(fa.Intervals, ivl)
 		}
 	}
-	ps := ClassifyHighLevel([]*FileAccesses{fa}, HLOptions{WorldSize: 2})
+	ps := classifyHighLevel([]*FileAccesses{fa}, HLOptions{WorldSize: 2})
 	if len(ps) != 1 || ps[0].Layout != LayoutStridedCyclic {
 		t.Fatalf("patterns = %+v", ps)
 	}
@@ -187,7 +187,7 @@ func TestHighLevelExcludesInputs(t *testing.T) {
 		hlFA("/in/config.txt", seqIv(0, 1, 0, 100, false)),
 		hlFA("/out.dat", seqIv(0, 10, 0, 100, true)),
 	}
-	ps := ClassifyHighLevel(fas, HLOptions{WorldSize: 4})
+	ps := classifyHighLevel(fas, HLOptions{WorldSize: 4})
 	if len(ps) != 1 || len(ps[0].Files) != 1 || ps[0].Files[0] != "/out.dat" {
 		t.Fatalf("patterns = %+v", ps)
 	}
@@ -205,7 +205,7 @@ func TestHighLevelMetadataFiltered(t *testing.T) {
 			seqIv(r, uint64(40+r), 16384+8192+int64(r)*4096, 4096, true),
 		)
 	}
-	ps := ClassifyHighLevel([]*FileAccesses{fa}, HLOptions{WorldSize: 2})
+	ps := classifyHighLevel([]*FileAccesses{fa}, HLOptions{WorldSize: 2})
 	if len(ps) != 1 || ps[0].Layout != LayoutStrided {
 		t.Fatalf("patterns = %+v", ps)
 	}

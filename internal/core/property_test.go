@@ -61,8 +61,8 @@ func TestPropertyCommitConflictImpliesSessionConflict(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 300; trial++ {
 		fa := randomFA(rng)
-		commit := DetectConflicts(fa, pfs.Commit)
-		session := DetectConflicts(fa, pfs.Session)
+		commit := conflictsUnder(fa, pfs.Commit)
+		session := conflictsUnder(fa, pfs.Session)
 		key := func(c Conflict) [4]uint64 {
 			return [4]uint64{c.First.T, uint64(c.First.Rank), c.Second.T, uint64(c.Second.Rank)}
 		}
@@ -76,13 +76,13 @@ func TestPropertyCommitConflictImpliesSessionConflict(t *testing.T) {
 			}
 		}
 		// And eventual dominates session.
-		eventual := DetectConflicts(fa, pfs.Eventual)
+		eventual := conflictsUnder(fa, pfs.Eventual)
 		if len(eventual) < len(session) {
 			t.Fatalf("trial %d: eventual (%d) has fewer conflicts than session (%d)",
 				trial, len(eventual), len(session))
 		}
 		// Strong never conflicts.
-		if got := DetectConflicts(fa, pfs.Strong); len(got) != 0 {
+		if got := conflictsUnder(fa, pfs.Strong); len(got) != 0 {
 			t.Fatalf("trial %d: strong produced conflicts", trial)
 		}
 	}
@@ -95,7 +95,7 @@ func TestPropertyConflictsAreOverlapSubset(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		fa := randomFA(rng)
 		for _, model := range []pfs.Semantics{pfs.Commit, pfs.Session, pfs.Eventual} {
-			for _, c := range DetectConflicts(fa, model) {
+			for _, c := range conflictsUnder(fa, model) {
 				if !c.First.Write {
 					t.Fatalf("trial %d: first op of %v is not a write", trial, c)
 				}

@@ -69,3 +69,25 @@ func BenchmarkIndexSort(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkOverlapDetection measures Algorithm 1's sweep as the interval
+// count grows (the paper notes the sweep is linear in practice) over mostly
+// disjoint strided blocks with occasional overlaps.
+func BenchmarkOverlapDetection(b *testing.B) {
+	for _, n := range []int{100, 1000, 10000} {
+		ivs := make([]Interval, n)
+		for i := range ivs {
+			base := int64(i) * 100
+			if i%17 == 0 {
+				base -= 50
+			}
+			ivs[i] = Interval{T: uint64(i), TEnd: uint64(i) + 1,
+				Rank: int32(i % 64), Os: base, Oe: base + 100, Write: i%2 == 0}
+		}
+		b.Run(fmt.Sprintf("algorithm1/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sweepOverlaps(ivs, func(OverlapPair) {})
+			}
+		})
+	}
+}

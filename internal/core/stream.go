@@ -11,7 +11,7 @@ import (
 // at a time in stream order, so it does not need a materialized []Record at
 // all. RecordCursor is the pull seam a zero-copy decoder (the columnar
 // format's mmap cursor, internal/recorder/colfmt) plugs into; rankExtractor
-// is the per-record fold both Extract and the cursor path share, so the two
+// is the per-record fold the slice and cursor extractions share, so the two
 // paths cannot drift.
 
 // RecordCursor yields one rank's records in stream (TStart) order. Next
@@ -200,18 +200,18 @@ func extractCursor(c RecordCursor, files map[string]*FileAccesses) error {
 	return c.Err()
 }
 
-// ExtractCursors is Extract over per-rank cursors instead of materialized
-// slices: rank i's cursor plays the role of tr.PerRank[i]. Cursors are
-// single-use and each is consumed by exactly one worker.
+// ExtractCursors is the extraction over per-rank cursors instead of
+// materialized slices: rank i's cursor plays the role of tr.PerRank[i].
+// Cursors are single-use and each is consumed by exactly one worker.
 func ExtractCursors(cursors []RecordCursor, workers int) ([]*FileAccesses, error) {
 	return ExtractCursorsCtx(context.Background(), cursors, workers)
 }
 
 // ExtractCursorsCtx is ExtractCursors under a context. The output is
-// byte-identical to Extract on the same records at every worker count:
-// serial walks share one map in rank order, parallel walks fold per-rank
-// partial maps in rank order (the serial append order of every per-path
-// table). Any cursor decode error fails the extraction; the lowest-ranked
+// byte-identical to ExtractSharedCtx on the same records at every worker
+// count: serial walks share one map in rank order, parallel walks fold
+// per-rank partial maps in rank order (the serial append order of every
+// per-path table). Any cursor decode error fails the extraction; the lowest-ranked
 // error is reported.
 func ExtractCursorsCtx(ctx context.Context, cursors []RecordCursor, workers int) ([]*FileAccesses, error) {
 	defer startPass("extract")()

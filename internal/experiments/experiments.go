@@ -267,6 +267,18 @@ func RunOne(name string, s Scale) (*harness.Result, error) {
 	return res, nil
 }
 
+// The tables and figures run every analysis pass serially (a pool of one;
+// RunAllWorkers already parallelizes across configurations) under bg, a
+// context that is never cancelled — so the passes' only error, ctx.Err(),
+// cannot occur and is dropped.
+var bg = context.Background()
+
+// extracted is a trace's shared extraction (see core.ExtractSharedCtx).
+func extracted(tr *recorder.Trace) []*core.FileAccesses {
+	fas, _ := core.ExtractSharedCtx(bg, tr, 1)
+	return fas
+}
+
 // Table1 renders the static PFS categorization.
 func Table1() string { return report.Table1() }
 
@@ -275,11 +287,9 @@ func Table1() string { return report.Table1() }
 func Table3(r *Results) string {
 	var rows []report.Table3Row
 	for _, name := range r.Ordered {
-		fas := core.ExtractShared(r.ByName[name].Trace)
-		rows = append(rows, report.Table3Row{
-			Config:   name,
-			Patterns: core.ClassifyHighLevel(fas, core.HLOptions{WorldSize: r.Scale.Ranks}),
-		})
+		patterns, _ := core.ClassifyHighLevelParallelCtx(bg, extracted(r.ByName[name].Trace),
+			core.HLOptions{WorldSize: r.Scale.Ranks}, 1)
+		rows = append(rows, report.Table3Row{Config: name, Patterns: patterns})
 	}
 	return report.Table3(rows)
 }
@@ -295,7 +305,7 @@ func Table4Rows(r *Results) []report.Table4Row {
 	var rows []report.Table4Row
 	for _, name := range r.Ordered {
 		tr := r.ByName[name].Trace
-		ms := core.AnalyzeConflictsAll(tr, pfs.Session, pfs.Commit)
+		ms, _ := core.ConflictsAllForFilesCtx(bg, extracted(tr), []pfs.Semantics{pfs.Session, pfs.Commit}, 1)
 		rows = append(rows, report.Table4Row{
 			Config: name, Library: tr.Meta.Library,
 			Session: ms[0].Signature, Commit: ms[1].Signature,
@@ -318,12 +328,10 @@ func Table5() string {
 func Figure1(r *Results) (string, string) {
 	var rows []report.Figure1Row
 	for _, name := range r.Ordered {
-		fas := core.ExtractShared(r.ByName[name].Trace)
-		rows = append(rows, report.Figure1Row{
-			Config: name,
-			Global: core.GlobalPattern(fas),
-			Local:  core.LocalPattern(fas),
-		})
+		fas := extracted(r.ByName[name].Trace)
+		global, _ := core.GlobalPatternParallelCtx(bg, fas, 1)
+		local, _ := core.LocalPatternParallelCtx(bg, fas, 1)
+		rows = append(rows, report.Figure1Row{Config: name, Global: global, Local: local})
 	}
 	return report.Figure1(rows), report.Figure1CSV(rows)
 }
@@ -339,7 +347,7 @@ func Figure2(r *Results) map[string]string {
 		if !ok {
 			continue
 		}
-		fas := core.ExtractShared(res.Trace)
+		fas := extracted(res.Trace)
 		chkCSV := report.Figure2CSVOf(fas, "/flash_hdf5_chk_0000")
 		panels["flash_"+variant+"_checkpoint.csv"] = chkCSV
 		panels["flash_"+variant+"_plot.csv"] = report.Figure2CSVOf(fas, "/flash_hdf5_plt_cnt_0000")
@@ -369,10 +377,8 @@ func filterCSVRank(csv string, rank int) string {
 func Figure3(r *Results) string {
 	var rows []report.Figure3Row
 	for _, name := range r.Ordered {
-		rows = append(rows, report.Figure3Row{
-			Config: name,
-			Census: core.MetadataCensus(r.ByName[name].Trace),
-		})
+		census, _ := core.MetadataCensusParallelCtx(bg, r.ByName[name].Trace, 1)
+		rows = append(rows, report.Figure3Row{Config: name, Census: census})
 	}
 	return report.Figure3(rows)
 }
@@ -384,10 +390,11 @@ func VerdictsReport(r *Results) string {
 		Verdict core.Verdict
 	}, 0, len(r.Ordered))
 	for _, name := range r.Ordered {
+		v, _ := core.AnalyzeParallelCtx(bg, r.ByName[name].Trace, 1)
 		rows = append(rows, struct {
 			Config  string
 			Verdict core.Verdict
-		}{name, core.Analyze(r.ByName[name].Trace)})
+		}{name, v})
 	}
 	return report.Verdicts(rows)
 }
@@ -407,7 +414,7 @@ func MetaTable(r *Results) string {
 		return ""
 	}
 	for _, name := range r.Ordered {
-		cs := core.DetectMetadataConflicts(r.ByName[name].Trace)
+		cs, _ := core.DetectMetadataConflictsParallelCtx(bg, r.ByName[name].Trace, 1)
 		sig := core.MetaSignatureOf(cs)
 		fmt.Fprintf(&b, "%-20s  %-10s  %-10s  %-10s  %d\n",
 			name, mark(sig.CreateUse), mark(sig.RemoveUse), mark(sig.ResizeUse), len(cs))

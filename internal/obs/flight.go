@@ -7,11 +7,15 @@
 // without the cost or volume of full tracing.
 //
 // Concurrency model: slots hold only atomics. A writer claims a global
-// sequence number with one atomic add, fills the slot's payload fields and
-// publishes the sequence stamp last; a dumper reads the stamp, the payload,
-// then the stamp again, and discards the slot if a concurrent writer moved
-// it. No locks anywhere on the record path, so the recorder is safe to call
-// from under fs.mu, l.mu or a dying signal path. The disabled path is one
+// sequence number with one atomic add, then claims the slot by CAS-ing its
+// stamp to a busy marker (waiting out a writer a ring-lap away that holds
+// it, and dropping its own event if that writer published a later one),
+// fills the payload fields and publishes the sequence stamp last. A slot's
+// stamp therefore only grows, and a payload is never written under a
+// published stamp. A dumper skips busy slots, reads the stamp, the payload,
+// then the stamp again, and discards the slot if a writer claimed it in
+// between. No locks anywhere on the record path, so the recorder is safe to
+// call from under fs.mu, l.mu or a dying signal path. The disabled path is one
 // atomic load and allocates nothing (gated with the other instruments in
 // BenchmarkDisabledOverhead).
 //
@@ -25,6 +29,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -89,13 +94,16 @@ type FlightEvent struct {
 // stamp is written last (the publish): a reader that sees the same stamp
 // before and after reading the payload got a consistent event.
 type flightSlot struct {
-	stamp atomic.Uint64 // seq of the event occupying the slot; 0 = empty
+	stamp atomic.Uint64 // seq of the event occupying the slot; 0 = empty, flightBusy = being written
 	wall  atomic.Int64
 	class atomic.Uint32
 	rank  atomic.Int32
 	trace atomic.Uint64
 	a, b  atomic.Int64
 }
+
+// flightBusy marks a slot a writer has claimed but not yet published.
+const flightBusy = ^uint64(0)
 
 // FlightRecorder is the fixed-size ring. The zero value is not usable; use
 // NewFlightRecorder or the process-wide Flight().
@@ -142,6 +150,17 @@ func (f *FlightRecorder) Record(class FlightClass, rank int32, trace uint64, a, 
 	}
 	seq := f.next.Add(1)
 	s := &f.slots[(seq-1)&f.mask]
+claim:
+	for {
+		switch old := s.stamp.Load(); {
+		case old == flightBusy:
+			runtime.Gosched() // a writer a ring-lap away is filling the slot
+		case old > seq:
+			return // that writer published a later event; ours is older
+		case s.stamp.CompareAndSwap(old, flightBusy):
+			break claim
+		}
+	}
 	s.wall.Store(time.Now().UnixNano())
 	s.class.Store(uint32(class))
 	s.rank.Store(rank)
@@ -163,7 +182,7 @@ func (f *FlightRecorder) Events() []FlightEvent {
 	for i := range f.slots {
 		s := &f.slots[i]
 		seq := s.stamp.Load()
-		if seq == 0 {
+		if seq == 0 || seq == flightBusy {
 			continue
 		}
 		ev := FlightEvent{
@@ -176,7 +195,7 @@ func (f *FlightRecorder) Events() []FlightEvent {
 			B:      s.b.Load(),
 		}
 		if s.stamp.Load() != seq {
-			continue // torn by a concurrent writer; skip
+			continue // claimed by a writer meanwhile; skip
 		}
 		out = append(out, ev)
 	}

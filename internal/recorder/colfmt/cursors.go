@@ -2,6 +2,7 @@ package colfmt
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"path/filepath"
 
@@ -37,7 +38,7 @@ func OpenDirOn(b storage.Backend, dir string, workers int) (*DirReader, error) {
 	}
 	d := &DirReader{Meta: meta, streams: make([]dirStream, meta.Ranks)}
 	errs := make([]error, meta.Ranks)
-	core.ParallelFor(meta.Ranks, workers, func(rank int) {
+	_ = core.ParallelForCtx(context.Background(), meta.Ranks, workers, func(rank int) {
 		errs[rank] = d.openStream(b, dir, rank)
 	})
 	for rank, err := range errs {

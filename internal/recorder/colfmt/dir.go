@@ -2,6 +2,7 @@ package colfmt
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,7 +18,8 @@ import (
 // stream per rank — and the magic bytes inside each stream pick the
 // decoder, so columnar, v1, and even mixed directories all load through one
 // entry point. Loads shard rank files across the bounded worker pool
-// (core.ParallelFor): decode work is embarrassingly parallel per stream and
+// (core.ParallelForCtx, under a background context that never cancels, so
+// every rank runs): decode work is embarrassingly parallel per stream and
 // the fold back into Trace.PerRank is index-addressed, so the result is
 // byte-identical to a serial load.
 
@@ -226,7 +228,7 @@ func LoadDirOn(b storage.Backend, dir string, workers int) (*recorder.Trace, err
 		return nil, err
 	}
 	results := make([]streamResult, meta.Ranks)
-	core.ParallelFor(meta.Ranks, workers, func(rank int) {
+	_ = core.ParallelForCtx(context.Background(), meta.Ranks, workers, func(rank int) {
 		results[rank] = decodeRankFile(b, dir, rank, false)
 	})
 	tr := &recorder.Trace{Meta: meta, PerRank: make([][]recorder.Record, meta.Ranks)}
@@ -258,7 +260,7 @@ func LoadDirLenientOn(b storage.Backend, dir string, workers int) (*recorder.Tra
 		return nil, nil, err
 	}
 	results := make([]streamResult, meta.Ranks)
-	core.ParallelFor(meta.Ranks, workers, func(rank int) {
+	_ = core.ParallelForCtx(context.Background(), meta.Ranks, workers, func(rank int) {
 		results[rank] = decodeRankFile(b, dir, rank, true)
 	})
 	tr := &recorder.Trace{Meta: meta, PerRank: make([][]recorder.Record, meta.Ranks)}

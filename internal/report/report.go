@@ -188,7 +188,7 @@ func writeBar(b *strings.Builder, label string, m core.PatternMix) {
 // separate checkpoint/plot files and fbs/nofbs variants give the six panels.
 // Extraction goes through the process-wide cache.
 func Figure2CSV(tr *recorder.Trace, path string) string {
-	return Figure2CSVOf(core.ExtractShared(tr), path)
+	return Figure2CSVOf(extractShared(tr), path)
 }
 
 // Figure2CSVOf is Figure2CSV over pre-extracted accesses.

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -45,7 +46,15 @@ type FileReport struct {
 // process-wide cache (so a report after an analysis pays no second
 // extraction).
 func BuildRunReport(tr *recorder.Trace) *RunReport {
-	return BuildRunReportFrom(tr, core.ExtractShared(tr))
+	return BuildRunReportFrom(tr, extractShared(tr))
+}
+
+// extractShared is the serial core.ExtractSharedCtx the report renderers
+// use; its only error is cancellation, which a background context never
+// delivers.
+func extractShared(tr *recorder.Trace) []*core.FileAccesses {
+	fas, _ := core.ExtractSharedCtx(context.Background(), tr, 1)
+	return fas
 }
 
 // BuildRunReportFrom computes the digest from pre-extracted accesses —
@@ -70,7 +79,8 @@ func BuildRunReportFrom(tr *recorder.Trace, fas []*core.FileAccesses) *RunReport
 			m[r.Func]++
 		}
 	}
-	models := []pfs.Semantics{pfs.Session, pfs.Commit}
+	// Background context: never cancelled, so no error.
+	ms, _ := core.ConflictsAllForFilesCtx(context.Background(), fas, []pfs.Semantics{pfs.Session, pfs.Commit}, 1)
 	rep.Files = make([]FileReport, 0, len(fas))
 	for _, fa := range fas {
 		fr := FileReport{Path: fa.Path}
@@ -90,9 +100,8 @@ func BuildRunReportFrom(tr *recorder.Trace, fas []*core.FileAccesses) *RunReport
 			rep.SizeHistogram.Observe(n)
 		}
 		fr.Ranks = len(ranks)
-		lists := core.DetectConflictsMulti(fa, models)
-		fr.SessionConflicts = len(lists[0])
-		fr.CommitConflicts = len(lists[1])
+		fr.SessionConflicts = len(ms[0].ByFile[fa.Path])
+		fr.CommitConflicts = len(ms[1].ByFile[fa.Path])
 		rep.Files = append(rep.Files, fr)
 	}
 	slices.SortFunc(rep.Files, func(a, b FileReport) int { return strings.Compare(a.Path, b.Path) })

@@ -15,7 +15,7 @@ import (
 // SVG is assembled textually. Extraction goes through the process-wide
 // cache.
 func Figure2SVG(tr *recorder.Trace, path, title string) string {
-	return Figure2SVGOf(core.ExtractShared(tr), path, title)
+	return Figure2SVGOf(extractShared(tr), path, title)
 }
 
 // Figure2SVGOf is Figure2SVG over pre-extracted accesses.

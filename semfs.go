@@ -11,7 +11,8 @@
 //
 //	res, err := semfs.Run("FLASH-nofbs", semfs.RunOptions{Ranks: 64})
 //	...
-//	an := semfs.Analyze(res.Trace)
+//	an, err := semfs.AnalyzeParallelCtx(ctx, res.Trace, 0)
+//	...
 //	fmt.Println(an.Verdict.Weakest) // the weakest sufficient PFS semantics
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
@@ -157,48 +158,18 @@ type Analysis struct {
 	MetaSignature core.MetaSignature
 }
 
-// Analyze runs the full paper analysis over a trace. This is the serial
-// reference path — the oracle AnalyzeParallel is tested against — so every
-// pass here is strictly sequential and per-model (no fused sweep, no
-// extraction cache): the trace is extracted once up front and each model's
-// conflicts are detected independently.
-func Analyze(tr *recorder.Trace) *Analysis {
-	fas := core.Extract(tr)
-	sessionByFile, sessionSig := core.ConflictsOverFiles(fas, pfs.Session)
-	commitByFile, commitSig := core.ConflictsOverFiles(fas, pfs.Commit)
-	metaConflicts := core.DetectMetadataConflicts(tr)
-	return &Analysis{
-		Verdict:          core.VerdictFrom(sessionSig, commitSig),
-		SessionConflicts: sessionByFile,
-		CommitConflicts:  commitByFile,
-		Patterns:         core.ClassifyHighLevel(fas, core.HLOptions{WorldSize: tr.Meta.Ranks}),
-		Global:           core.GlobalPattern(fas),
-		Local:            core.LocalPattern(fas),
-		Census:           core.MetadataCensus(tr),
-		MetaConflicts:    metaConflicts,
-		MetaSignature:    core.MetaSignatureOf(metaConflicts),
-	}
-}
-
-// AnalyzeParallel runs the same analysis concurrently: the trace is
-// extracted once with rank-sharded extraction (through the process-wide
-// extraction cache, so repeated analyses of one trace share the work), then
-// the four independent passes (fused session+commit conflict sweep, pattern
-// classification + Figure 1 mixes, metadata census, metadata-conflict
-// detection) fan out as a scatter/gather, each internally sharded across a
-// pool of the given size (workers <= 0 selects runtime.GOMAXPROCS). Every
-// merge is deterministic, so the result is identical to Analyze — the
-// serial path stays the correctness oracle (see
-// TestAnalyzeParallelMatchesSerial).
-func AnalyzeParallel(tr *recorder.Trace, workers int) *Analysis {
-	an, _ := AnalyzeParallelCtx(context.Background(), tr, workers)
-	return an
-}
-
-// AnalyzeParallelCtx is AnalyzeParallel under a context: cancellation stops
-// every pass within one task boundary (no new per-file or per-rank task
-// starts once ctx is done) and the call returns ctx.Err() instead of a
-// partial Analysis.
+// AnalyzeParallelCtx runs the full paper analysis over a trace. The trace
+// is extracted once (through the process-wide extraction cache, so repeated
+// analyses of one trace share the work), then the four independent passes
+// (fused session+commit conflict sweep, pattern classification + Figure 1
+// mixes, metadata census, metadata-conflict detection) fan out as a
+// scatter/gather, each internally sharded across a pool of the given size:
+// workers <= 0 selects runtime.GOMAXPROCS, and 1 runs every pass serially.
+// Every merge is deterministic, so the result is identical at every worker
+// count (see TestAnalyzeParallelMatchesSerial). Cancellation stops every
+// pass within one task boundary (no new per-file or per-rank task starts
+// once ctx is done) and the call returns ctx.Err() instead of a partial
+// Analysis.
 func AnalyzeParallelCtx(ctx context.Context, tr *recorder.Trace, workers int) (*Analysis, error) {
 	fas, err := core.ExtractSharedCtx(ctx, tr, workers)
 	if err != nil {
@@ -260,8 +231,6 @@ func AnalyzeParallelCtx(ctx context.Context, tr *recorder.Trace, workers int) (*
 		}
 	}
 
-	// The verdict is derived from the signatures the conflict passes already
-	// computed; serial Analyze re-detects, arriving at the same values.
 	an.Verdict = core.VerdictFrom(sessionSig, commitSig)
 	return an, nil
 }
@@ -269,16 +238,20 @@ func AnalyzeParallelCtx(ctx context.Context, tr *recorder.Trace, workers int) (*
 // ValidateSynchronization performs the §5.2 check: every conflict detected
 // under session semantics must be ordered by the application's MPI
 // synchronization. It returns the unordered pairs (nil for race-free
-// applications).
+// applications) in path order, each file's pairs in report order.
 func ValidateSynchronization(tr *recorder.Trace) ([]core.Conflict, error) {
 	hb, err := core.BuildHB(tr)
 	if err != nil {
 		return nil, err
 	}
-	byFile, _ := core.ConflictsOverFiles(core.ExtractShared(tr), pfs.Session)
+	fas, err := core.ExtractSharedCtx(context.Background(), tr, 1)
+	if err != nil {
+		return nil, err
+	}
+	byFile, _ := core.ConflictsOverFiles(fas, pfs.Session)
 	var unordered []core.Conflict
-	for _, cs := range byFile {
-		unordered = append(unordered, core.ValidateConflicts(hb, cs)...)
+	for _, fa := range fas {
+		unordered = append(unordered, core.ValidateConflicts(hb, byFile[fa.Path])...)
 	}
 	return unordered, nil
 }

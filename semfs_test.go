@@ -6,11 +6,22 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/recorder"
 	"repro/internal/recorder/colfmt"
 )
+
+// analyzeSerial runs the analysis on a pool of one.
+func analyzeSerial(t *testing.T, tr *Trace) *Analysis {
+	t.Helper()
+	an, err := AnalyzeParallelCtx(context.Background(), tr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return an
+}
 
 func TestApplicationsList(t *testing.T) {
 	names := Applications()
@@ -34,7 +45,7 @@ func TestRunAndAnalyzeEndToEnd(t *testing.T) {
 	if err := res.Err(); err != nil {
 		t.Fatal(err)
 	}
-	an := Analyze(res.Trace)
+	an := analyzeSerial(t, res.Trace)
 	if an.Verdict.Weakest != Session {
 		t.Fatalf("NWChem weakest = %v, want session", an.Verdict.Weakest)
 	}
@@ -72,7 +83,7 @@ func TestTraceRoundTripThroughDisk(t *testing.T) {
 		t.Fatalf("records %d != %d after round trip", got.NumRecords(), res.Trace.NumRecords())
 	}
 	// The loaded trace analyzes identically.
-	a1, a2 := Analyze(res.Trace), Analyze(got)
+	a1, a2 := analyzeSerial(t, res.Trace), analyzeSerial(t, got)
 	if a1.Verdict != a2.Verdict {
 		t.Fatalf("verdicts differ after disk round trip: %+v vs %+v", a1.Verdict, a2.Verdict)
 	}
@@ -89,6 +100,45 @@ func TestValidateSynchronization(t *testing.T) {
 	}
 	if len(unordered) != 0 {
 		t.Fatalf("FLASH conflicts not synchronized: %v", unordered[0])
+	}
+}
+
+// TestValidateSynchronizationDeterministic: unsynchronized pairs in two
+// files come back in path order, identically on every call.
+func TestValidateSynchronizationDeterministic(t *testing.T) {
+	res, err := RunCustom("two-file-race", RunOptions{Ranks: 4}, func(ctx *Ctx) error {
+		for _, path := range []string{"/b", "/a"} {
+			fd, err := ctx.OS.Open(path, recorder.OCreat|recorder.OWronly, 0o644)
+			if err != nil {
+				return err
+			}
+			if _, err := ctx.OS.Pwrite(fd, make([]byte, 64), 0); err != nil {
+				return err
+			}
+			if err := ctx.OS.Close(fd); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil || res.Err() != nil {
+		t.Fatal(err, res.Err())
+	}
+	want, err := ValidateSynchronization(res.Trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) < 2 || want[0].Path != "/a" || want[len(want)-1].Path != "/b" {
+		t.Fatalf("want unordered pairs on /a then /b, got %v", want)
+	}
+	for i := 0; i < 20; i++ {
+		got, err := ValidateSynchronization(res.Trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d: unordered pairs differ:\n got %v\nwant %v", i, got, want)
+		}
 	}
 }
 
@@ -111,7 +161,7 @@ func TestAnalyzeMetadataDependencies(t *testing.T) {
 	if err != nil || res.Err() != nil {
 		t.Fatal(err, res.Err())
 	}
-	an := Analyze(res.Trace)
+	an := analyzeSerial(t, res.Trace)
 	if !an.MetaSignature.CreateUse || len(an.MetaConflicts) == 0 {
 		t.Fatalf("MACSio metadata dependencies missing: %+v", an.MetaSignature)
 	}
@@ -131,7 +181,7 @@ func TestRunCustomBody(t *testing.T) {
 	if err != nil || res.Err() != nil {
 		t.Fatal(err, res.Err())
 	}
-	an := Analyze(res.Trace)
+	an := analyzeSerial(t, res.Trace)
 	if an.Verdict.Session.Any() {
 		t.Fatalf("disjoint writes produced conflicts: %+v", an.Verdict.Session)
 	}
@@ -169,7 +219,7 @@ func TestAnalyzeParallelCtxCancelledAndLenientLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := Analyze(res.Trace); an.Verdict != want.Verdict {
+	if want := analyzeSerial(t, res.Trace); an.Verdict != want.Verdict {
 		t.Fatalf("ctx analysis verdict %+v != serial %+v", an.Verdict, want.Verdict)
 	}
 
@@ -200,7 +250,7 @@ func TestAnalyzeParallelCtxCancelledAndLenientLoad(t *testing.T) {
 	if got.NumRecords() >= res.Trace.NumRecords() || got.NumRecords() == 0 {
 		t.Fatalf("degraded trace has %d records, original %d", got.NumRecords(), res.Trace.NumRecords())
 	}
-	if da := Analyze(got); da.Census.Total() == 0 {
+	if da := analyzeSerial(t, got); da.Census.Total() == 0 {
 		t.Fatal("degraded trace did not analyze")
 	}
 }
