@@ -18,9 +18,7 @@ import (
 	semfs "repro"
 	"repro/internal/core"
 	"repro/internal/recorder"
-	"repro/internal/recorder/colfmt"
 	"repro/internal/report"
-	"repro/internal/storage"
 )
 
 // DefaultWorkerCounts covers the interesting pool shapes: GOMAXPROCS (0),
@@ -85,9 +83,7 @@ func CheckTrace(t testing.TB, label string, tr *recorder.Trace, workerCounts ...
 // worker count, and each reload must carry byte-identical records (the
 // strict v1 load is the disk oracle) and produce a byte-identical analysis
 // and rendered report (the serial analysis of the v1 reload is the
-// analysis oracle). The columnar directory is additionally consumed through
-// the zero-copy cursor path (colfmt.OpenDirOn → core.ExtractCursors) which
-// must reproduce the materializing extraction exactly.
+// analysis oracle).
 func CheckFormats(t testing.TB, label string, tr *recorder.Trace, workerCounts ...int) {
 	t.Helper()
 	if len(workerCounts) == 0 {
@@ -123,10 +119,6 @@ func CheckFormats(t testing.TB, label string, tr *recorder.Trace, workerCounts .
 	defer core.InvalidateExtraction(oracle)
 	oracleAnalysis := analyze(t, label, oracle, 1)
 	oracleReport := report.BuildRunReport(oracle).Render()
-	oracleFA, err := core.ExtractSharedCtx(context.Background(), oracle, 1)
-	if err != nil {
-		t.Fatalf("%s: extracting v1 oracle: %v", label, err)
-	}
 
 	for _, d := range dirs {
 		for _, w := range workerCounts {
@@ -151,24 +143,6 @@ func CheckFormats(t testing.TB, label string, tr *recorder.Trace, workerCounts .
 		}
 	}
 
-	// Zero-copy cursor extraction over the mapped columnar directory.
-	for _, w := range workerCounts {
-		dr, err := colfmt.OpenDirOn(storage.OS(), dirs[1].path, w)
-		if err != nil {
-			t.Fatalf("%s/cursors/workers=%d: open: %v", label, w, err)
-		}
-		fas, err := core.ExtractCursors(dr.Cursors(), w)
-		if cerr := dr.Close(); cerr != nil {
-			t.Errorf("%s/cursors/workers=%d: close: %v", label, w, cerr)
-		}
-		if err != nil {
-			t.Fatalf("%s/cursors/workers=%d: extract: %v", label, w, err)
-		}
-		if !reflect.DeepEqual(fas, oracleFA) {
-			t.Errorf("%s/cursors/workers=%d: cursor extraction diverges from materialized extraction",
-				label, w)
-		}
-	}
 }
 
 // CheckApp runs one registry application configuration and asserts

@@ -1,10 +1,12 @@
 package ckpt
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/harness"
@@ -300,6 +302,24 @@ func TestEncodeResultRefusesBadInput(t *testing.T) {
 	res.Errs = []error{errors.New("rank 0 failed")}
 	if _, err := EncodeResult(res); err == nil {
 		t.Fatal("EncodeResult with rank errors succeeded")
+	}
+}
+
+// TestDecodeResultRejectsForgedRankCount feeds a ~50-byte blob whose
+// header and rank count both declare 4e12 ranks: the decoder must return
+// an error (LookupResult's fall-back-to-re-execution contract) instead of
+// sizing a table by the forged count.
+func TestDecodeResultRejectsForgedRankCount(t *testing.T) {
+	hdr := []byte(`{"v":1,"meta":{"Ranks":4000000000000}}`)
+	blob := binary.AppendUvarint(nil, uint64(len(hdr)))
+	blob = append(blob, hdr...)
+	blob = binary.AppendUvarint(blob, 4_000_000_000_000)
+	blob = append(blob, 0, 0, 0)
+	if len(blob) > 50 {
+		t.Fatalf("forged blob is %d bytes", len(blob))
+	}
+	if _, err := DecodeResult(blob); err == nil || !strings.Contains(err.Error(), "rank streams in") {
+		t.Fatalf("DecodeResult of a forged rank count: err = %v", err)
 	}
 }
 

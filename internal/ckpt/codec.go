@@ -87,6 +87,11 @@ func DecodeResult(b []byte) (*harness.Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: %w", err)
 	}
+	// Every rank stream carries at least its length byte, so a count beyond
+	// the remaining bytes is forged; checking it first bounds the allocation.
+	if nranks > uint64(br.Len()) {
+		return nil, fmt.Errorf("ckpt: result declares %d rank streams in %d bytes", nranks, br.Len())
+	}
 	if nranks != uint64(h.Meta.Ranks) {
 		return nil, fmt.Errorf("ckpt: result has %d rank streams, meta declares %d", nranks, h.Meta.Ranks)
 	}

@@ -14,10 +14,8 @@ import (
 // consumers (patterns and reports build their own index slices), so sharing
 // is read-only safe; see DESIGN.md §11.
 //
-// The cache is keyed by source identity — the *recorder.Trace for
-// slice-backed extraction, any caller-chosen key for cursor-backed
-// extraction — holds at most extractCacheCap entries, and evicts in
-// insertion (FIFO) order — analysis
+// The cache is keyed by trace identity (the *recorder.Trace), holds at most
+// extractCacheCap entries, and evicts in insertion (FIFO) order — analysis
 // sweeps visit each trace in bursts and never revisit old ones, so FIFO
 // behaves like LRU here without the bookkeeping.
 
@@ -31,17 +29,17 @@ type extractionEntry struct {
 
 type extractionCache struct {
 	mu    sync.Mutex
-	byTr  map[any]*extractionEntry
-	order []any // insertion order, for FIFO eviction
+	byTr  map[*recorder.Trace]*extractionEntry
+	order []*recorder.Trace // insertion order, for FIFO eviction
 }
 
-var extractions = extractionCache{byTr: make(map[any]*extractionEntry)}
+var extractions = extractionCache{byTr: make(map[*recorder.Trace]*extractionEntry)}
 
 // acquire returns the trace's entry, creating (and possibly evicting) under
 // the lock. The extraction itself runs outside the lock, guarded by the
 // entry's once, so concurrent callers for the same trace coalesce into a
 // single extraction while other traces proceed independently.
-func (c *extractionCache) acquire(tr any) *extractionEntry {
+func (c *extractionCache) acquire(tr *recorder.Trace) *extractionEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.byTr[tr]; ok {
@@ -59,23 +57,23 @@ func (c *extractionCache) acquire(tr any) *extractionEntry {
 	return e
 }
 
-// remove evicts key's entry; when e is non-nil, only if the entry is still
-// e (a failed extraction must not evict a newer one for the same key).
-func (c *extractionCache) remove(key any, e *extractionEntry) {
+// remove evicts tr's entry; when e is non-nil, only if the entry is still
+// e (a failed extraction must not evict a newer one for the same trace).
+func (c *extractionCache) remove(tr *recorder.Trace, e *extractionEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.removeLocked(key, e)
+	c.removeLocked(tr, e)
 }
 
 // removeLocked is remove with c.mu held. slices.Delete zeroes the vacated
 // tail slot, so the order slice's backing array does not keep the removed
-// key — for slice-backed extraction a whole trace — alive.
-func (c *extractionCache) removeLocked(key any, e *extractionEntry) {
-	if cur, ok := c.byTr[key]; !ok || (e != nil && cur != e) {
+// trace alive.
+func (c *extractionCache) removeLocked(tr *recorder.Trace, e *extractionEntry) {
+	if cur, ok := c.byTr[tr]; !ok || (e != nil && cur != e) {
 		return
 	}
-	delete(c.byTr, key)
-	if i := slices.Index(c.order, key); i >= 0 {
+	delete(c.byTr, tr)
+	if i := slices.Index(c.order, tr); i >= 0 {
 		c.order = slices.Delete(c.order, i, i+1)
 	}
 }
@@ -102,21 +100,4 @@ func ExtractSharedCtx(ctx context.Context, tr *recorder.Trace, workers int) ([]*
 // production code never needs it because traces are immutable.
 func InvalidateExtraction(tr *recorder.Trace) {
 	extractions.remove(tr, nil)
-}
-
-// ExtractCursorsSharedCtx is ExtractCursorsCtx through the cache: key
-// identifies the underlying trace source (one key per opened directory —
-// e.g. the colfmt DirReader), so repeated analyses of the same mapped trace
-// share one extraction without ever materializing []Record. Cursors are
-// single-use: they are consumed only on a cache miss, and concurrent
-// callers for the same key coalesce into a single walk.
-func ExtractCursorsSharedCtx(ctx context.Context, key any, cursors []RecordCursor, workers int) ([]*FileAccesses, error) {
-	e := extractions.acquire(key)
-	e.once.Do(func() {
-		e.fas, e.err = ExtractCursorsCtx(ctx, cursors, workers)
-		if e.err != nil {
-			extractions.remove(key, e)
-		}
-	})
-	return e.fas, e.err
 }

@@ -130,10 +130,8 @@ func BuildHB(tr *recorder.Trace) (*HB, error) {
 			if pv == nil {
 				return nil, fmt.Errorf("core: predecessor %v of %v not yet processed (timestamps violate happens-before)", p, n)
 			}
-			for r := range vc {
-				if pv[r] > vc[r] {
-					vc[r] = pv[r]
-				}
+			for r, x := range pv[:len(vc)] {
+				vc[r] = max(vc[r], x)
 			}
 		}
 		if own := int32(n.idx + 1); own > vc[n.rank] {

@@ -143,7 +143,7 @@ func (t *fdTable) closeFD(fd int64) *fdState {
 // accesses into files. Offset and size state is rank-local (§5.1), so rank
 // streams can be processed independently as long as each rank's records are
 // appended to a path's tables in rank order. The per-record fold lives in
-// rankExtractor (stream.go), shared with the cursor-based zero-copy path.
+// rankExtractor (stream.go).
 func extractRank(rs []recorder.Record, files map[string]*FileAccesses) {
 	ext := newRankExtractor(files)
 	for i := range rs {

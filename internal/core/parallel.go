@@ -149,6 +149,26 @@ func extract(ctx context.Context, tr *recorder.Trace, workers int) ([]*FileAcces
 	return out, nil
 }
 
+// mergePartials folds per-rank partial extraction maps in rank order, which
+// reproduces the serial append order of every per-path table.
+func mergePartials(partial []map[string]*FileAccesses) map[string]*FileAccesses {
+	merged := make(map[string]*FileAccesses)
+	for r := range partial {
+		for p, part := range partial[r] {
+			dst, ok := merged[p]
+			if !ok {
+				merged[p] = part
+				continue
+			}
+			dst.Intervals = append(dst.Intervals, part.Intervals...)
+			mergeTimes(dst.OpensByRank, part.OpensByRank)
+			mergeTimes(dst.ClosesByRank, part.ClosesByRank)
+			mergeTimes(dst.CommitsByRank, part.CommitsByRank)
+		}
+	}
+	return merged
+}
+
 func mergeTimes(dst, src map[int32][]uint64) {
 	for r, ts := range src {
 		dst[r] = append(dst[r], ts...)

@@ -1,52 +1,11 @@
 package core
 
-import (
-	"context"
-	"fmt"
+import "repro/internal/recorder"
 
-	"repro/internal/recorder"
-)
-
-// Streaming extraction: the §5.1 offset reconstruction consumes one record
-// at a time in stream order, so it does not need a materialized []Record at
-// all. RecordCursor is the pull seam a zero-copy decoder (the columnar
-// format's mmap cursor, internal/recorder/colfmt) plugs into; rankExtractor
-// is the per-record fold the slice and cursor extractions share, so the two
-// paths cannot drift.
-
-// RecordCursor yields one rank's records in stream (TStart) order. Next
-// advances and reports whether a record is available; Record returns the
-// current record, which the cursor may overwrite on the following Next —
-// consumers must copy anything they keep (rankExtractor copies by value
-// into intervals and tables). After Next returns false, Err distinguishes a
-// clean end (nil) from a decode failure.
-type RecordCursor interface {
-	Next() bool
-	Record() *recorder.Record
-	Err() error
-}
-
-// sliceCursor adapts a materialized record slice to RecordCursor.
-type sliceCursor struct {
-	rs []recorder.Record
-	i  int
-}
-
-// SliceCursor wraps an in-memory record stream as a RecordCursor — the shim
-// that lets slice-backed ranks (v1 streams, tests) flow through the same
-// cursor pipeline as mapped columnar ranks.
-func SliceCursor(rs []recorder.Record) RecordCursor { return &sliceCursor{rs: rs, i: -1} }
-
-func (c *sliceCursor) Next() bool {
-	if c.i+1 >= len(c.rs) {
-		return false
-	}
-	c.i++
-	return true
-}
-
-func (c *sliceCursor) Record() *recorder.Record { return &c.rs[c.i] }
-func (c *sliceCursor) Err() error               { return nil }
+// The §5.1 offset reconstruction is a per-record fold over one rank's
+// stream in TStart order: rankExtractor carries the descriptor, size and
+// origin state from one record to the next (extractRank drives it), and
+// originStack is the attribution sweep it shares with attributeOrigins.
 
 // originFrame is one not-yet-ended enclosing library call.
 type originFrame struct {
@@ -125,8 +84,7 @@ func (e *rankExtractor) noteSize(path string, end int64) {
 	}
 }
 
-// step folds one record. r may be a cursor's reused record: everything kept
-// is copied by value (interval fields, times, interned path strings).
+// step folds one record.
 func (e *rankExtractor) step(r *recorder.Record) {
 	origin, phase := e.stack.step(e.i, r)
 	e.i++
@@ -189,86 +147,4 @@ func (e *rankExtractor) step(r *recorder.Record) {
 		fa := e.get(path)
 		fa.Intervals = append(fa.Intervals, iv)
 	}
-}
-
-// extractCursor drains one rank's cursor into files.
-func extractCursor(c RecordCursor, files map[string]*FileAccesses) error {
-	ext := newRankExtractor(files)
-	for c.Next() {
-		ext.step(c.Record())
-	}
-	return c.Err()
-}
-
-// ExtractCursors is the extraction over per-rank cursors instead of
-// materialized slices: rank i's cursor plays the role of tr.PerRank[i].
-// Cursors are single-use and each is consumed by exactly one worker.
-func ExtractCursors(cursors []RecordCursor, workers int) ([]*FileAccesses, error) {
-	return ExtractCursorsCtx(context.Background(), cursors, workers)
-}
-
-// ExtractCursorsCtx is ExtractCursors under a context. The output is
-// byte-identical to ExtractSharedCtx on the same records at every worker
-// count: serial walks share one map in rank order, parallel walks fold
-// per-rank partial maps in rank order (the serial append order of every
-// per-path table). Any cursor decode error fails the extraction; the lowest-ranked
-// error is reported.
-func ExtractCursorsCtx(ctx context.Context, cursors []RecordCursor, workers int) ([]*FileAccesses, error) {
-	defer startPass("extract")()
-	n := len(cursors)
-	if EffectiveWorkers(workers) <= 1 || n <= 1 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		files := make(map[string]*FileAccesses)
-		for rank, c := range cursors {
-			if err := extractCursor(c, files); err != nil {
-				return nil, fmt.Errorf("core: extracting rank %d: %w", rank, err)
-			}
-		}
-		out := sortedFiles(files)
-		for _, fa := range out {
-			annotate(fa)
-		}
-		return out, nil
-	}
-	partial := make([]map[string]*FileAccesses, n)
-	errs := make([]error, n)
-	if err := ParallelForCtx(ctx, n, workers, func(r int) {
-		m := make(map[string]*FileAccesses)
-		errs[r] = extractCursor(cursors[r], m)
-		partial[r] = m
-	}); err != nil {
-		return nil, err
-	}
-	for rank, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: extracting rank %d: %w", rank, err)
-		}
-	}
-	out := sortedFiles(mergePartials(partial))
-	if err := ParallelForCtx(ctx, len(out), workers, func(i int) { annotate(out[i]) }); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// mergePartials folds per-rank partial extraction maps in rank order, which
-// reproduces the serial append order of every per-path table.
-func mergePartials(partial []map[string]*FileAccesses) map[string]*FileAccesses {
-	merged := make(map[string]*FileAccesses)
-	for r := range partial {
-		for p, part := range partial[r] {
-			dst, ok := merged[p]
-			if !ok {
-				merged[p] = part
-				continue
-			}
-			dst.Intervals = append(dst.Intervals, part.Intervals...)
-			mergeTimes(dst.OpensByRank, part.OpensByRank)
-			mergeTimes(dst.ClosesByRank, part.ClosesByRank)
-			mergeTimes(dst.CommitsByRank, part.CommitsByRank)
-		}
-	}
-	return merged
 }

@@ -107,7 +107,7 @@ func BenchmarkLoadDirParallel(b *testing.B) {
 	const ranks, perRank = 8, 125_000
 	dir := b.TempDir()
 	tr := mkTrace(ranks, perRank, 77)
-	if err := SaveDir(dir, tr, FormatColumnar); err != nil {
+	if err := SaveDirOn(storage.OS(), dir, tr, FormatColumnar); err != nil {
 		b.Fatal(err)
 	}
 	var wire int64
@@ -123,7 +123,7 @@ func BenchmarkLoadDirParallel(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(wire)
 			for i := 0; i < b.N; i++ {
-				got, err := LoadDir(dir, workers)
+				got, err := LoadDirOn(storage.OS(), dir, workers)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -6,8 +6,7 @@
 // ends: the encoder stores each rank's records as column blocks —
 // delta-encoded timestamps, dictionary-coded paths, packed args — and the
 // decoder yields records zero-copy from the (memory-mapped) column bytes
-// through a cursor, so analysis can consume a trace without materializing
-// []Record at all.
+// through a cursor, which directory loads walk to materialize each rank.
 //
 // Stream layout, one file per rank:
 //

@@ -270,7 +270,11 @@ func TestOpenMapsOnDisk(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Open(storage.OS(), path)
+	data, unmap, err := readStream(storage.OS(), path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,8 +282,10 @@ func TestOpenMapsOnDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Close(); err != nil {
-		t.Fatalf("Close (munmap): %v", err)
+	if unmap != nil { // nil where the platform cannot map files
+		if err := unmap(); err != nil {
+			t.Fatalf("munmap: %v", err)
+		}
 	}
 	// Records must survive the unmap: paths were interned, args copied.
 	requireRecordsEqual(t, recs, got)
@@ -302,10 +308,10 @@ func TestDirRoundTripBothFormats(t *testing.T) {
 		for _, workers := range []int{0, 1, 3} {
 			t.Run(fmt.Sprintf("%v/w%d", f, workers), func(t *testing.T) {
 				dir := t.TempDir()
-				if err := SaveDir(dir, tr, f); err != nil {
+				if err := SaveDirOn(storage.OS(), dir, tr, f); err != nil {
 					t.Fatal(err)
 				}
-				got, err := LoadDir(dir, workers)
+				got, err := LoadDirOn(storage.OS(), dir, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -325,7 +331,7 @@ func TestDirRoundTripBothFormats(t *testing.T) {
 func TestMixedFormatDir(t *testing.T) {
 	tr := mkTrace(4, 80, 23)
 	dir := t.TempDir()
-	if err := SaveDir(dir, tr, FormatColumnar); err != nil {
+	if err := SaveDirOn(storage.OS(), dir, tr, FormatColumnar); err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < 4; r += 2 {
@@ -337,7 +343,7 @@ func TestMixedFormatDir(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := LoadDir(dir, 2)
+	got, err := LoadDirOn(storage.OS(), dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +355,7 @@ func TestMixedFormatDir(t *testing.T) {
 func TestConvertDir(t *testing.T) {
 	tr := mkTrace(3, 120, 29)
 	v1dir, coldir, backdir := t.TempDir(), t.TempDir(), t.TempDir()
-	if err := SaveDir(v1dir, tr, FormatV1); err != nil {
+	if err := SaveDirOn(storage.OS(), v1dir, tr, FormatV1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ConvertDirOn(storage.OS(), v1dir, coldir, FormatColumnar, 2); err != nil {
@@ -358,11 +364,11 @@ func TestConvertDir(t *testing.T) {
 	if _, err := ConvertDirOn(storage.OS(), coldir, backdir, FormatV1, 2); err != nil {
 		t.Fatal(err)
 	}
-	a, err := LoadDir(coldir, 0)
+	a, err := LoadDirOn(storage.OS(), coldir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := LoadDir(backdir, 0)
+	b, err := LoadDirOn(storage.OS(), backdir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +433,7 @@ func TestLoadDirLenientTornFixture(t *testing.T) {
 
 	var first *recorder.Salvage
 	for _, workers := range []int{0, 1, 2, 8} {
-		got, sal, err := LoadDirLenient(dir, workers)
+		got, sal, err := LoadDirLenientOn(storage.OS(), dir, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -491,7 +497,7 @@ func saveSmallBlocks(dir string, tr *recorder.Trace) error {
 	if err := storage.OS().MkdirAll(dir); err != nil {
 		return err
 	}
-	if err := SaveDir(dir, tr, FormatColumnar); err != nil {
+	if err := SaveDirOn(storage.OS(), dir, tr, FormatColumnar); err != nil {
 		return err
 	}
 	for rank, rs := range tr.PerRank {
@@ -512,7 +518,7 @@ func saveSmallBlocks(dir string, tr *recorder.Trace) error {
 func TestBackendFallback(t *testing.T) {
 	tr := mkTrace(3, 60, 37)
 	dir := t.TempDir()
-	if err := SaveDir(dir, tr, FormatColumnar); err != nil {
+	if err := SaveDirOn(storage.OS(), dir, tr, FormatColumnar); err != nil {
 		t.Fatal(err)
 	}
 	fb := storage.NewFlaky(storage.OS(), storage.Schedule{})

@@ -29,11 +29,11 @@ func (e *CorruptError) Error() string {
 }
 
 // Reader decodes one columnar rank stream from a byte slice — memory-mapped
-// by Open when the backend allows it, read whole otherwise. All decoding is
-// bounds-checked against the slice; a Reader never reads outside data.
+// by the directory loaders when the backend allows it, read whole
+// otherwise; the caller owns the mapping. All decoding is bounds-checked
+// against the slice; a Reader never reads outside data.
 type Reader struct {
 	data     []byte
-	unmap    func() error // releases the mapping; nil for read-backed data
 	rank     int
 	declared uint64
 	blockOff int      // offset of the first frame
@@ -146,19 +146,6 @@ func (r *Reader) Declared() int { return int(r.declared) }
 // HasFooter reports whether the footer dictionary validated, i.e. the fast
 // path is armed and the stream tail is intact.
 func (r *Reader) HasFooter() bool { return r.dictOff >= 0 }
-
-// Close releases the mapping, if any. Records yielded by cursors alias the
-// mapped bytes only for Args; paths are interned strings and survive Close.
-// Callers must finish cursor walks (and copy any Args they keep) first.
-func (r *Reader) Close() error {
-	if r.unmap != nil {
-		u := r.unmap
-		r.unmap = nil
-		r.data = nil
-		return u()
-	}
-	return nil
-}
 
 // Stats reports what one cursor walk decoded, for per-block salvage
 // accounting.
@@ -548,8 +535,8 @@ func (c *Cursor) resolve(ref uint64) (string, bool) {
 
 // Materialize decodes the whole stream into a fresh []Record — the shim for
 // callers that still want slices. Args are copied into chunked arenas so
-// records stay valid after Close. On error the valid prefix is returned
-// alongside it, mirroring recorder.DecodeRankStream.
+// records stay valid after the mapping is released. On error the valid
+// prefix is returned alongside it, mirroring recorder.DecodeRankStream.
 func (r *Reader) Materialize() ([]recorder.Record, error) {
 	return r.materialize(r.Cursor())
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 
 	"repro/internal/core"
@@ -56,11 +57,16 @@ func ParseFormat(s string) (Format, error) {
 	}
 }
 
-// SaveDirOn persists a trace as a directory in the given format. The v1
-// path delegates to the recorder writer, so its bytes stay pinned.
+// SaveDirOn persists a trace as a directory in the given format: the
+// "trace.meta" JSON plus one rank stream per rank. Only the per-rank
+// encoder depends on the format; FormatV1 streams are exactly
+// recorder.EncodeRankStream's bytes.
 func SaveDirOn(b storage.Backend, dir string, tr *recorder.Trace, f Format) error {
+	encode := func(w io.Writer, rank int, rs []recorder.Record) error {
+		return EncodeStream(w, rank, rs, EncodeOptions{})
+	}
 	if f == FormatV1 {
-		return recorder.SaveDirOn(b, dir, tr)
+		encode = recorder.EncodeRankStream
 	}
 	if err := b.MkdirAll(dir); err != nil {
 		return err
@@ -73,12 +79,12 @@ func SaveDirOn(b storage.Backend, dir string, tr *recorder.Trace, f Format) erro
 		return err
 	}
 	for rank, rs := range tr.PerRank {
-		f, err := b.Open(filepath.Join(dir, recorder.RankFileName(rank)), storage.OCreate|storage.OWronly|storage.OTrunc, 0o644)
+		w, err := b.Open(filepath.Join(dir, recorder.RankFileName(rank)), storage.OCreate|storage.OWronly|storage.OTrunc, 0o644)
 		if err != nil {
 			return err
 		}
-		err = EncodeStream(f, rank, rs, EncodeOptions{})
-		if cerr := f.Close(); err == nil {
+		err = encode(w, rank, rs)
+		if cerr := w.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
@@ -88,13 +94,8 @@ func SaveDirOn(b storage.Backend, dir string, tr *recorder.Trace, f Format) erro
 	return nil
 }
 
-// SaveDir is SaveDirOn against the local disk.
-func SaveDir(dir string, tr *recorder.Trace, f Format) error {
-	return SaveDirOn(storage.OS(), dir, tr, f)
-}
-
-// writeFileOn mirrors os.WriteFile on a backend (same discipline as the
-// recorder writer: create/truncate, write, close, no fsync).
+// writeFileOn mirrors os.WriteFile on a backend: create/truncate, write,
+// close, no fsync.
 func writeFileOn(b storage.Backend, path string, data []byte) error {
 	f, err := b.Open(path, storage.OCreate|storage.OWronly|storage.OTrunc, 0o644)
 	if err != nil {
@@ -105,25 +106,6 @@ func writeFileOn(b storage.Backend, path string, data []byte) error {
 		werr = cerr
 	}
 	return werr
-}
-
-// Open opens one columnar rank stream for cursor decoding, memory-mapping
-// it when the backend's files are mappable (storage.MapsFiles) and falling
-// back to a whole-file read through the backend otherwise.
-func Open(b storage.Backend, path string) (*Reader, error) {
-	data, unmap, err := readStream(b, path)
-	if err != nil {
-		return nil, err
-	}
-	r, rerr := NewReader(data)
-	if rerr != nil {
-		if unmap != nil {
-			_ = unmap()
-		}
-		return nil, rerr
-	}
-	r.unmap = unmap
-	return r, nil
 }
 
 // readStream returns a stream's bytes: mapped (unmap non-nil) when legal,
@@ -214,6 +196,11 @@ func loadMeta(b storage.Backend, dir string) (recorder.Meta, error) {
 	if meta.Ranks <= 0 {
 		return meta, errors.New("recorder: trace.meta has no ranks")
 	}
+	// The rank count sizes every per-rank table a load allocates, so it is
+	// bounded by the rank streams' own wire limit.
+	if meta.Ranks > maxRank {
+		return meta, fmt.Errorf("recorder: trace.meta declares %d ranks (limit %d)", meta.Ranks, maxRank)
+	}
 	return meta, nil
 }
 
@@ -239,11 +226,6 @@ func LoadDirOn(b storage.Backend, dir string, workers int) (*recorder.Trace, err
 		tr.PerRank[rank] = results[rank].recs
 	}
 	return tr, nil
-}
-
-// LoadDir is LoadDirOn against the local disk.
-func LoadDir(dir string, workers int) (*recorder.Trace, error) {
-	return LoadDirOn(storage.OS(), dir, workers)
 }
 
 // LoadDirLenientOn is the degraded-mode LoadDirOn: rank files still decode
@@ -310,11 +292,6 @@ func LoadDirLenientOn(b storage.Backend, dir string, workers int) (*recorder.Tra
 	return tr, sal, nil
 }
 
-// LoadDirLenient is LoadDirLenientOn against the local disk.
-func LoadDirLenient(dir string, workers int) (*recorder.Trace, *recorder.Salvage, error) {
-	return LoadDirLenientOn(storage.OS(), dir, workers)
-}
-
 // ConvertDirOn loads a trace directory (either format, strict) and rewrites
 // it under dst in the requested format — the engine behind semtrace
 // -convert. src and dst may not be the same directory.
@@ -330,9 +307,4 @@ func ConvertDirOn(b storage.Backend, src, dst string, f Format, workers int) (*r
 		return nil, err
 	}
 	return tr, nil
-}
-
-// ConvertDir is ConvertDirOn against the local disk.
-func ConvertDir(src, dst string, f Format, workers int) (*recorder.Trace, error) {
-	return ConvertDirOn(storage.OS(), src, dst, f, workers)
 }

@@ -1,0 +1,249 @@
+package colfmt
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/recorder"
+	"repro/internal/storage"
+)
+
+func mkRec(rank int, layer recorder.Layer, fn recorder.Func, ts, te uint64, path string, args ...int64) recorder.Record {
+	return recorder.Record{Rank: int32(rank), Layer: layer, Func: fn, TStart: ts, TEnd: te, Path: path, Args: args}
+}
+
+// writeV1Rank writes a v1 stream declaring streamRank into fileRank's file
+// under dir.
+func writeV1Rank(t *testing.T, dir string, fileRank, streamRank int, recs []recorder.Record) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := recorder.EncodeRankStream(&buf, streamRank, recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, recorder.RankFileName(fileRank)), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeMeta creates dir holding only the given trace.meta.
+func writeMeta(t *testing.T, dir, meta string) {
+	t.Helper()
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "trace.meta"), []byte(meta), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestSaveDirErrors(t *testing.T) {
+	dir := t.TempDir()
+	// Unwritable destination (a file standing where the dir should be).
+	blocker := filepath.Join(dir, "blocked")
+	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tr := &recorder.Trace{Meta: recorder.Meta{Ranks: 1}, PerRank: [][]recorder.Record{{}}}
+	for _, f := range []Format{FormatColumnar, FormatV1} {
+		if err := SaveDirOn(storage.OS(), filepath.Join(blocker, "sub"), tr, f); err == nil {
+			t.Fatalf("%v: SaveDirOn into a file path should fail", f)
+		}
+	}
+}
+
+func TestLoadDirErrors(t *testing.T) {
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "bad")
+	writeMeta(t, bad, "{not json")
+	zero := filepath.Join(dir, "zero")
+	writeMeta(t, zero, `{"Ranks":0}`)
+	norank := filepath.Join(dir, "norank")
+	writeMeta(t, norank, `{"Ranks":1}`)
+	wrong := filepath.Join(dir, "wrong")
+	writeMeta(t, wrong, `{"Ranks":1}`)
+	writeV1Rank(t, wrong, 0, 7, nil)
+	// A forged rank count must fail before anything is sized by it: the
+	// first overflows a slice length, the second would exhaust memory.
+	huge := filepath.Join(dir, "huge")
+	writeMeta(t, huge, `{"Ranks": 4000000000000}`)
+	large := filepath.Join(dir, "large")
+	writeMeta(t, large, `{"Ranks": 50000000}`)
+
+	for _, tc := range []struct {
+		name, dir string
+		// Substrings the strict and lenient errors must contain. A lenient
+		// load of a one-rank trace whose stream is unusable salvages
+		// nothing, so it fails with that instead of the stream's error.
+		strict, lenient string
+	}{
+		{"missing dir", filepath.Join(dir, "missing"), "trace.meta", "trace.meta"},
+		{"bad json", bad, "parsing trace.meta", "parsing trace.meta"},
+		{"zero ranks", zero, "no ranks", "no ranks"},
+		{"missing rank file", norank, "reading rank 0", "nothing salvageable"},
+		{"wrong-rank stream", wrong, "holds rank 7", "nothing salvageable"},
+		{"ranks overflow", huge, "4000000000000 ranks (limit", "4000000000000 ranks (limit"},
+		{"ranks too many", large, "50000000 ranks (limit", "50000000 ranks (limit"},
+	} {
+		if _, err := LoadDirOn(storage.OS(), tc.dir, 2); err == nil || !strings.Contains(err.Error(), tc.strict) {
+			t.Errorf("%s: strict load err = %v, want one containing %q", tc.name, err, tc.strict)
+		}
+		if _, _, err := LoadDirLenientOn(storage.OS(), tc.dir, 2); err == nil || !strings.Contains(err.Error(), tc.lenient) {
+			t.Errorf("%s: lenient load err = %v, want one containing %q", tc.name, err, tc.lenient)
+		}
+	}
+}
+
+// TestLoadDirLenient pins v1 degraded-mode loading: a torn stream keeps its
+// valid prefix with exact Dropped accounting, missing and wrong-rank streams
+// are unreadable, and only unusable metadata or zero surviving records fail.
+func TestLoadDirLenient(t *testing.T) {
+	mk := func(rank int) []recorder.Record {
+		return []recorder.Record{
+			mkRec(rank, recorder.LayerPOSIX, recorder.FuncOpen, 10, 20, "/f", recorder.OCreat, 0o644, 3),
+			mkRec(rank, recorder.LayerPOSIX, recorder.FuncPwrite, 30, 40, "/f", 3, 64, 0, 64),
+			mkRec(rank, recorder.LayerPOSIX, recorder.FuncClose, 50, 55, "", 3),
+		}
+	}
+	tr := &recorder.Trace{Meta: recorder.Meta{App: "x", Ranks: 3}, PerRank: [][]recorder.Record{mk(0), mk(1), mk(2)}}
+	dir := t.TempDir()
+	if err := SaveDirOn(storage.OS(), dir, tr, FormatV1); err != nil {
+		t.Fatal(err)
+	}
+
+	// Clean load: full everywhere, not degraded.
+	got, sal, err := LoadDirLenientOn(storage.OS(), dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sal.Degraded() || sal.Full != 3 || sal.Records != 9 || sal.Salvaged != 0 {
+		t.Fatalf("clean load salvage: %v", sal)
+	}
+
+	// Truncate rank 1 mid-stream and delete rank 2 entirely.
+	r1 := filepath.Join(dir, recorder.RankFileName(1))
+	data, err := os.ReadFile(r1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(r1, data[:len(data)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, recorder.RankFileName(2))); err != nil {
+		t.Fatal(err)
+	}
+
+	got, sal, err = LoadDirLenientOn(storage.OS(), dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sal.Degraded() || sal.Full != 1 || sal.Truncated != 1 || sal.Unreadable != 1 {
+		t.Fatalf("degraded load salvage: %v", sal)
+	}
+	if sal.Salvaged == 0 || sal.Records != 3+sal.Salvaged || len(sal.Errs) != 2 {
+		t.Fatalf("degraded load counts: %v", sal)
+	}
+	// The truncated stream declared 3 records and lost its tail: the salvage
+	// report counts exactly what was dropped, not just that damage happened.
+	if sal.Dropped != 3-sal.Salvaged {
+		t.Fatalf("dropped = %d, want %d (declared minus salvaged)", sal.Dropped, 3-sal.Salvaged)
+	}
+	if sal.Blocks != 0 || sal.BlocksDropped != 0 {
+		t.Fatalf("v1 streams have no block accounting: %v", sal)
+	}
+	if len(got.PerRank[0]) != 3 || len(got.PerRank[2]) != 0 {
+		t.Fatalf("per-rank records: %d/%d/%d",
+			len(got.PerRank[0]), len(got.PerRank[1]), len(got.PerRank[2]))
+	}
+	requireRecordsEqual(t, tr.PerRank[1][:sal.Salvaged], got.PerRank[1])
+	found := false
+	for _, e := range sal.Errs {
+		if errors.Is(e, recorder.ErrTruncated) {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("no ErrTruncated among salvage errors: %v", sal.Errs)
+	}
+	if s := sal.String(); !strings.Contains(s, "1 truncated") || !strings.Contains(s, "1 unreadable") ||
+		!strings.Contains(s, "dropped") {
+		t.Fatalf("salvage string: %q", s)
+	}
+
+	// A stream holding the wrong rank is unreadable, its records discarded.
+	writeV1Rank(t, dir, 2, 9, mk(9))
+	got, sal, err = LoadDirLenientOn(storage.OS(), dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sal.Unreadable != 1 || len(got.PerRank[2]) != 0 {
+		t.Fatalf("wrong-rank stream salvage: %v, rank2=%d recs", sal, len(got.PerRank[2]))
+	}
+
+	// Nothing salvageable at all → error, with counts still reported.
+	empty := t.TempDir()
+	writeMeta(t, empty, `{"Ranks":2}`)
+	_, sal, err = LoadDirLenientOn(storage.OS(), empty, 2)
+	if err == nil || sal == nil || sal.Unreadable != 2 {
+		t.Fatalf("empty dir: err=%v sal=%v", err, sal)
+	}
+}
+
+// TestSaveLoadDir round-trips a trace through both formats and pins the
+// bytes on disk: trace.meta is the indented JSON of Meta, and every rank
+// file is exactly its format's stream encoding — for FormatV1 the bytes
+// recorder.EncodeRankStream writes.
+func TestSaveLoadDir(t *testing.T) {
+	tr := &recorder.Trace{
+		Meta: recorder.Meta{App: "FLASH", Library: "HDF5", Variant: "fbs", Ranks: 2, PPN: 2, Steps: 10, Seed: 42},
+		PerRank: [][]recorder.Record{
+			{mkRec(0, recorder.LayerMPI, recorder.FuncMPIBarrier, 5, 10, ""), mkRec(0, recorder.LayerPOSIX, recorder.FuncOpen, 12, 20, "/f", recorder.ORdonly, 0, 3)},
+			{mkRec(1, recorder.LayerMPI, recorder.FuncMPIBarrier, 6, 10, ""), mkRec(1, recorder.LayerPOSIX, recorder.FuncRead, 15, 25, "/f", 3, 64, 64)},
+		},
+	}
+	for _, f := range []Format{FormatColumnar, FormatV1} {
+		dir := filepath.Join(t.TempDir(), "trace")
+		if err := SaveDirOn(storage.OS(), dir, tr, f); err != nil {
+			t.Fatal(err)
+		}
+		meta, err := os.ReadFile(filepath.Join(dir, "trace.meta"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := json.MarshalIndent(tr.Meta, "", "  "); !bytes.Equal(meta, want) {
+			t.Fatalf("%v: trace.meta = %s, want %s", f, meta, want)
+		}
+		for rank, rs := range tr.PerRank {
+			var want bytes.Buffer
+			if f == FormatV1 {
+				err = recorder.EncodeRankStream(&want, rank, rs)
+			} else {
+				err = EncodeStream(&want, rank, rs, EncodeOptions{})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(filepath.Join(dir, recorder.RankFileName(rank)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("%v: rank %d file differs from the stream encoder's bytes", f, rank)
+			}
+		}
+		got, err := LoadDirOn(storage.OS(), dir, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Meta != tr.Meta {
+			t.Fatalf("%v: meta mismatch: %+v vs %+v", f, got.Meta, tr.Meta)
+		}
+		for r := range tr.PerRank {
+			requireRecordsEqual(t, tr.PerRank[r], got.PerRank[r])
+		}
+	}
+}

@@ -3,13 +3,9 @@ package recorder
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"path/filepath"
-
-	"repro/internal/storage"
 )
 
 // Binary trace format, one stream per rank:
@@ -31,7 +27,7 @@ const traceMagic = "SEMFSTR1"
 // ErrTruncated reports a rank stream that ended mid-record — a crashed or
 // torn-off writer. DecodeRankStream returns it alongside every record
 // decoded before the cut, so callers can degrade gracefully instead of
-// discarding the salvageable prefix (see LoadDirLenient).
+// discarding the salvageable prefix (see colfmt.LoadDirLenientOn).
 var ErrTruncated = errors.New("recorder: trace stream truncated")
 
 // TruncatedError is the concrete truncation error: it carries how many
@@ -276,98 +272,6 @@ func DecodeRankStream(r io.Reader) (rank int, records []Record, err error) {
 	return int(urank), records, nil
 }
 
-// SaveDir persists a trace as a directory: "trace.meta" (JSON) plus one
-// "rank_NNNNN.rec" binary stream per rank — the same on-disk shape a
-// per-process tracer produces on a real system.
-func SaveDir(dir string, tr *Trace) error {
-	return SaveDirOn(storage.OS(), dir, tr)
-}
-
-// SaveDirOn is SaveDir against an explicit storage backend (how semtrace's
-// -backend flag lands traces on the object store).
-func SaveDirOn(b storage.Backend, dir string, tr *Trace) error {
-	if err := b.MkdirAll(dir); err != nil {
-		return err
-	}
-	metaBytes, err := json.MarshalIndent(tr.Meta, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := writeFileOn(b, filepath.Join(dir, "trace.meta"), metaBytes); err != nil {
-		return err
-	}
-	for rank, rs := range tr.PerRank {
-		f, err := b.Open(filepath.Join(dir, rankFileName(rank)), storage.OCreate|storage.OWronly|storage.OTrunc, 0o644)
-		if err != nil {
-			return err
-		}
-		err = EncodeRankStream(f, rank, rs)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("recorder: writing rank %d: %w", rank, err)
-		}
-	}
-	return nil
-}
-
-// writeFileOn mirrors os.WriteFile on a backend: create/truncate, write,
-// close (no fsync — same durability the pre-seam path offered).
-func writeFileOn(b storage.Backend, path string, data []byte) error {
-	f, err := b.Open(path, storage.OCreate|storage.OWronly|storage.OTrunc, 0o644)
-	if err != nil {
-		return err
-	}
-	_, werr := f.Write(data)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
-}
-
-// LoadDir loads a trace previously written by SaveDir.
-func LoadDir(dir string) (*Trace, error) {
-	return LoadDirOn(storage.OS(), dir)
-}
-
-// LoadDirOn is LoadDir against an explicit storage backend. On an eventual
-// backend it waits out the publish-visibility horizon before reading.
-func LoadDirOn(b storage.Backend, dir string) (*Trace, error) {
-	storage.Settle(b)
-	metaBytes, err := b.ReadFile(filepath.Join(dir, "trace.meta"))
-	if err != nil {
-		return nil, err
-	}
-	var meta Meta
-	if err := json.Unmarshal(metaBytes, &meta); err != nil {
-		return nil, fmt.Errorf("recorder: parsing trace.meta: %w", err)
-	}
-	if meta.Ranks <= 0 {
-		return nil, errors.New("recorder: trace.meta has no ranks")
-	}
-	tr := &Trace{Meta: meta, PerRank: make([][]Record, meta.Ranks)}
-	for rank := 0; rank < meta.Ranks; rank++ {
-		f, err := b.Open(filepath.Join(dir, rankFileName(rank)), storage.ORdonly, 0)
-		if err != nil {
-			return nil, err
-		}
-		gotRank, rs, derr := DecodeRankStream(f)
-		cerr := f.Close()
-		if derr != nil {
-			return nil, fmt.Errorf("recorder: reading rank %d: %w", rank, derr)
-		}
-		if cerr != nil {
-			return nil, cerr
-		}
-		if gotRank != rank {
-			return nil, fmt.Errorf("recorder: file %s holds rank %d", rankFileName(rank), gotRank)
-		}
-		tr.PerRank[rank] = rs
-	}
-	return tr, nil
-}
-
 // RankFileName returns the per-rank stream file name ("rank_NNNNN.rec").
 // Both trace formats share it — the magic bytes inside pick the decoder —
 // so format-sniffing loaders (internal/recorder/colfmt) build paths with it.
@@ -375,12 +279,11 @@ func RankFileName(rank int) string {
 	return fmt.Sprintf("rank_%05d.rec", rank)
 }
 
-func rankFileName(rank int) string { return RankFileName(rank) }
-
 // Salvage reports how a degraded-mode load went: how many rank streams
 // loaded fully, how many were truncated but partially recovered, and how
 // many were unreadable, plus the record counts behind the analysis that
-// follows. It is the "what survived" half of LoadDirLenient's contract.
+// follows. It is the "what survived" half of colfmt.LoadDirLenientOn's
+// contract.
 type Salvage struct {
 	Ranks      int // rank streams the metadata declares
 	Full       int // streams decoded end-to-end
@@ -412,73 +315,4 @@ func (s *Salvage) String() string {
 		out += fmt.Sprintf("; %d blocks kept, %d skipped", s.Blocks, s.BlocksDropped)
 	}
 	return out
-}
-
-// LoadDirLenient is the degraded-mode LoadDir: instead of aborting on the
-// first truncated or corrupt rank stream, it keeps every record that decodes
-// cleanly — the valid prefix of a truncated stream, nothing from an
-// unreadable one — and reports what was lost in the Salvage. It fails only
-// when the metadata is unusable or not a single record survives, so an
-// analysis pipeline fed a damaged trace degrades instead of dying.
-func LoadDirLenient(dir string) (*Trace, *Salvage, error) {
-	return LoadDirLenientOn(storage.OS(), dir)
-}
-
-// LoadDirLenientOn is LoadDirLenient against an explicit storage backend.
-func LoadDirLenientOn(b storage.Backend, dir string) (*Trace, *Salvage, error) {
-	storage.Settle(b)
-	metaBytes, err := b.ReadFile(filepath.Join(dir, "trace.meta"))
-	if err != nil {
-		return nil, nil, err
-	}
-	var meta Meta
-	if err := json.Unmarshal(metaBytes, &meta); err != nil {
-		return nil, nil, fmt.Errorf("recorder: parsing trace.meta: %w", err)
-	}
-	if meta.Ranks <= 0 {
-		return nil, nil, errors.New("recorder: trace.meta has no ranks")
-	}
-	tr := &Trace{Meta: meta, PerRank: make([][]Record, meta.Ranks)}
-	sal := &Salvage{Ranks: meta.Ranks}
-	degrade := func(rank int, n int, err error) {
-		name := rankFileName(rank)
-		if n > 0 {
-			sal.Truncated++
-			sal.Salvaged += n
-		} else {
-			sal.Unreadable++
-		}
-		var te *TruncatedError
-		if errors.As(err, &te) {
-			sal.Dropped += te.Dropped()
-		}
-		sal.Errs = append(sal.Errs, fmt.Errorf("%s: %w", name, err))
-	}
-	for rank := 0; rank < meta.Ranks; rank++ {
-		f, err := b.Open(filepath.Join(dir, rankFileName(rank)), storage.ORdonly, 0)
-		if err != nil {
-			degrade(rank, 0, err)
-			continue
-		}
-		gotRank, rs, derr := DecodeRankStream(f)
-		if cerr := f.Close(); derr == nil {
-			derr = cerr
-		}
-		if derr == nil && gotRank != rank {
-			derr = fmt.Errorf("holds rank %d", gotRank)
-			rs = nil // records belong to another rank; keeping them would lie
-		}
-		if derr != nil {
-			degrade(rank, len(rs), derr)
-		} else {
-			sal.Full++
-		}
-		tr.PerRank[rank] = rs
-		sal.Records += len(rs)
-	}
-	sal.observe()
-	if sal.Records == 0 {
-		return nil, sal, fmt.Errorf("recorder: %s: nothing salvageable", dir)
-	}
-	return tr, sal, nil
 }

@@ -3,8 +3,6 @@ package recorder
 import (
 	"bytes"
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -47,59 +45,6 @@ func TestDecodeRejectsCorruptStringRef(t *testing.T) {
 	buf.Write([]byte{101}) // string ref 101-2=99: out of table
 	if _, _, err := DecodeRankStream(&buf); err == nil || !strings.Contains(err.Error(), "string ref") {
 		t.Fatalf("corrupt string ref accepted: %v", err)
-	}
-}
-
-func TestSaveDirErrors(t *testing.T) {
-	dir := t.TempDir()
-	// Unwritable destination (a file standing where the dir should be).
-	blocker := filepath.Join(dir, "blocked")
-	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	tr := &Trace{Meta: Meta{Ranks: 1}, PerRank: [][]Record{{}}}
-	if err := SaveDir(filepath.Join(blocker, "sub"), tr); err == nil {
-		t.Fatal("SaveDir into a file path should fail")
-	}
-}
-
-func TestLoadDirErrors(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := LoadDir(filepath.Join(dir, "missing")); err == nil {
-		t.Fatal("LoadDir of missing dir should fail")
-	}
-	// Corrupt meta.
-	bad := filepath.Join(dir, "bad")
-	os.MkdirAll(bad, 0o755)
-	os.WriteFile(filepath.Join(bad, "trace.meta"), []byte("{not json"), 0o644)
-	if _, err := LoadDir(bad); err == nil {
-		t.Fatal("corrupt trace.meta accepted")
-	}
-	// Valid meta, zero ranks.
-	zero := filepath.Join(dir, "zero")
-	os.MkdirAll(zero, 0o755)
-	os.WriteFile(filepath.Join(zero, "trace.meta"), []byte(`{"Ranks":0}`), 0o644)
-	if _, err := LoadDir(zero); err == nil {
-		t.Fatal("zero-rank meta accepted")
-	}
-	// Valid meta, missing rank file.
-	norank := filepath.Join(dir, "norank")
-	os.MkdirAll(norank, 0o755)
-	os.WriteFile(filepath.Join(norank, "trace.meta"), []byte(`{"Ranks":1}`), 0o644)
-	if _, err := LoadDir(norank); err == nil {
-		t.Fatal("missing rank stream accepted")
-	}
-	// Rank file holding the wrong rank.
-	wrong := filepath.Join(dir, "wrong")
-	os.MkdirAll(wrong, 0o755)
-	os.WriteFile(filepath.Join(wrong, "trace.meta"), []byte(`{"Ranks":1}`), 0o644)
-	var buf bytes.Buffer
-	if err := EncodeRankStream(&buf, 7, nil); err != nil {
-		t.Fatal(err)
-	}
-	os.WriteFile(filepath.Join(wrong, rankFileName(0)), buf.Bytes(), 0o644)
-	if _, err := LoadDir(wrong); err == nil || !strings.Contains(err.Error(), "holds rank") {
-		t.Fatalf("wrong-rank stream accepted: %v", err)
 	}
 }
 
@@ -185,105 +130,5 @@ func TestDecodeTruncatedSalvagesPrefix(t *testing.T) {
 	}
 	if maxSalvaged != len(recs)-1 {
 		t.Fatalf("max salvage across cuts = %d, want %d", maxSalvaged, len(recs)-1)
-	}
-}
-
-func TestLoadDirLenient(t *testing.T) {
-	mk := func(rank int) []Record {
-		return []Record{
-			mkRecord(rank, LayerPOSIX, FuncOpen, 10, 20, "/f", OCreat, 0o644, 3),
-			mkRecord(rank, LayerPOSIX, FuncPwrite, 30, 40, "/f", 3, 64, 0, 64),
-			mkRecord(rank, LayerPOSIX, FuncClose, 50, 55, "", 3),
-		}
-	}
-	tr := &Trace{Meta: Meta{App: "x", Ranks: 3}, PerRank: [][]Record{mk(0), mk(1), mk(2)}}
-	dir := t.TempDir()
-	if err := SaveDir(dir, tr); err != nil {
-		t.Fatal(err)
-	}
-
-	// Clean load: full everywhere, not degraded.
-	got, sal, err := LoadDirLenient(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sal.Degraded() || sal.Full != 3 || sal.Records != 9 || sal.Salvaged != 0 {
-		t.Fatalf("clean load salvage: %v", sal)
-	}
-
-	// Truncate rank 1 mid-stream and delete rank 2 entirely.
-	r1 := filepath.Join(dir, rankFileName(1))
-	data, err := os.ReadFile(r1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(r1, data[:len(data)-3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, rankFileName(2))); err != nil {
-		t.Fatal(err)
-	}
-
-	got, sal, err = LoadDirLenient(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sal.Degraded() || sal.Full != 1 || sal.Truncated != 1 || sal.Unreadable != 1 {
-		t.Fatalf("degraded load salvage: %v", sal)
-	}
-	if sal.Salvaged == 0 || sal.Records != 3+sal.Salvaged || len(sal.Errs) != 2 {
-		t.Fatalf("degraded load counts: %v", sal)
-	}
-	// The truncated stream declared 3 records and lost its tail: the salvage
-	// report counts exactly what was dropped, not just that damage happened.
-	if sal.Dropped != 3-sal.Salvaged {
-		t.Fatalf("dropped = %d, want %d (declared minus salvaged)", sal.Dropped, 3-sal.Salvaged)
-	}
-	if s := sal.String(); !strings.Contains(s, "dropped") {
-		t.Fatalf("salvage string omits the dropped count: %q", s)
-	}
-	if len(got.PerRank[0]) != 3 || len(got.PerRank[2]) != 0 {
-		t.Fatalf("per-rank records: %d/%d/%d",
-			len(got.PerRank[0]), len(got.PerRank[1]), len(got.PerRank[2]))
-	}
-	found := false
-	for _, e := range sal.Errs {
-		if errors.Is(e, ErrTruncated) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no ErrTruncated among salvage errors: %v", sal.Errs)
-	}
-	if s := sal.String(); !strings.Contains(s, "1 truncated") || !strings.Contains(s, "1 unreadable") {
-		t.Fatalf("salvage string: %q", s)
-	}
-
-	// A stream holding the wrong rank is unreadable, its records discarded.
-	var buf bytes.Buffer
-	if err := EncodeRankStream(&buf, 9, mk(9)); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, rankFileName(2)), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, sal, err = LoadDirLenient(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sal.Unreadable != 1 || len(got.PerRank[2]) != 0 {
-		t.Fatalf("wrong-rank stream salvage: %v, rank2=%d recs", sal, len(got.PerRank[2]))
-	}
-
-	// Nothing salvageable at all → error, with counts still reported.
-	empty := t.TempDir()
-	os.WriteFile(filepath.Join(empty, "trace.meta"), []byte(`{"Ranks":2}`), 0o644)
-	_, sal, err = LoadDirLenient(empty)
-	if err == nil || sal == nil || sal.Unreadable != 2 {
-		t.Fatalf("empty dir: err=%v sal=%v", err, sal)
-	}
-	// And the hard meta failures stay hard.
-	if _, _, err := LoadDirLenient(filepath.Join(empty, "missing")); err == nil {
-		t.Fatal("missing dir accepted")
 	}
 }

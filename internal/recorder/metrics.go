@@ -2,7 +2,7 @@ package recorder
 
 import "repro/internal/obs"
 
-// Degraded-load telemetry: LoadDirLenient's salvage outcome on the
+// Degraded-load telemetry: a lenient load's salvage outcome on the
 // process-wide registry, so a pipeline that quietly ate a damaged trace
 // still shows up in the metrics snapshot (DESIGN.md §9 naming:
 // recorder.salvage.*).
@@ -14,13 +14,9 @@ var (
 	salvageRecordsDropped    = obs.Default().Counter("recorder.salvage.records_dropped")
 )
 
-// Observe publishes one lenient load's salvage outcome. LoadDirLenient
-// calls it itself; the format-sniffing loader in internal/recorder/colfmt
-// builds its own Salvage and calls it once per load.
-func (s *Salvage) Observe() { s.observe() }
-
-// observe publishes one lenient load's salvage outcome.
-func (s *Salvage) observe() {
+// Observe publishes one lenient load's salvage outcome. The format-sniffing
+// loader in internal/recorder/colfmt calls it once per load.
+func (s *Salvage) Observe() {
 	salvageStreamsFull.Add(int64(s.Full))
 	salvageStreamsTruncated.Add(int64(s.Truncated))
 	salvageStreamsUnreadable.Add(int64(s.Unreadable))

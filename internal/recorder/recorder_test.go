@@ -3,7 +3,6 @@ package recorder
 import (
 	"bytes"
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -179,33 +178,6 @@ func TestEncodeRejectsBackwardsTime(t *testing.T) {
 	err := EncodeRankStream(&buf, 0, []Record{{Rank: 0, Func: FuncRead, TStart: 10, TEnd: 5}})
 	if err == nil {
 		t.Fatal("expected error for TEnd < TStart")
-	}
-}
-
-func TestSaveLoadDir(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "trace")
-	tr := &Trace{
-		Meta: Meta{App: "FLASH", Library: "HDF5", Variant: "fbs", Ranks: 2, PPN: 2, Steps: 10, Seed: 42},
-		PerRank: [][]Record{
-			{mkRecord(0, LayerMPI, FuncMPIBarrier, 5, 10, ""), mkRecord(0, LayerPOSIX, FuncOpen, 12, 20, "/f", ORdonly, 0, 3)},
-			{mkRecord(1, LayerMPI, FuncMPIBarrier, 6, 10, ""), mkRecord(1, LayerPOSIX, FuncRead, 15, 25, "/f", 3, 64, 64)},
-		},
-	}
-	if err := SaveDir(dir, tr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Meta != tr.Meta {
-		t.Fatalf("meta mismatch: %+v vs %+v", got.Meta, tr.Meta)
-	}
-	if got.NumRecords() != tr.NumRecords() {
-		t.Fatalf("record count %d, want %d", got.NumRecords(), tr.NumRecords())
-	}
-	if !reflect.DeepEqual(normalize(got.PerRank[1]), normalize(tr.PerRank[1])) {
-		t.Fatal("rank 1 records mismatch after round trip")
 	}
 }
 

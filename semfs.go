@@ -269,7 +269,7 @@ type Trace = recorder.Trace
 // the columnar format (see internal/recorder/colfmt). Use SaveTraceFormat
 // to write the v1 record-framed format for old readers.
 func SaveTrace(dir string, tr *recorder.Trace) error {
-	return colfmt.SaveDir(dir, tr, colfmt.FormatColumnar)
+	return colfmt.SaveDirOn(storage.OS(), dir, tr, colfmt.FormatColumnar)
 }
 
 // SaveTraceOn is SaveTrace against an explicit storage backend (see
@@ -292,7 +292,7 @@ func ParseTraceFormat(s string) (TraceFormat, error) { return colfmt.ParseFormat
 
 // SaveTraceFormat is SaveTrace with an explicit on-disk format.
 func SaveTraceFormat(dir string, tr *recorder.Trace, f TraceFormat) error {
-	return colfmt.SaveDir(dir, tr, f)
+	return colfmt.SaveDirOn(storage.OS(), dir, tr, f)
 }
 
 // SaveTraceFormatOn is SaveTraceFormat against an explicit storage backend.
@@ -304,7 +304,7 @@ func SaveTraceFormatOn(b storage.Backend, dir string, tr *recorder.Trace, f Trac
 // format (columnar or v1 — mixed directories are fine) and decoding ranks
 // in parallel across workers (0 means GOMAXPROCS).
 func LoadTrace(dir string, workers int) (*recorder.Trace, error) {
-	return colfmt.LoadDir(dir, workers)
+	return colfmt.LoadDirOn(storage.OS(), dir, workers)
 }
 
 // LoadTraceOn is LoadTrace against an explicit storage backend.
@@ -315,7 +315,7 @@ func LoadTraceOn(b storage.Backend, dir string, workers int) (*recorder.Trace, e
 // ConvertTrace rewrites a trace directory into the requested format at a
 // new path (src and dst must differ), returning the loaded trace.
 func ConvertTrace(src, dst string, f TraceFormat, workers int) (*recorder.Trace, error) {
-	return colfmt.ConvertDir(src, dst, f, workers)
+	return colfmt.ConvertDirOn(storage.OS(), src, dst, f, workers)
 }
 
 // ConvertTraceOn is ConvertTrace against an explicit storage backend.
@@ -332,7 +332,7 @@ type Salvage = recorder.Salvage
 // analyzed instead of aborting the pipeline. It fails only when the
 // metadata is unusable or no records survive at all.
 func LoadTraceLenient(dir string, workers int) (*recorder.Trace, *Salvage, error) {
-	return colfmt.LoadDirLenient(dir, workers)
+	return colfmt.LoadDirLenientOn(storage.OS(), dir, workers)
 }
 
 // LoadTraceLenientOn is LoadTraceLenient against an explicit storage
