@@ -76,7 +76,6 @@ func run() (code int) {
 		walApps    = flag.String("wal-apps", "", "comma-separated configuration names for -only walcompare (default: the FLASH/HACC burst set)")
 		flightDump = flag.String("flight-dump", "", "replay a flight-recorder dump file (written by -flight on a crash) and exit")
 		backSpec   = flag.String("backend", "osdisk", "durable storage backend for -checkpoint/-wal-burst/-wal-recover/-chaos state: osdisk | objstore[:delay=D,root=DIR] | flaky[:base=B,seed=N,count=N,kinds=transient|all]")
-		backRetry  = flag.Bool("backend-retry", true, "wrap -backend with the bounded-retry/degrade policy (storage.NewRetry)")
 		tele       obs.CLIFlags
 	)
 	tele.Register(flag.CommandLine)
@@ -124,9 +123,7 @@ func run() (code int) {
 		fmt.Fprintln(os.Stderr, "semrepro: -backend:", err)
 		return exitUsage
 	}
-	if *backRetry {
-		backend = storage.NewRetry(backend, storage.RetryOptions{})
-	}
+	backend = storage.NewRetry(backend, storage.RetryOptions{})
 	osdiskBackend := *backSpec == "osdisk" || *backSpec == ""
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {

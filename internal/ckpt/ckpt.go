@@ -25,11 +25,12 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/frame"
 	"repro/internal/storage"
 )
 
 // SchemaVersion is the on-disk format version stamped into every manifest.
-// Open refuses a store written by a different version.
+// OpenOn refuses a store written by a different version.
 const SchemaVersion = 1
 
 const (
@@ -37,7 +38,7 @@ const (
 	journalName  = "journal.wal"
 )
 
-// Manifest identifies what a checkpoint directory holds. Open compares every
+// Manifest identifies what a checkpoint directory holds. OpenOn compares every
 // field; a mismatch means the directory belongs to a different run shape and
 // must not be resumed from.
 type Manifest struct {
@@ -83,12 +84,6 @@ type Store struct {
 	stats     RecoverStats
 }
 
-// Open opens (creating if needed) the checkpoint store at dir on the local
-// OS disk — byte-identical to the pre-seam layout. See OpenOn.
-func Open(dir string, m Manifest) (*Store, error) {
-	return OpenOn(storage.OS(), dir, m)
-}
-
 // OpenOn opens (creating if needed) the checkpoint store at dir on backend
 // b. m.Version is stamped with SchemaVersion. A fresh directory gets the
 // manifest written atomically; an existing one must carry an equal
@@ -126,26 +121,12 @@ func OpenOn(b storage.Backend, dir string, m Manifest) (*Store, error) {
 		return nil, demote(fmt.Errorf("ckpt: %w", err))
 	}
 
-	jpath := filepath.Join(dir, journalName)
-	f, err := b.Open(jpath, storage.OCreate|storage.ORdwr, 0o644)
+	byKey := make(map[string][]byte)
+	f, fst, err := storage.OpenFrameLog(b, filepath.Join(dir, journalName), recMagic, maxPayload, recoverJournal(byKey))
 	if err != nil {
 		return nil, demote(fmt.Errorf("ckpt: %w", err))
 	}
-	byKey, stats, good, err := recoverJournal(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	// Truncate the torn tail (if any) so appends continue from the last
-	// intact record, then position at the end.
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("ckpt: truncating torn tail: %w", err)
-	}
-	if _, err := f.Seek(good, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("ckpt: %w", err)
-	}
+	stats := RecoverStats{Stats: fst, Keys: len(byKey)}
 	recoverKept.Add(int64(stats.Records))
 	recoverDropped.Add(int64(stats.Dropped))
 	recoverTruncated.Add(stats.TailBytes)
@@ -173,12 +154,7 @@ func (s *Store) Len() int {
 func (s *Store) Keys() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.committed))
-	for k := range s.committed {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return sortedKeys(s.committed)
 }
 
 // Lookup returns the committed blob for key. Every call counts toward the
@@ -225,12 +201,6 @@ func (s *Store) Close() error {
 	return err
 }
 
-// ReadJournal recovers dir's journal read-only on the local OS disk. See
-// ReadJournalOn.
-func ReadJournal(dir string) ([]string, RecoverStats, error) {
-	return ReadJournalOn(storage.OS(), dir)
-}
-
 // ReadJournalOn recovers dir's journal read-only: committed keys (sorted)
 // plus salvage stats, without truncating damage or touching the manifest.
 // Tooling and the kill-and-recover harness use it to inspect what a crashed
@@ -243,16 +213,22 @@ func ReadJournalOn(b storage.Backend, dir string) ([]string, RecoverStats, error
 		return nil, RecoverStats{}, fmt.Errorf("ckpt: %w", err)
 	}
 	defer f.Close()
-	byKey, stats, _, err := recoverJournal(f)
+	byKey := make(map[string][]byte)
+	fst, err := frame.Scan(f, recMagic, maxPayload, recoverJournal(byKey))
+	stats := RecoverStats{Stats: fst, Keys: len(byKey)}
 	if err != nil {
-		return nil, stats, err
+		return nil, stats, fmt.Errorf("ckpt: journal read: %w", err)
 	}
-	keys := make([]string, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, k)
+	return sortedKeys(byKey), stats, nil
+}
+
+func sortedKeys(m map[string][]byte) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
 	}
-	sort.Strings(keys)
-	return keys, stats, nil
+	sort.Strings(out)
+	return out
 }
 
 // The manifest commit (write-temp → fsync → rename → fsync(dir) — the

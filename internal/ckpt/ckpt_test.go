@@ -6,11 +6,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/harness"
 	"repro/internal/recorder"
+	"repro/internal/storage"
 )
 
 func testManifest() Manifest {
@@ -19,7 +22,7 @@ func testManifest() Manifest {
 
 func mustOpen(t *testing.T, dir string) *Store {
 	t.Helper()
-	s, err := Open(dir, testManifest())
+	s, err := OpenOn(storage.OS(), dir, testManifest())
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -67,7 +70,7 @@ func TestManifestMismatch(t *testing.T) {
 	mustOpen(t, dir).Close()
 	m := testManifest()
 	m.Seed = 99
-	if _, err := Open(dir, m); !errors.Is(err, ErrMismatch) {
+	if _, err := OpenOn(storage.OS(), dir, m); !errors.Is(err, ErrMismatch) {
 		t.Fatalf("Open with different seed: err = %v, want ErrMismatch", err)
 	}
 }
@@ -153,7 +156,7 @@ func TestCorruptRecordCutsTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteAt([]byte{0xff}, first.Size()+int64(recHeaderLen)); err != nil {
+	if _, err := f.WriteAt([]byte{0xff}, first.Size()+frame.HeaderLen); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -186,16 +189,16 @@ func TestReadJournalIsReadOnly(t *testing.T) {
 	f.Close()
 	before, _ := os.Stat(journalPath(dir))
 
-	keys, st, err := ReadJournal(dir)
+	keys, st, err := ReadJournalOn(storage.OS(), dir)
 	if err != nil {
-		t.Fatalf("ReadJournal: %v", err)
+		t.Fatalf("ReadJournalOn: %v", err)
 	}
 	if !reflect.DeepEqual(keys, []string{"a"}) || st.Dropped != 1 {
-		t.Fatalf("ReadJournal = %v, %+v; want [a], 1 dropped", keys, st)
+		t.Fatalf("ReadJournalOn = %v, %+v; want [a], 1 dropped", keys, st)
 	}
 	after, _ := os.Stat(journalPath(dir))
 	if after.Size() != before.Size() {
-		t.Fatalf("ReadJournal changed the journal: %d -> %d bytes", before.Size(), after.Size())
+		t.Fatalf("ReadJournalOn changed the journal: %d -> %d bytes", before.Size(), after.Size())
 	}
 }
 
@@ -343,5 +346,40 @@ func TestStoreResultHelpers(t *testing.T) {
 	}
 	if _, ok, err := s.LookupResult("missing"); ok || err != nil {
 		t.Fatalf("LookupResult(missing) = %v, %v; want miss", ok, err)
+	}
+}
+
+// TestForgedLengthBoundedAlloc: a tail header declaring a 1 GiB payload
+// with nothing behind it is tail damage, and recovery must find that out
+// without allocating the declared size.
+func TestForgedLengthBoundedAlloc(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	if err := s.Append("a", []byte("one")); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	f, err := os.OpenFile(journalPath(dir), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := binary.LittleEndian.AppendUint32([]byte(recMagic), 1<<30)
+	if _, err := f.Write(binary.LittleEndian.AppendUint32(tail, 0)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	keys, st, err := ReadJournalOn(storage.OS(), dir)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(keys, []string{"a"}) || st.Dropped != 1 || st.TailBytes != 12 {
+		t.Fatalf("ReadJournalOn = %v, %+v; want [a], 1 dropped, 12 tail bytes", keys, st)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 64<<20 {
+		t.Fatalf("recovery allocated %d MiB for a forged 1 GiB length", d>>20)
 	}
 }

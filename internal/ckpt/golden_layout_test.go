@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/storage"
 )
 
 // TestOSDiskLayoutGolden pins the storage-seam compatibility oracle: the
@@ -16,7 +18,7 @@ import (
 // regenerated to agree with the bug.
 func TestOSDiskLayoutGolden(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Manifest{
+	s, err := OpenOn(storage.OS(), dir, Manifest{
 		Kind: "pr9.golden", Ranks: 4, PPN: 2, Seed: 7,
 		Semantics: "commit", Params: "p=1",
 	})

@@ -4,21 +4,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"time"
 
-	"repro/internal/faults"
+	"repro/internal/frame"
 	"repro/internal/storage"
 )
 
-// The journal is an append-only write-ahead log of completed work units.
-// One record per unit:
+// The journal is an append-only write-ahead log of completed work units:
+// one internal/frame frame per unit, magic "CKJR", payload
 //
-//	magic   "CKJR" (4 bytes)
-//	length  uint32 LE — payload length
-//	crc     uint32 LE — CRC-32C (Castagnoli) of the payload
-//	payload uvarint key length | key | blob
+//	uvarint key length | key | blob
 //
 // Commit discipline (the paper's commit-semantics model, applied to our own
 // durability): a record exists once Append's fsync returns, and not before.
@@ -28,21 +22,18 @@ import (
 // reported, and truncated away so subsequent appends land on a clean
 // boundary.
 const (
-	recMagic     = "CKJR"
-	recHeaderLen = len(recMagic) + 8 // magic + length + crc
-	// maxPayload bounds a declared payload length: recovery must not trust a
-	// torn length field into allocating gigabytes.
+	recMagic = "CKJR"
+	// maxPayload bounds a declared payload length.
 	maxPayload = 1 << 30
 )
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// RecoverStats reports what journal recovery salvaged and what it dropped.
+// RecoverStats reports what journal recovery salvaged and what it dropped:
+// the frame scan's Records (including superseded keys), Dropped torn/corrupt
+// tail records (0 or 1 under append discipline) and TailBytes truncated,
+// plus the distinct Keys left after last-wins replay.
 type RecoverStats struct {
-	Records   int   // committed records recovered (including superseded keys)
-	Keys      int   // distinct keys after last-wins replay
-	Dropped   int   // torn/corrupt tail records cut (0 or 1 under append discipline)
-	TailBytes int64 // bytes truncated with the torn tail
+	frame.Stats
+	Keys int
 }
 
 // Degraded reports whether recovery had to cut anything.
@@ -58,139 +49,50 @@ func (s RecoverStats) String() string {
 
 // encodePayload renders key + blob as a record payload.
 func encodePayload(key string, blob []byte) []byte {
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(key)))
-	p := make([]byte, 0, n+len(key)+len(blob))
-	p = append(p, hdr[:n]...)
+	p := make([]byte, 0, binary.MaxVarintLen64+len(key)+len(blob))
+	p = binary.AppendUvarint(p, uint64(len(key)))
 	p = append(p, key...)
-	p = append(p, blob...)
-	return p
+	return append(p, blob...)
 }
 
 // decodePayload splits a record payload back into key + blob.
 func decodePayload(p []byte) (string, []byte, error) {
-	br := bytes.NewReader(p)
-	klen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return "", nil, fmt.Errorf("ckpt: payload key length: %w", err)
+	klen, n := binary.Uvarint(p)
+	if n <= 0 || klen > uint64(len(p)-n) {
+		return "", nil, fmt.Errorf("ckpt: corrupt payload key length")
 	}
-	rest := p[len(p)-br.Len():]
-	if klen > uint64(len(rest)) {
-		return "", nil, fmt.Errorf("ckpt: payload key length %d exceeds payload", klen)
-	}
-	return string(rest[:klen]), rest[klen:], nil
+	return string(p[n : n+int(klen)]), p[n+int(klen):], nil
 }
 
-// appendRecord writes one record to f and makes it durable. The named kill
-// points bracket every stage of the commit so a crash-recovery harness can
-// die with the journal untouched (begin), with a torn tail (torn), with a
-// complete-but-unsynced record (before-fsync), or just after the commit
-// (after-fsync).
+// appendRecord writes one record to f and makes it durable through
+// storage.AppendFrame, whose ckpt.append.{begin,torn,before-fsync,
+// after-fsync} kill points bracket every stage of the commit.
 func appendRecord(f storage.File, key string, blob []byte) (int64, error) {
 	payload := encodePayload(key, blob)
 	if len(payload) > maxPayload {
 		return 0, fmt.Errorf("ckpt: record for %q is %d bytes, over the %d limit", key, len(payload), maxPayload)
 	}
-	rec := make([]byte, 0, recHeaderLen+len(payload))
-	rec = append(rec, recMagic...)
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(payload)))
-	rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(payload, castagnoli))
-	rec = append(rec, payload...)
-
-	faults.Hit("ckpt.append.begin")
-	// Two writes with a kill point between them: the torn-tail salvage path
-	// is only honest if a crash can actually leave half a record behind.
-	half := len(rec) / 2
-	if _, err := f.Write(rec[:half]); err != nil {
-		return 0, fmt.Errorf("ckpt: journal write: %w", err)
+	rec := frame.Append(make([]byte, 0, frame.HeaderLen+len(payload)), recMagic, payload)
+	took, err := storage.AppendFrame(f, rec, "ckpt.append", true)
+	if err != nil {
+		return 0, fmt.Errorf("ckpt: journal append: %w", err)
 	}
-	faults.Hit("ckpt.append.torn")
-	if _, err := f.Write(rec[half:]); err != nil {
-		return 0, fmt.Errorf("ckpt: journal write: %w", err)
-	}
-	faults.Hit("ckpt.append.before-fsync")
-	start := time.Now()
-	if err := f.Sync(); err != nil {
-		return 0, fmt.Errorf("ckpt: journal fsync: %w", err)
-	}
-	journalFsyncNS.Observe(time.Since(start).Nanoseconds())
-	faults.Hit("ckpt.append.after-fsync")
+	journalFsyncNS.Observe(took.Nanoseconds())
 	journalAppends.Inc()
 	journalBytes.Add(int64(len(rec)))
 	return int64(len(rec)), nil
 }
 
-// recoverJournal scans r from the start, returning the last-wins key → blob
-// map, salvage stats, and the offset just past the last intact record — the
-// point the caller truncates to before appending. Only a torn or corrupt
-// tail is survivable; it is measured and dropped. An error is returned for
-// I/O failures, never for damage.
-func recoverJournal(r io.Reader) (map[string][]byte, RecoverStats, int64, error) {
-	byKey := make(map[string][]byte)
-	var stats RecoverStats
-	var good int64
-	br := newCountingReader(r)
-	for {
-		hdr := make([]byte, recHeaderLen)
-		_, err := io.ReadFull(br, hdr)
-		if err == io.EOF {
-			break // clean tail
-		}
-		if err != nil || string(hdr[:len(recMagic)]) != recMagic {
-			if err != nil && err != io.ErrUnexpectedEOF {
-				return nil, stats, 0, fmt.Errorf("ckpt: journal read: %w", err)
-			}
-			stats.Dropped++ // torn header or foreign bytes: cut the tail here
-			break
-		}
-		plen := binary.LittleEndian.Uint32(hdr[len(recMagic):])
-		wantCRC := binary.LittleEndian.Uint32(hdr[len(recMagic)+4:])
-		if plen > maxPayload {
-			stats.Dropped++
-			break
-		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			if err != io.EOF && err != io.ErrUnexpectedEOF {
-				return nil, stats, 0, fmt.Errorf("ckpt: journal read: %w", err)
-			}
-			stats.Dropped++ // torn payload
-			break
-		}
-		if crc32.Checksum(payload, castagnoli) != wantCRC {
-			stats.Dropped++ // corrupt record: everything after is untrusted
-			break
-		}
-		key, blob, err := decodePayload(payload)
+// recoverJournal returns the frame visitor that replays journal records
+// into byKey, last write wins. A payload that does not decode ends the scan
+// like any other tail damage.
+func recoverJournal(byKey map[string][]byte) func([]byte) bool {
+	return func(p []byte) bool {
+		key, blob, err := decodePayload(p)
 		if err != nil {
-			stats.Dropped++
-			break
+			return false
 		}
-		byKey[key] = blob
-		stats.Records++
-		good = br.n
+		byKey[key] = bytes.Clone(blob) // the scan reuses p
+		return true
 	}
-	// Whatever remains after the last intact record is tail damage: drain it
-	// so the count covers unread bytes too.
-	if _, err := io.Copy(io.Discard, br); err != nil {
-		return nil, stats, 0, fmt.Errorf("ckpt: journal read: %w", err)
-	}
-	stats.TailBytes = br.n - good
-	stats.Keys = len(byKey)
-	return byKey, stats, good, nil
-}
-
-// countingReader tracks how many bytes have been consumed, so recovery knows
-// the exact offset of the last intact record.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func newCountingReader(r io.Reader) *countingReader { return &countingReader{r: r} }
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }

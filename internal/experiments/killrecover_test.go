@@ -17,6 +17,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/faults"
 	"repro/internal/pfs"
+	"repro/internal/storage"
 )
 
 // Kill-and-recover harness: the parent re-execs this test binary as a child
@@ -180,9 +181,9 @@ func TestKillRecover(t *testing.T) {
 			}
 
 			// What the crash left durable, read without repairing anything.
-			recovered, rstats, err := ckpt.ReadJournal(ckptDir)
+			recovered, rstats, err := ckpt.ReadJournalOn(storage.OS(), ckptDir)
 			if err != nil {
-				t.Fatalf("ReadJournal: %v", err)
+				t.Fatalf("ReadJournalOn: %v", err)
 			}
 			t.Logf("kill=%s: journal after crash: %v (%d keys)", kill, rstats, len(recovered))
 

@@ -25,7 +25,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pfs"
 	"repro/internal/storage"
-	"repro/internal/wal"
 )
 
 // Flight-recorder event classes. Arming marks the run as a crash
@@ -47,12 +46,12 @@ var kill struct {
 }
 
 // ArmKillPoints parses a "point:N[,point:N...]" spec and arms each point: the
-// Nth call to Hit(point) will SIGKILL the process. Arming any point whose
-// name starts with "pfs.op." also installs the pfs kill hook, so data-path
-// operations (write/read/commit/close) become killable sites too; arming a
-// "wal."-prefixed point installs the write-ahead-log hook, and a
-// "storage."-prefixed point the durable-backend hook, the same way. An
-// empty spec arms nothing.
+// Nth call to Hit(point) will SIGKILL the process. Arming any point installs
+// the storage kill hook, through which the durable layers (ckpt.append.*,
+// wal.*, storage.*) report their points. Arming a point whose name starts
+// with "pfs.op." also installs the pfs kill hook, so data-path operations
+// (write/read/commit/close) become killable sites too. An empty spec arms
+// nothing.
 func ArmKillPoints(spec string) error {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -64,7 +63,7 @@ func ArmKillPoints(spec string) error {
 		kill.armed = make(map[string]int)
 		kill.hits = make(map[string]int)
 	}
-	hookPFS, hookWAL, hookStorage := false, false, false
+	hookPFS := false
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -83,22 +82,11 @@ func ArmKillPoints(spec string) error {
 		if strings.HasPrefix(point, "pfs.op.") {
 			hookPFS = true
 		}
-		if strings.HasPrefix(point, "wal.") {
-			hookWAL = true
-		}
-		if strings.HasPrefix(point, "storage.") {
-			hookStorage = true
-		}
 	}
 	if hookPFS {
 		pfs.SetKillPointHook(func(op pfs.OpInfo) { Hit("pfs.op." + op.Kind.String()) })
 	}
-	if hookWAL {
-		wal.SetKillPointHook(Hit)
-	}
-	if hookStorage {
-		storage.SetKillPointHook(Hit)
-	}
+	storage.SetKillPointHook(Hit)
 	return nil
 }
 
@@ -147,7 +135,6 @@ func ResetKillPoints() {
 	kill.armed, kill.hits = nil, nil
 	kill.mu.Unlock()
 	pfs.SetKillPointHook(nil)
-	wal.SetKillPointHook(nil)
 	storage.SetKillPointHook(nil)
 }
 

@@ -12,7 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/pfs"
-	"repro/internal/wal"
+	"repro/internal/storage"
 )
 
 // driveInjector performs a fixed per-rank operation program against inj with
@@ -89,14 +89,14 @@ func TestInjectorDeterministicUnderConcurrentRanks(t *testing.T) {
 	}
 }
 
-// TestRetryBackoffJitterWithinBounds: wal.Backoff (what the WAL drainer
+// TestRetryBackoffJitterWithinBounds: storage.Backoff (what the WAL drainer
 // sleeps between transient retries) stays within ±25% of the capped
 // geometric nominal, and concurrent callers — the drainer goroutine and a
 // foreground barrier can both retry — see identical delays for a fixed
 // seed.
 func TestRetryBackoffJitterWithinBounds(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
-		b := wal.Backoff{BaseNS: 1_000, Multiplier: 2, CapNS: 64_000, Seed: seed}
+		b := storage.Backoff{BaseNS: 1_000, Multiplier: 2, CapNS: 64_000, Seed: seed}
 		nominal := uint64(1_000)
 		for attempt := 0; attempt < 16; attempt++ {
 			d := b.Delay(attempt)
@@ -115,7 +115,7 @@ func TestRetryBackoffJitterWithinBounds(t *testing.T) {
 	}
 
 	// Concurrency: racing callers must not perturb the sequence.
-	b := wal.Backoff{BaseNS: 1_000, Multiplier: 2, CapNS: 64_000, Seed: 7}
+	b := storage.Backoff{BaseNS: 1_000, Multiplier: 2, CapNS: 64_000, Seed: 7}
 	want := make([]uint64, 16)
 	for i := range want {
 		want[i] = b.Delay(i)

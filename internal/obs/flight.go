@@ -25,9 +25,9 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"runtime"
 	"sort"
@@ -35,6 +35,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/frame"
 )
 
 // FlightClass is an interned event-class name (see FlightClassFor).
@@ -211,12 +213,10 @@ func (f *FlightRecorder) Reset() {
 	f.next.Store(0)
 }
 
-// Dump-file framing, ckpt/wal style: every frame is independently
+// Dump-file framing, ckpt/wal style: after an 8-byte file magic, every
+// record is an internal/frame frame (magic "FLTR"), independently
 // CRC-checked so a dump written by a dying process is salvageable up to
 // its torn tail.
-//
-//	magic "SFLT1\n\x00\x00" (8)
-//	frames: magic "FLTR" (4) | payload len uint32 LE | CRC-32C(payload) | payload
 //
 // Frame payloads: type byte 0 = class name (class ids are assigned in
 // frame order), type byte 1 = one event (fixed little-endian layout).
@@ -228,24 +228,13 @@ const (
 	maxFlightFrame   = 1 << 16
 )
 
-var flightCRC = crc32.MakeTable(crc32.Castagnoli)
-
-func appendFrame(buf, payload []byte) []byte {
-	var hdr [12]byte
-	copy(hdr[:4], flightFrameMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[8:12], crc32.Checksum(payload, flightCRC))
-	return append(append(buf, hdr[:]...), payload...)
-}
-
 // EncodeFlightDump renders the recorder's current contents (plus the class
 // table) as a CRC-framed dump.
 func (f *FlightRecorder) EncodeFlightDump() []byte {
 	events := f.Events()
 	buf := []byte(flightMagic)
 	for _, name := range flightClassTable() {
-		payload := append([]byte{frameClass}, name...)
-		buf = appendFrame(buf, payload)
+		buf = frame.Append(buf, flightFrameMagic, append([]byte{frameClass}, name...))
 	}
 	var p [53]byte
 	for _, ev := range events {
@@ -258,7 +247,7 @@ func (f *FlightRecorder) EncodeFlightDump() []byte {
 		binary.LittleEndian.PutUint64(p[33:41], uint64(ev.A))
 		binary.LittleEndian.PutUint64(p[41:49], uint64(ev.B))
 		binary.LittleEndian.PutUint32(p[49:53], 0) // reserved
-		buf = appendFrame(buf, p[:])
+		buf = frame.Append(buf, flightFrameMagic, p[:])
 	}
 	return buf
 }
@@ -307,33 +296,15 @@ func LoadFlightDump(path string) (*FlightDump, error) {
 	if len(data) < len(flightMagic) || string(data[:len(flightMagic)]) != flightMagic {
 		return nil, fmt.Errorf("obs: %s is not a flight dump (bad magic)", path)
 	}
-	rest := data[len(flightMagic):]
 	d := &FlightDump{}
 	var classes []string
-	for len(rest) > 0 {
-		if len(rest) < 12 || string(rest[:4]) != flightFrameMagic {
-			d.TornBytes = len(rest)
-			break
-		}
-		n := binary.LittleEndian.Uint32(rest[4:8])
-		if n == 0 || n > maxFlightFrame || int(n) > len(rest)-12 {
-			d.TornBytes = len(rest)
-			break
-		}
-		payload := rest[12 : 12+n]
-		if crc32.Checksum(payload, flightCRC) != binary.LittleEndian.Uint32(rest[8:12]) {
-			d.TornBytes = len(rest)
-			break
-		}
-		rest = rest[12+n:]
-		switch payload[0] {
-		case frameClass:
+	st, _ := frame.Scan(bytes.NewReader(data[len(flightMagic):]), flightFrameMagic, maxFlightFrame, func(payload []byte) bool {
+		switch {
+		case len(payload) == 0 || payload[0] == frameEvent && len(payload) < 53:
+			return false // not a frame this writer produces: treat as torn
+		case payload[0] == frameClass:
 			classes = append(classes, string(payload[1:]))
-		case frameEvent:
-			if len(payload) < 53 {
-				d.TornBytes = len(rest) + 12 + int(n)
-				return d, nil
-			}
+		case payload[0] == frameEvent:
 			ev := FlightEvent{
 				Seq:    binary.LittleEndian.Uint64(payload[1:9]),
 				WallNS: int64(binary.LittleEndian.Uint64(payload[9:17])),
@@ -350,7 +321,9 @@ func LoadFlightDump(path string) (*FlightDump, error) {
 			}
 			d.Events = append(d.Events, ev)
 		}
-	}
+		return true
+	})
+	d.TornBytes = int(st.TailBytes) // a bytes.Reader cannot fail a read
 	return d, nil
 }
 

@@ -10,8 +10,7 @@ import "repro/internal/sim"
 // it derives a fresh splitmix64 stream per attempt instead of mutating
 // shared RNG state, so concurrent retriers with the same seed see the same
 // schedule regardless of interleaving — the property the faults package
-// tests lean on. (This type lived in internal/wal before the storage seam;
-// wal.Backoff is now an alias of it.)
+// tests lean on. The WAL drainer and the retry policy share it.
 type Backoff struct {
 	BaseNS     uint64 // first-retry nominal delay; default 100µs
 	Multiplier uint64 // geometric growth per attempt; default 2

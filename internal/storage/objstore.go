@@ -164,7 +164,7 @@ func (s *objstore) publish(key string, data []byte) error {
 		os.Remove(stage)
 		return err
 	}
-	hitKillPoint("storage.sync.before")
+	KillPoint("storage.sync.before")
 	if err := f.Sync(); err != nil {
 		f.Close()
 		os.Remove(stage)
@@ -184,7 +184,7 @@ func (s *objstore) publish(key string, data []byte) error {
 		_ = d.Sync()
 		_ = d.Close()
 	}
-	hitKillPoint("storage.sync.after")
+	KillPoint("storage.sync.after")
 	publishVersions.Inc()
 	publishBytes.Add(int64(len(data)))
 	publishLagNS.Observe(s.delay.Nanoseconds())
@@ -251,7 +251,7 @@ func (s *objstore) Stat(path string) (int64, error) {
 // key's versions are removed. A crash between the two leaves both keys —
 // the non-atomicity every object-store "rename" has.
 func (s *objstore) Rename(oldpath, newpath string) error {
-	hitKillPoint("storage.rename.before")
+	KillPoint("storage.rename.before")
 	renames.Inc()
 	// The copy sees the newest version regardless of publish state: the
 	// server owns all versions; the delay models propagation to readers,
@@ -277,7 +277,7 @@ func (s *objstore) Rename(oldpath, newpath string) error {
 	if err := s.Remove(oldpath); err != nil && !IsNotExist(err) {
 		return err
 	}
-	hitKillPoint("storage.rename.after")
+	KillPoint("storage.rename.after")
 	return nil
 }
 
@@ -411,7 +411,7 @@ func (f *objFile) extend(end int64) {
 }
 
 func (f *objFile) Write(p []byte) (int, error) {
-	hitKillPoint("storage.write.before")
+	KillPoint("storage.write.before")
 	writes.Inc()
 	writeBytes.Add(int64(len(p)))
 	if f.append {
@@ -421,18 +421,18 @@ func (f *objFile) Write(p []byte) (int, error) {
 	copy(f.buf[f.pos:], p)
 	f.pos += int64(len(p))
 	f.dirty = true
-	hitKillPoint("storage.write.after")
+	KillPoint("storage.write.after")
 	return len(p), nil
 }
 
 func (f *objFile) WriteAt(p []byte, off int64) (int, error) {
-	hitKillPoint("storage.write.before")
+	KillPoint("storage.write.before")
 	writes.Inc()
 	writeBytes.Add(int64(len(p)))
 	f.extend(off + int64(len(p)))
 	copy(f.buf[off:], p)
 	f.dirty = true
-	hitKillPoint("storage.write.after")
+	KillPoint("storage.write.after")
 	return len(p), nil
 }
 

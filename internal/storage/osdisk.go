@@ -42,14 +42,14 @@ func (osdisk) ReadFile(path string) ([]byte, error) {
 }
 
 func (osdisk) Rename(oldpath, newpath string) error {
-	hitKillPoint("storage.rename.before")
+	KillPoint("storage.rename.before")
 	renames.Inc()
 	err := os.Rename(oldpath, newpath)
 	if err != nil {
 		opErrors.Inc()
 		return err
 	}
-	hitKillPoint("storage.rename.after")
+	KillPoint("storage.rename.after")
 	return nil
 }
 
@@ -106,7 +106,7 @@ func (o *osFile) Seek(off int64, whence int) (int64, error) {
 func (o *osFile) ReadAt(p []byte, off int64) (int, error) { return o.f.ReadAt(p, off) }
 
 func (o *osFile) Write(p []byte) (int, error) {
-	hitKillPoint("storage.write.before")
+	KillPoint("storage.write.before")
 	writes.Inc()
 	writeBytes.Add(int64(len(p)))
 	n, err := o.f.Write(p)
@@ -114,12 +114,12 @@ func (o *osFile) Write(p []byte) (int, error) {
 		opErrors.Inc()
 		return n, err
 	}
-	hitKillPoint("storage.write.after")
+	KillPoint("storage.write.after")
 	return n, nil
 }
 
 func (o *osFile) WriteAt(p []byte, off int64) (int, error) {
-	hitKillPoint("storage.write.before")
+	KillPoint("storage.write.before")
 	writes.Inc()
 	writeBytes.Add(int64(len(p)))
 	n, err := o.f.WriteAt(p, off)
@@ -127,14 +127,14 @@ func (o *osFile) WriteAt(p []byte, off int64) (int, error) {
 		opErrors.Inc()
 		return n, err
 	}
-	hitKillPoint("storage.write.after")
+	KillPoint("storage.write.after")
 	return n, nil
 }
 
 func (o *osFile) Truncate(size int64) error { return o.f.Truncate(size) }
 
 func (o *osFile) Sync() error {
-	hitKillPoint("storage.sync.before")
+	KillPoint("storage.sync.before")
 	syncs.Inc()
 	start := time.Now()
 	err := o.f.Sync()
@@ -143,7 +143,7 @@ func (o *osFile) Sync() error {
 		opErrors.Inc()
 		return err
 	}
-	hitKillPoint("storage.sync.after")
+	KillPoint("storage.sync.after")
 	return nil
 }
 

@@ -26,9 +26,11 @@
 // write-through) and ckpt (demote to config error) layers consume.
 //
 // The package sits below internal/faults in the import order (faults
-// imports wal imports storage), so process-kill points use the same
-// hook indirection as internal/wal: faults installs its Hit counter via
-// SetKillPointHook when a "storage."-prefixed point is armed.
+// imports wal imports storage), so process-kill points go through a hook:
+// faults installs its Hit counter via SetKillPointHook when any point is
+// armed, and every durable layer reports its points through KillPoint.
+// OpenFrameLog and AppendFrame are the one durable-append path the ckpt
+// journal and the WAL share (frame format: internal/frame).
 package storage
 
 import (

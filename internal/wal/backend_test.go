@@ -22,7 +22,7 @@ func TestRecoverDirZeroLengthLog(t *testing.T) {
 	if err := storage.WriteFileAtomic(storage.OS(), filepath.Join(dir, "rank-0000.wal"), nil); err != nil {
 		t.Fatal(err)
 	}
-	recs, stats, err := wal.RecoverDir(dir)
+	recs, stats, err := wal.RecoverDirOn(storage.OS(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/pfs"
+	"repro/internal/storage"
 )
 
 // TestBurstRunRecoverRoundTrip proves the uninterrupted half of the
@@ -68,7 +69,7 @@ func TestRecoverBurstDetectsLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Rewrite rank 0's log without record 3 — a lost acked write.
-	recs, _, err := RecoverDir(dir)
+	recs, _, err := RecoverDirOn(storage.OS(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,22 +1,19 @@
 package wal
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
+	"repro/internal/frame"
 	"repro/internal/storage"
 )
 
-// On-disk record framing for the host-side write-ahead log. Same shape as
-// the ckpt journal ("CKJR") so the torn-tail salvage argument carries over:
-//
-//	magic "WALR" (4) | payload len uint32 LE | CRC-32C(payload) uint32 LE | payload
-//
-// payload encodes one acknowledged write:
+// On-disk record framing for the host-side write-ahead log: one
+// internal/frame frame per record, magic "WALR" — the ckpt journal's codec,
+// so the torn-tail salvage argument carries over. The payload encodes one
+// acknowledged write:
 //
 //	uvarint len(path) | path | uvarint off | uvarint now | data
 //
@@ -25,12 +22,9 @@ import (
 // after a crash at most the final record is torn; recovery keeps every
 // complete record and truncates the tail.
 const (
-	recMagic     = "WALR"
-	recHeaderLen = 4 + 4 + 4
-	maxPayload   = 1 << 30
+	recMagic   = "WALR"
+	maxPayload = 1 << 30
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Record is one acknowledged-but-possibly-undrained write as persisted in a
 // per-rank log file.
@@ -78,125 +72,54 @@ func decodePayload(payload []byte) (Record, error) {
 	return Record{Path: path, Off: int64(off), Now: now, Data: data}, nil
 }
 
-// appendRecord frames, appends and (unless noFsync) fsyncs one record. The
-// two half-writes with a kill point between them are what make the
-// kill-and-recover harness able to manufacture a genuinely torn tail; the
-// before/after-fsync points bracket the durability boundary — a write is
-// acked iff the crash lands after wal.append.after-fsync.
+// appendRecord frames one record into a right-sized buffer and appends it
+// (fsync'd unless noFsync) through storage.AppendFrame, whose
+// wal.append.{begin,torn,before-fsync,after-fsync} kill points bracket the
+// durability boundary — a write is acked iff the crash lands after
+// wal.append.after-fsync.
 func appendRecord(f storage.File, rec Record, noFsync bool) (int64, error) {
 	payload, err := encodePayload(rec)
 	if err != nil {
 		return 0, err
 	}
-	hdr := make([]byte, recHeaderLen)
-	copy(hdr, recMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[8:], crc32.Checksum(payload, castagnoli))
-	frame := append(hdr, payload...)
-
-	hitKillPoint("wal.append.begin")
-	half := len(frame) / 2
-	if _, err := f.Write(frame[:half]); err != nil {
+	buf := frame.Append(make([]byte, 0, frame.HeaderLen+len(payload)), recMagic, payload)
+	took, err := storage.AppendFrame(f, buf, "wal.append", !noFsync)
+	if err != nil {
 		return 0, err
 	}
-	hitKillPoint("wal.append.torn")
-	if _, err := f.Write(frame[half:]); err != nil {
-		return 0, err
-	}
-	hitKillPoint("wal.append.before-fsync")
 	if !noFsync {
-		if err := fsyncTimed(f); err != nil {
-			return 0, err
-		}
+		// Host wall time, not simulated: the one genuinely nondeterministic
+		// instrument in the package, same caveat as ckpt.journal.fsync_ns.
+		appendFsyncNS.Observe(took.Nanoseconds())
 	}
-	hitKillPoint("wal.append.after-fsync")
 	appendRecords.Inc()
-	appendBytes.Add(int64(len(frame)))
-	return int64(len(frame)), nil
+	appendBytes.Add(int64(len(buf)))
+	return int64(len(buf)), nil
 }
 
-// RecoverStats summarizes one log file's salvage.
-type RecoverStats struct {
-	Records   int   // complete records kept
-	Dropped   int   // torn/corrupt tail records discarded (≤1 under append discipline)
-	TailBytes int64 // bytes past the last complete record
-}
-
-func (s RecoverStats) String() string {
-	return fmt.Sprintf("records=%d dropped=%d tail_bytes=%d", s.Records, s.Dropped, s.TailBytes)
-}
-
-type countingReader struct {
-	r *bufio.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
+// recordVisitor returns the frame visitor that decodes each payload,
+// appending the record to *recs unless recs is nil. A payload that does not
+// decode ends the scan like any other tail damage.
+func recordVisitor(recs *[]Record) func([]byte) bool {
+	return func(p []byte) bool {
+		rec, err := decodePayload(p)
+		if err != nil {
+			return false
+		}
+		if recs != nil {
+			rec.Data = append([]byte(nil), rec.Data...) // the scan reuses p
+			*recs = append(*recs, rec)
+		}
+		return true
+	}
 }
 
 // recoverRecords scans a log stream, returning every complete record in
-// append order plus the byte offset of the end of the last good record —
-// the offset the caller truncates to before resuming appends. Exactly like
-// the ckpt journal, the scan stops at the first torn or corrupt frame:
-// anything after it was never acknowledged.
-func recoverRecords(r io.Reader) ([]Record, RecoverStats, int64, error) {
-	cr := &countingReader{r: bufio.NewReader(r)}
-	var (
-		recs  []Record
-		stats RecoverStats
-		good  int64
-	)
-	hdr := make([]byte, recHeaderLen)
-	for {
-		if _, err := io.ReadFull(cr, hdr); err != nil {
-			if errors.Is(err, io.EOF) {
-				break // clean end
-			}
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				stats.Dropped++
-				break // torn header
-			}
-			return nil, stats, good, err
-		}
-		if string(hdr[:4]) != recMagic {
-			stats.Dropped++
-			break
-		}
-		plen := binary.LittleEndian.Uint32(hdr[4:])
-		want := binary.LittleEndian.Uint32(hdr[8:])
-		if plen > maxPayload {
-			stats.Dropped++
-			break
-		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(cr, payload); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				stats.Dropped++
-				break // torn payload
-			}
-			return nil, stats, good, err
-		}
-		if crc32.Checksum(payload, castagnoli) != want {
-			stats.Dropped++
-			break
-		}
-		rec, err := decodePayload(payload)
-		if err != nil {
-			stats.Dropped++
-			break
-		}
-		recs = append(recs, rec)
-		stats.Records++
-		good = cr.n
-	}
-	// Whatever remains after the last intact record is tail damage: drain it
-	// so the count covers unread bytes too.
-	if _, err := io.Copy(io.Discard, cr); err != nil {
-		return nil, stats, good, fmt.Errorf("wal: log read: %w", err)
-	}
-	stats.TailBytes = cr.n - good
-	return recs, stats, good, nil
+// append order plus the scan stats, whose Good is the offset the caller
+// truncates to before resuming appends. The scan stops at the first torn
+// or corrupt frame: anything after it was never acknowledged.
+func recoverRecords(r io.Reader) ([]Record, frame.Stats, error) {
+	var recs []Record
+	st, err := frame.Scan(r, recMagic, maxPayload, recordVisitor(&recs))
+	return recs, st, err
 }

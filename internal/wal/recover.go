@@ -6,15 +6,10 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/frame"
 	"repro/internal/pfs"
 	"repro/internal/storage"
 )
-
-// RecoverDir salvages every per-rank log file under dir on the local OS
-// disk. See RecoverDirOn.
-func RecoverDir(dir string) (map[int][]Record, map[int]RecoverStats, error) {
-	return RecoverDirOn(storage.OS(), dir)
-}
 
 // RecoverDirOn salvages every per-rank log file under dir on backend b. The
 // returned records are, per rank, every write that was ever acknowledged
@@ -28,7 +23,7 @@ func RecoverDir(dir string) (map[int][]Record, map[int]RecoverStats, error) {
 // On an eventually-consistent backend, recovery first waits out the
 // publish-visibility horizon (storage.Settle) so the List and the reads see
 // every version a crashed writer managed to publish.
-func RecoverDirOn(b storage.Backend, dir string) (map[int][]Record, map[int]RecoverStats, error) {
+func RecoverDirOn(b storage.Backend, dir string) (map[int][]Record, map[int]frame.Stats, error) {
 	storage.Settle(b)
 	names, err := b.List(dir)
 	if err != nil {
@@ -36,7 +31,7 @@ func RecoverDirOn(b storage.Backend, dir string) (map[int][]Record, map[int]Reco
 	}
 	sort.Strings(names)
 	recs := make(map[int][]Record)
-	stats := make(map[int]RecoverStats)
+	stats := make(map[int]frame.Stats)
 	for _, name := range names {
 		var rank int
 		if !strings.HasSuffix(name, ".wal") {
@@ -50,7 +45,7 @@ func RecoverDirOn(b storage.Backend, dir string) (map[int][]Record, map[int]Reco
 		if err != nil {
 			return nil, nil, fmt.Errorf("wal: %w", err)
 		}
-		r, s, _, err := recoverRecords(f)
+		r, s, err := recoverRecords(f)
 		f.Close()
 		if err != nil {
 			return nil, nil, fmt.Errorf("wal: recovering %s: %w", path, err)

@@ -51,7 +51,7 @@ type Options struct {
 	// the record is dropped and the error surfaced. Default 6.
 	MaxRetries int
 	// Retry shapes the drain retry backoff (zero value = package defaults).
-	Retry Backoff
+	Retry storage.Backoff
 	// AckBaseNS and AckBytesPerNS price the simulated acknowledgement of a
 	// logged write: cost = AckBaseNS + len/AckBytesPerNS. The defaults
 	// (1500ns + 1ns per 8 bytes) model a node-local NVMe append — far under
@@ -138,7 +138,7 @@ type Log struct {
 // Open creates (or reopens) rank's log file under opts.Dir and starts the
 // background drainer. A pre-existing file is salvaged ckpt-style: complete
 // records are kept (they are acked writes a previous incarnation had not
-// yet confirmed drained — recovery wants them; see RecoverDir), a torn tail
+// yet confirmed drained — recovery wants them; see RecoverDirOn), a torn tail
 // is truncated so new appends land on a record boundary.
 func Open(rank int, opts Options) (*Log, error) {
 	opts = opts.withDefaults()
@@ -153,28 +153,15 @@ func Open(rank int, opts Options) (*Log, error) {
 	} else if err := opts.Backend.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	path := filepath.Join(dir, logName(rank))
-	f, err := opts.Backend.Open(path, storage.OCreate|storage.ORdwr, 0o644)
+	f, st, err := storage.OpenFrameLog(opts.Backend, filepath.Join(dir, logName(rank)),
+		recMagic, maxPayload, recordVisitor(nil))
 	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	recs, _, good, err := recoverRecords(f)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: salvaging %s: %w", path, err)
-	}
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: truncating torn tail of %s: %w", path, err)
-	}
-	if _, err := f.Seek(good, 0); err != nil {
-		f.Close()
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	l := &Log{rank: rank, opts: opts, dir: dir, ownsDir: ownsDir, file: f,
 		done: make(chan struct{})}
 	l.cond = sync.NewCond(&l.mu)
-	l.stats.Salvaged = len(recs)
+	l.stats.Salvaged = st.Records
 	go l.drainLoop()
 	return l, nil
 }
@@ -375,7 +362,7 @@ func (l *Log) drainStepLocked() error {
 		return nil
 	}
 	rec := l.queue[0]
-	hitKillPoint("wal.drain.before-publish")
+	storage.KillPoint("wal.drain.before-publish")
 	// The publish span continues the write's causal trace on the drainer
 	// side of the queue hand-off; the trace ID also lands in the pfs
 	// history event, tying the consistency checker's view to this chain.
@@ -402,7 +389,7 @@ func (l *Log) drainStepLocked() error {
 		drainErrors.Inc()
 		return fmt.Errorf("wal: drain rank %d %s+%d: %w", l.rank, rec.h.Path(), rec.off, err)
 	}
-	hitKillPoint("wal.drain.after-publish")
+	storage.KillPoint("wal.drain.after-publish")
 	psp.End()
 	// Visibility instant: a zero-length span closing the chain, plus the
 	// real (host wall clock) ack-to-visible lag under the write's model.

@@ -2,13 +2,16 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/pfs"
+	"repro/internal/storage"
 )
 
 func mustOpen(t *testing.T, fs *pfs.FileSystem, rank int, path string) *pfs.Handle {
@@ -63,16 +66,16 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	if _, err := f.Seek(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, stats, good, err := recoverRecords(f)
+	got, stats, err := recoverRecords(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Records != len(want) || stats.Dropped != 0 || stats.TailBytes != 0 {
-		t.Fatalf("stats = %v, want %d clean records", stats, len(want))
+		t.Fatalf("stats = %+v, want %d clean records", stats, len(want))
 	}
 	fi, _ := f.Stat()
-	if good != fi.Size() {
-		t.Fatalf("good offset %d != file size %d", good, fi.Size())
+	if stats.Good != fi.Size() {
+		t.Fatalf("good offset %d != file size %d", stats.Good, fi.Size())
 	}
 	for i, rec := range got {
 		if rec.Path != want[i].Path || rec.Off != want[i].Off || rec.Now != want[i].Now ||
@@ -109,12 +112,12 @@ func TestRecoverTornTail(t *testing.T) {
 		if _, err := f.Seek(0, 0); err != nil {
 			t.Fatal(err)
 		}
-		recs, stats, good, err := recoverRecords(f)
+		recs, stats, err := recoverRecords(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(recs) != 2 || stats.Dropped != 1 || good != goodEnd {
-			t.Fatalf("cut=%d: recs=%d dropped=%d good=%d, want 2/1/%d", cut, len(recs), stats.Dropped, good, goodEnd)
+		if len(recs) != 2 || stats.Dropped != 1 || stats.Good != goodEnd {
+			t.Fatalf("cut=%d: recs=%d dropped=%d good=%d, want 2/1/%d", cut, len(recs), stats.Dropped, stats.Good, goodEnd)
 		}
 		if stats.TailBytes != cut-goodEnd {
 			t.Fatalf("cut=%d: tail=%d want %d", cut, stats.TailBytes, cut-goodEnd)
@@ -163,7 +166,7 @@ func TestOpenSalvagesAndResumesAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, stats, err := RecoverDir(dir)
+	recs, stats, err := RecoverDirOn(storage.OS(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,6 +175,47 @@ func TestOpenSalvagesAndResumesAppends(t *testing.T) {
 	}
 	if string(recs[0][0].Data) != "first" || string(recs[0][1].Data) != "second" {
 		t.Fatalf("recovered %q/%q", recs[0][0].Data, recs[0][1].Data)
+	}
+}
+
+// TestRecoverForgedLengthBoundedAlloc: a tail header declaring a 1 GiB
+// payload with nothing behind it is tail damage, and recovery must find
+// that out without allocating the declared size.
+func TestRecoverForgedLengthBoundedAlloc(t *testing.T) {
+	dir := t.TempDir()
+	fs := pfs.New(pfs.Options{Semantics: pfs.Strong})
+	l, err := Open(0, Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Write(mustOpen(t, fs, 0, "/f"), 0, []byte("acked"), 20); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, logName(0)), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := binary.LittleEndian.AppendUint32([]byte(recMagic), 1<<30)
+	if _, err := f.Write(binary.LittleEndian.AppendUint32(tail, 0)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	recs, stats, err := RecoverDirOn(storage.OS(), dir)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs[0]) != 1 || stats[0].Dropped != 1 || stats[0].TailBytes != 12 {
+		t.Fatalf("recovered %d records, stats %+v; want 1, 1 dropped, 12 tail bytes", len(recs[0]), stats[0])
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 64<<20 {
+		t.Fatalf("recovery allocated %d MiB for a forged 1 GiB length", d>>20)
 	}
 }
 
@@ -305,7 +349,7 @@ func TestDrainRetriesTransientWithBackoff(t *testing.T) {
 	fs := pfs.New(pfs.Options{Semantics: pfs.Strong, Retry: pfs.RetryPolicy{MaxRetries: -1}})
 	h := mustOpen(t, fs, 0, "/f")
 	fs.SetInjector(&transientInjector{remaining: 1 << 30})
-	l := noDrainLog(t, Options{MaxRetries: 3, Retry: Backoff{BaseNS: 1000, CapNS: 10_000}})
+	l := noDrainLog(t, Options{MaxRetries: 3, Retry: storage.Backoff{BaseNS: 1000, CapNS: 10_000}})
 
 	if _, err := l.Write(h, 0, []byte("x"), 20); err != nil {
 		t.Fatal(err)
@@ -363,7 +407,7 @@ func TestCloseDrainsEverything(t *testing.T) {
 }
 
 func TestBackoffJitterBounds(t *testing.T) {
-	b := Backoff{BaseNS: 100_000, Multiplier: 2, CapNS: 1 << 30, Seed: 42}
+	b := storage.Backoff{BaseNS: 100_000, Multiplier: 2, CapNS: 1 << 30, Seed: 42}
 	nominal := uint64(100_000)
 	for attempt := 0; attempt < 20; attempt++ {
 		d := b.Delay(attempt)
