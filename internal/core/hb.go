@@ -19,15 +19,37 @@ type HB struct {
 
 type hbEvent struct {
 	rec *recorder.Record
-	vc  []int32 // vc[r] = number of rank-r MPI events known (inclusive)
-	seq int64   // collective sequence number, -1 for p2p
+	// vc[r] = number of rank-r MPI events known (inclusive), exact for every
+	// rank r other than this event's own. The own entry is implicit (idx+1):
+	// OrderedIO reads only cross-rank entries, and merging an event sets its
+	// own entry explicitly. That lets clocks be shared: an event whose only
+	// predecessor is the previous event on its rank shares that event's
+	// slice, and every participant of a collective instance shares the
+	// instance's join.
+	vc   []int32
+	seq  int64  // collective sequence number, -1 for p2p
+	send nodeID // a receive's matched send
 }
 
 type nodeID struct{ rank, idx int }
 
+// hbColl is one collective instance: its participants in rank order and,
+// once the first of them is processed, the join of their predecessors.
+type hbColl struct {
+	parts []nodeID
+	join  []int32
+}
+
 // BuildHB reconstructs the happens-before relation. Send k from r to s with
 // a tag matches receive k on s from r with that tag; collective records
 // match by their sequence-number argument.
+//
+// Edges are implicit: program order is idx-1, a receive's edge is its
+// matched send, and a collective instance makes every participant's
+// predecessor happen-before every participant. All participants therefore
+// share one clock, the join of those predecessors, built once when the
+// first participant is processed: O(P·R) per instance for P participants
+// and R ranks.
 func BuildHB(tr *recorder.Trace) (*HB, error) {
 	hb := &HB{ranks: len(tr.PerRank)}
 	hb.events = make([][]hbEvent, hb.ranks)
@@ -46,19 +68,13 @@ func BuildHB(tr *recorder.Trace) (*HB, error) {
 		}
 	}
 
-	// Build edges: program order, send→recv, collective joins (via a
-	// virtual node joining every participant's predecessor).
-	preds := make(map[nodeID][]nodeID)
+	// Queue sends and gather collective instances.
 	sendQueues := make(map[[3]int][]nodeID) // (src,dst,tag) -> send nodes in order
 	recvCount := make(map[[3]int]int)
-	collParts := make(map[int64][]nodeID)
-
+	colls := make(map[int64]*hbColl)
 	for rank := range hb.events {
 		for i := range hb.events[rank] {
 			n := nodeID{rank, i}
-			if i > 0 {
-				preds[n] = append(preds[n], nodeID{rank, i - 1})
-			}
 			ev := &hb.events[rank][i]
 			switch ev.rec.Func {
 			case recorder.FuncMPISend:
@@ -66,7 +82,12 @@ func BuildHB(tr *recorder.Trace) (*HB, error) {
 				sendQueues[key] = append(sendQueues[key], n)
 			default:
 				if ev.seq >= 0 {
-					collParts[ev.seq] = append(collParts[ev.seq], n)
+					c := colls[ev.seq]
+					if c == nil {
+						c = &hbColl{}
+						colls[ev.seq] = c
+					}
+					c.parts = append(c.parts, n)
 				}
 			}
 		}
@@ -86,23 +107,7 @@ func BuildHB(tr *recorder.Trace) (*HB, error) {
 				return nil, fmt.Errorf("core: receive %d on rank %d from %d tag %d has no matching send",
 					k, rank, ev.rec.Arg(0), ev.rec.Arg(1))
 			}
-			n := nodeID{rank, i}
-			preds[n] = append(preds[n], sends[k])
-		}
-	}
-	// Collectives: every participant's predecessor happens-before every
-	// participant's completion.
-	for _, parts := range collParts {
-		for _, a := range parts {
-			if a.idx == 0 {
-				continue
-			}
-			pred := nodeID{a.rank, a.idx - 1}
-			for _, b := range parts {
-				if b != a {
-					preds[b] = append(preds[b], pred)
-				}
-			}
+			ev.send = sends[k]
 		}
 	}
 
@@ -122,24 +127,77 @@ func BuildHB(tr *recorder.Trace) (*HB, error) {
 		}
 		return ea.TStart < eb.TStart
 	})
+	zero := make([]int32, hb.ranks)
 	for _, n := range order {
 		ev := &hb.events[n.rank][n.idx]
-		vc := make([]int32, hb.ranks)
-		for _, p := range preds[n] {
+		switch {
+		case ev.seq >= 0:
+			c := colls[ev.seq]
+			if c.join == nil {
+				// n's own predecessor first, then the others' in rank
+				// order: the order in which an unprocessed one is reported.
+				join := make([]int32, hb.ranks)
+				if err := hb.mergePred(join, n, n); err != nil {
+					return nil, err
+				}
+				for _, a := range c.parts {
+					if a != n {
+						if err := hb.mergePred(join, a, n); err != nil {
+							return nil, err
+						}
+					}
+				}
+				c.join = join
+			}
+			ev.vc = c.join
+		case ev.rec.Func == recorder.FuncMPIRecv:
+			vc := make([]int32, hb.ranks)
+			if err := hb.mergePred(vc, n, n); err != nil {
+				return nil, err
+			}
+			if err := hb.merge(vc, ev.send, n); err != nil {
+				return nil, err
+			}
+			ev.vc = vc
+		case n.idx > 0:
+			p := nodeID{n.rank, n.idx - 1}
 			pv := hb.events[p.rank][p.idx].vc
 			if pv == nil {
-				return nil, fmt.Errorf("core: predecessor %v of %v not yet processed (timestamps violate happens-before)", p, n)
+				return nil, errNotProcessed(p, n)
 			}
-			for r, x := range pv[:len(vc)] {
-				vc[r] = max(vc[r], x)
-			}
+			ev.vc = pv
+		default:
+			ev.vc = zero
 		}
-		if own := int32(n.idx + 1); own > vc[n.rank] {
-			vc[n.rank] = own
-		}
-		ev.vc = vc
 	}
 	return hb, nil
+}
+
+// mergePred merges the clock of a's program-order predecessor, if a has
+// one, into the clock being built for n.
+func (hb *HB) mergePred(into []int32, a, n nodeID) error {
+	if a.idx == 0 {
+		return nil
+	}
+	return hb.merge(into, nodeID{a.rank, a.idx - 1}, n)
+}
+
+// merge takes the entrywise max of predecessor p's clock into the clock
+// being built for n, including p's implicit own entry.
+func (hb *HB) merge(into []int32, p, n nodeID) error {
+	pv := hb.events[p.rank][p.idx].vc
+	if pv == nil {
+		return errNotProcessed(p, n)
+	}
+	for r, x := range pv[:len(into)] {
+		into[r] = max(into[r], x)
+	}
+	into[p.rank] = max(into[p.rank], int32(p.idx+1))
+	return nil
+}
+
+func errNotProcessed(p, n nodeID) error {
+	return fmt.Errorf("core: predecessor %v of %v not yet processed (timestamps violate happens-before)", p, n)
 }
 
 func isCollective(f recorder.Func) bool {

@@ -1,0 +1,175 @@
+package core
+
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"repro/internal/harness"
+	"repro/internal/mpi"
+	"repro/internal/pfs"
+	"repro/internal/recorder"
+)
+
+// randomSchedule runs a seeded random MPI schedule on the harness: message
+// chains across distinct ranks and barriers, broadcasts and allreduces,
+// with random compute between steps so ranks drift apart. Every rank draws
+// the same schedule, and sends are eager, so it cannot deadlock.
+func randomSchedule(t *testing.T, ranks int, seed int64) *recorder.Trace {
+	t.Helper()
+	res, err := harness.Run(harness.Config{Ranks: ranks, Seed: uint64(seed), Semantics: pfs.Strong},
+		recorder.Meta{App: "hb-random"}, func(ctx *harness.Ctx) error {
+			rng := rand.New(rand.NewSource(seed))
+			for step := 0; step < 40; step++ {
+				ctx.Compute(0, 40)
+				kind := rng.Intn(6)
+				if ranks < 2 && kind < 3 {
+					kind = 3
+				}
+				switch kind {
+				case 0, 1, 2:
+					chain := rng.Perm(ranks)[:2+rng.Intn(min(ranks, 4)-1)]
+					tag := rng.Intn(3)
+					for j, r := range chain {
+						if r != ctx.Rank {
+							continue
+						}
+						if j > 0 {
+							ctx.MPI.Recv(chain[j-1], tag)
+						}
+						if j+1 < len(chain) {
+							ctx.MPI.Send(chain[j+1], tag, []byte{byte(step)})
+						}
+					}
+				case 3:
+					ctx.MPI.Barrier()
+				case 4:
+					ctx.MPI.Bcast(rng.Intn(ranks), []byte{byte(step)})
+				case 5:
+					ctx.MPI.Allreduce(int64(ctx.Rank), mpi.OpSum)
+				}
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return res.Trace
+}
+
+// TestBuildHBMatchesOracleRandomSchedules covers point-to-point chains,
+// which only one registry application uses, mixed with collectives.
+func TestBuildHBMatchesOracleRandomSchedules(t *testing.T) {
+	for _, ranks := range []int{1, 2, 3, 5, 8} {
+		for seed := int64(1); seed <= 6; seed++ {
+			tr := randomSchedule(t, ranks, seed)
+			if _, err := BuildHB(tr); err != nil {
+				t.Fatalf("ranks=%d seed=%d: %v", ranks, seed, err)
+			}
+			if d := diffHBOracle(tr); d != "" {
+				t.Fatalf("ranks=%d seed=%d: %s", ranks, seed, d)
+			}
+		}
+	}
+}
+
+func mpiRecord(rank int, fn recorder.Func, t uint64, args ...int64) recorder.Record {
+	return recorder.Record{Rank: int32(rank), Layer: recorder.LayerMPI, Func: fn, TStart: t, TEnd: t, Args: args}
+}
+
+// TestBuildHBForgedSequenceBoundedMemory feeds a forged trace in which all
+// 200 barriers of each of 16 ranks carry sequence number 0, so one
+// collective instance has 3,200 participants, several on each rank. The
+// builder must return the typed error without materializing the
+// participants' pairwise edges (half a gigabyte for the per-predecessor
+// oracle, which this test therefore does not run).
+func TestBuildHBForgedSequenceBoundedMemory(t *testing.T) {
+	const ranks, barriers = 16, 200
+	tr := &recorder.Trace{PerRank: make([][]recorder.Record, ranks)}
+	for r := range ranks {
+		for i := range barriers {
+			// Rank 1 stamps each barrier first.
+			ts := uint64(100*i + (r+ranks-1)%ranks)
+			tr.PerRank[r] = append(tr.PerRank[r], mpiRecord(r, recorder.FuncMPIBarrier, ts, -1, 0, 0))
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := BuildHB(tr)
+	runtime.ReadMemStats(&after)
+	const want = "core: predecessor {0 0} of {1 0} not yet processed (timestamps violate happens-before)"
+	if err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %q", err, want)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 16<<20 {
+		t.Fatalf("allocated %.1f MiB before the error, want under 16 MiB", float64(alloc)/(1<<20))
+	}
+}
+
+func TestBuildHBReceiveWithoutSend(t *testing.T) {
+	tr := &recorder.Trace{PerRank: [][]recorder.Record{
+		{mpiRecord(0, recorder.FuncMPISend, 10, 1, 7, 1)},
+		{
+			mpiRecord(1, recorder.FuncMPIRecv, 20, 0, 7, 1),
+			mpiRecord(1, recorder.FuncMPIRecv, 30, 0, 7, 1),
+		},
+	}}
+	_, err := BuildHB(tr)
+	const want = "core: receive 1 on rank 1 from 0 tag 7 has no matching send"
+	if err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %q", err, want)
+	}
+	if d := diffHBOracle(tr); d != "" {
+		t.Fatal(d)
+	}
+}
+
+// fuzzHBTrace decodes bytes into a small MPI trace: the first byte picks
+// 1–8 ranks, then every 4 bytes make one record (at most 64) of send,
+// receive, barrier, broadcast or allreduce with small arguments, stamped
+// at or after the previous record of its rank.
+func fuzzHBTrace(data []byte) *recorder.Trace {
+	fns := []recorder.Func{recorder.FuncMPISend, recorder.FuncMPIRecv,
+		recorder.FuncMPIBarrier, recorder.FuncMPIBcast, recorder.FuncMPIAllreduce}
+	if len(data) == 0 {
+		return &recorder.Trace{}
+	}
+	ranks := 1 + int(data[0])%8
+	tr := &recorder.Trace{PerRank: make([][]recorder.Record, ranks)}
+	clock := make([]uint64, ranks)
+	data = data[1:]
+	for n := 0; n < 64 && len(data) >= 4; n++ {
+		op, rank, arg, dt := data[0], int(data[1])%ranks, int64(data[2]), uint64(data[3])
+		data = data[4:]
+		fn := fns[int(op)%len(fns)]
+		var args []int64
+		switch fn {
+		case recorder.FuncMPISend, recorder.FuncMPIRecv:
+			args = []int64{arg % int64(ranks), arg / 64 % 2, 1} // peer, tag, bytes
+		default:
+			args = []int64{-1, 0, arg % 8} // root, bytes, sequence
+		}
+		rec := mpiRecord(rank, fn, clock[rank]+dt%8, args...)
+		rec.TEnd += uint64(op) / 8 % 4
+		clock[rank] = rec.TEnd
+		tr.PerRank[rank] = append(tr.PerRank[rank], rec)
+	}
+	return tr
+}
+
+// FuzzBuildHB requires BuildHB not to panic on a fuzzed trace and to agree
+// with the oracle: the same error text, or the same cross-rank clocks.
+func FuzzBuildHB(f *testing.F) {
+	f.Add([]byte{2, 0, 0, 1, 0, 1, 1, 0, 2, 0, 0})
+	f.Add([]byte{3, 2, 0, 0, 5, 2, 1, 0, 5, 2, 2, 0, 5, 3, 0, 1, 9, 4, 2, 1, 9})
+	f.Add([]byte{4, 0, 0, 3, 1, 1, 3, 0, 2, 2, 1, 5, 3, 0, 0, 6, 1, 3, 3, 7})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if d := diffHBOracle(fuzzHBTrace(data)); d != "" {
+			t.Fatal(d)
+		}
+	})
+}
