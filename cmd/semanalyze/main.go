@@ -1,7 +1,9 @@
 // Command semanalyze runs the paper's analysis over a saved trace: conflict
 // detection under commit and session semantics, access-pattern
 // classification, the metadata-operation census and the happens-before
-// validation, then prints the per-application verdict.
+// validation, then prints the per-application verdict. All of it, the
+// -report digest included, is read off one semfs.AnalyzeParallelCtx result:
+// one extraction, one conflict sweep and one happens-before build per run.
 //
 // Usage:
 //
@@ -47,7 +49,6 @@ import (
 
 	// Live /metrics exporter behind the -serve-metrics flag.
 	_ "repro/internal/obs/live"
-	"repro/internal/report"
 	"repro/internal/storage"
 )
 
@@ -208,20 +209,20 @@ func checkConsistency(w io.Writer, tr *semfs.Trace) int {
 	return exitClean
 }
 
-// analyze runs the full analysis pipeline over tr, writing the report to w.
-// Hard failures go to stderr directly — they are never part of a cached
-// report.
+// analyze runs the one analysis over tr and writes its views to w: the run
+// report (with full), patterns, conflicts, census, metadata dependencies,
+// the happens-before validation (with validate) and the verdict. Hard
+// failures go to stderr directly — they are never part of a cached report.
 func analyze(w io.Writer, tr *semfs.Trace, validate bool, maxShow int, full bool, workers int) int {
 	fmt.Fprintf(w, "trace: %s — %d ranks, %d records\n\n", tr.Meta.ConfigName(), tr.Meta.Ranks, tr.NumRecords())
-
-	if full {
-		fmt.Fprintln(w, report.BuildRunReport(tr).Render())
-	}
 
 	an, err := semfs.AnalyzeParallelCtx(context.Background(), tr, workers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "semanalyze: %s: %v\n", tr.Meta.ConfigName(), err)
 		return exitError
+	}
+	if full {
+		fmt.Fprintln(w, an.Report.Render())
 	}
 
 	fmt.Fprintln(w, "High-level access patterns (Table 3):")
@@ -290,17 +291,16 @@ func analyze(w io.Writer, tr *semfs.Trace, validate bool, maxShow int, full bool
 	// checkpoint protocol. Without it, any conflicting pair counts.
 	racy := conflictsFound > 0
 	if validate {
-		unordered, err := semfs.ValidateSynchronization(tr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "semanalyze: %s: happens-before: %v\n", tr.Meta.ConfigName(), err)
+		if an.HBErr != nil {
+			fmt.Fprintf(os.Stderr, "semanalyze: %s: happens-before: %v\n", tr.Meta.ConfigName(), an.HBErr)
 			return exitError
 		}
-		racy = len(unordered) > 0
-		if len(unordered) == 0 {
+		racy = len(an.Unordered) > 0
+		if len(an.Unordered) == 0 {
 			fmt.Fprintln(w, "\nHappens-before validation: all conflicting pairs are synchronized (race-free)")
 		} else {
-			fmt.Fprintf(w, "\nHappens-before validation: %d UNSYNCHRONIZED pairs (data races!)\n", len(unordered))
-			for i, c := range unordered {
+			fmt.Fprintf(w, "\nHappens-before validation: %d UNSYNCHRONIZED pairs (data races!)\n", len(an.Unordered))
+			for i, c := range an.Unordered {
 				if i >= maxShow {
 					break
 				}

@@ -31,11 +31,11 @@ import (
 	"strconv"
 	"strings"
 
+	semfs "repro"
 	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/pfs"
-	"repro/internal/report"
 	"repro/internal/storage"
 	"repro/internal/wal"
 
@@ -370,8 +370,13 @@ func run() (code int) {
 			return exitError
 		}
 		for _, name := range results.Ordered {
-			rep := report.BuildRunReport(results.ByName[name].Trace)
-			write(filepath.Join("reports", sanitize(name)+".txt"), rep.Render())
+			an, err := semfs.AnalyzeParallelCtx(context.Background(), results.ByName[name].Trace, 1)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "semrepro: %s: %v\n", name, err)
+				hardErr = true
+				continue
+			}
+			write(filepath.Join("reports", sanitize(name)+".txt"), an.Report.Render())
 		}
 	}
 	if hardErr {

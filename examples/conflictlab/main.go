@@ -75,12 +75,11 @@ func report(name string, fsync, reopen bool) {
 		name, an.Verdict.Commit.RAWDiff, an.Verdict.Session.RAWDiff, an.Verdict.Weakest)
 
 	// The detector's finding must be a synchronized (race-free) pair.
-	unordered, err := semfs.ValidateSynchronization(res.Trace)
-	if err != nil {
-		log.Fatal(err)
+	if an.HBErr != nil {
+		log.Fatal(an.HBErr)
 	}
-	if len(unordered) > 0 {
-		fmt.Printf("  WARNING: %d unsynchronized pairs (a data race!)\n", len(unordered))
+	if len(an.Unordered) > 0 {
+		fmt.Printf("  WARNING: %d unsynchronized pairs (a data race!)\n", len(an.Unordered))
 	}
 }
 

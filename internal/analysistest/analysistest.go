@@ -13,12 +13,13 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	semfs "repro"
 	"repro/internal/core"
 	"repro/internal/recorder"
-	"repro/internal/report"
+	"repro/internal/storage"
 )
 
 // DefaultWorkerCounts covers the interesting pool shapes: GOMAXPROCS (0),
@@ -47,6 +48,9 @@ func RequireEqual(t testing.TB, label string, serial, parallel *semfs.Analysis) 
 	check("Census", serial.Census, parallel.Census)
 	check("MetaConflicts", serial.MetaConflicts, parallel.MetaConflicts)
 	check("MetaSignature", serial.MetaSignature, parallel.MetaSignature)
+	check("Report", serial.Report, parallel.Report)
+	check("Unordered", serial.Unordered, parallel.Unordered)
+	check("HBErr", fmt.Sprint(serial.HBErr), fmt.Sprint(parallel.HBErr))
 }
 
 // analyze runs semfs.AnalyzeParallelCtx on a pool of workers after
@@ -80,10 +84,10 @@ func CheckTrace(t testing.TB, label string, tr *recorder.Trace, workerCounts ...
 
 // CheckFormats is the on-disk format equivalence gate: tr is saved in the
 // columnar and v1 formats plus both convert round trips, reloaded at every
-// worker count, and each reload must carry byte-identical records (the
-// strict v1 load is the disk oracle) and produce a byte-identical analysis
-// and rendered report (the serial analysis of the v1 reload is the
-// analysis oracle).
+// worker count, and each reload, analyzed at that worker count, must carry
+// byte-identical records (the strict v1 load is the disk oracle) and produce
+// a byte-identical analysis and rendered run report, conflict columns
+// included (the serial analysis of the v1 reload is the analysis oracle).
 func CheckFormats(t testing.TB, label string, tr *recorder.Trace, workerCounts ...int) {
 	t.Helper()
 	if len(workerCounts) == 0 {
@@ -96,33 +100,34 @@ func CheckFormats(t testing.TB, label string, tr *recorder.Trace, workerCounts .
 		{"v1-to-columnar", filepath.Join(base, "conv-col")},
 		{"columnar-to-v1", filepath.Join(base, "conv-v1")},
 	}
-	if err := semfs.SaveTraceFormat(dirs[0].path, tr, semfs.FormatV1); err != nil {
+	disk := storage.OS()
+	if err := semfs.SaveTraceFormatOn(disk, dirs[0].path, tr, semfs.FormatV1); err != nil {
 		t.Fatalf("%s: saving v1: %v", label, err)
 	}
-	if err := semfs.SaveTraceFormat(dirs[1].path, tr, semfs.FormatColumnar); err != nil {
+	if err := semfs.SaveTraceFormatOn(disk, dirs[1].path, tr, semfs.FormatColumnar); err != nil {
 		t.Fatalf("%s: saving columnar: %v", label, err)
 	}
-	if _, err := semfs.ConvertTrace(dirs[0].path, dirs[2].path, semfs.FormatColumnar, 0); err != nil {
+	if _, err := semfs.ConvertTraceOn(disk, dirs[0].path, dirs[2].path, semfs.FormatColumnar, 0); err != nil {
 		t.Fatalf("%s: converting v1->columnar: %v", label, err)
 	}
-	if _, err := semfs.ConvertTrace(dirs[1].path, dirs[3].path, semfs.FormatV1, 0); err != nil {
+	if _, err := semfs.ConvertTraceOn(disk, dirs[1].path, dirs[3].path, semfs.FormatV1, 0); err != nil {
 		t.Fatalf("%s: converting columnar->v1: %v", label, err)
 	}
 
 	// The strict v1 reload is the record-level oracle: the v1 decoder
 	// predates the columnar format, so every other load path must agree
 	// with it byte for byte.
-	oracle, err := semfs.LoadTrace(dirs[0].path, 1)
+	oracle, err := semfs.LoadTraceOn(disk, dirs[0].path, 1)
 	if err != nil {
 		t.Fatalf("%s: loading v1 oracle: %v", label, err)
 	}
 	defer core.InvalidateExtraction(oracle)
 	oracleAnalysis := analyze(t, label, oracle, 1)
-	oracleReport := report.BuildRunReport(oracle).Render()
+	oracleReport := oracleAnalysis.Report.Render()
 
 	for _, d := range dirs {
 		for _, w := range workerCounts {
-			got, err := semfs.LoadTrace(d.path, w)
+			got, err := semfs.LoadTraceOn(disk, d.path, w)
 			if err != nil {
 				t.Fatalf("%s/%s/workers=%d: load: %v", label, d.name, w, err)
 			}
@@ -135,8 +140,9 @@ func CheckFormats(t testing.TB, label string, tr *recorder.Trace, workerCounts .
 				continue
 			}
 			dlabel := fmt.Sprintf("%s/%s/workers=%d", label, d.name, w)
-			RequireEqual(t, dlabel, oracleAnalysis, analyze(t, dlabel, got, 1))
-			if rep := report.BuildRunReport(got).Render(); rep != oracleReport {
+			an := analyze(t, dlabel, got, w)
+			RequireEqual(t, dlabel, oracleAnalysis, an)
+			if rep := an.Report.Render(); rep != oracleReport {
 				t.Errorf("%s: rendered report diverges", dlabel)
 			}
 			core.InvalidateExtraction(got)
@@ -157,6 +163,18 @@ func CheckApp(t testing.TB, name string, o semfs.RunOptions, workerCounts ...int
 		t.Fatalf("%s: rank error: %v", name, err)
 	}
 	CheckTrace(t, name, res.Trace, workerCounts...)
+}
+
+// LostSends returns a copy of tr in which rank has lost its MPI_Send
+// records, the shape of a lenient salvage that dropped them: a receive
+// they matched has no send, so the happens-before build fails while every
+// other analysis still runs.
+func LostSends(tr *recorder.Trace, rank int) *recorder.Trace {
+	out := &recorder.Trace{Meta: tr.Meta, PerRank: slices.Clone(tr.PerRank)}
+	out.PerRank[rank] = slices.DeleteFunc(slices.Clone(tr.PerRank[rank]), func(r recorder.Record) bool {
+		return r.Func == recorder.FuncMPISend
+	})
+	return out
 }
 
 func labelWorkers(label string, w int) string {

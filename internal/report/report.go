@@ -183,15 +183,10 @@ func writeBar(b *strings.Builder, label string, m core.PatternMix) {
 		c, mo, r)
 }
 
-// Figure2CSV emits the FLASH access-over-time scatter data of Figure 2 for
-// the write operations of one file: time_us, rank, offset, bytes. The
-// separate checkpoint/plot files and fbs/nofbs variants give the six panels.
-// Extraction goes through the process-wide cache.
-func Figure2CSV(tr *recorder.Trace, path string) string {
-	return Figure2CSVOf(extractShared(tr), path)
-}
-
-// Figure2CSVOf is Figure2CSV over pre-extracted accesses.
+// Figure2CSVOf emits the FLASH access-over-time scatter data of Figure 2
+// for the write operations of one file among pre-extracted accesses:
+// time_us, rank, offset, bytes. The separate checkpoint/plot files and
+// fbs/nofbs variants give the six panels.
 func Figure2CSVOf(fas []*core.FileAccesses, path string) string {
 	var b strings.Builder
 	b.WriteString("time_us,rank,offset,bytes\n")

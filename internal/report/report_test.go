@@ -87,11 +87,12 @@ func TestFigure2CSV(t *testing.T) {
 				Args: []int64{3}},
 		}},
 	}
-	csv := Figure2CSV(tr, "/chk")
+	fas := extract(t, tr)
+	csv := Figure2CSVOf(fas, "/chk")
 	if !strings.Contains(csv, "3.0,0,500,100") {
 		t.Fatalf("scatter row missing:\n%s", csv)
 	}
-	if Figure2CSV(tr, "/other") != "time_us,rank,offset,bytes\n" {
+	if Figure2CSVOf(fas, "/other") != "time_us,rank,offset,bytes\n" {
 		t.Fatal("unknown path should give header only")
 	}
 }

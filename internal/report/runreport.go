@@ -1,7 +1,6 @@
 package report
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -9,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/pfs"
 	"repro/internal/recorder"
 )
 
@@ -42,24 +40,10 @@ type FileReport struct {
 	CommitConflicts  int
 }
 
-// BuildRunReport computes the digest for a trace, extracting through the
-// process-wide cache (so a report after an analysis pays no second
-// extraction).
-func BuildRunReport(tr *recorder.Trace) *RunReport {
-	return BuildRunReportFrom(tr, extractShared(tr))
-}
-
-// extractShared is the serial core.ExtractSharedCtx the report renderers
-// use; its only error is cancellation, which a background context never
-// delivers.
-func extractShared(tr *recorder.Trace) []*core.FileAccesses {
-	fas, _ := core.ExtractSharedCtx(context.Background(), tr, 1)
-	return fas
-}
-
-// BuildRunReportFrom computes the digest from pre-extracted accesses —
-// callers that already hold the extraction (or a cache handle) pass it in
-// instead of re-extracting. fas is read, never mutated.
+// BuildRunReportFrom computes the digest from pre-extracted accesses (fas
+// is read, never mutated). It is the digest only: the per-file conflict
+// columns stay zero here, and semfs.AnalyzeParallelCtx fills them from its
+// one conflict sweep.
 func BuildRunReportFrom(tr *recorder.Trace, fas []*core.FileAccesses) *RunReport {
 	rep := &RunReport{
 		Config:        tr.Meta.ConfigName(),
@@ -79,8 +63,6 @@ func BuildRunReportFrom(tr *recorder.Trace, fas []*core.FileAccesses) *RunReport
 			m[r.Func]++
 		}
 	}
-	// Background context: never cancelled, so no error.
-	ms, _ := core.ConflictsAllForFilesCtx(context.Background(), fas, []pfs.Semantics{pfs.Session, pfs.Commit}, 1)
 	rep.Files = make([]FileReport, 0, len(fas))
 	for _, fa := range fas {
 		fr := FileReport{Path: fa.Path}
@@ -100,8 +82,6 @@ func BuildRunReportFrom(tr *recorder.Trace, fas []*core.FileAccesses) *RunReport
 			rep.SizeHistogram.Observe(n)
 		}
 		fr.Ranks = len(ranks)
-		fr.SessionConflicts = len(ms[0].ByFile[fa.Path])
-		fr.CommitConflicts = len(ms[1].ByFile[fa.Path])
 		rep.Files = append(rep.Files, fr)
 	}
 	slices.SortFunc(rep.Files, func(a, b FileReport) int { return strings.Compare(a.Path, b.Path) })

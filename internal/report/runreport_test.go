@@ -1,14 +1,29 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/pfs"
+	"repro/internal/recorder"
 )
 
+// extract is the serial, cached extraction the report builders read.
+func extract(t *testing.T, tr *recorder.Trace) []*core.FileAccesses {
+	t.Helper()
+	fas, err := core.ExtractSharedCtx(context.Background(), tr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fas
+}
+
+// TestRunReport covers the digest; the per-file conflict columns are filled
+// by semfs.AnalyzeParallelCtx and tested there (TestRunReportConflictColumns).
 func TestRunReport(t *testing.T) {
 	cfg, ok := apps.Lookup("NWChem")
 	if !ok {
@@ -18,7 +33,7 @@ func TestRunReport(t *testing.T) {
 	if err != nil || res.Err() != nil {
 		t.Fatal(err, res.Err())
 	}
-	rep := BuildRunReport(res.Trace)
+	rep := BuildRunReportFrom(res.Trace, extract(t, res.Trace))
 	if rep.Config != "NWChem" || rep.Ranks != 8 {
 		t.Fatalf("header wrong: %+v", rep)
 	}
@@ -34,8 +49,8 @@ func TestRunReport(t *testing.T) {
 	if trj == nil {
 		t.Fatal("trajectory file missing from report")
 	}
-	if trj.SessionConflicts == 0 || trj.CommitConflicts == 0 {
-		t.Fatalf("trajectory conflicts not counted: %+v", trj)
+	if trj.SessionConflicts != 0 || trj.CommitConflicts != 0 {
+		t.Fatalf("the digest alone counted conflicts: %+v", trj)
 	}
 	if trj.Ranks != 1 {
 		t.Fatalf("trajectory written by %d ranks", trj.Ranks)

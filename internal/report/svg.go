@@ -6,19 +6,12 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/recorder"
 )
 
-// Figure2SVG renders the offset-over-time scatter of one file's writes as a
-// standalone SVG (the visual form of the paper's Figure 2 panels), with one
-// color per rank and marker size scaled by access size. Pure stdlib — the
-// SVG is assembled textually. Extraction goes through the process-wide
-// cache.
-func Figure2SVG(tr *recorder.Trace, path, title string) string {
-	return Figure2SVGOf(extractShared(tr), path, title)
-}
-
-// Figure2SVGOf is Figure2SVG over pre-extracted accesses.
+// Figure2SVGOf renders the offset-over-time scatter of one file's writes
+// among pre-extracted accesses as a standalone SVG (the visual form of the
+// paper's Figure 2 panels), with one color per rank and marker size scaled
+// by access size. Pure stdlib — the SVG is assembled textually.
 func Figure2SVGOf(fas []*core.FileAccesses, path, title string) string {
 	type pt struct {
 		t    uint64

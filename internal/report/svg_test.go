@@ -14,7 +14,8 @@ func TestFigure2SVG(t *testing.T) {
 	if err != nil || res.Err() != nil {
 		t.Fatal(err, res.Err())
 	}
-	svg := Figure2SVG(res.Trace, "/flash_hdf5_chk_0000", "FLASH nofbs checkpoint <writes>")
+	fas := extract(t, res.Trace)
+	svg := Figure2SVGOf(fas, "/flash_hdf5_chk_0000", "FLASH nofbs checkpoint <writes>")
 	if !strings.HasPrefix(svg, "<svg") || !strings.HasSuffix(svg, "</svg>") {
 		t.Fatal("not an SVG document")
 	}
@@ -28,7 +29,7 @@ func TestFigure2SVG(t *testing.T) {
 		t.Fatal("rank count missing")
 	}
 	// Empty panel still renders valid skeleton.
-	empty := Figure2SVG(res.Trace, "/no/such/file", "empty")
+	empty := Figure2SVGOf(fas, "/no/such/file", "empty")
 	if !strings.Contains(empty, "0 writes, 0 ranks") {
 		t.Fatal("empty panel wrong")
 	}

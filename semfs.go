@@ -134,7 +134,9 @@ func (r *Result) Err() error {
 	return nil
 }
 
-// Analysis bundles everything the paper's method extracts from one trace.
+// Analysis bundles everything the paper's method extracts from one trace:
+// it is the one analysis result per trace, and the CLI's report, verdict
+// and §5.2 validation are all views over it.
 type Analysis struct {
 	// Verdict is the §6.3 bottom line: conflict signatures under session
 	// and commit semantics and the weakest sufficient model.
@@ -156,20 +158,37 @@ type Analysis struct {
 	// PFSs without extra discipline).
 	MetaConflicts []core.MetaConflict
 	MetaSignature core.MetaSignature
+	// Report is the per-run digest the paper's published artifact ships
+	// with each trace (function counters, size histogram, per-file rows);
+	// its per-file conflict columns count SessionConflicts and
+	// CommitConflicts. Render it with its Render method.
+	Report *report.RunReport
+	// Unordered is the §5.2 check: the session conflicts the application's
+	// MPI synchronization does not order (nil for race-free applications),
+	// in path order, each file's pairs in report order. It is nil when
+	// HBErr is set.
+	Unordered []core.Conflict
+	// HBErr is the happens-before build's failure, e.g. a receive whose
+	// matching send a salvaged trace lost. It does not fail the analysis:
+	// every other field is still filled, only Unordered is missing.
+	HBErr error
 }
 
 // AnalyzeParallelCtx runs the full paper analysis over a trace. The trace
 // is extracted once (through the process-wide extraction cache, so repeated
-// analyses of one trace share the work), then the four independent passes
+// analyses of one trace share the work), then six independent passes
 // (fused session+commit conflict sweep, pattern classification + Figure 1
-// mixes, metadata census, metadata-conflict detection) fan out as a
-// scatter/gather, each internally sharded across a pool of the given size:
-// workers <= 0 selects runtime.GOMAXPROCS, and 1 runs every pass serially.
-// Every merge is deterministic, so the result is identical at every worker
-// count (see TestAnalyzeParallelMatchesSerial). Cancellation stops every
-// pass within one task boundary (no new per-file or per-rank task starts
-// once ctx is done) and the call returns ctx.Err() instead of a partial
-// Analysis.
+// mixes, metadata census, metadata-conflict detection, the happens-before
+// build and the run-report digest) fan out as a scatter/gather, the first
+// four each internally sharded across a pool of the given size: workers <= 0
+// selects runtime.GOMAXPROCS, and 1 runs every pass serially. After the
+// join the report's conflict columns and the §5.2 unordered pairs are read
+// off the one conflict sweep. Every merge is deterministic, so the result
+// is identical at every worker count (see TestAnalyzeParallelMatchesSerial).
+// Cancellation stops every sharded pass within one task boundary (no new
+// per-file or per-rank task starts once ctx is done; the happens-before
+// build and the digest are one task each) and the call returns ctx.Err()
+// instead of a partial Analysis.
 func AnalyzeParallelCtx(ctx context.Context, tr *recorder.Trace, workers int) (*Analysis, error) {
 	fas, err := core.ExtractSharedCtx(ctx, tr, workers)
 	if err != nil {
@@ -177,14 +196,15 @@ func AnalyzeParallelCtx(ctx context.Context, tr *recorder.Trace, workers int) (*
 	}
 	an := &Analysis{}
 	var sessionSig, commitSig core.ConflictSignature
+	var hb *core.HB
 
-	// The scatter/gather fans the four passes out as named spans under one
+	// The scatter/gather fans the passes out as named spans under one
 	// root, so a -trace-spans export shows which pass dominates the wall
 	// clock and how the passes overlap.
 	root := obs.Default().Tracer().Start("analyze", "semfs")
 	defer root.End()
 	var wg sync.WaitGroup
-	errs := make([]error, 4)
+	errs := make([]error, 6)
 	launch := func(i int, name string, f func() error) {
 		wg.Add(1)
 		go func() {
@@ -224,6 +244,14 @@ func AnalyzeParallelCtx(ctx context.Context, tr *recorder.Trace, workers int) (*
 		an.MetaSignature = core.MetaSignatureOf(an.MetaConflicts)
 		return nil
 	})
+	launch(4, "hb", func() error {
+		hb, an.HBErr = core.BuildHB(tr)
+		return nil
+	})
+	launch(5, "report", func() error {
+		an.Report = report.BuildRunReportFrom(tr, fas)
+		return nil
+	})
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -231,49 +259,45 @@ func AnalyzeParallelCtx(ctx context.Context, tr *recorder.Trace, workers int) (*
 		}
 	}
 
+	for i := range an.Report.Files {
+		f := &an.Report.Files[i]
+		f.SessionConflicts = len(an.SessionConflicts[f.Path])
+		f.CommitConflicts = len(an.CommitConflicts[f.Path])
+	}
+	if an.HBErr == nil {
+		for _, fa := range fas {
+			an.Unordered = append(an.Unordered, core.ValidateConflicts(hb, an.SessionConflicts[fa.Path])...)
+		}
+	}
 	an.Verdict = core.VerdictFrom(sessionSig, commitSig)
 	return an, nil
 }
 
 // ValidateSynchronization performs the §5.2 check: every conflict detected
 // under session semantics must be ordered by the application's MPI
-// synchronization. It returns the unordered pairs (nil for race-free
-// applications) in path order, each file's pairs in report order.
+// synchronization. It is a view over a serial AnalyzeParallelCtx: the
+// unordered pairs (nil for race-free applications) in path order, each
+// file's pairs in report order, or the happens-before build's error.
 func ValidateSynchronization(tr *recorder.Trace) ([]core.Conflict, error) {
-	hb, err := core.BuildHB(tr)
+	an, err := AnalyzeParallelCtx(context.Background(), tr, 1)
 	if err != nil {
 		return nil, err
 	}
-	fas, err := core.ExtractSharedCtx(context.Background(), tr, 1)
-	if err != nil {
-		return nil, err
+	if an.HBErr != nil {
+		return nil, an.HBErr
 	}
-	byFile, _ := core.ConflictsOverFiles(fas, pfs.Session)
-	var unordered []core.Conflict
-	for _, fa := range fas {
-		unordered = append(unordered, core.ValidateConflicts(hb, byFile[fa.Path])...)
-	}
-	return unordered, nil
+	return an.Unordered, nil
 }
-
-// Report builds the per-run digest (function counters, size histogram,
-// per-file conflict summary) the paper's published artifact ships with each
-// trace. Render it with its Render method.
-func Report(tr *recorder.Trace) *report.RunReport { return report.BuildRunReport(tr) }
 
 // Trace re-exports the recorder's trace type for callers that hold loaded
 // traces without importing internal packages.
 type Trace = recorder.Trace
 
-// SaveTrace persists a trace as a directory of per-rank binary streams in
-// the columnar format (see internal/recorder/colfmt). Use SaveTraceFormat
-// to write the v1 record-framed format for old readers.
-func SaveTrace(dir string, tr *recorder.Trace) error {
-	return colfmt.SaveDirOn(storage.OS(), dir, tr, colfmt.FormatColumnar)
-}
-
-// SaveTraceOn is SaveTrace against an explicit storage backend (see
-// internal/storage.ParseSpec for backend construction).
+// SaveTraceOn persists a trace as a directory of per-rank binary streams
+// in the columnar format (see internal/recorder/colfmt) on a storage
+// backend (see internal/storage.ParseSpec for backend construction; use
+// storage.OS() for the local file system). Use SaveTraceFormatOn to write
+// the v1 record-framed format for old readers.
 func SaveTraceOn(b storage.Backend, dir string, tr *recorder.Trace) error {
 	return colfmt.SaveDirOn(b, dir, tr, colfmt.FormatColumnar)
 }
@@ -290,53 +314,33 @@ const (
 // ParseTraceFormat parses a trace format name ("columnar" or "v1").
 func ParseTraceFormat(s string) (TraceFormat, error) { return colfmt.ParseFormat(s) }
 
-// SaveTraceFormat is SaveTrace with an explicit on-disk format.
-func SaveTraceFormat(dir string, tr *recorder.Trace, f TraceFormat) error {
-	return colfmt.SaveDirOn(storage.OS(), dir, tr, f)
-}
-
-// SaveTraceFormatOn is SaveTraceFormat against an explicit storage backend.
+// SaveTraceFormatOn is SaveTraceOn with an explicit on-disk format.
 func SaveTraceFormatOn(b storage.Backend, dir string, tr *recorder.Trace, f TraceFormat) error {
 	return colfmt.SaveDirOn(b, dir, tr, f)
 }
 
-// LoadTrace loads a trace written by SaveTrace, sniffing each rank file's
-// format (columnar or v1 — mixed directories are fine) and decoding ranks
-// in parallel across workers (0 means GOMAXPROCS).
-func LoadTrace(dir string, workers int) (*recorder.Trace, error) {
-	return colfmt.LoadDirOn(storage.OS(), dir, workers)
-}
-
-// LoadTraceOn is LoadTrace against an explicit storage backend.
+// LoadTraceOn loads a trace written by SaveTraceOn from a storage backend,
+// sniffing each rank file's format (columnar or v1 — mixed directories are
+// fine) and decoding ranks in parallel across workers (0 means GOMAXPROCS).
 func LoadTraceOn(b storage.Backend, dir string, workers int) (*recorder.Trace, error) {
 	return colfmt.LoadDirOn(b, dir, workers)
 }
 
-// ConvertTrace rewrites a trace directory into the requested format at a
-// new path (src and dst must differ), returning the loaded trace.
-func ConvertTrace(src, dst string, f TraceFormat, workers int) (*recorder.Trace, error) {
-	return colfmt.ConvertDirOn(storage.OS(), src, dst, f, workers)
-}
-
-// ConvertTraceOn is ConvertTrace against an explicit storage backend.
+// ConvertTraceOn rewrites a trace directory on a storage backend into the
+// requested format at a new path (src and dst must differ), returning the
+// loaded trace.
 func ConvertTraceOn(b storage.Backend, src, dst string, f TraceFormat, workers int) (*recorder.Trace, error) {
 	return colfmt.ConvertDirOn(b, src, dst, f, workers)
 }
 
-// Salvage re-exports the degraded-mode load report (see LoadTraceLenient).
+// Salvage re-exports the degraded-mode load report (see LoadTraceLenientOn).
 type Salvage = recorder.Salvage
 
-// LoadTraceLenient loads a trace in degraded mode: truncated rank streams
-// contribute their valid prefix, unreadable ones are skipped, and the
-// Salvage reports exactly what was lost — so a damaged trace can still be
-// analyzed instead of aborting the pipeline. It fails only when the
-// metadata is unusable or no records survive at all.
-func LoadTraceLenient(dir string, workers int) (*recorder.Trace, *Salvage, error) {
-	return colfmt.LoadDirLenientOn(storage.OS(), dir, workers)
-}
-
-// LoadTraceLenientOn is LoadTraceLenient against an explicit storage
-// backend.
+// LoadTraceLenientOn loads a trace from a storage backend in degraded
+// mode: truncated rank streams contribute their valid prefix, unreadable
+// ones are skipped, and the Salvage reports exactly what was lost — so a
+// damaged trace can still be analyzed instead of aborting the pipeline. It
+// fails only when the metadata is unusable or no records survive at all.
 func LoadTraceLenientOn(b storage.Backend, dir string, workers int) (*recorder.Trace, *Salvage, error) {
 	return colfmt.LoadDirLenientOn(b, dir, workers)
 }

@@ -11,6 +11,8 @@ import (
 
 	"repro/internal/recorder"
 	"repro/internal/recorder/colfmt"
+	"repro/internal/report"
+	"repro/internal/storage"
 )
 
 // analyzeSerial runs the analysis on a pool of one.
@@ -72,10 +74,10 @@ func TestTraceRoundTripThroughDisk(t *testing.T) {
 		t.Fatal(err, res.Err())
 	}
 	dir := filepath.Join(t.TempDir(), "trace")
-	if err := SaveTrace(dir, res.Trace); err != nil {
+	if err := SaveTraceOn(storage.OS(), dir, res.Trace); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadTrace(dir, 0)
+	got, err := LoadTraceOn(storage.OS(), dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +106,8 @@ func TestValidateSynchronization(t *testing.T) {
 }
 
 // TestValidateSynchronizationDeterministic: unsynchronized pairs in two
-// files come back in path order, identically on every call.
+// files come back in path order, identically on every call, and equal the
+// analysis's own Unordered view.
 func TestValidateSynchronizationDeterministic(t *testing.T) {
 	res, err := RunCustom("two-file-race", RunOptions{Ranks: 4}, func(ctx *Ctx) error {
 		for _, path := range []string{"/b", "/a"} {
@@ -131,6 +134,15 @@ func TestValidateSynchronizationDeterministic(t *testing.T) {
 	if len(want) < 2 || want[0].Path != "/a" || want[len(want)-1].Path != "/b" {
 		t.Fatalf("want unordered pairs on /a then /b, got %v", want)
 	}
+	for _, w := range []int{1, 4} {
+		an, err := AnalyzeParallelCtx(context.Background(), res.Trace, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if an.HBErr != nil || !reflect.DeepEqual(an.Unordered, want) {
+			t.Fatalf("workers=%d: Analysis.Unordered = %v (HBErr %v), ValidateSynchronization = %v", w, an.Unordered, an.HBErr, want)
+		}
+	}
 	for i := 0; i < 20; i++ {
 		got, err := ValidateSynchronization(res.Trace)
 		if err != nil {
@@ -147,12 +159,42 @@ func TestReportFacade(t *testing.T) {
 	if err != nil || res.Err() != nil {
 		t.Fatal(err, res.Err())
 	}
-	rep := Report(res.Trace)
+	rep := analyzeSerial(t, res.Trace).Report
 	if rep.Config != "GAMESS" || rep.BytesWritten == 0 {
 		t.Fatalf("report = %+v", rep)
 	}
 	if out := rep.Render(); len(out) == 0 {
 		t.Fatal("empty render")
+	}
+}
+
+// TestRunReportConflictColumns: the report's per-file conflict columns are
+// read off the analysis's one conflict sweep.
+func TestRunReportConflictColumns(t *testing.T) {
+	res, err := Run("NWChem", RunOptions{Ranks: 8, PPN: 2})
+	if err != nil || res.Err() != nil {
+		t.Fatal(err, res.Err())
+	}
+	an := analyzeSerial(t, res.Trace)
+	var trj *report.FileReport
+	for i := range an.Report.Files {
+		f := &an.Report.Files[i]
+		if f.SessionConflicts != len(an.SessionConflicts[f.Path]) || f.CommitConflicts != len(an.CommitConflicts[f.Path]) {
+			t.Fatalf("%s: report columns %d/%d, analysis %d/%d", f.Path, f.SessionConflicts, f.CommitConflicts,
+				len(an.SessionConflicts[f.Path]), len(an.CommitConflicts[f.Path]))
+		}
+		if f.Path == "/md.trj" {
+			trj = f
+		}
+	}
+	if trj == nil {
+		t.Fatal("trajectory file missing from report")
+	}
+	if trj.SessionConflicts == 0 || trj.CommitConflicts == 0 {
+		t.Fatalf("trajectory conflicts not counted: %+v", trj)
+	}
+	if trj.Ranks != 1 {
+		t.Fatalf("trajectory written by %d ranks", trj.Ranks)
 	}
 }
 
@@ -226,7 +268,7 @@ func TestAnalyzeParallelCtxCancelledAndLenientLoad(t *testing.T) {
 	// A trace with one truncated rank stream still loads and analyzes in
 	// degraded mode, with the loss accounted for.
 	dir := filepath.Join(t.TempDir(), "trace")
-	if err := SaveTrace(dir, res.Trace); err != nil {
+	if err := SaveTraceOn(storage.OS(), dir, res.Trace); err != nil {
 		t.Fatal(err)
 	}
 	// Columnar salvage is block-granular, so re-encode rank 3 with small
@@ -240,7 +282,7 @@ func TestAnalyzeParallelCtxCancelledAndLenientLoad(t *testing.T) {
 	if err := os.WriteFile(streamPath, enc.Bytes()[:enc.Len()/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, sal, err := LoadTraceLenient(dir, 0)
+	got, sal, err := LoadTraceLenientOn(storage.OS(), dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
