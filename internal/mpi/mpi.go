@@ -10,6 +10,19 @@
 // Every call emits an MPI-layer trace record carrying enough matching
 // information (peer/tag/sequence numbers) for the analyzer to reconstruct
 // the happens-before graph from the trace alone.
+//
+// Collective payloads are copied once, when a rank deposits them, and the
+// released round is shared: the byte slices Bcast, Gather, Allgather,
+// Scatter and Alltoall return are read-only and may be the same slices
+// other ranks receive, while the caller may reuse its own deposit buffer as
+// soon as the call returns. A collective therefore costs O(total payload),
+// not O(ranks × total payload). Every caller in the module only reads its
+// results: mpiio's two-phase WriteAtAll/WriteAll decode the gathered
+// requests and writeDomain copies each piece into a fresh run buffer before
+// merging; ReadAtAll copies out of both phases' slots into its own result;
+// the apps' Gather calls (lammps, chem, physics) pass parts straight to
+// Write/Fwrite/Dataset.Write/PutRecord, and the file system copies written
+// bytes; apps' readInput drops its Bcast result.
 package mpi
 
 import (
@@ -247,32 +260,41 @@ func (p *Proc) Barrier() {
 	p.collective(recorder.FuncMPIBarrier, -1, nil, 0)
 }
 
-// Bcast distributes root's data to every rank and returns it.
+// Bcast distributes root's data to every rank and returns it. The result
+// is read-only and shared with every other rank; data may be reused once
+// Bcast returns.
 func (p *Proc) Bcast(root int, data []byte) []byte {
-	r := p.collective(recorder.FuncMPIBcast, root, data, int64(len(data)))
-	return append([]byte(nil), r.slots[root]...)
+	bytes := int64(len(data))
+	if p.rank != root {
+		data = nil // only root's payload is delivered, so only root's is copied
+	}
+	r := p.collective(recorder.FuncMPIBcast, root, data, bytes)
+	return r.slots[root]
 }
 
 // Gather collects every rank's data at root. Root receives a slice indexed
-// by rank; other ranks receive nil.
+// by rank; other ranks receive nil. The slots are read-only; data may be
+// reused once Gather returns.
 func (p *Proc) Gather(root int, data []byte) [][]byte {
 	r := p.collective(recorder.FuncMPIGather, root, data, int64(len(data)))
 	if p.rank != root {
 		return nil
 	}
-	return copySlots(r.slots)
+	return r.slots
 }
 
-// Allgather collects every rank's data at every rank.
+// Allgather collects every rank's data at every rank. The returned slice
+// and its slots are read-only and shared with every other rank; data may be
+// reused once Allgather returns.
 func (p *Proc) Allgather(data []byte) [][]byte {
 	r := p.collective(recorder.FuncMPIAllgather, -1, data, int64(len(data)))
-	return copySlots(r.slots)
+	return r.slots
 }
 
 // Scatter distributes parts[i] from root to rank i. Non-root ranks pass nil
-// parts.
+// parts. The result is read-only (no other rank receives it); root may
+// reuse parts once Scatter returns.
 func (p *Proc) Scatter(root int, parts [][]byte) []byte {
-	var mine []byte
 	var size int64
 	if p.rank == root {
 		if len(parts) != p.Size() {
@@ -283,8 +305,7 @@ func (p *Proc) Scatter(root int, parts [][]byte) []byte {
 		}
 	}
 	r := p.collectiveScatter(root, parts, size)
-	mine = append([]byte(nil), r.scatter[p.rank]...)
-	return mine
+	return r.scatter[p.rank]
 }
 
 func (p *Proc) collectiveScatter(root int, parts [][]byte, bytes int64) *round {
@@ -314,6 +335,8 @@ func (p *Proc) Allreduce(value int64, op Op) int64 {
 }
 
 // Alltoall sends parts[i] to rank i and returns what each rank sent here.
+// The returned parts are read-only (no other rank receives them); parts may
+// be reused once Alltoall returns.
 func (p *Proc) Alltoall(parts [][]byte) [][]byte {
 	if len(parts) != p.Size() {
 		panic("mpi: Alltoall needs one part per rank")
@@ -329,8 +352,8 @@ func (p *Proc) Alltoall(parts [][]byte) [][]byte {
 	p.clock.Advance(cost)
 	p.emit(recorder.FuncMPIAlltoall, ts, -1, bytes, r.seq)
 	out := make([][]byte, p.Size())
-	for src := 0; src < p.Size(); src++ {
-		out[src] = append([]byte(nil), r.alltoall[src][p.rank]...)
+	for src := range out {
+		out[src] = r.alltoall[src][p.rank]
 	}
 	return out
 }
@@ -346,14 +369,6 @@ func (p *Proc) Compute(units int) {
 
 // Clock exposes the rank's clock (used by the I/O layers sharing it).
 func (p *Proc) Clock() *sim.Clock { return p.clock }
-
-func copySlots(slots [][]byte) [][]byte {
-	out := make([][]byte, len(slots))
-	for i, s := range slots {
-		out[i] = append([]byte(nil), s...)
-	}
-	return out
-}
 
 func reduceSlots(slots [][]byte, op Op) int64 {
 	acc := decodeInt64(slots[0])

@@ -1,12 +1,16 @@
 package mpi
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // rendezvous implements the collective meeting point. SPMD programs call
 // collectives in the same order on every rank, so a single rendezvous per
-// communicator suffices; each completed round is immutable once released, so
-// a fast rank may begin the next round while slow ranks still read the
-// previous one.
+// communicator suffices. Every deposit is copied on arrival, so a round owns
+// its payloads and is immutable once released: a fast rank may reuse its
+// buffers and begin the next round while slow ranks still read the previous
+// one, and all ranks read the released round's slices without copying them.
 type rendezvous struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -72,12 +76,13 @@ func (rv *rendezvous) depart() {
 	}
 }
 
-// arrive deposits data for rank and blocks until all ranks arrive.
+// arrive deposits a copy of data for rank and blocks until all ranks arrive.
 func (rv *rendezvous) arrive(rank int, clock uint64, data []byte) *round {
+	own := clone(data) // data itself does not escape, so callers may pass stack buffers
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
 	r := rv.beginLocked()
-	r.slots[rank] = data
+	r.slots[rank] = own
 	if clock > r.maxClock {
 		r.maxClock = clock
 	}
@@ -85,8 +90,12 @@ func (rv *rendezvous) arrive(rank int, clock uint64, data []byte) *round {
 	return r
 }
 
-// arriveScatter is arrive for scatter: only root deposits the parts.
+// arriveScatter is arrive for scatter: only root deposits (copies of) the
+// parts.
 func (rv *rendezvous) arriveScatter(rank int, clock uint64, root int, parts [][]byte) *round {
+	if rank == root {
+		parts = cloneParts(parts)
+	}
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
 	r := rv.beginLocked()
@@ -100,8 +109,10 @@ func (rv *rendezvous) arriveScatter(rank int, clock uint64, root int, parts [][]
 	return r
 }
 
-// arriveAlltoall is arrive for alltoall: every rank deposits a part vector.
+// arriveAlltoall is arrive for alltoall: every rank deposits (copies of) a
+// part vector.
 func (rv *rendezvous) arriveAlltoall(rank int, clock uint64, parts [][]byte) *round {
+	parts = cloneParts(parts)
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
 	r := rv.beginLocked()
@@ -114,4 +125,19 @@ func (rv *rendezvous) arriveAlltoall(rank int, clock uint64, parts [][]byte) *ro
 	}
 	rv.finishLocked(r)
 	return r
+}
+
+// clone copies a deposit, nil when empty. The copy's capacity is clipped to
+// its length, so an append to a shared result reallocates instead of
+// writing into memory another rank can see.
+func clone(b []byte) []byte {
+	return slices.Clip(append([]byte(nil), b...))
+}
+
+func cloneParts(parts [][]byte) [][]byte {
+	out := make([][]byte, len(parts))
+	for i, pt := range parts {
+		out[i] = clone(pt)
+	}
+	return out
 }

@@ -222,9 +222,21 @@ func encodeRequest(off int64, data []byte) []byte {
 }
 
 func decodeRequest(b []byte) (off int64, data []byte) {
-	off = int64(binary.LittleEndian.Uint64(b[0:8]))
-	n := int64(binary.LittleEndian.Uint64(b[8:16]))
+	off, n := decodeExtent(b)
 	return off, b[16 : 16+n]
+}
+
+// encodeExtent is a request header alone: the (offset, length) a collective
+// read asks for, without a payload.
+func encodeExtent(off, n int64) []byte {
+	buf := make([]byte, 16)
+	binary.LittleEndian.PutUint64(buf[0:8], uint64(off))
+	binary.LittleEndian.PutUint64(buf[8:16], uint64(n))
+	return buf
+}
+
+func decodeExtent(b []byte) (off, n int64) {
+	return int64(binary.LittleEndian.Uint64(b[0:8])), int64(binary.LittleEndian.Uint64(b[8:16]))
 }
 
 // WriteAtAll performs a collective write: every rank contributes (off, data)
@@ -250,7 +262,14 @@ func (f *File) WriteAll(data []byte) error {
 	return err
 }
 
+// aggregateWrite is the write phase of two-phase I/O over the allgathered
+// requests (read-only slots shared with every rank). Only aggregators
+// decode them: the others do no file I/O in the write phase.
 func (f *File) aggregateWrite(slots [][]byte) error {
+	myIdx := f.aggIndex()
+	if myIdx < 0 {
+		return nil
+	}
 	reqs := make([]request, 0, len(slots))
 	payloads := make([][]byte, len(slots))
 	var lo, hi int64
@@ -273,16 +292,6 @@ func (f *File) aggregateWrite(slots [][]byte) error {
 	if first {
 		return nil // nothing to write anywhere
 	}
-	myIdx := -1
-	for i, a := range f.aggs {
-		if a == f.comm.Rank() {
-			myIdx = i
-			break
-		}
-	}
-	if myIdx < 0 {
-		return nil // non-aggregators do no file I/O in the write phase
-	}
 	for _, dom := range f.domains(myIdx, lo, hi) {
 		if err := f.writeDomain(reqs, payloads, dom[0], dom[1]); err != nil {
 			return err
@@ -291,18 +300,32 @@ func (f *File) aggregateWrite(slots [][]byte) error {
 	return nil
 }
 
+// aggIndex returns this rank's position among the aggregators, or -1.
+func (f *File) aggIndex() int {
+	for i, a := range f.aggs {
+		if a == f.comm.Rank() {
+			return i
+		}
+	}
+	return -1
+}
+
+// span returns aggregator idx's contiguous share [dLo, dHi) of [lo, hi);
+// it is empty (dLo >= dHi) when there are more aggregators than bytes.
+func (f *File) span(idx int, lo, hi int64) (dLo, dHi int64) {
+	nAgg := int64(len(f.aggs))
+	width := (hi - lo + nAgg - 1) / nAgg
+	dLo = lo + int64(idx)*width
+	return dLo, min(dLo+width, hi)
+}
+
 // domains returns the file-domain ranges owned by aggregator idx over
 // [lo, hi): one contiguous span by default, or round-robin blocks of
 // CBBufferSize with CyclicDomains.
 func (f *File) domains(idx int, lo, hi int64) [][2]int64 {
 	nAgg := int64(len(f.aggs))
 	if !f.opts.CyclicDomains {
-		span := (hi - lo + nAgg - 1) / nAgg
-		dLo := lo + int64(idx)*span
-		dHi := dLo + span
-		if dHi > hi {
-			dHi = hi
-		}
+		dLo, dHi := f.span(idx, lo, hi)
 		if dLo >= dHi {
 			return nil
 		}
@@ -347,112 +370,78 @@ func (f *File) writeDomain(reqs []request, payloads [][]byte, dLo, dHi int64) er
 		}
 		pieces = append(pieces, piece{off: pLo, data: data})
 	}
-	if len(pieces) == 0 {
-		return nil
-	}
 	sort.Slice(pieces, func(i, j int) bool { return pieces[i].off < pieces[j].off })
-	var runOff int64
-	var run []byte
-	flush := func() error {
+	for i := 0; i < len(pieces); {
+		// A run is a maximal chain of overlapping or adjacent pieces; it is
+		// sized once and filled in offset order, so on overlap the later
+		// piece wins.
+		runOff := pieces[i].off
+		end := runOff + int64(len(pieces[i].data))
+		j := i + 1
+		for ; j < len(pieces) && pieces[j].off <= end; j++ {
+			end = max(end, pieces[j].off+int64(len(pieces[j].data)))
+		}
+		run := make([]byte, end-runOff)
+		for _, pc := range pieces[i:j] {
+			copy(run[pc.off-runOff:], pc.data)
+		}
 		for len(run) > 0 {
-			chunk := run
-			if int64(len(chunk)) > f.opts.CBBufferSize {
-				chunk = chunk[:f.opts.CBBufferSize]
-			}
+			chunk := run[:min(int64(len(run)), f.opts.CBBufferSize)]
 			if _, err := f.os.Pwrite(f.fd, chunk, runOff); err != nil {
 				return err
 			}
 			runOff += int64(len(chunk))
 			run = run[len(chunk):]
 		}
-		return nil
+		i = j
 	}
-	for _, pc := range pieces {
-		if run == nil {
-			runOff, run = pc.off, append([]byte(nil), pc.data...)
-			continue
-		}
-		end := runOff + int64(len(run))
-		switch {
-		case pc.off == end:
-			run = append(run, pc.data...)
-		case pc.off < end:
-			// Overlapping contributions: later rank wins within the run.
-			overlap := end - pc.off
-			if overlap >= int64(len(pc.data)) {
-				copy(run[pc.off-runOff:], pc.data)
-			} else {
-				copy(run[pc.off-runOff:], pc.data[:overlap])
-				run = append(run, pc.data[overlap:]...)
-			}
-		default:
-			if err := flush(); err != nil {
-				return err
-			}
-			runOff, run = pc.off, append([]byte(nil), pc.data...)
-		}
-	}
-	return flush()
+	return nil
 }
 
 // ReadAtAll performs a collective read: aggregators read contiguous domains
 // and the data is redistributed to the requesting ranks.
 func (f *File) ReadAtAll(off, n int64) ([]byte, error) {
 	ts := f.os.Clock().Stamp()
-	slots := f.comm.Allgather(encodeRequest(f.disp+off, make([]byte, n)))
+	slots := f.comm.Allgather(encodeExtent(f.disp+off, n))
 	// Phase 1: every aggregator reads the union range restricted to its domain.
 	var lo, hi int64
 	first := true
 	for _, s := range slots {
-		o, d := decodeRequest(s)
-		if len(d) == 0 {
+		o, l := decodeExtent(s)
+		if l <= 0 {
 			continue
 		}
 		if first || o < lo {
 			lo = o
 		}
-		if first || o+int64(len(d)) > hi {
-			hi = o + int64(len(d))
+		if first || o+l > hi {
+			hi = o + l
 		}
 		first = false
 	}
 	var domain []byte
 	var dLo int64
-	if !first {
-		for i, a := range f.aggs {
-			if a != f.comm.Rank() {
-				continue
-			}
-			nAgg := int64(len(f.aggs))
-			span := (hi - lo + nAgg - 1) / nAgg
-			dLo = lo + int64(i)*span
-			dHi := dLo + span
-			if dHi > hi {
-				dHi = hi
-			}
-			if dLo < dHi {
-				var err error
-				domain, err = f.os.Pread(f.fd, dHi-dLo, dLo)
-				if err != nil {
-					return nil, err
-				}
+	if i := f.aggIndex(); !first && i >= 0 {
+		var dHi int64
+		dLo, dHi = f.span(i, lo, hi)
+		if dLo < dHi {
+			var err error
+			domain, err = f.os.Pread(f.fd, dHi-dLo, dLo)
+			if err != nil {
+				return nil, err
 			}
 		}
 	}
-	// Phase 2: redistribute aggregator buffers to everyone.
+	// Phase 2: redistribute aggregator buffers to everyone; each rank copies
+	// the overlap of every domain with [want, want+n).
 	all := f.comm.Allgather(encodeRequest(dLo, domain))
 	out := make([]byte, n)
 	want := f.disp + off
 	for _, s := range all {
 		o, d := decodeRequest(s)
-		if len(d) == 0 {
-			continue
-		}
-		for i := int64(0); i < int64(len(d)); i++ {
-			pos := o + i - want
-			if pos >= 0 && pos < n {
-				out[pos] = d[i]
-			}
+		lo, hi := max(o, want), min(o+int64(len(d)), want+n)
+		if lo < hi {
+			copy(out[lo-want:hi-want], d[lo-o:hi-o])
 		}
 	}
 	emit(f, recorder.FuncMPIFileReadAtAll, ts, "", int64(f.fd), n, off)

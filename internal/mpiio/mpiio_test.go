@@ -144,31 +144,77 @@ func TestCollectiveWriteWithGaps(t *testing.T) {
 	})
 }
 
+// TestCollectiveReadAtAll runs collective reads whose requests are
+// disjoint, overlap, differ in length, are empty on some or all ranks, or
+// run past EOF, across one to three aggregators, and checks each rank's
+// result against an independent read of the same range (zero-filled past
+// EOF).
 func TestCollectiveReadAtAll(t *testing.T) {
-	run(t, 4, 2, func(ctx *harness.Ctx) error {
-		f, err := Open(ctx.MPI, ctx.OS, ctx.Tracer, "/cr", ModeCreate|ModeRdwr, Options{})
-		if err != nil {
-			return err
-		}
-		if ctx.Rank == 0 {
-			if err := f.WriteAt(0, []byte("aaaabbbbccccdddd")); err != nil {
+	const ranks, ppn, size = 6, 2, 500 // 3 nodes → up to 3 aggregators
+	cases := []struct {
+		name string
+		req  func(rank int) (off, n int64)
+	}{
+		{"disjoint", func(r int) (int64, int64) { return int64(r) * 16, 16 }},
+		{"overlapping", func(r int) (int64, int64) { return int64(r) * 5, 40 }},
+		{"same-range", func(int) (int64, int64) { return 100, 77 }},
+		{"uneven", func(r int) (int64, int64) { return int64(r*r) * 11, int64(r)*13 + 1 }},
+		{"some-empty", func(r int) (int64, int64) {
+			if r%2 == 1 {
+				return int64(r) * 50, 0
+			}
+			return int64(r) * 31, 45
+		}},
+		{"all-empty", func(r int) (int64, int64) { return int64(r), 0 }},
+		{"one-rank", func(r int) (int64, int64) {
+			if r != 4 {
+				return 0, 0
+			}
+			return 123, 200
+		}},
+		{"past-eof", func(r int) (int64, int64) { return size - 30 + int64(r)*10, 50 }},
+	}
+	content := make([]byte, size)
+	for i := range content {
+		content[i] = byte(i*7 + i/13)
+	}
+	for cb := 1; cb <= 3; cb++ {
+		run(t, ranks, ppn, func(ctx *harness.Ctx) error {
+			f, err := Open(ctx.MPI, ctx.OS, ctx.Tracer, "/crm", ModeCreate|ModeRdwr, Options{CBNodes: cb})
+			if err != nil {
 				return err
 			}
-		}
-		ctx.MPI.Barrier()
-		got, err := f.ReadAtAll(int64(ctx.Rank)*4, 4)
-		if err != nil {
-			return err
-		}
-		want := bytes.Repeat([]byte{byte('a' + ctx.Rank)}, 4)
-		if !bytes.Equal(got, want) {
-			ctx.Failf("collective read = %q, want %q", got, want)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		return ctx.Failures()
-	})
+			if len(f.Aggregators()) != cb {
+				ctx.Failf("%d aggregators, want %d", len(f.Aggregators()), cb)
+			}
+			if ctx.Rank == 0 {
+				if err := f.WriteAt(0, content); err != nil {
+					return err
+				}
+			}
+			ctx.MPI.Barrier()
+			for _, tc := range cases {
+				off, n := tc.req(ctx.Rank)
+				got, err := f.ReadAtAll(off, n)
+				if err != nil {
+					return err
+				}
+				ref, err := f.ReadAt(off, n)
+				if err != nil {
+					return err
+				}
+				want := make([]byte, n)
+				copy(want, ref)
+				if !bytes.Equal(got, want) {
+					ctx.Failf("cb_nodes=%d %s: rank %d read [%d,+%d) = %v, want %v", cb, tc.name, ctx.Rank, off, n, got, want)
+				}
+			}
+			if err := f.Close(); err != nil {
+				return err
+			}
+			return ctx.Failures()
+		})
+	}
 }
 
 func TestSetViewDisplacement(t *testing.T) {
