@@ -22,14 +22,17 @@
 // (internal/consistency); the cross-model cost table is printed and any
 // spec rejection is reported with its counterexample clause.
 //
+// The report goes to standard output through one buffered writer.
+//
 // Exit codes: 0 = clean trace, 1 = the trace could not be loaded or
-// analyzed, 2 = usage error, 3 = the analysis itself succeeded but found
-// conflicts (unsynchronized pairs when -validate is on, any conflicting
-// pairs otherwise) — or, under -check-consistency, a model's history was
-// rejected by its formal spec.
+// analyzed, or the output could not be written, 2 = usage error, 3 = the
+// analysis itself succeeded but found conflicts (unsynchronized pairs when
+// -validate is on, any conflicting pairs otherwise) — or, under
+// -check-consistency, a model's history was rejected by its formal spec.
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"flag"
@@ -54,7 +57,7 @@ import (
 
 const (
 	exitClean     = 0
-	exitError     = 1 // load or analysis failure
+	exitError     = 1 // load, analysis or output failure
 	exitUsage     = 2
 	exitConflicts = 3 // analysis completed and found conflicts
 )
@@ -115,7 +118,10 @@ func run() (code int) {
 		var sal *semfs.Salvage
 		tr, sal, err = semfs.LoadTraceLenientOn(backend, *dir, *workers)
 		if sal != nil {
-			fmt.Println(sal)
+			if _, werr := fmt.Println(sal); werr != nil {
+				fmt.Fprintln(os.Stderr, "semanalyze:", werr)
+				return exitError
+			}
 		}
 	} else {
 		tr, err = semfs.LoadTraceOn(backend, *dir, *workers)
@@ -150,14 +156,20 @@ func run() (code int) {
 
 	if *resume {
 		if blob, ok := store.Lookup(key); ok && len(blob) >= 1 {
-			os.Stdout.Write(blob[1:])
+			if _, err := os.Stdout.Write(blob[1:]); err != nil {
+				fmt.Fprintln(os.Stderr, "semanalyze:", err)
+				return exitError
+			}
 			return int(blob[0])
 		}
 	}
 
 	var buf bytes.Buffer
 	code = analyze(&buf, tr, *validate, *maxShow, *full, *workers)
-	os.Stdout.Write(buf.Bytes())
+	if _, err := os.Stdout.Write(buf.Bytes()); err != nil {
+		fmt.Fprintln(os.Stderr, "semanalyze:", err)
+		return exitError
+	}
 	if code == exitClean || code == exitConflicts {
 		// Journal only completed analyses: an error exit must re-run on
 		// resume, and a failed append must not pretend to be durable.
@@ -175,7 +187,7 @@ func run() (code int) {
 // model's executable formal spec. The trace supplies the configuration
 // name and scale; the runs themselves are fresh (a saved trace does not
 // carry the op-level payloads the checker needs).
-func checkConsistency(w io.Writer, tr *semfs.Trace) int {
+func checkConsistency(w io.Writer, tr *semfs.Trace) (code int) {
 	name := tr.Meta.ConfigName()
 	if _, ok := apps.Lookup(name); !ok {
 		fmt.Fprintf(os.Stderr, "semanalyze: -check-consistency: configuration %q is not in the application registry\n", name)
@@ -193,6 +205,9 @@ func checkConsistency(w io.Writer, tr *semfs.Trace) int {
 		fmt.Fprintln(os.Stderr, "semanalyze: -check-consistency:", err)
 		return exitError
 	}
+	out := bufio.NewWriter(w)
+	defer func() { code = flushed(out, code) }()
+	w = out
 	fmt.Fprint(w, experiments.ConsistencyTable(cells))
 	rejected := 0
 	for _, c := range cells {
@@ -209,11 +224,35 @@ func checkConsistency(w io.Writer, tr *semfs.Trace) int {
 	return exitClean
 }
 
-// analyze runs the one analysis over tr and writes its views to w: the run
-// report (with full), patterns, conflicts, census, metadata dependencies,
-// the happens-before validation (with validate) and the verdict. Hard
-// failures go to stderr directly — they are never part of a cached report.
-func analyze(w io.Writer, tr *semfs.Trace, validate bool, maxShow int, full bool, workers int) int {
+// flushed flushes a report's buffered writer and returns code, or
+// exitError after reporting a failed write or flush: a report that did not
+// reach its reader is not a result.
+func flushed(out *bufio.Writer, code int) int {
+	if err := out.Flush(); err != nil {
+		fmt.Fprintln(os.Stderr, "semanalyze:", err)
+		return exitError
+	}
+	return code
+}
+
+// analyze runs the one analysis over tr and writes its views to w through
+// one buffered writer: the run report (with full), patterns, conflicts,
+// census, metadata dependencies, the happens-before validation (with
+// validate) and the verdict. Hard failures go to stderr directly — they
+// are never part of a cached report.
+func analyze(w io.Writer, tr *semfs.Trace, validate bool, maxShow int, full bool, workers int) (code int) {
+	out := bufio.NewWriterSize(w, 64<<10)
+	defer func() { code = flushed(out, code) }()
+	w = out
+	// line is the one buffer every conflict line is formatted into.
+	var line []byte
+	writeConflict := func(indent string, c core.Conflict) {
+		line = append(line[:0], indent...)
+		line = c.AppendText(line)
+		line = append(line, '\n')
+		out.Write(line) // a failed write sticks to out; flushed reports it
+	}
+
 	fmt.Fprintf(w, "trace: %s — %d ranks, %d records\n\n", tr.Meta.ConfigName(), tr.Meta.Ranks, tr.NumRecords())
 
 	an, err := semfs.AnalyzeParallelCtx(context.Background(), tr, workers)
@@ -254,7 +293,7 @@ func analyze(w io.Writer, tr *semfs.Trace, validate bool, maxShow int, full bool
 					fmt.Fprintf(w, "    ... %d more\n", len(cs)-i)
 					break
 				}
-				fmt.Fprintf(w, "    %v\n", c)
+				writeConflict("    ", c)
 			}
 		}
 	}
@@ -304,7 +343,7 @@ func analyze(w io.Writer, tr *semfs.Trace, validate bool, maxShow int, full bool
 				if i >= maxShow {
 					break
 				}
-				fmt.Fprintf(w, "  %v\n", c)
+				writeConflict("  ", c)
 			}
 		}
 	}

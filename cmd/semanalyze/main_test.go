@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -78,5 +79,50 @@ func TestAnalyzeLostSends(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "Verdict:") {
 		t.Errorf("-validate=false printed no verdict:\n%s", buf.String())
+	}
+}
+
+// failAfter accepts n bytes and then fails every write, like a full disk.
+type failAfter struct{ n int }
+
+var errDiskFull = errors.New("no space left on device")
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) <= f.n {
+		f.n -= len(p)
+		return len(p), nil
+	}
+	n := f.n
+	f.n = 0
+	return n, errDiskFull
+}
+
+// TestAnalyzeWriteFailureExits1: a report that cannot be written in full
+// is an error (exit 1), whether the first write, a write in the middle or
+// only the final flush fails, on a clean trace and on one with races.
+func TestAnalyzeWriteFailureExits1(t *testing.T) {
+	for _, tc := range []struct {
+		app      string
+		validate bool
+		clean    int // exit code when the output is written in full
+	}{
+		{"NWChem", true, exitClean},
+		{"NWChem", false, exitConflicts},
+	} {
+		tr := runApp(t, tc.app)
+		var buf bytes.Buffer
+		if code := analyze(&buf, tr, tc.validate, 5, true, 1); code != tc.clean {
+			t.Fatalf("%s validate=%v: exit %d on a working writer, want %d", tc.app, tc.validate, code, tc.clean)
+		}
+		size := buf.Len()
+		for _, n := range []int{0, size / 2, size - 1} {
+			if code := analyze(&failAfter{n: n}, tr, tc.validate, 5, true, 1); code != exitError {
+				t.Errorf("%s validate=%v: writer failing after %d of %d bytes: exit %d, want %d",
+					tc.app, tc.validate, n, size, code, exitError)
+			}
+		}
+		if code := analyze(&failAfter{n: size}, tr, tc.validate, 5, true, 1); code != tc.clean {
+			t.Errorf("%s validate=%v: writer with room for exactly %d bytes: exit %d, want %d", tc.app, tc.validate, size, code, tc.clean)
+		}
 	}
 }

@@ -2,9 +2,9 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 
 	"repro/internal/pfs"
 )
@@ -36,15 +36,39 @@ type Conflict struct {
 	Second      Interval
 }
 
-func (c Conflict) String() string {
-	sd := "D"
+func (c Conflict) String() string { return string(c.AppendText(nil)) }
+
+// AppendText appends the conflict's one-line form to b and returns the
+// extended slice:
+//
+//	RAW-D /path [os,oe)@rR t=T -> [os,oe)@rR t=T
+//
+// (S for a same-process pair). It is the only conflict formatter; String
+// and the CLI's listings both go through it.
+func (c Conflict) AppendText(b []byte) []byte {
+	b = append(b, c.Kind.String()...)
 	if c.SameProcess {
-		sd = "S"
+		b = append(b, "-S "...)
+	} else {
+		b = append(b, "-D "...)
 	}
-	return fmt.Sprintf("%s-%s %s [%d,%d)@r%d t=%d -> [%d,%d)@r%d t=%d",
-		c.Kind, sd, c.Path,
-		c.First.Os, c.First.Oe, c.First.Rank, c.First.T,
-		c.Second.Os, c.Second.Oe, c.Second.Rank, c.Second.T)
+	b = append(b, c.Path...)
+	b = append(b, ' ')
+	b = c.First.appendText(b)
+	b = append(b, " -> "...)
+	return c.Second.appendText(b)
+}
+
+// appendText appends "[os,oe)@rR t=T".
+func (iv *Interval) appendText(b []byte) []byte {
+	b = append(b, '[')
+	b = strconv.AppendInt(b, iv.Os, 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, iv.Oe, 10)
+	b = append(b, ")@r"...)
+	b = strconv.AppendInt(b, int64(iv.Rank), 10)
+	b = append(b, " t="...)
+	return strconv.AppendUint(b, iv.T, 10)
 }
 
 // MaxConflictsPerFile caps the conflicts materialized for one (file, model)
@@ -208,12 +232,20 @@ func kindOf(second *Interval) ConflictKind {
 // writer's process at tc and an open by the reader's process at to exist
 // with t1 < tc < to < t2.
 func sessionOrdered(fa *FileAccesses, first, second *Interval) bool {
-	tc := firstAfter(fa.ClosesByRank[first.Rank], first.T)
+	w := fa.TimesOf(first.Rank)
+	if w == nil {
+		return false
+	}
+	tc := firstAfter(w.Closes, first.T)
 	if tc == NoTime || tc >= second.T {
 		return false
 	}
 	// An open by the second process strictly inside (tc, t2)?
-	opens := fa.OpensByRank[second.Rank]
+	r := fa.TimesOf(second.Rank)
+	if r == nil {
+		return false
+	}
+	opens := r.Opens
 	idx := sort.Search(len(opens), func(i int) bool { return opens[i] > tc })
 	return idx < len(opens) && opens[idx] < second.T
 }

@@ -6,24 +6,13 @@ import (
 	"repro/internal/pfs"
 )
 
-// mkFA builds a FileAccesses with explicit open/close/commit tables and
-// annotates the intervals.
+// mkFA builds a FileAccesses whose Ranks hold explicit open/close/commit
+// tables and annotates the intervals.
 func mkFA(path string, ivs []Interval, opens, closes, commits map[int32][]uint64) *FileAccesses {
 	fa := &FileAccesses{
-		Path:          path,
-		Intervals:     ivs,
-		OpensByRank:   opens,
-		ClosesByRank:  closes,
-		CommitsByRank: commits,
-	}
-	if fa.OpensByRank == nil {
-		fa.OpensByRank = map[int32][]uint64{}
-	}
-	if fa.ClosesByRank == nil {
-		fa.ClosesByRank = map[int32][]uint64{}
-	}
-	if fa.CommitsByRank == nil {
-		fa.CommitsByRank = map[int32][]uint64{}
+		Path:      path,
+		Intervals: ivs,
+		Ranks:     rankTables{opens: opens, closes: closes, commits: commits}.ranks(),
 	}
 	annotate(fa)
 	return fa

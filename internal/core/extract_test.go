@@ -175,8 +175,19 @@ func TestExtractMultiRank(t *testing.T) {
 	if len(ranks) != 4 {
 		t.Fatalf("ranks = %v", ranks)
 	}
-	if len(fa.OpensByRank) != 4 || len(fa.ClosesByRank) != 4 {
-		t.Fatal("open/close tables incomplete")
+	if len(fa.Ranks) != 4 {
+		t.Fatalf("per-rank tables = %+v, want one entry per rank", fa.Ranks)
+	}
+	for r, rt := range fa.Ranks {
+		if rt.Rank != int32(r) || len(rt.Opens) != 1 || len(rt.Closes) != 1 || len(rt.Commits) != 1 {
+			t.Fatalf("Ranks[%d] = %+v, want rank %d with one open, close and commit", r, rt, r)
+		}
+		if fa.TimesOf(int32(r)) != &fa.Ranks[r] {
+			t.Fatalf("TimesOf(%d) does not return Ranks[%d]", r, r)
+		}
+	}
+	if fa.TimesOf(4) != nil || fa.TimesOf(-1) != nil {
+		t.Fatal("TimesOf of an absent rank is not nil")
 	}
 }
 

@@ -13,23 +13,22 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/recorder"
 )
 
 // Interval is one data operation expanded with the fields the conflict
 // algorithm needs: the paper's tuple (t, r, os, oe, type) plus the
-// `to`/`tc` annotations of §5.2. Offsets are half-open: [Os, Oe).
+// `to`/`tc` annotations of §5.2. Offsets are half-open: [Os, Oe). The
+// 8-byte fields come first so the struct carries no padding between them.
 type Interval struct {
-	T     uint64 // entry timestamp
-	TEnd  uint64 // exit timestamp
-	Rank  int32
-	Os    int64
-	Oe    int64
-	Write bool
+	T    uint64 // entry timestamp
+	TEnd uint64 // exit timestamp
+	Os   int64
+	Oe   int64
 
 	// §5.2 record expansion, all with respect to this interval's rank and
 	// file: To is the time of the last preceding open; TcCommit the time of
@@ -39,28 +38,79 @@ type Interval struct {
 	TcCommit uint64
 	TcClose  uint64
 
-	// Origin is the I/O layer responsible for this operation: the outermost
-	// enclosing library-layer record, or LayerApp when the application
-	// called POSIX directly.
-	Origin recorder.Layer
 	// Phase identifies the enclosing library call (an index unique within
 	// the rank stream), used to group a rank's accesses issued by a single
 	// collective/library call. -1 when app-level.
 	Phase int
+
+	Rank  int32
+	Write bool
+	// Origin is the I/O layer responsible for this operation: the outermost
+	// enclosing library-layer record, or LayerApp when the application
+	// called POSIX directly.
+	Origin recorder.Layer
 }
 
 // NoTime marks a missing To/Tc annotation.
 const NoTime = ^uint64(0)
 
 // FileAccesses collects everything the analysis needs about one file.
+// Extraction shares one FileAccesses per file with every consumer, which
+// must treat it as read-only.
 type FileAccesses struct {
-	Path      string
-	Intervals []Interval // all ranks, unsorted across ranks (per-rank time order)
-	// Per-rank sorted operation times on this file.
-	OpensByRank   map[int32][]uint64
-	ClosesByRank  map[int32][]uint64
-	CommitsByRank map[int32][]uint64
+	Path string
+	// Intervals holds every rank's data operations (rank order, each rank in
+	// time order). It is a capacity-clipped slice of one arena shared by all
+	// of an extraction's files, so len == cap and an append copies.
+	Intervals []Interval
+	// Ranks holds the per-rank operation times on this file, sorted by
+	// rank, one entry per rank that opened, closed or committed it.
+	Ranks []RankTimes
 }
+
+// RankTimes is one rank's open, close and commit (fsync/fdatasync/fflush
+// or close) times on one file, in that rank's program order.
+type RankTimes struct {
+	Rank    int32
+	Opens   []uint64
+	Closes  []uint64
+	Commits []uint64
+}
+
+// TimesOf returns rank's time tables on the file, or nil when the rank
+// never opened, closed or committed it. Extraction appends ranks in
+// order, so the last entry is checked before the binary search.
+func (fa *FileAccesses) TimesOf(rank int32) *RankTimes {
+	n := len(fa.Ranks)
+	if n > 0 && fa.Ranks[n-1].Rank == rank {
+		return &fa.Ranks[n-1]
+	}
+	i, ok := slices.BinarySearchFunc(fa.Ranks, rank, cmpRank)
+	if !ok {
+		return nil
+	}
+	return &fa.Ranks[i]
+}
+
+// timesFor is TimesOf that inserts an empty entry, in rank order, for a
+// rank not yet present. The pointer is valid until the next insertion.
+func (fa *FileAccesses) timesFor(rank int32) *RankTimes {
+	n := len(fa.Ranks)
+	switch {
+	case n > 0 && fa.Ranks[n-1].Rank == rank:
+		return &fa.Ranks[n-1]
+	case n == 0 || fa.Ranks[n-1].Rank < rank:
+		fa.Ranks = append(fa.Ranks, RankTimes{Rank: rank})
+		return &fa.Ranks[n]
+	}
+	i, ok := slices.BinarySearchFunc(fa.Ranks, rank, cmpRank)
+	if !ok {
+		fa.Ranks = slices.Insert(fa.Ranks, i, RankTimes{Rank: rank})
+	}
+	return &fa.Ranks[i]
+}
+
+func cmpRank(rt RankTimes, rank int32) int { return cmp.Compare(rt.Rank, rank) }
 
 // fdState tracks one open descriptor during offset reconstruction.
 type fdState struct {
@@ -140,26 +190,15 @@ func (t *fdTable) closeFD(fd int64) *fdState {
 }
 
 // extractRank walks one rank's record stream and accumulates its file
-// accesses into files. Offset and size state is rank-local (§5.1), so rank
+// accesses into x. Offset and size state is rank-local (§5.1), so rank
 // streams can be processed independently as long as each rank's records are
 // appended to a path's tables in rank order. The per-record fold lives in
 // rankExtractor (stream.go).
-func extractRank(rs []recorder.Record, files map[string]*FileAccesses) {
-	ext := newRankExtractor(files)
+func extractRank(rs []recorder.Record, x *extraction) {
+	ext := newRankExtractor(x)
 	for i := range rs {
 		ext.step(&rs[i])
 	}
-}
-
-// sortedFiles flattens an extraction map into the path-sorted slice every
-// analysis consumes. Annotation is the caller's responsibility.
-func sortedFiles(files map[string]*FileAccesses) []*FileAccesses {
-	out := make([]*FileAccesses, 0, len(files))
-	for _, fa := range files {
-		out = append(out, fa)
-	}
-	slices.SortFunc(out, func(a, b *FileAccesses) int { return strings.Compare(a.Path, b.Path) })
-	return out
 }
 
 // dataInterval converts a data-op record into an interval, updating the
@@ -220,11 +259,19 @@ func dataInterval(r *recorder.Record, fds *fdTable, sizeByPath map[string]int64)
 // open/close/commit time tables using binary search (§5.2's "one or two
 // binary searches").
 func annotate(fa *FileAccesses) {
+	var rt *RankTimes
 	for i := range fa.Intervals {
 		iv := &fa.Intervals[i]
-		iv.To = lastBefore(fa.OpensByRank[iv.Rank], iv.T)
-		iv.TcCommit = firstAfter(fa.CommitsByRank[iv.Rank], iv.T)
-		iv.TcClose = firstAfter(fa.ClosesByRank[iv.Rank], iv.T)
+		if rt == nil || rt.Rank != iv.Rank {
+			rt = fa.TimesOf(iv.Rank)
+		}
+		if rt == nil {
+			iv.To, iv.TcCommit, iv.TcClose = NoTime, NoTime, NoTime
+			continue
+		}
+		iv.To = lastBefore(rt.Opens, iv.T)
+		iv.TcCommit = firstAfter(rt.Commits, iv.T)
+		iv.TcClose = firstAfter(rt.Closes, iv.T)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/pfs"
 	"repro/internal/recorder"
@@ -72,6 +73,135 @@ func detectOverlapsBruteForce(ivs []Interval, onPair func(OverlapPair)) {
 			}
 		}
 	}
+}
+
+// rankTables is the map-based per-rank time layout FileAccesses.Ranks
+// replaced: each rank's open, close and commit times on one file, keyed by
+// the record's rank.
+type rankTables struct {
+	opens, closes, commits map[int32][]uint64
+}
+
+func newRankTables() rankTables {
+	return rankTables{opens: map[int32][]uint64{}, closes: map[int32][]uint64{}, commits: map[int32][]uint64{}}
+}
+
+// ranks converts the tables to the Ranks layout: one entry per rank that
+// has any time, sorted by rank.
+func (m rankTables) ranks() []RankTimes {
+	var rs []int32
+	for _, tab := range []map[int32][]uint64{m.opens, m.closes, m.commits} {
+		for r := range tab {
+			if !slices.Contains(rs, r) {
+				rs = append(rs, r)
+			}
+		}
+	}
+	slices.Sort(rs)
+	var out []RankTimes
+	for _, r := range rs {
+		out = append(out, RankTimes{Rank: r, Opens: m.opens[r], Closes: m.closes[r], Commits: m.commits[r]})
+	}
+	return out
+}
+
+// oracleFile is one file of extractOracle's result.
+type oracleFile struct {
+	intervals []Interval
+	times     rankTables
+}
+
+// extractOracle is the extraction the interval arena and the Ranks layout
+// replaced: one serial fold over every rank stream that appends each
+// interval to its own file's slice and keeps the per-rank times in maps,
+// then annotates every interval from the maps. extract must reproduce its
+// intervals byte for byte and FileAccesses.TimesOf its tables.
+func extractOracle(tr *recorder.Trace) map[string]*oracleFile {
+	files := make(map[string]*oracleFile)
+	get := func(path string) *oracleFile {
+		f, ok := files[path]
+		if !ok {
+			f = &oracleFile{times: newRankTables()}
+			files[path] = f
+		}
+		return f
+	}
+	for _, rs := range tr.PerRank {
+		var fds fdTable
+		sizeByPath := make(map[string]int64)
+		var stack originStack
+		for i := range rs {
+			r := &rs[i]
+			origin, phase := stack.step(i, r)
+			if r.Layer != recorder.LayerPOSIX {
+				continue
+			}
+			switch {
+			case r.IsOpenOp():
+				fd := r.Arg(2)
+				if fd < 0 {
+					continue
+				}
+				flags := int(r.Arg(0))
+				fds.set(fd, fdState{path: r.Path, appendMd: flags&recorder.OAppend != 0})
+				if flags&recorder.OTrunc != 0 {
+					sizeByPath[r.Path] = 0
+				}
+				m := get(r.Path).times
+				m.opens[r.Rank] = append(m.opens[r.Rank], r.TStart)
+			case r.IsCloseOp():
+				if st := fds.closeFD(r.Arg(0)); st != nil {
+					m := get(st.path).times
+					m.closes[r.Rank] = append(m.closes[r.Rank], r.TStart)
+					m.commits[r.Rank] = append(m.commits[r.Rank], r.TStart)
+				}
+			case r.Func == recorder.FuncFsync || r.Func == recorder.FuncFdatasync || r.Func == recorder.FuncFflush:
+				if st := fds.get(r.Arg(0)); st != nil {
+					m := get(st.path).times
+					m.commits[r.Rank] = append(m.commits[r.Rank], r.TStart)
+				}
+			case r.Func == recorder.FuncLseek || r.Func == recorder.FuncFseek:
+				st := fds.get(r.Arg(0))
+				if st == nil {
+					continue
+				}
+				switch off, whence, ret := r.Arg(1), r.Arg(2), r.Arg(3); whence {
+				case recorder.SeekSet:
+					st.offset = off
+				case recorder.SeekCur:
+					st.offset += off
+				case recorder.SeekEnd:
+					st.offset = ret
+				}
+			case r.Func == recorder.FuncFtruncate:
+				if st := fds.get(r.Arg(0)); st != nil {
+					sizeByPath[st.path] = r.Arg(1)
+				}
+			case r.Func == recorder.FuncTruncate:
+				sizeByPath[r.Path] = r.Arg(1)
+			case r.IsDataOp():
+				iv, path, ok := dataInterval(r, &fds, sizeByPath)
+				if !ok {
+					continue
+				}
+				iv.Origin, iv.Phase = origin, phase
+				if iv.Oe > sizeByPath[path] {
+					sizeByPath[path] = iv.Oe
+				}
+				f := get(path)
+				f.intervals = append(f.intervals, iv)
+			}
+		}
+	}
+	for _, f := range files {
+		for i := range f.intervals {
+			iv := &f.intervals[i]
+			iv.To = lastBefore(f.times.opens[iv.Rank], iv.T)
+			iv.TcCommit = firstAfter(f.times.commits[iv.Rank], iv.T)
+			iv.TcClose = firstAfter(f.times.closes[iv.Rank], iv.T)
+		}
+	}
+	return files
 }
 
 // The serial case of each entry point (a pool of one, never cancelled).

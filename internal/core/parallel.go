@@ -110,12 +110,13 @@ func ParallelForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 // each rank's record stream in order, tracking the current offset of every
 // descriptor (updated by open flags, seeks and transfer sizes, per §5.1),
 // and annotates every data operation with its To/Tc times and originating
-// layer. Results are keyed by path and returned sorted by path.
+// layer. Results are returned sorted by path.
 //
-// A pool of one (or a one-rank trace) folds every rank into one map; larger
-// pools process rank streams concurrently into per-rank partial maps,
-// merged in rank order (which reproduces the serial append order of every
-// per-path table), and then shard the §5.2 annotation pass across files.
+// A pool of one (or a one-rank trace) folds every rank into one
+// extraction; larger pools process rank streams concurrently into per-rank
+// partial extractions, merged in rank order (which reproduces the serial
+// append order of every per-path table), and then shard the §5.2
+// annotation pass across files.
 func extract(ctx context.Context, tr *recorder.Trace, workers int) ([]*FileAccesses, error) {
 	defer startPass("extract")()
 	n := len(tr.PerRank)
@@ -123,56 +124,69 @@ func extract(ctx context.Context, tr *recorder.Trace, workers int) ([]*FileAcces
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		files := make(map[string]*FileAccesses)
+		x := newExtraction()
 		for _, rs := range tr.PerRank {
-			extractRank(rs, files)
+			extractRank(rs, x)
 		}
-		out := sortedFiles(files)
+		out := x.layout()
 		for _, fa := range out {
 			annotate(fa)
 		}
 		return out, nil
 	}
-	partial := make([]map[string]*FileAccesses, n)
+	partial := make([]*extraction, n)
 	if err := ParallelForCtx(ctx, n, workers, func(r int) {
-		m := make(map[string]*FileAccesses)
-		extractRank(tr.PerRank[r], m)
-		partial[r] = m
+		x := newExtraction()
+		extractRank(tr.PerRank[r], x)
+		partial[r] = x
 	}); err != nil {
 		return nil, err
 	}
 
-	out := sortedFiles(mergePartials(partial)) // rank order = serial append order
+	out := mergePartials(partial).layout() // rank order = serial append order
 	if err := ParallelForCtx(ctx, len(out), workers, func(i int) { annotate(out[i]) }); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// mergePartials folds per-rank partial extraction maps in rank order, which
-// reproduces the serial append order of every per-path table.
-func mergePartials(partial []map[string]*FileAccesses) map[string]*FileAccesses {
-	merged := make(map[string]*FileAccesses)
-	for r := range partial {
-		for p, part := range partial[r] {
-			dst, ok := merged[p]
+// mergePartials folds per-rank partial extractions in rank order, which
+// reproduces the serial append order of every per-path table: a rank's
+// times are appended after the earlier partials' times for the same rank,
+// and its staged chunks, re-tagged with the merged file indices, follow
+// the earlier partials' chunks.
+func mergePartials(partial []*extraction) *extraction {
+	merged := newExtraction()
+	for _, part := range partial {
+		remap := make([]int32, len(part.files))
+		for i, fa := range part.files {
+			g, ok := merged.index[fa.Path]
 			if !ok {
-				merged[p] = part
+				g = int32(len(merged.files))
+				merged.index[fa.Path] = g
+				merged.files = append(merged.files, fa)
+				merged.counts = append(merged.counts, part.counts[i])
+				remap[i] = g
 				continue
 			}
-			dst.Intervals = append(dst.Intervals, part.Intervals...)
-			mergeTimes(dst.OpensByRank, part.OpensByRank)
-			mergeTimes(dst.ClosesByRank, part.ClosesByRank)
-			mergeTimes(dst.CommitsByRank, part.CommitsByRank)
+			dst := merged.files[g]
+			for _, rt := range fa.Ranks {
+				d := dst.timesFor(rt.Rank)
+				d.Opens = append(d.Opens, rt.Opens...)
+				d.Closes = append(d.Closes, rt.Closes...)
+				d.Commits = append(d.Commits, rt.Commits...)
+			}
+			merged.counts[g] += part.counts[i]
+			remap[i] = g
 		}
+		for _, c := range part.chunks {
+			for k := range c {
+				c[k].file = remap[c[k].file]
+			}
+		}
+		merged.chunks = append(merged.chunks, part.chunks...)
 	}
 	return merged
-}
-
-func mergeTimes(dst, src map[int32][]uint64) {
-	for r, ts := range src {
-		dst[r] = append(dst[r], ts...)
-	}
 }
 
 // ConflictsAllForFilesCtx runs the fused multi-model conflict sweep (one

@@ -65,8 +65,7 @@ func TestPatternMixPct(t *testing.T) {
 }
 
 func hlFA(path string, ivs ...Interval) *FileAccesses {
-	return &FileAccesses{Path: path, Intervals: ivs,
-		OpensByRank: map[int32][]uint64{}, ClosesByRank: map[int32][]uint64{}, CommitsByRank: map[int32][]uint64{}}
+	return &FileAccesses{Path: path, Intervals: ivs}
 }
 
 func TestHighLevelFilePerProcess(t *testing.T) {

@@ -10,13 +10,17 @@ import (
 // randomFA builds a random single-file access history with open/close/
 // commit tables consistent with per-rank program order.
 func randomFA(rng *rand.Rand) *FileAccesses {
+	fa, _ := randomFATables(rng)
+	return fa
+}
+
+// randomFATables is randomFA that also returns the map-based tables the
+// schedule's Ranks must agree with. Ranks act in random order, so Ranks is
+// built through timesFor's insertion path.
+func randomFATables(rng *rand.Rand) (*FileAccesses, rankTables) {
 	nRanks := 1 + rng.Intn(4)
-	fa := &FileAccesses{
-		Path:          "/f",
-		OpensByRank:   map[int32][]uint64{},
-		ClosesByRank:  map[int32][]uint64{},
-		CommitsByRank: map[int32][]uint64{},
-	}
+	fa := &FileAccesses{Path: "/f"}
+	want := newRankTables()
 	var t uint64 = 1
 	type state struct{ open bool }
 	st := make([]state, nRanks)
@@ -25,17 +29,24 @@ func randomFA(rng *rand.Rand) *FileAccesses {
 		t += uint64(rng.Intn(50)) + 1
 		switch rng.Intn(5) {
 		case 0: // open
-			fa.OpensByRank[r] = append(fa.OpensByRank[r], t)
+			rt := fa.timesFor(r)
+			rt.Opens = append(rt.Opens, t)
+			want.opens[r] = append(want.opens[r], t)
 			st[r].open = true
 		case 1: // close (commit too)
 			if st[r].open {
-				fa.ClosesByRank[r] = append(fa.ClosesByRank[r], t)
-				fa.CommitsByRank[r] = append(fa.CommitsByRank[r], t)
+				rt := fa.timesFor(r)
+				rt.Closes = append(rt.Closes, t)
+				rt.Commits = append(rt.Commits, t)
+				want.closes[r] = append(want.closes[r], t)
+				want.commits[r] = append(want.commits[r], t)
 				st[r].open = false
 			}
 		case 2: // fsync
 			if st[r].open {
-				fa.CommitsByRank[r] = append(fa.CommitsByRank[r], t)
+				rt := fa.timesFor(r)
+				rt.Commits = append(rt.Commits, t)
+				want.commits[r] = append(want.commits[r], t)
 			}
 		default: // data op
 			if st[r].open {
@@ -50,7 +61,7 @@ func randomFA(rng *rand.Rand) *FileAccesses {
 		}
 	}
 	annotate(fa)
-	return fa
+	return fa, want
 }
 
 // TestPropertyCommitConflictImpliesSessionConflict checks the model

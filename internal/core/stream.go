@@ -1,6 +1,11 @@
 package core
 
-import "repro/internal/recorder"
+import (
+	"slices"
+	"strings"
+
+	"repro/internal/recorder"
+)
 
 // The §5.1 offset reconstruction is a per-record fold over one rank's
 // stream in TStart order: rankExtractor carries the descriptor, size and
@@ -53,29 +58,15 @@ func (s *originStack) step(i int, r *recorder.Record) (recorder.Layer, int) {
 // at a time: descriptor offsets (§5.1), open/close/commit time tables, and
 // origin/phase attribution all advance in a single pass.
 type rankExtractor struct {
-	files      map[string]*FileAccesses
+	x          *extraction
 	fds        fdTable
 	sizeByPath map[string]int64 // this rank's view, for O_APPEND
 	stack      originStack
 	i          int // stream index of the next record
 }
 
-func newRankExtractor(files map[string]*FileAccesses) *rankExtractor {
-	return &rankExtractor{files: files, sizeByPath: make(map[string]int64, 8)}
-}
-
-func (e *rankExtractor) get(path string) *FileAccesses {
-	fa, ok := e.files[path]
-	if !ok {
-		fa = &FileAccesses{
-			Path:          path,
-			OpensByRank:   make(map[int32][]uint64),
-			ClosesByRank:  make(map[int32][]uint64),
-			CommitsByRank: make(map[int32][]uint64),
-		}
-		e.files[path] = fa
-	}
-	return fa
+func newRankExtractor(x *extraction) *rankExtractor {
+	return &rankExtractor{x: x, sizeByPath: make(map[string]int64, 8)}
 }
 
 func (e *rankExtractor) noteSize(path string, end int64) {
@@ -102,18 +93,18 @@ func (e *rankExtractor) step(r *recorder.Record) {
 		if flags&recorder.OTrunc != 0 {
 			e.sizeByPath[r.Path] = 0
 		}
-		fa := e.get(r.Path)
-		fa.OpensByRank[r.Rank] = append(fa.OpensByRank[r.Rank], r.TStart)
+		rt := e.x.files[e.x.file(r.Path)].timesFor(r.Rank)
+		rt.Opens = append(rt.Opens, r.TStart)
 	case r.IsCloseOp():
 		if st := e.fds.closeFD(r.Arg(0)); st != nil {
-			fa := e.get(st.path)
-			fa.ClosesByRank[r.Rank] = append(fa.ClosesByRank[r.Rank], r.TStart)
-			fa.CommitsByRank[r.Rank] = append(fa.CommitsByRank[r.Rank], r.TStart)
+			rt := e.x.files[e.x.file(st.path)].timesFor(r.Rank)
+			rt.Closes = append(rt.Closes, r.TStart)
+			rt.Commits = append(rt.Commits, r.TStart)
 		}
 	case r.Func == recorder.FuncFsync || r.Func == recorder.FuncFdatasync || r.Func == recorder.FuncFflush:
 		if st := e.fds.get(r.Arg(0)); st != nil {
-			fa := e.get(st.path)
-			fa.CommitsByRank[r.Rank] = append(fa.CommitsByRank[r.Rank], r.TStart)
+			rt := e.x.files[e.x.file(st.path)].timesFor(r.Rank)
+			rt.Commits = append(rt.Commits, r.TStart)
 		}
 	case r.Func == recorder.FuncLseek || r.Func == recorder.FuncFseek:
 		st := e.fds.get(r.Arg(0))
@@ -144,7 +135,92 @@ func (e *rankExtractor) step(r *recorder.Record) {
 		}
 		iv.Origin, iv.Phase = origin, phase
 		e.noteSize(path, iv.Oe)
-		fa := e.get(path)
-		fa.Intervals = append(fa.Intervals, iv)
+		e.x.stage(e.x.file(path), iv)
 	}
+}
+
+// Staged intervals are buffered in chunks that grow by doubling from
+// stageChunkMin to stageChunkMax entries and are never re-copied.
+const (
+	stageChunkMin = 64
+	stageChunkMax = 4096
+)
+
+// stagedInterval is one extracted interval tagged with its file's index in
+// the extraction that staged it.
+type stagedInterval struct {
+	iv   Interval
+	file int32
+}
+
+// extraction accumulates the files of one or more rank streams. Each file's
+// time tables grow in place, while its intervals are staged in chunks in
+// fold order; layout then gives every file its slice of one arena, so a
+// file's intervals are allocated once instead of regrown per append.
+type extraction struct {
+	index  map[string]int32 // path -> index in files
+	files  []*FileAccesses  // Path and Ranks; layout fills Intervals
+	counts []int            // staged intervals per file
+	chunks [][]stagedInterval
+}
+
+func newExtraction() *extraction {
+	return &extraction{index: make(map[string]int32)}
+}
+
+// file returns path's index, adding the file on first sight.
+func (x *extraction) file(path string) int32 {
+	if i, ok := x.index[path]; ok {
+		return i
+	}
+	i := int32(len(x.files))
+	x.index[path] = i
+	x.files = append(x.files, &FileAccesses{Path: path})
+	x.counts = append(x.counts, 0)
+	return i
+}
+
+func (x *extraction) stage(file int32, iv Interval) {
+	n := len(x.chunks)
+	if n == 0 || len(x.chunks[n-1]) == cap(x.chunks[n-1]) {
+		size := stageChunkMin
+		if n > 0 {
+			size = min(2*cap(x.chunks[n-1]), stageChunkMax)
+		}
+		x.chunks = append(x.chunks, make([]stagedInterval, 0, size))
+		n++
+	}
+	x.chunks[n-1] = append(x.chunks[n-1], stagedInterval{iv: iv, file: file})
+	x.counts[file]++
+}
+
+// layout returns the files sorted by path, each holding a capacity-clipped
+// slice of one interval arena laid out in path order and filled in staging
+// order, which is each file's fold (rank, then stream) order.
+func (x *extraction) layout() []*FileAccesses {
+	order := make([]int32, len(x.files))
+	total := 0
+	for i, n := range x.counts {
+		order[i] = int32(i)
+		total += n
+	}
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(x.files[a].Path, x.files[b].Path) })
+	arena := make([]Interval, total)
+	out := make([]*FileAccesses, len(order))
+	off := 0
+	for k, i := range order {
+		fa, n := x.files[i], x.counts[i]
+		if n > 0 {
+			fa.Intervals = arena[off : off : off+n]
+		}
+		off += n
+		out[k] = fa
+	}
+	for _, c := range x.chunks {
+		for k := range c {
+			fa := x.files[c[k].file]
+			fa.Intervals = append(fa.Intervals, c[k].iv)
+		}
+	}
+	return out
 }
