@@ -93,17 +93,17 @@ func (e *rankExtractor) step(r *recorder.Record) {
 		if flags&recorder.OTrunc != 0 {
 			e.sizeByPath[r.Path] = 0
 		}
-		rt := e.x.files[e.x.file(r.Path)].timesFor(r.Rank)
+		rt := e.x.times(r.Path, r.Rank)
 		rt.Opens = append(rt.Opens, r.TStart)
 	case r.IsCloseOp():
 		if st := e.fds.closeFD(r.Arg(0)); st != nil {
-			rt := e.x.files[e.x.file(st.path)].timesFor(r.Rank)
+			rt := e.x.times(st.path, r.Rank)
 			rt.Closes = append(rt.Closes, r.TStart)
 			rt.Commits = append(rt.Commits, r.TStart)
 		}
 	case r.Func == recorder.FuncFsync || r.Func == recorder.FuncFdatasync || r.Func == recorder.FuncFflush:
 		if st := e.fds.get(r.Arg(0)); st != nil {
-			rt := e.x.files[e.x.file(st.path)].timesFor(r.Rank)
+			rt := e.x.times(st.path, r.Rank)
 			rt.Commits = append(rt.Commits, r.TStart)
 		}
 	case r.Func == recorder.FuncLseek || r.Func == recorder.FuncFseek:
@@ -140,7 +140,9 @@ func (e *rankExtractor) step(r *recorder.Record) {
 }
 
 // Staged intervals are buffered in chunks that grow by doubling from
-// stageChunkMin to stageChunkMax entries and are never re-copied.
+// stageChunkMin to stageChunkMax entries and are never re-copied: a
+// partial of a many-rank trace with few intervals stays small, and a
+// million intervals cost no more than a few hundred chunk allocations.
 const (
 	stageChunkMin = 64
 	stageChunkMax = 4096
@@ -178,6 +180,11 @@ func (x *extraction) file(path string) int32 {
 	x.files = append(x.files, &FileAccesses{Path: path})
 	x.counts = append(x.counts, 0)
 	return i
+}
+
+// times returns rank's time tables on path.
+func (x *extraction) times(path string, rank int32) *RankTimes {
+	return x.files[x.file(path)].timesFor(rank)
 }
 
 func (x *extraction) stage(file int32, iv Interval) {
