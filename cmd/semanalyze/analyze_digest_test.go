@@ -12,6 +12,7 @@ import (
 
 	semfs "repro"
 	"repro/internal/core"
+	"repro/internal/storage"
 )
 
 const analyzeDigestGolden = "testdata/analyze_digest.golden"
@@ -35,12 +36,7 @@ func TestAnalyzeDigestGolden(t *testing.T) {
 				core.InvalidateExtraction(tr)
 				var buf bytes.Buffer
 				code := analyze(&buf, tr, true, show, true, workers)
-				showName := fmt.Sprint(show)
-				if show == math.MaxInt {
-					showName = "all"
-				}
-				lines = append(lines, fmt.Sprintf("%s show=%s workers=%d exit=%d bytes=%d sha256=%x",
-					name, showName, workers, code, buf.Len(), sha256.Sum256(buf.Bytes())))
+				lines = append(lines, digestLine(name, show, workers, code, buf.Bytes()))
 			}
 		}
 		core.InvalidateExtraction(tr)
@@ -57,11 +53,7 @@ func TestAnalyzeDigestGolden(t *testing.T) {
 		t.Logf("regenerated %s (%d runs)", analyzeDigestGolden, len(lines))
 		return
 	}
-	want, err := os.ReadFile(analyzeDigestGolden)
-	if err != nil {
-		t.Fatalf("reading %s (rerun with UPDATE_ANALYZE_DIGEST=1 to create it): %v", analyzeDigestGolden, err)
-	}
-	wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+	wantLines := goldenLines(t)
 	if len(wantLines) != len(lines) {
 		t.Fatalf("golden has %d runs, registry sweep produced %d", len(wantLines), len(lines))
 	}
@@ -69,5 +61,62 @@ func TestAnalyzeDigestGolden(t *testing.T) {
 		if l != wantLines[i] {
 			t.Errorf("output moved:\n got  %s\n want %s", l, wantLines[i])
 		}
+	}
+}
+
+// digestLine is one golden line: a run's app, -show, workers, exit code,
+// and the size and SHA-256 of its output.
+func digestLine(name string, show, workers, code int, out []byte) string {
+	showName := fmt.Sprint(show)
+	if show == math.MaxInt {
+		showName = "all"
+	}
+	return fmt.Sprintf("%s show=%s workers=%d exit=%d bytes=%d sha256=%x",
+		name, showName, workers, code, len(out), sha256.Sum256(out))
+}
+
+func goldenLines(t *testing.T) []string {
+	t.Helper()
+	want, err := os.ReadFile(analyzeDigestGolden)
+	if err != nil {
+		t.Fatalf("reading %s (rerun with UPDATE_ANALYZE_DIGEST=1 to create it): %v", analyzeDigestGolden, err)
+	}
+	return strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+}
+
+// TestAnalyzeDirDigestGolden: the default path, which analyzes a saved
+// trace directory without loading it, reproduces every golden line from
+// the registry traces saved columnar and v1.
+func TestAnalyzeDirDigestGolden(t *testing.T) {
+	want := goldenLines(t)
+	disk := storage.OS()
+	base := t.TempDir()
+	i := 0
+	for _, name := range semfs.Applications() {
+		res, err := semfs.Run(name, semfs.RunOptions{Ranks: 8, PPN: 2, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []semfs.TraceFormat{semfs.FormatColumnar, semfs.FormatV1} {
+			dir := filepath.Join(base, fmt.Sprintf("%s.%v", name, f))
+			if err := semfs.SaveTraceFormatOn(disk, dir, res.Trace, f); err != nil {
+				t.Fatal(err)
+			}
+			k := i
+			for _, show := range []int{5, math.MaxInt} {
+				for _, workers := range []int{1, 2} {
+					var buf bytes.Buffer
+					code := analyzeDir(&buf, disk, dir, true, show, true, workers)
+					if got := digestLine(name, show, workers, code, buf.Bytes()); k >= len(want) || got != want[k] {
+						t.Errorf("%v directory:\n got  %s\n want %s", f, got, want[min(k, len(want)-1)])
+					}
+					k++
+				}
+			}
+		}
+		i += 4
+	}
+	if i != len(want) {
+		t.Fatalf("golden has %d runs, registry sweep produced %d", len(want), i)
 	}
 }

@@ -1,0 +1,145 @@
+package main
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strconv"
+	"testing"
+
+	semfs "repro"
+	"repro/internal/recorder"
+	"repro/internal/recorder/colfmt"
+	"repro/internal/storage"
+)
+
+// runMainEnv makes the test binary run semanalyze's main instead of the
+// tests, so a test can drive the real command line: flags, exit code and
+// both output streams.
+const runMainEnv = "SEMANALYZE_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		os.Exit(run())
+	}
+	os.Exit(m.Run())
+}
+
+// semanalyze runs the command with args and returns its exit code, stdout
+// and stderr.
+func semanalyze(t *testing.T, args ...string) (int, []byte, []byte) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+		return 0, stdout.Bytes(), stderr.Bytes()
+	case errors.As(err, &exit):
+		return exit.ExitCode(), stdout.Bytes(), stderr.Bytes()
+	}
+	t.Fatal(err)
+	return 0, nil, nil
+}
+
+func rankFile(dir string, rank int) string {
+	return filepath.Join(dir, recorder.RankFileName(rank))
+}
+
+func truncateRank(t *testing.T, dir string, rank int) {
+	t.Helper()
+	fi, err := os.Stat(rankFile(dir, rank))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(rankFile(dir, rank), fi.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// flipCRC flips a byte of the CRC of a columnar rank file's first frame,
+// which follows the header (magic, uvarint rank, uvarint record count) and
+// the frame's kind byte and length.
+func flipCRC(t *testing.T, dir string, rank int) {
+	t.Helper()
+	path := rankFile(dir, rank)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := len(colfmt.Magic)
+	for range 2 {
+		_, n := binary.Uvarint(data[off:])
+		off += n
+	}
+	data[off+1+4] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDamagedTraceExits1: a damaged trace directory fails the default path
+// with exit 1, nothing on stdout, and exactly the error a strict load
+// reports for its lowest damaged rank, at every worker count.
+func TestDamagedTraceExits1(t *testing.T) {
+	res, err := semfs.Run("FLASH-nofbs", semfs.RunOptions{Ranks: 8, PPN: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk := storage.OS()
+	for _, tc := range []struct {
+		name   string
+		format semfs.TraceFormat
+		damage func(t *testing.T, dir string)
+	}{
+		{"truncated", semfs.FormatColumnar, func(t *testing.T, dir string) { truncateRank(t, dir, 1) }},
+		{"truncated-v1", semfs.FormatV1, func(t *testing.T, dir string) { truncateRank(t, dir, 1) }},
+		{"flipped-crc", semfs.FormatColumnar, func(t *testing.T, dir string) { flipCRC(t, dir, 2) }},
+		{"missing", semfs.FormatColumnar, func(t *testing.T, dir string) {
+			if err := os.Remove(rankFile(dir, 3)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"rank-mismatch", semfs.FormatColumnar, func(t *testing.T, dir string) {
+			data, err := os.ReadFile(rankFile(dir, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(rankFile(dir, 0), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"two-damaged", semfs.FormatColumnar, func(t *testing.T, dir string) {
+			truncateRank(t, dir, 5)
+			flipCRC(t, dir, 2)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := semfs.SaveTraceFormatOn(disk, dir, res.Trace, tc.format); err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(t, dir)
+			for _, workers := range []int{1, 4} {
+				// run's default backend: osdisk behind the retry wrapper.
+				_, lerr := semfs.LoadTraceOn(storage.NewRetry(disk, storage.RetryOptions{}), dir, workers)
+				if lerr == nil {
+					t.Fatalf("workers=%d: the damaged trace loads", workers)
+				}
+				code, stdout, stderr := semanalyze(t, "-trace", dir, "-report", "-workers", strconv.Itoa(workers))
+				if code != exitError || len(stdout) != 0 {
+					t.Errorf("workers=%d: exit %d with %d bytes on stdout, want exit %d and none", workers, code, len(stdout), exitError)
+				}
+				if want := "semanalyze: " + lerr.Error() + "\n"; string(stderr) != want {
+					t.Errorf("workers=%d: stderr\n%q\nwant LoadTraceOn's\n%q", workers, stderr, want)
+				}
+			}
+		})
+	}
+}

@@ -2,8 +2,11 @@
 // detection under commit and session semantics, access-pattern
 // classification, the metadata-operation census and the happens-before
 // validation, then prints the per-application verdict. All of it, the
-// -report digest included, is read off one semfs.AnalyzeParallelCtx result:
-// one extraction, one conflict sweep and one happens-before build per run.
+// -report digest included, is read off one semfs.Analysis: one scan of the
+// rank streams, one conflict sweep and one happens-before build per run.
+// By default semfs.AnalyzeDirOn folds each mapped rank file in place, so
+// the trace is never loaded as records; -lenient, -checkpoint and
+// -check-consistency load it first.
 //
 // Usage:
 //
@@ -110,9 +113,15 @@ func run() (code int) {
 			}
 		}
 	}()
-	// The load is sharded across the same worker pool as the analysis:
-	// rank files decode in parallel regardless of format (columnar or v1,
-	// sniffed per file).
+	if !*lenient && !*checkSem && *ckptDir == "" {
+		return analyzeDir(os.Stdout, backend, *dir, *validate, *maxShow, *full, *workers)
+	}
+
+	// The other paths load the trace, sharded across the same worker pool
+	// as the analysis: rank files decode in parallel regardless of format
+	// (columnar or v1, sniffed per file). -lenient salvages, -checkpoint
+	// keys its journal by the records' fingerprint, and -check-consistency
+	// re-runs the traced configuration.
 	var tr *semfs.Trace
 	if *lenient {
 		var sal *semfs.Salvage
@@ -235,12 +244,36 @@ func flushed(out *bufio.Writer, code int) int {
 	return code
 }
 
-// analyze runs the one analysis over tr and writes its views to w through
-// one buffered writer: the run report (with full), patterns, conflicts,
-// census, metadata dependencies, the happens-before validation (with
-// validate) and the verdict. Hard failures go to stderr directly — they
-// are never part of a cached report.
-func analyze(w io.Writer, tr *semfs.Trace, validate bool, maxShow int, full bool, workers int) (code int) {
+// analyzeDir is the default path: it analyzes a trace directory without
+// loading it (the analysis folds each rank file, mapped, on the same worker
+// pool as its passes) and renders the analysis to w. A trace that cannot
+// be read fails with exactly LoadTraceOn's error.
+func analyzeDir(w io.Writer, b storage.Backend, dir string, validate bool, maxShow int, full bool, workers int) int {
+	an, err := semfs.AnalyzeDirOn(b, dir, workers)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "semanalyze:", err)
+		return exitError
+	}
+	return render(w, an, validate, maxShow, full)
+}
+
+// analyze runs the one analysis over an in-memory trace and renders it to
+// w. Hard failures go to stderr directly — they are never part of a
+// cached report.
+func analyze(w io.Writer, tr *semfs.Trace, validate bool, maxShow int, full bool, workers int) int {
+	an, err := semfs.AnalyzeParallelCtx(context.Background(), tr, workers)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "semanalyze: %s: %v\n", tr.Meta.ConfigName(), err)
+		return exitError
+	}
+	return render(w, an, validate, maxShow, full)
+}
+
+// render writes an analysis's views to w through one buffered writer: the
+// trace header, the run report (with full), patterns, conflicts, census,
+// metadata dependencies, the happens-before validation (with validate) and
+// the verdict.
+func render(w io.Writer, an *semfs.Analysis, validate bool, maxShow int, full bool) (code int) {
 	out := bufio.NewWriterSize(w, 64<<10)
 	defer func() { code = flushed(out, code) }()
 	w = out
@@ -253,13 +286,7 @@ func analyze(w io.Writer, tr *semfs.Trace, validate bool, maxShow int, full bool
 		out.Write(line) // a failed write sticks to out; flushed reports it
 	}
 
-	fmt.Fprintf(w, "trace: %s — %d ranks, %d records\n\n", tr.Meta.ConfigName(), tr.Meta.Ranks, tr.NumRecords())
-
-	an, err := semfs.AnalyzeParallelCtx(context.Background(), tr, workers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "semanalyze: %s: %v\n", tr.Meta.ConfigName(), err)
-		return exitError
-	}
+	fmt.Fprintf(w, "trace: %s — %d ranks, %d records\n\n", an.Report.Config, an.Report.Ranks, an.Report.Records)
 	if full {
 		fmt.Fprintln(w, an.Report.Render())
 	}
@@ -331,7 +358,7 @@ func analyze(w io.Writer, tr *semfs.Trace, validate bool, maxShow int, full bool
 	racy := conflictsFound > 0
 	if validate {
 		if an.HBErr != nil {
-			fmt.Fprintf(os.Stderr, "semanalyze: %s: happens-before: %v\n", tr.Meta.ConfigName(), an.HBErr)
+			fmt.Fprintf(os.Stderr, "semanalyze: %s: happens-before: %v\n", an.Report.Config, an.HBErr)
 			return exitError
 		}
 		racy = len(an.Unordered) > 0

@@ -88,6 +88,8 @@ func CheckTrace(t testing.TB, label string, tr *recorder.Trace, workerCounts ...
 // byte-identical records (the strict v1 load is the disk oracle) and produce
 // a byte-identical analysis and rendered run report, conflict columns
 // included (the serial analysis of the v1 reload is the analysis oracle).
+// semfs.AnalyzeDirOn over each directory, at each worker count, must
+// produce that same analysis and report without loading the trace.
 func CheckFormats(t testing.TB, label string, tr *recorder.Trace, workerCounts ...int) {
 	t.Helper()
 	if len(workerCounts) == 0 {
@@ -146,6 +148,17 @@ func CheckFormats(t testing.TB, label string, tr *recorder.Trace, workerCounts .
 				t.Errorf("%s: rendered report diverges", dlabel)
 			}
 			core.InvalidateExtraction(got)
+
+			// The directory analysis never loads the trace; it must still
+			// reproduce the oracle.
+			dan, err := semfs.AnalyzeDirOn(disk, d.path, w)
+			if err != nil {
+				t.Fatalf("%s: directory analysis: %v", dlabel, err)
+			}
+			RequireEqual(t, dlabel+"/dir", oracleAnalysis, dan)
+			if rep := dan.Report.Render(); rep != oracleReport {
+				t.Errorf("%s/dir: rendered report diverges", dlabel)
+			}
 		}
 	}
 

@@ -8,11 +8,13 @@ import (
 	"repro/internal/recorder"
 )
 
-// The extraction cache shares one extraction per trace across every
-// analysis surface (conflicts, patterns, reports, SVG/CSV figures). Traces
-// are immutable once recorded and FileAccesses are never mutated by
-// consumers (patterns and reports build their own index slices), so sharing
-// is read-only safe; see DESIGN.md §11.
+// The extraction cache shares one scan per trace (scan.go: the extraction
+// plus the census, call counters, metadata events and MPI events) across
+// every analysis surface (conflicts, patterns, census, metadata conflicts,
+// happens-before, reports, SVG/CSV figures). Traces are immutable once
+// recorded and no consumer mutates a scan (patterns and reports build their
+// own index slices, happens-before its own clocks), so sharing is read-only
+// safe; see DESIGN.md §11.
 //
 // The cache is keyed by trace identity (the *recorder.Trace), holds at most
 // extractCacheCap entries, and evicts in insertion (FIFO) order — analysis
@@ -23,7 +25,7 @@ const extractCacheCap = 32
 
 type extractionEntry struct {
 	once sync.Once
-	fas  []*FileAccesses
+	sc   *Scan
 	err  error
 }
 
@@ -78,24 +80,34 @@ func (c *extractionCache) removeLocked(tr *recorder.Trace, e *extractionEntry) {
 	}
 }
 
-// ExtractSharedCtx is the one extraction entry point: the first call for a
-// trace extracts it (§5.1 offset reconstruction plus the §5.2 To/Tc
-// annotation, on a pool of workers; 1 extracts serially) and every later
-// call returns the same slice, which callers must treat as read-only. A
-// failed (cancelled) extraction is dropped from the cache so the error does
-// not poison later calls.
-func ExtractSharedCtx(ctx context.Context, tr *recorder.Trace, workers int) ([]*FileAccesses, error) {
+// ScanTraceCtx returns the trace's shared scan: the first call for a trace
+// folds every rank stream once on a pool of workers (1 folds serially) and
+// every later call returns the same Scan, which callers must treat as
+// read-only. A failed (cancelled) scan is dropped from the cache so the
+// error does not poison later calls.
+func ScanTraceCtx(ctx context.Context, tr *recorder.Trace, workers int) (*Scan, error) {
 	e := extractions.acquire(tr)
 	e.once.Do(func() {
-		e.fas, e.err = extract(ctx, tr, workers)
+		e.sc, e.err = scanTrace(ctx, tr, workers)
 		if e.err != nil {
 			extractions.remove(tr, e)
 		}
 	})
-	return e.fas, e.err
+	return e.sc, e.err
 }
 
-// InvalidateExtraction evicts a trace's cached extraction. Benchmarks use it
+// ExtractSharedCtx is the one extraction entry point: the trace's shared
+// scan's files (§5.1 offset reconstruction plus the §5.2 To/Tc annotation,
+// sorted by path), which callers must treat as read-only.
+func ExtractSharedCtx(ctx context.Context, tr *recorder.Trace, workers int) ([]*FileAccesses, error) {
+	sc, err := ScanTraceCtx(ctx, tr, workers)
+	if err != nil {
+		return nil, err
+	}
+	return sc.Files, nil
+}
+
+// InvalidateExtraction evicts a trace's cached scan. Benchmarks use it
 // to measure the cold path and equivalence tests to force a re-extraction;
 // production code never needs it because traces are immutable.
 func InvalidateExtraction(tr *recorder.Trace) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -14,21 +15,25 @@ import (
 // imposed by the program's synchronization.
 type HB struct {
 	ranks  int
-	events [][]hbEvent // per rank, in stream order
+	events [][]hbEvent // per rank, in stream order; shared with the scan
+	vcs    [][][]int32 // vcs[rank][i] is events[rank][i]'s clock
 }
 
+// hbEvent is one MPI-layer record, reduced to the fields happens-before
+// reads, so that nothing aliases the record a stream reuses.
 type hbEvent struct {
-	rec *recorder.Record
-	// vc[r] = number of rank-r MPI events known (inclusive), exact for every
-	// rank r other than this event's own. The own entry is implicit (idx+1):
-	// OrderedIO reads only cross-rank entries, and merging an event sets its
-	// own entry explicitly. That lets clocks be shared: an event whose only
-	// predecessor is the previous event on its rank shares that event's
-	// slice, and every participant of a collective instance shares the
-	// instance's join.
-	vc   []int32
-	seq  int64  // collective sequence number, -1 for p2p
-	send nodeID // a receive's matched send
+	tstart, tend uint64
+	peer, tag    int64 // Args 0 and 1 of a send or receive
+	seq          int64 // collective sequence number (Arg 2), -1 for p2p
+	fn           recorder.Func
+}
+
+func newHBEvent(r *recorder.Record) hbEvent {
+	seq := int64(-1)
+	if isCollective(r.Func) {
+		seq = r.Arg(2)
+	}
+	return hbEvent{tstart: r.TStart, tend: r.TEnd, peer: r.Arg(0), tag: r.Arg(1), seq: seq, fn: r.Func}
 }
 
 type nodeID struct{ rank, idx int }
@@ -40,9 +45,20 @@ type hbColl struct {
 	join  []int32
 }
 
-// BuildHB reconstructs the happens-before relation. Send k from r to s with
-// a tag matches receive k on s from r with that tag; collective records
-// match by their sequence-number argument.
+// BuildHB reconstructs the happens-before relation of a trace from its
+// shared scan's MPI events (see ScanTraceCtx).
+func BuildHB(tr *recorder.Trace) (*HB, error) {
+	sc, err := ScanTraceCtx(context.TODO(), tr, 1)
+	if err != nil {
+		return nil, err
+	}
+	return sc.HB()
+}
+
+// buildHBOver reconstructs the happens-before relation over per-rank MPI
+// events, which it only reads. Send k from r to s with a tag matches
+// receive k on s from r with that tag; collective records match by their
+// sequence-number argument.
 //
 // Edges are implicit: program order is idx-1, a receive's edge is its
 // matched send, and a collective instance makes every participant's
@@ -50,86 +66,85 @@ type hbColl struct {
 // share one clock, the join of those predecessors, built once when the
 // first participant is processed: O(P·R) per instance for P participants
 // and R ranks.
-func BuildHB(tr *recorder.Trace) (*HB, error) {
-	hb := &HB{ranks: len(tr.PerRank)}
-	hb.events = make([][]hbEvent, hb.ranks)
-
-	// Collect MPI events per rank.
-	for rank, rs := range tr.PerRank {
-		for i := range rs {
-			if rs[i].Layer != recorder.LayerMPI {
-				continue
-			}
-			seq := int64(-1)
-			if isCollective(rs[i].Func) {
-				seq = rs[i].Arg(2)
-			}
-			hb.events[rank] = append(hb.events[rank], hbEvent{rec: &rs[i], seq: seq})
-		}
-	}
+//
+// vc[r] = number of rank-r MPI events known (inclusive), exact for every
+// rank r other than the event's own. The own entry is implicit (idx+1):
+// OrderedIO reads only cross-rank entries, and merging an event sets its
+// own entry explicitly. That lets clocks be shared: an event whose only
+// predecessor is the previous event on its rank shares that event's slice,
+// and every participant of a collective instance shares the instance's
+// join.
+func buildHBOver(events [][]hbEvent) (*HB, error) {
+	hb := &HB{ranks: len(events), events: events, vcs: make([][][]int32, len(events))}
 
 	// Queue sends and gather collective instances.
 	sendQueues := make(map[[3]int][]nodeID) // (src,dst,tag) -> send nodes in order
 	recvCount := make(map[[3]int]int)
 	colls := make(map[int64]*hbColl)
-	for rank := range hb.events {
-		for i := range hb.events[rank] {
-			n := nodeID{rank, i}
-			ev := &hb.events[rank][i]
-			switch ev.rec.Func {
-			case recorder.FuncMPISend:
-				key := [3]int{rank, int(ev.rec.Arg(0)), int(ev.rec.Arg(1))}
-				sendQueues[key] = append(sendQueues[key], n)
-			default:
-				if ev.seq >= 0 {
-					c := colls[ev.seq]
-					if c == nil {
-						c = &hbColl{}
-						colls[ev.seq] = c
-					}
-					c.parts = append(c.parts, n)
+	total := 0
+	for rank, evs := range events {
+		hb.vcs[rank] = make([][]int32, len(evs))
+		total += len(evs)
+		for i := range evs {
+			ev := &evs[i]
+			switch {
+			case ev.fn == recorder.FuncMPISend:
+				key := [3]int{rank, int(ev.peer), int(ev.tag)}
+				sendQueues[key] = append(sendQueues[key], nodeID{rank, i})
+			case ev.seq >= 0:
+				c := colls[ev.seq]
+				if c == nil {
+					c = &hbColl{}
+					colls[ev.seq] = c
 				}
+				c.parts = append(c.parts, nodeID{rank, i})
 			}
 		}
 	}
-	// Match receives to sends.
-	for rank := range hb.events {
-		for i := range hb.events[rank] {
-			ev := &hb.events[rank][i]
-			if ev.rec.Func != recorder.FuncMPIRecv {
+	// Match receives to sends: sendOf[rank][i] is receive i's send, for
+	// the ranks that receive.
+	sendOf := make([][]nodeID, len(events))
+	for rank, evs := range events {
+		for i := range evs {
+			ev := &evs[i]
+			if ev.fn != recorder.FuncMPIRecv {
 				continue
 			}
-			key := [3]int{int(ev.rec.Arg(0)), rank, int(ev.rec.Arg(1))}
+			if sendOf[rank] == nil {
+				sendOf[rank] = make([]nodeID, len(evs))
+			}
+			key := [3]int{int(ev.peer), rank, int(ev.tag)}
 			k := recvCount[key]
 			recvCount[key] = k + 1
 			sends := sendQueues[key]
 			if k >= len(sends) {
 				return nil, fmt.Errorf("core: receive %d on rank %d from %d tag %d has no matching send",
-					k, rank, ev.rec.Arg(0), ev.rec.Arg(1))
+					k, rank, ev.peer, ev.tag)
 			}
-			ev.send = sends[k]
+			sendOf[rank][i] = sends[k]
 		}
 	}
 
 	// Vector clocks in timestamp order (simulation timestamps respect the
 	// edges, so a single pass by TStart is a valid topological order).
-	order := make([]nodeID, 0)
-	for rank := range hb.events {
-		for i := range hb.events[rank] {
+	order := make([]nodeID, 0, total)
+	for rank := range events {
+		for i := range events[rank] {
 			order = append(order, nodeID{rank, i})
 		}
 	}
 	sort.Slice(order, func(a, b int) bool {
-		ea := hb.events[order[a].rank][order[a].idx].rec
-		eb := hb.events[order[b].rank][order[b].idx].rec
-		if ea.TEnd != eb.TEnd {
-			return ea.TEnd < eb.TEnd
+		ea := &events[order[a].rank][order[a].idx]
+		eb := &events[order[b].rank][order[b].idx]
+		if ea.tend != eb.tend {
+			return ea.tend < eb.tend
 		}
-		return ea.TStart < eb.TStart
+		return ea.tstart < eb.tstart
 	})
 	zero := make([]int32, hb.ranks)
 	for _, n := range order {
-		ev := &hb.events[n.rank][n.idx]
+		ev := &events[n.rank][n.idx]
+		var vc []int32
 		switch {
 		case ev.seq >= 0:
 			c := colls[ev.seq]
@@ -149,26 +164,24 @@ func BuildHB(tr *recorder.Trace) (*HB, error) {
 				}
 				c.join = join
 			}
-			ev.vc = c.join
-		case ev.rec.Func == recorder.FuncMPIRecv:
-			vc := make([]int32, hb.ranks)
+			vc = c.join
+		case ev.fn == recorder.FuncMPIRecv:
+			vc = make([]int32, hb.ranks)
 			if err := hb.mergePred(vc, n, n); err != nil {
 				return nil, err
 			}
-			if err := hb.merge(vc, ev.send, n); err != nil {
+			if err := hb.merge(vc, sendOf[n.rank][n.idx], n); err != nil {
 				return nil, err
 			}
-			ev.vc = vc
 		case n.idx > 0:
 			p := nodeID{n.rank, n.idx - 1}
-			pv := hb.events[p.rank][p.idx].vc
-			if pv == nil {
+			if vc = hb.vcs[p.rank][p.idx]; vc == nil {
 				return nil, errNotProcessed(p, n)
 			}
-			ev.vc = pv
 		default:
-			ev.vc = zero
+			vc = zero
 		}
+		hb.vcs[n.rank][n.idx] = vc
 	}
 	return hb, nil
 }
@@ -185,7 +198,7 @@ func (hb *HB) mergePred(into []int32, a, n nodeID) error {
 // merge takes the entrywise max of predecessor p's clock into the clock
 // being built for n, including p's implicit own entry.
 func (hb *HB) merge(into []int32, p, n nodeID) error {
-	pv := hb.events[p.rank][p.idx].vc
+	pv := hb.vcs[p.rank][p.idx]
 	if pv == nil {
 		return errNotProcessed(p, n)
 	}
@@ -224,20 +237,18 @@ func (hb *HB) OrderedIO(rankA int32, tAEnd uint64, rankB int32, tB uint64) bool 
 	if x < 0 || y < 0 {
 		return false
 	}
-	ex := &hb.events[rankA][x]
-	ey := &hb.events[rankB][y]
 	// Same collective instance: entry at all ranks precedes completion at
 	// any rank, so the pair is synchronized.
-	if ex.seq >= 0 && ex.seq == ey.seq {
+	if sx := hb.events[rankA][x].seq; sx >= 0 && sx == hb.events[rankB][y].seq {
 		return true
 	}
-	return ey.vc[rankA] >= int32(x+1)
+	return hb.vcs[rankB][y][rankA] >= int32(x+1)
 }
 
 func (hb *HB) firstEventAtOrAfter(rank int, t uint64) int {
 	evs := hb.events[rank]
 	for i := range evs {
-		if evs[i].rec.TStart >= t {
+		if evs[i].tstart >= t {
 			return i
 		}
 	}
@@ -247,7 +258,7 @@ func (hb *HB) firstEventAtOrAfter(rank int, t uint64) int {
 func (hb *HB) lastEventAtOrBefore(rank int, t uint64) int {
 	evs := hb.events[rank]
 	for i := len(evs) - 1; i >= 0; i-- {
-		if evs[i].rec.TEnd <= t {
+		if evs[i].tend <= t {
 			return i
 		}
 	}

@@ -16,18 +16,16 @@ import (
 func buildHBOracle(tr *recorder.Trace) (*HB, error) {
 	hb := &HB{ranks: len(tr.PerRank)}
 	hb.events = make([][]hbEvent, hb.ranks)
+	hb.vcs = make([][][]int32, hb.ranks)
 
 	for rank, rs := range tr.PerRank {
 		for i := range rs {
 			if rs[i].Layer != recorder.LayerMPI {
 				continue
 			}
-			seq := int64(-1)
-			if isCollective(rs[i].Func) {
-				seq = rs[i].Arg(2)
-			}
-			hb.events[rank] = append(hb.events[rank], hbEvent{rec: &rs[i], seq: seq})
+			hb.events[rank] = append(hb.events[rank], newHBEvent(&rs[i]))
 		}
+		hb.vcs[rank] = make([][]int32, len(hb.events[rank]))
 	}
 
 	preds := make(map[nodeID][]nodeID)
@@ -42,9 +40,9 @@ func buildHBOracle(tr *recorder.Trace) (*HB, error) {
 				preds[n] = append(preds[n], nodeID{rank, i - 1})
 			}
 			ev := &hb.events[rank][i]
-			switch ev.rec.Func {
+			switch ev.fn {
 			case recorder.FuncMPISend:
-				key := [3]int{rank, int(ev.rec.Arg(0)), int(ev.rec.Arg(1))}
+				key := [3]int{rank, int(ev.peer), int(ev.tag)}
 				sendQueues[key] = append(sendQueues[key], n)
 			default:
 				if ev.seq >= 0 {
@@ -56,16 +54,16 @@ func buildHBOracle(tr *recorder.Trace) (*HB, error) {
 	for rank := range hb.events {
 		for i := range hb.events[rank] {
 			ev := &hb.events[rank][i]
-			if ev.rec.Func != recorder.FuncMPIRecv {
+			if ev.fn != recorder.FuncMPIRecv {
 				continue
 			}
-			key := [3]int{int(ev.rec.Arg(0)), rank, int(ev.rec.Arg(1))}
+			key := [3]int{int(ev.peer), rank, int(ev.tag)}
 			k := recvCount[key]
 			recvCount[key] = k + 1
 			sends := sendQueues[key]
 			if k >= len(sends) {
 				return nil, fmt.Errorf("core: receive %d on rank %d from %d tag %d has no matching send",
-					k, rank, ev.rec.Arg(0), ev.rec.Arg(1))
+					k, rank, ev.peer, ev.tag)
 			}
 			n := nodeID{rank, i}
 			preds[n] = append(preds[n], sends[k])
@@ -92,18 +90,17 @@ func buildHBOracle(tr *recorder.Trace) (*HB, error) {
 		}
 	}
 	sort.Slice(order, func(a, b int) bool {
-		ea := hb.events[order[a].rank][order[a].idx].rec
-		eb := hb.events[order[b].rank][order[b].idx].rec
-		if ea.TEnd != eb.TEnd {
-			return ea.TEnd < eb.TEnd
+		ea := hb.events[order[a].rank][order[a].idx]
+		eb := hb.events[order[b].rank][order[b].idx]
+		if ea.tend != eb.tend {
+			return ea.tend < eb.tend
 		}
-		return ea.TStart < eb.TStart
+		return ea.tstart < eb.tstart
 	})
 	for _, n := range order {
-		ev := &hb.events[n.rank][n.idx]
 		vc := make([]int32, hb.ranks)
 		for _, p := range preds[n] {
-			pv := hb.events[p.rank][p.idx].vc
+			pv := hb.vcs[p.rank][p.idx]
 			if pv == nil {
 				return nil, fmt.Errorf("core: predecessor %v of %v not yet processed (timestamps violate happens-before)", p, n)
 			}
@@ -114,7 +111,7 @@ func buildHBOracle(tr *recorder.Trace) (*HB, error) {
 		if own := int32(n.idx + 1); own > vc[n.rank] {
 			vc[n.rank] = own
 		}
-		ev.vc = vc
+		hb.vcs[n.rank][n.idx] = vc
 	}
 	return hb, nil
 }
@@ -137,13 +134,13 @@ func diffHBOracle(tr *recorder.Trace) string {
 			return fmt.Sprintf("rank %d: %d events, oracle %d", rank, len(got.events[rank]), len(want.events[rank]))
 		}
 		for i, w := range want.events[rank] {
-			g := got.events[rank][i]
-			if g.rec != w.rec || g.seq != w.seq {
-				return fmt.Sprintf("event %v: record or sequence differs from the oracle's", nodeID{rank, i})
+			if got.events[rank][i] != w {
+				return fmt.Sprintf("event %v: %+v, oracle %+v", nodeID{rank, i}, got.events[rank][i], w)
 			}
-			for r := range w.vc {
-				if r != rank && g.vc[r] != w.vc[r] {
-					return fmt.Sprintf("event %v: vc[%d] = %d, oracle %d", nodeID{rank, i}, r, g.vc[r], w.vc[r])
+			g, wv := got.vcs[rank][i], want.vcs[rank][i]
+			for r := range wv {
+				if r != rank && g[r] != wv[r] {
+					return fmt.Sprintf("event %v: vc[%d] = %d, oracle %d", nodeID{rank, i}, r, g[r], wv[r])
 				}
 			}
 		}

@@ -189,18 +189,6 @@ func (t *fdTable) closeFD(fd int64) *fdState {
 	return nil
 }
 
-// extractRank walks one rank's record stream and accumulates its file
-// accesses into x. Offset and size state is rank-local (§5.1), so rank
-// streams can be processed independently as long as each rank's records are
-// appended to a path's tables in rank order. The per-record fold lives in
-// rankExtractor (stream.go).
-func extractRank(rs []recorder.Record, x *extraction) {
-	ext := newRankExtractor(x)
-	for i := range rs {
-		ext.step(&rs[i])
-	}
-}
-
 // dataInterval converts a data-op record into an interval, updating the
 // descriptor offset state.
 func dataInterval(r *recorder.Record, fds *fdTable, sizeByPath map[string]int64) (Interval, string, bool) {
@@ -291,18 +279,4 @@ func firstAfter(times []uint64, t uint64) uint64 {
 		return NoTime
 	}
 	return times[idx]
-}
-
-// attributeOrigins computes, for every record in a rank stream, the layer
-// of the outermost enclosing library-layer record (by time containment) and
-// the stream index of the innermost one (the "phase"). It is the
-// whole-slice form of originStack's streaming sweep (stream.go).
-func attributeOrigins(rs []recorder.Record) ([]recorder.Layer, []int) {
-	origins := make([]recorder.Layer, len(rs))
-	phases := make([]int, len(rs))
-	var stack originStack
-	for i := range rs {
-		origins[i], phases[i] = stack.step(i, &rs[i])
-	}
-	return origins, phases
 }

@@ -84,86 +84,71 @@ type metaEvent struct {
 	kind     MetaConflictKind // valid when mutation
 }
 
-// metaEventsRank collects one rank's metadata events (with create-probe
-// suppression applied): it remembers the last stat-family use per path and
-// drops it if the next touch of the path by this rank is a creating open.
-// Suppressed events are returned with an empty Path.
-func metaEventsRank(rs []recorder.Record) []metaEvent {
-	pendingStat := make(map[string]int) // path -> index into local list
-	var local []metaEvent
-	flushStat := func(p string) {
-		delete(pendingStat, p)
+// metaStep collects one POSIX record's metadata events into the rank's
+// part, with create-probe suppression: a stat-family use stays pending
+// until the next record of this rank that names its path (as Path or
+// Path2), and is dropped — its Path emptied — when that record is a
+// creating open of the path. A failed open is no dependency carrier and
+// no touch.
+func (s *rankScan) metaStep(r *recorder.Record) {
+	isOpen := r.IsOpenOp()
+	if isOpen && r.Arg(2) < 0 {
+		return
 	}
-	for i := range rs {
-		r := &rs[i]
-		if r.Layer != recorder.LayerPOSIX {
-			continue
-		}
-		ref := MetaOpRef{Rank: r.Rank, T: r.TStart, TEnd: r.TEnd, Func: r.Func, Path: r.Path}
-		switch {
-		case r.IsOpenOp():
-			flags := int(r.Arg(0))
-			if r.Arg(2) < 0 {
-				continue // failed open is not a dependency carrier
+	p := s.part
+	creating := isOpen && int(r.Arg(0))&recorder.OCreat != 0
+	if len(s.pending) > 0 {
+		if idx, ok := s.pending[r.Path]; ok {
+			if creating {
+				p.meta[idx].ref.Path = ""
 			}
-			if flags&recorder.OCreat != 0 {
-				// Creating open: a mutation of the path, a use of the
-				// parent directory, and it cancels this rank's pending
-				// existence probe.
-				if idx, ok := pendingStat[r.Path]; ok {
-					local[idx].ref.Path = "" // mark dropped
-					flushStat(r.Path)
-				}
-				kind := CreateUse
-				local = append(local, metaEvent{ref: ref, mutation: true, kind: kind})
-				if flags&recorder.OTrunc != 0 {
-					local = append(local, metaEvent{ref: ref, mutation: true, kind: ResizeUse})
-				}
-				if dir := path.Dir(r.Path); dir != "/" && dir != "." {
-					dref := ref
-					dref.Path = dir
-					local = append(local, metaEvent{ref: dref})
-				}
-			} else {
-				local = append(local, metaEvent{ref: ref})
-			}
-		case r.Func == recorder.FuncMkdir:
-			local = append(local, metaEvent{ref: ref, mutation: true, kind: CreateUse})
-		case r.Func == recorder.FuncUnlink || r.Func == recorder.FuncRemove:
-			local = append(local, metaEvent{ref: ref, mutation: true, kind: RemoveUse})
-		case r.Func == recorder.FuncRename:
-			local = append(local, metaEvent{ref: ref, mutation: true, kind: RemoveUse})
-			dst := ref
-			dst.Path = r.Path2
-			local = append(local, metaEvent{ref: dst, mutation: true, kind: CreateUse})
-		case r.Func == recorder.FuncTruncate:
-			local = append(local, metaEvent{ref: ref, mutation: true, kind: ResizeUse})
-		case r.Func == recorder.FuncStat || r.Func == recorder.FuncLstat ||
-			r.Func == recorder.FuncAccess || r.Func == recorder.FuncOpendir:
-			local = append(local, metaEvent{ref: ref})
-			pendingStat[r.Path] = len(local) - 1
+			delete(s.pending, r.Path)
 		}
+		delete(s.pending, r.Path2)
 	}
-	return local
-}
-
-// addMetaEvents folds one rank's event list into the per-path event map,
-// skipping suppressed probes. Calling this in rank order for every rank
-// gives each path's list a deterministic (rank, program-order) sequence.
-func addMetaEvents(events map[string][]metaEvent, local []metaEvent) {
-	for _, e := range local {
-		p := e.ref.Path
-		if p == "" || p == "/" {
-			continue // suppressed create probe or root
+	ref := MetaOpRef{Rank: r.Rank, T: r.TStart, TEnd: r.TEnd, Func: r.Func, Path: r.Path}
+	switch {
+	case isOpen:
+		if !creating {
+			p.meta = append(p.meta, metaEvent{ref: ref})
+			return
 		}
-		events[p] = append(events[p], e)
+		// Creating open: a mutation of the path and a use of the parent
+		// directory.
+		p.meta = append(p.meta, metaEvent{ref: ref, mutation: true, kind: CreateUse})
+		if int(r.Arg(0))&recorder.OTrunc != 0 {
+			p.meta = append(p.meta, metaEvent{ref: ref, mutation: true, kind: ResizeUse})
+		}
+		if dir := path.Dir(r.Path); dir != "/" && dir != "." {
+			dref := ref
+			dref.Path = dir
+			p.meta = append(p.meta, metaEvent{ref: dref})
+		}
+	case r.Func == recorder.FuncMkdir:
+		p.meta = append(p.meta, metaEvent{ref: ref, mutation: true, kind: CreateUse})
+	case r.Func == recorder.FuncUnlink || r.Func == recorder.FuncRemove:
+		p.meta = append(p.meta, metaEvent{ref: ref, mutation: true, kind: RemoveUse})
+	case r.Func == recorder.FuncRename:
+		p.meta = append(p.meta, metaEvent{ref: ref, mutation: true, kind: RemoveUse})
+		dst := ref
+		dst.Path = r.Path2
+		p.meta = append(p.meta, metaEvent{ref: dst, mutation: true, kind: CreateUse})
+	case r.Func == recorder.FuncTruncate:
+		p.meta = append(p.meta, metaEvent{ref: ref, mutation: true, kind: ResizeUse})
+	case r.Func == recorder.FuncStat || r.Func == recorder.FuncLstat ||
+		r.Func == recorder.FuncAccess || r.Func == recorder.FuncOpendir:
+		if s.pending == nil {
+			s.pending = make(map[string]int)
+		}
+		s.pending[r.Path] = len(p.meta)
+		p.meta = append(p.meta, metaEvent{ref: ref})
 	}
 }
 
-// metaConflictsForPath scans one path's event list (any insertion order;
-// it stably re-sorts by time) for cross-process (mutation, use) pairs.
+// metaConflictsForPath scans one path's event list, sorted by time (see
+// metaByPath), for cross-process (mutation, use) pairs. evs is not
+// modified.
 func metaConflictsForPath(p string, evs []metaEvent) []MetaConflict {
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].ref.T < evs[j].ref.T })
 	var out []MetaConflict
 	for i, e := range evs {
 		if e.mutation {

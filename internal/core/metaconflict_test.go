@@ -99,6 +99,45 @@ func TestCreateProbeSuppressed(t *testing.T) {
 	}
 }
 
+// TestCreateProbeNeedsNextTouch: a stat stays an existence probe only
+// until the rank's next touch of the path. Rank 1's lstat is consumed by
+// its plain open, so the later creating open does not suppress it, and
+// both the lstat and the open depend on rank 0's creation.
+func TestCreateProbeNeedsNextTouch(t *testing.T) {
+	cs := metaRun(t, 2, func(ctx *harness.Ctx) error {
+		if ctx.Rank == 0 {
+			fd, err := ctx.OS.Open("/x", recorder.OCreat|recorder.OWronly, 0o644)
+			if err != nil {
+				return err
+			}
+			ctx.OS.Close(fd)
+		}
+		ctx.MPI.Barrier()
+		if ctx.Rank == 1 {
+			ctx.OS.Lstat("/x")
+			fd, err := ctx.OS.Open("/x", recorder.ORdonly, 0)
+			if err != nil {
+				return err
+			}
+			ctx.OS.Close(fd)
+			fd, err = ctx.OS.Open("/x", recorder.OCreat|recorder.OWronly, 0o644)
+			if err != nil {
+				return err
+			}
+			ctx.OS.Close(fd)
+		}
+		return nil
+	})
+	if len(cs) != 2 {
+		t.Fatalf("got %d conflicts, want the lstat's and the open's create-use pairs: %v", len(cs), cs)
+	}
+	for i, f := range []recorder.Func{recorder.FuncLstat, recorder.FuncOpen} {
+		if c := cs[i]; c.Kind != CreateUse || c.Use.Func != f || c.Use.Rank != 1 || c.Mutation.Rank != 0 {
+			t.Errorf("conflict %d = %v, want a create-use of /x by rank 1's %s", i, c, f)
+		}
+	}
+}
+
 func TestRemoveUseAcrossRanks(t *testing.T) {
 	cs := metaRun(t, 2, func(ctx *harness.Ctx) error {
 		fd, err := ctx.OS.Open("/victim", recorder.OCreat|recorder.OWronly, 0o644)

@@ -80,21 +80,3 @@ func (c *Census) Used(f recorder.Func) bool {
 	}
 	return false
 }
-
-// censusRank tallies one rank's metadata operations into c.
-func censusRank(rs []recorder.Record, c *Census) {
-	origins, _ := attributeOrigins(rs)
-	for i := range rs {
-		r := &rs[i]
-		if !r.IsMetadataOp() {
-			continue
-		}
-		origin := originName(origins[i])
-		m, ok := c.Counts[origin]
-		if !ok {
-			m = make(map[recorder.Func]int)
-			c.Counts[origin] = m
-		}
-		m[r.Func]++
-	}
-}

@@ -206,6 +206,15 @@ func extractOracle(tr *recorder.Trace) map[string]*oracleFile {
 
 // The serial case of each entry point (a pool of one, never cancelled).
 
+// extract is an uncached scan's extraction on a pool of workers.
+func extract(ctx context.Context, tr *recorder.Trace, workers int) ([]*FileAccesses, error) {
+	sc, err := scanTrace(ctx, tr, workers)
+	if err != nil {
+		return nil, err
+	}
+	return sc.Files, nil
+}
+
 func extractAll(tr *recorder.Trace) []*FileAccesses {
 	fas, _ := extract(context.Background(), tr, 1)
 	return fas

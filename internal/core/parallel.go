@@ -106,89 +106,6 @@ func ParallelForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 	return ctx.Err()
 }
 
-// extract reconstructs per-file access intervals from a trace. It walks
-// each rank's record stream in order, tracking the current offset of every
-// descriptor (updated by open flags, seeks and transfer sizes, per §5.1),
-// and annotates every data operation with its To/Tc times and originating
-// layer. Results are returned sorted by path.
-//
-// A pool of one (or a one-rank trace) folds every rank into one
-// extraction; larger pools process rank streams concurrently into per-rank
-// partial extractions, merged in rank order (which reproduces the serial
-// append order of every per-path table), and then shard the §5.2
-// annotation pass across files.
-func extract(ctx context.Context, tr *recorder.Trace, workers int) ([]*FileAccesses, error) {
-	defer startPass("extract")()
-	n := len(tr.PerRank)
-	if EffectiveWorkers(workers) <= 1 || n <= 1 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		x := newExtraction()
-		for _, rs := range tr.PerRank {
-			extractRank(rs, x)
-		}
-		out := x.layout()
-		for _, fa := range out {
-			annotate(fa)
-		}
-		return out, nil
-	}
-	partial := make([]*extraction, n)
-	if err := ParallelForCtx(ctx, n, workers, func(r int) {
-		x := newExtraction()
-		extractRank(tr.PerRank[r], x)
-		partial[r] = x
-	}); err != nil {
-		return nil, err
-	}
-
-	out := mergePartials(partial).layout() // rank order = serial append order
-	if err := ParallelForCtx(ctx, len(out), workers, func(i int) { annotate(out[i]) }); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// mergePartials folds per-rank partial extractions in rank order, which
-// reproduces the serial append order of every per-path table: a rank's
-// times are appended after the earlier partials' times for the same rank,
-// and its staged chunks, re-tagged with the merged file indices, follow
-// the earlier partials' chunks.
-func mergePartials(partial []*extraction) *extraction {
-	merged := newExtraction()
-	for _, part := range partial {
-		remap := make([]int32, len(part.files))
-		for i, fa := range part.files {
-			g, ok := merged.index[fa.Path]
-			if !ok {
-				g = int32(len(merged.files))
-				merged.index[fa.Path] = g
-				merged.files = append(merged.files, fa)
-				merged.counts = append(merged.counts, part.counts[i])
-				remap[i] = g
-				continue
-			}
-			dst := merged.files[g]
-			for _, rt := range fa.Ranks {
-				d := dst.timesFor(rt.Rank)
-				d.Opens = append(d.Opens, rt.Opens...)
-				d.Closes = append(d.Closes, rt.Closes...)
-				d.Commits = append(d.Commits, rt.Commits...)
-			}
-			merged.counts[g] += part.counts[i]
-			remap[i] = g
-		}
-		for _, c := range part.chunks {
-			for k := range c {
-				c[k].file = remap[c[k].file]
-			}
-		}
-		merged.chunks = append(merged.chunks, part.chunks...)
-	}
-	return merged
-}
-
 // ConflictsAllForFilesCtx runs the fused multi-model conflict sweep (one
 // offset-sorted sweep per file evaluating every model's predicate) over
 // already-extracted accesses on a worker pool, merging in path order.
@@ -236,70 +153,34 @@ func AnalyzeParallelCtx(ctx context.Context, tr *recorder.Trace, workers int) (V
 // MetadataCensusParallelCtx reproduces the §6.4 analysis: it counts every
 // POSIX metadata/utility operation in the trace and attributes each call to
 // the I/O layer that issued it (the outermost enclosing library record, or
-// the application when none). Per-rank partial censuses are merged by
-// addition (commutative, so any merge order is exact).
+// the application when none). The census is folded by the trace's shared
+// scan (see ScanTraceCtx), so the first analysis of a trace pays for it and
+// every later one reads it; callers must treat it as read-only.
 func MetadataCensusParallelCtx(ctx context.Context, tr *recorder.Trace, workers int) (*Census, error) {
 	defer startPass("census")()
-	partial := make([]*Census, len(tr.PerRank))
-	if err := ParallelForCtx(ctx, len(tr.PerRank), workers, func(r int) {
-		c := &Census{Counts: make(map[string]map[recorder.Func]int)}
-		censusRank(tr.PerRank[r], c)
-		partial[r] = c
-	}); err != nil {
+	sc, err := ScanTraceCtx(ctx, tr, workers)
+	if err != nil {
 		return nil, err
 	}
-	out := &Census{Counts: make(map[string]map[recorder.Func]int)}
-	for _, c := range partial {
-		for origin, m := range c.Counts {
-			dst, ok := out.Counts[origin]
-			if !ok {
-				dst = make(map[recorder.Func]int)
-				out.Counts[origin] = dst
-			}
-			for f, v := range m {
-				dst[f] += v
-			}
-		}
-	}
-	return out, nil
+	return sc.Census, nil
 }
 
 // DetectMetadataConflictsParallelCtx finds cross-process metadata
 // dependencies in a trace. For every dependent use it reports the most
 // recent prior mutation of the path by a different process. A stat/access
-// immediately followed by the same process's own creating open of the same
-// path is an existence probe, not a dependency, and is skipped (the probe
-// tolerates both outcomes).
+// whose process's next touch of the same path is its own creating open is
+// an existence probe, not a dependency, and is skipped (the probe tolerates
+// both outcomes).
 //
-// Per-rank event collection runs on the pool and is folded in rank order,
-// then the per-path scans are sharded across paths. The final total-order
-// sort makes the merge order immaterial.
+// The per-rank metadata events come from the trace's shared scan (see
+// ScanTraceCtx); the per-path scans are sharded across paths, and the final
+// total-order sort makes the merge order immaterial.
 func DetectMetadataConflictsParallelCtx(ctx context.Context, tr *recorder.Trace, workers int) ([]MetaConflict, error) {
-	defer startPass("meta-conflicts")()
-	locals := make([][]metaEvent, len(tr.PerRank))
-	if err := ParallelForCtx(ctx, len(tr.PerRank), workers, func(r int) { locals[r] = metaEventsRank(tr.PerRank[r]) }); err != nil {
+	sc, err := ScanTraceCtx(ctx, tr, workers)
+	if err != nil {
 		return nil, err
 	}
-	events := make(map[string][]metaEvent)
-	for _, local := range locals { // rank order
-		addMetaEvents(events, local)
-	}
-	paths := make([]string, 0, len(events))
-	for p := range events {
-		paths = append(paths, p)
-	}
-	per := make([][]MetaConflict, len(paths))
-	if err := ParallelForCtx(ctx, len(paths), workers, func(i int) {
-		per[i] = metaConflictsForPath(paths[i], events[paths[i]])
-	}); err != nil {
-		return nil, err
-	}
-	var out []MetaConflict
-	for _, cs := range per {
-		out = append(out, cs...)
-	}
-	sortMetaConflicts(out)
-	return out, nil
+	return sc.MetaConflictsCtx(ctx, workers)
 }
 
 // GlobalPatternParallelCtx computes Figure 1(a): transitions between

@@ -1,0 +1,187 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"path"
+	"reflect"
+	"sort"
+	"testing"
+
+	"repro/internal/apps"
+	"repro/internal/recorder"
+)
+
+// Whole-slice oracles of the scan's per-record folds: each walks one rank's
+// materialized records on its own, the way the analysis passes did before
+// the scan fused them into one pass per rank.
+
+// attributeOrigins computes, for every record in a rank stream, the layer
+// of the outermost enclosing library-layer record (by time containment) and
+// the stream index of the innermost one (the "phase").
+func attributeOrigins(rs []recorder.Record) ([]recorder.Layer, []int) {
+	origins := make([]recorder.Layer, len(rs))
+	phases := make([]int, len(rs))
+	var stack originStack
+	for i := range rs {
+		origins[i], phases[i] = stack.step(i, &rs[i])
+	}
+	return origins, phases
+}
+
+// censusRank tallies one rank's metadata operations into c.
+func censusRank(rs []recorder.Record, c *Census) {
+	origins, _ := attributeOrigins(rs)
+	for i := range rs {
+		r := &rs[i]
+		if !r.IsMetadataOp() {
+			continue
+		}
+		origin := originName(origins[i])
+		m, ok := c.Counts[origin]
+		if !ok {
+			m = make(map[recorder.Func]int)
+			c.Counts[origin] = m
+		}
+		m[r.Func]++
+	}
+}
+
+// metaEventsRank collects one rank's metadata events with create-probe
+// suppression: it remembers the last stat-family use per path and drops it
+// if the rank's next record naming the path is a creating open; any other
+// such record consumes the probe. Failed opens are skipped. Suppressed
+// events are returned with an empty Path.
+func metaEventsRank(rs []recorder.Record) []metaEvent {
+	pendingStat := make(map[string]int) // path -> index into local list
+	var local []metaEvent
+	for i := range rs {
+		r := &rs[i]
+		if r.Layer != recorder.LayerPOSIX {
+			continue
+		}
+		if r.IsOpenOp() && r.Arg(2) < 0 {
+			continue // failed open is not a dependency carrier
+		}
+		creating := r.IsOpenOp() && int(r.Arg(0))&recorder.OCreat != 0
+		if idx, ok := pendingStat[r.Path]; ok {
+			if creating {
+				local[idx].ref.Path = "" // mark dropped
+			}
+			delete(pendingStat, r.Path)
+		}
+		delete(pendingStat, r.Path2)
+		ref := MetaOpRef{Rank: r.Rank, T: r.TStart, TEnd: r.TEnd, Func: r.Func, Path: r.Path}
+		switch {
+		case creating:
+			local = append(local, metaEvent{ref: ref, mutation: true, kind: CreateUse})
+			if int(r.Arg(0))&recorder.OTrunc != 0 {
+				local = append(local, metaEvent{ref: ref, mutation: true, kind: ResizeUse})
+			}
+			if dir := path.Dir(r.Path); dir != "/" && dir != "." {
+				dref := ref
+				dref.Path = dir
+				local = append(local, metaEvent{ref: dref})
+			}
+		case r.IsOpenOp():
+			local = append(local, metaEvent{ref: ref})
+		case r.Func == recorder.FuncMkdir:
+			local = append(local, metaEvent{ref: ref, mutation: true, kind: CreateUse})
+		case r.Func == recorder.FuncUnlink || r.Func == recorder.FuncRemove:
+			local = append(local, metaEvent{ref: ref, mutation: true, kind: RemoveUse})
+		case r.Func == recorder.FuncRename:
+			local = append(local, metaEvent{ref: ref, mutation: true, kind: RemoveUse})
+			dst := ref
+			dst.Path = r.Path2
+			local = append(local, metaEvent{ref: dst, mutation: true, kind: CreateUse})
+		case r.Func == recorder.FuncTruncate:
+			local = append(local, metaEvent{ref: ref, mutation: true, kind: ResizeUse})
+		case r.Func == recorder.FuncStat || r.Func == recorder.FuncLstat ||
+			r.Func == recorder.FuncAccess || r.Func == recorder.FuncOpendir:
+			local = append(local, metaEvent{ref: ref})
+			pendingStat[r.Path] = len(local) - 1
+		}
+	}
+	return local
+}
+
+// metaConflictsOracle runs metaEventsRank over every rank, groups the
+// events per path in rank order, sorts each path's list by time and scans
+// it.
+func metaConflictsOracle(tr *recorder.Trace) []MetaConflict {
+	events := make(map[string][]metaEvent)
+	for _, rs := range tr.PerRank {
+		for _, e := range metaEventsRank(rs) {
+			if p := e.ref.Path; p != "" && p != "/" {
+				events[p] = append(events[p], e)
+			}
+		}
+	}
+	var out []MetaConflict
+	for p, evs := range events {
+		sort.SliceStable(evs, func(i, j int) bool { return evs[i].ref.T < evs[j].ref.T })
+		out = append(out, metaConflictsForPath(p, evs)...)
+	}
+	sortMetaConflicts(out)
+	return out
+}
+
+// checkScanOracles compares an uncached scan at one and two workers with
+// the whole-slice oracles: census, metadata conflicts, record count and
+// call counters.
+func checkScanOracles(t *testing.T, label string, tr *recorder.Trace) {
+	t.Helper()
+	wantCensus := &Census{Counts: make(map[string]map[recorder.Func]int)}
+	wantCalls := make(map[recorder.Layer]map[recorder.Func]int)
+	for _, rs := range tr.PerRank {
+		censusRank(rs, wantCensus)
+		for i := range rs {
+			countCall(wantCalls, rs[i].Layer, rs[i].Func, 1)
+		}
+	}
+	wantMeta := metaConflictsOracle(tr)
+	for _, w := range []int{1, 2} {
+		how := fmt.Sprintf("%s workers=%d", label, w)
+		sc, err := scanTrace(context.Background(), tr, w)
+		if err != nil {
+			t.Fatalf("%s: %v", how, err)
+		}
+		if !reflect.DeepEqual(sc.Census, wantCensus) {
+			t.Errorf("%s: census %v, oracle %v", how, sc.Census.Counts, wantCensus.Counts)
+		}
+		if sc.Records != tr.NumRecords() || !reflect.DeepEqual(sc.Calls, wantCalls) {
+			t.Errorf("%s: %d records, calls %v; want %d, %v", how, sc.Records, sc.Calls, tr.NumRecords(), wantCalls)
+		}
+		got, err := sc.MetaConflictsCtx(context.Background(), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, wantMeta) {
+			t.Errorf("%s: metadata conflicts\n%v\noracle\n%v", how, got, wantMeta)
+		}
+	}
+}
+
+// TestScanMatchesWholeSliceOraclesRegistry: for every registry app, the
+// fused per-record folds reproduce the whole-slice census and metadata
+// oracles.
+func TestScanMatchesWholeSliceOraclesRegistry(t *testing.T) {
+	for _, name := range apps.Names() {
+		cfg, _ := apps.Lookup(name)
+		res, err := apps.Execute(cfg, apps.Options{Ranks: 8, PPN: 2, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkScanOracles(t, name, res.Trace)
+	}
+}
+
+// TestPropertyScanMatchesWholeSliceOracles: the same on random traces,
+// whose metadata operations touch a few shared paths in random order.
+func TestPropertyScanMatchesWholeSliceOracles(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 60; trial++ {
+		checkScanOracles(t, fmt.Sprintf("trial %d", trial), randomTrace(rng))
+	}
+}

@@ -8,9 +8,10 @@ import (
 )
 
 // The §5.1 offset reconstruction is a per-record fold over one rank's
-// stream in TStart order: rankExtractor carries the descriptor, size and
-// origin state from one record to the next (extractRank drives it), and
-// originStack is the attribution sweep it shares with attributeOrigins.
+// stream in TStart order: rankExtractor carries the descriptor and size
+// state from one record to the next, and originStack is the attribution
+// sweep the rank's scan (scan.go) advances once per record for the
+// extraction and the census alike.
 
 // originFrame is one not-yet-ended enclosing library call.
 type originFrame struct {
@@ -55,18 +56,14 @@ func (s *originStack) step(i int, r *recorder.Record) (recorder.Layer, int) {
 }
 
 // rankExtractor folds one rank's records into per-file accesses one record
-// at a time: descriptor offsets (§5.1), open/close/commit time tables, and
-// origin/phase attribution all advance in a single pass.
+// at a time: descriptor offsets (§5.1) and open/close/commit time tables
+// advance in a single pass. Offset and size state is rank-local, so rank
+// streams fold independently as long as each rank's records reach a
+// path's tables in rank order.
 type rankExtractor struct {
 	x          *extraction
 	fds        fdTable
 	sizeByPath map[string]int64 // this rank's view, for O_APPEND
-	stack      originStack
-	i          int // stream index of the next record
-}
-
-func newRankExtractor(x *extraction) *rankExtractor {
-	return &rankExtractor{x: x, sizeByPath: make(map[string]int64, 8)}
 }
 
 func (e *rankExtractor) noteSize(path string, end int64) {
@@ -75,13 +72,9 @@ func (e *rankExtractor) noteSize(path string, end int64) {
 	}
 }
 
-// step folds one record.
-func (e *rankExtractor) step(r *recorder.Record) {
-	origin, phase := e.stack.step(e.i, r)
-	e.i++
-	if r.Layer != recorder.LayerPOSIX {
-		return
-	}
+// step folds one POSIX-layer record whose origin and phase the rank's
+// originStack computed.
+func (e *rankExtractor) step(r *recorder.Record, origin recorder.Layer, phase int) {
 	switch {
 	case r.IsOpenOp():
 		fd := r.Arg(2)

@@ -141,8 +141,7 @@ type streamResult struct {
 // decodeRankFile sniffs and decodes one rank stream. Lenient walks salvage;
 // strict walks surface the first problem.
 func decodeRankFile(b storage.Backend, dir string, rank int, lenient bool) streamResult {
-	path := filepath.Join(dir, recorder.RankFileName(rank))
-	data, unmap, err := readStream(b, path)
+	data, unmap, err := readStream(b, filepath.Join(dir, recorder.RankFileName(rank)))
 	if err != nil {
 		return streamResult{err: err}
 	}
@@ -154,14 +153,73 @@ func decodeRankFile(b storage.Backend, dir string, rank int, lenient bool) strea
 	if Sniff(data) {
 		return decodeColumnar(data, rank, lenient)
 	}
-	// v1 (or unrecognized — the v1 decoder reports its canonical bad-magic
-	// error). Strings are copied during decode, so unmap afterwards is safe.
+	return decodeV1(data, rank)
+}
+
+// decodeV1 decodes a v1 (or unrecognized — the v1 decoder reports its
+// canonical bad-magic error) rank stream. Strings are copied during
+// decode, so the records outlive data's mapping.
+func decodeV1(data []byte, rank int) streamResult {
 	gotRank, recs, derr := recorder.DecodeRankStream(bytes.NewReader(data))
 	if derr == nil && gotRank != rank {
 		derr = fmt.Errorf("holds rank %d", gotRank)
 		recs = nil // records belong to another rank; keeping them would lie
 	}
 	return streamResult{recs: recs, err: derr}
+}
+
+// rankError is the error every strict directory read reports for a damaged
+// or missing rank stream.
+func rankError(rank int, err error) error {
+	return fmt.Errorf("recorder: reading rank %d: %w", rank, err)
+}
+
+// OpenRankOn opens one rank stream of a trace directory for a single
+// strict forward walk, sniffing its format: a columnar file yields a
+// Cursor over its (memory-mapped) bytes, and release unmaps them once the
+// walk is done; a v1 file is decoded to a slice on open. Every failure —
+// at open or, through the stream's Err, mid-walk — is exactly the error
+// LoadDirOn reports for that rank.
+func OpenRankOn(b storage.Backend, dir string, rank int) (s core.RecordStream, release func(), err error) {
+	data, unmap, err := readStream(b, filepath.Join(dir, recorder.RankFileName(rank)))
+	if err != nil {
+		return nil, nil, rankError(rank, err)
+	}
+	release = func() {
+		if unmap != nil {
+			_ = unmap()
+		}
+	}
+	if !Sniff(data) {
+		res := decodeV1(data, rank)
+		release()
+		if res.err != nil {
+			return nil, nil, rankError(rank, res.err)
+		}
+		return core.NewSliceStream(res.recs), func() {}, nil
+	}
+	r, err := NewReader(data)
+	if err == nil && r.Rank() != rank {
+		err = fmt.Errorf("holds rank %d", r.Rank())
+	}
+	if err != nil {
+		release()
+		return nil, nil, rankError(rank, err)
+	}
+	return &rankCursor{Cursor: r.Cursor(), rank: rank}, release, nil
+}
+
+// rankCursor is a strict Cursor whose Err carries LoadDirOn's wording.
+type rankCursor struct {
+	*Cursor
+	rank int
+}
+
+func (c *rankCursor) Err() error {
+	if err := c.Cursor.Err(); err != nil {
+		return rankError(c.rank, err)
+	}
+	return nil
 }
 
 func decodeColumnar(data []byte, rank int, lenient bool) streamResult {
@@ -183,8 +241,10 @@ func decodeColumnar(data []byte, rank int, lenient bool) streamResult {
 	return res
 }
 
-// loadMeta reads and validates trace.meta.
-func loadMeta(b storage.Backend, dir string) (recorder.Meta, error) {
+// MetaOn settles the backend (see storage.Settle) and reads and validates
+// a trace directory's trace.meta.
+func MetaOn(b storage.Backend, dir string) (recorder.Meta, error) {
+	storage.Settle(b)
 	var meta recorder.Meta
 	metaBytes, err := b.ReadFile(filepath.Join(dir, "trace.meta"))
 	if err != nil {
@@ -209,8 +269,7 @@ func loadMeta(b storage.Backend, dir string) (recorder.Meta, error) {
 // format. Any damaged stream fails the load; the reported error is the
 // lowest-ranked failure, so retries see a deterministic message.
 func LoadDirOn(b storage.Backend, dir string, workers int) (*recorder.Trace, error) {
-	storage.Settle(b)
-	meta, err := loadMeta(b, dir)
+	meta, err := MetaOn(b, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -221,7 +280,7 @@ func LoadDirOn(b storage.Backend, dir string, workers int) (*recorder.Trace, err
 	tr := &recorder.Trace{Meta: meta, PerRank: make([][]recorder.Record, meta.Ranks)}
 	for rank := range results {
 		if rerr := results[rank].err; rerr != nil {
-			return nil, fmt.Errorf("recorder: reading rank %d: %w", rank, rerr)
+			return nil, rankError(rank, rerr)
 		}
 		tr.PerRank[rank] = results[rank].recs
 	}
@@ -236,8 +295,7 @@ func LoadDirOn(b storage.Backend, dir string, workers int) (*recorder.Trace, err
 // scheduling. It fails only when the metadata is unusable or not a single
 // record survives.
 func LoadDirLenientOn(b storage.Backend, dir string, workers int) (*recorder.Trace, *recorder.Salvage, error) {
-	storage.Settle(b)
-	meta, err := loadMeta(b, dir)
+	meta, err := MetaOn(b, dir)
 	if err != nil {
 		return nil, nil, err
 	}

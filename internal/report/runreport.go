@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -40,28 +41,29 @@ type FileReport struct {
 	CommitConflicts  int
 }
 
-// BuildRunReportFrom computes the digest from pre-extracted accesses (fas
-// is read, never mutated). It is the digest only: the per-file conflict
-// columns stay zero here, and semfs.AnalyzeParallelCtx fills them from its
-// one conflict sweep.
+// BuildRunReportFrom computes tr's digest from pre-extracted accesses (fas
+// is read, never mutated) and the call counters of tr's shared scan (see
+// core.ScanTraceCtx). It is the digest only: the per-file conflict columns
+// stay zero here, and semfs fills them from its one conflict sweep.
 func BuildRunReportFrom(tr *recorder.Trace, fas []*core.FileAccesses) *RunReport {
+	// Only cancellation ends a scan early, and nothing cancels this one.
+	sc, _ := core.ScanTraceCtx(context.TODO(), tr, 1)
+	return buildRunReport(tr.Meta, sc, fas)
+}
+
+// RunReportOf computes the digest of a scanned trace (see
+// BuildRunReportFrom). The report shares sc's call counters, read-only.
+func RunReportOf(meta recorder.Meta, sc *core.Scan) *RunReport {
+	return buildRunReport(meta, sc, sc.Files)
+}
+
+func buildRunReport(meta recorder.Meta, sc *core.Scan, fas []*core.FileAccesses) *RunReport {
 	rep := &RunReport{
-		Config:        tr.Meta.ConfigName(),
-		Ranks:         tr.Meta.Ranks,
-		Records:       tr.NumRecords(),
-		FuncCounts:    make(map[recorder.Layer]map[recorder.Func]int),
+		Config:        meta.ConfigName(),
+		Ranks:         meta.Ranks,
+		Records:       sc.Records,
+		FuncCounts:    sc.Calls,
 		SizeHistogram: obs.NewHistogram(),
-	}
-	for _, rs := range tr.PerRank {
-		for i := range rs {
-			r := &rs[i]
-			m, ok := rep.FuncCounts[r.Layer]
-			if !ok {
-				m = make(map[recorder.Func]int)
-				rep.FuncCounts[r.Layer] = m
-			}
-			m[r.Func]++
-		}
 	}
 	rep.Files = make([]FileReport, 0, len(fas))
 	for _, fa := range fas {

@@ -175,26 +175,57 @@ type Analysis struct {
 }
 
 // AnalyzeParallelCtx runs the full paper analysis over a trace. The trace
-// is extracted once (through the process-wide extraction cache, so repeated
-// analyses of one trace share the work), then six independent passes
-// (fused session+commit conflict sweep, pattern classification + Figure 1
-// mixes, metadata census, metadata-conflict detection, the happens-before
-// build and the run-report digest) fan out as a scatter/gather, the first
-// four each internally sharded across a pool of the given size: workers <= 0
-// selects runtime.GOMAXPROCS, and 1 runs every pass serially. After the
-// join the report's conflict columns and the §5.2 unordered pairs are read
-// off the one conflict sweep. Every merge is deterministic, so the result
-// is identical at every worker count (see TestAnalyzeParallelMatchesSerial).
-// Cancellation stops every sharded pass within one task boundary (no new
-// per-file or per-rank task starts once ctx is done; the happens-before
-// build and the digest are one task each) and the call returns ctx.Err()
-// instead of a partial Analysis.
+// is scanned once (through the process-wide extraction cache, so repeated
+// analyses of one trace share the work): one fold per rank stream yields
+// the extraction, the metadata census, the call counters and the metadata
+// and MPI events. Then five independent passes (fused session+commit
+// conflict sweep, pattern classification + Figure 1 mixes,
+// metadata-conflict detection, the happens-before build and the run-report
+// digest) fan out as a scatter/gather, the first three each internally
+// sharded across a pool of the given size: workers <= 0 selects
+// runtime.GOMAXPROCS, and 1 runs every pass serially. After the join the
+// report's conflict columns and the §5.2 unordered pairs are read off the
+// one conflict sweep. Every merge is deterministic, so the result is
+// identical at every worker count (see TestAnalyzeParallelMatchesSerial).
+// Cancellation stops the scan and every sharded pass within one task
+// boundary (no new per-rank or per-file task starts once ctx is done; the
+// happens-before build and the digest are one task each) and the call
+// returns ctx.Err() instead of a partial Analysis.
 func AnalyzeParallelCtx(ctx context.Context, tr *recorder.Trace, workers int) (*Analysis, error) {
-	fas, err := core.ExtractSharedCtx(ctx, tr, workers)
+	sc, err := core.ScanTraceCtx(ctx, tr, workers)
 	if err != nil {
 		return nil, err
 	}
-	an := &Analysis{}
+	return analyzeScan(ctx, tr.Meta, sc, workers)
+}
+
+// AnalyzeDirOn runs AnalyzeParallelCtx's analysis over a trace directory
+// on a storage backend without loading it: each rank file is mapped,
+// folded by the scan through a strict cursor (a v1 file is decoded to a
+// slice and folded the same way) and unmapped before its worker takes the
+// next rank, so the trace never exists as []Record. The Analysis equals
+// AnalyzeParallelCtx's over LoadTraceOn's trace, and a damaged or missing
+// stream fails with LoadTraceOn's error for the lowest-ranked failure.
+func AnalyzeDirOn(b storage.Backend, dir string, workers int) (*Analysis, error) {
+	meta, err := colfmt.MetaOn(b, dir)
+	if err != nil {
+		return nil, err
+	}
+	ctx := context.Background() // like LoadTraceOn, it runs to completion
+	sc, err := core.ScanRanksCtx(ctx, meta.Ranks, workers, func(rank int) (core.RecordStream, func(), error) {
+		return colfmt.OpenRankOn(b, dir, rank)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return analyzeScan(ctx, meta, sc, workers)
+}
+
+// analyzeScan is the one post-scan pipeline behind AnalyzeParallelCtx and
+// AnalyzeDirOn.
+func analyzeScan(ctx context.Context, meta recorder.Meta, sc *core.Scan, workers int) (*Analysis, error) {
+	fas := sc.Files
+	an := &Analysis{Census: sc.Census}
 	var sessionSig, commitSig core.ConflictSignature
 	var hb *core.HB
 
@@ -204,7 +235,7 @@ func AnalyzeParallelCtx(ctx context.Context, tr *recorder.Trace, workers int) (*
 	root := obs.Default().Tracer().Start("analyze", "semfs")
 	defer root.End()
 	var wg sync.WaitGroup
-	errs := make([]error, 6)
+	errs := make([]error, 5)
 	launch := func(i int, name string, f func() error) {
 		wg.Add(1)
 		go func() {
@@ -224,7 +255,7 @@ func AnalyzeParallelCtx(ctx context.Context, tr *recorder.Trace, workers int) (*
 		return nil
 	})
 	launch(1, "patterns", func() (err error) {
-		if an.Patterns, err = core.ClassifyHighLevelParallelCtx(ctx, fas, core.HLOptions{WorldSize: tr.Meta.Ranks}, workers); err != nil {
+		if an.Patterns, err = core.ClassifyHighLevelParallelCtx(ctx, fas, core.HLOptions{WorldSize: meta.Ranks}, workers); err != nil {
 			return err
 		}
 		if an.Global, err = core.GlobalPatternParallelCtx(ctx, fas, workers); err != nil {
@@ -233,23 +264,19 @@ func AnalyzeParallelCtx(ctx context.Context, tr *recorder.Trace, workers int) (*
 		an.Local, err = core.LocalPatternParallelCtx(ctx, fas, workers)
 		return err
 	})
-	launch(2, "census", func() (err error) {
-		an.Census, err = core.MetadataCensusParallelCtx(ctx, tr, workers)
-		return err
-	})
-	launch(3, "meta-conflicts", func() (err error) {
-		if an.MetaConflicts, err = core.DetectMetadataConflictsParallelCtx(ctx, tr, workers); err != nil {
+	launch(2, "meta-conflicts", func() (err error) {
+		if an.MetaConflicts, err = sc.MetaConflictsCtx(ctx, workers); err != nil {
 			return err
 		}
 		an.MetaSignature = core.MetaSignatureOf(an.MetaConflicts)
 		return nil
 	})
-	launch(4, "hb", func() error {
-		hb, an.HBErr = core.BuildHB(tr)
+	launch(3, "hb", func() error {
+		hb, an.HBErr = sc.HB()
 		return nil
 	})
-	launch(5, "report", func() error {
-		an.Report = report.BuildRunReportFrom(tr, fas)
+	launch(4, "report", func() error {
+		an.Report = report.RunReportOf(meta, sc)
 		return nil
 	})
 	wg.Wait()
