@@ -227,11 +227,12 @@ func decodeColumnar(data []byte, rank int, lenient bool) streamResult {
 	if err != nil {
 		return streamResult{columnar: true, err: err}
 	}
-	res := streamResult{columnar: true, declared: r.Declared(), headerOK: true}
 	if r.Rank() != rank {
-		res.err = fmt.Errorf("holds rank %d", r.Rank())
-		return res
+		// Another rank's header declares another rank's records: none of
+		// them were lost to a cut, so none count as dropped.
+		return streamResult{columnar: true, err: fmt.Errorf("holds rank %d", r.Rank())}
 	}
+	res := streamResult{columnar: true, declared: r.Declared(), headerOK: true}
 	if lenient {
 		res.recs, res.stats, res.err = r.MaterializeLenient()
 	} else {

@@ -100,7 +100,8 @@ func TestLoadDirErrors(t *testing.T) {
 
 // TestLoadDirLenient pins v1 degraded-mode loading: a torn stream keeps its
 // valid prefix with exact Dropped accounting, missing and wrong-rank streams
-// are unreadable, and only unusable metadata or zero surviving records fail.
+// (in either format) are unreadable, and only unusable metadata or zero
+// surviving records fail.
 func TestLoadDirLenient(t *testing.T) {
 	mk := func(rank int) []recorder.Record {
 		return []recorder.Record{
@@ -182,6 +183,29 @@ func TestLoadDirLenient(t *testing.T) {
 	}
 	if sal.Unreadable != 1 || len(got.PerRank[2]) != 0 {
 		t.Fatalf("wrong-rank stream salvage: %v, rank2=%d recs", sal, len(got.PerRank[2]))
+	}
+
+	// In either format, a wrong-rank stream's records were never lost to a
+	// cut, so they do not count as dropped.
+	for _, f := range []Format{FormatV1, FormatColumnar} {
+		wdir := t.TempDir()
+		if err := SaveDirOn(storage.OS(), wdir, tr, f); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(wdir, recorder.RankFileName(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(wdir, recorder.RankFileName(2)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, sal, err = LoadDirLenientOn(storage.OS(), wdir, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sal.Full != 2 || sal.Unreadable != 1 || sal.Records != 6 || sal.Dropped != 0 || len(got.PerRank[2]) != 0 {
+			t.Fatalf("%v wrong-rank stream salvage: %v", f, sal)
+		}
 	}
 
 	// Nothing salvageable at all → error, with counts still reported.
