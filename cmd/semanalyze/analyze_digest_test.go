@@ -35,7 +35,7 @@ func TestAnalyzeDigestGolden(t *testing.T) {
 			for _, workers := range []int{1, 2} {
 				core.InvalidateExtraction(tr)
 				var buf bytes.Buffer
-				code := analyze(&buf, tr, true, show, true, workers)
+				code := analyzeTrace(t, &buf, tr, true, show, true, workers)
 				lines = append(lines, digestLine(name, show, workers, code, buf.Bytes()))
 			}
 		}
@@ -106,7 +106,7 @@ func TestAnalyzeDirDigestGolden(t *testing.T) {
 			for _, show := range []int{5, math.MaxInt} {
 				for _, workers := range []int{1, 2} {
 					var buf bytes.Buffer
-					code := analyzeDir(&buf, disk, dir, true, show, true, workers)
+					code := analyzeDir(&buf, disk, dir, false, true, show, true, workers)
 					if got := digestLine(name, show, workers, code, buf.Bytes()); k >= len(want) || got != want[k] {
 						t.Errorf("%v directory:\n got  %s\n want %s", f, got, want[min(k, len(want)-1)])
 					}

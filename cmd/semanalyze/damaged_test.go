@@ -85,8 +85,9 @@ func flipCRC(t *testing.T, dir string, rank int) {
 }
 
 // TestDamagedTraceExits1: a damaged trace directory fails the default path
-// with exit 1, nothing on stdout, and exactly the error a strict load
-// reports for its lowest damaged rank, at every worker count.
+// and the -checkpoint path with exit 1, nothing on stdout, and exactly the
+// error a strict load reports for its lowest damaged rank, at every worker
+// count.
 func TestDamagedTraceExits1(t *testing.T) {
 	res, err := semfs.Run("FLASH-nofbs", semfs.RunOptions{Ranks: 8, PPN: 2, Seed: 1})
 	if err != nil {
@@ -132,12 +133,15 @@ func TestDamagedTraceExits1(t *testing.T) {
 				if lerr == nil {
 					t.Fatalf("workers=%d: the damaged trace loads", workers)
 				}
-				code, stdout, stderr := semanalyze(t, "-trace", dir, "-report", "-workers", strconv.Itoa(workers))
-				if code != exitError || len(stdout) != 0 {
-					t.Errorf("workers=%d: exit %d with %d bytes on stdout, want exit %d and none", workers, code, len(stdout), exitError)
-				}
-				if want := "semanalyze: " + lerr.Error() + "\n"; string(stderr) != want {
-					t.Errorf("workers=%d: stderr\n%q\nwant LoadTraceOn's\n%q", workers, stderr, want)
+				args := []string{"-trace", dir, "-report", "-workers", strconv.Itoa(workers)}
+				for _, extra := range [][]string{nil, {"-checkpoint", filepath.Join(t.TempDir(), "ckpt")}} {
+					code, stdout, stderr := semanalyze(t, append(args, extra...)...)
+					if code != exitError || len(stdout) != 0 {
+						t.Errorf("workers=%d %v: exit %d with %d bytes on stdout, want exit %d and none", workers, extra, code, len(stdout), exitError)
+					}
+					if want := "semanalyze: " + lerr.Error() + "\n"; string(stderr) != want {
+						t.Errorf("workers=%d %v: stderr\n%q\nwant LoadTraceOn's\n%q", workers, extra, stderr, want)
+					}
 				}
 			}
 		})

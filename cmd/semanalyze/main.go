@@ -4,9 +4,9 @@
 // validation, then prints the per-application verdict. All of it, the
 // -report digest included, is read off one semfs.Analysis: one scan of the
 // rank streams, one conflict sweep and one happens-before build per run.
-// By default semfs.AnalyzeDirOn folds each mapped rank file in place, so
-// the trace is never loaded as records; -lenient, -checkpoint and
-// -check-consistency load it first.
+// semfs.AnalyzeDirOn (semfs.AnalyzeDirLenientOn with -lenient, which first
+// prints a "salvage:" line) folds each mapped rank file in place, so the
+// trace is never loaded as records.
 //
 // Usage:
 //
@@ -15,7 +15,7 @@
 //	semanalyze -trace trace/ -check-consistency
 //
 // With -checkpoint, each completed analysis is journaled (keyed by the
-// trace's configuration name and content fingerprint) and -resume replays
+// trace's configuration name and a hash of its files) and -resume replays
 // the cached report — including the original exit code — without re-running
 // the analysis.
 //
@@ -23,7 +23,8 @@
 // four consistency models with the pfs op-history recorder attached, and
 // each history is verified against its model's executable formal spec
 // (internal/consistency); the cross-model cost table is printed and any
-// spec rejection is reported with its counterexample clause.
+// spec rejection is reported with its counterexample clause. It reads only
+// trace.meta, so a damaged rank file does not fail it.
 //
 // The report goes to standard output through one buffered writer.
 //
@@ -40,8 +41,10 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 
 	semfs "repro"
@@ -52,6 +55,8 @@ import (
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/pfs"
+	"repro/internal/recorder"
+	"repro/internal/recorder/colfmt"
 
 	// Live /metrics exporter behind the -serve-metrics flag.
 	_ "repro/internal/obs/live"
@@ -113,45 +118,22 @@ func run() (code int) {
 			}
 		}
 	}()
-	if !*lenient && !*checkSem && *ckptDir == "" {
-		return analyzeDir(os.Stdout, backend, *dir, *validate, *maxShow, *full, *workers)
+	if *checkSem {
+		return checkConsistency(os.Stdout, backend, *dir)
+	}
+	if *ckptDir == "" {
+		return analyzeDir(os.Stdout, backend, *dir, *lenient, *validate, *maxShow, *full, *workers)
 	}
 
-	// The other paths load the trace, sharded across the same worker pool
-	// as the analysis: rank files decode in parallel regardless of format
-	// (columnar or v1, sniffed per file). -lenient salvages, -checkpoint
-	// keys its journal by the records' fingerprint, and -check-consistency
-	// re-runs the traced configuration.
-	var tr *semfs.Trace
-	if *lenient {
-		var sal *semfs.Salvage
-		tr, sal, err = semfs.LoadTraceLenientOn(backend, *dir, *workers)
-		if sal != nil {
-			if _, werr := fmt.Println(sal); werr != nil {
-				fmt.Fprintln(os.Stderr, "semanalyze:", werr)
-				return exitError
-			}
-		}
-	} else {
-		tr, err = semfs.LoadTraceOn(backend, *dir, *workers)
-	}
+	// Checkpointed path: the journal key pins both the trace's identity (its
+	// configuration name plus a hash of its files) and, via the manifest,
+	// the analysis flags that shape the output. The cached blob is one exit
+	// code byte followed by the rendered report, salvage line included.
+	meta, err := colfmt.MetaOn(backend, *dir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "semanalyze:", err)
 		return exitError
 	}
-
-	if *checkSem {
-		return checkConsistency(os.Stdout, tr)
-	}
-
-	if *ckptDir == "" {
-		return analyze(os.Stdout, tr, *validate, *maxShow, *full, *workers)
-	}
-
-	// Checkpointed path: the journal key pins both the trace's identity (its
-	// configuration name plus a content fingerprint) and, via the manifest,
-	// the analysis flags that shape the output. The cached blob is one exit
-	// code byte followed by the rendered report.
 	store, err := ckpt.OpenOn(backend, *ckptDir, ckpt.Manifest{
 		Kind:   "semanalyze",
 		Params: fmt.Sprintf("validate=%v show=%d report=%v lenient=%v", *validate, *maxShow, *full, *lenient),
@@ -161,7 +143,7 @@ func run() (code int) {
 		return exitError
 	}
 	defer store.Close()
-	key := fmt.Sprintf("%s@%016x", tr.Meta.ConfigName(), faults.TraceFingerprint(tr))
+	key := traceKey(backend, *dir, meta)
 
 	if *resume {
 		if blob, ok := store.Lookup(key); ok && len(blob) >= 1 {
@@ -174,7 +156,7 @@ func run() (code int) {
 	}
 
 	var buf bytes.Buffer
-	code = analyze(&buf, tr, *validate, *maxShow, *full, *workers)
+	code = analyzeDir(&buf, backend, *dir, *lenient, *validate, *maxShow, *full, *workers)
 	if _, err := os.Stdout.Write(buf.Bytes()); err != nil {
 		fmt.Fprintln(os.Stderr, "semanalyze:", err)
 		return exitError
@@ -191,23 +173,54 @@ func run() (code int) {
 	return code
 }
 
-// checkConsistency re-runs the trace's configuration under all four
-// consistency models and verifies each recorded op history against the
-// model's executable formal spec. The trace supplies the configuration
-// name and scale; the runs themselves are fresh (a saved trace does not
-// carry the op-level payloads the checker needs).
-func checkConsistency(w io.Writer, tr *semfs.Trace) (code int) {
-	name := tr.Meta.ConfigName()
+// traceKey is a trace directory's -checkpoint journal key: its
+// configuration name and an FNV-1a 64 hash of trace.meta and every rank
+// file in rank order, each prefixed by its length. A file that cannot be
+// read contributes its error text instead, so the key never fails.
+func traceKey(b storage.Backend, dir string, meta recorder.Meta) string {
+	h := fnv.New64a()
+	add := func(name string) {
+		data, err := b.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			data = []byte(err.Error())
+		}
+		fmt.Fprintf(h, "%d\n", len(data))
+		h.Write(data)
+	}
+	add("trace.meta")
+	for rank := range meta.Ranks {
+		add(recorder.RankFileName(rank))
+	}
+	return fmt.Sprintf("%s@%016x", meta.ConfigName(), h.Sum64())
+}
+
+// checkConsistency re-runs a trace directory's configuration under all
+// four consistency models and verifies each recorded op history against
+// the model's executable formal spec. It reads only trace.meta, which
+// supplies the configuration name and scale (ranks, PPN, seed and steps
+// when set); the runs are fresh, since a saved trace does not carry the
+// op-level payloads the checker needs.
+func checkConsistency(w io.Writer, b storage.Backend, dir string) (code int) {
+	meta, err := colfmt.MetaOn(b, dir)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "semanalyze:", err)
+		return exitError
+	}
+	name := meta.ConfigName()
 	if _, ok := apps.Lookup(name); !ok {
 		fmt.Fprintf(os.Stderr, "semanalyze: -check-consistency: configuration %q is not in the application registry\n", name)
 		return exitError
 	}
 	scale := experiments.TestScale()
-	if tr.Meta.Ranks > 0 {
-		scale.Ranks = tr.Meta.Ranks
+	scale.Ranks = meta.Ranks // colfmt.MetaOn guarantees at least one
+	if meta.PPN > 0 {
+		scale.PPN = meta.PPN
 	}
-	if tr.Meta.Steps > 0 {
-		scale.Params.Steps = tr.Meta.Steps
+	if meta.Seed != 0 {
+		scale.Seed = meta.Seed
+	}
+	if meta.Steps > 0 {
+		scale.Params.Steps = meta.Steps
 	}
 	cells, err := experiments.ConsistencyComparison(context.Background(), scale, []string{name})
 	if err != nil {
@@ -244,26 +257,28 @@ func flushed(out *bufio.Writer, code int) int {
 	return code
 }
 
-// analyzeDir is the default path: it analyzes a trace directory without
-// loading it (the analysis folds each rank file, mapped, on the same worker
-// pool as its passes) and renders the analysis to w. A trace that cannot
-// be read fails with exactly LoadTraceOn's error.
-func analyzeDir(w io.Writer, b storage.Backend, dir string, validate bool, maxShow int, full bool, workers int) int {
-	an, err := semfs.AnalyzeDirOn(b, dir, workers)
+// analyzeDir analyzes a trace directory without loading it (the analysis
+// folds each rank file, mapped, on the same worker pool as its passes) and
+// renders the analysis to w, after -lenient's salvage line. Hard failures
+// go to stderr directly — they are never part of a cached report. A trace
+// that cannot be read fails with exactly a strict load's error.
+func analyzeDir(w io.Writer, b storage.Backend, dir string, lenient, validate bool, maxShow int, full bool, workers int) int {
+	var an *semfs.Analysis
+	var err error
+	if lenient {
+		var sal *semfs.Salvage
+		an, sal, err = semfs.AnalyzeDirLenientOn(b, dir, workers)
+		if sal != nil {
+			if _, werr := fmt.Fprintln(w, sal); werr != nil {
+				fmt.Fprintln(os.Stderr, "semanalyze:", werr)
+				return exitError
+			}
+		}
+	} else {
+		an, err = semfs.AnalyzeDirOn(b, dir, workers)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "semanalyze:", err)
-		return exitError
-	}
-	return render(w, an, validate, maxShow, full)
-}
-
-// analyze runs the one analysis over an in-memory trace and renders it to
-// w. Hard failures go to stderr directly — they are never part of a
-// cached report.
-func analyze(w io.Writer, tr *semfs.Trace, validate bool, maxShow int, full bool, workers int) int {
-	an, err := semfs.AnalyzeParallelCtx(context.Background(), tr, workers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "semanalyze: %s: %v\n", tr.Meta.ConfigName(), err)
 		return exitError
 	}
 	return render(w, an, validate, maxShow, full)

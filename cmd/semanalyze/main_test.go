@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -11,6 +13,17 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 )
+
+// analyzeTrace runs the analysis over an in-memory trace and renders it to
+// w as the command renders a directory's.
+func analyzeTrace(t *testing.T, w io.Writer, tr *semfs.Trace, validate bool, maxShow int, full bool, workers int) int {
+	t.Helper()
+	an, err := semfs.AnalyzeParallelCtx(context.Background(), tr, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return render(w, an, validate, maxShow, full)
+}
 
 func runApp(t *testing.T, name string) *semfs.Trace {
 	t.Helper()
@@ -37,7 +50,7 @@ func TestAnalyzeRunsOneSweepAndOneExtraction(t *testing.T) {
 	sweeps0, misses0 := sweeps.Count(), misses.Value()
 
 	var buf bytes.Buffer
-	if code := analyze(&buf, tr, true, 5, true, 1); code != exitClean {
+	if code := analyzeTrace(t, &buf, tr, true, 5, true, 1); code != exitClean {
 		t.Fatalf("exit %d, want %d:\n%s", code, exitClean, buf.String())
 	}
 	if n := sweeps.Count() - sweeps0; n != 1 {
@@ -70,11 +83,11 @@ func TestAnalyzeRunsOneSweepAndOneExtraction(t *testing.T) {
 func TestAnalyzeLostSends(t *testing.T) {
 	tr := analysistest.LostSends(runApp(t, "MACSio-Silo"), 0)
 	var buf bytes.Buffer
-	if code := analyze(&buf, tr, true, 5, true, 1); code != exitError {
+	if code := analyzeTrace(t, &buf, tr, true, 5, true, 1); code != exitError {
 		t.Errorf("-validate: exit %d, want %d", code, exitError)
 	}
 	buf.Reset()
-	if code := analyze(&buf, tr, false, 5, true, 1); code != exitClean && code != exitConflicts {
+	if code := analyzeTrace(t, &buf, tr, false, 5, true, 1); code != exitClean && code != exitConflicts {
 		t.Errorf("-validate=false: exit %d, want %d or %d", code, exitClean, exitConflicts)
 	}
 	if !strings.Contains(buf.String(), "Verdict:") {
@@ -111,17 +124,17 @@ func TestAnalyzeWriteFailureExits1(t *testing.T) {
 	} {
 		tr := runApp(t, tc.app)
 		var buf bytes.Buffer
-		if code := analyze(&buf, tr, tc.validate, 5, true, 1); code != tc.clean {
+		if code := analyzeTrace(t, &buf, tr, tc.validate, 5, true, 1); code != tc.clean {
 			t.Fatalf("%s validate=%v: exit %d on a working writer, want %d", tc.app, tc.validate, code, tc.clean)
 		}
 		size := buf.Len()
 		for _, n := range []int{0, size / 2, size - 1} {
-			if code := analyze(&failAfter{n: n}, tr, tc.validate, 5, true, 1); code != exitError {
+			if code := analyzeTrace(t, &failAfter{n: n}, tr, tc.validate, 5, true, 1); code != exitError {
 				t.Errorf("%s validate=%v: writer failing after %d of %d bytes: exit %d, want %d",
 					tc.app, tc.validate, n, size, code, exitError)
 			}
 		}
-		if code := analyze(&failAfter{n: size}, tr, tc.validate, 5, true, 1); code != tc.clean {
+		if code := analyzeTrace(t, &failAfter{n: size}, tr, tc.validate, 5, true, 1); code != tc.clean {
 			t.Errorf("%s validate=%v: writer with room for exactly %d bytes: exit %d, want %d", tc.app, tc.validate, size, code, tc.clean)
 		}
 	}

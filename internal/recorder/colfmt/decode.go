@@ -143,10 +143,6 @@ func (r *Reader) Rank() int { return r.rank }
 // denominator even when the tail (and footer) is gone.
 func (r *Reader) Declared() int { return int(r.declared) }
 
-// HasFooter reports whether the footer dictionary validated, i.e. the fast
-// path is armed and the stream tail is intact.
-func (r *Reader) HasFooter() bool { return r.dictOff >= 0 }
-
 // Stats reports what one cursor walk decoded, for per-block salvage
 // accounting.
 type Stats struct {
@@ -539,15 +535,6 @@ func (c *Cursor) resolve(ref uint64) (string, bool) {
 // prefix is returned alongside it, mirroring recorder.DecodeRankStream.
 func (r *Reader) Materialize() ([]recorder.Record, error) {
 	return r.materialize(r.Cursor())
-}
-
-// MaterializeLenient is Materialize on a salvaging walk; it additionally
-// returns the per-block Stats. A non-nil error describes what was lost (the
-// returned prefix is still valid); skipped blocks alone do not error.
-func (r *Reader) MaterializeLenient() ([]recorder.Record, Stats, error) {
-	c := r.LenientCursor()
-	recs, err := r.materialize(c)
-	return recs, c.Stats(), err
 }
 
 const argArenaLen = 8192

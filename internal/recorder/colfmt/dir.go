@@ -17,12 +17,14 @@ import (
 // Directory-level trace I/O with per-file format sniffing: both formats
 // share the v1 on-disk shape — "trace.meta" JSON plus one "rank_NNNNN.rec"
 // stream per rank — and the magic bytes inside each stream pick the
-// decoder, so columnar, v1, and even mixed directories all load through one
-// entry point. Loads shard rank files across the bounded worker pool
-// (core.ParallelForCtx, under a background context that never cancels, so
-// every rank runs): decode work is embarrassingly parallel per stream and
-// the fold back into Trace.PerRank is index-addressed, so the result is
-// byte-identical to a serial load.
+// decoder, so columnar, v1, and even mixed directories all read through
+// one opener (openRank), whether a scan walks the ranks (OpenRankOn,
+// OpenRanksLenientOn) or LoadDirOn materializes them. Loads shard rank
+// files across the bounded worker pool (core.ParallelForCtx, under a
+// background context that never cancels, so every rank runs): decode work
+// is embarrassingly parallel per stream and the fold back into
+// Trace.PerRank is index-addressed, so the result is byte-identical to a
+// serial load.
 
 // Format selects an on-disk trace encoding.
 type Format int
@@ -108,64 +110,50 @@ func writeFileOn(b storage.Backend, path string, data []byte) error {
 	return werr
 }
 
-// readStream returns a stream's bytes: mapped (unmap non-nil) when legal,
-// read through the backend otherwise.
-func readStream(b storage.Backend, path string) (data []byte, unmap func() error, err error) {
+// openRank reads rank's stream file of dir — mapped when the backend
+// allows it, read through the backend otherwise — sniffs its format and
+// checks that it holds rank. A columnar stream yields its Reader, whose
+// bytes stay mapped until release. Anything else (a v1 stream, or a file
+// that cannot be read, whose columnar header is unusable or that holds
+// another rank) yields a nil Reader, the records decoded before the first
+// damage (v1 strings are copied, so they outlive the bytes) and the error.
+func openRank(b storage.Backend, dir string, rank int) (r *Reader, release func(), recs []recorder.Record, err error) {
+	path := filepath.Join(dir, recorder.RankFileName(rank))
+	var data []byte
 	if storage.MapsFiles(b) {
-		if d, u, merr := mapFile(path); merr == nil {
-			bytesMapped.Add(int64(len(d)))
-			return d, u, nil
-		}
 		// Any mmap failure (missing file, exotic fs, non-unix) falls back to
 		// the backend read, which also surfaces the canonical error.
-	}
-	d, err := b.ReadFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	bytesRead.Add(int64(len(d)))
-	return d, nil, nil
-}
-
-// streamResult is one rank file's decode outcome, filled concurrently and
-// folded in rank order for deterministic error and salvage reporting.
-type streamResult struct {
-	recs     []recorder.Record
-	stats    Stats
-	columnar bool
-	declared int  // header-declared records (columnar only)
-	headerOK bool // header parsed, so declared is trustworthy
-	err      error
-}
-
-// decodeRankFile sniffs and decodes one rank stream. Lenient walks salvage;
-// strict walks surface the first problem.
-func decodeRankFile(b storage.Backend, dir string, rank int, lenient bool) streamResult {
-	data, unmap, err := readStream(b, filepath.Join(dir, recorder.RankFileName(rank)))
-	if err != nil {
-		return streamResult{err: err}
-	}
-	defer func() {
-		if unmap != nil {
-			_ = unmap()
+		if d, unmap, merr := mapFile(path); merr == nil {
+			bytesMapped.Add(int64(len(d)))
+			data, release = d, func() { _ = unmap() }
 		}
-	}()
-	if Sniff(data) {
-		return decodeColumnar(data, rank, lenient)
 	}
-	return decodeV1(data, rank)
-}
-
-// decodeV1 decodes a v1 (or unrecognized — the v1 decoder reports its
-// canonical bad-magic error) rank stream. Strings are copied during
-// decode, so the records outlive data's mapping.
-func decodeV1(data []byte, rank int) streamResult {
-	gotRank, recs, derr := recorder.DecodeRankStream(bytes.NewReader(data))
-	if derr == nil && gotRank != rank {
-		derr = fmt.Errorf("holds rank %d", gotRank)
-		recs = nil // records belong to another rank; keeping them would lie
+	if release == nil {
+		if data, err = b.ReadFile(path); err != nil {
+			return nil, nil, nil, err
+		}
+		bytesRead.Add(int64(len(data)))
+		release = func() {}
 	}
-	return streamResult{recs: recs, err: derr}
+	if !Sniff(data) {
+		// An unrecognized stream goes to the v1 decoder too, which reports
+		// its canonical bad-magic error.
+		gotRank, recs, err := recorder.DecodeRankStream(bytes.NewReader(data))
+		release()
+		if err == nil && gotRank != rank {
+			return nil, nil, nil, fmt.Errorf("holds rank %d", gotRank)
+		}
+		return nil, nil, recs, err
+	}
+	r, err = NewReader(data)
+	if err == nil && r.Rank() != rank {
+		err = fmt.Errorf("holds rank %d", r.Rank())
+	}
+	if err != nil {
+		release()
+		return nil, nil, nil, err
+	}
+	return r, release, nil, nil
 }
 
 // rankError is the error every strict directory read reports for a damaged
@@ -175,36 +163,17 @@ func rankError(rank int, err error) error {
 }
 
 // OpenRankOn opens one rank stream of a trace directory for a single
-// strict forward walk, sniffing its format: a columnar file yields a
-// Cursor over its (memory-mapped) bytes, and release unmaps them once the
-// walk is done; a v1 file is decoded to a slice on open. Every failure —
-// at open or, through the stream's Err, mid-walk — is exactly the error
-// LoadDirOn reports for that rank.
+// strict forward walk: a columnar file yields a Cursor over its mapped
+// bytes, which release unmaps; a v1 file is decoded to a slice on open.
+// Every failure — at open or, through the stream's Err, mid-walk — is
+// exactly the error LoadDirOn reports for that rank.
 func OpenRankOn(b storage.Backend, dir string, rank int) (s core.RecordStream, release func(), err error) {
-	data, unmap, err := readStream(b, filepath.Join(dir, recorder.RankFileName(rank)))
+	r, release, recs, err := openRank(b, dir, rank)
 	if err != nil {
 		return nil, nil, rankError(rank, err)
 	}
-	release = func() {
-		if unmap != nil {
-			_ = unmap()
-		}
-	}
-	if !Sniff(data) {
-		res := decodeV1(data, rank)
-		release()
-		if res.err != nil {
-			return nil, nil, rankError(rank, res.err)
-		}
-		return core.NewSliceStream(res.recs), func() {}, nil
-	}
-	r, err := NewReader(data)
-	if err == nil && r.Rank() != rank {
-		err = fmt.Errorf("holds rank %d", r.Rank())
-	}
-	if err != nil {
-		release()
-		return nil, nil, rankError(rank, err)
+	if r == nil {
+		return core.NewSliceStream(recs), func() {}, nil
 	}
 	return &rankCursor{Cursor: r.Cursor(), rank: rank}, release, nil
 }
@@ -222,25 +191,93 @@ func (c *rankCursor) Err() error {
 	return nil
 }
 
-func decodeColumnar(data []byte, rank int, lenient bool) streamResult {
-	r, err := NewReader(data)
-	if err != nil {
-		return streamResult{columnar: true, err: err}
-	}
-	if r.Rank() != rank {
-		// Another rank's header declares another rank's records: none of
-		// them were lost to a cut, so none count as dropped.
-		return streamResult{columnar: true, err: fmt.Errorf("holds rank %d", r.Rank())}
-	}
-	res := streamResult{columnar: true, declared: r.Declared(), headerOK: true}
-	if lenient {
-		res.recs, res.stats, res.err = r.MaterializeLenient()
-	} else {
-		res.recs, res.err = r.Materialize()
-		res.stats = Stats{Records: len(res.recs)}
-	}
-	return res
+// rankSalvage is what a lenient walk of one rank stream recovered.
+// columnar is set when a columnar Reader opened, so declared, its header's
+// record count, belongs to this rank: a file holding another rank opens no
+// Reader, and its records do not count as dropped.
+type rankSalvage struct {
+	stats    Stats
+	columnar bool
+	declared int
+	err      error
 }
+
+// OpenRanksLenientOn returns the opener of a degraded-mode scan over a
+// trace directory's rank streams and the fold of what it recovered. No
+// open fails and no stream errs: a columnar stream is walked by a
+// LenientCursor, a v1 stream yields the records decoded before its damage,
+// and an unreadable one is empty. Releasing a rank records its walk in a
+// rank-indexed slot; salvage folds the slots in rank order, so counts and
+// errors do not depend on scheduling, and fails if no record survived.
+func OpenRanksLenientOn(b storage.Backend, dir string, ranks int) (open func(rank int) (core.RecordStream, func(), error), salvage func() (*recorder.Salvage, error)) {
+	slots := make([]rankSalvage, ranks)
+	open = func(rank int) (core.RecordStream, func(), error) {
+		slot := &slots[rank]
+		r, release, recs, err := openRank(b, dir, rank)
+		if r == nil {
+			slot.stats.Records, slot.err = len(recs), err
+			return core.NewSliceStream(recs), func() {}, nil
+		}
+		c := r.LenientCursor()
+		slot.columnar, slot.declared = true, r.Declared()
+		return lenientCursor{c}, func() {
+			slot.stats, slot.err = c.Stats(), c.Err()
+			release()
+		}, nil
+	}
+	salvage = func() (*recorder.Salvage, error) {
+		sal := &recorder.Salvage{Ranks: ranks}
+		for rank := range slots {
+			res := &slots[rank]
+			n := res.stats.Records
+			sal.Blocks += res.stats.Blocks
+			sal.BlocksDropped += res.stats.Skipped
+			switch {
+			case res.err == nil && res.stats.Skipped == 0:
+				sal.Full++
+			case res.err == nil:
+				// Walked to the end but corrupt blocks were skipped along the way.
+				sal.Truncated++
+				sal.Salvaged += n
+				sal.Errs = append(sal.Errs, fmt.Errorf("%s: %d corrupt blocks skipped (%d of %d records recovered)",
+					recorder.RankFileName(rank), res.stats.Skipped, n, res.declared))
+			case n > 0:
+				sal.Truncated++
+				sal.Salvaged += n
+				sal.Errs = append(sal.Errs, fmt.Errorf("%s: %w", recorder.RankFileName(rank), res.err))
+			default:
+				sal.Unreadable++
+				sal.Errs = append(sal.Errs, fmt.Errorf("%s: %w", recorder.RankFileName(rank), res.err))
+			}
+			if res.columnar {
+				// The columnar header declares the count up front, so the lost
+				// tail is exact even when the cut ate the footer.
+				if d := res.declared - n; d > 0 {
+					sal.Dropped += d
+				}
+			} else {
+				var te *recorder.TruncatedError
+				if errors.As(res.err, &te) {
+					sal.Dropped += te.Dropped()
+				}
+			}
+			sal.Records += n
+		}
+		sal.Observe()
+		salvageBlocksSkipped.Add(int64(sal.BlocksDropped))
+		salvageRecordsDropped.Add(int64(sal.Dropped))
+		if sal.Records == 0 {
+			return sal, fmt.Errorf("recorder: %s: nothing salvageable", dir)
+		}
+		return sal, nil
+	}
+	return open, salvage
+}
+
+// lenientCursor is a salvaging Cursor whose losses go to the Salvage.
+type lenientCursor struct{ *Cursor }
+
+func (lenientCursor) Err() error { return nil }
 
 // MetaOn settles the backend (see storage.Settle) and reads and validates
 // a trace directory's trace.meta.
@@ -274,81 +311,22 @@ func LoadDirOn(b storage.Backend, dir string, workers int) (*recorder.Trace, err
 	if err != nil {
 		return nil, err
 	}
-	results := make([]streamResult, meta.Ranks)
-	_ = core.ParallelForCtx(context.Background(), meta.Ranks, workers, func(rank int) {
-		results[rank] = decodeRankFile(b, dir, rank, false)
-	})
 	tr := &recorder.Trace{Meta: meta, PerRank: make([][]recorder.Record, meta.Ranks)}
-	for rank := range results {
-		if rerr := results[rank].err; rerr != nil {
-			return nil, rankError(rank, rerr)
+	errs := make([]error, meta.Ranks)
+	_ = core.ParallelForCtx(context.Background(), meta.Ranks, workers, func(rank int) {
+		r, release, recs, err := openRank(b, dir, rank)
+		if r != nil {
+			recs, err = r.Materialize()
+			release()
 		}
-		tr.PerRank[rank] = results[rank].recs
+		tr.PerRank[rank], errs[rank] = recs, err
+	})
+	for rank, err := range errs {
+		if err != nil {
+			return nil, rankError(rank, err)
+		}
 	}
 	return tr, nil
-}
-
-// LoadDirLenientOn is the degraded-mode LoadDirOn: rank files still decode
-// in parallel, every record that decodes cleanly is kept — for columnar
-// streams that is per-block salvage, including blocks after a corrupt one
-// when the footer survived — and the Salvage accumulates in rank order, so
-// its counts and error list are deterministic regardless of worker
-// scheduling. It fails only when the metadata is unusable or not a single
-// record survives.
-func LoadDirLenientOn(b storage.Backend, dir string, workers int) (*recorder.Trace, *recorder.Salvage, error) {
-	meta, err := MetaOn(b, dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	results := make([]streamResult, meta.Ranks)
-	_ = core.ParallelForCtx(context.Background(), meta.Ranks, workers, func(rank int) {
-		results[rank] = decodeRankFile(b, dir, rank, true)
-	})
-	tr := &recorder.Trace{Meta: meta, PerRank: make([][]recorder.Record, meta.Ranks)}
-	sal := &recorder.Salvage{Ranks: meta.Ranks}
-	for rank := range results {
-		res := &results[rank]
-		sal.Blocks += res.stats.Blocks
-		sal.BlocksDropped += res.stats.Skipped
-		switch {
-		case res.err == nil && res.stats.Skipped == 0:
-			sal.Full++
-		case res.err == nil:
-			// Walked to the end but corrupt blocks were skipped along the way.
-			sal.Truncated++
-			sal.Salvaged += len(res.recs)
-			sal.Errs = append(sal.Errs, fmt.Errorf("%s: %d corrupt blocks skipped (%d of %d records recovered)",
-				recorder.RankFileName(rank), res.stats.Skipped, len(res.recs), res.declared))
-		case len(res.recs) > 0:
-			sal.Truncated++
-			sal.Salvaged += len(res.recs)
-			sal.Errs = append(sal.Errs, fmt.Errorf("%s: %w", recorder.RankFileName(rank), res.err))
-		default:
-			sal.Unreadable++
-			sal.Errs = append(sal.Errs, fmt.Errorf("%s: %w", recorder.RankFileName(rank), res.err))
-		}
-		if res.columnar && res.headerOK {
-			// The columnar header declares the count up front, so the lost
-			// tail is exact even when the cut ate the footer.
-			if d := res.declared - len(res.recs); d > 0 {
-				sal.Dropped += d
-			}
-		} else if !res.columnar {
-			var te *recorder.TruncatedError
-			if errors.As(res.err, &te) {
-				sal.Dropped += te.Dropped()
-			}
-		}
-		tr.PerRank[rank] = res.recs
-		sal.Records += len(res.recs)
-	}
-	sal.Observe()
-	salvageBlocksSkipped.Add(int64(sal.BlocksDropped))
-	salvageRecordsDropped.Add(int64(sal.Dropped))
-	if sal.Records == 0 {
-		return nil, sal, fmt.Errorf("recorder: %s: nothing salvageable", dir)
-	}
-	return tr, sal, nil
 }
 
 // ConvertDirOn loads a trace directory (either format, strict) and rewrites

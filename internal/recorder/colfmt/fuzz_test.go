@@ -60,7 +60,9 @@ func FuzzDecodeColumnar(f *testing.F) {
 		if lerr != nil {
 			t.Fatalf("second open disagrees: %v", lerr)
 		}
-		sal, stats, _ := lr.MaterializeLenient()
+		lc := lr.LenientCursor()
+		sal, _ := lr.materialize(lc)
+		stats := lc.Stats()
 		if len(sal) > r.Declared() || stats.Records != len(sal) {
 			t.Fatalf("lenient decoded %d (stats %+v), declared %d", len(sal), stats, r.Declared())
 		}

@@ -5,7 +5,7 @@ import "repro/internal/obs"
 // Columnar codec telemetry on the process-wide registry (DESIGN.md §9
 // naming: recorder.colfmt.*): how streams were encoded, how their bytes
 // reached the decoder (mapped vs read through the backend), how well the
-// path dictionary compressed, and what lenient loads had to drop.
+// path dictionary compressed, and what lenient scans had to drop.
 var (
 	blocksEncoded = obs.Default().Counter("recorder.colfmt.blocks_encoded")
 	blocksDecoded = obs.Default().Counter("recorder.colfmt.blocks_decoded")

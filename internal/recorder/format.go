@@ -27,7 +27,7 @@ const traceMagic = "SEMFSTR1"
 // ErrTruncated reports a rank stream that ended mid-record — a crashed or
 // torn-off writer. DecodeRankStream returns it alongside every record
 // decoded before the cut, so callers can degrade gracefully instead of
-// discarding the salvageable prefix (see colfmt.LoadDirLenientOn).
+// discarding the salvageable prefix (see colfmt.OpenRanksLenientOn).
 var ErrTruncated = errors.New("recorder: trace stream truncated")
 
 // TruncatedError is the concrete truncation error: it carries how many
@@ -279,17 +279,17 @@ func RankFileName(rank int) string {
 	return fmt.Sprintf("rank_%05d.rec", rank)
 }
 
-// Salvage reports how a degraded-mode load went: how many rank streams
-// loaded fully, how many were truncated but partially recovered, and how
-// many were unreadable, plus the record counts behind the analysis that
-// follows. It is the "what survived" half of colfmt.LoadDirLenientOn's
-// contract.
+// Salvage reports how a degraded-mode scan went: how many rank streams
+// were read fully, how many were truncated but partially recovered, and
+// how many were unreadable, plus the record counts behind the analysis. It
+// is the "what survived" half of colfmt.OpenRanksLenientOn's contract,
+// which semfs.AnalyzeDirLenientOn returns beside the analysis.
 type Salvage struct {
 	Ranks      int // rank streams the metadata declares
 	Full       int // streams decoded end-to-end
 	Truncated  int // streams cut mid-record; valid prefix recovered
 	Unreadable int // streams missing or corrupt beyond salvage
-	Records    int // total records loaded
+	Records    int // total records recovered
 	Salvaged   int // records recovered from truncated/corrupt streams
 	// Dropped counts records declared by damaged streams' headers but lost
 	// to the cut (0 when a stream died before declaring its count).

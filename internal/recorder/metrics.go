@@ -2,7 +2,7 @@ package recorder
 
 import "repro/internal/obs"
 
-// Degraded-load telemetry: a lenient load's salvage outcome on the
+// Degraded-scan telemetry: a lenient scan's salvage outcome on the
 // process-wide registry, so a pipeline that quietly ate a damaged trace
 // still shows up in the metrics snapshot (DESIGN.md §9 naming:
 // recorder.salvage.*).
@@ -14,8 +14,8 @@ var (
 	salvageRecordsDropped    = obs.Default().Counter("recorder.salvage.records_dropped")
 )
 
-// Observe publishes one lenient load's salvage outcome. The format-sniffing
-// loader in internal/recorder/colfmt calls it once per load.
+// Observe publishes one lenient scan's salvage outcome. The format-sniffing
+// lenient opener in internal/recorder/colfmt calls it once per scan.
 func (s *Salvage) Observe() {
 	salvageStreamsFull.Add(int64(s.Full))
 	salvageStreamsTruncated.Add(int64(s.Truncated))

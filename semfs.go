@@ -207,18 +207,45 @@ func AnalyzeParallelCtx(ctx context.Context, tr *recorder.Trace, workers int) (*
 // AnalyzeParallelCtx's over LoadTraceOn's trace, and a damaged or missing
 // stream fails with LoadTraceOn's error for the lowest-ranked failure.
 func AnalyzeDirOn(b storage.Backend, dir string, workers int) (*Analysis, error) {
+	an, _, err := analyzeDir(b, dir, workers, false)
+	return an, err
+}
+
+// Salvage re-exports the degraded-mode scan report (see AnalyzeDirLenientOn).
+type Salvage = recorder.Salvage
+
+// AnalyzeDirLenientOn is AnalyzeDirOn in degraded mode: a damaged rank
+// stream contributes the records that survive (a columnar stream's intact
+// blocks, a v1 stream's prefix) and the Salvage reports exactly what was
+// lost. It fails only when the metadata is unusable or no record survives
+// at all (then beside the Salvage).
+func AnalyzeDirLenientOn(b storage.Backend, dir string, workers int) (*Analysis, *Salvage, error) {
+	return analyzeDir(b, dir, workers, true)
+}
+
+// analyzeDir scans a trace directory's rank streams, strictly or
+// leniently, and runs the post-scan pipeline.
+func analyzeDir(b storage.Backend, dir string, workers int, lenient bool) (*Analysis, *Salvage, error) {
 	meta, err := colfmt.MetaOn(b, dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	open := func(rank int) (core.RecordStream, func(), error) { return colfmt.OpenRankOn(b, dir, rank) }
+	salvage := func() (*Salvage, error) { return nil, nil }
+	if lenient {
+		open, salvage = colfmt.OpenRanksLenientOn(b, dir, meta.Ranks)
 	}
 	ctx := context.Background() // like LoadTraceOn, it runs to completion
-	sc, err := core.ScanRanksCtx(ctx, meta.Ranks, workers, func(rank int) (core.RecordStream, func(), error) {
-		return colfmt.OpenRankOn(b, dir, rank)
-	})
+	sc, err := core.ScanRanksCtx(ctx, meta.Ranks, workers, open)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return analyzeScan(ctx, meta, sc, workers)
+	sal, err := salvage()
+	if err != nil {
+		return nil, sal, err
+	}
+	an, err := analyzeScan(ctx, meta, sc, workers)
+	return an, sal, err
 }
 
 // analyzeScan is the one post-scan pipeline behind AnalyzeParallelCtx and
@@ -358,18 +385,6 @@ func LoadTraceOn(b storage.Backend, dir string, workers int) (*recorder.Trace, e
 // loaded trace.
 func ConvertTraceOn(b storage.Backend, src, dst string, f TraceFormat, workers int) (*recorder.Trace, error) {
 	return colfmt.ConvertDirOn(b, src, dst, f, workers)
-}
-
-// Salvage re-exports the degraded-mode load report (see LoadTraceLenientOn).
-type Salvage = recorder.Salvage
-
-// LoadTraceLenientOn loads a trace from a storage backend in degraded
-// mode: truncated rank streams contribute their valid prefix, unreadable
-// ones are skipped, and the Salvage reports exactly what was lost — so a
-// damaged trace can still be analyzed instead of aborting the pipeline. It
-// fails only when the metadata is unusable or no records survive at all.
-func LoadTraceLenientOn(b storage.Backend, dir string, workers int) (*recorder.Trace, *Salvage, error) {
-	return colfmt.LoadDirLenientOn(b, dir, workers)
 }
 
 // Ctx is the per-rank context handed to custom application bodies.

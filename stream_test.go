@@ -86,11 +86,12 @@ func allocated(f func()) uint64 {
 
 // TestAnalyzeDirAllocatesNoRecords is the allocation gate of the directory
 // path on an ingest-heavy trace (ENZO-HDF5, 16 ranks × 400 steps):
-// AnalyzeDirOn may allocate at most 16 B/record more than
-// AnalyzeParallelCtx does on the already-loaded trace. Materializing the
-// trace costs far more: LoadTraceOn alone allocates ~100 B/record (102 MB
-// for 1.02M records), so a directory analysis that built []Record for a
-// columnar rank file could not pass.
+// AnalyzeDirOn, and AnalyzeDirLenientOn on the same undamaged trace, may
+// each allocate at most 16 B/record more than AnalyzeParallelCtx does on
+// the already-loaded trace. Materializing the trace costs far more:
+// LoadTraceOn alone allocates ~100 B/record (102 MB for 1.02M records), so
+// a directory analysis that built []Record for a columnar rank file could
+// not pass.
 func TestAnalyzeDirAllocatesNoRecords(t *testing.T) {
 	res, err := semfs.Run("ENZO-HDF5", semfs.RunOptions{Ranks: 16, PPN: 8, Seed: 1, Steps: 400})
 	if err != nil {
@@ -107,20 +108,31 @@ func TestAnalyzeDirAllocatesNoRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer core.InvalidateExtraction(tr)
-	var want, got *semfs.Analysis
-	var werr, gerr error
+	var want, got, gotLenient *semfs.Analysis
+	var sal *semfs.Salvage
+	var werr, gerr, lerr error
 	core.InvalidateExtraction(tr)
 	inMemory := allocated(func() { want, werr = semfs.AnalyzeParallelCtx(context.Background(), tr, 1) })
 	fromDir := allocated(func() { got, gerr = semfs.AnalyzeDirOn(disk, dir, 1) })
-	if werr != nil || gerr != nil {
-		t.Fatal(werr, gerr)
+	lenient := allocated(func() { gotLenient, sal, lerr = semfs.AnalyzeDirLenientOn(disk, dir, 1) })
+	if werr != nil || gerr != nil || lerr != nil {
+		t.Fatal(werr, gerr, lerr)
 	}
 	analysistest.RequireEqual(t, "ENZO-HDF5", want, got)
+	analysistest.RequireEqual(t, "ENZO-HDF5 lenient", want, gotLenient)
+	if sal.Degraded() || sal.Full != tr.Meta.Ranks || sal.Records != tr.NumRecords() {
+		t.Errorf("undamaged trace salvage: %v", sal)
+	}
 
 	n := uint64(tr.NumRecords())
-	t.Logf("%d records: LoadTraceOn %.1f B/record, AnalyzeParallelCtx %.1f B/record, AnalyzeDirOn %.1f B/record",
-		n, float64(load)/float64(n), float64(inMemory)/float64(n), float64(fromDir)/float64(n))
-	if limit := inMemory + 16*n; fromDir > limit {
-		t.Errorf("AnalyzeDirOn allocated %d B, more than AnalyzeParallelCtx's %d B + 16 B × %d records", fromDir, inMemory, n)
+	t.Logf("%d records: LoadTraceOn %.1f B/record, AnalyzeParallelCtx %.1f B/record, AnalyzeDirOn %.1f B/record, AnalyzeDirLenientOn %.1f B/record",
+		n, float64(load)/float64(n), float64(inMemory)/float64(n), float64(fromDir)/float64(n), float64(lenient)/float64(n))
+	for _, c := range []struct {
+		name  string
+		bytes uint64
+	}{{"AnalyzeDirOn", fromDir}, {"AnalyzeDirLenientOn", lenient}} {
+		if limit := inMemory + 16*n; c.bytes > limit {
+			t.Errorf("%s allocated %d B, more than AnalyzeParallelCtx's %d B + 16 B × %d records", c.name, c.bytes, inMemory, n)
+		}
 	}
 }
