@@ -11,6 +11,7 @@ import (
 	semfs "repro"
 	"repro/internal/apps"
 	"repro/internal/experiments"
+	"repro/internal/recorder"
 	"repro/internal/storage"
 )
 
@@ -26,8 +27,8 @@ func consistencyTable(t *testing.T, name string, scale experiments.Scale) string
 
 // TestCheckConsistencyUsesTracedScale: -check-consistency re-runs the
 // configuration at the scale trace.meta records (ranks, PPN, seed and
-// steps), not at experiments.TestScale's PPN and seed, and reads no rank
-// file, so a truncated one does not stop the check.
+// steps), not at experiments.TestScale's PPN and seed, and decodes no rank
+// file, so a truncated one does not stop the check; a missing one does.
 func TestCheckConsistencyUsesTracedScale(t *testing.T) {
 	const name = "FLASH-nofbs"
 	res, err := semfs.Run(name, semfs.RunOptions{Ranks: 8, PPN: 4, Seed: 3})
@@ -62,6 +63,14 @@ func TestCheckConsistencyUsesTracedScale(t *testing.T) {
 	var damaged bytes.Buffer
 	if code := checkConsistency(&damaged, disk, dir); code != exitClean || damaged.String() != clean.String() {
 		t.Fatalf("with a truncated rank file: exit %d, output\n%s\nwant exit %d and the undamaged output", code, damaged.String(), exitClean)
+	}
+	// A trace.meta is trusted only beside its rank files: with one missing,
+	// the check fails instead of simulating the scale the metadata claims.
+	if err := os.Remove(filepath.Join(dir, recorder.RankFileName(7))); err != nil {
+		t.Fatal(err)
+	}
+	if code := checkConsistency(&bytes.Buffer{}, disk, dir); code != exitError {
+		t.Fatalf("without rank 7's file: exit %d, want %d", code, exitError)
 	}
 	if err := os.Remove(filepath.Join(dir, "trace.meta")); err != nil {
 		t.Fatal(err)

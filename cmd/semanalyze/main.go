@@ -23,8 +23,8 @@
 // four consistency models with the pfs op-history recorder attached, and
 // each history is verified against its model's executable formal spec
 // (internal/consistency); the cross-model cost table is printed and any
-// spec rejection is reported with its counterexample clause. It reads only
-// trace.meta, so a damaged rank file does not fail it.
+// spec rejection is reported with its counterexample clause. It decodes no
+// rank file (it only checks that each exists), so a damaged one cannot fail it.
 //
 // The report goes to standard output through one buffered writer.
 //
@@ -196,10 +196,10 @@ func traceKey(b storage.Backend, dir string, meta recorder.Meta) string {
 
 // checkConsistency re-runs a trace directory's configuration under all
 // four consistency models and verifies each recorded op history against
-// the model's executable formal spec. It reads only trace.meta, which
-// supplies the configuration name and scale (ranks, PPN, seed and steps
-// when set); the runs are fresh, since a saved trace does not carry the
-// op-level payloads the checker needs.
+// the model's executable formal spec. trace.meta supplies the configuration
+// name and scale (ranks, PPN, seed and steps when set); the rank files are
+// only checked to exist, as the runs are fresh: a saved trace does not
+// carry the op-level payloads the checker needs.
 func checkConsistency(w io.Writer, b storage.Backend, dir string) (code int) {
 	meta, err := colfmt.MetaOn(b, dir)
 	if err != nil {
@@ -210,6 +210,12 @@ func checkConsistency(w io.Writer, b storage.Backend, dir string) (code int) {
 	if _, ok := apps.Lookup(name); !ok {
 		fmt.Fprintf(os.Stderr, "semanalyze: -check-consistency: configuration %q is not in the application registry\n", name)
 		return exitError
+	}
+	for rank := range meta.Ranks {
+		if _, err := b.Stat(filepath.Join(dir, recorder.RankFileName(rank))); err != nil {
+			fmt.Fprintln(os.Stderr, "semanalyze: -check-consistency:", err)
+			return exitError
+		}
 	}
 	scale := experiments.TestScale()
 	scale.Ranks = meta.Ranks // colfmt.MetaOn guarantees at least one

@@ -274,17 +274,37 @@ func TestOpenMapsOnDisk(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r, release, _, err := openRank(storage.OS(), dir, 0)
-	if err != nil || r == nil {
-		t.Fatalf("openRank: reader %v, err %v", r, err)
-	}
-	got, err := r.Materialize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	release() // unmaps where the platform can map files
-	// Records must survive the unmap: paths were interned, args copied.
-	requireRecordsEqual(t, recs, got)
+	t.Run("mapFile", func(t *testing.T) {
+		d, unmap, err := mapFile(path)
+		if err != nil {
+			t.Skipf("mmap unavailable: %v", err)
+		}
+		r, err := NewReader(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := unmap(); err != nil {
+			t.Fatalf("munmap: %v", err)
+		}
+		// Records must survive the unmap: paths were interned, args copied.
+		requireRecordsEqual(t, recs, got)
+	})
+	t.Run("openRank", func(t *testing.T) {
+		r, release, _, err := openRank(storage.OS(), dir, 0)
+		if err != nil || r == nil {
+			t.Fatalf("openRank: reader %v, err %v", r, err)
+		}
+		got, err := r.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		release() // unmaps where the platform can map files
+		requireRecordsEqual(t, recs, got)
+	})
 }
 
 func mkTrace(ranks, perRank int, seed int64) *recorder.Trace {
@@ -375,6 +395,137 @@ func TestConvertDir(t *testing.T) {
 	if _, err := ConvertDirOn(storage.OS(), v1dir, v1dir, FormatColumnar, 0); err == nil {
 		t.Fatal("in-place convert accepted")
 	}
+}
+
+// TestLoadDirLenientTornFixture is the seeded multi-rank torn-trace
+// fixture: per-rank damage (torn tails at seeded offsets, one missing file,
+// one mid-block corruption) must salvage deterministically — identical
+// Salvage at every worker count, rank-ordered errors, exact Dropped.
+func TestLoadDirLenientTornFixture(t *testing.T) {
+	const ranks, perRank = 8, 64
+	tr := mkTrace(ranks, perRank, 31)
+	dir := t.TempDir()
+	// Re-save with small blocks so tears land mid-stream.
+	if err := saveSmallBlocks(dir, tr); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(31))
+	damage := map[int]string{}
+	for _, rank := range []int{1, 4} { // torn tails at seeded offsets
+		path := filepath.Join(dir, recorder.RankFileName(rank))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := len(Magic) + 4 + rng.Intn(len(data)-len(Magic)-4)
+		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		damage[rank] = "torn"
+	}
+	if err := os.Remove(filepath.Join(dir, recorder.RankFileName(6))); err != nil { // missing
+		t.Fatal(err)
+	}
+	damage[6] = "missing"
+	{ // mid-block payload corruption with intact footer
+		path := filepath.Join(dir, recorder.RankFileName(2))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off := len(Magic)
+		_, off, _ = uvarintAt(data, off)
+		_, off, _ = uvarintAt(data, off)
+		for blk := 0; blk < 3; blk++ { // walk to the fourth block's payload
+			plen := int(uint32(data[off+1]) | uint32(data[off+2])<<8 | uint32(data[off+3])<<16 | uint32(data[off+4])<<24)
+			off += frameHdrLen + plen
+		}
+		data[off+frameHdrLen+2] ^= 0xff
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		damage[2] = "corrupt"
+	}
+
+	var first *recorder.Salvage
+	for _, workers := range []int{0, 1, 2, 8} {
+		got, sal, err := loadLenient(storage.OS(), dir, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		// Undamaged ranks load fully; damaged ranks keep a valid prefix (or
+		// block subset) of their original records.
+		for r := 0; r < ranks; r++ {
+			recs := got.PerRank[r]
+			if damage[r] == "" {
+				requireRecordsEqual(t, tr.PerRank[r], recs)
+			} else if damage[r] == "torn" {
+				requireRecordsEqual(t, tr.PerRank[r][:len(recs)], recs)
+			}
+		}
+		if sal.Ranks != ranks || sal.Unreadable == 0 || sal.Truncated == 0 {
+			t.Fatalf("workers=%d: salvage %+v", workers, sal)
+		}
+		// Exact drop accounting: every record not loaded from a
+		// header-declaring stream is dropped (rank 6's file is gone — its
+		// records are not in any stream's declared count).
+		wantDropped := 0
+		for r := 0; r < ranks; r++ {
+			if r != 6 {
+				wantDropped += perRank - len(got.PerRank[r])
+			}
+		}
+		if sal.Dropped != wantDropped {
+			t.Fatalf("workers=%d: Dropped=%d want %d", workers, sal.Dropped, wantDropped)
+		}
+		if sal.BlocksDropped == 0 {
+			t.Fatalf("workers=%d: corruption skipped no blocks: %+v", workers, sal)
+		}
+		// Determinism across worker counts, including error order.
+		if first == nil {
+			first = sal
+			for i := 1; i < len(sal.Errs); i++ {
+				if sal.Errs[i-1].Error() >= sal.Errs[i].Error() {
+					// Errors are rank-ordered; file names sort with rank.
+					t.Fatalf("errors out of rank order: %v", sal.Errs)
+				}
+			}
+		} else {
+			if sal.Full != first.Full || sal.Truncated != first.Truncated ||
+				sal.Unreadable != first.Unreadable || sal.Records != first.Records ||
+				sal.Salvaged != first.Salvaged || sal.Dropped != first.Dropped ||
+				sal.Blocks != first.Blocks || sal.BlocksDropped != first.BlocksDropped ||
+				len(sal.Errs) != len(first.Errs) {
+				t.Fatalf("salvage varies with workers:\n%+v\n%+v", sal, first)
+			}
+			for i := range sal.Errs {
+				if sal.Errs[i].Error() != first.Errs[i].Error() {
+					t.Fatalf("error %d varies with workers: %q vs %q", i, sal.Errs[i], first.Errs[i])
+				}
+			}
+		}
+	}
+}
+
+// saveSmallBlocks saves tr columnar with 8-record blocks so fixture damage
+// lands mid-stream.
+func saveSmallBlocks(dir string, tr *recorder.Trace) error {
+	if err := storage.OS().MkdirAll(dir); err != nil {
+		return err
+	}
+	if err := SaveDirOn(storage.OS(), dir, tr, FormatColumnar); err != nil {
+		return err
+	}
+	for rank, rs := range tr.PerRank {
+		var buf bytes.Buffer
+		if err := EncodeStream(&buf, rank, rs, EncodeOptions{BlockRecords: 8}); err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(dir, recorder.RankFileName(rank)), buf.Bytes(), 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // TestBackendFallback pins the storage seam: a flaky-wrapped or objstore

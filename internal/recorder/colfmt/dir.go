@@ -77,37 +77,28 @@ func SaveDirOn(b storage.Backend, dir string, tr *recorder.Trace, f Format) erro
 	if err != nil {
 		return err
 	}
-	if err := writeFileOn(b, filepath.Join(dir, "trace.meta"), metaBytes); err != nil {
-		return err
-	}
-	for rank, rs := range tr.PerRank {
-		w, err := b.Open(filepath.Join(dir, recorder.RankFileName(rank)), storage.OCreate|storage.OWronly|storage.OTrunc, 0o644)
+	// put mirrors os.WriteFile on the backend: create/truncate, write,
+	// close, no fsync.
+	put := func(name string, write func(io.Writer) error) error {
+		w, err := b.Open(filepath.Join(dir, name), storage.OCreate|storage.OWronly|storage.OTrunc, 0o644)
 		if err != nil {
 			return err
 		}
-		err = encode(w, rank, rs)
+		err = write(w)
 		if cerr := w.Close(); err == nil {
 			err = cerr
 		}
-		if err != nil {
+		return err
+	}
+	if err := put("trace.meta", func(w io.Writer) error { _, err := w.Write(metaBytes); return err }); err != nil {
+		return err
+	}
+	for rank, rs := range tr.PerRank {
+		if err := put(recorder.RankFileName(rank), func(w io.Writer) error { return encode(w, rank, rs) }); err != nil {
 			return fmt.Errorf("colfmt: writing rank %d: %w", rank, err)
 		}
 	}
 	return nil
-}
-
-// writeFileOn mirrors os.WriteFile on a backend: create/truncate, write,
-// close, no fsync.
-func writeFileOn(b storage.Backend, path string, data []byte) error {
-	f, err := b.Open(path, storage.OCreate|storage.OWronly|storage.OTrunc, 0o644)
-	if err != nil {
-		return err
-	}
-	_, werr := f.Write(data)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
 }
 
 // openRank reads rank's stream file of dir — mapped when the backend

@@ -1,20 +1,19 @@
-package colfmt_test
+package colfmt
 
 import (
 	"bytes"
-	"encoding/binary"
+	"context"
 	"encoding/json"
 	"errors"
-	"math/rand"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 
-	semfs "repro"
+	"repro/internal/core"
 	"repro/internal/recorder"
-	"repro/internal/recorder/colfmt"
 	"repro/internal/storage"
 )
 
@@ -46,40 +45,39 @@ func writeMeta(t *testing.T, dir, meta string) {
 	}
 }
 
-// drainLenient reads every rank of dir through the lenient opener, as
-// semfs.AnalyzeDirLenientOn's scan does, and copies out the records each
-// stream yields: the records a lenient analysis folds.
-func drainLenient(t *testing.T, dir string, ranks int) [][]recorder.Record {
-	t.Helper()
-	open, _ := colfmt.OpenRanksLenientOn(storage.OS(), dir, ranks)
-	out := make([][]recorder.Record, ranks)
-	for rank := range out {
+// loadLenient runs the degraded-mode scan semfs.AnalyzeDirLenientOn runs —
+// MetaOn, then every rank through OpenRanksLenientOn's opener across
+// workers — and returns the trace of what the lenient streams yielded
+// beside the Salvage fold.
+func loadLenient(b storage.Backend, dir string, workers int) (*recorder.Trace, *recorder.Salvage, error) {
+	meta, err := MetaOn(b, dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	open, salvage := OpenRanksLenientOn(b, dir, meta.Ranks)
+	tr := &recorder.Trace{Meta: meta, PerRank: make([][]recorder.Record, meta.Ranks)}
+	errs := make([]error, meta.Ranks)
+	_ = core.ParallelForCtx(context.Background(), meta.Ranks, workers, func(rank int) {
 		s, release, err := open(rank)
 		if err != nil {
-			t.Fatalf("rank %d: lenient open failed: %v", rank, err)
+			errs[rank] = err
+			return
 		}
 		for s.Next() {
 			r := *s.Record()
 			r.Args = slices.Clone(r.Args)
-			out[rank] = append(out[rank], r)
+			tr.PerRank[rank] = append(tr.PerRank[rank], r)
 		}
-		if err := s.Err(); err != nil {
-			t.Fatalf("rank %d: lenient stream failed: %v", rank, err)
-		}
+		errs[rank] = s.Err()
 		release()
+	})
+	for rank, err := range errs {
+		if err != nil {
+			return nil, nil, fmt.Errorf("rank %d: a lenient stream failed: %w", rank, err)
+		}
 	}
-	return out
-}
-
-// analyzeLenient runs semfs.AnalyzeDirLenientOn and checks that the
-// analysis folded exactly the records the Salvage counts.
-func analyzeLenient(t *testing.T, dir string, workers int) (*recorder.Salvage, error) {
-	t.Helper()
-	an, sal, err := semfs.AnalyzeDirLenientOn(storage.OS(), dir, workers)
-	if err == nil && an.Report.Records != sal.Records {
-		t.Fatalf("workers=%d: the analysis folded %d records, the salvage counts %d", workers, an.Report.Records, sal.Records)
-	}
-	return sal, err
+	sal, err := salvage()
+	return tr, sal, err
 }
 
 func TestSaveDirErrors(t *testing.T) {
@@ -90,8 +88,8 @@ func TestSaveDirErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := &recorder.Trace{Meta: recorder.Meta{Ranks: 1}, PerRank: [][]recorder.Record{{}}}
-	for _, f := range []colfmt.Format{colfmt.FormatColumnar, colfmt.FormatV1} {
-		if err := colfmt.SaveDirOn(storage.OS(), filepath.Join(blocker, "sub"), tr, f); err == nil {
+	for _, f := range []Format{FormatColumnar, FormatV1} {
+		if err := SaveDirOn(storage.OS(), filepath.Join(blocker, "sub"), tr, f); err == nil {
 			t.Fatalf("%v: SaveDirOn into a file path should fail", f)
 		}
 	}
@@ -118,7 +116,7 @@ func TestLoadDirErrors(t *testing.T) {
 	for _, tc := range []struct {
 		name, dir string
 		// Substrings the strict and lenient errors must contain. A lenient
-		// analysis of a one-rank trace whose stream is unusable salvages
+		// scan of a one-rank trace whose stream is unusable salvages
 		// nothing, so it fails with that instead of the stream's error.
 		strict, lenient string
 	}{
@@ -130,22 +128,19 @@ func TestLoadDirErrors(t *testing.T) {
 		{"ranks overflow", huge, "4000000000000 ranks (limit", "4000000000000 ranks (limit"},
 		{"ranks too many", large, "50000000 ranks (limit", "50000000 ranks (limit"},
 	} {
-		if _, err := colfmt.LoadDirOn(storage.OS(), tc.dir, 2); err == nil || !strings.Contains(err.Error(), tc.strict) {
+		if _, err := LoadDirOn(storage.OS(), tc.dir, 2); err == nil || !strings.Contains(err.Error(), tc.strict) {
 			t.Errorf("%s: strict load err = %v, want one containing %q", tc.name, err, tc.strict)
 		}
-		if _, err := semfs.AnalyzeDirOn(storage.OS(), tc.dir, 2); err == nil || !strings.Contains(err.Error(), tc.strict) {
-			t.Errorf("%s: strict analysis err = %v, want one containing %q", tc.name, err, tc.strict)
-		}
-		if _, err := analyzeLenient(t, tc.dir, 2); err == nil || !strings.Contains(err.Error(), tc.lenient) {
-			t.Errorf("%s: lenient analysis err = %v, want one containing %q", tc.name, err, tc.lenient)
+		if _, _, err := loadLenient(storage.OS(), tc.dir, 2); err == nil || !strings.Contains(err.Error(), tc.lenient) {
+			t.Errorf("%s: lenient load err = %v, want one containing %q", tc.name, err, tc.lenient)
 		}
 	}
 }
 
-// TestLoadDirLenient pins v1 degraded-mode analysis: a torn stream keeps
-// its valid prefix with exact Dropped accounting, missing and wrong-rank
-// streams (in either format) are unreadable, and only unusable metadata or
-// zero surviving records fail.
+// TestLoadDirLenient pins v1 degraded-mode scanning: a torn stream keeps its
+// valid prefix with exact Dropped accounting, missing and wrong-rank streams
+// (in either format) are unreadable, and only unusable metadata or zero
+// surviving records fail.
 func TestLoadDirLenient(t *testing.T) {
 	mk := func(rank int) []recorder.Record {
 		return []recorder.Record{
@@ -156,17 +151,17 @@ func TestLoadDirLenient(t *testing.T) {
 	}
 	tr := &recorder.Trace{Meta: recorder.Meta{App: "x", Ranks: 3}, PerRank: [][]recorder.Record{mk(0), mk(1), mk(2)}}
 	dir := t.TempDir()
-	if err := colfmt.SaveDirOn(storage.OS(), dir, tr, colfmt.FormatV1); err != nil {
+	if err := SaveDirOn(storage.OS(), dir, tr, FormatV1); err != nil {
 		t.Fatal(err)
 	}
 
-	// Clean scan: full everywhere, not degraded.
-	sal, err := analyzeLenient(t, dir, 2)
+	// Clean load: full everywhere, not degraded.
+	got, sal, err := loadLenient(storage.OS(), dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sal.Degraded() || sal.Full != 3 || sal.Records != 9 || sal.Salvaged != 0 {
-		t.Fatalf("clean scan salvage: %v", sal)
+		t.Fatalf("clean load salvage: %v", sal)
 	}
 
 	// Truncate rank 1 mid-stream and delete rank 2 entirely.
@@ -182,15 +177,15 @@ func TestLoadDirLenient(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sal, err = analyzeLenient(t, dir, 2)
+	got, sal, err = loadLenient(storage.OS(), dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sal.Degraded() || sal.Full != 1 || sal.Truncated != 1 || sal.Unreadable != 1 {
-		t.Fatalf("degraded scan salvage: %v", sal)
+		t.Fatalf("degraded load salvage: %v", sal)
 	}
 	if sal.Salvaged == 0 || sal.Records != 3+sal.Salvaged || len(sal.Errs) != 2 {
-		t.Fatalf("degraded scan counts: %v", sal)
+		t.Fatalf("degraded load counts: %v", sal)
 	}
 	// The truncated stream declared 3 records and lost its tail: the salvage
 	// report counts exactly what was dropped, not just that damage happened.
@@ -200,11 +195,11 @@ func TestLoadDirLenient(t *testing.T) {
 	if sal.Blocks != 0 || sal.BlocksDropped != 0 {
 		t.Fatalf("v1 streams have no block accounting: %v", sal)
 	}
-	got := drainLenient(t, dir, 3)
-	if len(got[0]) != 3 || len(got[2]) != 0 {
-		t.Fatalf("per-rank records: %d/%d/%d", len(got[0]), len(got[1]), len(got[2]))
+	if len(got.PerRank[0]) != 3 || len(got.PerRank[2]) != 0 {
+		t.Fatalf("per-rank records: %d/%d/%d",
+			len(got.PerRank[0]), len(got.PerRank[1]), len(got.PerRank[2]))
 	}
-	colfmt.RequireRecordsEqual(t, tr.PerRank[1][:sal.Salvaged], got[1])
+	requireRecordsEqual(t, tr.PerRank[1][:sal.Salvaged], got.PerRank[1])
 	found := false
 	for _, e := range sal.Errs {
 		if errors.Is(e, recorder.ErrTruncated) {
@@ -221,19 +216,19 @@ func TestLoadDirLenient(t *testing.T) {
 
 	// A stream holding the wrong rank is unreadable, its records discarded.
 	writeV1Rank(t, dir, 2, 9, mk(9))
-	sal, err = analyzeLenient(t, dir, 2)
+	got, sal, err = loadLenient(storage.OS(), dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := drainLenient(t, dir, 3); sal.Unreadable != 1 || len(got[2]) != 0 {
-		t.Fatalf("wrong-rank stream salvage: %v, rank2=%d recs", sal, len(got[2]))
+	if sal.Unreadable != 1 || len(got.PerRank[2]) != 0 {
+		t.Fatalf("wrong-rank stream salvage: %v, rank2=%d recs", sal, len(got.PerRank[2]))
 	}
 
 	// In either format, a wrong-rank stream's records were never lost to a
 	// cut, so they do not count as dropped.
-	for _, f := range []colfmt.Format{colfmt.FormatV1, colfmt.FormatColumnar} {
+	for _, f := range []Format{FormatV1, FormatColumnar} {
 		wdir := t.TempDir()
-		if err := colfmt.SaveDirOn(storage.OS(), wdir, tr, f); err != nil {
+		if err := SaveDirOn(storage.OS(), wdir, tr, f); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(filepath.Join(wdir, recorder.RankFileName(1)))
@@ -243,12 +238,11 @@ func TestLoadDirLenient(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(wdir, recorder.RankFileName(2)), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		sal, err = analyzeLenient(t, wdir, 2)
+		got, sal, err = loadLenient(storage.OS(), wdir, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := drainLenient(t, wdir, 3)
-		if sal.Full != 2 || sal.Unreadable != 1 || sal.Records != 6 || sal.Dropped != 0 || len(got[2]) != 0 {
+		if sal.Full != 2 || sal.Unreadable != 1 || sal.Records != 6 || sal.Dropped != 0 || len(got.PerRank[2]) != 0 {
 			t.Fatalf("%v wrong-rank stream salvage: %v", f, sal)
 		}
 	}
@@ -256,7 +250,7 @@ func TestLoadDirLenient(t *testing.T) {
 	// Nothing salvageable at all → error, with counts still reported.
 	empty := t.TempDir()
 	writeMeta(t, empty, `{"Ranks":2}`)
-	sal, err = analyzeLenient(t, empty, 2)
+	_, sal, err = loadLenient(storage.OS(), empty, 2)
 	if err == nil || sal == nil || sal.Unreadable != 2 {
 		t.Fatalf("empty dir: err=%v sal=%v", err, sal)
 	}
@@ -264,7 +258,7 @@ func TestLoadDirLenient(t *testing.T) {
 
 // TestSaveLoadDir round-trips a trace through both formats and pins the
 // bytes on disk: trace.meta is the indented JSON of Meta, and every rank
-// file is exactly its format's stream encoding — for colfmt.FormatV1 the bytes
+// file is exactly its format's stream encoding — for FormatV1 the bytes
 // recorder.EncodeRankStream writes.
 func TestSaveLoadDir(t *testing.T) {
 	tr := &recorder.Trace{
@@ -274,9 +268,9 @@ func TestSaveLoadDir(t *testing.T) {
 			{mkRec(1, recorder.LayerMPI, recorder.FuncMPIBarrier, 6, 10, ""), mkRec(1, recorder.LayerPOSIX, recorder.FuncRead, 15, 25, "/f", 3, 64, 64)},
 		},
 	}
-	for _, f := range []colfmt.Format{colfmt.FormatColumnar, colfmt.FormatV1} {
+	for _, f := range []Format{FormatColumnar, FormatV1} {
 		dir := filepath.Join(t.TempDir(), "trace")
-		if err := colfmt.SaveDirOn(storage.OS(), dir, tr, f); err != nil {
+		if err := SaveDirOn(storage.OS(), dir, tr, f); err != nil {
 			t.Fatal(err)
 		}
 		meta, err := os.ReadFile(filepath.Join(dir, "trace.meta"))
@@ -288,10 +282,10 @@ func TestSaveLoadDir(t *testing.T) {
 		}
 		for rank, rs := range tr.PerRank {
 			var want bytes.Buffer
-			if f == colfmt.FormatV1 {
+			if f == FormatV1 {
 				err = recorder.EncodeRankStream(&want, rank, rs)
 			} else {
-				err = colfmt.EncodeStream(&want, rank, rs, colfmt.EncodeOptions{})
+				err = EncodeStream(&want, rank, rs, EncodeOptions{})
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -304,7 +298,7 @@ func TestSaveLoadDir(t *testing.T) {
 				t.Fatalf("%v: rank %d file differs from the stream encoder's bytes", f, rank)
 			}
 		}
-		got, err := colfmt.LoadDirOn(storage.OS(), dir, 1)
+		got, err := LoadDirOn(storage.OS(), dir, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,144 +306,7 @@ func TestSaveLoadDir(t *testing.T) {
 			t.Fatalf("%v: meta mismatch: %+v vs %+v", f, got.Meta, tr.Meta)
 		}
 		for r := range tr.PerRank {
-			colfmt.RequireRecordsEqual(t, tr.PerRank[r], got.PerRank[r])
+			requireRecordsEqual(t, tr.PerRank[r], got.PerRank[r])
 		}
 	}
-}
-
-// TestLoadDirLenientTornFixture is the seeded multi-rank torn-trace
-// fixture: per-rank damage (torn tails at seeded offsets, one missing file,
-// one mid-block corruption) must salvage deterministically — identical
-// Salvage from the lenient analysis at every worker count, rank-ordered
-// errors, exact Dropped.
-func TestLoadDirLenientTornFixture(t *testing.T) {
-	const ranks, perRank = 8, 64
-	tr := colfmt.MkTrace(ranks, perRank, 31)
-	dir := t.TempDir()
-	// Re-save with small blocks so tears land mid-stream.
-	if err := saveSmallBlocks(dir, tr); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(31))
-	damage := map[int]string{}
-	for _, rank := range []int{1, 4} { // torn tails at seeded offsets
-		path := filepath.Join(dir, recorder.RankFileName(rank))
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cut := len(colfmt.Magic) + 4 + rng.Intn(len(data)-len(colfmt.Magic)-4)
-		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		damage[rank] = "torn"
-	}
-	if err := os.Remove(filepath.Join(dir, recorder.RankFileName(6))); err != nil { // missing
-		t.Fatal(err)
-	}
-	damage[6] = "missing"
-	{ // mid-block payload corruption with intact footer
-		path := filepath.Join(dir, recorder.RankFileName(2))
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The header (magic, uvarint rank, uvarint count) precedes the
-		// frames; each frame is a kind byte, a 4-byte payload length and a
-		// 4-byte CRC.
-		const frameHdrLen = 1 + 4 + 4
-		off := len(colfmt.Magic)
-		for range 2 {
-			_, n := binary.Uvarint(data[off:])
-			off += n
-		}
-		for blk := 0; blk < 3; blk++ { // walk to the fourth block's payload
-			off += frameHdrLen + int(binary.LittleEndian.Uint32(data[off+1:]))
-		}
-		data[off+frameHdrLen+2] ^= 0xff
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		damage[2] = "corrupt"
-	}
-
-	// Undamaged ranks yield every record; damaged ranks keep a valid prefix
-	// (or block subset) of their original records.
-	got := drainLenient(t, dir, ranks)
-	for r := 0; r < ranks; r++ {
-		if damage[r] == "" {
-			colfmt.RequireRecordsEqual(t, tr.PerRank[r], got[r])
-		} else if damage[r] == "torn" {
-			colfmt.RequireRecordsEqual(t, tr.PerRank[r][:len(got[r])], got[r])
-		}
-	}
-	var first *recorder.Salvage
-	for _, workers := range []int{0, 1, 2, 8} {
-		sal, err := analyzeLenient(t, dir, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if sal.Ranks != ranks || sal.Unreadable == 0 || sal.Truncated == 0 {
-			t.Fatalf("workers=%d: salvage %+v", workers, sal)
-		}
-		// Exact drop accounting: every record not yielded by a
-		// header-declaring stream is dropped (rank 6's file is gone — its
-		// records are not in any stream's declared count).
-		wantDropped := 0
-		for r := 0; r < ranks; r++ {
-			if r != 6 {
-				wantDropped += perRank - len(got[r])
-			}
-		}
-		if sal.Dropped != wantDropped {
-			t.Fatalf("workers=%d: Dropped=%d want %d", workers, sal.Dropped, wantDropped)
-		}
-		if sal.BlocksDropped == 0 {
-			t.Fatalf("workers=%d: corruption skipped no blocks: %+v", workers, sal)
-		}
-		// Determinism across worker counts, including error order.
-		if first == nil {
-			first = sal
-			for i := 1; i < len(sal.Errs); i++ {
-				if sal.Errs[i-1].Error() >= sal.Errs[i].Error() {
-					// Errors are rank-ordered; file names sort with rank.
-					t.Fatalf("errors out of rank order: %v", sal.Errs)
-				}
-			}
-		} else {
-			if sal.Full != first.Full || sal.Truncated != first.Truncated ||
-				sal.Unreadable != first.Unreadable || sal.Records != first.Records ||
-				sal.Salvaged != first.Salvaged || sal.Dropped != first.Dropped ||
-				sal.Blocks != first.Blocks || sal.BlocksDropped != first.BlocksDropped ||
-				len(sal.Errs) != len(first.Errs) {
-				t.Fatalf("salvage varies with workers:\n%+v\n%+v", sal, first)
-			}
-			for i := range sal.Errs {
-				if sal.Errs[i].Error() != first.Errs[i].Error() {
-					t.Fatalf("error %d varies with workers: %q vs %q", i, sal.Errs[i], first.Errs[i])
-				}
-			}
-		}
-	}
-}
-
-// saveSmallBlocks saves tr columnar with 8-record blocks so fixture damage
-// lands mid-stream.
-func saveSmallBlocks(dir string, tr *recorder.Trace) error {
-	if err := storage.OS().MkdirAll(dir); err != nil {
-		return err
-	}
-	if err := colfmt.SaveDirOn(storage.OS(), dir, tr, colfmt.FormatColumnar); err != nil {
-		return err
-	}
-	for rank, rs := range tr.PerRank {
-		var buf bytes.Buffer
-		if err := colfmt.EncodeStream(&buf, rank, rs, colfmt.EncodeOptions{BlockRecords: 8}); err != nil {
-			return err
-		}
-		if err := os.WriteFile(filepath.Join(dir, recorder.RankFileName(rank)), buf.Bytes(), 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
 }
