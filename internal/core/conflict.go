@@ -89,6 +89,7 @@ type conflictAppender struct {
 	classes    uint8 // bitmask of materialized Table 4 classes
 	suppressed int64
 	max        int
+	admits     bool // the model admits the sweep's current candidate pair
 }
 
 func classBit(kind ConflictKind, same bool) uint8 {
@@ -147,9 +148,10 @@ func sortConflicts(cs []Conflict) {
 func conflictUnder(fa *FileAccesses, model pfs.Semantics, first, second *Interval) bool {
 	switch model {
 	case pfs.Commit:
-		// Condition (3): first commit by the writer after t1 must come
-		// before t2, otherwise the pair conflicts.
-		return first.TcCommit == NoTime || first.TcCommit >= second.T
+		// Condition (3): the writer's first commit after t1 (its tc, one
+		// binary search) must come before t2, otherwise the pair conflicts.
+		w := fa.TimesOf(first.Rank)
+		return w == nil || firstAfter(w.Commits, first.T) >= second.T
 	case pfs.Session:
 		return !sessionOrdered(fa, first, second)
 	case pfs.Eventual:
@@ -173,6 +175,12 @@ type ModelConflicts struct {
 // candidate pair the Conflict value is built at most once and shared across
 // the models that admit it; each model's list is capped by
 // MaxConflictsPerFile and sorted by sortConflicts.
+//
+// Every commit conflict is also a session conflict (a close is a commit),
+// and on most files the two lists are equal. Until a candidate pair splits
+// the two models, the commit list is not built; if none does, it is the
+// session list, backing array included, so callers must treat the lists
+// as read-only.
 func detectConflictsMulti(fa *FileAccesses, models []pfs.Semantics) [][]Conflict {
 	out := make([][]Conflict, len(models))
 	active := 0
@@ -188,12 +196,25 @@ func detectConflictsMulti(fa *FileAccesses, models []pfs.Semantics) [][]Conflict
 	for i := range apps {
 		apps[i].max = MaxConflictsPerFile
 	}
+	ci, si := slices.Index(models, pfs.Commit), slices.Index(models, pfs.Session)
+	shared := ci >= 0 && si >= 0
 	sweepOverlaps(fa.Intervals, func(p OverlapPair) {
 		first, second := &fa.Intervals[p.A], &fa.Intervals[p.B]
+		for i, m := range models {
+			apps[i].admits = m != pfs.Strong && conflictUnder(fa, m, first, second)
+		}
+		if shared && apps[ci].admits != apps[si].admits {
+			// The first split: the commit list so far is the session
+			// list so far, in its own backing array from here on.
+			shared = false
+			fork := apps[si]
+			fork.out, fork.admits = slices.Clone(fork.out), apps[ci].admits
+			apps[ci] = fork
+		}
 		var c Conflict
 		built := false
-		for i, m := range models {
-			if m == pfs.Strong || !conflictUnder(fa, m, first, second) {
+		for i := range apps {
+			if !apps[i].admits || (shared && i == ci) {
 				continue
 			}
 			if !built {
@@ -209,10 +230,15 @@ func detectConflictsMulti(fa *FileAccesses, models []pfs.Semantics) [][]Conflict
 			apps[i].add(c)
 		}
 	})
+	if shared {
+		apps[ci] = apps[si] // the same list, sorted once below
+	}
 	var suppressed int64
 	for i := range apps {
 		suppressed += apps[i].suppressed
-		sortConflicts(apps[i].out)
+		if !shared || i != ci {
+			sortConflicts(apps[i].out)
+		}
 		out[i] = apps[i].out
 	}
 	if suppressed > 0 {

@@ -7,15 +7,14 @@ import (
 )
 
 // mkFA builds a FileAccesses whose Ranks hold explicit open/close/commit
-// tables and annotates the intervals.
+// tables, from which the conflict predicates derive each interval's §5.2
+// annotations.
 func mkFA(path string, ivs []Interval, opens, closes, commits map[int32][]uint64) *FileAccesses {
-	fa := &FileAccesses{
+	return &FileAccesses{
 		Path:      path,
 		Intervals: ivs,
 		Ranks:     rankTables{opens: opens, closes: closes, commits: commits}.ranks(),
 	}
-	annotate(fa)
-	return fa
 }
 
 func TestStrongNeverConflicts(t *testing.T) {

@@ -97,8 +97,9 @@ func ScanTraceCtx(ctx context.Context, tr *recorder.Trace, workers int) (*Scan, 
 }
 
 // ExtractSharedCtx is the one extraction entry point: the trace's shared
-// scan's files (§5.1 offset reconstruction plus the §5.2 To/Tc annotation,
-// sorted by path), which callers must treat as read-only.
+// scan's files (§5.1 offset reconstruction plus the per-rank open, close
+// and commit times §5.2's record expansion searches, sorted by path),
+// which callers must treat as read-only.
 func ExtractSharedCtx(ctx context.Context, tr *recorder.Trace, workers int) ([]*FileAccesses, error) {
 	sc, err := ScanTraceCtx(ctx, tr, workers)
 	if err != nil {

@@ -143,7 +143,7 @@ func TestExtractToTcAnnotations(t *testing.T) {
 		return ctx.OS.Close(fd)
 	})
 	fa := findFile(t, fas, "/f")
-	w1, w2 := fa.Intervals[0], fa.Intervals[1]
+	w1, w2 := annotationsOf(fa, &fa.Intervals[0]), annotationsOf(fa, &fa.Intervals[1])
 	if w1.To == NoTime || w1.To > w1.T {
 		t.Fatalf("w1.To = %d", w1.To)
 	}

@@ -21,22 +21,16 @@ import (
 )
 
 // Interval is one data operation expanded with the fields the conflict
-// algorithm needs: the paper's tuple (t, r, os, oe, type) plus the
-// `to`/`tc` annotations of §5.2. Offsets are half-open: [Os, Oe). The
-// 8-byte fields come first so the struct carries no padding between them.
+// algorithm needs: the paper's tuple (t, r, os, oe, type). The §5.2 `to`
+// and `tc` annotations are not stored: the conflict predicates find them
+// per candidate pair with a binary search of the writer's RankTimes (see
+// conflictUnder). Offsets are half-open: [Os, Oe). The 8-byte fields come
+// first so the struct carries no padding between them.
 type Interval struct {
 	T    uint64 // entry timestamp
 	TEnd uint64 // exit timestamp
 	Os   int64
 	Oe   int64
-
-	// §5.2 record expansion, all with respect to this interval's rank and
-	// file: To is the time of the last preceding open; TcCommit the time of
-	// the first succeeding commit operation (fsync/fdatasync/fflush/close);
-	// TcClose the time of the first succeeding close. ^uint64(0) when none.
-	To       uint64
-	TcCommit uint64
-	TcClose  uint64
 
 	// Phase identifies the enclosing library call (an index unique within
 	// the rank stream), used to group a rank's accesses issued by a single
@@ -51,7 +45,7 @@ type Interval struct {
 	Origin recorder.Layer
 }
 
-// NoTime marks a missing To/Tc annotation.
+// NoTime marks a missing time: firstAfter's result when no time follows.
 const NoTime = ^uint64(0)
 
 // FileAccesses collects everything the analysis needs about one file.
@@ -192,8 +186,7 @@ func (t *fdTable) closeFD(fd int64) *fdState {
 // dataInterval converts a data-op record into an interval, updating the
 // descriptor offset state.
 func dataInterval(r *recorder.Record, fds *fdTable, sizeByPath map[string]int64) (Interval, string, bool) {
-	iv := Interval{T: r.TStart, TEnd: r.TEnd, Rank: r.Rank, Write: r.IsWriteOp(),
-		To: NoTime, TcCommit: NoTime, TcClose: NoTime}
+	iv := Interval{T: r.TStart, TEnd: r.TEnd, Rank: r.Rank, Write: r.IsWriteOp()}
 	var st *fdState
 	var n int64
 	switch r.Func {
@@ -241,35 +234,6 @@ func dataInterval(r *recorder.Record, fds *fdTable, sizeByPath map[string]int64)
 		return iv, "", false
 	}
 	return iv, st.path, true
-}
-
-// annotate fills the To/Tc fields of every interval from the per-rank
-// open/close/commit time tables using binary search (§5.2's "one or two
-// binary searches").
-func annotate(fa *FileAccesses) {
-	var rt *RankTimes
-	for i := range fa.Intervals {
-		iv := &fa.Intervals[i]
-		if rt == nil || rt.Rank != iv.Rank {
-			rt = fa.TimesOf(iv.Rank)
-		}
-		if rt == nil {
-			iv.To, iv.TcCommit, iv.TcClose = NoTime, NoTime, NoTime
-			continue
-		}
-		iv.To = lastBefore(rt.Opens, iv.T)
-		iv.TcCommit = firstAfter(rt.Commits, iv.T)
-		iv.TcClose = firstAfter(rt.Closes, iv.T)
-	}
-}
-
-// lastBefore returns the largest element <= t, or NoTime.
-func lastBefore(times []uint64, t uint64) uint64 {
-	idx := sort.Search(len(times), func(i int) bool { return times[i] > t })
-	if idx == 0 {
-		return NoTime
-	}
-	return times[idx-1]
 }
 
 // firstAfter returns the smallest element > t, or NoTime.

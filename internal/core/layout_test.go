@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/apps"
 	"repro/internal/recorder"
@@ -49,7 +50,7 @@ func checkRankTimes(t *testing.T, how string, fa *FileAccesses, want rankTables)
 
 // checkAgainstOracle compares an extraction with extractOracle's: the same
 // files in path order, each file's intervals byte for byte in the oracle's
-// append order with len == cap, and its per-rank times.
+// append order with len == cap, their annotations, and its per-rank times.
 func checkAgainstOracle(t *testing.T, how string, fas []*FileAccesses, want map[string]*oracleFile) {
 	t.Helper()
 	if len(fas) != len(want) {
@@ -63,8 +64,12 @@ func checkAgainstOracle(t *testing.T, how string, fas []*FileAccesses, want map[
 		if !ok {
 			t.Fatalf("%s: file %q not in the oracle", how, fa.Path)
 		}
-		if !slices.Equal(fa.Intervals, w.intervals) {
-			t.Fatalf("%s: %s: intervals differ from the oracle:\n got  %+v\n want %+v", how, fa.Path, fa.Intervals, w.intervals)
+		got := make([]annotated, len(fa.Intervals))
+		for i := range fa.Intervals {
+			got[i] = annotationsOf(fa, &fa.Intervals[i])
+		}
+		if !slices.Equal(got, w.intervals) {
+			t.Fatalf("%s: %s: intervals differ from the oracle:\n got  %+v\n want %+v", how, fa.Path, got, w.intervals)
 		}
 		if len(fa.Intervals) != cap(fa.Intervals) {
 			t.Fatalf("%s: %s: len %d != cap %d: an append would write into the next file's intervals", how, fa.Path, len(fa.Intervals), cap(fa.Intervals))
@@ -187,7 +192,9 @@ func TestExtractAllocsPerFile(t *testing.T) {
 
 // TestIntervalHasNoInteriorPadding: every Interval field starts where the
 // previous one ends, so the struct is only as large as its fields plus the
-// trailing alignment.
+// trailing alignment, and the sizes the analysis working set is built of
+// stay pinned: a 48-byte Interval (the paper's tuple without stored
+// annotations) and a 128-byte Conflict.
 func TestIntervalHasNoInteriorPadding(t *testing.T) {
 	typ := reflect.TypeOf(Interval{})
 	var end uintptr
@@ -197,5 +204,44 @@ func TestIntervalHasNoInteriorPadding(t *testing.T) {
 			t.Errorf("field %s at offset %d, previous field ends at %d", f.Name, f.Offset, end)
 		}
 		end = f.Offset + f.Type.Size()
+	}
+	if got := unsafe.Sizeof(Interval{}); got != 48 {
+		t.Errorf("Interval is %d bytes, want 48", got)
+	}
+	if got := unsafe.Sizeof(Conflict{}); got != 128 {
+		t.Errorf("Conflict is %d bytes, want 128", got)
+	}
+}
+
+// TestMetaEventHasNoPointers: a metadata event is 32 bytes and holds no
+// pointer, directly or in a nested field, so a trace's events are one
+// array the garbage collector never scans.
+func TestMetaEventHasNoPointers(t *testing.T) {
+	var holdsPointer func(reflect.Type) bool
+	holdsPointer = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if holdsPointer(typ.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		case reflect.Array:
+			return typ.Len() > 0 && holdsPointer(typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
+			reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+			return true
+		}
+		return false
+	}
+	typ := reflect.TypeOf(metaEvent{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); holdsPointer(f.Type) {
+			t.Errorf("metaEvent.%s (%v) holds a pointer", f.Name, f.Type)
+		}
+	}
+	if got := typ.Size(); got != 32 {
+		t.Errorf("metaEvent is %d bytes, want 32", got)
 	}
 }

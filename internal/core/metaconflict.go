@@ -78,16 +78,31 @@ type MetaSignature struct {
 // Any reports whether any class is present.
 func (s MetaSignature) Any() bool { return s.CreateUse || s.RemoveUse || s.ResizeUse }
 
+// metaEvent is one metadata operation as the per-path scan sees it. It
+// holds no pointers: path indexes the scan part's path table (see
+// scanPart.pathID), or is noPath for a suppressed probe, so a trace's
+// events are one flat pointer-free array the collector never scans.
 type metaEvent struct {
-	ref      MetaOpRef
+	t, tend  uint64
+	rank     int32
+	path     int32
+	fn       recorder.Func
 	mutation bool
-	kind     MetaConflictKind // valid when mutation
+	kind     uint8 // a MetaConflictKind, valid when mutation
+}
+
+// noPath marks a suppressed probe's event.
+const noPath = -1
+
+// ref expands the event into the operation it records on path p.
+func (e *metaEvent) ref(p string) MetaOpRef {
+	return MetaOpRef{Rank: e.rank, T: e.t, TEnd: e.tend, Func: e.fn, Path: p}
 }
 
 // metaStep collects one POSIX record's metadata events into the rank's
 // part, with create-probe suppression: a stat-family use stays pending
 // until the next record of this rank that names its path (as Path or
-// Path2), and is dropped — its Path emptied — when that record is a
+// Path2), and is dropped — its path set to noPath — when that record is a
 // creating open of the path. A failed open is no dependency carrier and
 // no touch.
 func (s *rankScan) metaStep(r *recorder.Record) {
@@ -100,48 +115,50 @@ func (s *rankScan) metaStep(r *recorder.Record) {
 	if len(s.pending) > 0 {
 		if idx, ok := s.pending[r.Path]; ok {
 			if creating {
-				p.meta[idx].ref.Path = ""
+				p.meta[idx].path = noPath
 			}
 			delete(s.pending, r.Path)
 		}
 		delete(s.pending, r.Path2)
 	}
-	ref := MetaOpRef{Rank: r.Rank, T: r.TStart, TEnd: r.TEnd, Func: r.Func, Path: r.Path}
+	use := func(path string) metaEvent {
+		return metaEvent{t: r.TStart, tend: r.TEnd, rank: r.Rank, path: p.pathID(path), fn: r.Func}
+	}
+	mutation := func(path string, kind MetaConflictKind) metaEvent {
+		e := use(path)
+		e.mutation, e.kind = true, uint8(kind)
+		return e
+	}
 	switch {
 	case isOpen:
 		if !creating {
-			p.meta = append(p.meta, metaEvent{ref: ref})
+			p.meta = append(p.meta, use(r.Path))
 			return
 		}
 		// Creating open: a mutation of the path and a use of the parent
 		// directory.
-		p.meta = append(p.meta, metaEvent{ref: ref, mutation: true, kind: CreateUse})
+		p.meta = append(p.meta, mutation(r.Path, CreateUse))
 		if int(r.Arg(0))&recorder.OTrunc != 0 {
-			p.meta = append(p.meta, metaEvent{ref: ref, mutation: true, kind: ResizeUse})
+			p.meta = append(p.meta, mutation(r.Path, ResizeUse))
 		}
 		if dir := path.Dir(r.Path); dir != "/" && dir != "." {
-			dref := ref
-			dref.Path = dir
-			p.meta = append(p.meta, metaEvent{ref: dref})
+			p.meta = append(p.meta, use(dir))
 		}
 	case r.Func == recorder.FuncMkdir:
-		p.meta = append(p.meta, metaEvent{ref: ref, mutation: true, kind: CreateUse})
+		p.meta = append(p.meta, mutation(r.Path, CreateUse))
 	case r.Func == recorder.FuncUnlink || r.Func == recorder.FuncRemove:
-		p.meta = append(p.meta, metaEvent{ref: ref, mutation: true, kind: RemoveUse})
+		p.meta = append(p.meta, mutation(r.Path, RemoveUse))
 	case r.Func == recorder.FuncRename:
-		p.meta = append(p.meta, metaEvent{ref: ref, mutation: true, kind: RemoveUse})
-		dst := ref
-		dst.Path = r.Path2
-		p.meta = append(p.meta, metaEvent{ref: dst, mutation: true, kind: CreateUse})
+		p.meta = append(p.meta, mutation(r.Path, RemoveUse), mutation(r.Path2, CreateUse))
 	case r.Func == recorder.FuncTruncate:
-		p.meta = append(p.meta, metaEvent{ref: ref, mutation: true, kind: ResizeUse})
+		p.meta = append(p.meta, mutation(r.Path, ResizeUse))
 	case r.Func == recorder.FuncStat || r.Func == recorder.FuncLstat ||
 		r.Func == recorder.FuncAccess || r.Func == recorder.FuncOpendir:
 		if s.pending == nil {
 			s.pending = make(map[string]int)
 		}
 		s.pending[r.Path] = len(p.meta)
-		p.meta = append(p.meta, metaEvent{ref: ref})
+		p.meta = append(p.meta, use(r.Path))
 	}
 }
 
@@ -150,7 +167,8 @@ func (s *rankScan) metaStep(r *recorder.Record) {
 // modified.
 func metaConflictsForPath(p string, evs []metaEvent) []MetaConflict {
 	var out []MetaConflict
-	for i, e := range evs {
+	for i := range evs {
+		e := &evs[i]
 		if e.mutation {
 			continue
 		}
@@ -158,16 +176,16 @@ func metaConflictsForPath(p string, evs []metaEvent) []MetaConflict {
 		// carry several mutation kinds (O_CREAT|O_TRUNC is both a
 		// creation and a resize), so report each kind of that operation.
 		for j := i - 1; j >= 0; j-- {
-			m := evs[j]
-			if !m.mutation || m.ref.Rank == e.ref.Rank {
+			m := &evs[j]
+			if !m.mutation || m.rank == e.rank {
 				continue
 			}
 			for k := j; k >= 0; k-- {
-				mk := evs[k]
-				if !mk.mutation || mk.ref.Rank != m.ref.Rank || mk.ref.T != m.ref.T {
+				mk := &evs[k]
+				if !mk.mutation || mk.rank != m.rank || mk.t != m.t {
 					break
 				}
-				out = append(out, MetaConflict{Kind: mk.kind, Path: p, Mutation: mk.ref, Use: e.ref})
+				out = append(out, MetaConflict{Kind: MetaConflictKind(mk.kind), Path: p, Mutation: mk.ref(p), Use: e.ref(p)})
 			}
 			break
 		}

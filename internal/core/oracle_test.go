@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"slices"
+	"sort"
 
 	"repro/internal/pfs"
 	"repro/internal/recorder"
@@ -105,9 +106,43 @@ func (m rankTables) ranks() []RankTimes {
 	return out
 }
 
+// annotated is an interval with the §5.2 record expansion, all with respect
+// to its rank and file: To is the time of the last open at or before T;
+// TcCommit the time of the first commit operation (fsync/fdatasync/fflush/
+// close) after T; TcClose the time of the first close after T; NoTime when
+// none. Interval does not store them: the conflict predicates search the
+// rank's times per candidate pair.
+type annotated struct {
+	Interval
+	To, TcCommit, TcClose uint64
+}
+
+// annotate expands iv from its rank's open, commit and close times.
+func annotate(iv Interval, opens, commits, closes []uint64) annotated {
+	return annotated{iv, lastBefore(opens, iv.T), firstAfter(commits, iv.T), firstAfter(closes, iv.T)}
+}
+
+// annotationsOf expands one of fa's intervals from fa.TimesOf.
+func annotationsOf(fa *FileAccesses, iv *Interval) annotated {
+	rt := fa.TimesOf(iv.Rank)
+	if rt == nil {
+		return annotate(*iv, nil, nil, nil)
+	}
+	return annotate(*iv, rt.Opens, rt.Commits, rt.Closes)
+}
+
+// lastBefore returns the largest element <= t, or NoTime.
+func lastBefore(times []uint64, t uint64) uint64 {
+	idx := sort.Search(len(times), func(i int) bool { return times[i] > t })
+	if idx == 0 {
+		return NoTime
+	}
+	return times[idx-1]
+}
+
 // oracleFile is one file of extractOracle's result.
 type oracleFile struct {
-	intervals []Interval
+	intervals []annotated
 	times     rankTables
 }
 
@@ -115,7 +150,8 @@ type oracleFile struct {
 // replaced: one serial fold over every rank stream that appends each
 // interval to its own file's slice and keeps the per-rank times in maps,
 // then annotates every interval from the maps. extract must reproduce its
-// intervals byte for byte and FileAccesses.TimesOf its tables.
+// intervals byte for byte, FileAccesses.TimesOf its tables, and
+// annotationsOf its annotations.
 func extractOracle(tr *recorder.Trace) map[string]*oracleFile {
 	files := make(map[string]*oracleFile)
 	get := func(path string) *oracleFile {
@@ -189,16 +225,14 @@ func extractOracle(tr *recorder.Trace) map[string]*oracleFile {
 					sizeByPath[path] = iv.Oe
 				}
 				f := get(path)
-				f.intervals = append(f.intervals, iv)
+				f.intervals = append(f.intervals, annotated{Interval: iv})
 			}
 		}
 	}
 	for _, f := range files {
 		for i := range f.intervals {
-			iv := &f.intervals[i]
-			iv.To = lastBefore(f.times.opens[iv.Rank], iv.T)
-			iv.TcCommit = firstAfter(f.times.commits[iv.Rank], iv.T)
-			iv.TcClose = firstAfter(f.times.closes[iv.Rank], iv.T)
+			iv := f.intervals[i].Interval
+			f.intervals[i] = annotate(iv, f.times.opens[iv.Rank], f.times.commits[iv.Rank], f.times.closes[iv.Rank])
 		}
 	}
 	return files

@@ -8,8 +8,7 @@ import (
 )
 
 func iv(t uint64, rank int32, os, oe int64, write bool) Interval {
-	return Interval{T: t, TEnd: t + 1, Rank: rank, Os: os, Oe: oe, Write: write,
-		To: NoTime, TcCommit: NoTime, TcClose: NoTime}
+	return Interval{T: t, TEnd: t + 1, Rank: rank, Os: os, Oe: oe, Write: write}
 }
 
 func collectPairs(ivs []Interval, detect func([]Interval, func(OverlapPair))) []OverlapPair {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -115,12 +117,16 @@ func globalPatternFile(fa *FileAccesses) PatternMix {
 	return mix
 }
 
+// sortByTime orders accesses by (entry time, rank) with a typed
+// comparator. slices.SortFunc runs the same pattern-defeating quicksort as
+// sort.Slice, so equal keys keep sort.Slice's order, which the rendered
+// reports pin (TestSortByTimeMatchesSortSlice).
 func sortByTime(seq []*Interval) {
-	sort.Slice(seq, func(a, b int) bool {
-		if seq[a].T != seq[b].T {
-			return seq[a].T < seq[b].T
+	slices.SortFunc(seq, func(a, b *Interval) int {
+		if c := cmp.Compare(a.T, b.T); c != 0 {
+			return c
 		}
-		return seq[a].Rank < seq[b].Rank
+		return cmp.Compare(a.Rank, b.Rank)
 	})
 }
 

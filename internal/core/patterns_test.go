@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -229,5 +232,36 @@ func TestLayoutStrings(t *testing.T) {
 	p := HighLevelPattern{X: N, Y: One, Layout: LayoutStrided}
 	if p.Key() != "N-1 strided" {
 		t.Fatalf("Key() = %q", p.Key())
+	}
+}
+
+// TestSortByTimeMatchesSortSlice: the typed sortByTime leaves every
+// sequence, (time, rank) ties included, in exactly the order the
+// reflect-based sort.Slice over the same key produced, so the transition
+// mixes read off it are unchanged.
+func TestSortByTimeMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(2000)
+		ivs := make([]Interval, n)
+		for i := range ivs {
+			// Few distinct keys, so most elements tie with others.
+			ivs[i] = Interval{T: uint64(rng.Intn(8)), Rank: int32(rng.Intn(3)), Os: int64(i)}
+		}
+		got := make([]*Interval, n)
+		for i := range ivs {
+			got[i] = &ivs[i]
+		}
+		want := slices.Clone(got)
+		sortByTime(got)
+		sort.Slice(want, func(a, b int) bool {
+			if want[a].T != want[b].T {
+				return want[a].T < want[b].T
+			}
+			return want[a].Rank < want[b].Rank
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d): sortByTime order differs from sort.Slice's", trial, n)
+		}
 	}
 }

@@ -55,12 +55,10 @@ func randomFATables(rng *rand.Rand) (*FileAccesses, rankTables) {
 					T: t, TEnd: t + 1, Rank: r,
 					Os: os, Oe: os + int64(rng.Intn(100)) + 1,
 					Write: rng.Intn(2) == 0,
-					To:    NoTime, TcCommit: NoTime, TcClose: NoTime,
 				})
 			}
 		}
 	}
-	annotate(fa)
 	return fa, want
 }
 
@@ -126,12 +124,16 @@ func TestPropertyConflictsAreOverlapSubset(t *testing.T) {
 
 // TestPropertyAnnotationConsistency checks the §5.2 record expansion:
 // To <= T < TcCommit <= TcClose-or-later, and TcCommit is never after
-// TcClose (closes are commits).
+// TcClose (closes are commits). It also checks that the commit predicate,
+// which searches the writer's commits per candidate pair, is condition (3)
+// over the expansion: the pair conflicts exactly when TcCommit is missing
+// or not before the second operation.
 func TestPropertyAnnotationConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 200; trial++ {
 		fa := randomFA(rng)
-		for _, iv := range fa.Intervals {
+		for i := range fa.Intervals {
+			iv := annotationsOf(fa, &fa.Intervals[i])
 			if iv.To != NoTime && iv.To > iv.T {
 				t.Fatalf("To %d after T %d", iv.To, iv.T)
 			}
@@ -145,5 +147,12 @@ func TestPropertyAnnotationConsistency(t *testing.T) {
 				t.Fatalf("first commit %d after first close %d", iv.TcCommit, iv.TcClose)
 			}
 		}
+		sweepOverlaps(fa.Intervals, func(p OverlapPair) {
+			first, second := &fa.Intervals[p.A], &fa.Intervals[p.B]
+			tc := annotationsOf(fa, first).TcCommit
+			if got, want := conflictUnder(fa, pfs.Commit, first, second), tc == NoTime || tc >= second.T; got != want {
+				t.Fatalf("trial %d: commit predicate %v for %+v -> %+v with TcCommit %d, want %v", trial, got, *first, *second, tc, want)
+			}
+		})
 	}
 }

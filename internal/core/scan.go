@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"slices"
-	"sort"
 
 	"repro/internal/recorder"
 )
@@ -58,8 +58,8 @@ func (s *SliceStream) Err() error { return nil }
 // read. A cached scan is shared by every analysis of its trace, so all of
 // it is read-only.
 type Scan struct {
-	// Files is the extraction (§5.1 offsets with the §5.2 To/Tc
-	// annotations), sorted by path; see ExtractSharedCtx.
+	// Files is the extraction (§5.1 offsets and the per-rank times of
+	// §5.2's record expansion), sorted by path; see ExtractSharedCtx.
 	Files []*FileAccesses
 	// Census is the §6.4 metadata census; see MetadataCensusParallelCtx.
 	Census *Census
@@ -68,8 +68,17 @@ type Scan struct {
 	// Calls tallies every record by layer and function.
 	Calls map[recorder.Layer]map[recorder.Func]int
 
-	meta map[string][]metaEvent // per path, stably sorted by time
-	hb   [][]hbEvent            // per rank, MPI records in stream order
+	meta metaIndex   // per path, stably sorted by time
+	hb   [][]hbEvent // per rank, MPI records in stream order
+}
+
+// metaIndex holds a trace's metadata events grouped by path in one flat
+// array: path i of paths owns events[start[i]:start[i+1]], stably sorted by
+// time, so every path's list is in (time, rank, program) order.
+type metaIndex struct {
+	paths  []string
+	start  []int32
+	events []metaEvent
 }
 
 // scanPart accumulates the folds of one or more ranks. A pool of one folds
@@ -77,11 +86,15 @@ type Scan struct {
 // and merge the parts in rank order, which reproduces the serial order of
 // every table.
 type scanPart struct {
-	x       *extraction
-	census  map[string]map[recorder.Func]int
-	meta    []metaEvent    // rank order, suppressed probes with an empty Path
-	calls   map[uint32]int // by callKey: one lookup per record
-	records int
+	x      *extraction
+	census map[string]map[recorder.Func]int
+	meta   []metaEvent // rank order, suppressed probes with noPath
+	// paths is the path table meta indexes, in order of first use;
+	// pathIndex maps a path to its index.
+	paths     []string
+	pathIndex map[string]int32
+	calls     map[uint32]int // by callKey: one lookup per record
+	records   int
 	// Rank-local buffers reused from one rank's fold to the next: the MPI
 	// events collect in hbBuf before they are copied out at their exact
 	// size, and frames backs the origin stack.
@@ -91,10 +104,23 @@ type scanPart struct {
 
 func newScanPart() *scanPart {
 	return &scanPart{
-		x:      newExtraction(),
-		census: make(map[string]map[recorder.Func]int),
-		calls:  make(map[uint32]int),
+		x:         newExtraction(),
+		census:    make(map[string]map[recorder.Func]int),
+		pathIndex: make(map[string]int32),
+		calls:     make(map[uint32]int),
 	}
+}
+
+// pathID returns path's index in the part's path table, adding it on
+// first use.
+func (p *scanPart) pathID(path string) int32 {
+	if i, ok := p.pathIndex[path]; ok {
+		return i
+	}
+	i := int32(len(p.paths))
+	p.pathIndex[path] = i
+	p.paths = append(p.paths, path)
+	return i
 }
 
 func callKey(l recorder.Layer, f recorder.Func) uint32 { return uint32(l)<<16 | uint32(f) }
@@ -213,9 +239,6 @@ func ScanRanksCtx(ctx context.Context, n, workers int, open func(rank int) (Reco
 	}
 
 	out := merged.x.layout()
-	if err := ParallelForCtx(ctx, len(out), workers, func(i int) { annotate(out[i]) }); err != nil {
-		return nil, err
-	}
 	calls := make(map[recorder.Layer]map[recorder.Func]int)
 	for k, n := range merged.calls {
 		countCall(calls, recorder.Layer(k>>16), recorder.Func(k), n)
@@ -225,19 +248,30 @@ func ScanRanksCtx(ctx context.Context, n, workers int, open func(rank int) (Reco
 		Census:  &Census{Counts: merged.census},
 		Records: merged.records,
 		Calls:   calls,
-		meta:    metaByPath(merged.meta),
+		meta:    metaByPath(merged.meta, merged.paths),
 		hb:      hb,
 	}, nil
 }
 
 // mergeScanParts folds per-rank parts in rank order: extractions through
-// mergePartials, events by concatenation, counters by addition.
+// mergePartials, events by concatenation with their paths remapped to the
+// merged path table (built in the same first-use order as a serial fold's),
+// counters by addition.
 func mergeScanParts(parts []*scanPart) *scanPart {
 	merged := newScanPart()
 	xs := make([]*extraction, len(parts))
 	for i, p := range parts {
 		xs[i] = p.x
-		merged.meta = append(merged.meta, p.meta...)
+		remap := make([]int32, len(p.paths))
+		for k, path := range p.paths {
+			remap[k] = merged.pathID(path)
+		}
+		for _, e := range p.meta {
+			if e.path != noPath {
+				e.path = remap[e.path]
+			}
+			merged.meta = append(merged.meta, e)
+		}
 		merged.records += p.records
 		for origin, m := range p.census {
 			for f, n := range m {
@@ -252,20 +286,34 @@ func mergeScanParts(parts []*scanPart) *scanPart {
 	return merged
 }
 
-// metaByPath groups the rank-ordered metadata events by path, skipping
-// suppressed probes and the root, and stably sorts each path's events by
-// time, so every path's list is in (time, rank, program) order.
-func metaByPath(events []metaEvent) map[string][]metaEvent {
-	out := make(map[string][]metaEvent)
-	for _, e := range events {
-		if p := e.ref.Path; p != "" && p != "/" {
-			out[p] = append(out[p], e)
+// metaByPath groups the rank-ordered metadata events by path with a
+// counting sort, skipping suppressed probes, the root and the empty path,
+// and stably sorts each path's events by time.
+func metaByPath(events []metaEvent, paths []string) metaIndex {
+	start := make([]int32, len(paths)+1)
+	keep := func(e *metaEvent) bool {
+		return e.path != noPath && paths[e.path] != "" && paths[e.path] != "/"
+	}
+	for i := range events {
+		if e := &events[i]; keep(e) {
+			start[e.path+1]++
 		}
 	}
-	for _, evs := range out {
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].ref.T < evs[j].ref.T })
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
 	}
-	return out
+	next := slices.Clone(start[:len(paths)])
+	out := make([]metaEvent, start[len(paths)])
+	for i := range events {
+		if e := &events[i]; keep(e) {
+			out[next[e.path]] = *e
+			next[e.path]++
+		}
+	}
+	for i := range paths {
+		slices.SortStableFunc(out[start[i]:start[i+1]], func(a, b metaEvent) int { return cmp.Compare(a.t, b.t) })
+	}
+	return metaIndex{paths: paths, start: start, events: out}
 }
 
 // mergePartials folds per-rank partial extractions in rank order, which
@@ -303,6 +351,7 @@ func mergePartials(partial []*extraction) *extraction {
 			}
 		}
 		merged.chunks = append(merged.chunks, part.chunks...)
+		part.chunks = nil // the merged extraction's layout releases them
 	}
 	return merged
 }
@@ -312,13 +361,12 @@ func mergePartials(partial []*extraction) *extraction {
 // across a pool of workers.
 func (s *Scan) MetaConflictsCtx(ctx context.Context, workers int) ([]MetaConflict, error) {
 	defer startPass("meta-conflicts")()
-	paths := make([]string, 0, len(s.meta))
-	for p := range s.meta {
-		paths = append(paths, p)
-	}
-	per := make([][]MetaConflict, len(paths))
-	if err := ParallelForCtx(ctx, len(paths), workers, func(i int) {
-		per[i] = metaConflictsForPath(paths[i], s.meta[paths[i]])
+	m := &s.meta
+	per := make([][]MetaConflict, len(m.paths))
+	if err := ParallelForCtx(ctx, len(m.paths), workers, func(i int) {
+		if evs := m.events[m.start[i]:m.start[i+1]]; len(evs) > 0 {
+			per[i] = metaConflictsForPath(m.paths[i], evs)
+		}
 	}); err != nil {
 		return nil, err
 	}

@@ -48,14 +48,23 @@ func censusRank(rs []recorder.Record, c *Census) {
 	}
 }
 
+// oracleMetaEvent is one metadata operation as the oracles see it: the
+// operation itself, path included, rather than the scan's index into a
+// path table.
+type oracleMetaEvent struct {
+	ref      MetaOpRef
+	mutation bool
+	kind     MetaConflictKind // valid when mutation
+}
+
 // metaEventsRank collects one rank's metadata events with create-probe
 // suppression: it remembers the last stat-family use per path and drops it
 // if the rank's next record naming the path is a creating open; any other
 // such record consumes the probe. Failed opens are skipped. Suppressed
 // events are returned with an empty Path.
-func metaEventsRank(rs []recorder.Record) []metaEvent {
+func metaEventsRank(rs []recorder.Record) []oracleMetaEvent {
 	pendingStat := make(map[string]int) // path -> index into local list
-	var local []metaEvent
+	var local []oracleMetaEvent
 	for i := range rs {
 		r := &rs[i]
 		if r.Layer != recorder.LayerPOSIX {
@@ -75,31 +84,31 @@ func metaEventsRank(rs []recorder.Record) []metaEvent {
 		ref := MetaOpRef{Rank: r.Rank, T: r.TStart, TEnd: r.TEnd, Func: r.Func, Path: r.Path}
 		switch {
 		case creating:
-			local = append(local, metaEvent{ref: ref, mutation: true, kind: CreateUse})
+			local = append(local, oracleMetaEvent{ref: ref, mutation: true, kind: CreateUse})
 			if int(r.Arg(0))&recorder.OTrunc != 0 {
-				local = append(local, metaEvent{ref: ref, mutation: true, kind: ResizeUse})
+				local = append(local, oracleMetaEvent{ref: ref, mutation: true, kind: ResizeUse})
 			}
 			if dir := path.Dir(r.Path); dir != "/" && dir != "." {
 				dref := ref
 				dref.Path = dir
-				local = append(local, metaEvent{ref: dref})
+				local = append(local, oracleMetaEvent{ref: dref})
 			}
 		case r.IsOpenOp():
-			local = append(local, metaEvent{ref: ref})
+			local = append(local, oracleMetaEvent{ref: ref})
 		case r.Func == recorder.FuncMkdir:
-			local = append(local, metaEvent{ref: ref, mutation: true, kind: CreateUse})
+			local = append(local, oracleMetaEvent{ref: ref, mutation: true, kind: CreateUse})
 		case r.Func == recorder.FuncUnlink || r.Func == recorder.FuncRemove:
-			local = append(local, metaEvent{ref: ref, mutation: true, kind: RemoveUse})
+			local = append(local, oracleMetaEvent{ref: ref, mutation: true, kind: RemoveUse})
 		case r.Func == recorder.FuncRename:
-			local = append(local, metaEvent{ref: ref, mutation: true, kind: RemoveUse})
+			local = append(local, oracleMetaEvent{ref: ref, mutation: true, kind: RemoveUse})
 			dst := ref
 			dst.Path = r.Path2
-			local = append(local, metaEvent{ref: dst, mutation: true, kind: CreateUse})
+			local = append(local, oracleMetaEvent{ref: dst, mutation: true, kind: CreateUse})
 		case r.Func == recorder.FuncTruncate:
-			local = append(local, metaEvent{ref: ref, mutation: true, kind: ResizeUse})
+			local = append(local, oracleMetaEvent{ref: ref, mutation: true, kind: ResizeUse})
 		case r.Func == recorder.FuncStat || r.Func == recorder.FuncLstat ||
 			r.Func == recorder.FuncAccess || r.Func == recorder.FuncOpendir:
-			local = append(local, metaEvent{ref: ref})
+			local = append(local, oracleMetaEvent{ref: ref})
 			pendingStat[r.Path] = len(local) - 1
 		}
 	}
@@ -110,7 +119,7 @@ func metaEventsRank(rs []recorder.Record) []metaEvent {
 // events per path in rank order, sorts each path's list by time and scans
 // it.
 func metaConflictsOracle(tr *recorder.Trace) []MetaConflict {
-	events := make(map[string][]metaEvent)
+	events := make(map[string][]oracleMetaEvent)
 	for _, rs := range tr.PerRank {
 		for _, e := range metaEventsRank(rs) {
 			if p := e.ref.Path; p != "" && p != "/" {
@@ -121,9 +130,36 @@ func metaConflictsOracle(tr *recorder.Trace) []MetaConflict {
 	var out []MetaConflict
 	for p, evs := range events {
 		sort.SliceStable(evs, func(i, j int) bool { return evs[i].ref.T < evs[j].ref.T })
-		out = append(out, metaConflictsForPath(p, evs)...)
+		out = append(out, metaConflictsForPathOracle(p, evs)...)
 	}
 	sortMetaConflicts(out)
+	return out
+}
+
+// metaConflictsForPathOracle scans one path's events, sorted by time, for
+// cross-process (mutation, use) pairs: for each use, every mutation kind
+// of the most recent earlier mutation by another rank.
+func metaConflictsForPathOracle(p string, evs []oracleMetaEvent) []MetaConflict {
+	var out []MetaConflict
+	for i, e := range evs {
+		if e.mutation {
+			continue
+		}
+		for j := i - 1; j >= 0; j-- {
+			m := evs[j]
+			if !m.mutation || m.ref.Rank == e.ref.Rank {
+				continue
+			}
+			for k := j; k >= 0; k-- {
+				mk := evs[k]
+				if !mk.mutation || mk.ref.Rank != m.ref.Rank || mk.ref.T != m.ref.T {
+					break
+				}
+				out = append(out, MetaConflict{Kind: mk.kind, Path: p, Mutation: mk.ref, Use: e.ref})
+			}
+			break
+		}
+	}
 	return out
 }
 

@@ -196,7 +196,9 @@ func (x *extraction) stage(file int32, iv Interval) {
 
 // layout returns the files sorted by path, each holding a capacity-clipped
 // slice of one interval arena laid out in path order and filled in staging
-// order, which is each file's fold (rank, then stream) order.
+// order, which is each file's fold (rank, then stream) order. Each staging
+// chunk is released as soon as it is copied, so the arena and the staged
+// copy are not both held in full.
 func (x *extraction) layout() []*FileAccesses {
 	order := make([]int32, len(x.files))
 	total := 0
@@ -216,11 +218,13 @@ func (x *extraction) layout() []*FileAccesses {
 		off += n
 		out[k] = fa
 	}
-	for _, c := range x.chunks {
+	for i, c := range x.chunks {
 		for k := range c {
 			fa := x.files[c[k].file]
 			fa.Intervals = append(fa.Intervals, c[k].iv)
 		}
+		x.chunks[i] = nil
 	}
+	x.chunks = nil
 	return out
 }

@@ -142,7 +142,10 @@ type Analysis struct {
 	// and commit semantics and the weakest sufficient model.
 	Verdict core.Verdict
 	// SessionConflicts / CommitConflicts list the conflicting access pairs
-	// per file under each model.
+	// per file under each model. The lists are read-only: a file's commit
+	// list may share its backing array with its session list (every
+	// commit conflict is a session conflict, and usually the lists are
+	// equal).
 	SessionConflicts map[string][]core.Conflict
 	CommitConflicts  map[string][]core.Conflict
 	// Patterns are the Table 3 high-level patterns.
