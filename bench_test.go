@@ -1,4 +1,4 @@
-package semfs
+package semfs_test
 
 // Benchmarks, one per table and figure of the paper plus ablations for the
 // design choices DESIGN.md calls out. Regenerate everything with:
@@ -15,6 +15,7 @@ import (
 	"sync"
 	"testing"
 
+	semfs "repro"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/obs"
@@ -80,8 +81,8 @@ func BenchmarkTable1SemanticsModels(b *testing.B) {
 	}
 }
 
-// BenchmarkTable3HighLevelPatterns regenerates the Table 3 classification
-// for all 25 configurations.
+// BenchmarkTable3HighLevelPatterns renders Table 3 for all 25
+// configurations from the sweep's analyses.
 func BenchmarkTable3HighLevelPatterns(b *testing.B) {
 	res := allResults(b)
 	b.ResetTimer()
@@ -93,8 +94,9 @@ func BenchmarkTable3HighLevelPatterns(b *testing.B) {
 	}
 }
 
-// BenchmarkTable4ConflictDetection regenerates the Table 4 conflict
-// signatures (session + commit) for all 25 configurations.
+// BenchmarkTable4ConflictDetection reads the Table 4 conflict signatures
+// (session + commit) of all 25 configurations off the sweep's analyses. It
+// times a view; the conflict sweep itself is BenchmarkFusedAnalyze's.
 func BenchmarkTable4ConflictDetection(b *testing.B) {
 	res := allResults(b)
 	b.ResetTimer()
@@ -106,7 +108,8 @@ func BenchmarkTable4ConflictDetection(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure1AccessPatterns regenerates the global/local pattern mixes.
+// BenchmarkFigure1AccessPatterns renders the global/local pattern mixes
+// from the sweep's analyses.
 func BenchmarkFigure1AccessPatterns(b *testing.B) {
 	res := allResults(b)
 	b.ResetTimer()
@@ -119,7 +122,7 @@ func BenchmarkFigure1AccessPatterns(b *testing.B) {
 }
 
 // BenchmarkFigure2FlashPatterns regenerates the FLASH offset/time scatter
-// series (six panels).
+// series (six panels), extracting both FLASH traces.
 func BenchmarkFigure2FlashPatterns(b *testing.B) {
 	res := allResults(b)
 	b.ResetTimer()
@@ -131,7 +134,8 @@ func BenchmarkFigure2FlashPatterns(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure3MetadataCensus regenerates the metadata-operation matrix.
+// BenchmarkFigure3MetadataCensus renders the metadata-operation matrix
+// from the sweep's analyses.
 func BenchmarkFigure3MetadataCensus(b *testing.B) {
 	res := allResults(b)
 	b.ResetTimer()
@@ -149,7 +153,7 @@ func BenchmarkAppTraceGeneration(b *testing.B) {
 	for _, name := range []string{"FLASH-fbs", "FLASH-nofbs", "LAMMPS-ADIOS", "LBANN", "HACC-IO-POSIX"} {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := Run(name, RunOptions{Ranks: 16, PPN: 2, Seed: uint64(i + 1)})
+				res, err := semfs.Run(name, semfs.RunOptions{Ranks: 16, PPN: 2, Seed: uint64(i + 1)})
 				if err != nil || res.Err() != nil {
 					b.Fatal(err, res.Err())
 				}
@@ -199,12 +203,11 @@ func BenchmarkScaleSweep(b *testing.B) {
 	for _, ranks := range []int{8, 16, 32, 64} {
 		b.Run(fmt.Sprintf("FLASH-nofbs/ranks=%d", ranks), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := Run("FLASH-nofbs", RunOptions{Ranks: ranks, PPN: 8, Seed: 1})
+				res, err := semfs.Run("FLASH-nofbs", semfs.RunOptions{Ranks: ranks, PPN: 8, Seed: 1})
 				if err != nil || res.Err() != nil {
 					b.Fatal(err, res.Err())
 				}
 				_, sig := sessionConflicts(b, res.Trace)
-				core.InvalidateExtraction(res.Trace)
 				if !sig.WAWDiff {
 					b.Fatal("scale run lost the WAW-D signature")
 				}
@@ -232,15 +235,11 @@ func BenchmarkTraceEncodeDecode(b *testing.B) {
 	})
 }
 
-// sessionConflicts detects the trace's session-semantics conflicts over its
-// shared extraction.
+// sessionConflicts detects the trace's session-semantics conflicts over one
+// extraction.
 func sessionConflicts(b *testing.B, tr *recorder.Trace) (map[string][]core.Conflict, core.ConflictSignature) {
 	b.Helper()
-	fas, err := core.ExtractSharedCtx(context.Background(), tr, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return core.ConflictsOverFiles(fas, pfs.Session)
+	return core.ConflictsOverFiles(extract(b, tr), pfs.Session)
 }
 
 type countWriter struct{ n int }
@@ -260,7 +259,6 @@ func BenchmarkHappensBefore(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		core.InvalidateExtraction(tr)
 		byFile, _ := sessionConflicts(b, tr)
 		for _, cs := range byFile {
 			if un := core.ValidateConflicts(hb, cs); len(un) > 0 {
@@ -282,7 +280,7 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
 			for _, name := range res.Ordered {
-				an, err := AnalyzeParallelCtx(context.Background(), res.ByName[name].Trace, workers)
+				an, err := semfs.AnalyzeParallelCtx(context.Background(), res.ByName[name].Trace, workers)
 				if err != nil || len(an.Patterns) == 0 {
 					b.Fatalf("%s: empty analysis (err %v)", name, err)
 				}
@@ -319,20 +317,14 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 // BenchmarkFusedAnalyze measures the fused single-sweep multi-model
 // conflict engine over the full registry at benchScale, in two shapes:
 //
-//   - fused-cold: the extraction cache invalidated every iteration — one
-//     extraction plus one sweep per trace;
-//   - fused-warm: the cache hot — one sweep, zero extractions (the steady
-//     state of report/figure pipelines revisiting a trace).
+//   - fused-cold: one extraction plus one sweep per trace;
+//   - fused-warm: one sweep per trace, over extractions made before the
+//     timer starts.
 func BenchmarkFusedAnalyze(b *testing.B) {
 	res := allResults(b)
 	models := []pfs.Semantics{pfs.Session, pfs.Commit}
-	sweep := func(b *testing.B, tr *recorder.Trace) {
-		ctx := context.Background()
-		fas, err := core.ExtractSharedCtx(ctx, tr, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ms, err := core.ConflictsAllForFilesCtx(ctx, fas, models, 1)
+	sweep := func(b *testing.B, fas []*core.FileAccesses) {
+		ms, err := core.ConflictsAllForFilesCtx(context.Background(), fas, models, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -345,23 +337,32 @@ func BenchmarkFusedAnalyze(b *testing.B) {
 	b.Run("fused-cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, name := range res.Ordered {
-				tr := res.ByName[name].Trace
-				core.InvalidateExtraction(tr)
-				sweep(b, tr)
+				sweep(b, extract(b, res.ByName[name].Trace))
 			}
 		}
 	})
 	b.Run("fused-warm", func(b *testing.B) {
-		for _, name := range res.Ordered {
-			sweep(b, res.ByName[name].Trace) // prime the cache
+		fas := make([][]*core.FileAccesses, len(res.Ordered))
+		for j, name := range res.Ordered {
+			fas[j] = extract(b, res.ByName[name].Trace)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for _, name := range res.Ordered {
-				sweep(b, res.ByName[name].Trace)
+			for _, f := range fas {
+				sweep(b, f)
 			}
 		}
 	})
+}
+
+// extract is one scan's extraction of tr.
+func extract(b *testing.B, tr *recorder.Trace) []*core.FileAccesses {
+	b.Helper()
+	fas, err := core.ExtractSharedCtx(context.Background(), tr, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return fas
 }
 
 // BenchmarkExtract measures offset reconstruction over a large trace.
@@ -370,9 +371,7 @@ func BenchmarkExtract(b *testing.B) {
 	tr := res.ByName["FLASH-fbs"].Trace
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.InvalidateExtraction(tr)
-		fas, err := core.ExtractSharedCtx(context.Background(), tr, 1)
-		if err != nil || len(fas) == 0 {
+		if len(extract(b, tr)) == 0 {
 			b.Fatal("no files")
 		}
 	}

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	semfs "repro"
-	"repro/internal/core"
 	"repro/internal/storage"
 )
 
@@ -33,13 +32,11 @@ func TestAnalyzeDigestGolden(t *testing.T) {
 		tr := res.Trace
 		for _, show := range []int{5, math.MaxInt} {
 			for _, workers := range []int{1, 2} {
-				core.InvalidateExtraction(tr)
 				var buf bytes.Buffer
 				code := analyzeTrace(t, &buf, tr, true, show, true, workers)
 				lines = append(lines, digestLine(name, show, workers, code, buf.Bytes()))
 			}
 		}
-		core.InvalidateExtraction(tr)
 	}
 	got := strings.Join(lines, "\n") + "\n"
 

@@ -10,7 +10,6 @@ import (
 
 	semfs "repro"
 	"repro/internal/analysistest"
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -43,11 +42,9 @@ func TestAnalyzeRunsOneSweepAndOneExtraction(t *testing.T) {
 	was := reg.Enabled()
 	reg.SetEnabled(true)
 	t.Cleanup(func() { reg.SetEnabled(was) })
-	core.InvalidateExtraction(tr)
-	t.Cleanup(func() { core.InvalidateExtraction(tr) })
 	sweeps := reg.Histogram("core.pass.fused-conflicts.wall_ns")
-	misses := reg.Counter("core.extract.cache.misses")
-	sweeps0, misses0 := sweeps.Count(), misses.Value()
+	scans := reg.Histogram("core.pass.extract.wall_ns")
+	sweeps0, scans0 := sweeps.Count(), scans.Count()
 
 	var buf bytes.Buffer
 	if code := analyzeTrace(t, &buf, tr, true, 5, true, 1); code != exitClean {
@@ -56,8 +53,8 @@ func TestAnalyzeRunsOneSweepAndOneExtraction(t *testing.T) {
 	if n := sweeps.Count() - sweeps0; n != 1 {
 		t.Errorf("core.pass.fused-conflicts.wall_ns recorded %d samples, want 1", n)
 	}
-	if n := misses.Value() - misses0; n != 1 {
-		t.Errorf("core.extract.cache.misses rose by %d, want 1", n)
+	if n := scans.Count() - scans0; n != 1 {
+		t.Errorf("core.pass.extract.wall_ns recorded %d samples, want 1", n)
 	}
 
 	out := buf.String()

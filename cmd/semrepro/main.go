@@ -31,7 +31,6 @@ import (
 	"strconv"
 	"strings"
 
-	semfs "repro"
 	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/obs"
@@ -370,13 +369,7 @@ func run() (code int) {
 			return exitError
 		}
 		for _, name := range results.Ordered {
-			an, err := semfs.AnalyzeParallelCtx(context.Background(), results.ByName[name].Trace, 1)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "semrepro: %s: %v\n", name, err)
-				hardErr = true
-				continue
-			}
-			write(filepath.Join("reports", sanitize(name)+".txt"), an.Report.Render())
+			write(filepath.Join("reports", sanitize(name)+".txt"), results.Analyses[name].Report.Render())
 		}
 	}
 	if hardErr {

@@ -1,7 +1,6 @@
 // Package analysistest is the worker-count and trace-format equivalence
 // harness of the analysis engine: semfs.AnalyzeParallelCtx on a pool of
-// one, over a freshly invalidated extraction, is the reference, and every
-// other pool size and every on-disk format round trip must reproduce it
+// one is the reference, and every other pool size and every on-disk format round trip must reproduce it
 // exactly. Tests at every layer reuse these helpers so the parallel engine
 // can never silently diverge — add a worker count or a new workload here
 // and every equivalence test picks it up. (The fused conflict engine is
@@ -17,7 +16,6 @@ import (
 	"testing"
 
 	semfs "repro"
-	"repro/internal/core"
 	"repro/internal/recorder"
 	"repro/internal/storage"
 )
@@ -53,13 +51,11 @@ func RequireEqual(t testing.TB, label string, serial, parallel *semfs.Analysis) 
 	check("HBErr", fmt.Sprint(serial.HBErr), fmt.Sprint(parallel.HBErr))
 }
 
-// analyze runs semfs.AnalyzeParallelCtx on a pool of workers after
-// invalidating tr's cached extraction, so the extraction itself runs at
-// that worker count too. workers == 1 gives the serial reference every
-// other worker count and format must reproduce.
+// analyze runs semfs.AnalyzeParallelCtx, its scan included, on a pool of
+// workers. workers == 1 gives the serial reference every other worker
+// count and format must reproduce.
 func analyze(t testing.TB, label string, tr *recorder.Trace, workers int) *semfs.Analysis {
 	t.Helper()
-	core.InvalidateExtraction(tr)
 	an, err := semfs.AnalyzeParallelCtx(context.Background(), tr, workers)
 	if err != nil {
 		t.Fatalf("%s: analyze: %v", labelWorkers(label, workers), err)
@@ -75,7 +71,6 @@ func CheckTrace(t testing.TB, label string, tr *recorder.Trace, workerCounts ...
 	if len(workerCounts) == 0 {
 		workerCounts = DefaultWorkerCounts
 	}
-	defer core.InvalidateExtraction(tr)
 	ref := analyze(t, label, tr, 1)
 	for _, w := range workerCounts {
 		RequireEqual(t, labelWorkers(label, w), ref, analyze(t, label, tr, w))
@@ -123,7 +118,6 @@ func CheckFormats(t testing.TB, label string, tr *recorder.Trace, workerCounts .
 	if err != nil {
 		t.Fatalf("%s: loading v1 oracle: %v", label, err)
 	}
-	defer core.InvalidateExtraction(oracle)
 	oracleAnalysis := analyze(t, label, oracle, 1)
 	oracleReport := oracleAnalysis.Report.Render()
 
@@ -147,7 +141,6 @@ func CheckFormats(t testing.TB, label string, tr *recorder.Trace, workerCounts .
 			if rep := an.Report.Render(); rep != oracleReport {
 				t.Errorf("%s: rendered report diverges", dlabel)
 			}
-			core.InvalidateExtraction(got)
 
 			// The directory analysis never loads the trace; it must still
 			// reproduce the oracle.

@@ -36,15 +36,13 @@ func execute(t *testing.T, name string, opts Options) *harness.Result {
 	return res
 }
 
-// extracted is the trace's serial extraction, evicted from the shared
-// cache again so the suite's traces do not pile up in it.
+// extracted is the trace's serial extraction.
 func extracted(t *testing.T, tr *recorder.Trace) []*core.FileAccesses {
 	t.Helper()
 	fas, err := core.ExtractSharedCtx(context.Background(), tr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.InvalidateExtraction(tr)
 	return fas
 }
 
@@ -240,11 +238,12 @@ func TestVerdicts(t *testing.T) {
 		t.Run(cfg.Name(), func(t *testing.T) {
 			t.Parallel()
 			res := execute(t, cfg.Name(), Options{})
-			v, err := core.AnalyzeParallelCtx(context.Background(), res.Trace, 1)
-			core.InvalidateExtraction(res.Trace)
+			fas := extracted(t, res.Trace)
+			ms, err := core.ConflictsAllForFilesCtx(context.Background(), fas, []pfs.Semantics{pfs.Session, pfs.Commit}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
+			v := core.VerdictFrom(ms[0].Signature, ms[1].Signature)
 			wantWeakest := pfs.Session
 			if strings.HasPrefix(cfg.Name(), "FLASH") {
 				wantWeakest = pfs.Commit

@@ -40,7 +40,6 @@ func TestFusedMatchesPerModelRegistry(t *testing.T) {
 func checkFused(t *testing.T, tr *semfs.Trace) {
 	t.Helper()
 	ctx := context.Background()
-	defer core.InvalidateExtraction(tr)
 	wantByFile := make([]map[string][]core.Conflict, len(allModels))
 	wantSig := make([]core.ConflictSignature, len(allModels))
 	for i, m := range allModels {
@@ -48,7 +47,6 @@ func checkFused(t *testing.T, tr *semfs.Trace) {
 	}
 	for _, w := range analysistest.DefaultWorkerCounts {
 		how := fmt.Sprintf("workers=%d", w)
-		core.InvalidateExtraction(tr)
 		fas, err := core.ExtractSharedCtx(ctx, tr, w)
 		if err != nil {
 			t.Fatal(err)
@@ -70,8 +68,12 @@ func checkFused(t *testing.T, tr *semfs.Trace) {
 			}
 		}
 		want := core.VerdictFrom(wantSig[2], wantSig[1]) // session, commit
-		if got, err := core.AnalyzeParallelCtx(ctx, tr, w); err != nil || got != want {
-			t.Errorf("%s: fused verdict %+v (err %v), per-model oracle %+v", how, got, err, want)
+		an, err := semfs.AnalyzeParallelCtx(ctx, tr, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if an.Verdict != want {
+			t.Errorf("%s: fused verdict %+v, per-model oracle %+v", how, an.Verdict, want)
 		}
 	}
 }

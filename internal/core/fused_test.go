@@ -1,15 +1,11 @@
 package core
 
 import (
-	"context"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/pfs"
-	"repro/internal/recorder"
 )
 
 var allModels = []pfs.Semantics{pfs.Strong, pfs.Commit, pfs.Session, pfs.Eventual}
@@ -90,100 +86,6 @@ func TestConflictAppenderClassCoverage(t *testing.T) {
 	if got := signatureOf(app.out); !got.WAWDiff || !got.RAWSame {
 		t.Fatalf("signature lost a class: %+v", got)
 	}
-}
-
-// TestExtractSharedCaches: same trace pointer -> same extraction slice;
-// invalidation forces a re-extract; distinct traces get distinct entries;
-// the cached result matches an uncached serial extraction.
-func TestExtractSharedCaches(t *testing.T) {
-	tr := synthTrace(3, 4)
-	a := extractShared(t, tr)
-	b := extractShared(t, tr)
-	if len(a) == 0 {
-		t.Fatal("empty extraction from a non-empty trace")
-	}
-	if &a[0] != &b[0] {
-		t.Fatal("second ExtractSharedCtx did not return the cached slice")
-	}
-	if want := extractAll(tr); !reflect.DeepEqual(a, want) {
-		t.Fatal("cached extraction diverges from serial extraction")
-	}
-	InvalidateExtraction(tr)
-	c := extractShared(t, tr)
-	if &c[0] == &a[0] {
-		t.Fatal("InvalidateExtraction did not evict: got the old slice back")
-	}
-	tr2 := synthTrace(2, 2)
-	d := extractShared(t, tr2)
-	if len(d) == len(c) && &d[0] == &c[0] {
-		t.Fatal("distinct traces share one cache entry")
-	}
-	InvalidateExtraction(tr)
-	InvalidateExtraction(tr2)
-}
-
-func extractShared(t *testing.T, tr *recorder.Trace) []*FileAccesses {
-	t.Helper()
-	fas, err := ExtractSharedCtx(context.Background(), tr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fas
-}
-
-// TestExtractSharedEviction fills the cache past its cap and checks old
-// entries are evicted while fresh ones still hit.
-func TestExtractSharedEviction(t *testing.T) {
-	first := synthTrace(1, 1)
-	extractShared(t, first)
-	var trs []*recorder.Trace
-	for i := 0; i < extractCacheCap; i++ {
-		tr := synthTrace(1, 1)
-		trs = append(trs, tr)
-		extractShared(t, tr)
-	}
-	extractions.mu.Lock()
-	_, firstStill := extractions.byTr[first]
-	_, lastStill := extractions.byTr[trs[len(trs)-1]]
-	size := len(extractions.byTr)
-	extractions.mu.Unlock()
-	if firstStill {
-		t.Fatal("oldest entry survived past the FIFO cap")
-	}
-	if !lastStill {
-		t.Fatal("newest entry missing from cache")
-	}
-	if size > extractCacheCap {
-		t.Fatalf("cache holds %d entries, cap is %d", size, extractCacheCap)
-	}
-	for _, tr := range trs {
-		InvalidateExtraction(tr)
-	}
-}
-
-// TestInvalidateExtractionReleasesTrace: once a trace's extraction is
-// invalidated, the cache must hold no reference to the trace — not even in
-// the spare capacity of its FIFO order slice — so the trace is collectable.
-func TestInvalidateExtractionReleasesTrace(t *testing.T) {
-	collected := make(chan struct{})
-	cacheThenInvalidate(t, collected)
-	for i := 0; i < 20; i++ {
-		runtime.GC()
-		select {
-		case <-collected:
-			return
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
-	t.Fatal("trace still reachable after InvalidateExtraction")
-}
-
-// cacheThenInvalidate keeps the trace pointer off the test's own frame.
-func cacheThenInvalidate(t *testing.T, collected chan struct{}) {
-	tr := synthTrace(2, 2)
-	runtime.SetFinalizer(tr, func(*recorder.Trace) { close(collected) })
-	extractShared(t, tr)
-	InvalidateExtraction(tr)
 }
 
 // TestFdTableSpill pins the dense/map split of the descriptor table.

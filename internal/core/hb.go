@@ -45,8 +45,8 @@ type hbColl struct {
 	join  []int32
 }
 
-// BuildHB reconstructs the happens-before relation of a trace from its
-// shared scan's MPI events (see ScanTraceCtx).
+// BuildHB reconstructs the happens-before relation of a trace from a scan's
+// MPI events (see ScanTraceCtx).
 func BuildHB(tr *recorder.Trace) (*HB, error) {
 	sc, err := ScanTraceCtx(context.TODO(), tr, 1)
 	if err != nil {

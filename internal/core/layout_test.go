@@ -89,7 +89,7 @@ func TestExtractMatchesMapOracleRegistry(t *testing.T) {
 		}
 		want := extractOracle(res.Trace)
 		for _, workers := range []int{1, 2} {
-			fas, err := extract(context.Background(), res.Trace, workers)
+			fas, err := ExtractSharedCtx(context.Background(), res.Trace, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,7 +131,7 @@ func TestExtractForgedRanks(t *testing.T) {
 		t.Fatalf("forged trace does not touch /shared twice from ranks 2 and 5: %+v", got)
 	}
 	for _, workers := range []int{1, 2} {
-		fas, err := extract(context.Background(), tr, workers)
+		fas, err := ExtractSharedCtx(context.Background(), tr, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,9 +163,7 @@ func TestExtractAllocsPerFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := res.Trace
-	defer InvalidateExtraction(tr)
 	for _, workers := range []int{1, 2} {
-		InvalidateExtraction(tr)
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)

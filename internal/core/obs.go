@@ -33,15 +33,10 @@ var (
 		"classify":        obs.Default().Histogram("core.pass.classify.wall_ns"),
 		"census":          obs.Default().Histogram("core.pass.census.wall_ns"),
 		"meta-conflicts":  obs.Default().Histogram("core.pass.meta-conflicts.wall_ns"),
-		"analyze":         obs.Default().Histogram("core.pass.analyze.wall_ns"),
 	}
 
-	// Fused engine instruments (DESIGN.md §11): extraction-cache traffic
-	// and conflict-cap suppression.
-	extractCacheHits      = obs.Default().Counter("core.extract.cache.hits")
-	extractCacheMisses    = obs.Default().Counter("core.extract.cache.misses")
-	extractCacheEvictions = obs.Default().Counter("core.extract.cache.evictions")
-	conflictsSuppressed   = obs.Default().Counter("core.conflicts.suppressed")
+	// Fused engine instrument (DESIGN.md §11): conflict-cap suppression.
+	conflictsSuppressed = obs.Default().Counter("core.conflicts.suppressed")
 )
 
 // startPass opens a span plus a wall-clock histogram sample for one

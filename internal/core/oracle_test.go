@@ -240,17 +240,8 @@ func extractOracle(tr *recorder.Trace) map[string]*oracleFile {
 
 // The serial case of each entry point (a pool of one, never cancelled).
 
-// extract is an uncached scan's extraction on a pool of workers.
-func extract(ctx context.Context, tr *recorder.Trace, workers int) ([]*FileAccesses, error) {
-	sc, err := scanTrace(ctx, tr, workers)
-	if err != nil {
-		return nil, err
-	}
-	return sc.Files, nil
-}
-
 func extractAll(tr *recorder.Trace) []*FileAccesses {
-	fas, _ := extract(context.Background(), tr, 1)
+	fas, _ := ExtractSharedCtx(context.Background(), tr, 1)
 	return fas
 }
 
@@ -259,8 +250,22 @@ func conflictsUnder(fa *FileAccesses, model pfs.Semantics) []Conflict {
 }
 
 func analyzeVerdict(tr *recorder.Trace) Verdict {
-	v, _ := AnalyzeParallelCtx(context.Background(), tr, 1)
+	v, _ := verdictCtx(context.Background(), tr, 1)
 	return v
+}
+
+// verdictCtx is the §6.3 verdict over one extraction and one fused sweep
+// of both models on a pool of workers.
+func verdictCtx(ctx context.Context, tr *recorder.Trace, workers int) (Verdict, error) {
+	fas, err := ExtractSharedCtx(ctx, tr, workers)
+	if err != nil {
+		return Verdict{}, err
+	}
+	ms, err := ConflictsAllForFilesCtx(ctx, fas, []pfs.Semantics{pfs.Session, pfs.Commit}, workers)
+	if err != nil {
+		return Verdict{}, err
+	}
+	return VerdictFrom(ms[0].Signature, ms[1].Signature), nil
 }
 
 func census(tr *recorder.Trace) *Census {

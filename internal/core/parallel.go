@@ -133,29 +133,11 @@ func ConflictsAllForFilesCtx(ctx context.Context, fas []*FileAccesses, models []
 	return ms, nil
 }
 
-// AnalyzeParallelCtx computes the §6.3 verdict for a trace: one (cached)
-// extraction, then one fused sweep evaluating both model predicates per
-// candidate pair. A cancelled ctx stops the sweep within one per-file task
-// boundary and returns ctx.Err().
-func AnalyzeParallelCtx(ctx context.Context, tr *recorder.Trace, workers int) (Verdict, error) {
-	defer startPass("analyze")()
-	fas, err := ExtractSharedCtx(ctx, tr, workers)
-	if err != nil {
-		return Verdict{}, err
-	}
-	ms, err := ConflictsAllForFilesCtx(ctx, fas, []pfs.Semantics{pfs.Session, pfs.Commit}, workers)
-	if err != nil {
-		return Verdict{}, err
-	}
-	return VerdictFrom(ms[0].Signature, ms[1].Signature), nil
-}
-
 // MetadataCensusParallelCtx reproduces the §6.4 analysis: it counts every
 // POSIX metadata/utility operation in the trace and attributes each call to
 // the I/O layer that issued it (the outermost enclosing library record, or
-// the application when none). The census is folded by the trace's shared
-// scan (see ScanTraceCtx), so the first analysis of a trace pays for it and
-// every later one reads it; callers must treat it as read-only.
+// the application when none). The census is folded by a scan of the
+// trace (see ScanTraceCtx).
 func MetadataCensusParallelCtx(ctx context.Context, tr *recorder.Trace, workers int) (*Census, error) {
 	defer startPass("census")()
 	sc, err := ScanTraceCtx(ctx, tr, workers)
@@ -172,7 +154,7 @@ func MetadataCensusParallelCtx(ctx context.Context, tr *recorder.Trace, workers 
 // an existence probe, not a dependency, and is skipped (the probe tolerates
 // both outcomes).
 //
-// The per-rank metadata events come from the trace's shared scan (see
+// The per-rank metadata events come from a scan of the trace (see
 // ScanTraceCtx); the per-path scans are sharded across paths, and the final
 // total-order sort makes the merge order immaterial.
 func DetectMetadataConflictsParallelCtx(ctx context.Context, tr *recorder.Trace, workers int) ([]MetaConflict, error) {

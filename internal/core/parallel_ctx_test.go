@@ -89,8 +89,8 @@ func TestAnalyzeParallelCtxCancelled(t *testing.T) {
 	tr := synthTrace(8, 40)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := AnalyzeParallelCtx(ctx, tr, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("AnalyzeParallelCtx err = %v, want Canceled", err)
+	if _, err := ScanTraceCtx(ctx, tr, 4); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ScanTraceCtx err = %v, want Canceled", err)
 	}
 	if _, err := ExtractSharedCtx(ctx, tr, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ExtractSharedCtx err = %v, want Canceled", err)
@@ -104,13 +104,11 @@ func TestAnalyzeParallelCtxCancelled(t *testing.T) {
 	if _, err := DetectMetadataConflictsParallelCtx(ctx, tr, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("DetectMetadataConflictsParallelCtx err = %v, want Canceled", err)
 	}
-	// A cancelled extraction does not poison the cache: an uncancelled call
+	// A cancelled scan leaves nothing behind: an uncancelled call
 	// afterwards succeeds and agrees with the serial case.
 	want := analyzeVerdict(tr)
-	InvalidateExtraction(tr)
-	got, err := AnalyzeParallelCtx(context.Background(), tr, 4)
+	got, err := verdictCtx(context.Background(), tr, 4)
 	if err != nil || got != want {
-		t.Fatalf("AnalyzeParallelCtx = %+v, %v; want %+v", got, err, want)
+		t.Fatalf("verdict = %+v, %v; want %+v", got, err, want)
 	}
-	InvalidateExtraction(tr)
 }

@@ -161,7 +161,6 @@ func TestPropertyParallelAnalysisEquivalence(t *testing.T) {
 
 		for _, w := range equivWorkerCounts {
 			ctx := fmt.Sprintf("trial %d workers %d", trial, w)
-			InvalidateExtraction(tr)
 			got, err := ExtractSharedCtx(bg, tr, w)
 			if err != nil || !reflect.DeepEqual(fas, got) {
 				t.Fatalf("%s: parallel extraction diverges (err %v)", ctx, err)
@@ -178,7 +177,7 @@ func TestPropertyParallelAnalysisEquivalence(t *testing.T) {
 					t.Fatalf("%s: signature under %v diverges: %+v vs %+v", ctx, model, wantSig[i], ms[i].Signature)
 				}
 			}
-			if got, _ := AnalyzeParallelCtx(bg, tr, w); got != verdict {
+			if got, _ := verdictCtx(bg, tr, w); got != verdict {
 				t.Fatalf("%s: verdict diverges: %+v vs %+v", ctx, verdict, got)
 			}
 			if got, _ := ClassifyHighLevelParallelCtx(bg, fas, HLOptions{WorldSize: tr.Meta.Ranks}, w); !reflect.DeepEqual(hl, got) {
@@ -197,7 +196,6 @@ func TestPropertyParallelAnalysisEquivalence(t *testing.T) {
 				t.Fatalf("%s: metadata conflicts diverge:\n%v\n%v", ctx, metas, got)
 			}
 		}
-		InvalidateExtraction(tr)
 	}
 }
 

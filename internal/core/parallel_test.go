@@ -52,7 +52,7 @@ func TestParallelAnalysisEmptyTrace(t *testing.T) {
 	ctx := context.Background()
 	for _, tr := range emptyTraces() {
 		for _, w := range []int{0, 1, 4} {
-			fas, err := extract(ctx, tr, w)
+			fas, err := ExtractSharedCtx(ctx, tr, w)
 			if err != nil || len(fas) != 0 {
 				t.Fatalf("%s/w=%d: extracted %d files from empty trace (err %v)", tr.Meta.App, w, len(fas), err)
 			}
@@ -60,7 +60,7 @@ func TestParallelAnalysisEmptyTrace(t *testing.T) {
 			if err != nil || len(ms[0].ByFile) != 0 || ms[0].Signature.Any() {
 				t.Fatalf("%s/w=%d: conflicts from empty trace (err %v)", tr.Meta.App, w, err)
 			}
-			if v, err := AnalyzeParallelCtx(ctx, tr, w); err != nil || v.Weakest != pfs.Session {
+			if v, err := verdictCtx(ctx, tr, w); err != nil || v.Weakest != pfs.Session {
 				t.Fatalf("%s/w=%d: empty trace verdict %v (err %v)", tr.Meta.App, w, v.Weakest, err)
 			}
 			if c, err := MetadataCensusParallelCtx(ctx, tr, w); err != nil || c.Total() != 0 {
@@ -69,7 +69,6 @@ func TestParallelAnalysisEmptyTrace(t *testing.T) {
 			if cs, err := DetectMetadataConflictsParallelCtx(ctx, tr, w); err != nil || len(cs) != 0 {
 				t.Fatalf("%s/w=%d: metadata conflicts from empty trace (err %v)", tr.Meta.App, w, err)
 			}
-			InvalidateExtraction(tr)
 		}
 	}
 }
@@ -85,16 +84,14 @@ func TestParallelWorkersExceedFiles(t *testing.T) {
 	}}}
 	want := extractAll(tr)
 	for _, w := range []int{2, 64} {
-		if got, _ := extract(context.Background(), tr, w); !reflect.DeepEqual(want, got) {
+		if got, _ := ExtractSharedCtx(context.Background(), tr, w); !reflect.DeepEqual(want, got) {
 			t.Fatalf("w=%d: extraction diverges on tiny trace", w)
 		}
 	}
 	wantVerdict := analyzeVerdict(tr)
-	InvalidateExtraction(tr)
-	if v, _ := AnalyzeParallelCtx(context.Background(), tr, 64); v != wantVerdict {
+	if v, _ := verdictCtx(context.Background(), tr, 64); v != wantVerdict {
 		t.Fatal("verdict diverges with 64 workers on a one-file trace")
 	}
-	InvalidateExtraction(tr)
 }
 
 // TestParallelManySmallFilesStress floods the engine with a many-file,
@@ -142,7 +139,6 @@ func TestParallelManySmallFilesStress(t *testing.T) {
 	wantCensus := census(tr)
 	for iter := 0; iter < 5; iter++ {
 		for _, w := range []int{4, 8} {
-			InvalidateExtraction(tr)
 			got, err := ExtractSharedCtx(ctx, tr, w)
 			if err != nil || !reflect.DeepEqual(fas, got) {
 				t.Fatalf("iter %d w=%d: extraction diverges (err %v)", iter, w, err)
@@ -151,7 +147,7 @@ func TestParallelManySmallFilesStress(t *testing.T) {
 			if err != nil || !reflect.DeepEqual(wantByFile, ms[0].ByFile) || ms[0].Signature != wantSig {
 				t.Fatalf("iter %d w=%d: session conflicts diverge (err %v)", iter, w, err)
 			}
-			if got, err := AnalyzeParallelCtx(ctx, tr, w); err != nil || got != wantVerdict {
+			if got, err := verdictCtx(ctx, tr, w); err != nil || got != wantVerdict {
 				t.Fatalf("iter %d w=%d: verdict diverges (err %v)", iter, w, err)
 			}
 			if got, err := MetadataCensusParallelCtx(ctx, tr, w); err != nil || !reflect.DeepEqual(wantCensus, got) {
@@ -159,5 +155,4 @@ func TestParallelManySmallFilesStress(t *testing.T) {
 			}
 		}
 	}
-	InvalidateExtraction(tr)
 }

@@ -55,8 +55,7 @@ func (s *SliceStream) Err() error { return nil }
 // Scan is everything the per-rank folds produce for one trace: the
 // extraction, the metadata census, the run report's call counters, and the
 // metadata and MPI events the metadata-conflict and happens-before passes
-// read. A cached scan is shared by every analysis of its trace, so all of
-// it is read-only.
+// read. The passes over a scan only read it.
 type Scan struct {
 	// Files is the extraction (§5.1 offsets and the per-rank times of
 	// §5.2's record expansion), sorted by path; see ExtractSharedCtx.
@@ -184,12 +183,28 @@ func countCall[K comparable](m map[K]map[recorder.Func]int, k K, f recorder.Func
 	fm[f] += n
 }
 
-// scanTrace folds an in-memory trace (uncached; see ScanTraceCtx).
-func scanTrace(ctx context.Context, tr *recorder.Trace, workers int) (*Scan, error) {
+// ScanTraceCtx folds an in-memory trace's rank streams once on a pool of
+// workers (1 folds serially); see ScanRanksCtx. Every call scans afresh.
+func ScanTraceCtx(ctx context.Context, tr *recorder.Trace, workers int) (*Scan, error) {
 	return ScanRanksCtx(ctx, len(tr.PerRank), workers, func(rank int) (RecordStream, func(), error) {
 		return NewSliceStream(tr.PerRank[rank]), func() {}, nil
 	})
 }
+
+// ExtractSharedCtx is the extraction of a fresh scan of the trace (§5.1
+// offset reconstruction plus the per-rank open, close and commit times
+// §5.2's record expansion searches, sorted by path).
+func ExtractSharedCtx(ctx context.Context, tr *recorder.Trace, workers int) ([]*FileAccesses, error) {
+	sc, err := ScanTraceCtx(ctx, tr, workers)
+	if err != nil {
+		return nil, err
+	}
+	return sc.Files, nil
+}
+
+// InvalidateExtraction does nothing: no scan outlives its caller. It
+// remains only because bench/trace.go calls it.
+func InvalidateExtraction(*recorder.Trace) {}
 
 // ScanRanksCtx folds n rank streams on a pool of workers (see
 // EffectiveWorkers) and merges them in rank order, so the Scan is identical

@@ -163,7 +163,7 @@ func metaConflictsForPathOracle(p string, evs []oracleMetaEvent) []MetaConflict 
 	return out
 }
 
-// checkScanOracles compares an uncached scan at one and two workers with
+// checkScanOracles compares a scan at one and two workers with
 // the whole-slice oracles: census, metadata conflicts, record count and
 // call counters.
 func checkScanOracles(t *testing.T, label string, tr *recorder.Trace) {
@@ -179,7 +179,7 @@ func checkScanOracles(t *testing.T, label string, tr *recorder.Trace) {
 	wantMeta := metaConflictsOracle(tr)
 	for _, w := range []int{1, 2} {
 		how := fmt.Sprintf("%s workers=%d", label, w)
-		sc, err := scanTrace(context.Background(), tr, w)
+		sc, err := ScanTraceCtx(context.Background(), tr, w)
 		if err != nil {
 			t.Fatalf("%s: %v", how, err)
 		}

@@ -1,8 +1,9 @@
 // Package experiments orchestrates the reproduction of every table and
 // figure in the paper's evaluation section: it runs the application
-// configurations at a chosen scale, feeds the traces through the core
-// analysis and renders the results with internal/report. cmd/semrepro, the
-// benchmark harness and EXPERIMENTS.md generation all build on it.
+// configurations at a chosen scale, analyzes each trace once with
+// semfs.AnalyzeParallelCtx and renders views over those analyses with
+// internal/report. cmd/semrepro, the benchmark harness and EXPERIMENTS.md
+// generation all build on it.
 package experiments
 
 import (
@@ -14,6 +15,7 @@ import (
 	"strings"
 	"time"
 
+	semfs "repro"
 	"repro/internal/apps"
 	"repro/internal/ckpt"
 	"repro/internal/core"
@@ -55,13 +57,19 @@ func TestScale() Scale {
 	return Scale{Ranks: 16, PPN: 2, Seed: 1}
 }
 
-// Results caches one trace per application configuration.
+// Results holds one trace and one analysis per application configuration.
 type Results struct {
-	Scale   Scale
-	ByName  map[string]*harness.Result
-	Ordered []string // registry order (successful configurations only)
-	// Errs holds per-configuration failures, keyed by configuration name.
-	// A failed configuration is absent from ByName/Ordered but does not
+	Scale  Scale
+	ByName map[string]*harness.Result
+	// Analyses holds each successful configuration's one analysis of its
+	// trace, computed on the sweep's pool right after the run or the
+	// checkpoint replay. Every table and figure except Figure 2 is a view
+	// over these.
+	Analyses map[string]*semfs.Analysis
+	Ordered  []string // registry order (successful configurations only)
+	// Errs holds per-configuration failures (of the run, its checkpoint
+	// append or its analysis), keyed by configuration name. A failed
+	// configuration is absent from ByName/Analyses/Ordered but does not
 	// abort the rest of the registry.
 	Errs map[string]error
 }
@@ -74,12 +82,8 @@ type Results struct {
 // per-configuration failures are collected in Results.Errs and joined into
 // the returned error, alongside the partial Results for the configurations
 // that succeeded.
-func RunAll(s Scale) (*Results, error) { return RunAllWorkers(s, 0) }
-
-// RunAllWorkers is RunAll with an explicit worker pool size (<= 0 selects
-// runtime.GOMAXPROCS, 1 runs serially in registry order).
-func RunAllWorkers(s Scale, workers int) (*Results, error) {
-	return RunAllCtx(context.Background(), s, SweepOptions{Workers: workers})
+func RunAll(s Scale) (*Results, error) {
+	return RunAllCtx(context.Background(), s, SweepOptions{})
 }
 
 // SweepOptions hardens a registry sweep.
@@ -89,7 +93,8 @@ type SweepOptions struct {
 	// TaskTimeout, when positive, is a per-configuration wall-clock ceiling:
 	// a configuration that exceeds it fails with a timeout error while the
 	// rest of the sweep continues. The abandoned run keeps its goroutines
-	// until the simulated job drains; only its result is discarded.
+	// until the simulated job drains; only its result is discarded. It
+	// bounds the run, not the analysis that follows it.
 	TaskTimeout time.Duration
 	// Checkpoint, when non-nil, journals every configuration that completes
 	// successfully — the record is durable (fsync'd) before the sweep moves
@@ -117,49 +122,49 @@ func RunAllCtx(ctx context.Context, s Scale, o SweepOptions) (*Results, error) {
 	return runConfigsCtx(ctx, apps.Registry(), s, o)
 }
 
-// runConfigs is the historical sweep entry point, kept for tests that drive
-// fabricated (including failing) configurations.
-func runConfigs(cfgs []*apps.Config, s Scale, workers int) (*Results, error) {
-	return runConfigsCtx(context.Background(), cfgs, s, SweepOptions{Workers: workers})
-}
-
-// runConfigsCtx is the sharded registry sweep behind RunAllCtx.
+// runConfigsCtx is the sharded registry sweep behind RunAllCtx. Each task
+// runs (or replays) one configuration and then analyzes its trace on a
+// pool of one, since the sweep's pool already spreads the configurations.
 func runConfigsCtx(ctx context.Context, cfgs []*apps.Config, s Scale, o SweepOptions) (*Results, error) {
 	type slot struct {
 		res  *harness.Result
+		an   *semfs.Analysis
 		err  error
 		done bool
 	}
 	slots := make([]slot, len(cfgs))
-	skip := make([]bool, len(cfgs))
+	replayed := make([]*harness.Result, len(cfgs))
 	if o.Resume && o.Checkpoint != nil {
 		for i, cfg := range cfgs {
-			res, hit, err := o.Checkpoint.LookupResult(cfg.Name())
-			if err != nil {
-				// A journaled blob that fails to decode is treated as a
-				// miss: re-running is always safe, replaying garbage never.
-				continue
-			}
-			if hit {
-				slots[i] = slot{res: res, done: true}
-				skip[i] = true
+			// A journaled blob that fails to decode is treated as a miss:
+			// re-running is always safe, replaying garbage never.
+			if res, hit, err := o.Checkpoint.LookupResult(cfg.Name()); err == nil && hit {
+				replayed[i] = res
 			}
 		}
 	}
 	ctxErr := core.ParallelForCtx(ctx, len(cfgs), o.Workers, func(i int) {
-		if skip[i] {
-			return
-		}
-		res, err := runCell(ctx, cfgs[i], s, o.TaskTimeout)
-		if err == nil && o.Checkpoint != nil {
-			if jerr := o.Checkpoint.AppendResult(cfgs[i].Name(), res); jerr != nil {
-				res, err = nil, fmt.Errorf("experiments: %s: checkpoint: %w", cfgs[i].Name(), jerr)
+		name := cfgs[i].Name()
+		res, err := replayed[i], error(nil)
+		if res == nil {
+			res, err = runCell(ctx, cfgs[i], s, o.TaskTimeout)
+			if err == nil && o.Checkpoint != nil {
+				if jerr := o.Checkpoint.AppendResult(name, res); jerr != nil {
+					res, err = nil, fmt.Errorf("experiments: %s: checkpoint: %w", name, jerr)
+				}
 			}
 		}
-		slots[i] = slot{res: res, err: err, done: true}
+		var an *semfs.Analysis
+		if err == nil {
+			if an, err = semfs.AnalyzeParallelCtx(ctx, res.Trace, 1); err != nil {
+				res, err = nil, fmt.Errorf("experiments: %s: analyze: %w", name, err)
+			}
+		}
+		slots[i] = slot{res: res, an: an, err: err, done: true}
 	})
 
-	out := &Results{Scale: s, ByName: make(map[string]*harness.Result), Errs: make(map[string]error)}
+	out := &Results{Scale: s, ByName: make(map[string]*harness.Result),
+		Analyses: make(map[string]*semfs.Analysis), Errs: make(map[string]error)}
 	var errs []error
 	for i, cfg := range cfgs { // registry order, regardless of completion order
 		if !slots[i].done {
@@ -175,6 +180,7 @@ func runConfigsCtx(ctx context.Context, cfgs []*apps.Config, s Scale, o SweepOpt
 			continue
 		}
 		out.ByName[cfg.Name()] = slots[i].res
+		out.Analyses[cfg.Name()] = slots[i].an
 		out.Ordered = append(out.Ordered, cfg.Name())
 	}
 	return out, errors.Join(errs...)
@@ -248,67 +254,33 @@ func runCell(ctx context.Context, cfg *apps.Config, s Scale, timeout time.Durati
 	}
 }
 
-// RunOne executes a single configuration at the given scale.
-func RunOne(name string, s Scale) (*harness.Result, error) {
-	cfg, ok := apps.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown config %q", name)
-	}
-	res, err := apps.Execute(cfg, apps.Options{
-		Ranks: s.Ranks, PPN: s.PPN, Seed: s.Seed, Semantics: s.Semantics,
-		Params: s.Params,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := res.Err(); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// The tables and figures run every analysis pass serially (a pool of one;
-// RunAllWorkers already parallelizes across configurations) under bg, a
-// context that is never cancelled — so the passes' only error, ctx.Err(),
-// cannot occur and is dropped.
-var bg = context.Background()
-
-// extracted is a trace's shared extraction (see core.ExtractSharedCtx).
-func extracted(tr *recorder.Trace) []*core.FileAccesses {
-	fas, _ := core.ExtractSharedCtx(bg, tr, 1)
-	return fas
-}
-
 // Table1 renders the static PFS categorization.
 func Table1() string { return report.Table1() }
 
-// Table3 classifies every configuration's trace and renders the pattern
+// Table3 renders every configuration's high-level patterns as the pattern
 // matrix.
 func Table3(r *Results) string {
 	var rows []report.Table3Row
 	for _, name := range r.Ordered {
-		patterns, _ := core.ClassifyHighLevelParallelCtx(bg, extracted(r.ByName[name].Trace),
-			core.HLOptions{WorldSize: r.Scale.Ranks}, 1)
-		rows = append(rows, report.Table3Row{Config: name, Patterns: patterns})
+		rows = append(rows, report.Table3Row{Config: name, Patterns: r.Analyses[name].Patterns})
 	}
 	return report.Table3(rows)
 }
 
-// Table4 detects conflicts under session and commit semantics and renders
-// the check-mark table.
+// Table4 renders the conflicts under session and commit semantics as the
+// check-mark table.
 func Table4(r *Results) string {
 	return report.Table4(Table4Rows(r))
 }
 
-// Table4Rows computes the Table 4 signatures for every configuration.
+// Table4Rows lists the Table 4 signatures of every configuration.
 func Table4Rows(r *Results) []report.Table4Row {
 	var rows []report.Table4Row
 	for _, name := range r.Ordered {
-		tr := r.ByName[name].Trace
-		ms, _ := core.ConflictsAllForFilesCtx(bg, extracted(tr), []pfs.Semantics{pfs.Session, pfs.Commit}, 1)
+		v := r.Analyses[name].Verdict
 		rows = append(rows, report.Table4Row{
-			Config: name, Library: tr.Meta.Library,
-			Session: ms[0].Signature, Commit: ms[1].Signature,
+			Config: name, Library: r.ByName[name].Trace.Meta.Library,
+			Session: v.Session, Commit: v.Commit,
 		})
 	}
 	return rows
@@ -328,10 +300,8 @@ func Table5() string {
 func Figure1(r *Results) (string, string) {
 	var rows []report.Figure1Row
 	for _, name := range r.Ordered {
-		fas := extracted(r.ByName[name].Trace)
-		global, _ := core.GlobalPatternParallelCtx(bg, fas, 1)
-		local, _ := core.LocalPatternParallelCtx(bg, fas, 1)
-		rows = append(rows, report.Figure1Row{Config: name, Global: global, Local: local})
+		an := r.Analyses[name]
+		rows = append(rows, report.Figure1Row{Config: name, Global: an.Global, Local: an.Local})
 	}
 	return report.Figure1(rows), report.Figure1CSV(rows)
 }
@@ -339,7 +309,8 @@ func Figure1(r *Results) (string, string) {
 // Figure2 produces the six panels of Figure 2 as CSV scatter series
 // (offset/time per rank) from the FLASH traces: checkpoint and plot files
 // under collective (fbs) and independent (nofbs) I/O. SVG renderings of the
-// checkpoint panels are included alongside.
+// checkpoint panels are included alongside. It is the one artifact that
+// needs the accesses themselves, so it extracts the two traces it plots.
 func Figure2(r *Results) map[string]string {
 	panels := make(map[string]string)
 	for _, variant := range []string{"fbs", "nofbs"} {
@@ -347,7 +318,8 @@ func Figure2(r *Results) map[string]string {
 		if !ok {
 			continue
 		}
-		fas := extracted(res.Trace)
+		// Only cancellation ends a scan early, and nothing cancels this one.
+		fas, _ := core.ExtractSharedCtx(context.Background(), res.Trace, 1)
 		chkCSV := report.Figure2CSVOf(fas, "/flash_hdf5_chk_0000")
 		panels["flash_"+variant+"_checkpoint.csv"] = chkCSV
 		panels["flash_"+variant+"_plot.csv"] = report.Figure2CSVOf(fas, "/flash_hdf5_plt_cnt_0000")
@@ -377,8 +349,7 @@ func filterCSVRank(csv string, rank int) string {
 func Figure3(r *Results) string {
 	var rows []report.Figure3Row
 	for _, name := range r.Ordered {
-		census, _ := core.MetadataCensusParallelCtx(bg, r.ByName[name].Trace, 1)
-		rows = append(rows, report.Figure3Row{Config: name, Census: census})
+		rows = append(rows, report.Figure3Row{Config: name, Census: r.Analyses[name].Census})
 	}
 	return report.Figure3(rows)
 }
@@ -390,11 +361,10 @@ func VerdictsReport(r *Results) string {
 		Verdict core.Verdict
 	}, 0, len(r.Ordered))
 	for _, name := range r.Ordered {
-		v, _ := core.AnalyzeParallelCtx(bg, r.ByName[name].Trace, 1)
 		rows = append(rows, struct {
 			Config  string
 			Verdict core.Verdict
-		}{name, v})
+		}{name, r.Analyses[name].Verdict})
 	}
 	return report.Verdicts(rows)
 }
@@ -403,23 +373,12 @@ func VerdictsReport(r *Results) string {
 // dependencies per configuration (which applications require prompt
 // metadata visibility).
 func MetaTable(r *Results) string {
-	var b strings.Builder
-	b.WriteString("Cross-process metadata dependencies (§7 future-work extension)\n\n")
-	fmt.Fprintf(&b, "%-20s  %-10s  %-10s  %-10s  %s\n", "Configuration", "create-use", "remove-use", "resize-use", "pairs")
-	b.WriteString(strings.Repeat("-", 70) + "\n")
-	mark := func(v bool) string {
-		if v {
-			return "x"
-		}
-		return ""
-	}
+	rows := make([]report.MetaRow, 0, len(r.Ordered))
 	for _, name := range r.Ordered {
-		cs, _ := core.DetectMetadataConflictsParallelCtx(bg, r.ByName[name].Trace, 1)
-		sig := core.MetaSignatureOf(cs)
-		fmt.Fprintf(&b, "%-20s  %-10s  %-10s  %-10s  %d\n",
-			name, mark(sig.CreateUse), mark(sig.RemoveUse), mark(sig.ResizeUse), len(cs))
+		an := r.Analyses[name]
+		rows = append(rows, report.MetaRow{Config: name, Signature: an.MetaSignature, Pairs: len(an.MetaConflicts)})
 	}
-	return b.String()
+	return report.MetaTable(rows)
 }
 
 // BenchResult is one cell of the PFS-semantics ablation.

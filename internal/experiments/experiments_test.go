@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/analysistest"
 	"repro/internal/apps"
 	"repro/internal/harness"
 	"repro/internal/pfs"
@@ -80,19 +82,6 @@ func TestRenderedArtifactsNonTrivial(t *testing.T) {
 	verdicts := VerdictsReport(r)
 	if strings.Count(verdicts, "commit") != 2 { // the two FLASH variants
 		t.Fatalf("verdicts: expected exactly the FLASH variants to need commit:\n%s", verdicts)
-	}
-}
-
-func TestRunOne(t *testing.T) {
-	res, err := RunOne("GTC", TestScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trace.Meta.App != "GTC" {
-		t.Fatalf("meta = %+v", res.Trace.Meta)
-	}
-	if _, err := RunOne("nope", TestScale()); err == nil {
-		t.Fatal("unknown config accepted")
 	}
 }
 
@@ -176,7 +165,7 @@ func TestMetaTableArtifact(t *testing.T) {
 }
 
 // failingConfig fabricates a registry entry whose every rank errors out —
-// the fixture for the no-fail-fast contract of runConfigs.
+// the fixture for the no-fail-fast contract of runConfigsCtx.
 func failingConfig(name string) *apps.Config {
 	return &apps.Config{
 		App: name, Library: "POSIX",
@@ -215,7 +204,7 @@ func TestRunConfigsCollectsAllErrors(t *testing.T) {
 		okConfig("OkTwo"),
 	}
 	for _, workers := range []int{1, 3} {
-		r, err := runConfigs(cfgs, TestScale(), workers)
+		r, err := runConfigsCtx(context.Background(), cfgs, TestScale(), SweepOptions{Workers: workers})
 		if err == nil {
 			t.Fatalf("workers=%d: expected a joined error", workers)
 		}
@@ -241,13 +230,14 @@ func TestRunConfigsCollectsAllErrors(t *testing.T) {
 
 // TestRunAllWorkersMatchesSerial checks that the parallel registry sweep
 // produces byte-identical traces to the serial one (each run is a
-// self-contained deterministic simulation).
+// self-contained deterministic simulation) and identical analyses, which
+// now run on the sweep's pool.
 func TestRunAllWorkersMatchesSerial(t *testing.T) {
-	serial, err := RunAllWorkers(TestScale(), 1)
+	serial, err := RunAllCtx(context.Background(), TestScale(), SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunAllWorkers(TestScale(), 4)
+	par, err := RunAllCtx(context.Background(), TestScale(), SweepOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,5 +248,6 @@ func TestRunAllWorkersMatchesSerial(t *testing.T) {
 		if !reflect.DeepEqual(serial.ByName[name].Trace, par.ByName[name].Trace) {
 			t.Errorf("%s: parallel trace differs from serial", name)
 		}
+		analysistest.RequireEqual(t, name, serial.Analyses[name], par.Analyses[name])
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 
+	semfs "repro"
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/harness"
@@ -225,13 +226,13 @@ func runChaosCell(o SweepOptions, app string, sem pfs.Semantics, seed uint64) (C
 	}
 
 	// Invariant 4: the faulted trace must still analyze.
-	verdict, err := core.AnalyzeParallelCtx(context.Background(), res.Trace, o.Workers)
+	an, err := semfs.AnalyzeParallelCtx(context.Background(), res.Trace, o.Workers)
 	if err != nil {
 		cell.Err = err
 		violate("analysis failed on faulted trace: %v", err)
 		return cell, viols
 	}
-	cell.Weakest = verdict.Weakest
+	cell.Weakest = an.Verdict.Weakest
 
 	// Invariant 5 (optional): replay determinism.
 	if o.Replay {

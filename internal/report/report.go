@@ -288,6 +288,35 @@ func Verdicts(rows []struct {
 	return b.String()
 }
 
+// MetaRow is one configuration's cross-process metadata dependencies: its
+// signature and the number of dependent pairs.
+type MetaRow struct {
+	Config    string
+	Signature core.MetaSignature
+	Pairs     int
+}
+
+// MetaTable renders the §7 future-work extension: which configurations
+// depend on another process's namespace mutations, by kind.
+func MetaTable(rows []MetaRow) string {
+	var b strings.Builder
+	b.WriteString("Cross-process metadata dependencies (§7 future-work extension)\n\n")
+	fmt.Fprintf(&b, "%-20s  %-10s  %-10s  %-10s  %s\n", "Configuration", "create-use", "remove-use", "resize-use", "pairs")
+	b.WriteString(strings.Repeat("-", 70) + "\n")
+	mark := func(v bool) string {
+		if v {
+			return "x"
+		}
+		return ""
+	}
+	for _, r := range rows {
+		sig := r.Signature
+		fmt.Fprintf(&b, "%-20s  %-10s  %-10s  %-10s  %d\n",
+			r.Config, mark(sig.CreateUse), mark(sig.RemoveUse), mark(sig.ResizeUse), r.Pairs)
+	}
+	return b.String()
+}
+
 // writeTable renders a two-column aligned table.
 func writeTable(b *strings.Builder, header []string, rows [][2]string) {
 	wide := make([][]string, len(rows))

@@ -42,7 +42,7 @@ type FileReport struct {
 }
 
 // BuildRunReportFrom computes tr's digest from pre-extracted accesses (fas
-// is read, never mutated) and the call counters of tr's shared scan (see
+// is read, never mutated) and the call counters of a fresh scan of tr (see
 // core.ScanTraceCtx). It is the digest only: the per-file conflict columns
 // stay zero here, and semfs fills them from its one conflict sweep.
 func BuildRunReportFrom(tr *recorder.Trace, fas []*core.FileAccesses) *RunReport {

@@ -12,7 +12,7 @@ import (
 	"repro/internal/recorder"
 )
 
-// extract is the serial, cached extraction the report builders read.
+// extract is the serial extraction the report builders read.
 func extract(t *testing.T, tr *recorder.Trace) []*core.FileAccesses {
 	t.Helper()
 	fas, err := core.ExtractSharedCtx(context.Background(), tr, 1)

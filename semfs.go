@@ -178,10 +178,8 @@ type Analysis struct {
 }
 
 // AnalyzeParallelCtx runs the full paper analysis over a trace. The trace
-// is scanned once (through the process-wide extraction cache, so repeated
-// analyses of one trace share the work): one fold per rank stream yields
-// the extraction, the metadata census, the call counters and the metadata
-// and MPI events. Then five independent passes (fused session+commit
+// is scanned once: one fold per rank stream yields the extraction, the
+// metadata census, the call counters and the metadata and MPI events. Then five independent passes (fused session+commit
 // conflict sweep, pattern classification + Figure 1 mixes,
 // metadata-conflict detection, the happens-before build and the run-report
 // digest) fan out as a scatter/gather, the first three each internally
