@@ -21,6 +21,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pfs"
 	"repro/internal/recorder"
+	"repro/internal/recorder/colfmt"
 )
 
 // benchScale keeps full-registry benchmarks affordable.
@@ -216,7 +217,8 @@ func BenchmarkScaleSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceEncodeDecode measures the binary trace format round trip.
+// BenchmarkTraceEncodeDecode measures the columnar trace encoder, the
+// writer behind SaveTraceOn.
 func BenchmarkTraceEncodeDecode(b *testing.B) {
 	res := allResults(b)
 	tr := res.ByName["FLASH-nofbs"].Trace
@@ -225,7 +227,7 @@ func BenchmarkTraceEncodeDecode(b *testing.B) {
 			var n int
 			for rank, rs := range tr.PerRank {
 				var buf countWriter
-				if err := recorder.EncodeRankStream(&buf, rank, rs); err != nil {
+				if err := colfmt.EncodeStream(&buf, rank, rs, colfmt.EncodeOptions{}); err != nil {
 					b.Fatal(err)
 				}
 				n += buf.n

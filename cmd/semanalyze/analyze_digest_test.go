@@ -94,18 +94,16 @@ func TestAnalyzeDirDigestGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, f := range []semfs.TraceFormat{semfs.FormatColumnar, semfs.FormatV1} {
-			dir := filepath.Join(base, fmt.Sprintf("%s.%v", name, f))
-			if err := semfs.SaveTraceFormatOn(disk, dir, res.Trace, f); err != nil {
-				t.Fatal(err)
-			}
+		for _, f := range []string{"columnar", "v1"} {
+			dir := filepath.Join(base, name+"."+f)
+			saveTrace(t, dir, res.Trace, f)
 			k := i
 			for _, show := range []int{5, math.MaxInt} {
 				for _, workers := range []int{1, 2} {
 					var buf bytes.Buffer
 					code := analyzeDir(&buf, disk, dir, false, true, show, true, workers)
 					if got := digestLine(name, show, workers, code, buf.Bytes()); k >= len(want) || got != want[k] {
-						t.Errorf("%v directory:\n got  %s\n want %s", f, got, want[min(k, len(want)-1)])
+						t.Errorf("%s directory:\n got  %s\n want %s", f, got, want[min(k, len(want)-1)])
 					}
 					k++
 				}

@@ -13,6 +13,7 @@ import (
 	semfs "repro"
 	"repro/internal/recorder"
 	"repro/internal/recorder/colfmt"
+	"repro/internal/recorder/v1test"
 	"repro/internal/storage"
 )
 
@@ -46,6 +47,21 @@ func semanalyze(t *testing.T, args ...string) (int, []byte, []byte) {
 	}
 	t.Fatal(err)
 	return 0, nil, nil
+}
+
+// saveTrace writes tr to dir in format "columnar" (semfs.SaveTraceOn) or
+// "v1" (the test-support writer).
+func saveTrace(t *testing.T, dir string, tr *recorder.Trace, format string) {
+	t.Helper()
+	var err error
+	if format == "v1" {
+		err = v1test.SaveDir(dir, tr)
+	} else {
+		err = semfs.SaveTraceOn(storage.OS(), dir, tr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 func rankFile(dir string, rank int) string {
@@ -96,18 +112,18 @@ func TestDamagedTraceExits1(t *testing.T) {
 	disk := storage.OS()
 	for _, tc := range []struct {
 		name   string
-		format semfs.TraceFormat
+		format string
 		damage func(t *testing.T, dir string)
 	}{
-		{"truncated", semfs.FormatColumnar, func(t *testing.T, dir string) { truncateRank(t, dir, 1) }},
-		{"truncated-v1", semfs.FormatV1, func(t *testing.T, dir string) { truncateRank(t, dir, 1) }},
-		{"flipped-crc", semfs.FormatColumnar, func(t *testing.T, dir string) { flipCRC(t, dir, 2) }},
-		{"missing", semfs.FormatColumnar, func(t *testing.T, dir string) {
+		{"truncated", "columnar", func(t *testing.T, dir string) { truncateRank(t, dir, 1) }},
+		{"truncated-v1", "v1", func(t *testing.T, dir string) { truncateRank(t, dir, 1) }},
+		{"flipped-crc", "columnar", func(t *testing.T, dir string) { flipCRC(t, dir, 2) }},
+		{"missing", "columnar", func(t *testing.T, dir string) {
 			if err := os.Remove(rankFile(dir, 3)); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"rank-mismatch", semfs.FormatColumnar, func(t *testing.T, dir string) {
+		{"rank-mismatch", "columnar", func(t *testing.T, dir string) {
 			data, err := os.ReadFile(rankFile(dir, 1))
 			if err != nil {
 				t.Fatal(err)
@@ -116,16 +132,14 @@ func TestDamagedTraceExits1(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"two-damaged", semfs.FormatColumnar, func(t *testing.T, dir string) {
+		{"two-damaged", "columnar", func(t *testing.T, dir string) {
 			truncateRank(t, dir, 5)
 			flipCRC(t, dir, 2)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			if err := semfs.SaveTraceFormatOn(disk, dir, res.Trace, tc.format); err != nil {
-				t.Fatal(err)
-			}
+			saveTrace(t, dir, res.Trace, tc.format)
 			tc.damage(t, dir)
 			for _, workers := range []int{1, 4} {
 				// run's default backend: osdisk behind the retry wrapper.

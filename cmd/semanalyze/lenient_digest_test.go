@@ -13,7 +13,6 @@ import (
 
 	semfs "repro"
 	"repro/internal/recorder/colfmt"
-	"repro/internal/storage"
 )
 
 const lenientDigestGolden = "testdata/lenient_digest.golden"
@@ -79,35 +78,34 @@ func TestLenientDigestGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := res.Trace
-	disk := storage.OS()
 	wrongRank := func(t *testing.T, dir string) { writeRank(t, dir, 0, readRank(t, dir, 1)) }
 	cases := []struct {
 		name   string
-		format semfs.TraceFormat
+		format string
 		damage func(t *testing.T, dir string)
 	}{
-		{"clean", semfs.FormatColumnar, func(*testing.T, string) {}},
-		{"torn-columnar", semfs.FormatColumnar, func(t *testing.T, dir string) {
+		{"clean", "columnar", func(*testing.T, string) {}},
+		{"torn-columnar", "columnar", func(t *testing.T, dir string) {
 			data := reencodeSmallBlocks(t, tr, 1)
 			writeRank(t, dir, 1, data[:len(data)/2])
 		}},
-		{"torn-v1", semfs.FormatV1, func(t *testing.T, dir string) {
+		{"torn-v1", "v1", func(t *testing.T, dir string) {
 			data := readRank(t, dir, 1)
 			writeRank(t, dir, 1, data[:len(data)/2])
 		}},
-		{"crc-mid-block", semfs.FormatColumnar, func(t *testing.T, dir string) {
+		{"crc-mid-block", "columnar", func(t *testing.T, dir string) {
 			data := reencodeSmallBlocks(t, tr, 2)
 			flipMidBlock(t, data)
 			writeRank(t, dir, 2, data)
 		}},
-		{"missing", semfs.FormatColumnar, func(t *testing.T, dir string) {
+		{"missing", "columnar", func(t *testing.T, dir string) {
 			if err := os.Remove(rankFile(dir, 3)); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"wrong-rank-columnar", semfs.FormatColumnar, wrongRank},
-		{"wrong-rank-v1", semfs.FormatV1, wrongRank},
-		{"all-unreadable", semfs.FormatColumnar, func(t *testing.T, dir string) {
+		{"wrong-rank-columnar", "columnar", wrongRank},
+		{"wrong-rank-v1", "v1", wrongRank},
+		{"all-unreadable", "columnar", func(t *testing.T, dir string) {
 			for rank := range tr.PerRank {
 				if err := os.Remove(rankFile(dir, rank)); err != nil {
 					t.Fatal(err)
@@ -118,9 +116,7 @@ func TestLenientDigestGolden(t *testing.T) {
 	var lines []string
 	for _, tc := range cases {
 		dir := filepath.Join(t.TempDir(), "trace")
-		if err := semfs.SaveTraceFormatOn(disk, dir, tr, tc.format); err != nil {
-			t.Fatal(err)
-		}
+		saveTrace(t, dir, tr, tc.format)
 		tc.damage(t, dir)
 		var line string
 		for _, workers := range []int{1, 4} {

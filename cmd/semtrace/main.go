@@ -5,13 +5,13 @@
 // Usage:
 //
 //	semtrace -app FLASH-nofbs -ranks 64 -ppn 8 -out trace/
-//	semtrace -app FLASH-nofbs -out trace/ -format v1
-//	semtrace -convert oldtrace/ -out newtrace/ -format columnar
+//	semtrace -convert oldtrace/ -out newtrace/
 //	semtrace -list
 //
-// Traces are written in the columnar format by default; -format v1 keeps
-// the record-framed v1 format for old readers. -convert rewrites an
-// existing trace directory (either format) into -format at -out.
+// Traces are written in the columnar format. -convert loads an existing
+// trace directory strictly (columnar, v1 or mixed) and rewrites it as
+// columnar at -out: the upgrade path for v1 traces, and a strict load whose
+// error names the first damaged rank.
 package main
 
 import (
@@ -41,8 +41,7 @@ func run() (code int) {
 		semantics = flag.String("semantics", "strong", "PFS consistency model: strong|commit|session|eventual")
 		verify    = flag.Bool("verify", false, "verify read data (surfaces stale reads on weak PFSs)")
 		out       = flag.String("out", "", "output trace directory (omit for a dry run)")
-		format    = flag.String("format", "columnar", "on-disk trace format for -out: columnar|v1")
-		convert   = flag.String("convert", "", "rewrite this existing trace directory into -format at -out instead of running an app")
+		convert   = flag.String("convert", "", "rewrite this existing trace directory (columnar or v1) as columnar at -out instead of running an app")
 		workers   = flag.Int("workers", 0, "parallel rank decode workers for -convert (0 = GOMAXPROCS)")
 		spec      = flag.String("backend", "osdisk", "durable storage backend for -out traces: osdisk | objstore[:delay=D,root=DIR] | flaky[:...]")
 		tele      obs.CLIFlags
@@ -69,11 +68,6 @@ func run() (code int) {
 		}
 		return 0
 	}
-	tf, err := semfs.ParseTraceFormat(*format)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "semtrace: -format:", err)
-		return 2
-	}
 	if *convert != "" {
 		if *out == "" {
 			fmt.Fprintln(os.Stderr, "semtrace: -convert requires -out")
@@ -85,13 +79,13 @@ func run() (code int) {
 			return 2
 		}
 		backend = storage.NewRetry(backend, storage.RetryOptions{})
-		tr, err := semfs.ConvertTraceOn(backend, *convert, *out, tf, *workers)
+		tr, err := semfs.ConvertTraceOn(backend, *convert, *out, *workers)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "semtrace:", err)
 			return 1
 		}
-		fmt.Printf("converted %s (%d records) to %s format at %s\n",
-			*convert, tr.NumRecords(), tf, *out)
+		fmt.Printf("converted %s (%d records) to columnar format at %s\n",
+			*convert, tr.NumRecords(), *out)
 		return 0
 	}
 	if *app == "" {
@@ -123,11 +117,11 @@ func run() (code int) {
 			return 2
 		}
 		backend = storage.NewRetry(backend, storage.RetryOptions{})
-		if err := semfs.SaveTraceFormatOn(backend, *out, res.Trace, tf); err != nil {
+		if err := semfs.SaveTraceOn(backend, *out, res.Trace); err != nil {
 			fmt.Fprintln(os.Stderr, "semtrace:", err)
 			return 1
 		}
-		fmt.Printf("trace written to %s (%s format)\n", *out, tf)
+		fmt.Printf("trace written to %s (columnar format)\n", *out)
 	}
 	if len(res.RankErrors) > 0 {
 		return 1

@@ -17,6 +17,7 @@ import (
 
 	semfs "repro"
 	"repro/internal/recorder"
+	"repro/internal/recorder/v1test"
 	"repro/internal/storage"
 )
 
@@ -78,13 +79,14 @@ func CheckTrace(t testing.TB, label string, tr *recorder.Trace, workerCounts ...
 }
 
 // CheckFormats is the on-disk format equivalence gate: tr is saved in the
-// columnar and v1 formats plus both convert round trips, reloaded at every
-// worker count, and each reload, analyzed at that worker count, must carry
-// byte-identical records (the strict v1 load is the disk oracle) and produce
-// a byte-identical analysis and rendered run report, conflict columns
-// included (the serial analysis of the v1 reload is the analysis oracle).
-// semfs.AnalyzeDirOn over each directory, at each worker count, must
-// produce that same analysis and report without loading the trace.
+// columnar format, written as v1 by the test-support writer and converted
+// from v1 to columnar, reloaded at every worker count, and each reload,
+// analyzed at that worker count, must carry byte-identical records (the
+// strict v1 load is the disk oracle) and produce a byte-identical analysis
+// and rendered run report, conflict columns included (the serial analysis
+// of the v1 reload is the analysis oracle). semfs.AnalyzeDirOn over each
+// directory, at each worker count, must produce that same analysis and
+// report without loading the trace.
 func CheckFormats(t testing.TB, label string, tr *recorder.Trace, workerCounts ...int) {
 	t.Helper()
 	if len(workerCounts) == 0 {
@@ -95,20 +97,16 @@ func CheckFormats(t testing.TB, label string, tr *recorder.Trace, workerCounts .
 		{"v1", filepath.Join(base, "v1")},
 		{"columnar", filepath.Join(base, "col")},
 		{"v1-to-columnar", filepath.Join(base, "conv-col")},
-		{"columnar-to-v1", filepath.Join(base, "conv-v1")},
 	}
 	disk := storage.OS()
-	if err := semfs.SaveTraceFormatOn(disk, dirs[0].path, tr, semfs.FormatV1); err != nil {
+	if err := v1test.SaveDir(dirs[0].path, tr); err != nil {
 		t.Fatalf("%s: saving v1: %v", label, err)
 	}
-	if err := semfs.SaveTraceFormatOn(disk, dirs[1].path, tr, semfs.FormatColumnar); err != nil {
+	if err := semfs.SaveTraceOn(disk, dirs[1].path, tr); err != nil {
 		t.Fatalf("%s: saving columnar: %v", label, err)
 	}
-	if _, err := semfs.ConvertTraceOn(disk, dirs[0].path, dirs[2].path, semfs.FormatColumnar, 0); err != nil {
+	if _, err := semfs.ConvertTraceOn(disk, dirs[0].path, dirs[2].path, 0); err != nil {
 		t.Fatalf("%s: converting v1->columnar: %v", label, err)
-	}
-	if _, err := semfs.ConvertTraceOn(disk, dirs[1].path, dirs[3].path, semfs.FormatV1, 0); err != nil {
-		t.Fatalf("%s: converting columnar->v1: %v", label, err)
 	}
 
 	// The strict v1 reload is the record-level oracle: the v1 decoder

@@ -313,7 +313,7 @@ func TestEncodeResultRefusesBadInput(t *testing.T) {
 // an error (LookupResult's fall-back-to-re-execution contract) instead of
 // sizing a table by the forged count.
 func TestDecodeResultRejectsForgedRankCount(t *testing.T) {
-	hdr := []byte(`{"v":1,"meta":{"Ranks":4000000000000}}`)
+	hdr := []byte(`{"v":2,"meta":{"Ranks":4000000000000}}`)
 	blob := binary.AppendUvarint(nil, uint64(len(hdr)))
 	blob = append(blob, hdr...)
 	blob = binary.AppendUvarint(blob, 4_000_000_000_000)

@@ -8,20 +8,24 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/recorder"
+	"repro/internal/recorder/colfmt"
 )
 
 // Result codec: a completed harness.Result serialized for the journal. The
-// encoding reuses the recorder's canonical per-rank binary streams, so a
-// decoded result's trace is record-for-record identical to the one that ran
-// — the property that lets a resumed sweep render byte-identical reports.
+// encoding reuses the columnar per-rank trace streams (colfmt.EncodeStream),
+// so a decoded result's trace is record-for-record identical to the one
+// that ran — the property that lets a resumed sweep render byte-identical
+// reports.
 //
 //	uvarint header length | header JSON {v, meta}
 //	uvarint rank count
-//	per rank: uvarint stream length | EncodeRankStream bytes
+//	per rank: uvarint stream length | colfmt.EncodeStream bytes
 
 // resultCodecVersion guards the blob layout inside journal records (the
-// store's SchemaVersion guards the journal framing around them).
-const resultCodecVersion = 1
+// store's SchemaVersion guards the journal framing around them). Version 1
+// held v1 record-framed rank streams; its entries no longer decode, so a
+// resumed sweep re-runs them.
+const resultCodecVersion = 2
 
 type resultHeader struct {
 	V    int           `json:"v"`
@@ -54,7 +58,7 @@ func EncodeResult(res *harness.Result) ([]byte, error) {
 	var stream bytes.Buffer
 	for rank, rs := range res.Trace.PerRank {
 		stream.Reset()
-		if err := recorder.EncodeRankStream(&stream, rank, rs); err != nil {
+		if err := colfmt.EncodeStream(&stream, rank, rs, colfmt.EncodeOptions{}); err != nil {
 			return nil, fmt.Errorf("ckpt: encoding rank %d: %w", rank, err)
 		}
 		putUvarint(uint64(stream.Len()))
@@ -105,14 +109,16 @@ func DecodeResult(b []byte) (*harness.Result, error) {
 		if _, err := br.Read(stream); err != nil {
 			return nil, fmt.Errorf("ckpt: %w", err)
 		}
-		gotRank, rs, err := recorder.DecodeRankStream(bytes.NewReader(stream))
+		r, err := colfmt.NewReader(stream)
 		if err != nil {
 			return nil, fmt.Errorf("ckpt: decoding rank %d: %w", rank, err)
 		}
-		if gotRank != int(rank) {
-			return nil, fmt.Errorf("ckpt: stream %d holds rank %d", rank, gotRank)
+		if r.Rank() != int(rank) {
+			return nil, fmt.Errorf("ckpt: stream %d holds rank %d", rank, r.Rank())
 		}
-		tr.PerRank[rank] = rs
+		if tr.PerRank[rank], err = r.Materialize(); err != nil {
+			return nil, fmt.Errorf("ckpt: decoding rank %d: %w", rank, err)
+		}
 	}
 	return &harness.Result{Trace: tr, Replayed: true}, nil
 }

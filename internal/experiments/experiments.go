@@ -59,7 +59,10 @@ func TestScale() Scale {
 
 // Results holds one trace and one analysis per application configuration.
 type Results struct {
-	Scale  Scale
+	Scale Scale
+	// ByName holds each successful configuration's result: its trace and
+	// whether it was replayed. The simulated file system (FS) is dropped
+	// once the run ends.
 	ByName map[string]*harness.Result
 	// Analyses holds each successful configuration's one analysis of its
 	// trace, computed on the sweep's pool right after the run or the
@@ -156,6 +159,9 @@ func runConfigsCtx(ctx context.Context, cfgs []*apps.Config, s Scale, o SweepOpt
 		}
 		var an *semfs.Analysis
 		if err == nil {
+			// Nothing reads the simulated file system after the run; kept
+			// until the sweep ends it would dominate the live heap.
+			res.FS = nil
 			if an, err = semfs.AnalyzeParallelCtx(ctx, res.Trace, 1); err != nil {
 				res, err = nil, fmt.Errorf("experiments: %s: analyze: %w", name, err)
 			}

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"sync/atomic"
@@ -12,6 +15,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/harness"
 	"repro/internal/pfs"
+	"repro/internal/recorder/v1test"
 )
 
 // countingExecute wraps the execute seam with a per-configuration call
@@ -85,6 +89,91 @@ func TestResumeSkipsJournaled(t *testing.T) {
 		if !reflect.DeepEqual(orig.Trace.PerRank, replay.Trace.PerRank) {
 			t.Fatalf("%s trace differs after replay", name)
 		}
+	}
+}
+
+// encodeResultV1 builds a journal blob in the result codec's version 1
+// layout, whose rank streams were v1 record-framed streams:
+//
+//	uvarint header length | header JSON {v: 1, meta}
+//	uvarint rank count
+//	per rank: uvarint stream length | v1 stream bytes
+func encodeResultV1(t *testing.T, res *harness.Result) []byte {
+	t.Helper()
+	hdr, err := json.Marshal(map[string]any{"v": 1, "meta": res.Trace.Meta})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := binary.AppendUvarint(nil, uint64(len(hdr)))
+	blob = append(blob, hdr...)
+	blob = binary.AppendUvarint(blob, uint64(len(res.Trace.PerRank)))
+	for rank, rs := range res.Trace.PerRank {
+		var stream bytes.Buffer
+		if err := v1test.EncodeRankStream(&stream, rank, rs); err != nil {
+			t.Fatal(err)
+		}
+		blob = binary.AppendUvarint(blob, uint64(stream.Len()))
+		blob = append(blob, stream.Bytes()...)
+	}
+	return blob
+}
+
+// TestResumeRerunsOldCodecEntries: a journal entry written by the version 1
+// result codec no longer decodes, so a resumed sweep counts it as a miss and
+// re-runs that configuration, while a current entry still replays.
+func TestResumeRerunsOldCodecEntries(t *testing.T) {
+	dir := t.TempDir()
+	cfgs := []*apps.Config{okConfig("Old"), okConfig("New")}
+	scale := TestScale()
+	ref, err := runConfigsCtx(context.Background(), cfgs, scale, SweepOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := encodeResultV1(t, ref.ByName["Old"])
+	if _, err := ckpt.DecodeResult(old); err == nil {
+		t.Fatal("a version 1 result decoded")
+	}
+
+	store, err := OpenCheckpoint(dir, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Append("Old", old); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.AppendResult("New", ref.ByName["New"]); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+
+	calls := countingExecute(t)
+	store, err = OpenCheckpoint(dir, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	r, err := runConfigsCtx(context.Background(), cfgs, scale,
+		SweepOptions{Workers: 1, Checkpoint: store, Resume: true})
+	if err != nil {
+		t.Fatalf("resumed sweep: %v", err)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("resumed sweep executed %d configurations, want 1", got)
+	}
+	if got := r.ExecutedNames(); !reflect.DeepEqual(got, []string{"Old"}) {
+		t.Fatalf("ExecutedNames = %v, want [Old]", got)
+	}
+	if got := r.ReplayedNames(); !reflect.DeepEqual(got, []string{"New"}) {
+		t.Fatalf("ReplayedNames = %v, want [New]", got)
+	}
+	for _, name := range r.Ordered {
+		if !reflect.DeepEqual(ref.ByName[name].Trace, r.ByName[name].Trace) {
+			t.Fatalf("%s: trace differs from the reference run", name)
+		}
+	}
+	// The re-run journaled the current codec, so the next resume replays it.
+	if res, hit, err := store.LookupResult("Old"); err != nil || !hit || !res.Replayed {
+		t.Fatalf("Old after resume: hit=%v err=%v", hit, err)
 	}
 }
 

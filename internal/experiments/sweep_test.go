@@ -19,6 +19,24 @@ func withExecute(t *testing.T, fn func(*apps.Config, apps.Options) (*harness.Res
 	t.Cleanup(func() { execute = old })
 }
 
+// TestSweepRetainsNoFileSystem: the results an executed sweep retains hold
+// no simulated file system (replayed results never had one).
+func TestSweepRetainsNoFileSystem(t *testing.T) {
+	cfgs := []*apps.Config{okConfig("A"), okConfig("B")}
+	r, err := runConfigsCtx(context.Background(), cfgs, TestScale(), SweepOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.ByName) != len(cfgs) {
+		t.Fatalf("%d results, want %d", len(r.ByName), len(cfgs))
+	}
+	for name, res := range r.ByName {
+		if res.FS != nil {
+			t.Errorf("%s: retained result holds its file system", name)
+		}
+	}
+}
+
 // TestSweepIsolatesPanics pins the tentpole contract: a configuration whose
 // execution panics becomes one per-configuration error while every other
 // configuration still completes with a real trace.

@@ -14,6 +14,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/pfs"
 	"repro/internal/recorder"
+	"repro/internal/recorder/colfmt"
 	"repro/internal/sim"
 	"repro/internal/wal"
 )
@@ -242,7 +243,7 @@ func runChaosCell(o SweepOptions, app string, sem pfs.Semantics, seed uint64) (C
 			violate("replay did not complete: %v", err)
 			return cell, viols
 		}
-		if a, b := TraceFingerprint(res.Trace), TraceFingerprint(res2.Trace); a != b {
+		if a, b := traceFingerprint(res.Trace), traceFingerprint(res2.Trace); a != b {
 			violate("replay produced a different trace (%016x != %016x)", a, b)
 		}
 		if a, b := inj.EventLog(), inj2.EventLog(); a != b {
@@ -284,12 +285,12 @@ func rankErrored(errs []error, r int) bool {
 	return false
 }
 
-// TraceFingerprint hashes a trace's canonical binary encoding (FNV-1a 64
-// over every rank stream in rank order) — the replay-determinism oracle.
-func TraceFingerprint(tr *recorder.Trace) uint64 {
+// traceFingerprint hashes a trace's columnar encoding (FNV-1a 64 over every
+// rank stream in rank order) — the replay-determinism oracle.
+func traceFingerprint(tr *recorder.Trace) uint64 {
 	h := fnv.New64a()
 	for rank, rs := range tr.PerRank {
-		if err := recorder.EncodeRankStream(h, rank, rs); err != nil {
+		if err := colfmt.EncodeStream(h, rank, rs, colfmt.EncodeOptions{}); err != nil {
 			// Encoding an in-memory trace only fails on corrupt records;
 			// fold the failure into the fingerprint rather than masking it.
 			fmt.Fprintf(h, "encode-error rank=%d: %v", rank, err)

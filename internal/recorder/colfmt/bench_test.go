@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/recorder"
+	"repro/internal/recorder/v1test"
 	"repro/internal/storage"
 )
 
@@ -26,7 +27,7 @@ func benchStream(tb testing.TB) ([]recorder.Record, []byte, []byte) {
 	benchOnce.Do(func() {
 		benchOnce.recs = genStream(0, benchRecords, 99)
 		var v1 bytes.Buffer
-		if err := recorder.EncodeRankStream(&v1, 0, benchOnce.recs); err != nil {
+		if err := v1test.EncodeRankStream(&v1, 0, benchOnce.recs); err != nil {
 			tb.Fatal(err)
 		}
 		benchOnce.v1 = v1.Bytes()
@@ -107,7 +108,7 @@ func BenchmarkLoadDirParallel(b *testing.B) {
 	const ranks, perRank = 8, 125_000
 	dir := b.TempDir()
 	tr := mkTrace(ranks, perRank, 77)
-	if err := SaveDirOn(storage.OS(), dir, tr, FormatColumnar); err != nil {
+	if err := SaveDirOn(storage.OS(), dir, tr); err != nil {
 		b.Fatal(err)
 	}
 	var wire int64
@@ -145,7 +146,7 @@ func BenchmarkLoadDirParallel(b *testing.B) {
 func TestColumnarDecodeAllocRatio(t *testing.T) {
 	recs := genStream(0, 50_000, 55)
 	var v1buf, colbuf bytes.Buffer
-	if err := recorder.EncodeRankStream(&v1buf, 0, recs); err != nil {
+	if err := v1test.EncodeRankStream(&v1buf, 0, recs); err != nil {
 		t.Fatal(err)
 	}
 	if err := EncodeStream(&colbuf, 0, recs, EncodeOptions{}); err != nil {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/recorder"
+	"repro/internal/recorder/v1test"
 	"repro/internal/storage"
 )
 
@@ -115,7 +116,7 @@ func TestRoundTrip(t *testing.T) {
 func TestCrossFormatParity(t *testing.T) {
 	recs := genStream(1, 500, 7)
 	var v1 bytes.Buffer
-	if err := recorder.EncodeRankStream(&v1, 1, recs); err != nil {
+	if err := v1test.EncodeRankStream(&v1, 1, recs); err != nil {
 		t.Fatal(err)
 	}
 	_, fromV1, err := recorder.DecodeRankStream(&v1)
@@ -320,11 +321,11 @@ func mkTrace(ranks, perRank int, seed int64) *recorder.Trace {
 
 func TestDirRoundTripBothFormats(t *testing.T) {
 	tr := mkTrace(6, 150, 21)
-	for _, f := range []Format{FormatColumnar, FormatV1} {
+	for _, f := range savers {
 		for _, workers := range []int{0, 1, 3} {
-			t.Run(fmt.Sprintf("%v/w%d", f, workers), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/w%d", f.name, workers), func(t *testing.T) {
 				dir := t.TempDir()
-				if err := SaveDirOn(storage.OS(), dir, tr, f); err != nil {
+				if err := f.save(dir, tr); err != nil {
 					t.Fatal(err)
 				}
 				got, err := LoadDirOn(storage.OS(), dir, workers)
@@ -347,17 +348,11 @@ func TestDirRoundTripBothFormats(t *testing.T) {
 func TestMixedFormatDir(t *testing.T) {
 	tr := mkTrace(4, 80, 23)
 	dir := t.TempDir()
-	if err := SaveDirOn(storage.OS(), dir, tr, FormatColumnar); err != nil {
+	if err := SaveDirOn(storage.OS(), dir, tr); err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < 4; r += 2 {
-		var buf bytes.Buffer
-		if err := recorder.EncodeRankStream(&buf, r, tr.PerRank[r]); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, recorder.RankFileName(r)), buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		writeV1Rank(t, dir, r, r, tr.PerRank[r])
 	}
 	got, err := LoadDirOn(storage.OS(), dir, 2)
 	if err != nil {
@@ -368,31 +363,32 @@ func TestMixedFormatDir(t *testing.T) {
 	}
 }
 
+// TestConvertDir: converting a v1 directory writes columnar rank files
+// carrying the same records; converting in place is refused.
 func TestConvertDir(t *testing.T) {
 	tr := mkTrace(3, 120, 29)
-	v1dir, coldir, backdir := t.TempDir(), t.TempDir(), t.TempDir()
-	if err := SaveDirOn(storage.OS(), v1dir, tr, FormatV1); err != nil {
+	v1dir, coldir := t.TempDir(), t.TempDir()
+	if err := v1test.SaveDir(v1dir, tr); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ConvertDirOn(storage.OS(), v1dir, coldir, FormatColumnar, 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ConvertDirOn(storage.OS(), coldir, backdir, FormatV1, 2); err != nil {
+	if _, err := ConvertDirOn(storage.OS(), v1dir, coldir, 2); err != nil {
 		t.Fatal(err)
 	}
 	a, err := LoadDirOn(storage.OS(), coldir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := LoadDirOn(storage.OS(), backdir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for r := range tr.PerRank {
+		data, err := os.ReadFile(filepath.Join(coldir, recorder.RankFileName(r)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !Sniff(data) {
+			t.Fatalf("rank %d: converted file is not columnar", r)
+		}
 		requireRecordsEqual(t, tr.PerRank[r], a.PerRank[r])
-		requireRecordsEqual(t, tr.PerRank[r], b.PerRank[r])
 	}
-	if _, err := ConvertDirOn(storage.OS(), v1dir, v1dir, FormatColumnar, 0); err == nil {
+	if _, err := ConvertDirOn(storage.OS(), v1dir, v1dir, 0); err == nil {
 		t.Fatal("in-place convert accepted")
 	}
 }
@@ -513,7 +509,7 @@ func saveSmallBlocks(dir string, tr *recorder.Trace) error {
 	if err := storage.OS().MkdirAll(dir); err != nil {
 		return err
 	}
-	if err := SaveDirOn(storage.OS(), dir, tr, FormatColumnar); err != nil {
+	if err := SaveDirOn(storage.OS(), dir, tr); err != nil {
 		return err
 	}
 	for rank, rs := range tr.PerRank {
@@ -534,7 +530,7 @@ func saveSmallBlocks(dir string, tr *recorder.Trace) error {
 func TestBackendFallback(t *testing.T) {
 	tr := mkTrace(3, 60, 37)
 	dir := t.TempDir()
-	if err := SaveDirOn(storage.OS(), dir, tr, FormatColumnar); err != nil {
+	if err := SaveDirOn(storage.OS(), dir, tr); err != nil {
 		t.Fatal(err)
 	}
 	fb := storage.NewFlaky(storage.OS(), storage.Schedule{})

@@ -16,60 +16,19 @@ import (
 
 // Directory-level trace I/O with per-file format sniffing: both formats
 // share the v1 on-disk shape — "trace.meta" JSON plus one "rank_NNNNN.rec"
-// stream per rank — and the magic bytes inside each stream pick the
-// decoder, so columnar, v1, and even mixed directories all read through
-// one opener (openRank), whether a scan walks the ranks (OpenRankOn,
-// OpenRanksLenientOn) or LoadDirOn materializes them. Loads shard rank
-// files across the bounded worker pool (core.ParallelForCtx, under a
-// background context that never cancels, so every rank runs): decode work
-// is embarrassingly parallel per stream and the fold back into
-// Trace.PerRank is index-addressed, so the result is byte-identical to a
-// serial load.
+// stream per rank. Directories are written columnar only; on read the
+// magic bytes inside each stream pick the decoder, so columnar, v1, and
+// even mixed directories all read through one opener (openRank), whether
+// a scan walks the ranks (OpenRankOn, OpenRanksLenientOn) or LoadDirOn
+// materializes them. Loads shard rank files across the bounded worker
+// pool (core.ParallelForCtx, under a background context that never
+// cancels, so every rank runs): decode work is embarrassingly parallel per
+// stream and the fold back into Trace.PerRank is index-addressed, so the
+// result is byte-identical to a serial load.
 
-// Format selects an on-disk trace encoding.
-type Format int
-
-const (
-	// FormatColumnar is the SEMFSCOL1 columnar format (the default writer).
-	FormatColumnar Format = iota
-	// FormatV1 is the record-framed SEMFSTR1 compatibility format.
-	FormatV1
-)
-
-func (f Format) String() string {
-	switch f {
-	case FormatColumnar:
-		return "columnar"
-	case FormatV1:
-		return "v1"
-	default:
-		return fmt.Sprintf("Format(%d)", int(f))
-	}
-}
-
-// ParseFormat maps a CLI -format value to a Format.
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "columnar":
-		return FormatColumnar, nil
-	case "v1":
-		return FormatV1, nil
-	default:
-		return 0, fmt.Errorf("colfmt: unknown format %q (want columnar or v1)", s)
-	}
-}
-
-// SaveDirOn persists a trace as a directory in the given format: the
-// "trace.meta" JSON plus one rank stream per rank. Only the per-rank
-// encoder depends on the format; FormatV1 streams are exactly
-// recorder.EncodeRankStream's bytes.
-func SaveDirOn(b storage.Backend, dir string, tr *recorder.Trace, f Format) error {
-	encode := func(w io.Writer, rank int, rs []recorder.Record) error {
-		return EncodeStream(w, rank, rs, EncodeOptions{})
-	}
-	if f == FormatV1 {
-		encode = recorder.EncodeRankStream
-	}
+// SaveDirOn persists a trace as a columnar directory: the "trace.meta"
+// JSON plus one EncodeStream rank stream per rank.
+func SaveDirOn(b storage.Backend, dir string, tr *recorder.Trace) error {
 	if err := b.MkdirAll(dir); err != nil {
 		return err
 	}
@@ -94,7 +53,8 @@ func SaveDirOn(b storage.Backend, dir string, tr *recorder.Trace, f Format) erro
 		return err
 	}
 	for rank, rs := range tr.PerRank {
-		if err := put(recorder.RankFileName(rank), func(w io.Writer) error { return encode(w, rank, rs) }); err != nil {
+		write := func(w io.Writer) error { return EncodeStream(w, rank, rs, EncodeOptions{}) }
+		if err := put(recorder.RankFileName(rank), write); err != nil {
 			return fmt.Errorf("colfmt: writing rank %d: %w", rank, err)
 		}
 	}
@@ -321,9 +281,9 @@ func LoadDirOn(b storage.Backend, dir string, workers int) (*recorder.Trace, err
 }
 
 // ConvertDirOn loads a trace directory (either format, strict) and rewrites
-// it under dst in the requested format — the engine behind semtrace
-// -convert. src and dst may not be the same directory.
-func ConvertDirOn(b storage.Backend, src, dst string, f Format, workers int) (*recorder.Trace, error) {
+// it under dst as columnar — the engine behind semtrace -convert, the
+// upgrade path for v1 traces. src and dst may not be the same directory.
+func ConvertDirOn(b storage.Backend, src, dst string, workers int) (*recorder.Trace, error) {
 	if filepath.Clean(src) == filepath.Clean(dst) {
 		return nil, fmt.Errorf("colfmt: convert in place (%s) not supported", src)
 	}
@@ -331,7 +291,7 @@ func ConvertDirOn(b storage.Backend, src, dst string, f Format, workers int) (*r
 	if err != nil {
 		return nil, err
 	}
-	if err := SaveDirOn(b, dst, tr, f); err != nil {
+	if err := SaveDirOn(b, dst, tr); err != nil {
 		return nil, err
 	}
 	return tr, nil

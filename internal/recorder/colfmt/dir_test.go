@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/recorder"
+	"repro/internal/recorder/v1test"
 	"repro/internal/storage"
 )
 
@@ -26,12 +27,22 @@ func mkRec(rank int, layer recorder.Layer, fn recorder.Func, ts, te uint64, path
 func writeV1Rank(t *testing.T, dir string, fileRank, streamRank int, recs []recorder.Record) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := recorder.EncodeRankStream(&buf, streamRank, recs); err != nil {
+	if err := v1test.EncodeRankStream(&buf, streamRank, recs); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, recorder.RankFileName(fileRank)), buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// savers write a trace directory in each format: columnar through
+// SaveDirOn, v1 through the test-support writer.
+var savers = []struct {
+	name string
+	save func(dir string, tr *recorder.Trace) error
+}{
+	{"columnar", func(dir string, tr *recorder.Trace) error { return SaveDirOn(storage.OS(), dir, tr) }},
+	{"v1", v1test.SaveDir},
 }
 
 // writeMeta creates dir holding only the given trace.meta.
@@ -88,9 +99,9 @@ func TestSaveDirErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := &recorder.Trace{Meta: recorder.Meta{Ranks: 1}, PerRank: [][]recorder.Record{{}}}
-	for _, f := range []Format{FormatColumnar, FormatV1} {
-		if err := SaveDirOn(storage.OS(), filepath.Join(blocker, "sub"), tr, f); err == nil {
-			t.Fatalf("%v: SaveDirOn into a file path should fail", f)
+	for _, f := range savers {
+		if err := f.save(filepath.Join(blocker, "sub"), tr); err == nil {
+			t.Fatalf("%s: saving into a file path should fail", f.name)
 		}
 	}
 }
@@ -151,7 +162,7 @@ func TestLoadDirLenient(t *testing.T) {
 	}
 	tr := &recorder.Trace{Meta: recorder.Meta{App: "x", Ranks: 3}, PerRank: [][]recorder.Record{mk(0), mk(1), mk(2)}}
 	dir := t.TempDir()
-	if err := SaveDirOn(storage.OS(), dir, tr, FormatV1); err != nil {
+	if err := v1test.SaveDir(dir, tr); err != nil {
 		t.Fatal(err)
 	}
 
@@ -226,9 +237,9 @@ func TestLoadDirLenient(t *testing.T) {
 
 	// In either format, a wrong-rank stream's records were never lost to a
 	// cut, so they do not count as dropped.
-	for _, f := range []Format{FormatV1, FormatColumnar} {
+	for _, f := range savers {
 		wdir := t.TempDir()
-		if err := SaveDirOn(storage.OS(), wdir, tr, f); err != nil {
+		if err := f.save(wdir, tr); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(filepath.Join(wdir, recorder.RankFileName(1)))
@@ -243,7 +254,7 @@ func TestLoadDirLenient(t *testing.T) {
 			t.Fatal(err)
 		}
 		if sal.Full != 2 || sal.Unreadable != 1 || sal.Records != 6 || sal.Dropped != 0 || len(got.PerRank[2]) != 0 {
-			t.Fatalf("%v wrong-rank stream salvage: %v", f, sal)
+			t.Fatalf("%s wrong-rank stream salvage: %v", f.name, sal)
 		}
 	}
 
@@ -258,8 +269,8 @@ func TestLoadDirLenient(t *testing.T) {
 
 // TestSaveLoadDir round-trips a trace through both formats and pins the
 // bytes on disk: trace.meta is the indented JSON of Meta, and every rank
-// file is exactly its format's stream encoding — for FormatV1 the bytes
-// recorder.EncodeRankStream writes.
+// file is exactly its format's stream encoding — for v1 the bytes
+// v1test.EncodeRankStream writes.
 func TestSaveLoadDir(t *testing.T) {
 	tr := &recorder.Trace{
 		Meta: recorder.Meta{App: "FLASH", Library: "HDF5", Variant: "fbs", Ranks: 2, PPN: 2, Steps: 10, Seed: 42},
@@ -268,9 +279,9 @@ func TestSaveLoadDir(t *testing.T) {
 			{mkRec(1, recorder.LayerMPI, recorder.FuncMPIBarrier, 6, 10, ""), mkRec(1, recorder.LayerPOSIX, recorder.FuncRead, 15, 25, "/f", 3, 64, 64)},
 		},
 	}
-	for _, f := range []Format{FormatColumnar, FormatV1} {
+	for _, f := range savers {
 		dir := filepath.Join(t.TempDir(), "trace")
-		if err := SaveDirOn(storage.OS(), dir, tr, f); err != nil {
+		if err := f.save(dir, tr); err != nil {
 			t.Fatal(err)
 		}
 		meta, err := os.ReadFile(filepath.Join(dir, "trace.meta"))
@@ -278,12 +289,12 @@ func TestSaveLoadDir(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want, _ := json.MarshalIndent(tr.Meta, "", "  "); !bytes.Equal(meta, want) {
-			t.Fatalf("%v: trace.meta = %s, want %s", f, meta, want)
+			t.Fatalf("%s: trace.meta = %s, want %s", f.name, meta, want)
 		}
 		for rank, rs := range tr.PerRank {
 			var want bytes.Buffer
-			if f == FormatV1 {
-				err = recorder.EncodeRankStream(&want, rank, rs)
+			if f.name == "v1" {
+				err = v1test.EncodeRankStream(&want, rank, rs)
 			} else {
 				err = EncodeStream(&want, rank, rs, EncodeOptions{})
 			}
@@ -295,7 +306,7 @@ func TestSaveLoadDir(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want.Bytes()) {
-				t.Fatalf("%v: rank %d file differs from the stream encoder's bytes", f, rank)
+				t.Fatalf("%s: rank %d file differs from the stream encoder's bytes", f.name, rank)
 			}
 		}
 		got, err := LoadDirOn(storage.OS(), dir, 1)
@@ -303,7 +314,7 @@ func TestSaveLoadDir(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.Meta != tr.Meta {
-			t.Fatalf("%v: meta mismatch: %+v vs %+v", f, got.Meta, tr.Meta)
+			t.Fatalf("%s: meta mismatch: %+v vs %+v", f.name, got.Meta, tr.Meta)
 		}
 		for r := range tr.PerRank {
 			requireRecordsEqual(t, tr.PerRank[r], got.PerRank[r])

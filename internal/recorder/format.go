@@ -8,7 +8,11 @@ import (
 	"io"
 )
 
-// Binary trace format, one stream per rank:
+// The v1 record-framed trace format (SEMFSTR1), one stream per rank. It is
+// read-only here: traces are written columnar (internal/recorder/colfmt),
+// and colfmt's loaders sniff each rank file and hand v1 streams to
+// DecodeRankStream. The v1 writer lives in internal/recorder/v1test, for
+// the tests and benchmarks that keep this decoder covered. Layout:
 //
 //	magic "SEMFSTR1" (8 bytes)
 //	rank (uvarint)
@@ -72,83 +76,6 @@ func decodeFail(declared uint64, nrecords int, err error) error {
 		return &TruncatedError{Declared: declared, Decoded: nrecords}
 	}
 	return err
-}
-
-// EncodeRankStream writes one rank's records to w.
-func EncodeRankStream(w io.Writer, rank int, records []Record) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(traceMagic); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	writeVarint := func(v int64) error {
-		n := binary.PutVarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	strTable := make(map[string]uint64)
-	writeStr := func(s string) error {
-		if s == "" {
-			return writeUvarint(0)
-		}
-		if idx, ok := strTable[s]; ok {
-			return writeUvarint(idx + 2)
-		}
-		strTable[s] = uint64(len(strTable))
-		if err := writeUvarint(1); err != nil {
-			return err
-		}
-		if err := writeUvarint(uint64(len(s))); err != nil {
-			return err
-		}
-		_, err := bw.WriteString(s)
-		return err
-	}
-
-	if err := writeUvarint(uint64(rank)); err != nil {
-		return err
-	}
-	if err := writeUvarint(uint64(len(records))); err != nil {
-		return err
-	}
-	for i := range records {
-		r := &records[i]
-		if err := bw.WriteByte(byte(r.Layer)); err != nil {
-			return err
-		}
-		if err := writeUvarint(uint64(r.Func)); err != nil {
-			return err
-		}
-		if err := writeUvarint(r.TStart); err != nil {
-			return err
-		}
-		if r.TEnd < r.TStart {
-			return fmt.Errorf("recorder: record %d has TEnd < TStart", i)
-		}
-		if err := writeUvarint(r.TEnd - r.TStart); err != nil {
-			return err
-		}
-		if err := writeStr(r.Path); err != nil {
-			return err
-		}
-		if err := writeStr(r.Path2); err != nil {
-			return err
-		}
-		if err := writeUvarint(uint64(len(r.Args))); err != nil {
-			return err
-		}
-		for _, a := range r.Args {
-			if err := writeVarint(a); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
 }
 
 // DecodeRankStream reads one rank's records from r. On a short read it

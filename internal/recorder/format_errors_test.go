@@ -2,35 +2,9 @@ package recorder
 
 import (
 	"bytes"
-	"errors"
 	"strings"
 	"testing"
 )
-
-func TestDecodeTruncatedStreams(t *testing.T) {
-	// Encode a valid stream, then decode every strict prefix: all must fail
-	// cleanly, never panic.
-	recs := []Record{
-		mkRecord(1, LayerPOSIX, FuncOpen, 10, 20, "/some/long/path/name", OCreat, 0o644, 3),
-		mkRecord(1, LayerPOSIX, FuncPwrite, 30, 40, "/some/long/path/name", 3, 128, 0, 128),
-		mkRecord(1, LayerPOSIX, FuncClose, 50, 55, "", 3),
-	}
-	var buf bytes.Buffer
-	if err := EncodeRankStream(&buf, 1, recs); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	for cut := 0; cut < len(full); cut++ {
-		_, _, err := DecodeRankStream(bytes.NewReader(full[:cut]))
-		if err == nil {
-			t.Fatalf("truncation at %d/%d decoded successfully", cut, len(full))
-		}
-	}
-	// The full stream still decodes.
-	if _, got, err := DecodeRankStream(bytes.NewReader(full)); err != nil || len(got) != 3 {
-		t.Fatalf("full decode: %d recs, %v", len(got), err)
-	}
-}
 
 func TestDecodeRejectsCorruptStringRef(t *testing.T) {
 	// Hand-craft a stream whose record references string-table entry 99.
@@ -94,41 +68,5 @@ func TestFilterAndPredicateEdges(t *testing.T) {
 		if !m.IsMetadataOp() {
 			t.Errorf("%v should be a metadata op", fn)
 		}
-	}
-}
-
-func TestDecodeTruncatedSalvagesPrefix(t *testing.T) {
-	// Every truncation point must yield ErrTruncated plus the records that
-	// fully decoded before the cut — never garbage, never a panic.
-	recs := []Record{
-		mkRecord(1, LayerPOSIX, FuncOpen, 10, 20, "/salvage/path", OCreat, 0o644, 3),
-		mkRecord(1, LayerPOSIX, FuncPwrite, 30, 40, "/salvage/path", 3, 128, 0, 128),
-		mkRecord(1, LayerPOSIX, FuncClose, 50, 55, "", 3),
-	}
-	var buf bytes.Buffer
-	if err := EncodeRankStream(&buf, 1, recs); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	maxSalvaged := 0
-	for cut := 0; cut < len(full); cut++ {
-		_, got, err := DecodeRankStream(bytes.NewReader(full[:cut]))
-		if !errors.Is(err, ErrTruncated) {
-			t.Fatalf("cut %d/%d: err = %v, want ErrTruncated", cut, len(full), err)
-		}
-		if len(got) > len(recs) {
-			t.Fatalf("cut %d: salvaged %d > encoded %d records", cut, len(got), len(recs))
-		}
-		for i, r := range got {
-			if r.Func != recs[i].Func || r.Path != recs[i].Path || r.TStart != recs[i].TStart {
-				t.Fatalf("cut %d: salvaged record %d = %v, want %v", cut, i, r, recs[i])
-			}
-		}
-		if len(got) > maxSalvaged {
-			maxSalvaged = len(got)
-		}
-	}
-	if maxSalvaged != len(recs)-1 {
-		t.Fatalf("max salvage across cuts = %d, want %d", maxSalvaged, len(recs)-1)
 	}
 }

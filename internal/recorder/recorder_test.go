@@ -3,7 +3,6 @@ package recorder
 import (
 	"bytes"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -90,94 +89,9 @@ func TestRecordArgAccessor(t *testing.T) {
 	}
 }
 
-func TestStreamRoundTrip(t *testing.T) {
-	recs := []Record{
-		mkRecord(3, LayerPOSIX, FuncOpen, 100, 120, "/data/ckpt.h5", OCreat|OWronly, 0o644, 7),
-		mkRecord(3, LayerPOSIX, FuncPwrite, 130, 150, "/data/ckpt.h5", 7, 4096, 0, 4096),
-		mkRecord(3, LayerHDF5, FuncH5Fflush, 160, 200, "/data/ckpt.h5"),
-		mkRecord(3, LayerPOSIX, FuncClose, 210, 215, "", 7),
-		mkRecord(3, LayerMPI, FuncMPIBarrier, 220, 230, "", -1, 0, 4),
-	}
-	var buf bytes.Buffer
-	if err := EncodeRankStream(&buf, 3, recs); err != nil {
-		t.Fatal(err)
-	}
-	rank, got, err := DecodeRankStream(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rank != 3 {
-		t.Fatalf("decoded rank %d, want 3", rank)
-	}
-	if !reflect.DeepEqual(normalize(recs), normalize(got)) {
-		t.Fatalf("round trip mismatch:\n in: %v\nout: %v", recs, got)
-	}
-}
-
-// normalize maps empty arg slices to nil for DeepEqual.
-func normalize(rs []Record) []Record {
-	out := make([]Record, len(rs))
-	copy(out, rs)
-	for i := range out {
-		if len(out[i].Args) == 0 {
-			out[i].Args = nil
-		}
-	}
-	return out
-}
-
-func TestStreamRoundTripProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	paths := []string{"", "/a", "/data/x.h5", "/scratch/run/out.nc"}
-	gen := func() []Record {
-		n := rng.Intn(50)
-		recs := make([]Record, n)
-		var tprev uint64
-		for i := range recs {
-			tprev += uint64(rng.Intn(1000))
-			recs[i] = Record{
-				Rank:   9,
-				Layer:  Layer(rng.Intn(NumLayers())),
-				Func:   Func(1 + rng.Intn(NumFuncs()-1)),
-				TStart: tprev,
-				TEnd:   tprev + uint64(rng.Intn(100)),
-				Path:   paths[rng.Intn(len(paths))],
-				Path2:  paths[rng.Intn(len(paths))],
-			}
-			na := rng.Intn(5)
-			for j := 0; j < na; j++ {
-				recs[i].Args = append(recs[i].Args, rng.Int63n(1<<40)-1<<39)
-			}
-		}
-		return recs
-	}
-	for trial := 0; trial < 50; trial++ {
-		recs := gen()
-		var buf bytes.Buffer
-		if err := EncodeRankStream(&buf, 9, recs); err != nil {
-			t.Fatal(err)
-		}
-		_, got, err := DecodeRankStream(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(normalize(recs), normalize(got)) {
-			t.Fatalf("trial %d: round trip mismatch (n=%d)", trial, len(recs))
-		}
-	}
-}
-
 func TestDecodeRejectsBadMagic(t *testing.T) {
 	if _, _, err := DecodeRankStream(bytes.NewBufferString("NOTATRACE....")); err == nil {
 		t.Fatal("expected error for bad magic")
-	}
-}
-
-func TestEncodeRejectsBackwardsTime(t *testing.T) {
-	var buf bytes.Buffer
-	err := EncodeRankStream(&buf, 0, []Record{{Rank: 0, Func: FuncRead, TStart: 10, TEnd: 5}})
-	if err == nil {
-		t.Fatal("expected error for TEnd < TStart")
 	}
 }
 

@@ -209,6 +209,7 @@ type flaky struct {
 	mu            sync.Mutex
 	counts        [numOpClasses]int
 	pending       map[[2]int][]FaultInjection // {class, n} → injections
+	streak        map[string]int              // path → consecutive failed ops
 	transientLeft [numOpClasses]int
 	wedged        bool
 	stats         FlakyStats
@@ -216,7 +217,7 @@ type flaky struct {
 
 // NewFlaky wraps inner with a fault schedule.
 func NewFlaky(inner Backend, sched Schedule) Backend {
-	f := &flaky{inner: inner, sched: sched, pending: map[[2]int][]FaultInjection{}}
+	f := &flaky{inner: inner, sched: sched, pending: map[[2]int][]FaultInjection{}, streak: map[string]int{}}
 	for _, in := range sched.Injections {
 		k := [2]int{int(in.Kind.class()), in.N}
 		f.pending[k] = append(f.pending[k], in)
@@ -235,13 +236,40 @@ type action struct {
 	lostSync bool // skip the sync, report success
 }
 
-// decide counts one eligible operation of class c and folds every firing
-// injection into an action. Fired faults land in the flight ring.
-func (f *flaky) decide(c opClass) action {
+// maxFailStreak bounds the consecutive failed operations on one path below
+// the retry policy's default attempt budget.
+const maxFailStreak = defaultMaxAttempts - 1
+
+// decide counts one eligible operation of class c on path and folds every
+// firing injection into an action. Fired faults land in the flight ring.
+//
+// The schedule's spacing keeps a lone caller's consecutive failures below
+// the retry budget, but callers sharing the backend advance the counters
+// between one caller's retries, so a retried operation could meet blip
+// after blip and exhaust the budget under a transient-only schedule. A
+// path that has failed maxFailStreak times in a row therefore passes its
+// next operation untouched: it consumes no blip and does not advance the
+// schedule. A wedged backend still fails everything.
+func (f *flaky) decide(c opClass, path string) action {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var act action
 	f.stats.Ops++
+	if !f.wedged && f.streak[path] >= maxFailStreak {
+		delete(f.streak, path)
+		return action{}
+	}
+	act := f.schedule(c)
+	if act.fail {
+		f.streak[path]++
+	} else {
+		delete(f.streak, path)
+	}
+	return act
+}
+
+// schedule advances the schedule by one operation of class c; f.mu is held.
+func (f *flaky) schedule(c opClass) action {
+	var act action
 	// Pending transient budget first: while a blip is live, operations of
 	// its class fail without advancing the schedule (a retry storm must not
 	// shift later injections).
@@ -331,7 +359,7 @@ func (f *flaky) SyncDir(dir string) error             { return f.inner.SyncDir(d
 func (f *flaky) Remove(path string) error             { return f.inner.Remove(path) }
 
 func (f *flaky) Rename(oldpath, newpath string) error {
-	act := f.decide(classRename)
+	act := f.decide(classRename, oldpath)
 	if act.latency > 0 {
 		time.Sleep(act.latency)
 	}
@@ -354,7 +382,7 @@ func (ff *flakyFile) Name() string                            { return ff.inner.
 func (ff *flakyFile) Close() error                            { return ff.inner.Close() }
 
 func (ff *flakyFile) Write(p []byte) (int, error) {
-	act := ff.b.decide(classWrite)
+	act := ff.b.decide(classWrite, ff.inner.Name())
 	if act.latency > 0 {
 		time.Sleep(act.latency)
 	}
@@ -369,7 +397,7 @@ func (ff *flakyFile) Write(p []byte) (int, error) {
 }
 
 func (ff *flakyFile) WriteAt(p []byte, off int64) (int, error) {
-	act := ff.b.decide(classWrite)
+	act := ff.b.decide(classWrite, ff.inner.Name())
 	if act.latency > 0 {
 		time.Sleep(act.latency)
 	}
@@ -384,7 +412,7 @@ func (ff *flakyFile) WriteAt(p []byte, off int64) (int, error) {
 }
 
 func (ff *flakyFile) Sync() error {
-	act := ff.b.decide(classSync)
+	act := ff.b.decide(classSync, ff.inner.Name())
 	if act.latency > 0 {
 		time.Sleep(act.latency)
 	}

@@ -63,6 +63,56 @@ func TestFlakyTransientFiresBeforeEffects(t *testing.T) {
 	}
 }
 
+// TestFlakyFailStreakBoundedUnderSharing: two callers share one flaky
+// backend under a transient-only schedule whose blips are spaced three
+// operations apart. Between caller A's retries, caller B consumes blip
+// budget and advances the counters, so without a per-path bound A's
+// retries meet blip after blip and its fifth attempt fails too — the
+// retry policy's default budget exhausted by a transient-only schedule,
+// which drove a WAL under the kill harness into write-through. A must
+// never fail more than maxFailStreak times in a row.
+func TestFlakyFailStreakBoundedUnderSharing(t *testing.T) {
+	sched := Schedule{Injections: []FaultInjection{
+		{Kind: FaultTransient, N: 1, Arg: 3},
+		{Kind: FaultTransient, N: 4, Arg: 3},
+		{Kind: FaultTransient, N: 7, Arg: 3},
+		{Kind: FaultTransient, N: 10, Arg: 3},
+	}}
+	if !sched.TransientOnly() {
+		t.Fatal("schedule not transient-only")
+	}
+	fb := NewFlaky(OS(), sched)
+	dir := t.TempDir()
+	open := func(name string) File {
+		f, err := fb.Open(filepath.Join(dir, name), OCreate|OWronly, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		return f
+	}
+	a, b := open("a.dat"), open("b.dat")
+	streak := 0
+	for attempt := 1; attempt <= defaultMaxAttempts; attempt++ {
+		if _, err := a.Write([]byte("a")); err == nil {
+			if streak > maxFailStreak {
+				t.Fatalf("A failed %d times in a row before succeeding", streak)
+			}
+			return
+		} else if !errors.Is(err, ErrTransient) {
+			t.Fatalf("A attempt %d: %v", attempt, err)
+		}
+		streak++
+		// B's traffic between A's retries: after A meets an injection, B
+		// takes one op of the blip and leaves A the last; after A takes
+		// that, B's two ops advance the counters onto A's next injection.
+		for i := 0; i < 1+(attempt+1)%2; i++ {
+			b.Write([]byte("b"))
+		}
+	}
+	t.Fatalf("A failed all %d attempts under a transient-only schedule", defaultMaxAttempts)
+}
+
 // TestFlakyTornWriteIsPermanent: a torn write lands half the payload and
 // returns a NON-transient error. If it were ErrTransient the retry policy
 // would replay it and duplicate half-frames into append-only logs.

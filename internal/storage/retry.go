@@ -12,7 +12,7 @@ import (
 // RetryOptions tunes the policy wrapper NewRetry returns.
 type RetryOptions struct {
 	// MaxAttempts bounds tries per operation (first try included);
-	// default 5.
+	// default defaultMaxAttempts.
 	MaxAttempts int
 	// Deadline bounds one operation's total wall time including backoff
 	// sleeps; once exceeded no further attempt starts. Default 2s.
@@ -26,9 +26,12 @@ type RetryOptions struct {
 	Now func() time.Time
 }
 
+// defaultMaxAttempts is the default per-operation attempt budget.
+const defaultMaxAttempts = 5
+
 func (o RetryOptions) withDefaults() RetryOptions {
 	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 5
+		o.MaxAttempts = defaultMaxAttempts
 	}
 	if o.Deadline <= 0 {
 		o.Deadline = 2 * time.Second

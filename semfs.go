@@ -351,27 +351,9 @@ type Trace = recorder.Trace
 // SaveTraceOn persists a trace as a directory of per-rank binary streams
 // in the columnar format (see internal/recorder/colfmt) on a storage
 // backend (see internal/storage.ParseSpec for backend construction; use
-// storage.OS() for the local file system). Use SaveTraceFormatOn to write
-// the v1 record-framed format for old readers.
+// storage.OS() for the local file system).
 func SaveTraceOn(b storage.Backend, dir string, tr *recorder.Trace) error {
-	return colfmt.SaveDirOn(b, dir, tr, colfmt.FormatColumnar)
-}
-
-// TraceFormat selects an on-disk trace format ("columnar" or "v1").
-type TraceFormat = colfmt.Format
-
-// Trace format constants.
-const (
-	FormatColumnar = colfmt.FormatColumnar
-	FormatV1       = colfmt.FormatV1
-)
-
-// ParseTraceFormat parses a trace format name ("columnar" or "v1").
-func ParseTraceFormat(s string) (TraceFormat, error) { return colfmt.ParseFormat(s) }
-
-// SaveTraceFormatOn is SaveTraceOn with an explicit on-disk format.
-func SaveTraceFormatOn(b storage.Backend, dir string, tr *recorder.Trace, f TraceFormat) error {
-	return colfmt.SaveDirOn(b, dir, tr, f)
+	return colfmt.SaveDirOn(b, dir, tr)
 }
 
 // LoadTraceOn loads a trace written by SaveTraceOn from a storage backend,
@@ -381,11 +363,11 @@ func LoadTraceOn(b storage.Backend, dir string, workers int) (*recorder.Trace, e
 	return colfmt.LoadDirOn(b, dir, workers)
 }
 
-// ConvertTraceOn rewrites a trace directory on a storage backend into the
-// requested format at a new path (src and dst must differ), returning the
-// loaded trace.
-func ConvertTraceOn(b storage.Backend, src, dst string, f TraceFormat, workers int) (*recorder.Trace, error) {
-	return colfmt.ConvertDirOn(b, src, dst, f, workers)
+// ConvertTraceOn loads a trace directory strictly (either format) and
+// rewrites it as columnar at a new path (src and dst must differ),
+// returning the loaded trace.
+func ConvertTraceOn(b storage.Backend, src, dst string, workers int) (*recorder.Trace, error) {
+	return colfmt.ConvertDirOn(b, src, dst, workers)
 }
 
 // Ctx is the per-rank context handed to custom application bodies.
