@@ -45,7 +45,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"strconv"
 
 	semfs "repro"
 	"repro/internal/apps"
@@ -298,7 +298,7 @@ func render(w io.Writer, an *semfs.Analysis, validate bool, maxShow int, full bo
 	out := bufio.NewWriterSize(w, 64<<10)
 	defer func() { code = flushed(out, code) }()
 	w = out
-	// line is the one buffer every conflict line is formatted into.
+	// line is the one buffer every conflict listing line is formatted into.
 	var line []byte
 	writeConflict := func(indent string, c core.Conflict) {
 		line = append(line[:0], indent...)
@@ -322,31 +322,49 @@ func render(w io.Writer, an *semfs.Analysis, validate bool, maxShow int, full bo
 	fmt.Fprintf(w, "  global: %5.1f%% consecutive, %5.1f%% monotonic, %5.1f%% random\n", gc, gm, gr)
 	fmt.Fprintf(w, "  local:  %5.1f%% consecutive, %5.1f%% monotonic, %5.1f%% random\n", lc, lm, lr)
 
+	// The per-path listings walk the report's files, which are in path
+	// order and carry each file's conflict counts, so only a file with
+	// conflicts is looked up.
 	conflictsFound := 0
-	printConflicts := func(model string, byFile map[string][]core.Conflict) {
+	printConflicts := func(model string, byFile map[string][]core.Conflict, commit bool) {
+		count := func(i int) int {
+			if commit {
+				return an.Report.Files[i].CommitConflicts
+			}
+			return an.Report.Files[i].SessionConflicts
+		}
 		total := 0
-		paths := make([]string, 0, len(byFile))
-		for path, cs := range byFile {
-			total += len(cs)
-			paths = append(paths, path)
+		for i := range an.Report.Files {
+			total += count(i)
 		}
 		conflictsFound += total
-		sort.Strings(paths) // map order would make repeated runs diff
 		fmt.Fprintf(w, "\nConflicts under %s semantics: %d\n", model, total)
-		for _, path := range paths {
+		for i := range an.Report.Files {
+			if count(i) == 0 {
+				continue
+			}
+			path := an.Report.Files[i].Path
 			cs := byFile[path]
-			fmt.Fprintf(w, "  %s: %d pairs\n", path, len(cs))
-			for i, c := range cs {
-				if i >= maxShow {
-					fmt.Fprintf(w, "    ... %d more\n", len(cs)-i)
+			line = append(line[:0], "  "...)
+			line = append(line, path...)
+			line = append(line, ": "...)
+			line = strconv.AppendInt(line, int64(len(cs)), 10)
+			line = append(line, " pairs\n"...)
+			out.Write(line)
+			for k, c := range cs {
+				if k >= maxShow {
+					line = append(line[:0], "    ... "...)
+					line = strconv.AppendInt(line, int64(len(cs)-k), 10)
+					line = append(line, " more\n"...)
+					out.Write(line)
 					break
 				}
 				writeConflict("    ", c)
 			}
 		}
 	}
-	printConflicts("session", an.SessionConflicts)
-	printConflicts("commit", an.CommitConflicts)
+	printConflicts("session", an.SessionConflicts, false)
+	printConflicts("commit", an.CommitConflicts, true)
 
 	fmt.Fprintf(w, "\nMetadata operations (Figure 3): %d calls across %d distinct operations\n",
 		an.Census.Total(), len(an.Census.Funcs()))

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"sync"
 
 	"repro/internal/pfs"
 )
@@ -161,13 +162,25 @@ func conflictUnder(fa *FileAccesses, model pfs.Semantics, first, second *Interva
 }
 
 // ModelConflicts is one model's slice of a fused analysis: the per-file
-// conflict lists (files without conflicts omitted) and the aggregate
-// Table 4 signature.
+// conflict lists and the aggregate Table 4 signature.
 type ModelConflicts struct {
-	Model     pfs.Semantics
+	Model pfs.Semantics
+	// Files index-matches the files the sweep ran over (nil where a file
+	// has no conflicts); ByFile holds the same lists by path, files
+	// without conflicts omitted.
+	Files     [][]Conflict
 	ByFile    map[string][]Conflict
 	Signature ConflictSignature
 }
+
+// conflictBuf is the reusable scratch of one file's fused sweep: one
+// appender per model, whose lists grow in buffers kept from file to file
+// and are copied out at their exact size. Pooled like sweepBuf.
+type conflictBuf struct {
+	apps []conflictAppender
+}
+
+var conflictBufs = sync.Pool{New: func() any { return new(conflictBuf) }}
 
 // detectConflictsMulti finds the conflicting access pairs of one file
 // (§5.2; see conflictUnder for the conditions), evaluating every model's
@@ -192,9 +205,14 @@ func detectConflictsMulti(fa *FileAccesses, models []pfs.Semantics) [][]Conflict
 	if active == 0 {
 		return out
 	}
-	apps := make([]conflictAppender, len(models))
+	cb := conflictBufs.Get().(*conflictBuf)
+	defer conflictBufs.Put(cb)
+	if len(cb.apps) < len(models) {
+		cb.apps = append(cb.apps, make([]conflictAppender, len(models)-len(cb.apps))...)
+	}
+	apps := cb.apps[:len(models)]
 	for i := range apps {
-		apps[i].max = MaxConflictsPerFile
+		apps[i] = conflictAppender{out: apps[i].out[:0], max: MaxConflictsPerFile}
 	}
 	ci, si := slices.Index(models, pfs.Commit), slices.Index(models, pfs.Session)
 	shared := ci >= 0 && si >= 0
@@ -205,10 +223,10 @@ func detectConflictsMulti(fa *FileAccesses, models []pfs.Semantics) [][]Conflict
 		}
 		if shared && apps[ci].admits != apps[si].admits {
 			// The first split: the commit list so far is the session
-			// list so far, in its own backing array from here on.
+			// list so far, in its own buffer from here on.
 			shared = false
 			fork := apps[si]
-			fork.out, fork.admits = slices.Clone(fork.out), apps[ci].admits
+			fork.out, fork.admits = append(apps[ci].out[:0], fork.out...), apps[ci].admits
 			apps[ci] = fork
 		}
 		var c Conflict
@@ -230,16 +248,20 @@ func detectConflictsMulti(fa *FileAccesses, models []pfs.Semantics) [][]Conflict
 			apps[i].add(c)
 		}
 	})
-	if shared {
-		apps[ci] = apps[si] // the same list, sorted once below
-	}
 	var suppressed int64
 	for i := range apps {
-		suppressed += apps[i].suppressed
-		if !shared || i != ci {
-			sortConflicts(apps[i].out)
+		if shared && i == ci {
+			continue // the session list, below
 		}
-		out[i] = apps[i].out
+		suppressed += apps[i].suppressed
+		if len(apps[i].out) > 0 {
+			sortConflicts(apps[i].out)
+			out[i] = slices.Clone(apps[i].out)
+		}
+	}
+	if shared {
+		suppressed += apps[si].suppressed // the commit list's, as its own
+		out[ci] = out[si]
 	}
 	if suppressed > 0 {
 		conflictsSuppressed.Add(suppressed)

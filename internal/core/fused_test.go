@@ -91,14 +91,14 @@ func TestConflictAppenderClassCoverage(t *testing.T) {
 // TestFdTableSpill pins the dense/map split of the descriptor table.
 func TestFdTableSpill(t *testing.T) {
 	var fds fdTable
-	fds.set(3, fdState{path: "/a"})
-	fds.set(fdTableSpan-1, fdState{path: "/b"})
-	fds.set(fdTableSpan+7, fdState{path: "/c"}) // spills to the map
-	fds.set(1<<40, fdState{path: "/d"})
-	for fd, want := range map[int64]string{3: "/a", fdTableSpan - 1: "/b", fdTableSpan + 7: "/c", 1 << 40: "/d"} {
+	fds.set(3, fdState{path: 1})
+	fds.set(fdTableSpan-1, fdState{path: 2})
+	fds.set(fdTableSpan+7, fdState{path: 3}) // spills to the map
+	fds.set(1<<40, fdState{path: 4})
+	for fd, want := range map[int64]int32{3: 1, fdTableSpan - 1: 2, fdTableSpan + 7: 3, 1 << 40: 4} {
 		st := fds.get(fd)
 		if st == nil || st.path != want {
-			t.Fatalf("get(%d) = %v, want path %q", fd, st, want)
+			t.Fatalf("get(%d) = %v, want path %d", fd, st, want)
 		}
 	}
 	if st := fds.get(4); st != nil {
@@ -113,13 +113,13 @@ func TestFdTableSpill(t *testing.T) {
 	if got := fds.get(fdTableSpan + 7).offset; got != 99 {
 		t.Fatalf("map offset lost: %d", got)
 	}
-	if st := fds.closeFD(3); st == nil || st.path != "/a" {
+	if st := fds.closeFD(3); st == nil || st.path != 1 {
 		t.Fatalf("closeFD(3) = %v", st)
 	}
 	if st := fds.get(3); st != nil {
 		t.Fatalf("fd 3 still open after close: %v", st)
 	}
-	if st := fds.closeFD(1 << 40); st == nil || st.path != "/d" {
+	if st := fds.closeFD(1 << 40); st == nil || st.path != 4 {
 		t.Fatalf("closeFD(big) = %v", st)
 	}
 	if st := fds.closeFD(1 << 40); st != nil {

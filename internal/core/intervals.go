@@ -53,9 +53,12 @@ const NoTime = ^uint64(0)
 // must treat it as read-only.
 type FileAccesses struct {
 	Path string
-	// Intervals holds every rank's data operations (rank order, each rank in
-	// time order). It is a capacity-clipped slice of one arena shared by all
-	// of an extraction's files, so len == cap and an append copies.
+	// Intervals holds every rank's data operations in extraction order:
+	// each rank's intervals contiguous (its rank run), ranks ascending,
+	// each run in the rank's stream order, which is time order for a
+	// recorded trace. The per-file passes walk the rank runs in place (see
+	// rankOrdered). It is a capacity-clipped slice of one arena shared by
+	// all of an extraction's files, so len == cap and an append copies.
 	Intervals []Interval
 	// Ranks holds the per-rank operation times on this file, sorted by
 	// rank, one entry per rank that opened, closed or committed it.
@@ -108,7 +111,7 @@ func cmpRank(rt RankTimes, rank int32) int { return cmp.Compare(rt.Rank, rank) }
 
 // fdState tracks one open descriptor during offset reconstruction.
 type fdState struct {
-	path     string
+	path     int32 // the path's id in the scan part (scanPart.intern)
 	offset   int64
 	appendMd bool
 	open     bool
@@ -163,7 +166,9 @@ func (t *fdTable) set(fd int64, st fdState) {
 	if t.big == nil {
 		t.big = make(map[int64]*fdState)
 	}
-	t.big[fd] = &st
+	big := new(fdState) // not &st, which would move every call's st to the heap
+	*big = st
+	t.big[fd] = big
 }
 
 // closeFD removes fd and returns its former state, or nil if not open. The
@@ -183,57 +188,45 @@ func (t *fdTable) closeFD(fd int64) *fdState {
 	return nil
 }
 
-// dataInterval converts a data-op record into an interval, updating the
-// descriptor offset state.
-func dataInterval(r *recorder.Record, fds *fdTable, sizeByPath map[string]int64) (Interval, string, bool) {
+// dataInterval converts a data-op record on the open descriptor st into an
+// interval, advancing st's offset. appendAt is the rank's view of the
+// file's size, where a write through an O_APPEND descriptor lands.
+func dataInterval(r *recorder.Record, st *fdState, appendAt int64) (Interval, bool) {
 	iv := Interval{T: r.TStart, TEnd: r.TEnd, Rank: r.Rank, Write: r.IsWriteOp()}
-	var st *fdState
 	var n int64
 	switch r.Func {
 	case recorder.FuncRead, recorder.FuncWrite, recorder.FuncReadv, recorder.FuncWritev:
-		st = fds.get(r.Arg(0))
-		if st == nil {
-			return iv, "", false
-		}
 		n = r.Arg(2) // return value: bytes transferred
 		if n <= 0 {
-			return iv, "", false
+			return iv, false
 		}
 		off := st.offset
 		if iv.Write && st.appendMd {
-			off = sizeByPath[st.path]
+			off = appendAt
 		}
 		iv.Os, iv.Oe = off, off+n
 		st.offset = off + n
 	case recorder.FuncFread, recorder.FuncFwrite:
-		st = fds.get(r.Arg(0))
-		if st == nil {
-			return iv, "", false
-		}
 		n = r.Arg(3)
 		if n <= 0 {
-			return iv, "", false
+			return iv, false
 		}
 		off := st.offset
 		if iv.Write && st.appendMd {
-			off = sizeByPath[st.path]
+			off = appendAt
 		}
 		iv.Os, iv.Oe = off, off+n
 		st.offset = off + n
 	case recorder.FuncPread, recorder.FuncPwrite:
-		st = fds.get(r.Arg(0))
-		if st == nil {
-			return iv, "", false
-		}
 		n = r.Arg(3)
 		if n <= 0 {
-			return iv, "", false
+			return iv, false
 		}
 		iv.Os, iv.Oe = r.Arg(2), r.Arg(2)+n
 	default:
-		return iv, "", false
+		return iv, false
 	}
-	return iv, st.path, true
+	return iv, true
 }
 
 // firstAfter returns the smallest element > t, or NoTime.

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"path"
+	pathpkg "path"
 	"sort"
 
 	"repro/internal/recorder"
@@ -80,7 +80,7 @@ func (s MetaSignature) Any() bool { return s.CreateUse || s.RemoveUse || s.Resiz
 
 // metaEvent is one metadata operation as the per-path scan sees it. It
 // holds no pointers: path indexes the scan part's path table (see
-// scanPart.pathID), or is noPath for a suppressed probe, so a trace's
+// scanPart.metaID), or is noPath for a suppressed probe, so a trace's
 // events are one flat pointer-free array the collector never scans.
 type metaEvent struct {
 	t, tend  uint64
@@ -104,61 +104,58 @@ func (e *metaEvent) ref(p string) MetaOpRef {
 // until the next record of this rank that names its path (as Path or
 // Path2), and is dropped — its path set to noPath — when that record is a
 // creating open of the path. A failed open is no dependency carrier and
-// no touch.
-func (s *rankScan) metaStep(r *recorder.Record) {
+// no touch. path is the id of r.Path.
+func (s *rankScan) metaStep(r *recorder.Record, path int32) {
 	isOpen := r.IsOpenOp()
 	if isOpen && r.Arg(2) < 0 {
 		return
 	}
 	p := s.part
 	creating := isOpen && int(r.Arg(0))&recorder.OCreat != 0
-	if len(s.pending) > 0 {
-		if idx, ok := s.pending[r.Path]; ok {
-			if creating {
-				p.meta[idx].path = noPath
-			}
-			delete(s.pending, r.Path)
+	if ps := &p.paths[path]; ps.pendFold == p.fold {
+		if creating {
+			p.meta[ps.pend].path = noPath
 		}
-		delete(s.pending, r.Path2)
+		ps.pendFold = 0
 	}
-	use := func(path string) metaEvent {
-		return metaEvent{t: r.TStart, tend: r.TEnd, rank: r.Rank, path: p.pathID(path), fn: r.Func}
+	path2 := p.intern(r.Path2) // no Path2 is the empty path, id 0
+	p.paths[path2].pendFold = 0
+	use := func(id int32) metaEvent {
+		return metaEvent{t: r.TStart, tend: r.TEnd, rank: r.Rank, path: p.metaID(id), fn: r.Func}
 	}
-	mutation := func(path string, kind MetaConflictKind) metaEvent {
-		e := use(path)
+	mutation := func(id int32, kind MetaConflictKind) metaEvent {
+		e := use(id)
 		e.mutation, e.kind = true, uint8(kind)
 		return e
 	}
 	switch {
 	case isOpen:
 		if !creating {
-			p.meta = append(p.meta, use(r.Path))
+			p.meta = append(p.meta, use(path))
 			return
 		}
 		// Creating open: a mutation of the path and a use of the parent
 		// directory.
-		p.meta = append(p.meta, mutation(r.Path, CreateUse))
+		p.meta = append(p.meta, mutation(path, CreateUse))
 		if int(r.Arg(0))&recorder.OTrunc != 0 {
-			p.meta = append(p.meta, mutation(r.Path, ResizeUse))
+			p.meta = append(p.meta, mutation(path, ResizeUse))
 		}
-		if dir := path.Dir(r.Path); dir != "/" && dir != "." {
-			p.meta = append(p.meta, use(dir))
+		if dir := pathpkg.Dir(r.Path); dir != "/" && dir != "." {
+			p.meta = append(p.meta, use(p.intern(dir)))
 		}
 	case r.Func == recorder.FuncMkdir:
-		p.meta = append(p.meta, mutation(r.Path, CreateUse))
+		p.meta = append(p.meta, mutation(path, CreateUse))
 	case r.Func == recorder.FuncUnlink || r.Func == recorder.FuncRemove:
-		p.meta = append(p.meta, mutation(r.Path, RemoveUse))
+		p.meta = append(p.meta, mutation(path, RemoveUse))
 	case r.Func == recorder.FuncRename:
-		p.meta = append(p.meta, mutation(r.Path, RemoveUse), mutation(r.Path2, CreateUse))
+		p.meta = append(p.meta, mutation(path, RemoveUse), mutation(path2, CreateUse))
 	case r.Func == recorder.FuncTruncate:
-		p.meta = append(p.meta, mutation(r.Path, ResizeUse))
+		p.meta = append(p.meta, mutation(path, ResizeUse))
 	case r.Func == recorder.FuncStat || r.Func == recorder.FuncLstat ||
 		r.Func == recorder.FuncAccess || r.Func == recorder.FuncOpendir:
-		if s.pending == nil {
-			s.pending = make(map[string]int)
-		}
-		s.pending[r.Path] = len(p.meta)
-		p.meta = append(p.meta, use(r.Path))
+		ps := &p.paths[path]
+		ps.pend, ps.pendFold = len(p.meta), p.fold
+		p.meta = append(p.meta, use(path))
 	}
 }
 

@@ -162,6 +162,12 @@ func extractOracle(tr *recorder.Trace) map[string]*oracleFile {
 		}
 		return f
 	}
+	// The oracle's descriptors name paths by an index into names.
+	var names []string
+	nameID := func(path string) int32 {
+		names = append(names, path)
+		return int32(len(names) - 1)
+	}
 	for _, rs := range tr.PerRank {
 		var fds fdTable
 		sizeByPath := make(map[string]int64)
@@ -179,7 +185,7 @@ func extractOracle(tr *recorder.Trace) map[string]*oracleFile {
 					continue
 				}
 				flags := int(r.Arg(0))
-				fds.set(fd, fdState{path: r.Path, appendMd: flags&recorder.OAppend != 0})
+				fds.set(fd, fdState{path: nameID(r.Path), appendMd: flags&recorder.OAppend != 0})
 				if flags&recorder.OTrunc != 0 {
 					sizeByPath[r.Path] = 0
 				}
@@ -187,13 +193,13 @@ func extractOracle(tr *recorder.Trace) map[string]*oracleFile {
 				m.opens[r.Rank] = append(m.opens[r.Rank], r.TStart)
 			case r.IsCloseOp():
 				if st := fds.closeFD(r.Arg(0)); st != nil {
-					m := get(st.path).times
+					m := get(names[st.path]).times
 					m.closes[r.Rank] = append(m.closes[r.Rank], r.TStart)
 					m.commits[r.Rank] = append(m.commits[r.Rank], r.TStart)
 				}
 			case r.Func == recorder.FuncFsync || r.Func == recorder.FuncFdatasync || r.Func == recorder.FuncFflush:
 				if st := fds.get(r.Arg(0)); st != nil {
-					m := get(st.path).times
+					m := get(names[st.path]).times
 					m.commits[r.Rank] = append(m.commits[r.Rank], r.TStart)
 				}
 			case r.Func == recorder.FuncLseek || r.Func == recorder.FuncFseek:
@@ -211,12 +217,17 @@ func extractOracle(tr *recorder.Trace) map[string]*oracleFile {
 				}
 			case r.Func == recorder.FuncFtruncate:
 				if st := fds.get(r.Arg(0)); st != nil {
-					sizeByPath[st.path] = r.Arg(1)
+					sizeByPath[names[st.path]] = r.Arg(1)
 				}
 			case r.Func == recorder.FuncTruncate:
 				sizeByPath[r.Path] = r.Arg(1)
 			case r.IsDataOp():
-				iv, path, ok := dataInterval(r, &fds, sizeByPath)
+				st := fds.get(r.Arg(0))
+				if st == nil {
+					continue
+				}
+				path := names[st.path]
+				iv, ok := dataInterval(r, st, sizeByPath[path])
 				if !ok {
 					continue
 				}

@@ -120,13 +120,21 @@ func ConflictsAllForFilesCtx(ctx context.Context, fas []*FileAccesses, models []
 	}
 	ms := make([]ModelConflicts, len(models))
 	for j, m := range models {
-		ms[j] = ModelConflicts{Model: m, ByFile: make(map[string][]Conflict)}
-	}
-	for i, fa := range fas { // path order
-		for j, cs := range per[i] {
-			if len(cs) > 0 {
-				ms[j].ByFile[fa.Path] = cs
-				ms[j].Signature.merge(signatureOf(cs))
+		mc := &ms[j]
+		mc.Model = m
+		mc.Files = make([][]Conflict, len(fas))
+		n := 0
+		for i := range fas {
+			if cs := per[i][j]; len(cs) > 0 {
+				mc.Files[i] = cs
+				n++
+			}
+		}
+		mc.ByFile = make(map[string][]Conflict, n)
+		for i, fa := range fas { // path order
+			if cs := mc.Files[i]; cs != nil {
+				mc.ByFile[fa.Path] = cs
+				mc.Signature.merge(signatureOf(cs))
 			}
 		}
 	}
@@ -207,7 +215,7 @@ func patternParallel(ctx context.Context, fas []*FileAccesses, workers int, file
 func ClassifyHighLevelParallelCtx(ctx context.Context, fas []*FileAccesses, opts HLOptions, workers int) ([]HighLevelPattern, error) {
 	defer startPass("classify")()
 	o := opts.withDefaults()
-	slots := make([]*fileSummary, len(fas))
+	slots := make([]fileSummary, len(fas))
 	if err := ParallelForCtx(ctx, len(fas), workers, func(i int) {
 		fa := fas[i]
 		if o.Exclude(fa.Path) || len(fa.Intervals) == 0 {
@@ -217,10 +225,10 @@ func ClassifyHighLevelParallelCtx(ctx context.Context, fas []*FileAccesses, opts
 	}); err != nil {
 		return nil, err
 	}
-	sums := make([]*fileSummary, 0, len(slots))
-	for _, s := range slots {
-		if s != nil {
-			sums = append(sums, s)
+	sums := slots[:0] // compacted in place, in path order
+	for i := range slots {
+		if slots[i].accessors > 0 {
+			sums = append(sums, slots[i])
 		}
 	}
 	return groupSummaries(sums, o.WorldSize), nil

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // AccessClass categorizes the transition between two successive accesses
@@ -86,35 +87,87 @@ func classify(prev, next *Interval) AccessClass {
 	}
 }
 
-// localPatternFile computes one file's local transition mix.
+// localPatternFile computes one file's local transition mix: each rank's
+// successive accesses, which are adjacent within its rank run.
 func localPatternFile(fa *FileAccesses) PatternMix {
 	var mix PatternMix
-	byRank := make(map[int32][]*Interval)
-	for i := range fa.Intervals {
-		iv := &fa.Intervals[i]
-		byRank[iv.Rank] = append(byRank[iv.Rank], iv)
-	}
-	for _, seq := range byRank {
-		sortByTime(seq)
-		for i := 1; i < len(seq); i++ {
-			mix.add(classify(seq[i-1], seq[i]))
+	ivs := rankOrdered(fa.Intervals)
+	for i := 1; i < len(ivs); i++ {
+		if ivs[i].Rank == ivs[i-1].Rank {
+			mix.add(classify(&ivs[i-1], &ivs[i]))
 		}
 	}
 	return mix
 }
 
-// globalPatternFile computes one file's global transition mix.
+// globalPatternFile computes one file's global transition mix. A file
+// whose intervals are already in (time, rank) order, as every file one
+// rank accesses is, is walked in place; sorting it would not move it.
 func globalPatternFile(fa *FileAccesses) PatternMix {
 	var mix PatternMix
-	seq := make([]*Interval, 0, len(fa.Intervals))
-	for i := range fa.Intervals {
-		seq = append(seq, &fa.Intervals[i])
+	ivs := fa.Intervals
+	if timeOrdered(ivs) {
+		for i := 1; i < len(ivs); i++ {
+			mix.add(classify(&ivs[i-1], &ivs[i]))
+		}
+		return mix
+	}
+	seq := make([]*Interval, 0, len(ivs))
+	for i := range ivs {
+		seq = append(seq, &ivs[i])
 	}
 	sortByTime(seq)
 	for i := 1; i < len(seq); i++ {
 		mix.add(classify(seq[i-1], seq[i]))
 	}
 	return mix
+}
+
+// timeOrdered reports whether ivs is non-decreasing in (time, rank), the
+// order sortByTime establishes. sortByTime leaves such a slice as it is:
+// pattern-defeating quicksort returns a presorted input untouched, ties
+// included.
+func timeOrdered(ivs []Interval) bool {
+	for i := 1; i < len(ivs); i++ {
+		a, b := &ivs[i-1], &ivs[i]
+		if b.T < a.T || (b.T == a.T && b.Rank < a.Rank) {
+			return false
+		}
+	}
+	return true
+}
+
+// rankOrdered returns ivs if it is in extraction order — each rank's
+// intervals contiguous, ranks ascending, each rank's intervals in time
+// order (see FileAccesses.Intervals) — and otherwise a copy sorted stably
+// into that order. The per-file passes walk its rank runs in place: a
+// rank's run is the sequence the per-rank sort by time would produce
+// (sortByTime leaves a run in time order as it is), so they need no
+// per-rank grouping.
+func rankOrdered(ivs []Interval) []Interval {
+	for i := 1; i < len(ivs); i++ {
+		if a, b := &ivs[i-1], &ivs[i]; b.Rank < a.Rank || (b.Rank == a.Rank && b.T < a.T) {
+			out := slices.Clone(ivs)
+			slices.SortStableFunc(out, func(a, b Interval) int {
+				if c := cmp.Compare(a.Rank, b.Rank); c != 0 {
+					return c
+				}
+				return cmp.Compare(a.T, b.T)
+			})
+			return out
+		}
+	}
+	return ivs
+}
+
+// runEnd returns the end of the rank run of rank-ordered ivs that starts
+// at lo.
+func runEnd(ivs []Interval, lo int) int {
+	hi := lo + 1
+	for hi < len(ivs) && ivs[hi].Rank == ivs[lo].Rank {
+		hi++
+	}
+	return hi
 }
 
 // sortByTime orders accesses by (entry time, rank) with a typed
@@ -214,41 +267,74 @@ func (o HLOptions) withDefaults() HLOptions {
 type fileSummary struct {
 	path       string
 	tMin, tMax uint64
-	accessors  map[int32]bool // writers if the file has writes, else readers
-	hasWrites  bool
-	layout     Layout
+	// accessors counts the ranks behind the file's pattern (writers if the
+	// file has writes, else readers; see summarize); 0 marks a file that
+	// was not summarized. rank is the one accessor when there is one,
+	// ranks lists them in ascending order when there are more.
+	accessors int
+	rank      int32
+	ranks     []int32
+	hasWrites bool
+	layout    Layout
+}
+
+// appendAccessors appends the summary's accessor ranks to dst.
+func (s *fileSummary) appendAccessors(dst []int32) []int32 {
+	if s.accessors == 1 {
+		return append(dst, s.rank)
+	}
+	return append(dst, s.ranks...)
 }
 
 // groupSummaries is the family-grouping tail of ClassifyHighLevelParallelCtx:
 // sums must be in fas (path-sorted) order.
-func groupSummaries(sums []*fileSummary, worldSize int) []HighLevelPattern {
-	families := make(map[string][]*fileSummary)
-	for _, s := range sums {
-		families[familyKey(s.path)] = append(families[familyKey(s.path)], s)
+func groupSummaries(sums []fileSummary, worldSize int) []HighLevelPattern {
+	// Family keys are built in one buffer and become a string once per
+	// run of equal keys: a family's files mostly sit next to each other in
+	// path order. The runs, sorted stably by key, give each family's files
+	// in path order and the families in key order.
+	type keyRun struct {
+		key    string
+		lo, hi int // sums[lo:hi]
 	}
-	keys := make([]string, 0, len(families))
-	for k := range families {
-		keys = append(keys, k)
+	var runs []keyRun
+	var buf []byte
+	for i := range sums {
+		buf = appendFamilyKey(buf[:0], sums[i].path)
+		if n := len(runs); n > 0 && string(buf) == runs[n-1].key {
+			runs[n-1].hi = i + 1
+			continue
+		}
+		runs = append(runs, keyRun{key: string(buf), lo: i, hi: i + 1})
 	}
-	sort.Strings(keys)
+	slices.SortStableFunc(runs, func(a, b keyRun) int { return strings.Compare(a.key, b.key) })
 
 	var out []HighLevelPattern
-	seen := make(map[string]bool)
-	for _, k := range keys {
+	seen := make(map[string]int) // pattern key -> index in out
+	for lo := 0; lo < len(runs); {
+		hi := lo + 1
+		n := runs[lo].hi - runs[lo].lo
+		for ; hi < len(runs) && runs[hi].key == runs[lo].key; hi++ {
+			n += runs[hi].hi - runs[hi].lo
+		}
+		fam := make([]*fileSummary, 0, n)
+		for _, r := range runs[lo:hi] {
+			for i := r.lo; i < r.hi; i++ {
+				fam = append(fam, &sums[i])
+			}
+		}
+		lo = hi
 		// A family may hold a time-series of I/O phases (a checkpoint
 		// series, repeated multi-file dumps); each concurrent cluster is
 		// one phase and classifies independently.
-		for _, cluster := range clusterByTime(families[k]) {
+		for _, cluster := range clusterByTime(fam) {
 			p := classifyFamily(cluster, worldSize)
-			if seen[p.Key()] {
-				for i := range out {
-					if out[i].Key() == p.Key() {
-						out[i].Files = append(out[i].Files, p.Files...)
-					}
-				}
+			key := p.Key()
+			if i, ok := seen[key]; ok {
+				out[i].Files = append(out[i].Files, p.Files...)
 				continue
 			}
-			seen[p.Key()] = true
+			seen[key] = len(out)
 			out = append(out, p)
 		}
 	}
@@ -256,45 +342,72 @@ func groupSummaries(sums []*fileSummary, worldSize int) []HighLevelPattern {
 }
 
 // clusterByTime partitions a family into groups of files whose access
-// episodes overlap in time.
+// episodes overlap in time. The groups are consecutive, capacity-clipped
+// ranges of one sorted copy of fam.
 func clusterByTime(fam []*fileSummary) [][]*fileSummary {
 	sorted := append([]*fileSummary(nil), fam...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].tMin < sorted[j].tMin })
 	var out [][]*fileSummary
-	var cur []*fileSummary
+	lo := 0
 	var curHi uint64
-	for _, s := range sorted {
-		if len(cur) > 0 && s.tMin >= curHi {
-			out = append(out, cur)
-			cur = nil
+	for i, s := range sorted {
+		if i > lo && s.tMin >= curHi {
+			out = append(out, sorted[lo:i:i])
+			lo = i
 		}
-		cur = append(cur, s)
 		if s.tMax > curHi {
 			curHi = s.tMax
 		}
 	}
-	if len(cur) > 0 {
-		out = append(out, cur)
+	if lo < len(sorted) {
+		out = append(out, sorted[lo:])
 	}
 	return out
 }
 
-func summarize(fa *FileAccesses, metaThreshold int64) *fileSummary {
-	s := &fileSummary{path: fa.Path, accessors: make(map[int32]bool)}
-	for i := range fa.Intervals {
-		iv := &fa.Intervals[i]
-		if iv.Write {
-			s.hasWrites = true
+// layoutFilter selects the intervals behind a file's pattern: its writes
+// if it has any (writers define the pattern of written files), else its
+// reads, and for the layout only those moving at least min bytes.
+type layoutFilter struct {
+	writesOnly bool
+	min        int64
+}
+
+func (f layoutFilter) counts(iv *Interval) bool { return !f.writesOnly || iv.Write }
+
+func (f layoutFilter) moves(iv *Interval) bool { return f.counts(iv) && iv.Oe-iv.Os >= f.min }
+
+// touches reports whether f counts any interval of run, and whether any
+// of them moves data.
+func (f layoutFilter) touches(run []Interval) (counted, moved bool) {
+	for i := range run {
+		if iv := &run[i]; f.counts(iv) {
+			if iv.Oe-iv.Os >= f.min {
+				return true, true
+			}
+			counted = true
 		}
 	}
-	byRank := make(map[int32][]*Interval)
-	allAccessors := make(map[int32]bool)
+	return counted, false
+}
+
+// summarize digests one file. It walks the file's rank runs in place and
+// allocates only for a file that several ranks move data in (its accessor
+// list) or whose runs leave extraction order (see rankOrdered, layoutOf).
+func summarize(fa *FileAccesses, metaThreshold int64) fileSummary {
+	s := fileSummary{path: fa.Path, layout: LayoutConsecutive}
+	for i := range fa.Intervals {
+		if fa.Intervals[i].Write {
+			s.hasWrites = true
+			break
+		}
+	}
+	f := layoutFilter{writesOnly: s.hasWrites, min: metaThreshold}
 	for i := range fa.Intervals {
 		iv := &fa.Intervals[i]
-		if s.hasWrites && !iv.Write {
-			continue // writers define the pattern of written files
+		if !f.counts(iv) {
+			continue
 		}
-		allAccessors[iv.Rank] = true
 		if s.tMin == 0 && s.tMax == 0 {
 			s.tMin, s.tMax = iv.T, iv.TEnd
 		}
@@ -304,73 +417,87 @@ func summarize(fa *FileAccesses, metaThreshold int64) *fileSummary {
 		if iv.TEnd > s.tMax {
 			s.tMax = iv.TEnd
 		}
-		if iv.Oe-iv.Os >= metaThreshold {
-			byRank[iv.Rank] = append(byRank[iv.Rank], iv)
-			s.accessors[iv.Rank] = true
-		}
 	}
 	// X counts the processes moving data, not the ones touching library
 	// metadata (the paper's "small amount of extra metadata" tolerance:
 	// FLASH-fbs is M-1 through its six aggregators even though ~30 ranks
 	// write HDF5 metadata). Files with only sub-threshold accesses keep
 	// their full accessor set.
-	if len(s.accessors) == 0 {
-		s.accessors = allAccessors
+	ivs := rankOrdered(fa.Intervals)
+	moving, counted := 0, 0
+	var firstMoving, firstCounted int32
+	for lo := 0; lo < len(ivs); {
+		hi := runEnd(ivs, lo)
+		run := ivs[lo:hi]
+		lo = hi
+		c, m := f.touches(run)
+		if c {
+			if counted++; counted == 1 {
+				firstCounted = run[0].Rank
+			}
+		}
+		if m {
+			if moving++; moving == 1 {
+				firstMoving = run[0].Rank
+			}
+			if l := layoutOf(run, f); l > s.layout {
+				s.layout = l
+			}
+		}
 	}
-	s.layout = LayoutConsecutive
-	for _, seq := range byRank {
-		sortByTime(seq)
-		if l := layoutOf(seq); l > s.layout {
-			s.layout = l
+	s.accessors, s.rank = moving, firstMoving
+	if moving == 0 {
+		s.accessors, s.rank = counted, firstCounted
+	}
+	if s.accessors > 1 {
+		s.ranks = make([]int32, 0, s.accessors)
+		for lo := 0; lo < len(ivs); {
+			hi := runEnd(ivs, lo)
+			if c, m := f.touches(ivs[lo:hi]); m || (moving == 0 && c) {
+				s.ranks = append(s.ranks, ivs[lo].Rank)
+			}
+			lo = hi
 		}
 	}
 	return s
 }
 
-// layoutOf classifies one process's (size-filtered) access sequence in one
-// file. A library call ("phase") issuing two or more non-adjacent blocks
-// marks the block-cyclic file domains of collective buffering — the paper's
-// "strided cyclic".
-func layoutOf(seq []*Interval) Layout {
-	if len(seq) < 2 {
-		return LayoutConsecutive
-	}
-	perPhase := make(map[int]int)
+// layoutOf classifies one process's access sequence in one file: the
+// intervals of its rank run that f says move data. A library call
+// ("phase") issuing two or more non-adjacent blocks marks the block-cyclic
+// file domains of collective buffering — the paper's "strided cyclic".
+func layoutOf(run []Interval, f layoutFilter) Layout {
+	var prev *Interval
+	n := 0
 	consecutive, monotonic := true, true
-	for i := 1; i < len(seq); i++ {
-		switch classify(seq[i-1], seq[i]) {
-		case Monotonic:
-			consecutive = false
-		case Random:
-			consecutive = false
-			monotonic = false
+	lastPhase, ascending := -1, true
+	for i := range run {
+		iv := &run[i]
+		if !f.moves(iv) {
+			continue
 		}
-	}
-	for i := range seq {
-		if seq[i].Phase >= 0 {
-			perPhase[seq[i].Phase]++
+		n++
+		if prev != nil {
+			switch classify(prev, iv) {
+			case Monotonic:
+				consecutive = false
+			case Random:
+				consecutive = false
+				monotonic = false
+			}
 		}
-	}
-	cyclic := false
-	for ph, n := range perPhase {
-		if n >= 2 {
-			// Does the phase's block set have gaps?
-			var blocks []*Interval
-			for i := range seq {
-				if seq[i].Phase == ph {
-					blocks = append(blocks, seq[i])
-				}
+		prev = iv
+		if iv.Phase >= 0 {
+			if iv.Phase <= lastPhase {
+				ascending = false
 			}
-			sort.Slice(blocks, func(a, b int) bool { return blocks[a].Os < blocks[b].Os })
-			for i := 1; i < len(blocks); i++ {
-				if blocks[i].Os > blocks[i-1].Oe {
-					cyclic = true
-				}
-			}
+			lastPhase = iv.Phase
 		}
 	}
 	switch {
-	case cyclic:
+	case n < 2:
+		return LayoutConsecutive
+	case !ascending && cyclicPhases(run, f): // ascending phases are distinct
 		return LayoutStridedCyclic
 	case consecutive:
 		return LayoutConsecutive
@@ -381,36 +508,64 @@ func layoutOf(seq []*Interval) Layout {
 	}
 }
 
-// familyKey groups related files: files in a subdirectory belong together
-// (ADIOS .bp bundles), otherwise files sharing a digit-stripped name
-// template (checkpoint series, file-per-process sets).
-func familyKey(p string) string {
+// cyclicPhases reports whether, among the intervals of run that f says
+// move data, some phase issues two or more blocks with a gap between
+// them in offset order. It is layoutOf's path for a run whose phases do
+// not ascend, and the one place the layout pass sorts.
+func cyclicPhases(run []Interval, f layoutFilter) bool {
+	var seq []*Interval
+	for i := range run {
+		if iv := &run[i]; f.moves(iv) && iv.Phase >= 0 {
+			seq = append(seq, iv)
+		}
+	}
+	slices.SortStableFunc(seq, func(a, b *Interval) int { return cmp.Compare(a.Phase, b.Phase) })
+	for lo := 0; lo < len(seq); {
+		hi := lo + 1
+		for hi < len(seq) && seq[hi].Phase == seq[lo].Phase {
+			hi++
+		}
+		blocks := seq[lo:hi]
+		lo = hi
+		sort.Slice(blocks, func(a, b int) bool { return blocks[a].Os < blocks[b].Os })
+		for i := 1; i < len(blocks); i++ {
+			if blocks[i].Os > blocks[i-1].Oe {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// appendFamilyKey appends the key that groups related files to dst: files
+// in a subdirectory belong together (ADIOS .bp bundles), otherwise files
+// sharing a digit-stripped name template (checkpoint series,
+// file-per-process sets). The name is walked rune by rune, so an invalid
+// UTF-8 byte becomes U+FFFD in the key.
+func appendFamilyKey(dst []byte, p string) []byte {
 	dir := path.Dir(p)
 	if dir != "/" && dir != "." {
-		return dir
+		return append(dst, dir...)
 	}
-	base := path.Base(p)
-	var b strings.Builder
-	for _, r := range base {
+	dst = append(dst, "tpl:"...)
+	for _, r := range path.Base(p) {
 		if r >= '0' && r <= '9' {
 			continue
 		}
-		b.WriteRune(r)
+		dst = utf8.AppendRune(dst, r)
 	}
-	return "tpl:" + b.String()
+	return dst
 }
 
 func classifyFamily(fam []*fileSummary, world int) HighLevelPattern {
-	var files []string
-	union := make(map[int32]bool)
+	files := make([]string, 0, len(fam))
+	ranks := make([]int32, 0, len(fam)) // at least one accessor per file
 	layout := LayoutConsecutive
 	allSingle := true
 	for _, s := range fam {
 		files = append(files, s.path)
-		for r := range s.accessors {
-			union[r] = true
-		}
-		if len(s.accessors) > 1 {
+		ranks = s.appendAccessors(ranks)
+		if s.accessors > 1 {
 			allSingle = false
 		}
 		if s.layout > layout {
@@ -418,11 +573,13 @@ func classifyFamily(fam []*fileSummary, world int) HighLevelPattern {
 		}
 	}
 	sort.Strings(files)
-	x := scaleOf(len(union), world)
+	slices.Sort(ranks)
+	union := len(slices.Compact(ranks))
+	x := scaleOf(union, world)
 
 	var y Scale
 	switch {
-	case allSingle && len(union) > 1:
+	case allSingle && union > 1:
 		// File-per-process (or per-aggregator) family.
 		y = scaleOf(len(fam), world)
 	case len(fam) == 1:

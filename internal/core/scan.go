@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"context"
+	"math"
 	"slices"
 
 	"repro/internal/recorder"
@@ -86,14 +87,21 @@ type metaIndex struct {
 // every table.
 type scanPart struct {
 	x      *extraction
-	census map[string]map[recorder.Func]int
+	census callTable   // by (origin layer, func)
+	calls  callTable   // by (layer, func)
 	meta   []metaEvent // rank order, suppressed probes with noPath
-	// paths is the path table meta indexes, in order of first use;
-	// pathIndex maps a path to its index.
-	paths     []string
-	pathIndex map[string]int32
-	calls     map[uint32]int // by callKey: one lookup per record
+	// ids interns every path the part's records name, so a record hashes
+	// each of its paths once and every later lookup (its file, this
+	// rank's size of it, a pending probe of it) indexes paths. Id 0 is
+	// the empty path, which records without a path carry.
+	ids   map[string]int32
+	paths []pathState
+	// metaPaths is the path table meta indexes, in order of first use.
+	metaPaths []int32
 	records   int
+	// fold numbers the part's rank folds from 1; a pathState's rank-local
+	// fields are valid only while they carry the current fold.
+	fold int32
 	// Rank-local buffers reused from one rank's fold to the next: the MPI
 	// events collect in hbBuf before they are copied out at their exact
 	// size, and frames backs the origin stack.
@@ -101,28 +109,116 @@ type scanPart struct {
 	frames []originFrame
 }
 
+// pathState is what the scan keeps per path, addressed by the path's id in
+// its part.
+type pathState struct {
+	name string
+	file int32 // index in the part's extraction, or -1
+	meta int32 // index in metaPaths, or -1
+	// Rank-local: the folding rank's view of the file size (for O_APPEND)
+	// and the index in meta of its last stat-family use of the path that
+	// no later touch has consumed yet, each valid while its fold is the
+	// part's current one.
+	sizeFold, pendFold int32
+	size               int64
+	pend               int
+}
+
 func newScanPart() *scanPart {
 	return &scanPart{
-		x:         newExtraction(),
-		census:    make(map[string]map[recorder.Func]int),
-		pathIndex: make(map[string]int32),
-		calls:     make(map[uint32]int),
+		x:      &extraction{},
+		census: newCallTable(),
+		calls:  newCallTable(),
+		ids:    map[string]int32{"": 0},
+		paths:  []pathState{{file: -1, meta: -1}},
 	}
 }
 
-// pathID returns path's index in the part's path table, adding it on
+// intern returns path's id, adding it on first use.
+func (p *scanPart) intern(path string) int32 {
+	if path == "" {
+		return 0
+	}
+	if id, ok := p.ids[path]; ok {
+		return id
+	}
+	id := int32(len(p.paths))
+	p.ids[path] = id
+	p.paths = append(p.paths, pathState{name: path, file: -1, meta: -1})
+	return id
+}
+
+// file returns the extraction index of path id's file, adding the file on
+// first sight.
+func (p *scanPart) file(id int32) int32 {
+	ps := &p.paths[id]
+	if ps.file < 0 {
+		ps.file = p.x.add(&FileAccesses{Path: ps.name}, 0)
+	}
+	return ps.file
+}
+
+// times returns rank's time tables on path id's file.
+func (p *scanPart) times(id int32, rank int32) *RankTimes {
+	return p.x.files[p.file(id)].timesFor(rank)
+}
+
+// metaID returns path id's index in the metadata path table, adding it on
 // first use.
-func (p *scanPart) pathID(path string) int32 {
-	if i, ok := p.pathIndex[path]; ok {
-		return i
+func (p *scanPart) metaID(id int32) int32 {
+	ps := &p.paths[id]
+	if ps.meta < 0 {
+		ps.meta = int32(len(p.metaPaths))
+		p.metaPaths = append(p.metaPaths, id)
 	}
-	i := int32(len(p.paths))
-	p.pathIndex[path] = i
-	p.paths = append(p.paths, path)
-	return i
+	return ps.meta
 }
 
-func callKey(l recorder.Layer, f recorder.Func) uint32 { return uint32(l)<<16 | uint32(f) }
+// callTable counts records by (layer, func) in dense rows of int32, one
+// row per layer allocated on the layer's first record, so a per-rank part
+// costs a few hundred bytes per layer it sees. A code outside the
+// recorder's tables (a damaged but decodable trace can carry one), or a
+// cell about to overflow, counts in the map instead.
+type callTable struct {
+	rows [][]int32 // by layer, then func
+	more map[uint32]int
+}
+
+func newCallTable() callTable {
+	return callTable{rows: make([][]int32, recorder.NumLayers())}
+}
+
+func (t *callTable) add(l recorder.Layer, f recorder.Func, n int) {
+	if int(l) < len(t.rows) && int(f) < recorder.NumFuncs() {
+		row := t.rows[l]
+		if row == nil {
+			row = make([]int32, recorder.NumFuncs())
+			t.rows[l] = row
+		}
+		if c := int64(row[f]) + int64(n); c <= math.MaxInt32 {
+			row[f] = int32(c)
+			return
+		}
+	}
+	if t.more == nil {
+		t.more = make(map[uint32]int)
+	}
+	t.more[uint32(l)<<16|uint32(f)] += n
+}
+
+// each calls fn for every nonzero count.
+func (t *callTable) each(fn func(recorder.Layer, recorder.Func, int)) {
+	for l, row := range t.rows {
+		for f, n := range row {
+			if n != 0 {
+				fn(recorder.Layer(l), recorder.Func(f), int(n))
+			}
+		}
+	}
+	for k, n := range t.more {
+		fn(recorder.Layer(k>>16), recorder.Func(k), n)
+	}
+}
 
 // rankScan is one rank's fold. Each record advances the origin attribution
 // once and then every fold that reads it: extraction, census, metadata
@@ -132,16 +228,14 @@ type rankScan struct {
 	ext   rankExtractor
 	stack originStack
 	i     int // stream index of the next record
-	// pending maps a path to the index in part.meta of this rank's last
-	// stat-family use of it that no later touch has consumed yet.
-	pending map[string]int
-	hb      []hbEvent
+	hb    []hbEvent
 }
 
 func newRankScan(part *scanPart) *rankScan {
+	part.fold++
 	return &rankScan{
 		part:  part,
-		ext:   rankExtractor{x: part.x, sizeByPath: make(map[string]int64, 8)},
+		ext:   rankExtractor{p: part},
 		stack: originStack{frames: part.frames[:0]},
 		hb:    part.hbBuf[:0],
 	}
@@ -160,14 +254,15 @@ func (s *rankScan) step(r *recorder.Record) {
 	s.i++
 	p := s.part
 	p.records++
-	p.calls[callKey(r.Layer, r.Func)]++
+	p.calls.add(r.Layer, r.Func, 1)
 	switch r.Layer {
 	case recorder.LayerPOSIX:
-		s.ext.step(r, origin, phase)
+		path := p.intern(r.Path)
+		s.ext.step(r, path, origin, phase)
 		if r.IsMetadataOp() {
-			countCall(p.census, originName(origin), r.Func, 1)
+			p.census.add(origin, r.Func, 1)
 		}
-		s.metaStep(r)
+		s.metaStep(r, path)
 	case recorder.LayerMPI:
 		s.hb = append(s.hb, newHBEvent(r))
 	}
@@ -255,49 +350,82 @@ func ScanRanksCtx(ctx context.Context, n, workers int, open func(rank int) (Reco
 
 	out := merged.x.layout()
 	calls := make(map[recorder.Layer]map[recorder.Func]int)
-	for k, n := range merged.calls {
-		countCall(calls, recorder.Layer(k>>16), recorder.Func(k), n)
+	merged.calls.each(func(l recorder.Layer, f recorder.Func, n int) { countCall(calls, l, f, n) })
+	census := make(map[string]map[recorder.Func]int)
+	merged.census.each(func(origin recorder.Layer, f recorder.Func, n int) { countCall(census, originName(origin), f, n) })
+	metaPaths := make([]string, len(merged.metaPaths))
+	for i, id := range merged.metaPaths {
+		metaPaths[i] = merged.paths[id].name
 	}
 	return &Scan{
 		Files:   out,
-		Census:  &Census{Counts: merged.census},
+		Census:  &Census{Counts: census},
 		Records: merged.records,
 		Calls:   calls,
-		meta:    metaByPath(merged.meta, merged.paths),
+		meta:    metaByPath(merged.meta, metaPaths),
 		hb:      hb,
 	}, nil
 }
 
-// mergeScanParts folds per-rank parts in rank order: extractions through
-// mergePartials, events by concatenation with their paths remapped to the
-// merged path table (built in the same first-use order as a serial fold's),
-// counters by addition.
+// mergeScanParts folds per-rank parts in rank order, which reproduces the
+// serial order of every table: paths are re-interned in the merged part,
+// the metadata path table in each part's first-use order, events are
+// concatenated with their paths remapped, counters added, and the
+// extractions merged file by file. A rank's times are appended after the
+// earlier parts' times for the same rank, and its staged chunks, re-tagged
+// with the merged file indices, follow the earlier parts' chunks.
 func mergeScanParts(parts []*scanPart) *scanPart {
 	merged := newScanPart()
-	xs := make([]*extraction, len(parts))
-	for i, p := range parts {
-		xs[i] = p.x
-		remap := make([]int32, len(p.paths))
-		for k, path := range p.paths {
-			remap[k] = merged.pathID(path)
+	x := merged.x
+	for _, p := range parts {
+		ids := make([]int32, len(p.paths)) // p's path ids in merged
+		for k := range p.paths {
+			ids[k] = merged.intern(p.paths[k].name)
+		}
+		metaIDs := make([]int32, len(p.metaPaths))
+		for k, id := range p.metaPaths {
+			metaIDs[k] = merged.metaID(ids[id])
 		}
 		for _, e := range p.meta {
 			if e.path != noPath {
-				e.path = remap[e.path]
+				e.path = metaIDs[e.path]
 			}
 			merged.meta = append(merged.meta, e)
 		}
 		merged.records += p.records
-		for origin, m := range p.census {
-			for f, n := range m {
-				countCall(merged.census, origin, f, n)
+		p.calls.each(func(l recorder.Layer, f recorder.Func, n int) { merged.calls.add(l, f, n) })
+		p.census.each(func(l recorder.Layer, f recorder.Func, n int) { merged.census.add(l, f, n) })
+
+		files := make([]int32, len(p.x.files)) // p's file indices in merged
+		for k := range p.paths {
+			i := p.paths[k].file
+			if i < 0 {
+				continue
+			}
+			fa, ps := p.x.files[i], &merged.paths[ids[k]]
+			if ps.file < 0 {
+				ps.file = x.add(fa, p.x.counts[i])
+				files[i] = ps.file
+				continue
+			}
+			dst := x.files[ps.file]
+			for _, rt := range fa.Ranks {
+				d := dst.timesFor(rt.Rank)
+				d.Opens = append(d.Opens, rt.Opens...)
+				d.Closes = append(d.Closes, rt.Closes...)
+				d.Commits = append(d.Commits, rt.Commits...)
+			}
+			x.counts[ps.file] += p.x.counts[i]
+			files[i] = ps.file
+		}
+		for _, c := range p.x.chunks {
+			for k := range c {
+				c[k].file = files[c[k].file]
 			}
 		}
-		for k, n := range p.calls {
-			merged.calls[k] += n
-		}
+		x.chunks = append(x.chunks, p.x.chunks...)
+		p.x.chunks = nil // the merged extraction's layout releases them
 	}
-	merged.x = mergePartials(xs)
 	return merged
 }
 
@@ -329,46 +457,6 @@ func metaByPath(events []metaEvent, paths []string) metaIndex {
 		slices.SortStableFunc(out[start[i]:start[i+1]], func(a, b metaEvent) int { return cmp.Compare(a.t, b.t) })
 	}
 	return metaIndex{paths: paths, start: start, events: out}
-}
-
-// mergePartials folds per-rank partial extractions in rank order, which
-// reproduces the serial append order of every per-path table: a rank's
-// times are appended after the earlier partials' times for the same rank,
-// and its staged chunks, re-tagged with the merged file indices, follow
-// the earlier partials' chunks.
-func mergePartials(partial []*extraction) *extraction {
-	merged := newExtraction()
-	for _, part := range partial {
-		remap := make([]int32, len(part.files))
-		for i, fa := range part.files {
-			g, ok := merged.index[fa.Path]
-			if !ok {
-				g = int32(len(merged.files))
-				merged.index[fa.Path] = g
-				merged.files = append(merged.files, fa)
-				merged.counts = append(merged.counts, part.counts[i])
-				remap[i] = g
-				continue
-			}
-			dst := merged.files[g]
-			for _, rt := range fa.Ranks {
-				d := dst.timesFor(rt.Rank)
-				d.Opens = append(d.Opens, rt.Opens...)
-				d.Closes = append(d.Closes, rt.Closes...)
-				d.Commits = append(d.Commits, rt.Commits...)
-			}
-			merged.counts[g] += part.counts[i]
-			remap[i] = g
-		}
-		for _, c := range part.chunks {
-			for k := range c {
-				c[k].file = remap[c[k].file]
-			}
-		}
-		merged.chunks = append(merged.chunks, part.chunks...)
-		part.chunks = nil // the merged extraction's layout releases them
-	}
-	return merged
 }
 
 // MetaConflictsCtx finds the scan's cross-process metadata dependencies

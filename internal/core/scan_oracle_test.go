@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"path"
 	"reflect"
@@ -219,5 +220,65 @@ func TestPropertyScanMatchesWholeSliceOracles(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 60; trial++ {
 		checkScanOracles(t, fmt.Sprintf("trial %d", trial), randomTrace(rng))
+	}
+}
+
+// TestScanCallsOutOfRangeCodes: records whose Layer or Func code lies
+// outside the recorder's tables (a damaged but decodable trace can carry
+// them) are tallied in Scan.Calls and the census exactly like in-range
+// ones, at every worker count.
+func TestScanCallsOutOfRangeCodes(t *testing.T) {
+	odd := recorder.Layer(recorder.NumLayers() + 5)
+	big := recorder.Func(recorder.NumFuncs() + 3)
+	rec := func(rank int32, t uint64, l recorder.Layer, f recorder.Func, path string) recorder.Record {
+		return recorder.Record{Rank: rank, Layer: l, Func: f, TStart: t, TEnd: t + 1, Path: path}
+	}
+	tr := &recorder.Trace{Meta: recorder.Meta{App: "odd", Ranks: 3}, PerRank: [][]recorder.Record{
+		{
+			rec(0, 1, recorder.LayerPOSIX, big, "/a"),
+			rec(0, 3, recorder.LayerPOSIX, recorder.FuncStat, "/a"),
+			rec(0, 5, odd, recorder.FuncH5Fcreate, "/a"),
+			rec(0, 7, recorder.LayerPOSIX, ^recorder.Func(0), ""),
+		},
+		{
+			// An out-of-range library layer encloses a stat: the census
+			// attributes it to that layer's origin name.
+			{Rank: 1, Layer: odd, Func: big, TStart: 1, TEnd: 100},
+			rec(1, 2, recorder.LayerPOSIX, recorder.FuncStat, "/b"),
+			rec(1, 4, recorder.LayerPOSIX, recorder.FuncLstat, "/b"),
+			rec(1, 6, ^recorder.Layer(0), ^recorder.Func(0), "/b"),
+		},
+		{
+			rec(2, 1, recorder.LayerMPI, big, ""),
+			rec(2, 3, recorder.LayerPOSIX, recorder.FuncStat, "/a"),
+		},
+	}}
+	checkScanOracles(t, "out-of-range codes", tr)
+	sc, err := ScanTraceCtx(context.Background(), tr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := sc.Calls[recorder.LayerPOSIX][big] + sc.Calls[odd][big] + sc.Calls[odd][recorder.FuncH5Fcreate] +
+		sc.Calls[^recorder.Layer(0)][^recorder.Func(0)]; n != 4 {
+		t.Fatalf("out-of-range calls counted %d times, want 4: %v", n, sc.Calls)
+	}
+}
+
+// TestCallTableOverflowSpills: a dense cell never wraps; counts past
+// int32 continue in the map and sum back exactly.
+func TestCallTableOverflowSpills(t *testing.T) {
+	ct := newCallTable()
+	ct.add(recorder.LayerPOSIX, recorder.FuncWrite, math.MaxInt32-1)
+	ct.add(recorder.LayerPOSIX, recorder.FuncWrite, 5)
+	ct.add(recorder.LayerPOSIX, recorder.FuncWrite, 1)
+	got := 0
+	ct.each(func(l recorder.Layer, f recorder.Func, n int) {
+		if l != recorder.LayerPOSIX || f != recorder.FuncWrite {
+			t.Fatalf("count under (%v, %v)", l, f)
+		}
+		got += n
+	})
+	if want := math.MaxInt32 + 5; got != want {
+		t.Fatalf("total %d, want %d", got, want)
 	}
 }

@@ -59,22 +59,30 @@ func (s *originStack) step(i int, r *recorder.Record) (recorder.Layer, int) {
 // at a time: descriptor offsets (§5.1) and open/close/commit time tables
 // advance in a single pass. Offset and size state is rank-local, so rank
 // streams fold independently as long as each rank's records reach a
-// path's tables in rank order.
+// path's tables in rank order. Paths arrive as the part's path ids (see
+// scanPart.intern), so no step hashes a path.
 type rankExtractor struct {
-	x          *extraction
-	fds        fdTable
-	sizeByPath map[string]int64 // this rank's view, for O_APPEND
+	p   *scanPart
+	fds fdTable
 }
 
-func (e *rankExtractor) noteSize(path string, end int64) {
-	if end > e.sizeByPath[path] {
-		e.sizeByPath[path] = end
+// size is this rank's view of a path's size, for O_APPEND: 0 until the
+// rank truncates or writes it.
+func (e *rankExtractor) size(id int32) int64 {
+	if ps := &e.p.paths[id]; ps.sizeFold == e.p.fold {
+		return ps.size
 	}
+	return 0
 }
 
-// step folds one POSIX-layer record whose origin and phase the rank's
-// originStack computed.
-func (e *rankExtractor) step(r *recorder.Record, origin recorder.Layer, phase int) {
+func (e *rankExtractor) setSize(id int32, n int64) {
+	ps := &e.p.paths[id]
+	ps.size, ps.sizeFold = n, e.p.fold
+}
+
+// step folds one POSIX-layer record, whose Path has id path, with the
+// origin and phase the rank's originStack computed.
+func (e *rankExtractor) step(r *recorder.Record, path int32, origin recorder.Layer, phase int) {
 	switch {
 	case r.IsOpenOp():
 		fd := r.Arg(2)
@@ -82,21 +90,21 @@ func (e *rankExtractor) step(r *recorder.Record, origin recorder.Layer, phase in
 			return // failed open
 		}
 		flags := int(r.Arg(0))
-		e.fds.set(fd, fdState{path: r.Path, appendMd: flags&recorder.OAppend != 0})
+		e.fds.set(fd, fdState{path: path, appendMd: flags&recorder.OAppend != 0})
 		if flags&recorder.OTrunc != 0 {
-			e.sizeByPath[r.Path] = 0
+			e.setSize(path, 0)
 		}
-		rt := e.x.times(r.Path, r.Rank)
+		rt := e.p.times(path, r.Rank)
 		rt.Opens = append(rt.Opens, r.TStart)
 	case r.IsCloseOp():
 		if st := e.fds.closeFD(r.Arg(0)); st != nil {
-			rt := e.x.times(st.path, r.Rank)
+			rt := e.p.times(st.path, r.Rank)
 			rt.Closes = append(rt.Closes, r.TStart)
 			rt.Commits = append(rt.Commits, r.TStart)
 		}
 	case r.Func == recorder.FuncFsync || r.Func == recorder.FuncFdatasync || r.Func == recorder.FuncFflush:
 		if st := e.fds.get(r.Arg(0)); st != nil {
-			rt := e.x.times(st.path, r.Rank)
+			rt := e.p.times(st.path, r.Rank)
 			rt.Commits = append(rt.Commits, r.TStart)
 		}
 	case r.Func == recorder.FuncLseek || r.Func == recorder.FuncFseek:
@@ -117,18 +125,24 @@ func (e *rankExtractor) step(r *recorder.Record, origin recorder.Layer, phase in
 		}
 	case r.Func == recorder.FuncFtruncate:
 		if st := e.fds.get(r.Arg(0)); st != nil {
-			e.sizeByPath[st.path] = r.Arg(1)
+			e.setSize(st.path, r.Arg(1))
 		}
 	case r.Func == recorder.FuncTruncate:
-		e.sizeByPath[r.Path] = r.Arg(1)
+		e.setSize(path, r.Arg(1))
 	case r.IsDataOp():
-		iv, path, ok := dataInterval(r, &e.fds, e.sizeByPath)
+		st := e.fds.get(r.Arg(0))
+		if st == nil {
+			return
+		}
+		iv, ok := dataInterval(r, st, e.size(st.path))
 		if !ok {
 			return
 		}
 		iv.Origin, iv.Phase = origin, phase
-		e.noteSize(path, iv.Oe)
-		e.x.stage(e.x.file(path), iv)
+		if iv.Oe > e.size(st.path) {
+			e.setSize(st.path, iv.Oe)
+		}
+		e.p.x.stage(e.p.file(st.path), iv)
 	}
 }
 
@@ -151,33 +165,19 @@ type stagedInterval struct {
 // extraction accumulates the files of one or more rank streams. Each file's
 // time tables grow in place, while its intervals are staged in chunks in
 // fold order; layout then gives every file its slice of one arena, so a
-// file's intervals are allocated once instead of regrown per append.
+// file's intervals are allocated once instead of regrown per append. A
+// file's index is kept with its path's other state (pathState.file).
 type extraction struct {
-	index  map[string]int32 // path -> index in files
-	files  []*FileAccesses  // Path and Ranks; layout fills Intervals
-	counts []int            // staged intervals per file
+	files  []*FileAccesses // Path and Ranks; layout fills Intervals
+	counts []int           // staged intervals per file
 	chunks [][]stagedInterval
 }
 
-func newExtraction() *extraction {
-	return &extraction{index: make(map[string]int32)}
-}
-
-// file returns path's index, adding the file on first sight.
-func (x *extraction) file(path string) int32 {
-	if i, ok := x.index[path]; ok {
-		return i
-	}
-	i := int32(len(x.files))
-	x.index[path] = i
-	x.files = append(x.files, &FileAccesses{Path: path})
-	x.counts = append(x.counts, 0)
-	return i
-}
-
-// times returns rank's time tables on path.
-func (x *extraction) times(path string, rank int32) *RankTimes {
-	return x.files[x.file(path)].timesFor(rank)
+// add appends a file and returns its index.
+func (x *extraction) add(fa *FileAccesses, staged int) int32 {
+	x.files = append(x.files, fa)
+	x.counts = append(x.counts, staged)
+	return int32(len(x.files) - 1)
 }
 
 func (x *extraction) stage(file int32, iv Interval) {

@@ -52,7 +52,8 @@ func BuildRunReportFrom(tr *recorder.Trace, fas []*core.FileAccesses) *RunReport
 }
 
 // RunReportOf computes the digest of a scanned trace (see
-// BuildRunReportFrom). The report shares sc's call counters, read-only.
+// BuildRunReportFrom). The report shares sc's call counters, read-only,
+// and its Files index-match sc.Files (both are in path order).
 func RunReportOf(meta recorder.Meta, sc *core.Scan) *RunReport {
 	return buildRunReport(meta, sc, sc.Files)
 }
@@ -67,11 +68,9 @@ func buildRunReport(meta recorder.Meta, sc *core.Scan, fas []*core.FileAccesses)
 	}
 	rep.Files = make([]FileReport, 0, len(fas))
 	for _, fa := range fas {
-		fr := FileReport{Path: fa.Path}
-		ranks := map[int32]bool{}
+		fr := FileReport{Path: fa.Path, Ranks: distinctRanks(fa.Intervals)}
 		for _, iv := range fa.Intervals {
 			n := iv.Oe - iv.Os
-			ranks[iv.Rank] = true
 			if iv.Write {
 				fr.Writes++
 				fr.BytesWritten += n
@@ -83,11 +82,32 @@ func buildRunReport(meta recorder.Meta, sc *core.Scan, fas []*core.FileAccesses)
 			}
 			rep.SizeHistogram.Observe(n)
 		}
-		fr.Ranks = len(ranks)
 		rep.Files = append(rep.Files, fr)
 	}
 	slices.SortFunc(rep.Files, func(a, b FileReport) int { return strings.Compare(a.Path, b.Path) })
 	return rep
+}
+
+// distinctRanks counts the ranks among ivs. Extraction keeps each rank's
+// intervals contiguous, ranks ascending (see core.FileAccesses), so that
+// is one per rank run; intervals in any other order are counted through a
+// sorted copy of their ranks.
+func distinctRanks(ivs []core.Interval) int {
+	n := 0
+	for i := range ivs {
+		switch {
+		case i == 0 || ivs[i].Rank > ivs[i-1].Rank:
+			n++
+		case ivs[i].Rank < ivs[i-1].Rank:
+			ranks := make([]int32, len(ivs))
+			for k := range ivs {
+				ranks[k] = ivs[k].Rank
+			}
+			slices.Sort(ranks)
+			return len(slices.Compact(ranks))
+		}
+	}
+	return n
 }
 
 // Render formats the report for terminals.

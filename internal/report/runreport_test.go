@@ -103,3 +103,29 @@ func TestHistogramRendersSortedWithZeroBucket(t *testing.T) {
 		t.Fatalf("zero bucket count wrong:\n%s", out)
 	}
 }
+
+// TestDistinctRanks: the per-file rank column counts distinct ranks, one
+// per rank run in extraction order and through a sort otherwise.
+func TestDistinctRanks(t *testing.T) {
+	ivs := func(ranks ...int32) []core.Interval {
+		out := make([]core.Interval, len(ranks))
+		for i, r := range ranks {
+			out[i].Rank = r
+		}
+		return out
+	}
+	for _, c := range []struct {
+		ranks []int32
+		want  int
+	}{
+		{nil, 0},
+		{[]int32{3}, 1},
+		{[]int32{0, 0, 1, 1, 1, 7}, 3},
+		{[]int32{2, 0, 2, 1, 0}, 3},
+		{[]int32{0, 1, 0}, 2},
+	} {
+		if got := distinctRanks(ivs(c.ranks...)); got != c.want {
+			t.Errorf("distinctRanks(%v) = %d, want %d", c.ranks, got, c.want)
+		}
+	}
+}

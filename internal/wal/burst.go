@@ -94,6 +94,9 @@ type BurstResult struct {
 // page cache, and on every other backend each ack line is Sync'd before the
 // next write issues, so the ack files are a trustworthy floor on what
 // recovery must return — the "zero acked writes lost" half of the harness.
+// A write a degraded WAL acked by writing it through to the pfs is not in
+// the log and dies with the process, so its line carries the mark " wt"
+// and counts toward no floor.
 // Safe to SIGKILL at any point (that is its purpose); everything it needs
 // for recovery lives under spec.Log.Dir on spec.Log.Backend.
 func RunBurst(spec BurstSpec) (*BurstResult, error) {
@@ -142,10 +145,15 @@ func RunBurst(spec BurstSpec) (*BurstResult, error) {
 					return err
 				}
 				for k := 0; k < spec.Records; k++ {
+					through := l.Stats().WriteThrough
 					if _, err := l.Write(h, spec.offset(r, k), spec.payload(r, k), now()); err != nil {
 						break
 					}
-					fmt.Fprintf(ack, "%d\n", k)
+					if l.Stats().WriteThrough > through {
+						fmt.Fprintf(ack, "%d%s\n", k, writeThroughMark)
+					} else {
+						fmt.Fprintf(ack, "%d\n", k)
+					}
 					if syncAcks {
 						if err := ack.Sync(); err != nil {
 							break
@@ -188,14 +196,19 @@ func RunBurst(spec BurstSpec) (*BurstResult, error) {
 	return res, nil
 }
 
+// writeThroughMark ends the ack line of a write acked by write-through.
+const writeThroughMark = " wt"
+
 // readAcks returns the per-rank count of acknowledged records from the
-// burst's ack files, plus a per-rank flag distinguishing a zero-length ack
-// file (rank started, acked nothing — an explicit floor of 0) from a
-// missing one (rank never got as far as opening it). Both floors are 0, but
-// conflating them hid a class of harness bugs where a rank silently never
-// ran; the recovery report now states which case each rank is in.
-func readAcks(b storage.Backend, dir string, ranks int) (counts []int, present []bool, err error) {
-	counts = make([]int, ranks)
+// burst's ack files — log-backed acks and write-through acks apart — plus a
+// per-rank flag distinguishing a zero-length ack file (rank started, acked
+// nothing — an explicit floor of 0) from a missing one (rank never got as
+// far as opening it). Both floors are 0, but conflating them hid a class of
+// harness bugs where a rank silently never ran; the recovery report now
+// states which case each rank is in.
+func readAcks(b storage.Backend, dir string, ranks int) (logged, through []int, present []bool, err error) {
+	logged = make([]int, ranks)
+	through = make([]int, ranks)
 	present = make([]bool, ranks)
 	for r := 0; r < ranks; r++ {
 		data, err := b.ReadFile(filepath.Join(dir, ackName(r)))
@@ -203,30 +216,38 @@ func readAcks(b storage.Backend, dir string, ranks int) (counts []int, present [
 			if storage.IsNotExist(err) {
 				continue
 			}
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		present[r] = true
 		for _, line := range strings.Split(string(data), "\n") {
-			if strings.TrimSpace(line) != "" {
-				counts[r]++
+			switch line = strings.TrimSpace(line); {
+			case line == "":
+			case strings.HasSuffix(line, writeThroughMark):
+				through[r]++
+			default:
+				logged[r]++
 			}
 		}
 	}
-	return counts, present, nil
+	return logged, through, present, nil
 }
 
 // RecoveryReport is the outcome of RecoverBurst, formatted into the
 // `semrepro -wal-recover` artifact.
 type RecoveryReport struct {
-	Spec      BurstSpec
-	PerRank   []int  // recovered record count per rank
-	Acked     []int  // ack-file floor per rank
-	AckFiles  []bool // ack file present (possibly zero-length) per rank
-	Records   int
-	Dropped   int   // torn-tail records discarded (≤1 per rank)
-	TailBytes int64 // torn-tail bytes truncated
-	Check     consistency.Result
-	Dump      map[string][]byte // replayed state
+	Spec     BurstSpec
+	PerRank  []int  // recovered record count per rank
+	Acked    []int  // ack-file floor per rank: its log-backed acks
+	AckFiles []bool // ack file present (possibly zero-length) per rank
+	// WriteThrough counts per rank the acks a degraded WAL gave by
+	// writing through to the pfs: they were never in the log, so no
+	// recovery can return them and they count toward no floor.
+	WriteThrough []int
+	Records      int
+	Dropped      int   // torn-tail records discarded (≤1 per rank)
+	TailBytes    int64 // torn-tail bytes truncated
+	Check        consistency.Result
+	Dump         map[string][]byte // replayed state
 }
 
 // RecoverBurst salvages a (possibly crash-interrupted) burst's log
@@ -248,11 +269,11 @@ func RecoverBurst(spec BurstSpec) (*RecoveryReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	acked, ackFiles, err := readAcks(spec.Log.Backend, spec.Log.Dir, spec.Ranks)
+	acked, through, ackFiles, err := readAcks(spec.Log.Backend, spec.Log.Dir, spec.Ranks)
 	if err != nil {
 		return nil, err
 	}
-	rep := &RecoveryReport{Spec: spec, PerRank: make([]int, spec.Ranks), Acked: acked, AckFiles: ackFiles}
+	rep := &RecoveryReport{Spec: spec, PerRank: make([]int, spec.Ranks), Acked: acked, AckFiles: ackFiles, WriteThrough: through}
 	for r := 0; r < spec.Ranks; r++ {
 		rr := recs[r]
 		rep.PerRank[r] = len(rr)
@@ -399,6 +420,9 @@ func FormatReport(rep *RecoveryReport) string {
 		ackNote := "no ack file"
 		if r < len(rep.AckFiles) && rep.AckFiles[r] {
 			ackNote = "ack file present"
+		}
+		if r < len(rep.WriteThrough) && rep.WriteThrough[r] > 0 {
+			ackNote += fmt.Sprintf("; %d more acked by write-through, in the pfs only", rep.WriteThrough[r])
 		}
 		fmt.Fprintf(&b, "  rank %d: records=%d acked>=%d (%s)\n", r, rep.PerRank[r], rep.Acked[r], ackNote)
 	}

@@ -255,6 +255,7 @@ func analyzeScan(ctx context.Context, meta recorder.Meta, sc *core.Scan, workers
 	fas := sc.Files
 	an := &Analysis{Census: sc.Census}
 	var sessionSig, commitSig core.ConflictSignature
+	var sessionFiles, commitFiles [][]core.Conflict // index-match fas
 	var hb *core.HB
 
 	// The scatter/gather fans the passes out as named spans under one
@@ -278,8 +279,8 @@ func analyzeScan(ctx context.Context, meta recorder.Meta, sc *core.Scan, workers
 		if err != nil {
 			return err
 		}
-		an.SessionConflicts, sessionSig = ms[0].ByFile, ms[0].Signature
-		an.CommitConflicts, commitSig = ms[1].ByFile, ms[1].Signature
+		an.SessionConflicts, sessionSig, sessionFiles = ms[0].ByFile, ms[0].Signature, ms[0].Files
+		an.CommitConflicts, commitSig, commitFiles = ms[1].ByFile, ms[1].Signature, ms[1].Files
 		return nil
 	})
 	launch(1, "patterns", func() (err error) {
@@ -314,14 +315,16 @@ func analyzeScan(ctx context.Context, meta recorder.Meta, sc *core.Scan, workers
 		}
 	}
 
+	// The report's files, like the sweep's per-file lists, index-match
+	// fas: both are in path order.
 	for i := range an.Report.Files {
 		f := &an.Report.Files[i]
-		f.SessionConflicts = len(an.SessionConflicts[f.Path])
-		f.CommitConflicts = len(an.CommitConflicts[f.Path])
+		f.SessionConflicts = len(sessionFiles[i])
+		f.CommitConflicts = len(commitFiles[i])
 	}
 	if an.HBErr == nil {
-		for _, fa := range fas {
-			an.Unordered = append(an.Unordered, core.ValidateConflicts(hb, an.SessionConflicts[fa.Path])...)
+		for _, cs := range sessionFiles {
+			an.Unordered = append(an.Unordered, core.ValidateConflicts(hb, cs)...)
 		}
 	}
 	an.Verdict = core.VerdictFrom(sessionSig, commitSig)
