@@ -22,8 +22,9 @@
 // With -check-consistency, the traced configuration is re-run under all
 // four consistency models with the pfs op-history recorder attached, and
 // each history is verified against its model's executable formal spec
-// (internal/consistency); the cross-model cost table is printed and any
-// spec rejection is reported with its counterexample clause. It decodes no
+// (internal/consistency); the cross-model table (simulated time, lock
+// acquisitions, history events and spec verdict per model) is printed and
+// any spec rejection is reported with its counterexample clause. It decodes no
 // rank file (it only checks that each exists), so a damaged one cannot fail it.
 //
 // The report goes to standard output through one buffered writer.

@@ -127,9 +127,6 @@ func OpenOn(b storage.Backend, dir string, m Manifest) (*Store, error) {
 		return nil, demote(fmt.Errorf("ckpt: %w", err))
 	}
 	stats := RecoverStats{Stats: fst, Keys: len(byKey)}
-	recoverKept.Add(int64(stats.Records))
-	recoverDropped.Add(int64(stats.Dropped))
-	recoverTruncated.Add(stats.TailBytes)
 	return &Store{dir: dir, backend: b, f: f, committed: byKey, stats: stats}, nil
 }
 
@@ -157,18 +154,11 @@ func (s *Store) Keys() []string {
 	return sortedKeys(s.committed)
 }
 
-// Lookup returns the committed blob for key. Every call counts toward the
-// ckpt.resume.{hits,misses} telemetry — callers consult the store exactly
-// when deciding whether cached work can replace re-execution.
+// Lookup returns the committed blob for key.
 func (s *Store) Lookup(key string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.committed[key]
-	if ok {
-		resumeHits.Inc()
-	} else {
-		resumeMisses.Inc()
-	}
 	return b, ok
 }
 

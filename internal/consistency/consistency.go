@@ -118,16 +118,8 @@ func CheckLog(model pfs.Semantics, log *Log, opt Options) Result {
 // implementation already got wrong.
 func Check(model pfs.Semantics, events []pfs.HistoryEvent, opt Options) (res Result) {
 	start := time.Now()
-	checkHistories.Inc()
 	defer func() {
 		checkWall.Observe(time.Since(start).Nanoseconds())
-		checkEvents.Add(int64(res.Events))
-		checkBytes.Add(res.Bytes)
-		if res.OK() {
-			checkAccepted.Inc()
-		} else {
-			checkRejected.Inc()
-		}
 		recordVerdictFlight(res.Events, res.OK())
 	}()
 	delay := opt.EventualDelayNS

@@ -2,16 +2,9 @@ package consistency
 
 import "repro/internal/obs"
 
-// Checker telemetry on the process-wide obs registry. Naming follows
-// DESIGN.md §9: consistency.check.*.
-var (
-	checkHistories = obs.Default().Counter("consistency.check.histories")
-	checkAccepted  = obs.Default().Counter("consistency.check.accepted")
-	checkRejected  = obs.Default().Counter("consistency.check.rejected")
-	checkEvents    = obs.Default().Counter("consistency.check.events")
-	checkBytes     = obs.Default().Counter("consistency.check.bytes")
-	checkWall      = obs.Default().Histogram("consistency.check.wall_ns")
-)
+// checkWall is each Check's host wall time (DESIGN.md §9). What a check
+// consumed and decided is its Result.
+var checkWall = obs.Default().Histogram("consistency.check.wall_ns")
 
 // Flight-recorder event classes: every spec verdict lands in the ring, and
 // a rejection both records the violating op (read seq, first bad offset,

@@ -13,13 +13,9 @@ import (
 	"repro/internal/pfs"
 )
 
-// Cross-model comparison telemetry: one run per (configuration, model)
-// cell. Names: experiments.consistency.*.
-var (
-	consistencyRuns   = obs.Default().Counter("experiments.consistency.runs")
-	consistencyWall   = obs.Default().Histogram("experiments.consistency.run_wall_ns")
-	consistencyFailed = obs.Default().Counter("experiments.consistency.failed")
-)
+// consistencyWall is the host wall time of each (configuration, model)
+// cell's run.
+var consistencyWall = obs.Default().Histogram("experiments.consistency.run_wall_ns")
 
 // ConsistencyCell is one (configuration, model) cell of the cross-model
 // comparison: the model-dependent performance counters of the run, plus
@@ -30,8 +26,6 @@ type ConsistencyCell struct {
 
 	ElapsedNS    uint64 // simulated wall time of the traced phase
 	LockAcquires int64  // strong-semantics lock round trips
-	StaleReads   int64  // reads that saw less than the strong view
-	VisWaitMaxNS int64  // worst distance from the strong view (simulated ns)
 
 	Events   int    // recorded history length (setup + traced phases)
 	Accepted bool   // history satisfies the model's formal spec
@@ -43,7 +37,7 @@ type ConsistencyCell struct {
 // history against the model's executable formal spec (internal/
 // consistency), and reports the per-model cost counters — the executable
 // analogue of the follow-up paper's cross-model performance comparison
-// (visibility wait and locking cost per model; see PAPERS.md), with each
+// (simulated time and locking cost per model; see PAPERS.md), with each
 // cell certified semantics-conforming by the checker.
 //
 // names selects configurations (apps.Lookup names); nil means the full
@@ -69,7 +63,6 @@ func ConsistencyComparison(ctx context.Context, s Scale, names []string) ([]Cons
 			}
 			cell, err := consistencyCell(cfg, sem, s)
 			if err != nil {
-				consistencyFailed.Inc()
 				return cells, fmt.Errorf("experiments: %s under %v: %w", cfg.Name(), sem, err)
 			}
 			cells = append(cells, cell)
@@ -83,7 +76,6 @@ func consistencyCell(cfg *apps.Config, sem pfs.Semantics, s Scale) (ConsistencyC
 	defer span.End()
 	start := time.Now()
 	defer func() { consistencyWall.Observe(time.Since(start).Nanoseconds()) }()
-	consistencyRuns.Inc()
 
 	fs := pfs.New(pfs.Options{Semantics: sem})
 	log := consistency.NewLog()
@@ -117,8 +109,6 @@ func consistencyCell(cfg *apps.Config, sem pfs.Semantics, s Scale) (ConsistencyC
 		Semantics:    sem,
 		ElapsedNS:    elapsed,
 		LockAcquires: st.LockAcquires,
-		StaleReads:   st.StaleReads,
-		VisWaitMaxNS: st.VisibilityWaitMaxNS,
 		Events:       check.Events,
 		Accepted:     check.OK(),
 	}
@@ -129,8 +119,7 @@ func consistencyCell(cfg *apps.Config, sem pfs.Semantics, s Scale) (ConsistencyC
 }
 
 // ConsistencyTable renders the cross-model comparison: per configuration,
-// one row per model with its locking cost, staleness exposure and
-// spec verdict.
+// one row per model with its simulated time, locking cost and spec verdict.
 func ConsistencyTable(cells []ConsistencyCell) string {
 	ordered := append([]ConsistencyCell(nil), cells...)
 	sort.SliceStable(ordered, func(i, j int) bool {
@@ -141,18 +130,16 @@ func ConsistencyTable(cells []ConsistencyCell) string {
 	})
 	var b strings.Builder
 	b.WriteString("Cross-model consistency comparison (formal-spec-checked runs)\n\n")
-	fmt.Fprintf(&b, "%-20s  %-9s  %12s  %10s  %11s  %13s  %8s  %s\n",
-		"configuration", "semantics", "elapsed(ms)", "lock acqs",
-		"stale reads", "vis-wait(ms)", "events", "spec")
-	b.WriteString(strings.Repeat("-", 100) + "\n")
+	fmt.Fprintf(&b, "%-20s  %-9s  %12s  %10s  %8s  %s\n",
+		"configuration", "semantics", "elapsed(ms)", "lock acqs", "events", "spec")
+	b.WriteString(strings.Repeat("-", 72) + "\n")
 	for _, c := range ordered {
 		verdict := "ok"
 		if !c.Accepted {
 			verdict = "REJECTED " + c.Clause
 		}
-		fmt.Fprintf(&b, "%-20s  %-9s  %12.2f  %10d  %11d  %13.2f  %8d  %s\n",
-			c.Config, c.Semantics, float64(c.ElapsedNS)/1e6, c.LockAcquires,
-			c.StaleReads, float64(c.VisWaitMaxNS)/1e6, c.Events, verdict)
+		fmt.Fprintf(&b, "%-20s  %-9s  %12.2f  %10d  %8d  %s\n",
+			c.Config, c.Semantics, float64(c.ElapsedNS)/1e6, c.LockAcquires, c.Events, verdict)
 	}
 	return b.String()
 }

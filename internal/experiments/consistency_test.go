@@ -32,17 +32,13 @@ func TestConsistencyComparison(t *testing.T) {
 		if c.ElapsedNS == 0 {
 			t.Errorf("%s under %v has zero elapsed time", c.Config, c.Semantics)
 		}
-		// Only strong semantics pays lock round trips; only the relaxed
-		// models can serve stale reads.
+		// Only strong semantics pays lock round trips.
 		if c.Semantics == pfs.Strong && c.LockAcquires == 0 {
 			t.Errorf("%s under strong acquired no locks", c.Config)
 		}
 		if c.Semantics != pfs.Strong && c.LockAcquires != 0 {
 			t.Errorf("%s under %v acquired %d locks, want 0",
 				c.Config, c.Semantics, c.LockAcquires)
-		}
-		if c.Semantics == pfs.Strong && c.StaleReads != 0 {
-			t.Errorf("%s under strong reported %d stale reads", c.Config, c.StaleReads)
 		}
 	}
 	for _, n := range names {
@@ -52,7 +48,7 @@ func TestConsistencyComparison(t *testing.T) {
 	}
 
 	table := ConsistencyTable(cells)
-	for _, want := range []string{"configuration", "semantics", "vis-wait(ms)", "spec",
+	for _, want := range []string{"configuration", "semantics", "lock acqs", "spec",
 		"GTC", "FLASH-fbs", "strong", "eventual", "ok"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("table missing %q:\n%s", want, table)

@@ -27,14 +27,10 @@ import (
 	"repro/internal/wal"
 )
 
-// Sweep telemetry: per-configuration wall-clock histogram and outcome
-// counters, plus one span per configuration (lane 0; the worker-pool lanes
-// underneath come from core.ParallelForCtx). Names: experiments.config.*.
-var (
-	configWall   = obs.Default().Histogram("experiments.config.wall_ns")
-	configOK     = obs.Default().Counter("experiments.config.ok")
-	configFailed = obs.Default().Counter("experiments.config.failed")
-)
+// Sweep telemetry: a per-configuration wall-clock histogram plus one span
+// per configuration (lane 0; the worker-pool lanes underneath come from
+// core.ParallelForCtx). Each outcome is Results.Errs or Results.ByName.
+var configWall = obs.Default().Histogram("experiments.config.wall_ns")
 
 // Scale fixes the run parameters for one reproduction pass.
 type Scale struct {
@@ -214,11 +210,6 @@ func runCell(ctx context.Context, cfg *apps.Config, s Scale, timeout time.Durati
 			}
 			span.End()
 			configWall.Observe(time.Since(start).Nanoseconds())
-			if err != nil {
-				configFailed.Inc()
-			} else {
-				configOK.Inc()
-			}
 		}()
 		r, e := exec(cfg, apps.Options{
 			Ranks: s.Ranks, PPN: s.PPN, Seed: s.Seed, Semantics: s.Semantics,

@@ -24,11 +24,7 @@ import (
 // model's executable formal spec, so the latency win is only reported for
 // runs proven semantics-preserving.
 
-var (
-	walCompareRuns   = obs.Default().Counter("experiments.wal.runs")
-	walCompareWall   = obs.Default().Histogram("experiments.wal.run_wall_ns")
-	walCompareFailed = obs.Default().Counter("experiments.wal.failed")
-)
+var walCompareWall = obs.Default().Histogram("experiments.wal.run_wall_ns")
 
 // WALApps is the default configuration set for the WAL comparison: the
 // paper's two checkpoint-burst archetypes (FLASH with and without forced
@@ -73,7 +69,6 @@ func WALComparison(ctx context.Context, s Scale, names []string) ([]WALCell, err
 				}
 				cell, err := walCell(cfg, sem, s, withWAL)
 				if err != nil {
-					walCompareFailed.Inc()
 					return cells, fmt.Errorf("experiments: %s under %v (wal=%v): %w",
 						cfg.Name(), sem, withWAL, err)
 				}
@@ -90,7 +85,6 @@ func walCell(cfg *apps.Config, sem pfs.Semantics, s Scale, withWAL bool) (WALCel
 	defer span.End()
 	start := time.Now()
 	defer func() { walCompareWall.Observe(time.Since(start).Nanoseconds()) }()
-	walCompareRuns.Inc()
 
 	fs := pfs.New(pfs.Options{Semantics: sem})
 	log := consistency.NewLog()

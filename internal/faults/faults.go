@@ -19,27 +19,9 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/obs"
 	"repro/internal/pfs"
 	"repro/internal/sim"
 )
-
-// Per-kind schedule/fire telemetry on the process-wide registry
-// (faults.scheduled.<kind> / faults.fired.<kind>), alongside the injector's
-// own tallies that the chaos report renders. A scheduled injection that
-// never fires was suppressed: its rank never reached the Nth eligible
-// operation — the run was too short, or an earlier crash killed the rank.
-var (
-	scheduledCounters [numKinds]*obs.Counter
-	firedCounters     [numKinds]*obs.Counter
-)
-
-func init() {
-	for k := Kind(0); k < numKinds; k++ {
-		scheduledCounters[k] = obs.Default().Counter("faults.scheduled." + k.String())
-		firedCounters[k] = obs.Default().Counter("faults.fired." + k.String())
-	}
-}
 
 // Kind enumerates the injectable fault taxonomy (DESIGN.md, fault model).
 type Kind int
@@ -298,7 +280,6 @@ func NewInjector(s Schedule) *Injector {
 		inj.pending[k] = append(inj.pending[k], in)
 		if in.Kind >= 0 && in.Kind < numKinds {
 			inj.scheduled[in.Kind]++
-			scheduledCounters[in.Kind].Inc()
 		}
 	}
 	return inj
@@ -371,7 +352,6 @@ func (inj *Injector) apply(in Injection, op pfs.OpInfo, act *pfs.FaultAction) {
 	inj.fired++
 	if in.Kind >= 0 && in.Kind < numKinds {
 		inj.firedBy[in.Kind]++
-		firedCounters[in.Kind].Inc()
 	}
 	inj.events[op.Rank] = append(inj.events[op.Rank], Event{
 		Rank: op.Rank, Kind: in.Kind, Op: op.Kind, Path: op.Path, Now: op.Now,

@@ -22,7 +22,7 @@
 //     and the hot path never touches the registry map.
 //
 // Metric names are dot-separated lowercase paths, "<layer>.<noun>.<aspect>"
-// (e.g. "pfs.op.write.count", "core.pool.tasks", "faults.fired.torn-write");
+// (e.g. "pfs.op.write.cost_ns", "core.pool.tasks", "storage.op.syncs");
 // see DESIGN.md §9 for the full naming scheme.
 package obs
 

@@ -207,7 +207,6 @@ func (h *Handle) WriteTraced(off int64, data []byte, now uint64, trace uint64) (
 		fs.publishBatchLocked(f, []extent{e}, now, act)
 	}
 	observeOp(OpWrite, h.c.rank, cost)
-	bytesWrittenCounter.Add(int64(len(data)))
 	// A crash-after write is recorded as successful: the data landed on the
 	// servers even though the process never observed the completion.
 	fs.recordHistoryLocked(HistoryEvent{Kind: EvWrite, Trace: trace, Rank: h.c.rank, Path: h.path,
@@ -277,38 +276,10 @@ func (h *Handle) Read(off, n int64, now uint64) ([]byte, uint64, error) {
 			return nil, cost, fmt.Errorf("read %s: %w", h.path, ErrTransient)
 		}
 	}
-	sem := fs.semFor(h.path)
-	if sem == Strong {
+	if fs.semFor(h.path) == Strong {
 		cost += fs.lockCostLocked(f)
 	}
 	visible := h.visibleLocked(now)
-	// Stale-read accounting: any published extent overlapping the request
-	// that the model hides from this reader. The visibility-wait gauges
-	// record how far the reader is from the strong view — under Eventual
-	// the remaining propagation delay of a hidden extent, otherwise the age
-	// of the published-but-hidden data (both in simulated ns).
-	stale := false
-	for _, e := range f.published {
-		if !visible(e) && e.off < off+n && e.end() > off {
-			if !stale {
-				stale = true
-				fs.stats.StaleReads++
-				staleReadCounters[sem].Inc()
-			}
-			var wait int64
-			if sem == Eventual {
-				wait = int64(e.pubTime) + int64(fs.opts.EventualDelay) - int64(now)
-			} else {
-				wait = int64(now) - int64(e.pubTime)
-			}
-			if wait > 0 {
-				visWait[sem].SetMax(wait)
-				if wait > fs.stats.VisibilityWaitMaxNS {
-					fs.stats.VisibilityWaitMaxNS = wait
-				}
-			}
-		}
-	}
 	own := h.c.pending[h.path]
 	if fs.opts.UnorderedSameProcess && len(own) > 1 {
 		// BurstFS-style: same-process overlapping writes resolve in an
@@ -332,7 +303,6 @@ func (h *Handle) Read(off, n int64, now uint64) ([]byte, uint64, error) {
 		avail = n
 	}
 	fs.stats.BytesRead += avail
-	bytesReadCounter.Add(avail)
 	if fs.history != nil {
 		fs.recordHistoryLocked(HistoryEvent{Kind: EvRead, Rank: h.c.rank, Path: h.path,
 			Handle: h.id, Off: off, Len: n, Data: append([]byte(nil), buf[:avail]...), Now: now})
@@ -391,7 +361,6 @@ func (h *Handle) Commit(now uint64) (uint64, error) {
 			Handle: h.id, Now: now, Err: errString(ErrCrashed)})
 		return 0, ErrCrashed
 	}
-	fs.stats.Commits++
 	cost := fs.opts.Cost.SyncCost
 	observeOp(OpCommit, h.c.rank, cost)
 	if fs.semFor(h.path) != Commit {
@@ -458,6 +427,7 @@ func (h *Handle) Close(now uint64) (uint64, error) {
 	h.closed = true
 	cost := fs.opts.Cost.CloseCost + fs.opts.Cost.MetaRPC
 	observeOp(OpClose, h.c.rank, cost)
+	closeCount.Inc()
 	f, err := fs.ensure(h.path, false)
 	if err != nil {
 		fs.recordHistoryLocked(HistoryEvent{Kind: EvClose, Rank: h.c.rank, Path: h.path,
@@ -499,7 +469,6 @@ func (h *Handle) Laminate(now uint64) (uint64, error) {
 			Handle: h.id, Now: now, Err: errString(err)})
 		return cost, err
 	}
-	fs.stats.Commits++
 	fs.publishLocked(f, h.c.pending[h.path], now)
 	delete(h.c.pending, h.path)
 	f.laminated = true

@@ -110,24 +110,15 @@ type file struct {
 // the striping layout; lock counters expose the strong-semantics overhead
 // that motivates relaxed models (Section 3.1).
 type Stats struct {
-	Reads, Writes    int64
-	BytesRead        int64
-	BytesWritten     int64
-	MetaOps          int64
-	Commits          int64
-	LockAcquires     int64
-	LockContended    int64 // acquires on files shared by >1 distinct client
-	ServerRequests   []int64
-	PublishedExtents int64
-	StaleReads       int64 // reads that observed fewer bytes than the strong view held
-	Retries          int64 // transient-error retry attempts by clients
-	TransientErrors  int64 // transient failures that exhausted the retry policy
-	// VisibilityWaitMaxNS is the high-water mark of how far a reader was
-	// from the strong view, in simulated ns: under Eventual the remaining
-	// propagation delay of a hidden extent, under Commit/Session the age of
-	// published-but-hidden data at read time (see the pfs.visibility.wait_ns
-	// gauges, which report the same quantity process-wide per model).
-	VisibilityWaitMaxNS int64
+	Reads, Writes   int64
+	BytesRead       int64
+	BytesWritten    int64
+	MetaOps         int64
+	LockAcquires    int64
+	LockContended   int64 // acquires on files shared by >1 distinct client
+	ServerRequests  []int64
+	Retries         int64 // transient-error retry attempts by clients
+	TransientErrors int64 // transient failures that exhausted the retry policy
 }
 
 // FileSystem is the shared, server-side half of the PFS. Clients (one per
@@ -316,7 +307,6 @@ func (f *file) truncateLocked(length int64) {
 // sequence numbers, and updates size.
 func (fs *FileSystem) publishLocked(f *file, exts []extent, now uint64) {
 	publishBatches.Inc()
-	publishExtents.Add(int64(len(exts)))
 	publishBatch.Observe(int64(len(exts)))
 	for _, e := range exts {
 		fs.pubSeq++
@@ -326,7 +316,6 @@ func (fs *FileSystem) publishLocked(f *file, exts []extent, now uint64) {
 		if e.end() > f.size {
 			f.size = e.end()
 		}
-		fs.stats.PublishedExtents++
 	}
 }
 

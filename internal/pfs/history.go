@@ -116,7 +116,6 @@ func (fs *FileSystem) recordHistoryLocked(ev HistoryEvent) {
 	fs.histSeq++
 	ev.Seq = fs.histSeq
 	ev.Digest = HistoryDigest(ev.Data)
-	historyEvents.Inc()
 	fs.history.Record(ev)
 }
 

@@ -147,8 +147,8 @@ func SetKillPointHook(h KillPointFunc) {
 	killHook.Store(&h)
 }
 
-// interceptLocked consults the injector, if any, tallying every requested
-// perturbation on the obs registry (the central spot that covers any
+// interceptLocked consults the injector, if any, and records every requested
+// perturbation in the flight ring (the central spot that covers any
 // FaultInjector implementation). Callers hold fs.mu.
 func (fs *FileSystem) interceptLocked(op OpInfo) FaultAction {
 	if op.Attempt == 0 {
@@ -162,7 +162,9 @@ func (fs *FileSystem) interceptLocked(op OpInfo) FaultAction {
 	}
 	faultIntercepts.Inc()
 	act := fs.injector.Intercept(op)
-	observeFaultAction(op, act)
+	if act != (FaultAction{}) {
+		obs.Flight().Record(flightFaultFired, int32(op.Rank), 0, op.Off, op.Len)
+	}
 	return act
 }
 
@@ -191,10 +193,8 @@ func (fs *FileSystem) retryTransientLocked(op OpInfo) (FaultAction, uint64, int)
 		}
 	}
 	fs.stats.Retries += int64(retries)
-	retryCounter.Add(int64(retries))
 	if act.Transient {
 		fs.stats.TransientErrors++
-		transientCounter.Inc()
 	}
 	return act, extra, retries
 }

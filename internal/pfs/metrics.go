@@ -9,47 +9,21 @@ import "repro/internal/obs"
 // in nanoseconds, so their contents are deterministic functions of the run,
 // not of host scheduling.
 //
-// Naming (DESIGN.md §9): pfs.op.<op>.{count,cost_ns}, pfs.bytes.{read,
-// written}, pfs.op.publish.*, pfs.visibility.*, pfs.fault.<action>.
+// Naming (DESIGN.md §9): pfs.op.<op>.cost_ns, pfs.op.{close,publish}.*,
+// pfs.visibility_lag.<model>, pfs.fault.intercepts. Per-FileSystem counts
+// (reads, writes, bytes, retries) are Stats fields, not instruments.
 var (
-	opCounters = [...]*obs.Counter{
-		OpWrite:  obs.Default().Counter("pfs.op.write.count"),
-		OpRead:   obs.Default().Counter("pfs.op.read.count"),
-		OpCommit: obs.Default().Counter("pfs.op.commit.count"),
-		OpClose:  obs.Default().Counter("pfs.op.close.count"),
-	}
 	opCost = [...]*obs.Histogram{
 		OpWrite:  obs.Default().Histogram("pfs.op.write.cost_ns"),
 		OpRead:   obs.Default().Histogram("pfs.op.read.cost_ns"),
 		OpCommit: obs.Default().Histogram("pfs.op.commit.cost_ns"),
 		OpClose:  obs.Default().Histogram("pfs.op.close.cost_ns"),
 	}
-	bytesReadCounter    = obs.Default().Counter("pfs.bytes.read")
-	bytesWrittenCounter = obs.Default().Counter("pfs.bytes.written")
+	closeCount = obs.Default().Counter("pfs.op.close.count")
 
 	publishBatches = obs.Default().Counter("pfs.op.publish.count")
-	publishExtents = obs.Default().Counter("pfs.op.publish.extents")
 	publishBatch   = obs.Default().Histogram("pfs.op.publish.batch_extents")
 	publishDelay   = obs.Default().Histogram("pfs.op.publish.delay_ns")
-
-	// Visibility-wait gauges, per consistency model: the high-water mark of
-	// how far a reader was from the strong view. For Eventual the value is
-	// the remaining propagation delay of a hidden extent (simulated ns);
-	// for Commit/Session it is the age of published-but-hidden data at read
-	// time (ns since its publish). Strong never hides published data, so
-	// its gauge stays zero by construction.
-	visWait = [...]*obs.Gauge{
-		Strong:   obs.Default().Gauge("pfs.visibility.wait_ns.strong"),
-		Commit:   obs.Default().Gauge("pfs.visibility.wait_ns.commit"),
-		Session:  obs.Default().Gauge("pfs.visibility.wait_ns.session"),
-		Eventual: obs.Default().Gauge("pfs.visibility.wait_ns.eventual"),
-	}
-	staleReadCounters = [...]*obs.Counter{
-		Strong:   obs.Default().Counter("pfs.visibility.stale_reads.strong"),
-		Commit:   obs.Default().Counter("pfs.visibility.stale_reads.commit"),
-		Session:  obs.Default().Counter("pfs.visibility.stale_reads.session"),
-		Eventual: obs.Default().Counter("pfs.visibility.stale_reads.eventual"),
-	}
 
 	// Ack-to-visible lag, per consistency model: host wall-clock nanoseconds
 	// from a WAL write's acknowledgement (local append+fsync returned) to
@@ -63,24 +37,10 @@ var (
 		Eventual: obs.Default().Histogram("pfs.visibility_lag.eventual"),
 	}
 
-	retryCounter     = obs.Default().Counter("pfs.retry.attempts")
-	transientCounter = obs.Default().Counter("pfs.retry.exhausted")
-
-	// historyEvents counts operations delivered to a registered
-	// HistoryRecorder (the consistency checker's input stream).
-	historyEvents = obs.Default().Counter("pfs.history.events")
-
-	// Fault-action fire counts, one per FaultAction perturbation, counted
-	// at the interception point itself so every injector implementation is
-	// covered (internal/faults adds per-Kind tallies on top).
-	faultCrashBefore = obs.Default().Counter("pfs.fault.crash_before")
-	faultCrashAfter  = obs.Default().Counter("pfs.fault.crash_after")
-	faultTorn        = obs.Default().Counter("pfs.fault.torn_write")
-	faultDropCommit  = obs.Default().Counter("pfs.fault.drop_commit")
-	faultDelay       = obs.Default().Counter("pfs.fault.publish_delay")
-	faultReorder     = obs.Default().Counter("pfs.fault.reorder_publish")
-	faultTransient   = obs.Default().Counter("pfs.fault.transient")
-	faultIntercepts  = obs.Default().Counter("pfs.fault.intercepts")
+	// faultIntercepts counts injector consultations, retries included. What
+	// an injector then fired is its own account (internal/faults'
+	// Injector.KindTallies).
+	faultIntercepts = obs.Default().Counter("pfs.fault.intercepts")
 )
 
 // Flight-recorder event classes (obs.Flight). Interned once here so the
@@ -114,36 +74,6 @@ func ObserveVisibilityLag(sem Semantics, ns int64) {
 // observeOp tallies one completed client data-path operation and its
 // simulated cost.
 func observeOp(kind OpKind, rank int, cost uint64) {
-	opCounters[kind].Inc()
 	opCost[kind].Observe(int64(cost))
 	obs.Flight().Record(flightOpEnd[kind], int32(rank), 0, int64(cost), 0)
-}
-
-// observeFaultAction counts the perturbations an injector requested.
-func observeFaultAction(op OpInfo, act FaultAction) {
-	if act == (FaultAction{}) {
-		return
-	}
-	obs.Flight().Record(flightFaultFired, int32(op.Rank), 0, op.Off, op.Len)
-	if act.CrashBefore {
-		faultCrashBefore.Inc()
-	}
-	if act.CrashAfter {
-		faultCrashAfter.Inc()
-	}
-	if act.Torn {
-		faultTorn.Inc()
-	}
-	if act.DropCommit {
-		faultDropCommit.Inc()
-	}
-	if act.PublishDelay > 0 {
-		faultDelay.Inc()
-	}
-	if act.ReorderPublish {
-		faultReorder.Inc()
-	}
-	if act.Transient {
-		faultTransient.Inc()
-	}
 }

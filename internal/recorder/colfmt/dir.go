@@ -214,9 +214,6 @@ func OpenRanksLenientOn(b storage.Backend, dir string, ranks int) (open func(ran
 			}
 			sal.Records += n
 		}
-		sal.Observe()
-		salvageBlocksSkipped.Add(int64(sal.BlocksDropped))
-		salvageRecordsDropped.Add(int64(sal.Dropped))
 		if sal.Records == 0 {
 			return sal, fmt.Errorf("recorder: %s: nothing salvageable", dir)
 		}

@@ -92,8 +92,6 @@ func appendRecord(f storage.File, rec Record, noFsync bool) (int64, error) {
 		// instrument in the package, same caveat as ckpt.journal.fsync_ns.
 		appendFsyncNS.Observe(took.Nanoseconds())
 	}
-	appendRecords.Inc()
-	appendBytes.Add(int64(len(buf)))
 	return int64(len(buf)), nil
 }
 

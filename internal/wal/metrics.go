@@ -6,31 +6,22 @@ import "repro/internal/obs"
 // (DESIGN.md §9 naming: wal.append.* for the local durable-append path,
 // wal.ack.* for the acknowledgement the application sees, wal.drain.* for
 // the background replay into the pfs backend, wal.degrade.* for
-// write-through fallbacks, wal.recover.* for crash recovery). As with
-// ckpt.journal.fsync_ns, the fsync histogram records host wall time — real
-// durability cost — so it varies between otherwise identical runs; every
-// other instrument is a deterministic function of the run.
+// write-through fallbacks). Per-log counts (acks, drained records, retries,
+// queue peak, write-throughs) are Stats fields, and recovery's are the
+// frame.Stats RecoverDirOn returns. As with ckpt.journal.fsync_ns, the
+// fsync histogram records host wall time — real durability cost — so it
+// varies between otherwise identical runs; every other instrument is a
+// deterministic function of the run.
 var (
-	appendRecords = obs.Default().Counter("wal.append.records")
-	appendBytes   = obs.Default().Counter("wal.append.bytes")
 	appendFsyncNS = obs.Default().Histogram("wal.append.fsync_ns")
 
 	ackCostNS = obs.Default().Histogram("wal.ack.cost_ns")
 
-	drainRecords   = obs.Default().Counter("wal.drain.records")
 	drainBatches   = obs.Default().Counter("wal.drain.batches")
-	drainRetries   = obs.Default().Counter("wal.drain.retries")
 	drainBackoffNS = obs.Default().Histogram("wal.drain.backoff_ns")
 	drainErrors    = obs.Default().Counter("wal.drain.errors")
 
-	queueDepthPeak = obs.Default().Gauge("wal.queue.depth_peak")
-
-	degradeWriteThrough = obs.Default().Counter("wal.degrade.write_through")
-	degradeLogFailures  = obs.Default().Counter("wal.degrade.log_failures")
-
-	recoverRecordsKept = obs.Default().Counter("wal.recover.records_kept")
-	recoverDropped     = obs.Default().Counter("wal.recover.records_dropped")
-	recoverTruncated   = obs.Default().Counter("wal.recover.bytes_truncated")
+	degradeLogFailures = obs.Default().Counter("wal.degrade.log_failures")
 )
 
 // Flight-recorder event classes: the degrade transitions are exactly the

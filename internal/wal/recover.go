@@ -55,9 +55,6 @@ func RecoverDirOn(b storage.Backend, dir string) (map[int][]Record, map[int]fram
 		}
 		recs[rank] = r
 		stats[rank] = s
-		recoverRecordsKept.Add(int64(s.Records))
-		recoverDropped.Add(int64(s.Dropped))
-		recoverTruncated.Add(s.TailBytes)
 	}
 	return recs, stats, nil
 }

@@ -229,7 +229,6 @@ func (l *Log) Write(h *pfs.Handle, off int64, data []byte, now uint64) (uint64, 
 	sp.End()
 	if n := len(l.queue); n > l.stats.QueuePeak {
 		l.stats.QueuePeak = n
-		queueDepthPeak.SetMax(int64(n))
 	}
 	l.stats.Acked++
 	l.stats.AckedBytes += int64(len(data))
@@ -241,7 +240,6 @@ func (l *Log) Write(h *pfs.Handle, off int64, data []byte, now uint64) (uint64, 
 
 func (l *Log) writeThroughLocked(h *pfs.Handle, off int64, data []byte, now uint64) (uint64, error) {
 	l.stats.WriteThrough++
-	degradeWriteThrough.Inc()
 	obs.Flight().Record(flightWriteThrough, int32(l.rank), 0, off, int64(len(data)))
 	if err := l.drainAllLocked(); err != nil {
 		return 0, err
@@ -372,7 +370,6 @@ func (l *Log) drainStepLocked() error {
 		psp.End()
 		l.queue[0].attempt++
 		l.stats.Retries++
-		drainRetries.Inc()
 		d := l.opts.Retry.Delay(rec.attempt)
 		drainBackoffNS.Observe(int64(d))
 		l.mu.Unlock()
@@ -403,7 +400,6 @@ func (l *Log) drainStepLocked() error {
 		pfs.ObserveVisibilityLag(rec.h.Semantics(), lag)
 	}
 	l.stats.Drained++
-	drainRecords.Inc()
 	return nil
 }
 
