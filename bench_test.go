@@ -163,6 +163,32 @@ func BenchmarkAppTraceGeneration(b *testing.B) {
 	}
 }
 
+// BenchmarkTraceSetup measures trace generation at the shapes of the
+// end-to-end benchmark's set-ups, scaled down: the run of ENZO-HDF5 behind
+// analyze-records (at a tenth of its steps) and of FLASH-fbs behind
+// analyze-ranks (at a third of its ranks), with a fixed seed so B/op and
+// allocs/op are deterministic. CI gates those two against BENCH_pr26.json.
+func BenchmarkTraceSetup(b *testing.B) {
+	for _, c := range []struct {
+		app  string
+		opts semfs.RunOptions
+	}{
+		{"ENZO-HDF5", semfs.RunOptions{Ranks: 16, PPN: 8, Steps: 440, Seed: 1}},
+		{"FLASH-fbs", semfs.RunOptions{Ranks: 64, PPN: 8, Seed: 1}},
+	} {
+		b.Run(c.app, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := semfs.Run(c.app, c.opts)
+				if err != nil || res.Err() != nil {
+					b.Fatal(err, res.Err())
+				}
+				benchSink += res.Trace.NumRecords()
+			}
+		})
+	}
+}
+
 // BenchmarkMetadataConflictDetection measures the §7-extension analysis.
 func BenchmarkMetadataConflictDetection(b *testing.B) {
 	res := allResults(b)

@@ -108,8 +108,7 @@ func (w *Writer) emit(fn recorder.Func, ts uint64, path string, args ...int64) {
 		TStart: ts,
 		TEnd:   w.os.Clock().Stamp(),
 		Path:   path,
-		Args:   args,
-	})
+	}, args)
 }
 
 // Put stages this rank's data block for the current step and ships it to

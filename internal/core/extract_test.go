@@ -202,7 +202,7 @@ func TestExtractOriginAttribution(t *testing.T) {
 			ctx.Tracer.Emit(recorder.Record{
 				Layer: recorder.LayerHDF5, Func: recorder.FuncH5Dwrite,
 				TStart: ts, TEnd: ctx.OS.Clock().Stamp(), Path: "/h",
-			})
+			}, nil)
 			ctx.OS.Pwrite(fd, make([]byte, 32), 100) // app-level write
 			return ctx.OS.Close(fd)
 		})

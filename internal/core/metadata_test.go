@@ -23,7 +23,7 @@ func TestMetadataCensusCountsAndAttributes(t *testing.T) {
 			ctx.Tracer.Emit(recorder.Record{
 				Layer: recorder.LayerHDF5, Func: recorder.FuncH5Fopen,
 				TStart: ts, TEnd: ctx.OS.Clock().Stamp(), Path: "/d",
-			})
+			}, nil)
 			return nil
 		})
 	if err != nil || res.Err() != nil {

@@ -238,8 +238,7 @@ func (f *File) emit(fn recorder.Func, ts uint64, path, dset string, args ...int6
 		TEnd:   f.os.Clock().Stamp(),
 		Path:   path,
 		Path2:  dset, // dataset/attribute name (library-specific operand)
-		Args:   args,
-	})
+	}, args)
 }
 
 // metaWrite performs one metadata write at [off, off+n) with deterministic

@@ -180,8 +180,7 @@ func (p *Proc) emit(fn recorder.Func, ts uint64, args ...int64) {
 		Func:   fn,
 		TStart: ts,
 		TEnd:   p.clock.Stamp(),
-		Args:   args,
-	})
+	}, args)
 }
 
 // Send transmits data to rank dst with the given tag (eager/buffered send:

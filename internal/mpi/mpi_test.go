@@ -31,6 +31,16 @@ func runWorld(t *testing.T, n int, body func(p *Proc)) []*Proc {
 	return procs
 }
 
+// records assembles the procs' tracers into a trace (NewTrace) and returns
+// its per-rank streams.
+func records(procs []*Proc) [][]recorder.Record {
+	tracers := make([]*recorder.RankTracer, len(procs))
+	for r, p := range procs {
+		tracers[r] = p.tracer
+	}
+	return recorder.NewTrace(recorder.Meta{}, tracers).PerRank
+}
+
 func TestSendRecvDeliversData(t *testing.T) {
 	runWorld(t, 2, func(p *Proc) {
 		if p.Rank() == 0 {
@@ -210,8 +220,8 @@ func TestCollectiveSequenceNumbersMatch(t *testing.T) {
 	})
 	// Every rank's k-th collective record must carry the same sequence number.
 	var seqs [3][]int64
-	for r, p := range procs {
-		for _, rec := range p.tracer.Records() {
+	for r, rs := range records(procs) {
+		for _, rec := range rs {
 			if rec.Layer == recorder.LayerMPI {
 				seqs[r] = append(seqs[r], rec.Arg(2))
 			}
@@ -238,7 +248,8 @@ func TestTraceRecordsEmitted(t *testing.T) {
 			p.Recv(0, 5)
 		}
 	})
-	recs0 := procs[0].tracer.Records()
+	perRank := records(procs)
+	recs0 := perRank[0]
 	if len(recs0) != 2 {
 		t.Fatalf("rank 0 has %d records, want 2", len(recs0))
 	}
@@ -249,7 +260,7 @@ func TestTraceRecordsEmitted(t *testing.T) {
 	if send.Func != recorder.FuncMPISend || send.Arg(0) != 1 || send.Arg(1) != 5 || send.Arg(2) != 3 {
 		t.Fatalf("send record wrong: %v", send)
 	}
-	recv := procs[1].tracer.Records()[1]
+	recv := perRank[1][1]
 	if recv.Func != recorder.FuncMPIRecv || recv.Arg(0) != 0 || recv.Arg(1) != 5 {
 		t.Fatalf("recv record wrong: %v", recv)
 	}

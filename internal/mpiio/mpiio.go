@@ -137,8 +137,7 @@ func emit(f *File, fn recorder.Func, ts uint64, path string, args ...int64) {
 		TStart: ts,
 		TEnd:   f.os.Clock().Stamp(),
 		Path:   path,
-		Args:   args,
-	})
+	}, args)
 }
 
 // SetView sets the file-view displacement (etype/filetype structure beyond

@@ -81,8 +81,7 @@ func (f *File) emit(fn recorder.Func, ts uint64, path string, args ...int64) {
 		TStart: ts,
 		TEnd:   f.os.Clock().Stamp(),
 		Path:   path,
-		Args:   args,
-	})
+	}, args)
 }
 
 // DefVar defines a record variable with the given bytes per record. Only

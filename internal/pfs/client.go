@@ -134,6 +134,12 @@ func (h *Handle) visibleLocked(now uint64) func(extent) bool {
 // semantics the write publishes immediately (paying the range-lock cost);
 // under commit/session it is buffered pending a commit/close; under eventual
 // it publishes with a propagation delay.
+//
+// A written buffer belongs to the file system: it is kept as the extent's
+// bytes (and as the history event's Data) without a copy, so the caller
+// must not modify it after the call. The file system never modifies it
+// either, so one buffer may be written more than once, and a buffer that
+// failed to write stays the caller's.
 func (h *Handle) Write(off int64, data []byte, now uint64) (uint64, error) {
 	return h.WriteTraced(off, data, now, 0)
 }
@@ -174,8 +180,6 @@ func (h *Handle) WriteTraced(off int64, data []byte, now uint64, trace uint64) (
 			Handle: h.id, Off: off, Len: int64(len(data)), Now: now, Err: errString(ErrCrashed)})
 		return 0, ErrCrashed
 	}
-	fs.stats.Writes++
-	fs.stats.BytesWritten += int64(len(data))
 	fs.serverSpan(off, int64(len(data)))
 	cost := fs.opts.Cost.IOCost(int64(len(data)))
 	if act.Transient {
@@ -196,7 +200,10 @@ func (h *Handle) WriteTraced(off int64, data []byte, now uint64, trace uint64) (
 		}
 		data = data[:keep]
 	}
-	e := extent{off: off, data: append([]byte(nil), data...), writer: int32(h.c.rank)}
+	// Counted once the write is known to land, with the bytes it kept.
+	fs.stats.Writes++
+	fs.stats.BytesWritten += int64(len(data))
+	e := extent{off: off, data: data, writer: int32(h.c.rank)} // the caller's buffer, not a copy (see Write)
 	switch fs.semFor(h.path) {
 	case Strong:
 		cost += fs.lockCostLocked(f)
@@ -262,7 +269,6 @@ func (h *Handle) Read(off, n int64, now uint64) ([]byte, uint64, error) {
 			Handle: h.id, Off: off, Len: n, Now: now, Err: errString(ErrCrashed)})
 		return nil, 0, ErrCrashed
 	}
-	fs.stats.Reads++
 	fs.serverSpan(off, n)
 	cost := fs.opts.Cost.IOCost(n)
 	if act.Transient {
@@ -276,6 +282,7 @@ func (h *Handle) Read(off, n int64, now uint64) ([]byte, uint64, error) {
 			return nil, cost, fmt.Errorf("read %s: %w", h.path, ErrTransient)
 		}
 	}
+	fs.stats.Reads++
 	if fs.semFor(h.path) == Strong {
 		cost += fs.lockCostLocked(f)
 	}
@@ -427,7 +434,6 @@ func (h *Handle) Close(now uint64) (uint64, error) {
 	h.closed = true
 	cost := fs.opts.Cost.CloseCost + fs.opts.Cost.MetaRPC
 	observeOp(OpClose, h.c.rank, cost)
-	closeCount.Inc()
 	f, err := fs.ensure(h.path, false)
 	if err != nil {
 		fs.recordHistoryLocked(HistoryEvent{Kind: EvClose, Rank: h.c.rank, Path: h.path,

@@ -306,7 +306,6 @@ func (f *file) truncateLocked(length int64) {
 // publishLocked appends extents to the file's published list, assigning
 // sequence numbers, and updates size.
 func (fs *FileSystem) publishLocked(f *file, exts []extent, now uint64) {
-	publishBatches.Inc()
 	publishBatch.Observe(int64(len(exts)))
 	for _, e := range exts {
 		fs.pubSeq++

@@ -9,7 +9,7 @@ import "repro/internal/obs"
 // in nanoseconds, so their contents are deterministic functions of the run,
 // not of host scheduling.
 //
-// Naming (DESIGN.md §9): pfs.op.<op>.cost_ns, pfs.op.{close,publish}.*,
+// Naming (DESIGN.md §9): pfs.op.<op>.cost_ns, pfs.op.publish.*,
 // pfs.visibility_lag.<model>, pfs.fault.intercepts. Per-FileSystem counts
 // (reads, writes, bytes, retries) are Stats fields, not instruments.
 var (
@@ -19,11 +19,11 @@ var (
 		OpCommit: obs.Default().Histogram("pfs.op.commit.cost_ns"),
 		OpClose:  obs.Default().Histogram("pfs.op.close.cost_ns"),
 	}
-	closeCount = obs.Default().Counter("pfs.op.close.count")
 
-	publishBatches = obs.Default().Counter("pfs.op.publish.count")
-	publishBatch   = obs.Default().Histogram("pfs.op.publish.batch_extents")
-	publishDelay   = obs.Default().Histogram("pfs.op.publish.delay_ns")
+	// A histogram's sample count is the number of operations it observed
+	// (closes, publish batches), so no counter repeats it.
+	publishBatch = obs.Default().Histogram("pfs.op.publish.batch_extents")
+	publishDelay = obs.Default().Histogram("pfs.op.publish.delay_ns")
 
 	// Ack-to-visible lag, per consistency model: host wall-clock nanoseconds
 	// from a WAL write's acknowledgement (local append+fsync returned) to

@@ -176,8 +176,7 @@ func (p *Proc) emit(fn recorder.Func, ts uint64, pth, pth2 string, args ...int64
 		TEnd:   p.clock.Stamp(),
 		Path:   pth,
 		Path2:  pth2,
-		Args:   args,
-	})
+	}, args)
 }
 
 func (p *Proc) get(fdnum int) (*fd, error) {
@@ -239,7 +238,9 @@ func (p *Proc) closeAs(fn recorder.Func, fdnum int) error {
 }
 
 // Write writes data at the descriptor's current offset (or at EOF under
-// O_APPEND) and advances the offset.
+// O_APPEND) and advances the offset. As with every write here, a buffer
+// that was written belongs to the file system (see pfs.Handle.Write): the
+// caller must not modify it afterwards.
 func (p *Proc) Write(fdnum int, data []byte) (int64, error) {
 	ts := p.clock.Stamp()
 	f, err := p.get(fdnum)
@@ -282,6 +283,7 @@ func (p *Proc) Read(fdnum int, n int64) ([]byte, error) {
 }
 
 // Pwrite writes at an explicit offset without moving the descriptor offset.
+// The written buffer belongs to the file system, as with Write.
 func (p *Proc) Pwrite(fdnum int, data []byte, off int64) (int64, error) {
 	ts := p.clock.Stamp()
 	f, err := p.get(fdnum)

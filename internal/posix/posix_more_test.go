@@ -27,7 +27,7 @@ func TestCreatAndRemove(t *testing.T) {
 		t.Fatal("remove of missing file should fail")
 	}
 	seen := map[recorder.Func]bool{}
-	for _, r := range tr.Records() {
+	for _, r := range records(tr) {
 		seen[r.Func] = true
 	}
 	if !seen[recorder.FuncCreat] || !seen[recorder.FuncRemove] {
@@ -52,7 +52,7 @@ func TestDirectoryWalkAndMmap(t *testing.T) {
 		t.Fatal("mmap of bad fd should fail")
 	}
 	counts := map[recorder.Func]int{}
-	for _, r := range tr.Records() {
+	for _, r := range records(tr) {
 		counts[r.Func]++
 	}
 	if counts[recorder.FuncOpendir] != 1 || counts[recorder.FuncReaddir] != 2 ||

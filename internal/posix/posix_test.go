@@ -17,6 +17,17 @@ func newProc(t *testing.T, sem pfs.Semantics) (*Proc, *recorder.RankTracer) {
 	return p, tracer
 }
 
+// records assembles a tracer's records the way a trace does (NewTrace),
+// which takes them from the tracer.
+func records(tr *recorder.RankTracer) []recorder.Record {
+	tracers := make([]*recorder.RankTracer, tr.Rank()+1)
+	for r := range tracers {
+		tracers[r] = recorder.NewRankTracer(r)
+	}
+	tracers[tr.Rank()] = tr
+	return recorder.NewTrace(recorder.Meta{}, tracers).PerRank[tr.Rank()]
+}
+
 func twoProcs(t *testing.T, sem pfs.Semantics) (*Proc, *Proc) {
 	t.Helper()
 	fs := pfs.New(pfs.Options{Semantics: sem})
@@ -235,7 +246,7 @@ func TestMetadataOpsEmitRecordsAndWork(t *testing.T) {
 	}
 
 	seen := map[recorder.Func]bool{}
-	for _, r := range tr.Records() {
+	for _, r := range records(tr) {
 		seen[r.Func] = true
 	}
 	for _, fn := range []recorder.Func{
@@ -304,16 +315,17 @@ func TestClockAdvancesAndRecordsOrdered(t *testing.T) {
 	if p.Clock().Now() == 0 {
 		t.Fatal("clock did not advance")
 	}
-	recs := tr.Records()
+	recs := records(tr)
 	var prev uint64
 	for i, r := range recs {
+		// Sequential calls: each starts after the previous one ended.
 		if r.TStart < prev {
-			t.Fatalf("record %d out of order", i)
+			t.Fatalf("record %d starts before record %d ended", i, i-1)
 		}
 		if r.TEnd < r.TStart {
 			t.Fatalf("record %d TEnd < TStart", i)
 		}
-		prev = r.TStart
+		prev = r.TEnd
 	}
 	// open, write, fsync, close
 	if len(recs) != 4 {
@@ -352,7 +364,7 @@ func TestSessionSemanticsThroughPosix(t *testing.T) {
 func TestOpenRecordsArgs(t *testing.T) {
 	p, tr := newProc(t, pfs.Strong)
 	fd, _ := p.Open("/f", recorder.OCreat|recorder.OWronly, 0o600)
-	rec := tr.Records()[0]
+	rec := records(tr)[0]
 	if rec.Func != recorder.FuncOpen || rec.Path != "/f" {
 		t.Fatalf("open record = %v", rec)
 	}

@@ -40,7 +40,9 @@ func fopenFlags(mode string) (int, error) {
 }
 
 // Fwrite writes len(data) bytes as nmemb items of the given size at the
-// stream position. len(data) must equal size*nmemb.
+// stream position. len(data) must equal size*nmemb. The stream is
+// unbuffered, so the written buffer belongs to the file system, as with
+// Write.
 func (p *Proc) Fwrite(fdnum int, data []byte, size, nmemb int64) (int64, error) {
 	ts := p.clock.Stamp()
 	if size*nmemb != int64(len(data)) {

@@ -206,12 +206,12 @@ func TestMetaConfigName(t *testing.T) {
 }
 
 func TestRankTracer(t *testing.T) {
-	rt := NewRankTracer(5)
-	rt.Emit(Record{Rank: 99, Layer: LayerPOSIX, Func: FuncOpen, TStart: 1, TEnd: 2, Path: "/f"})
+	rt := NewRankTracer(0)
+	rt.Emit(Record{Rank: 99, Layer: LayerPOSIX, Func: FuncOpen, TStart: 1, TEnd: 2, Path: "/f"}, nil)
 	if rt.Len() != 1 {
 		t.Fatal("Emit did not append")
 	}
-	if rt.Records()[0].Rank != 5 {
+	if r := NewTrace(Meta{}, []*RankTracer{rt}).PerRank[0][0]; r.Rank != 0 {
 		t.Fatal("Emit must force the tracer's rank")
 	}
 }

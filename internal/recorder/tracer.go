@@ -42,10 +42,30 @@ func multiLib(app string) bool {
 
 // RankTracer collects the records emitted by one rank. It is used from that
 // rank's goroutine only and therefore needs no locking.
+//
+// Records are appended to a list of chunks instead of one growing slice, so
+// a record is copied once on the way in and once when NewTrace flattens the
+// rank, never by a regrowth. Chunks start at minChunk records and double up
+// to maxChunk, so a rank that emits little holds little. Args live in a
+// per-rank arena of int64 chunks sized the same way: a record's Args is a
+// capacity-capped window of the arena, and the caller's argument slice is
+// only read.
 type RankTracer struct {
-	rank    int32
-	records []Record
+	rank   int32
+	chunks [][]Record // full chunks, in emission order
+	cur    []Record   // chunk being filled
+	n      int        // records in chunks
+	arena  []int64    // arena chunk being filled
 }
+
+// Chunk sizes, in records for the record chunks and in int64s for the
+// arena.
+const (
+	minChunk      = 16
+	maxChunk      = 4096
+	minArenaChunk = 64
+	maxArenaChunk = 1024
+)
 
 // NewRankTracer returns a tracer for the given rank.
 func NewRankTracer(rank int) *RankTracer {
@@ -55,17 +75,52 @@ func NewRankTracer(rank int) *RankTracer {
 // Rank returns the rank this tracer belongs to.
 func (t *RankTracer) Rank() int { return int(t.rank) }
 
-// Emit appends a record, forcing its Rank field to the tracer's rank.
-func (t *RankTracer) Emit(r Record) {
+// Emit appends a record, forcing its Rank field to the tracer's rank and
+// setting its Args to a copy of args (nil when args is empty); r.Args is
+// ignored. args is not retained, so a caller's variadic slice can stay on
+// its stack.
+func (t *RankTracer) Emit(r Record, args []int64) {
 	r.Rank = t.rank
-	t.records = append(t.records, r)
+	r.Args = nil
+	if len(args) > 0 {
+		if len(args) > cap(t.arena)-len(t.arena) {
+			t.arena = make([]int64, 0, max(nextChunk(cap(t.arena), minArenaChunk, maxArenaChunk), len(args)))
+		}
+		lo := len(t.arena)
+		t.arena = append(t.arena, args...)
+		r.Args = t.arena[lo:len(t.arena):len(t.arena)]
+	}
+	if len(t.cur) == cap(t.cur) {
+		if t.cur != nil {
+			t.chunks = append(t.chunks, t.cur)
+			t.n += len(t.cur)
+		}
+		t.cur = make([]Record, 0, nextChunk(cap(t.cur), minChunk, maxChunk))
+	}
+	t.cur = append(t.cur, r)
+}
+
+// nextChunk returns the capacity of the chunk after one of capacity prev:
+// lo first, then doubling up to hi.
+func nextChunk(prev, lo, hi int) int {
+	return min(max(2*prev, lo), hi)
 }
 
 // Len returns the number of records collected so far.
-func (t *RankTracer) Len() int { return len(t.records) }
+func (t *RankTracer) Len() int { return t.n + len(t.cur) }
 
-// Records returns the collected records (not a copy).
-func (t *RankTracer) Records() []Record { return t.records }
+// take returns the collected records as one slice of exactly Len()
+// elements, in emission order, and releases the chunks. The arena stays
+// shared with the returned records' Args.
+func (t *RankTracer) take() []Record {
+	out := make([]Record, 0, t.Len())
+	for _, c := range t.chunks {
+		out = append(out, c...)
+	}
+	out = append(out, t.cur...)
+	t.chunks, t.cur, t.n = nil, nil, 0
+	return out
+}
 
 // Trace is a complete multi-rank trace.
 type Trace struct {
@@ -73,35 +128,41 @@ type Trace struct {
 	PerRank [][]Record // indexed by rank; each slice in emission order
 }
 
-// NewTrace assembles a trace from per-rank tracers. Records of layered
-// calls are emitted at call exit, so a library-layer record (whose TStart
-// precedes its nested POSIX records) appears after them in emission order;
-// assembly stable-sorts each rank's stream by entry timestamp, the order the
-// analysis (and a real tracer's post-processing) expects.
+// NewTrace assembles a trace from per-rank tracers, taking their records:
+// each tracer is left empty. Records of layered calls are emitted at call
+// exit, so a library-layer record (whose TStart precedes its nested POSIX
+// records) appears after them in emission order; assembly stable-sorts
+// each rank's stream by entry timestamp, the order the analysis (and a
+// real tracer's post-processing) expects.
 func NewTrace(meta Meta, tracers []*RankTracer) *Trace {
 	tr := &Trace{Meta: meta, PerRank: make([][]Record, len(tracers))}
 	for i, rt := range tracers {
 		if rt.Rank() != i {
 			panic(fmt.Sprintf("recorder: tracer %d holds rank %d", i, rt.Rank()))
 		}
-		rs := rt.records
-		sort.SliceStable(rs, func(a, b int) bool {
-			if rs[a].TStart != rs[b].TStart {
-				return rs[a].TStart < rs[b].TStart
-			}
-			// Equal entry stamps between I/O records: the enclosing
-			// (longer) record first, so containment-based layer attribution
-			// sees the frame opened. MPI records keep emission order — it
-			// is their program order, which happens-before reconstruction
-			// depends on.
-			if rs[a].Layer == LayerMPI || rs[b].Layer == LayerMPI {
-				return false
-			}
-			return rs[a].TEnd > rs[b].TEnd
-		})
+		rs := rt.take()
+		sortRank(rs)
 		tr.PerRank[i] = rs
 	}
 	return tr
+}
+
+// sortRank stable-sorts one rank's records from emission order into entry
+// order.
+func sortRank(rs []Record) {
+	sort.SliceStable(rs, func(a, b int) bool {
+		if rs[a].TStart != rs[b].TStart {
+			return rs[a].TStart < rs[b].TStart
+		}
+		// Equal entry stamps between I/O records: the enclosing (longer)
+		// record first, so containment-based layer attribution sees the
+		// frame opened. MPI records keep emission order — it is their
+		// program order, which happens-before reconstruction depends on.
+		if rs[a].Layer == LayerMPI || rs[b].Layer == LayerMPI {
+			return false
+		}
+		return rs[a].TEnd > rs[b].TEnd
+	})
 }
 
 // NumRecords returns the total record count across ranks.

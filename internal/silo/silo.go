@@ -65,8 +65,8 @@ func Dump(comm *mpi.Proc, os *posix.Proc, tracer *recorder.RankTracer, baseName 
 		tracer.Emit(recorder.Record{
 			Layer: recorder.LayerSilo, Func: fn,
 			TStart: ts, TEnd: os.Clock().Stamp(),
-			Path: path, Args: args,
-		})
+			Path: path,
+		}, args)
 	}
 
 	// Wait for the baton from the previous rank in the group.
