@@ -277,23 +277,47 @@ func (w *countWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p
 func (w *countWriter) WriteString(s string) (int, error) { w.n += len(s); return len(s), nil }
 
 // BenchmarkHappensBefore measures happens-before reconstruction and
-// conflict-order validation on a communication-heavy trace.
+// conflict-order validation on a communication-heavy trace, and the
+// happens-before build alone on the analyze-ranks shape (FLASH-fbs at 192
+// ranks, 183 collective instances of 192 participants), scanned once
+// outside the loop. The latter's B/op is gated in CI: participants of
+// consecutive collectives share one clock, and a clock per event would
+// allocate about 27 MB.
 func BenchmarkHappensBefore(b *testing.B) {
-	res := allResults(b)
-	tr := res.ByName["MACSio-Silo"].Trace
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hb, err := core.BuildHB(tr)
+	b.Run("validate/MACSio-Silo", func(b *testing.B) {
+		res := allResults(b)
+		tr := res.ByName["MACSio-Silo"].Trace
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			hb, err := core.BuildHB(tr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			byFile, _ := sessionConflicts(b, tr)
+			for _, cs := range byFile {
+				if un := core.ValidateConflicts(hb, cs); len(un) > 0 {
+					b.Fatal("unsynchronized conflicts")
+				}
+			}
+		}
+	})
+	b.Run("build/FLASH-fbs-192", func(b *testing.B) {
+		res, err := semfs.Run("FLASH-fbs", semfs.RunOptions{Ranks: 192, PPN: 8, Seed: 1})
+		if err != nil || res.Err() != nil {
+			b.Fatal(err, res.Err())
+		}
+		sc, err := core.ScanTraceCtx(context.Background(), res.Trace, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		byFile, _ := sessionConflicts(b, tr)
-		for _, cs := range byFile {
-			if un := core.ValidateConflicts(hb, cs); len(un) > 0 {
-				b.Fatal("unsynchronized conflicts")
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := sc.HB(); err != nil {
+				b.Fatal(err)
 			}
 		}
-	}
+	})
 }
 
 // BenchmarkAnalyzeParallel runs the analysis over the full registry trace

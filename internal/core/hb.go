@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/recorder"
 )
@@ -41,6 +40,7 @@ type nodeID struct{ rank, idx int }
 // hbColl is one collective instance: its participants in rank order and,
 // once the first of them is processed, the join of their predecessors.
 type hbColl struct {
+	n     int // participants
 	parts []nodeID
 	join  []int32
 }
@@ -64,8 +64,11 @@ func BuildHB(tr *recorder.Trace) (*HB, error) {
 // matched send, and a collective instance makes every participant's
 // predecessor happen-before every participant. All participants therefore
 // share one clock, the join of those predecessors, built once when the
-// first participant is processed: O(P·R) per instance for P participants
-// and R ranks.
+// first participant is processed (see hbJoin for its cost).
+//
+// Events are processed in (tend, tstart, rank, idx) order, a k-way merge
+// of the ranks' lists. A rank whose events go backwards in (tend, tstart)
+// fails before any clock is built, naming its first inverted pair.
 //
 // vc[r] = number of rank-r MPI events known (inclusive), exact for every
 // rank r other than the event's own. The own entry is implicit (idx+1):
@@ -81,10 +84,9 @@ func buildHBOver(events [][]hbEvent) (*HB, error) {
 	sendQueues := make(map[[3]int][]nodeID) // (src,dst,tag) -> send nodes in order
 	recvCount := make(map[[3]int]int)
 	colls := make(map[int64]*hbColl)
-	total := 0
+	participants := 0
 	for rank, evs := range events {
 		hb.vcs[rank] = make([][]int32, len(evs))
-		total += len(evs)
 		for i := range evs {
 			ev := &evs[i]
 			switch {
@@ -97,16 +99,26 @@ func buildHBOver(events [][]hbEvent) (*HB, error) {
 					c = &hbColl{}
 					colls[ev.seq] = c
 				}
-				c.parts = append(c.parts, nodeID{rank, i})
+				c.n++
+				participants++
 			}
 		}
 	}
-	// Match receives to sends: sendOf[rank][i] is receive i's send, for
-	// the ranks that receive.
+	// Every instance's participant list is carved out of one arena.
+	arena := make([]nodeID, participants)
+	for _, c := range colls {
+		c.parts, arena = arena[:0:c.n], arena[c.n:]
+	}
+	// List the participants, and match receives to sends: sendOf[rank][i]
+	// is receive i's send, for the ranks that receive.
 	sendOf := make([][]nodeID, len(events))
 	for rank, evs := range events {
 		for i := range evs {
 			ev := &evs[i]
+			if ev.seq >= 0 {
+				c := colls[ev.seq]
+				c.parts = append(c.parts, nodeID{rank, i})
+			}
 			if ev.fn != recorder.FuncMPIRecv {
 				continue
 			}
@@ -125,24 +137,26 @@ func buildHBOver(events [][]hbEvent) (*HB, error) {
 		}
 	}
 
-	// Vector clocks in timestamp order (simulation timestamps respect the
-	// edges, so a single pass by TStart is a valid topological order).
-	order := make([]nodeID, 0, total)
-	for rank := range events {
-		for i := range events[rank] {
-			order = append(order, nodeID{rank, i})
+	// Program order must agree with timestamp order on every rank: the
+	// first inverted pair, lowest rank then lowest index, would be
+	// processed successor first.
+	for rank, evs := range events {
+		for i := 1; i < len(evs); i++ {
+			a, b := &evs[i-1], &evs[i]
+			if b.tend < a.tend || b.tend == a.tend && b.tstart < a.tstart {
+				return nil, errNotProcessed(nodeID{rank, i - 1}, nodeID{rank, i})
+			}
 		}
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ea := &events[order[a].rank][order[a].idx]
-		eb := &events[order[b].rank][order[b].idx]
-		if ea.tend != eb.tend {
-			return ea.tend < eb.tend
-		}
-		return ea.tstart < eb.tstart
-	})
+
+	// Vector clocks in (tend, tstart, rank, idx) order: simulation
+	// timestamps respect the edges, so this is a valid topological order.
+	// Each rank's events are already in it, so a k-way merge of the
+	// ranks visits every event once.
+	m := newHBMerge(events)
 	zero := make([]int32, hb.ranks)
-	for _, n := range order {
+	for m.len() > 0 {
+		n := m.pop()
 		ev := &events[n.rank][n.idx]
 		var vc []int32
 		switch {
@@ -151,28 +165,29 @@ func buildHBOver(events [][]hbEvent) (*HB, error) {
 			if c.join == nil {
 				// n's own predecessor first, then the others' in rank
 				// order: the order in which an unprocessed one is reported.
-				join := make([]int32, hb.ranks)
-				if err := hb.mergePred(join, n, n); err != nil {
+				j := hbJoin{hb: hb, into: make([]int32, hb.ranks)}
+				if err := j.addPred(n, n); err != nil {
 					return nil, err
 				}
 				for _, a := range c.parts {
 					if a != n {
-						if err := hb.mergePred(join, a, n); err != nil {
+						if err := j.addPred(a, n); err != nil {
 							return nil, err
 						}
 					}
 				}
-				c.join = join
+				c.join = j.into
 			}
 			vc = c.join
 		case ev.fn == recorder.FuncMPIRecv:
-			vc = make([]int32, hb.ranks)
-			if err := hb.mergePred(vc, n, n); err != nil {
+			j := hbJoin{hb: hb, into: make([]int32, hb.ranks)}
+			if err := j.addPred(n, n); err != nil {
 				return nil, err
 			}
-			if err := hb.merge(vc, sendOf[n.rank][n.idx], n); err != nil {
+			if err := j.add(sendOf[n.rank][n.idx], n); err != nil {
 				return nil, err
 			}
+			vc = j.into
 		case n.idx > 0:
 			p := nodeID{n.rank, n.idx - 1}
 			if vc = hb.vcs[p.rank][p.idx]; vc == nil {
@@ -186,26 +201,129 @@ func buildHBOver(events [][]hbEvent) (*HB, error) {
 	return hb, nil
 }
 
-// mergePred merges the clock of a's program-order predecessor, if a has
+// hbMerge is a k-way merge of per-rank event lists, each already in
+// timestamp order, into (tend, tstart, rank, idx) order: a binary min-heap
+// of the ranks that have events left, each entry holding the key of its
+// rank's next event.
+type hbMerge struct {
+	events [][]hbEvent
+	next   []int // next[rank] is rank's next unvisited index
+	heap   []hbHead
+}
+
+type hbHead struct {
+	tend, tstart uint64
+	rank         int
+}
+
+func (a *hbHead) less(b *hbHead) bool {
+	if a.tend != b.tend {
+		return a.tend < b.tend
+	}
+	if a.tstart != b.tstart {
+		return a.tstart < b.tstart
+	}
+	return a.rank < b.rank
+}
+
+func newHBMerge(events [][]hbEvent) *hbMerge {
+	m := &hbMerge{events: events, next: make([]int, len(events))}
+	for rank, evs := range events {
+		if len(evs) > 0 {
+			m.heap = append(m.heap, hbHead{})
+			m.up(len(m.heap)-1, hbHead{evs[0].tend, evs[0].tstart, rank})
+		}
+	}
+	return m
+}
+
+func (m *hbMerge) len() int { return len(m.heap) }
+
+// pop returns the least next event and advances its rank.
+func (m *hbMerge) pop() nodeID {
+	rank := m.heap[0].rank
+	n := nodeID{rank, m.next[rank]}
+	m.next[rank]++
+	if evs := m.events[rank]; m.next[rank] < len(evs) {
+		ev := &evs[m.next[rank]]
+		m.replaceTop(hbHead{ev.tend, ev.tstart, rank})
+	} else {
+		last := len(m.heap) - 1
+		x := m.heap[last]
+		m.heap = m.heap[:last]
+		if last > 0 {
+			m.replaceTop(x)
+		}
+	}
+	return n
+}
+
+// replaceTop puts x in place of the heap's least entry, bottom-up: the
+// hole sinks along the lesser children to a leaf, one comparison a level,
+// and x rises from there. A rank's next event usually sorts after most
+// other ranks' (all ranks meet at each collective), so x rises little.
+func (m *hbMerge) replaceTop(x hbHead) {
+	h := m.heap
+	i := 0
+	for c := 1; c < len(h); c = 2*i + 1 {
+		if r := c + 1; r < len(h) && h[r].less(&h[c]) {
+			c = r
+		}
+		h[i] = h[c]
+		i = c
+	}
+	m.up(i, x)
+}
+
+// up places x at heap slot i after moving down every ancestor of the slot
+// that x is less than.
+func (m *hbMerge) up(i int, x hbHead) {
+	h := m.heap
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.less(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = x
+}
+
+// hbJoin builds one clock as the join of predecessors' clocks. Clocks are
+// shared, so consecutive predecessors often hold the same slice: one that
+// was just merged only raises its owner's implicit entry. A join of P
+// predecessors over R ranks then costs O(R + P) when their clocks are
+// shared, O(P·R) when they are all distinct.
+type hbJoin struct {
+	hb   *HB
+	into []int32
+	last []int32 // the clock merged last
+}
+
+// addPred merges the clock of a's program-order predecessor, if a has
 // one, into the clock being built for n.
-func (hb *HB) mergePred(into []int32, a, n nodeID) error {
+func (j *hbJoin) addPred(a, n nodeID) error {
 	if a.idx == 0 {
 		return nil
 	}
-	return hb.merge(into, nodeID{a.rank, a.idx - 1}, n)
+	return j.add(nodeID{a.rank, a.idx - 1}, n)
 }
 
-// merge takes the entrywise max of predecessor p's clock into the clock
+// add takes the entrywise max of predecessor p's clock into the clock
 // being built for n, including p's implicit own entry.
-func (hb *HB) merge(into []int32, p, n nodeID) error {
-	pv := hb.vcs[p.rank][p.idx]
+func (j *hbJoin) add(p, n nodeID) error {
+	pv := j.hb.vcs[p.rank][p.idx]
 	if pv == nil {
 		return errNotProcessed(p, n)
 	}
-	for r, x := range pv[:len(into)] {
-		into[r] = max(into[r], x)
+	if j.last == nil || &pv[0] != &j.last[0] { // every clock has one entry per rank
+		for r, x := range pv[:len(j.into)] {
+			j.into[r] = max(j.into[r], x)
+		}
+		j.last = pv
 	}
-	into[p.rank] = max(into[p.rank], int32(p.idx+1))
+	j.into[p.rank] = max(j.into[p.rank], int32(p.idx+1))
 	return nil
 }
 

@@ -128,10 +128,50 @@ func TestBuildHBReceiveWithoutSend(t *testing.T) {
 	}
 }
 
+// TestBuildHBInvertedRank: a rank whose events go backwards in (tend,
+// tstart) fails before any clock is built, naming its first inverted pair:
+// the lowest rank first, then the lowest index. Rank 1's pair (1, 2) is
+// inverted by end time and rank 2's pair (0, 1) by start time at an equal
+// end time, so rank 1's pair is reported although rank 2's index is lower.
+func TestBuildHBInvertedRank(t *testing.T) {
+	tr := &recorder.Trace{PerRank: [][]recorder.Record{
+		{mpiRecord(0, recorder.FuncMPIBarrier, 10, -1, 0, 0)},
+		{
+			mpiRecord(1, recorder.FuncMPIBarrier, 10, -1, 0, 0),
+			mpiRecord(1, recorder.FuncMPISend, 30, 2, 0, 1),
+			mpiRecord(1, recorder.FuncMPISend, 20, 2, 0, 1),
+		},
+		{
+			{Rank: 2, Layer: recorder.LayerMPI, Func: recorder.FuncMPIBarrier, TStart: 9, TEnd: 10, Args: []int64{-1, 0, 0}},
+			{Rank: 2, Layer: recorder.LayerMPI, Func: recorder.FuncMPIRecv, TStart: 5, TEnd: 10, Args: []int64{1, 0, 1}},
+			mpiRecord(2, recorder.FuncMPIRecv, 40, 1, 0, 1),
+		},
+	}}
+	_, err := BuildHB(tr)
+	const want = "core: predecessor {1 1} of {1 2} not yet processed (timestamps violate happens-before)"
+	if err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %q", err, want)
+	}
+	if d := diffHBOracle(tr); d != "" {
+		t.Fatal(d)
+	}
+	tr.PerRank[1][2].TStart, tr.PerRank[1][2].TEnd = 30, 30
+	_, err = BuildHB(tr)
+	const want2 = "core: predecessor {2 0} of {2 1} not yet processed (timestamps violate happens-before)"
+	if err == nil || err.Error() != want2 {
+		t.Fatalf("error %v, want %q", err, want2)
+	}
+	if d := diffHBOracle(tr); d != "" {
+		t.Fatal(d)
+	}
+}
+
 // fuzzHBTrace decodes bytes into a small MPI trace: the first byte picks
 // 1–8 ranks, then every 4 bytes make one record (at most 64) of send,
 // receive, barrier, broadcast or allreduce with small arguments, stamped
-// at or after the previous record of its rank.
+// at or after the previous record of its rank; a delay byte of 0xf0 or
+// more instead starts the record up to 8 before that record's end, which
+// can invert the rank's timestamp order.
 func fuzzHBTrace(data []byte) *recorder.Trace {
 	fns := []recorder.Func{recorder.FuncMPISend, recorder.FuncMPIRecv,
 		recorder.FuncMPIBarrier, recorder.FuncMPIBcast, recorder.FuncMPIAllreduce}
@@ -153,7 +193,11 @@ func fuzzHBTrace(data []byte) *recorder.Trace {
 		default:
 			args = []int64{-1, 0, arg % 8} // root, bytes, sequence
 		}
-		rec := mpiRecord(rank, fn, clock[rank]+dt%8, args...)
+		start := clock[rank] + dt%8
+		if dt >= 0xf0 {
+			start = clock[rank] - min(clock[rank], dt%8+1)
+		}
+		rec := mpiRecord(rank, fn, start, args...)
 		rec.TEnd += uint64(op) / 8 % 4
 		clock[rank] = rec.TEnd
 		tr.PerRank[rank] = append(tr.PerRank[rank], rec)
@@ -167,6 +211,11 @@ func FuzzBuildHB(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 1, 0, 1, 1, 0, 2, 0, 0})
 	f.Add([]byte{3, 2, 0, 0, 5, 2, 1, 0, 5, 2, 2, 0, 5, 3, 0, 1, 9, 4, 2, 1, 9})
 	f.Add([]byte{4, 0, 0, 3, 1, 1, 3, 0, 2, 2, 1, 5, 3, 0, 0, 6, 1, 3, 3, 7})
+	// Ranks 0 and 1 each hold an event stamped [2,4]: the builders must
+	// break the tie alike to name the same unprocessed predecessor.
+	f.Add([]byte("220000000210200170010001002C7021000100100020001000100"))
+	// Rank 0's second send starts and ends before its first.
+	f.Add([]byte{1, 0, 0, 0, 5, 0, 0, 0, 0xf3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if d := diffHBOracle(fuzzHBTrace(data)); d != "" {
 			t.Fatal(d)

@@ -83,6 +83,17 @@ func buildHBOracle(tr *recorder.Trace) (*HB, error) {
 		}
 	}
 
+	// The same inversion rule as BuildHB, then the same explicit total
+	// order, (tend, tstart, rank, idx), by a sort rather than a merge.
+	for rank, evs := range hb.events {
+		for i := 1; i < len(evs); i++ {
+			a, b := evs[i-1], evs[i]
+			if b.tend < a.tend || b.tend == a.tend && b.tstart < a.tstart {
+				return nil, fmt.Errorf("core: predecessor %v of %v not yet processed (timestamps violate happens-before)",
+					nodeID{rank, i - 1}, nodeID{rank, i})
+			}
+		}
+	}
 	order := make([]nodeID, 0)
 	for rank := range hb.events {
 		for i := range hb.events[rank] {
@@ -95,7 +106,13 @@ func buildHBOracle(tr *recorder.Trace) (*HB, error) {
 		if ea.tend != eb.tend {
 			return ea.tend < eb.tend
 		}
-		return ea.tstart < eb.tstart
+		if ea.tstart != eb.tstart {
+			return ea.tstart < eb.tstart
+		}
+		if order[a].rank != order[b].rank {
+			return order[a].rank < order[b].rank
+		}
+		return order[a].idx < order[b].idx
 	})
 	for _, n := range order {
 		vc := make([]int32, hb.ranks)

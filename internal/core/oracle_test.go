@@ -171,10 +171,10 @@ func extractOracle(tr *recorder.Trace) map[string]*oracleFile {
 	for _, rs := range tr.PerRank {
 		var fds fdTable
 		sizeByPath := make(map[string]int64)
-		var stack originStack
+		origins, phases := attributeOrigins(rs)
 		for i := range rs {
 			r := &rs[i]
-			origin, phase := stack.step(i, r)
+			origin, phase := origins[i], phases[i]
 			if r.Layer != recorder.LayerPOSIX {
 				continue
 			}

@@ -18,15 +18,29 @@ import (
 // materialized records on its own, the way the analysis passes did before
 // the scan fused them into one pass per rank.
 
-// attributeOrigins computes, for every record in a rank stream, the layer
-// of the outermost enclosing library-layer record (by time containment) and
-// the stream index of the innermost one (the "phase").
+// attributeOrigins is the brute-force origin and phase attribution, O(n²)
+// per rank and independent of originStack: record i's origin is the layer
+// of the earliest library-layer record j < i with TEnd_j >= TEnd_i (the
+// outermost enclosing call, by time containment in a TStart-ordered
+// stream), and its phase is the stream index of the latest such j (the
+// innermost), or LayerApp and -1 without one.
 func attributeOrigins(rs []recorder.Record) ([]recorder.Layer, []int) {
 	origins := make([]recorder.Layer, len(rs))
 	phases := make([]int, len(rs))
-	var stack originStack
+	var lib []int // indices of the library-layer records before i
 	for i := range rs {
-		origins[i], phases[i] = stack.step(i, &rs[i])
+		origins[i], phases[i] = recorder.LayerApp, -1
+		for _, j := range lib {
+			if rs[j].TEnd >= rs[i].TEnd {
+				if phases[i] < 0 {
+					origins[i] = rs[j].Layer
+				}
+				phases[i] = j
+			}
+		}
+		if l := rs[i].Layer; l != recorder.LayerPOSIX && l != recorder.LayerMPI {
+			lib = append(lib, i)
+		}
 	}
 	return origins, phases
 }

@@ -22,8 +22,11 @@ type originFrame struct {
 
 // originStack is the streaming form of the origin/phase attribution sweep:
 // frames are library-layer records (non-POSIX, non-MPI) not yet known to
-// have ended. Because streams are TStart-ordered, feeding records in order
-// reproduces exactly what the old whole-slice precompute produced.
+// have ended, in stream order. Because streams are TStart-ordered, a frame
+// that ended before a record starts can cover neither it nor any later
+// record, so feeding records in order gives every record the origin and
+// phase that the whole-slice definition (attributeOrigins, in the tests)
+// gives it.
 type originStack struct {
 	frames []originFrame
 }
@@ -31,24 +34,26 @@ type originStack struct {
 // step computes the origin (layer of the outermost enclosing frame that
 // covers r, or LayerApp) and phase (stream index of the innermost such
 // frame, or -1) for the record at stream index i, then pushes r if it is
-// itself a library-layer call.
+// itself a library-layer call. Every frame that ended before r starts is
+// dropped wherever it sits: a frame can outlive a later one (FLASH's MPI-IO
+// calls outlive the HDF5 call that made them), and an ended frame buried
+// under it would otherwise stay live.
 func (s *originStack) step(i int, r *recorder.Record) (recorder.Layer, int) {
-	for len(s.frames) > 0 && s.frames[len(s.frames)-1].tend < r.TStart {
-		s.frames = s.frames[:len(s.frames)-1]
-	}
 	origin, phase := recorder.LayerApp, -1
+	live := s.frames[:0]
 	for _, fr := range s.frames { // bottom = outermost
+		if fr.tend < r.TStart {
+			continue
+		}
 		if fr.tend >= r.TEnd {
-			origin = fr.layer
-			break
+			if phase < 0 {
+				origin = fr.layer
+			}
+			phase = fr.idx
 		}
+		live = append(live, fr)
 	}
-	for k := len(s.frames) - 1; k >= 0; k-- { // top = innermost
-		if s.frames[k].tend >= r.TEnd {
-			phase = s.frames[k].idx
-			break
-		}
-	}
+	s.frames = live
 	if r.Layer != recorder.LayerPOSIX && r.Layer != recorder.LayerMPI {
 		s.frames = append(s.frames, originFrame{idx: i, tend: r.TEnd, layer: r.Layer})
 	}
