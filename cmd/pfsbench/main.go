@@ -23,9 +23,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pfs"
 	"repro/internal/storage"
-
-	// Live /metrics exporter behind the -serve-metrics flag.
-	_ "repro/internal/obs/live"
 )
 
 func main() { os.Exit(run()) }
@@ -58,7 +55,7 @@ func run() (code int) {
 		fmt.Fprintln(os.Stderr, "pfsbench:", err)
 		return 2
 	}
-	if err := tele.Start(os.Stderr); err != nil {
+	if err := tele.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "pfsbench:", err)
 		return 2
 	}

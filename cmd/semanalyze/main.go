@@ -58,9 +58,6 @@ import (
 	"repro/internal/pfs"
 	"repro/internal/recorder"
 	"repro/internal/recorder/colfmt"
-
-	// Live /metrics exporter behind the -serve-metrics flag.
-	_ "repro/internal/obs/live"
 	"repro/internal/storage"
 )
 
@@ -107,7 +104,7 @@ func run() (code int) {
 		fmt.Fprintln(os.Stderr, "semanalyze:", err)
 		return exitUsage
 	}
-	if err := tele.Start(os.Stderr); err != nil {
+	if err := tele.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "semanalyze:", err)
 		return exitUsage
 	}

@@ -37,9 +37,6 @@ import (
 	"repro/internal/pfs"
 	"repro/internal/storage"
 	"repro/internal/wal"
-
-	// Live /metrics exporter behind the -serve-metrics flag.
-	_ "repro/internal/obs/live"
 )
 
 const (
@@ -91,11 +88,7 @@ func run() (code int) {
 	}
 	// Telemetry first: -flight arms the flight recorder, so the kill.armed
 	// events ArmKillPointsFromEnv records land in the ring.
-	if err := tele.Start(os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "semrepro:", err)
-		return exitUsage
-	}
-	if err := faults.ArmKillPointsFromEnv(); err != nil {
+	if err := tele.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "semrepro:", err)
 		return exitUsage
 	}
@@ -107,6 +100,10 @@ func run() (code int) {
 			}
 		}
 	}()
+	if err := faults.ArmKillPointsFromEnv(); err != nil {
+		fmt.Fprintln(os.Stderr, "semrepro:", err)
+		return exitUsage
+	}
 
 	if *resume && *ckptDir == "" {
 		fmt.Fprintln(os.Stderr, "semrepro: -resume requires -checkpoint")

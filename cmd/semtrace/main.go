@@ -22,9 +22,6 @@ import (
 	semfs "repro"
 	"repro/internal/obs"
 	"repro/internal/storage"
-
-	// Live /metrics exporter behind the -serve-metrics flag.
-	_ "repro/internal/obs/live"
 )
 
 func main() { os.Exit(run()) }
@@ -48,7 +45,7 @@ func run() (code int) {
 	)
 	tele.Register(flag.CommandLine)
 	flag.Parse()
-	if err := tele.Start(os.Stderr); err != nil {
+	if err := tele.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "semtrace:", err)
 		return 2
 	}

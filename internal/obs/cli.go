@@ -4,34 +4,27 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
-	"time"
+	"runtime"
+	"runtime/pprof"
 )
 
 // CLI plumbing shared by cmd/semanalyze, cmd/semrepro, cmd/pfsbench and
-// cmd/semtrace: the -metrics / -trace-spans / -pprof / -serve-metrics /
-// -flight flags all funnel through here so the binaries expose telemetry
-// identically.
+// cmd/semtrace: the -metrics / -trace-spans / -pprof / -flight flags all
+// funnel through here so the binaries expose telemetry identically. Every
+// output is a file written by this process; nothing here listens on a
+// socket, so the binaries link no net package.
 
 // CLIFlags bundles the telemetry flags of the repo's binaries. Call
 // Register before flag.Parse, Start right after it, and Flush (usually
 // deferred) once the run finishes.
 type CLIFlags struct {
-	Metrics          string
-	TraceSpans       string
-	Pprof            string
-	ServeMetrics     string
-	ServeMetricsHold time.Duration
-	Flight           string
+	Metrics    string
+	TraceSpans string
+	Pprof      string
+	Flight     string
 
-	boundPprof   string
-	boundMetrics string
-	stopPprof    func()
-	stopMetrics  func()
+	cpuProfile *os.File
 }
 
 // Register installs the telemetry flags on fs.
@@ -41,108 +34,84 @@ func (f *CLIFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.TraceSpans, "trace-spans", "",
 		"write spans to this file on exit as Chrome trace_event JSON (open in chrome://tracing or Perfetto)")
 	fs.StringVar(&f.Pprof, "pprof", "",
-		`serve net/http/pprof on this address (e.g. "localhost:6060" or ":0")`)
-	fs.StringVar(&f.ServeMetrics, "serve-metrics", "",
-		`serve live /metrics, /metrics.json and /healthz on this address (e.g. ":9090" or ":0")`)
-	fs.DurationVar(&f.ServeMetricsHold, "serve-metrics-hold", 0,
-		"keep the -serve-metrics exporter up this long after the run finishes (scrape window for CI)")
+		"write a CPU profile of the whole run to this file, and an allocation profile to FILE.allocs (read with go tool pprof)")
 	fs.StringVar(&f.Flight, "flight", "",
 		"arm the flight recorder: dump recent semantic events to this file on panic, kill points and consistency violations")
 }
 
-// ServeMetricsHook starts the live metrics exporter; internal/obs/live
-// installs it at init time (obs cannot import live — live imports obs).
-// Binaries that want -serve-metrics blank-import repro/internal/obs/live.
-var ServeMetricsHook func(addr string) (bound string, stop func(), err error)
-
-// Start applies the parsed flags: resets the default registry so the
-// snapshot covers exactly this invocation, enables span collection when
-// -trace-spans was given, arms the flight recorder when -flight was, and
-// starts the pprof / live-metrics listeners, logging one
-// "obs: <what> listening on <url>" line per listener to w with the *bound*
-// address (so ":0" reports the port that was actually assigned).
-func (f *CLIFlags) Start(w io.Writer) error {
-	if f.Metrics != "" || f.ServeMetrics != "" {
+// Start applies the parsed flags: creates the -pprof file and starts the
+// CPU profile (an uncreatable path fails here, before any work), resets
+// the default registry so the snapshot covers exactly this invocation,
+// enables span collection when -trace-spans was given and arms the flight
+// recorder when -flight was.
+func (f *CLIFlags) Start() error {
+	if f.Pprof != "" {
+		pf, err := os.Create(f.Pprof)
+		if err != nil {
+			return fmt.Errorf("obs: pprof: %w", err)
+		}
+		if err := pprof.StartCPUProfile(pf); err != nil {
+			pf.Close()
+			return fmt.Errorf("obs: pprof: %w", err)
+		}
+		f.cpuProfile = pf
+	}
+	if f.Metrics != "" {
 		Default().Reset()
 	}
-	if f.TraceSpans != "" || f.ServeMetrics != "" {
+	if f.TraceSpans != "" {
 		Default().Tracer().SetEnabled(true)
 	}
 	if f.Flight != "" {
 		ArmFlightDump(f.Flight)
 	}
-	if f.Pprof != "" {
-		addr, stop, err := StartPprof(f.Pprof)
-		if err != nil {
-			return err
-		}
-		f.boundPprof, f.stopPprof = addr, stop
-		fmt.Fprintf(w, "obs: pprof listening on http://%s/debug/pprof/\n", displayAddr(addr))
-	}
-	if f.ServeMetrics != "" {
-		if ServeMetricsHook == nil {
-			return errors.New(`obs: -serve-metrics requires the live exporter (import _ "repro/internal/obs/live")`)
-		}
-		addr, stop, err := ServeMetricsHook(f.ServeMetrics)
-		if err != nil {
-			return err
-		}
-		f.boundMetrics, f.stopMetrics = addr, stop
-		fmt.Fprintf(w, "obs: metrics listening on http://%s/metrics\n", displayAddr(addr))
-	}
 	return nil
 }
 
-// PprofAddr returns the bound -pprof address ("" when not serving).
-func (f *CLIFlags) PprofAddr() string { return f.boundPprof }
-
-// MetricsAddr returns the bound -serve-metrics address ("" when not
-// serving).
-func (f *CLIFlags) MetricsAddr() string { return f.boundMetrics }
-
-// displayAddr rewrites a bound listen address into one a human can curl:
-// the unspecified hosts a ":0"-style flag binds ("0.0.0.0", "::", "") are
-// reachable via loopback, so report that.
-func displayAddr(bound string) string {
-	host, port, err := net.SplitHostPort(bound)
-	if err != nil {
-		return bound
-	}
-	if host == "" || host == "0.0.0.0" || host == "::" {
-		return net.JoinHostPort("127.0.0.1", port)
-	}
-	return bound
-}
-
-// Flush writes the requested telemetry files and stops the listeners Start
-// opened. When -serve-metrics-hold is set the exporter stays up that long
-// first — the scrape window a CI job needs between "run finished" and
-// "metrics gone".
+// Flush writes the requested telemetry files. With -pprof it stops the CPU
+// profile Start began and writes the allocation profile next to it; a
+// second Flush rewrites the snapshot files and leaves the profiles alone.
 func (f *CLIFlags) Flush() error {
 	var errs []error
 	if f.Metrics != "" {
-		errs = append(errs, WriteMetricsFile(f.Metrics))
+		errs = append(errs, writeMetricsFile(f.Metrics))
 	}
 	if f.TraceSpans != "" {
-		errs = append(errs, WriteSpansFile(f.TraceSpans))
+		errs = append(errs, writeSpansFile(f.TraceSpans))
 	}
-	if f.stopMetrics != nil {
-		if f.ServeMetricsHold > 0 {
-			time.Sleep(f.ServeMetricsHold)
+	if f.cpuProfile != nil {
+		pprof.StopCPUProfile()
+		if err := f.cpuProfile.Close(); err != nil {
+			errs = append(errs, fmt.Errorf("obs: pprof: %w", err))
 		}
-		f.stopMetrics()
-		f.stopMetrics = nil
-	}
-	if f.stopPprof != nil {
-		f.stopPprof()
-		f.stopPprof = nil
+		f.cpuProfile = nil
+		errs = append(errs, writeAllocsProfile(f.Pprof+".allocs"))
 	}
 	return errors.Join(errs...)
 }
 
-// WriteMetricsFile snapshots the default registry and writes it to path as
+// writeAllocsProfile writes the run's allocation profile to path. The
+// profile counts allocations up to the last completed GC, so one runs
+// first to take in the tail of the run.
+func writeAllocsProfile(path string) error {
+	runtime.GC()
+	pf, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("obs: pprof: %w", err)
+	}
+	err = pprof.Lookup("allocs").WriteTo(pf, 0)
+	if cerr := pf.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("obs: pprof: %w", err)
+	}
+	return nil
+}
+
+// writeMetricsFile snapshots the default registry and writes it to path as
 // JSON ("-" writes to stdout).
-func WriteMetricsFile(path string) error {
+func writeMetricsFile(path string) error {
 	b, err := Default().Snapshot().JSON()
 	if err != nil {
 		return err
@@ -157,9 +126,9 @@ func WriteMetricsFile(path string) error {
 	return nil
 }
 
-// WriteSpansFile writes the default tracer's spans to path as a Chrome
+// writeSpansFile writes the default tracer's spans to path as a Chrome
 // trace_event JSON document (open in chrome://tracing or Perfetto).
-func WriteSpansFile(path string) error {
+func writeSpansFile(path string) error {
 	b, err := Default().Tracer().ChromeTraceJSON()
 	if err != nil {
 		return err
@@ -168,27 +137,4 @@ func WriteSpansFile(path string) error {
 		return fmt.Errorf("obs: write spans: %w", err)
 	}
 	return nil
-}
-
-// StartPprof serves net/http/pprof on addr (e.g. "localhost:6060") in a
-// background goroutine and returns the bound address — so callers can pass
-// ":0" and print where the profiler actually landed — plus a stop function
-// that closes the listener (idempotent).
-func StartPprof(addr string) (string, func(), error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, fmt.Errorf("obs: pprof listen: %w", err)
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	go func() {
-		// Serve returns with a "use of closed network listener" error once
-		// stop closes ln; that is the expected shutdown path.
-		_ = http.Serve(ln, mux)
-	}()
-	return ln.Addr().String(), func() { _ = ln.Close() }, nil
 }

@@ -2,7 +2,7 @@
 // counters, gauges, power-of-two histograms (the SizeHistogram bucketing
 // idiom of internal/report, promoted to a shared concurrent type) and
 // lightweight spans, hung off a process-wide Registry with deterministic
-// JSON and text snapshot export.
+// JSON snapshot export.
 //
 // Design constraints, in order:
 //
@@ -27,7 +27,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -126,16 +125,6 @@ func (r *Registry) Reset() {
 	for _, h := range r.histograms {
 		h.reset()
 	}
-}
-
-// sortedKeys returns a map's keys in sorted order (snapshot determinism).
-func sortedKeys[T any](m map[string]T) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Counter is a monotonically increasing atomic counter.

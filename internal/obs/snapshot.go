@@ -3,14 +3,12 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
-	"strings"
 )
 
 // Snapshot is a point-in-time copy of every instrument in a registry.
-// Export is deterministic: encoding/json sorts map keys, histogram buckets
-// are ascending, and Text emits sorted lines — two identical runs produce
-// byte-identical output (the property the CI telemetry step checks).
+// Export is deterministic: encoding/json sorts map keys and histogram
+// buckets are ascending, so two identical runs produce byte-identical
+// output (the property the CI telemetry step checks).
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`
@@ -47,69 +45,4 @@ func (s Snapshot) JSON() ([]byte, error) {
 		return nil, fmt.Errorf("obs: marshal snapshot: %w", err)
 	}
 	return append(b, '\n'), nil
-}
-
-// Text renders the snapshot as "name value" lines, sorted by name, with
-// histograms expanded into per-bucket lines — the terminal-friendly form.
-func (s Snapshot) Text() string {
-	var b strings.Builder
-	for _, name := range sortedKeys(s.Counters) {
-		fmt.Fprintf(&b, "%-44s %d\n", name, s.Counters[name])
-	}
-	for _, name := range sortedKeys(s.Gauges) {
-		fmt.Fprintf(&b, "%-44s %d\n", name, s.Gauges[name])
-	}
-	for _, name := range sortedKeys(s.Histograms) {
-		h := s.Histograms[name]
-		fmt.Fprintf(&b, "%-44s count=%d sum=%d\n", name, h.Count, h.Sum)
-		if h.Zero > 0 {
-			fmt.Fprintf(&b, "  %-42s %d\n", "[0]", h.Zero)
-		}
-		for _, bk := range h.Buckets {
-			fmt.Fprintf(&b, "  %-42s %d\n", fmt.Sprintf("[%d, %d)", bk.Lo, bk.Hi), bk.N)
-		}
-	}
-	return b.String()
-}
-
-// Diff returns a snapshot holding other minus s for counters and histograms
-// (gauges copy from other — instantaneous values do not subtract). Used by
-// tests and the per-phase reporting in the CLIs.
-func (s Snapshot) Diff(other Snapshot) Snapshot {
-	d := Snapshot{
-		Counters:   make(map[string]int64),
-		Gauges:     make(map[string]int64, len(other.Gauges)),
-		Histograms: make(map[string]HistogramSnapshot),
-	}
-	for name, v := range other.Counters {
-		if dv := v - s.Counters[name]; dv != 0 {
-			d.Counters[name] = dv
-		}
-	}
-	for name, v := range other.Gauges {
-		d.Gauges[name] = v
-	}
-	for name, h := range other.Histograms {
-		prev := s.Histograms[name]
-		if h.Count == prev.Count {
-			continue
-		}
-		dh := HistogramSnapshot{
-			Count: h.Count - prev.Count,
-			Sum:   h.Sum - prev.Sum,
-			Zero:  h.Zero - prev.Zero,
-		}
-		prevByLo := make(map[int64]int64, len(prev.Buckets))
-		for _, bk := range prev.Buckets {
-			prevByLo[bk.Lo] = bk.N
-		}
-		for _, bk := range h.Buckets {
-			if n := bk.N - prevByLo[bk.Lo]; n > 0 {
-				dh.Buckets = append(dh.Buckets, Bucket{Lo: bk.Lo, Hi: bk.Hi, N: n})
-			}
-		}
-		sort.Slice(dh.Buckets, func(i, j int) bool { return dh.Buckets[i].Lo < dh.Buckets[j].Lo })
-		d.Histograms[name] = dh
-	}
-	return d
 }

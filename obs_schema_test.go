@@ -17,7 +17,6 @@ import (
 	_ "repro/internal/core"
 	_ "repro/internal/experiments"
 	_ "repro/internal/faults"
-	_ "repro/internal/obs/live"
 	_ "repro/internal/pfs"
 	_ "repro/internal/recorder"
 	_ "repro/internal/storage"
