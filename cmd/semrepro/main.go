@@ -70,24 +70,11 @@ func run() (code int) {
 		walRecover = flag.Bool("wal-recover", false, "recover a (possibly crash-interrupted) WAL burst from -wal-dir and verify zero acked-write loss")
 		walDir     = flag.String("wal-dir", "", "write-ahead log directory for -wal-burst / -wal-recover")
 		walApps    = flag.String("wal-apps", "", "comma-separated configuration names for -only walcompare (default: the FLASH/HACC burst set)")
-		flightDump = flag.String("flight-dump", "", "replay a flight-recorder dump file (written by -flight on a crash) and exit")
 		backSpec   = flag.String("backend", "osdisk", "durable storage backend for -checkpoint/-wal-burst/-wal-recover/-chaos state: osdisk | objstore[:delay=D,root=DIR] | flaky[:base=B,seed=N,count=N,kinds=transient|all]")
 		tele       obs.CLIFlags
 	)
 	tele.Register(flag.CommandLine)
 	flag.Parse()
-	defer obs.FlightPanicDump()
-	if *flightDump != "" {
-		d, err := obs.LoadFlightDump(*flightDump)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "semrepro:", err)
-			return exitError
-		}
-		fmt.Print(obs.FormatFlightDump(d))
-		return exitOK
-	}
-	// Telemetry first: -flight arms the flight recorder, so the kill.armed
-	// events ArmKillPointsFromEnv records land in the ring.
 	if err := tele.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "semrepro:", err)
 		return exitUsage

@@ -73,13 +73,9 @@ func appendRecord(f storage.File, key string, blob []byte) (int64, error) {
 		return 0, fmt.Errorf("ckpt: record for %q is %d bytes, over the %d limit", key, len(payload), maxPayload)
 	}
 	rec := frame.Append(make([]byte, 0, frame.HeaderLen+len(payload)), recMagic, payload)
-	took, err := storage.AppendFrame(f, rec, "ckpt.append", true)
-	if err != nil {
+	if err := storage.AppendFrame(f, rec, "ckpt.append", true); err != nil {
 		return 0, fmt.Errorf("ckpt: journal append: %w", err)
 	}
-	journalFsyncNS.Observe(took.Nanoseconds())
-	journalAppends.Inc()
-	journalBytes.Add(int64(len(rec)))
 	return int64(len(rec)), nil
 }
 

@@ -118,10 +118,7 @@ func CheckLog(model pfs.Semantics, log *Log, opt Options) Result {
 // implementation already got wrong.
 func Check(model pfs.Semantics, events []pfs.HistoryEvent, opt Options) (res Result) {
 	start := time.Now()
-	defer func() {
-		checkWall.Observe(time.Since(start).Nanoseconds())
-		recordVerdictFlight(res.Events, res.OK())
-	}()
+	defer func() { checkWall.Observe(time.Since(start).Nanoseconds()) }()
 	delay := opt.EventualDelayNS
 	if delay == 0 {
 		delay = 50_000_000 // pfs.Options default
@@ -159,7 +156,6 @@ func Check(model pfs.Semantics, events []pfs.HistoryEvent, opt Options) (res Res
 			if v := c.checkRead(ev); v != nil {
 				v.Model = model
 				res.Violation = v
-				recordViolationFlight(v)
 				return res
 			}
 		}

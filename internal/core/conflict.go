@@ -76,9 +76,8 @@ func (iv *Interval) appendText(b []byte) []byte {
 // pair — the write-side counterpart of the read-read suppression in the
 // overlap sweep. A write-heavy overlap storm (every write overlapping every
 // write) would otherwise materialize a quadratic pair list; past the cap,
-// further conflicts are dropped and tallied in the
-// core.conflicts.suppressed counter, EXCEPT that the first conflict of each
-// of the four Table 4 classes is always kept, so the signature (and therefore
+// further conflicts are dropped, EXCEPT that the first conflict of each of
+// the four Table 4 classes is always kept, so the signature (and therefore
 // every Verdict) is exact even on truncated lists. Set it before analysis
 // starts; it is read concurrently by the parallel passes.
 var MaxConflictsPerFile = 1 << 20
@@ -86,11 +85,10 @@ var MaxConflictsPerFile = 1 << 20
 // conflictAppender accumulates one (file, model) conflict list under
 // MaxConflictsPerFile, preserving class coverage (see the cap's doc).
 type conflictAppender struct {
-	out        []Conflict
-	classes    uint8 // bitmask of materialized Table 4 classes
-	suppressed int64
-	max        int
-	admits     bool // the model admits the sweep's current candidate pair
+	out     []Conflict
+	classes uint8 // bitmask of materialized Table 4 classes
+	max     int
+	admits  bool // the model admits the sweep's current candidate pair
 }
 
 func classBit(kind ConflictKind, same bool) uint8 {
@@ -104,7 +102,6 @@ func classBit(kind ConflictKind, same bool) uint8 {
 func (a *conflictAppender) add(c Conflict) {
 	bit := classBit(c.Kind, c.SameProcess)
 	if len(a.out) >= a.max && a.classes&bit != 0 {
-		a.suppressed++
 		return
 	}
 	a.classes |= bit
@@ -248,23 +245,17 @@ func detectConflictsMulti(fa *FileAccesses, models []pfs.Semantics) [][]Conflict
 			apps[i].add(c)
 		}
 	})
-	var suppressed int64
 	for i := range apps {
 		if shared && i == ci {
 			continue // the session list, below
 		}
-		suppressed += apps[i].suppressed
 		if len(apps[i].out) > 0 {
 			sortConflicts(apps[i].out)
 			out[i] = slices.Clone(apps[i].out)
 		}
 	}
 	if shared {
-		suppressed += apps[si].suppressed // the commit list's, as its own
 		out[ci] = out[si]
-	}
-	if suppressed > 0 {
-		conflictsSuppressed.Add(suppressed)
 	}
 	return out
 }

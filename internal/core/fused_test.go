@@ -75,13 +75,13 @@ func TestConflictAppenderClassCoverage(t *testing.T) {
 	raw := Conflict{Kind: RAW, SameProcess: true}
 	app.add(waw)
 	app.add(waw)
-	app.add(waw) // past cap, class already seen -> suppressed
-	if len(app.out) != 2 || app.suppressed != 1 {
-		t.Fatalf("got %d kept, %d suppressed; want 2, 1", len(app.out), app.suppressed)
+	app.add(waw) // past cap, class already seen -> dropped
+	if len(app.out) != 2 {
+		t.Fatalf("got %d kept, want 2", len(app.out))
 	}
 	app.add(raw) // past cap but unseen class -> kept
-	if len(app.out) != 3 || app.suppressed != 1 {
-		t.Fatalf("unseen class past cap: got %d kept, %d suppressed; want 3, 1", len(app.out), app.suppressed)
+	if len(app.out) != 3 {
+		t.Fatalf("unseen class past cap: got %d kept, want 3", len(app.out))
 	}
 	if got := signatureOf(app.out); !got.WAWDiff || !got.RAWSame {
 		t.Fatalf("signature lost a class: %+v", got)

@@ -31,12 +31,8 @@ var (
 		"fused-conflicts": obs.Default().Histogram("core.pass.fused-conflicts.wall_ns"),
 		"patterns":        obs.Default().Histogram("core.pass.patterns.wall_ns"),
 		"classify":        obs.Default().Histogram("core.pass.classify.wall_ns"),
-		"census":          obs.Default().Histogram("core.pass.census.wall_ns"),
 		"meta-conflicts":  obs.Default().Histogram("core.pass.meta-conflicts.wall_ns"),
 	}
-
-	// Fused engine instrument (DESIGN.md §11): conflict-cap suppression.
-	conflictsSuppressed = obs.Default().Counter("core.conflicts.suppressed")
 )
 
 // startPass opens a span plus a wall-clock histogram sample for one

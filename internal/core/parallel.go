@@ -100,7 +100,7 @@ func ParallelForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 	wg.Wait()
 	if instrumented {
 		if wall := time.Since(start).Nanoseconds(); wall > 0 {
-			poolUtilization.Set(busyNS.Load() * 100 / (int64(workers) * wall))
+			poolUtilization.SetMax(busyNS.Load() * 100 / (int64(workers) * wall))
 		}
 	}
 	return ctx.Err()
@@ -147,7 +147,6 @@ func ConflictsAllForFilesCtx(ctx context.Context, fas []*FileAccesses, models []
 // the application when none). The census is folded by a scan of the
 // trace (see ScanTraceCtx).
 func MetadataCensusParallelCtx(ctx context.Context, tr *recorder.Trace, workers int) (*Census, error) {
-	defer startPass("census")()
 	sc, err := ScanTraceCtx(ctx, tr, workers)
 	if err != nil {
 		return nil, err

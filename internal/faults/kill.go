@@ -22,17 +22,8 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/obs"
 	"repro/internal/pfs"
 	"repro/internal/storage"
-)
-
-// Flight-recorder event classes. Arming marks the run as a crash
-// experiment; the fired event (a = hit count) is the final entry before
-// SIGKILL and what FormatFlightDump attributes the dump to.
-var (
-	flightKillArmed = obs.FlightClassFor("kill.armed")
-	flightKillFired = obs.FlightClassFor("kill.fired")
 )
 
 // KillEnv is the environment variable ArmKillPointsFromEnv reads: a
@@ -51,18 +42,10 @@ var kill struct {
 // wal.*, storage.*) report their points. Arming a point whose name starts
 // with "pfs.op." also installs the pfs kill hook, so data-path operations
 // (write/read/commit/close) become killable sites too. An empty spec arms
-// nothing.
+// nothing, and neither does a spec with any bad part: the whole spec is
+// parsed before the first point is armed.
 func ArmKillPoints(spec string) error {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil
-	}
-	kill.mu.Lock()
-	defer kill.mu.Unlock()
-	if kill.armed == nil {
-		kill.armed = make(map[string]int)
-		kill.hits = make(map[string]int)
-	}
+	armed := make(map[string]int)
 	hookPFS := false
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
@@ -77,11 +60,22 @@ func ArmKillPoints(spec string) error {
 		if err != nil || n < 1 {
 			return fmt.Errorf("faults: kill spec %q: N must be a positive integer", part)
 		}
-		kill.armed[point] = n
-		obs.Flight().Record(flightKillArmed, -1, 0, int64(n), 0)
+		armed[point] = n
 		if strings.HasPrefix(point, "pfs.op.") {
 			hookPFS = true
 		}
+	}
+	if len(armed) == 0 {
+		return nil
+	}
+	kill.mu.Lock()
+	defer kill.mu.Unlock()
+	if kill.armed == nil {
+		kill.armed = make(map[string]int)
+		kill.hits = make(map[string]int)
+	}
+	for point, n := range armed {
+		kill.armed[point] = n
 	}
 	if hookPFS {
 		pfs.SetKillPointHook(func(op pfs.OpInfo) { Hit("pfs.op." + op.Kind.String()) })
@@ -107,14 +101,8 @@ func Hit(point string) {
 	}
 	kill.hits[point]++
 	fatal := kill.armed[point] > 0 && kill.hits[point] == kill.armed[point]
-	hits := kill.hits[point]
 	kill.mu.Unlock()
 	if fatal {
-		// Last acts before SIGKILL: put the fatal hit in the flight ring and
-		// write the armed dump — the CRC framing tolerates dying mid-write,
-		// and the fsync in WriteDump makes a completed dump survive the kill.
-		obs.Flight().Record(flightKillFired, -1, 0, int64(hits), 0)
-		obs.TriggerFlightDump("kill." + point)
 		killProcess()
 	}
 }

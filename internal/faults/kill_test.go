@@ -41,10 +41,16 @@ func TestHitWithoutArmingIsFree(t *testing.T) {
 
 func TestArmKillPointsRejectsBadSpecs(t *testing.T) {
 	t.Cleanup(ResetKillPoints)
-	for _, spec := range []string{"nocount", "point:", "point:0", "point:-1", "point:x"} {
+	for _, spec := range []string{"nocount", "point:", "point:0", "point:-1", "point:x", "good:1000000,bad:x"} {
 		ResetKillPoints()
 		if err := ArmKillPoints(spec); err == nil {
 			t.Errorf("ArmKillPoints(%q) accepted", spec)
+		}
+		// A rejected spec arms nothing, not even its good parts: the
+		// process stays unarmed and Hit does not count.
+		Hit("good")
+		if got := KillPointHits("good"); got != 0 {
+			t.Errorf("after rejecting %q, KillPointHits(good) = %d, want 0", spec, got)
 		}
 	}
 	ResetKillPoints()

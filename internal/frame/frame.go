@@ -1,6 +1,5 @@
 // Package frame is the one CRC-framed append-log codec behind the repo's
-// durable logs (the ckpt journal, the per-rank WAL) and the flight-recorder
-// dump. A frame is
+// durable logs: the ckpt journal and the per-rank WAL. A frame is
 //
 //	magic (4 bytes) | payload length uint32 LE | CRC-32C(payload) uint32 LE | payload
 //
@@ -8,7 +7,7 @@
 // frame counts once the fsync covering it returns, so after a crash only the
 // tail frame can be damaged. Scan keeps the longest valid prefix and
 // measures the rest; the caller truncates to Stats.Good before appending.
-// The package is stdlib-only so every layer, obs included, can use it.
+// The package is stdlib-only so every durable layer can use it.
 package frame
 
 import (

@@ -10,10 +10,10 @@ import (
 )
 
 // CLI plumbing shared by cmd/semanalyze, cmd/semrepro, cmd/pfsbench and
-// cmd/semtrace: the -metrics / -trace-spans / -pprof / -flight flags all
-// funnel through here so the binaries expose telemetry identically. Every
-// output is a file written by this process; nothing here listens on a
-// socket, so the binaries link no net package.
+// cmd/semtrace: the -metrics / -trace-spans / -pprof flags all funnel
+// through here so the binaries expose telemetry identically. Every output
+// is a file written by this process; nothing here listens on a socket, so
+// the binaries link no net package.
 
 // CLIFlags bundles the telemetry flags of the repo's binaries. Call
 // Register before flag.Parse, Start right after it, and Flush (usually
@@ -22,7 +22,6 @@ type CLIFlags struct {
 	Metrics    string
 	TraceSpans string
 	Pprof      string
-	Flight     string
 
 	cpuProfile *os.File
 }
@@ -35,15 +34,12 @@ func (f *CLIFlags) Register(fs *flag.FlagSet) {
 		"write spans to this file on exit as Chrome trace_event JSON (open in chrome://tracing or Perfetto)")
 	fs.StringVar(&f.Pprof, "pprof", "",
 		"write a CPU profile of the whole run to this file, and an allocation profile to FILE.allocs (read with go tool pprof)")
-	fs.StringVar(&f.Flight, "flight", "",
-		"arm the flight recorder: dump recent semantic events to this file on panic, kill points and consistency violations")
 }
 
 // Start applies the parsed flags: creates the -pprof file and starts the
 // CPU profile (an uncreatable path fails here, before any work), resets
-// the default registry so the snapshot covers exactly this invocation,
-// enables span collection when -trace-spans was given and arms the flight
-// recorder when -flight was.
+// the default registry so the snapshot covers exactly this invocation, and
+// enables span collection when -trace-spans was given.
 func (f *CLIFlags) Start() error {
 	if f.Pprof != "" {
 		pf, err := os.Create(f.Pprof)
@@ -61,9 +57,6 @@ func (f *CLIFlags) Start() error {
 	}
 	if f.TraceSpans != "" {
 		Default().Tracer().SetEnabled(true)
-	}
-	if f.Flight != "" {
-		ArmFlightDump(f.Flight)
 	}
 	return nil
 }
@@ -109,10 +102,10 @@ func writeAllocsProfile(path string) error {
 	return nil
 }
 
-// writeMetricsFile snapshots the default registry and writes it to path as
-// JSON ("-" writes to stdout).
+// writeMetricsFile snapshots the instruments this run touched on the
+// default registry and writes them to path as JSON ("-" writes to stdout).
 func writeMetricsFile(path string) error {
-	b, err := Default().Snapshot().JSON()
+	b, err := Default().Snapshot().touched().JSON()
 	if err != nil {
 		return err
 	}

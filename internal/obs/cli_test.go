@@ -3,9 +3,11 @@ package obs
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -78,5 +80,49 @@ func TestCLIPprofUncreatable(t *testing.T) {
 	}
 	if err := good.Flush(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCLIMetricsTouchedOnly: the -metrics file holds only the instruments
+// the run touched, while Snapshot keeps the full registered namespace.
+func TestCLIMetricsTouchedOnly(t *testing.T) {
+	r := Default()
+	c, idle := r.Counter("test.cli.touched"), r.Counter("test.cli.idle")
+	g, h := r.Gauge("test.cli.gauge"), r.Histogram("test.cli.hist")
+	r.Histogram("test.cli.idle_hist")
+	path := filepath.Join(t.TempDir(), "metrics.json")
+	f := CLIFlags{Metrics: path}
+	if err := f.Start(); err != nil {
+		t.Fatal(err)
+	}
+	c.Add(3)
+	g.Set(2)
+	h.Observe(0) // a zero-valued observation still counts as a touch
+	idle.Add(0)
+	if err := f.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Snapshot
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	want := Snapshot{
+		Counters:   map[string]int64{"test.cli.touched": 3},
+		Gauges:     map[string]int64{"test.cli.gauge": 2},
+		Histograms: map[string]HistogramSnapshot{"test.cli.hist": {Count: 1, Zero: 1}},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("-metrics file = %+v, want %+v", got, want)
+	}
+	full := r.Snapshot()
+	if _, ok := full.Counters["test.cli.idle"]; !ok {
+		t.Error("Snapshot dropped an untouched counter")
+	}
+	if _, ok := full.Histograms["test.cli.idle_hist"]; !ok {
+		t.Error("Snapshot dropped an untouched histogram")
 	}
 }

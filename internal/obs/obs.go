@@ -22,7 +22,7 @@
 //     and the hot path never touches the registry map.
 //
 // Metric names are dot-separated lowercase paths, "<layer>.<noun>.<aspect>"
-// (e.g. "pfs.op.write.cost_ns", "core.pool.tasks", "storage.op.syncs");
+// (e.g. "pfs.op.write.cost_ns", "core.pool.tasks", "wal.ack.cost_ns");
 // see DESIGN.md §9 for the full naming scheme.
 package obs
 
@@ -59,7 +59,8 @@ func NewRegistry() *Registry {
 var defaultRegistry = NewRegistry()
 
 // Default returns the process-wide registry that the instrumented layers
-// (pfs, core, faults, experiments) register their instruments on.
+// (pfs, core, wal, consistency, experiments, the columnar codec) register
+// their instruments on.
 func Default() *Registry { return defaultRegistry }
 
 // SetEnabled flips metric collection for every instrument of this registry.

@@ -121,8 +121,6 @@ func TestDisabledPathAllocatesZero(t *testing.T) {
 	h := r.Histogram("off.hist")
 	r.SetEnabled(false)
 	tr := r.Tracer() // never enabled
-	fl := NewFlightRecorder(64)
-	class := FlightClassFor("test.disabled")
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		g.Set(3)
@@ -134,16 +132,12 @@ func TestDisabledPathAllocatesZero(t *testing.T) {
 		ts := tr.StartTrace("noop", "test")
 		tr.StartLinked("linked", "test", ts.TraceID(), ts.ID()).End()
 		ts.End()
-		fl.Record(class, 1, 0, 2, 3)
 	})
 	if allocs != 0 {
 		t.Errorf("disabled path allocates %.1f per op, want 0", allocs)
 	}
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || tr.Len() != 0 {
 		t.Error("disabled instruments recorded data")
-	}
-	if len(fl.Events()) != 0 {
-		t.Error("disabled flight recorder recorded events")
 	}
 }
 
@@ -184,8 +178,6 @@ func BenchmarkDisabledOverhead(b *testing.B) {
 	h := r.Histogram("bench.hist")
 	r.SetEnabled(false)
 	tr := r.Tracer()
-	fl := NewFlightRecorder(64)
-	class := FlightClassFor("bench.disabled")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -193,7 +185,6 @@ func BenchmarkDisabledOverhead(b *testing.B) {
 		g.Set(int64(i))
 		h.Observe(int64(i))
 		tr.Start("noop", "bench").End()
-		fl.Record(class, 0, 0, int64(i), 0)
 	}
 }
 

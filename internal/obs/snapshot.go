@@ -15,9 +15,9 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
-// Snapshot copies every registered instrument. Instruments registered but
-// never touched export as zeros — a snapshot's key set is the full
-// instrument namespace, so diffs between runs line up.
+// Snapshot copies every registered instrument, touched or not: its key set
+// is the full instrument namespace (the schema golden pins it). A -metrics
+// file holds only the touched part (see touched).
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -34,6 +34,29 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for name, h := range r.histograms {
 		s.Histograms[name] = h.Snapshot()
+	}
+	return s
+}
+
+// touched drops every instrument the run left untouched: a counter or
+// gauge at 0, a histogram with no observation. A binary registers every
+// instrument it links, so without this a plain analysis would export the
+// simulation's and the WAL's instruments as zeros.
+func (s Snapshot) touched() Snapshot {
+	for name, v := range s.Counters {
+		if v == 0 {
+			delete(s.Counters, name)
+		}
+	}
+	for name, v := range s.Gauges {
+		if v == 0 {
+			delete(s.Gauges, name)
+		}
+	}
+	for name, h := range s.Histograms {
+		if h.Count == 0 {
+			delete(s.Histograms, name)
+		}
 	}
 	return s
 }

@@ -179,7 +179,7 @@ func (t *Tracer) Len() int {
 	return len(t.spans)
 }
 
-// SpanInfo is one ended span as tests and the live plane read it back.
+// SpanInfo is one ended span as Spans returns it.
 type SpanInfo struct {
 	ID, Parent, Trace uint64
 	Name, Cat         string

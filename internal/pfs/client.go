@@ -213,7 +213,7 @@ func (h *Handle) WriteTraced(off int64, data []byte, now uint64, trace uint64) (
 	case Eventual:
 		fs.publishBatchLocked(f, []extent{e}, now, act)
 	}
-	observeOp(OpWrite, h.c.rank, cost)
+	observeOp(OpWrite, cost)
 	// A crash-after write is recorded as successful: the data landed on the
 	// servers even though the process never observed the completion.
 	fs.recordHistoryLocked(HistoryEvent{Kind: EvWrite, Trace: trace, Rank: h.c.rank, Path: h.path,
@@ -299,7 +299,7 @@ func (h *Handle) Read(off, n int64, now uint64) ([]byte, uint64, error) {
 		own = rev
 	}
 	buf, visEnd := materialize(f, off, n, visible, own)
-	observeOp(OpRead, h.c.rank, cost)
+	observeOp(OpRead, cost)
 	avail := visEnd - off
 	if avail <= 0 {
 		fs.recordHistoryLocked(HistoryEvent{Kind: EvRead, Rank: h.c.rank, Path: h.path,
@@ -369,7 +369,7 @@ func (h *Handle) Commit(now uint64) (uint64, error) {
 		return 0, ErrCrashed
 	}
 	cost := fs.opts.Cost.SyncCost
-	observeOp(OpCommit, h.c.rank, cost)
+	observeOp(OpCommit, cost)
 	if fs.semFor(h.path) != Commit {
 		fs.recordHistoryLocked(HistoryEvent{Kind: EvCommit, Rank: h.c.rank, Path: h.path,
 			Handle: h.id, Now: now})
@@ -433,7 +433,7 @@ func (h *Handle) Close(now uint64) (uint64, error) {
 	}
 	h.closed = true
 	cost := fs.opts.Cost.CloseCost + fs.opts.Cost.MetaRPC
-	observeOp(OpClose, h.c.rank, cost)
+	observeOp(OpClose, cost)
 	f, err := fs.ensure(h.path, false)
 	if err != nil {
 		fs.recordHistoryLocked(HistoryEvent{Kind: EvClose, Rank: h.c.rank, Path: h.path,

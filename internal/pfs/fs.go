@@ -306,7 +306,6 @@ func (f *file) truncateLocked(length int64) {
 // publishLocked appends extents to the file's published list, assigning
 // sequence numbers, and updates size.
 func (fs *FileSystem) publishLocked(f *file, exts []extent, now uint64) {
-	publishBatch.Observe(int64(len(exts)))
 	for _, e := range exts {
 		fs.pubSeq++
 		e.seq = fs.pubSeq
@@ -322,9 +321,6 @@ func (fs *FileSystem) publishLocked(f *file, exts []extent, now uint64) {
 // fault action: the batch may be reversed (reordered publish) and its
 // publish time pushed back (delayed server-side ingest).
 func (fs *FileSystem) publishBatchLocked(f *file, exts []extent, now uint64, act FaultAction) {
-	if act.PublishDelay > 0 {
-		publishDelay.Observe(int64(act.PublishDelay))
-	}
 	if act.ReorderPublish && len(exts) > 1 {
 		rev := make([]extent, len(exts))
 		for i, e := range exts {

@@ -1,10 +1,6 @@
 package pfs
 
-import (
-	"sync/atomic"
-
-	"repro/internal/obs"
-)
+import "sync/atomic"
 
 // Fault-injection hooks. A FaultInjector registered on a FileSystem
 // intercepts every client data-path operation and may perturb it: crash the
@@ -147,25 +143,16 @@ func SetKillPointHook(h KillPointFunc) {
 	killHook.Store(&h)
 }
 
-// interceptLocked consults the injector, if any, and records every requested
-// perturbation in the flight ring (the central spot that covers any
-// FaultInjector implementation). Callers hold fs.mu.
+// interceptLocked runs the kill-point hook, if any, then consults the
+// injector, if any. Callers hold fs.mu.
 func (fs *FileSystem) interceptLocked(op OpInfo) FaultAction {
-	if op.Attempt == 0 {
-		obs.Flight().Record(flightOpBegin[op.Kind], int32(op.Rank), 0, op.Off, op.Len)
-	}
 	if h := killHook.Load(); h != nil {
 		(*h)(op)
 	}
 	if fs.injector == nil {
 		return FaultAction{}
 	}
-	faultIntercepts.Inc()
-	act := fs.injector.Intercept(op)
-	if act != (FaultAction{}) {
-		obs.Flight().Record(flightFaultFired, int32(op.Rank), 0, op.Off, op.Len)
-	}
-	return act
+	return fs.injector.Intercept(op)
 }
 
 // retryTransientLocked runs the retry loop for an operation whose first

@@ -9,9 +9,9 @@ import "repro/internal/obs"
 // in nanoseconds, so their contents are deterministic functions of the run,
 // not of host scheduling.
 //
-// Naming (DESIGN.md §9): pfs.op.<op>.cost_ns, pfs.op.publish.*,
-// pfs.visibility_lag.<model>, pfs.fault.intercepts. Per-FileSystem counts
-// (reads, writes, bytes, retries) are Stats fields, not instruments.
+// Naming (DESIGN.md §9): pfs.op.<op>.cost_ns, pfs.visibility_lag.<model>.
+// Per-FileSystem counts (reads, writes, bytes, retries) are Stats fields,
+// not instruments.
 var (
 	opCost = [...]*obs.Histogram{
 		OpWrite:  obs.Default().Histogram("pfs.op.write.cost_ns"),
@@ -19,11 +19,6 @@ var (
 		OpCommit: obs.Default().Histogram("pfs.op.commit.cost_ns"),
 		OpClose:  obs.Default().Histogram("pfs.op.close.cost_ns"),
 	}
-
-	// A histogram's sample count is the number of operations it observed
-	// (closes, publish batches), so no counter repeats it.
-	publishBatch = obs.Default().Histogram("pfs.op.publish.batch_extents")
-	publishDelay = obs.Default().Histogram("pfs.op.publish.delay_ns")
 
 	// Ack-to-visible lag, per consistency model: host wall-clock nanoseconds
 	// from a WAL write's acknowledgement (local append+fsync returned) to
@@ -36,31 +31,6 @@ var (
 		Session:  obs.Default().Histogram("pfs.visibility_lag.session"),
 		Eventual: obs.Default().Histogram("pfs.visibility_lag.eventual"),
 	}
-
-	// faultIntercepts counts injector consultations, retries included. What
-	// an injector then fired is its own account (internal/faults'
-	// Injector.KindTallies).
-	faultIntercepts = obs.Default().Counter("pfs.fault.intercepts")
-)
-
-// Flight-recorder event classes (obs.Flight). Interned once here so the
-// data path records small integers, never strings. Op begin is recorded at
-// the interception point (every op passes it, including ones a fault then
-// kills); op end at the completion tally.
-var (
-	flightOpBegin = [...]obs.FlightClass{
-		OpWrite:  obs.FlightClassFor("pfs.write.begin"),
-		OpRead:   obs.FlightClassFor("pfs.read.begin"),
-		OpCommit: obs.FlightClassFor("pfs.commit.begin"),
-		OpClose:  obs.FlightClassFor("pfs.close.begin"),
-	}
-	flightOpEnd = [...]obs.FlightClass{
-		OpWrite:  obs.FlightClassFor("pfs.write.end"),
-		OpRead:   obs.FlightClassFor("pfs.read.end"),
-		OpCommit: obs.FlightClassFor("pfs.commit.end"),
-		OpClose:  obs.FlightClassFor("pfs.close.end"),
-	}
-	flightFaultFired = obs.FlightClassFor("pfs.fault.fired")
 )
 
 // ObserveVisibilityLag records one WAL-routed write's ack-to-visible lag
@@ -73,7 +43,6 @@ func ObserveVisibilityLag(sem Semantics, ns int64) {
 
 // observeOp tallies one completed client data-path operation and its
 // simulated cost.
-func observeOp(kind OpKind, rank int, cost uint64) {
+func observeOp(kind OpKind, cost uint64) {
 	opCost[kind].Observe(int64(cost))
-	obs.Flight().Record(flightOpEnd[kind], int32(rank), 0, int64(cost), 0)
 }

@@ -83,7 +83,6 @@ func openRank(b storage.Backend, dir string, rank int) (r *Reader, release func(
 		if data, err = b.ReadFile(path); err != nil {
 			return nil, nil, nil, err
 		}
-		bytesRead.Add(int64(len(data)))
 		release = func() {}
 	}
 	if !Sniff(data) {

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -241,7 +240,7 @@ type action struct {
 const maxFailStreak = defaultMaxAttempts - 1
 
 // decide counts one eligible operation of class c on path and folds every
-// firing injection into an action. Fired faults land in the flight ring.
+// firing injection into an action.
 //
 // The schedule's spacing keeps a lone caller's consecutive failures below
 // the retry budget, but callers sharing the backend advance the counters
@@ -305,15 +304,12 @@ func (f *flaky) schedule(c opClass) action {
 
 func (f *flaky) apply(in FaultInjection, act *action) {
 	f.stats.Fired++
-	faultsFired.Inc()
-	obs.Flight().Record(flightFault, -1, 0, int64(in.Kind), int64(in.N))
 	switch in.Kind {
 	case FaultLatency:
 		d := time.Duration(in.Arg)
 		if d > act.latency {
 			act.latency = d
 		}
-		faultLatencyNS.Observe(int64(in.Arg))
 	case FaultTransient:
 		act.fail = true
 		if in.Arg > 1 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/frame"
 )
@@ -63,14 +62,13 @@ func OpenFrameLog(b Backend, path, magic string, maxLen int, visit func([]byte) 
 	return f, st, nil
 }
 
-// AppendFrame writes one encoded frame to f and, if sync, makes it durable,
-// returning how long the fsync took (host wall time, the real durability
-// cost). The frame is written in two halves with kill points bracketing
+// AppendFrame writes one encoded frame to f and, if sync, makes it
+// durable. The frame is written in two halves with kill points bracketing
 // every stage of the commit, so a crash-recovery harness can die with the
 // log untouched (<point>.begin), with a genuinely torn tail (.torn), with a
 // complete but unsynced frame (.before-fsync), or just after the commit
 // (.after-fsync). Point names are built only while a hook is installed.
-func AppendFrame(f File, rec []byte, point string, sync bool) (time.Duration, error) {
+func AppendFrame(f File, rec []byte, point string, sync bool) error {
 	hook := killHook.Load()
 	hit := func(stage string) {
 		if hook != nil {
@@ -80,21 +78,18 @@ func AppendFrame(f File, rec []byte, point string, sync bool) (time.Duration, er
 	hit(".begin")
 	half := len(rec) / 2
 	if _, err := f.Write(rec[:half]); err != nil {
-		return 0, err
+		return err
 	}
 	hit(".torn")
 	if _, err := f.Write(rec[half:]); err != nil {
-		return 0, err
+		return err
 	}
 	hit(".before-fsync")
-	var took time.Duration
 	if sync {
-		start := time.Now()
 		if err := f.Sync(); err != nil {
-			return 0, err
+			return err
 		}
-		took = time.Since(start)
 	}
 	hit(".after-fsync")
-	return took, nil
+	return nil
 }

@@ -185,24 +185,18 @@ func (s *objstore) publish(key string, data []byte) error {
 		_ = d.Close()
 	}
 	KillPoint("storage.sync.after")
-	publishVersions.Inc()
-	publishBytes.Add(int64(len(data)))
-	publishLagNS.Observe(s.delay.Nanoseconds())
 	return nil
 }
 
 func (s *objstore) Open(path string, flags int, perm uint32) (File, error) {
-	opens.Inc()
 	var buf []byte
 	v, ok, err := s.newestVisible(path, time.Now().UnixNano())
 	if err != nil {
-		opErrors.Inc()
 		return nil, err
 	}
 	switch {
 	case ok && flags&OTrunc == 0:
 		if buf, err = s.readVersion(v); err != nil {
-			opErrors.Inc()
 			return nil, err
 		}
 	case !ok && flags&OCreate == 0:
@@ -219,10 +213,8 @@ func (s *objstore) Open(path string, flags int, perm uint32) (File, error) {
 }
 
 func (s *objstore) ReadFile(path string) ([]byte, error) {
-	reads.Inc()
 	v, ok, err := s.newestVisible(path, time.Now().UnixNano())
 	if err != nil {
-		opErrors.Inc()
 		return nil, err
 	}
 	if !ok {
@@ -252,26 +244,21 @@ func (s *objstore) Stat(path string) (int64, error) {
 // the non-atomicity every object-store "rename" has.
 func (s *objstore) Rename(oldpath, newpath string) error {
 	KillPoint("storage.rename.before")
-	renames.Inc()
 	// The copy sees the newest version regardless of publish state: the
 	// server owns all versions; the delay models propagation to readers,
 	// not the server's own view.
 	vs, err := s.versions(oldpath)
 	if err != nil {
-		opErrors.Inc()
 		return err
 	}
 	if len(vs) == 0 {
-		opErrors.Inc()
 		return fmt.Errorf("%w: %s", errNotExist, oldpath)
 	}
 	data, err := s.readVersion(vs[len(vs)-1])
 	if err != nil {
-		opErrors.Inc()
 		return err
 	}
 	if err := s.publish(newpath, data); err != nil {
-		opErrors.Inc()
 		return err
 	}
 	if err := s.Remove(oldpath); err != nil && !IsNotExist(err) {
@@ -282,7 +269,6 @@ func (s *objstore) Rename(oldpath, newpath string) error {
 }
 
 func (s *objstore) Remove(path string) error {
-	removes.Inc()
 	vs, err := s.versions(path)
 	if err != nil {
 		return err
@@ -307,13 +293,11 @@ func (s *objstore) SyncDir(dir string) error { return nil }
 // List returns the visible entries directly under dir: keys with prefix
 // dir+"/", truncated at the next separator and deduplicated.
 func (s *objstore) List(dir string) ([]string, error) {
-	lists.Inc()
 	ents, err := os.ReadDir(filepath.Join(s.root, "obj"))
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, nil
 		}
-		opErrors.Inc()
 		return nil, err
 	}
 	now := time.Now().UnixNano()
@@ -412,8 +396,6 @@ func (f *objFile) extend(end int64) {
 
 func (f *objFile) Write(p []byte) (int, error) {
 	KillPoint("storage.write.before")
-	writes.Inc()
-	writeBytes.Add(int64(len(p)))
 	if f.append {
 		f.pos = int64(len(f.buf))
 	}
@@ -427,8 +409,6 @@ func (f *objFile) Write(p []byte) (int, error) {
 
 func (f *objFile) WriteAt(p []byte, off int64) (int, error) {
 	KillPoint("storage.write.before")
-	writes.Inc()
-	writeBytes.Add(int64(len(p)))
 	f.extend(off + int64(len(p)))
 	copy(f.buf[off:], p)
 	f.dirty = true
@@ -453,15 +433,10 @@ func (f *objFile) Truncate(size int64) error {
 // after the store's delay. Sync of a clean handle is a no-op (nothing new
 // to publish).
 func (f *objFile) Sync() error {
-	syncs.Inc()
 	if !f.dirty {
 		return nil
 	}
-	start := time.Now()
-	err := f.store.publish(f.key, f.buf)
-	syncNS.Observe(time.Since(start).Nanoseconds())
-	if err != nil {
-		opErrors.Inc()
+	if err := f.store.publish(f.key, f.buf); err != nil {
 		return err
 	}
 	f.dirty = false

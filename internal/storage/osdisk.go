@@ -4,7 +4,6 @@ import (
 	"os"
 	"sort"
 	"sync/atomic"
-	"time"
 )
 
 // osdisk is the compatibility-oracle backend: a pass-through to the local
@@ -23,30 +22,18 @@ func OS() Backend { return osBackend }
 func (osdisk) Name() string { return "osdisk" }
 
 func (osdisk) Open(path string, flags int, perm uint32) (File, error) {
-	opens.Inc()
 	f, err := os.OpenFile(path, flags, os.FileMode(perm))
 	if err != nil {
-		opErrors.Inc()
 		return nil, err
 	}
 	return &osFile{f: f}, nil
 }
 
-func (osdisk) ReadFile(path string) ([]byte, error) {
-	reads.Inc()
-	b, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		opErrors.Inc()
-	}
-	return b, err
-}
+func (osdisk) ReadFile(path string) ([]byte, error) { return os.ReadFile(path) }
 
 func (osdisk) Rename(oldpath, newpath string) error {
 	KillPoint("storage.rename.before")
-	renames.Inc()
-	err := os.Rename(oldpath, newpath)
-	if err != nil {
-		opErrors.Inc()
+	if err := os.Rename(oldpath, newpath); err != nil {
 		return err
 	}
 	KillPoint("storage.rename.after")
@@ -54,20 +41,17 @@ func (osdisk) Rename(oldpath, newpath string) error {
 }
 
 func (osdisk) Remove(path string) error {
-	removes.Inc()
 	return os.Remove(path)
 }
 
 func (osdisk) MkdirAll(path string) error { return os.MkdirAll(path, 0o755) }
 
 func (osdisk) List(dir string) ([]string, error) {
-	lists.Inc()
 	ents, err := os.ReadDir(dir)
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
 	if err != nil {
-		opErrors.Inc()
 		return nil, err
 	}
 	names := make([]string, 0, len(ents))
@@ -107,11 +91,8 @@ func (o *osFile) ReadAt(p []byte, off int64) (int, error) { return o.f.ReadAt(p,
 
 func (o *osFile) Write(p []byte) (int, error) {
 	KillPoint("storage.write.before")
-	writes.Inc()
-	writeBytes.Add(int64(len(p)))
 	n, err := o.f.Write(p)
 	if err != nil {
-		opErrors.Inc()
 		return n, err
 	}
 	KillPoint("storage.write.after")
@@ -120,11 +101,8 @@ func (o *osFile) Write(p []byte) (int, error) {
 
 func (o *osFile) WriteAt(p []byte, off int64) (int, error) {
 	KillPoint("storage.write.before")
-	writes.Inc()
-	writeBytes.Add(int64(len(p)))
 	n, err := o.f.WriteAt(p, off)
 	if err != nil {
-		opErrors.Inc()
 		return n, err
 	}
 	KillPoint("storage.write.after")
@@ -135,12 +113,7 @@ func (o *osFile) Truncate(size int64) error { return o.f.Truncate(size) }
 
 func (o *osFile) Sync() error {
 	KillPoint("storage.sync.before")
-	syncs.Inc()
-	start := time.Now()
-	err := o.f.Sync()
-	syncNS.Observe(time.Since(start).Nanoseconds())
-	if err != nil {
-		opErrors.Inc()
+	if err := o.f.Sync(); err != nil {
 		return err
 	}
 	KillPoint("storage.sync.after")

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // RetryOptions tunes the policy wrapper NewRetry returns.
@@ -104,14 +102,11 @@ func (r *retrier) do(verb, name string, op func() error) error {
 			d := time.Duration(r.opts.Backoff.Delay(attempt - 1))
 			remain := r.opts.Deadline - r.opts.Now().Sub(start)
 			if remain <= 0 || d > remain {
-				retryDeadline.Inc()
 				break
 			}
 			r.opts.Sleep(d)
 			r.sleepNS.Add(int64(d))
-			retrySleepNS.Observe(int64(d))
 			r.retries.Add(1)
-			retryAttempts.Inc()
 		}
 		err = op()
 		if err == nil {
@@ -122,8 +117,6 @@ func (r *retrier) do(verb, name string, op func() error) error {
 		}
 	}
 	r.exhausted.Add(1)
-	retryExhausted.Inc()
-	obs.Flight().Record(flightExhausted, -1, 0, int64(r.opts.MaxAttempts), 0)
 	return fmt.Errorf("%w: %s %s gave up after %d attempts: %v",
 		ErrUnavailable, verb, name, r.opts.MaxAttempts, err)
 }

@@ -83,14 +83,8 @@ func appendRecord(f storage.File, rec Record, noFsync bool) (int64, error) {
 		return 0, err
 	}
 	buf := frame.Append(make([]byte, 0, frame.HeaderLen+len(payload)), recMagic, payload)
-	took, err := storage.AppendFrame(f, buf, "wal.append", !noFsync)
-	if err != nil {
+	if err := storage.AppendFrame(f, buf, "wal.append", !noFsync); err != nil {
 		return 0, err
-	}
-	if !noFsync {
-		// Host wall time, not simulated: the one genuinely nondeterministic
-		// instrument in the package, same caveat as ckpt.journal.fsync_ns.
-		appendFsyncNS.Observe(took.Nanoseconds())
 	}
 	return int64(len(buf)), nil
 }

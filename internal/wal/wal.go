@@ -217,8 +217,6 @@ func (l *Log) Write(h *pfs.Handle, off int64, data []byte, now uint64) (uint64, 
 		ap.End()
 		sp.End()
 		l.degraded = true
-		degradeLogFailures.Inc()
-		obs.Flight().Record(flightDegrade, int32(l.rank), sp.TraceID(), off, int64(len(data)))
 		return l.writeThroughLocked(h, off, data, now)
 	}
 	ap.End()
@@ -240,7 +238,6 @@ func (l *Log) Write(h *pfs.Handle, off int64, data []byte, now uint64) (uint64, 
 
 func (l *Log) writeThroughLocked(h *pfs.Handle, off int64, data []byte, now uint64) (uint64, error) {
 	l.stats.WriteThrough++
-	obs.Flight().Record(flightWriteThrough, int32(l.rank), 0, off, int64(len(data)))
 	if err := l.drainAllLocked(); err != nil {
 		return 0, err
 	}
@@ -371,7 +368,6 @@ func (l *Log) drainStepLocked() error {
 		l.queue[0].attempt++
 		l.stats.Retries++
 		d := l.opts.Retry.Delay(rec.attempt)
-		drainBackoffNS.Observe(int64(d))
 		l.mu.Unlock()
 		time.Sleep(time.Duration(d))
 		l.mu.Lock()
@@ -383,7 +379,6 @@ func (l *Log) drainStepLocked() error {
 	}
 	if err != nil {
 		psp.End()
-		drainErrors.Inc()
 		return fmt.Errorf("wal: drain rank %d %s+%d: %w", l.rank, rec.h.Path(), rec.off, err)
 	}
 	storage.KillPoint("wal.drain.after-publish")
@@ -425,7 +420,6 @@ func (l *Log) drainLoop() {
 		if len(l.queue) == 0 && l.stopped {
 			break
 		}
-		drainBatches.Inc()
 		for i := 0; i < l.opts.MaxInflight && len(l.queue) > 0; i++ {
 			if err := l.drainStepLocked(); err != nil && l.deferred == nil {
 				l.deferred = err
