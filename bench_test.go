@@ -21,7 +21,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pfs"
 	"repro/internal/recorder"
-	"repro/internal/recorder/colfmt"
 )
 
 // benchScale keeps full-registry benchmarks affordable.
@@ -167,7 +166,7 @@ func BenchmarkAppTraceGeneration(b *testing.B) {
 // end-to-end benchmark's set-ups, scaled down: the run of ENZO-HDF5 behind
 // analyze-records (at a tenth of its steps) and of FLASH-fbs behind
 // analyze-ranks (at a third of its ranks), with a fixed seed so B/op and
-// allocs/op are deterministic. CI gates those two against BENCH_pr26.json.
+// allocs/op are deterministic. CI gates those two against BENCH_pr30.json.
 func BenchmarkTraceSetup(b *testing.B) {
 	for _, c := range []struct {
 		app  string
@@ -251,9 +250,9 @@ func BenchmarkTraceEncodeDecode(b *testing.B) {
 	b.Run("encode", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var n int
-			for rank, rs := range tr.PerRank {
+			for rank := range tr.PerRank {
 				var buf countWriter
-				if err := colfmt.EncodeStream(&buf, rank, rs, colfmt.EncodeOptions{}); err != nil {
+				if err := tr.WriteStream(&buf, rank); err != nil {
 					b.Fatal(err)
 				}
 				n += buf.n

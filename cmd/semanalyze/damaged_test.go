@@ -12,7 +12,7 @@ import (
 
 	semfs "repro"
 	"repro/internal/recorder"
-	"repro/internal/recorder/colfmt"
+	"repro/internal/recorder/colwire"
 	"repro/internal/recorder/v1test"
 	"repro/internal/storage"
 )
@@ -89,7 +89,7 @@ func flipCRC(t *testing.T, dir string, rank int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := len(colfmt.Magic)
+	off := len(colwire.Magic)
 	for range 2 {
 		_, n := binary.Uvarint(data[off:])
 		off += n

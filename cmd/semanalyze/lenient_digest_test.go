@@ -13,6 +13,7 @@ import (
 
 	semfs "repro"
 	"repro/internal/recorder/colfmt"
+	"repro/internal/recorder/colwire"
 )
 
 const lenientDigestGolden = "testdata/lenient_digest.golden"
@@ -22,7 +23,7 @@ const lenientDigestGolden = "testdata/lenient_digest.golden"
 func reencodeSmallBlocks(t *testing.T, tr *semfs.Trace, rank int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := colfmt.EncodeStream(&buf, rank, tr.PerRank[rank], colfmt.EncodeOptions{BlockRecords: 8}); err != nil {
+	if err := colfmt.EncodeStream(&buf, rank, tr.Records(rank), colfmt.EncodeOptions{BlockRecords: 8}); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -34,7 +35,7 @@ func reencodeSmallBlocks(t *testing.T, tr *semfs.Trace, rank int) []byte {
 // little-endian 4-byte payload length and a 4-byte CRC.
 func flipMidBlock(t *testing.T, data []byte) {
 	t.Helper()
-	off := len(colfmt.Magic)
+	off := len(colwire.Magic)
 	for range 2 {
 		_, n := binary.Uvarint(data[off:])
 		off += n

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"testing"
 
 	semfs "repro"
@@ -129,7 +128,7 @@ func CheckFormats(t testing.TB, label string, tr *recorder.Trace, workerCounts .
 				t.Errorf("%s/%s/workers=%d: meta diverges:\noracle: %+v\ngot:    %+v",
 					label, d.name, w, oracle.Meta, got.Meta)
 			}
-			if !reflect.DeepEqual(got.PerRank, oracle.PerRank) {
+			if !reflect.DeepEqual(got, oracle) {
 				t.Errorf("%s/%s/workers=%d: records diverge from the v1 oracle", label, d.name, w)
 				continue
 			}
@@ -174,10 +173,20 @@ func CheckApp(t testing.TB, name string, o semfs.RunOptions, workerCounts ...int
 // they matched has no send, so the happens-before build fails while every
 // other analysis still runs.
 func LostSends(tr *recorder.Trace, rank int) *recorder.Trace {
-	out := &recorder.Trace{Meta: tr.Meta, PerRank: slices.Clone(tr.PerRank)}
-	out.PerRank[rank] = slices.DeleteFunc(slices.Clone(tr.PerRank[rank]), func(r recorder.Record) bool {
-		return r.Func == recorder.FuncMPISend
-	})
+	tracers := make([]*recorder.RankTracer, len(tr.PerRank))
+	for r := range tracers {
+		tracers[r] = recorder.NewRankTracer(r)
+		s := tr.Stream(r)
+		for s.Next() {
+			if rec := s.Record(); r != rank || rec.Func != recorder.FuncMPISend {
+				tracers[r].Emit(*rec, rec.Args)
+			}
+		}
+	}
+	out, err := recorder.TraceOf(tr.Meta, tracers)
+	if err != nil {
+		panic(err) // a trace's own records always fit a rank log
+	}
 	return out
 }
 

@@ -324,8 +324,9 @@ func TestDeterministicTraces(t *testing.T) {
 		t.Fatalf("record counts differ: %d vs %d", a.Trace.NumRecords(), b.Trace.NumRecords())
 	}
 	for rank := range a.Trace.PerRank {
-		for i := range a.Trace.PerRank[rank] {
-			ra, rb := a.Trace.PerRank[rank][i], b.Trace.PerRank[rank][i]
+		rsa, rsb := a.Trace.Records(rank), b.Trace.Records(rank)
+		for i := range rsa {
+			ra, rb := rsa[i], rsb[i]
 			if ra.TStart != rb.TStart || ra.Func != rb.Func {
 				t.Fatalf("rank %d record %d differs: %v vs %v", rank, i, ra, rb)
 			}

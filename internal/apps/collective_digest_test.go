@@ -62,7 +62,8 @@ func TestCollectiveDigestGolden(t *testing.T) {
 // traceDigest hashes every record field, rank by rank, in a fixed layout.
 func traceDigest(tr *recorder.Trace) []byte {
 	h := sha256.New()
-	for rank, rs := range tr.PerRank {
+	for rank := range tr.PerRank {
+		rs := tr.Records(rank)
 		putInts(h, int64(rank), int64(len(rs)))
 		for _, r := range rs {
 			putInts(h, int64(r.Rank), int64(r.Layer), int64(r.Func), int64(r.TStart), int64(r.TEnd))

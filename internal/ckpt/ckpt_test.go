@@ -281,8 +281,10 @@ func TestResultCodecRoundtrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Trace.Meta, res.Trace.Meta) {
 		t.Fatalf("meta mismatch: %+v vs %+v", got.Trace.Meta, res.Trace.Meta)
 	}
-	if !reflect.DeepEqual(got.Trace.PerRank, res.Trace.PerRank) {
-		t.Fatal("per-rank records differ after roundtrip")
+	for rank := range res.Trace.PerRank {
+		if !reflect.DeepEqual(got.Trace.Records(rank), res.Trace.Records(rank)) {
+			t.Fatalf("rank %d records differ after roundtrip", rank)
+		}
 	}
 	// The contract behind byte-identical resumed reports: encoding is stable.
 	blob2, err := EncodeResult(got)
@@ -341,8 +343,10 @@ func TestStoreResultHelpers(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("LookupResult = %v, %v", ok, err)
 	}
-	if !reflect.DeepEqual(got.Trace.PerRank, res.Trace.PerRank) {
-		t.Fatal("journaled result differs from the original")
+	for rank := range res.Trace.PerRank {
+		if !reflect.DeepEqual(got.Trace.Records(rank), res.Trace.Records(rank)) {
+			t.Fatalf("journaled rank %d differs from the original", rank)
+		}
 	}
 	if _, ok, err := s.LookupResult("missing"); ok || err != nil {
 		t.Fatalf("LookupResult(missing) = %v, %v; want miss", ok, err)

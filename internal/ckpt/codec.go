@@ -12,14 +12,14 @@ import (
 )
 
 // Result codec: a completed harness.Result serialized for the journal. The
-// encoding reuses the columnar per-rank trace streams (colfmt.EncodeStream),
-// so a decoded result's trace is record-for-record identical to the one
-// that ran — the property that lets a resumed sweep render byte-identical
-// reports.
+// encoding reuses the columnar per-rank trace streams (the bytes
+// recorder.Trace.WriteStream writes to a trace directory), so a decoded
+// result's trace is record-for-record identical to the one that ran — the
+// property that lets a resumed sweep render byte-identical reports.
 //
 //	uvarint header length | header JSON {v, meta}
 //	uvarint rank count
-//	per rank: uvarint stream length | colfmt.EncodeStream bytes
+//	per rank: uvarint stream length | columnar rank stream
 
 // resultCodecVersion guards the blob layout inside journal records (the
 // store's SchemaVersion guards the journal framing around them). Version 1
@@ -56,9 +56,9 @@ func EncodeResult(res *harness.Result) ([]byte, error) {
 	out.Write(hdr)
 	putUvarint(uint64(len(res.Trace.PerRank)))
 	var stream bytes.Buffer
-	for rank, rs := range res.Trace.PerRank {
+	for rank := range res.Trace.PerRank {
 		stream.Reset()
-		if err := colfmt.EncodeStream(&stream, rank, rs, colfmt.EncodeOptions{}); err != nil {
+		if err := res.Trace.WriteStream(&stream, rank); err != nil {
 			return nil, fmt.Errorf("ckpt: encoding rank %d: %w", rank, err)
 		}
 		putUvarint(uint64(stream.Len()))
@@ -99,7 +99,7 @@ func DecodeResult(b []byte) (*harness.Result, error) {
 	if nranks != uint64(h.Meta.Ranks) {
 		return nil, fmt.Errorf("ckpt: result has %d rank streams, meta declares %d", nranks, h.Meta.Ranks)
 	}
-	tr := &recorder.Trace{Meta: h.Meta, PerRank: make([][]recorder.Record, nranks)}
+	tracers := make([]*recorder.RankTracer, nranks)
 	for rank := uint64(0); rank < nranks; rank++ {
 		slen, err := binary.ReadUvarint(br)
 		if err != nil || slen > uint64(br.Len()) {
@@ -116,9 +116,13 @@ func DecodeResult(b []byte) (*harness.Result, error) {
 		if r.Rank() != int(rank) {
 			return nil, fmt.Errorf("ckpt: stream %d holds rank %d", rank, r.Rank())
 		}
-		if tr.PerRank[rank], err = r.Materialize(); err != nil {
+		if tracers[rank], err = r.Replay(); err != nil {
 			return nil, fmt.Errorf("ckpt: decoding rank %d: %w", rank, err)
 		}
+	}
+	tr, err := recorder.TraceOf(h.Meta, tracers)
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: %w", err)
 	}
 	return &harness.Result{Trace: tr, Replayed: true}, nil
 }

@@ -1,5 +1,24 @@
 package core
 
+import "repro/internal/recorder"
+
+// traceOf returns the trace whose rank streams are perRank as given: no
+// sort, no alignment, no validation.
+func traceOf(meta recorder.Meta, perRank [][]recorder.Record) *recorder.Trace {
+	tracers := make([]*recorder.RankTracer, len(perRank))
+	for r, rs := range perRank {
+		tracers[r] = recorder.NewRankTracer(r)
+		for _, rec := range rs {
+			tracers[r].Emit(rec, rec.Args)
+		}
+	}
+	tr, err := recorder.TraceOf(meta, tracers)
+	if err != nil {
+		panic(err)
+	}
+	return tr
+}
+
 // AnalyzeConflictsOracle exposes the per-model conflict oracle to the
 // external core_test package, whose registry-wide equivalence test checks
 // the fused engine against it.

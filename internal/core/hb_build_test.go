@@ -88,14 +88,15 @@ func mpiRecord(rank int, fn recorder.Func, t uint64, args ...int64) recorder.Rec
 // oracle, which this test therefore does not run).
 func TestBuildHBForgedSequenceBoundedMemory(t *testing.T) {
 	const ranks, barriers = 16, 200
-	tr := &recorder.Trace{PerRank: make([][]recorder.Record, ranks)}
+	perRank := make([][]recorder.Record, ranks)
 	for r := range ranks {
 		for i := range barriers {
 			// Rank 1 stamps each barrier first.
 			ts := uint64(100*i + (r+ranks-1)%ranks)
-			tr.PerRank[r] = append(tr.PerRank[r], mpiRecord(r, recorder.FuncMPIBarrier, ts, -1, 0, 0))
+			perRank[r] = append(perRank[r], mpiRecord(r, recorder.FuncMPIBarrier, ts, -1, 0, 0))
 		}
 	}
+	tr := traceOf(recorder.Meta{}, perRank)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -111,13 +112,13 @@ func TestBuildHBForgedSequenceBoundedMemory(t *testing.T) {
 }
 
 func TestBuildHBReceiveWithoutSend(t *testing.T) {
-	tr := &recorder.Trace{PerRank: [][]recorder.Record{
+	tr := traceOf(recorder.Meta{}, [][]recorder.Record{
 		{mpiRecord(0, recorder.FuncMPISend, 10, 1, 7, 1)},
 		{
 			mpiRecord(1, recorder.FuncMPIRecv, 20, 0, 7, 1),
 			mpiRecord(1, recorder.FuncMPIRecv, 30, 0, 7, 1),
 		},
-	}}
+	})
 	_, err := BuildHB(tr)
 	const want = "core: receive 1 on rank 1 from 0 tag 7 has no matching send"
 	if err == nil || err.Error() != want {
@@ -134,7 +135,7 @@ func TestBuildHBReceiveWithoutSend(t *testing.T) {
 // inverted by end time and rank 2's pair (0, 1) by start time at an equal
 // end time, so rank 1's pair is reported although rank 2's index is lower.
 func TestBuildHBInvertedRank(t *testing.T) {
-	tr := &recorder.Trace{PerRank: [][]recorder.Record{
+	tr := traceOf(recorder.Meta{}, [][]recorder.Record{
 		{mpiRecord(0, recorder.FuncMPIBarrier, 10, -1, 0, 0)},
 		{
 			mpiRecord(1, recorder.FuncMPIBarrier, 10, -1, 0, 0),
@@ -146,7 +147,7 @@ func TestBuildHBInvertedRank(t *testing.T) {
 			{Rank: 2, Layer: recorder.LayerMPI, Func: recorder.FuncMPIRecv, TStart: 5, TEnd: 10, Args: []int64{1, 0, 1}},
 			mpiRecord(2, recorder.FuncMPIRecv, 40, 1, 0, 1),
 		},
-	}}
+	})
 	_, err := BuildHB(tr)
 	const want = "core: predecessor {1 1} of {1 2} not yet processed (timestamps violate happens-before)"
 	if err == nil || err.Error() != want {
@@ -179,7 +180,7 @@ func fuzzHBTrace(data []byte) *recorder.Trace {
 		return &recorder.Trace{}
 	}
 	ranks := 1 + int(data[0])%8
-	tr := &recorder.Trace{PerRank: make([][]recorder.Record, ranks)}
+	perRank := make([][]recorder.Record, ranks)
 	clock := make([]uint64, ranks)
 	data = data[1:]
 	for n := 0; n < 64 && len(data) >= 4; n++ {
@@ -200,9 +201,9 @@ func fuzzHBTrace(data []byte) *recorder.Trace {
 		rec := mpiRecord(rank, fn, start, args...)
 		rec.TEnd += uint64(op) / 8 % 4
 		clock[rank] = rec.TEnd
-		tr.PerRank[rank] = append(tr.PerRank[rank], rec)
+		perRank[rank] = append(perRank[rank], rec)
 	}
-	return tr
+	return traceOf(recorder.Meta{}, perRank)
 }
 
 // FuzzBuildHB requires BuildHB not to panic on a fuzzed trace and to agree

@@ -18,7 +18,8 @@ func buildHBOracle(tr *recorder.Trace) (*HB, error) {
 	hb.events = make([][]hbEvent, hb.ranks)
 	hb.vcs = make([][][]int32, hb.ranks)
 
-	for rank, rs := range tr.PerRank {
+	for rank := range tr.PerRank {
+		rs := tr.Records(rank)
 		for i := range rs {
 			if rs[i].Layer != recorder.LayerMPI {
 				continue

@@ -29,7 +29,7 @@ func buildHB(t *testing.T, ranks int, body func(ctx *harness.Ctx) error) (*recor
 func ioWindow(t *testing.T, tr *recorder.Trace, rank, k int) (uint64, uint64) {
 	t.Helper()
 	n := 0
-	for _, r := range tr.PerRank[rank] {
+	for _, r := range tr.Records(rank) {
 		if r.IsDataOp() {
 			if n == k {
 				return r.TStart, r.TEnd

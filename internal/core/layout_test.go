@@ -98,8 +98,8 @@ func TestExtractMatchesMapOracleRegistry(t *testing.T) {
 	}
 }
 
-// TestExtractForgedRanks: records whose Rank field differs from their
-// stream index, with one file touched by ranks 5, 2, 5, 2 in that order.
+// TestExtractForgedRanks: record streams whose Rank fields differ from
+// their stream index (a trace cannot hold them, a RecordStream can), with one file touched by ranks 5, 2, 5, 2 in that order.
 // Stream 0 holds rank 5's first session and stream 1 the rest, so rank 2's
 // entry is inserted before rank 5's in the serial fold and in the merge of
 // per-stream partials.
@@ -122,20 +122,22 @@ func TestExtractForgedRanks(t *testing.T) {
 			rec(rank, recorder.FuncClose, "", fd),
 		}
 	}
-	tr := &recorder.Trace{PerRank: [][]recorder.Record{
+	perRank := [][]recorder.Record{
 		session(5, 3, 0, 100),
 		slices.Concat(session(2, 3, 50, 100), session(5, 5, 100, 30), session(2, 7, 0, 10)),
-	}}
-	want := extractOracle(tr)
+	}
+	want := extractOracleStreams(perRank)
 	if got := want["/shared"].times.ranks(); len(got) != 2 || len(got[0].Opens) != 2 {
 		t.Fatalf("forged trace does not touch /shared twice from ranks 2 and 5: %+v", got)
 	}
 	for _, workers := range []int{1, 2} {
-		fas, err := ExtractSharedCtx(context.Background(), tr, workers)
+		sc, err := ScanRanksCtx(context.Background(), len(perRank), workers, func(rank int) (RecordStream, func(), error) {
+			return NewSliceStream(perRank[rank]), func() {}, nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkAgainstOracle(t, fmt.Sprintf("workers=%d", workers), fas, want)
+		checkAgainstOracle(t, fmt.Sprintf("workers=%d", workers), sc.Files, want)
 	}
 }
 

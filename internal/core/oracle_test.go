@@ -153,6 +153,16 @@ type oracleFile struct {
 // intervals byte for byte, FileAccesses.TimesOf its tables, and
 // annotationsOf its annotations.
 func extractOracle(tr *recorder.Trace) map[string]*oracleFile {
+	perRank := make([][]recorder.Record, len(tr.PerRank))
+	for rank := range perRank {
+		perRank[rank] = tr.Records(rank)
+	}
+	return extractOracleStreams(perRank)
+}
+
+// extractOracleStreams is extractOracle over rank streams given as
+// records, whose Rank fields need not match their stream index.
+func extractOracleStreams(perRank [][]recorder.Record) map[string]*oracleFile {
 	files := make(map[string]*oracleFile)
 	get := func(path string) *oracleFile {
 		f, ok := files[path]
@@ -168,7 +178,7 @@ func extractOracle(tr *recorder.Trace) map[string]*oracleFile {
 		names = append(names, path)
 		return int32(len(names) - 1)
 	}
-	for _, rs := range tr.PerRank {
+	for _, rs := range perRank {
 		var fds fdTable
 		sizeByPath := make(map[string]int64)
 		origins, phases := attributeOrigins(rs)

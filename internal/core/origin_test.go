@@ -86,8 +86,8 @@ func TestOriginStackMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for rank, rs := range res.Trace.PerRank {
-			checkOriginStack(t, fmt.Sprintf("%s rank %d", name, rank), rs)
+		for rank := range res.Trace.PerRank {
+			checkOriginStack(t, fmt.Sprintf("%s rank %d", name, rank), res.Trace.Records(rank))
 		}
 	}
 }
@@ -103,7 +103,8 @@ func TestOriginStackLiveFramesFLASH(t *testing.T) {
 		t.Fatal(err)
 	}
 	most := 0
-	for _, rs := range res.Trace.PerRank {
+	for rank := range res.Trace.PerRank {
+		rs := res.Trace.Records(rank)
 		var stack originStack
 		for i := range rs {
 			stack.step(i, &rs[i])

@@ -60,8 +60,7 @@ func TestParallelForCtxNilErrorRunsAll(t *testing.T) {
 // private files, small enough for unit tests but real enough that every
 // analysis pass has work to cancel.
 func synthTrace(ranks, filesPerRank int) *recorder.Trace {
-	tr := &recorder.Trace{Meta: recorder.Meta{App: "ctx", Ranks: ranks},
-		PerRank: make([][]recorder.Record, ranks)}
+	perRank := make([][]recorder.Record, ranks)
 	for r := 0; r < ranks; r++ {
 		var rs []recorder.Record
 		ts := uint64(1)
@@ -80,9 +79,9 @@ func synthTrace(ranks, filesPerRank int) *recorder.Trace {
 			emit(recorder.FuncPwrite, "", fd, 64, int64(64*r), 64)
 			emit(recorder.FuncClose, "", fd)
 		}
-		tr.PerRank[r] = rs
+		perRank[r] = rs
 	}
-	return tr
+	return traceOf(recorder.Meta{App: "ctx", Ranks: ranks}, perRank)
 }
 
 func TestAnalyzeParallelCtxCancelled(t *testing.T) {

@@ -21,10 +21,7 @@ import (
 func randomTrace(rng *rand.Rand) *recorder.Trace {
 	ranks := 1 + rng.Intn(6)
 	paths := []string{"/a", "/b", "/d/x", "/d/y", "/ckpt0001", "/ckpt0002"}
-	tr := &recorder.Trace{
-		Meta:    recorder.Meta{App: "prop", Ranks: ranks},
-		PerRank: make([][]recorder.Record, ranks),
-	}
+	perRank := make([][]recorder.Record, ranks)
 	for r := 0; r < ranks; r++ {
 		var rs []recorder.Record
 		t := uint64(1 + rng.Intn(5))
@@ -128,9 +125,9 @@ func randomTrace(rng *rand.Rand) *recorder.Trace {
 				emit(recorder.LayerPOSIX, recorder.FuncGetcwd, "", "")
 			}
 		}
-		tr.PerRank[r] = rs
+		perRank[r] = rs
 	}
-	return tr
+	return traceOf(recorder.Meta{App: "prop", Ranks: ranks}, perRank)
 }
 
 var equivWorkerCounts = []int{2, 3, 8, 64}

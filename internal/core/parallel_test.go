@@ -44,7 +44,7 @@ func TestEffectiveWorkers(t *testing.T) {
 func emptyTraces() []*recorder.Trace {
 	return []*recorder.Trace{
 		{Meta: recorder.Meta{App: "none", Ranks: 0}},
-		{Meta: recorder.Meta{App: "empty", Ranks: 3}, PerRank: make([][]recorder.Record, 3)},
+		traceOf(recorder.Meta{App: "empty", Ranks: 3}, make([][]recorder.Record, 3)),
 	}
 }
 
@@ -76,12 +76,12 @@ func TestParallelAnalysisEmptyTrace(t *testing.T) {
 // TestParallelWorkersExceedFiles pins the pool-larger-than-work shape: a
 // single-file, single-rank trace analyzed with a 64-worker pool.
 func TestParallelWorkersExceedFiles(t *testing.T) {
-	tr := &recorder.Trace{Meta: recorder.Meta{App: "tiny", Ranks: 1}, PerRank: [][]recorder.Record{{
+	tr := traceOf(recorder.Meta{App: "tiny", Ranks: 1}, [][]recorder.Record{{
 		{Rank: 0, Layer: recorder.LayerPOSIX, Func: recorder.FuncOpen, TStart: 1, TEnd: 2, Path: "/one",
 			Args: []int64{int64(recorder.OCreat | recorder.OWronly), 0o644, 3}},
 		{Rank: 0, Layer: recorder.LayerPOSIX, Func: recorder.FuncWrite, TStart: 3, TEnd: 4, Args: []int64{3, 10, 10}},
 		{Rank: 0, Layer: recorder.LayerPOSIX, Func: recorder.FuncClose, TStart: 5, TEnd: 6, Args: []int64{3}},
-	}}}
+	}})
 	want := extractAll(tr)
 	for _, w := range []int{2, 64} {
 		if got, _ := ExtractSharedCtx(context.Background(), tr, w); !reflect.DeepEqual(want, got) {
@@ -101,8 +101,7 @@ func TestParallelWorkersExceedFiles(t *testing.T) {
 func TestParallelManySmallFilesStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const ranks = 16
-	tr := &recorder.Trace{Meta: recorder.Meta{App: "stress", Ranks: ranks},
-		PerRank: make([][]recorder.Record, ranks)}
+	perRank := make([][]recorder.Record, ranks)
 	for r := 0; r < ranks; r++ {
 		var rs []recorder.Record
 		ts := uint64(1)
@@ -126,8 +125,9 @@ func TestParallelManySmallFilesStress(t *testing.T) {
 			}
 			emit(recorder.FuncClose, "", fd)
 		}
-		tr.PerRank[r] = rs
+		perRank[r] = rs
 	}
+	tr := traceOf(recorder.Meta{App: "stress", Ranks: ranks}, perRank)
 
 	ctx := context.Background()
 	fas := extractAll(tr)

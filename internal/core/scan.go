@@ -20,16 +20,17 @@ import (
 // RecordStream yields one rank's records in stream order. The record
 // Record returns, Args included, is valid only until the next call to
 // Next, so a fold copies every field it keeps. After Next returns false,
-// Err reports whether the stream ended cleanly. *colfmt.Cursor has this
-// shape; SliceStream wraps an in-memory rank.
+// Err reports whether the stream ended cleanly. *colfmt.Cursor (a trace
+// directory's rank) and *recorder.Stream (an in-memory trace's) have this
+// shape; SliceStream wraps a decoded v1 rank.
 type RecordStream interface {
 	Next() bool
 	Record() *recorder.Record
 	Err() error
 }
 
-// SliceStream is a RecordStream over an in-memory rank: the records of an
-// in-memory trace, or a decoded v1 rank file.
+// SliceStream is a RecordStream over a slice of records: a decoded v1 rank
+// file.
 type SliceStream struct {
 	rs []recorder.Record
 	i  int // index of the current record plus one
@@ -282,7 +283,7 @@ func countCall[K comparable](m map[K]map[recorder.Func]int, k K, f recorder.Func
 // workers (1 folds serially); see ScanRanksCtx. Every call scans afresh.
 func ScanTraceCtx(ctx context.Context, tr *recorder.Trace, workers int) (*Scan, error) {
 	return ScanRanksCtx(ctx, len(tr.PerRank), workers, func(rank int) (RecordStream, func(), error) {
-		return NewSliceStream(tr.PerRank[rank]), func() {}, nil
+		return tr.Stream(rank), func() {}, nil
 	})
 }
 

@@ -135,8 +135,8 @@ func metaEventsRank(rs []recorder.Record) []oracleMetaEvent {
 // it.
 func metaConflictsOracle(tr *recorder.Trace) []MetaConflict {
 	events := make(map[string][]oracleMetaEvent)
-	for _, rs := range tr.PerRank {
-		for _, e := range metaEventsRank(rs) {
+	for rank := range tr.PerRank {
+		for _, e := range metaEventsRank(tr.Records(rank)) {
 			if p := e.ref.Path; p != "" && p != "/" {
 				events[p] = append(events[p], e)
 			}
@@ -185,7 +185,8 @@ func checkScanOracles(t *testing.T, label string, tr *recorder.Trace) {
 	t.Helper()
 	wantCensus := &Census{Counts: make(map[string]map[recorder.Func]int)}
 	wantCalls := make(map[recorder.Layer]map[recorder.Func]int)
-	for _, rs := range tr.PerRank {
+	for rank := range tr.PerRank {
+		rs := tr.Records(rank)
 		censusRank(rs, wantCensus)
 		for i := range rs {
 			countCall(wantCalls, rs[i].Layer, rs[i].Func, 1)
@@ -247,7 +248,7 @@ func TestScanCallsOutOfRangeCodes(t *testing.T) {
 	rec := func(rank int32, t uint64, l recorder.Layer, f recorder.Func, path string) recorder.Record {
 		return recorder.Record{Rank: rank, Layer: l, Func: f, TStart: t, TEnd: t + 1, Path: path}
 	}
-	tr := &recorder.Trace{Meta: recorder.Meta{App: "odd", Ranks: 3}, PerRank: [][]recorder.Record{
+	tr := traceOf(recorder.Meta{App: "odd", Ranks: 3}, [][]recorder.Record{
 		{
 			rec(0, 1, recorder.LayerPOSIX, big, "/a"),
 			rec(0, 3, recorder.LayerPOSIX, recorder.FuncStat, "/a"),
@@ -266,7 +267,7 @@ func TestScanCallsOutOfRangeCodes(t *testing.T) {
 			rec(2, 1, recorder.LayerMPI, big, ""),
 			rec(2, 3, recorder.LayerPOSIX, recorder.FuncStat, "/a"),
 		},
-	}}
+	})
 	checkScanOracles(t, "out-of-range codes", tr)
 	sc, err := ScanTraceCtx(context.Background(), tr, 1)
 	if err != nil {

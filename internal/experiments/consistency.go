@@ -5,17 +5,12 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/apps"
 	"repro/internal/consistency"
 	"repro/internal/obs"
 	"repro/internal/pfs"
 )
-
-// consistencyWall is the host wall time of each (configuration, model)
-// cell's run.
-var consistencyWall = obs.Default().Histogram("experiments.consistency.run_wall_ns")
 
 // ConsistencyCell is one (configuration, model) cell of the cross-model
 // comparison: the model-dependent performance counters of the run, plus
@@ -74,8 +69,6 @@ func ConsistencyComparison(ctx context.Context, s Scale, names []string) ([]Cons
 func consistencyCell(cfg *apps.Config, sem pfs.Semantics, s Scale) (ConsistencyCell, error) {
 	span := obs.Default().Tracer().Start(cfg.Name()+"/"+sem.String(), "experiments.consistency")
 	defer span.End()
-	start := time.Now()
-	defer func() { consistencyWall.Observe(time.Since(start).Nanoseconds()) }()
 
 	fs := pfs.New(pfs.Options{Semantics: sem})
 	log := consistency.NewLog()

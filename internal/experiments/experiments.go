@@ -27,11 +27,6 @@ import (
 	"repro/internal/wal"
 )
 
-// Sweep telemetry: a per-configuration wall-clock histogram plus one span
-// per configuration (lane 0; the worker-pool lanes underneath come from
-// core.ParallelForCtx). Each outcome is Results.Errs or Results.ByName.
-var configWall = obs.Default().Histogram("experiments.config.wall_ns")
-
 // Scale fixes the run parameters for one reproduction pass.
 type Scale struct {
 	Ranks int
@@ -202,14 +197,15 @@ func runCell(ctx context.Context, cfg *apps.Config, s Scale, timeout time.Durati
 	// caller (or a test's cleanup) moves on.
 	exec := execute
 	run := func() (res *harness.Result, err error) {
+		// One span per configuration (lane 0; the worker-pool lanes
+		// underneath come from core.ParallelForCtx) times the cell; its
+		// outcome is Results.Errs or Results.ByName.
 		span := obs.Default().Tracer().Start(cfg.Name(), "experiments.config")
-		start := time.Now()
 		defer func() {
 			if rec := recover(); rec != nil {
 				res, err = nil, fmt.Errorf("experiments: %s: panic: %v\n%s", cfg.Name(), rec, debug.Stack())
 			}
 			span.End()
-			configWall.Observe(time.Since(start).Nanoseconds())
 		}()
 		r, e := exec(cfg, apps.Options{
 			Ranks: s.Ranks, PPN: s.PPN, Seed: s.Seed, Semantics: s.Semantics,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/apps"
 	"repro/internal/consistency"
@@ -23,8 +22,6 @@ import (
 // the PFS round trip) and certifies every cell's history against the
 // model's executable formal spec, so the latency win is only reported for
 // runs proven semantics-preserving.
-
-var walCompareWall = obs.Default().Histogram("experiments.wal.run_wall_ns")
 
 // WALApps is the default configuration set for the WAL comparison: the
 // paper's two checkpoint-burst archetypes (FLASH with and without forced
@@ -83,8 +80,6 @@ func walCell(cfg *apps.Config, sem pfs.Semantics, s Scale, withWAL bool) (WALCel
 	span := obs.Default().Tracer().Start(
 		fmt.Sprintf("%s/%s/wal=%v", cfg.Name(), sem, withWAL), "experiments.wal")
 	defer span.End()
-	start := time.Now()
-	defer func() { walCompareWall.Observe(time.Since(start).Nanoseconds()) }()
 
 	fs := pfs.New(pfs.Options{Semantics: sem})
 	log := consistency.NewLog()
@@ -114,13 +109,14 @@ func walCell(cfg *apps.Config, sem pfs.Semantics, s Scale, withWAL bool) (WALCel
 	cell := WALCell{Config: cfg.Name(), Semantics: sem, WAL: withWAL}
 	var lats []uint64
 	var sum float64
-	for _, rs := range res.Trace.PerRank {
-		for i := range rs {
-			if rs[i].TEnd > cell.ElapsedNS {
-				cell.ElapsedNS = rs[i].TEnd
+	for rank := range res.Trace.PerRank {
+		for s := res.Trace.Stream(rank); s.Next(); {
+			r := s.Record()
+			if r.TEnd > cell.ElapsedNS {
+				cell.ElapsedNS = r.TEnd
 			}
-			if rs[i].IsWriteOp() {
-				d := rs[i].TEnd - rs[i].TStart
+			if r.IsWriteOp() {
+				d := r.TEnd - r.TStart
 				lats = append(lats, d)
 				sum += float64(d)
 			}

@@ -14,7 +14,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/pfs"
 	"repro/internal/recorder"
-	"repro/internal/recorder/colfmt"
 	"repro/internal/sim"
 	"repro/internal/wal"
 )
@@ -289,8 +288,8 @@ func rankErrored(errs []error, r int) bool {
 // rank stream in rank order) — the replay-determinism oracle.
 func traceFingerprint(tr *recorder.Trace) uint64 {
 	h := fnv.New64a()
-	for rank, rs := range tr.PerRank {
-		if err := colfmt.EncodeStream(h, rank, rs, colfmt.EncodeOptions{}); err != nil {
+	for rank := range tr.PerRank {
+		if err := tr.WriteStream(h, rank); err != nil {
 			// Encoding an in-memory trace only fails on corrupt records;
 			// fold the failure into the fingerprint rather than masking it.
 			fmt.Fprintf(h, "encode-error rank=%d: %v", rank, err)

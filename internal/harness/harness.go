@@ -230,12 +230,9 @@ func Run(cfg Config, meta recorder.Meta, body func(*Ctx) error) (*Result, error)
 	meta.Ranks = cfg.Ranks
 	meta.PPN = cfg.PPN
 	meta.Seed = cfg.Seed
-	trace := recorder.NewTrace(meta, tracers)
-	if err := trace.Align(); err != nil {
+	trace, err := recorder.NewTrace(meta, tracers)
+	if err != nil {
 		return nil, fmt.Errorf("harness: %w", err)
-	}
-	if err := trace.Validate(); err != nil {
-		return nil, fmt.Errorf("harness: invalid trace: %w", err)
 	}
 	res := &Result{Trace: trace, FS: fs}
 	for _, e := range errs {

@@ -77,8 +77,8 @@ func TestSerialCreateWritesHeaderOpenReadsIt(t *testing.T) {
 	})
 	var wroteHeader, readHeader bool
 	var hdrOff int64 = metaCursorBase
-	for _, rs := range res.Trace.PerRank {
-		for _, r := range rs {
+	for rank := range res.Trace.PerRank {
+		for _, r := range res.Trace.Records(rank) {
 			if r.Func == recorder.FuncPwrite && r.Arg(2) == hdrOff {
 				wroteHeader = true
 			}

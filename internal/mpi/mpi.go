@@ -14,15 +14,19 @@
 // Collective payloads are copied once, when a rank deposits them, and the
 // released round is shared: the byte slices Bcast, Gather, Allgather,
 // Scatter and Alltoall return are read-only and may be the same slices
-// other ranks receive, while the caller may reuse its own deposit buffer as
-// soon as the call returns. A collective therefore costs O(total payload),
-// not O(ranks × total payload). Every caller in the module only reads its
-// results: mpiio's two-phase WriteAtAll/WriteAll decode the gathered
-// requests and writeDomain copies each piece into a fresh run buffer before
-// merging; ReadAtAll copies out of both phases' slots into its own result;
-// the apps' Gather calls (lammps, chem, physics) pass parts straight to
-// Write/Fwrite/Dataset.Write/PutRecord, and the file system copies written
-// bytes; apps' readInput drops its Bcast result.
+// other ranks receive, while the caller may reuse its own deposit buffers
+// as soon as the call returns. Allgather deposits the concatenation of its
+// parts, so a header and a payload cost that one copy. A collective
+// therefore costs O(total payload), not O(ranks × total payload). Every
+// caller in the module only reads its results: mpiio's two-phase
+// WriteAtAll/WriteAll deposit a stack header and the payload, decode the
+// gathered requests, and writeDomain writes a run of one piece straight
+// from its slot (the file system keeps a written buffer and never modifies
+// it) and merges the pieces of any other run into a fresh buffer;
+// ReadAtAll copies out of both phases' slots into its own result; the
+// apps' Gather calls (lammps, chem, physics) pass parts straight to
+// Write/Fwrite/Dataset.Write/PutRecord, which keep or copy them without
+// writing to them; apps' readInput drops its Bcast result.
 package mpi
 
 import (
@@ -240,12 +244,12 @@ func (p *Proc) Detach() {
 	}
 }
 
-// collective runs one rendezvous: deposit data, wait for all ranks, merge
-// clocks, and return the completed round. bytes is the per-rank payload size
-// used for cost accounting.
-func (p *Proc) collective(fn recorder.Func, root int, data []byte, bytes int64) *round {
+// collective runs one rendezvous: deposit the concatenation of parts, wait
+// for all ranks, merge clocks, and return the completed round. bytes is the
+// per-rank payload size used for cost accounting.
+func (p *Proc) collective(fn recorder.Func, root int, bytes int64, parts ...[]byte) *round {
 	ts := p.clock.Stamp()
-	r := p.world.rv.arrive(p.rank, p.clock.Now(), data)
+	r := p.world.rv.arrive(p.rank, p.clock.Now(), parts)
 	cost := p.world.cost.BarrierCost + uint64(bytes)*p.world.cost.CollPerByte
 	p.clock.MergeAtLeast(r.maxClock)
 	p.clock.Advance(cost)
@@ -256,7 +260,7 @@ func (p *Proc) collective(fn recorder.Func, root int, data []byte, bytes int64) 
 // Barrier blocks until every rank arrives; all ranks leave at the same
 // logical time.
 func (p *Proc) Barrier() {
-	p.collective(recorder.FuncMPIBarrier, -1, nil, 0)
+	p.collective(recorder.FuncMPIBarrier, -1, 0)
 }
 
 // Bcast distributes root's data to every rank and returns it. The result
@@ -267,7 +271,7 @@ func (p *Proc) Bcast(root int, data []byte) []byte {
 	if p.rank != root {
 		data = nil // only root's payload is delivered, so only root's is copied
 	}
-	r := p.collective(recorder.FuncMPIBcast, root, data, bytes)
+	r := p.collective(recorder.FuncMPIBcast, root, bytes, data)
 	return r.slots[root]
 }
 
@@ -275,18 +279,22 @@ func (p *Proc) Bcast(root int, data []byte) []byte {
 // by rank; other ranks receive nil. The slots are read-only; data may be
 // reused once Gather returns.
 func (p *Proc) Gather(root int, data []byte) [][]byte {
-	r := p.collective(recorder.FuncMPIGather, root, data, int64(len(data)))
+	r := p.collective(recorder.FuncMPIGather, root, int64(len(data)), data)
 	if p.rank != root {
 		return nil
 	}
 	return r.slots
 }
 
-// Allgather collects every rank's data at every rank. The returned slice
-// and its slots are read-only and shared with every other rank; data may be
-// reused once Allgather returns.
-func (p *Proc) Allgather(data []byte) [][]byte {
-	r := p.collective(recorder.FuncMPIAllgather, -1, data, int64(len(data)))
+// Allgather collects every rank's data, the concatenation of its parts, at
+// every rank. The returned slice and its slots are read-only and shared
+// with every other rank; the parts may be reused once Allgather returns.
+func (p *Proc) Allgather(parts ...[]byte) [][]byte {
+	var n int64
+	for _, pt := range parts {
+		n += int64(len(pt))
+	}
+	r := p.collective(recorder.FuncMPIAllgather, -1, n, parts...)
 	return r.slots
 }
 
@@ -320,7 +328,7 @@ func (p *Proc) collectiveScatter(root int, parts [][]byte, bytes int64) *round {
 // Reduce combines every rank's value with op; root gets the result, other
 // ranks get 0.
 func (p *Proc) Reduce(root int, value int64, op Op) int64 {
-	r := p.collective(recorder.FuncMPIReduce, root, encodeInt64(value), 8)
+	r := p.collective(recorder.FuncMPIReduce, root, 8, encodeInt64(value))
 	if p.rank != root {
 		return 0
 	}
@@ -329,7 +337,7 @@ func (p *Proc) Reduce(root int, value int64, op Op) int64 {
 
 // Allreduce combines every rank's value with op; every rank gets the result.
 func (p *Proc) Allreduce(value int64, op Op) int64 {
-	r := p.collective(recorder.FuncMPIAllreduce, -1, encodeInt64(value), 8)
+	r := p.collective(recorder.FuncMPIAllreduce, -1, 8, encodeInt64(value))
 	return reduceSlots(r.slots, op)
 }
 

@@ -31,14 +31,21 @@ func runWorld(t *testing.T, n int, body func(p *Proc)) []*Proc {
 	return procs
 }
 
-// records assembles the procs' tracers into a trace (NewTrace) and returns
-// its per-rank streams.
+// records returns the procs' records in emission order.
 func records(procs []*Proc) [][]recorder.Record {
 	tracers := make([]*recorder.RankTracer, len(procs))
 	for r, p := range procs {
 		tracers[r] = p.tracer
 	}
-	return recorder.NewTrace(recorder.Meta{}, tracers).PerRank
+	tr, err := recorder.TraceOf(recorder.Meta{}, tracers)
+	if err != nil {
+		panic(err)
+	}
+	out := make([][]recorder.Record, len(procs))
+	for r := range out {
+		out[r] = tr.Records(r)
+	}
+	return out
 }
 
 func TestSendRecvDeliversData(t *testing.T) {

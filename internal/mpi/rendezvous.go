@@ -1,9 +1,6 @@
 package mpi
 
-import (
-	"slices"
-	"sync"
-)
+import "sync"
 
 // rendezvous implements the collective meeting point. SPMD programs call
 // collectives in the same order on every rank, so a single rendezvous per
@@ -76,9 +73,10 @@ func (rv *rendezvous) depart() {
 	}
 }
 
-// arrive deposits a copy of data for rank and blocks until all ranks arrive.
-func (rv *rendezvous) arrive(rank int, clock uint64, data []byte) *round {
-	own := clone(data) // data itself does not escape, so callers may pass stack buffers
+// arrive deposits the concatenation of parts for rank and blocks until all
+// ranks arrive.
+func (rv *rendezvous) arrive(rank int, clock uint64, parts [][]byte) *round {
+	own := concat(parts) // the parts do not escape, so callers may pass stack buffers
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
 	r := rv.beginLocked()
@@ -127,12 +125,26 @@ func (rv *rendezvous) arriveAlltoall(rank int, clock uint64, parts [][]byte) *ro
 	return r
 }
 
-// clone copies a deposit, nil when empty. The copy's capacity is clipped to
-// its length, so an append to a shared result reallocates instead of
-// writing into memory another rank can see.
-func clone(b []byte) []byte {
-	return slices.Clip(append([]byte(nil), b...))
+// concat copies a deposit's parts into one slice, nil when empty. The
+// copy's capacity is its length, so an append to a shared result
+// reallocates instead of writing into memory another rank can see.
+func concat(parts [][]byte) []byte {
+	n := 0
+	for _, pt := range parts {
+		n += len(pt)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]byte, 0, n)
+	for _, pt := range parts {
+		out = append(out, pt...)
+	}
+	return out
 }
+
+// clone copies one part as a deposit (see concat).
+func clone(b []byte) []byte { return concat([][]byte{b}) }
 
 func cloneParts(parts [][]byte) [][]byte {
 	out := make([][]byte, len(parts))

@@ -212,26 +212,19 @@ type request struct {
 	Len  int64
 }
 
-func encodeRequest(off int64, data []byte) []byte {
-	buf := make([]byte, 16+len(data))
-	binary.LittleEndian.PutUint64(buf[0:8], uint64(off))
-	binary.LittleEndian.PutUint64(buf[8:16], uint64(len(data)))
-	copy(buf[16:], data)
-	return buf
+// extent is a request header: the (offset, length) of a collective
+// request. A collective write or redistribution deposits it followed by
+// the payload (Allgather concatenates the two), a collective read alone.
+func extent(off, n int64) [16]byte {
+	var h [16]byte
+	binary.LittleEndian.PutUint64(h[0:8], uint64(off))
+	binary.LittleEndian.PutUint64(h[8:16], uint64(n))
+	return h
 }
 
 func decodeRequest(b []byte) (off int64, data []byte) {
 	off, n := decodeExtent(b)
 	return off, b[16 : 16+n]
-}
-
-// encodeExtent is a request header alone: the (offset, length) a collective
-// read asks for, without a payload.
-func encodeExtent(off, n int64) []byte {
-	buf := make([]byte, 16)
-	binary.LittleEndian.PutUint64(buf[0:8], uint64(off))
-	binary.LittleEndian.PutUint64(buf[8:16], uint64(n))
-	return buf
 }
 
 func decodeExtent(b []byte) (off, n int64) {
@@ -243,7 +236,8 @@ func decodeExtent(b []byte) (off, n int64) {
 // writes over contiguous file domains (two-phase I/O).
 func (f *File) WriteAtAll(off int64, data []byte) error {
 	ts := f.os.Clock().Stamp()
-	slots := f.comm.Allgather(encodeRequest(f.disp+off, data))
+	h := extent(f.disp+off, int64(len(data)))
+	slots := f.comm.Allgather(h[:], data)
 	err := f.aggregateWrite(slots)
 	emit(f, recorder.FuncMPIFileWriteAtAll, ts, "", int64(f.fd), int64(len(data)), off)
 	return err
@@ -252,7 +246,8 @@ func (f *File) WriteAtAll(off int64, data []byte) error {
 // WriteAll is the collective write at the individual file pointer.
 func (f *File) WriteAll(data []byte) error {
 	ts := f.os.Clock().Stamp()
-	slots := f.comm.Allgather(encodeRequest(f.disp+f.indepPtr, data))
+	h := extent(f.disp+f.indepPtr, int64(len(data)))
+	slots := f.comm.Allgather(h[:], data)
 	err := f.aggregateWrite(slots)
 	if err == nil {
 		f.indepPtr += int64(len(data))
@@ -348,6 +343,8 @@ func (f *File) domains(idx int, lo, hi int64) [][2]int64 {
 
 // writeDomain assembles the contributions that fall inside [dLo, dHi) and
 // writes coalesced contiguous runs (bounded by the collective buffer size).
+// A run of one piece is written straight from its read-only slot; the
+// pieces of a longer run are merged into a fresh buffer.
 func (f *File) writeDomain(reqs []request, payloads [][]byte, dLo, dHi int64) error {
 	type piece struct {
 		off  int64
@@ -380,9 +377,12 @@ func (f *File) writeDomain(reqs []request, payloads [][]byte, dLo, dHi int64) er
 		for ; j < len(pieces) && pieces[j].off <= end; j++ {
 			end = max(end, pieces[j].off+int64(len(pieces[j].data)))
 		}
-		run := make([]byte, end-runOff)
-		for _, pc := range pieces[i:j] {
-			copy(run[pc.off-runOff:], pc.data)
+		run := pieces[i].data
+		if j > i+1 {
+			run = make([]byte, end-runOff)
+			for _, pc := range pieces[i:j] {
+				copy(run[pc.off-runOff:], pc.data)
+			}
 		}
 		for len(run) > 0 {
 			chunk := run[:min(int64(len(run)), f.opts.CBBufferSize)]
@@ -401,7 +401,8 @@ func (f *File) writeDomain(reqs []request, payloads [][]byte, dLo, dHi int64) er
 // and the data is redistributed to the requesting ranks.
 func (f *File) ReadAtAll(off, n int64) ([]byte, error) {
 	ts := f.os.Clock().Stamp()
-	slots := f.comm.Allgather(encodeExtent(f.disp+off, n))
+	h := extent(f.disp+off, n)
+	slots := f.comm.Allgather(h[:])
 	// Phase 1: every aggregator reads the union range restricted to its domain.
 	var lo, hi int64
 	first := true
@@ -433,7 +434,8 @@ func (f *File) ReadAtAll(off, n int64) ([]byte, error) {
 	}
 	// Phase 2: redistribute aggregator buffers to everyone; each rank copies
 	// the overlap of every domain with [want, want+n).
-	all := f.comm.Allgather(encodeRequest(dLo, domain))
+	h = extent(dLo, int64(len(domain)))
+	all := f.comm.Allgather(h[:], domain)
 	out := make([]byte, n)
 	want := f.disp + off
 	for _, s := range all {

@@ -17,15 +17,18 @@ func newProc(t *testing.T, sem pfs.Semantics) (*Proc, *recorder.RankTracer) {
 	return p, tracer
 }
 
-// records assembles a tracer's records the way a trace does (NewTrace),
-// which takes them from the tracer.
+// records takes a tracer's records, in emission order.
 func records(tr *recorder.RankTracer) []recorder.Record {
 	tracers := make([]*recorder.RankTracer, tr.Rank()+1)
 	for r := range tracers {
 		tracers[r] = recorder.NewRankTracer(r)
 	}
 	tracers[tr.Rank()] = tr
-	return recorder.NewTrace(recorder.Meta{}, tracers).PerRank[tr.Rank()]
+	trace, err := recorder.TraceOf(recorder.Meta{}, tracers)
+	if err != nil {
+		panic(err)
+	}
+	return trace.Records(tr.Rank())
 }
 
 func twoProcs(t *testing.T, sem pfs.Semantics) (*Proc, *Proc) {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/recorder"
+	"repro/internal/recorder/colwire"
 	"repro/internal/recorder/v1test"
 	"repro/internal/storage"
 )
@@ -225,15 +226,15 @@ func TestCorruptBlockSkip(t *testing.T) {
 	recs := genStream(4, n, 13)
 	data := encode(t, 4, recs, EncodeOptions{BlockRecords: per})
 	// Find the third data block's payload and corrupt a byte in it.
-	off := len(Magic)
+	off := len(colwire.Magic)
 	_, off, _ = uvarintAt(data, off)
 	_, off, _ = uvarintAt(data, off)
 	for b := 0; b < 2; b++ {
 		plen := int(uint32(data[off+1]) | uint32(data[off+2])<<8 | uint32(data[off+3])<<16 | uint32(data[off+4])<<24)
-		off += frameHdrLen + plen
+		off += colwire.FrameHdrLen + plen
 	}
 	mut := bytes.Clone(data)
-	mut[off+frameHdrLen+3] ^= 0xff
+	mut[off+colwire.FrameHdrLen+3] ^= 0xff
 
 	r, err := NewReader(mut)
 	if err != nil {
@@ -308,15 +309,28 @@ func TestOpenMapsOnDisk(t *testing.T) {
 	})
 }
 
-func mkTrace(ranks, perRank int, seed int64) *recorder.Trace {
-	tr := &recorder.Trace{
-		Meta:    recorder.Meta{App: "colfmt-test", Ranks: ranks, PPN: 2, Steps: 1, Seed: uint64(seed)},
-		PerRank: make([][]recorder.Record, ranks),
+// traceOf returns the trace whose rank streams are perRank as given.
+func traceOf(meta recorder.Meta, perRank [][]recorder.Record) *recorder.Trace {
+	tracers := make([]*recorder.RankTracer, len(perRank))
+	for r, rs := range perRank {
+		tracers[r] = recorder.NewRankTracer(r)
+		for _, rec := range rs {
+			tracers[r].Emit(rec, rec.Args)
+		}
 	}
-	for r := 0; r < ranks; r++ {
-		tr.PerRank[r] = genStream(r, perRank, seed+int64(r))
+	tr, err := recorder.TraceOf(meta, tracers)
+	if err != nil {
+		panic(err)
 	}
 	return tr
+}
+
+func mkTrace(ranks, perRank int, seed int64) *recorder.Trace {
+	streams := make([][]recorder.Record, ranks)
+	for r := range streams {
+		streams[r] = genStream(r, perRank, seed+int64(r))
+	}
+	return traceOf(recorder.Meta{App: "colfmt-test", Ranks: ranks, PPN: 2, Steps: 1, Seed: uint64(seed)}, streams)
 }
 
 func TestDirRoundTripBothFormats(t *testing.T) {
@@ -336,7 +350,7 @@ func TestDirRoundTripBothFormats(t *testing.T) {
 					t.Fatalf("meta differs: %+v vs %+v", tr.Meta, got.Meta)
 				}
 				for r := range tr.PerRank {
-					requireRecordsEqual(t, tr.PerRank[r], got.PerRank[r])
+					requireRecordsEqual(t, tr.Records(r), got.Records(r))
 				}
 			})
 		}
@@ -352,14 +366,14 @@ func TestMixedFormatDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < 4; r += 2 {
-		writeV1Rank(t, dir, r, r, tr.PerRank[r])
+		writeV1Rank(t, dir, r, r, tr.Records(r))
 	}
 	got, err := LoadDirOn(storage.OS(), dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for r := range tr.PerRank {
-		requireRecordsEqual(t, tr.PerRank[r], got.PerRank[r])
+		requireRecordsEqual(t, tr.Records(r), got.Records(r))
 	}
 }
 
@@ -386,7 +400,7 @@ func TestConvertDir(t *testing.T) {
 		if !Sniff(data) {
 			t.Fatalf("rank %d: converted file is not columnar", r)
 		}
-		requireRecordsEqual(t, tr.PerRank[r], a.PerRank[r])
+		requireRecordsEqual(t, tr.Records(r), a.Records(r))
 	}
 	if _, err := ConvertDirOn(storage.OS(), v1dir, v1dir, 0); err == nil {
 		t.Fatal("in-place convert accepted")
@@ -413,7 +427,7 @@ func TestLoadDirLenientTornFixture(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cut := len(Magic) + 4 + rng.Intn(len(data)-len(Magic)-4)
+		cut := len(colwire.Magic) + 4 + rng.Intn(len(data)-len(colwire.Magic)-4)
 		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -429,14 +443,14 @@ func TestLoadDirLenientTornFixture(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		off := len(Magic)
+		off := len(colwire.Magic)
 		_, off, _ = uvarintAt(data, off)
 		_, off, _ = uvarintAt(data, off)
 		for blk := 0; blk < 3; blk++ { // walk to the fourth block's payload
 			plen := int(uint32(data[off+1]) | uint32(data[off+2])<<8 | uint32(data[off+3])<<16 | uint32(data[off+4])<<24)
-			off += frameHdrLen + plen
+			off += colwire.FrameHdrLen + plen
 		}
-		data[off+frameHdrLen+2] ^= 0xff
+		data[off+colwire.FrameHdrLen+2] ^= 0xff
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -452,11 +466,11 @@ func TestLoadDirLenientTornFixture(t *testing.T) {
 		// Undamaged ranks load fully; damaged ranks keep a valid prefix (or
 		// block subset) of their original records.
 		for r := 0; r < ranks; r++ {
-			recs := got.PerRank[r]
+			recs := got.Records(r)
 			if damage[r] == "" {
-				requireRecordsEqual(t, tr.PerRank[r], recs)
+				requireRecordsEqual(t, tr.Records(r), recs)
 			} else if damage[r] == "torn" {
-				requireRecordsEqual(t, tr.PerRank[r][:len(recs)], recs)
+				requireRecordsEqual(t, tr.Records(r)[:len(recs)], recs)
 			}
 		}
 		if sal.Ranks != ranks || sal.Unreadable == 0 || sal.Truncated == 0 {
@@ -512,9 +526,9 @@ func saveSmallBlocks(dir string, tr *recorder.Trace) error {
 	if err := SaveDirOn(storage.OS(), dir, tr); err != nil {
 		return err
 	}
-	for rank, rs := range tr.PerRank {
+	for rank := range tr.PerRank {
 		var buf bytes.Buffer
-		if err := EncodeStream(&buf, rank, rs, EncodeOptions{BlockRecords: 8}); err != nil {
+		if err := EncodeStream(&buf, rank, tr.Records(rank), EncodeOptions{BlockRecords: 8}); err != nil {
 			return err
 		}
 		if err := os.WriteFile(filepath.Join(dir, recorder.RankFileName(rank)), buf.Bytes(), 0o644); err != nil {
@@ -545,6 +559,6 @@ func TestBackendFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := range tr.PerRank {
-		requireRecordsEqual(t, tr.PerRank[r], got.PerRank[r])
+		requireRecordsEqual(t, tr.Records(r), got.Records(r))
 	}
 }

@@ -6,13 +6,14 @@ import (
 	"hash/crc32"
 
 	"repro/internal/recorder"
+	"repro/internal/recorder/colwire"
 )
 
 // Sniff reports whether data begins with the columnar magic. Dir loaders use
 // it to dispatch between the columnar decoder and the v1 compatibility
 // reader on a per-file basis.
 func Sniff(data []byte) bool {
-	return len(data) >= len(Magic) && string(data[:len(Magic)]) == Magic
+	return len(data) >= len(colwire.Magic) && string(data[:len(colwire.Magic)]) == colwire.Magic
 }
 
 // CorruptError reports a frame that failed CRC, framing, or column decoding
@@ -49,19 +50,19 @@ func NewReader(data []byte) (*Reader, error) {
 	if !Sniff(data) {
 		return nil, fmt.Errorf("colfmt: bad magic")
 	}
-	off := len(Magic)
+	off := len(colwire.Magic)
 	urank, off, ok := uvarintAt(data, off)
 	if !ok {
 		return nil, &recorder.TruncatedError{}
 	}
-	if urank >= maxRank {
+	if urank >= colwire.MaxRank {
 		return nil, fmt.Errorf("colfmt: rank %d out of range", urank)
 	}
 	declared, off, ok := uvarintAt(data, off)
 	if !ok {
 		return nil, &recorder.TruncatedError{}
 	}
-	if declared > maxRecords {
+	if declared > colwire.MaxRecords {
 		return nil, fmt.Errorf("colfmt: record count %d too large", declared)
 	}
 	r := &Reader{data: data, rank: int(urank), declared: declared, blockOff: off, dictOff: -1}
@@ -77,11 +78,11 @@ func NewReader(data []byte) (*Reader, error) {
 // dictionary incrementally from per-block deltas instead.
 func (r *Reader) probeFooter() {
 	data := r.data
-	if len(data) < r.blockOff+frameHdrLen+1+trailerLen {
+	if len(data) < r.blockOff+colwire.FrameHdrLen+1+colwire.TrailerLen {
 		return
 	}
-	tr := data[len(data)-trailerLen:]
-	if string(tr[16:]) != endMagic {
+	tr := data[len(data)-colwire.TrailerLen:]
+	if string(tr[16:]) != colwire.EndMagic {
 		return
 	}
 	dictOff := binary.LittleEndian.Uint64(tr[0:])
@@ -89,20 +90,20 @@ func (r *Reader) probeFooter() {
 	if count != r.declared {
 		return
 	}
-	if dictOff < uint64(r.blockOff) || dictOff > uint64(len(data)-trailerLen-frameHdrLen) {
+	if dictOff < uint64(r.blockOff) || dictOff > uint64(len(data)-colwire.TrailerLen-colwire.FrameHdrLen) {
 		return
 	}
 	fo := int(dictOff)
-	if data[fo] != kindDict {
+	if data[fo] != colwire.KindDict {
 		return
 	}
 	plen := binary.LittleEndian.Uint32(data[fo+1:])
 	wantCRC := binary.LittleEndian.Uint32(data[fo+5:])
-	if uint64(plen) > maxPayload || fo+frameHdrLen+int(plen) != len(data)-trailerLen {
+	if uint64(plen) > colwire.MaxPayload || fo+colwire.FrameHdrLen+int(plen) != len(data)-colwire.TrailerLen {
 		return
 	}
-	payload := data[fo+frameHdrLen : fo+frameHdrLen+int(plen)]
-	if crc32.Checksum(payload, castagnoli) != wantCRC {
+	payload := data[fo+colwire.FrameHdrLen : fo+colwire.FrameHdrLen+int(plen)]
+	if crc32.Checksum(payload, colwire.Castagnoli) != wantCRC {
 		return
 	}
 	dict, ok := parseDict(payload, nil)
@@ -124,7 +125,7 @@ func parseDict(payload []byte, dst []string) ([]string, bool) {
 	}
 	for i := uint64(0); i < count; i++ {
 		n, noff, ok := uvarintAt(payload, off)
-		if !ok || n > maxString || noff+int(n) > len(payload) {
+		if !ok || n > colwire.MaxString || noff+int(n) > len(payload) {
 			return dst, false
 		}
 		dst = append(dst, string(payload[noff:noff+int(n)]))
@@ -280,16 +281,16 @@ func (c *Cursor) nextBlock() bool {
 		if c.incr && c.off == len(data) {
 			return c.failTorn()
 		}
-		if c.off+frameHdrLen > len(data) {
+		if c.off+colwire.FrameHdrLen > len(data) {
 			return c.failTorn()
 		}
 		kind := data[c.off]
 		plen := int(binary.LittleEndian.Uint32(data[c.off+1:]))
 		wantCRC := binary.LittleEndian.Uint32(data[c.off+5:])
-		if plen > maxPayload {
-			return c.failCorrupt(c.block, "payload length %d exceeds %d", plen, maxPayload)
+		if plen > colwire.MaxPayload {
+			return c.failCorrupt(c.block, "payload length %d exceeds %d", plen, colwire.MaxPayload)
 		}
-		start := c.off + frameHdrLen
+		start := c.off + colwire.FrameHdrLen
 		if start+plen > len(data) {
 			return c.failTorn()
 		}
@@ -298,16 +299,16 @@ func (c *Cursor) nextBlock() bool {
 		c.off = start + plen
 		c.block++
 		switch kind {
-		case kindDict:
+		case colwire.KindDict:
 			// Incremental mode only (footer mode never reaches a dict frame):
 			// the trailer was damaged but the dictionary survived. All data
 			// frames precede it, so a count match means a complete walk.
-			if crc32.Checksum(payload, castagnoli) != wantCRC {
+			if crc32.Checksum(payload, colwire.Castagnoli) != wantCRC {
 				return c.failCorrupt(block, "dictionary CRC mismatch")
 			}
 			return c.finish()
-		case kindData:
-			if crc32.Checksum(payload, castagnoli) != wantCRC {
+		case colwire.KindData:
+			if crc32.Checksum(payload, colwire.Castagnoli) != wantCRC {
 				if c.skippable(block, "CRC mismatch") {
 					continue
 				}
@@ -369,7 +370,7 @@ func (c *Cursor) finish() bool {
 func (c *Cursor) loadBlock(block int, payload []byte) bool {
 	off := 0
 	count, off, ok := uvarintAt(payload, off)
-	if !ok || count == 0 || count > maxRecords {
+	if !ok || count == 0 || count > colwire.MaxRecords {
 		return c.failCorrupt(block, "bad record count")
 	}
 	if uint64(c.stats.Records)+count > c.r.declared {
@@ -392,14 +393,14 @@ func (c *Cursor) loadBlock(block int, payload []byte) bool {
 	} else {
 		for i := uint64(0); i < nnew; i++ {
 			n, noff, ok := uvarintAt(payload, off)
-			if !ok || n > maxString || noff+int(n) > len(payload) {
+			if !ok || n > colwire.MaxString || noff+int(n) > len(payload) {
 				return c.failCorrupt(block, "bad dictionary delta")
 			}
 			off = noff + int(n)
 		}
 	}
-	var segs [colSegments][]byte
-	for s := 0; s < colSegments; s++ {
+	var segs [colwire.Segments][]byte
+	for s := 0; s < colwire.Segments; s++ {
 		slen, noff, ok := uvarintAt(payload, off)
 		if !ok || noff+int(slen) > len(payload) {
 			return c.failCorrupt(block, "bad column segment %d", s)
@@ -410,18 +411,18 @@ func (c *Cursor) loadBlock(block int, payload []byte) bool {
 	if off != len(payload) {
 		return c.failCorrupt(block, "trailing bytes after columns")
 	}
-	if uint64(len(segs[colLayers])) != count {
+	if uint64(len(segs[colwire.ColLayers])) != count {
 		return c.failCorrupt(block, "layer column length mismatch")
 	}
 	c.n, c.i = int(count), 0
-	c.layers = segs[colLayers]
-	c.funcs = segs[colFuncs]
-	c.tstarts = segs[colTStarts]
-	c.durs = segs[colDurs]
-	c.paths = segs[colPaths]
-	c.paths2 = segs[colPaths2]
-	c.nargs = segs[colNArgs]
-	c.args = segs[colArgs]
+	c.layers = segs[colwire.ColLayers]
+	c.funcs = segs[colwire.ColFuncs]
+	c.tstarts = segs[colwire.ColTStarts]
+	c.durs = segs[colwire.ColDurs]
+	c.paths = segs[colwire.ColPaths]
+	c.paths2 = segs[colwire.ColPaths2]
+	c.nargs = segs[colwire.ColNArgs]
+	c.args = segs[colwire.ColArgs]
 	return true
 }
 
@@ -431,7 +432,7 @@ func parseDictN(payload []byte, off *int, n uint64, dst []string) ([]string, boo
 	o := *off
 	for i := uint64(0); i < n; i++ {
 		l, noff, ok := uvarintAt(payload, o)
-		if !ok || l > maxString || noff+int(l) > len(payload) {
+		if !ok || l > colwire.MaxString || noff+int(l) > len(payload) {
 			return dst, false
 		}
 		dst = append(dst, string(payload[noff:noff+int(l)]))
@@ -490,7 +491,7 @@ func (c *Cursor) decodeRecord() bool {
 	if !ok {
 		return c.failCorrupt(block, "nargs column short")
 	}
-	if nargs > maxArgs {
+	if nargs > recorder.MaxArgs {
 		return c.failCorrupt(block, "%d args too many", nargs)
 	}
 	rec := &c.rec
@@ -535,6 +536,18 @@ func (c *Cursor) resolve(ref uint64) (string, bool) {
 // prefix is returned alongside it, mirroring recorder.DecodeRankStream.
 func (r *Reader) Materialize() ([]recorder.Record, error) {
 	return r.materialize(r.Cursor())
+}
+
+// Replay walks the whole stream with a strict cursor into a rank log, as
+// the running rank emitted it: the decoded rank of a trace. On error the
+// log holds the valid prefix.
+func (r *Reader) Replay() (*recorder.RankTracer, error) {
+	rt := recorder.NewRankTracer(r.rank)
+	c := r.Cursor()
+	for c.Next() {
+		rt.Emit(c.rec, c.rec.Args)
+	}
+	return rt, c.Err()
 }
 
 const argArenaLen = 8192

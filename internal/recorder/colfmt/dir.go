@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/recorder"
+	"repro/internal/recorder/colwire"
 	"repro/internal/storage"
 )
 
@@ -20,14 +21,15 @@ import (
 // magic bytes inside each stream pick the decoder, so columnar, v1, and
 // even mixed directories all read through one opener (openRank), whether
 // a scan walks the ranks (OpenRankOn, OpenRanksLenientOn) or LoadDirOn
-// materializes them. Loads shard rank files across the bounded worker
-// pool (core.ParallelForCtx, under a background context that never
+// decodes them into a trace. Loads shard rank files across the bounded
+// worker pool (core.ParallelForCtx, under a background context that never
 // cancels, so every rank runs): decode work is embarrassingly parallel per
-// stream and the fold back into Trace.PerRank is index-addressed, so the
-// result is byte-identical to a serial load.
+// stream and each rank lands in its own log, so the result is
+// byte-identical to a serial load.
 
 // SaveDirOn persists a trace as a columnar directory: the "trace.meta"
-// JSON plus one EncodeStream rank stream per rank.
+// JSON plus one rank stream per rank, as recorder.Trace.WriteStream
+// writes it.
 func SaveDirOn(b storage.Backend, dir string, tr *recorder.Trace) error {
 	if err := b.MkdirAll(dir); err != nil {
 		return err
@@ -52,8 +54,8 @@ func SaveDirOn(b storage.Backend, dir string, tr *recorder.Trace) error {
 	if err := put("trace.meta", func(w io.Writer) error { _, err := w.Write(metaBytes); return err }); err != nil {
 		return err
 	}
-	for rank, rs := range tr.PerRank {
-		write := func(w io.Writer) error { return EncodeStream(w, rank, rs, EncodeOptions{}) }
+	for rank := range tr.PerRank {
+		write := func(w io.Writer) error { return tr.WriteStream(w, rank) }
 		if err := put(recorder.RankFileName(rank), write); err != nil {
 			return fmt.Errorf("colfmt: writing rank %d: %w", rank, err)
 		}
@@ -243,8 +245,8 @@ func MetaOn(b storage.Backend, dir string) (recorder.Meta, error) {
 	}
 	// The rank count sizes every per-rank table a load allocates, so it is
 	// bounded by the rank streams' own wire limit.
-	if meta.Ranks > maxRank {
-		return meta, fmt.Errorf("recorder: trace.meta declares %d ranks (limit %d)", meta.Ranks, maxRank)
+	if meta.Ranks > colwire.MaxRank {
+		return meta, fmt.Errorf("recorder: trace.meta declares %d ranks (limit %d)", meta.Ranks, colwire.MaxRank)
 	}
 	return meta, nil
 }
@@ -258,22 +260,27 @@ func LoadDirOn(b storage.Backend, dir string, workers int) (*recorder.Trace, err
 	if err != nil {
 		return nil, err
 	}
-	tr := &recorder.Trace{Meta: meta, PerRank: make([][]recorder.Record, meta.Ranks)}
+	tracers := make([]*recorder.RankTracer, meta.Ranks)
 	errs := make([]error, meta.Ranks)
 	_ = core.ParallelForCtx(context.Background(), meta.Ranks, workers, func(rank int) {
 		r, release, recs, err := openRank(b, dir, rank)
 		if r != nil {
-			recs, err = r.Materialize()
+			tracers[rank], err = r.Replay()
 			release()
+		} else {
+			tracers[rank] = recorder.NewRankTracer(rank)
+			for i := range recs {
+				tracers[rank].Emit(recs[i], recs[i].Args)
+			}
 		}
-		tr.PerRank[rank], errs[rank] = recs, err
+		errs[rank] = err
 	})
 	for rank, err := range errs {
 		if err != nil {
 			return nil, rankError(rank, err)
 		}
 	}
-	return tr, nil
+	return recorder.TraceOf(meta, tracers)
 }
 
 // ConvertDirOn loads a trace directory (either format, strict) and rewrites

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
@@ -66,18 +65,18 @@ func loadLenient(b storage.Backend, dir string, workers int) (*recorder.Trace, *
 		return nil, nil, err
 	}
 	open, salvage := OpenRanksLenientOn(b, dir, meta.Ranks)
-	tr := &recorder.Trace{Meta: meta, PerRank: make([][]recorder.Record, meta.Ranks)}
+	tracers := make([]*recorder.RankTracer, meta.Ranks)
 	errs := make([]error, meta.Ranks)
 	_ = core.ParallelForCtx(context.Background(), meta.Ranks, workers, func(rank int) {
+		tracers[rank] = recorder.NewRankTracer(rank)
 		s, release, err := open(rank)
 		if err != nil {
 			errs[rank] = err
 			return
 		}
 		for s.Next() {
-			r := *s.Record()
-			r.Args = slices.Clone(r.Args)
-			tr.PerRank[rank] = append(tr.PerRank[rank], r)
+			r := s.Record()
+			tracers[rank].Emit(*r, r.Args)
 		}
 		errs[rank] = s.Err()
 		release()
@@ -86,6 +85,10 @@ func loadLenient(b storage.Backend, dir string, workers int) (*recorder.Trace, *
 		if err != nil {
 			return nil, nil, fmt.Errorf("rank %d: a lenient stream failed: %w", rank, err)
 		}
+	}
+	tr, err := recorder.TraceOf(meta, tracers)
+	if err != nil {
+		return nil, nil, err
 	}
 	sal, err := salvage()
 	return tr, sal, err
@@ -98,7 +101,7 @@ func TestSaveDirErrors(t *testing.T) {
 	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tr := &recorder.Trace{Meta: recorder.Meta{Ranks: 1}, PerRank: [][]recorder.Record{{}}}
+	tr := traceOf(recorder.Meta{Ranks: 1}, [][]recorder.Record{{}})
 	for _, f := range savers {
 		if err := f.save(filepath.Join(blocker, "sub"), tr); err == nil {
 			t.Fatalf("%s: saving into a file path should fail", f.name)
@@ -160,7 +163,7 @@ func TestLoadDirLenient(t *testing.T) {
 			mkRec(rank, recorder.LayerPOSIX, recorder.FuncClose, 50, 55, "", 3),
 		}
 	}
-	tr := &recorder.Trace{Meta: recorder.Meta{App: "x", Ranks: 3}, PerRank: [][]recorder.Record{mk(0), mk(1), mk(2)}}
+	tr := traceOf(recorder.Meta{App: "x", Ranks: 3}, [][]recorder.Record{mk(0), mk(1), mk(2)})
 	dir := t.TempDir()
 	if err := v1test.SaveDir(dir, tr); err != nil {
 		t.Fatal(err)
@@ -210,7 +213,7 @@ func TestLoadDirLenient(t *testing.T) {
 		t.Fatalf("per-rank records: %d/%d/%d",
 			len(got.PerRank[0]), len(got.PerRank[1]), len(got.PerRank[2]))
 	}
-	requireRecordsEqual(t, tr.PerRank[1][:sal.Salvaged], got.PerRank[1])
+	requireRecordsEqual(t, tr.Records(1)[:sal.Salvaged], got.Records(1))
 	found := false
 	for _, e := range sal.Errs {
 		if errors.Is(e, recorder.ErrTruncated) {
@@ -272,13 +275,11 @@ func TestLoadDirLenient(t *testing.T) {
 // file is exactly its format's stream encoding — for v1 the bytes
 // v1test.EncodeRankStream writes.
 func TestSaveLoadDir(t *testing.T) {
-	tr := &recorder.Trace{
-		Meta: recorder.Meta{App: "FLASH", Library: "HDF5", Variant: "fbs", Ranks: 2, PPN: 2, Steps: 10, Seed: 42},
-		PerRank: [][]recorder.Record{
+	tr := traceOf(recorder.Meta{App: "FLASH", Library: "HDF5", Variant: "fbs", Ranks: 2, PPN: 2, Steps: 10, Seed: 42},
+		[][]recorder.Record{
 			{mkRec(0, recorder.LayerMPI, recorder.FuncMPIBarrier, 5, 10, ""), mkRec(0, recorder.LayerPOSIX, recorder.FuncOpen, 12, 20, "/f", recorder.ORdonly, 0, 3)},
 			{mkRec(1, recorder.LayerMPI, recorder.FuncMPIBarrier, 6, 10, ""), mkRec(1, recorder.LayerPOSIX, recorder.FuncRead, 15, 25, "/f", 3, 64, 64)},
-		},
-	}
+		})
 	for _, f := range savers {
 		dir := filepath.Join(t.TempDir(), "trace")
 		if err := f.save(dir, tr); err != nil {
@@ -291,7 +292,8 @@ func TestSaveLoadDir(t *testing.T) {
 		if want, _ := json.MarshalIndent(tr.Meta, "", "  "); !bytes.Equal(meta, want) {
 			t.Fatalf("%s: trace.meta = %s, want %s", f.name, meta, want)
 		}
-		for rank, rs := range tr.PerRank {
+		for rank := range tr.PerRank {
+			rs := tr.Records(rank)
 			var want bytes.Buffer
 			if f.name == "v1" {
 				err = v1test.EncodeRankStream(&want, rank, rs)
@@ -317,7 +319,7 @@ func TestSaveLoadDir(t *testing.T) {
 			t.Fatalf("%s: meta mismatch: %+v vs %+v", f.name, got.Meta, tr.Meta)
 		}
 		for r := range tr.PerRank {
-			requireRecordsEqual(t, tr.PerRank[r], got.PerRank[r])
+			requireRecordsEqual(t, tr.Records(r), got.Records(r))
 		}
 	}
 }

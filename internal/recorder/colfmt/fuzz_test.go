@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/recorder"
+	"repro/internal/recorder/colwire"
 )
 
 // FuzzDecodeColumnar is the columnar decode-hardening gate, mirroring
@@ -29,23 +30,23 @@ func FuzzDecodeColumnar(f *testing.F) {
 			}
 			seed := buf.Bytes()
 			f.Add(seed)
-			f.Add(seed[:len(seed)/2])            // torn tail
-			f.Add(seed[:len(seed)-trailerLen/2]) // torn trailer
+			f.Add(seed[:len(seed)/2])                    // torn tail
+			f.Add(seed[:len(seed)-colwire.TrailerLen/2]) // torn trailer
 			if len(seed) > 40 {
 				mut := bytes.Clone(seed)
 				mut[30] ^= 0xff // likely a block payload byte
 				f.Add(mut)
 				mut2 := bytes.Clone(seed)
-				mut2[len(Magic)+3] ^= 0xff // frame header byte
+				mut2[len(colwire.Magic)+3] ^= 0xff // frame header byte
 				f.Add(mut2)
 			}
 		}
 	}
-	f.Add([]byte(Magic))                                  // header only
-	f.Add([]byte("SEMFSCOL2\x00\x00"))                    // wrong magic
-	f.Add([]byte(Magic + "\x00\xff\xff\xff\xff\x7f"))     // huge count
-	f.Add([]byte(Magic + "\xff\xff\xff\xff\xff\x01"))     // huge rank
-	f.Add([]byte(Magic + "\x00\x08\x01\xff\xff\xff\xff")) // nonsense frame
+	f.Add([]byte(colwire.Magic))                                  // header only
+	f.Add([]byte("SEMFSCOL2\x00\x00"))                            // wrong magic
+	f.Add([]byte(colwire.Magic + "\x00\xff\xff\xff\xff\x7f"))     // huge count
+	f.Add([]byte(colwire.Magic + "\xff\xff\xff\xff\xff\x01"))     // huge rank
+	f.Add([]byte(colwire.Magic + "\x00\x08\x01\xff\xff\xff\xff")) // nonsense frame
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(data)

@@ -183,7 +183,7 @@ func DecodeRankStream(r io.Reader) (rank int, records []Record, err error) {
 		if err != nil {
 			return int(urank), records, decodeFail(count, len(records), err)
 		}
-		if nargs > 64 {
+		if nargs > MaxArgs {
 			return int(urank), records, fmt.Errorf("recorder: %d args too many", nargs)
 		}
 		if nargs > 0 {

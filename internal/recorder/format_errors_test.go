@@ -43,10 +43,13 @@ func TestRecordAndLayerStrings(t *testing.T) {
 }
 
 func TestFilterAndPredicateEdges(t *testing.T) {
-	tr := &Trace{Meta: Meta{Ranks: 2}, PerRank: [][]Record{
+	tr, err := TraceOf(Meta{Ranks: 2}, tracersOf([][]Record{
 		{mkRecord(0, LayerPOSIX, FuncReadv, 1, 2, "/f", 3, 10, 10)},
 		{mkRecord(1, LayerPOSIX, FuncWritev, 1, 2, "/f", 3, 10, 10)},
-	}}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	writes := tr.Filter(func(r *Record) bool { return r.IsWriteOp() })
 	if len(writes) != 1 || writes[0].Func != FuncWritev {
 		t.Fatalf("writev filter: %v", writes)

@@ -72,7 +72,7 @@ func NumLayers() int { return int(layerCount) }
 //	H5*/nc_*/adios2_*/DB*: Path where applicable; Args library-specific
 //
 // TStart/TEnd are local-clock stamps (skew included) until the trace is
-// aligned; see Trace.Align.
+// aligned; see NewTrace.
 type Record struct {
 	Rank   int32
 	Layer  Layer

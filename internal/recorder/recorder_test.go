@@ -2,9 +2,8 @@ package recorder
 
 import (
 	"bytes"
-	"math/rand"
+	"errors"
 	"testing"
-	"testing/quick"
 )
 
 func mkRecord(rank int, layer Layer, fn Func, ts, te uint64, path string, args ...int64) Record {
@@ -95,16 +94,26 @@ func TestDecodeRejectsBadMagic(t *testing.T) {
 	}
 }
 
+// tracersOf returns one tracer per rank holding perRank's records, as the
+// ranks would have emitted them.
+func tracersOf(perRank [][]Record) []*RankTracer {
+	tracers := make([]*RankTracer, len(perRank))
+	for r, rs := range perRank {
+		tracers[r] = NewRankTracer(r)
+		for _, rec := range rs {
+			tracers[r].Emit(rec, rec.Args)
+		}
+	}
+	return tracers
+}
+
 func TestAlign(t *testing.T) {
 	// Rank 0 has skew +100 (all stamps shifted up), rank 1 has no skew.
-	tr := &Trace{
-		Meta: Meta{App: "X", Ranks: 2},
-		PerRank: [][]Record{
-			{mkRecord(0, LayerMPI, FuncMPIBarrier, 100, 150, ""), mkRecord(0, LayerPOSIX, FuncWrite, 200, 250, "/f", 3, 10, 10)},
-			{mkRecord(1, LayerMPI, FuncMPIBarrier, 0, 50, ""), mkRecord(1, LayerPOSIX, FuncRead, 300, 350, "/f", 3, 10, 10)},
-		},
-	}
-	if err := tr.Align(); err != nil {
+	tr, err := NewTrace(Meta{App: "X", Ranks: 2}, tracersOf([][]Record{
+		{mkRecord(0, LayerMPI, FuncMPIBarrier, 100, 150, ""), mkRecord(0, LayerPOSIX, FuncWrite, 200, 250, "/f", 3, 10, 10)},
+		{mkRecord(1, LayerMPI, FuncMPIBarrier, 0, 50, ""), mkRecord(1, LayerPOSIX, FuncRead, 300, 350, "/f", 3, 10, 10)},
+	}))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if tr.PerRank[0][0].TEnd != 0 || tr.PerRank[1][0].TEnd != 0 {
@@ -116,73 +125,49 @@ func TestAlign(t *testing.T) {
 	if got := tr.PerRank[1][1].TStart; got != 250 {
 		t.Fatalf("rank 1 read TStart = %d, want 250", got)
 	}
+	if got := tr.PerRank[0][0].TStart; got != 0 {
+		t.Fatalf("rank 0 barrier TStart = %d, want 0 (clamped)", got)
+	}
 	if !tr.Meta.Aligned {
 		t.Fatal("Aligned flag not set")
-	}
-	// Idempotent.
-	if err := tr.Align(); err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.PerRank[0][1].TStart; got != 50 {
-		t.Fatalf("second Align changed stamps: %d", got)
 	}
 }
 
 func TestAlignErrorsWithoutBarrier(t *testing.T) {
-	tr := &Trace{Meta: Meta{Ranks: 1}, PerRank: [][]Record{
+	_, err := NewTrace(Meta{Ranks: 1}, tracersOf([][]Record{
 		{mkRecord(0, LayerPOSIX, FuncRead, 1, 2, "/f")},
-	}}
-	if err := tr.Align(); err == nil {
-		t.Fatal("expected error when no barrier record exists")
+	}))
+	var te *TraceError
+	if !errors.As(err, &te) || te.Rank != 0 || te.Record != -1 {
+		t.Fatalf("NewTrace without a barrier: %v, want a rank-0 *TraceError", err)
 	}
 }
 
+// Assembly runs every structural check and fails with a *TraceError
+// naming the record, never a trace.
 func TestTraceValidate(t *testing.T) {
-	good := &Trace{Meta: Meta{Ranks: 1}, PerRank: [][]Record{
-		{mkRecord(0, LayerPOSIX, FuncOpen, 1, 2, "/f"), mkRecord(0, LayerPOSIX, FuncClose, 3, 4, "")},
-	}}
-	if err := good.Validate(); err != nil {
+	barrier := mkRecord(0, LayerMPI, FuncMPIBarrier, 1, 2, "")
+	good := []Record{barrier, mkRecord(0, LayerPOSIX, FuncOpen, 3, 4, "/f"), mkRecord(0, LayerPOSIX, FuncClose, 5, 6, "")}
+	if _, err := NewTrace(Meta{Ranks: 1}, tracersOf([][]Record{good})); err != nil {
 		t.Fatalf("valid trace rejected: %v", err)
 	}
-	bad := &Trace{Meta: Meta{Ranks: 1}, PerRank: [][]Record{
-		{mkRecord(0, LayerPOSIX, FuncClose, 5, 6, ""), mkRecord(0, LayerPOSIX, FuncOpen, 1, 2, "/f")},
-	}}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("out-of-order trace accepted")
-	}
-	wrongRank := &Trace{Meta: Meta{Ranks: 1}, PerRank: [][]Record{
-		{mkRecord(2, LayerPOSIX, FuncOpen, 1, 2, "/f")},
-	}}
-	if err := wrongRank.Validate(); err == nil {
-		t.Fatal("wrong-rank record accepted")
-	}
-}
-
-func TestAllByTimeMergesSorted(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tr := &Trace{Meta: Meta{Ranks: 3}, PerRank: make([][]Record, 3)}
-		for rank := 0; rank < 3; rank++ {
-			var ts uint64
-			for i := 0; i < rng.Intn(20); i++ {
-				ts += uint64(rng.Intn(100))
-				tr.PerRank[rank] = append(tr.PerRank[rank],
-					mkRecord(rank, LayerPOSIX, FuncWrite, ts, ts+1, "/f"))
-			}
+	for name, bad := range map[string]Record{
+		"backwards": mkRecord(0, LayerPOSIX, FuncClose, 9, 5, ""),
+		"func":      mkRecord(0, LayerPOSIX, Func(NumFuncs()), 5, 6, ""),
+		"layer":     mkRecord(0, Layer(NumLayers()), FuncClose, 5, 6, ""),
+	} {
+		tr, err := NewTrace(Meta{Ranks: 1}, tracersOf([][]Record{{barrier, bad}}))
+		var te *TraceError
+		if tr != nil || !errors.As(err, &te) || te.Record != 1 {
+			t.Errorf("%s: NewTrace = %v, %v; want no trace and a *TraceError for record 1", name, tr, err)
 		}
-		all := tr.AllByTime()
-		if len(all) != tr.NumRecords() {
-			return false
-		}
-		for i := 1; i < len(all); i++ {
-			if all[i].TStart < all[i-1].TStart {
-				return false
-			}
-		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
+	rt := NewRankTracer(0)
+	rt.Emit(barrier, nil)
+	rt.Emit(mkRecord(0, LayerPOSIX, FuncClose, 5, 6, ""), make([]int64, MaxArgs+1))
+	var te *TraceError
+	if _, err := NewTrace(Meta{Ranks: 1}, []*RankTracer{rt}); !errors.As(err, &te) || te.Record != 1 {
+		t.Errorf("%d args: %v, want a *TraceError for record 1", MaxArgs+1, err)
 	}
 }
 
@@ -211,7 +196,11 @@ func TestRankTracer(t *testing.T) {
 	if rt.Len() != 1 {
 		t.Fatal("Emit did not append")
 	}
-	if r := NewTrace(Meta{}, []*RankTracer{rt}).PerRank[0][0]; r.Rank != 0 {
+	tr, err := TraceOf(Meta{}, []*RankTracer{rt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := tr.Records(0)[0]; r.Rank != 0 {
 		t.Fatal("Emit must force the tracer's rank")
 	}
 }

@@ -34,12 +34,12 @@ func SaveDir(dir string, tr *recorder.Trace) error {
 	if err := os.WriteFile(filepath.Join(dir, "trace.meta"), meta, 0o644); err != nil {
 		return err
 	}
-	for rank, rs := range tr.PerRank {
+	for rank := range tr.PerRank {
 		f, err := os.Create(filepath.Join(dir, recorder.RankFileName(rank)))
 		if err != nil {
 			return err
 		}
-		err = EncodeRankStream(f, rank, rs)
+		err = EncodeRankStream(f, rank, tr.Records(rank))
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}

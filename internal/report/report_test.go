@@ -76,16 +76,16 @@ func TestFigure1BarsSumSane(t *testing.T) {
 }
 
 func TestFigure2CSV(t *testing.T) {
-	tr := &recorder.Trace{
-		Meta: recorder.Meta{Ranks: 1},
-		PerRank: [][]recorder.Record{{
-			{Rank: 0, Layer: recorder.LayerPOSIX, Func: recorder.FuncOpen, TStart: 1, TEnd: 2,
-				Path: "/chk", Args: []int64{recorder.OCreat | recorder.OWronly, 0, 3}},
-			{Rank: 0, Layer: recorder.LayerPOSIX, Func: recorder.FuncPwrite, TStart: 3000, TEnd: 4000,
-				Args: []int64{3, 100, 500, 100}},
-			{Rank: 0, Layer: recorder.LayerPOSIX, Func: recorder.FuncClose, TStart: 5000, TEnd: 6000,
-				Args: []int64{3}},
-		}},
+	rt := recorder.NewRankTracer(0)
+	rt.Emit(recorder.Record{Layer: recorder.LayerPOSIX, Func: recorder.FuncOpen, TStart: 1, TEnd: 2, Path: "/chk"},
+		[]int64{recorder.OCreat | recorder.OWronly, 0, 3})
+	rt.Emit(recorder.Record{Layer: recorder.LayerPOSIX, Func: recorder.FuncPwrite, TStart: 3000, TEnd: 4000},
+		[]int64{3, 100, 500, 100})
+	rt.Emit(recorder.Record{Layer: recorder.LayerPOSIX, Func: recorder.FuncClose, TStart: 5000, TEnd: 6000},
+		[]int64{3})
+	tr, err := recorder.TraceOf(recorder.Meta{Ranks: 1}, []*recorder.RankTracer{rt})
+	if err != nil {
+		t.Fatal(err)
 	}
 	fas := extract(t, tr)
 	csv := Figure2CSVOf(fas, "/chk")

@@ -276,7 +276,7 @@ func TestAnalyzeParallelCtxCancelledAndLenientLoad(t *testing.T) {
 	// to recover instead of killing the rank's only block.
 	streamPath := filepath.Join(dir, "rank_00003.rec")
 	var enc bytes.Buffer
-	if err := colfmt.EncodeStream(&enc, 3, res.Trace.PerRank[3], colfmt.EncodeOptions{BlockRecords: 8}); err != nil {
+	if err := colfmt.EncodeStream(&enc, 3, res.Trace.Records(3), colfmt.EncodeOptions{BlockRecords: 8}); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(streamPath, enc.Bytes()[:enc.Len()/2], 0o644); err != nil {

@@ -64,7 +64,7 @@ func TestScanRetainsNoRecord(t *testing.T) {
 				t.Fatal(err)
 			}
 			got, err := semfs.AnalyzeStreams(tr.Meta, w, func(rank int) (core.RecordStream, func(), error) {
-				return &recyclingStream{rs: tr.PerRank[rank]}, func() {}, nil
+				return &recyclingStream{rs: tr.Records(rank)}, func() {}, nil
 			})
 			if err != nil {
 				t.Fatal(err)
