@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/obs"
+	"repro/internal/payload"
 	"repro/internal/pfs"
 	"repro/internal/recorder"
 )
@@ -60,7 +61,7 @@ func BenchmarkTable1SemanticsModels(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				now := uint64(i + 10)
-				if _, err := hw.Write(int64(i%64)*4096, buf, now); err != nil {
+				if _, err := hw.Write(int64(i%64)*4096, payload.Bytes(buf), now); err != nil {
 					b.Fatal(err)
 				}
 				if _, err := hw.Commit(now); err != nil {
@@ -166,7 +167,7 @@ func BenchmarkAppTraceGeneration(b *testing.B) {
 // end-to-end benchmark's set-ups, scaled down: the run of ENZO-HDF5 behind
 // analyze-records (at a tenth of its steps) and of FLASH-fbs behind
 // analyze-ranks (at a third of its ranks), with a fixed seed so B/op and
-// allocs/op are deterministic. CI gates those two against BENCH_pr30.json.
+// allocs/op are deterministic. CI gates those two against BENCH_pr31.json.
 func BenchmarkTraceSetup(b *testing.B) {
 	for _, c := range []struct {
 		app  string

@@ -6,6 +6,8 @@ import (
 	"log"
 
 	semfs "repro"
+
+	"repro/internal/payload"
 )
 
 // Running an application emulator and asking the paper's question: what is
@@ -58,7 +60,7 @@ func ExampleRunCustom() {
 			}
 			for seg := int64(0); seg < 2; seg++ {
 				off := seg*4*1024 + int64(ctx.Rank)*1024
-				if _, err := ctx.OS.Pwrite(fd, make([]byte, 1024), off); err != nil {
+				if _, err := ctx.OS.Pwrite(fd, payload.Bytes(make([]byte, 1024)), off); err != nil {
 					return err
 				}
 			}

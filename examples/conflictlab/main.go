@@ -11,6 +11,7 @@ import (
 	"log"
 
 	semfs "repro"
+	"repro/internal/payload"
 	"repro/internal/recorder"
 )
 
@@ -24,7 +25,7 @@ func protocol(fsync, reopen bool) func(ctx *semfs.Ctx) error {
 		}
 		open := true
 		if ctx.Rank == 0 {
-			if _, err := ctx.OS.Pwrite(fd, make([]byte, 4096), 0); err != nil {
+			if _, err := ctx.OS.Pwrite(fd, payload.Bytes(make([]byte, 4096)), 0); err != nil {
 				return err
 			}
 			if fsync {

@@ -14,6 +14,7 @@ import (
 	"log"
 
 	"repro/internal/harness"
+	"repro/internal/payload"
 	"repro/internal/pfs"
 	"repro/internal/recorder"
 )
@@ -42,7 +43,7 @@ func producer(fs *pfs.FileSystem) {
 				if err != nil {
 					return err
 				}
-				if _, err := ctx.OS.Write(fd, pattern(s, snapBytes)); err != nil {
+				if _, err := ctx.OS.Write(fd, payload.Bytes(pattern(s, snapBytes))); err != nil {
 					return err
 				}
 				if err := ctx.OS.Close(fd); err != nil {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"repro/internal/mpi"
+	"repro/internal/payload"
 	"repro/internal/pfs"
 	"repro/internal/posix"
 	"repro/internal/recorder"
@@ -91,7 +92,7 @@ func OpenWriter(comm *mpi.Proc, os *posix.Proc, tracer *recorder.RankTracer, nam
 			w.idxFD, err = os.Open(w.dir+"/md.idx", recorder.OCreat|recorder.ORdwr, 0o644)
 		}
 		if err == nil {
-			_, err = os.Pwrite(w.idxFD, make([]byte, idxHeaderLen), 0)
+			_, err = os.Pwrite(w.idxFD, payload.Bytes(make([]byte, idxHeaderLen)), 0)
 		}
 	}
 	w.emit(recorder.FuncADIOSOpen, ts, w.dir)
@@ -113,18 +114,17 @@ func (w *Writer) emit(fn recorder.Func, ts uint64, path string, args ...int64) {
 
 // Put stages this rank's data block for the current step and ships it to
 // the substream aggregator, which appends it to the substream's data file.
-func (w *Writer) Put(varName string, data []byte) error {
+// A payload shipped to the aggregator travels as bytes.
+func (w *Writer) Put(varName string, data payload.P) error {
 	ts := w.os.Clock().Stamp()
-	defer w.emit(recorder.FuncADIOSPut, ts, w.dir, int64(len(data)))
+	defer w.emit(recorder.FuncADIOSPut, ts, w.dir, data.Len())
 	if w.comm.Rank() == w.agg {
 		// Collect from the group members (including self), in rank order.
 		group := w.groupRanks()
 		for _, r := range group {
-			var block []byte
-			if r == w.comm.Rank() {
-				block = data
-			} else {
-				block = w.comm.Recv(r, 100+int(w.step)%100)
+			block := data
+			if r != w.comm.Rank() {
+				block = payload.Bytes(w.comm.Recv(r, 100+int(w.step)%100))
 			}
 			if _, err := w.os.Write(w.dataFD, block); err != nil {
 				return err
@@ -132,7 +132,7 @@ func (w *Writer) Put(varName string, data []byte) error {
 		}
 		return nil
 	}
-	w.comm.Send(w.agg, 100+int(w.step)%100, data)
+	w.comm.Send(w.agg, 100+int(w.step)%100, data.Materialize())
 	return nil
 }
 
@@ -158,15 +158,15 @@ func (w *Writer) EndStep() error {
 	defer w.emit(recorder.FuncADIOSEndStep, ts, w.dir, w.step)
 	w.comm.Barrier() // steps are collective
 	if w.comm.Rank() == 0 {
-		if _, err := w.os.Write(w.mdFD, make([]byte, 256)); err != nil {
+		if _, err := w.os.Write(w.mdFD, payload.Bytes(make([]byte, 256))); err != nil {
 			return err
 		}
 		entryOff := idxHeaderLen + w.step*idxEntryLen
-		if _, err := w.os.Pwrite(w.idxFD, make([]byte, idxEntryLen), entryOff); err != nil {
+		if _, err := w.os.Pwrite(w.idxFD, payload.Bytes(make([]byte, idxEntryLen)), entryOff); err != nil {
 			return err
 		}
 		// Overwrite the step-status byte in the index header.
-		if _, err := w.os.Pwrite(w.idxFD, []byte{byte(w.step + 1)}, idxStatusOff); err != nil {
+		if _, err := w.os.Pwrite(w.idxFD, payload.Bytes([]byte{byte(w.step + 1)}), idxStatusOff); err != nil {
 			return err
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/payload"
 	"repro/internal/pfs"
 	"repro/internal/recorder"
 )
@@ -29,7 +30,7 @@ func TestSubstreamAggregation(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if err := w.Put("atoms", make([]byte, 100)); err != nil {
+		if err := w.Put("atoms", payload.Bytes(make([]byte, 100))); err != nil {
 			return err
 		}
 		if err := w.EndStep(); err != nil {
@@ -62,7 +63,7 @@ func TestIndexByteOverwrittenPerStep(t *testing.T) {
 			return err
 		}
 		for step := 0; step < 3; step++ {
-			if err := w.Put("v", make([]byte, 64)); err != nil {
+			if err := w.Put("v", payload.Bytes(make([]byte, 64))); err != nil {
 				return err
 			}
 			if err := w.EndStep(); err != nil {
@@ -93,7 +94,7 @@ func TestMetadataFilesOnRank0(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		w.Put("x", make([]byte, 10))
+		w.Put("x", payload.Bytes(make([]byte, 10)))
 		w.EndStep()
 		return w.Close()
 	})
@@ -114,7 +115,7 @@ func TestSubstreamsCappedAtSize(t *testing.T) {
 		if !w.Aggregator() {
 			ctx.Failf("every rank aggregates when substreams == size")
 		}
-		w.Put("x", make([]byte, 8))
+		w.Put("x", payload.Bytes(make([]byte, 8)))
 		w.EndStep()
 		if err := w.Close(); err != nil {
 			return err
@@ -132,7 +133,7 @@ func TestADIOSLayerRecords(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		w.Put("x", make([]byte, 8))
+		w.Put("x", payload.Bytes(make([]byte, 8)))
 		w.EndStep()
 		return w.Close()
 	})

@@ -9,11 +9,11 @@
 package apps
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/harness"
 	"repro/internal/mpi"
+	"repro/internal/payload"
 	"repro/internal/pfs"
 	"repro/internal/recorder"
 	"repro/internal/wal"
@@ -189,29 +189,6 @@ func Names() []string {
 	return out
 }
 
-// The payload generator is the 64-bit LCG h' = fillMul*h + fillAdd, one
-// output byte (the top byte) per step. fill runs it as eight interleaved
-// lanes, each advanced eight steps at a time by the jump-ahead pair
-// fillMul8 = fillMul^8 and fillAdd8 = fillAdd*(fillMul^7+...+fillMul+1), so
-// the eight multiplies of one round are independent and the stream is the
-// same byte for byte as stepping the generator once per byte.
-const (
-	fillMul = 6364136223846793005
-	fillAdd = 1442695040888963407
-)
-
-var fillMul8, fillAdd8 = fillJump(8)
-
-// fillJump returns the multiplier and increment that advance the fill LCG
-// by k steps at once (arithmetic mod 2^64).
-func fillJump(k int) (mul, add uint64) {
-	mul = 1
-	for i := 0; i < k; i++ {
-		mul, add = mul*fillMul, add*fillMul+fillAdd
-	}
-	return mul, add
-}
-
 // fillSeed derives the generator state for (tag, rank, step).
 func fillSeed(tag string, rank, step int) uint64 {
 	h := uint64(1469598103934665603)
@@ -221,43 +198,27 @@ func fillSeed(tag string, rank, step int) uint64 {
 	return h ^ (uint64(rank)*0x9e3779b97f4a7c15 + uint64(step)*0xbf58476d1ce4e5b9)
 }
 
-// fill produces the deterministic payload for (tag, rank, step): any reader
-// that knows the protocol can verify what it reads. The buffer it returns
-// is fresh, so a caller may hand it to a write without copying.
-func fill(tag string, rank, step int, n int64) []byte {
-	b := make([]byte, n)
-	h := fillSeed(tag, rank, step)
-	// Lane j holds the state whose top byte is b[i+j].
-	var l [8]uint64
-	for j := range l {
-		h = h*fillMul + fillAdd
-		l[j] = h
-	}
-	m, a := fillMul8, fillAdd8
-	l0, l1, l2, l3, l4, l5, l6, l7 := l[0], l[1], l[2], l[3], l[4], l[5], l[6], l[7]
-	i := 0
-	for ; i+8 <= len(b); i += 8 {
-		binary.LittleEndian.PutUint64(b[i:], l0>>56|l1>>56<<8|l2>>56<<16|l3>>56<<24|
-			l4>>56<<32|l5>>56<<40|l6>>56<<48|l7>>56<<56)
-		l0, l1, l2, l3 = l0*m+a, l1*m+a, l2*m+a, l3*m+a
-		l4, l5, l6, l7 = l4*m+a, l5*m+a, l6*m+a, l7*m+a
-	}
-	l = [8]uint64{l0, l1, l2, l3, l4, l5, l6, l7}
-	for j := 0; i < len(b); i, j = i+1, j+1 {
-		b[i] = byte(l[j] >> 56)
-	}
-	return b
+// fill is the deterministic payload for (tag, rank, step): any reader that
+// knows the protocol can verify what it reads. It is a reference, so no
+// byte of it exists until a read, a check or an MPI message needs it.
+func fill(tag string, rank, step int, n int64) payload.P {
+	return payload.Fill(fillSeed(tag, rank, step), n)
 }
 
 // checkFill verifies data against the fill pattern, recording a failure.
 func checkFill(ctx *harness.Ctx, where, tag string, rank, step int, got []byte, want int64) {
-	exp := fill(tag, rank, step, want)
 	if int64(len(got)) != want {
 		ctx.Failf("%s: short read %d/%d bytes", where, len(got), want)
 		return
 	}
+	exp := fill(tag, rank, step, want)
+	if exp.Equal(got) {
+		return
+	}
+	// Only a failed check makes the expected bytes, to name the first bad one.
+	b := exp.Materialize()
 	for i := range got {
-		if got[i] != exp[i] {
+		if got[i] != b[i] {
 			ctx.Failf("%s: stale/corrupt byte at %d (rank %d step %d)", where, i, rank, step)
 			return
 		}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/hdf5"
+	"repro/internal/payload"
 	"repro/internal/recorder"
 )
 
@@ -47,10 +48,10 @@ func nwchemConfig() *Config {
 					return err
 				}
 				// Solute coordinates to the trajectory every step (Table 5).
-				frame := ctx.MPI.Gather(0, fill("frame", ctx.Rank, step, p.Block/8))
+				frame := ctx.MPI.Gather(0, fill("frame", ctx.Rank, step, p.Block/8).Materialize())
 				if ctx.Rank == 0 {
 					for _, part := range frame {
-						if _, err := ctx.OS.Write(trj, part); err != nil {
+						if _, err := ctx.OS.Write(trj, payload.Bytes(part)); err != nil {
 							return err
 						}
 					}
@@ -132,7 +133,7 @@ func gamessConfig() *Config {
 						return err
 					}
 				} else {
-					ctx.MPI.Send((ctx.Rank/group)*group, 40, fill("batch", ctx.Rank, step, p.Block/4))
+					ctx.MPI.Send((ctx.Rank/group)*group, 40, fill("batch", ctx.Rank, step, p.Block/4).Materialize())
 				}
 			}
 			if master {
@@ -170,7 +171,7 @@ func qmcpackConfig() *Config {
 				if step%p.CheckpointEvery != 0 {
 					continue
 				}
-				walkers := ctx.MPI.Gather(0, fill("walkers", ctx.Rank, step, p.Block))
+				walkers := ctx.MPI.Gather(0, fill("walkers", ctx.Rank, step, p.Block).Materialize())
 				if ctx.Rank == 0 {
 					f, err := hdf5.CreateSerial(ctx.OS, ctx.Tracer,
 						fmt.Sprintf("/qmc.s%03d.config.h5", ckpt), hdf5.Options{DataBase: 32 << 10})
@@ -182,7 +183,7 @@ func qmcpackConfig() *Config {
 						return err
 					}
 					for r, w := range walkers {
-						if err := d.Write(int64(r)*p.Block, w); err != nil {
+						if err := d.Write(int64(r)*p.Block, payload.Bytes(w)); err != nil {
 							return err
 						}
 					}

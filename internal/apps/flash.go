@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/hdf5"
+	"repro/internal/payload"
 	"repro/internal/recorder"
 )
 
@@ -148,16 +149,16 @@ func flashPlot(ctx *harness.Ctx, p Params, fbs bool, idx int) error {
 		if err != nil {
 			return err
 		}
-		var payload []byte
+		var data payload.P
 		if ctx.Rank == 0 {
-			payload = fill("flashplt:"+name, 0, idx, p.Block)
+			data = fill("flashplt:"+name, 0, idx, p.Block)
 		}
 		if fbs {
-			if err := d.Write(0, payload); err != nil { // collective; only rank 0 contributes
+			if err := d.Write(0, data); err != nil { // collective; only rank 0 contributes
 				return err
 			}
 		} else if ctx.Rank == 0 {
-			if err := d.Write(0, payload); err != nil {
+			if err := d.Write(0, data); err != nil {
 				return err
 			}
 		}

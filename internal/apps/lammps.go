@@ -8,6 +8,7 @@ import (
 	"repro/internal/hdf5"
 	"repro/internal/mpiio"
 	"repro/internal/netcdf"
+	"repro/internal/payload"
 )
 
 // lammpsConfig emulates the LAMMPS 2D LJ flow simulation of Table 5: the
@@ -71,12 +72,12 @@ func lammpsOpenDump(ctx *harness.Ctx, p Params, library string) (*lammpsDump, er
 		}
 		return &lammpsDump{
 			write: func(ctx *harness.Ctx, p Params, step int) error {
-				parts := ctx.MPI.Gather(0, fill("lmp", ctx.Rank, step, p.Block))
+				parts := ctx.MPI.Gather(0, fill("lmp", ctx.Rank, step, p.Block).Materialize())
 				if ctx.Rank != 0 {
 					return nil
 				}
 				for _, part := range parts {
-					if _, err := ctx.OS.Fwrite(fd, part, 1, int64(len(part))); err != nil {
+					if _, err := ctx.OS.Fwrite(fd, payload.Bytes(part), 1, int64(len(part))); err != nil {
 						return err
 					}
 				}
@@ -101,7 +102,7 @@ func lammpsOpenDump(ctx *harness.Ctx, p Params, library string) (*lammpsDump, er
 		}
 		return &lammpsDump{
 			write: func(ctx *harness.Ctx, p Params, step int) error {
-				parts := ctx.MPI.Gather(0, fill("lmp", ctx.Rank, step, p.Block))
+				parts := ctx.MPI.Gather(0, fill("lmp", ctx.Rank, step, p.Block).Materialize())
 				if ctx.Rank != 0 {
 					return nil
 				}
@@ -110,7 +111,7 @@ func lammpsOpenDump(ctx *harness.Ctx, p Params, library string) (*lammpsDump, er
 					return err
 				}
 				for r, part := range parts {
-					if err := d.Write(int64(r)*p.Block, part); err != nil {
+					if err := d.Write(int64(r)*p.Block, payload.Bytes(part)); err != nil {
 						return err
 					}
 				}
@@ -143,7 +144,7 @@ func lammpsOpenDump(ctx *harness.Ctx, p Params, library string) (*lammpsDump, er
 		}
 		return &lammpsDump{
 			write: func(ctx *harness.Ctx, p Params, step int) error {
-				parts := ctx.MPI.Gather(0, fill("lmp", ctx.Rank, step, p.Block))
+				parts := ctx.MPI.Gather(0, fill("lmp", ctx.Rank, step, p.Block).Materialize())
 				if ctx.Rank != 0 {
 					return nil
 				}
@@ -151,7 +152,7 @@ func lammpsOpenDump(ctx *harness.Ctx, p Params, library string) (*lammpsDump, er
 				for _, part := range parts {
 					rec = append(rec, part...)
 				}
-				return f.PutRecord(v, -1, rec)
+				return f.PutRecord(v, -1, payload.Bytes(rec))
 			},
 			close: func(ctx *harness.Ctx) error {
 				if ctx.Rank != 0 {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/hdf5"
 	"repro/internal/mpiio"
+	"repro/internal/payload"
 	"repro/internal/recorder"
 )
 
@@ -363,14 +364,14 @@ func milcConfig(parallel bool) *Config {
 						return err
 					}
 				} else {
-					lat := ctx.MPI.Gather(0, fill("milc", ctx.Rank, ckpt, p.Block))
+					lat := ctx.MPI.Gather(0, fill("milc", ctx.Rank, ckpt, p.Block).Materialize())
 					if ctx.Rank == 0 {
 						fd, err := ctx.OS.Open(path, recorder.OCreat|recorder.OWronly|recorder.OTrunc, 0o644)
 						if err != nil {
 							return err
 						}
 						for _, part := range lat {
-							if _, err := ctx.OS.Write(fd, part); err != nil {
+							if _, err := ctx.OS.Write(fd, payload.Bytes(part)); err != nil {
 								return err
 							}
 						}
@@ -419,7 +420,7 @@ func gtcConfig() *Config {
 				if step%p.CheckpointEvery != 0 {
 					continue
 				}
-				part := ctx.MPI.Gather(0, fill("gtc", ctx.Rank, ckpt, p.Block))
+				part := ctx.MPI.Gather(0, fill("gtc", ctx.Rank, ckpt, p.Block).Materialize())
 				if ctx.Rank == 0 {
 					fd, err := ctx.OS.Open(fmt.Sprintf("/restart_dir%03d.d", ckpt),
 						recorder.OCreat|recorder.OWronly|recorder.OTrunc, 0o644)
@@ -427,7 +428,7 @@ func gtcConfig() *Config {
 						return err
 					}
 					for _, pt := range part {
-						if _, err := ctx.OS.Write(fd, pt); err != nil {
+						if _, err := ctx.OS.Write(fd, payload.Bytes(pt)); err != nil {
 							return err
 						}
 					}
@@ -467,7 +468,7 @@ func nek5000Config() *Config {
 				if step%p.CheckpointEvery != 0 {
 					continue
 				}
-				fields := ctx.MPI.Gather(0, fill("nek", ctx.Rank, ckpt, p.Block))
+				fields := ctx.MPI.Gather(0, fill("nek", ctx.Rank, ckpt, p.Block).Materialize())
 				if ctx.Rank == 0 {
 					fd, err := ctx.OS.Open(fmt.Sprintf("/eddy0.f%05d", ckpt),
 						recorder.OCreat|recorder.OWronly|recorder.OTrunc, 0o644)
@@ -478,7 +479,7 @@ func nek5000Config() *Config {
 						return err
 					}
 					for _, fpart := range fields {
-						if _, err := ctx.OS.Write(fd, fpart); err != nil {
+						if _, err := ctx.OS.Write(fd, payload.Bytes(fpart)); err != nil {
 							return err
 						}
 					}

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/frame"
 	"repro/internal/harness"
+	"repro/internal/payload"
 	"repro/internal/recorder"
 	"repro/internal/storage"
 )
@@ -248,7 +249,7 @@ func smallResult(t *testing.T) *harness.Result {
 		if err != nil {
 			return err
 		}
-		if _, err := c.OS.Pwrite(fd, make([]byte, 64), int64(c.Rank)*64); err != nil {
+		if _, err := c.OS.Pwrite(fd, payload.Bytes(make([]byte, 64)), int64(c.Rank)*64); err != nil {
 			return err
 		}
 		return c.OS.Close(fd)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/payload"
 	"repro/internal/pfs"
 )
 
@@ -338,7 +339,7 @@ func TestCheckLogEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hw.Write(0, []byte("hello"), 30); err != nil {
+	if _, err := hw.Write(0, payload.Bytes([]byte("hello")), 30); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := hw.Commit(40); err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/payload"
 	"repro/internal/pfs"
 	"repro/internal/recorder"
 )
@@ -36,8 +37,8 @@ func findFile(t *testing.T, fas []*FileAccesses, path string) *FileAccesses {
 func TestExtractSequentialWrites(t *testing.T) {
 	_, fas := runTrace(t, 1, func(ctx *harness.Ctx) error {
 		fd, _ := ctx.OS.Open("/f", recorder.OCreat|recorder.OWronly, 0o644)
-		ctx.OS.Write(fd, make([]byte, 100)) // [0,100)
-		ctx.OS.Write(fd, make([]byte, 50))  // [100,150)
+		ctx.OS.Write(fd, payload.Bytes(make([]byte, 100))) // [0,100)
+		ctx.OS.Write(fd, payload.Bytes(make([]byte, 50)))  // [100,150)
 		return ctx.OS.Close(fd)
 	})
 	fa := findFile(t, fas, "/f")
@@ -58,15 +59,15 @@ func TestExtractSequentialWrites(t *testing.T) {
 func TestExtractSeekAndPositional(t *testing.T) {
 	_, fas := runTrace(t, 1, func(ctx *harness.Ctx) error {
 		fd, _ := ctx.OS.Open("/f", recorder.OCreat|recorder.ORdwr, 0o644)
-		ctx.OS.Write(fd, make([]byte, 100))
+		ctx.OS.Write(fd, payload.Bytes(make([]byte, 100)))
 		ctx.OS.Lseek(fd, 10, recorder.SeekSet)
-		ctx.OS.Read(fd, 20)                     // [10,30)
-		ctx.OS.Lseek(fd, 5, recorder.SeekCur)   // now at 35
-		ctx.OS.Read(fd, 10)                     // [35,45)
-		ctx.OS.Lseek(fd, -40, recorder.SeekEnd) // size 100 → 60
-		ctx.OS.Read(fd, 10)                     // [60,70)
-		ctx.OS.Pwrite(fd, make([]byte, 7), 90)  // [90,97), no offset move
-		ctx.OS.Read(fd, 5)                      // [70,75)
+		ctx.OS.Read(fd, 20)                                   // [10,30)
+		ctx.OS.Lseek(fd, 5, recorder.SeekCur)                 // now at 35
+		ctx.OS.Read(fd, 10)                                   // [35,45)
+		ctx.OS.Lseek(fd, -40, recorder.SeekEnd)               // size 100 → 60
+		ctx.OS.Read(fd, 10)                                   // [60,70)
+		ctx.OS.Pwrite(fd, payload.Bytes(make([]byte, 7)), 90) // [90,97), no offset move
+		ctx.OS.Read(fd, 5)                                    // [70,75)
 		return ctx.OS.Close(fd)
 	})
 	fa := findFile(t, fas, "/f")
@@ -85,10 +86,10 @@ func TestExtractSeekAndPositional(t *testing.T) {
 func TestExtractAppendMode(t *testing.T) {
 	_, fas := runTrace(t, 1, func(ctx *harness.Ctx) error {
 		fd, _ := ctx.OS.Open("/log", recorder.OCreat|recorder.OWronly, 0o644)
-		ctx.OS.Write(fd, make([]byte, 64))
+		ctx.OS.Write(fd, payload.Bytes(make([]byte, 64)))
 		ctx.OS.Close(fd)
 		fd2, _ := ctx.OS.Open("/log", recorder.OWronly|recorder.OAppend, 0)
-		ctx.OS.Write(fd2, make([]byte, 16)) // must land at [64,80)
+		ctx.OS.Write(fd2, payload.Bytes(make([]byte, 16))) // must land at [64,80)
 		return ctx.OS.Close(fd2)
 	})
 	fa := findFile(t, fas, "/log")
@@ -101,10 +102,10 @@ func TestExtractAppendMode(t *testing.T) {
 func TestExtractTruncReset(t *testing.T) {
 	_, fas := runTrace(t, 1, func(ctx *harness.Ctx) error {
 		fd, _ := ctx.OS.Open("/f", recorder.OCreat|recorder.OWronly, 0o644)
-		ctx.OS.Write(fd, make([]byte, 100))
+		ctx.OS.Write(fd, payload.Bytes(make([]byte, 100)))
 		ctx.OS.Close(fd)
 		fd2, _ := ctx.OS.Open("/f", recorder.OWronly|recorder.OTrunc|recorder.OAppend, 0)
-		ctx.OS.Write(fd2, make([]byte, 10)) // append to truncated file → [0,10)
+		ctx.OS.Write(fd2, payload.Bytes(make([]byte, 10))) // append to truncated file → [0,10)
 		return ctx.OS.Close(fd2)
 	})
 	fa := findFile(t, fas, "/f")
@@ -117,7 +118,7 @@ func TestExtractTruncReset(t *testing.T) {
 func TestExtractStdio(t *testing.T) {
 	_, fas := runTrace(t, 1, func(ctx *harness.Ctx) error {
 		fd, _ := ctx.OS.Fopen("/s", "w+")
-		ctx.OS.Fwrite(fd, make([]byte, 40), 8, 5)
+		ctx.OS.Fwrite(fd, payload.Bytes(make([]byte, 40)), 8, 5)
 		ctx.OS.Fseek(fd, 0, recorder.SeekSet)
 		ctx.OS.Fread(fd, 8, 2)
 		return ctx.OS.Fclose(fd)
@@ -137,9 +138,9 @@ func TestExtractStdio(t *testing.T) {
 func TestExtractToTcAnnotations(t *testing.T) {
 	_, fas := runTrace(t, 1, func(ctx *harness.Ctx) error {
 		fd, _ := ctx.OS.Open("/f", recorder.OCreat|recorder.OWronly, 0o644)
-		ctx.OS.Write(fd, make([]byte, 10))
+		ctx.OS.Write(fd, payload.Bytes(make([]byte, 10)))
 		ctx.OS.Fsync(fd)
-		ctx.OS.Write(fd, make([]byte, 10))
+		ctx.OS.Write(fd, payload.Bytes(make([]byte, 10)))
 		return ctx.OS.Close(fd)
 	})
 	fa := findFile(t, fas, "/f")
@@ -161,7 +162,7 @@ func TestExtractToTcAnnotations(t *testing.T) {
 func TestExtractMultiRank(t *testing.T) {
 	_, fas := runTrace(t, 4, func(ctx *harness.Ctx) error {
 		fd, _ := ctx.OS.Open("/shared", recorder.OCreat|recorder.OWronly, 0o644)
-		ctx.OS.Pwrite(fd, make([]byte, 64), int64(ctx.Rank)*64)
+		ctx.OS.Pwrite(fd, payload.Bytes(make([]byte, 64)), int64(ctx.Rank)*64)
 		return ctx.OS.Close(fd)
 	})
 	fa := findFile(t, fas, "/shared")
@@ -198,12 +199,12 @@ func TestExtractOriginAttribution(t *testing.T) {
 			// Emit a synthetic HDF5-layer record enclosing a posix write.
 			ts := ctx.OS.Clock().Stamp()
 			fd, _ := ctx.OS.Open("/h", recorder.OCreat|recorder.OWronly, 0o644)
-			ctx.OS.Pwrite(fd, make([]byte, 32), 0)
+			ctx.OS.Pwrite(fd, payload.Bytes(make([]byte, 32)), 0)
 			ctx.Tracer.Emit(recorder.Record{
 				Layer: recorder.LayerHDF5, Func: recorder.FuncH5Dwrite,
 				TStart: ts, TEnd: ctx.OS.Clock().Stamp(), Path: "/h",
 			}, nil)
-			ctx.OS.Pwrite(fd, make([]byte, 32), 100) // app-level write
+			ctx.OS.Pwrite(fd, payload.Bytes(make([]byte, 32)), 100) // app-level write
 			return ctx.OS.Close(fd)
 		})
 	if err != nil {
@@ -230,7 +231,7 @@ func TestExtractIgnoresFailedAndZeroOps(t *testing.T) {
 		ctx.OS.Open("/missing", recorder.ORdonly, 0) // fails
 		fd, _ := ctx.OS.Open("/f", recorder.OCreat|recorder.ORdwr, 0o644)
 		ctx.OS.Read(fd, 100) // empty file → 0 bytes → no interval
-		ctx.OS.Write(fd, make([]byte, 10))
+		ctx.OS.Write(fd, payload.Bytes(make([]byte, 10)))
 		return ctx.OS.Close(fd)
 	})
 	for _, fa := range fas {

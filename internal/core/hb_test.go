@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/payload"
 	"repro/internal/pfs"
 	"repro/internal/recorder"
 )
@@ -45,7 +46,7 @@ func TestHBSendRecvOrders(t *testing.T) {
 	tr, hb := buildHB(t, 2, func(ctx *harness.Ctx) error {
 		if ctx.Rank == 0 {
 			fd, _ := ctx.OS.Open("/f", recorder.OCreat|recorder.OWronly, 0o644)
-			ctx.OS.Pwrite(fd, make([]byte, 64), 0)
+			ctx.OS.Pwrite(fd, payload.Bytes(make([]byte, 64)), 0)
 			ctx.OS.Close(fd)
 			ctx.MPI.Send(1, 9, []byte("go"))
 		} else {
@@ -71,7 +72,7 @@ func TestHBBarrierOrders(t *testing.T) {
 	tr, hb := buildHB(t, 4, func(ctx *harness.Ctx) error {
 		fd, _ := ctx.OS.Open("/f", recorder.OCreat|recorder.ORdwr, 0o644)
 		if ctx.Rank == 2 {
-			ctx.OS.Pwrite(fd, make([]byte, 32), 0)
+			ctx.OS.Pwrite(fd, payload.Bytes(make([]byte, 32)), 0)
 		}
 		ctx.MPI.Barrier()
 		if ctx.Rank == 3 {
@@ -89,7 +90,7 @@ func TestHBBarrierOrders(t *testing.T) {
 func TestHBConcurrentOpsNotOrdered(t *testing.T) {
 	tr, hb := buildHB(t, 2, func(ctx *harness.Ctx) error {
 		fd, _ := ctx.OS.Open("/f", recorder.OCreat|recorder.OWronly, 0o644)
-		ctx.OS.Pwrite(fd, make([]byte, 32), int64(ctx.Rank)*32)
+		ctx.OS.Pwrite(fd, payload.Bytes(make([]byte, 32)), int64(ctx.Rank)*32)
 		err := ctx.OS.Close(fd)
 		ctx.MPI.Barrier()
 		return err
@@ -121,7 +122,7 @@ func TestHBTransitiveThroughChain(t *testing.T) {
 		switch ctx.Rank {
 		case 0:
 			fd, _ := ctx.OS.Open("/f", recorder.OCreat|recorder.OWronly, 0o644)
-			ctx.OS.Pwrite(fd, make([]byte, 8), 0)
+			ctx.OS.Pwrite(fd, payload.Bytes(make([]byte, 8)), 0)
 			ctx.OS.Close(fd)
 			ctx.MPI.Send(1, 1, []byte("a"))
 		case 1:
@@ -151,11 +152,11 @@ func TestValidateConflictsOnSynchronizedApp(t *testing.T) {
 		recorder.Meta{App: "sync-test"}, func(ctx *harness.Ctx) error {
 			fd, _ := ctx.OS.Open("/f", recorder.OCreat|recorder.OWronly, 0o644)
 			if ctx.Rank == 0 {
-				ctx.OS.Pwrite(fd, make([]byte, 64), 0)
+				ctx.OS.Pwrite(fd, payload.Bytes(make([]byte, 64)), 0)
 			}
 			ctx.MPI.Barrier()
 			if ctx.Rank == 1 {
-				ctx.OS.Pwrite(fd, make([]byte, 64), 0)
+				ctx.OS.Pwrite(fd, payload.Bytes(make([]byte, 64)), 0)
 			}
 			return ctx.OS.Close(fd)
 		})
@@ -183,12 +184,12 @@ func TestAnalyzeVerdicts(t *testing.T) {
 		recorder.Meta{App: "verdict-test"}, func(ctx *harness.Ctx) error {
 			fd, _ := ctx.OS.Open("/f", recorder.OCreat|recorder.OWronly, 0o644)
 			if ctx.Rank == 0 {
-				ctx.OS.Pwrite(fd, make([]byte, 64), 0)
+				ctx.OS.Pwrite(fd, payload.Bytes(make([]byte, 64)), 0)
 				ctx.OS.Fsync(fd)
 			}
 			ctx.MPI.Barrier()
 			if ctx.Rank == 1 {
-				ctx.OS.Pwrite(fd, make([]byte, 64), 0)
+				ctx.OS.Pwrite(fd, payload.Bytes(make([]byte, 64)), 0)
 			}
 			return ctx.OS.Close(fd)
 		})

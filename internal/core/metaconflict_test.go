@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/payload"
 	"repro/internal/pfs"
 	"repro/internal/recorder"
 )
@@ -28,7 +29,7 @@ func TestCreateUseAcrossRanks(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			ctx.OS.Write(fd, []byte("x"))
+			ctx.OS.Write(fd, payload.Bytes([]byte("x")))
 			ctx.OS.Close(fd)
 		}
 		ctx.MPI.Barrier()

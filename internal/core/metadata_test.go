@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/payload"
 	"repro/internal/pfs"
 	"repro/internal/recorder"
 )
@@ -74,7 +75,7 @@ func TestCensusDataOpsNotCounted(t *testing.T) {
 	res, err := harness.Run(harness.Config{Ranks: 1, Semantics: pfs.Strong},
 		recorder.Meta{App: "census2"}, func(ctx *harness.Ctx) error {
 			fd, _ := ctx.OS.Open("/f", recorder.OCreat|recorder.OWronly, 0o644)
-			ctx.OS.Write(fd, make([]byte, 100))
+			ctx.OS.Write(fd, payload.Bytes(make([]byte, 100)))
 			return ctx.OS.Close(fd)
 		})
 	if err != nil || res.Err() != nil {

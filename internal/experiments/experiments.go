@@ -21,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/obs"
+	"repro/internal/payload"
 	"repro/internal/pfs"
 	"repro/internal/recorder"
 	"repro/internal/report"
@@ -416,7 +417,7 @@ func pfsBench(workload string, sem pfs.Semantics, ranks, ppn int, block int64, o
 			}
 			for k := 0; k < opsPerRank; k++ {
 				off := int64(k)*int64(ctx.Size)*block + int64(ctx.Rank)*block
-				if _, err := ctx.OS.Pwrite(fd, make([]byte, block), off); err != nil {
+				if _, err := ctx.OS.Pwrite(fd, payload.Bytes(make([]byte, block)), off); err != nil {
 					return err
 				}
 			}
@@ -428,7 +429,7 @@ func pfsBench(workload string, sem pfs.Semantics, ranks, ppn int, block int64, o
 				return err
 			}
 			for k := 0; k < opsPerRank; k++ {
-				if _, err := ctx.OS.Write(fd, make([]byte, block)); err != nil {
+				if _, err := ctx.OS.Write(fd, payload.Bytes(make([]byte, block))); err != nil {
 					return err
 				}
 			}
@@ -444,7 +445,7 @@ func pfsBench(workload string, sem pfs.Semantics, ranks, ppn int, block int64, o
 			}
 			for k := 0; k < opsPerRank; k++ {
 				off := int64(k)*int64(ctx.Size)*small + int64(ctx.Rank)*small
-				if _, err := ctx.OS.Pwrite(fd, make([]byte, small), off); err != nil {
+				if _, err := ctx.OS.Pwrite(fd, payload.Bytes(make([]byte, small)), off); err != nil {
 					return err
 				}
 			}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/analysistest"
 	"repro/internal/apps"
 	"repro/internal/harness"
+	"repro/internal/payload"
 	"repro/internal/pfs"
 	"repro/internal/recorder"
 )
@@ -185,7 +186,7 @@ func okConfig(name string) *apps.Config {
 			if err != nil {
 				return err
 			}
-			if _, err := ctx.OS.Pwrite(fd, make([]byte, 64), int64(ctx.Rank)*64); err != nil {
+			if _, err := ctx.OS.Pwrite(fd, payload.Bytes(make([]byte, 64)), int64(ctx.Rank)*64); err != nil {
 				return err
 			}
 			return ctx.OS.Close(fd)

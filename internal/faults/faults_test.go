@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/payload"
 	"repro/internal/pfs"
 )
 
@@ -71,7 +72,7 @@ func injectorFS(t *testing.T, sem pfs.Semantics, injs ...Injection) (*pfs.FileSy
 
 func write(t *testing.T, h *pfs.Handle, off int64, data []byte, now uint64) {
 	t.Helper()
-	if _, err := h.Write(off, data, now); err != nil {
+	if _, err := h.Write(off, payload.Bytes(data), now); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -170,7 +171,7 @@ func TestCrashBeforeCommitLosesPending(t *testing.T) {
 	if !w.Crashed() {
 		t.Fatal("client not marked crashed")
 	}
-	if _, err := h.Write(4, []byte("MORE"), 4); !errors.Is(err, pfs.ErrCrashed) {
+	if _, err := h.Write(4, payload.Bytes([]byte("MORE")), 4); !errors.Is(err, pfs.ErrCrashed) {
 		t.Fatalf("post-crash write err = %v", err)
 	}
 	if got := readAt(t, r, "/ckpt", 4, 10); len(got) != 0 {
@@ -269,7 +270,7 @@ func TestTransientErrorExhaustsRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Write(0, []byte("DATA"), 2); !errors.Is(err, pfs.ErrTransient) {
+	if _, err := h.Write(0, payload.Bytes([]byte("DATA")), 2); !errors.Is(err, pfs.ErrTransient) {
 		t.Fatalf("write err = %v, want ErrTransient", err)
 	}
 	if st := fs.Stats(); st.TransientErrors != 1 {
@@ -305,7 +306,7 @@ func TestEventLogStableAcrossIdenticalRuns(t *testing.T) {
 				t.Fatal(err)
 			}
 			for k := 0; k < 8; k++ {
-				h.Write(int64(k*16), []byte("0123456789abcdef"), uint64(2+k))
+				h.Write(int64(k*16), payload.Bytes([]byte("0123456789abcdef")), uint64(2+k))
 				h.Read(0, 16, uint64(3+k))
 			}
 			if _, err := h.Close(20); err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/payload"
 	"repro/internal/recorder"
 )
 
@@ -73,7 +74,7 @@ func TestPFSOpKillPointsObserveDataPath(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if _, err := c.OS.Pwrite(fd, make([]byte, 32), int64(c.Rank)*32); err != nil {
+		if _, err := c.OS.Pwrite(fd, payload.Bytes(make([]byte, 32)), int64(c.Rank)*32); err != nil {
 			return err
 		}
 		return c.OS.Close(fd)

@@ -3,6 +3,7 @@ package harness
 import (
 	"testing"
 
+	"repro/internal/payload"
 	"repro/internal/recorder"
 )
 
@@ -46,7 +47,7 @@ func TestCtxComputeDesynchronizesRanks(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			ctx.OS.Pwrite(fd, make([]byte, 8), int64(ctx.Rank)*8)
+			ctx.OS.Pwrite(fd, payload.Bytes(make([]byte, 8)), int64(ctx.Rank)*8)
 			return ctx.OS.Close(fd)
 		})
 	if err != nil || res.Err() != nil {

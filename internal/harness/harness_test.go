@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/payload"
 	"repro/internal/pfs"
 	"repro/internal/recorder"
 )
@@ -16,7 +17,7 @@ func TestRunProducesAlignedTrace(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if _, err := ctx.OS.Pwrite(fd, make([]byte, 64), int64(ctx.Rank*64)); err != nil {
+			if _, err := ctx.OS.Pwrite(fd, payload.Bytes(make([]byte, 64)), int64(ctx.Rank*64)); err != nil {
 				return err
 			}
 			return ctx.OS.Close(fd)
@@ -53,7 +54,7 @@ func TestRunProducesAlignedTrace(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	body := func(ctx *Ctx) error {
 		fd, _ := ctx.OS.Open("/f", recorder.OCreat|recorder.OWronly, 0o644)
-		ctx.OS.Pwrite(fd, make([]byte, int(ctx.RNG.Intn(100))+1), int64(ctx.Rank)*128)
+		ctx.OS.Pwrite(fd, payload.Bytes(make([]byte, int(ctx.RNG.Intn(100))+1)), int64(ctx.Rank)*128)
 		ctx.OS.Close(fd)
 		ctx.MPI.Barrier()
 		return nil
@@ -151,7 +152,7 @@ func TestSharedFSAcrossRuns(t *testing.T) {
 	fs := pfs.New(pfs.Options{Semantics: pfs.Strong})
 	_, err := Run(Config{Ranks: 1, FS: fs}, recorder.Meta{App: "w"}, func(ctx *Ctx) error {
 		fd, _ := ctx.OS.Open("/persist", recorder.OCreat|recorder.OWronly, 0o644)
-		ctx.OS.Write(fd, []byte("kept"))
+		ctx.OS.Write(fd, payload.Bytes([]byte("kept")))
 		return ctx.OS.Close(fd)
 	})
 	if err != nil {

@@ -36,6 +36,7 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
+	"repro/internal/payload"
 	"repro/internal/posix"
 	"repro/internal/recorder"
 )
@@ -132,19 +133,9 @@ func Create(comm *mpi.Proc, os *posix.Proc, tracer *recorder.RankTracer, path st
 	return f, nil
 }
 
-// OpenRead opens an existing parallel HDF5 file read-only.
-func OpenRead(comm *mpi.Proc, os *posix.Proc, tracer *recorder.RankTracer, path string, opts Options) (*File, error) {
-	return newFile(comm, os, tracer, path, opts, false)
-}
-
 // CreateSerial creates an HDF5 file owned by this process only.
 func CreateSerial(os *posix.Proc, tracer *recorder.RankTracer, path string, opts Options) (*File, error) {
 	return newFile(nil, os, tracer, path, opts, true)
-}
-
-// OpenSerialRead opens a serial HDF5 file read-only.
-func OpenSerialRead(os *posix.Proc, tracer *recorder.RankTracer, path string, opts Options) (*File, error) {
-	return newFile(nil, os, tracer, path, opts, false)
 }
 
 func newFile(comm *mpi.Proc, os *posix.Proc, tracer *recorder.RankTracer, path string, opts Options, create bool) (*File, error) {
@@ -250,9 +241,9 @@ func (f *File) metaWrite(off, n int64) error {
 
 func (f *File) metaWriteContent(off int64, data []byte) error {
 	if f.mpf != nil {
-		return f.mpf.WriteAt(off, data) // metadata bypasses the aggregators
+		return f.mpf.WriteAt(off, payload.Bytes(data)) // metadata bypasses the aggregators
 	}
-	_, err := f.os.Pwrite(f.fd, data, off)
+	_, err := f.os.Pwrite(f.fd, payload.Bytes(data), off)
 	return err
 }
 
@@ -401,9 +392,9 @@ func (f *File) OpenDataset(name string) (*Dataset, error) {
 // Write writes data at byte offset off within the dataset. Independent mode
 // issues a pwrite from this rank; collective mode is a collective call
 // routed through the MPI-IO aggregators.
-func (d *Dataset) Write(off int64, data []byte) error {
+func (d *Dataset) Write(off int64, data payload.P) error {
 	ts := d.f.os.Clock().Stamp()
-	if off+int64(len(data)) > d.size {
+	if off+data.Len() > d.size {
 		return fmt.Errorf("hdf5: write beyond dataset %s extent", d.name)
 	}
 	var err error
@@ -414,7 +405,7 @@ func (d *Dataset) Write(off int64, data []byte) error {
 	}
 	d.dirty = true // chunk index update
 	d.f.sbDirty = true
-	d.f.emit(recorder.FuncH5Dwrite, ts, d.f.path, d.name, off, int64(len(data)))
+	d.f.emit(recorder.FuncH5Dwrite, ts, d.f.path, d.name, off, data.Len())
 	return err
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/payload"
 	"repro/internal/pfs"
 	"repro/internal/recorder"
 )
@@ -37,15 +38,15 @@ func TestSerialDatasetRoundTrip(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		payload := bytes.Repeat([]byte{0x5A}, 1024)
-		if err := d.Write(0, payload); err != nil {
+		data := bytes.Repeat([]byte{0x5A}, 1024)
+		if err := d.Write(0, payload.Bytes(data)); err != nil {
 			return err
 		}
 		got, err := d.Read(0, 1024)
 		if err != nil {
 			return err
 		}
-		if !bytes.Equal(got, payload) {
+		if !bytes.Equal(got, data) {
 			ctx.Failf("read back mismatch")
 		}
 		if err := f.Close(); err != nil {
@@ -67,7 +68,7 @@ func TestSerialCreateWritesHeaderOpenReadsIt(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if err := d.Write(0, make([]byte, 512)); err != nil {
+		if err := d.Write(0, payload.Bytes(make([]byte, 512))); err != nil {
 			return err
 		}
 		if _, err := f.OpenDataset("grid"); err != nil {
@@ -105,7 +106,7 @@ func TestSerialWriteOnceHasNoOverlappingMetadata(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if err := d.Write(0, make([]byte, 256)); err != nil {
+			if err := d.Write(0, payload.Bytes(make([]byte, 256))); err != nil {
 				return err
 			}
 			d.Close()
@@ -133,8 +134,8 @@ func TestParallelIndependentWrites(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		payload := bytes.Repeat([]byte{byte('0' + ctx.Rank)}, 256)
-		if err := d.Write(int64(ctx.Rank)*256, payload); err != nil {
+		data := bytes.Repeat([]byte{byte('0' + ctx.Rank)}, 256)
+		if err := d.Write(int64(ctx.Rank)*256, payload.Bytes(data)); err != nil {
 			return err
 		}
 		ctx.MPI.Barrier()
@@ -142,7 +143,7 @@ func TestParallelIndependentWrites(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if !bytes.Equal(got, payload) {
+		if !bytes.Equal(got, data) {
 			ctx.Failf("parallel read-back mismatch: %q", got[:8])
 		}
 		if err := f.Close(); err != nil {
@@ -164,7 +165,7 @@ func TestCollectiveModeUsesAggregators(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if err := d.Write(int64(ctx.Rank)*128, bytes.Repeat([]byte{1}, 128)); err != nil {
+		if err := d.Write(int64(ctx.Rank)*128, payload.Bytes(bytes.Repeat([]byte{1}, 128))); err != nil {
 			return err
 		}
 		return f.Close()
@@ -192,7 +193,7 @@ func TestCollectiveMetadataOnlyRank0(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if err := d.Write(int64(ctx.Rank)*64, make([]byte, 64)); err != nil {
+		if err := d.Write(int64(ctx.Rank)*64, payload.Bytes(make([]byte, 64))); err != nil {
 			return err
 		}
 		if err := f.Flush(); err != nil {
@@ -220,7 +221,7 @@ func TestIndependentMetadataSpreadsAcrossRanks(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if err := d.Write(int64(ctx.Rank)*64, make([]byte, 64)); err != nil {
+			if err := d.Write(int64(ctx.Rank)*64, payload.Bytes(make([]byte, 64))); err != nil {
 				return err
 			}
 			if err := f.Flush(); err != nil {
@@ -257,7 +258,7 @@ func TestFlushEpochsCreateCrossRankRewrites(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if err := d.Write(int64(ctx.Rank)*32, make([]byte, 32)); err != nil {
+			if err := d.Write(int64(ctx.Rank)*32, payload.Bytes(make([]byte, 32))); err != nil {
 				return err
 			}
 			if err := f.Flush(); err != nil {
@@ -297,7 +298,7 @@ func TestHDF5LayerRecords(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		d.Write(int64(ctx.Rank)*32, make([]byte, 32))
+		d.Write(int64(ctx.Rank)*32, payload.Bytes(make([]byte, 32)))
 		f.WriteAttribute("time", 8)
 		f.Flush()
 		d.Close()

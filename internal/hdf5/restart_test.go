@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/payload"
 	"repro/internal/recorder"
 )
 
@@ -22,7 +23,7 @@ func TestRestartReadsBackDatasets(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if err := d.Write(int64(ctx.Rank)*256, bytes.Repeat([]byte{byte('0' + ctx.Rank)}, 256)); err != nil {
+			if err := d.Write(int64(ctx.Rank)*256, payload.Bytes(bytes.Repeat([]byte{byte('0' + ctx.Rank)}, 256))); err != nil {
 				return err
 			}
 			d.Close()
@@ -76,11 +77,11 @@ func TestSerialRestart(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		payload := bytes.Repeat([]byte{0xAB}, 1024)
+		data := bytes.Repeat([]byte{0xAB}, 1024)
 		if off := d.DataOff(); off < 16<<10 {
 			ctx.Failf("data offset %d below DataBase", off)
 		}
-		if err := d.Write(0, payload); err != nil {
+		if err := d.Write(0, payload.Bytes(data)); err != nil {
 			return err
 		}
 		if err := f.Close(); err != nil {
@@ -101,7 +102,7 @@ func TestSerialRestart(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if !bytes.Equal(got, payload) {
+		if !bytes.Equal(got, data) {
 			ctx.Failf("restart content mismatch")
 		}
 		return r.Close()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/payload"
 )
 
 // collectiveWriteAlloc returns the bytes the process allocates for one
@@ -20,13 +21,13 @@ func collectiveWriteAlloc(t *testing.T, ranks int, block int64) uint64 {
 		if err != nil {
 			return err
 		}
-		payload := bytes.Repeat([]byte{byte(ctx.Rank)}, int(block))
+		data := bytes.Repeat([]byte{byte(ctx.Rank)}, int(block))
 		ctx.MPI.Barrier()
 		if ctx.Rank == 0 {
 			runtime.ReadMemStats(&before)
 		}
 		ctx.MPI.Barrier()
-		if err := f.WriteAtAll(int64(ctx.Rank)*block, payload); err != nil {
+		if err := f.WriteAtAll(int64(ctx.Rank)*block, payload.Bytes(data)); err != nil {
 			return err
 		}
 		ctx.MPI.Barrier()

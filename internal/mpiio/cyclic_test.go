@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/payload"
 	"repro/internal/recorder"
 )
 
@@ -18,8 +19,8 @@ func TestWriteAllAdvancesSharedLayout(t *testing.T) {
 		// rounds append.
 		f.SeekPtr(int64(ctx.Rank)*8, recorder.SeekSet)
 		for round := 0; round < 2; round++ {
-			payload := bytes.Repeat([]byte{byte('a' + ctx.Rank)}, 8)
-			if err := f.WriteAll(payload); err != nil {
+			data := bytes.Repeat([]byte{byte('a' + ctx.Rank)}, 8)
+			if err := f.WriteAll(payload.Bytes(data)); err != nil {
 				return err
 			}
 			f.SeekPtr(int64(4*8)-8, recorder.SeekCur) // skip others' slots
@@ -50,7 +51,7 @@ func TestCyclicDomainsProduceInterleavedBlocks(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if err := f.WriteAtAll(int64(ctx.Rank)*64, bytes.Repeat([]byte{byte(ctx.Rank)}, 64)); err != nil {
+		if err := f.WriteAtAll(int64(ctx.Rank)*64, payload.Bytes(bytes.Repeat([]byte{byte(ctx.Rank)}, 64))); err != nil {
 			return err
 		}
 		return f.Close()
@@ -86,8 +87,8 @@ func TestCyclicDomainsDataIntegrity(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		payload := bytes.Repeat([]byte{byte('0' + ctx.Rank)}, 48) // not block-aligned
-		if err := f.WriteAtAll(int64(ctx.Rank)*48, payload); err != nil {
+		data := bytes.Repeat([]byte{byte('0' + ctx.Rank)}, 48) // not block-aligned
+		if err := f.WriteAtAll(int64(ctx.Rank)*48, payload.Bytes(data)); err != nil {
 			return err
 		}
 		ctx.MPI.Barrier()
@@ -95,7 +96,7 @@ func TestCyclicDomainsDataIntegrity(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if !bytes.Equal(got, payload) {
+		if !bytes.Equal(got, data) {
 			ctx.Failf("cyclic reassembly mismatch: %q", got[:8])
 		}
 		if err := f.Close(); err != nil {

@@ -17,6 +17,7 @@ import (
 	"sort"
 
 	"repro/internal/mpi"
+	"repro/internal/payload"
 	"repro/internal/posix"
 	"repro/internal/recorder"
 )
@@ -151,10 +152,10 @@ func (f *File) SetView(disp, blocklen, stride int64) {
 
 // WriteAt writes independently at the given offset (relative to the view
 // displacement).
-func (f *File) WriteAt(off int64, data []byte) error {
+func (f *File) WriteAt(off int64, data payload.P) error {
 	ts := f.os.Clock().Stamp()
 	_, err := f.os.Pwrite(f.fd, data, f.disp+off)
-	emit(f, recorder.FuncMPIFileWriteAt, ts, "", int64(f.fd), int64(len(data)), off)
+	emit(f, recorder.FuncMPIFileWriteAt, ts, "", int64(f.fd), data.Len(), off)
 	return err
 }
 
@@ -167,13 +168,13 @@ func (f *File) ReadAt(off, n int64) ([]byte, error) {
 }
 
 // Write writes independently at the individual file pointer.
-func (f *File) Write(data []byte) error {
+func (f *File) Write(data payload.P) error {
 	ts := f.os.Clock().Stamp()
 	_, err := f.os.Pwrite(f.fd, data, f.disp+f.indepPtr)
 	if err == nil {
-		f.indepPtr += int64(len(data))
+		f.indepPtr += data.Len()
 	}
-	emit(f, recorder.FuncMPIFileWrite, ts, "", int64(f.fd), int64(len(data)))
+	emit(f, recorder.FuncMPIFileWrite, ts, "", int64(f.fd), data.Len())
 	return err
 }
 
@@ -233,26 +234,27 @@ func decodeExtent(b []byte) (off, n int64) {
 
 // WriteAtAll performs a collective write: every rank contributes (off, data)
 // — possibly empty — and the aggregator ranks perform the actual file
-// writes over contiguous file domains (two-phase I/O).
-func (f *File) WriteAtAll(off int64, data []byte) error {
+// writes over contiguous file domains (two-phase I/O). The payload enters
+// the exchange as bytes: message lengths drive the simulated cost.
+func (f *File) WriteAtAll(off int64, data payload.P) error {
 	ts := f.os.Clock().Stamp()
-	h := extent(f.disp+off, int64(len(data)))
-	slots := f.comm.Allgather(h[:], data)
+	h := extent(f.disp+off, data.Len())
+	slots := f.comm.Allgather(h[:], data.Materialize())
 	err := f.aggregateWrite(slots)
-	emit(f, recorder.FuncMPIFileWriteAtAll, ts, "", int64(f.fd), int64(len(data)), off)
+	emit(f, recorder.FuncMPIFileWriteAtAll, ts, "", int64(f.fd), data.Len(), off)
 	return err
 }
 
 // WriteAll is the collective write at the individual file pointer.
-func (f *File) WriteAll(data []byte) error {
+func (f *File) WriteAll(data payload.P) error {
 	ts := f.os.Clock().Stamp()
-	h := extent(f.disp+f.indepPtr, int64(len(data)))
-	slots := f.comm.Allgather(h[:], data)
+	h := extent(f.disp+f.indepPtr, data.Len())
+	slots := f.comm.Allgather(h[:], data.Materialize())
 	err := f.aggregateWrite(slots)
 	if err == nil {
-		f.indepPtr += int64(len(data))
+		f.indepPtr += data.Len()
 	}
-	emit(f, recorder.FuncMPIFileWriteAll, ts, "", int64(f.fd), int64(len(data)))
+	emit(f, recorder.FuncMPIFileWriteAll, ts, "", int64(f.fd), data.Len())
 	return err
 }
 
@@ -386,7 +388,7 @@ func (f *File) writeDomain(reqs []request, payloads [][]byte, dLo, dHi int64) er
 		}
 		for len(run) > 0 {
 			chunk := run[:min(int64(len(run)), f.opts.CBBufferSize)]
-			if _, err := f.os.Pwrite(f.fd, chunk, runOff); err != nil {
+			if _, err := f.os.Pwrite(f.fd, payload.Bytes(chunk), runOff); err != nil {
 				return err
 			}
 			runOff += int64(len(chunk))

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/payload"
 	"repro/internal/pfs"
 	"repro/internal/recorder"
 )
@@ -30,8 +31,8 @@ func TestIndependentWriteAtRoundTrip(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		payload := bytes.Repeat([]byte{byte('A' + ctx.Rank)}, 32)
-		if err := f.WriteAt(int64(ctx.Rank)*32, payload); err != nil {
+		data := bytes.Repeat([]byte{byte('A' + ctx.Rank)}, 32)
+		if err := f.WriteAt(int64(ctx.Rank)*32, payload.Bytes(data)); err != nil {
 			return err
 		}
 		ctx.MPI.Barrier()
@@ -39,7 +40,7 @@ func TestIndependentWriteAtRoundTrip(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if !bytes.Equal(got, payload) {
+		if !bytes.Equal(got, data) {
 			ctx.Failf("read back %q", got)
 		}
 		if err := f.Close(); err != nil {
@@ -60,8 +61,8 @@ func TestCollectiveWriteOnlyAggregatorsTouchFS(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		payload := bytes.Repeat([]byte{byte('a' + ctx.Rank)}, 100)
-		if err := f.WriteAtAll(int64(ctx.Rank)*100, payload); err != nil {
+		data := bytes.Repeat([]byte{byte('a' + ctx.Rank)}, 100)
+		if err := f.WriteAtAll(int64(ctx.Rank)*100, payload.Bytes(data)); err != nil {
 			return err
 		}
 		return f.Close()
@@ -92,8 +93,8 @@ func TestCollectiveWriteDataIntegrity(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		payload := bytes.Repeat([]byte{byte('0' + ctx.Rank)}, 10)
-		if err := f.WriteAtAll(int64(ctx.Rank)*10, payload); err != nil {
+		data := bytes.Repeat([]byte{byte('0' + ctx.Rank)}, 10)
+		if err := f.WriteAtAll(int64(ctx.Rank)*10, payload.Bytes(data)); err != nil {
 			return err
 		}
 		if err := f.Sync(); err != nil {
@@ -122,11 +123,11 @@ func TestCollectiveWriteWithGaps(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		var payload []byte
+		var data []byte
 		if ctx.Rank%2 == 0 {
-			payload = bytes.Repeat([]byte{byte('A' + ctx.Rank)}, 16)
+			data = bytes.Repeat([]byte{byte('A' + ctx.Rank)}, 16)
 		}
-		if err := f.WriteAtAll(int64(ctx.Rank)*100, payload); err != nil {
+		if err := f.WriteAtAll(int64(ctx.Rank)*100, payload.Bytes(data)); err != nil {
 			return err
 		}
 		ctx.MPI.Barrier()
@@ -188,7 +189,7 @@ func TestCollectiveReadAtAll(t *testing.T) {
 				ctx.Failf("%d aggregators, want %d", len(f.Aggregators()), cb)
 			}
 			if ctx.Rank == 0 {
-				if err := f.WriteAt(0, content); err != nil {
+				if err := f.WriteAt(0, payload.Bytes(content)); err != nil {
 					return err
 				}
 			}
@@ -224,7 +225,7 @@ func TestSetViewDisplacement(t *testing.T) {
 			return err
 		}
 		f.SetView(1000, 0, 0)
-		if err := f.WriteAt(int64(ctx.Rank)*8, bytes.Repeat([]byte{'v'}, 8)); err != nil {
+		if err := f.WriteAt(int64(ctx.Rank)*8, payload.Bytes(bytes.Repeat([]byte{'v'}, 8))); err != nil {
 			return err
 		}
 		return f.Close()
@@ -241,10 +242,10 @@ func TestIndividualPointerOps(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if err := f.Write([]byte("abcd")); err != nil {
+		if err := f.Write(payload.Bytes([]byte("abcd"))); err != nil {
 			return err
 		}
-		if err := f.Write([]byte("efgh")); err != nil {
+		if err := f.Write(payload.Bytes([]byte("efgh"))); err != nil {
 			return err
 		}
 		f.SeekPtr(0, recorder.SeekSet)
@@ -268,7 +269,7 @@ func TestMPIIOLayerRecordsEmitted(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		f.WriteAtAll(int64(ctx.Rank)*4, []byte("data"))
+		f.WriteAtAll(int64(ctx.Rank)*4, payload.Bytes([]byte("data")))
 		f.Sync()
 		f.SetAtomicity(false)
 		f.SetSize(100)

@@ -9,6 +9,7 @@ package netcdf
 import (
 	"fmt"
 
+	"repro/internal/payload"
 	"repro/internal/posix"
 	"repro/internal/recorder"
 )
@@ -108,7 +109,7 @@ func (f *File) EndDef() error {
 		v.offset = off + f.recSize // interleaved record layout base
 		f.recSize += v.RecSize
 	}
-	_, err := f.os.Pwrite(f.fd, headerBytes(f.path, headerSize), 0)
+	_, err := f.os.Pwrite(f.fd, payload.Bytes(headerBytes(f.path, headerSize)), 0)
 	f.emit(recorder.FuncNCEnddef, ts, f.path)
 	return err
 }
@@ -116,12 +117,12 @@ func (f *File) EndDef() error {
 // PutRecord appends one record of a variable (record index = current
 // numrecs for rec < 0, or an explicit index). After the data write the
 // header's numrecs field is rewritten — the WAW-S pattern.
-func (f *File) PutRecord(v *Var, rec int64, data []byte) error {
+func (f *File) PutRecord(v *Var, rec int64, data payload.P) error {
 	if f.defMode {
 		return fmt.Errorf("netcdf: PutRecord in define mode")
 	}
-	if int64(len(data)) != v.RecSize {
-		return fmt.Errorf("netcdf: record size %d != %d", len(data), v.RecSize)
+	if data.Len() != v.RecSize {
+		return fmt.Errorf("netcdf: record size %d != %d", data.Len(), v.RecSize)
 	}
 	if rec < 0 {
 		rec = f.numrecs
@@ -134,7 +135,7 @@ func (f *File) PutRecord(v *Var, rec int64, data []byte) error {
 	if rec >= f.numrecs {
 		f.numrecs = rec + 1
 		// Update numrecs in the header (the 1-byte-to-4-byte overwrite).
-		if _, err := f.os.Pwrite(f.fd, counterBytes(f.numrecs), numrecsOff); err != nil {
+		if _, err := f.os.Pwrite(f.fd, payload.Bytes(counterBytes(f.numrecs)), numrecsOff); err != nil {
 			return err
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/payload"
 	"repro/internal/pfs"
 	"repro/internal/recorder"
 )
@@ -39,7 +40,7 @@ func TestRecordRoundTrip(t *testing.T) {
 			for j := range rec {
 				rec[j] = byte(i)
 			}
-			if err := f.PutRecord(v, -1, rec); err != nil {
+			if err := f.PutRecord(v, -1, payload.Bytes(rec)); err != nil {
 				return err
 			}
 		}
@@ -73,7 +74,7 @@ func TestNumrecsRewriteEachAppend(t *testing.T) {
 			return err
 		}
 		for i := 0; i < 5; i++ {
-			if err := f.PutRecord(v, -1, make([]byte, 16)); err != nil {
+			if err := f.PutRecord(v, -1, payload.Bytes(make([]byte, 16))); err != nil {
 				return err
 			}
 		}
@@ -98,7 +99,7 @@ func TestModeEnforcement(t *testing.T) {
 			return err
 		}
 		v, _ := f.DefVar("x", 8)
-		if err := f.PutRecord(v, -1, make([]byte, 8)); err == nil {
+		if err := f.PutRecord(v, -1, payload.Bytes(make([]byte, 8))); err == nil {
 			ctx.Failf("PutRecord in define mode accepted")
 		}
 		if err := f.EndDef(); err != nil {
@@ -110,7 +111,7 @@ func TestModeEnforcement(t *testing.T) {
 		if err := f.EndDef(); err == nil {
 			ctx.Failf("double EndDef accepted")
 		}
-		if err := f.PutRecord(v, -1, make([]byte, 4)); err == nil {
+		if err := f.PutRecord(v, -1, payload.Bytes(make([]byte, 4))); err == nil {
 			ctx.Failf("wrong record size accepted")
 		}
 		if err := f.Close(); err != nil {
@@ -134,10 +135,10 @@ func TestInterleavedVarLayout(t *testing.T) {
 		if err := f.EndDef(); err != nil {
 			return err
 		}
-		f.PutRecord(a, 0, []byte("AAAAAAAA"))
-		f.PutRecord(b, 0, []byte("BBBBBBBB"))
-		f.PutRecord(a, 1, []byte("aaaaaaaa"))
-		f.PutRecord(b, 1, []byte("bbbbbbbb"))
+		f.PutRecord(a, 0, payload.Bytes([]byte("AAAAAAAA")))
+		f.PutRecord(b, 0, payload.Bytes([]byte("BBBBBBBB")))
+		f.PutRecord(a, 1, payload.Bytes([]byte("aaaaaaaa")))
+		f.PutRecord(b, 1, payload.Bytes([]byte("bbbbbbbb")))
 		gotA1, _ := f.GetRecord(a, 1)
 		gotB0, _ := f.GetRecord(b, 0)
 		if string(gotA1) != "aaaaaaaa" || string(gotB0) != "BBBBBBBB" {
@@ -159,7 +160,7 @@ func TestOpenReadsHeader(t *testing.T) {
 		}
 		v, _ := f.DefVar("x", 8)
 		f.EndDef()
-		f.PutRecord(v, -1, make([]byte, 8))
+		f.PutRecord(v, -1, payload.Bytes(make([]byte, 8)))
 		if err := f.Close(); err != nil {
 			return err
 		}

@@ -1,6 +1,10 @@
 package pfs
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/payload"
+)
 
 // Client is one process's view of the file system. A client always observes
 // its own writes in program order; what it observes of *other* processes'
@@ -107,24 +111,24 @@ func (c *Client) Open(path string, flags int, now uint64) (*Handle, uint64, erro
 // published content is visible to everyone regardless of the model
 // (UnifyFS lamination renders the file permanently read-only and globally
 // visible, §3.2).
-func (h *Handle) visibleLocked(now uint64) func(extent) bool {
+func (h *Handle) visibleLocked(now uint64) func(*extent) bool {
 	if f, err := h.c.fs.ensure(h.path, false); err == nil && f.laminated {
-		return func(extent) bool { return true }
+		return func(*extent) bool { return true }
 	}
 	switch h.c.fs.semFor(h.path) {
 	case Strong, Commit:
 		// Everything published is visible. (The models differ in *when*
 		// publishing happens, not in read-side filtering.)
-		return func(extent) bool { return true }
+		return func(*extent) bool { return true }
 	case Session:
 		openSeq := h.openSeq
-		return func(e extent) bool { return e.seq <= openSeq }
+		return func(e *extent) bool { return e.seq <= openSeq }
 	case Eventual:
 		delay := h.c.fs.opts.EventualDelay
 		rank := int32(h.c.rank)
 		// Own writes are always visible (per-process ordering); remote
 		// writes propagate after the delay.
-		return func(e extent) bool { return e.writer == rank || e.pubTime+delay <= now }
+		return func(e *extent) bool { return e.writer == rank || e.pubTime+delay <= now }
 	default:
 		panic("pfs: unknown semantics")
 	}
@@ -135,12 +139,13 @@ func (h *Handle) visibleLocked(now uint64) func(extent) bool {
 // under commit/session it is buffered pending a commit/close; under eventual
 // it publishes with a propagation delay.
 //
-// A written buffer belongs to the file system: it is kept as the extent's
-// bytes (and as the history event's Data) without a copy, so the caller
-// must not modify it after the call. The file system never modifies it
-// either, so one buffer may be written more than once, and a buffer that
-// failed to write stays the caller's.
-func (h *Handle) Write(off int64, data []byte, now uint64) (uint64, error) {
+// The file system keeps the payload as it is: a fill reference stays a
+// reference, and a Bytes payload's buffer is kept (and handed to the
+// history as Data) without a copy, so the caller must not modify it after
+// the call. The file system never modifies it either, so one buffer may be
+// written more than once, and a buffer that failed to write stays the
+// caller's.
+func (h *Handle) Write(off int64, data payload.P, now uint64) (uint64, error) {
 	return h.WriteTraced(off, data, now, 0)
 }
 
@@ -148,7 +153,7 @@ func (h *Handle) Write(off int64, data []byte, now uint64) (uint64, error) {
 // that is stamped into the operation's history event — the hand-off that
 // lets the WAL drainer's publish tie back to the rank's original write.
 // Zero trace makes this identical to Write.
-func (h *Handle) WriteTraced(off int64, data []byte, now uint64, trace uint64) (uint64, error) {
+func (h *Handle) WriteTraced(off int64, data payload.P, now uint64, trace uint64) (uint64, error) {
 	if h.c.crashed {
 		return 0, ErrCrashed
 	}
@@ -164,46 +169,42 @@ func (h *Handle) WriteTraced(off int64, data []byte, now uint64, trace uint64) (
 	f, err := fs.ensure(h.path, false)
 	if err != nil {
 		fs.recordHistoryLocked(HistoryEvent{Kind: EvWrite, Trace: trace, Rank: h.c.rank, Path: h.path,
-			Handle: h.id, Off: off, Len: int64(len(data)), Now: now, Err: errString(err)})
+			Handle: h.id, Off: off, Len: data.Len(), Now: now, Err: errString(err)})
 		return 0, err
 	}
 	if f.laminated {
 		fs.recordHistoryLocked(HistoryEvent{Kind: EvWrite, Trace: trace, Rank: h.c.rank, Path: h.path,
-			Handle: h.id, Off: off, Len: int64(len(data)), Now: now, Err: errString(ErrLaminated)})
+			Handle: h.id, Off: off, Len: data.Len(), Now: now, Err: errString(ErrLaminated)})
 		return 0, ErrLaminated
 	}
 	act := fs.interceptLocked(OpInfo{Kind: OpWrite, Rank: h.c.rank, Path: h.path,
-		Off: off, Len: int64(len(data)), Now: now})
+		Off: off, Len: data.Len(), Now: now})
 	if act.CrashBefore {
 		h.c.crashLocked()
 		fs.recordHistoryLocked(HistoryEvent{Kind: EvWrite, Trace: trace, Rank: h.c.rank, Path: h.path,
-			Handle: h.id, Off: off, Len: int64(len(data)), Now: now, Err: errString(ErrCrashed)})
+			Handle: h.id, Off: off, Len: data.Len(), Now: now, Err: errString(ErrCrashed)})
 		return 0, ErrCrashed
 	}
-	fs.serverSpan(off, int64(len(data)))
-	cost := fs.opts.Cost.IOCost(int64(len(data)))
+	fs.serverSpan(off, data.Len())
+	cost := fs.opts.Cost.IOCost(data.Len())
 	if act.Transient {
 		var extra uint64
 		act, extra, _ = fs.retryTransientLocked(OpInfo{Kind: OpWrite, Rank: h.c.rank,
-			Path: h.path, Off: off, Len: int64(len(data)), Now: now})
+			Path: h.path, Off: off, Len: data.Len(), Now: now})
 		cost += extra
 		if act.Transient {
 			fs.recordHistoryLocked(HistoryEvent{Kind: EvWrite, Trace: trace, Rank: h.c.rank, Path: h.path,
-				Handle: h.id, Off: off, Len: int64(len(data)), Now: now, Err: errString(ErrTransient)})
+				Handle: h.id, Off: off, Len: data.Len(), Now: now, Err: errString(ErrTransient)})
 			return cost, fmt.Errorf("write %s: %w", h.path, ErrTransient)
 		}
 	}
-	if act.Torn && act.TornKeep < int64(len(data)) {
-		keep := act.TornKeep
-		if keep < 0 {
-			keep = 0
-		}
-		data = data[:keep]
+	if act.Torn && act.TornKeep < data.Len() {
+		data = data.Slice(0, max(act.TornKeep, 0))
 	}
 	// Counted once the write is known to land, with the bytes it kept.
 	fs.stats.Writes++
-	fs.stats.BytesWritten += int64(len(data))
-	e := extent{off: off, data: data, writer: int32(h.c.rank)} // the caller's buffer, not a copy (see Write)
+	fs.stats.BytesWritten += data.Len()
+	e := extent{off: off, data: data, writer: int32(h.c.rank)} // the caller's payload, not a copy (see Write)
 	switch fs.semFor(h.path) {
 	case Strong:
 		cost += fs.lockCostLocked(f)
@@ -215,9 +216,12 @@ func (h *Handle) WriteTraced(off int64, data []byte, now uint64, trace uint64) (
 	}
 	observeOp(OpWrite, cost)
 	// A crash-after write is recorded as successful: the data landed on the
-	// servers even though the process never observed the completion.
-	fs.recordHistoryLocked(HistoryEvent{Kind: EvWrite, Trace: trace, Rank: h.c.rank, Path: h.path,
-		Handle: h.id, Off: off, Len: int64(len(e.data)), Data: e.data, Now: now})
+	// servers even though the process never observed the completion. Its
+	// bytes are made only for a recorder that keeps them.
+	if fs.history != nil {
+		fs.recordHistoryLocked(HistoryEvent{Kind: EvWrite, Trace: trace, Rank: h.c.rank, Path: h.path,
+			Handle: h.id, Off: off, Len: data.Len(), Data: data.Materialize(), Now: now})
+	}
 	if act.CrashAfter {
 		h.c.crashLocked()
 		return cost, ErrCrashed
@@ -330,8 +334,8 @@ func (h *Handle) VisibleSize(now uint64) int64 {
 	}
 	visible := h.visibleLocked(now)
 	var size int64
-	for _, e := range f.published {
-		if visible(e) && e.end() > size {
+	for i := range f.published {
+		if e := &f.published[i]; visible(e) && e.end() > size {
 			size = e.end()
 		}
 	}
@@ -512,7 +516,7 @@ func (h *Handle) Truncate(length int64) (uint64, error) {
 			continue
 		}
 		if e.end() > length {
-			e.data = e.data[:length-e.off]
+			e.data = e.data.Slice(0, length-e.off)
 		}
 		kept = append(kept, e)
 	}
@@ -552,7 +556,7 @@ func (c *Client) Crashed() bool { return c.crashed }
 func (c *Client) PendingBytes(path string) int64 {
 	var n int64
 	for _, e := range c.pending[path] {
-		n += int64(len(e.data))
+		n += e.data.Len()
 	}
 	return n
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"repro/internal/payload"
 )
 
 // Failure injection: a process dying before its commit loses exactly the
@@ -30,7 +32,7 @@ func TestCrashLosesUncommittedWrites(t *testing.T) {
 		t.Fatalf("post-crash content = %q, want only the committed prefix", got)
 	}
 	// The crashed client's handles are dead.
-	if _, err := h.Write(0, []byte("x"), 70); !errors.Is(err, ErrCrashed) {
+	if _, err := h.Write(0, payload.Bytes([]byte("x")), 70); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("write after crash: %v", err)
 	}
 	if !w.Crashed() {

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/payload"
 	"repro/internal/sim"
 )
 
@@ -84,16 +85,18 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// extent is one published or pending write.
+// extent is one published or pending write. Its payload is what the
+// writer passed: a fill reference stays a reference, and bytes are made
+// only for the range a read, ContentDump or the history asks for.
 type extent struct {
 	off     int64
-	data    []byte
+	data    payload.P
 	seq     uint64 // publish sequence number (0 while pending)
 	pubTime uint64 // true simulation time of publish
 	writer  int32
 }
 
-func (e extent) end() int64 { return e.off + int64(len(e.data)) }
+func (e extent) end() int64 { return e.off + e.data.Len() }
 
 // file is the server-side state of one file.
 type file struct {
@@ -295,7 +298,7 @@ func (f *file) truncateLocked(length int64) {
 			continue
 		}
 		if e.end() > length {
-			e.data = e.data[:length-e.off]
+			e.data = e.data.Slice(0, length-e.off)
 		}
 		kept = append(kept, e)
 	}
@@ -335,35 +338,35 @@ func (fs *FileSystem) publishBatchLocked(f *file, exts []extent, now uint64, act
 // published extents passing the visibility predicate are applied in publish
 // order, then the reader's own pending extents are overlaid in write order.
 // Returns the bytes and the highest visible end offset within the range.
-func materialize(f *file, off, n int64, visible func(extent) bool, own []extent) ([]byte, int64) {
+// Only the part of each payload that overlaps the range is made.
+func materialize(f *file, off, n int64, visible func(*extent) bool, own []extent) ([]byte, int64) {
 	buf := make([]byte, n)
 	var visEnd int64
-	apply := func(e extent) {
-		lo, hi := e.off, e.end()
+	apply := func(e *extent) {
+		hi := e.end()
 		if hi > visEnd {
 			visEnd = hi
 		}
-		if hi <= off || lo >= off+n {
-			return
+		if hi > off && e.off < off+n {
+			e.overlay(buf, off)
 		}
-		if lo < off {
-			e.data = e.data[off-lo:]
-			lo = off
-		}
-		if hi > off+n {
-			e.data = e.data[:off+n-lo]
-		}
-		copy(buf[lo-off:], e.data)
 	}
-	for _, e := range f.published {
-		if visible(e) {
+	for i := range f.published {
+		if e := &f.published[i]; visible(e) {
 			apply(e)
 		}
 	}
-	for _, e := range own {
-		apply(e)
+	for i := range own {
+		apply(&own[i])
 	}
 	return buf, visEnd
+}
+
+// overlay copies the part of e that overlaps [off, off+len(buf)) into buf.
+func (e *extent) overlay(buf []byte, off int64) {
+	lo, hi := e.off, e.end()
+	from, to := max(lo, off), min(hi, off+int64(len(buf)))
+	e.data.Slice(from-lo, to-lo).CopyTo(buf[from-off:])
 }
 
 // ContentDump snapshots every regular file's fully-published content —
@@ -380,7 +383,7 @@ func (fs *FileSystem) ContentDump() map[string][]byte {
 		if f.dir {
 			continue
 		}
-		buf, _ := materialize(f, 0, f.size, func(extent) bool { return true }, nil)
+		buf, _ := materialize(f, 0, f.size, func(*extent) bool { return true }, nil)
 		dump[path] = buf
 	}
 	return dump

@@ -98,8 +98,8 @@ func (fs *FileSystem) SetHistoryRecorder(rec HistoryRecorder) {
 	fs.history = rec
 }
 
-// HistoryDigest is the FNV-1a hash the recorder stamps into Digest.
-func HistoryDigest(data []byte) uint64 {
+// historyDigest is the FNV-1a hash the recorder stamps into Digest.
+func historyDigest(data []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for _, b := range data {
 		h = (h ^ uint64(b)) * 1099511628211
@@ -115,7 +115,7 @@ func (fs *FileSystem) recordHistoryLocked(ev HistoryEvent) {
 	}
 	fs.histSeq++
 	ev.Seq = fs.histSeq
-	ev.Digest = HistoryDigest(ev.Data)
+	ev.Digest = historyDigest(ev.Data)
 	fs.history.Record(ev)
 }
 

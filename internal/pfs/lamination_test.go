@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"repro/internal/payload"
 )
 
 func TestLaminationPublishesGlobally(t *testing.T) {
@@ -34,7 +36,7 @@ func TestLaminationMakesFileReadOnly(t *testing.T) {
 	if _, err := h.Laminate(20); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Write(0, []byte("y"), 30); !errors.Is(err, ErrLaminated) {
+	if _, err := h.Write(0, payload.Bytes([]byte("y")), 30); !errors.Is(err, ErrLaminated) {
 		t.Fatalf("write after lamination: %v", err)
 	}
 	if _, err := h.Truncate(0); !errors.Is(err, ErrLaminated) {

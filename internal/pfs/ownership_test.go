@@ -5,6 +5,8 @@ import (
 	"errors"
 	"runtime"
 	"testing"
+
+	"repro/internal/payload"
 )
 
 // injectFunc is a FaultInjector from a function.
@@ -30,7 +32,7 @@ func TestStatsCountOnlyWhatLands(t *testing.T) {
 	h := mustOpen(t, c, "/f", OCreat|ORdwr, 1)
 
 	failing = true
-	if _, err := h.Write(0, make([]byte, 64), 10); !errors.Is(err, ErrTransient) {
+	if _, err := h.Write(0, payload.Bytes(make([]byte, 64)), 10); !errors.Is(err, ErrTransient) {
 		t.Fatalf("write under a persistent transient fault: err = %v, want ErrTransient", err)
 	}
 	if _, _, err := h.Read(0, 64, 20); !errors.Is(err, ErrTransient) {
@@ -70,7 +72,7 @@ func TestStrongWriteKeepsCallerBuffer(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i, b := range bufs {
-		if _, err := h.Write(int64(i)*size, b, uint64(10+i)); err != nil {
+		if _, err := h.Write(int64(i)*size, payload.Bytes(b), uint64(10+i)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/payload"
 )
 
 func newFS(sem Semantics) *FileSystem {
@@ -21,7 +23,7 @@ func mustOpen(t *testing.T, c *Client, path string, flags int, now uint64) *Hand
 
 func writeAll(t *testing.T, h *Handle, off int64, data []byte, now uint64) {
 	t.Helper()
-	if _, err := h.Write(off, data, now); err != nil {
+	if _, err := h.Write(off, payload.Bytes(data), now); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 }
@@ -290,7 +292,7 @@ func TestHandleModeEnforcement(t *testing.T) {
 	fs := newFS(Strong)
 	c := fs.NewClient(0, 0)
 	hr := mustOpen(t, c, "/f", OCreat|ORdonly, 1)
-	if _, err := hr.Write(0, []byte("x"), 10); err == nil {
+	if _, err := hr.Write(0, payload.Bytes([]byte("x")), 10); err == nil {
 		t.Fatal("write on read-only handle should fail")
 	}
 	hw := mustOpen(t, c, "/f", OWronly, 2)
@@ -306,7 +308,7 @@ func TestClosedHandleRejected(t *testing.T) {
 	if _, err := h.Close(10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Write(0, []byte("x"), 20); err != ErrClosed {
+	if _, err := h.Write(0, payload.Bytes([]byte("x")), 20); err != ErrClosed {
 		t.Fatalf("write on closed handle: %v", err)
 	}
 	if _, _, err := h.Read(0, 1, 20); err != ErrClosed {
@@ -373,11 +375,11 @@ func TestStrongLockCostAndStats(t *testing.T) {
 	wc := commit.NewClient(0, 0)
 	hs := mustOpen(t, ws, "/f", OCreat|OWronly, 1)
 	hc := mustOpen(t, wc, "/f", OCreat|OWronly, 1)
-	strongCost, err := hs.Write(0, []byte("x"), 10)
+	strongCost, err := hs.Write(0, payload.Bytes([]byte("x")), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	commitCost, err := hc.Write(0, []byte("x"), 10)
+	commitCost, err := hc.Write(0, payload.Bytes([]byte("x")), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +389,7 @@ func TestStrongLockCostAndStats(t *testing.T) {
 	// Contention accounting: a second sharer makes acquisitions contended.
 	c2 := strong.NewClient(1, 0)
 	mustOpen(t, c2, "/f", OWronly, 1)
-	if _, err := hs.Write(0, []byte("x"), 20); err != nil {
+	if _, err := hs.Write(0, payload.Bytes([]byte("x")), 20); err != nil {
 		t.Fatal(err)
 	}
 	st := strong.Stats()
@@ -396,7 +398,7 @@ func TestStrongLockCostAndStats(t *testing.T) {
 	}
 	// A second, unshared file contributes acquisitions but no contention.
 	h2 := mustOpen(t, ws, "/solo", OCreat|OWronly, 30)
-	if _, err := h2.Write(0, []byte("y"), 40); err != nil {
+	if _, err := h2.Write(0, payload.Bytes([]byte("y")), 40); err != nil {
 		t.Fatal(err)
 	}
 	st = strong.Stats()
@@ -466,7 +468,7 @@ func TestPropertyOwnDisjointWritesRoundTrip(t *testing.T) {
 		now := uint64(10)
 		for _, b := range order {
 			data := bytes.Repeat([]byte{byte('A' + b)}, 16)
-			if _, err := h.Write(int64(b*16), data, now); err != nil {
+			if _, err := h.Write(int64(b*16), payload.Bytes(data), now); err != nil {
 				return false
 			}
 			now += 10
@@ -507,7 +509,7 @@ func TestPropertySessionNoFutureLeak(t *testing.T) {
 		now := uint64(10)
 		n := int(nWrites%16) + 1
 		for i := 0; i < n; i++ {
-			if _, err := hw.Write(int64(i*4), []byte("DATA"), now); err != nil {
+			if _, err := hw.Write(int64(i*4), payload.Bytes([]byte("DATA")), now); err != nil {
 				return false
 			}
 			now += 5

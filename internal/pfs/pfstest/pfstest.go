@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/payload"
 	"repro/internal/pfs"
 )
 
@@ -228,7 +229,7 @@ func (r *runner) exec(op Op) error {
 	var err error
 	switch op.Kind {
 	case OpWrite:
-		_, err = h.Write(op.Off, op.Data, now)
+		_, err = h.Write(op.Off, payload.Bytes(op.Data), now)
 	case OpRead:
 		var got []byte
 		got, _, err = h.Read(op.Off, op.Len, now)

@@ -3,6 +3,8 @@ package pfs
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/payload"
 )
 
 // TestTunablePathSemantics exercises the §2.3 "tunable consistency"
@@ -22,7 +24,7 @@ func TestTunablePathSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hw.Write(0, []byte("ck"), 20); err != nil {
+	if _, err := hw.Write(0, payload.Bytes([]byte("ck")), 20); err != nil {
 		t.Fatal(err)
 	}
 	hr, _, err := r.Open("/ckpt/state", ORdonly, 25)
@@ -38,7 +40,7 @@ func TestTunablePathSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hc.Write(0, []byte("go"), 50); err != nil {
+	if _, err := hc.Write(0, payload.Bytes([]byte("go")), 50); err != nil {
 		t.Fatal(err)
 	}
 	hcr, _, err := r.Open("/coord/flag", ORdonly, 45)

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"path"
 
+	"repro/internal/payload"
 	"repro/internal/pfs"
 	"repro/internal/recorder"
 	"repro/internal/sim"
@@ -98,7 +99,7 @@ func (p *Proc) pfsOpen(apth string, flags int, now uint64) (*pfs.Handle, uint64,
 	return p.client.Open(apth, flags, now)
 }
 
-func (p *Proc) pfsWrite(h *pfs.Handle, off int64, data []byte, now uint64) (uint64, error) {
+func (p *Proc) pfsWrite(h *pfs.Handle, off int64, data payload.P, now uint64) (uint64, error) {
 	if p.wal != nil {
 		return p.wal.Write(h, off, data, now)
 	}
@@ -238,14 +239,15 @@ func (p *Proc) closeAs(fn recorder.Func, fdnum int) error {
 }
 
 // Write writes data at the descriptor's current offset (or at EOF under
-// O_APPEND) and advances the offset. As with every write here, a buffer
+// O_APPEND) and advances the offset. As with every write here, a payload
 // that was written belongs to the file system (see pfs.Handle.Write): the
-// caller must not modify it afterwards.
-func (p *Proc) Write(fdnum int, data []byte) (int64, error) {
+// caller must not modify a Bytes payload's buffer afterwards.
+func (p *Proc) Write(fdnum int, data payload.P) (int64, error) {
+	n := data.Len()
 	ts := p.clock.Stamp()
 	f, err := p.get(fdnum)
 	if err != nil {
-		p.emit(recorder.FuncWrite, ts, "", "", int64(fdnum), int64(len(data)), -1)
+		p.emit(recorder.FuncWrite, ts, "", "", int64(fdnum), n, -1)
 		return -1, err
 	}
 	if f.appendMd {
@@ -254,12 +256,12 @@ func (p *Proc) Write(fdnum int, data []byte) (int64, error) {
 	cost, werr := p.pfsWrite(f.h, f.offset, data, p.clock.Now())
 	p.advance(cost)
 	if werr != nil {
-		p.emit(recorder.FuncWrite, ts, "", "", int64(fdnum), int64(len(data)), -1)
+		p.emit(recorder.FuncWrite, ts, "", "", int64(fdnum), n, -1)
 		return -1, werr
 	}
-	f.offset += int64(len(data))
-	p.emit(recorder.FuncWrite, ts, "", "", int64(fdnum), int64(len(data)), int64(len(data)))
-	return int64(len(data)), nil
+	f.offset += n
+	p.emit(recorder.FuncWrite, ts, "", "", int64(fdnum), n, n)
+	return n, nil
 }
 
 // Read reads up to n bytes at the current offset, advancing it by the count
@@ -283,22 +285,23 @@ func (p *Proc) Read(fdnum int, n int64) ([]byte, error) {
 }
 
 // Pwrite writes at an explicit offset without moving the descriptor offset.
-// The written buffer belongs to the file system, as with Write.
-func (p *Proc) Pwrite(fdnum int, data []byte, off int64) (int64, error) {
+// The written payload belongs to the file system, as with Write.
+func (p *Proc) Pwrite(fdnum int, data payload.P, off int64) (int64, error) {
+	n := data.Len()
 	ts := p.clock.Stamp()
 	f, err := p.get(fdnum)
 	if err != nil {
-		p.emit(recorder.FuncPwrite, ts, "", "", int64(fdnum), int64(len(data)), off, -1)
+		p.emit(recorder.FuncPwrite, ts, "", "", int64(fdnum), n, off, -1)
 		return -1, err
 	}
 	cost, werr := p.pfsWrite(f.h, off, data, p.clock.Now())
 	p.advance(cost)
 	if werr != nil {
-		p.emit(recorder.FuncPwrite, ts, "", "", int64(fdnum), int64(len(data)), off, -1)
+		p.emit(recorder.FuncPwrite, ts, "", "", int64(fdnum), n, off, -1)
 		return -1, werr
 	}
-	p.emit(recorder.FuncPwrite, ts, "", "", int64(fdnum), int64(len(data)), off, int64(len(data)))
-	return int64(len(data)), nil
+	p.emit(recorder.FuncPwrite, ts, "", "", int64(fdnum), n, off, n)
+	return n, nil
 }
 
 // Pread reads at an explicit offset without moving the descriptor offset.

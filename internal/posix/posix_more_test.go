@@ -3,6 +3,7 @@ package posix
 import (
 	"testing"
 
+	"repro/internal/payload"
 	"repro/internal/pfs"
 	"repro/internal/recorder"
 	"repro/internal/sim"
@@ -14,7 +15,7 @@ func TestCreatAndRemove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Write(fd, []byte("x")); err != nil {
+	if _, err := p.Write(fd, payload.Bytes([]byte("x"))); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Close(fd); err != nil {
@@ -44,7 +45,7 @@ func TestDirectoryWalkAndMmap(t *testing.T) {
 	p.Readdir("/d")
 	p.Closedir("/d")
 	fd, _ := p.Open("/m", recorder.OCreat|recorder.ORdwr, 0o644)
-	p.Write(fd, make([]byte, 64))
+	p.Write(fd, payload.Bytes(make([]byte, 64)))
 	if err := p.Mmap(fd, 64); err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestDirectoryWalkAndMmap(t *testing.T) {
 func TestFdatasyncPublishes(t *testing.T) {
 	a, b := twoProcs(t, pfs.Commit)
 	fda, _ := a.Open("/fd", recorder.OCreat|recorder.OWronly, 0o644)
-	a.Write(fda, []byte("data"))
+	a.Write(fda, payload.Bytes([]byte("data")))
 	if err := a.Fdatasync(fda); err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestFdatasyncPublishes(t *testing.T) {
 func TestFseekStream(t *testing.T) {
 	p, _ := newProc(t, pfs.Strong)
 	fd, _ := p.Fopen("/s", "w+")
-	p.Fwrite(fd, make([]byte, 100), 1, 100)
+	p.Fwrite(fd, payload.Bytes(make([]byte, 100)), 1, 100)
 	if off, err := p.Fseek(fd, 25, recorder.SeekSet); err != nil || off != 25 {
 		t.Fatalf("fseek = %d, %v", off, err)
 	}
@@ -99,7 +100,7 @@ func TestFseekStream(t *testing.T) {
 
 func TestPositionalBadFD(t *testing.T) {
 	p, _ := newProc(t, pfs.Strong)
-	if _, err := p.Pwrite(42, []byte("x"), 0); err == nil {
+	if _, err := p.Pwrite(42, payload.Bytes([]byte("x")), 0); err == nil {
 		t.Fatal("pwrite bad fd")
 	}
 	if _, err := p.Pread(42, 1, 0); err == nil {
@@ -138,7 +139,7 @@ func TestJitterBoundsAndRank(t *testing.T) {
 	p.SetJitter(sim.NewRNG(1))
 	fd, _ := p.Open("/j", recorder.OCreat|recorder.OWronly, 0o644)
 	before := clock.Now()
-	p.Write(fd, make([]byte, 1000))
+	p.Write(fd, payload.Bytes(make([]byte, 1000)))
 	cost := clock.Now() - before
 	// Strong semantics: client I/O cost plus the lock round trip.
 	base := sim.DefaultCostModel().IOCost(1000) + sim.DefaultCostModel().LockRPC
@@ -147,7 +148,7 @@ func TestJitterBoundsAndRank(t *testing.T) {
 	}
 	// Writes to a pfs error path still record and propagate.
 	p.Close(fd)
-	if _, err := p.Write(fd, []byte("x")); err == nil {
+	if _, err := p.Write(fd, payload.Bytes([]byte("x"))); err == nil {
 		t.Fatal("write after close should fail")
 	}
 }

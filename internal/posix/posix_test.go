@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/payload"
 	"repro/internal/pfs"
 	"repro/internal/recorder"
 	"repro/internal/sim"
@@ -45,7 +46,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := p.Write(fd, []byte("hello world")); err != nil || n != 11 {
+	if n, err := p.Write(fd, payload.Bytes([]byte("hello world"))); err != nil || n != 11 {
 		t.Fatalf("write = %d, %v", n, err)
 	}
 	if _, err := p.Lseek(fd, 0, recorder.SeekSet); err != nil {
@@ -63,8 +64,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 func TestOffsetTracking(t *testing.T) {
 	p, _ := newProc(t, pfs.Strong)
 	fd, _ := p.Open("/f", recorder.OCreat|recorder.ORdwr, 0o644)
-	p.Write(fd, []byte("aaaa"))
-	p.Write(fd, []byte("bbbb")) // sequential writes advance the offset
+	p.Write(fd, payload.Bytes([]byte("aaaa")))
+	p.Write(fd, payload.Bytes([]byte("bbbb"))) // sequential writes advance the offset
 	off, _ := p.Offset(fd)
 	if off != 8 {
 		t.Fatalf("offset after two writes = %d, want 8", off)
@@ -79,8 +80,8 @@ func TestOffsetTracking(t *testing.T) {
 func TestPwritePreadDoNotMoveOffset(t *testing.T) {
 	p, _ := newProc(t, pfs.Strong)
 	fd, _ := p.Open("/f", recorder.OCreat|recorder.ORdwr, 0o644)
-	p.Write(fd, []byte("xxxx"))
-	if _, err := p.Pwrite(fd, []byte("ZZ"), 1); err != nil {
+	p.Write(fd, payload.Bytes([]byte("xxxx")))
+	if _, err := p.Pwrite(fd, payload.Bytes([]byte("ZZ")), 1); err != nil {
 		t.Fatal(err)
 	}
 	off, _ := p.Offset(fd)
@@ -99,7 +100,7 @@ func TestPwritePreadDoNotMoveOffset(t *testing.T) {
 func TestLseekWhence(t *testing.T) {
 	p, _ := newProc(t, pfs.Strong)
 	fd, _ := p.Open("/f", recorder.OCreat|recorder.ORdwr, 0o644)
-	p.Write(fd, make([]byte, 100))
+	p.Write(fd, payload.Bytes(make([]byte, 100)))
 	if off, _ := p.Lseek(fd, 10, recorder.SeekSet); off != 10 {
 		t.Fatalf("SEEK_SET -> %d", off)
 	}
@@ -120,10 +121,10 @@ func TestLseekWhence(t *testing.T) {
 func TestAppendMode(t *testing.T) {
 	p, _ := newProc(t, pfs.Strong)
 	fd, _ := p.Open("/log", recorder.OCreat|recorder.OWronly, 0o644)
-	p.Write(fd, []byte("first"))
+	p.Write(fd, payload.Bytes([]byte("first")))
 	p.Close(fd)
 	fd2, _ := p.Open("/log", recorder.OWronly|recorder.OAppend, 0)
-	p.Write(fd2, []byte("+second"))
+	p.Write(fd2, payload.Bytes([]byte("+second")))
 	p.Close(fd2)
 	fd3, _ := p.Open("/log", recorder.ORdonly, 0)
 	got, _ := p.Read(fd3, 100)
@@ -138,7 +139,7 @@ func TestStdioStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := p.Fwrite(fd, []byte("abcdef"), 2, 3); err != nil || n != 3 {
+	if n, err := p.Fwrite(fd, payload.Bytes([]byte("abcdef")), 2, 3); err != nil || n != 3 {
 		t.Fatalf("fwrite = %d, %v", n, err)
 	}
 	if err := p.Fflush(fd); err != nil {
@@ -181,7 +182,7 @@ func TestFopenModes(t *testing.T) {
 func TestFwriteSizeMismatch(t *testing.T) {
 	p, _ := newProc(t, pfs.Strong)
 	fd, _ := p.Fopen("/f", "w")
-	if _, err := p.Fwrite(fd, []byte("abc"), 2, 2); err == nil {
+	if _, err := p.Fwrite(fd, payload.Bytes([]byte("abc")), 2, 2); err == nil {
 		t.Fatal("size*nmemb != len(data) should fail")
 	}
 }
@@ -191,7 +192,7 @@ func TestBadFDErrors(t *testing.T) {
 	if _, err := p.Read(99, 1); err == nil {
 		t.Fatal("read on bad fd should fail")
 	}
-	if _, err := p.Write(99, []byte("x")); err == nil {
+	if _, err := p.Write(99, payload.Bytes([]byte("x"))); err == nil {
 		t.Fatal("write on bad fd should fail")
 	}
 	if err := p.Close(99); err == nil {
@@ -208,7 +209,7 @@ func TestMetadataOpsEmitRecordsAndWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	fd, _ := p.Open("/d/f", recorder.OCreat|recorder.OWronly, 0o644)
-	p.Write(fd, []byte("1234"))
+	p.Write(fd, payload.Bytes([]byte("1234")))
 	p.Close(fd)
 	info, err := p.Stat("/d/f")
 	if err != nil || info.Size != 4 {
@@ -266,7 +267,7 @@ func TestMetadataOpsEmitRecordsAndWork(t *testing.T) {
 func TestFstatFtruncateDup(t *testing.T) {
 	p, _ := newProc(t, pfs.Strong)
 	fd, _ := p.Open("/f", recorder.OCreat|recorder.ORdwr, 0o644)
-	p.Write(fd, make([]byte, 50))
+	p.Write(fd, payload.Bytes(make([]byte, 50)))
 	info, err := p.Fstat(fd)
 	if err != nil || info.Size != 50 {
 		t.Fatalf("fstat = %+v, %v", info, err)
@@ -298,7 +299,7 @@ func TestFstatFtruncateDup(t *testing.T) {
 func TestTruncateByPath(t *testing.T) {
 	p, _ := newProc(t, pfs.Strong)
 	fd, _ := p.Open("/f", recorder.OCreat|recorder.OWronly, 0o644)
-	p.Write(fd, make([]byte, 100))
+	p.Write(fd, payload.Bytes(make([]byte, 100)))
 	p.Close(fd)
 	if err := p.Truncate("/f", 25); err != nil {
 		t.Fatal(err)
@@ -312,7 +313,7 @@ func TestTruncateByPath(t *testing.T) {
 func TestClockAdvancesAndRecordsOrdered(t *testing.T) {
 	p, tr := newProc(t, pfs.Strong)
 	fd, _ := p.Open("/f", recorder.OCreat|recorder.OWronly, 0o644)
-	p.Write(fd, make([]byte, 1000))
+	p.Write(fd, payload.Bytes(make([]byte, 1000)))
 	p.Fsync(fd)
 	p.Close(fd)
 	if p.Clock().Now() == 0 {
@@ -339,7 +340,7 @@ func TestClockAdvancesAndRecordsOrdered(t *testing.T) {
 func TestFsyncPublishesUnderCommitSemantics(t *testing.T) {
 	a, b := twoProcs(t, pfs.Commit)
 	fda, _ := a.Open("/shared", recorder.OCreat|recorder.OWronly, 0o644)
-	a.Write(fda, []byte("data"))
+	a.Write(fda, payload.Bytes([]byte("data")))
 	fdb, _ := b.Open("/shared", recorder.ORdonly, 0)
 	if got, _ := b.Read(fdb, 4); len(got) != 0 {
 		t.Fatalf("uncommitted data visible: %q", got)
@@ -356,7 +357,7 @@ func TestFsyncPublishesUnderCommitSemantics(t *testing.T) {
 func TestSessionSemanticsThroughPosix(t *testing.T) {
 	a, b := twoProcs(t, pfs.Session)
 	fda, _ := a.Open("/s", recorder.OCreat|recorder.OWronly, 0o644)
-	a.Write(fda, []byte("xyz"))
+	a.Write(fda, payload.Bytes([]byte("xyz")))
 	a.Close(fda)
 	fdb, _ := b.Open("/s", recorder.ORdonly, 0)
 	if got, _ := b.Read(fdb, 3); string(got) != "xyz" {

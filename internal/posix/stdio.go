@@ -3,6 +3,7 @@ package posix
 import (
 	"fmt"
 
+	"repro/internal/payload"
 	"repro/internal/recorder"
 )
 
@@ -39,15 +40,16 @@ func fopenFlags(mode string) (int, error) {
 	return 0, fmt.Errorf("posix: bad fopen mode %q", mode)
 }
 
-// Fwrite writes len(data) bytes as nmemb items of the given size at the
-// stream position. len(data) must equal size*nmemb. The stream is
-// unbuffered, so the written buffer belongs to the file system, as with
+// Fwrite writes data.Len() bytes as nmemb items of the given size at the
+// stream position. data.Len() must equal size*nmemb. The stream is
+// unbuffered, so the written payload belongs to the file system, as with
 // Write.
-func (p *Proc) Fwrite(fdnum int, data []byte, size, nmemb int64) (int64, error) {
+func (p *Proc) Fwrite(fdnum int, data payload.P, size, nmemb int64) (int64, error) {
+	n := data.Len()
 	ts := p.clock.Stamp()
-	if size*nmemb != int64(len(data)) {
+	if size*nmemb != n {
 		p.emit(recorder.FuncFwrite, ts, "", "", int64(fdnum), size, nmemb, -1)
-		return -1, fmt.Errorf("posix: fwrite size %d*%d != %d bytes", size, nmemb, len(data))
+		return -1, fmt.Errorf("posix: fwrite size %d*%d != %d bytes", size, nmemb, n)
 	}
 	f, err := p.get(fdnum)
 	if err != nil {
@@ -63,8 +65,8 @@ func (p *Proc) Fwrite(fdnum int, data []byte, size, nmemb int64) (int64, error) 
 		p.emit(recorder.FuncFwrite, ts, "", "", int64(fdnum), size, nmemb, -1)
 		return -1, werr
 	}
-	f.offset += int64(len(data))
-	p.emit(recorder.FuncFwrite, ts, "", "", int64(fdnum), size, nmemb, int64(len(data)))
+	f.offset += n
+	p.emit(recorder.FuncFwrite, ts, "", "", int64(fdnum), size, nmemb, n)
 	return nmemb, nil
 }
 

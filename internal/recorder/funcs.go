@@ -303,13 +303,3 @@ func itoa(v int) string {
 	}
 	return string(buf[i:])
 }
-
-// FuncByName returns the Func with the given name, or FuncUnknown.
-func FuncByName(name string) Func {
-	for f, n := range funcNames {
-		if n == name {
-			return Func(f)
-		}
-	}
-	return FuncUnknown
-}

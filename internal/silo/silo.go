@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"repro/internal/mpi"
+	"repro/internal/payload"
 	"repro/internal/posix"
 	"repro/internal/recorder"
 )
@@ -82,7 +83,7 @@ func Dump(comm *mpi.Proc, os *posix.Proc, tracer *recorder.RankTracer, baseName 
 		emit(recorder.FuncDBCreate, ts)
 		if err == nil {
 			// Initial TOC write; rewritten after all ranks are done (WAW-S).
-			_, err = os.Pwrite(fd, tocBytes(path), 0)
+			_, err = os.Pwrite(fd, payload.Bytes(tocBytes(path)), 0)
 		}
 	} else {
 		ts := os.Clock().Stamp()
@@ -97,7 +98,7 @@ func Dump(comm *mpi.Proc, os *posix.Proc, tracer *recorder.RankTracer, baseName 
 	// offsets.
 	tsm := os.Clock().Stamp()
 	meshOff := int64(tocLen) + int64(inGroup)*o.BlockSize
-	if _, err := os.Pwrite(fd, fill('M', o.BlockSize), meshOff); err != nil {
+	if _, err := os.Pwrite(fd, payload.Bytes(fill('M', o.BlockSize)), meshOff); err != nil {
 		return err
 	}
 	emit(recorder.FuncDBPutQuadmesh, tsm, meshOff, o.BlockSize)
@@ -105,7 +106,7 @@ func Dump(comm *mpi.Proc, os *posix.Proc, tracer *recorder.RankTracer, baseName 
 	for vi, v := range vars {
 		tsv := os.Clock().Stamp()
 		off := varBase + int64(vi)*groupN*o.BlockSize + int64(inGroup)*o.BlockSize
-		if _, err := os.Pwrite(fd, fill(byte('0'+vi%10), o.BlockSize), off); err != nil {
+		if _, err := os.Pwrite(fd, payload.Bytes(fill(byte('0'+vi%10), o.BlockSize)), off); err != nil {
 			return err
 		}
 		emit(recorder.FuncDBPutQuadvar, tsv, off, o.BlockSize)
@@ -118,7 +119,7 @@ func Dump(comm *mpi.Proc, os *posix.Proc, tracer *recorder.RankTracer, baseName 
 	// (no commit and no close/open pair between the two writes).
 	if inGroup == 0 {
 		tsd := os.Clock().Stamp()
-		if _, err := os.Pwrite(fd, tocBytes(path)[:128], 0); err != nil {
+		if _, err := os.Pwrite(fd, payload.Bytes(tocBytes(path)[:128]), 0); err != nil {
 			return err
 		}
 		emit(recorder.FuncDBMkDir, tsd)
@@ -140,7 +141,7 @@ func Dump(comm *mpi.Proc, os *posix.Proc, tracer *recorder.RankTracer, baseName 
 				return err
 			}
 			tst := os.Clock().Stamp()
-			if _, err := os.Pwrite(fd2, tocBytes(path), 0); err != nil {
+			if _, err := os.Pwrite(fd2, payload.Bytes(tocBytes(path)), 0); err != nil {
 				return err
 			}
 			emit(recorder.FuncDBMkDir, tst) // TOC/directory update
@@ -168,7 +169,7 @@ func Dump(comm *mpi.Proc, os *posix.Proc, tracer *recorder.RankTracer, baseName 
 	if err != nil {
 		return err
 	}
-	if _, err := os.Pwrite(fd2, tocBytes(path), 0); err != nil {
+	if _, err := os.Pwrite(fd2, payload.Bytes(tocBytes(path)), 0); err != nil {
 		return err
 	}
 	tsc := os.Clock().Stamp()

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/payload"
 	"repro/internal/pfs"
 	"repro/internal/storage"
 	"repro/internal/wal"
@@ -176,9 +177,9 @@ func TestWALPersistentBackendFailureDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i)}, 32) }
+	block := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i)}, 32) }
 	for i := 0; i < 5; i++ {
-		if _, err := l.Write(h, int64(i)*32, payload(i), tick()); err != nil {
+		if _, err := l.Write(h, int64(i)*32, payload.Bytes(block(i)), tick()); err != nil {
 			t.Fatalf("write %d must survive the log failure via write-through: %v", i, err)
 		}
 	}
@@ -192,7 +193,7 @@ func TestWALPersistentBackendFailureDegrades(t *testing.T) {
 	// Every write — logged or degraded — must be readable back at full size.
 	for i := 0; i < 5; i++ {
 		got, _, err := l.Read(h, int64(i)*32, 32, tick())
-		if err != nil || !bytes.Equal(got, payload(i)) {
+		if err != nil || !bytes.Equal(got, block(i)) {
 			t.Fatalf("readback %d: %q, %v", i, got, err)
 		}
 	}

@@ -10,6 +10,7 @@ package wal
 import (
 	"testing"
 
+	"repro/internal/payload"
 	"repro/internal/pfs"
 )
 
@@ -37,7 +38,7 @@ func BenchmarkWALWriteAck(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now += 10
-		cost, err := l.Write(h, int64(i)*benchBlock, data, now)
+		cost, err := l.Write(h, int64(i)*benchBlock, payload.Bytes(data), now)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -65,7 +66,7 @@ func BenchmarkWALDirectWrite(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now += 10
-		cost, err := h.Write(int64(i)*benchBlock, data, now)
+		cost, err := h.Write(int64(i)*benchBlock, payload.Bytes(data), now)
 		if err != nil {
 			b.Fatal(err)
 		}

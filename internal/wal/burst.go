@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/consistency"
+	"repro/internal/payload"
 	"repro/internal/pfs"
 	"repro/internal/storage"
 )
@@ -146,7 +147,7 @@ func RunBurst(spec BurstSpec) (*BurstResult, error) {
 				}
 				for k := 0; k < spec.Records; k++ {
 					through := l.Stats().WriteThrough
-					if _, err := l.Write(h, spec.offset(r, k), spec.payload(r, k), now()); err != nil {
+					if _, err := l.Write(h, spec.offset(r, k), payload.Bytes(spec.payload(r, k)), now()); err != nil {
 						break
 					}
 					if l.Stats().WriteThrough > through {
@@ -338,7 +339,7 @@ func DirectDump(spec BurstSpec, counts []int) map[string][]byte {
 			panic(err) // deterministic workload on a fresh fs cannot fail
 		}
 		for k := 0; k < n; k++ {
-			if _, err := h.Write(spec.offset(r, k), spec.payload(r, k), tick()); err != nil {
+			if _, err := h.Write(spec.offset(r, k), payload.Bytes(spec.payload(r, k)), tick()); err != nil {
 				panic(err)
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/payload"
 	"repro/internal/pfs"
 )
 
@@ -34,7 +35,7 @@ func TestOSDiskSegmentGoldenLayout(t *testing.T) {
 		for j := range data {
 			data[j] = byte(i*31 + j)
 		}
-		if _, err := l.Write(h, int64(i)*128, data, now); err != nil {
+		if _, err := l.Write(h, int64(i)*128, payload.Bytes(data), now); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}

@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"repro/internal/consistency"
+	"repro/internal/payload"
 	"repro/internal/pfs"
 	"repro/internal/pfs/pfstest"
 	"repro/internal/wal"
@@ -70,7 +71,7 @@ func (r *walRunner) exec(op pfstest.Op) error {
 	var err error
 	switch op.Kind {
 	case pfstest.OpWrite:
-		_, err = l.Write(h, op.Off, op.Data, now)
+		_, err = l.Write(h, op.Off, payload.Bytes(op.Data), now)
 	case pfstest.OpRead:
 		_, _, err = l.Read(h, op.Off, op.Len, now)
 	case pfstest.OpCommit:

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/frame"
+	"repro/internal/payload"
 	"repro/internal/pfs"
 	"repro/internal/storage"
 )
@@ -95,7 +96,7 @@ func Replay(fs *pfs.FileSystem, recs map[int][]Record) error {
 				handles[rec.Path] = h
 				order = append(order, rec.Path)
 			}
-			if _, err := h.Write(rec.Off, rec.Data, rec.Now); err != nil {
+			if _, err := h.Write(rec.Off, payload.Bytes(rec.Data), rec.Now); err != nil {
 				return fmt.Errorf("wal: replay rank %d %s+%d: %w", r, rec.Path, rec.Off, err)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/consistency"
 	"repro/internal/obs"
+	"repro/internal/payload"
 	"repro/internal/pfs"
 )
 
@@ -35,7 +36,7 @@ func TestWALCausalTraceChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Write(h, 0, []byte("causal payload"), 20); err != nil {
+	if _, err := l.Write(h, 0, payload.Bytes([]byte("causal payload")), 20); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Barrier(); err != nil {
@@ -124,7 +125,7 @@ func TestWALWriteThroughSkipsChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Write(h, 0, []byte("direct"), 20); err != nil {
+	if _, err := l.Write(h, 0, payload.Bytes([]byte("direct")), 20); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range tr.Spans()[before:] {

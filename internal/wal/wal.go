@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/payload"
 	"repro/internal/pfs"
 	"repro/internal/storage"
 )
@@ -101,7 +102,7 @@ type Stats struct {
 type queued struct {
 	h       *pfs.Handle
 	off     int64
-	data    []byte
+	data    payload.P
 	now     uint64 // simulated ack timestamp, replayed verbatim at drain
 	attempt int
 	// Causal-trace hand-off (obs spans): trace is the write's chain ID,
@@ -195,8 +196,11 @@ func (l *Log) takeDeferredLocked() error {
 // Write acknowledges one application write. Fast path: durable local
 // append, enqueue for background drain, return the (cheap) simulated ack
 // cost. Degraded paths — sticky log failure or queue over watermark —
-// drain everything and write through synchronously at full pfs cost.
-func (l *Log) Write(h *pfs.Handle, off int64, data []byte, now uint64) (uint64, error) {
+// drain everything and write through synchronously at full pfs cost. The
+// log record holds the payload's bytes; the drain queue holds the payload
+// itself, which belongs to the file system from here on, as with
+// pfs.Handle.Write.
+func (l *Log) Write(h *pfs.Handle, off int64, data payload.P, now uint64) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.takeDeferredLocked(); err != nil {
@@ -210,7 +214,7 @@ func (l *Log) Write(h *pfs.Handle, off int64, data []byte, now uint64) (uint64, 
 	// into the pfs history event (Perfetto: search args.trace).
 	sp := obs.Default().Tracer().StartTrace("wal.write", "wal").OnLane(l.rank)
 	ap := sp.Child("wal.append")
-	if _, err := appendRecord(l.file, Record{Path: h.Path(), Off: off, Now: now, Data: data}, l.opts.NoFsync); err != nil {
+	if _, err := appendRecord(l.file, Record{Path: h.Path(), Off: off, Now: now, Data: data.Materialize()}, l.opts.NoFsync); err != nil {
 		// Local log disk failed (full, unwritable, gone). The write itself
 		// can still succeed the slow way; stick in write-through so no
 		// later ack ever rests on a log that cannot hold it.
@@ -220,23 +224,21 @@ func (l *Log) Write(h *pfs.Handle, off int64, data []byte, now uint64) (uint64, 
 		return l.writeThroughLocked(h, off, data, now)
 	}
 	ap.End()
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	l.queue = append(l.queue, queued{h: h, off: off, data: cp, now: now,
+	l.queue = append(l.queue, queued{h: h, off: off, data: data, now: now,
 		trace: sp.TraceID(), parent: sp.ID(), ackWall: time.Now().UnixNano()})
 	sp.End()
 	if n := len(l.queue); n > l.stats.QueuePeak {
 		l.stats.QueuePeak = n
 	}
 	l.stats.Acked++
-	l.stats.AckedBytes += int64(len(data))
+	l.stats.AckedBytes += data.Len()
 	l.cond.Signal()
-	cost := l.opts.AckBaseNS + uint64(len(data))/l.opts.AckBytesPerNS
+	cost := l.opts.AckBaseNS + uint64(data.Len())/l.opts.AckBytesPerNS
 	ackCostNS.Observe(int64(cost))
 	return cost, nil
 }
 
-func (l *Log) writeThroughLocked(h *pfs.Handle, off int64, data []byte, now uint64) (uint64, error) {
+func (l *Log) writeThroughLocked(h *pfs.Handle, off int64, data payload.P, now uint64) (uint64, error) {
 	l.stats.WriteThrough++
 	if err := l.drainAllLocked(); err != nil {
 		return 0, err

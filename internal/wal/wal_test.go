@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/payload"
 	"repro/internal/pfs"
 	"repro/internal/storage"
 )
@@ -135,7 +136,7 @@ func TestOpenSalvagesAndResumesAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Write(h, 0, []byte("first"), 20); err != nil {
+	if _, err := l.Write(h, 0, payload.Bytes([]byte("first")), 20); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -159,7 +160,7 @@ func TestOpenSalvagesAndResumesAppends(t *testing.T) {
 	}
 	fs2 := pfs.New(pfs.Options{Semantics: pfs.Strong})
 	h2 := mustOpen(t, fs2, 0, "/f")
-	if _, err := l2.Write(h2, 5, []byte("second"), 30); err != nil {
+	if _, err := l2.Write(h2, 5, payload.Bytes([]byte("second")), 30); err != nil {
 		t.Fatal(err)
 	}
 	if err := l2.Close(); err != nil {
@@ -188,7 +189,7 @@ func TestRecoverForgedLengthBoundedAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Write(mustOpen(t, fs, 0, "/f"), 0, []byte("acked"), 20); err != nil {
+	if _, err := l.Write(mustOpen(t, fs, 0, "/f"), 0, payload.Bytes([]byte("acked")), 20); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -224,11 +225,11 @@ func TestWriteAcksAndBarrierDrains(t *testing.T) {
 	h := mustOpen(t, fs, 0, "/f")
 	l := noDrainLog(t, Options{})
 
-	ackCost, err := l.Write(h, 0, bytes.Repeat([]byte{1}, 4096), 20)
+	ackCost, err := l.Write(h, 0, payload.Bytes(bytes.Repeat([]byte{1}, 4096)), 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	directCost, err := h.Write(8192, bytes.Repeat([]byte{2}, 4096), 30)
+	directCost, err := h.Write(8192, payload.Bytes(bytes.Repeat([]byte{2}, 4096)), 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,12 +259,12 @@ func TestWatermarkDegradesToWriteThrough(t *testing.T) {
 	l := noDrainLog(t, Options{Watermark: 2})
 
 	for i := 0; i < 2; i++ {
-		if _, err := l.Write(h, int64(i)*4, []byte("abcd"), uint64(20+10*i)); err != nil {
+		if _, err := l.Write(h, int64(i)*4, payload.Bytes([]byte("abcd")), uint64(20+10*i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Queue is at the watermark: the next write must drain and write through.
-	if _, err := l.Write(h, 8, []byte("abcd"), 50); err != nil {
+	if _, err := l.Write(h, 8, payload.Bytes([]byte("abcd")), 50); err != nil {
 		t.Fatal(err)
 	}
 	got := l.Stats()
@@ -274,7 +275,7 @@ func TestWatermarkDegradesToWriteThrough(t *testing.T) {
 		t.Fatal("watermark pressure must not stick the log in degraded mode")
 	}
 	// Pressure released: the next write acks from the log again.
-	if _, err := l.Write(h, 12, []byte("abcd"), 60); err != nil {
+	if _, err := l.Write(h, 12, payload.Bytes([]byte("abcd")), 60); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.Stats(); got.Acked != 3 {
@@ -290,7 +291,7 @@ func TestLogFailureDegradesSticky(t *testing.T) {
 	// Kill the log disk out from under the Log.
 	l.file.Close()
 	for i := 0; i < 2; i++ {
-		if _, err := l.Write(h, int64(i)*4, []byte("data"), uint64(20+10*i)); err != nil {
+		if _, err := l.Write(h, int64(i)*4, payload.Bytes([]byte("data")), uint64(20+10*i)); err != nil {
 			t.Fatalf("write %d must survive log failure via write-through: %v", i, err)
 		}
 	}
@@ -312,7 +313,7 @@ func TestDeferredDrainErrorSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := noDrainLog(t, Options{})
-	if _, err := l.Write(h, 0, []byte("doomed"), 20); err != nil {
+	if _, err := l.Write(h, 0, payload.Bytes([]byte("doomed")), 20); err != nil {
 		t.Fatal(err)
 	}
 	c.Crash() // the queued record can now never drain
@@ -351,7 +352,7 @@ func TestDrainRetriesTransientWithBackoff(t *testing.T) {
 	fs.SetInjector(&transientInjector{remaining: 1 << 30})
 	l := noDrainLog(t, Options{MaxRetries: 3, Retry: storage.Backoff{BaseNS: 1000, CapNS: 10_000}})
 
-	if _, err := l.Write(h, 0, []byte("x"), 20); err != nil {
+	if _, err := l.Write(h, 0, payload.Bytes([]byte("x")), 20); err != nil {
 		t.Fatal(err)
 	}
 	err := l.Barrier()
@@ -364,7 +365,7 @@ func TestDrainRetriesTransientWithBackoff(t *testing.T) {
 
 	// Now let the fault clear after two failed attempts: the drain succeeds.
 	fs.SetInjector(&transientInjector{remaining: 2})
-	if _, err := l.Write(h, 0, []byte("y"), 30); err != nil {
+	if _, err := l.Write(h, 0, payload.Bytes([]byte("y")), 30); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Barrier(); err != nil {
@@ -383,9 +384,9 @@ func TestCloseDrainsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := bytes.Repeat([]byte{7}, 256)
+	data := bytes.Repeat([]byte{7}, 256)
 	for i := 0; i < 50; i++ {
-		if _, err := l.Write(h, int64(i)*256, payload, uint64(20+10*i)); err != nil {
+		if _, err := l.Write(h, int64(i)*256, payload.Bytes(data), uint64(20+10*i)); err != nil {
 			t.Fatal(err)
 		}
 	}

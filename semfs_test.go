@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/payload"
 	"repro/internal/recorder"
 	"repro/internal/recorder/colfmt"
 	"repro/internal/report"
@@ -115,7 +116,7 @@ func TestValidateSynchronizationDeterministic(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if _, err := ctx.OS.Pwrite(fd, make([]byte, 64), 0); err != nil {
+			if _, err := ctx.OS.Pwrite(fd, payload.Bytes(make([]byte, 64)), 0); err != nil {
 				return err
 			}
 			if err := ctx.OS.Close(fd); err != nil {
@@ -215,7 +216,7 @@ func TestRunCustomBody(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if _, err := ctx.OS.Pwrite(fd, make([]byte, 16), int64(ctx.Rank)*16); err != nil {
+		if _, err := ctx.OS.Pwrite(fd, payload.Bytes(make([]byte, 16)), int64(ctx.Rank)*16); err != nil {
 			return err
 		}
 		return ctx.OS.Close(fd)

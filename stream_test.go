@@ -11,6 +11,7 @@ import (
 	semfs "repro"
 	"repro/internal/analysistest"
 	"repro/internal/core"
+	"repro/internal/payload"
 	"repro/internal/pfs"
 	"repro/internal/recorder"
 	"repro/internal/storage"
@@ -215,7 +216,7 @@ func TestConflictListsShareStorage(t *testing.T) {
 			fsync := i == 5
 			off := int64(i) * 4096
 			if ctx.Rank == 0 {
-				if _, err := ctx.OS.Pwrite(fd, make([]byte, 4096), off); err != nil {
+				if _, err := ctx.OS.Pwrite(fd, payload.Bytes(make([]byte, 4096)), off); err != nil {
 					return err
 				}
 				if fsync {
