@@ -83,7 +83,7 @@ func goldenLines(t *testing.T) []string {
 
 // TestAnalyzeDirDigestGolden: the default path, which analyzes a saved
 // trace directory without loading it, reproduces every golden line from
-// the registry traces saved columnar and v1.
+// the registry traces saved columnar.
 func TestAnalyzeDirDigestGolden(t *testing.T) {
 	want := goldenLines(t)
 	disk := storage.OS()
@@ -94,22 +94,18 @@ func TestAnalyzeDirDigestGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, f := range []string{"columnar", "v1"} {
-			dir := filepath.Join(base, name+"."+f)
-			saveTrace(t, dir, res.Trace, f)
-			k := i
-			for _, show := range []int{5, math.MaxInt} {
-				for _, workers := range []int{1, 2} {
-					var buf bytes.Buffer
-					code := analyzeDir(&buf, disk, dir, false, true, show, true, workers)
-					if got := digestLine(name, show, workers, code, buf.Bytes()); k >= len(want) || got != want[k] {
-						t.Errorf("%s directory:\n got  %s\n want %s", f, got, want[min(k, len(want)-1)])
-					}
-					k++
+		dir := filepath.Join(base, name)
+		saveTrace(t, dir, res.Trace, "columnar")
+		for _, show := range []int{5, math.MaxInt} {
+			for _, workers := range []int{1, 2} {
+				var buf bytes.Buffer
+				code := analyzeDir(&buf, disk, dir, false, true, show, true, workers)
+				if got := digestLine(name, show, workers, code, buf.Bytes()); i >= len(want) || got != want[i] {
+					t.Errorf("directory:\n got  %s\n want %s", got, want[min(i, len(want)-1)])
 				}
+				i++
 			}
 		}
-		i += 4
 	}
 	if i != len(want) {
 		t.Fatalf("golden has %d runs, registry sweep produced %d", len(want), i)

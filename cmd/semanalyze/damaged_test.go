@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	semfs "repro"
 	"repro/internal/recorder"
+	"repro/internal/recorder/colfmt"
 	"repro/internal/recorder/colwire"
 	"repro/internal/recorder/v1test"
 	"repro/internal/storage"
@@ -103,7 +106,8 @@ func flipCRC(t *testing.T, dir string, rank int) {
 // TestDamagedTraceExits1: a damaged trace directory fails the default path
 // and the -checkpoint path with exit 1, nothing on stdout, and exactly the
 // error a strict load reports for its lowest damaged rank, at every worker
-// count.
+// count. An intact v1 directory is no trace either: every rank fails by its
+// magic, so the error names rank 0, and -lenient finds nothing to salvage.
 func TestDamagedTraceExits1(t *testing.T) {
 	res, err := semfs.Run("FLASH-nofbs", semfs.RunOptions{Ranks: 8, PPN: 2, Seed: 1})
 	if err != nil {
@@ -116,7 +120,7 @@ func TestDamagedTraceExits1(t *testing.T) {
 		damage func(t *testing.T, dir string)
 	}{
 		{"truncated", "columnar", func(t *testing.T, dir string) { truncateRank(t, dir, 1) }},
-		{"truncated-v1", "v1", func(t *testing.T, dir string) { truncateRank(t, dir, 1) }},
+		{"v1", "v1", func(*testing.T, string) {}},
 		{"flipped-crc", "columnar", func(t *testing.T, dir string) { flipCRC(t, dir, 2) }},
 		{"missing", "columnar", func(t *testing.T, dir string) {
 			if err := os.Remove(rankFile(dir, 3)); err != nil {
@@ -147,6 +151,9 @@ func TestDamagedTraceExits1(t *testing.T) {
 				if lerr == nil {
 					t.Fatalf("workers=%d: the damaged trace loads", workers)
 				}
+				if tc.format == "v1" && (!errors.Is(lerr, colfmt.ErrBadMagic) || !strings.HasPrefix(lerr.Error(), "recorder: reading rank 0: ")) {
+					t.Fatalf("workers=%d: LoadTraceOn of a v1 directory: %v, want rank 0's bad magic", workers, lerr)
+				}
 				args := []string{"-trace", dir, "-report", "-workers", strconv.Itoa(workers)}
 				for _, extra := range [][]string{nil, {"-checkpoint", filepath.Join(t.TempDir(), "ckpt")}} {
 					code, stdout, stderr := semanalyze(t, append(args, extra...)...)
@@ -156,6 +163,15 @@ func TestDamagedTraceExits1(t *testing.T) {
 					if want := "semanalyze: " + lerr.Error() + "\n"; string(stderr) != want {
 						t.Errorf("workers=%d %v: stderr\n%q\nwant LoadTraceOn's\n%q", workers, extra, stderr, want)
 					}
+				}
+				if tc.format != "v1" {
+					continue
+				}
+				code, stdout, stderr := semanalyze(t, append(args, "-lenient")...)
+				wantOut := fmt.Sprintf("salvage: 0/%d streams full, 0 truncated, %[1]d unreadable; 0 records (0 salvaged, 0 dropped)\n", len(res.Trace.PerRank))
+				if code != exitError || string(stdout) != wantOut || !strings.HasSuffix(string(stderr), ": nothing salvageable\n") {
+					t.Errorf("workers=%d -lenient: exit %d, stdout %q, stderr %q; want exit %d, stdout %q and nothing salvageable",
+						workers, code, stdout, stderr, exitError, wantOut)
 				}
 			}
 		})

@@ -90,10 +90,6 @@ func TestLenientDigestGolden(t *testing.T) {
 			data := reencodeSmallBlocks(t, tr, 1)
 			writeRank(t, dir, 1, data[:len(data)/2])
 		}},
-		{"torn-v1", "v1", func(t *testing.T, dir string) {
-			data := readRank(t, dir, 1)
-			writeRank(t, dir, 1, data[:len(data)/2])
-		}},
 		{"crc-mid-block", "columnar", func(t *testing.T, dir string) {
 			data := reencodeSmallBlocks(t, tr, 2)
 			flipMidBlock(t, data)
@@ -105,7 +101,6 @@ func TestLenientDigestGolden(t *testing.T) {
 			}
 		}},
 		{"wrong-rank-columnar", "columnar", wrongRank},
-		{"wrong-rank-v1", "v1", wrongRank},
 		{"all-unreadable", "columnar", func(t *testing.T, dir string) {
 			for rank := range tr.PerRank {
 				if err := os.Remove(rankFile(dir, rank)); err != nil {

@@ -5,13 +5,13 @@
 // Usage:
 //
 //	semtrace -app FLASH-nofbs -ranks 64 -ppn 8 -out trace/
-//	semtrace -convert oldtrace/ -out newtrace/
 //	semtrace -list
 //
-// Traces are written in the columnar format. -convert loads an existing
-// trace directory strictly (columnar, v1 or mixed) and rewrites it as
-// columnar at -out: the upgrade path for v1 traces, and a strict load whose
-// error names the first damaged rank.
+// Traces are written in the columnar format, the only one semanalyze
+// reads. A run is deterministic in (app, ranks, PPN, seed): running a
+// configuration again regenerates its trace byte for byte. semanalyze
+// -trace is the strict check of a saved trace; its error names the first
+// damaged rank.
 package main
 
 import (
@@ -38,8 +38,6 @@ func run() (code int) {
 		semantics = flag.String("semantics", "strong", "PFS consistency model: strong|commit|session|eventual")
 		verify    = flag.Bool("verify", false, "verify read data (surfaces stale reads on weak PFSs)")
 		out       = flag.String("out", "", "output trace directory (omit for a dry run)")
-		convert   = flag.String("convert", "", "rewrite this existing trace directory (columnar or v1) as columnar at -out instead of running an app")
-		workers   = flag.Int("workers", 0, "parallel rank decode workers for -convert (0 = GOMAXPROCS)")
 		spec      = flag.String("backend", "osdisk", "durable storage backend for -out traces: osdisk | objstore[:delay=D,root=DIR] | flaky[:...]")
 		tele      obs.CLIFlags
 	)
@@ -63,26 +61,6 @@ func run() (code int) {
 			desc, _ := semfs.Describe(name)
 			fmt.Printf("%-20s %s\n", name, desc)
 		}
-		return 0
-	}
-	if *convert != "" {
-		if *out == "" {
-			fmt.Fprintln(os.Stderr, "semtrace: -convert requires -out")
-			return 2
-		}
-		backend, err := storage.ParseSpec(*spec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "semtrace: -backend:", err)
-			return 2
-		}
-		backend = storage.NewRetry(backend, storage.RetryOptions{})
-		tr, err := semfs.ConvertTraceOn(backend, *convert, *out, *workers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "semtrace:", err)
-			return 1
-		}
-		fmt.Printf("converted %s (%d records) to columnar format at %s\n",
-			*convert, tr.NumRecords(), *out)
 		return 0
 	}
 	if *app == "" {

@@ -9,12 +9,12 @@ import (
 
 // TestTraceFormatEquivalence is the acceptance gate of the columnar trace
 // format: for every application configuration of the registry, a trace saved
-// columnar, saved v1, or converted between the two must reload with
-// byte-identical records (the v1 decoder is the disk oracle) and produce a
-// byte-identical analysis and rendered report at every load worker count —
-// and the zero-copy cursor path over the mapped columnar directory must
-// reproduce the materializing extraction exactly. The on-disk format is a
-// performance choice; it can never be an analysis variable.
+// columnar must reload with the records of its v1 copy, decoded by the
+// test-support v1 decoder (the disk oracle), and produce a byte-identical
+// analysis and rendered report at every load worker count — and the
+// zero-copy cursor path over the mapped columnar directory must reproduce
+// the oracle's analysis exactly. The on-disk format is a performance
+// choice; it can never be an analysis variable.
 func TestTraceFormatEquivalence(t *testing.T) {
 	for _, name := range semfs.Applications() {
 		name := name

@@ -8,6 +8,7 @@ import (
 	"repro/internal/payload"
 	"repro/internal/pfs"
 	"repro/internal/recorder"
+	"repro/internal/recorder/v1test"
 )
 
 func run(t *testing.T, n, ppn int, body func(ctx *harness.Ctx) error) *harness.Result {
@@ -49,7 +50,7 @@ func TestSubstreamAggregation(t *testing.T) {
 		}
 	}
 	// Only aggregator ranks write data files.
-	for _, r := range res.Trace.Filter(func(r *recorder.Record) bool { return r.Func == recorder.FuncWrite }) {
+	for _, r := range v1test.Filter(res.Trace, func(r *recorder.Record) bool { return r.Func == recorder.FuncWrite }) {
 		if r.Rank%2 != 0 {
 			t.Fatalf("non-aggregator rank %d wrote", r.Rank)
 		}
@@ -75,7 +76,7 @@ func TestIndexByteOverwrittenPerStep(t *testing.T) {
 	// The status byte at idxStatusOff must be overwritten once per step by
 	// rank 0 — the paper's single-byte WAW-S.
 	n := 0
-	for _, r := range res.Trace.Filter(func(r *recorder.Record) bool {
+	for _, r := range v1test.Filter(res.Trace, func(r *recorder.Record) bool {
 		return r.Func == recorder.FuncPwrite && r.Arg(2) == idxStatusOff && r.Arg(1) == 1
 	}) {
 		if r.Rank != 0 {
@@ -138,7 +139,7 @@ func TestADIOSLayerRecords(t *testing.T) {
 		return w.Close()
 	})
 	seen := map[recorder.Func]bool{}
-	for _, r := range res.Trace.Filter(func(r *recorder.Record) bool { return r.Layer == recorder.LayerADIOS }) {
+	for _, r := range v1test.Filter(res.Trace, func(r *recorder.Record) bool { return r.Layer == recorder.LayerADIOS }) {
 		seen[r.Func] = true
 	}
 	for _, fn := range []recorder.Func{

@@ -1,9 +1,10 @@
 // Package analysistest is the worker-count and trace-format equivalence
 // harness of the analysis engine: semfs.AnalyzeParallelCtx on a pool of
-// one is the reference, and every other pool size and every on-disk format round trip must reproduce it
-// exactly. Tests at every layer reuse these helpers so the parallel engine
-// can never silently diverge — add a worker count or a new workload here
-// and every equivalence test picks it up. (The fused conflict engine is
+// one is the reference, and every other pool size and the on-disk round
+// trip, checked against the v1 oracle, must reproduce it exactly. Tests at
+// every layer reuse these helpers so the parallel engine can never
+// silently diverge — add a worker count or a new workload here and every
+// equivalence test picks it up. (The fused conflict engine is
 // checked against the per-model oracle in package core's own tests.)
 package analysistest
 
@@ -78,80 +79,83 @@ func CheckTrace(t testing.TB, label string, tr *recorder.Trace, workerCounts ...
 }
 
 // CheckFormats is the on-disk format equivalence gate: tr is saved in the
-// columnar format, written as v1 by the test-support writer and converted
-// from v1 to columnar, reloaded at every worker count, and each reload,
-// analyzed at that worker count, must carry byte-identical records (the
-// strict v1 load is the disk oracle) and produce a byte-identical analysis
-// and rendered run report, conflict columns included (the serial analysis
-// of the v1 reload is the analysis oracle). semfs.AnalyzeDirOn over each
-// directory, at each worker count, must produce that same analysis and
-// report without loading the trace.
+// columnar format and written as v1 by the test-support writer, and the v1
+// copy, decoded by the test-support v1 decoder, is the oracle. The columnar
+// directory, reloaded at every worker count, must carry the oracle's
+// records (Trace.Records, rank by rank), and each reload, analyzed at that
+// worker count, must produce a byte-identical analysis and rendered run
+// report, conflict columns included (the serial analysis of the oracle is
+// the analysis oracle). semfs.AnalyzeDirOn over the columnar directory, at
+// each worker count, must produce that same analysis and report without
+// loading the trace.
 func CheckFormats(t testing.TB, label string, tr *recorder.Trace, workerCounts ...int) {
 	t.Helper()
 	if len(workerCounts) == 0 {
 		workerCounts = DefaultWorkerCounts
 	}
 	base := t.TempDir()
-	dirs := []struct{ name, path string }{
-		{"v1", filepath.Join(base, "v1")},
-		{"columnar", filepath.Join(base, "col")},
-		{"v1-to-columnar", filepath.Join(base, "conv-col")},
-	}
+	v1dir, coldir := filepath.Join(base, "v1"), filepath.Join(base, "col")
 	disk := storage.OS()
-	if err := v1test.SaveDir(dirs[0].path, tr); err != nil {
+	if err := v1test.SaveDir(v1dir, tr); err != nil {
 		t.Fatalf("%s: saving v1: %v", label, err)
 	}
-	if err := semfs.SaveTraceOn(disk, dirs[1].path, tr); err != nil {
+	if err := semfs.SaveTraceOn(disk, coldir, tr); err != nil {
 		t.Fatalf("%s: saving columnar: %v", label, err)
 	}
-	if _, err := semfs.ConvertTraceOn(disk, dirs[0].path, dirs[2].path, 0); err != nil {
-		t.Fatalf("%s: converting v1->columnar: %v", label, err)
-	}
 
-	// The strict v1 reload is the record-level oracle: the v1 decoder
-	// predates the columnar format, so every other load path must agree
-	// with it byte for byte.
-	oracle, err := semfs.LoadTraceOn(disk, dirs[0].path, 1)
+	// The v1 decode is the record-level oracle: the v1 decoder predates
+	// the columnar format and shares none of its code, so the columnar
+	// load must agree with it record for record.
+	oracle, err := v1test.LoadDir(v1dir)
 	if err != nil {
 		t.Fatalf("%s: loading v1 oracle: %v", label, err)
 	}
 	oracleAnalysis := analyze(t, label, oracle, 1)
 	oracleReport := oracleAnalysis.Report.Render()
 
-	for _, d := range dirs {
-		for _, w := range workerCounts {
-			got, err := semfs.LoadTraceOn(disk, d.path, w)
-			if err != nil {
-				t.Fatalf("%s/%s/workers=%d: load: %v", label, d.name, w, err)
-			}
-			if !reflect.DeepEqual(got.Meta, oracle.Meta) {
-				t.Errorf("%s/%s/workers=%d: meta diverges:\noracle: %+v\ngot:    %+v",
-					label, d.name, w, oracle.Meta, got.Meta)
-			}
-			if !reflect.DeepEqual(got, oracle) {
-				t.Errorf("%s/%s/workers=%d: records diverge from the v1 oracle", label, d.name, w)
-				continue
-			}
-			dlabel := fmt.Sprintf("%s/%s/workers=%d", label, d.name, w)
-			an := analyze(t, dlabel, got, w)
-			RequireEqual(t, dlabel, oracleAnalysis, an)
-			if rep := an.Report.Render(); rep != oracleReport {
-				t.Errorf("%s: rendered report diverges", dlabel)
-			}
+	for _, w := range workerCounts {
+		dlabel := fmt.Sprintf("%s/columnar/workers=%d", label, w)
+		got, err := semfs.LoadTraceOn(disk, coldir, w)
+		if err != nil {
+			t.Fatalf("%s: load: %v", dlabel, err)
+		}
+		if !reflect.DeepEqual(got.Meta, oracle.Meta) {
+			t.Errorf("%s: meta diverges:\noracle: %+v\ngot:    %+v", dlabel, oracle.Meta, got.Meta)
+		}
+		if !sameRecords(got, oracle) {
+			t.Errorf("%s: records diverge from the v1 oracle", dlabel)
+			continue
+		}
+		an := analyze(t, dlabel, got, w)
+		RequireEqual(t, dlabel, oracleAnalysis, an)
+		if rep := an.Report.Render(); rep != oracleReport {
+			t.Errorf("%s: rendered report diverges", dlabel)
+		}
 
-			// The directory analysis never loads the trace; it must still
-			// reproduce the oracle.
-			dan, err := semfs.AnalyzeDirOn(disk, d.path, w)
-			if err != nil {
-				t.Fatalf("%s: directory analysis: %v", dlabel, err)
-			}
-			RequireEqual(t, dlabel+"/dir", oracleAnalysis, dan)
-			if rep := dan.Report.Render(); rep != oracleReport {
-				t.Errorf("%s/dir: rendered report diverges", dlabel)
-			}
+		// The directory analysis never loads the trace; it must still
+		// reproduce the oracle.
+		dan, err := semfs.AnalyzeDirOn(disk, coldir, w)
+		if err != nil {
+			t.Fatalf("%s: directory analysis: %v", dlabel, err)
+		}
+		RequireEqual(t, dlabel+"/dir", oracleAnalysis, dan)
+		if rep := dan.Report.Render(); rep != oracleReport {
+			t.Errorf("%s/dir: rendered report diverges", dlabel)
 		}
 	}
+}
 
+// sameRecords reports whether a and b hold the same records, rank by rank.
+func sameRecords(a, b *recorder.Trace) bool {
+	if len(a.PerRank) != len(b.PerRank) {
+		return false
+	}
+	for rank := range a.PerRank {
+		if !reflect.DeepEqual(a.Records(rank), b.Records(rank)) {
+			return false
+		}
+	}
+	return true
 }
 
 // CheckApp runs one registry application configuration and asserts

@@ -3,6 +3,7 @@ package apps
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -91,8 +92,13 @@ func emitted(t *testing.T, label string, cfg *Config, opts Options) [][]recorder
 		if err != nil {
 			return err
 		}
-		out[ctx.Rank], err = r.Materialize()
-		return err
+		c := r.Cursor()
+		for c.Next() {
+			rec := *c.Record()
+			rec.Args = slices.Clone(rec.Args)
+			out[ctx.Rank] = append(out[ctx.Rank], rec)
+		}
+		return c.Err()
 	})
 	if err != nil || res.Err() != nil {
 		t.Fatalf("%s: emission run: %v %v", label, err, res.Err())

@@ -132,7 +132,7 @@ func TestExtractForgedRanks(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2} {
 		sc, err := ScanRanksCtx(context.Background(), len(perRank), workers, func(rank int) (RecordStream, func(), error) {
-			return NewSliceStream(perRank[rank]), func() {}, nil
+			return newSliceStream(perRank[rank]), func() {}, nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -245,3 +245,28 @@ func TestMetaEventHasNoPointers(t *testing.T) {
 		t.Errorf("metaEvent is %d bytes, want 32", got)
 	}
 }
+
+// sliceStream is a RecordStream over a slice of records, for streams a
+// trace cannot hold.
+type sliceStream struct {
+	rs []recorder.Record
+	i  int // index of the current record plus one
+}
+
+// newSliceStream returns a stream over rs.
+func newSliceStream(rs []recorder.Record) *sliceStream { return &sliceStream{rs: rs} }
+
+// Next advances to the next record.
+func (s *sliceStream) Next() bool {
+	if s.i >= len(s.rs) {
+		return false
+	}
+	s.i++
+	return true
+}
+
+// Record returns the current record.
+func (s *sliceStream) Record() *recorder.Record { return &s.rs[s.i-1] }
+
+// Err is always nil: a slice cannot be damaged.
+func (s *sliceStream) Err() error { return nil }

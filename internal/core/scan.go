@@ -22,37 +22,12 @@ import (
 // Next, so a fold copies every field it keeps. After Next returns false,
 // Err reports whether the stream ended cleanly. *colfmt.Cursor (a trace
 // directory's rank) and *recorder.Stream (an in-memory trace's) have this
-// shape; SliceStream wraps a decoded v1 rank.
+// shape.
 type RecordStream interface {
 	Next() bool
 	Record() *recorder.Record
 	Err() error
 }
-
-// SliceStream is a RecordStream over a slice of records: a decoded v1 rank
-// file.
-type SliceStream struct {
-	rs []recorder.Record
-	i  int // index of the current record plus one
-}
-
-// NewSliceStream returns a stream over rs.
-func NewSliceStream(rs []recorder.Record) *SliceStream { return &SliceStream{rs: rs} }
-
-// Next advances to the next record.
-func (s *SliceStream) Next() bool {
-	if s.i >= len(s.rs) {
-		return false
-	}
-	s.i++
-	return true
-}
-
-// Record returns the current record.
-func (s *SliceStream) Record() *recorder.Record { return &s.rs[s.i-1] }
-
-// Err is always nil: a slice cannot be damaged.
-func (s *SliceStream) Err() error { return nil }
 
 // Scan is everything the per-rank folds produce for one trace: the
 // extraction, the metadata census, the run report's call counters, and the

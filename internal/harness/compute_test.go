@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/payload"
 	"repro/internal/recorder"
+	"repro/internal/recorder/v1test"
 )
 
 func TestCtxComputeAdvancesWithinBounds(t *testing.T) {
@@ -55,7 +56,7 @@ func TestCtxComputeDesynchronizesRanks(t *testing.T) {
 	}
 	// The pwrite start times must not be identical across ranks.
 	times := map[uint64]bool{}
-	for _, r := range res.Trace.Filter(func(r *recorder.Record) bool { return r.IsWriteOp() }) {
+	for _, r := range v1test.Filter(res.Trace, func(r *recorder.Record) bool { return r.IsWriteOp() }) {
 		times[r.TStart] = true
 	}
 	if len(times) < 4 {

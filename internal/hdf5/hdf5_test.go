@@ -8,6 +8,7 @@ import (
 	"repro/internal/payload"
 	"repro/internal/pfs"
 	"repro/internal/recorder"
+	"repro/internal/recorder/v1test"
 )
 
 func run(t *testing.T, n, ppn int, body func(ctx *harness.Ctx) error) *harness.Result {
@@ -25,7 +26,7 @@ func run(t *testing.T, n, ppn int, body func(ctx *harness.Ctx) error) *harness.R
 
 // posixWrites returns the POSIX-layer write records of a trace.
 func posixWrites(res *harness.Result) []recorder.Record {
-	return res.Trace.Filter(func(r *recorder.Record) bool { return r.IsWriteOp() })
+	return v1test.Filter(res.Trace, func(r *recorder.Record) bool { return r.IsWriteOp() })
 }
 
 func TestSerialDatasetRoundTrip(t *testing.T) {
@@ -305,7 +306,7 @@ func TestHDF5LayerRecords(t *testing.T) {
 		return f.Close()
 	})
 	seen := map[recorder.Func]bool{}
-	for _, r := range res.Trace.Filter(func(r *recorder.Record) bool { return r.Layer == recorder.LayerHDF5 }) {
+	for _, r := range v1test.Filter(res.Trace, func(r *recorder.Record) bool { return r.Layer == recorder.LayerHDF5 }) {
 		seen[r.Func] = true
 	}
 	for _, fn := range []recorder.Func{

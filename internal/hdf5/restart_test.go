@@ -7,6 +7,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/payload"
 	"repro/internal/recorder"
+	"repro/internal/recorder/v1test"
 )
 
 func TestRestartReadsBackDatasets(t *testing.T) {
@@ -109,7 +110,7 @@ func TestSerialRestart(t *testing.T) {
 	})
 	// The reopen path must have issued an fstat (driver probe).
 	found := false
-	for range res.Trace.Filter(func(r *recorder.Record) bool { return r.Func == recorder.FuncFstat }) {
+	for range v1test.Filter(res.Trace, func(r *recorder.Record) bool { return r.Func == recorder.FuncFstat }) {
 		found = true
 	}
 	if !found {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/payload"
 	"repro/internal/recorder"
+	"repro/internal/recorder/v1test"
 )
 
 func TestWriteAllAdvancesSharedLayout(t *testing.T) {
@@ -59,7 +60,7 @@ func TestCyclicDomainsProduceInterleavedBlocks(t *testing.T) {
 	// Each aggregator must write several non-adjacent 64-byte blocks with a
 	// constant stride of nAgg*64 = 256.
 	perRank := map[int32][]int64{}
-	for _, r := range res.Trace.Filter(func(r *recorder.Record) bool { return r.IsWriteOp() }) {
+	for _, r := range v1test.Filter(res.Trace, func(r *recorder.Record) bool { return r.IsWriteOp() }) {
 		perRank[r.Rank] = append(perRank[r.Rank], r.Arg(2))
 	}
 	if len(perRank) != 4 {

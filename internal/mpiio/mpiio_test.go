@@ -8,6 +8,7 @@ import (
 	"repro/internal/payload"
 	"repro/internal/pfs"
 	"repro/internal/recorder"
+	"repro/internal/recorder/v1test"
 )
 
 // run executes body on n ranks with a strong-semantics FS and returns the
@@ -69,7 +70,7 @@ func TestCollectiveWriteOnlyAggregatorsTouchFS(t *testing.T) {
 	})
 	// Count which ranks issued POSIX writes.
 	writers := map[int32]bool{}
-	for _, rec := range res.Trace.Filter(func(r *recorder.Record) bool { return r.IsWriteOp() }) {
+	for _, rec := range v1test.Filter(res.Trace, func(r *recorder.Record) bool { return r.IsWriteOp() }) {
 		writers[rec.Rank] = true
 	}
 	if len(writers) != 4 {
@@ -276,7 +277,7 @@ func TestMPIIOLayerRecordsEmitted(t *testing.T) {
 		return f.Close()
 	})
 	seen := map[recorder.Func]int{}
-	for _, r := range res.Trace.Filter(func(r *recorder.Record) bool { return r.Layer == recorder.LayerMPIIO }) {
+	for _, r := range v1test.Filter(res.Trace, func(r *recorder.Record) bool { return r.Layer == recorder.LayerMPIIO }) {
 		seen[r.Func]++
 	}
 	for _, fn := range []recorder.Func{

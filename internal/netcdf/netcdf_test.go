@@ -7,6 +7,7 @@ import (
 	"repro/internal/payload"
 	"repro/internal/pfs"
 	"repro/internal/recorder"
+	"repro/internal/recorder/v1test"
 )
 
 func run1(t *testing.T, body func(ctx *harness.Ctx) error) *harness.Result {
@@ -81,7 +82,7 @@ func TestNumrecsRewriteEachAppend(t *testing.T) {
 		return f.Close()
 	})
 	n := 0
-	for _, r := range res.Trace.Filter(func(r *recorder.Record) bool {
+	for _, r := range v1test.Filter(res.Trace, func(r *recorder.Record) bool {
 		return r.Func == recorder.FuncPwrite && r.Arg(2) == numrecsOff && r.Arg(1) == numrecsLen
 	}) {
 		_ = r
@@ -171,7 +172,7 @@ func TestOpenReadsHeader(t *testing.T) {
 		return f2.Close()
 	})
 	found := false
-	for range res.Trace.Filter(func(r *recorder.Record) bool {
+	for range v1test.Filter(res.Trace, func(r *recorder.Record) bool {
 		return r.Func == recorder.FuncNCOpen
 	}) {
 		found = true

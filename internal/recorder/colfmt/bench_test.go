@@ -40,9 +40,10 @@ func benchStream(tb testing.TB) ([]recorder.Record, []byte, []byte) {
 	return benchOnce.recs, benchOnce.v1, benchOnce.col
 }
 
-// BenchmarkColumnarDecode compares the three decode paths on the same 1M-op
-// stream: the v1 record-framed decoder, the columnar materializing shim,
-// and the columnar zero-copy cursor. Bytes/op and allocs/op are the gated
+// BenchmarkColumnarDecode compares three decoders on the same 1M-op
+// stream: the test-support v1 record-framed decoder, the tests'
+// materializing walk of a columnar cursor, and the columnar zero-copy
+// cursor. Bytes/op and allocs/op are the gated
 // regression surface (BENCH_pr10.json); MB/s and records/s land as
 // informational throughput metrics.
 func BenchmarkColumnarDecode(b *testing.B) {
@@ -54,7 +55,7 @@ func BenchmarkColumnarDecode(b *testing.B) {
 	b.Run("v1", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_, got, err := recorder.DecodeRankStream(bytes.NewReader(v1))
+			_, got, err := v1test.DecodeRankStream(bytes.NewReader(v1))
 			if err != nil || len(got) != len(recs) {
 				b.Fatalf("decoded %d records, err %v", len(got), err)
 			}
@@ -68,7 +69,7 @@ func BenchmarkColumnarDecode(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			got, err := r.Materialize()
+			got, err := r.materialize(r.Cursor())
 			if err != nil || len(got) != len(recs) {
 				b.Fatalf("decoded %d records, err %v", len(got), err)
 			}
@@ -154,7 +155,7 @@ func TestColumnarDecodeAllocRatio(t *testing.T) {
 	}
 	v1, col := v1buf.Bytes(), colbuf.Bytes()
 	v1Allocs := testing.AllocsPerRun(3, func() {
-		if _, got, err := recorder.DecodeRankStream(bytes.NewReader(v1)); err != nil || len(got) != len(recs) {
+		if _, got, err := v1test.DecodeRankStream(bytes.NewReader(v1)); err != nil || len(got) != len(recs) {
 			t.Fatalf("v1 decode: %d records, %v", len(got), err)
 		}
 	})
@@ -177,7 +178,7 @@ func TestColumnarDecodeAllocRatio(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := r.Materialize(); err != nil || len(got) != len(recs) {
+		if got, err := r.materialize(r.Cursor()); err != nil || len(got) != len(recs) {
 			t.Fatalf("materialize: %d records, %v", len(got), err)
 		}
 	})

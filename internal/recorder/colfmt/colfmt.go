@@ -1,12 +1,14 @@
-// Package colfmt is the columnar on-disk trace format (SEMFSCOL1), the
-// scalable counterpart to the record-framed SEMFSTR1 streams in package
-// recorder. Real HPC tracing produces hundreds of millions of operations per
-// run (Recorder, IPDPSW 2020); loading such traces through a heap-per-record
-// decoder dominates analysis time and memory. Columnar streams fix both
-// ends: the encoder stores each rank's records as column blocks —
-// delta-encoded timestamps, dictionary-coded paths, packed args — and the
-// decoder yields records zero-copy from the (memory-mapped) column bytes
-// through a cursor, which directory loads walk to materialize each rank.
+// Package colfmt is the on-disk trace format (SEMFSCOL1): the one format
+// every command writes and reads. Real HPC tracing produces hundreds of
+// millions of operations per run (Recorder, IPDPSW 2020); loading such
+// traces through a heap-per-record decoder dominates analysis time and
+// memory. Columnar streams fix both ends: the encoder stores each rank's
+// records as column blocks — delta-encoded timestamps, dictionary-coded
+// paths, packed args — and the decoder yields records zero-copy from the
+// (memory-mapped) column bytes through a cursor, which the directory scans
+// fold in place and LoadDirOn replays into rank logs. A stream in any
+// other format (the retired record-framed v1 streams included) fails with
+// ErrBadMagic; internal/recorder/v1test keeps v1 as a test oracle.
 //
 // The stream layout and its constants are package colwire's.
 package colfmt

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/recorder"
@@ -66,6 +67,31 @@ func encode(t *testing.T, rank int, recs []recorder.Record, opts EncodeOptions) 
 	return buf.Bytes()
 }
 
+const argArenaLen = 8192
+
+// materialize decodes the rest of c's walk over r into fresh records, Args
+// copied into chunked arenas so they outlive the mapping. On error the
+// records decoded before it are returned alongside it.
+func (r *Reader) materialize(c *Cursor) ([]recorder.Record, error) {
+	// A record costs at least two column bytes, so len(data) safely bounds a
+	// forged declared count's preallocation.
+	records := make([]recorder.Record, 0, min(r.declared, uint64(len(r.data))))
+	var arena []int64
+	for c.Next() {
+		rec := c.rec
+		if n := len(rec.Args); n > 0 {
+			if len(arena) < n {
+				arena = make([]int64, argArenaLen)
+			}
+			copy(arena, rec.Args)
+			rec.Args = arena[:n:n]
+			arena = arena[n:]
+		}
+		records = append(records, rec)
+	}
+	return records, c.Err()
+}
+
 func requireRecordsEqual(t *testing.T, want, got []recorder.Record) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -103,9 +129,9 @@ func TestRoundTrip(t *testing.T) {
 			if r.dictOff < 0 {
 				t.Fatal("intact stream has no footer")
 			}
-			got, err := r.Materialize()
+			got, err := r.materialize(r.Cursor())
 			if err != nil {
-				t.Fatalf("Materialize: %v", err)
+				t.Fatalf("materialize: %v", err)
 			}
 			requireRecordsEqual(t, recs, got)
 		})
@@ -120,7 +146,7 @@ func TestCrossFormatParity(t *testing.T) {
 	if err := v1test.EncodeRankStream(&v1, 1, recs); err != nil {
 		t.Fatal(err)
 	}
-	_, fromV1, err := recorder.DecodeRankStream(&v1)
+	_, fromV1, err := v1test.DecodeRankStream(&v1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +154,7 @@ func TestCrossFormatParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromCol, err := r.Materialize()
+	fromCol, err := r.materialize(r.Cursor())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +210,7 @@ func TestTornTail(t *testing.T) {
 		if r.dictOff >= 0 {
 			t.Fatalf("cut=%d: torn stream claims an intact footer", cut)
 		}
-		got, err := r.Materialize()
+		got, err := r.materialize(r.Cursor())
 		if err == nil {
 			// The cut only ate trailer bytes: every record and the
 			// dictionary survived, so the decode is legitimately complete.
@@ -243,7 +269,7 @@ func TestCorruptBlockSkip(t *testing.T) {
 	if r.dictOff < 0 {
 		t.Fatal("footer should survive a mid-stream flip")
 	}
-	if _, err := r.Materialize(); err == nil {
+	if _, err := r.materialize(r.Cursor()); err == nil {
 		t.Fatal("strict decode accepted a corrupt block")
 	} else {
 		var ce *CorruptError
@@ -285,7 +311,7 @@ func TestOpenMapsOnDisk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := r.Materialize()
+		got, err := r.materialize(r.Cursor())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,11 +322,11 @@ func TestOpenMapsOnDisk(t *testing.T) {
 		requireRecordsEqual(t, recs, got)
 	})
 	t.Run("openRank", func(t *testing.T) {
-		r, release, _, err := openRank(storage.OS(), dir, 0)
-		if err != nil || r == nil {
+		r, release, err := openRank(storage.OS(), dir, 0)
+		if err != nil {
 			t.Fatalf("openRank: reader %v, err %v", r, err)
 		}
-		got, err := r.Materialize()
+		got, err := r.materialize(r.Cursor())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,6 +359,10 @@ func mkTrace(ranks, perRank int, seed int64) *recorder.Trace {
 	return traceOf(recorder.Meta{App: "colfmt-test", Ranks: ranks, PPN: 2, Steps: 1, Seed: uint64(seed)}, streams)
 }
 
+// TestDirRoundTripBothFormats round-trips a trace directory in each
+// format at several load worker counts: columnar through SaveDirOn and
+// LoadDirOn, v1 through the test-support writer and decoder. LoadDirOn
+// rejects the v1 directory at every worker count, naming its lowest rank.
 func TestDirRoundTripBothFormats(t *testing.T) {
 	tr := mkTrace(6, 150, 21)
 	for _, f := range savers {
@@ -343,6 +373,12 @@ func TestDirRoundTripBothFormats(t *testing.T) {
 					t.Fatal(err)
 				}
 				got, err := LoadDirOn(storage.OS(), dir, workers)
+				if f.name == "v1" {
+					if !errors.Is(err, ErrBadMagic) || !strings.HasPrefix(err.Error(), "recorder: reading rank 0: ") {
+						t.Fatalf("LoadDirOn of a v1 directory: %v, want rank 0's bad magic", err)
+					}
+					got, err = v1test.LoadDir(dir)
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -357,8 +393,10 @@ func TestDirRoundTripBothFormats(t *testing.T) {
 	}
 }
 
-// TestMixedFormatDir pins per-file sniffing: a directory whose ranks are
-// half v1, half columnar loads as one trace.
+// TestMixedFormatDir: a directory whose ranks are half v1, half columnar
+// is not a trace. The strict load and scan fail on the lowest v1 rank with
+// ErrBadMagic, while its columnar ranks still open; a lenient scan counts
+// each v1 rank unreadable and keeps the columnar ones whole.
 func TestMixedFormatDir(t *testing.T) {
 	tr := mkTrace(4, 80, 23)
 	dir := t.TempDir()
@@ -368,42 +406,45 @@ func TestMixedFormatDir(t *testing.T) {
 	for r := 0; r < 4; r += 2 {
 		writeV1Rank(t, dir, r, r, tr.Records(r))
 	}
-	got, err := LoadDirOn(storage.OS(), dir, 2)
-	if err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{1, 2} {
+		_, err := LoadDirOn(storage.OS(), dir, workers)
+		if !errors.Is(err, ErrBadMagic) || !strings.HasPrefix(err.Error(), "recorder: reading rank 0: colfmt: bad magic \"SEMFSTR1") {
+			t.Fatalf("workers=%d: mixed directory load: %v", workers, err)
+		}
 	}
-	for r := range tr.PerRank {
-		requireRecordsEqual(t, tr.Records(r), got.Records(r))
-	}
-}
-
-// TestConvertDir: converting a v1 directory writes columnar rank files
-// carrying the same records; converting in place is refused.
-func TestConvertDir(t *testing.T) {
-	tr := mkTrace(3, 120, 29)
-	v1dir, coldir := t.TempDir(), t.TempDir()
-	if err := v1test.SaveDir(v1dir, tr); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ConvertDirOn(storage.OS(), v1dir, coldir, 2); err != nil {
-		t.Fatal(err)
-	}
-	a, err := LoadDirOn(storage.OS(), coldir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := range tr.PerRank {
-		data, err := os.ReadFile(filepath.Join(coldir, recorder.RankFileName(r)))
+	for rank := range tr.PerRank {
+		_, release, err := OpenRankOn(storage.OS(), dir, rank)
+		if rank%2 == 0 {
+			if !errors.Is(err, ErrBadMagic) || !strings.HasPrefix(err.Error(), fmt.Sprintf("recorder: reading rank %d: ", rank)) {
+				t.Fatalf("rank %d (v1): OpenRankOn = %v", rank, err)
+			}
+			continue
+		}
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("rank %d (columnar): %v", rank, err)
 		}
-		if !Sniff(data) {
-			t.Fatalf("rank %d: converted file is not columnar", r)
-		}
-		requireRecordsEqual(t, tr.Records(r), a.Records(r))
+		release()
 	}
-	if _, err := ConvertDirOn(storage.OS(), v1dir, v1dir, 0); err == nil {
-		t.Fatal("in-place convert accepted")
+	got, sal, err := loadLenient(storage.OS(), dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sal.Full != 2 || sal.Unreadable != 2 || sal.Records != 160 || sal.Dropped != 0 || len(sal.Errs) != 2 {
+		t.Fatalf("lenient salvage: %v", sal)
+	}
+	for _, e := range sal.Errs {
+		if !errors.Is(e, ErrBadMagic) {
+			t.Fatalf("salvage error %v is not ErrBadMagic", e)
+		}
+	}
+	for rank := range tr.PerRank {
+		if rank%2 == 0 {
+			if len(got.PerRank[rank]) != 0 {
+				t.Fatalf("rank %d (v1) yielded records", rank)
+			}
+			continue
+		}
+		requireRecordsEqual(t, tr.Records(rank), got.Records(rank))
 	}
 }
 

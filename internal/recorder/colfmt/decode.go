@@ -2,6 +2,7 @@ package colfmt
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 
@@ -9,12 +10,11 @@ import (
 	"repro/internal/recorder/colwire"
 )
 
-// Sniff reports whether data begins with the columnar magic. Dir loaders use
-// it to dispatch between the columnar decoder and the v1 compatibility
-// reader on a per-file basis.
-func Sniff(data []byte) bool {
-	return len(data) >= len(colwire.Magic) && string(data[:len(colwire.Magic)]) == colwire.Magic
-}
+// ErrBadMagic reports a stream that does not begin with the columnar magic:
+// not a rank stream at all, or one in the retired record-framed v1 format,
+// which a rerun of semtrace (deterministic in app, ranks, PPN and seed)
+// regenerates as columnar.
+var ErrBadMagic = errors.New("colfmt: bad magic")
 
 // CorruptError reports a frame that failed CRC, framing, or column decoding
 // mid-stream — damage, as opposed to a torn tail where bytes are simply
@@ -43,14 +43,17 @@ type Reader struct {
 }
 
 // NewReader parses the stream header and probes the footer of an in-memory
-// columnar stream. It fails only when the header itself is unusable (bad
-// magic, forged rank/count) — a torn or corrupt tail is detected during the
-// cursor walk so the valid prefix stays recoverable.
+// columnar stream. It fails only when the header itself is unusable (torn,
+// bad magic, forged rank/count) — a torn or corrupt tail is detected during
+// the cursor walk so the valid prefix stays recoverable.
 func NewReader(data []byte) (*Reader, error) {
-	if !Sniff(data) {
-		return nil, fmt.Errorf("colfmt: bad magic")
-	}
 	off := len(colwire.Magic)
+	if len(data) < off && string(data) == colwire.Magic[:len(data)] {
+		return nil, &recorder.TruncatedError{} // torn inside the magic
+	}
+	if len(data) < off || string(data[:off]) != colwire.Magic {
+		return nil, fmt.Errorf("%w %q", ErrBadMagic, data[:min(len(data), off)])
+	}
 	urank, off, ok := uvarintAt(data, off)
 	if !ok {
 		return nil, &recorder.TruncatedError{}
@@ -530,14 +533,6 @@ func (c *Cursor) resolve(ref uint64) (string, bool) {
 	return c.dict[ref-1], true
 }
 
-// Materialize decodes the whole stream into a fresh []Record — the shim for
-// callers that still want slices. Args are copied into chunked arenas so
-// records stay valid after the mapping is released. On error the valid
-// prefix is returned alongside it, mirroring recorder.DecodeRankStream.
-func (r *Reader) Materialize() ([]recorder.Record, error) {
-	return r.materialize(r.Cursor())
-}
-
 // Replay walks the whole stream with a strict cursor into a rank log, as
 // the running rank emitted it: the decoded rank of a trace. On error the
 // log holds the valid prefix.
@@ -548,32 +543,6 @@ func (r *Reader) Replay() (*recorder.RankTracer, error) {
 		rt.Emit(c.rec, c.rec.Args)
 	}
 	return rt, c.Err()
-}
-
-const argArenaLen = 8192
-
-func (r *Reader) materialize(c *Cursor) ([]recorder.Record, error) {
-	// A record costs at least two column bytes, so len(data) safely bounds a
-	// forged declared count's preallocation.
-	prealloc := r.declared
-	if prealloc > uint64(len(r.data)) {
-		prealloc = uint64(len(r.data))
-	}
-	records := make([]recorder.Record, 0, prealloc)
-	var arena []int64
-	for c.Next() {
-		rec := c.rec
-		if n := len(rec.Args); n > 0 {
-			if len(arena) < n {
-				arena = make([]int64, argArenaLen)
-			}
-			copy(arena, rec.Args)
-			rec.Args = arena[:n:n]
-			arena = arena[n:]
-		}
-		records = append(records, rec)
-	}
-	return records, c.Err()
 }
 
 // uvarintAt decodes a uvarint from data at off, returning the value, the

@@ -1,7 +1,6 @@
 package colfmt
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -15,17 +14,15 @@ import (
 	"repro/internal/storage"
 )
 
-// Directory-level trace I/O with per-file format sniffing: both formats
-// share the v1 on-disk shape — "trace.meta" JSON plus one "rank_NNNNN.rec"
-// stream per rank. Directories are written columnar only; on read the
-// magic bytes inside each stream pick the decoder, so columnar, v1, and
-// even mixed directories all read through one opener (openRank), whether
-// a scan walks the ranks (OpenRankOn, OpenRanksLenientOn) or LoadDirOn
-// decodes them into a trace. Loads shard rank files across the bounded
-// worker pool (core.ParallelForCtx, under a background context that never
-// cancels, so every rank runs): decode work is embarrassingly parallel per
-// stream and each rank lands in its own log, so the result is
-// byte-identical to a serial load.
+// Directory-level trace I/O: a trace directory is the "trace.meta" JSON
+// plus one columnar "rank_NNNNN.rec" stream per rank. Every read goes
+// through one opener (openRank), whether a scan walks the ranks
+// (OpenRankOn, OpenRanksLenientOn) or LoadDirOn decodes them into a trace,
+// and a rank file that is not columnar fails there with ErrBadMagic. Loads
+// shard rank files across the bounded worker pool (core.ParallelForCtx,
+// under a background context that never cancels, so every rank runs):
+// decode work is embarrassingly parallel per stream and each rank lands in
+// its own log, so the result is byte-identical to a serial load.
 
 // SaveDirOn persists a trace as a columnar directory: the "trace.meta"
 // JSON plus one rank stream per rank, as recorder.Trace.WriteStream
@@ -64,13 +61,10 @@ func SaveDirOn(b storage.Backend, dir string, tr *recorder.Trace) error {
 }
 
 // openRank reads rank's stream file of dir — mapped when the backend
-// allows it, read through the backend otherwise — sniffs its format and
-// checks that it holds rank. A columnar stream yields its Reader, whose
-// bytes stay mapped until release. Anything else (a v1 stream, or a file
-// that cannot be read, whose columnar header is unusable or that holds
-// another rank) yields a nil Reader, the records decoded before the first
-// damage (v1 strings are copied, so they outlive the bytes) and the error.
-func openRank(b storage.Backend, dir string, rank int) (r *Reader, release func(), recs []recorder.Record, err error) {
+// allows it, read through the backend otherwise — and opens its Reader,
+// whose bytes stay mapped until release. A file that cannot be read, is not
+// columnar, has an unusable header or holds another rank fails the open.
+func openRank(b storage.Backend, dir string, rank int) (r *Reader, release func(), err error) {
 	path := filepath.Join(dir, recorder.RankFileName(rank))
 	var data []byte
 	if storage.MapsFiles(b) {
@@ -83,19 +77,9 @@ func openRank(b storage.Backend, dir string, rank int) (r *Reader, release func(
 	}
 	if release == nil {
 		if data, err = b.ReadFile(path); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		release = func() {}
-	}
-	if !Sniff(data) {
-		// An unrecognized stream goes to the v1 decoder too, which reports
-		// its canonical bad-magic error.
-		gotRank, recs, err := recorder.DecodeRankStream(bytes.NewReader(data))
-		release()
-		if err == nil && gotRank != rank {
-			return nil, nil, nil, fmt.Errorf("holds rank %d", gotRank)
-		}
-		return nil, nil, recs, err
 	}
 	r, err = NewReader(data)
 	if err == nil && r.Rank() != rank {
@@ -103,9 +87,9 @@ func openRank(b storage.Backend, dir string, rank int) (r *Reader, release func(
 	}
 	if err != nil {
 		release()
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return r, release, nil, nil
+	return r, release, nil
 }
 
 // rankError is the error every strict directory read reports for a damaged
@@ -115,17 +99,13 @@ func rankError(rank int, err error) error {
 }
 
 // OpenRankOn opens one rank stream of a trace directory for a single
-// strict forward walk: a columnar file yields a Cursor over its mapped
-// bytes, which release unmaps; a v1 file is decoded to a slice on open.
-// Every failure — at open or, through the stream's Err, mid-walk — is
-// exactly the error LoadDirOn reports for that rank.
+// strict forward walk: a Cursor over its mapped bytes, which release
+// unmaps. Every failure — at open or, through the stream's Err, mid-walk —
+// is exactly the error LoadDirOn reports for that rank.
 func OpenRankOn(b storage.Backend, dir string, rank int) (s core.RecordStream, release func(), err error) {
-	r, release, recs, err := openRank(b, dir, rank)
+	r, release, err := openRank(b, dir, rank)
 	if err != nil {
 		return nil, nil, rankError(rank, err)
-	}
-	if r == nil {
-		return core.NewSliceStream(recs), func() {}, nil
 	}
 	return &rankCursor{Cursor: r.Cursor(), rank: rank}, release, nil
 }
@@ -144,34 +124,33 @@ func (c *rankCursor) Err() error {
 }
 
 // rankSalvage is what a lenient walk of one rank stream recovered.
-// columnar is set when a columnar Reader opened, so declared, its header's
-// record count, belongs to this rank: a file holding another rank opens no
-// Reader, and its records do not count as dropped.
+// declared is the header's record count of a stream that opened; a file
+// that did not (one holding another rank, say) declares nothing, so its
+// records do not count as dropped.
 type rankSalvage struct {
 	stats    Stats
-	columnar bool
 	declared int
 	err      error
 }
 
 // OpenRanksLenientOn returns the opener of a degraded-mode scan over a
 // trace directory's rank streams and the fold of what it recovered. No
-// open fails and no stream errs: a columnar stream is walked by a
-// LenientCursor, a v1 stream yields the records decoded before its damage,
-// and an unreadable one is empty. Releasing a rank records its walk in a
-// rank-indexed slot; salvage folds the slots in rank order, so counts and
-// errors do not depend on scheduling, and fails if no record survived.
+// open fails and no stream errs: a stream that opens is walked by a
+// LenientCursor, and one that does not is empty. Releasing a rank records
+// its walk in a rank-indexed slot; salvage folds the slots in rank order,
+// so counts and errors do not depend on scheduling, and fails if no record
+// survived.
 func OpenRanksLenientOn(b storage.Backend, dir string, ranks int) (open func(rank int) (core.RecordStream, func(), error), salvage func() (*recorder.Salvage, error)) {
 	slots := make([]rankSalvage, ranks)
 	open = func(rank int) (core.RecordStream, func(), error) {
 		slot := &slots[rank]
-		r, release, recs, err := openRank(b, dir, rank)
-		if r == nil {
-			slot.stats.Records, slot.err = len(recs), err
-			return core.NewSliceStream(recs), func() {}, nil
+		r, release, err := openRank(b, dir, rank)
+		if err != nil {
+			slot.err = err
+			return lenientCursor{&Cursor{done: true}}, func() {}, nil
 		}
 		c := r.LenientCursor()
-		slot.columnar, slot.declared = true, r.Declared()
+		slot.declared = r.Declared()
 		return lenientCursor{c}, func() {
 			slot.stats, slot.err = c.Stats(), c.Err()
 			release()
@@ -201,17 +180,10 @@ func OpenRanksLenientOn(b storage.Backend, dir string, ranks int) (open func(ran
 				sal.Unreadable++
 				sal.Errs = append(sal.Errs, fmt.Errorf("%s: %w", recorder.RankFileName(rank), res.err))
 			}
-			if res.columnar {
-				// The columnar header declares the count up front, so the lost
-				// tail is exact even when the cut ate the footer.
-				if d := res.declared - n; d > 0 {
-					sal.Dropped += d
-				}
-			} else {
-				var te *recorder.TruncatedError
-				if errors.As(res.err, &te) {
-					sal.Dropped += te.Dropped()
-				}
+			// The header declares the count up front, so the lost tail is
+			// exact even when the cut ate the footer.
+			if d := res.declared - n; d > 0 {
+				sal.Dropped += d
 			}
 			sal.Records += n
 		}
@@ -252,9 +224,9 @@ func MetaOn(b storage.Backend, dir string) (recorder.Meta, error) {
 }
 
 // LoadDirOn loads a trace directory, decoding rank files in parallel across
-// workers (core.EffectiveWorkers semantics) and sniffing each stream's
-// format. Any damaged stream fails the load; the reported error is the
-// lowest-ranked failure, so retries see a deterministic message.
+// workers (core.EffectiveWorkers semantics). Any damaged stream fails the
+// load; the reported error is the lowest-ranked failure, so retries see a
+// deterministic message.
 func LoadDirOn(b storage.Backend, dir string, workers int) (*recorder.Trace, error) {
 	meta, err := MetaOn(b, dir)
 	if err != nil {
@@ -263,15 +235,10 @@ func LoadDirOn(b storage.Backend, dir string, workers int) (*recorder.Trace, err
 	tracers := make([]*recorder.RankTracer, meta.Ranks)
 	errs := make([]error, meta.Ranks)
 	_ = core.ParallelForCtx(context.Background(), meta.Ranks, workers, func(rank int) {
-		r, release, recs, err := openRank(b, dir, rank)
-		if r != nil {
+		r, release, err := openRank(b, dir, rank)
+		if err == nil {
 			tracers[rank], err = r.Replay()
 			release()
-		} else {
-			tracers[rank] = recorder.NewRankTracer(rank)
-			for i := range recs {
-				tracers[rank].Emit(recs[i], recs[i].Args)
-			}
 		}
 		errs[rank] = err
 	})
@@ -281,21 +248,4 @@ func LoadDirOn(b storage.Backend, dir string, workers int) (*recorder.Trace, err
 		}
 	}
 	return recorder.TraceOf(meta, tracers)
-}
-
-// ConvertDirOn loads a trace directory (either format, strict) and rewrites
-// it under dst as columnar — the engine behind semtrace -convert, the
-// upgrade path for v1 traces. src and dst may not be the same directory.
-func ConvertDirOn(b storage.Backend, src, dst string, workers int) (*recorder.Trace, error) {
-	if filepath.Clean(src) == filepath.Clean(dst) {
-		return nil, fmt.Errorf("colfmt: convert in place (%s) not supported", src)
-	}
-	tr, err := LoadDirOn(b, src, workers)
-	if err != nil {
-		return nil, err
-	}
-	if err := SaveDirOn(b, dst, tr); err != nil {
-		return nil, err
-	}
-	return tr, nil
 }

@@ -3,6 +3,7 @@ package colfmt
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,12 +14,26 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/recorder"
+	"repro/internal/recorder/colwire"
 	"repro/internal/recorder/v1test"
 	"repro/internal/storage"
 )
 
 func mkRec(rank int, layer recorder.Layer, fn recorder.Func, ts, te uint64, path string, args ...int64) recorder.Record {
 	return recorder.Record{Rank: int32(rank), Layer: layer, Func: fn, TStart: ts, TEnd: te, Path: path, Args: args}
+}
+
+// writeColumnarRank writes a columnar stream declaring streamRank into
+// fileRank's file under dir.
+func writeColumnarRank(t *testing.T, dir string, fileRank, streamRank int, recs []recorder.Record) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := EncodeStream(&buf, streamRank, recs, EncodeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, recorder.RankFileName(fileRank)), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // writeV1Rank writes a v1 stream declaring streamRank into fileRank's file
@@ -119,7 +134,15 @@ func TestLoadDirErrors(t *testing.T) {
 	writeMeta(t, norank, `{"Ranks":1}`)
 	wrong := filepath.Join(dir, "wrong")
 	writeMeta(t, wrong, `{"Ranks":1}`)
-	writeV1Rank(t, wrong, 0, 7, nil)
+	writeColumnarRank(t, wrong, 0, 7, nil)
+	empty := filepath.Join(dir, "empty")
+	writeMeta(t, empty, `{"Ranks":1}`)
+	if err := os.WriteFile(filepath.Join(empty, recorder.RankFileName(0)), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	v1 := filepath.Join(dir, "v1")
+	writeMeta(t, v1, `{"Ranks":1}`)
+	writeV1Rank(t, v1, 0, 0, nil)
 	// A forged rank count must fail before anything is sized by it: the
 	// first overflows a slice length, the second would exhaust memory.
 	huge := filepath.Join(dir, "huge")
@@ -139,6 +162,8 @@ func TestLoadDirErrors(t *testing.T) {
 		{"zero ranks", zero, "no ranks", "no ranks"},
 		{"missing rank file", norank, "reading rank 0", "nothing salvageable"},
 		{"wrong-rank stream", wrong, "holds rank 7", "nothing salvageable"},
+		{"empty rank file", empty, "reading rank 0: recorder: trace stream truncated", "nothing salvageable"},
+		{"v1 stream", v1, `reading rank 0: colfmt: bad magic "SEMFSTR1`, "nothing salvageable"},
 		{"ranks overflow", huge, "4000000000000 ranks (limit", "4000000000000 ranks (limit"},
 		{"ranks too many", large, "50000000 ranks (limit", "50000000 ranks (limit"},
 	} {
@@ -151,9 +176,9 @@ func TestLoadDirErrors(t *testing.T) {
 	}
 }
 
-// TestLoadDirLenient pins v1 degraded-mode scanning: a torn stream keeps its
-// valid prefix with exact Dropped accounting, missing and wrong-rank streams
-// (in either format) are unreadable, and only unusable metadata or zero
+// TestLoadDirLenient pins degraded-mode scanning: a torn stream keeps the
+// blocks before the cut with exact Dropped accounting, missing, wrong-rank
+// and v1 streams are unreadable, and only unusable metadata or zero
 // surviving records fail.
 func TestLoadDirLenient(t *testing.T) {
 	mk := func(rank int) []recorder.Record {
@@ -165,7 +190,7 @@ func TestLoadDirLenient(t *testing.T) {
 	}
 	tr := traceOf(recorder.Meta{App: "x", Ranks: 3}, [][]recorder.Record{mk(0), mk(1), mk(2)})
 	dir := t.TempDir()
-	if err := v1test.SaveDir(dir, tr); err != nil {
+	if err := SaveDirOn(storage.OS(), dir, tr); err != nil {
 		t.Fatal(err)
 	}
 
@@ -178,13 +203,18 @@ func TestLoadDirLenient(t *testing.T) {
 		t.Fatalf("clean load salvage: %v", sal)
 	}
 
-	// Truncate rank 1 mid-stream and delete rank 2 entirely.
-	r1 := filepath.Join(dir, recorder.RankFileName(1))
-	data, err := os.ReadFile(r1)
-	if err != nil {
+	// Re-encode rank 1 with one record a block and cut it inside its second
+	// block; delete rank 2 entirely.
+	var one bytes.Buffer
+	if err := EncodeStream(&one, 1, mk(1), EncodeOptions{BlockRecords: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(r1, data[:len(data)-3], 0o644); err != nil {
+	data := one.Bytes()
+	off := len(colwire.Magic)
+	_, off, _ = uvarintAt(data, off)
+	_, off, _ = uvarintAt(data, off)
+	off += colwire.FrameHdrLen + int(binary.LittleEndian.Uint32(data[off+1:]))
+	if err := os.WriteFile(filepath.Join(dir, recorder.RankFileName(1)), data[:off+colwire.FrameHdrLen+1], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Remove(filepath.Join(dir, recorder.RankFileName(2))); err != nil {
@@ -198,22 +228,19 @@ func TestLoadDirLenient(t *testing.T) {
 	if !sal.Degraded() || sal.Full != 1 || sal.Truncated != 1 || sal.Unreadable != 1 {
 		t.Fatalf("degraded load salvage: %v", sal)
 	}
-	if sal.Salvaged == 0 || sal.Records != 3+sal.Salvaged || len(sal.Errs) != 2 {
+	if sal.Salvaged != 1 || sal.Records != 4 || len(sal.Errs) != 2 {
 		t.Fatalf("degraded load counts: %v", sal)
 	}
-	// The truncated stream declared 3 records and lost its tail: the salvage
+	// The torn stream declared 3 records and lost its tail: the salvage
 	// report counts exactly what was dropped, not just that damage happened.
-	if sal.Dropped != 3-sal.Salvaged {
-		t.Fatalf("dropped = %d, want %d (declared minus salvaged)", sal.Dropped, 3-sal.Salvaged)
-	}
-	if sal.Blocks != 0 || sal.BlocksDropped != 0 {
-		t.Fatalf("v1 streams have no block accounting: %v", sal)
+	if sal.Dropped != 2 {
+		t.Fatalf("dropped = %d, want 2 (declared minus salvaged)", sal.Dropped)
 	}
 	if len(got.PerRank[0]) != 3 || len(got.PerRank[2]) != 0 {
 		t.Fatalf("per-rank records: %d/%d/%d",
 			len(got.PerRank[0]), len(got.PerRank[1]), len(got.PerRank[2]))
 	}
-	requireRecordsEqual(t, tr.Records(1)[:sal.Salvaged], got.Records(1))
+	requireRecordsEqual(t, tr.Records(1)[:1], got.Records(1))
 	found := false
 	for _, e := range sal.Errs {
 		if errors.Is(e, recorder.ErrTruncated) {
@@ -228,36 +255,35 @@ func TestLoadDirLenient(t *testing.T) {
 		t.Fatalf("salvage string: %q", s)
 	}
 
-	// A stream holding the wrong rank is unreadable, its records discarded.
-	writeV1Rank(t, dir, 2, 9, mk(9))
-	got, sal, err = loadLenient(storage.OS(), dir, 2)
+	// A stream holding the wrong rank is unreadable, its records discarded
+	// and, never lost to a cut, not counted as dropped.
+	wdir := t.TempDir()
+	if err := SaveDirOn(storage.OS(), wdir, tr); err != nil {
+		t.Fatal(err)
+	}
+	writeColumnarRank(t, wdir, 2, 1, mk(1))
+	got, sal, err = loadLenient(storage.OS(), wdir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sal.Unreadable != 1 || len(got.PerRank[2]) != 0 {
-		t.Fatalf("wrong-rank stream salvage: %v, rank2=%d recs", sal, len(got.PerRank[2]))
+	if sal.Full != 2 || sal.Unreadable != 1 || sal.Records != 6 || sal.Dropped != 0 || len(got.PerRank[2]) != 0 {
+		t.Fatalf("wrong-rank stream salvage: %v", sal)
 	}
 
-	// In either format, a wrong-rank stream's records were never lost to a
-	// cut, so they do not count as dropped.
-	for _, f := range savers {
-		wdir := t.TempDir()
-		if err := f.save(wdir, tr); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(filepath.Join(wdir, recorder.RankFileName(1)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(wdir, recorder.RankFileName(2)), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		got, sal, err = loadLenient(storage.OS(), wdir, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sal.Full != 2 || sal.Unreadable != 1 || sal.Records != 6 || sal.Dropped != 0 || len(got.PerRank[2]) != 0 {
-			t.Fatalf("%s wrong-rank stream salvage: %v", f.name, sal)
+	// A v1 directory salvages nothing: every stream is unreadable by its
+	// magic, and no record counts as dropped.
+	vdir := t.TempDir()
+	if err := v1test.SaveDir(vdir, tr); err != nil {
+		t.Fatal(err)
+	}
+	_, sal, err = loadLenient(storage.OS(), vdir, 2)
+	if err == nil || !strings.Contains(err.Error(), "nothing salvageable") || sal == nil ||
+		sal.Unreadable != 3 || sal.Records != 0 || sal.Dropped != 0 {
+		t.Fatalf("v1 dir: err=%v sal=%v", err, sal)
+	}
+	for _, e := range sal.Errs {
+		if !errors.Is(e, ErrBadMagic) {
+			t.Fatalf("v1 dir: salvage error %v is not ErrBadMagic", e)
 		}
 	}
 
@@ -273,7 +299,7 @@ func TestLoadDirLenient(t *testing.T) {
 // TestSaveLoadDir round-trips a trace through both formats and pins the
 // bytes on disk: trace.meta is the indented JSON of Meta, and every rank
 // file is exactly its format's stream encoding — for v1 the bytes
-// v1test.EncodeRankStream writes.
+// v1test.EncodeRankStream writes, read back by the v1 decoder.
 func TestSaveLoadDir(t *testing.T) {
 	tr := traceOf(recorder.Meta{App: "FLASH", Library: "HDF5", Variant: "fbs", Ranks: 2, PPN: 2, Steps: 10, Seed: 42},
 		[][]recorder.Record{
@@ -311,7 +337,11 @@ func TestSaveLoadDir(t *testing.T) {
 				t.Fatalf("%s: rank %d file differs from the stream encoder's bytes", f.name, rank)
 			}
 		}
-		got, err := LoadDirOn(storage.OS(), dir, 1)
+		load := func() (*recorder.Trace, error) { return LoadDirOn(storage.OS(), dir, 1) }
+		if f.name == "v1" {
+			load = func() (*recorder.Trace, error) { return v1test.LoadDir(dir) }
+		}
+		got, err := load()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -53,7 +53,7 @@ func FuzzDecodeColumnar(f *testing.F) {
 		if err != nil {
 			return
 		}
-		recs, merr := r.Materialize()
+		recs, merr := r.materialize(r.Cursor())
 		if uint64(len(recs)) > uint64(r.Declared()) {
 			t.Fatalf("decoded %d records, header declared %d", len(recs), r.Declared())
 		}
@@ -90,7 +90,7 @@ func FuzzDecodeColumnar(f *testing.F) {
 		if err != nil {
 			t.Fatalf("reopening re-encoded stream: %v", err)
 		}
-		recs2, err := r2.Materialize()
+		recs2, err := r2.materialize(r2.Cursor())
 		if err != nil {
 			t.Fatalf("decoding re-encoded stream: %v", err)
 		}

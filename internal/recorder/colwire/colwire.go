@@ -58,7 +58,7 @@ const (
 // BlockRecords is the writer's default record count per data block.
 const BlockRecords = 4096
 
-// Wire limits, mirroring the v1 decoder's forged-header bounds.
+// Wire limits: the bounds a forged header or frame is checked against.
 const (
 	MaxRank     = 1 << 20
 	MaxRecords  = 1 << 30

@@ -1,14 +1,16 @@
 package recorder_test
 
-// The v1 wire format's decoder tests: streams are built by the
-// test-support writer (internal/recorder/v1test), which production code
-// does not link.
+// The v1 wire format's tests: the format (writer and decoder) is the
+// test-support oracle in internal/recorder/v1test, which production code
+// does not link. Its decoder keeps the recorder's truncation contract
+// (ErrTruncated, TruncatedError) that the columnar cursor also follows.
 
 import (
 	"bytes"
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/recorder"
@@ -76,7 +78,7 @@ func FuzzLoadRecord(f *testing.F) {
 	f.Add([]byte("SEMFSTR1\x00\x01\x00\x05\xff\xff\x7f")) // nonsense record
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rank, records, err := recorder.DecodeRankStream(bytes.NewReader(data))
+		rank, records, err := v1test.DecodeRankStream(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -84,7 +86,7 @@ func FuzzLoadRecord(f *testing.F) {
 		if err := v1test.EncodeRankStream(&buf, rank, records); err != nil {
 			t.Fatalf("re-encoding decoded stream: %v", err)
 		}
-		rank2, records2, err := recorder.DecodeRankStream(&buf)
+		rank2, records2, err := v1test.DecodeRankStream(&buf)
 		if err != nil {
 			t.Fatalf("decoding re-encoded stream: %v", err)
 		}
@@ -114,13 +116,13 @@ func TestDecodeTruncatedStreams(t *testing.T) {
 	}
 	full := buf.Bytes()
 	for cut := 0; cut < len(full); cut++ {
-		_, _, err := recorder.DecodeRankStream(bytes.NewReader(full[:cut]))
+		_, _, err := v1test.DecodeRankStream(bytes.NewReader(full[:cut]))
 		if err == nil {
 			t.Fatalf("truncation at %d/%d decoded successfully", cut, len(full))
 		}
 	}
 	// The full stream still decodes.
-	if _, got, err := recorder.DecodeRankStream(bytes.NewReader(full)); err != nil || len(got) != 3 {
+	if _, got, err := v1test.DecodeRankStream(bytes.NewReader(full)); err != nil || len(got) != 3 {
 		t.Fatalf("full decode: %d recs, %v", len(got), err)
 	}
 }
@@ -140,7 +142,7 @@ func TestDecodeTruncatedSalvagesPrefix(t *testing.T) {
 	full := buf.Bytes()
 	maxSalvaged := 0
 	for cut := 0; cut < len(full); cut++ {
-		_, got, err := recorder.DecodeRankStream(bytes.NewReader(full[:cut]))
+		_, got, err := v1test.DecodeRankStream(bytes.NewReader(full[:cut]))
 		if !errors.Is(err, recorder.ErrTruncated) {
 			t.Fatalf("cut %d/%d: err = %v, want recorder.ErrTruncated", cut, len(full), err)
 		}
@@ -173,7 +175,7 @@ func TestStreamRoundTrip(t *testing.T) {
 	if err := v1test.EncodeRankStream(&buf, 3, recs); err != nil {
 		t.Fatal(err)
 	}
-	rank, got, err := recorder.DecodeRankStream(&buf)
+	rank, got, err := v1test.DecodeRankStream(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +230,7 @@ func TestStreamRoundTripProperty(t *testing.T) {
 		if err := v1test.EncodeRankStream(&buf, 9, recs); err != nil {
 			t.Fatal(err)
 		}
-		_, got, err := recorder.DecodeRankStream(&buf)
+		_, got, err := v1test.DecodeRankStream(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,5 +245,27 @@ func TestEncodeRejectsBackwardsTime(t *testing.T) {
 	err := v1test.EncodeRankStream(&buf, 0, []recorder.Record{{Rank: 0, Func: recorder.FuncRead, TStart: 10, TEnd: 5}})
 	if err == nil {
 		t.Fatal("expected error for TEnd < TStart")
+	}
+}
+
+func TestDecodeRejectsBadMagic(t *testing.T) {
+	if _, _, err := v1test.DecodeRankStream(bytes.NewBufferString("NOTATRACE....")); err == nil {
+		t.Fatal("expected error for bad magic")
+	}
+}
+
+func TestDecodeRejectsCorruptStringRef(t *testing.T) {
+	// Hand-craft a stream whose record references string-table entry 99.
+	var buf bytes.Buffer
+	buf.WriteString("SEMFSTR1")
+	buf.Write([]byte{0}) // rank 0
+	buf.Write([]byte{1}) // one record
+	buf.Write([]byte{byte(recorder.LayerPOSIX)})
+	buf.Write([]byte{byte(recorder.FuncOpen)})
+	buf.Write([]byte{5})   // tstart
+	buf.Write([]byte{1})   // duration
+	buf.Write([]byte{101}) // string ref 101-2=99: out of table
+	if _, _, err := v1test.DecodeRankStream(&buf); err == nil || !strings.Contains(err.Error(), "string ref") {
+		t.Fatalf("corrupt string ref accepted: %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package recorder
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 )
@@ -85,12 +84,6 @@ func TestRecordArgAccessor(t *testing.T) {
 	}
 	if r.Arg(5) != 0 || r.Arg(-1) != 0 {
 		t.Error("out-of-range Arg should be 0")
-	}
-}
-
-func TestDecodeRejectsBadMagic(t *testing.T) {
-	if _, _, err := DecodeRankStream(bytes.NewBufferString("NOTATRACE....")); err == nil {
-		t.Fatal("expected error for bad magic")
 	}
 }
 

@@ -450,17 +450,3 @@ func (t *Trace) Records(rank int) []Record {
 	}
 	return out
 }
-
-// Filter returns the records (across all ranks, in rank order) for which
-// keep returns true, Args copied.
-func (t *Trace) Filter(keep func(*Record) bool) []Record {
-	var out []Record
-	for rank := range t.PerRank {
-		for _, r := range t.Records(rank) {
-			if keep(&r) {
-				out = append(out, r)
-			}
-		}
-	}
-	return out
-}

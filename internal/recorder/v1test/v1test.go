@@ -1,9 +1,10 @@
-// Package v1test writes the record-framed v1 trace format (SEMFSTR1) for
-// tests. Production code writes only the columnar format
-// (internal/recorder/colfmt) and reads v1 through recorder.DecodeRankStream
-// behind colfmt's per-file sniff; the tests, benchmarks and CI steps that
-// keep that read path covered build their v1 streams and directories here.
-// No command links this package.
+// Package v1test is the test support of package recorder's traces. It
+// holds the record-framed v1 trace format (SEMFSTR1), which production code
+// neither writes nor reads: its writer builds the v1 streams and
+// directories that tests, benchmarks and CI steps use, and its decoder is
+// the disk oracle that the columnar loaders (internal/recorder/colfmt) must
+// agree with record for record. Filter is the record query the tests of the
+// traced I/O libraries share. No command links this package.
 package v1test
 
 import (
@@ -18,7 +19,20 @@ import (
 	"repro/internal/recorder"
 )
 
-// magic opens every v1 stream.
+// The v1 stream layout, one stream per rank:
+//
+//	magic "SEMFSTR1" (8 bytes)
+//	rank (uvarint)
+//	count (uvarint)
+//	count records, each:
+//	  layer (1 byte), func (uvarint)
+//	  tstart (uvarint), tend delta from tstart (uvarint)
+//	  path ref, path2 ref (see below)
+//	  nargs (uvarint), args (varint each)
+//
+// Path references use a per-stream string table built on the fly: 0 means
+// "no path", 1 means "new string follows (uvarint len + bytes)" and is
+// assigned the next table index, and k >= 2 means table entry k-2.
 const magic = "SEMFSTR1"
 
 // SaveDir writes tr as a v1 trace directory: the "trace.meta" JSON colfmt
@@ -51,7 +65,7 @@ func SaveDir(dir string, tr *recorder.Trace) error {
 }
 
 // EncodeRankStream writes one rank's records to w as a v1 stream, the
-// layout recorder.DecodeRankStream reads.
+// layout DecodeRankStream reads.
 func EncodeRankStream(w io.Writer, rank int, records []recorder.Record) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(magic); err != nil {
@@ -126,4 +140,18 @@ func EncodeRankStream(w io.Writer, rank int, records []recorder.Record) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// Filter returns the records of tr (across all ranks, in rank order) for
+// which keep returns true, Args copied.
+func Filter(tr *recorder.Trace, keep func(*recorder.Record) bool) []recorder.Record {
+	var out []recorder.Record
+	for rank := range tr.PerRank {
+		for _, r := range tr.Records(rank) {
+			if keep(&r) {
+				out = append(out, r)
+			}
+		}
+	}
+	return out
 }

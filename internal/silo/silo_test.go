@@ -7,6 +7,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/pfs"
 	"repro/internal/recorder"
+	"repro/internal/recorder/v1test"
 )
 
 func runDump(t *testing.T, ranks, ppn, files int) *harness.Result {
@@ -51,7 +52,7 @@ func TestBatonSerializesGroup(t *testing.T) {
 		t    uint64
 	}
 	var meshWrites []w
-	for _, r := range res.Trace.Filter(func(r *recorder.Record) bool {
+	for _, r := range v1test.Filter(res.Trace, func(r *recorder.Record) bool {
 		return r.Func == recorder.FuncPwrite && r.Arg(1) == 256 && r.Arg(2) >= 384 && r.Arg(2) < 384+4*256
 	}) {
 		meshWrites = append(meshWrites, w{r.Rank, r.TStart})
@@ -72,7 +73,7 @@ func TestRootRewritesTOCSameSession(t *testing.T) {
 	// two writes inside one open session (DBCreate TOC + directory update):
 	// the WAW-S mechanism.
 	perRank := map[int32]int{}
-	for _, r := range res.Trace.Filter(func(r *recorder.Record) bool {
+	for _, r := range v1test.Filter(res.Trace, func(r *recorder.Record) bool {
 		return r.IsWriteOp() && r.Arg(2) == 0
 	}) {
 		perRank[r.Rank]++
@@ -92,7 +93,7 @@ func TestStridedPerRankOffsets(t *testing.T) {
 	// Rank 1's writes in the shared file: mesh at 384+256, var0 at
 	// 384+4*256+256, var1 at 384+4*256+4*256+256 — strided, not consecutive.
 	var offs []int64
-	for _, r := range res.Trace.Filter(func(r *recorder.Record) bool {
+	for _, r := range v1test.Filter(res.Trace, func(r *recorder.Record) bool {
 		return r.Rank == 1 && r.IsWriteOp()
 	}) {
 		offs = append(offs, r.Arg(2))
@@ -111,7 +112,7 @@ func TestStridedPerRankOffsets(t *testing.T) {
 func TestSiloLayerRecords(t *testing.T) {
 	res := runDump(t, 2, 2, 1)
 	seen := map[recorder.Func]bool{}
-	for _, r := range res.Trace.Filter(func(r *recorder.Record) bool { return r.Layer == recorder.LayerSilo }) {
+	for _, r := range v1test.Filter(res.Trace, func(r *recorder.Record) bool { return r.Layer == recorder.LayerSilo }) {
 		seen[r.Func] = true
 	}
 	for _, fn := range []recorder.Func{

@@ -202,11 +202,11 @@ func AnalyzeParallelCtx(ctx context.Context, tr *recorder.Trace, workers int) (*
 
 // AnalyzeDirOn runs AnalyzeParallelCtx's analysis over a trace directory
 // on a storage backend without loading it: each rank file is mapped,
-// folded by the scan through a strict cursor (a v1 file is decoded to a
-// slice and folded the same way) and unmapped before its worker takes the
-// next rank, so the trace never exists as []Record. The Analysis equals
-// AnalyzeParallelCtx's over LoadTraceOn's trace, and a damaged or missing
-// stream fails with LoadTraceOn's error for the lowest-ranked failure.
+// folded by the scan through a strict cursor and unmapped before its
+// worker takes the next rank, so the trace never exists as []Record. The
+// Analysis equals AnalyzeParallelCtx's over LoadTraceOn's trace, and a
+// damaged, missing or non-columnar stream fails with LoadTraceOn's error
+// for the lowest-ranked failure.
 func AnalyzeDirOn(b storage.Backend, dir string, workers int) (*Analysis, error) {
 	an, _, err := analyzeDir(b, dir, workers, false)
 	return an, err
@@ -216,10 +216,9 @@ func AnalyzeDirOn(b storage.Backend, dir string, workers int) (*Analysis, error)
 type Salvage = recorder.Salvage
 
 // AnalyzeDirLenientOn is AnalyzeDirOn in degraded mode: a damaged rank
-// stream contributes the records that survive (a columnar stream's intact
-// blocks, a v1 stream's prefix) and the Salvage reports exactly what was
-// lost. It fails only when the metadata is unusable or no record survives
-// at all (then beside the Salvage).
+// stream contributes the records that survive (its intact blocks) and the
+// Salvage reports exactly what was lost. It fails only when the metadata
+// is unusable or no record survives at all (then beside the Salvage).
 func AnalyzeDirLenientOn(b storage.Backend, dir string, workers int) (*Analysis, *Salvage, error) {
 	return analyzeDir(b, dir, workers, true)
 }
@@ -360,17 +359,10 @@ func SaveTraceOn(b storage.Backend, dir string, tr *recorder.Trace) error {
 }
 
 // LoadTraceOn loads a trace written by SaveTraceOn from a storage backend,
-// sniffing each rank file's format (columnar or v1 — mixed directories are
-// fine) and decoding ranks in parallel across workers (0 means GOMAXPROCS).
+// decoding ranks in parallel across workers (0 means GOMAXPROCS). A rank
+// file that is not columnar fails the load.
 func LoadTraceOn(b storage.Backend, dir string, workers int) (*recorder.Trace, error) {
 	return colfmt.LoadDirOn(b, dir, workers)
-}
-
-// ConvertTraceOn loads a trace directory strictly (either format) and
-// rewrites it as columnar at a new path (src and dst must differ),
-// returning the loaded trace.
-func ConvertTraceOn(b storage.Backend, src, dst string, workers int) (*recorder.Trace, error) {
-	return colfmt.ConvertDirOn(b, src, dst, workers)
 }
 
 // Ctx is the per-rank context handed to custom application bodies.
