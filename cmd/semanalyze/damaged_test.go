@@ -173,6 +173,10 @@ func TestDamagedTraceExits1(t *testing.T) {
 					t.Errorf("workers=%d -lenient: exit %d, stdout %q, stderr %q; want exit %d, stdout %q and nothing salvageable",
 						workers, code, stdout, stderr, exitError, wantOut)
 				}
+				// Each rank's cause is on stderr, not only the count.
+				if want := "semanalyze: " + recorder.RankFileName(0) + ": "; !strings.Contains(string(stderr), want) || !strings.Contains(string(stderr), "bad magic") {
+					t.Errorf("workers=%d -lenient: stderr %q does not say why rank 0 was lost (want %q and bad magic)", workers, stderr, want)
+				}
 			}
 		})
 	}

@@ -264,8 +264,9 @@ func flushed(out *bufio.Writer, code int) int {
 // analyzeDir analyzes a trace directory without loading it (the analysis
 // folds each rank file, mapped, on the same worker pool as its passes) and
 // renders the analysis to w, after -lenient's salvage line. Hard failures
-// go to stderr directly — they are never part of a cached report. A trace
-// that cannot be read fails with exactly a strict load's error.
+// and -lenient's per-rank salvage errors go to stderr directly — they are
+// never part of a cached report. A trace that cannot be read fails with
+// exactly a strict load's error.
 func analyzeDir(w io.Writer, b storage.Backend, dir string, lenient, validate bool, maxShow int, full bool, workers int) int {
 	var an *semfs.Analysis
 	var err error
@@ -276,6 +277,11 @@ func analyzeDir(w io.Writer, b storage.Backend, dir string, lenient, validate bo
 			if _, werr := fmt.Fprintln(w, sal); werr != nil {
 				fmt.Fprintln(os.Stderr, "semanalyze:", werr)
 				return exitError
+			}
+			// Why each degraded rank lost records: the salvage line only
+			// counts them.
+			for _, e := range sal.Errs {
+				fmt.Fprintln(os.Stderr, "semanalyze:", e)
 			}
 		}
 	} else {

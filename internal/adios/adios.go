@@ -26,13 +26,6 @@ const (
 	idxEntryLen  = 64
 )
 
-// Options configures the engine.
-type Options struct {
-	// Substreams is the number of data subfiles / aggregators (ADIOS's
-	// NumAggregators). 0 means one per compute node.
-	Substreams int
-}
-
 // Writer is one rank's handle on an open ADIOS output.
 type Writer struct {
 	comm   *mpi.Proc
@@ -40,26 +33,19 @@ type Writer struct {
 	tracer *recorder.RankTracer
 
 	dir        string // output directory (name.bp/)
-	substreams int
-	sub        int // this rank's substream
-	agg        int // aggregator rank of this substream
-	dataFD     int // aggregator-only: data.N descriptor
-	mdFD       int // rank 0: md.0 descriptor
-	idxFD      int // rank 0: md.idx descriptor
+	substreams int    // data subfiles / aggregators (ADIOS's NumAggregators): one per compute node
+	sub        int    // this rank's substream
+	agg        int    // aggregator rank of this substream
+	dataFD     int    // aggregator-only: data.N descriptor
+	mdFD       int    // rank 0: md.0 descriptor
+	idxFD      int    // rank 0: md.idx descriptor
 	step       int64
 	closed     bool
 }
 
 // OpenWriter opens an ADIOS output collectively.
-func OpenWriter(comm *mpi.Proc, os *posix.Proc, tracer *recorder.RankTracer, name string, opts Options) (*Writer, error) {
-	w := &Writer{comm: comm, os: os, tracer: tracer, dir: name + ".bp"}
-	w.substreams = opts.Substreams
-	if w.substreams <= 0 {
-		w.substreams = comm.Nodes()
-	}
-	if w.substreams > comm.Size() {
-		w.substreams = comm.Size()
-	}
+func OpenWriter(comm *mpi.Proc, os *posix.Proc, tracer *recorder.RankTracer, name string) (*Writer, error) {
+	w := &Writer{comm: comm, os: os, tracer: tracer, dir: name + ".bp", substreams: comm.Nodes()}
 	// Ranks are split into contiguous substream groups; the first rank of
 	// each group aggregates.
 	group := (comm.Size() + w.substreams - 1) / w.substreams
@@ -197,9 +183,3 @@ func (w *Writer) Close() error {
 	w.emit(recorder.FuncADIOSClose, ts, w.dir)
 	return err
 }
-
-// Aggregator reports whether this rank aggregates its substream.
-func (w *Writer) Aggregator() bool { return w.comm.Rank() == w.agg }
-
-// Step returns the current step index.
-func (w *Writer) Step() int64 { return w.step }

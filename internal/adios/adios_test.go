@@ -27,7 +27,7 @@ func run(t *testing.T, n, ppn int, body func(ctx *harness.Ctx) error) *harness.R
 func TestSubstreamAggregation(t *testing.T) {
 	const ranks, ppn = 8, 2 // 4 nodes → default 4 substreams
 	res := run(t, ranks, ppn, func(ctx *harness.Ctx) error {
-		w, err := OpenWriter(ctx.MPI, ctx.OS, ctx.Tracer, "/out", Options{})
+		w, err := OpenWriter(ctx.MPI, ctx.OS, ctx.Tracer, "/out")
 		if err != nil {
 			return err
 		}
@@ -59,7 +59,7 @@ func TestSubstreamAggregation(t *testing.T) {
 
 func TestIndexByteOverwrittenPerStep(t *testing.T) {
 	res := run(t, 4, 2, func(ctx *harness.Ctx) error {
-		w, err := OpenWriter(ctx.MPI, ctx.OS, ctx.Tracer, "/lj", Options{})
+		w, err := OpenWriter(ctx.MPI, ctx.OS, ctx.Tracer, "/lj")
 		if err != nil {
 			return err
 		}
@@ -91,7 +91,7 @@ func TestIndexByteOverwrittenPerStep(t *testing.T) {
 
 func TestMetadataFilesOnRank0(t *testing.T) {
 	res := run(t, 4, 4, func(ctx *harness.Ctx) error {
-		w, err := OpenWriter(ctx.MPI, ctx.OS, ctx.Tracer, "/md", Options{Substreams: 2})
+		w, err := OpenWriter(ctx.MPI, ctx.OS, ctx.Tracer, "/md")
 		if err != nil {
 			return err
 		}
@@ -106,7 +106,7 @@ func TestMetadataFilesOnRank0(t *testing.T) {
 
 func TestSubstreamsCappedAtSize(t *testing.T) {
 	run(t, 2, 1, func(ctx *harness.Ctx) error {
-		w, err := OpenWriter(ctx.MPI, ctx.OS, ctx.Tracer, "/cap", Options{Substreams: 16})
+		w, err := OpenWriter(ctx.MPI, ctx.OS, ctx.Tracer, "/cap")
 		if err != nil {
 			return err
 		}
@@ -130,7 +130,7 @@ func TestSubstreamsCappedAtSize(t *testing.T) {
 
 func TestADIOSLayerRecords(t *testing.T) {
 	res := run(t, 2, 2, func(ctx *harness.Ctx) error {
-		w, err := OpenWriter(ctx.MPI, ctx.OS, ctx.Tracer, "/rec", Options{})
+		w, err := OpenWriter(ctx.MPI, ctx.OS, ctx.Tracer, "/rec")
 		if err != nil {
 			return err
 		}

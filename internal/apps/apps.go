@@ -77,8 +77,8 @@ func (c *Config) Name() string {
 	return recorder.Meta{App: c.App, Library: c.Library, Variant: c.Variant}.ConfigName()
 }
 
-// Meta returns the trace metadata for this configuration.
-func (c *Config) Meta(p Params) recorder.Meta {
+// meta returns the trace metadata for this configuration.
+func (c *Config) meta(p Params) recorder.Meta {
 	return recorder.Meta{App: c.App, Library: c.Library, Variant: c.Variant, Steps: p.Steps}
 }
 
@@ -129,7 +129,7 @@ func Execute(cfg *Config, opts Options) (*harness.Result, error) {
 	}
 	hc.Injector = opts.Injector
 	hc.WAL = opts.WAL
-	res, err := harness.Run(hc, cfg.Meta(p), func(ctx *harness.Ctx) error {
+	res, err := harness.Run(hc, cfg.meta(p), func(ctx *harness.Ctx) error {
 		return cfg.Run(ctx, p)
 	})
 	if err != nil {

@@ -79,7 +79,7 @@ func emitted(t *testing.T, label string, cfg *Config, opts Options) [][]recorder
 		}
 	}
 	out := make([][]recorder.Record, opts.Ranks)
-	res, err := harness.Run(hc, cfg.Meta(p), func(ctx *harness.Ctx) error {
+	res, err := harness.Run(hc, cfg.meta(p), func(ctx *harness.Ctx) error {
 		if err := cfg.Run(ctx, p); err != nil {
 			return err
 		}

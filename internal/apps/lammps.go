@@ -177,7 +177,7 @@ func lammpsOpenDump(ctx *harness.Ctx, p Params, library string) (*lammpsDump, er
 		}, nil
 
 	case "ADIOS":
-		w, err := adios.OpenWriter(ctx.MPI, ctx.OS, ctx.Tracer, "/dump", adios.Options{})
+		w, err := adios.OpenWriter(ctx.MPI, ctx.OS, ctx.Tracer, "/dump")
 		if err != nil {
 			return nil, err
 		}

@@ -60,18 +60,18 @@ func fastRetry(b storage.Backend) storage.Backend {
 
 // TestOpenOnPersistentFailureIsConfigError: a backend that is wedged from
 // (nearly) the start exhausts the retry policy during OpenOn, and ckpt
-// demotes that to ErrBackendConfig — the sweep refuses to start rather than
+// demotes that to errBackendConfig — the sweep refuses to start rather than
 // half-run against a store it cannot commit to.
 func TestOpenOnPersistentFailureIsConfigError(t *testing.T) {
 	b := fastRetry(storage.NewFlaky(storage.OS(), storage.Schedule{WedgeAfter: 1}))
 	_, err := OpenOn(b, t.TempDir(), Manifest{Kind: "doomed"})
-	if !errors.Is(err, ErrBackendConfig) {
+	if !errors.Is(err, errBackendConfig) {
 		t.Fatalf("OpenOn on wedged backend: err = %v, want ErrBackendConfig", err)
 	}
 }
 
 // TestAppendPersistentFailureIsConfigError: the backend wedges after the
-// store opened successfully; the failing Append surfaces ErrBackendConfig,
+// store opened successfully; the failing Append surfaces errBackendConfig,
 // not a bare storage error.
 func TestAppendPersistentFailureIsConfigError(t *testing.T) {
 	// OpenOn costs 3 eligible ops (manifest write+sync+rename) and one
@@ -87,7 +87,7 @@ func TestAppendPersistentFailureIsConfigError(t *testing.T) {
 		t.Fatalf("first append: %v", err)
 	}
 	err = s.Append("doomed", []byte("never"))
-	if !errors.Is(err, ErrBackendConfig) {
+	if !errors.Is(err, errBackendConfig) {
 		t.Fatalf("append on wedged backend: err = %v, want ErrBackendConfig", err)
 	}
 	if !errors.Is(err, storage.ErrUnavailable) {

@@ -12,7 +12,7 @@
 // manifest pins whatever identity the caller needs (schema version, sweep
 // scale, consistency model) so a resume against the wrong directory fails
 // loudly instead of replaying foreign results. internal/experiments journals
-// completed configuration results (see EncodeResult/DecodeResult);
+// completed configuration results (see encodeResult/DecodeResult);
 // cmd/semanalyze journals rendered analyses; cmd/pfsbench journals ablation
 // cells.
 package ckpt
@@ -29,9 +29,9 @@ import (
 	"repro/internal/storage"
 )
 
-// SchemaVersion is the on-disk format version stamped into every manifest.
+// schemaVersion is the on-disk format version stamped into every manifest.
 // OpenOn refuses a store written by a different version.
-const SchemaVersion = 1
+const schemaVersion = 1
 
 const (
 	manifestName = "ckpt.json"
@@ -55,19 +55,19 @@ type Manifest struct {
 // the run being resumed.
 var ErrMismatch = errors.New("ckpt: checkpoint belongs to a different run")
 
-// ErrBackendConfig marks a store whose storage backend proved persistently
+// errBackendConfig marks a store whose storage backend proved persistently
 // unavailable: the retry policy exhausted its budget, so this is an
 // operator/configuration problem (wrong endpoint, dead disk), not data
 // damage. The ckpt layer demotes storage.ErrUnavailable to this — a sweep
 // must refuse to start rather than half-run against a store it cannot
 // commit to.
-var ErrBackendConfig = errors.New("ckpt: storage backend unavailable (configuration error)")
+var errBackendConfig = errors.New("ckpt: storage backend unavailable (configuration error)")
 
 // demote maps an exhausted-backend failure onto the configuration-error
 // rung of the degradation ladder; other errors pass through.
 func demote(err error) error {
 	if err != nil && errors.Is(err, storage.ErrUnavailable) {
-		return fmt.Errorf("%w: %w", ErrBackendConfig, err)
+		return fmt.Errorf("%w: %w", errBackendConfig, err)
 	}
 	return err
 }
@@ -85,15 +85,15 @@ type Store struct {
 }
 
 // OpenOn opens (creating if needed) the checkpoint store at dir on backend
-// b. m.Version is stamped with SchemaVersion. A fresh directory gets the
+// b. m.Version is stamped with schemaVersion. A fresh directory gets the
 // manifest written atomically; an existing one must carry an equal
 // manifest, and its journal is recovered — CRC-verified, torn tail salvaged
 // and truncated — before the store accepts appends. On an eventually-
 // consistent backend the open first waits out the publish-visibility
 // horizon so resume sees everything a crashed run managed to commit. A
-// persistently unavailable backend surfaces as ErrBackendConfig.
+// persistently unavailable backend surfaces as errBackendConfig.
 func OpenOn(b storage.Backend, dir string, m Manifest) (*Store, error) {
-	m.Version = SchemaVersion
+	m.Version = schemaVersion
 	storage.Settle(b)
 	if err := b.MkdirAll(dir); err != nil {
 		return nil, demote(fmt.Errorf("ckpt: %w", err))
@@ -130,21 +130,11 @@ func OpenOn(b storage.Backend, dir string, m Manifest) (*Store, error) {
 	return &Store{dir: dir, backend: b, f: f, committed: byKey, stats: stats}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Stats returns what recovery found when the store was opened.
 func (s *Store) Stats() RecoverStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.stats
-}
-
-// Len returns the number of committed keys.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.committed)
 }
 
 // Keys returns the committed keys, sorted.

@@ -265,7 +265,7 @@ func smallResult(t *testing.T) *harness.Result {
 
 func TestResultCodecRoundtrip(t *testing.T) {
 	res := smallResult(t)
-	blob, err := EncodeResult(res)
+	blob, err := encodeResult(res)
 	if err != nil {
 		t.Fatalf("EncodeResult: %v", err)
 	}
@@ -288,7 +288,7 @@ func TestResultCodecRoundtrip(t *testing.T) {
 		}
 	}
 	// The contract behind byte-identical resumed reports: encoding is stable.
-	blob2, err := EncodeResult(got)
+	blob2, err := encodeResult(got)
 	if err != nil {
 		t.Fatalf("re-encode: %v", err)
 	}
@@ -298,15 +298,15 @@ func TestResultCodecRoundtrip(t *testing.T) {
 }
 
 func TestEncodeResultRefusesBadInput(t *testing.T) {
-	if _, err := EncodeResult(nil); err == nil {
+	if _, err := encodeResult(nil); err == nil {
 		t.Fatal("EncodeResult(nil) succeeded")
 	}
-	if _, err := EncodeResult(&harness.Result{}); err == nil {
+	if _, err := encodeResult(&harness.Result{}); err == nil {
 		t.Fatal("EncodeResult with no trace succeeded")
 	}
 	res := smallResult(t)
 	res.Errs = []error{errors.New("rank 0 failed")}
-	if _, err := EncodeResult(res); err == nil {
+	if _, err := encodeResult(res); err == nil {
 		t.Fatal("EncodeResult with rank errors succeeded")
 	}
 }

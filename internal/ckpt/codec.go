@@ -22,7 +22,7 @@ import (
 //	per rank: uvarint stream length | columnar rank stream
 
 // resultCodecVersion guards the blob layout inside journal records (the
-// store's SchemaVersion guards the journal framing around them). Version 1
+// store's schemaVersion guards the journal framing around them). Version 1
 // held v1 record-framed rank streams; its entries no longer decode, so a
 // resumed sweep re-runs them.
 const resultCodecVersion = 2
@@ -32,10 +32,10 @@ type resultHeader struct {
 	Meta recorder.Meta `json:"meta"`
 }
 
-// EncodeResult serializes a successful result. Failed results are refused:
+// encodeResult serializes a successful result. Failed results are refused:
 // the journal's contract is that a journaled configuration is complete and
 // need never re-run.
-func EncodeResult(res *harness.Result) ([]byte, error) {
+func encodeResult(res *harness.Result) ([]byte, error) {
 	if res == nil || res.Trace == nil {
 		return nil, fmt.Errorf("ckpt: refusing to journal a result with no trace")
 	}
@@ -129,7 +129,7 @@ func DecodeResult(b []byte) (*harness.Result, error) {
 
 // AppendResult journals one completed configuration result under key.
 func (s *Store) AppendResult(key string, res *harness.Result) error {
-	blob, err := EncodeResult(res)
+	blob, err := encodeResult(res)
 	if err != nil {
 		return err
 	}

@@ -53,7 +53,7 @@ func (h *hist) truncate(rank int, handle uint64, length int64) *hist {
 
 func mustAccept(t *testing.T, model pfs.Semantics, h *hist, opt Options) Result {
 	t.Helper()
-	res := Check(model, h.evs, opt)
+	res := checkHistory(model, h.evs, opt)
 	if !res.OK() {
 		t.Fatalf("%v spec rejected a conforming history: %v", model, res.Violation)
 	}
@@ -62,7 +62,7 @@ func mustAccept(t *testing.T, model pfs.Semantics, h *hist, opt Options) Result 
 
 func mustReject(t *testing.T, model pfs.Semantics, h *hist, opt Options, clause string) *Violation {
 	t.Helper()
-	res := Check(model, h.evs, opt)
+	res := checkHistory(model, h.evs, opt)
 	if res.OK() {
 		t.Fatalf("%v spec accepted a violating history (want clause %s)", model, clause)
 	}
@@ -231,7 +231,7 @@ func TestCheckerUnexplainedValue(t *testing.T) {
 
 func TestCheckerMalformedHistory(t *testing.T) {
 	h := new(hist).read(1, 99, 0, 3, "", 10)
-	res := Check(pfs.Strong, h.evs, Options{})
+	res := checkHistory(pfs.Strong, h.evs, Options{})
 	if res.OK() || res.Violation.Clause != "history-malformed" {
 		t.Fatalf("read without open should be malformed, got %v", res.Violation)
 	}
@@ -311,7 +311,7 @@ func TestViolationString(t *testing.T) {
 		write(0, 1, 0, "aaa", 30).
 		write(0, 1, 0, "bbb", 40).
 		read(1, 2, 0, 3, "aaa", 50)
-	res := Check(pfs.Strong, h.evs, Options{})
+	res := checkHistory(pfs.Strong, h.evs, Options{})
 	s := res.Violation.String()
 	for _, want := range []string{"strong-read-latest", "read #5", "rank 1", "at byte 0"} {
 		if !strings.Contains(s, want) {

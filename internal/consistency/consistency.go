@@ -106,17 +106,17 @@ type Result struct {
 // OK reports whether the history satisfies the model's formal spec.
 func (r Result) OK() bool { return r.Violation == nil }
 
-// CheckLog is Check over a Log's current contents.
+// CheckLog is checkHistory over a Log's current contents.
 func CheckLog(model pfs.Semantics, log *Log, opt Options) Result {
-	return Check(model, log.Events(), opt)
+	return checkHistory(model, log.Events(), opt)
 }
 
-// Check evaluates the formal spec of the given model over a recorded
+// checkHistory evaluates the formal spec of the given model over a recorded
 // history and returns accept, or reject with a minimal counterexample. The
 // events must be in recorded (Seq) order. Checking stops at the first
 // violation: everything after it would be conditioned on state the
 // implementation already got wrong.
-func Check(model pfs.Semantics, events []pfs.HistoryEvent, opt Options) (res Result) {
+func checkHistory(model pfs.Semantics, events []pfs.HistoryEvent, opt Options) (res Result) {
 	start := time.Now()
 	defer func() { checkWall.Observe(time.Since(start).Nanoseconds()) }()
 	delay := opt.EventualDelayNS

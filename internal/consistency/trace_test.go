@@ -23,7 +23,7 @@ func TestViolationNamesWriteTrace(t *testing.T) {
 			Len: 3, Data: []byte("bbb"), Now: 40, Trace: 0xfeed}).
 		read(1, 2, 0, 3, "aaa", 50)
 
-	res := Check(pfs.Strong, h.evs, Options{})
+	res := checkHistory(pfs.Strong, h.evs, Options{})
 	if res.OK() {
 		t.Fatal("strong spec accepted the violating history")
 	}

@@ -72,7 +72,7 @@ func (iv *Interval) appendText(b []byte) []byte {
 	return strconv.AppendUint(b, iv.T, 10)
 }
 
-// MaxConflictsPerFile caps the conflicts materialized for one (file, model)
+// maxConflictsPerFile caps the conflicts materialized for one (file, model)
 // pair — the write-side counterpart of the read-read suppression in the
 // overlap sweep. A write-heavy overlap storm (every write overlapping every
 // write) would otherwise materialize a quadratic pair list; past the cap,
@@ -80,10 +80,10 @@ func (iv *Interval) appendText(b []byte) []byte {
 // the four Table 4 classes is always kept, so the signature (and therefore
 // every Verdict) is exact even on truncated lists. Set it before analysis
 // starts; it is read concurrently by the parallel passes.
-var MaxConflictsPerFile = 1 << 20
+var maxConflictsPerFile = 1 << 20
 
 // conflictAppender accumulates one (file, model) conflict list under
-// MaxConflictsPerFile, preserving class coverage (see the cap's doc).
+// maxConflictsPerFile, preserving class coverage (see the cap's doc).
 type conflictAppender struct {
 	out     []Conflict
 	classes uint8 // bitmask of materialized Table 4 classes
@@ -148,7 +148,7 @@ func conflictUnder(fa *FileAccesses, model pfs.Semantics, first, second *Interva
 	case pfs.Commit:
 		// Condition (3): the writer's first commit after t1 (its tc, one
 		// binary search) must come before t2, otherwise the pair conflicts.
-		w := fa.TimesOf(first.Rank)
+		w := fa.timesOf(first.Rank)
 		return w == nil || firstAfter(w.Commits, first.T) >= second.T
 	case pfs.Session:
 		return !sessionOrdered(fa, first, second)
@@ -184,7 +184,7 @@ var conflictBufs = sync.Pool{New: func() any { return new(conflictBuf) }}
 // predicate in ONE offset-sorted sweep of the file's intervals. For each
 // candidate pair the Conflict value is built at most once and shared across
 // the models that admit it; each model's list is capped by
-// MaxConflictsPerFile and sorted by sortConflicts.
+// maxConflictsPerFile and sorted by sortConflicts.
 //
 // Every commit conflict is also a session conflict (a close is a commit),
 // and on most files the two lists are equal. Until a candidate pair splits
@@ -209,11 +209,11 @@ func detectConflictsMulti(fa *FileAccesses, models []pfs.Semantics) [][]Conflict
 	}
 	apps := cb.apps[:len(models)]
 	for i := range apps {
-		apps[i] = conflictAppender{out: apps[i].out[:0], max: MaxConflictsPerFile}
+		apps[i] = conflictAppender{out: apps[i].out[:0], max: maxConflictsPerFile}
 	}
 	ci, si := slices.Index(models, pfs.Commit), slices.Index(models, pfs.Session)
 	shared := ci >= 0 && si >= 0
-	sweepOverlaps(fa.Intervals, func(p OverlapPair) {
+	sweepOverlaps(fa.Intervals, func(p overlapPair) {
 		first, second := &fa.Intervals[p.A], &fa.Intervals[p.B]
 		for i, m := range models {
 			apps[i].admits = m != pfs.Strong && conflictUnder(fa, m, first, second)
@@ -271,16 +271,16 @@ func kindOf(second *Interval) ConflictKind {
 // writer's process at tc and an open by the reader's process at to exist
 // with t1 < tc < to < t2.
 func sessionOrdered(fa *FileAccesses, first, second *Interval) bool {
-	w := fa.TimesOf(first.Rank)
+	w := fa.timesOf(first.Rank)
 	if w == nil {
 		return false
 	}
 	tc := firstAfter(w.Closes, first.T)
-	if tc == NoTime || tc >= second.T {
+	if tc == noTime || tc >= second.T {
 		return false
 	}
 	// An open by the second process strictly inside (tc, t2)?
-	r := fa.TimesOf(second.Rank)
+	r := fa.timesOf(second.Rank)
 	if r == nil {
 		return false
 	}

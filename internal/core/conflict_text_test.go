@@ -26,7 +26,7 @@ func conflictTextCases() []Conflict {
 		{Path: "/neg", Kind: WAW, First: Interval{Os: -4096, Oe: -1, Rank: 1, T: 5}, Second: Interval{Os: math.MinInt64, Oe: math.MaxInt64, Rank: 2, T: 6}},
 		{Path: "/max", Kind: RAW, SameProcess: true, First: Interval{Os: 1, Oe: 2, Rank: math.MaxInt32, T: math.MaxUint64}, Second: Interval{Os: 1, Oe: 2, Rank: math.MinInt32, T: math.MaxUint64}},
 		{Path: "", Kind: RAW},
-		{Path: "/dir with space/ü", Kind: WAW, First: Interval{Oe: 1, Rank: 0, T: 1}, Second: Interval{Oe: 1, Rank: 0, T: NoTime}},
+		{Path: "/dir with space/ü", Kind: WAW, First: Interval{Oe: 1, Rank: 0, T: 1}, Second: Interval{Oe: 1, Rank: 0, T: noTime}},
 	}
 }
 

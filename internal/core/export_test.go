@@ -27,3 +27,16 @@ var AnalyzeConflictsOracle = analyzeConflictsOracle
 // DiffHBOracle exposes the happens-before oracle comparison to the external
 // core_test package, whose registry-wide test checks BuildHB against it.
 var DiffHBOracle = diffHBOracle
+
+// Any reports whether any class is present.
+func (s MetaSignature) Any() bool { return s.CreateUse || s.RemoveUse || s.ResizeUse }
+
+// Used reports whether a given operation appears at all.
+func (c *Census) Used(f recorder.Func) bool {
+	for _, m := range c.Counts {
+		if m[f] > 0 {
+			return true
+		}
+	}
+	return false
+}

@@ -145,16 +145,16 @@ func TestExtractToTcAnnotations(t *testing.T) {
 	})
 	fa := findFile(t, fas, "/f")
 	w1, w2 := annotationsOf(fa, &fa.Intervals[0]), annotationsOf(fa, &fa.Intervals[1])
-	if w1.To == NoTime || w1.To > w1.T {
+	if w1.To == noTime || w1.To > w1.T {
 		t.Fatalf("w1.To = %d", w1.To)
 	}
-	if w1.TcCommit == NoTime || w1.TcCommit <= w1.T || w1.TcCommit >= w2.T {
+	if w1.TcCommit == noTime || w1.TcCommit <= w1.T || w1.TcCommit >= w2.T {
 		t.Fatalf("w1.TcCommit = %d must be the fsync between the writes", w1.TcCommit)
 	}
-	if w1.TcClose <= w2.T || w1.TcClose == NoTime {
+	if w1.TcClose <= w2.T || w1.TcClose == noTime {
 		t.Fatalf("w1.TcClose = %d must be the final close", w1.TcClose)
 	}
-	if w2.TcCommit == NoTime || w2.TcCommit != w2.TcClose {
+	if w2.TcCommit == noTime || w2.TcCommit != w2.TcClose {
 		t.Fatalf("w2 commit should be the close: %d vs %d", w2.TcCommit, w2.TcClose)
 	}
 }
@@ -183,11 +183,11 @@ func TestExtractMultiRank(t *testing.T) {
 		if rt.Rank != int32(r) || len(rt.Opens) != 1 || len(rt.Closes) != 1 || len(rt.Commits) != 1 {
 			t.Fatalf("Ranks[%d] = %+v, want rank %d with one open, close and commit", r, rt, r)
 		}
-		if fa.TimesOf(int32(r)) != &fa.Ranks[r] {
+		if fa.timesOf(int32(r)) != &fa.Ranks[r] {
 			t.Fatalf("TimesOf(%d) does not return Ranks[%d]", r, r)
 		}
 	}
-	if fa.TimesOf(4) != nil || fa.TimesOf(-1) != nil {
+	if fa.timesOf(4) != nil || fa.timesOf(-1) != nil {
 		t.Fatal("TimesOf of an absent rank is not nil")
 	}
 }

@@ -28,25 +28,25 @@ func TestFusedMatchesPerModelRandom(t *testing.T) {
 	}
 }
 
-// TestConflictCapPreservesSignature: under a tiny MaxConflictsPerFile the
+// TestConflictCapPreservesSignature: under a tiny maxConflictsPerFile the
 // materialized list truncates but the Table 4 signature stays exact (the
 // appender always admits the first conflict of an unseen class), and the
 // fused pass still matches the per-model oracle exactly.
 func TestConflictCapPreservesSignature(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
-	orig := MaxConflictsPerFile
-	defer func() { MaxConflictsPerFile = orig }()
+	orig := maxConflictsPerFile
+	defer func() { maxConflictsPerFile = orig }()
 	for trial := 0; trial < 100; trial++ {
 		fa := randomFA(rng)
 
-		MaxConflictsPerFile = orig
+		maxConflictsPerFile = orig
 		full := conflictsUnder(fa, pfs.Eventual)
 		if len(full) < 8 {
 			continue // need a storm for the cap to bind
 		}
 		wantSig := signatureOf(full)
 
-		MaxConflictsPerFile = 3
+		maxConflictsPerFile = 3
 		capped := conflictsUnder(fa, pfs.Eventual)
 		// At most cap entries plus one extra per late-appearing class.
 		if len(capped) > 3+4 {

@@ -72,7 +72,7 @@ func BuildHB(tr *recorder.Trace) (*HB, error) {
 //
 // vc[r] = number of rank-r MPI events known (inclusive), exact for every
 // rank r other than the event's own. The own entry is implicit (idx+1):
-// OrderedIO reads only cross-rank entries, and merging an event sets its
+// orderedIO reads only cross-rank entries, and merging an event sets its
 // own entry explicitly. That lets clocks be shared: an event whose only
 // predecessor is the previous event on its rank shares that event's slice,
 // and every participant of a collective instance shares the instance's
@@ -341,12 +341,12 @@ func isCollective(f recorder.Func) bool {
 	return false
 }
 
-// OrderedIO reports whether an I/O operation on rankA ending at tAEnd
+// orderedIO reports whether an I/O operation on rankA ending at tAEnd
 // happens-before an I/O operation on rankB starting at tB, according to the
 // program's synchronization. Same-rank operations are ordered by program
 // order; cross-rank ordering requires an MPI event on rankA at or after
 // tAEnd that happens-before an MPI event on rankB at or before tB.
-func (hb *HB) OrderedIO(rankA int32, tAEnd uint64, rankB int32, tB uint64) bool {
+func (hb *HB) orderedIO(rankA int32, tAEnd uint64, rankB int32, tB uint64) bool {
 	if rankA == rankB {
 		return tAEnd <= tB
 	}
@@ -390,7 +390,7 @@ func (hb *HB) lastEventAtOrBefore(rank int, t uint64) int {
 func ValidateConflicts(hb *HB, conflicts []Conflict) []Conflict {
 	var unordered []Conflict
 	for _, c := range conflicts {
-		if !hb.OrderedIO(c.First.Rank, c.First.TEnd, c.Second.Rank, c.Second.T) {
+		if !hb.orderedIO(c.First.Rank, c.First.TEnd, c.Second.Rank, c.Second.T) {
 			unordered = append(unordered, c)
 		}
 	}

@@ -59,11 +59,11 @@ func TestHBSendRecvOrders(t *testing.T) {
 	})
 	_, wEnd := ioWindow(t, tr, 0, 0)
 	rStart, _ := ioWindow(t, tr, 1, 0)
-	if !hb.OrderedIO(0, wEnd, 1, rStart) {
+	if !hb.orderedIO(0, wEnd, 1, rStart) {
 		t.Fatal("write before send must happen-before read after recv")
 	}
 	// Reverse direction must NOT be ordered.
-	if hb.OrderedIO(1, rStart, 0, wEnd) {
+	if hb.orderedIO(1, rStart, 0, wEnd) {
 		t.Fatal("reverse ordering claimed")
 	}
 }
@@ -82,7 +82,7 @@ func TestHBBarrierOrders(t *testing.T) {
 	})
 	_, wEnd := ioWindow(t, tr, 2, 0)
 	rStart, _ := ioWindow(t, tr, 3, 0)
-	if !hb.OrderedIO(2, wEnd, 3, rStart) {
+	if !hb.orderedIO(2, wEnd, 3, rStart) {
 		t.Fatal("write before barrier must happen-before read after barrier")
 	}
 }
@@ -98,7 +98,7 @@ func TestHBConcurrentOpsNotOrdered(t *testing.T) {
 	// The two writes are concurrent (no synchronization between them).
 	_, w0End := ioWindow(t, tr, 0, 0)
 	w1Start, _ := ioWindow(t, tr, 1, 0)
-	if hb.OrderedIO(0, w0End, 1, w1Start) {
+	if hb.orderedIO(0, w0End, 1, w1Start) {
 		t.Fatal("concurrent writes claimed ordered")
 	}
 }
@@ -108,10 +108,10 @@ func TestHBSameRankProgramOrder(t *testing.T) {
 		ctx.MPI.Barrier()
 		return nil
 	})
-	if !hb.OrderedIO(0, 100, 0, 200) {
+	if !hb.orderedIO(0, 100, 0, 200) {
 		t.Fatal("same-rank program order broken")
 	}
-	if hb.OrderedIO(0, 200, 0, 100) {
+	if hb.orderedIO(0, 200, 0, 100) {
 		t.Fatal("same-rank reverse order claimed")
 	}
 }
@@ -138,7 +138,7 @@ func TestHBTransitiveThroughChain(t *testing.T) {
 	})
 	_, wEnd := ioWindow(t, tr, 0, 0)
 	rStart, _ := ioWindow(t, tr, 2, 0)
-	if !hb.OrderedIO(0, wEnd, 2, rStart) {
+	if !hb.orderedIO(0, wEnd, 2, rStart) {
 		t.Fatal("transitive ordering through message chain not detected")
 	}
 }

@@ -45,8 +45,8 @@ type Interval struct {
 	Origin recorder.Layer
 }
 
-// NoTime marks a missing time: firstAfter's result when no time follows.
-const NoTime = ^uint64(0)
+// noTime marks a missing time: firstAfter's result when no time follows.
+const noTime = ^uint64(0)
 
 // FileAccesses collects everything the analysis needs about one file.
 // Extraction shares one FileAccesses per file with every consumer, which
@@ -74,10 +74,10 @@ type RankTimes struct {
 	Commits []uint64
 }
 
-// TimesOf returns rank's time tables on the file, or nil when the rank
+// timesOf returns rank's time tables on the file, or nil when the rank
 // never opened, closed or committed it. Extraction appends ranks in
 // order, so the last entry is checked before the binary search.
-func (fa *FileAccesses) TimesOf(rank int32) *RankTimes {
+func (fa *FileAccesses) timesOf(rank int32) *RankTimes {
 	n := len(fa.Ranks)
 	if n > 0 && fa.Ranks[n-1].Rank == rank {
 		return &fa.Ranks[n-1]
@@ -89,7 +89,7 @@ func (fa *FileAccesses) TimesOf(rank int32) *RankTimes {
 	return &fa.Ranks[i]
 }
 
-// timesFor is TimesOf that inserts an empty entry, in rank order, for a
+// timesFor is timesOf that inserts an empty entry, in rank order, for a
 // rank not yet present. The pointer is valid until the next insertion.
 func (fa *FileAccesses) timesFor(rank int32) *RankTimes {
 	n := len(fa.Ranks)
@@ -229,11 +229,11 @@ func dataInterval(r *recorder.Record, st *fdState, appendAt int64) (Interval, bo
 	return iv, true
 }
 
-// firstAfter returns the smallest element > t, or NoTime.
+// firstAfter returns the smallest element > t, or noTime.
 func firstAfter(times []uint64, t uint64) uint64 {
 	idx := sort.Search(len(times), func(i int) bool { return times[i] > t })
 	if idx == len(times) {
-		return NoTime
+		return noTime
 	}
 	return times[idx]
 }

@@ -15,7 +15,7 @@ import (
 )
 
 // checkRankTimes checks fa.Ranks against the map-based tables: strictly
-// sorted by rank, one entry per rank with any time, TimesOf returning each
+// sorted by rank, one entry per rank with any time, timesOf returning each
 // rank's times and nil for every rank without an entry.
 func checkRankTimes(t *testing.T, how string, fa *FileAccesses, want rankTables) {
 	t.Helper()
@@ -29,7 +29,7 @@ func checkRankTimes(t *testing.T, how string, fa *FileAccesses, want rankTables)
 		t.Fatalf("%s: %s: %d rank entries, oracle has %d", how, fa.Path, len(fa.Ranks), len(wantRanks))
 	}
 	for _, w := range wantRanks {
-		got := fa.TimesOf(w.Rank)
+		got := fa.timesOf(w.Rank)
 		if got == nil {
 			t.Fatalf("%s: %s: TimesOf(%d) = nil, oracle has %+v", how, fa.Path, w.Rank, w)
 		}
@@ -42,8 +42,8 @@ func checkRankTimes(t *testing.T, how string, fa *FileAccesses, want rankTables)
 		lo, hi = wantRanks[0].Rank-1, wantRanks[n-1].Rank+1
 	}
 	for r := lo; r <= hi; r++ {
-		if !slices.ContainsFunc(wantRanks, func(rt RankTimes) bool { return rt.Rank == r }) && fa.TimesOf(r) != nil {
-			t.Fatalf("%s: %s: TimesOf(%d) = %+v for a rank the oracle lacks", how, fa.Path, r, *fa.TimesOf(r))
+		if !slices.ContainsFunc(wantRanks, func(rt RankTimes) bool { return rt.Rank == r }) && fa.timesOf(r) != nil {
+			t.Fatalf("%s: %s: TimesOf(%d) = %+v for a rank the oracle lacks", how, fa.Path, r, *fa.timesOf(r))
 		}
 	}
 }
@@ -142,7 +142,7 @@ func TestExtractForgedRanks(t *testing.T) {
 }
 
 // TestPropertyRankTimesMatchTables: on random single-file schedules, whose
-// ranks act in random order, Ranks and TimesOf agree with the map-based
+// ranks act in random order, Ranks and timesOf agree with the map-based
 // tables.
 func TestPropertyRankTimesMatchTables(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))

@@ -75,9 +75,6 @@ type MetaSignature struct {
 	CreateUse, RemoveUse, ResizeUse bool
 }
 
-// Any reports whether any class is present.
-func (s MetaSignature) Any() bool { return s.CreateUse || s.RemoveUse || s.ResizeUse }
-
 // metaEvent is one metadata operation as the per-path scan sees it. It
 // holds no pointers: path indexes the scan part's path table (see
 // scanPart.metaID), or is noPath for a suppressed probe, so a trace's
@@ -238,7 +235,7 @@ func MetaSignatureOf(cs []MetaConflict) MetaSignature {
 func ValidateMetaConflicts(hb *HB, cs []MetaConflict) []MetaConflict {
 	var unordered []MetaConflict
 	for _, c := range cs {
-		if !hb.OrderedIO(c.Mutation.Rank, c.Mutation.TEnd, c.Use.Rank, c.Use.T) {
+		if !hb.orderedIO(c.Mutation.Rank, c.Mutation.TEnd, c.Use.Rank, c.Use.T) {
 			unordered = append(unordered, c)
 		}
 	}

@@ -70,13 +70,3 @@ func (c *Census) Total() int {
 	}
 	return n
 }
-
-// Used reports whether a given operation appears at all.
-func (c *Census) Used(f recorder.Func) bool {
-	for _, m := range c.Counts {
-		if m[f] > 0 {
-			return true
-		}
-	}
-	return false
-}

@@ -23,8 +23,8 @@ func detectConflictsOracle(fa *FileAccesses, model pfs.Semantics) []Conflict {
 	if model == pfs.Strong {
 		return nil
 	}
-	app := conflictAppender{max: MaxConflictsPerFile}
-	sweepOverlaps(fa.Intervals, func(p OverlapPair) {
+	app := conflictAppender{max: maxConflictsPerFile}
+	sweepOverlaps(fa.Intervals, func(p overlapPair) {
 		first, second := &fa.Intervals[p.A], &fa.Intervals[p.B]
 		if conflictUnder(fa, model, first, second) {
 			app.add(Conflict{
@@ -59,7 +59,7 @@ func analyzeConflictsOracle(tr *recorder.Trace, model pfs.Semantics) (map[string
 // detectOverlapsBruteForce enumerates every interval pair: the reference
 // sweepOverlaps is checked against. It reports the same candidate pairs
 // (overlapping, time-ordered, earlier operation a write).
-func detectOverlapsBruteForce(ivs []Interval, onPair func(OverlapPair)) {
+func detectOverlapsBruteForce(ivs []Interval, onPair func(overlapPair)) {
 	for i := 0; i < len(ivs); i++ {
 		for j := i + 1; j < len(ivs); j++ {
 			a, b := &ivs[i], &ivs[j]
@@ -69,7 +69,7 @@ func detectOverlapsBruteForce(ivs []Interval, onPair func(OverlapPair)) {
 					first, second = second, first
 				}
 				if ivs[first].Write {
-					onPair(OverlapPair{A: first, B: second})
+					onPair(overlapPair{A: first, B: second})
 				}
 			}
 		}
@@ -109,7 +109,7 @@ func (m rankTables) ranks() []RankTimes {
 // annotated is an interval with the §5.2 record expansion, all with respect
 // to its rank and file: To is the time of the last open at or before T;
 // TcCommit the time of the first commit operation (fsync/fdatasync/fflush/
-// close) after T; TcClose the time of the first close after T; NoTime when
+// close) after T; TcClose the time of the first close after T; noTime when
 // none. Interval does not store them: the conflict predicates search the
 // rank's times per candidate pair.
 type annotated struct {
@@ -122,20 +122,20 @@ func annotate(iv Interval, opens, commits, closes []uint64) annotated {
 	return annotated{iv, lastBefore(opens, iv.T), firstAfter(commits, iv.T), firstAfter(closes, iv.T)}
 }
 
-// annotationsOf expands one of fa's intervals from fa.TimesOf.
+// annotationsOf expands one of fa's intervals from fa.timesOf.
 func annotationsOf(fa *FileAccesses, iv *Interval) annotated {
-	rt := fa.TimesOf(iv.Rank)
+	rt := fa.timesOf(iv.Rank)
 	if rt == nil {
 		return annotate(*iv, nil, nil, nil)
 	}
 	return annotate(*iv, rt.Opens, rt.Commits, rt.Closes)
 }
 
-// lastBefore returns the largest element <= t, or NoTime.
+// lastBefore returns the largest element <= t, or noTime.
 func lastBefore(times []uint64, t uint64) uint64 {
 	idx := sort.Search(len(times), func(i int) bool { return times[i] > t })
 	if idx == 0 {
-		return NoTime
+		return noTime
 	}
 	return times[idx-1]
 }
@@ -150,7 +150,7 @@ type oracleFile struct {
 // replaced: one serial fold over every rank stream that appends each
 // interval to its own file's slice and keeps the per-rank times in maps,
 // then annotates every interval from the maps. extract must reproduce its
-// intervals byte for byte, FileAccesses.TimesOf its tables, and
+// intervals byte for byte, FileAccesses.timesOf its tables, and
 // annotationsOf its annotations.
 func extractOracle(tr *recorder.Trace) map[string]*oracleFile {
 	perRank := make([][]recorder.Record, len(tr.PerRank))

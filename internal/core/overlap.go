@@ -5,9 +5,9 @@ import (
 	"sync"
 )
 
-// OverlapPair indexes two overlapping intervals within a FileAccesses'
+// overlapPair indexes two overlapping intervals within a FileAccesses'
 // Intervals slice, ordered so that Intervals[A].T <= Intervals[B].T.
-type OverlapPair struct {
+type overlapPair struct {
 	A, B int
 }
 
@@ -30,8 +30,8 @@ var sweepBufs = sync.Pool{New: func() any { return new(sweepBuf) }}
 // overlaps are never materialized, which keeps read-heavy workloads (e.g.
 // LBANN, where every rank reads the whole file) from generating quadratic
 // pair lists. (The conflict layer adds the write-side counterpart of that
-// guard: see MaxConflictsPerFile.)
-func sweepOverlaps(ivs []Interval, onPair func(OverlapPair)) {
+// guard: see maxConflictsPerFile.)
+func sweepOverlaps(ivs []Interval, onPair func(overlapPair)) {
 	n := len(ivs)
 	if n < 2 {
 		return
@@ -79,7 +79,7 @@ func sweepOverlaps(ivs []Interval, onPair func(OverlapPair)) {
 				first, second = second, first
 			}
 			if ivs[first].Write {
-				onPair(OverlapPair{A: first, B: second})
+				onPair(overlapPair{A: first, B: second})
 			}
 		}
 	}

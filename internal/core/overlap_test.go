@@ -11,9 +11,9 @@ func iv(t uint64, rank int32, os, oe int64, write bool) Interval {
 	return Interval{T: t, TEnd: t + 1, Rank: rank, Os: os, Oe: oe, Write: write}
 }
 
-func collectPairs(ivs []Interval, detect func([]Interval, func(OverlapPair))) []OverlapPair {
-	var pairs []OverlapPair
-	detect(ivs, func(p OverlapPair) { pairs = append(pairs, p) })
+func collectPairs(ivs []Interval, detect func([]Interval, func(overlapPair))) []overlapPair {
+	var pairs []overlapPair
+	detect(ivs, func(p overlapPair) { pairs = append(pairs, p) })
 	sort.Slice(pairs, func(i, j int) bool {
 		if pairs[i].A != pairs[j].A {
 			return pairs[i].A < pairs[j].A
@@ -34,7 +34,7 @@ func TestOverlapBasic(t *testing.T) {
 	// Candidate pairs (earlier op is a write): (0,1) write-read, (1,2) has
 	// earlier=1 which is a read → skipped, (0,2) only touch and 3 is
 	// disjoint.
-	want := []OverlapPair{{A: 0, B: 1}}
+	want := []overlapPair{{A: 0, B: 1}}
 	if !reflect.DeepEqual(pairs, want) {
 		t.Fatalf("pairs = %v, want %v", pairs, want)
 	}
@@ -46,7 +46,7 @@ func TestOverlapContained(t *testing.T) {
 		iv(20, 1, 400, 500, true), // fully inside
 	}
 	pairs := collectPairs(ivs, sweepOverlaps)
-	if len(pairs) != 1 || pairs[0] != (OverlapPair{A: 0, B: 1}) {
+	if len(pairs) != 1 || pairs[0] != (overlapPair{A: 0, B: 1}) {
 		t.Fatalf("pairs = %v", pairs)
 	}
 }
@@ -94,7 +94,7 @@ func TestOverlapMatchesBruteForce(t *testing.T) {
 }
 
 func TestOverlapEmptyAndSingle(t *testing.T) {
-	noPair := func(OverlapPair) { t.Fatal("pair from fewer than two intervals") }
+	noPair := func(overlapPair) { t.Fatal("pair from fewer than two intervals") }
 	sweepOverlaps(nil, noPair)
 	sweepOverlaps([]Interval{iv(1, 0, 0, 10, true)}, noPair)
 }

@@ -26,9 +26,9 @@ import (
 // the context is done; in-flight tasks finish), and the entry point returns
 // ctx.Err() instead of a partial result.
 
-// EffectiveWorkers normalizes a requested worker count: values <= 0 select
+// effectiveWorkers normalizes a requested worker count: values <= 0 select
 // runtime.GOMAXPROCS(0), everything else is used as given.
-func EffectiveWorkers(workers int) int {
+func effectiveWorkers(workers int) int {
 	if workers <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}
@@ -36,7 +36,7 @@ func EffectiveWorkers(workers int) int {
 }
 
 // ParallelForCtx runs fn(i) for every i in [0, n) on a bounded pool of
-// workers goroutines (see EffectiveWorkers; capped at n). Indices are
+// workers goroutines (see effectiveWorkers; capped at n). Indices are
 // handed out by an atomic counter, so the pool load-balances uneven work
 // items; fn must be safe to call concurrently for distinct indices. The
 // pool stops handing out indices once ctx is done and returns ctx.Err():
@@ -46,7 +46,7 @@ func ParallelForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	workers = EffectiveWorkers(workers)
+	workers = effectiveWorkers(workers)
 	if workers > n {
 		workers = n
 	}
@@ -210,17 +210,15 @@ func patternParallel(ctx context.Context, fas []*FileAccesses, workers int, file
 // The per-file summaries (the expensive part — per-rank layout
 // classification) run on the pool, then are compacted in path order and
 // grouped serially, so the family order is the same at every worker count.
-// opts.Exclude, if supplied, must be safe for concurrent calls.
 func ClassifyHighLevelParallelCtx(ctx context.Context, fas []*FileAccesses, opts HLOptions, workers int) ([]HighLevelPattern, error) {
 	defer startPass("classify")()
-	o := opts.withDefaults()
 	slots := make([]fileSummary, len(fas))
 	if err := ParallelForCtx(ctx, len(fas), workers, func(i int) {
 		fa := fas[i]
-		if o.Exclude(fa.Path) || len(fa.Intervals) == 0 {
+		if excludedInput(fa.Path) || len(fa.Intervals) == 0 {
 			return
 		}
-		slots[i] = summarize(fa, o.MetaSizeThreshold)
+		slots[i] = summarize(fa, metaSizeThreshold)
 	}); err != nil {
 		return nil, err
 	}
@@ -230,5 +228,5 @@ func ClassifyHighLevelParallelCtx(ctx context.Context, fas []*FileAccesses, opts
 			sums = append(sums, slots[i])
 		}
 	}
-	return groupSummaries(sums, o.WorldSize), nil
+	return groupSummaries(sums, opts.WorldSize), nil
 }

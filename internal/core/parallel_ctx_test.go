@@ -30,19 +30,27 @@ func TestParallelForCtxStopsWithinTaskBoundary(t *testing.T) {
 	const n, workers, cancelAt = 10_000, 4, 10
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var ran atomic.Int32
+	// cancelled is set once cancel() has returned; late counts the tasks
+	// that start after that.
+	var ran, late atomic.Int32
+	var cancelled atomic.Bool
 	err := ParallelForCtx(ctx, n, workers, func(i int) {
+		if cancelled.Load() {
+			late.Add(1)
+		}
 		if ran.Add(1) == cancelAt {
 			cancel()
+			cancelled.Store(true)
 		}
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)
 	}
-	// Each worker may have one task in flight when cancel fires; none may
-	// start a new one afterwards.
-	if got := ran.Load(); got > cancelAt+workers {
-		t.Fatalf("%d tasks ran, want <= %d (one in-flight per worker)", got, cancelAt+workers)
+	// A worker checks the context before each task, so each may have
+	// passed its check once before the cancel and start that one task
+	// after it; none may start another.
+	if got := late.Load(); got > workers {
+		t.Fatalf("%d tasks started after cancel returned, want <= %d (one per worker)", got, workers)
 	}
 }
 

@@ -28,13 +28,13 @@ func TestParallelForCoversEveryIndex(t *testing.T) {
 }
 
 func TestEffectiveWorkers(t *testing.T) {
-	if got := EffectiveWorkers(5); got != 5 {
+	if got := effectiveWorkers(5); got != 5 {
 		t.Fatalf("EffectiveWorkers(5) = %d", got)
 	}
-	if got := EffectiveWorkers(0); got < 1 {
+	if got := effectiveWorkers(0); got < 1 {
 		t.Fatalf("EffectiveWorkers(0) = %d", got)
 	}
-	if got := EffectiveWorkers(-2); got < 1 {
+	if got := effectiveWorkers(-2); got < 1 {
 		t.Fatalf("EffectiveWorkers(-2) = %d", got)
 	}
 }

@@ -9,22 +9,22 @@ import (
 	"unicode/utf8"
 )
 
-// AccessClass categorizes the transition between two successive accesses
+// accessClass categorizes the transition between two successive accesses
 // (§6.2): consecutive (the next access starts exactly where the previous
 // ended), monotonic (it starts strictly beyond), or random.
-type AccessClass int
+type accessClass int
 
 const (
-	Consecutive AccessClass = iota
-	Monotonic
-	Random
+	classConsecutive accessClass = iota
+	classMonotonic
+	classRandom
 )
 
-func (c AccessClass) String() string {
+func (c accessClass) String() string {
 	switch c {
-	case Consecutive:
+	case classConsecutive:
 		return "consecutive"
-	case Monotonic:
+	case classMonotonic:
 		return "monotonic"
 	default:
 		return "random"
@@ -65,25 +65,25 @@ func (m PatternMix) plus(o PatternMix) PatternMix {
 	}
 }
 
-func (m *PatternMix) add(c AccessClass) {
+func (m *PatternMix) add(c accessClass) {
 	switch c {
-	case Consecutive:
+	case classConsecutive:
 		m.Consecutive++
-	case Monotonic:
+	case classMonotonic:
 		m.Monotonic++
 	default:
 		m.Random++
 	}
 }
 
-func classify(prev, next *Interval) AccessClass {
+func classify(prev, next *Interval) accessClass {
 	switch {
 	case next.Os == prev.Oe:
-		return Consecutive
+		return classConsecutive
 	case next.Os > prev.Oe:
-		return Monotonic
+		return classMonotonic
 	default:
-		return Random
+		return classRandom
 	}
 }
 
@@ -243,25 +243,17 @@ func (p HighLevelPattern) Key() string {
 type HLOptions struct {
 	// WorldSize is the number of ranks in the run (required).
 	WorldSize int
-	// Exclude filters out files that should not be classified (defaults to
-	// configuration-input files under "/in/"; the paper likewise excludes
-	// input-reading patterns from Table 3).
-	Exclude func(path string) bool
-	// MetaSizeThreshold drops accesses smaller than this from layout
-	// classification (library metadata; the paper tolerates "a small amount
-	// of extra metadata" in its strided categories). Default 512 bytes.
-	MetaSizeThreshold int64
 }
 
-func (o HLOptions) withDefaults() HLOptions {
-	if o.Exclude == nil {
-		o.Exclude = func(p string) bool { return strings.HasPrefix(p, "/in/") }
-	}
-	if o.MetaSizeThreshold == 0 {
-		o.MetaSizeThreshold = 512
-	}
-	return o
-}
+// excludedInput reports whether a file is left out of the classification:
+// configuration-input files under "/in/" (the paper likewise excludes
+// input-reading patterns from Table 3).
+func excludedInput(path string) bool { return strings.HasPrefix(path, "/in/") }
+
+// metaSizeThreshold drops accesses smaller than this from layout
+// classification (library metadata; the paper tolerates "a small amount of
+// extra metadata" in its strided categories).
+const metaSizeThreshold = 512
 
 // fileSummary is the per-file digest the classifier works from.
 type fileSummary struct {
@@ -479,9 +471,9 @@ func layoutOf(run []Interval, f layoutFilter) Layout {
 		n++
 		if prev != nil {
 			switch classify(prev, iv) {
-			case Monotonic:
+			case classMonotonic:
 				consecutive = false
-			case Random:
+			case classRandom:
 				consecutive = false
 				monotonic = false
 			}

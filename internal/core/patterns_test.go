@@ -15,12 +15,12 @@ func TestClassifyTransitions(t *testing.T) {
 	a := seqIv(0, 1, 0, 100, true)
 	cases := []struct {
 		next Interval
-		want AccessClass
+		want accessClass
 	}{
-		{seqIv(0, 2, 100, 50, true), Consecutive},
-		{seqIv(0, 2, 150, 50, true), Monotonic},
-		{seqIv(0, 2, 50, 50, true), Random}, // overlap
-		{seqIv(0, 2, 0, 50, true), Random},  // rewind
+		{seqIv(0, 2, 100, 50, true), classConsecutive},
+		{seqIv(0, 2, 150, 50, true), classMonotonic},
+		{seqIv(0, 2, 50, 50, true), classRandom}, // overlap
+		{seqIv(0, 2, 0, 50, true), classRandom},  // rewind
 	}
 	for _, c := range cases {
 		if got := classify(&a, &c.next); got != c.want {

@@ -134,23 +134,23 @@ func TestPropertyAnnotationConsistency(t *testing.T) {
 		fa := randomFA(rng)
 		for i := range fa.Intervals {
 			iv := annotationsOf(fa, &fa.Intervals[i])
-			if iv.To != NoTime && iv.To > iv.T {
+			if iv.To != noTime && iv.To > iv.T {
 				t.Fatalf("To %d after T %d", iv.To, iv.T)
 			}
-			if iv.TcCommit != NoTime && iv.TcCommit <= iv.T {
+			if iv.TcCommit != noTime && iv.TcCommit <= iv.T {
 				t.Fatalf("TcCommit %d not after T %d", iv.TcCommit, iv.T)
 			}
-			if iv.TcClose != NoTime && iv.TcCommit == NoTime {
+			if iv.TcClose != noTime && iv.TcCommit == noTime {
 				t.Fatal("close exists but no commit (closes are commits)")
 			}
-			if iv.TcClose != NoTime && iv.TcCommit != NoTime && iv.TcCommit > iv.TcClose {
+			if iv.TcClose != noTime && iv.TcCommit != noTime && iv.TcCommit > iv.TcClose {
 				t.Fatalf("first commit %d after first close %d", iv.TcCommit, iv.TcClose)
 			}
 		}
-		sweepOverlaps(fa.Intervals, func(p OverlapPair) {
+		sweepOverlaps(fa.Intervals, func(p overlapPair) {
 			first, second := &fa.Intervals[p.A], &fa.Intervals[p.B]
 			tc := annotationsOf(fa, first).TcCommit
-			if got, want := conflictUnder(fa, pfs.Commit, first, second), tc == NoTime || tc >= second.T; got != want {
+			if got, want := conflictUnder(fa, pfs.Commit, first, second), tc == noTime || tc >= second.T; got != want {
 				t.Fatalf("trial %d: commit predicate %v for %+v -> %+v with TcCommit %d, want %v", trial, got, *first, *second, tc, want)
 			}
 		})

@@ -79,9 +79,9 @@ func layoutOfOracle(seq []*Interval) Layout {
 	consecutive, monotonic := true, true
 	for i := 1; i < len(seq); i++ {
 		switch classify(seq[i-1], seq[i]) {
-		case Monotonic:
+		case classMonotonic:
 			consecutive = false
-		case Random:
+		case classRandom:
 			consecutive = false
 			monotonic = false
 		}
@@ -232,13 +232,12 @@ func clusterByTimeOracle(fam []*oracleSummary) [][]*oracleSummary {
 // classifyHighLevelOracle is ClassifyHighLevelParallelCtx as it was: map
 // summaries, families grouped in a map by familyKey, sorted keys.
 func classifyHighLevelOracle(fas []*FileAccesses, opts HLOptions) []HighLevelPattern {
-	o := opts.withDefaults()
 	families := make(map[string][]*oracleSummary)
 	for _, fa := range fas {
-		if o.Exclude(fa.Path) || len(fa.Intervals) == 0 {
+		if excludedInput(fa.Path) || len(fa.Intervals) == 0 {
 			continue
 		}
-		s := summarizeOracle(fa, o.MetaSizeThreshold)
+		s := summarizeOracle(fa, metaSizeThreshold)
 		families[familyKeyOracle(s.path)] = append(families[familyKeyOracle(s.path)], s)
 	}
 	keys := make([]string, 0, len(families))
@@ -250,7 +249,7 @@ func classifyHighLevelOracle(fas []*FileAccesses, opts HLOptions) []HighLevelPat
 	seen := make(map[string]bool)
 	for _, k := range keys {
 		for _, cluster := range clusterByTimeOracle(families[k]) {
-			p := classifyFamilyOracle(cluster, o.WorldSize)
+			p := classifyFamilyOracle(cluster, opts.WorldSize)
 			if seen[p.Key()] {
 				for i := range out {
 					if out[i].Key() == p.Key() {

@@ -278,7 +278,7 @@ func ExtractSharedCtx(ctx context.Context, tr *recorder.Trace, workers int) ([]*
 func InvalidateExtraction(*recorder.Trace) {}
 
 // ScanRanksCtx folds n rank streams on a pool of workers (see
-// EffectiveWorkers) and merges them in rank order, so the Scan is identical
+// effectiveWorkers) and merges them in rank order, so the Scan is identical
 // at every worker count. open returns rank's stream and the function that
 // releases it once the fold has read it to the end. A rank fails when open
 // fails or its stream ends with an error, and the error returned is the
@@ -303,7 +303,7 @@ func ScanRanksCtx(ctx context.Context, n, workers int, open func(rank int) (Reco
 		hb[rank] = s.finish()
 	}
 	var merged *scanPart
-	if EffectiveWorkers(workers) <= 1 || n <= 1 {
+	if effectiveWorkers(workers) <= 1 || n <= 1 {
 		merged = newScanPart()
 		if err := ParallelForCtx(ctx, n, 1, func(rank int) { fold(rank, merged) }); err != nil {
 			return nil, err

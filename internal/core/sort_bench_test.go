@@ -86,7 +86,7 @@ func BenchmarkOverlapDetection(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("algorithm1/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sweepOverlaps(ivs, func(OverlapPair) {})
+				sweepOverlaps(ivs, func(overlapPair) {})
 			}
 		})
 	}

@@ -12,23 +12,15 @@ import (
 // parameters), so a -resume against a directory written by a different run
 // shape fails with ckpt.ErrMismatch instead of replaying foreign results.
 
-// CheckpointKind is the manifest kind of registry-sweep stores.
-const CheckpointKind = "experiments.sweep"
-
-// OpenCheckpoint opens (or creates) the durable checkpoint store for a
-// registry sweep at scale s on the local OS disk. Pass the returned store
-// in SweepOptions.Checkpoint; set SweepOptions.Resume to replay what a
-// previous (possibly crashed) run already committed.
-func OpenCheckpoint(dir string, s Scale) (*ckpt.Store, error) {
-	return OpenCheckpointOn(storage.OS(), dir, s)
-}
+// checkpointKind is the manifest kind of registry-sweep stores.
+const checkpointKind = "experiments.sweep"
 
 // OpenCheckpointOn is OpenCheckpoint against an explicit storage backend —
 // how the CLIs' -backend flag routes sweep checkpoints onto the object
 // store or a fault-wrapped store.
 func OpenCheckpointOn(b storage.Backend, dir string, s Scale) (*ckpt.Store, error) {
 	return ckpt.OpenOn(b, dir, ckpt.Manifest{
-		Kind:      CheckpointKind,
+		Kind:      checkpointKind,
 		Ranks:     s.Ranks,
 		PPN:       s.PPN,
 		Seed:      s.Seed,
@@ -54,28 +46,4 @@ func (r *Results) Summarize() ResumeSummary {
 		}
 	}
 	return s
-}
-
-// ReplayedNames returns the names of configurations served from the journal,
-// in registry order.
-func (r *Results) ReplayedNames() []string {
-	var out []string
-	for _, name := range r.Ordered {
-		if r.ByName[name].Replayed {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
-// ExecutedNames returns the names of configurations that actually ran, in
-// registry order.
-func (r *Results) ExecutedNames() []string {
-	var out []string
-	for _, name := range r.Ordered {
-		if !r.ByName[name].Replayed {
-			out = append(out, name)
-		}
-	}
-	return out
 }

@@ -10,12 +10,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	semfs "repro"
 	"runtime/debug"
 	"sort"
 	"strings"
 	"time"
 
-	semfs "repro"
 	"repro/internal/apps"
 	"repro/internal/ckpt"
 	"repro/internal/core"
@@ -37,11 +37,6 @@ type Scale struct {
 	// (zero value = pfs.Strong, the paper's baseline).
 	Semantics pfs.Semantics
 	Params    apps.Params
-}
-
-// DefaultScale is the paper's small configuration: 8 nodes × 8 processes.
-func DefaultScale() Scale {
-	return Scale{Ranks: 64, PPN: 8, Seed: 1}
 }
 
 // TestScale is a fast configuration for unit tests.

@@ -23,10 +23,10 @@ import (
 // model's executable formal spec, so the latency win is only reported for
 // runs proven semantics-preserving.
 
-// WALApps is the default configuration set for the WAL comparison: the
+// walApps is the default configuration set for the WAL comparison: the
 // paper's two checkpoint-burst archetypes (FLASH with and without forced
 // block sizes, HACC-IO via MPI-IO and raw POSIX).
-func WALApps() []string {
+func walApps() []string {
 	return []string{"FLASH-fbs", "FLASH-nofbs", "HACC-IO-MPI-IO", "HACC-IO-POSIX"}
 }
 
@@ -46,12 +46,12 @@ type WALCell struct {
 	Clause   string // failed predicate clause when rejected
 }
 
-// WALComparison runs names (default WALApps) under all four models with the
+// WALComparison runs names (default walApps) under all four models with the
 // WAL off and on. Cells come back grouped by configuration, then model,
 // with the off cell before the on cell.
 func WALComparison(ctx context.Context, s Scale, names []string) ([]WALCell, error) {
 	if len(names) == 0 {
-		names = WALApps()
+		names = walApps()
 	}
 	var cells []WALCell
 	for _, name := range names {

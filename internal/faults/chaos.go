@@ -23,7 +23,7 @@ import (
 // that must hold no matter what the schedule does:
 //
 //  1. Schedule determinism — regenerating a cell's schedule from its seed
-//     yields byte-identical Encode output.
+//     yields byte-identical encode output.
 //  2. Containment — the run completes (a crashed rank detaches; survivors
 //     never wedge) and produces a valid, aligned trace.
 //  3. Crash attribution — every rank a crash injection killed surfaces a
@@ -47,11 +47,6 @@ type SweepOptions struct {
 	Seeds []uint64
 	// Kinds restricts the fault taxonomy; nil means all kinds.
 	Kinds []Kind
-	// Ranks/PPN size each run (defaults 4/2 — small, the faults matter more
-	// than the scale).
-	Ranks, PPN int
-	// Params scales the workload (defaults to a fast chaos-sized run).
-	Params apps.Params
 	// Workers sizes the sweep pool (<= 0 selects GOMAXPROCS).
 	Workers int
 	// Replay re-runs every cell and checks byte-identical traces and fault
@@ -74,17 +69,15 @@ func (o SweepOptions) withDefaults() SweepOptions {
 	if len(o.Seeds) == 0 {
 		o.Seeds = []uint64{1}
 	}
-	if o.Ranks <= 0 {
-		o.Ranks = 4
-	}
-	if o.PPN <= 0 {
-		o.PPN = 2
-	}
-	if o.Params == (apps.Params{}) {
-		o.Params = apps.Params{Steps: 3, CheckpointEvery: 2, Block: 512}
-	}
 	return o
 }
+
+// The size of each chaos run: small, because the faults matter more than
+// the scale.
+const (
+	chaosRanks = 4
+	chaosPPN   = 2
+)
 
 // Cell is one (application, semantics, seed) replay.
 type Cell struct {
@@ -124,10 +117,10 @@ type Report struct {
 	TotalFired int
 }
 
-// KindSummary aggregates the per-kind tallies over every cell of the sweep:
+// kindSummary aggregates the per-kind tallies over every cell of the sweep:
 // how many injections each fault kind scheduled, how many fired, and how
 // many were suppressed (the rank never reached the targeted operation).
-func (rep *Report) KindSummary() []KindTally {
+func (rep *Report) kindSummary() []KindTally {
 	sum := make([]KindTally, numKinds)
 	for k := Kind(0); k < numKinds; k++ {
 		sum[k].Kind = k
@@ -188,16 +181,16 @@ func runChaosCell(o SweepOptions, app string, sem pfs.Semantics, seed uint64) (C
 	// One deterministic sub-seed per cell, derived from the application's
 	// *name* (not its position in the sweep's app list): the same cell always
 	// runs the same schedule no matter how the sweep was filtered, which is
-	// what makes the single-cell ReproCommand replay exact.
+	// what makes the single-cell reproCommand replay exact.
 	h := fnv.New64a()
 	h.Write([]byte(app))
 	cellSeed := sim.NewRNG(seed).Split(h.Sum64()).Split(uint64(sem)).Uint64()
-	gen := GenOptions{Ranks: o.Ranks, Kinds: o.Kinds}
-	sched := Generate(cellSeed, gen)
-	cell.ScheduleFP = sched.Fingerprint()
+	gen := genOptions{Ranks: chaosRanks, Kinds: o.Kinds}
+	sched := generate(cellSeed, gen)
+	cell.ScheduleFP = sched.fingerprint()
 
 	// Invariant 1: schedule generation is deterministic.
-	if again := Generate(cellSeed, gen); !bytes.Equal(sched.Encode(), again.Encode()) {
+	if again := generate(cellSeed, gen); !bytes.Equal(sched.encode(), again.encode()) {
 		violate("schedule nondeterminism: seed %d produced different encodings", cellSeed)
 		cell.Err = fmt.Errorf("faults: nondeterministic schedule for seed %d", cellSeed)
 		return cell, viols
@@ -210,12 +203,12 @@ func runChaosCell(o SweepOptions, app string, sem pfs.Semantics, seed uint64) (C
 		violate("run did not complete: %v", err)
 		return cell, viols
 	}
-	cell.Fired = inj.Fired()
-	cell.Tallies = inj.KindTallies()
+	cell.Fired = inj.firedCount()
+	cell.Tallies = inj.kindTallies()
 	cell.RankErrors = len(res.Errs)
 
 	// Invariant 3: crash attribution.
-	for _, r := range inj.CrashedRanks() {
+	for _, r := range inj.crashedRanks() {
 		if !rankErrored(res.Errs, r) {
 			violate("rank %d was crash-injected but reported no error", r)
 		}
@@ -245,7 +238,7 @@ func runChaosCell(o SweepOptions, app string, sem pfs.Semantics, seed uint64) (C
 		if a, b := traceFingerprint(res.Trace), traceFingerprint(res2.Trace); a != b {
 			violate("replay produced a different trace (%016x != %016x)", a, b)
 		}
-		if a, b := inj.EventLog(), inj2.EventLog(); a != b {
+		if a, b := inj.eventLog(), inj2.eventLog(); a != b {
 			violate("replay fired different faults:\n--- first\n%s--- second\n%s", a, b)
 		}
 	}
@@ -253,16 +246,17 @@ func runChaosCell(o SweepOptions, app string, sem pfs.Semantics, seed uint64) (C
 }
 
 // replayCell runs one application under a schedule.
-func replayCell(o SweepOptions, app string, sem pfs.Semantics, seed uint64, sched Schedule) (*Injector, *harness.Result, error) {
+func replayCell(o SweepOptions, app string, sem pfs.Semantics, seed uint64, sched faultSchedule) (*faultInjector, *harness.Result, error) {
 	cfg, ok := apps.Lookup(app)
 	if !ok {
 		return nil, nil, fmt.Errorf("faults: unknown application %q", app)
 	}
-	inj := NewInjector(sched)
-	p := o.Params
-	p.Verify = true // the applications' own read-back checks are the oracle
+	inj := newFaultInjector(sched)
+	// A chaos-sized workload; the applications' own read-back checks are
+	// the oracle.
+	p := apps.Params{Steps: 3, CheckpointEvery: 2, Block: 512, Verify: true}
 	res, err := apps.Execute(cfg, apps.Options{
-		Ranks: o.Ranks, PPN: o.PPN, Seed: seed, Semantics: sem,
+		Ranks: chaosRanks, PPN: chaosPPN, Seed: seed, Semantics: sem,
 		Injector: inj, Params: p, WAL: o.WAL,
 	})
 	if err != nil {
@@ -329,22 +323,22 @@ func RenderSweep(rep *Report) string {
 	b.WriteString("\nFault kinds (scheduled vs fired; suppressed = the rank never reached\nthe targeted operation, e.g. it was already crash-killed):\n\n")
 	fmt.Fprintf(&b, "%-20s  %9s  %6s  %10s\n", "kind", "scheduled", "fired", "suppressed")
 	b.WriteString(strings.Repeat("-", 52) + "\n")
-	for _, t := range rep.KindSummary() {
-		fmt.Fprintf(&b, "%-20s  %9d  %6d  %10d\n", t.Kind, t.Scheduled, t.Fired, t.Suppressed())
+	for _, t := range rep.kindSummary() {
+		fmt.Fprintf(&b, "%-20s  %9d  %6d  %10d\n", t.Kind, t.Scheduled, t.Fired, t.suppressed())
 	}
 	fmt.Fprintf(&b, "\n%d cells, %d faults fired, %d violation(s)\n",
 		len(rep.Cells), rep.TotalFired, len(rep.Violations))
 	for _, v := range rep.Violations {
 		fmt.Fprintf(&b, "  VIOLATION %s\n", v)
-		fmt.Fprintf(&b, "    repro: %s\n", v.Cell.ReproCommand())
+		fmt.Fprintf(&b, "    repro: %s\n", v.Cell.reproCommand())
 	}
 	return b.String()
 }
 
-// ReproCommand renders the exact semrepro invocation that replays this cell
+// reproCommand renders the exact semrepro invocation that replays this cell
 // alone — same schedule, same seed, single configuration — so a failing
 // chaos cell is one paste away from reproduction.
-func (c Cell) ReproCommand() string {
+func (c Cell) reproCommand() string {
 	return fmt.Sprintf("semrepro -chaos -chaos-seeds %d -chaos-apps %q -chaos-semantics %s",
 		c.Seed, c.App, c.Semantics)
 }

@@ -82,7 +82,7 @@ func TestChaosSchedulesByteIdenticalAcrossSweeps(t *testing.T) {
 }
 
 // TestChaosCellScheduleStableUnderFiltering pins the single-cell repro
-// contract behind Cell.ReproCommand: a cell's schedule depends on the app's
+// contract behind Cell.reproCommand: a cell's schedule depends on the app's
 // name, not its position in the sweep's app list, so re-running just that
 // cell with -chaos-apps reproduces the exact schedule from the full sweep.
 func TestChaosCellScheduleStableUnderFiltering(t *testing.T) {
@@ -117,7 +117,7 @@ func TestChaosCellScheduleStableUnderFiltering(t *testing.T) {
 		}
 	}
 	// And the rendered violation block carries a paste-ready command.
-	cmd := Cell{App: "NWChem", Semantics: pfs.Commit, Seed: 5}.ReproCommand()
+	cmd := Cell{App: "NWChem", Semantics: pfs.Commit, Seed: 5}.reproCommand()
 	for _, want := range []string{"-chaos-apps \"NWChem\"", "-chaos-semantics commit", "-chaos-seeds 5"} {
 		if !strings.Contains(cmd, want) {
 			t.Errorf("ReproCommand %q missing %q", cmd, want)

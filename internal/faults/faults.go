@@ -1,9 +1,9 @@
 // Package faults is the deterministic, seed-driven fault-injection engine
-// for the simulated PFS stack. A Schedule is a fixed list of injectable
+// for the simulated PFS stack. A faultSchedule is a fixed list of injectable
 // faults — node crashes around commit points, torn writes, lost fsyncs,
 // delayed or reordered publishes, transient I/O errors — generated entirely
 // from a seed, so the same seed always yields the byte-identical schedule.
-// An Injector arms a schedule as a pfs.FaultInjector: it counts each rank's
+// A faultInjector arms a schedule as a pfs.FaultInjector: it counts each rank's
 // eligible operations and fires every injection at its Nth eligible
 // operation, which makes replay deterministic too (the simulated I/O stream
 // of a rank is a pure function of the application, the simulation seed and
@@ -48,7 +48,7 @@ const (
 	// self-overlaps).
 	ReorderPublish
 	// TransientError fails the operation with a retryable I/O error for the
-	// first Arg attempts; the client's RetryPolicy decides whether the
+	// first Arg attempts; the client's retry policy decides whether the
 	// operation ultimately survives.
 	TransientError
 
@@ -72,8 +72,8 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind#%d", int(k))
 }
 
-// AllKinds returns every fault kind in taxonomy order.
-func AllKinds() []Kind {
+// allKinds returns every fault kind in taxonomy order.
+func allKinds() []Kind {
 	ks := make([]Kind, numKinds)
 	for i := range ks {
 		ks[i] = Kind(i)
@@ -123,9 +123,9 @@ func (c class) matches(op pfs.OpKind) bool {
 	return false
 }
 
-// Injection is one scheduled fault: on rank Rank, at the Nth (1-based)
+// faultInjection is one scheduled fault: on rank Rank, at the Nth (1-based)
 // operation eligible for Kind's class, fire Kind with parameter Arg.
-type Injection struct {
+type faultInjection struct {
 	Rank int
 	Kind Kind
 	N    int
@@ -134,21 +134,21 @@ type Injection struct {
 	Arg uint64
 }
 
-func (in Injection) String() string {
+func (in faultInjection) String() string {
 	return fmt.Sprintf("rank=%d kind=%s n=%d arg=%d", in.Rank, in.Kind, in.N, in.Arg)
 }
 
-// Schedule is a deterministic fault plan: the seed it was generated from
+// faultSchedule is a deterministic fault plan: the seed it was generated from
 // plus the injections. Equal seeds and options produce byte-identical
-// schedules (see Encode), the contract the chaos harness re-checks on every
+// schedules (see encode), the contract the chaos harness re-checks on every
 // cell.
-type Schedule struct {
+type faultSchedule struct {
 	Seed       uint64
-	Injections []Injection
+	Injections []faultInjection
 }
 
-// GenOptions bounds schedule generation.
-type GenOptions struct {
+// genOptions bounds schedule generation.
+type genOptions struct {
 	// Ranks is the job size injections target (required, > 0).
 	Ranks int
 	// Kinds restricts the fault taxonomy drawn from; nil means all kinds.
@@ -159,16 +159,16 @@ type GenOptions struct {
 	MaxNth int
 }
 
-// Generate derives a schedule from a seed. All randomness flows through a
+// generate derives a schedule from a seed. All randomness flows through a
 // splitmix64 generator seeded with seed, so the same (seed, options) pair
 // yields the identical schedule on every run, machine and Go version.
-func Generate(seed uint64, o GenOptions) Schedule {
+func generate(seed uint64, o genOptions) faultSchedule {
 	if o.Ranks <= 0 {
 		o.Ranks = 1
 	}
 	kinds := o.Kinds
 	if len(kinds) == 0 {
-		kinds = AllKinds()
+		kinds = allKinds()
 	}
 	if o.Count <= 0 {
 		o.Count = o.Ranks / 2
@@ -180,10 +180,10 @@ func Generate(seed uint64, o GenOptions) Schedule {
 		o.MaxNth = 6
 	}
 	rng := sim.NewRNG(seed).Split(0xFA017)
-	s := Schedule{Seed: seed, Injections: make([]Injection, 0, o.Count)}
+	s := faultSchedule{Seed: seed, Injections: make([]faultInjection, 0, o.Count)}
 	for i := 0; i < o.Count; i++ {
 		k := kinds[rng.Intn(len(kinds))]
-		inj := Injection{
+		inj := faultInjection{
 			Rank: rng.Intn(o.Ranks),
 			Kind: k,
 			N:    1 + rng.Intn(o.MaxNth),
@@ -201,9 +201,9 @@ func Generate(seed uint64, o GenOptions) Schedule {
 	return s
 }
 
-// Encode renders the schedule in a canonical byte form: the determinism
-// contract is that equal seeds produce equal Encode outputs.
-func (s Schedule) Encode() []byte {
+// encode renders the schedule in a canonical byte form: the determinism
+// contract is that equal seeds produce equal encode outputs.
+func (s faultSchedule) encode() []byte {
 	var b strings.Builder
 	fmt.Fprintf(&b, "schedule seed=%d n=%d\n", s.Seed, len(s.Injections))
 	for _, in := range s.Injections {
@@ -213,15 +213,15 @@ func (s Schedule) Encode() []byte {
 	return []byte(b.String())
 }
 
-// Fingerprint hashes the canonical encoding (FNV-1a 64).
-func (s Schedule) Fingerprint() uint64 {
+// fingerprint hashes the canonical encoding (FNV-1a 64).
+func (s faultSchedule) fingerprint() uint64 {
 	h := fnv.New64a()
-	h.Write(s.Encode())
+	h.Write(s.encode())
 	return h.Sum64()
 }
 
-// Event records one fired fault.
-type Event struct {
+// faultEvent records one fired fault.
+type faultEvent struct {
 	Rank int
 	Kind Kind
 	Op   pfs.OpKind
@@ -229,7 +229,7 @@ type Event struct {
 	Now  uint64
 }
 
-func (e Event) String() string {
+func (e faultEvent) String() string {
 	return fmt.Sprintf("rank=%d %s at %s(%s) t=%d", e.Rank, e.Kind, e.Op, e.Path, e.Now)
 }
 
@@ -244,21 +244,21 @@ type countKey struct {
 	cls  class
 }
 
-// Injector arms a Schedule as a pfs.FaultInjector. It is safe for
+// faultInjector arms a faultSchedule as a pfs.FaultInjector. It is safe for
 // concurrent use (ranks intercept under the file system lock, but the
 // injector carries its own mutex so it never relies on that). Use a fresh
-// Injector per run; fired events accumulate per rank in firing order, which
+// faultInjector per run; fired events accumulate per rank in firing order, which
 // is deterministic for a deterministic run.
-type Injector struct {
+type faultInjector struct {
 	mu      sync.Mutex
-	pending map[slotKey][]Injection
+	pending map[slotKey][]faultInjection
 	counts  map[countKey]int
 	// transientLeft tracks, per rank, how many further attempts of the
 	// in-flight operation still fail (each rank runs one operation at a
 	// time, so a single counter per rank suffices).
 	transientLeft map[int]int
 	crashed       map[int]bool
-	events        map[int][]Event
+	events        map[int][]faultEvent
 	fired         int
 	// scheduled/firedBy tally injections per kind; their difference is the
 	// suppressed count the chaos report breaks out.
@@ -266,14 +266,14 @@ type Injector struct {
 	firedBy   [numKinds]int
 }
 
-// NewInjector arms a schedule.
-func NewInjector(s Schedule) *Injector {
-	inj := &Injector{
-		pending:       make(map[slotKey][]Injection),
+// newFaultInjector arms a schedule.
+func newFaultInjector(s faultSchedule) *faultInjector {
+	inj := &faultInjector{
+		pending:       make(map[slotKey][]faultInjection),
 		counts:        make(map[countKey]int),
 		transientLeft: make(map[int]int),
 		crashed:       make(map[int]bool),
-		events:        make(map[int][]Event),
+		events:        make(map[int][]faultEvent),
 	}
 	for _, in := range s.Injections {
 		k := slotKey{rank: in.Rank, cls: in.Kind.class(), n: in.N}
@@ -286,7 +286,7 @@ func NewInjector(s Schedule) *Injector {
 }
 
 // Intercept implements pfs.FaultInjector.
-func (inj *Injector) Intercept(op pfs.OpInfo) pfs.FaultAction {
+func (inj *faultInjector) Intercept(op pfs.OpInfo) pfs.FaultAction {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
 	if op.Attempt > 0 {
@@ -318,7 +318,7 @@ func (inj *Injector) Intercept(op pfs.OpInfo) pfs.FaultAction {
 }
 
 // apply folds one firing injection into the action.
-func (inj *Injector) apply(in Injection, op pfs.OpInfo, act *pfs.FaultAction) {
+func (inj *faultInjector) apply(in faultInjection, op pfs.OpInfo, act *pfs.FaultAction) {
 	switch in.Kind {
 	case CrashBeforeCommit:
 		act.CrashBefore = true
@@ -353,13 +353,13 @@ func (inj *Injector) apply(in Injection, op pfs.OpInfo, act *pfs.FaultAction) {
 	if in.Kind >= 0 && in.Kind < numKinds {
 		inj.firedBy[in.Kind]++
 	}
-	inj.events[op.Rank] = append(inj.events[op.Rank], Event{
+	inj.events[op.Rank] = append(inj.events[op.Rank], faultEvent{
 		Rank: op.Rank, Kind: in.Kind, Op: op.Kind, Path: op.Path, Now: op.Now,
 	})
 }
 
-// Fired returns how many injections have fired so far.
-func (inj *Injector) Fired() int {
+// firedCount returns how many injections have fired so far.
+func (inj *faultInjector) firedCount() int {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
 	return inj.fired
@@ -373,14 +373,14 @@ type KindTally struct {
 	Fired     int
 }
 
-// Suppressed counts scheduled injections that never fired: the target rank
+// suppressed counts scheduled injections that never fired: the target rank
 // never reached the Nth eligible operation (short run, or the rank was
 // already dead from an earlier crash injection).
-func (t KindTally) Suppressed() int { return t.Scheduled - t.Fired }
+func (t KindTally) suppressed() int { return t.Scheduled - t.Fired }
 
-// KindTallies returns the per-kind scheduled/fired counts in taxonomy
+// kindTallies returns the per-kind scheduled/fired counts in taxonomy
 // order, including kinds with zero scheduled injections.
-func (inj *Injector) KindTallies() []KindTally {
+func (inj *faultInjector) kindTallies() []KindTally {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
 	out := make([]KindTally, numKinds)
@@ -390,19 +390,19 @@ func (inj *Injector) KindTallies() []KindTally {
 	return out
 }
 
-// EventsByRank returns a copy of the fired events, per rank in firing order.
-func (inj *Injector) EventsByRank() map[int][]Event {
+// eventsByRank returns a copy of the fired events, per rank in firing order.
+func (inj *faultInjector) eventsByRank() map[int][]faultEvent {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
-	out := make(map[int][]Event, len(inj.events))
+	out := make(map[int][]faultEvent, len(inj.events))
 	for r, es := range inj.events {
-		out[r] = append([]Event(nil), es...)
+		out[r] = append([]faultEvent(nil), es...)
 	}
 	return out
 }
 
-// CrashedRanks returns the ranks a crash injection killed, sorted.
-func (inj *Injector) CrashedRanks() []int {
+// crashedRanks returns the ranks a crash injection killed, sorted.
+func (inj *faultInjector) crashedRanks() []int {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
 	out := make([]int, 0, len(inj.crashed))
@@ -413,10 +413,10 @@ func (inj *Injector) CrashedRanks() []int {
 	return out
 }
 
-// EventLog renders every fired event in (rank, firing order), the canonical
+// eventLog renders every fired event in (rank, firing order), the canonical
 // form the replay-determinism check compares.
-func (inj *Injector) EventLog() string {
-	byRank := inj.EventsByRank()
+func (inj *faultInjector) eventLog() string {
+	byRank := inj.eventsByRank()
 	ranks := make([]int, 0, len(byRank))
 	for r := range byRank {
 		ranks = append(ranks, r)

@@ -11,15 +11,15 @@ import (
 )
 
 func TestScheduleDeterminism(t *testing.T) {
-	o := GenOptions{Ranks: 8}
-	a, b := Generate(42, o), Generate(42, o)
-	if !bytes.Equal(a.Encode(), b.Encode()) {
-		t.Fatalf("same seed, different schedules:\n%s\nvs\n%s", a.Encode(), b.Encode())
+	o := genOptions{Ranks: 8}
+	a, b := generate(42, o), generate(42, o)
+	if !bytes.Equal(a.encode(), b.encode()) {
+		t.Fatalf("same seed, different schedules:\n%s\nvs\n%s", a.encode(), b.encode())
 	}
-	if a.Fingerprint() != b.Fingerprint() {
+	if a.fingerprint() != b.fingerprint() {
 		t.Fatal("fingerprints differ for identical schedules")
 	}
-	if c := Generate(43, o); bytes.Equal(a.Encode(), c.Encode()) {
+	if c := generate(43, o); bytes.Equal(a.encode(), c.encode()) {
 		t.Fatal("different seeds produced identical schedules")
 	}
 	if len(a.Injections) == 0 {
@@ -31,7 +31,7 @@ func TestScheduleDeterminism(t *testing.T) {
 		}
 	}
 	// Restricting kinds restricts the draw.
-	only := Generate(42, GenOptions{Ranks: 8, Kinds: []Kind{TornWrite}})
+	only := generate(42, genOptions{Ranks: 8, Kinds: []Kind{TornWrite}})
 	for _, in := range only.Injections {
 		if in.Kind != TornWrite {
 			t.Fatalf("kind restriction violated: %+v", in)
@@ -40,7 +40,7 @@ func TestScheduleDeterminism(t *testing.T) {
 }
 
 func TestKindStringsAndClasses(t *testing.T) {
-	for _, k := range AllKinds() {
+	for _, k := range allKinds() {
 		if strings.HasPrefix(k.String(), "kind#") {
 			t.Fatalf("kind %d has no name", int(k))
 		}
@@ -62,9 +62,9 @@ func TestKindStringsAndClasses(t *testing.T) {
 }
 
 // injectorFS builds a file system with one armed injection and two clients.
-func injectorFS(t *testing.T, sem pfs.Semantics, injs ...Injection) (*pfs.FileSystem, *Injector, *pfs.Client, *pfs.Client) {
+func injectorFS(t *testing.T, sem pfs.Semantics, injs ...faultInjection) (*pfs.FileSystem, *faultInjector, *pfs.Client, *pfs.Client) {
 	t.Helper()
-	inj := NewInjector(Schedule{Injections: injs})
+	inj := newFaultInjector(faultSchedule{Injections: injs})
 	fs := pfs.New(pfs.Options{Semantics: sem, EventualDelay: 1000})
 	fs.SetInjector(inj)
 	return fs, inj, fs.NewClient(0, 0), fs.NewClient(1, 0)
@@ -94,7 +94,7 @@ func readAt(t *testing.T, c *pfs.Client, path string, n int64, now uint64) []byt
 }
 
 func TestTornWriteKeepsPrefix(t *testing.T) {
-	_, inj, w, r := injectorFS(t, pfs.Strong, Injection{Rank: 0, Kind: TornWrite, N: 1, Arg: 4})
+	_, inj, w, r := injectorFS(t, pfs.Strong, faultInjection{Rank: 0, Kind: TornWrite, N: 1, Arg: 4})
 	h, _, err := w.Open("/f", pfs.OCreat|pfs.OWronly, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -107,8 +107,8 @@ func TestTornWriteKeepsPrefix(t *testing.T) {
 	if string(got) != "ABCD" {
 		t.Fatalf("torn write left %q, want ABCD", got)
 	}
-	if inj.Fired() != 1 {
-		t.Fatalf("fired = %d", inj.Fired())
+	if inj.firedCount() != 1 {
+		t.Fatalf("fired = %d", inj.firedCount())
 	}
 	// The second write on the same rank is untouched.
 	h2, _, err := w.Open("/g", pfs.OCreat|pfs.OWronly, 20)
@@ -122,7 +122,7 @@ func TestTornWriteKeepsPrefix(t *testing.T) {
 }
 
 func TestTornWriteNeverKeepsWholePayload(t *testing.T) {
-	_, _, w, r := injectorFS(t, pfs.Strong, Injection{Rank: 0, Kind: TornWrite, N: 1, Arg: 512})
+	_, _, w, r := injectorFS(t, pfs.Strong, faultInjection{Rank: 0, Kind: TornWrite, N: 1, Arg: 512})
 	h, _, err := w.Open("/f", pfs.OCreat|pfs.OWronly, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestTornWriteNeverKeepsWholePayload(t *testing.T) {
 }
 
 func TestLostFsyncThenRealCommit(t *testing.T) {
-	_, inj, w, r := injectorFS(t, pfs.Commit, Injection{Rank: 0, Kind: LostFsync, N: 1})
+	_, inj, w, r := injectorFS(t, pfs.Commit, faultInjection{Rank: 0, Kind: LostFsync, N: 1})
 	h, _, err := w.Open("/ckpt", pfs.OCreat|pfs.OWronly, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -153,13 +153,13 @@ func TestLostFsyncThenRealCommit(t *testing.T) {
 	if got := readAt(t, r, "/ckpt", 4, 6); string(got) != "DATA" {
 		t.Fatalf("recovery commit published %q", got)
 	}
-	if inj.Fired() != 1 {
-		t.Fatalf("fired = %d", inj.Fired())
+	if inj.firedCount() != 1 {
+		t.Fatalf("fired = %d", inj.firedCount())
 	}
 }
 
 func TestCrashBeforeCommitLosesPending(t *testing.T) {
-	_, inj, w, r := injectorFS(t, pfs.Commit, Injection{Rank: 0, Kind: CrashBeforeCommit, N: 1})
+	_, inj, w, r := injectorFS(t, pfs.Commit, faultInjection{Rank: 0, Kind: CrashBeforeCommit, N: 1})
 	h, _, err := w.Open("/ckpt", pfs.OCreat|pfs.OWronly, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -177,13 +177,13 @@ func TestCrashBeforeCommitLosesPending(t *testing.T) {
 	if got := readAt(t, r, "/ckpt", 4, 10); len(got) != 0 {
 		t.Fatalf("crashed commit published %q", got)
 	}
-	if ranks := inj.CrashedRanks(); len(ranks) != 1 || ranks[0] != 0 {
+	if ranks := inj.crashedRanks(); len(ranks) != 1 || ranks[0] != 0 {
 		t.Fatalf("CrashedRanks = %v", ranks)
 	}
 }
 
 func TestCrashAfterCommitIsDurable(t *testing.T) {
-	_, _, w, r := injectorFS(t, pfs.Commit, Injection{Rank: 0, Kind: CrashAfterCommit, N: 1})
+	_, _, w, r := injectorFS(t, pfs.Commit, faultInjection{Rank: 0, Kind: CrashAfterCommit, N: 1})
 	h, _, err := w.Open("/ckpt", pfs.OCreat|pfs.OWronly, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +200,7 @@ func TestCrashAfterCommitIsDurable(t *testing.T) {
 
 func TestDelayedPublishUnderEventual(t *testing.T) {
 	// EventualDelay is 1000 ns (injectorFS); the injection adds 5000 more.
-	_, _, w, r := injectorFS(t, pfs.Eventual, Injection{Rank: 0, Kind: DelayedPublish, N: 1, Arg: 5000})
+	_, _, w, r := injectorFS(t, pfs.Eventual, faultInjection{Rank: 0, Kind: DelayedPublish, N: 1, Arg: 5000})
 	h, _, err := w.Open("/f", pfs.OCreat|pfs.OWronly, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -220,9 +220,9 @@ func TestReorderPublishFlipsSameProcessOverlap(t *testing.T) {
 	// Two overlapping writes in one commit batch: in order, the second wins;
 	// reordered, the first does.
 	run := func(reorder bool) string {
-		var injs []Injection
+		var injs []faultInjection
 		if reorder {
-			injs = append(injs, Injection{Rank: 0, Kind: ReorderPublish, N: 1})
+			injs = append(injs, faultInjection{Rank: 0, Kind: ReorderPublish, N: 1})
 		}
 		_, _, w, r := injectorFS(t, pfs.Commit, injs...)
 		h, _, err := w.Open("/f", pfs.OCreat|pfs.OWronly, 1)
@@ -246,7 +246,7 @@ func TestReorderPublishFlipsSameProcessOverlap(t *testing.T) {
 
 func TestTransientErrorRetriesThenSucceeds(t *testing.T) {
 	// Default policy allows 3 retries; 2 failing attempts succeed on retry.
-	fs, inj, w, r := injectorFS(t, pfs.Strong, Injection{Rank: 0, Kind: TransientError, N: 1, Arg: 2})
+	fs, inj, w, r := injectorFS(t, pfs.Strong, faultInjection{Rank: 0, Kind: TransientError, N: 1, Arg: 2})
 	h, _, err := w.Open("/f", pfs.OCreat|pfs.OWronly, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -258,14 +258,14 @@ func TestTransientErrorRetriesThenSucceeds(t *testing.T) {
 	if st := fs.Stats(); st.Retries == 0 || st.TransientErrors != 0 {
 		t.Fatalf("stats = %+v, want retries > 0 and no exhausted errors", st)
 	}
-	if inj.Fired() != 1 {
-		t.Fatalf("fired = %d", inj.Fired())
+	if inj.firedCount() != 1 {
+		t.Fatalf("fired = %d", inj.firedCount())
 	}
 }
 
 func TestTransientErrorExhaustsRetries(t *testing.T) {
 	// 10 failing attempts exceed the default 3-retry budget.
-	fs, _, w, _ := injectorFS(t, pfs.Strong, Injection{Rank: 0, Kind: TransientError, N: 1, Arg: 10})
+	fs, _, w, _ := injectorFS(t, pfs.Strong, faultInjection{Rank: 0, Kind: TransientError, N: 1, Arg: 10})
 	h, _, err := w.Open("/f", pfs.OCreat|pfs.OWronly, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +279,7 @@ func TestTransientErrorExhaustsRetries(t *testing.T) {
 }
 
 func TestInjectionTargetsOnlyItsRank(t *testing.T) {
-	_, inj, w, other := injectorFS(t, pfs.Strong, Injection{Rank: 1, Kind: TornWrite, N: 1, Arg: 1})
+	_, inj, w, other := injectorFS(t, pfs.Strong, faultInjection{Rank: 1, Kind: TornWrite, N: 1, Arg: 1})
 	h, _, err := w.Open("/f", pfs.OCreat|pfs.OWronly, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -288,15 +288,15 @@ func TestInjectionTargetsOnlyItsRank(t *testing.T) {
 	if got := readAt(t, other, "/f", 4, 10); string(got) != "ABCD" {
 		t.Fatalf("rank-0 write perturbed by rank-1 injection: %q", got)
 	}
-	if inj.Fired() != 0 {
-		t.Fatalf("fired = %d for the wrong rank", inj.Fired())
+	if inj.firedCount() != 0 {
+		t.Fatalf("fired = %d for the wrong rank", inj.firedCount())
 	}
 }
 
 func TestEventLogStableAcrossIdenticalRuns(t *testing.T) {
-	sched := Generate(7, GenOptions{Ranks: 2, Kinds: []Kind{TornWrite, TransientError}})
+	sched := generate(7, genOptions{Ranks: 2, Kinds: []Kind{TornWrite, TransientError}})
 	run := func() string {
-		inj := NewInjector(sched)
+		inj := newFaultInjector(sched)
 		fs := pfs.New(pfs.Options{Semantics: pfs.Strong})
 		fs.SetInjector(inj)
 		for rank := 0; rank < 2; rank++ {
@@ -313,7 +313,7 @@ func TestEventLogStableAcrossIdenticalRuns(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return inj.EventLog()
+		return inj.eventLog()
 	}
 	a, b := run(), run()
 	if a != b || a == "" {
@@ -326,8 +326,8 @@ func TestKindTalliesScheduledFiredSuppressed(t *testing.T) {
 	// write, the second (N=99) targets an operation the rank never reaches
 	// and stays suppressed.
 	_, inj, w, _ := injectorFS(t, pfs.Strong,
-		Injection{Rank: 0, Kind: TornWrite, N: 1, Arg: 4},
-		Injection{Rank: 0, Kind: TornWrite, N: 99, Arg: 4})
+		faultInjection{Rank: 0, Kind: TornWrite, N: 1, Arg: 4},
+		faultInjection{Rank: 0, Kind: TornWrite, N: 99, Arg: 4})
 	h, _, err := w.Open("/f", pfs.OCreat|pfs.OWronly, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -337,7 +337,7 @@ func TestKindTalliesScheduledFiredSuppressed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tallies := inj.KindTallies()
+	tallies := inj.kindTallies()
 	if len(tallies) != int(numKinds) {
 		t.Fatalf("KindTallies covers %d kinds, want %d", len(tallies), numKinds)
 	}
@@ -353,8 +353,8 @@ func TestKindTalliesScheduledFiredSuppressed(t *testing.T) {
 		}
 	}
 	torn := tallies[TornWrite]
-	if torn.Scheduled != 2 || torn.Fired != 1 || torn.Suppressed() != 1 {
-		t.Fatalf("torn-write tally wrong: %+v (suppressed %d)", torn, torn.Suppressed())
+	if torn.Scheduled != 2 || torn.Fired != 1 || torn.suppressed() != 1 {
+		t.Fatalf("torn-write tally wrong: %+v (suppressed %d)", torn, torn.suppressed())
 	}
 }
 
@@ -367,12 +367,12 @@ func TestKindSummaryAggregatesAndRenders(t *testing.T) {
 		}},
 		{App: "c"}, // failed cell: no tallies
 	}}
-	sum := rep.KindSummary()
+	sum := rep.kindSummary()
 	if len(sum) != int(numKinds) {
 		t.Fatalf("summary covers %d kinds, want %d", len(sum), numKinds)
 	}
 	torn := sum[TornWrite]
-	if torn.Scheduled != 5 || torn.Fired != 3 || torn.Suppressed() != 2 {
+	if torn.Scheduled != 5 || torn.Fired != 3 || torn.suppressed() != 2 {
 		t.Fatalf("aggregated torn-write tally wrong: %+v", torn)
 	}
 	if fsync := sum[LostFsync]; fsync.Scheduled != 1 || fsync.Fired != 0 {

@@ -8,10 +8,10 @@ package faults
 // internal/experiments).
 //
 // A kill point is a named call site (e.g. "ckpt.append.before-fsync",
-// "pfs.op.commit") that calls Hit. Arming "point:N" makes the Nth Hit of
+// "pfs.op.commit") that calls killHit. Arming "point:N" makes the Nth killHit of
 // that point kill the process with SIGKILL — no deferred functions, no
 // buffered flushes, exactly the discipline a real crash denies a process.
-// Points are armed explicitly (ArmKillPoints) or from the SEMFS_KILL
+// Points are armed explicitly (armKillPoints) or from the SEMFS_KILL
 // environment variable (ArmKillPointsFromEnv), which is how the harness
 // reaches into a re-exec'd child.
 
@@ -36,15 +36,15 @@ var kill struct {
 	hits  map[string]int // point -> hits so far
 }
 
-// ArmKillPoints parses a "point:N[,point:N...]" spec and arms each point: the
-// Nth call to Hit(point) will SIGKILL the process. Arming any point installs
+// armKillPoints parses a "point:N[,point:N...]" spec and arms each point: the
+// Nth call to killHit(point) will SIGKILL the process. Arming any point installs
 // the storage kill hook, through which the durable layers (ckpt.append.*,
 // wal.*, storage.*) report their points. Arming a point whose name starts
 // with "pfs.op." also installs the pfs kill hook, so data-path operations
 // (write/read/commit/close) become killable sites too. An empty spec arms
 // nothing, and neither does a spec with any bad part: the whole spec is
 // parsed before the first point is armed.
-func ArmKillPoints(spec string) error {
+func armKillPoints(spec string) error {
 	armed := make(map[string]int)
 	hookPFS := false
 	for _, part := range strings.Split(spec, ",") {
@@ -78,22 +78,22 @@ func ArmKillPoints(spec string) error {
 		kill.armed[point] = n
 	}
 	if hookPFS {
-		pfs.SetKillPointHook(func(op pfs.OpInfo) { Hit("pfs.op." + op.Kind.String()) })
+		pfs.SetKillPointHook(func(op pfs.OpInfo) { killHit("pfs.op." + op.Kind.String()) })
 	}
-	storage.SetKillPointHook(Hit)
+	storage.SetKillPointHook(killHit)
 	return nil
 }
 
 // ArmKillPointsFromEnv arms kill points from the SEMFS_KILL environment
 // variable; with the variable unset or empty it is a no-op. CLIs call it at
 // startup so a crash-recovery harness can arm a child without new flags.
-func ArmKillPointsFromEnv() error { return ArmKillPoints(os.Getenv(KillEnv)) }
+func ArmKillPointsFromEnv() error { return armKillPoints(os.Getenv(KillEnv)) }
 
-// Hit records one arrival at a named kill point. If the point is armed and
+// killHit records one arrival at a named kill point. If the point is armed and
 // this is its fatal hit, the process kills itself with SIGKILL and never
 // returns. Unarmed points only count, so instrumented call sites are safe to
 // leave in production paths.
-func Hit(point string) {
+func killHit(point string) {
 	kill.mu.Lock()
 	if kill.armed == nil {
 		kill.mu.Unlock()
@@ -105,25 +105,6 @@ func Hit(point string) {
 	if fatal {
 		killProcess()
 	}
-}
-
-// KillPointHits returns how many times a point has been hit since arming
-// (always 0 before the first ArmKillPoints — unarmed processes do not
-// count).
-func KillPointHits(point string) int {
-	kill.mu.Lock()
-	defer kill.mu.Unlock()
-	return kill.hits[point]
-}
-
-// ResetKillPoints disarms every kill point and zeroes the hit counts (test
-// support).
-func ResetKillPoints() {
-	kill.mu.Lock()
-	kill.armed, kill.hits = nil, nil
-	kill.mu.Unlock()
-	pfs.SetKillPointHook(nil)
-	storage.SetKillPointHook(nil)
 }
 
 // fallbackExit is the last-resort crash when SIGKILL is unavailable or

@@ -15,12 +15,12 @@ import (
 func TestArmKillPointsCounts(t *testing.T) {
 	t.Cleanup(ResetKillPoints)
 	ResetKillPoints()
-	if err := ArmKillPoints("ckpt.append.torn:5, other.point:2"); err != nil {
+	if err := armKillPoints("ckpt.append.torn:5, other.point:2"); err != nil {
 		t.Fatalf("ArmKillPoints: %v", err)
 	}
-	Hit("ckpt.append.torn")
-	Hit("ckpt.append.torn")
-	Hit("unarmed.point")
+	killHit("ckpt.append.torn")
+	killHit("ckpt.append.torn")
+	killHit("unarmed.point")
 	if got := KillPointHits("ckpt.append.torn"); got != 2 {
 		t.Fatalf("KillPointHits = %d, want 2", got)
 	}
@@ -34,7 +34,7 @@ func TestArmKillPointsCounts(t *testing.T) {
 func TestHitWithoutArmingIsFree(t *testing.T) {
 	t.Cleanup(ResetKillPoints)
 	ResetKillPoints()
-	Hit("anything")
+	killHit("anything")
 	if got := KillPointHits("anything"); got != 0 {
 		t.Fatalf("unarmed process counted hits: %d", got)
 	}
@@ -44,18 +44,18 @@ func TestArmKillPointsRejectsBadSpecs(t *testing.T) {
 	t.Cleanup(ResetKillPoints)
 	for _, spec := range []string{"nocount", "point:", "point:0", "point:-1", "point:x", "good:1000000,bad:x"} {
 		ResetKillPoints()
-		if err := ArmKillPoints(spec); err == nil {
+		if err := armKillPoints(spec); err == nil {
 			t.Errorf("ArmKillPoints(%q) accepted", spec)
 		}
 		// A rejected spec arms nothing, not even its good parts: the
-		// process stays unarmed and Hit does not count.
-		Hit("good")
+		// process stays unarmed and killHit does not count.
+		killHit("good")
 		if got := KillPointHits("good"); got != 0 {
 			t.Errorf("after rejecting %q, KillPointHits(good) = %d, want 0", spec, got)
 		}
 	}
 	ResetKillPoints()
-	if err := ArmKillPoints(""); err != nil {
+	if err := armKillPoints(""); err != nil {
 		t.Errorf("empty spec rejected: %v", err)
 	}
 }
@@ -65,7 +65,7 @@ func TestPFSOpKillPointsObserveDataPath(t *testing.T) {
 	ResetKillPoints()
 	// Threshold far above anything the workload performs: the hook must
 	// observe and count operations without killing.
-	if err := ArmKillPoints("pfs.op.write:100000"); err != nil {
+	if err := armKillPoints("pfs.op.write:100000"); err != nil {
 		t.Fatalf("ArmKillPoints: %v", err)
 	}
 	meta := recorder.Meta{App: "kill-test", Ranks: 2, PPN: 2, Seed: 1}

@@ -19,7 +19,7 @@ import (
 // one goroutine per rank, modelling a retry loop: every transient answer is
 // retried (Attempt > 0) until the injector lets the operation through.
 // Returns the per-rank count of transient answers observed.
-func driveInjector(inj *Injector, ranks, opsPerRank int) []int {
+func driveInjector(inj *faultInjector, ranks, opsPerRank int) []int {
 	retries := make([]int, ranks)
 	var wg sync.WaitGroup
 	for r := 0; r < ranks; r++ {
@@ -53,7 +53,7 @@ func TestInjectorDeterministicUnderConcurrentRanks(t *testing.T) {
 		ops   = 12
 		seed  = 42
 	)
-	sched := Generate(seed, GenOptions{
+	sched := generate(seed, genOptions{
 		Ranks: ranks,
 		Kinds: []Kind{TransientError, TornWrite, DelayedPublish},
 		Count: 12,
@@ -62,14 +62,14 @@ func TestInjectorDeterministicUnderConcurrentRanks(t *testing.T) {
 	})
 
 	type outcome struct {
-		events  map[int][]Event
+		events  map[int][]faultEvent
 		retries []int
 		fired   int
 	}
 	run := func() outcome {
-		inj := NewInjector(sched)
+		inj := newFaultInjector(sched)
 		retries := driveInjector(inj, ranks, ops)
-		return outcome{events: inj.EventsByRank(), retries: retries, fired: inj.Fired()}
+		return outcome{events: inj.eventsByRank(), retries: retries, fired: inj.firedCount()}
 	}
 	first := run()
 	if first.fired == 0 {

@@ -25,8 +25,6 @@ type Config struct {
 	PPN       int             // processes per node; 0 means min(Ranks, 8)
 	Seed      uint64          // simulation seed; 0 means 1
 	Semantics pfs.Semantics   // consistency model of the underlying PFS
-	SkewMaxNS int64           // max |clock skew| per rank; 0 means 10 µs
-	Cost      sim.CostModel   // zero value means sim.DefaultCostModel()
 	FS        *pfs.FileSystem // optional pre-built FS (shared across runs)
 	// Injector, if set, is registered on the file system before the run so
 	// every client operation passes through fault injection (see pfs.hooks
@@ -49,14 +47,12 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.SkewMaxNS == 0 {
-		c.SkewMaxNS = 10_000 // 10 µs, within the paper's <20 µs bound
-	}
-	if c.Cost == (sim.CostModel{}) {
-		c.Cost = sim.DefaultCostModel()
-	}
 	return c
 }
+
+// skewMaxNS bounds each rank's constant clock skew: 10 µs, within the
+// paper's <20 µs bound.
+const skewMaxNS = 10_000
 
 // Ctx is the per-rank execution context handed to application bodies.
 //
@@ -104,9 +100,6 @@ func (c *Ctx) Failures() error {
 	return fmt.Errorf("%d verification failure(s), first: %s", len(c.failures), c.failures[0])
 }
 
-// FailureCount returns how many failures this rank recorded.
-func (c *Ctx) FailureCount() int { return len(c.failures) }
-
 // Result is what a run produces.
 type Result struct {
 	Trace *recorder.Trace
@@ -138,12 +131,12 @@ func Run(cfg Config, meta recorder.Meta, body func(*Ctx) error) (*Result, error)
 	topo := sim.NewTopology(cfg.Ranks, cfg.PPN)
 	fs := cfg.FS
 	if fs == nil {
-		fs = pfs.New(pfs.Options{Semantics: cfg.Semantics, Cost: cfg.Cost})
+		fs = pfs.New(pfs.Options{Semantics: cfg.Semantics})
 	}
 	if cfg.Injector != nil {
 		fs.SetInjector(cfg.Injector)
 	}
-	world := mpi.NewWorld(topo, cfg.Cost)
+	world := mpi.NewWorld(topo)
 	root := sim.NewRNG(cfg.Seed)
 
 	tracers := make([]*recorder.RankTracer, cfg.Ranks)
@@ -152,17 +145,17 @@ func Run(cfg Config, meta recorder.Meta, body func(*Ctx) error) (*Result, error)
 	// clamp at zero (wall clocks are epoch-based; a negative stamp would
 	// silently corrupt the constant-skew model that barrier alignment
 	// removes).
-	clockEpoch := uint64(10 * cfg.SkewMaxNS)
+	clockEpoch := uint64(10 * skewMaxNS)
 	for r := 0; r < cfg.Ranks; r++ {
 		rng := root.Split(uint64(r))
-		clock := sim.NewClock(clockEpoch, rng.SkewNS(cfg.SkewMaxNS))
+		clock := sim.NewClock(clockEpoch, rng.SkewNS(skewMaxNS))
 		tracers[r] = recorder.NewRankTracer(r)
 		client := fs.NewClient(r, topo.NodeOf(r))
 		ctxs[r] = &Ctx{
 			Rank:   r,
 			Size:   cfg.Ranks,
 			MPI:    mpi.NewProc(world, r, clock, tracers[r]),
-			OS:     posix.NewProc(r, client, clock, tracers[r], cfg.Cost),
+			OS:     posix.NewProc(r, client, clock, tracers[r]),
 			RNG:    rng,
 			Tracer: tracers[r],
 		}

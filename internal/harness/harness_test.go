@@ -117,7 +117,7 @@ func TestCtxFailureAccumulation(t *testing.T) {
 }
 
 func TestSkewIsBoundedAndRemoved(t *testing.T) {
-	res, err := Run(Config{Ranks: 8, SkewMaxNS: 10_000, Seed: 7},
+	res, err := Run(Config{Ranks: 8, Seed: 7},
 		recorder.Meta{App: "skew"},
 		func(ctx *Ctx) error {
 			ctx.MPI.Barrier()

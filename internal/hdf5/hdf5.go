@@ -44,12 +44,12 @@ import (
 // Layout constants (bytes). Values are representative of HDF5 1.8-era
 // metadata object sizes; only their smallness relative to data matters.
 const (
-	SuperblockLen  = 96
-	RootHeaderOff  = 96
-	RootHeaderLen  = 272
+	superblockLen  = 96
+	rootHeaderOff  = 96
+	rootHeaderLen  = 272
 	headerLen      = 272
 	indexNodeLen   = 136
-	metaCursorBase = RootHeaderOff + RootHeaderLen
+	metaCursorBase = rootHeaderOff + rootHeaderLen
 )
 
 // Options configures an emulated HDF5 file.
@@ -342,39 +342,6 @@ func (f *File) CreateDataset(name string, size int64) (*Dataset, error) {
 	return d, err
 }
 
-// AttachDataset declares a dataset of a reopened file (restart path):
-// layouts are allocated in creation order, so a reader that attaches the
-// datasets in the order the writer created them reconstructs the same
-// offsets. The superblock and the dataset's object header are read from the
-// file, as H5Dopen does on a real restart.
-func (f *File) AttachDataset(name string, size int64) (*Dataset, error) {
-	ts := f.os.Clock().Stamp()
-	if _, ok := f.datasets[name]; ok {
-		return nil, fmt.Errorf("hdf5: dataset %s already attached", name)
-	}
-	if len(f.datasets) == 0 {
-		if _, err := f.metaRead(0, SuperblockLen); err != nil {
-			return nil, err
-		}
-	}
-	d := &Dataset{
-		f:         f,
-		name:      name,
-		headerOff: f.metaCursor,
-		indexOff:  f.metaCursor + headerLen,
-		dataOff:   f.dataCursor,
-		size:      size,
-		flushed:   true,
-	}
-	f.metaCursor += headerLen + indexNodeLen
-	f.dataCursor += (size + 511) &^ 511
-	f.datasets[name] = d
-	f.order = append(f.order, name)
-	_, err := f.metaRead(d.headerOff, headerLen)
-	f.emit(recorder.FuncH5Dopen, ts, f.path, name, size)
-	return d, err
-}
-
 // OpenDataset opens an existing dataset, reading its object header from the
 // file (the read-back that produces ENZO's RAW-S pattern).
 func (f *File) OpenDataset(name string) (*Dataset, error) {
@@ -409,51 +376,11 @@ func (d *Dataset) Write(off int64, data payload.P) error {
 	return err
 }
 
-// Read reads n bytes at offset off within the dataset.
-func (d *Dataset) Read(off, n int64) ([]byte, error) {
-	ts := d.f.os.Clock().Stamp()
-	var data []byte
-	var err error
-	if d.f.opts.Collective && d.f.mpf != nil {
-		data, err = d.f.mpf.ReadAtAll(d.dataOff+off, n)
-	} else {
-		data, err = d.f.os.Pread(d.f.fd, n, d.dataOff+off)
-	}
-	d.f.emit(recorder.FuncH5Dread, ts, d.f.path, d.name, off, n)
-	return data, err
-}
-
-// ReadIndependent reads without collective participation (restart-style).
-func (d *Dataset) ReadIndependent(off, n int64) ([]byte, error) {
-	ts := d.f.os.Clock().Stamp()
-	var data []byte
-	var err error
-	if d.f.mpf != nil {
-		data, err = d.f.mpf.ReadAt(d.dataOff+off, n)
-	} else {
-		data, err = d.f.os.Pread(d.f.fd, n, d.dataOff+off)
-	}
-	d.f.emit(recorder.FuncH5Dread, ts, d.f.path, d.name, off, n)
-	return data, err
-}
-
-// DataOff exposes the dataset's raw-data file offset (for tests).
-func (d *Dataset) DataOff() int64 { return d.dataOff }
-
 // Close closes the dataset handle (bookkeeping only; metadata flushing
 // happens at file flush/close).
 func (d *Dataset) Close() {
 	ts := d.f.os.Clock().Stamp()
 	d.f.emit(recorder.FuncH5Dclose, ts, d.f.path, d.name)
-}
-
-// WriteAttribute writes a small attribute on the root group (metadata-only).
-func (f *File) WriteAttribute(name string, n int64) error {
-	ts := f.os.Clock().Stamp()
-	f.rootDirty = true
-	f.sbDirty = true
-	f.emit(recorder.FuncH5Awrite, ts, f.path, name, n)
-	return nil
 }
 
 // flushMetadata writes every dirty metadata entry whose owner is this rank
@@ -464,7 +391,7 @@ func (f *File) flushMetadata() error {
 	myRank := f.rank()
 	// Superblock: rank 0 updates the end-of-file address each epoch.
 	if f.sbDirty && myRank == 0 {
-		if err := f.metaWrite(0, SuperblockLen); err != nil {
+		if err := f.metaWrite(0, superblockLen); err != nil {
 			return err
 		}
 	}
@@ -474,18 +401,18 @@ func (f *File) flushMetadata() error {
 	// link counts changes at every flush).
 	if f.rootDirty && f.owner(f.path+"/root", epoch) == myRank {
 		if f.opts.VerifyMetadata && f.rootFlushedAt >= 0 {
-			got, err := f.metaRead(RootHeaderOff, RootHeaderLen)
+			got, err := f.metaRead(rootHeaderOff, rootHeaderLen)
 			if err != nil {
 				return err
 			}
-			want := epochBytes(f.path, RootHeaderOff, RootHeaderLen, f.rootFlushedAt)
+			want := epochBytes(f.path, rootHeaderOff, rootHeaderLen, f.rootFlushedAt)
 			if !bytesEqual(got, want) && f.opts.OnCorruption != nil {
 				f.opts.OnCorruption(fmt.Sprintf(
 					"hdf5 %s: stale root header at flush epoch %d (expected epoch-%d content)",
 					f.path, epoch, f.rootFlushedAt))
 			}
 		}
-		if err := f.metaWriteContent(RootHeaderOff, epochBytes(f.path, RootHeaderOff, RootHeaderLen, epoch)); err != nil {
+		if err := f.metaWriteContent(rootHeaderOff, epochBytes(f.path, rootHeaderOff, rootHeaderLen, epoch)); err != nil {
 			return err
 		}
 	}
@@ -562,6 +489,3 @@ func (f *File) Close() error {
 	f.emit(recorder.FuncH5Fclose, ts, f.path, "")
 	return err
 }
-
-// Datasets returns the dataset names in creation order.
-func (f *File) Datasets() []string { return append([]string(nil), f.order...) }

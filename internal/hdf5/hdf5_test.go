@@ -272,7 +272,7 @@ func TestFlushEpochsCreateCrossRankRewrites(t *testing.T) {
 	sbWrites := 0
 	for _, r := range posixWrites(res) {
 		switch r.Arg(2) {
-		case int64(RootHeaderOff):
+		case int64(rootHeaderOff):
 			rootWriters[r.Rank]++
 		case 0:
 			sbWrites++

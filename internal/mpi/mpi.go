@@ -68,7 +68,6 @@ func (o Op) apply(a, b int64) int64 {
 // MPI_COMM_WORLD).
 type World struct {
 	topo sim.Topology
-	cost sim.CostModel
 
 	mu       sync.Mutex
 	queues   map[p2pKey]chan message
@@ -87,10 +86,9 @@ type message struct {
 }
 
 // NewWorld creates the shared MPI state for a topology.
-func NewWorld(topo sim.Topology, cost sim.CostModel) *World {
+func NewWorld(topo sim.Topology) *World {
 	w := &World{
 		topo:     topo,
-		cost:     cost,
 		queues:   make(map[p2pKey]chan message),
 		departed: make(map[int]chan struct{}),
 	}
@@ -129,12 +127,6 @@ func (w *World) markDeparted(rank int) bool {
 	}
 }
 
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.topo.Ranks }
-
-// Topology returns the rank/node layout.
-func (w *World) Topology() sim.Topology { return w.topo }
-
 func (w *World) queue(k p2pKey) chan message {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -169,9 +161,6 @@ func (p *Proc) Rank() int { return p.rank }
 // Size returns the communicator size.
 func (p *Proc) Size() int { return p.world.topo.Ranks }
 
-// Node returns the compute node hosting this rank.
-func (p *Proc) Node() int { return p.world.topo.NodeOf(p.rank) }
-
 // NodeOfRank returns the compute node hosting an arbitrary rank.
 func (p *Proc) NodeOfRank(r int) int { return p.world.topo.NodeOf(r) }
 
@@ -194,7 +183,7 @@ func (p *Proc) Send(dst, tag int, data []byte) {
 	q := p.world.queue(p2pKey{src: p.rank, dst: dst, tag: tag})
 	sendClock := p.clock.Now()
 	q <- message{clock: sendClock, data: append([]byte(nil), data...)}
-	p.clock.Advance(p.world.cost.MsgLatency / 2) // local injection overhead
+	p.clock.Advance(sim.MsgLatency / 2) // local injection overhead
 	p.emit(recorder.FuncMPISend, ts, int64(dst), int64(tag), int64(len(data)))
 }
 
@@ -226,9 +215,9 @@ func (p *Proc) Recv(src, tag int) []byte {
 		}
 	}
 	if ok {
-		p.clock.MergeAtLeast(m.clock + p.world.cost.MsgCost(int64(len(m.data))))
+		p.clock.MergeAtLeast(m.clock + sim.MsgCost(int64(len(m.data))))
 	}
-	p.clock.Advance(p.world.cost.MsgLatency / 2)
+	p.clock.Advance(sim.MsgLatency / 2)
 	p.emit(recorder.FuncMPIRecv, ts, int64(src), int64(tag), int64(len(m.data)))
 	return m.data
 }
@@ -250,7 +239,7 @@ func (p *Proc) Detach() {
 func (p *Proc) collective(fn recorder.Func, root int, bytes int64, parts ...[]byte) *round {
 	ts := p.clock.Stamp()
 	r := p.world.rv.arrive(p.rank, p.clock.Now(), parts)
-	cost := p.world.cost.BarrierCost + uint64(bytes)*p.world.cost.CollPerByte
+	cost := sim.BarrierCost + uint64(bytes)*sim.CollPerByte
 	p.clock.MergeAtLeast(r.maxClock)
 	p.clock.Advance(cost)
 	p.emit(fn, ts, int64(root), bytes, r.seq)
@@ -298,33 +287,6 @@ func (p *Proc) Allgather(parts ...[]byte) [][]byte {
 	return r.slots
 }
 
-// Scatter distributes parts[i] from root to rank i. Non-root ranks pass nil
-// parts. The result is read-only (no other rank receives it); root may
-// reuse parts once Scatter returns.
-func (p *Proc) Scatter(root int, parts [][]byte) []byte {
-	var size int64
-	if p.rank == root {
-		if len(parts) != p.Size() {
-			panic("mpi: Scatter needs one part per rank")
-		}
-		for _, pt := range parts {
-			size += int64(len(pt))
-		}
-	}
-	r := p.collectiveScatter(root, parts, size)
-	return r.scatter[p.rank]
-}
-
-func (p *Proc) collectiveScatter(root int, parts [][]byte, bytes int64) *round {
-	ts := p.clock.Stamp()
-	r := p.world.rv.arriveScatter(p.rank, p.clock.Now(), root, parts)
-	cost := p.world.cost.BarrierCost + uint64(bytes)*p.world.cost.CollPerByte
-	p.clock.MergeAtLeast(r.maxClock)
-	p.clock.Advance(cost)
-	p.emit(recorder.FuncMPIScatter, ts, int64(root), bytes, r.seq)
-	return r
-}
-
 // Reduce combines every rank's value with op; root gets the result, other
 // ranks get 0.
 func (p *Proc) Reduce(root int, value int64, op Op) int64 {
@@ -341,37 +303,13 @@ func (p *Proc) Allreduce(value int64, op Op) int64 {
 	return reduceSlots(r.slots, op)
 }
 
-// Alltoall sends parts[i] to rank i and returns what each rank sent here.
-// The returned parts are read-only (no other rank receives them); parts may
-// be reused once Alltoall returns.
-func (p *Proc) Alltoall(parts [][]byte) [][]byte {
-	if len(parts) != p.Size() {
-		panic("mpi: Alltoall needs one part per rank")
-	}
-	var bytes int64
-	for _, pt := range parts {
-		bytes += int64(len(pt))
-	}
-	ts := p.clock.Stamp()
-	r := p.world.rv.arriveAlltoall(p.rank, p.clock.Now(), parts)
-	cost := p.world.cost.BarrierCost + uint64(bytes)*p.world.cost.CollPerByte
-	p.clock.MergeAtLeast(r.maxClock)
-	p.clock.Advance(cost)
-	p.emit(recorder.FuncMPIAlltoall, ts, -1, bytes, r.seq)
-	out := make([][]byte, p.Size())
-	for src := range out {
-		out[src] = r.alltoall[src][p.rank]
-	}
-	return out
-}
-
 // Compute advances the local clock by the cost model's per-step compute
 // time scaled by units, emitting no trace record (computation is not I/O).
 func (p *Proc) Compute(units int) {
 	if units <= 0 {
 		units = 1
 	}
-	p.clock.Advance(uint64(units) * p.world.cost.LocalCompute)
+	p.clock.Advance(uint64(units) * sim.LocalCompute)
 }
 
 // Clock exposes the rank's clock (used by the I/O layers sharing it).

@@ -14,7 +14,7 @@ import (
 func runWorld(t *testing.T, n int, body func(p *Proc)) []*Proc {
 	t.Helper()
 	topo := sim.NewTopology(n, 4)
-	w := NewWorld(topo, sim.DefaultCostModel())
+	w := NewWorld(topo)
 	procs := make([]*Proc, n)
 	for r := 0; r < n; r++ {
 		procs[r] = NewProc(w, r, sim.NewClock(0, 0), recorder.NewRankTracer(r))
@@ -72,7 +72,7 @@ func TestRecvAdvancesClockPastSend(t *testing.T) {
 	})
 	sendTime := procs[0].Clock().Now()
 	recvTime := procs[1].Clock().Now()
-	if recvTime <= 0 || recvTime < sendTime-procs[0].world.cost.MsgLatency {
+	if recvTime <= 0 || recvTime < sendTime-sim.MsgLatency {
 		t.Fatalf("receiver clock %d did not advance past sender activity %d", recvTime, sendTime)
 	}
 }
@@ -123,7 +123,7 @@ func TestBarrierSynchronizesClocks(t *testing.T) {
 		}
 	}
 	// Exit must be at least the slowest arrival.
-	slowest := uint64(4) * sim.DefaultCostModel().LocalCompute
+	slowest := uint64(4) * sim.LocalCompute
 	if exit < slowest {
 		t.Fatalf("barrier exit %d earlier than slowest arrival %d", exit, slowest)
 	}

@@ -107,24 +107,6 @@ func (rv *rendezvous) arriveScatter(rank int, clock uint64, root int, parts [][]
 	return r
 }
 
-// arriveAlltoall is arrive for alltoall: every rank deposits (copies of) a
-// part vector.
-func (rv *rendezvous) arriveAlltoall(rank int, clock uint64, parts [][]byte) *round {
-	parts = cloneParts(parts)
-	rv.mu.Lock()
-	defer rv.mu.Unlock()
-	r := rv.beginLocked()
-	if r.alltoall == nil {
-		r.alltoall = make([][][]byte, rv.n)
-	}
-	r.alltoall[rank] = parts
-	if clock > r.maxClock {
-		r.maxClock = clock
-	}
-	rv.finishLocked(r)
-	return r
-}
-
 // concat copies a deposit's parts into one slice, nil when empty. The
 // copy's capacity is its length, so an append to a shared result
 // reallocates instead of writing into memory another rank can see.

@@ -28,8 +28,6 @@ const (
 	ModeWronly
 	ModeRdwr
 	ModeCreate
-	ModeExcl
-	ModeAppend
 )
 
 // Options configures the emulated library.
@@ -105,9 +103,6 @@ func amodeToPosix(amode int) int {
 	if amode&ModeCreate != 0 {
 		flags |= recorder.OCreat
 	}
-	if amode&ModeAppend != 0 {
-		flags |= recorder.OAppend
-	}
 	return flags
 }
 
@@ -139,15 +134,6 @@ func emit(f *File, fn recorder.Func, ts uint64, path string, args ...int64) {
 		TEnd:   f.os.Clock().Stamp(),
 		Path:   path,
 	}, args)
-}
-
-// SetView sets the file-view displacement (etype/filetype structure beyond
-// the displacement is recorded but not interpreted; the applications in the
-// study use explicit offsets).
-func (f *File) SetView(disp, blocklen, stride int64) {
-	ts := f.os.Clock().Stamp()
-	f.disp = disp
-	emit(f, recorder.FuncMPIFileSetView, ts, "", int64(f.fd), disp, blocklen, stride)
 }
 
 // WriteAt writes independently at the given offset (relative to the view
@@ -189,23 +175,6 @@ func (f *File) Read(n int64) ([]byte, error) {
 	return data, err
 }
 
-// SeekPtr moves the individual file pointer (MPI_File_seek).
-func (f *File) SeekPtr(off int64, whence int) int64 {
-	ts := f.os.Clock().Stamp()
-	switch whence {
-	case recorder.SeekSet:
-		f.indepPtr = off
-	case recorder.SeekCur:
-		f.indepPtr += off
-	case recorder.SeekEnd:
-		// View end is not tracked; treat as absolute (applications in the
-		// study do not seek relative to end through MPI-IO).
-		f.indepPtr = off
-	}
-	emit(f, recorder.FuncMPIFileSeek, ts, "", int64(f.fd), off, int64(whence))
-	return f.indepPtr
-}
-
 // request is one rank's contribution to a collective operation.
 type request struct {
 	Rank int64
@@ -242,19 +211,6 @@ func (f *File) WriteAtAll(off int64, data payload.P) error {
 	slots := f.comm.Allgather(h[:], data.Materialize())
 	err := f.aggregateWrite(slots)
 	emit(f, recorder.FuncMPIFileWriteAtAll, ts, "", int64(f.fd), data.Len(), off)
-	return err
-}
-
-// WriteAll is the collective write at the individual file pointer.
-func (f *File) WriteAll(data payload.P) error {
-	ts := f.os.Clock().Stamp()
-	h := extent(f.disp+f.indepPtr, data.Len())
-	slots := f.comm.Allgather(h[:], data.Materialize())
-	err := f.aggregateWrite(slots)
-	if err == nil {
-		f.indepPtr += data.Len()
-	}
-	emit(f, recorder.FuncMPIFileWriteAll, ts, "", int64(f.fd), data.Len())
 	return err
 }
 
@@ -461,30 +417,6 @@ func (f *File) Sync() error {
 	return err
 }
 
-// SetSize truncates/extends the file (collective).
-func (f *File) SetSize(size int64) error {
-	ts := f.os.Clock().Stamp()
-	var err error
-	if f.comm.Rank() == 0 {
-		err = f.os.Ftruncate(f.fd, size)
-	}
-	emit(f, recorder.FuncMPIFileSetSize, ts, "", int64(f.fd), size)
-	f.comm.Barrier()
-	return err
-}
-
-// SetAtomicity toggles MPI-IO atomic mode (recorded; the simulated PFS
-// applies its configured semantics regardless).
-func (f *File) SetAtomicity(on bool) {
-	ts := f.os.Clock().Stamp()
-	v := int64(0)
-	if on {
-		v = 1
-	}
-	emit(f, recorder.FuncMPIFileSetAtomicity, ts, "", int64(f.fd), v)
-	f.comm.Barrier()
-}
-
 // Close closes the file collectively. MPI_File_close synchronizes the
 // communicator before releasing the file, so every rank's outstanding
 // transfers complete before any descriptor closes.
@@ -500,6 +432,3 @@ func (f *File) Close() error {
 	f.comm.Barrier()
 	return err
 }
-
-// Aggregators exposes the aggregator ranks (for tests and pattern checks).
-func (f *File) Aggregators() []int { return append([]int(nil), f.aggs...) }

@@ -59,22 +59,6 @@ func Create(os *posix.Proc, tracer *recorder.RankTracer, path string) (*File, er
 	return f, nil
 }
 
-// Open opens an existing NetCDF file and reads its header.
-func Open(os *posix.Proc, tracer *recorder.RankTracer, path string) (*File, error) {
-	f := &File{os: os, tracer: tracer, path: path}
-	ts := os.Clock().Stamp()
-	fd, err := os.Open(path, recorder.ORdonly, 0)
-	f.fd = fd
-	if err == nil {
-		_, err = os.Pread(fd, headerSize, 0)
-	}
-	f.emit(recorder.FuncNCOpen, ts, path)
-	if err != nil {
-		return nil, fmt.Errorf("netcdf: %w", err)
-	}
-	return f, nil
-}
-
 func (f *File) emit(fn recorder.Func, ts uint64, path string, args ...int64) {
 	f.tracer.Emit(recorder.Record{
 		Layer:  recorder.LayerNetCDF,
@@ -143,23 +127,6 @@ func (f *File) PutRecord(v *Var, rec int64, data payload.P) error {
 	return nil
 }
 
-// GetRecord reads one record of a variable.
-func (f *File) GetRecord(v *Var, rec int64) ([]byte, error) {
-	ts := f.os.Clock().Stamp()
-	off := v.offset + rec*f.recSize
-	data, err := f.os.Pread(f.fd, v.RecSize, off)
-	f.emit(recorder.FuncNCGetVara, ts, f.path, rec, v.RecSize)
-	return data, err
-}
-
-// Sync flushes the file (nc_sync → fsync).
-func (f *File) Sync() error {
-	ts := f.os.Clock().Stamp()
-	err := f.os.Fsync(f.fd)
-	f.emit(recorder.FuncNCSync, ts, f.path)
-	return err
-}
-
 // Close writes the final header state and closes the file.
 func (f *File) Close() error {
 	if f.closed {
@@ -171,9 +138,6 @@ func (f *File) Close() error {
 	f.emit(recorder.FuncNCClose, ts, f.path)
 	return err
 }
-
-// NumRecs returns the current record count.
-func (f *File) NumRecs() int64 { return f.numrecs }
 
 func headerBytes(path string, n int64) []byte {
 	b := make([]byte, n)

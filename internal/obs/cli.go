@@ -53,7 +53,7 @@ func (f *CLIFlags) Start() error {
 		f.cpuProfile = pf
 	}
 	if f.Metrics != "" {
-		Default().Reset()
+		Default().reset()
 	}
 	if f.TraceSpans != "" {
 		Default().Tracer().SetEnabled(true)
@@ -105,7 +105,7 @@ func writeAllocsProfile(path string) error {
 // writeMetricsFile snapshots the instruments this run touched on the
 // default registry and writes them to path as JSON ("-" writes to stdout).
 func writeMetricsFile(path string) error {
-	b, err := Default().Snapshot().touched().JSON()
+	b, err := Default().Snapshot().touched().encodeJSON()
 	if err != nil {
 		return err
 	}
@@ -122,7 +122,7 @@ func writeMetricsFile(path string) error {
 // writeSpansFile writes the default tracer's spans to path as a Chrome
 // trace_event JSON document (open in chrome://tracing or Perfetto).
 func writeSpansFile(path string) error {
-	b, err := Default().Tracer().ChromeTraceJSON()
+	b, err := Default().Tracer().chromeTraceJSON()
 	if err != nil {
 		return err
 	}

@@ -32,7 +32,7 @@ import (
 )
 
 // Registry owns a namespace of instruments and one enabled flag they all
-// share. The zero value is not usable; call NewRegistry, or use Default for
+// share. The zero value is not usable; call newRegistry, or use Default for
 // the process-wide registry.
 type Registry struct {
 	enabled atomic.Bool
@@ -44,9 +44,9 @@ type Registry struct {
 	histograms map[string]*Histogram
 }
 
-// NewRegistry creates an enabled registry with an (initially disabled)
+// newRegistry creates an enabled registry with an (initially disabled)
 // tracer.
-func NewRegistry() *Registry {
+func newRegistry() *Registry {
 	r := &Registry{
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
@@ -56,7 +56,7 @@ func NewRegistry() *Registry {
 	return r
 }
 
-var defaultRegistry = NewRegistry()
+var defaultRegistry = newRegistry()
 
 // Default returns the process-wide registry that the instrumented layers
 // (pfs, core, wal, consistency, experiments, the columnar codec) register
@@ -111,10 +111,10 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Reset zeroes every registered instrument (the names stay registered).
+// reset zeroes every registered instrument (the names stay registered).
 // CLIs call it after flag parsing so a -metrics snapshot covers exactly one
 // invocation.
-func (r *Registry) Reset() {
+func (r *Registry) reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, c := range r.counters {
@@ -145,8 +145,8 @@ func (c *Counter) Add(n int64) {
 // Inc adds one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value returns the current count.
-func (c *Counter) Value() int64 {
+// value returns the current count.
+func (c *Counter) value() int64 {
 	if c == nil {
 		return 0
 	}
@@ -168,14 +168,6 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
-// Add moves the gauge by delta.
-func (g *Gauge) Add(delta int64) {
-	if g == nil || !g.on.Load() {
-		return
-	}
-	g.v.Add(delta)
-}
-
 // SetMax raises the gauge to v if v is larger (a running high-water mark).
 func (g *Gauge) SetMax(v int64) {
 	if g == nil || !g.on.Load() {
@@ -189,8 +181,8 @@ func (g *Gauge) SetMax(v int64) {
 	}
 }
 
-// Value returns the current gauge value.
-func (g *Gauge) Value() int64 {
+// value returns the current gauge value.
+func (g *Gauge) value() int64 {
 	if g == nil {
 		return 0
 	}

@@ -36,17 +36,17 @@ func hammer(r *Registry, goroutines, iters int) {
 // updates lose nothing: counts, histogram totals and the high-water mark
 // are exact after an 8-goroutine hammering.
 func TestConcurrentHammer(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	const goroutines, iters = 8, 2000
 	hammer(r, goroutines, iters)
 
-	if got, want := r.Counter("test.ops").Value(), int64(goroutines*iters); got != want {
+	if got, want := r.Counter("test.ops").value(), int64(goroutines*iters); got != want {
 		t.Errorf("counter = %d, want %d", got, want)
 	}
-	if got := r.Gauge("test.depth").Value(); got != 0 {
+	if got := r.Gauge("test.depth").value(); got != 0 {
 		t.Errorf("balanced gauge = %d, want 0", got)
 	}
-	if got := r.Gauge("test.high").Value(); got != 16 {
+	if got := r.Gauge("test.high").value(); got != 16 {
 		t.Errorf("high-water gauge = %d, want 16", got)
 	}
 	hs := r.Histogram("test.sizes").Snapshot()
@@ -71,11 +71,11 @@ func TestConcurrentHammer(t *testing.T) {
 // registries and requires byte-identical JSON exports.
 func TestSnapshotDeterminism(t *testing.T) {
 	export := func() []byte {
-		r := NewRegistry()
+		r := newRegistry()
 		hammer(r, 4, 500)
 		r.Counter("zzz.registered.untouched") // zero-valued keys still export
 		s := r.Snapshot()
-		j, err := s.JSON()
+		j, err := s.encodeJSON()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestBucketOf(t *testing.T) {
 // registry disabled, counter/gauge/histogram updates and span starts
 // allocate nothing.
 func TestDisabledPathAllocatesZero(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	c := r.Counter("off.counter")
 	g := r.Gauge("off.gauge")
 	h := r.Histogram("off.hist")
@@ -136,21 +136,21 @@ func TestDisabledPathAllocatesZero(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("disabled path allocates %.1f per op, want 0", allocs)
 	}
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || tr.Len() != 0 {
+	if c.value() != 0 || g.value() != 0 || h.Count() != 0 || tr.Len() != 0 {
 		t.Error("disabled instruments recorded data")
 	}
 }
 
-// TestResetAndReenable checks Reset zeroes values but keeps registration,
+// TestResetAndReenable checks reset zeroes values but keeps registration,
 // and that SetEnabled(true) restores collection.
 func TestResetAndReenable(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	c := r.Counter("x")
 	c.Add(7)
 	r.Histogram("h").Observe(10)
-	r.Reset()
-	if c.Value() != 0 {
-		t.Errorf("counter after Reset = %d", c.Value())
+	r.reset()
+	if c.value() != 0 {
+		t.Errorf("counter after Reset = %d", c.value())
 	}
 	if n := r.Histogram("h").Count(); n != 0 {
 		t.Errorf("histogram count after Reset = %d", n)
@@ -159,8 +159,8 @@ func TestResetAndReenable(t *testing.T) {
 	c.Add(1)
 	r.SetEnabled(true)
 	c.Add(1)
-	if c.Value() != 1 {
-		t.Errorf("counter = %d, want 1 (only the re-enabled Add)", c.Value())
+	if c.value() != 1 {
+		t.Errorf("counter = %d, want 1 (only the re-enabled Add)", c.value())
 	}
 	if _, ok := r.Snapshot().Counters["x"]; !ok {
 		t.Error("Reset dropped the registration")
@@ -172,7 +172,7 @@ func TestResetAndReenable(t *testing.T) {
 // instrumentation stay compiled into pfs and core. Run with -benchmem:
 // allocs/op must be 0.
 func BenchmarkDisabledOverhead(b *testing.B) {
-	r := NewRegistry()
+	r := newRegistry()
 	c := r.Counter("bench.counter")
 	g := r.Gauge("bench.gauge")
 	h := r.Histogram("bench.hist")
@@ -191,7 +191,7 @@ func BenchmarkDisabledOverhead(b *testing.B) {
 // BenchmarkEnabledOverhead is the enabled-path counterpart, for the
 // DESIGN.md §9 overhead table.
 func BenchmarkEnabledOverhead(b *testing.B) {
-	r := NewRegistry()
+	r := newRegistry()
 	c := r.Counter("bench.counter")
 	g := r.Gauge("bench.gauge")
 	h := r.Histogram("bench.hist")

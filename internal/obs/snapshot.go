@@ -27,10 +27,10 @@ func (r *Registry) Snapshot() Snapshot {
 		Histograms: make(map[string]HistogramSnapshot, len(r.histograms)),
 	}
 	for name, c := range r.counters {
-		s.Counters[name] = c.Value()
+		s.Counters[name] = c.value()
 	}
 	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
+		s.Gauges[name] = g.value()
 	}
 	for name, h := range r.histograms {
 		s.Histograms[name] = h.Snapshot()
@@ -61,8 +61,8 @@ func (s Snapshot) touched() Snapshot {
 	return s
 }
 
-// JSON renders the snapshot as indented JSON with sorted keys.
-func (s Snapshot) JSON() ([]byte, error) {
+// encodeJSON renders the snapshot as indented JSON with sorted keys.
+func (s Snapshot) encodeJSON() ([]byte, error) {
 	b, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("obs: marshal snapshot: %w", err)

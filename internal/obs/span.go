@@ -18,7 +18,7 @@ import (
 // tracing is off. Enable it with SetEnabled (the CLIs do on -trace-spans).
 //
 // Ended spans export as Chrome trace_event "complete" events
-// (ChromeTraceJSON), loadable in chrome://tracing and Perfetto; spans
+// (chromeTraceJSON), loadable in chrome://tracing and Perfetto; spans
 // sharing a trace ID carry it in their args, so the ack→drain→publish
 // chain of one WAL-routed write filters to a single causal thread.
 type Tracer struct {
@@ -47,9 +47,6 @@ func (t *Tracer) SetEnabled(on bool) {
 	}
 	t.enabled.Store(on)
 }
-
-// Enabled reports whether spans are being collected.
-func (t *Tracer) Enabled() bool { return t.enabled.Load() }
 
 // Span is one in-flight interval. A nil Span (tracing disabled) accepts
 // every method as a no-op, so call sites never branch.
@@ -213,13 +210,13 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// ChromeTraceJSON renders every ended span as a Chrome trace_event JSON
+// chromeTraceJSON renders every ended span as a Chrome trace_event JSON
 // document ({"traceEvents": [...]}), loadable in chrome://tracing and
 // Perfetto. Spans are sorted by start time (ties by id) so the export is a
 // deterministic function of the collected spans. Spans in a causal trace
 // carry "trace" in their args — search for it in Perfetto to isolate one
 // op's ack→drain→publish→visible chain.
-func (t *Tracer) ChromeTraceJSON() ([]byte, error) {
+func (t *Tracer) chromeTraceJSON() ([]byte, error) {
 	t.mu.Lock()
 	spans := append([]spanRecord(nil), t.spans...)
 	t.mu.Unlock()

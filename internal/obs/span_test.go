@@ -9,7 +9,7 @@ import (
 // TestTracerDisabledByDefault: a fresh registry collects no spans until the
 // tracer is explicitly enabled.
 func TestTracerDisabledByDefault(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	r.Tracer().Start("a", "b").End()
 	if n := r.Tracer().Len(); n != 0 {
 		t.Errorf("disabled tracer collected %d spans", n)
@@ -20,7 +20,7 @@ func TestTracerDisabledByDefault(t *testing.T) {
 // trace_event format: a traceEvents array of complete ("X") events with
 // microsecond timestamps, parent links in args, and lanes as tids.
 func TestChromeTraceExport(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	tr := r.Tracer()
 	tr.SetEnabled(true)
 
@@ -41,7 +41,7 @@ func TestChromeTraceExport(t *testing.T) {
 	if got, want := tr.Len(), 7; got != want {
 		t.Fatalf("collected %d spans, want %d", got, want)
 	}
-	b, err := tr.ChromeTraceJSON()
+	b, err := tr.chromeTraceJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestChromeTraceExport(t *testing.T) {
 // spans. Every span of a chain must share the producer's trace ID, and the
 // Chrome export must carry the trace in args.
 func TestTraceLinkConcurrent(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	tr := r.Tracer()
 	tr.SetEnabled(true)
 
@@ -163,7 +163,7 @@ func TestTraceLinkConcurrent(t *testing.T) {
 		}
 	}
 
-	b, err := tr.ChromeTraceJSON()
+	b, err := tr.chromeTraceJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestTraceNilAndDisabledFastPaths(t *testing.T) {
 		t.Error("nil tracer Start returned a span")
 	}
 
-	r := NewRegistry()
+	r := newRegistry()
 	tr := r.Tracer() // never enabled
 	sp := tr.StartTrace("x", "y")
 	if sp != nil {
@@ -221,7 +221,7 @@ func TestTraceNilAndDisabledFastPaths(t *testing.T) {
 // document (the CI step runs the validator unconditionally).
 func TestChromeTraceExportEmpty(t *testing.T) {
 	var tr Tracer
-	b, err := tr.ChromeTraceJSON()
+	b, err := tr.chromeTraceJSON()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/payload"
+	"repro/internal/sim"
 )
 
 // Client is one process's view of the file system. A client always observes
@@ -22,9 +23,6 @@ type Client struct {
 func (fs *FileSystem) NewClient(rank, node int) *Client {
 	return &Client{fs: fs, rank: rank, node: node, pending: make(map[string][]extent)}
 }
-
-// Rank returns the owning rank.
-func (c *Client) Rank() int { return c.rank }
 
 // FS returns the shared file system this client talks to.
 func (c *Client) FS() *FileSystem { return c.fs }
@@ -57,7 +55,6 @@ const (
 	ORdwr   = 0x2
 	OCreat  = 0x40
 	OTrunc  = 0x200
-	OAppend = 0x400
 
 	accessMask = 0x3
 )
@@ -69,7 +66,7 @@ func (c *Client) Open(path string, flags int, now uint64) (*Handle, uint64, erro
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.stats.MetaOps++
-	cost := fs.opts.Cost.MetaRPC + fs.opts.Cost.OpenCost
+	cost := sim.MetaRPC + sim.OpenCost
 	f, err := fs.ensure(path, flags&OCreat != 0)
 	if err != nil {
 		fs.recordHistoryLocked(HistoryEvent{Kind: EvOpen, Rank: c.rank, Path: path,
@@ -158,10 +155,10 @@ func (h *Handle) WriteTraced(off int64, data payload.P, now uint64, trace uint64
 		return 0, ErrCrashed
 	}
 	if h.closed {
-		return 0, ErrClosed
+		return 0, errClosed
 	}
 	if !h.writable {
-		return 0, ErrReadOnly
+		return 0, errReadOnly
 	}
 	fs := h.c.fs
 	fs.mu.Lock()
@@ -186,7 +183,7 @@ func (h *Handle) WriteTraced(off int64, data payload.P, now uint64, trace uint64
 		return 0, ErrCrashed
 	}
 	fs.serverSpan(off, data.Len())
-	cost := fs.opts.Cost.IOCost(data.Len())
+	cost := sim.IOCost(data.Len())
 	if act.Transient {
 		var extra uint64
 		act, extra, _ = fs.retryTransientLocked(OpInfo{Kind: OpWrite, Rank: h.c.rank,
@@ -239,7 +236,7 @@ func (h *Handle) WriteTraced(off int64, data payload.P, now uint64, trace uint64
 func (fs *FileSystem) lockCostLocked(f *file) uint64 {
 	fs.stats.LockAcquires++
 	f.acquires++
-	return fs.opts.Cost.LockRPC
+	return sim.LockRPC
 }
 
 // Read returns up to n bytes from offset off as visible to this handle at
@@ -251,10 +248,10 @@ func (h *Handle) Read(off, n int64, now uint64) ([]byte, uint64, error) {
 		return nil, 0, ErrCrashed
 	}
 	if h.closed {
-		return nil, 0, ErrClosed
+		return nil, 0, errClosed
 	}
 	if !h.readable {
-		return nil, 0, ErrWriteOnly
+		return nil, 0, errWriteOnly
 	}
 	fs := h.c.fs
 	fs.mu.Lock()
@@ -274,7 +271,7 @@ func (h *Handle) Read(off, n int64, now uint64) ([]byte, uint64, error) {
 		return nil, 0, ErrCrashed
 	}
 	fs.serverSpan(off, n)
-	cost := fs.opts.Cost.IOCost(n)
+	cost := sim.IOCost(n)
 	if act.Transient {
 		var extra uint64
 		act, extra, _ = fs.retryTransientLocked(OpInfo{Kind: OpRead, Rank: h.c.rank,
@@ -360,7 +357,7 @@ func (h *Handle) Commit(now uint64) (uint64, error) {
 		return 0, ErrCrashed
 	}
 	if h.closed {
-		return 0, ErrClosed
+		return 0, errClosed
 	}
 	fs := h.c.fs
 	fs.mu.Lock()
@@ -372,7 +369,7 @@ func (h *Handle) Commit(now uint64) (uint64, error) {
 			Handle: h.id, Now: now, Err: errString(ErrCrashed)})
 		return 0, ErrCrashed
 	}
-	cost := fs.opts.Cost.SyncCost
+	cost := sim.SyncCost
 	observeOp(OpCommit, cost)
 	if fs.semFor(h.path) != Commit {
 		fs.recordHistoryLocked(HistoryEvent{Kind: EvCommit, Rank: h.c.rank, Path: h.path,
@@ -417,7 +414,7 @@ func (h *Handle) Close(now uint64) (uint64, error) {
 		return 0, ErrCrashed
 	}
 	if h.closed {
-		return 0, ErrClosed
+		return 0, errClosed
 	}
 	fs := h.c.fs
 	fs.mu.Lock()
@@ -436,7 +433,7 @@ func (h *Handle) Close(now uint64) (uint64, error) {
 		return 0, ErrCrashed
 	}
 	h.closed = true
-	cost := fs.opts.Cost.CloseCost + fs.opts.Cost.MetaRPC
+	cost := sim.CloseCost + sim.MetaRPC
 	observeOp(OpClose, cost)
 	f, err := fs.ensure(h.path, false)
 	if err != nil {
@@ -467,13 +464,13 @@ func (h *Handle) Close(now uint64) (uint64, error) {
 // simulated cost (a sync plus a metadata round trip).
 func (h *Handle) Laminate(now uint64) (uint64, error) {
 	if h.closed {
-		return 0, ErrClosed
+		return 0, errClosed
 	}
 	fs := h.c.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	f, err := fs.ensure(h.path, false)
-	cost := fs.opts.Cost.SyncCost + fs.opts.Cost.MetaRPC
+	cost := sim.SyncCost + sim.MetaRPC
 	if err != nil {
 		fs.recordHistoryLocked(HistoryEvent{Kind: EvLaminate, Rank: h.c.rank, Path: h.path,
 			Handle: h.id, Now: now, Err: errString(err)})
@@ -491,7 +488,7 @@ func (h *Handle) Laminate(now uint64) (uint64, error) {
 // models (metadata-path operation).
 func (h *Handle) Truncate(length int64) (uint64, error) {
 	if h.closed {
-		return 0, ErrClosed
+		return 0, errClosed
 	}
 	fs := h.c.fs
 	fs.mu.Lock()
@@ -501,12 +498,12 @@ func (h *Handle) Truncate(length int64) (uint64, error) {
 	if err != nil {
 		fs.recordHistoryLocked(HistoryEvent{Kind: EvTruncate, Rank: h.c.rank, Path: h.path,
 			Handle: h.id, Off: length, Err: errString(err)})
-		return fs.opts.Cost.MetaRPC, err
+		return sim.MetaRPC, err
 	}
 	if f.laminated {
 		fs.recordHistoryLocked(HistoryEvent{Kind: EvTruncate, Rank: h.c.rank, Path: h.path,
 			Handle: h.id, Off: length, Err: errString(ErrLaminated)})
-		return fs.opts.Cost.MetaRPC, ErrLaminated
+		return sim.MetaRPC, ErrLaminated
 	}
 	f.truncateLocked(length)
 	// Drop this client's pending extents beyond the new length.
@@ -527,7 +524,7 @@ func (h *Handle) Truncate(length int64) (uint64, error) {
 	}
 	fs.recordHistoryLocked(HistoryEvent{Kind: EvTruncate, Rank: h.c.rank, Path: h.path,
 		Handle: h.id, Off: length})
-	return fs.opts.Cost.MetaRPC, nil
+	return sim.MetaRPC, nil
 }
 
 // Crash simulates the client's process dying: all unpublished (pending)
@@ -550,13 +547,3 @@ func (c *Client) crashLocked() {
 
 // Crashed reports whether Crash was called.
 func (c *Client) Crashed() bool { return c.crashed }
-
-// PendingBytes reports how many unpublished bytes the client holds for path
-// (useful in tests and the semantics checker).
-func (c *Client) PendingBytes(path string) int64 {
-	var n int64
-	for _, e := range c.pending[path] {
-		n += e.data.Len()
-	}
-	return n
-}

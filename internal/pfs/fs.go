@@ -12,12 +12,12 @@ import (
 
 // Errors returned by file system operations.
 var (
-	ErrNotExist  = errors.New("pfs: file does not exist")
+	errNotExist  = errors.New("pfs: file does not exist")
 	ErrExist     = errors.New("pfs: file already exists")
-	ErrIsDir     = errors.New("pfs: path is a directory")
-	ErrClosed    = errors.New("pfs: handle is closed")
-	ErrReadOnly  = errors.New("pfs: handle not open for writing")
-	ErrWriteOnly = errors.New("pfs: handle not open for reading")
+	errIsDir     = errors.New("pfs: path is a directory")
+	errClosed    = errors.New("pfs: handle is closed")
+	errReadOnly  = errors.New("pfs: handle not open for writing")
+	errWriteOnly = errors.New("pfs: handle not open for reading")
 	ErrLaminated = errors.New("pfs: file is laminated (permanently read-only)")
 	ErrCrashed   = errors.New("pfs: client process has crashed")
 	ErrTransient = errors.New("pfs: transient I/O error (retries exhausted)")
@@ -26,10 +26,7 @@ var (
 // Options configures a FileSystem.
 type Options struct {
 	Semantics     Semantics
-	StripeSize    int64  // bytes per stripe; <=0 means 1 MiB
-	DataServers   int    // number of data servers; <=0 means 4
-	EventualDelay uint64 // visibility delay for Eventual semantics, ns
-	Cost          sim.CostModel
+	EventualDelay uint64 // visibility delay for Eventual semantics, ns; 0 means 50 ms
 	// UnorderedSameProcess models BurstFS (§3.5): conflicting accesses by
 	// the SAME process are not guaranteed to take effect in program order —
 	// a read following two overlapping writes from the same process may
@@ -44,11 +41,14 @@ type Options struct {
 	// semantics while a shared exchange file keeps strong semantics. First
 	// matching rule wins; unmatched paths use Options.Semantics.
 	PathRules []PathRule
-	// Retry governs client-side retries of transient I/O errors (see
-	// RetryPolicy). The zero value selects 3 retries with 200 µs backoff
-	// doubling per attempt; MaxRetries < 0 disables retrying.
-	Retry RetryPolicy
 }
+
+// The data-server layout: ServerRequests counts one request per data
+// server whose stripes a data operation touches.
+const (
+	stripeSize  int64 = 1 << 20 // bytes per stripe
+	dataServers       = 4
+)
 
 // PathRule binds a path prefix to a consistency model.
 type PathRule struct {
@@ -67,20 +67,8 @@ func (fs *FileSystem) semFor(path string) Semantics {
 }
 
 func (o Options) withDefaults() Options {
-	if o.StripeSize <= 0 {
-		o.StripeSize = 1 << 20
-	}
-	if o.DataServers <= 0 {
-		o.DataServers = 4
-	}
 	if o.EventualDelay == 0 {
 		o.EventualDelay = 50_000_000 // 50 ms
-	}
-	if o.Cost == (sim.CostModel{}) {
-		o.Cost = sim.DefaultCostModel()
-	}
-	if o.Retry == (RetryPolicy{}) {
-		o.Retry = RetryPolicy{MaxRetries: 3, BackoffNS: 200_000, Multiplier: 2}
 	}
 	return o
 }
@@ -144,7 +132,7 @@ func New(opts Options) *FileSystem {
 	return &FileSystem{
 		opts:  o,
 		files: make(map[string]*file),
-		stats: Stats{ServerRequests: make([]int64, o.DataServers)},
+		stats: Stats{ServerRequests: make([]int64, dataServers)},
 	}
 }
 
@@ -175,10 +163,10 @@ func (fs *FileSystem) serverSpan(off, n int64) {
 	if n <= 0 {
 		return
 	}
-	first := off / fs.opts.StripeSize
-	last := (off + n - 1) / fs.opts.StripeSize
+	first := off / stripeSize
+	last := (off + n - 1) / stripeSize
 	for s := first; s <= last; s++ {
-		fs.stats.ServerRequests[s%int64(fs.opts.DataServers)]++
+		fs.stats.ServerRequests[s%dataServers]++
 	}
 }
 
@@ -190,12 +178,12 @@ func (fs *FileSystem) Mkdir(path string) (cost uint64, err error) {
 	fs.stats.MetaOps++
 	if f, ok := fs.files[path]; ok {
 		if f.dir {
-			return fs.opts.Cost.MetaRPC, ErrExist
+			return sim.MetaRPC, ErrExist
 		}
-		return fs.opts.Cost.MetaRPC, ErrExist
+		return sim.MetaRPC, ErrExist
 	}
 	fs.files[path] = &file{dir: true}
-	return fs.opts.Cost.MetaRPC, nil
+	return sim.MetaRPC, nil
 }
 
 // Unlink removes a file.
@@ -205,13 +193,13 @@ func (fs *FileSystem) Unlink(path string) (cost uint64, err error) {
 	fs.stats.MetaOps++
 	f, ok := fs.files[path]
 	if !ok {
-		return fs.opts.Cost.MetaRPC, ErrNotExist
+		return sim.MetaRPC, errNotExist
 	}
 	if f.dir {
-		return fs.opts.Cost.MetaRPC, ErrIsDir
+		return sim.MetaRPC, errIsDir
 	}
 	delete(fs.files, path)
-	return fs.opts.Cost.MetaRPC, nil
+	return sim.MetaRPC, nil
 }
 
 // Rename moves a file from old to new.
@@ -221,11 +209,11 @@ func (fs *FileSystem) Rename(oldPath, newPath string) (cost uint64, err error) {
 	fs.stats.MetaOps++
 	f, ok := fs.files[oldPath]
 	if !ok {
-		return fs.opts.Cost.MetaRPC, ErrNotExist
+		return sim.MetaRPC, errNotExist
 	}
 	delete(fs.files, oldPath)
 	fs.files[newPath] = f
-	return fs.opts.Cost.MetaRPC, nil
+	return sim.MetaRPC, nil
 }
 
 // FileInfo is the result of a Stat.
@@ -243,9 +231,9 @@ func (fs *FileSystem) Stat(path string) (FileInfo, uint64, error) {
 	fs.stats.MetaOps++
 	f, ok := fs.files[path]
 	if !ok {
-		return FileInfo{}, fs.opts.Cost.MetaRPC, ErrNotExist
+		return FileInfo{}, sim.MetaRPC, errNotExist
 	}
-	return FileInfo{Path: path, Size: f.size, IsDir: f.dir}, fs.opts.Cost.MetaRPC, nil
+	return FileInfo{Path: path, Size: f.size, IsDir: f.dir}, sim.MetaRPC, nil
 }
 
 // Exists reports whether a path exists (no cost accounting; used by tests
@@ -274,13 +262,13 @@ func (fs *FileSystem) ensure(path string, create bool) (*file, error) {
 	f, ok := fs.files[path]
 	if !ok {
 		if !create {
-			return nil, ErrNotExist
+			return nil, errNotExist
 		}
 		f = &file{}
 		fs.files[path] = f
 	}
 	if f.dir {
-		return nil, ErrIsDir
+		return nil, errIsDir
 	}
 	return f, nil
 }
@@ -390,5 +378,5 @@ func (fs *FileSystem) ContentDump() map[string][]byte {
 }
 
 func (fs *FileSystem) String() string {
-	return fmt.Sprintf("pfs{%s, %d servers, stripe %d}", fs.opts.Semantics, fs.opts.DataServers, fs.opts.StripeSize)
+	return fmt.Sprintf("pfs{%s, %d servers, stripe %d}", fs.opts.Semantics, dataServers, stripeSize)
 }

@@ -5,7 +5,7 @@ import "sync/atomic"
 // Fault-injection hooks. A FaultInjector registered on a FileSystem
 // intercepts every client data-path operation and may perturb it: crash the
 // process, tear a write, drop a commit, delay or reorder a publish batch, or
-// fail the operation transiently (subject to the client's RetryPolicy). The
+// fail the operation transiently (subject to the client's retry policy). The
 // injector is consulted while fs.mu is held, so implementations must not
 // call back into the file system; they should be cheap, deterministic
 // functions of their own state (see internal/faults for the seed-driven
@@ -77,7 +77,7 @@ type FaultAction struct {
 	ReorderPublish bool
 	// Transient fails the operation with a transient I/O error. The client
 	// re-consults the injector with Attempt incremented, paying backoff per
-	// its RetryPolicy, and surfaces ErrTransient once retries are exhausted.
+	// its retry policy, and surfaces ErrTransient once retries are exhausted.
 	Transient bool
 }
 
@@ -97,27 +97,14 @@ func (fs *FileSystem) SetInjector(inj FaultInjector) {
 	fs.injector = inj
 }
 
-// Injector returns the registered fault injector, or nil.
-func (fs *FileSystem) Injector() FaultInjector {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.injector
-}
-
-// RetryPolicy governs client-side handling of transient I/O errors (injected
-// by a FaultInjector, or in a real deployment returned by overloaded
-// servers): how many times an operation is retried and how the simulated
-// backoff grows between attempts.
-type RetryPolicy struct {
-	// MaxRetries is the number of retries after the first failure; < 0
-	// disables retrying entirely (the first transient failure surfaces).
-	MaxRetries int
-	// BackoffNS is the simulated backoff before the first retry.
-	BackoffNS uint64
-	// Multiplier scales the backoff after each attempt; values <= 1 keep it
-	// constant.
-	Multiplier int
-}
+// The client-side retry policy for transient I/O errors (injected by a
+// FaultInjector, or in a real deployment returned by overloaded servers):
+// an operation is retried up to maxRetries times after its first failure,
+// with a simulated backoff of retryBackoffNS doubling per attempt.
+const (
+	maxRetries            = 3
+	retryBackoffNS uint64 = 200_000
+)
 
 // KillPointFunc observes one intercepted data-path operation; see
 // SetKillPointHook.
@@ -162,16 +149,13 @@ func (fs *FileSystem) interceptLocked(op OpInfo) FaultAction {
 // (whose Transient flag reports whether the operation ultimately failed),
 // the added cost, and the number of retries performed. Callers hold fs.mu.
 func (fs *FileSystem) retryTransientLocked(op OpInfo) (FaultAction, uint64, int) {
-	rp := fs.opts.Retry
-	backoff := rp.BackoffNS
+	backoff := retryBackoffNS
 	var extra uint64
 	act := FaultAction{Transient: true}
 	retries := 0
-	for attempt := 1; attempt <= rp.MaxRetries; attempt++ {
+	for attempt := 1; attempt <= maxRetries; attempt++ {
 		extra += backoff
-		if rp.Multiplier > 1 {
-			backoff *= uint64(rp.Multiplier)
-		}
+		backoff *= 2
 		retries++
 		op.Attempt = attempt
 		act = fs.interceptLocked(op)

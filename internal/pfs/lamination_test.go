@@ -58,7 +58,7 @@ func TestLaminateClosedHandle(t *testing.T) {
 	if _, err := h.Close(10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Laminate(20); !errors.Is(err, ErrClosed) {
+	if _, err := h.Laminate(20); !errors.Is(err, errClosed) {
 		t.Fatalf("laminate on closed handle: %v", err)
 	}
 }

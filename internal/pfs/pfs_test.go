@@ -308,13 +308,13 @@ func TestClosedHandleRejected(t *testing.T) {
 	if _, err := h.Close(10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Write(0, payload.Bytes([]byte("x")), 20); err != ErrClosed {
+	if _, err := h.Write(0, payload.Bytes([]byte("x")), 20); err != errClosed {
 		t.Fatalf("write on closed handle: %v", err)
 	}
-	if _, _, err := h.Read(0, 1, 20); err != ErrClosed {
+	if _, _, err := h.Read(0, 1, 20); err != errClosed {
 		t.Fatalf("read on closed handle: %v", err)
 	}
-	if _, err := h.Close(20); err != ErrClosed {
+	if _, err := h.Close(20); err != errClosed {
 		t.Fatalf("double close: %v", err)
 	}
 }
@@ -360,10 +360,10 @@ func TestMetadataOps(t *testing.T) {
 	if fs.Exists("/dir/g") {
 		t.Fatal("unlink did not remove the file")
 	}
-	if _, err := fs.Unlink("/dir"); err != ErrIsDir {
+	if _, err := fs.Unlink("/dir"); err != errIsDir {
 		t.Fatalf("unlink of dir: %v, want ErrIsDir", err)
 	}
-	if _, _, err := fs.Stat("/nope"); err != ErrNotExist {
+	if _, _, err := fs.Stat("/nope"); err != errNotExist {
 		t.Fatalf("stat of missing: %v", err)
 	}
 }
@@ -418,11 +418,11 @@ func TestCommitModeSkipsLocks(t *testing.T) {
 }
 
 func TestServerRequestStriping(t *testing.T) {
-	fs := New(Options{Semantics: Strong, StripeSize: 100, DataServers: 4})
+	fs := New(Options{Semantics: Strong})
 	c := fs.NewClient(0, 0)
 	h := mustOpen(t, c, "/f", OCreat|OWronly, 1)
-	// Write spanning stripes 0..3 → one request on each of 4 servers.
-	writeAll(t, h, 0, make([]byte, 400), 10)
+	// Write spanning stripes 0..dataServers-1 → one request on each server.
+	writeAll(t, h, 0, make([]byte, dataServers*stripeSize), 10)
 	st := fs.Stats()
 	for s, n := range st.ServerRequests {
 		if n != 1 {

@@ -68,10 +68,6 @@ func ParseSemantics(name string) (Semantics, error) {
 	return 0, fmt.Errorf("pfs: unknown semantics %q (want strong|commit|session|eventual)", name)
 }
 
-// WeakerThan reports whether s is a strictly weaker model than other
-// (strong > commit > session > eventual).
-func (s Semantics) WeakerThan(other Semantics) bool { return s > other }
-
 // AllSemantics lists the four models strongest-first.
 func AllSemantics() []Semantics { return []Semantics{Strong, Commit, Session, Eventual} }
 
@@ -109,14 +105,4 @@ func Registry() []SystemInfo {
 		{Name: "echofs", Semantics: Eventual, PerProcessOrdering: true, Note: "POSIX locally per node; global visibility on transfer"},
 		{Name: "MarFS", Semantics: Eventual, PerProcessOrdering: true},
 	}
-}
-
-// LookupSystem returns the registry entry for a named file system.
-func LookupSystem(name string) (SystemInfo, bool) {
-	for _, s := range Registry() {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return SystemInfo{}, false
 }

@@ -3,6 +3,7 @@ package posix
 import (
 	"repro/internal/pfs"
 	"repro/internal/recorder"
+	"repro/internal/sim"
 )
 
 // This file implements the POSIX metadata and utility operations the paper
@@ -29,7 +30,7 @@ func (p *Proc) statAs(fn recorder.Func, pth string) (pfs.FileInfo, error) {
 		return pfs.FileInfo{}, berr
 	}
 	info, cost, err := p.client.FS().Stat(apth)
-	p.advance(cost + p.cost.MetaCost)
+	p.advance(cost + sim.MetaCost)
 	p.emit(fn, ts, apth, "")
 	return info, err
 }
@@ -47,7 +48,7 @@ func (p *Proc) Fstat(fdnum int) (pfs.FileInfo, error) {
 		return pfs.FileInfo{}, berr
 	}
 	info, cost, serr := p.client.FS().Stat(f.path)
-	p.advance(cost + p.cost.MetaCost)
+	p.advance(cost + sim.MetaCost)
 	p.emit(recorder.FuncFstat, ts, "", "", int64(fdnum))
 	return info, serr
 }
@@ -61,7 +62,7 @@ func (p *Proc) Access(pth string) error {
 		return berr
 	}
 	_, cost, err := p.client.FS().Stat(apth)
-	p.advance(cost + p.cost.MetaCost)
+	p.advance(cost + sim.MetaCost)
 	p.emit(recorder.FuncAccess, ts, apth, "")
 	return err
 }
@@ -75,7 +76,7 @@ func (p *Proc) Unlink(pth string) error {
 		return berr
 	}
 	cost, err := p.client.FS().Unlink(apth)
-	p.advance(cost + p.cost.MetaCost)
+	p.advance(cost + sim.MetaCost)
 	p.emit(recorder.FuncUnlink, ts, apth, "")
 	return err
 }
@@ -89,7 +90,7 @@ func (p *Proc) Remove(pth string) error {
 		return berr
 	}
 	cost, err := p.client.FS().Unlink(apth)
-	p.advance(cost + p.cost.MetaCost)
+	p.advance(cost + sim.MetaCost)
 	p.emit(recorder.FuncRemove, ts, apth, "")
 	return err
 }
@@ -99,126 +100,15 @@ func (p *Proc) Mkdir(pth string, mode int64) error {
 	ts := p.clock.Stamp()
 	apth := p.abs(pth)
 	cost, err := p.client.FS().Mkdir(apth)
-	p.advance(cost + p.cost.MetaCost)
+	p.advance(cost + sim.MetaCost)
 	p.emit(recorder.FuncMkdir, ts, apth, "", mode)
-	return err
-}
-
-// Rename moves a file.
-func (p *Proc) Rename(oldPth, newPth string) error {
-	ts := p.clock.Stamp()
-	ao, an := p.abs(oldPth), p.abs(newPth)
-	if berr := p.metaBarrier(); berr != nil {
-		p.emit(recorder.FuncRename, ts, ao, an)
-		return berr
-	}
-	cost, err := p.client.FS().Rename(ao, an)
-	p.advance(cost + p.cost.MetaCost)
-	p.emit(recorder.FuncRename, ts, ao, an)
-	return err
-}
-
-// Truncate sets a file's length by path.
-func (p *Proc) Truncate(pth string, length int64) error {
-	ts := p.clock.Stamp()
-	apth := p.abs(pth)
-	// Path truncate: open-truncate-close on the metadata path.
-	h, cost, err := p.pfsOpen(apth, recorder.OWronly, p.clock.Now())
-	p.advance(cost)
-	if err == nil {
-		var tcost uint64
-		tcost, err = p.pfsTruncate(h, length)
-		p.advance(tcost)
-		ccost, _ := p.pfsClose(h, p.clock.Now())
-		p.advance(ccost)
-	}
-	p.emit(recorder.FuncTruncate, ts, apth, "", length)
 	return err
 }
 
 // Getcwd reports the working directory.
 func (p *Proc) Getcwd() string {
 	ts := p.clock.Stamp()
-	p.advance(p.cost.MetaCost / 4)
+	p.advance(sim.MetaCost / 4)
 	p.emit(recorder.FuncGetcwd, ts, p.cwd, "")
 	return p.cwd
-}
-
-// Chdir changes the working directory.
-func (p *Proc) Chdir(pth string) error {
-	ts := p.clock.Stamp()
-	apth := p.abs(pth)
-	p.advance(p.cost.MetaCost / 4)
-	p.cwd = apth
-	p.emit(recorder.FuncChdir, ts, apth, "")
-	return nil
-}
-
-// Umask sets the file-creation mask and returns the previous value.
-func (p *Proc) Umask(mask int64) int64 {
-	ts := p.clock.Stamp()
-	old := p.umask
-	p.umask = mask
-	p.emit(recorder.FuncUmask, ts, "", "", mask, old)
-	return old
-}
-
-// Fcntl issues a descriptor control operation (modeled as a no-op).
-func (p *Proc) Fcntl(fdnum int, cmd int64) error {
-	ts := p.clock.Stamp()
-	_, err := p.get(fdnum)
-	p.emit(recorder.FuncFcntl, ts, "", "", int64(fdnum), cmd)
-	return err
-}
-
-// Dup duplicates a descriptor. The duplicate shares the pfs handle and the
-// offset state (as on a real system, where both number the same open file
-// description; our model copies the offset and keeps them loosely coupled,
-// which suffices for the traced applications).
-func (p *Proc) Dup(fdnum int) (int, error) {
-	ts := p.clock.Stamp()
-	f, err := p.get(fdnum)
-	if err != nil {
-		p.emit(recorder.FuncDup, ts, "", "", int64(fdnum), -1)
-		return -1, err
-	}
-	n := &fd{num: p.nextFD, h: f.h, path: f.path, offset: f.offset, appendMd: f.appendMd}
-	p.nextFD++
-	p.fds[n.num] = n
-	p.emit(recorder.FuncDup, ts, "", "", int64(fdnum), int64(n.num))
-	return n.num, nil
-}
-
-// Opendir begins a directory listing (the listing itself is not modeled;
-// the calls exist for the metadata census).
-func (p *Proc) Opendir(pth string) error {
-	ts := p.clock.Stamp()
-	apth := p.abs(pth)
-	p.advance(p.cost.MetaCost)
-	p.emit(recorder.FuncOpendir, ts, apth, "")
-	return nil
-}
-
-// Readdir reads one directory entry.
-func (p *Proc) Readdir(pth string) {
-	ts := p.clock.Stamp()
-	p.advance(p.cost.MetaCost / 2)
-	p.emit(recorder.FuncReaddir, ts, p.abs(pth), "")
-}
-
-// Closedir ends a directory listing.
-func (p *Proc) Closedir(pth string) {
-	ts := p.clock.Stamp()
-	p.advance(p.cost.MetaCost / 2)
-	p.emit(recorder.FuncClosedir, ts, p.abs(pth), "")
-}
-
-// Mmap records a memory-map of a descriptor (data access through the map is
-// not modeled; LBANN-style apps use it for read-only loads).
-func (p *Proc) Mmap(fdnum int, length int64) error {
-	ts := p.clock.Stamp()
-	_, err := p.get(fdnum)
-	p.advance(p.cost.MetaCost)
-	p.emit(recorder.FuncMmap, ts, "", "", int64(fdnum), length)
-	return err
 }

@@ -21,7 +21,7 @@ import (
 
 // Errors returned by the layer (in addition to wrapped pfs errors).
 var (
-	ErrBadFD = errors.New("posix: bad file descriptor")
+	errBadFD = errors.New("posix: bad file descriptor")
 )
 
 // FD is an open file descriptor.
@@ -41,7 +41,6 @@ type Proc struct {
 	tracer *recorder.RankTracer
 	client *pfs.Client
 	wal    *wal.Log // optional write-ahead log in front of the pfs data path
-	cost   sim.CostModel
 	jit    *sim.RNG // optional per-op cost jitter
 	fds    map[int]*fd
 	nextFD int
@@ -51,22 +50,18 @@ type Proc struct {
 
 // NewProc creates the POSIX layer for a rank, sharing the rank's clock and
 // tracer with the other layers.
-func NewProc(rank int, client *pfs.Client, clock *sim.Clock, tracer *recorder.RankTracer, cost sim.CostModel) *Proc {
+func NewProc(rank int, client *pfs.Client, clock *sim.Clock, tracer *recorder.RankTracer) *Proc {
 	return &Proc{
 		rank:   rank,
 		clock:  clock,
 		tracer: tracer,
 		client: client,
-		cost:   cost,
 		fds:    make(map[int]*fd),
 		nextFD: 3, // 0,1,2 reserved as on a real system
 		cwd:    "/",
 		umask:  0o022,
 	}
 }
-
-// Rank returns the owning rank.
-func (p *Proc) Rank() int { return p.rank }
 
 // Clock exposes the rank clock.
 func (p *Proc) Clock() *sim.Clock { return p.clock }
@@ -85,9 +80,6 @@ func (p *Proc) SetJitter(rng *sim.RNG) { p.jit = rng }
 // pfs client — posix must not bypass it, because the client itself is not
 // goroutine-safe against the background drainer.
 func (p *Proc) SetWAL(l *wal.Log) { p.wal = l }
-
-// WAL returns the attached write-ahead log, if any.
-func (p *Proc) WAL() *wal.Log { return p.wal }
 
 // The pfs* helpers are the single seam where handle operations either go
 // straight to the pfs or through the attached WAL.
@@ -183,7 +175,7 @@ func (p *Proc) emit(fn recorder.Func, ts uint64, pth, pth2 string, args ...int64
 func (p *Proc) get(fdnum int) (*fd, error) {
 	f, ok := p.fds[fdnum]
 	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrBadFD, fdnum)
+		return nil, fmt.Errorf("%w: %d", errBadFD, fdnum)
 	}
 	return f, nil
 }
@@ -191,11 +183,6 @@ func (p *Proc) get(fdnum int) (*fd, error) {
 // Open opens a file with POSIX flags, returning the new descriptor.
 func (p *Proc) Open(pth string, flags int, mode int64) (int, error) {
 	return p.openAs(recorder.FuncOpen, pth, flags, mode, false)
-}
-
-// Creat is open(path, O_CREAT|O_WRONLY|O_TRUNC, mode).
-func (p *Proc) Creat(pth string, mode int64) (int, error) {
-	return p.openAs(recorder.FuncCreat, pth, recorder.OCreat|recorder.OWronly|recorder.OTrunc, mode, false)
 }
 
 func (p *Proc) openAs(fn recorder.Func, pth string, flags int, mode int64, stdio bool) (int, error) {
@@ -334,7 +321,7 @@ func (p *Proc) seekAs(fn recorder.Func, fdnum int, off int64, whence int) (int64
 		p.emit(fn, ts, "", "", int64(fdnum), off, int64(whence), -1)
 		return -1, err
 	}
-	p.advance(p.cost.SeekCost)
+	p.advance(sim.SeekCost)
 	var base int64
 	switch whence {
 	case recorder.SeekSet:
@@ -361,9 +348,6 @@ func (p *Proc) seekAs(fn recorder.Func, fdnum int, off int64, whence int) (int64
 // writes become globally visible.
 func (p *Proc) Fsync(fdnum int) error { return p.syncAs(recorder.FuncFsync, fdnum) }
 
-// Fdatasync behaves as Fsync for visibility purposes.
-func (p *Proc) Fdatasync(fdnum int) error { return p.syncAs(recorder.FuncFdatasync, fdnum) }
-
 func (p *Proc) syncAs(fn recorder.Func, fdnum int) error {
 	ts := p.clock.Stamp()
 	f, err := p.get(fdnum)
@@ -389,23 +373,4 @@ func (p *Proc) Ftruncate(fdnum int, length int64) error {
 	p.advance(cost)
 	p.emit(recorder.FuncFtruncate, ts, "", "", int64(fdnum), length)
 	return terr
-}
-
-// PathOf returns the absolute path behind a descriptor (helper for layered
-// libraries; does not emit a record).
-func (p *Proc) PathOf(fdnum int) (string, error) {
-	f, err := p.get(fdnum)
-	if err != nil {
-		return "", err
-	}
-	return f.path, nil
-}
-
-// Offset returns the descriptor's current offset (helper; no record).
-func (p *Proc) Offset(fdnum int) (int64, error) {
-	f, err := p.get(fdnum)
-	if err != nil {
-		return 0, err
-	}
-	return f.offset, nil
 }

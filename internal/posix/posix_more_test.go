@@ -132,7 +132,7 @@ func TestPositionalBadFD(t *testing.T) {
 func TestJitterBoundsAndRank(t *testing.T) {
 	fs := pfs.New(pfs.Options{Semantics: pfs.Strong})
 	clock := sim.NewClock(0, 0)
-	p := NewProc(3, fs.NewClient(3, 0), clock, recorder.NewRankTracer(3), sim.DefaultCostModel())
+	p := NewProc(3, fs.NewClient(3, 0), clock, recorder.NewRankTracer(3))
 	if p.Rank() != 3 {
 		t.Fatal("Rank accessor")
 	}
@@ -142,7 +142,7 @@ func TestJitterBoundsAndRank(t *testing.T) {
 	p.Write(fd, payload.Bytes(make([]byte, 1000)))
 	cost := clock.Now() - before
 	// Strong semantics: client I/O cost plus the lock round trip.
-	base := sim.DefaultCostModel().IOCost(1000) + sim.DefaultCostModel().LockRPC
+	base := sim.IOCost(1000) + sim.LockRPC
 	if cost < base || cost > base+base/4+1 {
 		t.Fatalf("jittered cost %d outside [%d, %d]", cost, base, base+base/4+1)
 	}

@@ -94,37 +94,5 @@ func (p *Proc) Fseek(fdnum int, off int64, whence int) (int64, error) {
 	return p.seekAs(recorder.FuncFseek, fdnum, off, whence)
 }
 
-// Ftell reports the stream position.
-func (p *Proc) Ftell(fdnum int) (int64, error) {
-	ts := p.clock.Stamp()
-	f, err := p.get(fdnum)
-	if err != nil {
-		p.emit(recorder.FuncFtell, ts, "", "", int64(fdnum), -1)
-		return -1, err
-	}
-	p.emit(recorder.FuncFtell, ts, "", "", int64(fdnum), f.offset)
-	return f.offset, nil
-}
-
-// Fflush flushes the stream; like fsync it acts as a commit operation
-// (paper §6.3 footnote 2).
-func (p *Proc) Fflush(fdnum int) error { return p.syncAs(recorder.FuncFflush, fdnum) }
-
 // Fclose closes the stream (a commit/close for visibility purposes).
 func (p *Proc) Fclose(fdnum int) error { return p.closeAs(recorder.FuncFclose, fdnum) }
-
-// Fileno returns the descriptor behind a stream, emitting the utility-op
-// record the paper counts in Figure 3.
-func (p *Proc) Fileno(fdnum int) (int, error) {
-	ts := p.clock.Stamp()
-	_, err := p.get(fdnum)
-	ret := int64(fdnum)
-	if err != nil {
-		ret = -1
-	}
-	p.emit(recorder.FuncFileno, ts, "", "", int64(fdnum), ret)
-	if err != nil {
-		return -1, err
-	}
-	return fdnum, nil
-}

@@ -2,12 +2,14 @@ package colfmt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -104,6 +106,30 @@ func requireRecordsEqual(t *testing.T, want, got []recorder.Record) {
 	}
 }
 
+// TestReplayForgedCountAllocatesLittle: a header that promises far more
+// records than the stream could hold sizes Replay's log by the stream's
+// length, not by the promise.
+func TestReplayForgedCountAllocatesLittle(t *testing.T) {
+	data := []byte(colwire.Magic)
+	data = binary.AppendUvarint(data, 0)     // rank
+	data = binary.AppendUvarint(data, 1<<20) // forged record count
+	data = append(data, 0xff, 0xff)          // a torn first frame
+	r, err := NewReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = r.Replay()
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("Replay of a torn stream succeeded")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("Replay allocated %d bytes for a %d-byte stream", got, len(data))
+	}
+}
+
 func TestRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -123,8 +149,8 @@ func TestRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewReader: %v", err)
 			}
-			if r.Rank() != 3 || r.Declared() != tc.n {
-				t.Fatalf("header: rank %d declared %d", r.Rank(), r.Declared())
+			if r.Rank() != 3 || r.declaredRecords() != tc.n {
+				t.Fatalf("header: rank %d declared %d", r.Rank(), r.declaredRecords())
 			}
 			if r.dictOff < 0 {
 				t.Fatal("intact stream has no footer")
@@ -188,14 +214,14 @@ func TestCursorReuse(t *testing.T) {
 	if err := c.Err(); err != nil {
 		t.Fatalf("cursor error: %v", err)
 	}
-	if c.Stats().Records != len(recs) {
-		t.Fatalf("stats records %d, want %d", c.Stats().Records, len(recs))
+	if c.decodeStats().Records != len(recs) {
+		t.Fatalf("stats records %d, want %d", c.decodeStats().Records, len(recs))
 	}
 }
 
 // TestTornTail cuts an encoded stream at every byte boundary: strict decode
 // must fail (prefix preserved), lenient decode must keep exactly the blocks
-// before the cut with Declared-exact drop accounting, and nothing may panic
+// before the cut with declaredRecords-exact drop accounting, and nothing may panic
 // or over-read.
 func TestTornTail(t *testing.T) {
 	const n = 96
@@ -222,9 +248,9 @@ func TestTornTail(t *testing.T) {
 		if err2 != nil {
 			t.Fatalf("cut=%d: reopen: %v", cut, err2)
 		}
-		lc := lr.LenientCursor()
+		lc := lr.lenientCursor()
 		sal, serr := lr.materialize(lc)
-		stats := lc.Stats()
+		stats := lc.decodeStats()
 		requireRecordsEqual(t, recs[:len(sal)], sal)
 		if len(sal)%16 != 0 {
 			t.Fatalf("cut=%d: salvage kept a partial block (%d records)", cut, len(sal))
@@ -272,15 +298,15 @@ func TestCorruptBlockSkip(t *testing.T) {
 	if _, err := r.materialize(r.Cursor()); err == nil {
 		t.Fatal("strict decode accepted a corrupt block")
 	} else {
-		var ce *CorruptError
+		var ce *corruptError
 		if !errors.As(err, &ce) || ce.Block != 2 {
 			t.Fatalf("want CorruptError at block 2, got %v", err)
 		}
 	}
 	lr, _ := NewReader(mut)
-	lc := lr.LenientCursor()
+	lc := lr.lenientCursor()
 	got, serr := lr.materialize(lc)
-	stats := lc.Stats()
+	stats := lc.decodeStats()
 	if serr != nil {
 		t.Fatalf("lenient walk errored: %v", serr)
 	}

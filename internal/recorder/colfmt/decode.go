@@ -16,16 +16,16 @@ import (
 // regenerates as columnar.
 var ErrBadMagic = errors.New("colfmt: bad magic")
 
-// CorruptError reports a frame that failed CRC, framing, or column decoding
+// corruptError reports a frame that failed CRC, framing, or column decoding
 // mid-stream — damage, as opposed to a torn tail where bytes are simply
 // missing (that is recorder.TruncatedError). The valid record prefix decoded
 // before the bad block is always preserved alongside it.
-type CorruptError struct {
+type corruptError struct {
 	Block  int    // 0-based index of the frame that failed
 	Reason string // what broke
 }
 
-func (e *CorruptError) Error() string {
+func (e *corruptError) Error() string {
 	return fmt.Sprintf("colfmt: block %d corrupt: %s", e.Block, e.Reason)
 }
 
@@ -143,13 +143,13 @@ func parseDict(payload []byte, dst []string) ([]string, bool) {
 // Rank returns the stream's rank from the header.
 func (r *Reader) Rank() int { return r.rank }
 
-// Declared returns the record count the header promises — the exact-salvage
-// denominator even when the tail (and footer) is gone.
-func (r *Reader) Declared() int { return int(r.declared) }
+// declaredRecords returns the record count the header promises — the
+// exact-salvage denominator even when the tail (and footer) is gone.
+func (r *Reader) declaredRecords() int { return int(r.declared) }
 
-// Stats reports what one cursor walk decoded, for per-block salvage
+// cursorStats reports what one cursor walk decoded, for per-block salvage
 // accounting.
-type Stats struct {
+type cursorStats struct {
 	Records int // records yielded
 	Blocks  int // data blocks decoded cleanly
 	Skipped int // corrupt data blocks skipped (lenient walk, intact footer)
@@ -183,7 +183,7 @@ type Cursor struct {
 	rec    recorder.Record
 	argbuf []int64
 
-	stats Stats
+	stats cursorStats
 	err   error
 	done  bool
 }
@@ -192,11 +192,11 @@ type Cursor struct {
 // walk (after yielding the valid prefix).
 func (r *Reader) Cursor() *Cursor { return r.newCursor(false) }
 
-// LenientCursor returns a salvaging cursor: with an intact footer it skips
+// lenientCursor returns a salvaging cursor: with an intact footer it skips
 // individually corrupt blocks and keeps decoding (refs are absolute, blocks
 // are time-self-contained); without one it keeps the longest valid prefix.
-// Err still reports what was lost; Stats says how much survived.
-func (r *Reader) LenientCursor() *Cursor { return r.newCursor(true) }
+// Err still reports what was lost; decodeStats says how much survived.
+func (r *Reader) lenientCursor() *Cursor { return r.newCursor(true) }
 
 func (r *Reader) newCursor(lenient bool) *Cursor {
 	c := &Cursor{r: r, lenient: lenient, off: r.blockOff}
@@ -248,11 +248,11 @@ func (c *Cursor) Next() bool {
 func (c *Cursor) Record() *recorder.Record { return &c.rec }
 
 // Err returns nil after a clean walk, a recorder.TruncatedError (wrapping
-// recorder.ErrTruncated) for a torn tail, or a *CorruptError for damage.
+// recorder.ErrTruncated) for a torn tail, or a *corruptError for damage.
 func (c *Cursor) Err() error { return c.err }
 
-// Stats returns the walk's per-block accounting so far.
-func (c *Cursor) Stats() Stats { return c.stats }
+// decodeStats returns the walk's per-block accounting so far.
+func (c *Cursor) decodeStats() cursorStats { return c.stats }
 
 func (c *Cursor) fail(err error) bool {
 	c.err = err
@@ -265,7 +265,7 @@ func (c *Cursor) failTorn() bool {
 }
 
 func (c *Cursor) failCorrupt(block int, format string, a ...any) bool {
-	return c.fail(&CorruptError{Block: block, Reason: fmt.Sprintf(format, a...)})
+	return c.fail(&corruptError{Block: block, Reason: fmt.Sprintf(format, a...)})
 }
 
 // nextBlock advances the cursor to the next data block, handling stream end.
@@ -318,7 +318,7 @@ func (c *Cursor) nextBlock() bool {
 				return false
 			}
 			if !c.loadBlock(block, payload) {
-				// loadBlock failures are all CorruptError; a lenient
+				// loadBlock failures are all corruptError; a lenient
 				// footer-mode walk resyncs at the next frame.
 				if c.lenient && !c.incr {
 					c.err = nil
@@ -360,7 +360,7 @@ func (c *Cursor) finish() bool {
 	if uint64(c.stats.Records) != c.r.declared && c.err == nil {
 		if c.stats.Skipped > 0 {
 			// Lenient walk dropped blocks; the shortfall is accounted by the
-			// caller against Declared, not an error here.
+			// caller against declaredRecords, not an error here.
 			return false
 		}
 		c.err = &recorder.TruncatedError{Declared: c.r.declared, Decoded: c.stats.Records}
@@ -369,7 +369,7 @@ func (c *Cursor) finish() bool {
 }
 
 // loadBlock parses a CRC-valid data payload into column slices. A false
-// return with c.err == *CorruptError means the payload was malformed.
+// return with c.err == *corruptError means the payload was malformed.
 func (c *Cursor) loadBlock(block int, payload []byte) bool {
 	off := 0
 	count, off, ok := uvarintAt(payload, off)
@@ -535,9 +535,13 @@ func (c *Cursor) resolve(ref uint64) (string, bool) {
 
 // Replay walks the whole stream with a strict cursor into a rank log, as
 // the running rank emitted it: the decoded rank of a trace. On error the
-// log holds the valid prefix.
+// log holds the valid prefix. The log is sized once: entries from the
+// header's record count, clamped to the stream's length in bytes (a record
+// costs at least two column bytes), so a forged count cannot force a large
+// allocation; argument bytes from the stream's length, which holds them as
+// the same varints.
 func (r *Reader) Replay() (*recorder.RankTracer, error) {
-	rt := recorder.NewRankTracer(r.rank)
+	rt := recorder.NewRankTracerSized(r.rank, int(min(r.declared, uint64(len(r.data)))), len(r.data))
 	c := r.Cursor()
 	for c.Next() {
 		rt.Emit(c.rec, c.rec.Args)

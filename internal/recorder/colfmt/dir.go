@@ -128,7 +128,7 @@ func (c *rankCursor) Err() error {
 // that did not (one holding another rank, say) declares nothing, so its
 // records do not count as dropped.
 type rankSalvage struct {
-	stats    Stats
+	stats    cursorStats
 	declared int
 	err      error
 }
@@ -136,7 +136,7 @@ type rankSalvage struct {
 // OpenRanksLenientOn returns the opener of a degraded-mode scan over a
 // trace directory's rank streams and the fold of what it recovered. No
 // open fails and no stream errs: a stream that opens is walked by a
-// LenientCursor, and one that does not is empty. Releasing a rank records
+// lenientCursor, and one that does not is empty. Releasing a rank records
 // its walk in a rank-indexed slot; salvage folds the slots in rank order,
 // so counts and errors do not depend on scheduling, and fails if no record
 // survived.
@@ -149,10 +149,10 @@ func OpenRanksLenientOn(b storage.Backend, dir string, ranks int) (open func(ran
 			slot.err = err
 			return lenientCursor{&Cursor{done: true}}, func() {}, nil
 		}
-		c := r.LenientCursor()
-		slot.declared = r.Declared()
+		c := r.lenientCursor()
+		slot.declared = r.declaredRecords()
 		return lenientCursor{c}, func() {
-			slot.stats, slot.err = c.Stats(), c.Err()
+			slot.stats, slot.err = c.decodeStats(), c.Err()
 			release()
 		}, nil
 	}

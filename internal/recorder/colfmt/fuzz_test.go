@@ -14,7 +14,7 @@ import (
 // recorder.FuzzLoadRecord: arbitrary byte mutations of valid streams must
 // never panic or read outside the input slice, and must either decode
 // cleanly (surviving an encode/decode round trip) or return an error —
-// a recorder.TruncatedError for missing bytes, a *CorruptError for damage —
+// a recorder.TruncatedError for missing bytes, a *corruptError for damage —
 // while preserving the valid block prefix. The lenient walk additionally
 // must never yield more records than the header declared.
 func FuzzDecodeColumnar(f *testing.F) {
@@ -54,18 +54,18 @@ func FuzzDecodeColumnar(f *testing.F) {
 			return
 		}
 		recs, merr := r.materialize(r.Cursor())
-		if uint64(len(recs)) > uint64(r.Declared()) {
-			t.Fatalf("decoded %d records, header declared %d", len(recs), r.Declared())
+		if uint64(len(recs)) > uint64(r.declaredRecords()) {
+			t.Fatalf("decoded %d records, header declared %d", len(recs), r.declaredRecords())
 		}
 		lr, lerr := NewReader(data)
 		if lerr != nil {
 			t.Fatalf("second open disagrees: %v", lerr)
 		}
-		lc := lr.LenientCursor()
+		lc := lr.lenientCursor()
 		sal, _ := lr.materialize(lc)
-		stats := lc.Stats()
-		if len(sal) > r.Declared() || stats.Records != len(sal) {
-			t.Fatalf("lenient decoded %d (stats %+v), declared %d", len(sal), stats, r.Declared())
+		stats := lc.decodeStats()
+		if len(sal) > r.declaredRecords() || stats.Records != len(sal) {
+			t.Fatalf("lenient decoded %d (stats %+v), declared %d", len(sal), stats, r.declaredRecords())
 		}
 		// The strict walk's records are a prefix of some valid decode; the
 		// lenient walk must preserve at least that prefix when nothing was
@@ -75,7 +75,7 @@ func FuzzDecodeColumnar(f *testing.F) {
 		}
 		if merr != nil {
 			var te *recorder.TruncatedError
-			var ce *CorruptError
+			var ce *corruptError
 			if !errors.As(merr, &te) && !errors.As(merr, &ce) {
 				t.Fatalf("strict error is neither truncation nor corruption: %v", merr)
 			}

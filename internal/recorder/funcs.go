@@ -275,8 +275,8 @@ func (f Func) String() string {
 	return "func#" + itoa(int(f))
 }
 
-// Valid reports whether f is a known traced function.
-func (f Func) Valid() bool { return f > FuncUnknown && f < funcCount }
+// valid reports whether f is a known traced function.
+func (f Func) valid() bool { return f > FuncUnknown && f < funcCount }
 
 // NumFuncs returns the number of known functions (for table sizing).
 func NumFuncs() int { return int(funcCount) }

@@ -124,20 +124,6 @@ func (r *Record) IsWriteOp() bool {
 	return false
 }
 
-// IsCommitOp reports whether the record acts as a "commit" under commit
-// consistency semantics. Per the paper (§6.3, footnote 2): fsync,
-// fdatasync, fflush, fclose or close.
-func (r *Record) IsCommitOp() bool {
-	if r.Layer != LayerPOSIX {
-		return false
-	}
-	switch r.Func {
-	case FuncFsync, FuncFdatasync, FuncFflush, FuncFclose, FuncClose:
-		return true
-	}
-	return false
-}
-
 // IsOpenOp reports whether the record opens a file at the POSIX layer.
 func (r *Record) IsOpenOp() bool {
 	if r.Layer != LayerPOSIX {

@@ -30,7 +30,7 @@ func TestFuncNames(t *testing.T) {
 	}
 	// Every defined func has a name.
 	for f := Func(1); f < Func(NumFuncs()); f++ {
-		if !f.Valid() {
+		if !f.valid() {
 			t.Errorf("func %d not valid", f)
 		}
 		if f.String() == "" || f.String()[0] == 'f' && f.String() == "func#"+itoa(int(f)) {
@@ -186,7 +186,7 @@ func TestMetaConfigName(t *testing.T) {
 func TestRankTracer(t *testing.T) {
 	rt := NewRankTracer(0)
 	rt.Emit(Record{Rank: 99, Layer: LayerPOSIX, Func: FuncOpen, TStart: 1, TEnd: 2, Path: "/f"}, nil)
-	if rt.Len() != 1 {
+	if rt.count() != 1 {
 		t.Fatal("Emit did not append")
 	}
 	tr, err := TraceOf(Meta{}, []*RankTracer{rt})

@@ -122,6 +122,14 @@ func NewRankTracer(rank int) *RankTracer {
 	return &RankTracer{rank: int32(rank)}
 }
 
+// NewRankTracerSized returns a tracer for the given rank whose log takes
+// n entries and argBytes bytes of arguments before it allocates again: for
+// a replay that knows its size, so the log is one chunk that assembly
+// takes without a copy.
+func NewRankTracerSized(rank, n, argBytes int) *RankTracer {
+	return &RankTracer{rank: int32(rank), cur: make([]Entry, 0, n), tabs: rankTables{args: make([]byte, 0, argBytes)}}
+}
+
 // Rank returns the rank this tracer belongs to.
 func (t *RankTracer) Rank() int { return int(t.rank) }
 
@@ -165,7 +173,7 @@ func (t *RankTracer) Emit(r Record, args []int64) {
 // index.
 func (t *RankTracer) fail(reason string) {
 	if t.err == nil {
-		t.err = &TraceError{Rank: t.Rank(), Record: t.Len(), Reason: reason}
+		t.err = &TraceError{Rank: t.Rank(), Record: t.count(), Reason: reason}
 	}
 }
 
@@ -190,18 +198,22 @@ func (t *RankTracer) intern(s string, last *lastPath) uint32 {
 	return id
 }
 
-// Len returns the number of records collected so far.
-func (t *RankTracer) Len() int { return t.n + len(t.cur) }
+// count returns the number of records collected so far.
+func (t *RankTracer) count() int { return t.n + len(t.cur) }
 
-// take returns the collected entries as one slice of exactly Len()
-// elements, in emission order, with the tables they index, and leaves the
-// tracer empty.
+// take returns the collected entries as one slice of exactly count()
+// elements and capacity, in emission order, with the tables they index,
+// and leaves the tracer empty. A log that is exactly one full chunk (a
+// replay sized by its record count) is returned as it is.
 func (t *RankTracer) take() ([]Entry, rankTables) {
-	out := make([]Entry, 0, t.Len())
-	for _, c := range t.chunks {
-		out = append(out, c...)
+	out := t.cur
+	if len(t.chunks) > 0 || len(t.cur) < cap(t.cur) {
+		out = make([]Entry, 0, t.count())
+		for _, c := range t.chunks {
+			out = append(out, c...)
+		}
+		out = append(out, t.cur...)
 	}
-	out = append(out, t.cur...)
 	tabs := t.tabs
 	*t = RankTracer{rank: t.rank}
 	return out, tabs
@@ -334,7 +346,7 @@ func alignRank(rank int, es []Entry, tabs *rankTables) error {
 			return &TraceError{Rank: rank, Record: i, Reason: fmt.Sprintf("TEnd %d < TStart %d", e.TEnd, e.TStart)}
 		case e.TStart < prev:
 			return &TraceError{Rank: rank, Record: i, Reason: fmt.Sprintf("TStart %d < previous %d (stream not time-ordered)", e.TStart, prev)}
-		case !e.Func.Valid():
+		case !e.Func.valid():
 			return &TraceError{Rank: rank, Record: i, Reason: fmt.Sprintf("invalid func %d", e.Func)}
 		case int(e.Layer) >= NumLayers():
 			return &TraceError{Rank: rank, Record: i, Reason: fmt.Sprintf("invalid layer %d", e.Layer)}

@@ -57,7 +57,7 @@ func (e *emitter) emit(r Record) {
 	for i := range args {
 		args[i] = -2 // the caller reuses its slice
 	}
-	if got, want := e.rt.Len(), len(e.oracle.records); got != want {
+	if got, want := e.rt.count(), len(e.oracle.records); got != want {
 		e.t.Fatalf("Len() = %d after %d emits", got, want)
 	}
 }
@@ -146,7 +146,7 @@ func TestRankTracerMatchesSliceOracle(t *testing.T) {
 			if r > 0 {
 				n = rng.Intn(3 * maxChunk * (r + 1))
 			}
-			for e.rt.Len() < n {
+			for e.rt.count() < n {
 				switch rng.Intn(3) {
 				case 0:
 					e.leaf()
@@ -172,7 +172,7 @@ func TestRankTracerMatchesSliceOracle(t *testing.T) {
 			if cap(got.PerRank[r]) != len(got.PerRank[r]) {
 				t.Fatalf("seed %d rank %d: flattened log has cap %d for %d records", seed, r, cap(got.PerRank[r]), len(got.PerRank[r]))
 			}
-			if n := tracers[r].Len(); n != 0 {
+			if n := tracers[r].count(); n != 0 {
 				t.Fatalf("seed %d rank %d: tracer still holds %d records after NewTrace", seed, r, n)
 			}
 		}

@@ -23,22 +23,14 @@ const (
 	batonTag = 7001
 )
 
-// Options configures the multi-file layout.
+// Options configures the multi-file layout. The N ranks share M Silo
+// files, one per compute node.
 type Options struct {
-	// Files is M, the number of Silo files shared by the N ranks.
-	// 0 means one file per compute node.
-	Files int
 	// BlockSize is the bytes each rank writes per variable.
 	BlockSize int64
 }
 
-func (o Options) withDefaults(comm *mpi.Proc) Options {
-	if o.Files <= 0 {
-		o.Files = comm.Nodes()
-	}
-	if o.Files > comm.Size() {
-		o.Files = comm.Size()
-	}
+func (o Options) withDefaults() Options {
 	if o.BlockSize <= 0 {
 		o.BlockSize = 1024
 	}
@@ -50,8 +42,9 @@ func (o Options) withDefaults(comm *mpi.Proc) Options {
 // Variables are laid out variable-major: all ranks' blocks of variable 0,
 // then variable 1, ... so each rank's accesses within the file are strided.
 func Dump(comm *mpi.Proc, os *posix.Proc, tracer *recorder.RankTracer, baseName string, vars []string, opts Options) error {
-	o := opts.withDefaults(comm)
-	group := (comm.Size() + o.Files - 1) / o.Files
+	o := opts.withDefaults()
+	files := comm.Nodes()
+	group := (comm.Size() + files - 1) / files
 	fileIdx := comm.Rank() / group
 	groupLo := fileIdx * group
 	groupHi := groupLo + group

@@ -10,13 +10,13 @@ import (
 	"repro/internal/recorder/v1test"
 )
 
-func runDump(t *testing.T, ranks, ppn, files int) *harness.Result {
+func runDump(t *testing.T, ranks, ppn int) *harness.Result {
 	t.Helper()
 	res, err := harness.Run(harness.Config{Ranks: ranks, PPN: ppn, Semantics: pfs.Strong},
 		recorder.Meta{App: "silo-test", Library: "Silo"},
 		func(ctx *harness.Ctx) error {
 			return Dump(ctx.MPI, ctx.OS, ctx.Tracer, "/dump000",
-				[]string{"pressure", "density"}, Options{Files: files, BlockSize: 256})
+				[]string{"pressure", "density"}, Options{BlockSize: 256})
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +28,7 @@ func runDump(t *testing.T, ranks, ppn, files int) *harness.Result {
 }
 
 func TestMultiFileLayout(t *testing.T) {
-	res := runDump(t, 8, 4, 2) // 8 ranks over 2 files → groups of 4
+	res := runDump(t, 8, 4) // 8 ranks on 2 nodes share 2 files → groups of 4
 	for fidx := 0; fidx < 2; fidx++ {
 		path := fmt.Sprintf("/dump000.%03d.silo", fidx)
 		info, _, err := res.FS.Stat(path)
@@ -44,7 +44,7 @@ func TestMultiFileLayout(t *testing.T) {
 }
 
 func TestBatonSerializesGroup(t *testing.T) {
-	res := runDump(t, 4, 4, 1) // one file, 4 ranks, baton through all
+	res := runDump(t, 4, 4) // one node: one file, 4 ranks, baton through all
 	// Writes to the shared file must be time-ordered by rank (baton order)
 	// for the mesh blocks.
 	type w struct {
@@ -68,7 +68,7 @@ func TestBatonSerializesGroup(t *testing.T) {
 }
 
 func TestRootRewritesTOCSameSession(t *testing.T) {
-	res := runDump(t, 4, 2, 2)
+	res := runDump(t, 4, 2)
 	// Each group root must write offset 0 at least twice, with the first
 	// two writes inside one open session (DBCreate TOC + directory update):
 	// the WAW-S mechanism.
@@ -89,7 +89,7 @@ func TestRootRewritesTOCSameSession(t *testing.T) {
 }
 
 func TestStridedPerRankOffsets(t *testing.T) {
-	res := runDump(t, 4, 4, 1)
+	res := runDump(t, 4, 4)
 	// Rank 1's writes in the shared file: mesh at 384+256, var0 at
 	// 384+4*256+256, var1 at 384+4*256+4*256+256 — strided, not consecutive.
 	var offs []int64
@@ -110,7 +110,7 @@ func TestStridedPerRankOffsets(t *testing.T) {
 }
 
 func TestSiloLayerRecords(t *testing.T) {
-	res := runDump(t, 2, 2, 1)
+	res := runDump(t, 2, 2)
 	seen := map[recorder.Func]bool{}
 	for _, r := range v1test.Filter(res.Trace, func(r *recorder.Record) bool { return r.Layer == recorder.LayerSilo }) {
 		seen[r.Func] = true
@@ -126,7 +126,7 @@ func TestSiloLayerRecords(t *testing.T) {
 }
 
 func TestSingleRankGroups(t *testing.T) {
-	res := runDump(t, 2, 1, 2) // every rank is its own group root
+	res := runDump(t, 2, 1) // one rank per node: every rank is its own group root
 	for fidx := 0; fidx < 2; fidx++ {
 		path := fmt.Sprintf("/dump000.%03d.silo", fidx)
 		if !res.FS.Exists(path) {

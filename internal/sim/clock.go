@@ -5,7 +5,7 @@
 //
 // All time in the simulation is logical and expressed in nanoseconds as
 // uint64. Every rank owns a Clock; operations advance it by amounts taken
-// from a CostModel, and MPI synchronization merges clocks with max(), so the
+// from the cost model, and MPI synchronization merges clocks with max(), so the
 // resulting timestamps form a total order per rank that is consistent with
 // the happens-before partial order across ranks — exactly the property the
 // paper's conflict-detection methodology (Section 5.2) relies on.
@@ -29,9 +29,6 @@ func NewClock(start uint64, skew int64) *Clock {
 
 // Now returns the true logical time in nanoseconds.
 func (c *Clock) Now() uint64 { return c.now }
-
-// Skew returns the constant local-clock offset in nanoseconds.
-func (c *Clock) Skew() int64 { return c.skew }
 
 // Stamp returns the timestamp the rank's local clock would record now.
 func (c *Clock) Stamp() uint64 {
@@ -89,24 +86,4 @@ func (t Topology) NodeOf(rank int) int {
 		panic(fmt.Sprintf("sim: rank %d out of range [0,%d)", rank, t.Ranks))
 	}
 	return rank / t.PPN
-}
-
-// SameNode reports whether two ranks share a compute node.
-func (t Topology) SameNode(a, b int) bool { return t.NodeOf(a) == t.NodeOf(b) }
-
-// RanksOnNode returns the ranks hosted on the given node, in rank order.
-func (t Topology) RanksOnNode(node int) []int {
-	lo := node * t.PPN
-	hi := lo + t.PPN
-	if hi > t.Ranks {
-		hi = t.Ranks
-	}
-	if lo >= hi {
-		return nil
-	}
-	out := make([]int, 0, hi-lo)
-	for r := lo; r < hi; r++ {
-		out = append(out, r)
-	}
-	return out
 }

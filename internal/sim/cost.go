@@ -1,70 +1,48 @@
 package sim
 
-// CostModel holds the latency/bandwidth constants used to advance the
-// logical clocks. Absolute values are loosely inspired by the paper's
-// environment (Omni-Path network, Lustre over disk/flash) but are not claims;
-// the reproduction's claims are about orderings, counts and category mixes,
-// not absolute time (see DESIGN.md §5). What matters is that I/O operations
-// take tens of microseconds to milliseconds while residual clock skew is
-// kept below 20 µs, preserving the paper's "timestamp order of conflicting
-// operations matches execution order" property.
-type CostModel struct {
+// The cost model: the latency/bandwidth constants used to advance the
+// logical clocks, in nanoseconds. Absolute values are loosely inspired by
+// the paper's environment (Omni-Path network, Lustre over disk/flash) but
+// are not claims; the reproduction's claims are about orderings, counts and
+// category mixes, not absolute time (see DESIGN.md §5). What matters is that
+// I/O operations take tens of microseconds to milliseconds while residual
+// clock skew is kept below 20 µs, preserving the paper's "timestamp order of
+// conflicting operations matches execution order" property.
+const (
 	// Network.
-	MsgLatency   uint64 // p2p message latency, ns
-	MsgPerByte   uint64 // additional ns per byte transferred
-	BarrierCost  uint64 // cost of a barrier once all ranks arrive, ns
-	CollPerByte  uint64 // per-byte cost inside data-moving collectives, ns
-	LocalCompute uint64 // generic per-step compute cost, ns
+	MsgLatency   uint64 = 2_000  // p2p message latency: 2 µs
+	msgPerByte   uint64 = 1      // additional ns per byte transferred (~1 GB/s effective)
+	BarrierCost  uint64 = 5_000  // cost of a barrier once all ranks arrive: 5 µs
+	CollPerByte  uint64 = 1      // per-byte cost inside data-moving collectives
+	LocalCompute uint64 = 50_000 // generic per-step compute cost: 50 µs
 
 	// File system client operations (excluding server-side costs, which the
 	// PFS adds itself depending on the consistency model).
-	OpenCost  uint64 // open/creat, ns
-	CloseCost uint64 // close, ns
-	MetaCost  uint64 // stat/access/unlink/... metadata op, ns
-	SeekCost  uint64 // lseek/fseek, ns
-	SyncCost  uint64 // fsync/fdatasync base cost, ns
-	IOBase    uint64 // fixed cost of any read/write, ns
-	IOPerByte uint64 // ns per byte read or written
+	OpenCost  uint64 = 20_000  // open/creat: 20 µs
+	CloseCost uint64 = 10_000  // close
+	MetaCost  uint64 = 8_000   // stat/access/unlink/... metadata op
+	SeekCost  uint64 = 500     // lseek/fseek
+	SyncCost  uint64 = 100_000 // fsync/fdatasync base cost: 100 µs
+	ioBase    uint64 = 10_000  // fixed cost of any read/write: 10 µs
+	ioPerByte uint64 = 1       // ns per byte read or written (~1 GB/s)
 
 	// Server-side model used by the PFS.
-	MetaRPC       uint64 // one metadata-server round trip, ns
-	LockRPC       uint64 // one lock-manager round trip, ns
-	LockPerSharer uint64 // extra queueing ns per concurrent sharer of a file under strong semantics
-}
-
-// DefaultCostModel returns the cost model used throughout the repository.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		MsgLatency:    2_000, // 2 µs
-		MsgPerByte:    1,     // ~1 GB/s effective
-		BarrierCost:   5_000, // 5 µs
-		CollPerByte:   1,
-		LocalCompute:  50_000, // 50 µs per compute step
-		OpenCost:      20_000, // 20 µs
-		CloseCost:     10_000,
-		MetaCost:      8_000,
-		SeekCost:      500,
-		SyncCost:      100_000, // 100 µs
-		IOBase:        10_000,  // 10 µs
-		IOPerByte:     1,       // ~1 GB/s
-		MetaRPC:       10_000,
-		LockRPC:       12_000,
-		LockPerSharer: 6_000,
-	}
-}
+	MetaRPC uint64 = 10_000 // one metadata-server round trip
+	LockRPC uint64 = 12_000 // one lock-manager round trip
+)
 
 // IOCost returns the client-side cost of a data operation of n bytes.
-func (c CostModel) IOCost(n int64) uint64 {
+func IOCost(n int64) uint64 {
 	if n < 0 {
 		n = 0
 	}
-	return c.IOBase + uint64(n)*c.IOPerByte
+	return ioBase + uint64(n)*ioPerByte
 }
 
 // MsgCost returns the cost of moving an n-byte point-to-point message.
-func (c CostModel) MsgCost(n int64) uint64 {
+func MsgCost(n int64) uint64 {
 	if n < 0 {
 		n = 0
 	}
-	return c.MsgLatency + uint64(n)*c.MsgPerByte
+	return MsgLatency + uint64(n)*msgPerByte
 }

@@ -47,8 +47,8 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63n returns a pseudo-random int64 in [0, n). It panics if n <= 0.
-func (r *RNG) Int63n(n int64) int64 {
+// int63n returns a pseudo-random int64 in [0, n). It panics if n <= 0.
+func (r *RNG) int63n(n int64) int64 {
 	if n <= 0 {
 		panic("sim: Int63n with non-positive n")
 	}
@@ -60,10 +60,5 @@ func (r *RNG) SkewNS(maxAbs int64) int64 {
 	if maxAbs <= 0 {
 		return 0
 	}
-	return r.Int63n(2*maxAbs+1) - maxAbs
-}
-
-// Float64 returns a pseudo-random float64 in [0, 1).
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return r.int63n(2*maxAbs+1) - maxAbs
 }

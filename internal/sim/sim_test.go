@@ -146,7 +146,7 @@ func TestRNGBounds(t *testing.T) {
 		if v := r.Intn(10); v < 0 || v >= 10 {
 			t.Fatalf("Intn(10) = %d out of range", v)
 		}
-		if v := r.Int63n(7); v < 0 || v >= 7 {
+		if v := r.int63n(7); v < 0 || v >= 7 {
 			t.Fatalf("Int63n(7) = %d out of range", v)
 		}
 		if v := r.Float64(); v < 0 || v >= 1 {
@@ -162,17 +162,16 @@ func TestRNGBounds(t *testing.T) {
 }
 
 func TestCostModel(t *testing.T) {
-	c := DefaultCostModel()
-	if c.IOCost(0) != c.IOBase {
-		t.Fatalf("IOCost(0) = %d, want base %d", c.IOCost(0), c.IOBase)
+	if IOCost(0) != ioBase {
+		t.Fatalf("IOCost(0) = %d, want base %d", IOCost(0), ioBase)
 	}
-	if c.IOCost(-5) != c.IOBase {
+	if IOCost(-5) != ioBase {
 		t.Fatal("negative sizes must clamp to zero bytes")
 	}
-	if got := c.IOCost(1000); got != c.IOBase+1000*c.IOPerByte {
+	if got := IOCost(1000); got != ioBase+1000*ioPerByte {
 		t.Fatalf("IOCost(1000) = %d", got)
 	}
-	if got := c.MsgCost(100); got != c.MsgLatency+100*c.MsgPerByte {
+	if got := MsgCost(100); got != MsgLatency+100*msgPerByte {
 		t.Fatalf("MsgCost(100) = %d", got)
 	}
 }

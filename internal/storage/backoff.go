@@ -18,8 +18,8 @@ type Backoff struct {
 	Seed       uint64 // jitter stream identity; default 1
 }
 
-// WithDefaults fills zero fields with the documented defaults.
-func (b Backoff) WithDefaults() Backoff {
+// withDefaults fills zero fields with the documented defaults.
+func (b Backoff) withDefaults() Backoff {
 	if b.BaseNS == 0 {
 		b.BaseNS = 100_000
 	}
@@ -37,7 +37,7 @@ func (b Backoff) WithDefaults() Backoff {
 
 // Delay returns the jittered backoff for the given attempt, in nanoseconds.
 func (b Backoff) Delay(attempt int) uint64 {
-	b = b.WithDefaults()
+	b = b.withDefaults()
 	if attempt < 0 {
 		attempt = 0
 	}
@@ -55,27 +55,4 @@ func (b Backoff) Delay(attempt int) uint64 {
 	// j ∈ [0, d/2]; delay = d - d/4 + j ∈ [d - d/4, d + d/4].
 	j := sim.NewRNG(b.Seed).Split(uint64(attempt)).Uint64() % (d/2 + 1)
 	return d - d/4 + j
-}
-
-// MaxTotalDelay is the analytic worst-case cumulative sleep across the
-// first `attempts` retries: each attempt sleeps at most 5⁄4 of its nominal
-// delay, and nominals grow geometrically saturating at CapNS. Independent
-// of Seed — the bound the retry policy's property tests pin every seed's
-// actual total under.
-func (b Backoff) MaxTotalDelay(attempts int) uint64 {
-	b = b.WithDefaults()
-	var total uint64
-	d := b.BaseNS
-	for i := 0; i < attempts; i++ {
-		if d > b.CapNS {
-			d = b.CapNS
-		}
-		total += d + d/4
-		if d >= b.CapNS/b.Multiplier {
-			d = b.CapNS
-		} else {
-			d *= b.Multiplier
-		}
-	}
-	return total
 }

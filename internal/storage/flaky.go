@@ -17,8 +17,8 @@ import (
 //
 // Fault contract the retry policy leans on: FaultTransient and
 // FaultRenameFail fail the operation *before* it reaches the wrapped
-// backend — a retry is side-effect-safe. FaultTorn mutates state (half the
-// write lands) and therefore returns a permanent error; FaultLostSync
+// backend — a retry is side-effect-safe. faultTorn mutates state (half the
+// write lands) and therefore returns a permanent error; faultLostSync
 // succeeds without syncing (the durability lie a broken disk tells), also
 // not retryable because the caller cannot see it at all.
 
@@ -26,30 +26,30 @@ import (
 type FaultKind int
 
 const (
-	// FaultLatency sleeps Arg nanoseconds before the operation proceeds —
+	// faultLatency sleeps Arg nanoseconds before the operation proceeds —
 	// a slow backend, not a broken one.
-	FaultLatency FaultKind = iota
-	// FaultTransient fails the operation with ErrTransient before it
+	faultLatency FaultKind = iota
+	// FaultTransient fails the operation with errTransient before it
 	// touches the wrapped backend; the next Arg-1 operations of the same
 	// class fail too (a blip, not a single lost packet).
 	FaultTransient
-	// FaultTorn writes only the first half of the payload to the wrapped
+	// faultTorn writes only the first half of the payload to the wrapped
 	// backend, then fails permanently — the classic torn write.
-	FaultTorn
-	// FaultLostSync makes a Sync succeed without syncing: the caller
+	faultTorn
+	// faultLostSync makes a Sync succeed without syncing: the caller
 	// believes in durability that does not exist.
-	FaultLostSync
-	// FaultRenameFail fails a Rename with ErrTransient before it executes.
+	faultLostSync
+	// FaultRenameFail fails a Rename with errTransient before it executes.
 	FaultRenameFail
 
 	numFaultKinds
 )
 
 var faultKindNames = [...]string{
-	FaultLatency:    "latency",
+	faultLatency:    "latency",
 	FaultTransient:  "transient",
-	FaultTorn:       "torn-write",
-	FaultLostSync:   "lost-sync",
+	faultTorn:       "torn-write",
+	faultLostSync:   "lost-sync",
 	FaultRenameFail: "rename-fail",
 }
 
@@ -73,9 +73,9 @@ const (
 
 func (k FaultKind) class() opClass {
 	switch k {
-	case FaultTorn:
+	case faultTorn:
 		return classWrite
-	case FaultLatency, FaultLostSync:
+	case faultLatency, faultLostSync:
 		return classSync
 	case FaultRenameFail:
 		return classRename
@@ -87,27 +87,27 @@ func (k FaultKind) class() opClass {
 
 func (c opClass) matches(op opClass) bool { return c == classAny || c == op }
 
-// FaultInjection is one scheduled fault: at the Nth (1-based) eligible
+// faultInjection is one scheduled fault: at the Nth (1-based) eligible
 // operation of Kind's class, fire Kind with parameter Arg.
-type FaultInjection struct {
+type faultInjection struct {
 	Kind FaultKind
 	N    int
 	Arg  uint64
 }
 
-func (in FaultInjection) String() string {
+func (in faultInjection) String() string {
 	return fmt.Sprintf("kind=%s n=%d arg=%d", in.Kind, in.N, in.Arg)
 }
 
 // Schedule is a deterministic storage-fault plan. WedgeAfter > 0 turns the
 // backend persistently unhealthy after that many eligible operations:
-// every subsequent write/sync/rename fails with ErrTransient forever, the
+// every subsequent write/sync/rename fails with errTransient forever, the
 // shape that exhausts the retry policy and drives the degradation ladder
 // (WAL → write-through, ckpt → config error).
 type Schedule struct {
 	Seed       uint64
 	WedgeAfter int
-	Injections []FaultInjection
+	Injections []faultInjection
 }
 
 // Encode renders the schedule canonically; equal seeds and options produce
@@ -128,14 +128,13 @@ type GenOptions struct {
 	Count int
 	// Kinds restricts the taxonomy; nil means all kinds.
 	Kinds []FaultKind
-	// MaxNth bounds the random spacing between injection indices N: the
-	// first injection of each op class lands within the first MaxNth
-	// eligible operations, each later same-class injection within MaxNth
-	// counted ops of the previous one (default 12).
-	MaxNth int
-	// WedgeAfter, if > 0, wedges the backend after that many operations.
-	WedgeAfter int
 }
+
+// genMaxNth bounds the random spacing between generated injection indices
+// N: the first injection of each op class lands within the first genMaxNth
+// eligible operations, each later same-class injection within genMaxNth
+// counted ops of the previous one.
+const genMaxNth = 12
 
 // GenSchedule derives a schedule from a seed. All randomness flows through
 // a splitmix64 stream seeded with seed, so the same (seed, options) pair
@@ -146,13 +145,10 @@ func GenSchedule(seed uint64, o GenOptions) Schedule {
 	}
 	kinds := o.Kinds
 	if len(kinds) == 0 {
-		kinds = []FaultKind{FaultLatency, FaultTransient, FaultTorn, FaultLostSync, FaultRenameFail}
-	}
-	if o.MaxNth <= 0 {
-		o.MaxNth = 12
+		kinds = []FaultKind{faultLatency, FaultTransient, faultTorn, faultLostSync, FaultRenameFail}
 	}
 	rng := sim.NewRNG(seed).Split(0x57047A6E) // "STORAGE"
-	s := Schedule{Seed: seed, WedgeAfter: o.WedgeAfter}
+	s := Schedule{Seed: seed}
 	// Same-class injections are spaced ≥ 3 counted ops apart. That caps the
 	// consecutive failures any single retried operation can face at one
 	// transient blip (Arg ≤ 3, counting its trigger) — by the time the blip
@@ -165,11 +161,11 @@ func GenSchedule(seed uint64, o GenOptions) Schedule {
 	for i := 0; i < o.Count; i++ {
 		k := kinds[rng.Intn(len(kinds))]
 		c := k.class()
-		n := nextN[c] + 1 + rng.Intn(o.MaxNth)
+		n := nextN[c] + 1 + rng.Intn(genMaxNth)
 		nextN[c] = n + 2
-		inj := FaultInjection{Kind: k, N: n}
+		inj := faultInjection{Kind: k, N: n}
 		switch k {
-		case FaultLatency:
+		case faultLatency:
 			inj.Arg = uint64(200_000 + rng.Intn(1_800_000)) // 0.2–2 ms
 		case FaultTransient:
 			inj.Arg = uint64(1 + rng.Intn(3))
@@ -188,15 +184,15 @@ func (s Schedule) TransientOnly() bool {
 		return false
 	}
 	for _, in := range s.Injections {
-		if in.Kind != FaultLatency && in.Kind != FaultTransient && in.Kind != FaultRenameFail {
+		if in.Kind != faultLatency && in.Kind != FaultTransient && in.Kind != FaultRenameFail {
 			return false
 		}
 	}
 	return true
 }
 
-// FlakyStats counts what a flaky backend actually did.
-type FlakyStats struct {
+// flakyStats counts what a flaky backend actually did.
+type flakyStats struct {
 	Ops   int64 // eligible operations observed
 	Fired int64 // injections fired
 }
@@ -207,16 +203,16 @@ type flaky struct {
 
 	mu            sync.Mutex
 	counts        [numOpClasses]int
-	pending       map[[2]int][]FaultInjection // {class, n} → injections
+	pending       map[[2]int][]faultInjection // {class, n} → injections
 	streak        map[string]int              // path → consecutive failed ops
 	transientLeft [numOpClasses]int
 	wedged        bool
-	stats         FlakyStats
+	stats         flakyStats
 }
 
 // NewFlaky wraps inner with a fault schedule.
 func NewFlaky(inner Backend, sched Schedule) Backend {
-	f := &flaky{inner: inner, sched: sched, pending: map[[2]int][]FaultInjection{}, streak: map[string]int{}}
+	f := &flaky{inner: inner, sched: sched, pending: map[[2]int][]faultInjection{}, streak: map[string]int{}}
 	for _, in := range sched.Injections {
 		k := [2]int{int(in.Kind.class()), in.N}
 		f.pending[k] = append(f.pending[k], in)
@@ -230,14 +226,14 @@ func (f *flaky) Unwrap() Backend { return f.inner }
 // action is what the schedule decided for one operation.
 type action struct {
 	latency  time.Duration
-	fail     bool // ErrTransient before the op executes
+	fail     bool // errTransient before the op executes
 	torn     bool // write half, then permanent error
 	lostSync bool // skip the sync, report success
 }
 
 // maxFailStreak bounds the consecutive failed operations on one path below
 // the retry policy's default attempt budget.
-const maxFailStreak = defaultMaxAttempts - 1
+const maxFailStreak = maxAttempts - 1
 
 // decide counts one eligible operation of class c on path and folds every
 // firing injection into an action.
@@ -302,10 +298,10 @@ func (f *flaky) schedule(c opClass) action {
 	return act
 }
 
-func (f *flaky) apply(in FaultInjection, act *action) {
+func (f *flaky) apply(in faultInjection, act *action) {
 	f.stats.Fired++
 	switch in.Kind {
-	case FaultLatency:
+	case faultLatency:
 		d := time.Duration(in.Arg)
 		if d > act.latency {
 			act.latency = d
@@ -315,9 +311,9 @@ func (f *flaky) apply(in FaultInjection, act *action) {
 		if in.Arg > 1 {
 			f.transientLeft[classAny] += int(in.Arg) - 1
 		}
-	case FaultTorn:
+	case faultTorn:
 		act.torn = true
-	case FaultLostSync:
+	case faultLostSync:
 		act.lostSync = true
 	case FaultRenameFail:
 		act.fail = true
@@ -325,7 +321,7 @@ func (f *flaky) apply(in FaultInjection, act *action) {
 }
 
 // Stats snapshots the backend's activity.
-func (f *flaky) Stats() FlakyStats {
+func (f *flaky) Stats() flakyStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.stats
@@ -360,7 +356,7 @@ func (f *flaky) Rename(oldpath, newpath string) error {
 		time.Sleep(act.latency)
 	}
 	if act.fail {
-		return fmt.Errorf("%w: injected rename failure (%s -> %s)", ErrTransient, oldpath, newpath)
+		return fmt.Errorf("%w: injected rename failure (%s -> %s)", errTransient, oldpath, newpath)
 	}
 	return f.inner.Rename(oldpath, newpath)
 }
@@ -383,7 +379,7 @@ func (ff *flakyFile) Write(p []byte) (int, error) {
 		time.Sleep(act.latency)
 	}
 	if act.fail {
-		return 0, fmt.Errorf("%w: injected write failure (%s)", ErrTransient, ff.inner.Name())
+		return 0, fmt.Errorf("%w: injected write failure (%s)", errTransient, ff.inner.Name())
 	}
 	if act.torn {
 		n, _ := ff.inner.Write(p[:len(p)/2])
@@ -398,7 +394,7 @@ func (ff *flakyFile) WriteAt(p []byte, off int64) (int, error) {
 		time.Sleep(act.latency)
 	}
 	if act.fail {
-		return 0, fmt.Errorf("%w: injected write failure (%s)", ErrTransient, ff.inner.Name())
+		return 0, fmt.Errorf("%w: injected write failure (%s)", errTransient, ff.inner.Name())
 	}
 	if act.torn {
 		n, _ := ff.inner.WriteAt(p[:len(p)/2], off)
@@ -413,7 +409,7 @@ func (ff *flakyFile) Sync() error {
 		time.Sleep(act.latency)
 	}
 	if act.fail {
-		return fmt.Errorf("%w: injected sync failure (%s)", ErrTransient, ff.inner.Name())
+		return fmt.Errorf("%w: injected sync failure (%s)", errTransient, ff.inner.Name())
 	}
 	if act.lostSync {
 		return nil // the lie: success without durability

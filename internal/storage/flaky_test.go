@@ -31,7 +31,7 @@ func openFlakyFile(t *testing.T, sched Schedule) (Backend, File, string) {
 	t.Helper()
 	fb := NewFlaky(OS(), sched)
 	path := filepath.Join(t.TempDir(), "f.dat")
-	f, err := fb.Open(path, OCreate|ORdwr, 0o644)
+	f, err := fb.Open(path, OCreate|oRdwr, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,15 +40,15 @@ func openFlakyFile(t *testing.T, sched Schedule) (Backend, File, string) {
 }
 
 // TestFlakyTransientFiresBeforeEffects: an injected transient write fails
-// with ErrTransient and leaves the underlying file untouched — the
+// with errTransient and leaves the underlying file untouched — the
 // side-effect-free contract that makes the retry policy safe.
 func TestFlakyTransientFiresBeforeEffects(t *testing.T) {
-	sched := Schedule{Injections: []FaultInjection{{Kind: FaultTransient, N: 1, Arg: 2}}}
+	sched := Schedule{Injections: []faultInjection{{Kind: FaultTransient, N: 1, Arg: 2}}}
 	fb, f, path := openFlakyFile(t, sched)
 	// N=1 with Arg=2: first two eligible ops fail, third succeeds.
 	for i := 0; i < 2; i++ {
-		if _, err := f.Write([]byte("data")); !errors.Is(err, ErrTransient) {
-			t.Fatalf("write %d: err = %v, want ErrTransient", i, err)
+		if _, err := f.Write([]byte("data")); !errors.Is(err, errTransient) {
+			t.Fatalf("write %d: err = %v, want errTransient", i, err)
 		}
 	}
 	if got, _ := OS().ReadFile(path); len(got) != 0 {
@@ -72,7 +72,7 @@ func TestFlakyTransientFiresBeforeEffects(t *testing.T) {
 // which drove a WAL under the kill harness into write-through. A must
 // never fail more than maxFailStreak times in a row.
 func TestFlakyFailStreakBoundedUnderSharing(t *testing.T) {
-	sched := Schedule{Injections: []FaultInjection{
+	sched := Schedule{Injections: []faultInjection{
 		{Kind: FaultTransient, N: 1, Arg: 3},
 		{Kind: FaultTransient, N: 4, Arg: 3},
 		{Kind: FaultTransient, N: 7, Arg: 3},
@@ -93,13 +93,13 @@ func TestFlakyFailStreakBoundedUnderSharing(t *testing.T) {
 	}
 	a, b := open("a.dat"), open("b.dat")
 	streak := 0
-	for attempt := 1; attempt <= defaultMaxAttempts; attempt++ {
+	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		if _, err := a.Write([]byte("a")); err == nil {
 			if streak > maxFailStreak {
 				t.Fatalf("A failed %d times in a row before succeeding", streak)
 			}
 			return
-		} else if !errors.Is(err, ErrTransient) {
+		} else if !errors.Is(err, errTransient) {
 			t.Fatalf("A attempt %d: %v", attempt, err)
 		}
 		streak++
@@ -110,22 +110,22 @@ func TestFlakyFailStreakBoundedUnderSharing(t *testing.T) {
 			b.Write([]byte("b"))
 		}
 	}
-	t.Fatalf("A failed all %d attempts under a transient-only schedule", defaultMaxAttempts)
+	t.Fatalf("A failed all %d attempts under a transient-only schedule", maxAttempts)
 }
 
 // TestFlakyTornWriteIsPermanent: a torn write lands half the payload and
-// returns a NON-transient error. If it were ErrTransient the retry policy
+// returns a NON-transient error. If it were errTransient the retry policy
 // would replay it and duplicate half-frames into append-only logs.
 func TestFlakyTornWriteIsPermanent(t *testing.T) {
-	sched := Schedule{Injections: []FaultInjection{{Kind: FaultTorn, N: 1}}}
+	sched := Schedule{Injections: []faultInjection{{Kind: faultTorn, N: 1}}}
 	_, f, path := openFlakyFile(t, sched)
 	payload := []byte("0123456789abcdef")
 	n, err := f.Write(payload)
 	if err == nil {
 		t.Fatal("torn write reported success")
 	}
-	if errors.Is(err, ErrTransient) {
-		t.Fatalf("torn write returned ErrTransient (%v) — retrying would corrupt the log", err)
+	if errors.Is(err, errTransient) {
+		t.Fatalf("torn write returned errTransient (%v) — retrying would corrupt the log", err)
 	}
 	if n != len(payload)/2 {
 		t.Fatalf("torn write landed %d bytes, want %d", n, len(payload)/2)
@@ -140,7 +140,7 @@ func TestFlakyTornWriteIsPermanent(t *testing.T) {
 // backend — on the objstore base that means the version is never published.
 func TestFlakyLostSync(t *testing.T) {
 	inner := NewObjStore(ObjStoreOptions{Root: t.TempDir(), VisibilityDelay: time.Millisecond})
-	fb := NewFlaky(inner, Schedule{Injections: []FaultInjection{{Kind: FaultLostSync, N: 1}}})
+	fb := NewFlaky(inner, Schedule{Injections: []faultInjection{{Kind: faultLostSync, N: 1}}})
 	f, err := fb.Open("k.dat", OCreate|OWronly, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -159,18 +159,18 @@ func TestFlakyLostSync(t *testing.T) {
 	}
 }
 
-// TestFlakyRenameFail: the rename fails with ErrTransient before executing;
+// TestFlakyRenameFail: the rename fails with errTransient before executing;
 // a retry then succeeds, so WriteFileAtomic survives it under the policy.
 func TestFlakyRenameFail(t *testing.T) {
 	dir := t.TempDir()
-	fb := NewFlaky(OS(), Schedule{Injections: []FaultInjection{{Kind: FaultRenameFail, N: 1}}})
+	fb := NewFlaky(OS(), Schedule{Injections: []faultInjection{{Kind: FaultRenameFail, N: 1}}})
 	src := filepath.Join(dir, "a")
 	dst := filepath.Join(dir, "b")
 	if err := WriteFileAtomic(OS(), src, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if err := fb.Rename(src, dst); !errors.Is(err, ErrTransient) {
-		t.Fatalf("first rename: err = %v, want ErrTransient", err)
+	if err := fb.Rename(src, dst); !errors.Is(err, errTransient) {
+		t.Fatalf("first rename: err = %v, want errTransient", err)
 	}
 	if _, err := OS().ReadFile(src); err != nil {
 		t.Fatalf("failed rename moved the source: %v", err)
@@ -190,14 +190,14 @@ func TestFlakyWedge(t *testing.T) {
 		}
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := f.Write([]byte("no")); !errors.Is(err, ErrTransient) {
-			t.Fatalf("post-wedge write %d: err = %v, want ErrTransient", i, err)
+		if _, err := f.Write([]byte("no")); !errors.Is(err, errTransient) {
+			t.Fatalf("post-wedge write %d: err = %v, want errTransient", i, err)
 		}
 	}
 	if !fb.(*flaky).Wedged() {
 		t.Fatal("backend not wedged")
 	}
-	if err := f.Sync(); !errors.Is(err, ErrTransient) {
+	if err := f.Sync(); !errors.Is(err, errTransient) {
 		t.Fatalf("post-wedge sync: %v", err)
 	}
 }
@@ -207,9 +207,9 @@ func TestFlakyWedge(t *testing.T) {
 // counters, so later injections fire at the same workload positions whether
 // or not a retry layer sits on top.
 func TestFlakyRetryStormDoesNotShiftSchedule(t *testing.T) {
-	sched := Schedule{Injections: []FaultInjection{
+	sched := Schedule{Injections: []faultInjection{
 		{Kind: FaultTransient, N: 1, Arg: 3}, // ops 1..3 fail
-		{Kind: FaultTorn, N: 3},              // fires at the 3rd *counted* write
+		{Kind: faultTorn, N: 3},              // fires at the 3rd *counted* write
 	}}
 	_, f, _ := openFlakyFile(t, sched)
 	var failures int
@@ -219,7 +219,7 @@ func TestFlakyRetryStormDoesNotShiftSchedule(t *testing.T) {
 		if err == nil {
 			continue
 		}
-		if errors.Is(err, ErrTransient) {
+		if errors.Is(err, errTransient) {
 			failures++
 		} else {
 			tornAt = i

@@ -44,7 +44,7 @@ func KillPoint(point string) {
 // at the end of the last intact frame, so the next append lands on a clean
 // boundary.
 func OpenFrameLog(b Backend, path, magic string, maxLen int, visit func([]byte) bool) (File, frame.Stats, error) {
-	f, err := b.Open(path, OCreate|ORdwr, 0o644)
+	f, err := b.Open(path, OCreate|oRdwr, 0o644)
 	if err != nil {
 		return nil, frame.Stats{}, err
 	}

@@ -12,8 +12,8 @@ import (
 func TestObjStoreVisibilityDelay(t *testing.T) {
 	const delay = 120 * time.Millisecond
 	b := NewObjStore(ObjStoreOptions{Root: t.TempDir(), VisibilityDelay: delay})
-	if PublishLag(b) != delay {
-		t.Fatalf("PublishLag = %v, want %v", PublishLag(b), delay)
+	if publishLag(b) != delay {
+		t.Fatalf("PublishLag = %v, want %v", publishLag(b), delay)
 	}
 	f, err := b.Open("dir/obj.dat", OCreate|OWronly, 0o644)
 	if err != nil {
@@ -100,7 +100,7 @@ func TestObjStoreRename(t *testing.T) {
 func TestObjStoreAppendAcrossOpens(t *testing.T) {
 	b := NewObjStore(ObjStoreOptions{Root: t.TempDir(), VisibilityDelay: time.Millisecond})
 	write := func(chunk string) {
-		f, err := b.Open("seg.wal", OCreate|ORdwr, 0o644)
+		f, err := b.Open("seg.wal", OCreate|oRdwr, 0o644)
 		if err != nil {
 			t.Fatal(err)
 		}

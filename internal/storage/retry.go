@@ -9,32 +9,22 @@ import (
 
 // RetryOptions tunes the policy wrapper NewRetry returns.
 type RetryOptions struct {
-	// MaxAttempts bounds tries per operation (first try included);
-	// default defaultMaxAttempts.
-	MaxAttempts int
-	// Deadline bounds one operation's total wall time including backoff
-	// sleeps; once exceeded no further attempt starts. Default 2s.
-	Deadline time.Duration
-	// Backoff schedules inter-attempt sleeps (zero value = documented
-	// defaults; Delay is a pure function of (Seed, attempt)).
-	Backoff Backoff
 	// Sleep replaces time.Sleep, for deterministic tests. Nil = real sleep.
 	Sleep func(time.Duration)
 	// Now replaces time.Now for the deadline clock, for tests.
 	Now func() time.Time
 }
 
-// defaultMaxAttempts is the default per-operation attempt budget.
-const defaultMaxAttempts = 5
+// The retry budget: at most maxAttempts tries per operation (first try
+// included), sleeping storage.Backoff's default schedule between them,
+// and no new attempt once retryDeadline of wall time (backoff sleeps
+// included) has passed since the first.
+const (
+	maxAttempts   = 5
+	retryDeadline = 2 * time.Second
+)
 
 func (o RetryOptions) withDefaults() RetryOptions {
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = defaultMaxAttempts
-	}
-	if o.Deadline <= 0 {
-		o.Deadline = 2 * time.Second
-	}
-	o.Backoff = o.Backoff.WithDefaults()
 	if o.Sleep == nil {
 		o.Sleep = time.Sleep
 	}
@@ -44,8 +34,8 @@ func (o RetryOptions) withDefaults() RetryOptions {
 	return o
 }
 
-// RetryStats counts what the policy layer did.
-type RetryStats struct {
+// retryStats counts what the policy layer did.
+type retryStats struct {
 	Retries   int64 // extra attempts beyond the first
 	SleepNS   int64 // cumulative backoff sleep
 	Exhausted int64 // operations that ran out of attempts or deadline
@@ -54,7 +44,7 @@ type RetryStats struct {
 // retrier wraps a backend with the degrade ladder's first rung: transient
 // failures are retried with bounded deterministic backoff; only when an
 // operation exhausts its budget does the error escape, rewrapped as
-// ErrUnavailable (deliberately shedding ErrTransient — the layer above
+// ErrUnavailable (deliberately shedding errTransient — the layer above
 // must degrade, not keep retrying). Mutating operations are safe to retry
 // because the backends guarantee transient failures fire before any state
 // changes (see flaky.go); torn writes return permanent errors and pass
@@ -77,8 +67,8 @@ func (r *retrier) Name() string    { return "retry(" + r.inner.Name() + ")" }
 func (r *retrier) Unwrap() Backend { return r.inner }
 
 // Stats snapshots policy activity.
-func (r *retrier) Stats() RetryStats {
-	return RetryStats{
+func (r *retrier) Stats() retryStats {
+	return retryStats{
 		Retries:   r.retries.Load(),
 		SleepNS:   r.sleepNS.Load(),
 		Exhausted: r.exhausted.Load(),
@@ -91,16 +81,16 @@ func (r *retrier) Stats() RetryStats {
 func (r *retrier) Healthy() bool { return r.exhausted.Load() == 0 }
 
 // do runs op under the attempt/deadline budget. op must be side-effect-free
-// on ErrTransient failures (the backend contract). The operation is named by
+// on errTransient failures (the backend contract). The operation is named by
 // (verb, name) parts so the healthy path never pays a string concatenation —
 // the message is only assembled when the budget is exhausted.
 func (r *retrier) do(verb, name string, op func() error) error {
 	start := r.opts.Now()
 	var err error
-	for attempt := 0; attempt < r.opts.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
-			d := time.Duration(r.opts.Backoff.Delay(attempt - 1))
-			remain := r.opts.Deadline - r.opts.Now().Sub(start)
+			d := time.Duration(Backoff{}.Delay(attempt - 1))
+			remain := retryDeadline - r.opts.Now().Sub(start)
 			if remain <= 0 || d > remain {
 				break
 			}
@@ -112,13 +102,13 @@ func (r *retrier) do(verb, name string, op func() error) error {
 		if err == nil {
 			return nil
 		}
-		if !errors.Is(err, ErrTransient) {
+		if !errors.Is(err, errTransient) {
 			return err
 		}
 	}
 	r.exhausted.Add(1)
 	return fmt.Errorf("%w: %s %s gave up after %d attempts: %v",
-		ErrUnavailable, verb, name, r.opts.MaxAttempts, err)
+		ErrUnavailable, verb, name, maxAttempts, err)
 }
 
 func (r *retrier) Open(path string, flags int, perm uint32) (File, error) {

@@ -35,18 +35,14 @@ func TestBackoffDelayPropertyBounds(t *testing.T) {
 
 // TestRetryTotalSleepDeterministicAndBounded drives the policy wrapper
 // itself against an always-transient backend with an instrumented Sleep:
-// the observed sleep sequence is identical run to run for a fixed seed,
-// its total is under MaxTotalDelay, and exhaustion surfaces as
-// ErrUnavailable (ErrTransient deliberately shed) with Healthy() sticky
-// false.
+// the observed sleep sequence is identical run to run, its total is under
+// MaxTotalDelay, and exhaustion surfaces as ErrUnavailable (errTransient
+// deliberately shed) with Healthy() sticky false.
 func TestRetryTotalSleepDeterministicAndBounded(t *testing.T) {
-	const maxAttempts = 5
-	run := func(seed uint64) ([]time.Duration, error) {
+	run := func() ([]time.Duration, error) {
 		var sleeps []time.Duration
 		b := NewRetry(NewFlaky(OS(), Schedule{WedgeAfter: 1}), RetryOptions{
-			MaxAttempts: maxAttempts,
-			Backoff:     Backoff{Seed: seed},
-			Sleep:       func(d time.Duration) { sleeps = append(sleeps, d) },
+			Sleep: func(d time.Duration) { sleeps = append(sleeps, d) },
 		})
 		f, err := b.Open(filepath.Join(t.TempDir(), "x.dat"), OCreate|OWronly, 0o644)
 		if err != nil {
@@ -63,34 +59,32 @@ func TestRetryTotalSleepDeterministicAndBounded(t *testing.T) {
 		return sleeps, werr
 	}
 
-	for seed := uint64(1); seed <= 16; seed++ {
-		s1, err1 := run(seed)
-		s2, err2 := run(seed)
-		if err1 == nil || err2 == nil {
-			t.Fatalf("seed %d: wedged write succeeded (%v, %v)", seed, err1, err2)
+	s1, err1 := run()
+	s2, err2 := run()
+	if err1 == nil || err2 == nil {
+		t.Fatalf("wedged write succeeded (%v, %v)", err1, err2)
+	}
+	if !errors.Is(err1, ErrUnavailable) {
+		t.Fatalf("exhaustion err = %v, want ErrUnavailable", err1)
+	}
+	if errors.Is(err1, errTransient) {
+		t.Fatal("exhaustion error still transient — the layer above would keep retrying")
+	}
+	if len(s1) != len(s2) {
+		t.Fatalf("sleep sequences differ in length (%d vs %d)", len(s1), len(s2))
+	}
+	var total uint64
+	for i := range s1 {
+		if s1[i] != s2[i] {
+			t.Fatalf("sleep %d: %v vs %v (not deterministic)", i, s1[i], s2[i])
 		}
-		if !errors.Is(err1, ErrUnavailable) {
-			t.Fatalf("seed %d: exhaustion err = %v, want ErrUnavailable", seed, err1)
-		}
-		if errors.Is(err1, ErrTransient) {
-			t.Fatalf("seed %d: exhaustion error still transient — the layer above would keep retrying", seed)
-		}
-		if len(s1) != len(s2) {
-			t.Fatalf("seed %d: sleep sequences differ in length (%d vs %d)", seed, len(s1), len(s2))
-		}
-		var total uint64
-		for i := range s1 {
-			if s1[i] != s2[i] {
-				t.Fatalf("seed %d sleep %d: %v vs %v (not deterministic)", seed, i, s1[i], s2[i])
-			}
-			total += uint64(s1[i])
-		}
-		if len(s1) != maxAttempts-1 {
-			t.Fatalf("seed %d: %d sleeps, want %d (one between each attempt)", seed, len(s1), maxAttempts-1)
-		}
-		if bound := (Backoff{Seed: seed}).MaxTotalDelay(maxAttempts - 1); total > bound {
-			t.Fatalf("seed %d: total sleep %d exceeds analytic bound %d", seed, total, bound)
-		}
+		total += uint64(s1[i])
+	}
+	if len(s1) != maxAttempts-1 {
+		t.Fatalf("%d sleeps, want %d (one between each attempt)", len(s1), maxAttempts-1)
+	}
+	if bound := (Backoff{}).MaxTotalDelay(maxAttempts - 1); total > bound {
+		t.Fatalf("total sleep %d exceeds analytic bound %d", total, bound)
 	}
 }
 
@@ -136,16 +130,18 @@ func TestRetryTransientOnlyConverges(t *testing.T) {
 // per-op deadline, the policy stops sleeping and exhausts early instead of
 // overshooting the budget.
 func TestRetryDeadlineShortCircuits(t *testing.T) {
-	var clock time.Time // zero time; advanced manually
+	// Each clock reading is the deadline less 1µs after the previous one,
+	// so the first backoff (at least ¾ of 100µs) never fits.
+	var clock time.Time
 	var slept int
-	b := NewRetry(NewFlaky(OS(), Schedule{WedgeAfter: 0, Injections: []FaultInjection{
+	b := NewRetry(NewFlaky(OS(), Schedule{WedgeAfter: 0, Injections: []faultInjection{
 		{Kind: FaultTransient, N: 1, Arg: 99}, // effectively forever
 	}}), RetryOptions{
-		MaxAttempts: 8,
-		Deadline:    time.Millisecond, // far under the first backoff delay
-		Backoff:     Backoff{BaseNS: uint64(10 * time.Millisecond)},
-		Sleep:       func(time.Duration) { slept++ },
-		Now:         func() time.Time { return clock },
+		Sleep: func(time.Duration) { slept++ },
+		Now: func() time.Time {
+			clock = clock.Add(retryDeadline - time.Microsecond)
+			return clock
+		},
 	})
 	f, err := b.Open(filepath.Join(t.TempDir(), "x.dat"), OCreate|OWronly, 0o644)
 	if err != nil {

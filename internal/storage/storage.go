@@ -22,7 +22,7 @@
 //     schedule discipline.
 //
 // Retry returns a policy wrapper adding per-op deadlines, Backoff-based
-// bounded retries on ErrTransient, and a health signal the WAL (degrade to
+// bounded retries on errTransient, and a health signal the WAL (degrade to
 // write-through) and ckpt (demote to config error) layers consume.
 //
 // The package sits below internal/faults in the import order (faults
@@ -48,16 +48,16 @@ import (
 const (
 	ORdonly = 0x0
 	OWronly = 0x1
-	ORdwr   = 0x2
+	oRdwr   = 0x2
 	OCreate = 0x40
 	OTrunc  = 0x200
 	OAppend = 0x400
 )
 
-// ErrTransient marks a failure worth retrying: the operation may succeed on
+// errTransient marks a failure worth retrying: the operation may succeed on
 // a later attempt against the same backend (injected flaky-backend errors,
 // an objstore read racing a publish). Wrap with %w so errors.Is sees it.
-var ErrTransient = errors.New("storage: transient backend error")
+var errTransient = errors.New("storage: transient backend error")
 
 // ErrUnavailable marks a backend the retry policy has given up on: the
 // per-op attempt budget or deadline was exhausted without a success. The
@@ -137,10 +137,10 @@ func Base(b Backend) Backend {
 // laggy is implemented by backends whose writes publish with a delay.
 type laggy interface{ PublishLag() time.Duration }
 
-// PublishLag returns the longest time a Sync'd write on b (or any backend
+// publishLag returns the longest time a Sync'd write on b (or any backend
 // it wraps) can take to become visible to readers. Zero for read-your-
 // writes backends like osdisk.
-func PublishLag(b Backend) time.Duration {
+func publishLag(b Backend) time.Duration {
 	var max time.Duration
 	for {
 		if l, ok := b.(laggy); ok {
@@ -162,7 +162,7 @@ func PublishLag(b Backend) time.Duration {
 // immediately. It is the honest version of "read repair": recovery does not
 // peek behind the visibility rule, it waits the rule out.
 func Settle(b Backend) {
-	if lag := PublishLag(b); lag > 0 {
+	if lag := publishLag(b); lag > 0 {
 		time.Sleep(lag + time.Millisecond)
 	}
 }
@@ -368,7 +368,7 @@ func ParseSpec(spec string) (Backend, error) {
 		if v, ok := opts["kinds"]; ok {
 			switch v {
 			case "transient":
-				gen.Kinds = []FaultKind{FaultLatency, FaultTransient}
+				gen.Kinds = []FaultKind{faultLatency, FaultTransient}
 			case "all":
 			default:
 				return nil, fmt.Errorf("storage: backend spec %q: kinds must be transient|all", spec)

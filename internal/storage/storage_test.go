@@ -19,7 +19,7 @@ func TestOSDiskRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(sub, "c.dat")
-	f, err := b.Open(path, OCreate|ORdwr, 0o644)
+	f, err := b.Open(path, OCreate|oRdwr, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestParseSpec(t *testing.T) {
 		if Base(b).Name() != tc.wantBase {
 			t.Errorf("ParseSpec(%q) base = %q, want %q", tc.spec, Base(b).Name(), tc.wantBase)
 		}
-		if got := PublishLag(b); got != tc.wantLag {
+		if got := publishLag(b); got != tc.wantLag {
 			t.Errorf("ParseSpec(%q) PublishLag = %v, want %v", tc.spec, got, tc.wantLag)
 		}
 	}
@@ -155,7 +155,7 @@ func TestParseSpec(t *testing.T) {
 // converges under (Schedule.TransientOnly).
 func TestParseSpecTransientKinds(t *testing.T) {
 	for seed := uint64(1); seed <= 32; seed++ {
-		sched := GenSchedule(seed, GenOptions{Kinds: []FaultKind{FaultLatency, FaultTransient}})
+		sched := GenSchedule(seed, GenOptions{Kinds: []FaultKind{faultLatency, FaultTransient}})
 		if !sched.TransientOnly() {
 			t.Fatalf("seed %d: kinds=transient schedule is not TransientOnly:\n%s", seed, sched.Encode())
 		}

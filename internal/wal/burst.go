@@ -17,8 +17,8 @@ import (
 	"repro/internal/storage"
 )
 
-// BurstPath is the single shared checkpoint file every burst rank writes.
-const BurstPath = "/ckpt.dat"
+// burstPath is the single shared checkpoint file every burst rank writes.
+const burstPath = "/ckpt.dat"
 
 // BurstSpec describes the deterministic checkpoint-burst workload used by
 // the kill-and-recover harness and `semrepro -wal-burst`: Ranks writers
@@ -131,7 +131,7 @@ func RunBurst(spec BurstSpec) (*BurstResult, error) {
 				if err != nil {
 					return err
 				}
-				defer func() { stats[r] = l.Stats() }()
+				defer func() { stats[r] = l.statsSnapshot() }()
 				ack, err := sb.Open(filepath.Join(spec.Log.Dir, ackName(r)),
 					storage.OCreate|storage.OWronly|storage.OAppend, 0o644)
 				if err != nil {
@@ -139,18 +139,18 @@ func RunBurst(spec BurstSpec) (*BurstResult, error) {
 					return err
 				}
 				c := fs.NewClient(r, 0)
-				h, _, err := l.Open(c, BurstPath, pfs.OCreat|pfs.ORdwr, now())
+				h, _, err := l.Open(c, burstPath, pfs.OCreat|pfs.ORdwr, now())
 				if err != nil {
 					ack.Close()
 					l.Close()
 					return err
 				}
 				for k := 0; k < spec.Records; k++ {
-					through := l.Stats().WriteThrough
+					through := l.statsSnapshot().WriteThrough
 					if _, err := l.Write(h, spec.offset(r, k), payload.Bytes(spec.payload(r, k)), now()); err != nil {
 						break
 					}
-					if l.Stats().WriteThrough > through {
+					if l.statsSnapshot().WriteThrough > through {
 						fmt.Fprintf(ack, "%d%s\n", k, writeThroughMark)
 					} else {
 						fmt.Fprintf(ack, "%d\n", k)
@@ -266,7 +266,7 @@ func RecoverBurst(spec BurstSpec) (*RecoveryReport, error) {
 	if spec.Log.Dir == "" {
 		return nil, errors.New("wal: recovery needs Log.Dir")
 	}
-	recs, stats, err := RecoverDirOn(spec.Log.Backend, spec.Log.Dir)
+	recs, stats, err := recoverDirOn(spec.Log.Backend, spec.Log.Dir)
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +291,7 @@ func RecoverBurst(spec BurstSpec) (*RecoveryReport, error) {
 			return nil, fmt.Errorf("wal: rank %d: ACKED WRITE LOST: recovered %d records, %d were acknowledged", r, len(rr), acked[r])
 		}
 		for k, rec := range rr {
-			if rec.Path != BurstPath || rec.Off != spec.offset(r, k) || !bytes.Equal(rec.Data, spec.payload(r, k)) {
+			if rec.Path != burstPath || rec.Off != spec.offset(r, k) || !bytes.Equal(rec.Data, spec.payload(r, k)) {
 				return nil, fmt.Errorf("wal: rank %d record %d: salvaged bytes differ from protocol (path=%s off=%d len=%d)",
 					r, k, rec.Path, rec.Off, len(rec.Data))
 			}
@@ -301,7 +301,7 @@ func RecoverBurst(spec BurstSpec) (*RecoveryReport, error) {
 	fs := pfs.New(pfs.Options{Semantics: spec.Semantics})
 	hist := consistency.NewLog()
 	fs.SetHistoryRecorder(hist)
-	if err := Replay(fs, recs); err != nil {
+	if err := replayRecords(fs, recs); err != nil {
 		return nil, err
 	}
 	rep.Check = consistency.CheckLog(spec.Semantics, hist,
@@ -310,17 +310,17 @@ func RecoverBurst(spec BurstSpec) (*RecoveryReport, error) {
 		return rep, fmt.Errorf("wal: replayed history rejected by %s spec: %s", spec.Semantics, rep.Check.Violation)
 	}
 	rep.Dump = fs.ContentDump()
-	want := DirectDump(spec, rep.PerRank)
+	want := directDump(spec, rep.PerRank)
 	if err := diffDumps(want, rep.Dump); err != nil {
 		return rep, fmt.Errorf("wal: recovered state differs from uninterrupted run: %w", err)
 	}
 	return rep, nil
 }
 
-// DirectDump executes counts[r] records per rank straight against a fresh
+// directDump executes counts[r] records per rank straight against a fresh
 // pfs — no WAL anywhere — and dumps the result: the state an uninterrupted
 // run of exactly those writes produces.
-func DirectDump(spec BurstSpec, counts []int) map[string][]byte {
+func directDump(spec BurstSpec, counts []int) map[string][]byte {
 	spec = spec.withDefaults()
 	fs := pfs.New(pfs.Options{Semantics: spec.Semantics})
 	var now uint64
@@ -334,7 +334,7 @@ func DirectDump(spec BurstSpec, counts []int) map[string][]byte {
 			continue
 		}
 		c := fs.NewClient(r, 0)
-		h, _, err := c.Open(BurstPath, pfs.OCreat|pfs.ORdwr, tick())
+		h, _, err := c.Open(burstPath, pfs.OCreat|pfs.ORdwr, tick())
 		if err != nil {
 			panic(err) // deterministic workload on a fresh fs cannot fail
 		}

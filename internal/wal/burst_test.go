@@ -72,7 +72,7 @@ func TestRecoverBurstDetectsLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Rewrite rank 0's log without record 3 — a lost acked write.
-	recs, _, err := RecoverDirOn(storage.OS(), dir)
+	recs, _, err := recoverDirOn(storage.OS(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestRecoverBurstWedgedLog(t *testing.T) {
 	// Cut a rank's log to one record short of its log-backed acks. (The
 	// log may hold a record beyond them: an append whose fsync failed
 	// leaves its frame behind, and the write is acked by write-through.)
-	recs, _, err := RecoverDirOn(storage.OS(), dir)
+	recs, _, err := recoverDirOn(storage.OS(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,16 +26,16 @@ const (
 	maxPayload = 1 << 30
 )
 
-// Record is one acknowledged-but-possibly-undrained write as persisted in a
+// logRecord is one acknowledged-but-possibly-undrained write as persisted in a
 // per-rank log file.
-type Record struct {
+type logRecord struct {
 	Path string
 	Off  int64
 	Now  uint64
 	Data []byte
 }
 
-func encodePayload(rec Record) ([]byte, error) {
+func encodePayload(rec logRecord) ([]byte, error) {
 	if rec.Off < 0 {
 		return nil, fmt.Errorf("wal: negative offset %d", rec.Off)
 	}
@@ -51,25 +51,25 @@ func encodePayload(rec Record) ([]byte, error) {
 	return buf, nil
 }
 
-func decodePayload(payload []byte) (Record, error) {
+func decodePayload(payload []byte) (logRecord, error) {
 	plen, n := binary.Uvarint(payload)
 	if n <= 0 || plen > uint64(len(payload)-n) {
-		return Record{}, errors.New("wal: corrupt path length")
+		return logRecord{}, errors.New("wal: corrupt path length")
 	}
 	rest := payload[n:]
 	path := string(rest[:plen])
 	rest = rest[plen:]
 	off, n := binary.Uvarint(rest)
 	if n <= 0 {
-		return Record{}, errors.New("wal: corrupt offset")
+		return logRecord{}, errors.New("wal: corrupt offset")
 	}
 	rest = rest[n:]
 	now, n := binary.Uvarint(rest)
 	if n <= 0 {
-		return Record{}, errors.New("wal: corrupt timestamp")
+		return logRecord{}, errors.New("wal: corrupt timestamp")
 	}
 	data := rest[n:]
-	return Record{Path: path, Off: int64(off), Now: now, Data: data}, nil
+	return logRecord{Path: path, Off: int64(off), Now: now, Data: data}, nil
 }
 
 // appendRecord frames one record into a right-sized buffer and appends it
@@ -77,7 +77,7 @@ func decodePayload(payload []byte) (Record, error) {
 // wal.append.{begin,torn,before-fsync,after-fsync} kill points bracket the
 // durability boundary — a write is acked iff the crash lands after
 // wal.append.after-fsync.
-func appendRecord(f storage.File, rec Record, noFsync bool) (int64, error) {
+func appendRecord(f storage.File, rec logRecord, noFsync bool) (int64, error) {
 	payload, err := encodePayload(rec)
 	if err != nil {
 		return 0, err
@@ -92,7 +92,7 @@ func appendRecord(f storage.File, rec Record, noFsync bool) (int64, error) {
 // recordVisitor returns the frame visitor that decodes each payload,
 // appending the record to *recs unless recs is nil. A payload that does not
 // decode ends the scan like any other tail damage.
-func recordVisitor(recs *[]Record) func([]byte) bool {
+func recordVisitor(recs *[]logRecord) func([]byte) bool {
 	return func(p []byte) bool {
 		rec, err := decodePayload(p)
 		if err != nil {
@@ -110,8 +110,8 @@ func recordVisitor(recs *[]Record) func([]byte) bool {
 // append order plus the scan stats, whose Good is the offset the caller
 // truncates to before resuming appends. The scan stops at the first torn
 // or corrupt frame: anything after it was never acknowledged.
-func recoverRecords(r io.Reader) ([]Record, frame.Stats, error) {
-	var recs []Record
+func recoverRecords(r io.Reader) ([]logRecord, frame.Stats, error) {
+	var recs []logRecord
 	st, err := frame.Scan(r, recMagic, maxPayload, recordVisitor(&recs))
 	return recs, st, err
 }

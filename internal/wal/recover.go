@@ -12,7 +12,7 @@ import (
 	"repro/internal/storage"
 )
 
-// RecoverDirOn salvages every per-rank log file under dir on backend b. The
+// recoverDirOn salvages every per-rank log file under dir on backend b. The
 // returned records are, per rank, every write that was ever acknowledged
 // (logs are append-only and never truncated while live, so drained records
 // remain — replaying one is an idempotent same-bytes overwrite). A torn
@@ -24,14 +24,14 @@ import (
 // On an eventually-consistent backend, recovery first waits out the
 // publish-visibility horizon (storage.Settle) so the List and the reads see
 // every version a crashed writer managed to publish.
-func RecoverDirOn(b storage.Backend, dir string) (map[int][]Record, map[int]frame.Stats, error) {
+func recoverDirOn(b storage.Backend, dir string) (map[int][]logRecord, map[int]frame.Stats, error) {
 	storage.Settle(b)
 	names, err := b.List(dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
 	sort.Strings(names)
-	recs := make(map[int][]Record)
+	recs := make(map[int][]logRecord)
 	stats := make(map[int]frame.Stats)
 	for _, name := range names {
 		var rank int
@@ -52,7 +52,7 @@ func RecoverDirOn(b storage.Backend, dir string) (map[int][]Record, map[int]fram
 			return nil, nil, fmt.Errorf("wal: recovering %s: %w", path, err)
 		}
 		if r == nil {
-			r = []Record{} // zero-length log: present but empty, not missing
+			r = []logRecord{} // zero-length log: present but empty, not missing
 		}
 		recs[rank] = r
 		stats[rank] = s
@@ -60,7 +60,7 @@ func RecoverDirOn(b storage.Backend, dir string) (map[int][]Record, map[int]fram
 	return recs, stats, nil
 }
 
-// Replay feeds recovered records back through the pfs data path: one client
+// replayRecords feeds recovered records back through the pfs data path: one client
 // per rank, records in log order (= the order the application was acked
 // in), each write carrying the simulated timestamp captured at ack time,
 // then a commit+close per touched path so commit/session-model writes
@@ -68,7 +68,7 @@ func RecoverDirOn(b storage.Backend, dir string) (map[int][]Record, map[int]fram
 // published them. Ranks replay in ascending order, serially — the replay
 // history is deterministic and, because per-rank program order is the log
 // order, satisfies every model's formal spec.
-func Replay(fs *pfs.FileSystem, recs map[int][]Record) error {
+func replayRecords(fs *pfs.FileSystem, recs map[int][]logRecord) error {
 	ranks := make([]int, 0, len(recs))
 	var maxNow uint64
 	for r, rr := range recs {

@@ -41,24 +41,6 @@ type Options struct {
 	// Backend is the durable store holding the log files. Nil means the
 	// local OS disk (storage.OS()), byte-identical to the pre-seam layout.
 	Backend storage.Backend
-	// MaxInflight bounds how many queued records one background drain batch
-	// replays per lock hold. Default 16.
-	MaxInflight int
-	// Watermark is the drain-queue depth at which new writes degrade to
-	// synchronous write-through (after first forcing a full drain), keeping
-	// host memory and replay lag bounded. Default 256.
-	Watermark int
-	// MaxRetries bounds per-record drain retries on pfs.ErrTransient before
-	// the record is dropped and the error surfaced. Default 6.
-	MaxRetries int
-	// Retry shapes the drain retry backoff (zero value = package defaults).
-	Retry storage.Backoff
-	// AckBaseNS and AckBytesPerNS price the simulated acknowledgement of a
-	// logged write: cost = AckBaseNS + len/AckBytesPerNS. The defaults
-	// (1500ns + 1ns per 8 bytes) model a node-local NVMe append — far under
-	// sim.CostModel's parallel-FS write path, which is the point of the WAL.
-	AckBaseNS     uint64
-	AckBytesPerNS uint64
 	// NoFsync skips the per-append fsync. Test/bench-only: it voids the
 	// durability guarantee that makes acked writes crash-safe.
 	NoFsync bool
@@ -68,24 +50,30 @@ func (o Options) withDefaults() Options {
 	if o.Backend == nil {
 		o.Backend = storage.OS()
 	}
-	if o.MaxInflight <= 0 {
-		o.MaxInflight = 16
-	}
-	if o.Watermark <= 0 {
-		o.Watermark = 256
-	}
-	if o.MaxRetries <= 0 {
-		o.MaxRetries = 6
-	}
-	o.Retry = o.Retry.WithDefaults()
-	if o.AckBaseNS == 0 {
-		o.AckBaseNS = 1500
-	}
-	if o.AckBytesPerNS == 0 {
-		o.AckBytesPerNS = 8
-	}
 	return o
 }
+
+// The drain and acknowledgement policy.
+const (
+	// maxInflight bounds how many queued records one background drain
+	// batch replays per lock hold.
+	maxInflight = 16
+	// watermark is the drain-queue depth at which new writes degrade to
+	// synchronous write-through (after first forcing a full drain),
+	// keeping host memory and replay lag bounded.
+	watermark = 256
+	// maxDrainRetries bounds per-record drain retries on pfs.ErrTransient
+	// before the record is dropped and the error surfaced; the retries
+	// back off by storage.Backoff's defaults.
+	maxDrainRetries = 6
+	// ackBaseNS and ackBytesPerNS price the simulated acknowledgement of
+	// a logged write: cost = ackBaseNS + len/ackBytesPerNS, a node-local
+	// NVMe append (1500 ns + 1 ns per 8 bytes) — far under the parallel
+	// FS's write path (sim.IOCost plus the server round trips), which is
+	// the point of the WAL.
+	ackBaseNS     uint64 = 1500
+	ackBytesPerNS uint64 = 8
+)
 
 // Stats counts one Log's activity. Everything except retry timing is a
 // deterministic function of the run.
@@ -139,7 +127,7 @@ type Log struct {
 // Open creates (or reopens) rank's log file under opts.Dir and starts the
 // background drainer. A pre-existing file is salvaged ckpt-style: complete
 // records are kept (they are acked writes a previous incarnation had not
-// yet confirmed drained — recovery wants them; see RecoverDirOn), a torn tail
+// yet confirmed drained — recovery wants them; see recoverDirOn), a torn tail
 // is truncated so new appends land on a record boundary.
 func Open(rank int, opts Options) (*Log, error) {
 	opts = opts.withDefaults()
@@ -169,22 +157,11 @@ func Open(rank int, opts Options) (*Log, error) {
 
 func logName(rank int) string { return fmt.Sprintf("rank-%04d.wal", rank) }
 
-// Dir returns the directory holding this log's file.
-func (l *Log) Dir() string { return l.dir }
-
-// Stats returns a snapshot of the log's counters.
-func (l *Log) Stats() Stats {
+// statsSnapshot returns a snapshot of the log's counters.
+func (l *Log) statsSnapshot() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.stats
-}
-
-// Degraded reports whether the log has stuck in synchronous write-through
-// after a local append failure.
-func (l *Log) Degraded() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.degraded
 }
 
 func (l *Log) takeDeferredLocked() error {
@@ -206,7 +183,7 @@ func (l *Log) Write(h *pfs.Handle, off int64, data payload.P, now uint64) (uint6
 	if err := l.takeDeferredLocked(); err != nil {
 		return 0, err
 	}
-	if l.degraded || l.stopped || len(l.queue) >= l.opts.Watermark {
+	if l.degraded || l.stopped || len(l.queue) >= watermark {
 		return l.writeThroughLocked(h, off, data, now)
 	}
 	// The causal chain starts here: the root span is the acked write, its
@@ -214,7 +191,7 @@ func (l *Log) Write(h *pfs.Handle, off int64, data payload.P, now uint64) (uint6
 	// into the pfs history event (Perfetto: search args.trace).
 	sp := obs.Default().Tracer().StartTrace("wal.write", "wal").OnLane(l.rank)
 	ap := sp.Child("wal.append")
-	if _, err := appendRecord(l.file, Record{Path: h.Path(), Off: off, Now: now, Data: data.Materialize()}, l.opts.NoFsync); err != nil {
+	if _, err := appendRecord(l.file, logRecord{Path: h.Path(), Off: off, Now: now, Data: data.Materialize()}, l.opts.NoFsync); err != nil {
 		// Local log disk failed (full, unwritable, gone). The write itself
 		// can still succeed the slow way; stick in write-through so no
 		// later ack ever rests on a log that cannot hold it.
@@ -233,7 +210,7 @@ func (l *Log) Write(h *pfs.Handle, off int64, data payload.P, now uint64) (uint6
 	l.stats.Acked++
 	l.stats.AckedBytes += data.Len()
 	l.cond.Signal()
-	cost := l.opts.AckBaseNS + uint64(data.Len())/l.opts.AckBytesPerNS
+	cost := ackBaseNS + uint64(data.Len())/ackBytesPerNS
 	ackCostNS.Observe(int64(cost))
 	return cost, nil
 }
@@ -312,19 +289,6 @@ func (l *Log) CloseHandle(h *pfs.Handle, now uint64) (uint64, error) {
 	return h.Close(now)
 }
 
-// Laminate is a drain barrier plus pfs laminate.
-func (l *Log) Laminate(h *pfs.Handle, now uint64) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.takeDeferredLocked(); err != nil {
-		return 0, err
-	}
-	if err := l.drainAllLocked(); err != nil {
-		return 0, err
-	}
-	return h.Laminate(now)
-}
-
 // Truncate is a drain barrier plus pfs truncate.
 func (l *Log) Truncate(h *pfs.Handle, length int64) (uint64, error) {
 	l.mu.Lock()
@@ -365,11 +329,11 @@ func (l *Log) drainStepLocked() error {
 	// history event, tying the consistency checker's view to this chain.
 	psp := obs.Default().Tracer().StartLinked("wal.drain.publish", "wal", rec.trace, rec.parent).OnLane(l.rank)
 	_, err := rec.h.WriteTraced(rec.off, rec.data, rec.now, rec.trace)
-	if err != nil && errors.Is(err, pfs.ErrTransient) && rec.attempt < l.opts.MaxRetries {
+	if err != nil && errors.Is(err, pfs.ErrTransient) && rec.attempt < maxDrainRetries {
 		psp.End()
 		l.queue[0].attempt++
 		l.stats.Retries++
-		d := l.opts.Retry.Delay(rec.attempt)
+		d := storage.Backoff{}.Delay(rec.attempt)
 		l.mu.Unlock()
 		time.Sleep(time.Duration(d))
 		l.mu.Lock()
@@ -422,7 +386,7 @@ func (l *Log) drainLoop() {
 		if len(l.queue) == 0 && l.stopped {
 			break
 		}
-		for i := 0; i < l.opts.MaxInflight && len(l.queue) > 0; i++ {
+		for i := 0; i < maxInflight && len(l.queue) > 0; i++ {
 			if err := l.drainStepLocked(); err != nil && l.deferred == nil {
 				l.deferred = err
 			}

@@ -53,7 +53,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Record{
+	want := []logRecord{
 		{Path: "/a", Off: 0, Now: 10, Data: []byte("hello")},
 		{Path: "/a", Off: 5, Now: 20, Data: []byte("world")},
 		{Path: "/b/c", Off: 4096, Now: 30, Data: bytes.Repeat([]byte{0xAB}, 1024)},
@@ -96,7 +96,7 @@ func TestRecoverTornTail(t *testing.T) {
 	}
 	var goodEnd int64
 	for i := 0; i < 3; i++ {
-		n, err := appendRecord(f, Record{Path: "/t", Off: int64(i) * 8, Now: uint64(10 * i), Data: []byte("payload!")}, true)
+		n, err := appendRecord(f, logRecord{Path: "/t", Off: int64(i) * 8, Now: uint64(10 * i), Data: []byte("payload!")}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestOpenSalvagesAndResumesAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := l2.Stats().Salvaged; got != 1 {
+	if got := l2.statsSnapshot().Salvaged; got != 1 {
 		t.Fatalf("salvaged %d records, want 1", got)
 	}
 	fs2 := pfs.New(pfs.Options{Semantics: pfs.Strong})
@@ -167,7 +167,7 @@ func TestOpenSalvagesAndResumesAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, stats, err := RecoverDirOn(storage.OS(), dir)
+	recs, stats, err := recoverDirOn(storage.OS(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestRecoverForgedLengthBoundedAlloc(t *testing.T) {
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	recs, stats, err := RecoverDirOn(storage.OS(), dir)
+	recs, stats, err := recoverDirOn(storage.OS(), dir)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +236,7 @@ func TestWriteAcksAndBarrierDrains(t *testing.T) {
 	if ackCost >= directCost {
 		t.Fatalf("ack cost %d not cheaper than direct pfs write %d", ackCost, directCost)
 	}
-	if got := l.Stats(); got.Acked != 1 || got.Drained != 0 {
+	if got := l.statsSnapshot(); got.Acked != 1 || got.Drained != 0 {
 		t.Fatalf("stats = %+v, want 1 acked, 0 drained", got)
 	}
 	// Read-your-writes through the barrier: the read must see the queued
@@ -248,7 +248,7 @@ func TestWriteAcksAndBarrierDrains(t *testing.T) {
 	if !bytes.Equal(data, []byte{1, 1, 1, 1}) {
 		t.Fatalf("read %v after barrier, want drained write visible", data)
 	}
-	if got := l.Stats(); got.Drained != 1 {
+	if got := l.statsSnapshot(); got.Drained != 1 {
 		t.Fatalf("stats = %+v, want 1 drained", got)
 	}
 }
@@ -256,30 +256,31 @@ func TestWriteAcksAndBarrierDrains(t *testing.T) {
 func TestWatermarkDegradesToWriteThrough(t *testing.T) {
 	fs := pfs.New(pfs.Options{Semantics: pfs.Commit})
 	h := mustOpen(t, fs, 0, "/f")
-	l := noDrainLog(t, Options{Watermark: 2})
+	l := noDrainLog(t, Options{NoFsync: true})
 
-	for i := 0; i < 2; i++ {
+	for i := 0; i < watermark; i++ {
 		if _, err := l.Write(h, int64(i)*4, payload.Bytes([]byte("abcd")), uint64(20+10*i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Queue is at the watermark: the next write must drain and write through.
-	if _, err := l.Write(h, 8, payload.Bytes([]byte("abcd")), 50); err != nil {
+	now := uint64(20 + 10*watermark)
+	if _, err := l.Write(h, int64(watermark)*4, payload.Bytes([]byte("abcd")), now); err != nil {
 		t.Fatal(err)
 	}
-	got := l.Stats()
-	if got.Acked != 2 || got.WriteThrough != 1 || got.Drained != 2 || got.QueuePeak != 2 {
-		t.Fatalf("stats = %+v, want acked=2 writethrough=1 drained=2 peak=2", got)
+	got := l.statsSnapshot()
+	if got.Acked != watermark || got.WriteThrough != 1 || got.Drained != watermark || got.QueuePeak != watermark {
+		t.Fatalf("stats = %+v, want acked=%d writethrough=1 drained=%d peak=%d", got, watermark, watermark, watermark)
 	}
 	if l.Degraded() {
 		t.Fatal("watermark pressure must not stick the log in degraded mode")
 	}
 	// Pressure released: the next write acks from the log again.
-	if _, err := l.Write(h, 12, payload.Bytes([]byte("abcd")), 60); err != nil {
+	if _, err := l.Write(h, int64(watermark+1)*4, payload.Bytes([]byte("abcd")), now+10); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.Stats(); got.Acked != 3 {
-		t.Fatalf("stats = %+v, want acked=3 after pressure release", got)
+	if got := l.statsSnapshot(); got.Acked != watermark+1 {
+		t.Fatalf("stats = %+v, want acked=%d after pressure release", got, watermark+1)
 	}
 }
 
@@ -295,7 +296,7 @@ func TestLogFailureDegradesSticky(t *testing.T) {
 			t.Fatalf("write %d must survive log failure via write-through: %v", i, err)
 		}
 	}
-	got := l.Stats()
+	got := l.statsSnapshot()
 	if !l.Degraded() || got.WriteThrough != 2 || got.Acked != 0 {
 		t.Fatalf("degraded=%v stats=%+v, want sticky write-through", l.Degraded(), got)
 	}
@@ -326,9 +327,13 @@ func TestDeferredDrainErrorSurfaces(t *testing.T) {
 	}
 }
 
+// transientInjector fails every attempt of the first remaining write
+// operations, so each one fails past the client's retry budget and reaches
+// the WAL drain loop as pfs.ErrTransient; later writes pass.
 type transientInjector struct {
 	mu        sync.Mutex
-	remaining int // fail this many write intercepts, then pass everything
+	remaining int
+	failing   bool
 }
 
 func (ti *transientInjector) Intercept(op pfs.OpInfo) pfs.FaultAction {
@@ -337,20 +342,20 @@ func (ti *transientInjector) Intercept(op pfs.OpInfo) pfs.FaultAction {
 	}
 	ti.mu.Lock()
 	defer ti.mu.Unlock()
-	if ti.remaining > 0 {
-		ti.remaining--
-		return pfs.FaultAction{Transient: true}
+	if op.Attempt == 0 {
+		ti.failing = ti.remaining > 0
+		if ti.failing {
+			ti.remaining--
+		}
 	}
-	return pfs.FaultAction{}
+	return pfs.FaultAction{Transient: ti.failing}
 }
 
 func TestDrainRetriesTransientWithBackoff(t *testing.T) {
-	// MaxRetries < 0 disables the client's own retry loop, so every
-	// injected transient fault surfaces to the WAL drain loop directly.
-	fs := pfs.New(pfs.Options{Semantics: pfs.Strong, Retry: pfs.RetryPolicy{MaxRetries: -1}})
+	fs := pfs.New(pfs.Options{Semantics: pfs.Strong})
 	h := mustOpen(t, fs, 0, "/f")
 	fs.SetInjector(&transientInjector{remaining: 1 << 30})
-	l := noDrainLog(t, Options{MaxRetries: 3, Retry: storage.Backoff{BaseNS: 1000, CapNS: 10_000}})
+	l := noDrainLog(t, Options{})
 
 	if _, err := l.Write(h, 0, payload.Bytes([]byte("x")), 20); err != nil {
 		t.Fatal(err)
@@ -359,11 +364,12 @@ func TestDrainRetriesTransientWithBackoff(t *testing.T) {
 	if !errors.Is(err, pfs.ErrTransient) {
 		t.Fatalf("barrier = %v, want ErrTransient after retries exhausted", err)
 	}
-	if got := l.Stats(); got.Retries != 3 || got.Drained != 0 {
-		t.Fatalf("stats = %+v, want 3 retries, 0 drained", got)
+	if got := l.statsSnapshot(); got.Retries != maxDrainRetries || got.Drained != 0 {
+		t.Fatalf("stats = %+v, want %d retries, 0 drained", got, maxDrainRetries)
 	}
 
-	// Now let the fault clear after two failed attempts: the drain succeeds.
+	// Now let the fault clear after two failed drain attempts: the drain
+	// succeeds.
 	fs.SetInjector(&transientInjector{remaining: 2})
 	if _, err := l.Write(h, 0, payload.Bytes([]byte("y")), 30); err != nil {
 		t.Fatal(err)
@@ -371,8 +377,8 @@ func TestDrainRetriesTransientWithBackoff(t *testing.T) {
 	if err := l.Barrier(); err != nil {
 		t.Fatalf("barrier after fault cleared = %v", err)
 	}
-	if got := l.Stats(); got.Drained != 1 {
-		t.Fatalf("stats = %+v, want the retried record drained", got)
+	if got := l.statsSnapshot(); got.Drained != 1 || got.Retries != maxDrainRetries+2 {
+		t.Fatalf("stats = %+v, want the retried record drained after 2 more retries", got)
 	}
 }
 
@@ -393,7 +399,7 @@ func TestCloseDrainsEverything(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st := l.Stats()
+	st := l.statsSnapshot()
 	if st.Drained+st.WriteThrough != 50 {
 		t.Fatalf("stats = %+v, want all 50 writes in the pfs", st)
 	}

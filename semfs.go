@@ -59,10 +59,9 @@ type RunOptions struct {
 	// Semantics selects the consistency model of the underlying simulated
 	// PFS (default Strong, like the paper's Lustre testbed).
 	Semantics Semantics
-	// Steps, CheckpointEvery and Block scale the workload (see apps.Params).
-	Steps           int
-	CheckpointEvery int
-	Block           int64
+	// Steps and Block scale the workload (see apps.Params).
+	Steps int
+	Block int64
 	// Verify makes applications check the data they read, surfacing stale
 	// reads on weak-semantics file systems as rank errors.
 	Verify bool
@@ -114,10 +113,9 @@ func Run(name string, o RunOptions) (*Result, error) {
 		Seed:      o.Seed,
 		Semantics: o.Semantics,
 		Params: apps.Params{
-			Steps:           o.Steps,
-			CheckpointEvery: o.CheckpointEvery,
-			Block:           o.Block,
-			Verify:          o.Verify,
+			Steps:  o.Steps,
+			Block:  o.Block,
+			Verify: o.Verify,
 		},
 	})
 	if err != nil {
