@@ -45,14 +45,12 @@ var unusedExportAllow = map[string]string{
 	"internal/faults.KillEnv":                             "experiments' and wal's kill-and-recover tests set the kill-point variable in a child's environment",
 	"internal/mpiio.File.ReadAtAll":                       "hdf5's test-only dataset reads go through the collective read",
 	"internal/obs.BucketOf":                               "report's tests place observations in histogram buckets",
-	"internal/obs.Histogram.Count":                        "cmd/semanalyze's and wal's tests read back what a run observed",
-	"internal/obs.Registry.SetEnabled":                    "root package and cmd/semanalyze tests switch telemetry on for one run",
+	"internal/obs.Registry.SetEnabled":                    "the root package's telemetry benchmark times a sweep with metrics off and on",
 	"internal/obs.Registry.Snapshot":                      "root package tests read the registry's state after a run",
 	"internal/obs.Snapshot":                               "root package tests read the registry's state after a run",
-	"internal/obs.SpanInfo":                               "wal's span-chain test inspects recorded spans",
-	"internal/obs.Tracer.Len":                             "wal's span-chain test counts recorded spans",
-	"internal/obs.Tracer.SetEnabled":                      "wal's span-chain test switches span collection on",
-	"internal/obs.Tracer.Spans":                           "wal's span-chain test inspects recorded spans",
+	"internal/obs.SpanInfo":                               "returned by Tracer.Spans",
+	"internal/obs.Tracer.SetEnabled":                      "cmd/semanalyze's one-sweep test switches span collection on",
+	"internal/obs.Tracer.Spans":                           "cmd/semanalyze's one-sweep test counts the pass spans of a run",
 	"internal/pfs.Client.Crash":                           "wal's tests crash a client under a queued drain",
 	"internal/pfs.Client.Crashed":                         "faults' tests check which clients a schedule crashed",
 	"internal/pfs.ErrCrashed":                             "error contract: faults' and wal's tests match a crashed client with errors.Is",

@@ -358,9 +358,8 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 			name = "telemetry=on"
 		}
 		b.Run(name, func(b *testing.B) {
-			was := reg.Enabled()
 			reg.SetEnabled(on)
-			defer reg.SetEnabled(was)
+			defer reg.SetEnabled(true) // the default, which no CLI changes
 			sweep(b, 4)
 		})
 	}

@@ -99,7 +99,7 @@ func TestAnalyzeDirDigestGolden(t *testing.T) {
 		for _, show := range []int{5, math.MaxInt} {
 			for _, workers := range []int{1, 2} {
 				var buf bytes.Buffer
-				code := analyzeDir(&buf, disk, dir, false, true, show, true, workers)
+				code := analyzeDir(&buf, os.Stderr, disk, dir, false, true, show, true, workers)
 				if got := digestLine(name, show, workers, code, buf.Bytes()); i >= len(want) || got != want[i] {
 					t.Errorf("directory:\n got  %s\n want %s", got, want[min(i, len(want)-1)])
 				}

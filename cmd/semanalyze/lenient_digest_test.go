@@ -12,8 +12,11 @@ import (
 	"testing"
 
 	semfs "repro"
+	"repro/internal/ckpt"
+	"repro/internal/recorder"
 	"repro/internal/recorder/colfmt"
 	"repro/internal/recorder/colwire"
+	"repro/internal/storage"
 )
 
 const lenientDigestGolden = "testdata/lenient_digest.golden"
@@ -151,5 +154,57 @@ func TestLenientDigestGolden(t *testing.T) {
 		if l != wantLines[i] {
 			t.Errorf("output moved:\n got  %s\n want %s", l, wantLines[i])
 		}
+	}
+}
+
+// TestLenientResumeReplaysSalvageCauses: a -resume replay of a -lenient
+// analysis prints the salvage causes the first run printed on stderr, not
+// only its report; and a journal cached in the layout without the causes
+// is refused as another run's, not misread.
+func TestLenientResumeReplaysSalvageCauses(t *testing.T) {
+	res, err := semfs.Run("FLASH-nofbs", semfs.RunOptions{Ranks: 4, PPN: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "trace")
+	saveTrace(t, dir, res.Trace, "columnar")
+	data := reencodeSmallBlocks(t, res.Trace, 1)
+	flipMidBlock(t, data)
+	writeRank(t, dir, 1, data)
+
+	ck := filepath.Join(t.TempDir(), "ckpt")
+	args := []string{"-trace", dir, "-lenient", "-validate=false", "-report", "-checkpoint", ck}
+	code, stdout, stderr := semanalyze(t, args...)
+	if !bytes.Contains(stderr, []byte("semanalyze: "+recorder.RankFileName(1)+": ")) {
+		t.Fatalf("first run's stderr names no cause for rank 1 (exit %d):\n%s", code, stderr)
+	}
+	rcode, rstdout, rstderr := semanalyze(t, append(args, "-resume")...)
+	if rcode != code || !bytes.Equal(rstdout, stdout) {
+		t.Errorf("resumed run: exit %d and %d stdout bytes, want exit %d and the first run's %d", rcode, len(rstdout), code, len(stdout))
+	}
+	if !bytes.Equal(rstderr, stderr) {
+		t.Errorf("resumed run's stderr:\n%s\nwant the first run's:\n%s", rstderr, stderr)
+	}
+
+	// The layout before the causes: the exit code byte, then the report.
+	old := filepath.Join(t.TempDir(), "ckpt")
+	store, err := ckpt.OpenOn(storage.OS(), old, ckpt.Manifest{Kind: "semanalyze",
+		Params: "validate=false show=5 report=true lenient=true"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := colfmt.MetaOn(storage.OS(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Append(traceKey(storage.OS(), dir, meta), append([]byte{byte(code)}, stdout...)); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+	args[len(args)-1] = old
+	code, stdout, stderr = semanalyze(t, append(args, "-resume")...)
+	if code != exitError || len(stdout) != 0 || !bytes.Contains(stderr, []byte(ckpt.ErrMismatch.Error())) {
+		t.Errorf("resume from an old-layout journal: exit %d, %d stdout bytes, stderr %q; want exit %d, no stdout and %q",
+			code, len(stdout), stderr, exitError, ckpt.ErrMismatch)
 	}
 }

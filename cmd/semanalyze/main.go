@@ -16,8 +16,8 @@
 //
 // With -checkpoint, each completed analysis is journaled (keyed by the
 // trace's configuration name and a hash of its files) and -resume replays
-// the cached report — including the original exit code — without re-running
-// the analysis.
+// the cached report — including the original exit code and -lenient's
+// salvage causes on stderr — without re-running the analysis.
 //
 // With -check-consistency, the traced configuration is re-run under all
 // four consistency models with the pfs op-history recorder attached, and
@@ -40,6 +40,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -120,13 +121,13 @@ func run() (code int) {
 		return checkConsistency(os.Stdout, backend, *dir)
 	}
 	if *ckptDir == "" {
-		return analyzeDir(os.Stdout, backend, *dir, *lenient, *validate, *maxShow, *full, *workers)
+		return analyzeDir(os.Stdout, os.Stderr, backend, *dir, *lenient, *validate, *maxShow, *full, *workers)
 	}
 
 	// Checkpointed path: the journal key pins both the trace's identity (its
 	// configuration name plus a hash of its files) and, via the manifest,
-	// the analysis flags that shape the output. The cached blob is one exit
-	// code byte followed by the rendered report, salvage line included.
+	// the analysis flags that shape the output and the blob layout (see
+	// encodeBlob), so a journal in another layout is refused, not misread.
 	meta, err := colfmt.MetaOn(backend, *dir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "semanalyze:", err)
@@ -134,7 +135,7 @@ func run() (code int) {
 	}
 	store, err := ckpt.OpenOn(backend, *ckptDir, ckpt.Manifest{
 		Kind:   "semanalyze",
-		Params: fmt.Sprintf("validate=%v show=%d report=%v lenient=%v", *validate, *maxShow, *full, *lenient),
+		Params: fmt.Sprintf("validate=%v show=%d report=%v lenient=%v blob=%s", *validate, *maxShow, *full, *lenient, blobLayout),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "semanalyze: -checkpoint:", err)
@@ -144,17 +145,20 @@ func run() (code int) {
 	key := traceKey(backend, *dir, meta)
 
 	if *resume {
-		if blob, ok := store.Lookup(key); ok && len(blob) >= 1 {
-			if _, err := os.Stdout.Write(blob[1:]); err != nil {
-				fmt.Fprintln(os.Stderr, "semanalyze:", err)
-				return exitError
+		if blob, ok := store.Lookup(key); ok {
+			if code, causes, report, ok := decodeBlob(blob); ok {
+				os.Stderr.Write(causes)
+				if _, err := os.Stdout.Write(report); err != nil {
+					fmt.Fprintln(os.Stderr, "semanalyze:", err)
+					return exitError
+				}
+				return code
 			}
-			return int(blob[0])
 		}
 	}
 
-	var buf bytes.Buffer
-	code = analyzeDir(&buf, backend, *dir, *lenient, *validate, *maxShow, *full, *workers)
+	var buf, causes bytes.Buffer
+	code = analyzeDir(&buf, io.MultiWriter(os.Stderr, &causes), backend, *dir, *lenient, *validate, *maxShow, *full, *workers)
 	if _, err := os.Stdout.Write(buf.Bytes()); err != nil {
 		fmt.Fprintln(os.Stderr, "semanalyze:", err)
 		return exitError
@@ -162,13 +166,38 @@ func run() (code int) {
 	if code == exitClean || code == exitConflicts {
 		// Journal only completed analyses: an error exit must re-run on
 		// resume, and a failed append must not pretend to be durable.
-		blob := append([]byte{byte(code)}, buf.Bytes()...)
-		if err := store.Append(key, blob); err != nil {
+		if err := store.Append(key, encodeBlob(code, causes.Bytes(), buf.Bytes())); err != nil {
 			fmt.Fprintln(os.Stderr, "semanalyze: checkpoint:", err)
 			return exitError
 		}
 	}
 	return code
+}
+
+// blobLayout names encodeBlob's layout in the checkpoint manifest.
+const blobLayout = "code,causes,report"
+
+// encodeBlob is a completed analysis as the -checkpoint journal caches it:
+// the exit code byte, the uvarint length of the salvage causes -lenient
+// printed on stderr, those causes, then the rendered report.
+func encodeBlob(code int, causes, report []byte) []byte {
+	blob := binary.AppendUvarint([]byte{byte(code)}, uint64(len(causes)))
+	blob = append(blob, causes...)
+	return append(blob, report...)
+}
+
+// decodeBlob splits an encodeBlob blob; ok is false for a malformed one,
+// which resume re-runs instead of replaying.
+func decodeBlob(blob []byte) (code int, causes, report []byte, ok bool) {
+	if len(blob) < 1 {
+		return 0, nil, nil, false
+	}
+	n, k := binary.Uvarint(blob[1:])
+	if k <= 0 || n > uint64(len(blob)-1-k) {
+		return 0, nil, nil, false
+	}
+	rest := blob[1+k:]
+	return int(blob[0]), rest[:n], rest[n:], true
 }
 
 // traceKey is a trace directory's -checkpoint journal key: its
@@ -263,11 +292,11 @@ func flushed(out *bufio.Writer, code int) int {
 
 // analyzeDir analyzes a trace directory without loading it (the analysis
 // folds each rank file, mapped, on the same worker pool as its passes) and
-// renders the analysis to w, after -lenient's salvage line. Hard failures
-// and -lenient's per-rank salvage errors go to stderr directly — they are
-// never part of a cached report. A trace that cannot be read fails with
-// exactly a strict load's error.
-func analyzeDir(w io.Writer, b storage.Backend, dir string, lenient, validate bool, maxShow int, full bool, workers int) int {
+// renders the analysis to w, after -lenient's salvage line. -lenient's
+// per-rank salvage causes go to causes (stderr, which -checkpoint also
+// journals); hard failures go to stderr directly and are never cached. A
+// trace that cannot be read fails with exactly a strict load's error.
+func analyzeDir(w, causes io.Writer, b storage.Backend, dir string, lenient, validate bool, maxShow int, full bool, workers int) int {
 	var an *semfs.Analysis
 	var err error
 	if lenient {
@@ -281,7 +310,7 @@ func analyzeDir(w io.Writer, b storage.Backend, dir string, lenient, validate bo
 			// Why each degraded rank lost records: the salvage line only
 			// counts them.
 			for _, e := range sal.Errs {
-				fmt.Fprintln(os.Stderr, "semanalyze:", e)
+				fmt.Fprintln(causes, "semanalyze:", e)
 			}
 		}
 	} else {

@@ -35,26 +35,28 @@ func runApp(t *testing.T, name string) *semfs.Trace {
 
 // TestAnalyzeRunsOneSweepAndOneExtraction: a -report run reads every view,
 // the report's conflict columns included, off one extraction and one fused
-// conflict sweep.
+// conflict sweep: its span export holds exactly one span of each pass.
 func TestAnalyzeRunsOneSweepAndOneExtraction(t *testing.T) {
 	tr := runApp(t, "NWChem")
-	reg := obs.Default()
-	was := reg.Enabled()
-	reg.SetEnabled(true)
-	t.Cleanup(func() { reg.SetEnabled(was) })
-	sweeps := reg.Histogram("core.pass.fused-conflicts.wall_ns")
-	scans := reg.Histogram("core.pass.extract.wall_ns")
-	sweeps0, scans0 := sweeps.Count(), scans.Count()
+	tracer := obs.Default().Tracer()
+	tracer.SetEnabled(true)
+	t.Cleanup(func() { tracer.SetEnabled(false) })
+	before := len(tracer.Spans())
 
 	var buf bytes.Buffer
 	if code := analyzeTrace(t, &buf, tr, true, 5, true, 1); code != exitClean {
 		t.Fatalf("exit %d, want %d:\n%s", code, exitClean, buf.String())
 	}
-	if n := sweeps.Count() - sweeps0; n != 1 {
-		t.Errorf("core.pass.fused-conflicts.wall_ns recorded %d samples, want 1", n)
+	passes := map[string]int{}
+	for _, sp := range tracer.Spans()[before:] {
+		if sp.Cat == "core.pass" {
+			passes[sp.Name]++
+		}
 	}
-	if n := scans.Count() - scans0; n != 1 {
-		t.Errorf("core.pass.extract.wall_ns recorded %d samples, want 1", n)
+	for _, pass := range []string{"extract", "fused-conflicts"} {
+		if n := passes[pass]; n != 1 {
+			t.Errorf("%d %s spans, want 1 (passes: %v)", n, pass, passes)
+		}
 	}
 
 	out := buf.String()

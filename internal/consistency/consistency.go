@@ -81,9 +81,6 @@ func (v *Violation) String() string {
 	if v.Write != nil {
 		s += fmt.Sprintf(" vs %s #%d (rank %d [%d,+%d))",
 			v.Write.Kind, v.Write.Seq, v.Write.Rank, v.Write.Off, v.Write.Len)
-		if v.Write.Trace != 0 {
-			s += fmt.Sprintf(" trace=%#x", v.Write.Trace)
-		}
 	}
 	if v.Offset >= 0 {
 		s += fmt.Sprintf(" at byte %d", v.Offset)

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/pfs"
@@ -64,14 +63,9 @@ func ParallelForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 		}
 		return nil
 	}
-	// Utilization accounting (sum of per-worker active time over pool-size x
-	// wall) and per-worker spans are live only while telemetry is on; the
-	// task loop itself carries no instrumentation, so the disabled path adds
-	// nothing per task.
-	instrumented := obs.Default().Enabled()
+	// Each worker's span, on its own lane, is its busy time; the task loop
+	// itself carries no instrumentation.
 	tracer := obs.Default().Tracer()
-	start := time.Now()
-	var busyNS atomic.Int64
 	var next atomic.Int64
 	next.Store(-1)
 	var wg sync.WaitGroup
@@ -80,10 +74,6 @@ func ParallelForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 		go func(w int) {
 			defer wg.Done()
 			span := tracer.Start("pool-worker", "core.pool").OnLane(w + 1)
-			var t0 time.Time
-			if instrumented {
-				t0 = time.Now()
-			}
 			for ctx.Err() == nil {
 				i := int(next.Add(1))
 				if i >= n {
@@ -91,18 +81,10 @@ func ParallelForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 				}
 				fn(i)
 			}
-			if instrumented {
-				busyNS.Add(time.Since(t0).Nanoseconds())
-			}
 			span.End()
 		}(w)
 	}
 	wg.Wait()
-	if instrumented {
-		if wall := time.Since(start).Nanoseconds(); wall > 0 {
-			poolUtilization.SetMax(busyNS.Load() * 100 / (int64(workers) * wall))
-		}
-	}
 	return ctx.Err()
 }
 

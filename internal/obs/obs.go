@@ -67,9 +67,6 @@ func Default() *Registry { return defaultRegistry }
 // Spans are governed separately by the tracer's own flag.
 func (r *Registry) SetEnabled(on bool) { r.enabled.Store(on) }
 
-// Enabled reports whether metric collection is on.
-func (r *Registry) Enabled() bool { return r.enabled.Load() }
-
 // Tracer returns the registry's span tracer (disabled until its SetEnabled).
 func (r *Registry) Tracer() *Tracer { return &r.tracer }
 
@@ -153,8 +150,8 @@ func (c *Counter) value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is an instantaneous atomic value (queue depth, utilization percent,
-// visibility lag). Unlike a counter it can move both ways.
+// Gauge is an instantaneous atomic value (pool size, queue high-water
+// mark).
 type Gauge struct {
 	on *atomic.Bool
 	v  atomic.Int64
@@ -242,14 +239,6 @@ func (h *Histogram) Observe(v int64) {
 		return
 	}
 	h.zero.Add(1)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
 }
 
 func (h *Histogram) reset() {

@@ -129,9 +129,6 @@ func TestDisabledPathAllocatesZero(t *testing.T) {
 		sp := tr.Start("noop", "test")
 		sp.Child("inner").End()
 		sp.OnLane(2).End()
-		ts := tr.StartTrace("noop", "test")
-		tr.StartLinked("linked", "test", ts.TraceID(), ts.ID()).End()
-		ts.End()
 	})
 	if allocs != 0 {
 		t.Errorf("disabled path allocates %.1f per op, want 0", allocs)

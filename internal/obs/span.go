@@ -11,16 +11,15 @@ import (
 )
 
 // Tracer collects lightweight spans: named intervals with start/end
-// timestamps, parent links, a lane (thread id in the Chrome trace model)
-// and an optional trace ID that chains causally-related spans across
-// goroutines. It is disabled by default — Start returns nil and every Span
+// timestamps, parent links and a lane (thread id in the Chrome trace
+// model). A span is the one record of a timed interval: no histogram times
+// the same interval again, and no span ID crosses a goroutine or package
+// boundary. It is disabled by default — Start returns nil and every Span
 // method is nil-safe, so instrumentation sites pay one atomic load when
 // tracing is off. Enable it with SetEnabled (the CLIs do on -trace-spans).
 //
 // Ended spans export as Chrome trace_event "complete" events
-// (chromeTraceJSON), loadable in chrome://tracing and Perfetto; spans
-// sharing a trace ID carry it in their args, so the ack→drain→publish
-// chain of one WAL-routed write filters to a single causal thread.
+// (chromeTraceJSON), loadable in chrome://tracing and Perfetto.
 type Tracer struct {
 	enabled atomic.Bool
 	nextID  atomic.Uint64
@@ -32,7 +31,6 @@ type Tracer struct {
 
 type spanRecord struct {
 	id, parent uint64
-	trace      uint64 // 0 = not part of a causal chain
 	name, cat  string
 	lane       int
 	startNS    int64 // relative to epoch
@@ -53,7 +51,6 @@ func (t *Tracer) SetEnabled(on bool) {
 type Span struct {
 	t          *Tracer
 	id, parent uint64
-	trace      uint64
 	name, cat  string
 	lane       int
 	startNS    int64
@@ -74,58 +71,7 @@ func (t *Tracer) Start(name, cat string) *Span {
 	}
 }
 
-// StartTrace opens a root span that also begins a causal trace: the span's
-// own id becomes the trace ID that children and cross-goroutine linked
-// spans (StartLinked) inherit. Returns nil when the tracer is disabled.
-func (t *Tracer) StartTrace(name, cat string) *Span {
-	s := t.Start(name, cat)
-	if s != nil {
-		s.trace = s.id
-	}
-	return s
-}
-
-// StartLinked opens a span belonging to an existing causal trace, parented
-// to the given span id — the cross-goroutine continuation a channel or
-// queue hand-off needs (the WAL drainer links its publish span to the ack
-// span recorded by the application thread). A zero trace makes this Start.
-// Returns nil when the tracer is disabled or nil.
-func (t *Tracer) StartLinked(name, cat string, trace, parent uint64) *Span {
-	if t == nil || !t.enabled.Load() {
-		return nil
-	}
-	return &Span{
-		t:       t,
-		id:      t.nextID.Add(1),
-		parent:  parent,
-		trace:   trace,
-		name:    name,
-		cat:     cat,
-		startNS: time.Now().UnixNano() - t.epochNS.Load(),
-	}
-}
-
-// TraceID returns the causal trace this span belongs to (0 when it was
-// started outside a trace, or when s is nil — the disabled path — so the
-// value can be stored and later passed to StartLinked unconditionally).
-func (s *Span) TraceID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.trace
-}
-
-// ID returns the span's identity, usable as the parent of a linked span.
-// Nil-safe; 0 when tracing is disabled.
-func (s *Span) ID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.id
-}
-
-// Child opens a sub-span of s, inheriting its category, lane and trace.
-// Nil-safe.
+// Child opens a sub-span of s, inheriting its category and lane. Nil-safe.
 func (s *Span) Child(name string) *Span {
 	if s == nil || !s.t.enabled.Load() {
 		return nil
@@ -134,7 +80,6 @@ func (s *Span) Child(name string) *Span {
 		t:       s.t,
 		id:      s.t.nextID.Add(1),
 		parent:  s.id,
-		trace:   s.trace,
 		name:    name,
 		cat:     s.cat,
 		lane:    s.lane,
@@ -159,7 +104,7 @@ func (s *Span) End() {
 		return
 	}
 	rec := spanRecord{
-		id: s.id, parent: s.parent, trace: s.trace,
+		id: s.id, parent: s.parent,
 		name: s.name, cat: s.cat, lane: s.lane,
 		startNS: s.startNS,
 		durNS:   time.Now().UnixNano() - s.t.epochNS.Load() - s.startNS,
@@ -169,19 +114,12 @@ func (s *Span) End() {
 	s.t.mu.Unlock()
 }
 
-// Len returns the number of ended spans collected so far.
-func (t *Tracer) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans)
-}
-
 // SpanInfo is one ended span as Spans returns it.
 type SpanInfo struct {
-	ID, Parent, Trace uint64
-	Name, Cat         string
-	Lane              int
-	StartNS, DurNS    int64
+	ID, Parent     uint64
+	Name, Cat      string
+	Lane           int
+	StartNS, DurNS int64
 }
 
 // Spans returns a snapshot of every ended span, in the order they ended.
@@ -190,7 +128,7 @@ func (t *Tracer) Spans() []SpanInfo {
 	defer t.mu.Unlock()
 	out := make([]SpanInfo, len(t.spans))
 	for i, s := range t.spans {
-		out[i] = SpanInfo{ID: s.id, Parent: s.parent, Trace: s.trace,
+		out[i] = SpanInfo{ID: s.id, Parent: s.parent,
 			Name: s.name, Cat: s.cat, Lane: s.lane, StartNS: s.startNS, DurNS: s.durNS}
 	}
 	return out
@@ -213,9 +151,7 @@ type chromeEvent struct {
 // chromeTraceJSON renders every ended span as a Chrome trace_event JSON
 // document ({"traceEvents": [...]}), loadable in chrome://tracing and
 // Perfetto. Spans are sorted by start time (ties by id) so the export is a
-// deterministic function of the collected spans. Spans in a causal trace
-// carry "trace" in their args — search for it in Perfetto to isolate one
-// op's ack→drain→publish→visible chain.
+// deterministic function of the collected spans.
 func (t *Tracer) chromeTraceJSON() ([]byte, error) {
 	t.mu.Lock()
 	spans := append([]spanRecord(nil), t.spans...)
@@ -237,14 +173,8 @@ func (t *Tracer) chromeTraceJSON() ([]byte, error) {
 			PID:  1,
 			TID:  s.lane,
 		}
-		if s.parent != 0 || s.trace != 0 {
-			ev.Args = map[string]any{"id": s.id}
-			if s.parent != 0 {
-				ev.Args["parent"] = s.parent
-			}
-			if s.trace != 0 {
-				ev.Args["trace"] = s.trace
-			}
+		if s.parent != 0 {
+			ev.Args = map[string]any{"id": s.id, "parent": s.parent}
 		}
 		events = append(events, ev)
 	}

@@ -87,131 +87,22 @@ func TestChromeTraceExport(t *testing.T) {
 	}
 }
 
-// TestTraceLinkConcurrent exercises the WAL hand-off shape under -race:
-// producer goroutines start traces and pass (trace, parent) through a
-// channel to a drainer goroutine, which continues each chain with linked
-// spans. Every span of a chain must share the producer's trace ID, and the
-// Chrome export must carry the trace in args.
-func TestTraceLinkConcurrent(t *testing.T) {
-	r := newRegistry()
-	tr := r.Tracer()
-	tr.SetEnabled(true)
-
-	type handoff struct{ trace, parent uint64 }
-	const producers, perProducer = 4, 50
-	ch := make(chan handoff, producers*perProducer)
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < perProducer; i++ {
-				sp := tr.StartTrace("wal.write", "test").OnLane(p)
-				sp.Child("wal.append").End()
-				ch <- handoff{sp.TraceID(), sp.ID()}
-				sp.End()
-			}
-		}(p)
-	}
-	done := make(chan struct{})
-	go func() { // drainer: continue each chain on another goroutine
-		defer close(done)
-		for h := range ch {
-			pub := tr.StartLinked("drain.publish", "test", h.trace, h.parent)
-			tr.StartLinked("visible", "test", h.trace, pub.ID()).End()
-			pub.End()
-		}
-	}()
-	wg.Wait()
-	close(ch)
-	<-done
-
-	spans := tr.Spans()
-	if got, want := len(spans), producers*perProducer*4; got != want {
-		t.Fatalf("collected %d spans, want %d", got, want)
-	}
-	byTrace := map[uint64][]SpanInfo{}
-	for _, s := range spans {
-		if s.Trace == 0 {
-			t.Fatalf("span %q has no trace ID", s.Name)
-		}
-		byTrace[s.Trace] = append(byTrace[s.Trace], s)
-	}
-	if len(byTrace) != producers*perProducer {
-		t.Fatalf("got %d distinct traces, want %d", len(byTrace), producers*perProducer)
-	}
-	for trace, chain := range byTrace {
-		if len(chain) != 4 {
-			t.Fatalf("trace %#x has %d spans, want 4", trace, len(chain))
-		}
-		names := map[string]SpanInfo{}
-		for _, s := range chain {
-			names[s.Name] = s
-		}
-		root := names["wal.write"]
-		if root.ID != trace {
-			t.Errorf("trace %#x: root span id %d != trace", trace, root.ID)
-		}
-		if names["wal.append"].Parent != root.ID {
-			t.Errorf("trace %#x: append not parented to root", trace)
-		}
-		if names["drain.publish"].Parent != root.ID {
-			t.Errorf("trace %#x: publish not linked to root", trace)
-		}
-		if names["visible"].Parent != names["drain.publish"].ID {
-			t.Errorf("trace %#x: visible not parented to publish", trace)
-		}
-	}
-
-	b, err := tr.chromeTraceJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(b, &doc); err != nil {
-		t.Fatalf("export is not valid trace_event JSON: %v", err)
-	}
-	traced := 0
-	for _, ev := range doc.TraceEvents {
-		if ev.Args["trace"] != nil {
-			traced++
-		}
-	}
-	if traced != len(spans) {
-		t.Errorf("%d exported events carry a trace arg, want %d", traced, len(spans))
-	}
-}
-
-// TestTraceNilAndDisabledFastPaths: every trace-link call is safe and inert
-// on a nil tracer, a disabled tracer, and the nil spans they return.
+// TestTraceNilAndDisabledFastPaths: every span call is safe and inert on a
+// nil tracer, a disabled tracer, and the nil spans they return.
 func TestTraceNilAndDisabledFastPaths(t *testing.T) {
 	var nilTr *Tracer
-	if sp := nilTr.StartLinked("x", "y", 1, 2); sp != nil {
-		t.Error("nil tracer StartLinked returned a span")
-	}
 	if sp := nilTr.Start("x", "y"); sp != nil {
 		t.Error("nil tracer Start returned a span")
 	}
 
 	r := newRegistry()
 	tr := r.Tracer() // never enabled
-	sp := tr.StartTrace("x", "y")
+	sp := tr.Start("x", "y")
 	if sp != nil {
-		t.Fatal("disabled tracer StartTrace returned a span")
-	}
-	// The values a disabled site stores and later hands to StartLinked.
-	if sp.TraceID() != 0 || sp.ID() != 0 {
-		t.Error("nil span reports nonzero identity")
+		t.Fatal("disabled tracer Start returned a span")
 	}
 	sp.Child("c").End()
 	sp.OnLane(3).End()
-	if got := tr.StartLinked("x", "y", sp.TraceID(), sp.ID()); got != nil {
-		t.Error("disabled tracer StartLinked returned a span")
-	}
 	if tr.Len() != 0 {
 		t.Errorf("disabled tracer collected %d spans", tr.Len())
 	}

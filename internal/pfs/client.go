@@ -42,12 +42,6 @@ type Handle struct {
 // Path returns the file path this handle refers to.
 func (h *Handle) Path() string { return h.path }
 
-// Semantics returns the consistency model governing this handle's path.
-// fs.opts (including PathRules) is immutable after New, so this is safe
-// without fs.mu — the WAL drainer labels its visibility-lag observations
-// with it from outside the lock.
-func (h *Handle) Semantics() Semantics { return h.c.fs.semFor(h.path) }
-
 // Open flag bits (match recorder's conventional values).
 const (
 	ORdonly = 0x0
@@ -143,14 +137,6 @@ func (h *Handle) visibleLocked(now uint64) func(*extent) bool {
 // written more than once, and a buffer that failed to write stays the
 // caller's.
 func (h *Handle) Write(off int64, data payload.P, now uint64) (uint64, error) {
-	return h.WriteTraced(off, data, now, 0)
-}
-
-// WriteTraced is Write carrying a causal trace ID (obs.Tracer span chain)
-// that is stamped into the operation's history event — the hand-off that
-// lets the WAL drainer's publish tie back to the rank's original write.
-// Zero trace makes this identical to Write.
-func (h *Handle) WriteTraced(off int64, data payload.P, now uint64, trace uint64) (uint64, error) {
 	if h.c.crashed {
 		return 0, ErrCrashed
 	}
@@ -165,12 +151,12 @@ func (h *Handle) WriteTraced(off int64, data payload.P, now uint64, trace uint64
 	defer fs.mu.Unlock()
 	f, err := fs.ensure(h.path, false)
 	if err != nil {
-		fs.recordHistoryLocked(HistoryEvent{Kind: EvWrite, Trace: trace, Rank: h.c.rank, Path: h.path,
+		fs.recordHistoryLocked(HistoryEvent{Kind: EvWrite, Rank: h.c.rank, Path: h.path,
 			Handle: h.id, Off: off, Len: data.Len(), Now: now, Err: errString(err)})
 		return 0, err
 	}
 	if f.laminated {
-		fs.recordHistoryLocked(HistoryEvent{Kind: EvWrite, Trace: trace, Rank: h.c.rank, Path: h.path,
+		fs.recordHistoryLocked(HistoryEvent{Kind: EvWrite, Rank: h.c.rank, Path: h.path,
 			Handle: h.id, Off: off, Len: data.Len(), Now: now, Err: errString(ErrLaminated)})
 		return 0, ErrLaminated
 	}
@@ -178,7 +164,7 @@ func (h *Handle) WriteTraced(off int64, data payload.P, now uint64, trace uint64
 		Off: off, Len: data.Len(), Now: now})
 	if act.CrashBefore {
 		h.c.crashLocked()
-		fs.recordHistoryLocked(HistoryEvent{Kind: EvWrite, Trace: trace, Rank: h.c.rank, Path: h.path,
+		fs.recordHistoryLocked(HistoryEvent{Kind: EvWrite, Rank: h.c.rank, Path: h.path,
 			Handle: h.id, Off: off, Len: data.Len(), Now: now, Err: errString(ErrCrashed)})
 		return 0, ErrCrashed
 	}
@@ -190,7 +176,7 @@ func (h *Handle) WriteTraced(off int64, data payload.P, now uint64, trace uint64
 			Path: h.path, Off: off, Len: data.Len(), Now: now})
 		cost += extra
 		if act.Transient {
-			fs.recordHistoryLocked(HistoryEvent{Kind: EvWrite, Trace: trace, Rank: h.c.rank, Path: h.path,
+			fs.recordHistoryLocked(HistoryEvent{Kind: EvWrite, Rank: h.c.rank, Path: h.path,
 				Handle: h.id, Off: off, Len: data.Len(), Now: now, Err: errString(ErrTransient)})
 			return cost, fmt.Errorf("write %s: %w", h.path, ErrTransient)
 		}
@@ -216,7 +202,7 @@ func (h *Handle) WriteTraced(off int64, data payload.P, now uint64, trace uint64
 	// servers even though the process never observed the completion. Its
 	// bytes are made only for a recorder that keeps them.
 	if fs.history != nil {
-		fs.recordHistoryLocked(HistoryEvent{Kind: EvWrite, Trace: trace, Rank: h.c.rank, Path: h.path,
+		fs.recordHistoryLocked(HistoryEvent{Kind: EvWrite, Rank: h.c.rank, Path: h.path,
 			Handle: h.id, Off: off, Len: data.Len(), Data: data.Materialize(), Now: now})
 	}
 	if act.CrashAfter {
@@ -463,12 +449,18 @@ func (h *Handle) Close(now uint64) (uint64, error) {
 // content globally visible under every consistency model. Returns the
 // simulated cost (a sync plus a metadata round trip).
 func (h *Handle) Laminate(now uint64) (uint64, error) {
-	if h.closed {
-		return 0, errClosed
-	}
 	fs := h.c.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	if h.c.crashed {
+		// A dead process changes nothing; the attempt is still history.
+		fs.recordHistoryLocked(HistoryEvent{Kind: EvLaminate, Rank: h.c.rank, Path: h.path,
+			Handle: h.id, Now: now, Err: errString(ErrCrashed)})
+		return 0, ErrCrashed
+	}
+	if h.closed {
+		return 0, errClosed
+	}
 	f, err := fs.ensure(h.path, false)
 	cost := sim.SyncCost + sim.MetaRPC
 	if err != nil {
@@ -487,12 +479,18 @@ func (h *Handle) Laminate(now uint64) (uint64, error) {
 // Truncate sets the file length; the change is immediately visible in all
 // models (metadata-path operation).
 func (h *Handle) Truncate(length int64) (uint64, error) {
-	if h.closed {
-		return 0, errClosed
-	}
 	fs := h.c.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	if h.c.crashed {
+		// A dead process changes nothing; the attempt is still history.
+		fs.recordHistoryLocked(HistoryEvent{Kind: EvTruncate, Rank: h.c.rank, Path: h.path,
+			Handle: h.id, Off: length, Err: errString(ErrCrashed)})
+		return 0, ErrCrashed
+	}
+	if h.closed {
+		return 0, errClosed
+	}
 	fs.stats.MetaOps++
 	f, err := fs.ensure(h.path, false)
 	if err != nil {

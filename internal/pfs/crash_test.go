@@ -71,6 +71,46 @@ func TestCrashUnderSessionLosesWholeOpenSession(t *testing.T) {
 	}
 }
 
+// TestCrashedClientCannotTruncateOrLaminate: a dead process can no more
+// shrink or laminate a file than write it. Both calls fail with ErrCrashed,
+// leave the file's size, content and lamination as they were, and record
+// the failed attempt in the op history.
+func TestCrashedClientCannotTruncateOrLaminate(t *testing.T) {
+	fs := newFS(Strong)
+	var hist historyLog
+	fs.SetHistoryRecorder(&hist)
+	w := fs.NewClient(0, 0)
+	h := mustOpen(t, w, "/ckpt", OCreat|OWronly, 10)
+	writeAll(t, h, 0, []byte("published"), 20)
+	w.Crash()
+
+	if _, err := h.Truncate(2); !errors.Is(err, ErrCrashed) {
+		t.Errorf("truncate after crash: %v, want ErrCrashed", err)
+	}
+	if _, err := h.Laminate(30); !errors.Is(err, ErrCrashed) {
+		t.Errorf("laminate after crash: %v, want ErrCrashed", err)
+	}
+	for i, kind := range []EventKind{EvTruncate, EvLaminate} {
+		ev := hist[len(hist)-2+i]
+		if ev.Kind != kind || ev.Err != ErrCrashed.Error() {
+			t.Errorf("history event %d = %v %q, want a failed %v", len(hist)-2+i, ev.Kind, ev.Err, kind)
+		}
+	}
+
+	if fi, _, err := fs.Stat("/ckpt"); err != nil || fi.Size != 9 {
+		t.Errorf("size after crashed truncate = %d (%v), want 9", fi.Size, err)
+	}
+	r := fs.NewClient(1, 1)
+	hr := mustOpen(t, r, "/ckpt", ORdwr, 40)
+	if got := readAll(t, hr, 0, 9, 50); !bytes.Equal(got, []byte("published")) {
+		t.Errorf("content after crashed truncate = %q, want %q", got, "published")
+	}
+	// Not laminated: a live client can still write it.
+	if _, err := hr.Write(0, payload.Bytes([]byte("P")), 60); err != nil {
+		t.Errorf("write after crashed laminate: %v, want the file still writable", err)
+	}
+}
+
 func TestCrashDoesNotAffectOtherClients(t *testing.T) {
 	fs := newFS(Commit)
 	a := fs.NewClient(0, 0)

@@ -70,12 +70,6 @@ type HistoryEvent struct {
 	// Now is the simulated time of the operation (visibility input for
 	// time-based models).
 	Now uint64
-	// Trace is the causal trace ID of the write's span chain (see
-	// obs.Tracer.StartTrace): a WAL-routed write carries the same value
-	// from its append through the drain publish to this history event, so
-	// a consistency verdict can name the exact op pipeline that produced
-	// the bytes. Zero when tracing is off or the op was not traced.
-	Trace uint64
 	// Err is the failure the operation surfaced ("" on success). Failed
 	// operations left the file system unchanged.
 	Err string

@@ -9,36 +9,14 @@ import "repro/internal/obs"
 // in nanoseconds, so their contents are deterministic functions of the run,
 // not of host scheduling.
 //
-// Naming (DESIGN.md §9): pfs.op.<op>.cost_ns, pfs.visibility_lag.<model>.
+// Naming (DESIGN.md §9): pfs.op.<op>.cost_ns.
 // Per-FileSystem counts (reads, writes, bytes, retries) are Stats fields,
 // not instruments.
-var (
-	opCost = [...]*obs.Histogram{
-		OpWrite:  obs.Default().Histogram("pfs.op.write.cost_ns"),
-		OpRead:   obs.Default().Histogram("pfs.op.read.cost_ns"),
-		OpCommit: obs.Default().Histogram("pfs.op.commit.cost_ns"),
-		OpClose:  obs.Default().Histogram("pfs.op.close.cost_ns"),
-	}
-
-	// Ack-to-visible lag, per consistency model: host wall-clock nanoseconds
-	// from a WAL write's acknowledgement (local append+fsync returned) to
-	// the drainer's publish completing against this file system — the real
-	// ack-vs-durable gap of the paper's relaxed-semantics argument, observed
-	// live by the WAL drain loop (internal/wal) via ObserveVisibilityLag.
-	visLag = [...]*obs.Histogram{
-		Strong:   obs.Default().Histogram("pfs.visibility_lag.strong"),
-		Commit:   obs.Default().Histogram("pfs.visibility_lag.commit"),
-		Session:  obs.Default().Histogram("pfs.visibility_lag.session"),
-		Eventual: obs.Default().Histogram("pfs.visibility_lag.eventual"),
-	}
-)
-
-// ObserveVisibilityLag records one WAL-routed write's ack-to-visible lag
-// (host wall ns) under the consistency model that governed it. Exported
-// for internal/wal — the drainer is the only place both endpoints of the
-// lag are known.
-func ObserveVisibilityLag(sem Semantics, ns int64) {
-	visLag[sem].Observe(ns)
+var opCost = [...]*obs.Histogram{
+	OpWrite:  obs.Default().Histogram("pfs.op.write.cost_ns"),
+	OpRead:   obs.Default().Histogram("pfs.op.read.cost_ns"),
+	OpCommit: obs.Default().Histogram("pfs.op.commit.cost_ns"),
+	OpClose:  obs.Default().Histogram("pfs.op.close.cost_ns"),
 }
 
 // observeOp tallies one completed client data-path operation and its

@@ -85,8 +85,6 @@ func (k FaultKind) class() opClass {
 	return classAny
 }
 
-func (c opClass) matches(op opClass) bool { return c == classAny || c == op }
-
 // faultInjection is one scheduled fault: at the Nth (1-based) eligible
 // operation of Kind's class, fire Kind with parameter Arg.
 type faultInjection struct {

@@ -26,7 +26,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/payload"
 	"repro/internal/pfs"
 	"repro/internal/storage"
@@ -93,13 +92,6 @@ type queued struct {
 	data    payload.P
 	now     uint64 // simulated ack timestamp, replayed verbatim at drain
 	attempt int
-	// Causal-trace hand-off (obs spans): trace is the write's chain ID,
-	// parent the ack span the drainer's publish span links under. Zero when
-	// tracing is off.
-	trace, parent uint64
-	// ackWall is the host wall clock at acknowledgement; the drainer turns
-	// it into the per-model ack-to-visible lag observation.
-	ackWall int64
 }
 
 // Log is one rank's write-ahead log. All operations on the underlying
@@ -186,24 +178,14 @@ func (l *Log) Write(h *pfs.Handle, off int64, data payload.P, now uint64) (uint6
 	if l.degraded || l.stopped || len(l.queue) >= watermark {
 		return l.writeThroughLocked(h, off, data, now)
 	}
-	// The causal chain starts here: the root span is the acked write, its
-	// trace ID rides the queued record to the drainer's publish span and
-	// into the pfs history event (Perfetto: search args.trace).
-	sp := obs.Default().Tracer().StartTrace("wal.write", "wal").OnLane(l.rank)
-	ap := sp.Child("wal.append")
 	if _, err := appendRecord(l.file, logRecord{Path: h.Path(), Off: off, Now: now, Data: data.Materialize()}, l.opts.NoFsync); err != nil {
 		// Local log disk failed (full, unwritable, gone). The write itself
 		// can still succeed the slow way; stick in write-through so no
 		// later ack ever rests on a log that cannot hold it.
-		ap.End()
-		sp.End()
 		l.degraded = true
 		return l.writeThroughLocked(h, off, data, now)
 	}
-	ap.End()
-	l.queue = append(l.queue, queued{h: h, off: off, data: data, now: now,
-		trace: sp.TraceID(), parent: sp.ID(), ackWall: time.Now().UnixNano()})
-	sp.End()
+	l.queue = append(l.queue, queued{h: h, off: off, data: data, now: now})
 	if n := len(l.queue); n > l.stats.QueuePeak {
 		l.stats.QueuePeak = n
 	}
@@ -324,13 +306,8 @@ func (l *Log) drainStepLocked() error {
 	}
 	rec := l.queue[0]
 	storage.KillPoint("wal.drain.before-publish")
-	// The publish span continues the write's causal trace on the drainer
-	// side of the queue hand-off; the trace ID also lands in the pfs
-	// history event, tying the consistency checker's view to this chain.
-	psp := obs.Default().Tracer().StartLinked("wal.drain.publish", "wal", rec.trace, rec.parent).OnLane(l.rank)
-	_, err := rec.h.WriteTraced(rec.off, rec.data, rec.now, rec.trace)
+	_, err := rec.h.Write(rec.off, rec.data, rec.now)
 	if err != nil && errors.Is(err, pfs.ErrTransient) && rec.attempt < maxDrainRetries {
-		psp.End()
 		l.queue[0].attempt++
 		l.stats.Retries++
 		d := storage.Backoff{}.Delay(rec.attempt)
@@ -344,22 +321,9 @@ func (l *Log) drainStepLocked() error {
 		l.queue = nil // release the drained backing array
 	}
 	if err != nil {
-		psp.End()
 		return fmt.Errorf("wal: drain rank %d %s+%d: %w", l.rank, rec.h.Path(), rec.off, err)
 	}
 	storage.KillPoint("wal.drain.after-publish")
-	psp.End()
-	// Visibility instant: a zero-length span closing the chain, plus the
-	// real (host wall clock) ack-to-visible lag under the write's model.
-	// The drain strictly follows the ack, so the lag is clamped positive.
-	obs.Default().Tracer().StartLinked("pfs.visible", "wal", rec.trace, psp.ID()).OnLane(l.rank).End()
-	if rec.ackWall != 0 {
-		lag := time.Now().UnixNano() - rec.ackWall
-		if lag < 1 {
-			lag = 1
-		}
-		pfs.ObserveVisibilityLag(rec.h.Semantics(), lag)
-	}
 	l.stats.Drained++
 	return nil
 }
