@@ -3,6 +3,8 @@ package mpi
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/payload"
 )
 
 // TestCollectiveDepositReuse checks the collectives' buffer contract: a
@@ -10,6 +12,9 @@ import (
 // other rank — however late it wakes from the round — sees the overwrite.
 // Each rank reuses one buffer per collective across iterations and fills it
 // with 0xff right after every call, then checks every slot it received.
+// Allgather's header follows that contract; its payload does not: the
+// collective keeps the payload value, so every rank receives the
+// depositor's own buffer, and a rank hands it a fresh one each call.
 func TestCollectiveDepositReuse(t *testing.T) {
 	const n, iters = 8, 50
 	pattern := func(src, dst, iter int) []byte {
@@ -50,10 +55,15 @@ func TestCollectiveDepositReuse(t *testing.T) {
 		for iter := 0; iter < iters; iter++ {
 			root := iter % n
 
-			all := p.Allgather(deposit(iter))
+			mine := pattern(me, -2, iter)
+			all, data := p.Allgather(deposit(iter), payload.Bytes(mine))
 			clobber()
 			for src, got := range all {
 				check("Allgather", iter, src, got, pattern(src, -1, iter))
+				check("Allgather payload", iter, src, data[src].Materialize(), pattern(src, -2, iter))
+			}
+			if got := data[me].Materialize(); &got[0] != &mine[0] {
+				t.Errorf("Allgather iter %d: rank %d's payload was copied, want its own buffer", iter, me)
 			}
 
 			gathered := p.Gather(root, deposit(iter))

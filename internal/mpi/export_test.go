@@ -48,7 +48,14 @@ func (p *Proc) Alltoall(parts [][]byte) [][]byte {
 
 func (p *Proc) collectiveScatter(root int, parts [][]byte, bytes int64) *round {
 	ts := p.clock.Stamp()
-	r := p.world.rv.arriveScatter(p.rank, p.clock.Now(), root, parts)
+	if p.rank == root {
+		parts = cloneParts(parts) // only root deposits its parts
+	}
+	r := p.world.rv.arrive(p.clock.Now(), func(r *round) {
+		if p.rank == root {
+			r.scatter = parts
+		}
+	})
 	cost := sim.BarrierCost + uint64(bytes)*sim.CollPerByte
 	p.clock.MergeAtLeast(r.maxClock)
 	p.clock.Advance(cost)
@@ -60,16 +67,18 @@ func (p *Proc) collectiveScatter(root int, parts [][]byte, bytes int64) *round {
 // part vector.
 func (rv *rendezvous) arriveAlltoall(rank int, clock uint64, parts [][]byte) *round {
 	parts = cloneParts(parts)
-	rv.mu.Lock()
-	defer rv.mu.Unlock()
-	r := rv.beginLocked()
-	if r.alltoall == nil {
-		r.alltoall = make([][][]byte, rv.n)
+	return rv.arrive(clock, func(r *round) {
+		if r.alltoall == nil {
+			r.alltoall = make([][][]byte, rv.n)
+		}
+		r.alltoall[rank] = parts
+	})
+}
+
+func cloneParts(parts [][]byte) [][]byte {
+	out := make([][]byte, len(parts))
+	for i, pt := range parts {
+		out[i] = clone(pt)
 	}
-	r.alltoall[rank] = parts
-	if clock > r.maxClock {
-		r.maxClock = clock
-	}
-	rv.finishLocked(r)
-	return r
+	return out
 }

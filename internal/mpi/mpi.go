@@ -11,19 +11,24 @@
 // information (peer/tag/sequence numbers) for the analyzer to reconstruct
 // the happens-before graph from the trace alone.
 //
-// Collective payloads are copied once, when a rank deposits them, and the
-// released round is shared: the byte slices Bcast, Gather, Allgather,
-// Scatter and Alltoall return are read-only and may be the same slices
-// other ranks receive, while the caller may reuse its own deposit buffers
-// as soon as the call returns. Allgather deposits the concatenation of its
-// parts, so a header and a payload cost that one copy. A collective
-// therefore costs O(total payload), not O(ranks × total payload). Every
+// A collective's byte deposits are copied once, when a rank deposits them,
+// and the released round is shared: the byte slices Bcast, Gather and
+// Allgather return are read-only and may be the same slices other ranks
+// receive, while the caller may reuse its own deposit buffers as soon as
+// the call returns. A collective therefore costs O(total payload), not
+// O(ranks × total payload). Allgather also carries a payload.P per rank,
+// which it keeps as a value instead of copying: a fill reference stays a
+// reference, and a Bytes payload's buffer belongs to the collective once
+// deposited. Its cost and record count the header and the payload alike
+// (len(h) + data.Len() bytes). A reduction is computed once per round, when
+// the rendezvous releases it, and every rank reads that result. Every
 // caller in the module only reads its results: mpiio's two-phase
-// WriteAtAll/WriteAll deposit a stack header and the payload, decode the
-// gathered requests, and writeDomain writes a run of one piece straight
-// from its slot (the file system keeps a written buffer and never modifies
-// it) and merges the pieces of any other run into a fresh buffer;
-// ReadAtAll copies out of both phases' slots into its own result; the
+// WriteAtAll/WriteAll deposit a stack header and the caller's payload
+// (whose buffer the file system would keep anyway), decode the gathered
+// headers, and writeDomain writes a run of one piece as a Slice of its
+// payload and merges the pieces of any other run into a fresh buffer;
+// ReadAtAll gathers bare headers, then each aggregator's freshly read
+// domain as a payload, and copies out of both into its own result; the
 // apps' Gather calls (lammps, chem, physics) pass parts straight to
 // Write/Fwrite/Dataset.Write/PutRecord, which keep or copy them without
 // writing to them; apps' readInput drops its Bcast result.
@@ -33,6 +38,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/payload"
 	"repro/internal/recorder"
 	"repro/internal/sim"
 )
@@ -233,12 +239,12 @@ func (p *Proc) Detach() {
 	}
 }
 
-// collective runs one rendezvous: deposit the concatenation of parts, wait
-// for all ranks, merge clocks, and return the completed round. bytes is the
-// per-rank payload size used for cost accounting.
-func (p *Proc) collective(fn recorder.Func, root int, bytes int64, parts ...[]byte) *round {
+// collective runs one rendezvous: deposit, wait for all ranks, merge
+// clocks, and return the completed round. bytes is the per-rank payload
+// size used for cost accounting.
+func (p *Proc) collective(fn recorder.Func, root int, bytes int64, deposit func(r *round)) *round {
 	ts := p.clock.Stamp()
-	r := p.world.rv.arrive(p.rank, p.clock.Now(), parts)
+	r := p.world.rv.arrive(p.clock.Now(), deposit)
 	cost := sim.BarrierCost + uint64(bytes)*sim.CollPerByte
 	p.clock.MergeAtLeast(r.maxClock)
 	p.clock.Advance(cost)
@@ -249,7 +255,7 @@ func (p *Proc) collective(fn recorder.Func, root int, bytes int64, parts ...[]by
 // Barrier blocks until every rank arrives; all ranks leave at the same
 // logical time.
 func (p *Proc) Barrier() {
-	p.collective(recorder.FuncMPIBarrier, -1, 0)
+	p.collective(recorder.FuncMPIBarrier, -1, 0, nil)
 }
 
 // Bcast distributes root's data to every rank and returns it. The result
@@ -257,10 +263,11 @@ func (p *Proc) Barrier() {
 // Bcast returns.
 func (p *Proc) Bcast(root int, data []byte) []byte {
 	bytes := int64(len(data))
-	if p.rank != root {
-		data = nil // only root's payload is delivered, so only root's is copied
+	var own []byte
+	if p.rank == root {
+		own = clone(data) // only root's payload is delivered, so only root's is copied
 	}
-	r := p.collective(recorder.FuncMPIBcast, root, bytes, data)
+	r := p.collective(recorder.FuncMPIBcast, root, bytes, func(r *round) { r.put(p.Size(), p.rank, own) })
 	return r.slots[root]
 }
 
@@ -268,39 +275,58 @@ func (p *Proc) Bcast(root int, data []byte) []byte {
 // by rank; other ranks receive nil. The slots are read-only; data may be
 // reused once Gather returns.
 func (p *Proc) Gather(root int, data []byte) [][]byte {
-	r := p.collective(recorder.FuncMPIGather, root, int64(len(data)), data)
+	own := clone(data)
+	r := p.collective(recorder.FuncMPIGather, root, int64(len(data)), func(r *round) { r.put(p.Size(), p.rank, own) })
 	if p.rank != root {
 		return nil
 	}
 	return r.slots
 }
 
-// Allgather collects every rank's data, the concatenation of its parts, at
-// every rank. The returned slice and its slots are read-only and shared
-// with every other rank; the parts may be reused once Allgather returns.
-func (p *Proc) Allgather(parts ...[]byte) [][]byte {
-	var n int64
-	for _, pt := range parts {
-		n += int64(len(pt))
-	}
-	r := p.collective(recorder.FuncMPIAllgather, -1, n, parts...)
-	return r.slots
+// Allgather collects every rank's header h and payload data at every rank.
+// The header is copied, so h may be reused once Allgather returns; the
+// payload is kept as the value it is, so a fill reference stays a reference
+// and a Bytes payload's buffer belongs to the collective: the caller
+// must not modify it. Both returned slices are read-only and shared with
+// every other rank. A rank sends len(h) + data.Len() bytes.
+func (p *Proc) Allgather(h []byte, data payload.P) ([][]byte, []payload.P) {
+	own := clone(h)
+	r := p.collective(recorder.FuncMPIAllgather, -1, int64(len(h))+data.Len(), func(r *round) {
+		r.put(p.Size(), p.rank, own)
+		if r.data == nil {
+			r.data = make([]payload.P, p.Size())
+		}
+		r.data[p.rank] = data
+	})
+	return r.slots, r.data
 }
 
 // Reduce combines every rank's value with op; root gets the result, other
 // ranks get 0.
 func (p *Proc) Reduce(root int, value int64, op Op) int64 {
-	r := p.collective(recorder.FuncMPIReduce, root, 8, encodeInt64(value))
+	r := p.reduce(recorder.FuncMPIReduce, root, value, op)
 	if p.rank != root {
 		return 0
 	}
-	return reduceSlots(r.slots, op)
+	return r
 }
 
 // Allreduce combines every rank's value with op; every rank gets the result.
 func (p *Proc) Allreduce(value int64, op Op) int64 {
-	r := p.collective(recorder.FuncMPIAllreduce, -1, 8, encodeInt64(value))
-	return reduceSlots(r.slots, op)
+	return p.reduce(recorder.FuncMPIAllreduce, -1, value, op)
+}
+
+// reduce deposits value and returns the round's result, which the
+// rendezvous reduces once, in rank order, when it releases the round.
+func (p *Proc) reduce(fn recorder.Func, root int, value int64, op Op) int64 {
+	r := p.collective(fn, root, 8, func(r *round) {
+		if r.vals == nil {
+			r.vals = make([]int64, p.Size())
+		}
+		r.vals[p.rank] = value
+		r.op = op
+	})
+	return r.result
 }
 
 // Compute advances the local clock by the cost model's per-step compute
@@ -314,28 +340,3 @@ func (p *Proc) Compute(units int) {
 
 // Clock exposes the rank's clock (used by the I/O layers sharing it).
 func (p *Proc) Clock() *sim.Clock { return p.clock }
-
-func reduceSlots(slots [][]byte, op Op) int64 {
-	acc := decodeInt64(slots[0])
-	for _, s := range slots[1:] {
-		acc = op.apply(acc, decodeInt64(s))
-	}
-	return acc
-}
-
-func encodeInt64(v int64) []byte {
-	b := make([]byte, 8)
-	u := uint64(v)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(u >> (8 * i))
-	}
-	return b
-}
-
-func decodeInt64(b []byte) int64 {
-	var u uint64
-	for i := 0; i < 8 && i < len(b); i++ {
-		u |= uint64(b[i]) << (8 * i)
-	}
-	return int64(u)
-}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/payload"
 	"repro/internal/recorder"
 	"repro/internal/sim"
 )
@@ -158,15 +159,25 @@ func TestGather(t *testing.T) {
 }
 
 func TestAllgather(t *testing.T) {
-	runWorld(t, 3, func(p *Proc) {
-		out := p.Allgather([]byte{byte('a' + p.Rank())})
+	procs := runWorld(t, 3, func(p *Proc) {
+		h := []byte{byte('a' + p.Rank())}
+		out, data := p.Allgather(h, payload.Fill(uint64(p.Rank()), int64(p.Rank())))
 		want := []byte{'a', 'b', 'c'}
 		for r := 0; r < 3; r++ {
 			if out[r][0] != want[r] {
 				t.Errorf("rank %d allgather slot %d = %c", p.Rank(), r, out[r][0])
 			}
+			if data[r] != payload.Fill(uint64(r), int64(r)) {
+				t.Errorf("rank %d allgather payload %d = %v, want rank %d's reference", p.Rank(), r, data[r], r)
+			}
 		}
 	})
+	// The recorded size is the header plus the payload's length.
+	for r, rs := range records(procs) {
+		if got := rs[0].Arg(1); got != int64(1+r) {
+			t.Errorf("rank %d MPI_Allgather bytes = %d, want %d", r, got, 1+r)
+		}
+	}
 }
 
 func TestScatter(t *testing.T) {

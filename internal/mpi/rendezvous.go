@@ -1,13 +1,18 @@
 package mpi
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/payload"
+)
 
 // rendezvous implements the collective meeting point. SPMD programs call
 // collectives in the same order on every rank, so a single rendezvous per
-// communicator suffices. Every deposit is copied on arrival, so a round owns
-// its payloads and is immutable once released: a fast rank may reuse its
-// buffers and begin the next round while slow ranks still read the previous
-// one, and all ranks read the released round's slices without copying them.
+// communicator suffices. Every byte deposit is copied on arrival and a
+// payload deposit is a value the collective owns, so a round is immutable
+// once released: a fast rank may reuse its byte buffers and begin the next
+// round while slow ranks still read the previous one, and all ranks read the
+// released round's slices without copying them.
 type rendezvous struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -22,7 +27,11 @@ type round struct {
 	seq      int64
 	arrived  int
 	maxClock uint64
-	slots    [][]byte   // per-rank deposited payloads (gather/bcast/reduce)
+	slots    [][]byte    // per-rank copied bytes (bcast/gather, allgather headers)
+	data     []payload.P // per-rank payload values (allgather), kept, not copied
+	vals     []int64     // per-rank reduce operands; a departed rank's stays 0
+	op       Op
+	result   int64      // vals reduced with op, once, at release
 	scatter  [][]byte   // root-deposited parts (scatter)
 	alltoall [][][]byte // [src][dst] parts
 	done     bool
@@ -36,28 +45,24 @@ func newRendezvous(n int) *rendezvous {
 
 func (rv *rendezvous) beginLocked() *round {
 	if rv.cur == nil || rv.cur.done {
-		rv.cur = &round{
-			seq:   rv.seq,
-			slots: make([][]byte, rv.n),
-		}
+		rv.cur = &round{seq: rv.seq}
 		rv.seq++
 	}
 	return rv.cur
 }
 
 // releaseLocked completes the round once every non-departed rank arrived.
+// A reduce round is reduced here, once for all its ranks.
 func (rv *rendezvous) releaseLocked(r *round) {
 	if !r.done && r.arrived >= rv.n-rv.departed {
+		if r.vals != nil {
+			r.result = r.vals[0]
+			for _, v := range r.vals[1:] {
+				r.result = r.op.apply(r.result, v)
+			}
+		}
 		r.done = true
 		rv.cond.Broadcast()
-	}
-}
-
-func (rv *rendezvous) finishLocked(r *round) {
-	r.arrived++
-	rv.releaseLocked(r)
-	for !r.done {
-		rv.cond.Wait()
 	}
 }
 
@@ -73,65 +78,43 @@ func (rv *rendezvous) depart() {
 	}
 }
 
-// arrive deposits the concatenation of parts for rank and blocks until all
-// ranks arrive.
-func (rv *rendezvous) arrive(rank int, clock uint64, parts [][]byte) *round {
-	own := concat(parts) // the parts do not escape, so callers may pass stack buffers
+// arrive runs deposit on the current round under the lock and blocks until
+// every non-departed rank arrived. deposit stores only what the round owns:
+// copies of byte buffers, or values.
+func (rv *rendezvous) arrive(clock uint64, deposit func(r *round)) *round {
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
 	r := rv.beginLocked()
-	r.slots[rank] = own
-	if clock > r.maxClock {
-		r.maxClock = clock
-	}
-	rv.finishLocked(r)
-	return r
-}
-
-// arriveScatter is arrive for scatter: only root deposits (copies of) the
-// parts.
-func (rv *rendezvous) arriveScatter(rank int, clock uint64, root int, parts [][]byte) *round {
-	if rank == root {
-		parts = cloneParts(parts)
-	}
-	rv.mu.Lock()
-	defer rv.mu.Unlock()
-	r := rv.beginLocked()
-	if rank == root {
-		r.scatter = parts
+	if deposit != nil {
+		deposit(r)
 	}
 	if clock > r.maxClock {
 		r.maxClock = clock
 	}
-	rv.finishLocked(r)
+	r.arrived++
+	rv.releaseLocked(r)
+	for !r.done {
+		rv.cond.Wait()
+	}
 	return r
 }
 
-// concat copies a deposit's parts into one slice, nil when empty. The
-// copy's capacity is its length, so an append to a shared result
-// reallocates instead of writing into memory another rank can see.
-func concat(parts [][]byte) []byte {
-	n := 0
-	for _, pt := range parts {
-		n += len(pt)
+// put stores rank's copied bytes b in the round's slots.
+func (r *round) put(n, rank int, b []byte) {
+	if r.slots == nil {
+		r.slots = make([][]byte, n)
 	}
-	if n == 0 {
+	r.slots[rank] = b
+}
+
+// clone copies b as a deposit, nil when empty. The copy's capacity is its
+// length, so an append to a shared result reallocates instead of writing
+// into memory another rank can see.
+func clone(b []byte) []byte {
+	if len(b) == 0 {
 		return nil
 	}
-	out := make([]byte, 0, n)
-	for _, pt := range parts {
-		out = append(out, pt...)
-	}
-	return out
-}
-
-// clone copies one part as a deposit (see concat).
-func clone(b []byte) []byte { return concat([][]byte{b}) }
-
-func cloneParts(parts [][]byte) [][]byte {
-	out := make([][]byte, len(parts))
-	for i, pt := range parts {
-		out[i] = clone(pt)
-	}
+	out := make([]byte, len(b))
+	copy(out, b)
 	return out
 }

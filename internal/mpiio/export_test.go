@@ -35,8 +35,7 @@ func (f *File) SeekPtr(off int64, whence int) int64 {
 func (f *File) WriteAll(data payload.P) error {
 	ts := f.os.Clock().Stamp()
 	h := extent(f.disp+f.indepPtr, data.Len())
-	slots := f.comm.Allgather(h[:], data.Materialize())
-	err := f.aggregateWrite(slots)
+	err := f.aggregateWrite(f.comm.Allgather(h[:], data))
 	if err == nil {
 		f.indepPtr += data.Len()
 	}

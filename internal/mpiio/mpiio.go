@@ -6,6 +6,12 @@
 // the mechanism behind the paper's M-1 access patterns (FLASH-fbs, VPIC-IO,
 // LAMMPS-MPIIO) and the "six aggregator processes" of Figure 2(a).
 //
+// The exchange carries each rank's payload as a payload.P value, never its
+// bytes: an aggregator writes a slice of the contributing rank's payload,
+// so a fill reference reaches the file system as a reference, and bytes are
+// made only where pieces of several ranks merge into one run. Message
+// lengths, not allocations, drive the simulated cost.
+//
 // Every MPI_File_* call emits an MPI-IO-layer trace record; the POSIX
 // traffic it generates is recorded by the posix layer underneath, giving the
 // multi-level traces the paper's analysis consumes.
@@ -183,18 +189,13 @@ type request struct {
 }
 
 // extent is a request header: the (offset, length) of a collective
-// request. A collective write or redistribution deposits it followed by
-// the payload (Allgather concatenates the two), a collective read alone.
+// request. A collective write or redistribution deposits it with the
+// payload, a collective read alone.
 func extent(off, n int64) [16]byte {
 	var h [16]byte
 	binary.LittleEndian.PutUint64(h[0:8], uint64(off))
 	binary.LittleEndian.PutUint64(h[8:16], uint64(n))
 	return h
-}
-
-func decodeRequest(b []byte) (off int64, data []byte) {
-	off, n := decodeExtent(b)
-	return off, b[16 : 16+n]
 }
 
 func decodeExtent(b []byte) (off, n int64) {
@@ -204,40 +205,40 @@ func decodeExtent(b []byte) (off, n int64) {
 // WriteAtAll performs a collective write: every rank contributes (off, data)
 // — possibly empty — and the aggregator ranks perform the actual file
 // writes over contiguous file domains (two-phase I/O). The payload enters
-// the exchange as bytes: message lengths drive the simulated cost.
+// the exchange as the value it is: a fill reference reaches the file
+// system as a reference, and a Bytes payload's buffer is kept, so the
+// caller must not modify it afterwards (as with posix Pwrite). Its length
+// drives the simulated cost.
 func (f *File) WriteAtAll(off int64, data payload.P) error {
 	ts := f.os.Clock().Stamp()
 	h := extent(f.disp+off, data.Len())
-	slots := f.comm.Allgather(h[:], data.Materialize())
-	err := f.aggregateWrite(slots)
+	err := f.aggregateWrite(f.comm.Allgather(h[:], data))
 	emit(f, recorder.FuncMPIFileWriteAtAll, ts, "", int64(f.fd), data.Len(), off)
 	return err
 }
 
 // aggregateWrite is the write phase of two-phase I/O over the allgathered
-// requests (read-only slots shared with every rank). Only aggregators
-// decode them: the others do no file I/O in the write phase.
-func (f *File) aggregateWrite(slots [][]byte) error {
+// request headers and payloads (read-only, shared with every rank). Only
+// aggregators decode them: the others do no file I/O in the write phase.
+func (f *File) aggregateWrite(hdrs [][]byte, data []payload.P) error {
 	myIdx := f.aggIndex()
 	if myIdx < 0 {
 		return nil
 	}
-	reqs := make([]request, 0, len(slots))
-	payloads := make([][]byte, len(slots))
+	reqs := make([]request, 0, len(hdrs))
 	var lo, hi int64
 	first := true
-	for r, s := range slots {
-		off, data := decodeRequest(s)
-		if len(data) == 0 {
+	for r, h := range hdrs {
+		off, n := decodeExtent(h)
+		if n == 0 {
 			continue
 		}
-		reqs = append(reqs, request{Rank: int64(r), Off: off, Len: int64(len(data))})
-		payloads[r] = data
+		reqs = append(reqs, request{Rank: int64(r), Off: off, Len: n})
 		if first || off < lo {
 			lo = off
 		}
-		if first || off+int64(len(data)) > hi {
-			hi = off + int64(len(data))
+		if first || off+n > hi {
+			hi = off + n
 		}
 		first = false
 	}
@@ -245,7 +246,7 @@ func (f *File) aggregateWrite(slots [][]byte) error {
 		return nil // nothing to write anywhere
 	}
 	for _, dom := range f.domains(myIdx, lo, hi) {
-		if err := f.writeDomain(reqs, payloads, dom[0], dom[1]); err != nil {
+		if err := f.writeDomain(reqs, data, dom[0], dom[1]); err != nil {
 			return err
 		}
 	}
@@ -301,28 +302,22 @@ func (f *File) domains(idx int, lo, hi int64) [][2]int64 {
 
 // writeDomain assembles the contributions that fall inside [dLo, dHi) and
 // writes coalesced contiguous runs (bounded by the collective buffer size).
-// A run of one piece is written straight from its read-only slot; the
-// pieces of a longer run are merged into a fresh buffer.
-func (f *File) writeDomain(reqs []request, payloads [][]byte, dLo, dHi int64) error {
+// A piece is a Slice of its rank's payload, so a run of one piece is
+// written as that slice (a fill reference stays one); the pieces of a
+// longer run are merged into a fresh buffer.
+func (f *File) writeDomain(reqs []request, data []payload.P, dLo, dHi int64) error {
 	type piece struct {
 		off  int64
-		data []byte
+		data payload.P
 	}
 	var pieces []piece
 	for _, rq := range reqs {
-		data := payloads[rq.Rank]
 		pLo, pHi := rq.Off, rq.Off+rq.Len
 		if pHi <= dLo || pLo >= dHi {
 			continue
 		}
-		if pLo < dLo {
-			data = data[dLo-pLo:]
-			pLo = dLo
-		}
-		if pHi > dHi {
-			data = data[:dHi-pLo]
-		}
-		pieces = append(pieces, piece{off: pLo, data: data})
+		lo, hi := max(pLo, dLo), min(pHi, dHi)
+		pieces = append(pieces, piece{off: lo, data: data[rq.Rank].Slice(lo-pLo, hi-pLo)})
 	}
 	sort.Slice(pieces, func(i, j int) bool { return pieces[i].off < pieces[j].off })
 	for i := 0; i < len(pieces); {
@@ -330,25 +325,26 @@ func (f *File) writeDomain(reqs []request, payloads [][]byte, dLo, dHi int64) er
 		// sized once and filled in offset order, so on overlap the later
 		// piece wins.
 		runOff := pieces[i].off
-		end := runOff + int64(len(pieces[i].data))
+		end := runOff + pieces[i].data.Len()
 		j := i + 1
 		for ; j < len(pieces) && pieces[j].off <= end; j++ {
-			end = max(end, pieces[j].off+int64(len(pieces[j].data)))
+			end = max(end, pieces[j].off+pieces[j].data.Len())
 		}
 		run := pieces[i].data
 		if j > i+1 {
-			run = make([]byte, end-runOff)
+			buf := make([]byte, end-runOff)
 			for _, pc := range pieces[i:j] {
-				copy(run[pc.off-runOff:], pc.data)
+				pc.data.CopyTo(buf[pc.off-runOff:])
 			}
+			run = payload.Bytes(buf)
 		}
-		for len(run) > 0 {
-			chunk := run[:min(int64(len(run)), f.opts.CBBufferSize)]
-			if _, err := f.os.Pwrite(f.fd, payload.Bytes(chunk), runOff); err != nil {
+		for run.Len() > 0 {
+			n := min(run.Len(), f.opts.CBBufferSize)
+			if _, err := f.os.Pwrite(f.fd, run.Slice(0, n), runOff); err != nil {
 				return err
 			}
-			runOff += int64(len(chunk))
-			run = run[len(chunk):]
+			runOff += n
+			run = run.Slice(n, run.Len())
 		}
 		i = j
 	}
@@ -360,7 +356,7 @@ func (f *File) writeDomain(reqs []request, payloads [][]byte, dLo, dHi int64) er
 func (f *File) ReadAtAll(off, n int64) ([]byte, error) {
 	ts := f.os.Clock().Stamp()
 	h := extent(f.disp+off, n)
-	slots := f.comm.Allgather(h[:])
+	slots, _ := f.comm.Allgather(h[:], payload.P{})
 	// Phase 1: every aggregator reads the union range restricted to its domain.
 	var lo, hi int64
 	first := true
@@ -393,14 +389,14 @@ func (f *File) ReadAtAll(off, n int64) ([]byte, error) {
 	// Phase 2: redistribute aggregator buffers to everyone; each rank copies
 	// the overlap of every domain with [want, want+n).
 	h = extent(dLo, int64(len(domain)))
-	all := f.comm.Allgather(h[:], domain)
+	hdrs, domains := f.comm.Allgather(h[:], payload.Bytes(domain))
 	out := make([]byte, n)
 	want := f.disp + off
-	for _, s := range all {
-		o, d := decodeRequest(s)
-		lo, hi := max(o, want), min(o+int64(len(d)), want+n)
+	for i, s := range hdrs {
+		o, l := decodeExtent(s)
+		lo, hi := max(o, want), min(o+l, want+n)
 		if lo < hi {
-			copy(out[lo-want:hi-want], d[lo-o:hi-o])
+			domains[i].Slice(lo-o, hi-o).CopyTo(out[lo-want : hi-want])
 		}
 	}
 	emit(f, recorder.FuncMPIFileReadAtAll, ts, "", int64(f.fd), n, off)

@@ -59,6 +59,12 @@ func (c *Client) Open(path string, flags int, now uint64) (*Handle, uint64, erro
 	fs := c.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	if c.crashed {
+		// A dead process changes nothing; the attempt is still history.
+		fs.recordHistoryLocked(HistoryEvent{Kind: EvOpen, Rank: c.rank, Path: path,
+			Flags: flags, Now: now, Err: errString(ErrCrashed)})
+		return nil, 0, fmt.Errorf("open %s: %w", path, ErrCrashed)
+	}
 	fs.stats.MetaOps++
 	cost := sim.MetaRPC + sim.OpenCost
 	f, err := fs.ensure(path, flags&OCreat != 0)

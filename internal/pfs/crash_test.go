@@ -111,6 +111,40 @@ func TestCrashedClientCannotTruncateOrLaminate(t *testing.T) {
 	}
 }
 
+// TestCrashedClientCannotOpen: a dead process cannot open, create or
+// truncate a file either. Open fails with ErrCrashed and records the
+// failed attempt, and the file's size, content and the file set are as
+// they were.
+func TestCrashedClientCannotOpen(t *testing.T) {
+	fs := newFS(Strong)
+	var hist historyLog
+	fs.SetHistoryRecorder(&hist)
+	w := fs.NewClient(0, 0)
+	h := mustOpen(t, w, "/ckpt", OCreat|OWronly, 10)
+	writeAll(t, h, 0, []byte("published"), 20)
+	w.Crash()
+	paths := fs.Paths()
+
+	for _, path := range []string{"/ckpt", "/new"} {
+		if _, _, err := w.Open(path, OCreat|OTrunc|ORdwr, 30); !errors.Is(err, ErrCrashed) {
+			t.Errorf("open %s after crash: %v, want ErrCrashed", path, err)
+		}
+		if ev := hist[len(hist)-1]; ev.Kind != EvOpen || ev.Path != path || ev.Err != ErrCrashed.Error() {
+			t.Errorf("last history event = %v %s %q, want a failed open of %s", ev.Kind, ev.Path, ev.Err, path)
+		}
+	}
+	if got := fs.Paths(); fmt.Sprint(got) != fmt.Sprint(paths) {
+		t.Errorf("files after crashed opens = %v, want %v", got, paths)
+	}
+	if fi, _, err := fs.Stat("/ckpt"); err != nil || fi.Size != 9 {
+		t.Errorf("size after crashed open = %d (%v), want 9", fi.Size, err)
+	}
+	hr := mustOpen(t, fs.NewClient(1, 1), "/ckpt", ORdonly, 40)
+	if got := readAll(t, hr, 0, 9, 50); !bytes.Equal(got, []byte("published")) {
+		t.Errorf("content after crashed open = %q, want %q", got, "published")
+	}
+}
+
 func TestCrashDoesNotAffectOtherClients(t *testing.T) {
 	fs := newFS(Commit)
 	a := fs.NewClient(0, 0)
