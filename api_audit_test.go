@@ -32,17 +32,13 @@ import (
 // because the tests of another package use it, which an export_test.go
 // cannot serve.
 var unusedExportAllow = map[string]string{
-	"internal/ckpt.DecodeResult":                          "experiments' resume tests decode journaled results to compare them with a fresh run",
-	"internal/ckpt.ErrMismatch":                           "error contract: experiments' resume tests match a run-identity mismatch with errors.Is",
-	"internal/ckpt.ReadJournalOn":                         "experiments' resume tests read the journal a killed sweep left behind",
-	"internal/ckpt.Store.Keys":                            "experiments' resume tests list what a sweep committed",
 	"internal/consistency.Log.Events":                     "wal's tests check recorded histories event by event",
 	"internal/core.ConflictSignature.Any":                 "root package tests assert that a configuration has (or lacks) conflicts",
 	"internal/core.ConflictSignature.HasDifferentProcess": "root package and apps tests assert cross-process conflicts per configuration",
 	"internal/core.PatternMix.Total":                      "root package tests and benchmarks check that a census is non-empty",
 	"internal/core.ValidateMetaConflicts":                 "apps' metadata-conflict test validates each configuration's conflicts against happens-before",
 	"internal/experiments.Table4Rows":                     "the root package's Table 4 benchmark renders its rows",
-	"internal/faults.KillEnv":                             "experiments' and wal's kill-and-recover tests set the kill-point variable in a child's environment",
+	"internal/faults.KillEnv":                             "wal's kill-and-recover tests set the kill-point variable in a child's environment",
 	"internal/mpiio.File.ReadAtAll":                       "hdf5's test-only dataset reads go through the collective read",
 	"internal/obs.BucketOf":                               "report's tests place observations in histogram buckets",
 	"internal/obs.Registry.SetEnabled":                    "the root package's telemetry benchmark times a sweep with metrics off and on",
@@ -72,19 +68,20 @@ var unusedExportAllow = map[string]string{
 	"internal/recorder/colfmt.EncodeOptions":              "the small-block salvage tests of the root package, cmd/semanalyze and apps choose a block size through it",
 	"internal/recorder/colfmt.EncodeStream":               "the small-block salvage tests of the root package, cmd/semanalyze and apps encode through it",
 	"internal/recorder/colfmt.ErrBadMagic":                "error contract: cmd/semanalyze's tests match a rejected rank file with errors.Is",
+	"internal/recorder/colfmt.NewReader":                  "apps' assembly oracle decodes a rank stream record by record",
+	"internal/recorder/colfmt.Reader":                     "apps' assembly oracle decodes a rank stream record by record",
 	"internal/recorder/colfmt.Reader.Cursor":              "apps' assembly oracle decodes a rank stream record by record",
-	"internal/storage.FaultKind":                          "the flaky backend's fault taxonomy: ckpt's and wal's tests build schedules from it",
-	"internal/storage.FaultRenameFail":                    "the flaky backend's fault taxonomy: ckpt's and wal's tests build schedules from it",
-	"internal/storage.FaultTransient":                     "the flaky backend's fault taxonomy: ckpt's and wal's tests build schedules from it",
-	"internal/storage.GenOptions":                         "ckpt's and wal's tests generate flaky-backend schedules",
-	"internal/storage.GenSchedule":                        "ckpt's and wal's tests generate flaky-backend schedules",
-	"internal/storage.Health":                             "ckpt's and wal's tests check that a flaky backend stayed healthy",
-	"internal/storage.NewFlaky":                           "ckpt's, colfmt's and wal's tests wrap a backend with injected faults",
-	"internal/storage.NewObjStore":                        "ckpt's and wal's tests open an object store directly",
-	"internal/storage.ObjStoreOptions":                    "ckpt's and wal's tests open an object store directly",
-	"internal/storage.Schedule":                           "ckpt's, colfmt's and wal's tests pass flaky-backend schedules",
-	"internal/storage.Schedule.Encode":                    "ckpt's and wal's tests print a failing schedule",
-	"internal/storage.Schedule.TransientOnly":             "ckpt's and wal's tests check a generated schedule's kinds",
+	"internal/storage.FaultKind":                          "the flaky backend's fault taxonomy: wal's tests build schedules from it",
+	"internal/storage.FaultTransient":                     "the flaky backend's fault taxonomy: wal's tests build schedules from it",
+	"internal/storage.GenOptions":                         "wal's tests generate flaky-backend schedules",
+	"internal/storage.GenSchedule":                        "wal's tests generate flaky-backend schedules",
+	"internal/storage.Health":                             "wal's tests check that a flaky backend stayed healthy",
+	"internal/storage.NewFlaky":                           "colfmt's and wal's tests wrap a backend with injected faults",
+	"internal/storage.NewObjStore":                        "wal's tests open an object store directly",
+	"internal/storage.ObjStoreOptions":                    "wal's tests open an object store directly",
+	"internal/storage.Schedule":                           "colfmt's and wal's tests pass flaky-backend schedules",
+	"internal/storage.Schedule.Encode":                    "wal's tests print a failing schedule",
+	"internal/storage.Schedule.TransientOnly":             "wal's tests check a generated schedule's kinds",
 }
 
 // unsetFieldAllow holds option fields that no non-test file outside
@@ -92,13 +89,14 @@ var unusedExportAllow = map[string]string{
 var unsetFieldAllow = map[string]string{
 	"internal/faults.SweepOptions.Kinds":                  "chaos tests narrow the fault taxonomy to pin one kind's effect",
 	"internal/faults.SweepOptions.Replay":                 "chaos tests re-run each cell to check determinism, which doubles a sweep's cost",
+	"internal/hdf5.Options.CollectiveMetadata":            "the paper's one-line FLASH fix (section 6.3), which apps' tests run under session semantics",
 	"internal/pfs.Options.PathRules":                      "per-path consistency models, a documented capability of the PFS (DESIGN.md)",
 	"internal/pfs.Options.UnorderedSameProcess":           "the BurstFS mode tests use as a reference to check verdicts against",
 	"internal/recorder/colfmt.EncodeOptions.BlockRecords": "the small-block salvage tests need blocks smaller than a test trace",
-	"internal/storage.GenOptions.Count":                   "ckpt's and wal's tests size generated flaky-backend schedules",
-	"internal/storage.GenOptions.Kinds":                   "ckpt's and wal's tests narrow generated flaky-backend schedules",
+	"internal/storage.GenOptions.Count":                   "wal's tests size generated flaky-backend schedules",
+	"internal/storage.GenOptions.Kinds":                   "wal's tests narrow generated flaky-backend schedules",
 	"internal/storage.ObjStoreOptions.Root":               "a deployment path; the -backend parser sets it inside storage",
-	"internal/storage.ObjStoreOptions.VisibilityDelay":    "the -backend parser sets it inside storage; ckpt's and wal's tests set it directly",
+	"internal/storage.ObjStoreOptions.VisibilityDelay":    "the -backend parser sets it inside storage; wal's tests set it directly",
 	"internal/storage.RetryOptions.Now":                   "a seam for a fake clock in tests",
 	"internal/storage.RetryOptions.Sleep":                 "a seam for a fake clock in tests",
 }

@@ -103,10 +103,9 @@ func flipCRC(t *testing.T, dir string, rank int) {
 	}
 }
 
-// TestDamagedTraceExits1: a damaged trace directory fails the default path
-// and the -checkpoint path with exit 1, nothing on stdout, and exactly the
-// error a strict load reports for its lowest damaged rank, at every worker
-// count. An intact v1 directory is no trace either: every rank fails by its
+// TestDamagedTraceExits1: a damaged trace directory fails with exit 1,
+// nothing on stdout, and exactly the error a strict load reports for its
+// lowest damaged rank, at every worker count. An intact v1 directory is no trace either: every rank fails by its
 // magic, so the error names rank 0, and -lenient finds nothing to salvage.
 func TestDamagedTraceExits1(t *testing.T) {
 	res, err := semfs.Run("FLASH-nofbs", semfs.RunOptions{Ranks: 8, PPN: 2, Seed: 1})
@@ -155,19 +154,17 @@ func TestDamagedTraceExits1(t *testing.T) {
 					t.Fatalf("workers=%d: LoadTraceOn of a v1 directory: %v, want rank 0's bad magic", workers, lerr)
 				}
 				args := []string{"-trace", dir, "-report", "-workers", strconv.Itoa(workers)}
-				for _, extra := range [][]string{nil, {"-checkpoint", filepath.Join(t.TempDir(), "ckpt")}} {
-					code, stdout, stderr := semanalyze(t, append(args, extra...)...)
-					if code != exitError || len(stdout) != 0 {
-						t.Errorf("workers=%d %v: exit %d with %d bytes on stdout, want exit %d and none", workers, extra, code, len(stdout), exitError)
-					}
-					if want := "semanalyze: " + lerr.Error() + "\n"; string(stderr) != want {
-						t.Errorf("workers=%d %v: stderr\n%q\nwant LoadTraceOn's\n%q", workers, extra, stderr, want)
-					}
+				code, stdout, stderr := semanalyze(t, args...)
+				if code != exitError || len(stdout) != 0 {
+					t.Errorf("workers=%d: exit %d with %d bytes on stdout, want exit %d and none", workers, code, len(stdout), exitError)
+				}
+				if want := "semanalyze: " + lerr.Error() + "\n"; string(stderr) != want {
+					t.Errorf("workers=%d: stderr\n%q\nwant LoadTraceOn's\n%q", workers, stderr, want)
 				}
 				if tc.format != "v1" {
 					continue
 				}
-				code, stdout, stderr := semanalyze(t, append(args, "-lenient")...)
+				code, stdout, stderr = semanalyze(t, append(args, "-lenient")...)
 				wantOut := fmt.Sprintf("salvage: 0/%d streams full, 0 truncated, %[1]d unreadable; 0 records (0 salvaged, 0 dropped)\n", len(res.Trace.PerRank))
 				if code != exitError || string(stdout) != wantOut || !strings.HasSuffix(string(stderr), ": nothing salvageable\n") {
 					t.Errorf("workers=%d -lenient: exit %d, stdout %q, stderr %q; want exit %d, stdout %q and nothing salvageable",

@@ -11,13 +11,8 @@
 // Usage:
 //
 //	semanalyze -trace trace/
-//	semanalyze -trace trace/ -checkpoint ckptdir -resume
+//	semanalyze -trace trace/ -lenient
 //	semanalyze -trace trace/ -check-consistency
-//
-// With -checkpoint, each completed analysis is journaled (keyed by the
-// trace's configuration name and a hash of its files) and -resume replays
-// the cached report — including the original exit code and -lenient's
-// salvage causes on stderr — without re-running the analysis.
 //
 // With -check-consistency, the traced configuration is re-run under all
 // four consistency models with the pfs op-history recorder attached, and
@@ -38,12 +33,9 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/binary"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
@@ -51,7 +43,6 @@ import (
 
 	semfs "repro"
 	"repro/internal/apps"
-	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/faults"
@@ -79,10 +70,8 @@ func run() (code int) {
 		full     = flag.Bool("report", false, "print the full per-run report (function counters, size histogram, per-file table)")
 		workers  = flag.Int("workers", 0, "analysis worker pool size: 0 = GOMAXPROCS, 1 = a pool of one (every pass runs serially); the output is identical at every size")
 		lenient  = flag.Bool("lenient", false, "salvage valid records from truncated or corrupt rank streams instead of failing")
-		ckptDir  = flag.String("checkpoint", "", "journal completed analyses to this directory (crash-safe)")
-		resume   = flag.Bool("resume", false, "replay an analysis already journaled in -checkpoint instead of re-running it")
 		checkSem = flag.Bool("check-consistency", false, "re-run the traced configuration under all four consistency models and verify each op history against its formal spec")
-		spec     = flag.String("backend", "osdisk", "durable storage backend for -trace reads and -checkpoint state: osdisk | objstore[:delay=D,root=DIR] | flaky[:...]")
+		spec     = flag.String("backend", "osdisk", "durable storage backend for -trace reads: osdisk | objstore[:delay=D,root=DIR] | flaky[:...]")
 		tele     obs.CLIFlags
 	)
 	tele.Register(flag.CommandLine)
@@ -97,10 +86,6 @@ func run() (code int) {
 		return exitUsage
 	}
 	backend = storage.NewRetry(backend, storage.RetryOptions{})
-	if *resume && *ckptDir == "" {
-		fmt.Fprintln(os.Stderr, "semanalyze: -resume requires -checkpoint")
-		return exitUsage
-	}
 	if err := faults.ArmKillPointsFromEnv(); err != nil {
 		fmt.Fprintln(os.Stderr, "semanalyze:", err)
 		return exitUsage
@@ -120,105 +105,7 @@ func run() (code int) {
 	if *checkSem {
 		return checkConsistency(os.Stdout, backend, *dir)
 	}
-	if *ckptDir == "" {
-		return analyzeDir(os.Stdout, os.Stderr, backend, *dir, *lenient, *validate, *maxShow, *full, *workers)
-	}
-
-	// Checkpointed path: the journal key pins both the trace's identity (its
-	// configuration name plus a hash of its files) and, via the manifest,
-	// the analysis flags that shape the output and the blob layout (see
-	// encodeBlob), so a journal in another layout is refused, not misread.
-	meta, err := colfmt.MetaOn(backend, *dir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "semanalyze:", err)
-		return exitError
-	}
-	store, err := ckpt.OpenOn(backend, *ckptDir, ckpt.Manifest{
-		Kind:   "semanalyze",
-		Params: fmt.Sprintf("validate=%v show=%d report=%v lenient=%v blob=%s", *validate, *maxShow, *full, *lenient, blobLayout),
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "semanalyze: -checkpoint:", err)
-		return exitError
-	}
-	defer store.Close()
-	key := traceKey(backend, *dir, meta)
-
-	if *resume {
-		if blob, ok := store.Lookup(key); ok {
-			if code, causes, report, ok := decodeBlob(blob); ok {
-				os.Stderr.Write(causes)
-				if _, err := os.Stdout.Write(report); err != nil {
-					fmt.Fprintln(os.Stderr, "semanalyze:", err)
-					return exitError
-				}
-				return code
-			}
-		}
-	}
-
-	var buf, causes bytes.Buffer
-	code = analyzeDir(&buf, io.MultiWriter(os.Stderr, &causes), backend, *dir, *lenient, *validate, *maxShow, *full, *workers)
-	if _, err := os.Stdout.Write(buf.Bytes()); err != nil {
-		fmt.Fprintln(os.Stderr, "semanalyze:", err)
-		return exitError
-	}
-	if code == exitClean || code == exitConflicts {
-		// Journal only completed analyses: an error exit must re-run on
-		// resume, and a failed append must not pretend to be durable.
-		if err := store.Append(key, encodeBlob(code, causes.Bytes(), buf.Bytes())); err != nil {
-			fmt.Fprintln(os.Stderr, "semanalyze: checkpoint:", err)
-			return exitError
-		}
-	}
-	return code
-}
-
-// blobLayout names encodeBlob's layout in the checkpoint manifest.
-const blobLayout = "code,causes,report"
-
-// encodeBlob is a completed analysis as the -checkpoint journal caches it:
-// the exit code byte, the uvarint length of the salvage causes -lenient
-// printed on stderr, those causes, then the rendered report.
-func encodeBlob(code int, causes, report []byte) []byte {
-	blob := binary.AppendUvarint([]byte{byte(code)}, uint64(len(causes)))
-	blob = append(blob, causes...)
-	return append(blob, report...)
-}
-
-// decodeBlob splits an encodeBlob blob; ok is false for a malformed one,
-// which resume re-runs instead of replaying.
-func decodeBlob(blob []byte) (code int, causes, report []byte, ok bool) {
-	if len(blob) < 1 {
-		return 0, nil, nil, false
-	}
-	n, k := binary.Uvarint(blob[1:])
-	if k <= 0 || n > uint64(len(blob)-1-k) {
-		return 0, nil, nil, false
-	}
-	rest := blob[1+k:]
-	return int(blob[0]), rest[:n], rest[n:], true
-}
-
-// traceKey is a trace directory's -checkpoint journal key: its
-// configuration name and an FNV-1a 64 hash of trace.meta and every rank
-// file in rank order, each prefixed by its length. A file that cannot be
-// read contributes its error text instead, so the key never fails.
-func traceKey(b storage.Backend, dir string, meta recorder.Meta) string {
-	h := fnv.New64a()
-	add := func(name string) {
-		data, err := b.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			data = []byte(err.Error())
-		}
-		fmt.Fprintf(h, "%d\n", len(data))
-		h.Write(data)
-	}
-	add("trace.meta")
-	for rank := range meta.Ranks {
-		add(recorder.RankFileName(rank))
-	}
-	return fmt.Sprintf("%s@%016x", meta.ConfigName(), h.Sum64())
+	return analyzeDir(os.Stdout, backend, *dir, *lenient, *validate, *maxShow, *full, *workers)
 }
 
 // checkConsistency re-runs a trace directory's configuration under all
@@ -293,10 +180,9 @@ func flushed(out *bufio.Writer, code int) int {
 // analyzeDir analyzes a trace directory without loading it (the analysis
 // folds each rank file, mapped, on the same worker pool as its passes) and
 // renders the analysis to w, after -lenient's salvage line. -lenient's
-// per-rank salvage causes go to causes (stderr, which -checkpoint also
-// journals); hard failures go to stderr directly and are never cached. A
-// trace that cannot be read fails with exactly a strict load's error.
-func analyzeDir(w, causes io.Writer, b storage.Backend, dir string, lenient, validate bool, maxShow int, full bool, workers int) int {
+// per-rank salvage causes and hard failures go to stderr. A trace that
+// cannot be read fails with exactly a strict load's error.
+func analyzeDir(w io.Writer, b storage.Backend, dir string, lenient, validate bool, maxShow int, full bool, workers int) int {
 	var an *semfs.Analysis
 	var err error
 	if lenient {
@@ -310,7 +196,7 @@ func analyzeDir(w, causes io.Writer, b storage.Backend, dir string, lenient, val
 			// Why each degraded rank lost records: the salvage line only
 			// counts them.
 			for _, e := range sal.Errs {
-				fmt.Fprintln(causes, "semanalyze:", e)
+				fmt.Fprintln(os.Stderr, "semanalyze:", e)
 			}
 		}
 	} else {

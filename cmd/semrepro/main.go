@@ -3,13 +3,14 @@
 // categorization), Table 3 (high-level patterns), Table 4 (conflicts under
 // session/commit semantics), Table 5 (configuration inventory), Figure 1
 // (access-pattern mixes), Figure 2 (FLASH access scatter CSVs) and Figure 3
-// (metadata census). Results land in the output directory as text and CSV.
+// (metadata census), plus the consistency-model cost ablation (simulated
+// elapsed time and lock traffic per model and write workload). Results land
+// in the output directory as text and CSV.
 //
 // Usage:
 //
 //	semrepro -out results -ranks 64 -ppn 8
-//	semrepro -out results -checkpoint ckptdir            # journal as you go
-//	semrepro -out results -checkpoint ckptdir -resume    # replay after a crash
+//	semrepro -out results -only ablation                 # consistency-model cost table
 //	semrepro -out results -chaos -chaos-seeds 1,2,3
 //	semrepro -out results -chaos -chaos-wal              # chaos with per-rank write-ahead logs
 //	semrepro -out results -only consistency              # formal-spec-checked cross-model table
@@ -46,6 +47,13 @@ const (
 	exitDegraded = 3 // partial results or chaos violations
 )
 
+// The ablation's write shape: each rank writes ablationOps blocks of
+// ablationBlock bytes per workload (n1-small writes a sixteenth of a block).
+const (
+	ablationBlock = 4096
+	ablationOps   = 32
+)
+
 func main() { os.Exit(run()) }
 
 func run() (code int) {
@@ -55,12 +63,10 @@ func run() (code int) {
 		ppn        = flag.Int("ppn", 8, "processes per node")
 		seed       = flag.Uint64("seed", 1, "simulation seed")
 		semName    = flag.String("semantics", "strong", "consistency model for the sweep: strong|commit|session|eventual")
-		only       = flag.String("only", "", "generate a single artifact: table1|table3|table4|table5|figure1|figure2|figure3|verdicts|consistency|walcompare")
+		only       = flag.String("only", "", "generate a single artifact: table1|table3|table4|table5|figure1|figure2|figure3|verdicts|ablation|consistency|walcompare")
 		consApps   = flag.String("consistency-apps", "", "comma-separated configuration names for -only consistency (default: full registry)")
 		workers    = flag.Int("workers", 0, "how many configurations to run concurrently: 0 = GOMAXPROCS, 1 = serial")
 		timeout    = flag.Duration("task-timeout", 0, "abandon any single configuration after this long (0 = no limit)")
-		ckptDir    = flag.String("checkpoint", "", "journal completed configurations to this directory (crash-safe)")
-		resume     = flag.Bool("resume", false, "replay configurations already journaled in -checkpoint instead of re-running them")
 		chaos      = flag.Bool("chaos", false, "run the fault-injection chaos sweep instead of the paper artifacts")
 		chaosSeeds = flag.String("chaos-seeds", "1", "comma-separated schedule seeds for -chaos")
 		chaosApps  = flag.String("chaos-apps", "", "comma-separated configuration names for -chaos (default: full registry)")
@@ -70,7 +76,7 @@ func run() (code int) {
 		walRecover = flag.Bool("wal-recover", false, "recover a (possibly crash-interrupted) WAL burst from -wal-dir and verify zero acked-write loss")
 		walDir     = flag.String("wal-dir", "", "write-ahead log directory for -wal-burst / -wal-recover")
 		walApps    = flag.String("wal-apps", "", "comma-separated configuration names for -only walcompare (default: the FLASH/HACC burst set)")
-		backSpec   = flag.String("backend", "osdisk", "durable storage backend for -checkpoint/-wal-burst/-wal-recover/-chaos state: osdisk | objstore[:delay=D,root=DIR] | flaky[:base=B,seed=N,count=N,kinds=transient|all]")
+		backSpec   = flag.String("backend", "osdisk", "durable storage backend for -wal-burst/-wal-recover/-chaos state: osdisk | objstore[:delay=D,root=DIR] | flaky[:base=B,seed=N,count=N,kinds=transient|all]")
 		tele       obs.CLIFlags
 	)
 	tele.Register(flag.CommandLine)
@@ -92,10 +98,6 @@ func run() (code int) {
 		return exitUsage
 	}
 
-	if *resume && *ckptDir == "" {
-		fmt.Fprintln(os.Stderr, "semrepro: -resume requires -checkpoint")
-		return exitUsage
-	}
 	semantics, err := pfs.ParseSemantics(*semName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "semrepro: -semantics:", err)
@@ -229,7 +231,23 @@ func run() (code int) {
 	if want("table5") {
 		write("table5_configurations.txt", experiments.Table5())
 	}
-	if *only == "table1" || *only == "table5" {
+	if want("ablation") {
+		// The consistency-model cost ablation (the paper's §3.1 argument):
+		// every workload under each model, at the sweep's ranks and PPN.
+		var cells []experiments.BenchResult
+		for _, workload := range experiments.PFSBenchWorkloads() {
+			for _, sem := range pfs.AllSemantics() {
+				r, err := experiments.PFSBench(workload, sem, *ranks, *ppn, ablationBlock, ablationOps)
+				if err != nil {
+					fmt.Fprintf(os.Stderr, "semrepro: ablation %s/%v: %v\n", workload, sem, err)
+					return exitError
+				}
+				cells = append(cells, r)
+			}
+		}
+		write("ablation.txt", experiments.PFSBenchTable(cells))
+	}
+	if *only == "table1" || *only == "table5" || *only == "ablation" {
 		if hardErr {
 			return exitError
 		}
@@ -289,26 +307,9 @@ func run() (code int) {
 		return exitOK
 	}
 
-	sweep := experiments.SweepOptions{Workers: *workers, TaskTimeout: *timeout, Resume: *resume}
-	if *ckptDir != "" {
-		store, err := experiments.OpenCheckpointOn(backend, *ckptDir, scale)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "semrepro: -checkpoint:", err)
-			return exitError
-		}
-		defer store.Close()
-		if rs := store.Stats(); rs.Degraded() {
-			fmt.Println("checkpoint recovery:", rs.String())
-		}
-		sweep.Checkpoint = store
-	}
-
+	sweep := experiments.SweepOptions{Workers: *workers, TaskTimeout: *timeout}
 	fmt.Printf("running all %d configurations at %d ranks...\n", 25, *ranks)
 	results, err := experiments.RunAllCtx(context.Background(), scale, sweep)
-	if *ckptDir != "" && results != nil {
-		sum := results.Summarize()
-		fmt.Printf("checkpoint: %d replayed, %d executed\n", sum.Replayed, sum.Executed)
-	}
 	degraded := false
 	if err != nil {
 		// Failures are per-configuration and already wrapped with the failing

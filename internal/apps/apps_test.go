@@ -2,11 +2,13 @@ package apps
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/hdf5"
 	"repro/internal/pfs"
 	"repro/internal/recorder"
 )
@@ -315,6 +317,38 @@ func TestFlashFixedByCollectiveMetadata(t *testing.T) {
 	if sig.HasDifferentProcess() {
 		t.Fatalf("cross-process conflicts remain with collective metadata: %+v", sig)
 	}
+}
+
+// flashFixMeta labels traces of the §6.3 "one-line fix" experiment.
+func flashFixMeta() recorder.Meta {
+	return recorder.Meta{App: "FLASH", Library: "HDF5", Variant: "fixed"}
+}
+
+// flashCheckpointFixed is flashCheckpoint with the paper's proposed fix
+// applied: HDF5 collective metadata mode, so rank 0 performs all metadata
+// I/O and the cross-process conflict cannot arise.
+func flashCheckpointFixed(ctx *harness.Ctx, p Params, idx int) error {
+	path := fmt.Sprintf("/flash_fixed_chk_%04d", idx)
+	opts := flashHDF5Opts(ctx, p, false)
+	opts.CollectiveMetadata = true
+	f, err := hdf5.Create(ctx.MPI, ctx.OS, ctx.Tracer, path, opts)
+	if err != nil {
+		return err
+	}
+	for _, name := range flashDatasets {
+		d, err := f.CreateDataset(name, int64(ctx.Size)*p.Block)
+		if err != nil {
+			return err
+		}
+		if err := d.Write(int64(ctx.Rank)*p.Block, fill("flash:"+name, ctx.Rank, idx, p.Block)); err != nil {
+			return err
+		}
+		if err := f.Flush(); err != nil {
+			return err
+		}
+		d.Close()
+	}
+	return f.Close()
 }
 
 func TestDeterministicTraces(t *testing.T) {

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/apps"
-	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/obs"
@@ -25,7 +24,6 @@ import (
 	"repro/internal/pfs"
 	"repro/internal/recorder"
 	"repro/internal/report"
-	"repro/internal/wal"
 )
 
 // Scale fixes the run parameters for one reproduction pass.
@@ -47,20 +45,17 @@ func TestScale() Scale {
 // Results holds one trace and one analysis per application configuration.
 type Results struct {
 	Scale Scale
-	// ByName holds each successful configuration's result: its trace and
-	// whether it was replayed. The simulated file system (FS) is dropped
-	// once the run ends.
+	// ByName holds each successful configuration's run result. The
+	// simulated file system (FS) is dropped once the run ends.
 	ByName map[string]*harness.Result
 	// Analyses holds each successful configuration's one analysis of its
-	// trace, computed on the sweep's pool right after the run or the
-	// checkpoint replay. Every table and figure except Figure 2 is a view
-	// over these.
+	// trace, computed on the sweep's pool right after the run. Every table
+	// and figure except Figure 2 is a view over these.
 	Analyses map[string]*semfs.Analysis
 	Ordered  []string // registry order (successful configurations only)
-	// Errs holds per-configuration failures (of the run, its checkpoint
-	// append or its analysis), keyed by configuration name. A failed
-	// configuration is absent from ByName/Analyses/Ordered but does not
-	// abort the rest of the registry.
+	// Errs holds per-configuration failures (of the run or its analysis),
+	// keyed by configuration name. A failed configuration is absent from
+	// ByName/Analyses/Ordered but does not abort the rest of the registry.
 	Errs map[string]error
 }
 
@@ -86,20 +81,6 @@ type SweepOptions struct {
 	// until the simulated job drains; only its result is discarded. It
 	// bounds the run, not the analysis that follows it.
 	TaskTimeout time.Duration
-	// Checkpoint, when non-nil, journals every configuration that completes
-	// successfully — the record is durable (fsync'd) before the sweep moves
-	// on, so a crash at any point loses at most the in-flight
-	// configurations. A result whose journal append fails is reported as
-	// that configuration's error: a result that is not durable must not be
-	// presented as checkpointed. Timed-out, cancelled and failed
-	// configurations are never journaled and re-run on resume.
-	Checkpoint *ckpt.Store
-	// Resume, with Checkpoint set, replays journaled configurations from the
-	// store instead of re-executing them: their cached harness.Results carry
-	// record-identical traces (Result.Replayed is set) and the configuration
-	// body never runs. A journaled blob that fails to decode falls back to
-	// re-execution.
-	Resume bool
 }
 
 // RunAllCtx is RunAll under a context with sweep hardening: cancelling ctx
@@ -113,8 +94,8 @@ func RunAllCtx(ctx context.Context, s Scale, o SweepOptions) (*Results, error) {
 }
 
 // runConfigsCtx is the sharded registry sweep behind RunAllCtx. Each task
-// runs (or replays) one configuration and then analyzes its trace on a
-// pool of one, since the sweep's pool already spreads the configurations.
+// runs one configuration and then analyzes its trace on a pool of one,
+// since the sweep's pool already spreads the configurations.
 func runConfigsCtx(ctx context.Context, cfgs []*apps.Config, s Scale, o SweepOptions) (*Results, error) {
 	type slot struct {
 		res  *harness.Result
@@ -123,27 +104,9 @@ func runConfigsCtx(ctx context.Context, cfgs []*apps.Config, s Scale, o SweepOpt
 		done bool
 	}
 	slots := make([]slot, len(cfgs))
-	replayed := make([]*harness.Result, len(cfgs))
-	if o.Resume && o.Checkpoint != nil {
-		for i, cfg := range cfgs {
-			// A journaled blob that fails to decode is treated as a miss:
-			// re-running is always safe, replaying garbage never.
-			if res, hit, err := o.Checkpoint.LookupResult(cfg.Name()); err == nil && hit {
-				replayed[i] = res
-			}
-		}
-	}
 	ctxErr := core.ParallelForCtx(ctx, len(cfgs), o.Workers, func(i int) {
 		name := cfgs[i].Name()
-		res, err := replayed[i], error(nil)
-		if res == nil {
-			res, err = runCell(ctx, cfgs[i], s, o.TaskTimeout)
-			if err == nil && o.Checkpoint != nil {
-				if jerr := o.Checkpoint.AppendResult(name, res); jerr != nil {
-					res, err = nil, fmt.Errorf("experiments: %s: checkpoint: %w", name, jerr)
-				}
-			}
-		}
+		res, err := runCell(ctx, cfgs[i], s, o.TaskTimeout)
 		var an *semfs.Analysis
 		if err == nil {
 			// Nothing reads the simulated file system after the run; kept
@@ -375,7 +338,6 @@ type BenchResult struct {
 	Semantics     pfs.Semantics
 	Workload      string
 	Ranks         int
-	WAL           bool   // writes acknowledged by a host-side write-ahead log
 	ElapsedNS     uint64 // simulated wall time of the I/O phase
 	LockAcquires  int64
 	LockContended int64
@@ -391,18 +353,6 @@ func PFSBenchWorkloads() []string { return []string{"n1-strided", "nn-filepp", "
 // paper's motivation that strong semantics' per-operation locking is the
 // bottleneck relaxed-semantics PFSs remove (Sections 1 and 3).
 func PFSBench(workload string, sem pfs.Semantics, ranks, ppn int, block int64, opsPerRank int) (BenchResult, error) {
-	return pfsBench(workload, sem, ranks, ppn, block, opsPerRank, nil)
-}
-
-// PFSBenchWAL is PFSBench with every rank's writes acknowledged by a
-// host-side write-ahead log (internal/wal): the ablation's fourth axis —
-// how much of the strong-semantics elapsed time the WAL's local
-// acknowledgement hides, per workload shape.
-func PFSBenchWAL(workload string, sem pfs.Semantics, ranks, ppn int, block int64, opsPerRank int) (BenchResult, error) {
-	return pfsBench(workload, sem, ranks, ppn, block, opsPerRank, &wal.Options{NoFsync: true})
-}
-
-func pfsBench(workload string, sem pfs.Semantics, ranks, ppn int, block int64, opsPerRank int, walOpts *wal.Options) (BenchResult, error) {
 	body := func(ctx *harness.Ctx) error {
 		switch workload {
 		case "n1-strided":
@@ -448,7 +398,7 @@ func pfsBench(workload string, sem pfs.Semantics, ranks, ppn int, block int64, o
 		}
 		return fmt.Errorf("experiments: unknown workload %q", workload)
 	}
-	res, err := harness.Run(harness.Config{Ranks: ranks, PPN: ppn, Semantics: sem, WAL: walOpts},
+	res, err := harness.Run(harness.Config{Ranks: ranks, PPN: ppn, Semantics: sem},
 		recorder.Meta{App: "pfsbench", Variant: workload}, body)
 	if err != nil {
 		return BenchResult{}, err
@@ -467,7 +417,6 @@ func pfsBench(workload string, sem pfs.Semantics, ranks, ppn int, block int64, o
 		Semantics:     sem,
 		Workload:      workload,
 		Ranks:         ranks,
-		WAL:           walOpts != nil,
 		ElapsedNS:     elapsed,
 		LockAcquires:  st.LockAcquires,
 		LockContended: st.LockContended,
@@ -476,30 +425,29 @@ func pfsBench(workload string, sem pfs.Semantics, ranks, ppn int, block int64, o
 	}, nil
 }
 
-// PFSBenchTable renders a semantics × workload sweep.
+// PFSBenchTable renders a semantics × workload sweep, in workload and then
+// model order, with the shape the paper's cost argument predicts.
 func PFSBenchTable(results []BenchResult) string {
 	sort.SliceStable(results, func(i, j int) bool {
 		if results[i].Workload != results[j].Workload {
 			return results[i].Workload < results[j].Workload
 		}
-		if results[i].Semantics != results[j].Semantics {
-			return results[i].Semantics < results[j].Semantics
-		}
-		return !results[i].WAL && results[j].WAL
+		return results[i].Semantics < results[j].Semantics
 	})
 	var b strings.Builder
 	b.WriteString("Simulated PFS cost by consistency semantics (ablation)\n\n")
-	fmt.Fprintf(&b, "%-12s  %-9s  %-4s  %6s  %12s  %10s  %10s\n",
-		"workload", "semantics", "wal", "ranks", "elapsed(ms)", "lock acqs", "contended")
-	b.WriteString(strings.Repeat("-", 70) + "\n")
+	fmt.Fprintf(&b, "%-12s  %-9s  %6s  %12s  %10s  %10s\n",
+		"workload", "semantics", "ranks", "elapsed(ms)", "lock acqs", "contended")
+	b.WriteString(strings.Repeat("-", 64) + "\n")
 	for _, r := range results {
-		mode := "-"
-		if r.WAL {
-			mode = "on"
-		}
-		fmt.Fprintf(&b, "%-12s  %-9s  %-4s  %6d  %12.2f  %10d  %10d\n",
-			r.Workload, r.Semantics, mode, r.Ranks, float64(r.ElapsedNS)/1e6,
+		fmt.Fprintf(&b, "%-12s  %-9s  %6d  %12.2f  %10d  %10d\n",
+			r.Workload, r.Semantics, r.Ranks, float64(r.ElapsedNS)/1e6,
 			r.LockAcquires, r.LockContended)
 	}
+	b.WriteString(`
+Shape to expect: strong pays one lock RPC per write (slowest on shared
+files, especially small strided writes); commit/session skip locking;
+file-per-process narrows the gap because there is no sharing to serialize.
+`)
 	return b.String()
 }

@@ -3,11 +3,10 @@ package faults
 // Process-level kill points. The fault kinds in this package simulate rank
 // crashes *inside* the simulation; kill points crash the real process, which
 // is what a crash-recovery harness needs: arm a point, re-exec the program,
-// let it SIGKILL itself mid-journal-append, then resume and prove nothing
-// committed was lost (see internal/ckpt and the kill-and-recover harness in
-// internal/experiments).
+// let it SIGKILL itself mid-log-append, then recover and prove no
+// acknowledged write was lost (see the WAL kill matrix in internal/wal).
 //
-// A kill point is a named call site (e.g. "ckpt.append.before-fsync",
+// A kill point is a named call site (e.g. "wal.append.before-fsync",
 // "pfs.op.commit") that calls killHit. Arming "point:N" makes the Nth killHit of
 // that point kill the process with SIGKILL — no deferred functions, no
 // buffered flushes, exactly the discipline a real crash denies a process.
@@ -38,8 +37,8 @@ var kill struct {
 
 // armKillPoints parses a "point:N[,point:N...]" spec and arms each point: the
 // Nth call to killHit(point) will SIGKILL the process. Arming any point installs
-// the storage kill hook, through which the durable layers (ckpt.append.*,
-// wal.*, storage.*) report their points. Arming a point whose name starts
+// the storage kill hook, through which the durable layers (wal.*,
+// storage.*) report their points. Arming a point whose name starts
 // with "pfs.op." also installs the pfs kill hook, so data-path operations
 // (write/read/commit/close) become killable sites too. An empty spec arms
 // nothing, and neither does a spec with any bad part: the whole spec is

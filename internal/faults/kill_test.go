@@ -9,19 +9,19 @@ import (
 )
 
 // Fatal hits SIGKILL the process, so everything here arms thresholds the
-// test never reaches; the kill-and-recover harness in internal/experiments
+// test never reaches; the WAL kill-and-recover harness in internal/wal
 // exercises the fatal path in a re-exec'd child.
 
 func TestArmKillPointsCounts(t *testing.T) {
 	t.Cleanup(ResetKillPoints)
 	ResetKillPoints()
-	if err := armKillPoints("ckpt.append.torn:5, other.point:2"); err != nil {
+	if err := armKillPoints("wal.append.torn:5, other.point:2"); err != nil {
 		t.Fatalf("ArmKillPoints: %v", err)
 	}
-	killHit("ckpt.append.torn")
-	killHit("ckpt.append.torn")
+	killHit("wal.append.torn")
+	killHit("wal.append.torn")
 	killHit("unarmed.point")
-	if got := KillPointHits("ckpt.append.torn"); got != 2 {
+	if got := KillPointHits("wal.append.torn"); got != 2 {
 		t.Fatalf("KillPointHits = %d, want 2", got)
 	}
 	// Unarmed points still count once any arming happened — they are live

@@ -1,5 +1,5 @@
-// Package frame is the one CRC-framed append-log codec behind the repo's
-// durable logs: the ckpt journal and the per-rank WAL. A frame is
+// Package frame is the CRC-framed append-log codec behind the repo's
+// durable log, the per-rank WAL. A frame is
 //
 //	magic (4 bytes) | payload length uint32 LE | CRC-32C(payload) uint32 LE | payload
 //

@@ -105,11 +105,6 @@ type Result struct {
 	Trace *recorder.Trace
 	FS    *pfs.FileSystem
 	Errs  []error // one entry per failed rank (nil-free)
-	// Replayed marks a result reconstructed from a checkpoint journal
-	// instead of executed: the trace is complete and byte-identical to the
-	// original run's, but FS is nil and Errs empty (only successful runs are
-	// journaled — see internal/ckpt).
-	Replayed bool
 }
 
 // Err returns the first rank error, or nil.

@@ -219,7 +219,9 @@ func (f *File) WriteAtAll(off int64, data payload.P) error {
 
 // aggregateWrite is the write phase of two-phase I/O over the allgathered
 // request headers and payloads (read-only, shared with every rank). Only
-// aggregators decode them: the others do no file I/O in the write phase.
+// aggregators decode them: the others do no file I/O in the write phase. A
+// rank that departed the job deposited nothing and leaves an empty header.
+// A departed aggregator writes nothing, so its file domain stays unwritten.
 func (f *File) aggregateWrite(hdrs [][]byte, data []payload.P) error {
 	myIdx := f.aggIndex()
 	if myIdx < 0 {
@@ -229,6 +231,9 @@ func (f *File) aggregateWrite(hdrs [][]byte, data []payload.P) error {
 	var lo, hi int64
 	first := true
 	for r, h := range hdrs {
+		if len(h) == 0 {
+			continue // departed
+		}
 		off, n := decodeExtent(h)
 		if n == 0 {
 			continue
@@ -361,6 +366,9 @@ func (f *File) ReadAtAll(off, n int64) ([]byte, error) {
 	var lo, hi int64
 	first := true
 	for _, s := range slots {
+		if len(s) == 0 {
+			continue // departed
+		}
 		o, l := decodeExtent(s)
 		if l <= 0 {
 			continue
@@ -393,6 +401,9 @@ func (f *File) ReadAtAll(off, n int64) ([]byte, error) {
 	out := make([]byte, n)
 	want := f.disp + off
 	for i, s := range hdrs {
+		if len(s) == 0 {
+			continue // departed
+		}
 		o, l := decodeExtent(s)
 		lo, hi := max(o, want), min(o+l, want+n)
 		if lo < hi {

@@ -2,6 +2,7 @@ package mpiio
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/harness"
@@ -322,4 +323,59 @@ func TestDoubleCloseFails(t *testing.T) {
 		}
 		return ctx.Failures()
 	})
+}
+
+// TestCollectivesSkipDepartedRank: a rank that leaves the job after Open
+// deposits no request in the survivors' WriteAtAll and ReadAtAll, and the
+// survivors must complete both without it. With the default aggregators
+// the departed rank owns a file domain that nobody writes, so only the
+// ranks whose bytes live aggregators own read them back; with two
+// aggregators every survivor does.
+func TestCollectivesSkipDepartedRank(t *testing.T) {
+	const ranks, ppn, gone, size = 4, 1, 3, 100
+	errGone := errors.New("left the job")
+	for _, tc := range []struct {
+		name     string
+		opts     Options
+		readBack func(rank int) bool
+	}{
+		{"departed-aggregator", Options{}, func(r int) bool { return r < 2 }},
+		{"departed-non-aggregator", Options{CBNodes: 2}, func(int) bool { return true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := harness.Run(harness.Config{Ranks: ranks, PPN: ppn, Semantics: pfs.Strong},
+				recorder.Meta{App: "mpiio-test", Library: "MPI-IO"}, func(ctx *harness.Ctx) error {
+					f, err := Open(ctx.MPI, ctx.OS, ctx.Tracer, "/departed", ModeCreate|ModeRdwr, tc.opts)
+					if err != nil {
+						return err
+					}
+					if ctx.Rank == gone {
+						ctx.MPI.Detach()
+						return errGone
+					}
+					data := bytes.Repeat([]byte{byte('a' + ctx.Rank)}, size)
+					off := int64(ctx.Rank) * size
+					if err := f.WriteAtAll(off, payload.Bytes(data)); err != nil {
+						return err
+					}
+					got, err := f.ReadAtAll(off, size)
+					if err != nil {
+						return err
+					}
+					if tc.readBack(ctx.Rank) && !bytes.Equal(got, data) {
+						ctx.Failf("rank %d read back %q, want %q", ctx.Rank, got, data)
+					}
+					if err := f.Close(); err != nil {
+						return err
+					}
+					return ctx.Failures()
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Errs) != 1 || !errors.Is(res.Errs[0], errGone) {
+				t.Fatalf("rank errors %v, want only rank %d's departure", res.Errs, gone)
+			}
+		})
+	}
 }

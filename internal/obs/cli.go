@@ -9,11 +9,11 @@ import (
 	"runtime/pprof"
 )
 
-// CLI plumbing shared by cmd/semanalyze, cmd/semrepro, cmd/pfsbench and
-// cmd/semtrace: the -metrics / -trace-spans / -pprof flags all funnel
-// through here so the binaries expose telemetry identically. Every output
-// is a file written by this process; nothing here listens on a socket, so
-// the binaries link no net package.
+// CLI plumbing shared by cmd/semanalyze, cmd/semrepro and cmd/semtrace:
+// the -metrics / -trace-spans / -pprof flags all funnel through here so
+// the binaries expose telemetry identically. Every output is a file
+// written by this process; nothing here listens on a socket, so the
+// binaries link no net package.
 
 // CLIFlags bundles the telemetry flags of the repo's binaries. Call
 // Register before flag.Parse, Start right after it, and Flush (usually

@@ -107,7 +107,7 @@ func requireRecordsEqual(t *testing.T, want, got []recorder.Record) {
 }
 
 // TestReplayForgedCountAllocatesLittle: a header that promises far more
-// records than the stream could hold sizes Replay's log by the stream's
+// records than the stream could hold sizes replay's log by the stream's
 // length, not by the promise.
 func TestReplayForgedCountAllocatesLittle(t *testing.T) {
 	data := []byte(colwire.Magic)
@@ -120,13 +120,13 @@ func TestReplayForgedCountAllocatesLittle(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err = r.Replay()
+	_, err = r.replay()
 	runtime.ReadMemStats(&after)
 	if err == nil {
-		t.Fatal("Replay of a torn stream succeeded")
+		t.Fatal("replay of a torn stream succeeded")
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
-		t.Fatalf("Replay allocated %d bytes for a %d-byte stream", got, len(data))
+		t.Fatalf("replay allocated %d bytes for a %d-byte stream", got, len(data))
 	}
 }
 
@@ -149,8 +149,8 @@ func TestRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewReader: %v", err)
 			}
-			if r.Rank() != 3 || r.declaredRecords() != tc.n {
-				t.Fatalf("header: rank %d declared %d", r.Rank(), r.declaredRecords())
+			if r.rank != 3 || r.declaredRecords() != tc.n {
+				t.Fatalf("header: rank %d declared %d", r.rank, r.declaredRecords())
 			}
 			if r.dictOff < 0 {
 				t.Fatal("intact stream has no footer")

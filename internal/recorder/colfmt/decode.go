@@ -140,9 +140,6 @@ func parseDict(payload []byte, dst []string) ([]string, bool) {
 	return dst, true
 }
 
-// Rank returns the stream's rank from the header.
-func (r *Reader) Rank() int { return r.rank }
-
 // declaredRecords returns the record count the header promises — the
 // exact-salvage denominator even when the tail (and footer) is gone.
 func (r *Reader) declaredRecords() int { return int(r.declared) }
@@ -533,14 +530,14 @@ func (c *Cursor) resolve(ref uint64) (string, bool) {
 	return c.dict[ref-1], true
 }
 
-// Replay walks the whole stream with a strict cursor into a rank log, as
+// replay walks the whole stream with a strict cursor into a rank log, as
 // the running rank emitted it: the decoded rank of a trace. On error the
 // log holds the valid prefix. The log is sized once: entries from the
 // header's record count, clamped to the stream's length in bytes (a record
 // costs at least two column bytes), so a forged count cannot force a large
 // allocation; argument bytes from the stream's length, which holds them as
 // the same varints.
-func (r *Reader) Replay() (*recorder.RankTracer, error) {
+func (r *Reader) replay() (*recorder.RankTracer, error) {
 	rt := recorder.NewRankTracerSized(r.rank, int(min(r.declared, uint64(len(r.data)))), len(r.data))
 	c := r.Cursor()
 	for c.Next() {

@@ -82,8 +82,8 @@ func openRank(b storage.Backend, dir string, rank int) (r *Reader, release func(
 		release = func() {}
 	}
 	r, err = NewReader(data)
-	if err == nil && r.Rank() != rank {
-		err = fmt.Errorf("holds rank %d", r.Rank())
+	if err == nil && r.rank != rank {
+		err = fmt.Errorf("holds rank %d", r.rank)
 	}
 	if err != nil {
 		release()
@@ -237,7 +237,7 @@ func LoadDirOn(b storage.Backend, dir string, workers int) (*recorder.Trace, err
 	_ = core.ParallelForCtx(context.Background(), meta.Ranks, workers, func(rank int) {
 		r, release, err := openRank(b, dir, rank)
 		if err == nil {
-			tracers[rank], err = r.Replay()
+			tracers[rank], err = r.replay()
 			release()
 		}
 		errs[rank] = err

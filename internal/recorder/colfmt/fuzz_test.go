@@ -83,7 +83,7 @@ func FuzzDecodeColumnar(f *testing.F) {
 		}
 		// Clean decode: must round-trip unchanged.
 		var buf bytes.Buffer
-		if err := EncodeStream(&buf, r.Rank(), recs, EncodeOptions{}); err != nil {
+		if err := EncodeStream(&buf, r.rank, recs, EncodeOptions{}); err != nil {
 			t.Fatalf("re-encoding decoded stream: %v", err)
 		}
 		r2, err := NewReader(buf.Bytes())
@@ -94,9 +94,9 @@ func FuzzDecodeColumnar(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoding re-encoded stream: %v", err)
 		}
-		if r2.Rank() != r.Rank() || len(recs2) != len(recs) {
+		if r2.rank != r.rank || len(recs2) != len(recs) {
 			t.Fatalf("round trip changed shape: rank %d->%d, %d->%d records",
-				r.Rank(), r2.Rank(), len(recs), len(recs2))
+				r.rank, r2.rank, len(recs), len(recs2))
 		}
 		for i := range recs {
 			if !reflect.DeepEqual(recs[i], recs2[i]) {

@@ -83,5 +83,5 @@ const (
 )
 
 // Castagnoli is the CRC-32C table every frame checksum uses — the same
-// polynomial the ckpt journal and WAL frames use.
+// polynomial the WAL's frames use.
 var Castagnoli = crc32.MakeTable(crc32.Castagnoli)

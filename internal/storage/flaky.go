@@ -15,9 +15,9 @@ import (
 // each firing at the Nth eligible operation of its class, so the same seed
 // always yields the same fault sequence for the same operation stream.
 //
-// Fault contract the retry policy leans on: FaultTransient and
-// FaultRenameFail fail the operation *before* it reaches the wrapped
-// backend — a retry is side-effect-safe. faultTorn mutates state (half the
+// Fault contract the retry policy leans on: FaultTransient fails the
+// operation *before* it reaches the wrapped backend — a retry is
+// side-effect-safe. faultTorn mutates state (half the
 // write lands) and therefore returns a permanent error; faultLostSync
 // succeeds without syncing (the durability lie a broken disk tells), also
 // not retryable because the caller cannot see it at all.
@@ -39,18 +39,15 @@ const (
 	// faultLostSync makes a Sync succeed without syncing: the caller
 	// believes in durability that does not exist.
 	faultLostSync
-	// FaultRenameFail fails a Rename with errTransient before it executes.
-	FaultRenameFail
 
 	numFaultKinds
 )
 
 var faultKindNames = [...]string{
-	faultLatency:    "latency",
-	FaultTransient:  "transient",
-	faultTorn:       "torn-write",
-	faultLostSync:   "lost-sync",
-	FaultRenameFail: "rename-fail",
+	faultLatency:   "latency",
+	FaultTransient: "transient",
+	faultTorn:      "torn-write",
+	faultLostSync:  "lost-sync",
 }
 
 func (k FaultKind) String() string {
@@ -64,10 +61,9 @@ func (k FaultKind) String() string {
 type opClass int
 
 const (
-	classWrite  opClass = iota // File.Write / File.WriteAt
-	classSync                  // File.Sync
-	classRename                // Backend.Rename
-	classAny                   // any of the above
+	classWrite opClass = iota // File.Write / File.WriteAt
+	classSync                 // File.Sync
+	classAny                  // either of the above
 	numOpClasses
 )
 
@@ -77,8 +73,6 @@ func (k FaultKind) class() opClass {
 		return classWrite
 	case faultLatency, faultLostSync:
 		return classSync
-	case FaultRenameFail:
-		return classRename
 	case FaultTransient:
 		return classAny
 	}
@@ -99,9 +93,9 @@ func (in faultInjection) String() string {
 
 // Schedule is a deterministic storage-fault plan. WedgeAfter > 0 turns the
 // backend persistently unhealthy after that many eligible operations:
-// every subsequent write/sync/rename fails with errTransient forever, the
-// shape that exhausts the retry policy and drives the degradation ladder
-// (WAL → write-through, ckpt → config error).
+// every subsequent write or sync fails with errTransient forever, the
+// shape that exhausts the retry policy and drives the WAL down its
+// degradation ladder to write-through.
 type Schedule struct {
 	Seed       uint64
 	WedgeAfter int
@@ -143,7 +137,7 @@ func GenSchedule(seed uint64, o GenOptions) Schedule {
 	}
 	kinds := o.Kinds
 	if len(kinds) == 0 {
-		kinds = []FaultKind{faultLatency, FaultTransient, faultTorn, faultLostSync, FaultRenameFail}
+		kinds = []FaultKind{faultLatency, FaultTransient, faultTorn, faultLostSync}
 	}
 	rng := sim.NewRNG(seed).Split(0x57047A6E) // "STORAGE"
 	s := Schedule{Seed: seed}
@@ -182,7 +176,7 @@ func (s Schedule) TransientOnly() bool {
 		return false
 	}
 	for _, in := range s.Injections {
-		if in.Kind != faultLatency && in.Kind != FaultTransient && in.Kind != FaultRenameFail {
+		if in.Kind != faultLatency && in.Kind != FaultTransient {
 			return false
 		}
 	}
@@ -313,8 +307,6 @@ func (f *flaky) apply(in faultInjection, act *action) {
 		act.torn = true
 	case faultLostSync:
 		act.lostSync = true
-	case FaultRenameFail:
-		act.fail = true
 	}
 }
 
@@ -345,19 +337,7 @@ func (f *flaky) ReadFile(path string) ([]byte, error) { return f.inner.ReadFile(
 func (f *flaky) Stat(path string) (int64, error)      { return f.inner.Stat(path) }
 func (f *flaky) MkdirAll(path string) error           { return f.inner.MkdirAll(path) }
 func (f *flaky) List(dir string) ([]string, error)    { return f.inner.List(dir) }
-func (f *flaky) SyncDir(dir string) error             { return f.inner.SyncDir(dir) }
 func (f *flaky) Remove(path string) error             { return f.inner.Remove(path) }
-
-func (f *flaky) Rename(oldpath, newpath string) error {
-	act := f.decide(classRename, oldpath)
-	if act.latency > 0 {
-		time.Sleep(act.latency)
-	}
-	if act.fail {
-		return fmt.Errorf("%w: injected rename failure (%s -> %s)", errTransient, oldpath, newpath)
-	}
-	return f.inner.Rename(oldpath, newpath)
-}
 
 type flakyFile struct {
 	inner File

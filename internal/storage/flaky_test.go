@@ -159,27 +159,6 @@ func TestFlakyLostSync(t *testing.T) {
 	}
 }
 
-// TestFlakyRenameFail: the rename fails with errTransient before executing;
-// a retry then succeeds, so WriteFileAtomic survives it under the policy.
-func TestFlakyRenameFail(t *testing.T) {
-	dir := t.TempDir()
-	fb := NewFlaky(OS(), Schedule{Injections: []faultInjection{{Kind: FaultRenameFail, N: 1}}})
-	src := filepath.Join(dir, "a")
-	dst := filepath.Join(dir, "b")
-	if err := WriteFileAtomic(OS(), src, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if err := fb.Rename(src, dst); !errors.Is(err, errTransient) {
-		t.Fatalf("first rename: err = %v, want errTransient", err)
-	}
-	if _, err := OS().ReadFile(src); err != nil {
-		t.Fatalf("failed rename moved the source: %v", err)
-	}
-	if err := fb.Rename(src, dst); err != nil {
-		t.Fatalf("retried rename: %v", err)
-	}
-}
-
 // TestFlakyWedge: past WedgeAfter eligible ops, everything fails forever —
 // the persistent-failure shape that must exhaust the retry policy.
 func TestFlakyWedge(t *testing.T) {

@@ -10,13 +10,13 @@ import (
 
 // KillPointFunc observes a named kill point. The faults package installs
 // its process-kill counter here when SEMFS_KILL arms any point; storage
-// itself never imports faults, which keeps the ckpt/wal → storage layering
+// itself never imports faults, which keeps the wal → storage layering
 // acyclic while chaos code in faults drives backend-routed runs. This is
 // the one hook every durable layer's named points go through:
 //
-//	storage.{write,sync,rename}.{before,after}   backend operations
-//	ckpt.append.* / wal.append.*                 AppendFrame stages
-//	wal.drain.{before,after}-publish             the WAL drainer
+//	storage.{write,sync}.{before,after}   backend operations
+//	wal.append.*                          AppendFrame stages
+//	wal.drain.{before,after}-publish      the WAL drainer
 type KillPointFunc func(point string)
 
 var killHook atomic.Pointer[KillPointFunc]

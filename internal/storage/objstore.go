@@ -23,9 +23,7 @@ import (
 // simulated: a reader that looks too early sees the previous version or
 // nothing, exactly the propagation window "Exploring Scientific
 // Application Performance Using Large Scale Object Storage" (PAPERS.md)
-// measures on Rados/S3-style stores. Rename is copy+delete (object stores
-// have no atomic rename), so the ckpt manifest's write-temp→rename commit
-// runs here under the weaker publish the paper's relaxed models assume.
+// measures on Rados/S3-style stores.
 //
 // On-host layout under Root (the store's persistent state, shared by every
 // process that opens the same Root):
@@ -238,36 +236,6 @@ func (s *objstore) Stat(path string) (int64, error) {
 	return fi.Size(), nil
 }
 
-// Rename is server-side copy + delete: the newest version's bytes are
-// republished under the new key (fresh visibility delay), then the old
-// key's versions are removed. A crash between the two leaves both keys —
-// the non-atomicity every object-store "rename" has.
-func (s *objstore) Rename(oldpath, newpath string) error {
-	KillPoint("storage.rename.before")
-	// The copy sees the newest version regardless of publish state: the
-	// server owns all versions; the delay models propagation to readers,
-	// not the server's own view.
-	vs, err := s.versions(oldpath)
-	if err != nil {
-		return err
-	}
-	if len(vs) == 0 {
-		return fmt.Errorf("%w: %s", errNotExist, oldpath)
-	}
-	data, err := s.readVersion(vs[len(vs)-1])
-	if err != nil {
-		return err
-	}
-	if err := s.publish(newpath, data); err != nil {
-		return err
-	}
-	if err := s.Remove(oldpath); err != nil && !IsNotExist(err) {
-		return err
-	}
-	KillPoint("storage.rename.after")
-	return nil
-}
-
 func (s *objstore) Remove(path string) error {
 	vs, err := s.versions(path)
 	if err != nil {
@@ -286,9 +254,6 @@ func (s *objstore) Remove(path string) error {
 
 // MkdirAll is a no-op: the namespace is flat, directories are prefixes.
 func (s *objstore) MkdirAll(path string) error { return nil }
-
-// SyncDir is a no-op: there is no entry table separate from the objects.
-func (s *objstore) SyncDir(dir string) error { return nil }
 
 // List returns the visible entries directly under dir: keys with prefix
 // dir+"/", truncated at the next separator and deduplicated.

@@ -51,12 +51,8 @@ func TestObjStoreVisibilityDelay(t *testing.T) {
 func TestObjStorePersistentRoot(t *testing.T) {
 	root := t.TempDir()
 	w := NewObjStore(ObjStoreOptions{Root: root, VisibilityDelay: time.Millisecond})
-	if err := WriteFileAtomic(w, "logs/rank-0000.wal", []byte("alpha")); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFileAtomic(w, "logs/rank-0001.wal", []byte("beta")); err != nil {
-		t.Fatal(err)
-	}
+	writeFile(t, w, "logs/rank-0000.wal", "alpha")
+	writeFile(t, w, "logs/rank-0001.wal", "beta")
 
 	r := NewObjStore(ObjStoreOptions{Root: root, VisibilityDelay: time.Millisecond})
 	Settle(r)
@@ -70,27 +66,6 @@ func TestObjStorePersistentRoot(t *testing.T) {
 	got, err := r.ReadFile("logs/rank-0001.wal")
 	if err != nil || string(got) != "beta" {
 		t.Fatalf("cross-instance read: %q, %v", got, err)
-	}
-}
-
-// TestObjStoreRename exercises the copy+delete rename — the weaker publish
-// an object store offers in place of an atomic rename.
-func TestObjStoreRename(t *testing.T) {
-	b := NewObjStore(ObjStoreOptions{Root: t.TempDir(), VisibilityDelay: time.Millisecond})
-	if err := WriteFileAtomic(b, "tmp/stage.json", []byte(`{"v":1}`)); err != nil {
-		t.Fatal(err)
-	}
-	Settle(b)
-	if err := b.Rename("tmp/stage.json", "meta/ckpt.json"); err != nil {
-		t.Fatal(err)
-	}
-	Settle(b)
-	got, err := b.ReadFile("meta/ckpt.json")
-	if err != nil || string(got) != `{"v":1}` {
-		t.Fatalf("renamed object: %q, %v", got, err)
-	}
-	if _, err := b.ReadFile("tmp/stage.json"); !IsNotExist(err) {
-		t.Fatalf("source survived rename: err = %v", err)
 	}
 }
 

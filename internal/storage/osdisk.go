@@ -8,9 +8,9 @@ import (
 
 // osdisk is the compatibility-oracle backend: a pass-through to the local
 // file system, producing byte-identical layouts to the pre-seam os.* paths
-// (pinned by the golden-layout tests in internal/ckpt and internal/wal).
-// It is the strongest backend in the matrix — POSIX visibility, atomic
-// rename — which is exactly why it alone cannot ground the paper's claim
+// (pinned by internal/wal's golden-layout test). It is the strongest
+// backend in the matrix — POSIX visibility — which is exactly why it alone
+// cannot ground the paper's claim
 // that applications tolerate weaker stores.
 type osdisk struct{}
 
@@ -30,15 +30,6 @@ func (osdisk) Open(path string, flags int, perm uint32) (File, error) {
 }
 
 func (osdisk) ReadFile(path string) ([]byte, error) { return os.ReadFile(path) }
-
-func (osdisk) Rename(oldpath, newpath string) error {
-	KillPoint("storage.rename.before")
-	if err := os.Rename(oldpath, newpath); err != nil {
-		return err
-	}
-	KillPoint("storage.rename.after")
-	return nil
-}
 
 func (osdisk) Remove(path string) error {
 	return os.Remove(path)
@@ -60,17 +51,6 @@ func (osdisk) List(dir string) ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-func (osdisk) SyncDir(dir string) error {
-	// Best effort, mirroring ckpt's pre-seam discipline: some platforms
-	// refuse directory fsync.
-	d, err := os.Open(dir)
-	if err != nil {
-		return nil
-	}
-	_ = d.Sync()
-	return d.Close()
 }
 
 func (osdisk) Stat(path string) (int64, error) {
@@ -130,8 +110,9 @@ func osRemoveAll(dir string) error               { return os.RemoveAll(dir) }
 
 var tmpCounter atomic.Uint64
 
-// uniqueSuffix names temp objects for WriteFileAtomic. Process-unique is
-// enough: the temp is renamed or removed before anyone else looks.
+// uniqueSuffix names temporary directories and objstore upload stages.
+// Process-unique is enough: a stage is renamed or removed before anyone
+// else looks.
 func uniqueSuffix() string {
 	n := tmpCounter.Add(1)
 	const digits = "0123456789"

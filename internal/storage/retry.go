@@ -44,7 +44,7 @@ type retryStats struct {
 // retrier wraps a backend with the degrade ladder's first rung: transient
 // failures are retried with bounded deterministic backoff; only when an
 // operation exhausts its budget does the error escape, rewrapped as
-// ErrUnavailable (deliberately shedding errTransient — the layer above
+// errUnavailable (deliberately shedding errTransient — the layer above
 // must degrade, not keep retrying). Mutating operations are safe to retry
 // because the backends guarantee transient failures fire before any state
 // changes (see flaky.go); torn writes return permanent errors and pass
@@ -108,7 +108,7 @@ func (r *retrier) do(verb, name string, op func() error) error {
 	}
 	r.exhausted.Add(1)
 	return fmt.Errorf("%w: %s %s gave up after %d attempts: %v",
-		ErrUnavailable, verb, name, maxAttempts, err)
+		errUnavailable, verb, name, maxAttempts, err)
 }
 
 func (r *retrier) Open(path string, flags int, perm uint32) (File, error) {
@@ -134,10 +134,6 @@ func (r *retrier) ReadFile(path string) ([]byte, error) {
 	return b, err
 }
 
-func (r *retrier) Rename(oldpath, newpath string) error {
-	return r.do("rename", oldpath, func() error { return r.inner.Rename(oldpath, newpath) })
-}
-
 func (r *retrier) Remove(path string) error {
 	return r.do("remove", path, func() error { return r.inner.Remove(path) })
 }
@@ -154,10 +150,6 @@ func (r *retrier) List(dir string) ([]string, error) {
 		return e
 	})
 	return names, err
-}
-
-func (r *retrier) SyncDir(dir string) error {
-	return r.do("syncdir", dir, func() error { return r.inner.SyncDir(dir) })
 }
 
 func (r *retrier) Stat(path string) (int64, error) {

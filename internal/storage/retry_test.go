@@ -36,7 +36,7 @@ func TestBackoffDelayPropertyBounds(t *testing.T) {
 // TestRetryTotalSleepDeterministicAndBounded drives the policy wrapper
 // itself against an always-transient backend with an instrumented Sleep:
 // the observed sleep sequence is identical run to run, its total is under
-// MaxTotalDelay, and exhaustion surfaces as ErrUnavailable (errTransient
+// MaxTotalDelay, and exhaustion surfaces as errUnavailable (errTransient
 // deliberately shed) with Healthy() sticky false.
 func TestRetryTotalSleepDeterministicAndBounded(t *testing.T) {
 	run := func() ([]time.Duration, error) {
@@ -64,8 +64,8 @@ func TestRetryTotalSleepDeterministicAndBounded(t *testing.T) {
 	if err1 == nil || err2 == nil {
 		t.Fatalf("wedged write succeeded (%v, %v)", err1, err2)
 	}
-	if !errors.Is(err1, ErrUnavailable) {
-		t.Fatalf("exhaustion err = %v, want ErrUnavailable", err1)
+	if !errors.Is(err1, errUnavailable) {
+		t.Fatalf("exhaustion err = %v, want errUnavailable", err1)
 	}
 	if errors.Is(err1, errTransient) {
 		t.Fatal("exhaustion error still transient — the layer above would keep retrying")
@@ -98,7 +98,7 @@ func TestRetryTransientOnlyConverges(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			sched := GenSchedule(seed, GenOptions{
 				Count: 6,
-				Kinds: []FaultKind{FaultTransient, FaultRenameFail},
+				Kinds: []FaultKind{FaultTransient},
 			})
 			if !sched.TransientOnly() {
 				t.Fatalf("schedule not transient-only:\n%s", sched.Encode())
@@ -108,9 +108,7 @@ func TestRetryTransientOnlyConverges(t *testing.T) {
 			dir := t.TempDir()
 			for i := 0; i < 12; i++ {
 				path := filepath.Join(dir, fmt.Sprintf("f%02d.dat", i))
-				if err := WriteFileAtomic(b, path, []byte(fmt.Sprintf("payload %d", i))); err != nil {
-					t.Fatalf("write %d: %v", i, err)
-				}
+				writeFile(t, b, path, fmt.Sprintf("payload %d", i))
 				if got, err := b.ReadFile(path); err != nil || string(got) != fmt.Sprintf("payload %d", i) {
 					t.Fatalf("readback %d: %q, %v", i, got, err)
 				}
@@ -149,8 +147,8 @@ func TestRetryDeadlineShortCircuits(t *testing.T) {
 	}
 	defer f.Close()
 	_, werr := f.Write([]byte("doomed"))
-	if !errors.Is(werr, ErrUnavailable) {
-		t.Fatalf("err = %v, want ErrUnavailable", werr)
+	if !errors.Is(werr, errUnavailable) {
+		t.Fatalf("err = %v, want errUnavailable", werr)
 	}
 	if slept != 0 {
 		t.Fatalf("slept %d times past a deadline that cannot fit any backoff", slept)

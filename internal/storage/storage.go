@@ -1,13 +1,13 @@
 // Package storage is the durable-storage seam under every host-side
-// persistence layer in the repo (internal/ckpt manifests + journals,
-// internal/wal log segments + ack files, recorder trace directories). The
+// persistence layer in the repo (internal/wal log segments + ack files,
+// recorder trace directories). The
 // paper argues most HPC applications only need relaxed (session/commit)
 // file-system semantics; until this seam existed, the repo could only test
 // that claim against the local OS disk, whose semantics are strictly
 // stronger than what the claim requires. A Backend abstracts the handful of
 // operations the durable layers actually use — open/read/write-at/sync/
-// rename/remove/list, the catalyst-forge fs + go-objstore StorageFS shape —
-// so the same journals and logs can run against:
+// remove/list, the catalyst-forge fs + go-objstore StorageFS shape — so the
+// same logs and traces can run against:
 //
 //   - osdisk: the local file system, byte-identical to the pre-seam os.*
 //     paths (the compatibility oracle, pinned by golden-layout tests);
@@ -17,20 +17,20 @@
 //     simulated (see "Exploring Scientific Application Performance Using
 //     Large Scale Object Storage", PAPERS.md);
 //   - flaky: a wrapper over either, firing seed-deterministic injected
-//     faults (latency, transient errors, torn writes, lost syncs, rename
-//     failures) at the Nth eligible operation, mirroring internal/faults'
-//     schedule discipline.
+//     faults (latency, transient errors, torn writes, lost syncs) at the
+//     Nth eligible operation, mirroring internal/faults' schedule
+//     discipline.
 //
 // Retry returns a policy wrapper adding per-op deadlines, Backoff-based
-// bounded retries on errTransient, and a health signal the WAL (degrade to
-// write-through) and ckpt (demote to config error) layers consume.
+// bounded retries on errTransient, and a health signal the WAL consumes
+// (it degrades to write-through).
 //
 // The package sits below internal/faults in the import order (faults
 // imports wal imports storage), so process-kill points go through a hook:
 // faults installs its Hit counter via SetKillPointHook when any point is
 // armed, and every durable layer reports its points through KillPoint.
-// OpenFrameLog and AppendFrame are the one durable-append path the ckpt
-// journal and the WAL share (frame format: internal/frame).
+// OpenFrameLog and AppendFrame are the WAL's durable-append path (frame
+// format: internal/frame).
 package storage
 
 import (
@@ -59,11 +59,11 @@ const (
 // an objstore read racing a publish). Wrap with %w so errors.Is sees it.
 var errTransient = errors.New("storage: transient backend error")
 
-// ErrUnavailable marks a backend the retry policy has given up on: the
+// errUnavailable marks a backend the retry policy has given up on: the
 // per-op attempt budget or deadline was exhausted without a success. The
-// layers above map it onto their degradation ladder — the WAL falls back to
-// synchronous write-through, ckpt surfaces it as a configuration error.
-var ErrUnavailable = errors.New("storage: backend unavailable")
+// backend's Health then reads false, and the WAL falls back to synchronous
+// write-through.
+var errUnavailable = errors.New("storage: backend unavailable")
 
 // File is one open object on a Backend. The durable layers use it as an
 // append log (Write after Seek to the recovered tail), a random-access blob
@@ -99,10 +99,6 @@ type Backend interface {
 	Open(path string, flags int, perm uint32) (File, error)
 	// ReadFile returns path's full (visible) contents.
 	ReadFile(path string) ([]byte, error)
-	// Rename moves oldpath to newpath. On osdisk it is the atomic commit
-	// primitive; an object store implements it as copy+delete, which is
-	// exactly the weaker publish the paper's relaxed models allow.
-	Rename(oldpath, newpath string) error
 	// Remove deletes path (nil if it does not exist is NOT guaranteed;
 	// callers that want idempotence check IsNotExist).
 	Remove(path string) error
@@ -111,9 +107,6 @@ type Backend interface {
 	// List returns the names (not full paths) of entries directly under
 	// dir, sorted. A missing directory lists empty, not an error.
 	List(dir string) ([]string, error)
-	// SyncDir makes a directory's entry table durable after a Rename or
-	// Remove (best effort; flat namespaces no-op).
-	SyncDir(dir string) error
 	// Stat reports path's visible size, or an error satisfying
 	// IsNotExist(err) if the path does not (yet) exist.
 	Stat(path string) (int64, error)
@@ -201,40 +194,6 @@ func IsNotExist(err error) bool {
 // return.
 var errNotExist = errors.New("storage: file does not exist")
 
-// WriteFileAtomic publishes data at path via the backend's strongest
-// whole-file commit: write a sibling temp object, Sync it, Rename it over
-// path, SyncDir the parent. On osdisk this is the classic write-temp →
-// fsync → rename discipline; on an object store the rename is copy+delete,
-// so the commit is only as atomic as the store's semantics allow — which is
-// the point of running the harnesses against it.
-func WriteFileAtomic(b Backend, path string, data []byte) error {
-	dir, base := splitPath(path)
-	tmp := joinPath(dir, ".tmp-"+base+"-"+uniqueSuffix())
-	f, err := b.Open(tmp, OCreate|OWronly|OTrunc, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		b.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		b.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		b.Remove(tmp)
-		return err
-	}
-	if err := b.Rename(tmp, path); err != nil {
-		b.Remove(tmp)
-		return err
-	}
-	return b.SyncDir(dir)
-}
-
 // TempDir creates a fresh private directory on b and returns its path. On
 // osdisk it is a real os.MkdirTemp dir; on flat-namespace backends it is a
 // process-unique key prefix (MkdirAll being a no-op there).
@@ -274,17 +233,6 @@ func RemoveAll(b Backend, dir string) error {
 		first = err
 	}
 	return first
-}
-
-func splitPath(path string) (dir, base string) {
-	i := strings.LastIndexByte(path, '/')
-	if i < 0 {
-		return ".", path
-	}
-	if i == 0 {
-		return "/", path[1:]
-	}
-	return path[:i], path[i+1:]
 }
 
 func joinPath(dir, name string) string {

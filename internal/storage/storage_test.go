@@ -49,41 +49,17 @@ func TestOSDiskRoundTrip(t *testing.T) {
 	if err != nil || len(names) != 1 || names[0] != "c.dat" {
 		t.Fatalf("List = %v, %v", names, err)
 	}
-	moved := filepath.Join(sub, "d.dat")
-	if err := b.Rename(path, moved); err != nil {
+	if err := b.Remove(path); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := b.ReadFile(path); !IsNotExist(err) {
-		t.Fatalf("old path after rename: err = %v, want not-exist", err)
-	}
-	if err := b.Remove(moved); err != nil {
-		t.Fatal(err)
+		t.Fatalf("path after remove: err = %v, want not-exist", err)
 	}
 	// A missing directory lists empty, not an error (recovery scans
 	// directories that may never have been created).
 	names, err = b.List(filepath.Join(dir, "never-created"))
 	if err != nil || len(names) != 0 {
 		t.Fatalf("List(missing) = %v, %v", names, err)
-	}
-}
-
-func TestWriteFileAtomic(t *testing.T) {
-	b := OS()
-	dir := t.TempDir()
-	path := filepath.Join(dir, "manifest.json")
-	for _, content := range []string{"first", "second and longer"} {
-		if err := WriteFileAtomic(b, path, []byte(content)); err != nil {
-			t.Fatal(err)
-		}
-		got, err := b.ReadFile(path)
-		if err != nil || string(got) != content {
-			t.Fatalf("after WriteFileAtomic(%q): %q, %v", content, got, err)
-		}
-	}
-	// No temp litter left behind: the directory holds exactly the target.
-	names, err := b.List(dir)
-	if err != nil || len(names) != 1 {
-		t.Fatalf("List = %v, %v (want just manifest.json)", names, err)
 	}
 }
 
@@ -101,9 +77,7 @@ func TestTempDirRemoveAll(t *testing.T) {
 				t.Fatal(err)
 			}
 			path := joinPath(dir, "x.dat")
-			if err := WriteFileAtomic(tc.b, path, []byte("x")); err != nil {
-				t.Fatal(err)
-			}
+			writeFile(t, tc.b, path, "x")
 			if err := RemoveAll(tc.b, dir); err != nil {
 				t.Fatal(err)
 			}
@@ -183,21 +157,29 @@ func TestBaseAndHealthWalkWrapperChains(t *testing.T) {
 	}
 }
 
-func TestSplitJoinPath(t *testing.T) {
-	for _, tc := range []struct{ path, dir, base string }{
-		{"a/b/c", "a/b", "c"},
-		{"c", ".", "c"},
-		{"/c", "/", "c"},
-	} {
-		d, b := splitPath(tc.path)
-		if d != tc.dir || b != tc.base {
-			t.Errorf("splitPath(%q) = %q, %q", tc.path, d, b)
-		}
-	}
+func TestJoinPath(t *testing.T) {
 	if got := joinPath(".", "x"); got != "x" {
 		t.Errorf("joinPath(., x) = %q", got)
 	}
 	if got := joinPath("a/b", "x"); got != "a/b/x" {
 		t.Errorf("joinPath = %q", got)
+	}
+}
+
+// writeFile publishes data at path on b: create, write, sync, close.
+func writeFile(t *testing.T, b Backend, path, data string) {
+	t.Helper()
+	f, err := b.Open(path, OCreate|OWronly|OTrunc, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte(data)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

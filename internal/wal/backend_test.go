@@ -14,15 +14,26 @@ import (
 	"repro/internal/wal"
 )
 
+// createEmpty creates a zero-length file at path on the local disk, as a
+// rank that opened its log and died before the first append leaves it.
+func createEmpty(t *testing.T, path string) {
+	t.Helper()
+	f, err := storage.OS().Open(path, storage.OCreate|storage.OWronly, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRecoverDirZeroLengthLog is the regression for the zero-length /
 // missing distinction: a rank that opened its log but was killed before the
 // first append must recover as an explicit empty record list, not vanish
 // like a rank that never ran.
 func TestRecoverDirZeroLengthLog(t *testing.T) {
 	dir := t.TempDir()
-	if err := storage.WriteFileAtomic(storage.OS(), filepath.Join(dir, "rank-0000.wal"), nil); err != nil {
-		t.Fatal(err)
-	}
+	createEmpty(t, filepath.Join(dir, "rank-0000.wal"))
 	recs, stats, err := wal.RecoverDirOn(storage.OS(), dir)
 	if err != nil {
 		t.Fatal(err)
@@ -49,15 +60,10 @@ func TestRecoverDirZeroLengthLog(t *testing.T) {
 func TestRecoverBurstAckFileDistinction(t *testing.T) {
 	dir := t.TempDir()
 	for r := 0; r < 2; r++ {
-		if err := storage.WriteFileAtomic(storage.OS(),
-			filepath.Join(dir, fmt.Sprintf("rank-%04d.wal", r)), nil); err != nil {
-			t.Fatal(err)
-		}
+		createEmpty(t, filepath.Join(dir, fmt.Sprintf("rank-%04d.wal", r)))
 	}
 	// Rank 0 opened its ack file and died; rank 1 never did.
-	if err := storage.WriteFileAtomic(storage.OS(), filepath.Join(dir, "acks-rank-0000.log"), nil); err != nil {
-		t.Fatal(err)
-	}
+	createEmpty(t, filepath.Join(dir, "acks-rank-0000.log"))
 	rep, err := wal.RecoverBurst(wal.BurstSpec{
 		Semantics: pfs.Strong, Ranks: 2, Log: wal.Options{Dir: dir},
 	})
@@ -105,7 +111,7 @@ func TestBurstRecoverBackends(t *testing.T) {
 		{"flaky-transient", func(t *testing.T) storage.Backend {
 			sched := storage.GenSchedule(5, storage.GenOptions{
 				Count: 8,
-				Kinds: []storage.FaultKind{storage.FaultTransient, storage.FaultRenameFail},
+				Kinds: []storage.FaultKind{storage.FaultTransient},
 			})
 			if !sched.TransientOnly() {
 				t.Fatalf("schedule not transient-only:\n%s", sched.Encode())

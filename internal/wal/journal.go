@@ -11,8 +11,8 @@ import (
 )
 
 // On-disk record framing for the host-side write-ahead log: one
-// internal/frame frame per record, magic "WALR" — the ckpt journal's codec,
-// so the torn-tail salvage argument carries over. The payload encodes one
+// internal/frame frame per record, magic "WALR", so a crash can damage only
+// the tail frame, which salvage measures and truncates. The payload encodes one
 // acknowledged write:
 //
 //	uvarint len(path) | path | uvarint off | uvarint now | data

@@ -117,8 +117,8 @@ type Log struct {
 }
 
 // Open creates (or reopens) rank's log file under opts.Dir and starts the
-// background drainer. A pre-existing file is salvaged ckpt-style: complete
-// records are kept (they are acked writes a previous incarnation had not
+// background drainer. A pre-existing file is salvaged: complete records
+// are kept (they are acked writes a previous incarnation had not
 // yet confirmed drained — recovery wants them; see recoverDirOn), a torn tail
 // is truncated so new appends land on a record boundary.
 func Open(rank int, opts Options) (*Log, error) {

@@ -13,7 +13,6 @@ var cliPackages = []string{
 	"repro/cmd/semanalyze",
 	"repro/cmd/semtrace",
 	"repro/cmd/semrepro",
-	"repro/cmd/pfsbench",
 }
 
 // forbiddenDeps are the packages whose presence undoes the static link:
