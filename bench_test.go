@@ -167,7 +167,7 @@ func BenchmarkAppTraceGeneration(b *testing.B) {
 // end-to-end benchmark's set-ups, scaled down: the run of ENZO-HDF5 behind
 // analyze-records (at a tenth of its steps) and of FLASH-fbs behind
 // analyze-ranks (at a third of its ranks), with a fixed seed so B/op and
-// allocs/op are deterministic. CI gates those two against BENCH_pr35.json.
+// allocs/op are deterministic. CI gates those two against BENCH_pr37.json.
 func BenchmarkTraceSetup(b *testing.B) {
 	for _, c := range []struct {
 		app  string

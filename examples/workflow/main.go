@@ -80,7 +80,7 @@ func consume(fs *pfs.FileSystem, poll bool) (int, int) {
 					if err != nil {
 						return err
 					}
-					if int64(len(got)) == snapBytes {
+					if got.Len() == snapBytes {
 						break
 					}
 					if !poll {

@@ -206,19 +206,21 @@ func fill(tag string, rank, step int, n int64) payload.P {
 }
 
 // checkFill verifies data against the fill pattern, recording a failure.
-func checkFill(ctx *harness.Ctx, where, tag string, rank, step int, got []byte, want int64) {
-	if int64(len(got)) != want {
-		ctx.Failf("%s: short read %d/%d bytes", where, len(got), want)
+// A read that returned the pattern's own reference passes without a byte
+// made.
+func checkFill(ctx *harness.Ctx, where, tag string, rank, step int, got payload.P, want int64) {
+	if got.Len() != want {
+		ctx.Failf("%s: short read %d/%d bytes", where, got.Len(), want)
 		return
 	}
 	exp := fill(tag, rank, step, want)
 	if exp.Equal(got) {
 		return
 	}
-	// Only a failed check makes the expected bytes, to name the first bad one.
-	b := exp.Materialize()
-	for i := range got {
-		if got[i] != b[i] {
+	// Only a failed check makes the bytes, to name the first bad one.
+	b, g := exp.Materialize(), got.Materialize()
+	for i := range g {
+		if g[i] != b[i] {
 			ctx.Failf("%s: stale/corrupt byte at %d (rank %d step %d)", where, i, rank, step)
 			return
 		}
@@ -241,10 +243,11 @@ func readInput(ctx *harness.Ctx, path string) error {
 		if err != nil {
 			return err
 		}
-		buf, err = ctx.OS.Read(fd, 4096)
+		data, err := ctx.OS.Read(fd, 4096)
 		if err != nil {
 			return err
 		}
+		buf = data.Materialize()
 		if err := ctx.OS.Close(fd); err != nil {
 			return err
 		}

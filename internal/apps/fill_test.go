@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"repro/internal/payload"
 )
 
 // serialFill is the payload generator stepped once per byte from
@@ -30,7 +32,7 @@ func TestFillMatchesSerial(t *testing.T) {
 		rank, step := rng.Intn(4096), rng.Intn(1<<20)
 		want := serialFill(tag, rank, step, n)
 		p := fill(tag, rank, step, n)
-		if !bytes.Equal(p.Materialize(), want) || !p.Equal(want) {
+		if !bytes.Equal(p.Materialize(), want) || !p.Equal(payload.Bytes(want)) {
 			t.Fatalf("fill(%q, %d, %d, %d) differs from the serial generator", tag, rank, step, n)
 		}
 	}

@@ -49,13 +49,13 @@ func lbannConfig() *Config {
 				if err != nil {
 					return err
 				}
-				if len(got) == 0 {
+				if got.Len() == 0 {
 					break
 				}
 				if p.Verify {
 					checkFill(ctx, "lbann dataset", "cifar", 0, chunk, got, p.Block)
 				}
-				read += int64(len(got))
+				read += got.Len()
 				chunk++
 				// Per-sample preprocessing desynchronizes the ranks: the
 				// PFS sees an interleaved, random-looking global stream.

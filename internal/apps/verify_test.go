@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/payload"
 	"repro/internal/pfs"
 )
 
@@ -55,14 +56,14 @@ func TestVerifyDiagnostics(t *testing.T) {
 		got := fill("wave", 0, 3, 2048).Materialize()
 		got[i] ^= 0x10
 		got[2047] ^= 0x01 // a later wrong byte is not the one named
-		checkFill(ctx, "w", "wave", 0, 3, got, 2048)
+		checkFill(ctx, "w", "wave", 0, 3, payload.Bytes(got), 2048)
 		want := fmt.Sprintf("1 verification failure(s), first: w: stale/corrupt byte at %d (rank 0 step 3)", i)
 		if err := ctx.Failures(); err == nil || err.Error() != want {
 			t.Errorf("byte %d flipped: %v, want %s", i, err, want)
 		}
 	}
 	ctx := &harness.Ctx{}
-	checkFill(ctx, "w", "wave", 0, 3, fill("wave", 0, 3, 100).Materialize(), 2048)
+	checkFill(ctx, "w", "wave", 0, 3, fill("wave", 0, 3, 100), 2048)
 	if err := ctx.Failures(); err == nil || err.Error() != "1 verification failure(s), first: w: short read 100/2048 bytes" {
 		t.Errorf("short read: %v", err)
 	}

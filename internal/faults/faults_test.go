@@ -83,10 +83,11 @@ func readAt(t *testing.T, c *pfs.Client, path string, n int64, now uint64) []byt
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, _, err := h.Read(0, n, now)
+	p, _, err := h.Read(0, n, now)
 	if err != nil {
 		t.Fatal(err)
 	}
+	data := p.Materialize()
 	if _, err := h.Close(now); err != nil {
 		t.Fatal(err)
 	}

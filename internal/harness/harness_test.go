@@ -163,7 +163,7 @@ func TestSharedFSAcrossRuns(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		got, _ := ctx.OS.Read(fd, 4)
+		got, _ := bytesOf(ctx.OS.Read(fd, 4))
 		if string(got) != "kept" {
 			ctx.Failf("read %q", got)
 		}
@@ -179,3 +179,6 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		t.Fatal("zero ranks should be rejected")
 	}
 }
+
+// bytesOf passes a read's results through with the payload's bytes.
+func bytesOf(data payload.P, err error) ([]byte, error) { return data.Materialize(), err }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/mpi"
+	"repro/internal/payload"
 	"repro/internal/posix"
 	"repro/internal/recorder"
 )
@@ -54,7 +55,7 @@ func (f *File) AttachDataset(name string, size int64) (*Dataset, error) {
 // Read reads n bytes at offset off within the dataset.
 func (d *Dataset) Read(off, n int64) ([]byte, error) {
 	ts := d.f.os.Clock().Stamp()
-	var data []byte
+	var data payload.P
 	var err error
 	if d.f.opts.Collective && d.f.mpf != nil {
 		data, err = d.f.mpf.ReadAtAll(d.dataOff+off, n)
@@ -62,13 +63,13 @@ func (d *Dataset) Read(off, n int64) ([]byte, error) {
 		data, err = d.f.os.Pread(d.f.fd, n, d.dataOff+off)
 	}
 	d.f.emit(recorder.FuncH5Dread, ts, d.f.path, d.name, off, n)
-	return data, err
+	return data.Materialize(), err
 }
 
 // ReadIndependent reads without collective participation (restart-style).
 func (d *Dataset) ReadIndependent(off, n int64) ([]byte, error) {
 	ts := d.f.os.Clock().Stamp()
-	var data []byte
+	var data payload.P
 	var err error
 	if d.f.mpf != nil {
 		data, err = d.f.mpf.ReadAt(d.dataOff+off, n)
@@ -76,7 +77,7 @@ func (d *Dataset) ReadIndependent(off, n int64) ([]byte, error) {
 		data, err = d.f.os.Pread(d.f.fd, n, d.dataOff+off)
 	}
 	d.f.emit(recorder.FuncH5Dread, ts, d.f.path, d.name, off, n)
-	return data, err
+	return data.Materialize(), err
 }
 
 // DataOff exposes the dataset's raw-data file offset (for tests).

@@ -99,6 +99,7 @@ type File struct {
 	opts   Options
 
 	path          string
+	pathHash      uint64      // fnv64(path), the seed of every metadata entry
 	fd            int         // posix descriptor (independent/serial modes)
 	mpf           *mpiio.File // collective mode
 	metaCursor    int64
@@ -146,6 +147,7 @@ func newFile(comm *mpi.Proc, os *posix.Proc, tracer *recorder.RankTracer, path s
 		tracer:        tracer,
 		opts:          o,
 		path:          path,
+		pathHash:      fnv64(path),
 		metaCursor:    metaCursorBase,
 		dataCursor:    o.DataBase,
 		rootFlushedAt: -1,
@@ -236,55 +238,30 @@ func (f *File) emit(fn recorder.Func, ts uint64, path, dset string, args ...int6
 // content derived from the file path and offset (so any owner writes
 // identical bytes, as HDF5 caches do).
 func (f *File) metaWrite(off, n int64) error {
-	return f.metaWriteContent(off, metaBytes(f.path, off, n))
+	return f.metaWriteContent(off, f.meta(off, n, -1))
 }
 
-func (f *File) metaWriteContent(off int64, data []byte) error {
+func (f *File) metaWriteContent(off int64, data payload.P) error {
 	if f.mpf != nil {
-		return f.mpf.WriteAt(off, payload.Bytes(data)) // metadata bypasses the aggregators
+		return f.mpf.WriteAt(off, data) // metadata bypasses the aggregators
 	}
-	_, err := f.os.Pwrite(f.fd, payload.Bytes(data), off)
+	_, err := f.os.Pwrite(f.fd, data, off)
 	return err
 }
 
-func (f *File) metaRead(off, n int64) ([]byte, error) {
+func (f *File) metaRead(off, n int64) (payload.P, error) {
 	if f.mpf != nil {
 		return f.mpf.ReadAt(off, n)
 	}
 	return f.os.Pread(f.fd, n, off)
 }
 
-// metaBytes generates the deterministic content of a metadata entry.
-func metaBytes(path string, off, n int64) []byte {
-	h := fnv64(path) ^ uint64(off)*0x9e3779b97f4a7c15
-	b := make([]byte, n)
-	for i := range b {
-		h = h*0x100000001b3 + uint64(i)
-		b[i] = byte(h >> 32)
-	}
-	return b
-}
-
-// epochBytes generates epoch-dependent metadata content (entries whose
-// value changes at every flush, like the superblock EOF address).
-func epochBytes(path string, off, n, epoch int64) []byte {
-	b := metaBytes(path, off, n)
-	for i := range b {
-		b[i] ^= byte(uint64(epoch+1) * 0x9e3779b9 >> (uint(i%8) * 8))
-	}
-	return b
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+// meta is the deterministic content of the metadata entry at [off, off+n)
+// as a reference, made of the file path, the offset and, for an entry
+// whose value changes at every flush (the root group header), the flush
+// epoch; epoch -1 is an entry that does not change.
+func (f *File) meta(off, n, epoch int64) payload.P {
+	return payload.Meta(f.pathHash^uint64(off)*0x9e3779b97f4a7c15, n, epoch)
 }
 
 func fnv64(s string) uint64 {
@@ -405,14 +382,14 @@ func (f *File) flushMetadata() error {
 			if err != nil {
 				return err
 			}
-			want := epochBytes(f.path, rootHeaderOff, rootHeaderLen, f.rootFlushedAt)
-			if !bytesEqual(got, want) && f.opts.OnCorruption != nil {
+			want := f.meta(rootHeaderOff, rootHeaderLen, f.rootFlushedAt)
+			if !got.Equal(want) && f.opts.OnCorruption != nil {
 				f.opts.OnCorruption(fmt.Sprintf(
 					"hdf5 %s: stale root header at flush epoch %d (expected epoch-%d content)",
 					f.path, epoch, f.rootFlushedAt))
 			}
 		}
-		if err := f.metaWriteContent(rootHeaderOff, epochBytes(f.path, rootHeaderOff, rootHeaderLen, epoch)); err != nil {
+		if err := f.metaWriteContent(rootHeaderOff, f.meta(rootHeaderOff, rootHeaderLen, epoch)); err != nil {
 			return err
 		}
 	}

@@ -2,7 +2,9 @@ package hdf5
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+	"unsafe"
 
 	"repro/internal/harness"
 	"repro/internal/payload"
@@ -362,14 +364,125 @@ func TestDoubleCloseAndDuplicateDataset(t *testing.T) {
 	})
 }
 
+// metaBytes and epochBytes are the oracle for metadata content: the
+// generator loops that made every metadata byte before metadata became a
+// payload reference.
+func metaBytes(path string, off, n int64) []byte {
+	h := fnv64(path) ^ uint64(off)*0x9e3779b97f4a7c15
+	b := make([]byte, n)
+	for i := range b {
+		h = h*0x100000001b3 + uint64(i)
+		b[i] = byte(h >> 32)
+	}
+	return b
+}
+
+func epochBytes(path string, off, n, epoch int64) []byte {
+	b := metaBytes(path, off, n)
+	for i := range b {
+		b[i] ^= byte(uint64(epoch+1) * 0x9e3779b9 >> (uint(i%8) * 8))
+	}
+	return b
+}
+
+// metaRef is the reference a file at path writes for the entry.
+func metaRef(path string, off, n, epoch int64) payload.P {
+	return (&File{pathHash: fnv64(path)}).meta(off, n, epoch)
+}
+
 func TestMetaBytesDeterministic(t *testing.T) {
-	a := metaBytes("/f.h5", 96, 272)
-	b := metaBytes("/f.h5", 96, 272)
-	if !bytes.Equal(a, b) {
+	a := metaRef("/f.h5", 96, 272, -1)
+	if !a.Equal(metaRef("/f.h5", 96, 272, -1)) || !bytes.Equal(a.Materialize(), metaRef("/f.h5", 96, 272, -1).Materialize()) {
 		t.Fatal("metadata content must be deterministic (any owner writes identical bytes)")
 	}
-	c := metaBytes("/f.h5", 368, 272)
-	if bytes.Equal(a, c) {
+	if a.Equal(metaRef("/f.h5", 368, 272, -1)) || a.Equal(metaRef("/g.h5", 96, 272, -1)) || a.Equal(metaRef("/f.h5", 96, 272, 0)) {
 		t.Fatal("different entries should differ")
 	}
+}
+
+// The metadata reference is the oracle's bytes however it is read: whole,
+// copied, compared, and sliced at every bound, across paths, offsets,
+// block lengths and epochs (-1 is the epoch-free entry).
+func TestMetaReferenceMatchesOracle(t *testing.T) {
+	if size := unsafe.Sizeof(payload.P{}); size != 24 {
+		t.Fatalf("payload.P is %d bytes, want 24", size)
+	}
+	paths := []string{"/f.h5", "/flash/flash_hdf5_chk_0001", "", "/enzo/DD0004/data.cpu0003"}
+	offs := []int64{0, rootHeaderOff, metaCursorBase, metaCursorBase + headerLen, 12345}
+	lens := []int64{0, 1, 7, 8, 9, superblockLen, indexNodeLen, 271, headerLen}
+	for epoch := int64(-1); epoch <= 9; epoch++ {
+		for pi, path := range paths {
+			for oi, off := range offs {
+				for _, n := range lens {
+					want := epochBytes(path, off, n, epoch)
+					if epoch == -1 && !bytes.Equal(want, metaBytes(path, off, n)) {
+						t.Fatal("epoch -1 is not the epoch-free entry")
+					}
+					p := metaRef(path, off, n, epoch)
+					where := fmt.Sprintf("%q off %d len %d epoch %d", path, off, n, epoch)
+					checkMetaRef(t, where, p, want)
+					// Every slice bound of one full-size entry per epoch;
+					// every start with two ends elsewhere.
+					every := pi == 0 && oi == 1 && (n == headerLen || n == indexNodeLen)
+					for lo := int64(0); lo <= n; lo++ {
+						his := []int64{lo, lo + (n-lo)/2, n}
+						if every {
+							his = his[:0]
+							for hi := lo; hi <= n; hi++ {
+								his = append(his, hi)
+							}
+						}
+						for _, hi := range his {
+							s := p.Slice(lo, hi)
+							if !bytes.Equal(s.Materialize(), want[lo:hi]) {
+								t.Fatalf("%s: Slice(%d, %d) differs from the oracle", where, lo, hi)
+							}
+							if !every && hi > lo {
+								checkMetaRef(t, fmt.Sprintf("%s [%d,%d)", where, lo, hi), s, want[lo:hi])
+								if m := lo + (hi-lo)/2; !s.Slice(m-lo, hi-lo).Equal(payload.Bytes(want[m:hi])) {
+									t.Fatalf("%s: nested Slice [%d,%d) differs", where, m, hi)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkMetaRef compares a metadata reference with its oracle bytes through
+// every way of reading it.
+func checkMetaRef(t *testing.T, where string, p payload.P, want []byte) {
+	t.Helper()
+	if p.Len() != int64(len(want)) || !bytes.Equal(p.Materialize(), want) {
+		t.Fatalf("%s: Materialize differs from the oracle", where)
+	}
+	buf := make([]byte, len(want)+3)
+	if c := p.CopyTo(buf); c != len(want) || !bytes.Equal(buf[:c], want) {
+		t.Fatalf("%s: CopyTo differs from the oracle", where)
+	}
+	if short := buf[:len(want)/2]; p.CopyTo(short) != len(short) || !bytes.Equal(short, want[:len(short)]) {
+		t.Fatalf("%s: CopyTo into a short buffer differs", where)
+	}
+	if !p.Equal(payload.Bytes(want)) || !payload.Bytes(want).Equal(p) {
+		t.Fatalf("%s: Equal rejects the oracle", where)
+	}
+	if len(want) > 0 {
+		flipped := append([]byte(nil), want...)
+		flipped[len(flipped)-1] ^= 1
+		if p.Equal(payload.Bytes(flipped)) {
+			t.Fatalf("%s: Equal accepts a flipped byte", where)
+		}
+	}
+}
+
+// Making a metadata reference allocates nothing.
+func TestMetaReferenceAllocatesNothing(t *testing.T) {
+	f := &File{pathHash: fnv64("/f.h5")}
+	var sink payload.P
+	if n := testing.AllocsPerRun(100, func() { sink = f.meta(rootHeaderOff, rootHeaderLen, 7) }); n != 0 {
+		t.Fatalf("a metadata reference makes %v allocations, want 0", n)
+	}
+	_ = sink
 }

@@ -29,7 +29,7 @@ func TestWriteAllAdvancesSharedLayout(t *testing.T) {
 		if err := f.Sync(); err != nil {
 			return err
 		}
-		got, err := f.ReadAt(0, 64)
+		got, err := bytesOf(f.ReadAt(0, 64))
 		if err != nil {
 			return err
 		}
@@ -93,7 +93,7 @@ func TestCyclicDomainsDataIntegrity(t *testing.T) {
 			return err
 		}
 		ctx.MPI.Barrier()
-		got, err := f.ReadAt(int64(ctx.Rank)*48, 48)
+		got, err := bytesOf(f.ReadAt(int64(ctx.Rank)*48, 48))
 		if err != nil {
 			return err
 		}

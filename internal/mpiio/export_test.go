@@ -34,8 +34,7 @@ func (f *File) SeekPtr(off int64, whence int) int64 {
 // WriteAll is the collective write at the individual file pointer.
 func (f *File) WriteAll(data payload.P) error {
 	ts := f.os.Clock().Stamp()
-	h := extent(f.disp+f.indepPtr, data.Len())
-	err := f.aggregateWrite(f.comm.Allgather(h[:], data))
+	err := f.writeAll(f.disp+f.indepPtr, data)
 	if err == nil {
 		f.indepPtr += data.Len()
 	}

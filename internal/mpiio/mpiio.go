@@ -19,6 +19,7 @@ package mpiio
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -151,8 +152,9 @@ func (f *File) WriteAt(off int64, data payload.P) error {
 	return err
 }
 
-// ReadAt reads independently at the given offset.
-func (f *File) ReadAt(off, n int64) ([]byte, error) {
+// ReadAt reads independently at the given offset. Its bytes come as
+// posix Pread returns them.
+func (f *File) ReadAt(off, n int64) (payload.P, error) {
 	ts := f.os.Clock().Stamp()
 	data, err := f.os.Pread(f.fd, n, f.disp+off)
 	emit(f, recorder.FuncMPIFileReadAt, ts, "", int64(f.fd), n, off)
@@ -171,11 +173,11 @@ func (f *File) Write(data payload.P) error {
 }
 
 // Read reads independently at the individual file pointer.
-func (f *File) Read(n int64) ([]byte, error) {
+func (f *File) Read(n int64) (payload.P, error) {
 	ts := f.os.Clock().Stamp()
 	data, err := f.os.Pread(f.fd, n, f.disp+f.indepPtr)
 	if err == nil {
-		f.indepPtr += int64(len(data))
+		f.indepPtr += data.Len()
 	}
 	emit(f, recorder.FuncMPIFileRead, ts, "", int64(f.fd), n)
 	return data, err
@@ -202,55 +204,97 @@ func decodeExtent(b []byte) (off, n int64) {
 	return int64(binary.LittleEndian.Uint64(b[0:8])), int64(binary.LittleEndian.Uint64(b[8:16]))
 }
 
+// errDomainLost reports a collective request that overlaps the file domain
+// of an aggregator that departed the job: nobody wrote or read that part of
+// the request.
+var errDomainLost = errors.New("mpiio: a departed aggregator's file domain holds part of the request")
+
 // WriteAtAll performs a collective write: every rank contributes (off, data)
 // — possibly empty — and the aggregator ranks perform the actual file
 // writes over contiguous file domains (two-phase I/O). The payload enters
 // the exchange as the value it is: a fill reference reaches the file
 // system as a reference, and a Bytes payload's buffer is kept, so the
 // caller must not modify it afterwards (as with posix Pwrite). Its length
-// drives the simulated cost.
+// drives the simulated cost. A rank whose request overlaps a departed
+// aggregator's domain gets an errDomainLost error, after the live
+// aggregators wrote theirs.
 func (f *File) WriteAtAll(off int64, data payload.P) error {
 	ts := f.os.Clock().Stamp()
-	h := extent(f.disp+off, data.Len())
-	err := f.aggregateWrite(f.comm.Allgather(h[:], data))
+	err := f.writeAll(f.disp+off, data)
 	emit(f, recorder.FuncMPIFileWriteAtAll, ts, "", int64(f.fd), data.Len(), off)
 	return err
 }
 
-// aggregateWrite is the write phase of two-phase I/O over the allgathered
-// request headers and payloads (read-only, shared with every rank). Only
-// aggregators decode them: the others do no file I/O in the write phase. A
-// rank that departed the job deposited nothing and leaves an empty header.
-// A departed aggregator writes nothing, so its file domain stays unwritten.
-func (f *File) aggregateWrite(hdrs [][]byte, data []payload.P) error {
-	myIdx := f.aggIndex()
-	if myIdx < 0 {
-		return nil
+// writeAll is the two-phase collective write of data at file offset off.
+func (f *File) writeAll(off int64, data payload.P) error {
+	h := extent(off, data.Len())
+	hdrs, datas := f.comm.Allgather(h[:], data)
+	lo, hi, ok := union(hdrs)
+	if !ok {
+		return nil // nothing to write anywhere
 	}
+	if i := f.aggIndex(); i >= 0 {
+		if err := f.aggregateWrite(hdrs, datas, f.domains(i, lo, hi)); err != nil {
+			return err
+		}
+	}
+	return f.lost(hdrs, "written", off, data.Len(), func(i int) [][2]int64 { return f.domains(i, lo, hi) })
+}
+
+// union returns the smallest range [lo, hi) that holds every nonempty
+// request of the allgathered headers, and whether there is one. A rank
+// that departed the job deposited nothing and leaves an empty header.
+func union(hdrs [][]byte) (lo, hi int64, ok bool) {
+	for _, h := range hdrs {
+		if len(h) == 0 {
+			continue // departed
+		}
+		o, n := decodeExtent(h)
+		if n <= 0 {
+			continue
+		}
+		if !ok || o < lo {
+			lo = o
+		}
+		if !ok || o+n > hi {
+			hi = o + n
+		}
+		ok = true
+	}
+	return lo, hi, ok
+}
+
+// lost returns an errDomainLost error when [off, off+n) overlaps one of
+// the domains of an aggregator that left an empty header: that aggregator
+// departed, so the overlap was never moved.
+func (f *File) lost(hdrs [][]byte, verb string, off, n int64, domains func(idx int) [][2]int64) error {
+	for i, a := range f.aggs {
+		if len(hdrs[a]) != 0 {
+			continue
+		}
+		for _, d := range domains(i) {
+			if lo, hi := max(d[0], off), min(d[1], off+n); lo < hi {
+				return fmt.Errorf("%w: bytes [%d, %d) were not %s (aggregator rank %d departed)", errDomainLost, lo, hi, verb, a)
+			}
+		}
+	}
+	return nil
+}
+
+// aggregateWrite is this aggregator's write phase of two-phase I/O over the
+// allgathered request headers and payloads (read-only, shared with every
+// rank): it writes the contributions inside each of its domains.
+func (f *File) aggregateWrite(hdrs [][]byte, data []payload.P, domains [][2]int64) error {
 	reqs := make([]request, 0, len(hdrs))
-	var lo, hi int64
-	first := true
 	for r, h := range hdrs {
 		if len(h) == 0 {
 			continue // departed
 		}
-		off, n := decodeExtent(h)
-		if n == 0 {
-			continue
+		if off, n := decodeExtent(h); n > 0 {
+			reqs = append(reqs, request{Rank: int64(r), Off: off, Len: n})
 		}
-		reqs = append(reqs, request{Rank: int64(r), Off: off, Len: n})
-		if first || off < lo {
-			lo = off
-		}
-		if first || off+n > hi {
-			hi = off + n
-		}
-		first = false
 	}
-	if first {
-		return nil // nothing to write anywhere
-	}
-	for _, dom := range f.domains(myIdx, lo, hi) {
+	for _, dom := range domains {
 		if err := f.writeDomain(reqs, data, dom[0], dom[1]); err != nil {
 			return err
 		}
@@ -357,61 +401,79 @@ func (f *File) writeDomain(reqs []request, data []payload.P, dLo, dHi int64) err
 }
 
 // ReadAtAll performs a collective read: aggregators read contiguous domains
-// and the data is redistributed to the requesting ranks.
-func (f *File) ReadAtAll(off, n int64) ([]byte, error) {
+// and the data is redistributed to the requesting ranks. The result has n
+// bytes: a slice of the one domain that covers the request, which stays a
+// reference when the aggregator read one, or fresh bytes (zero where no
+// domain reaches). A rank whose request overlaps a departed aggregator's
+// domain gets an errDomainLost error.
+func (f *File) ReadAtAll(off, n int64) (payload.P, error) {
 	ts := f.os.Clock().Stamp()
-	h := extent(f.disp+off, n)
+	want := f.disp + off
+	h := extent(want, n)
 	slots, _ := f.comm.Allgather(h[:], payload.P{})
 	// Phase 1: every aggregator reads the union range restricted to its domain.
-	var lo, hi int64
-	first := true
-	for _, s := range slots {
-		if len(s) == 0 {
-			continue // departed
-		}
-		o, l := decodeExtent(s)
-		if l <= 0 {
-			continue
-		}
-		if first || o < lo {
-			lo = o
-		}
-		if first || o+l > hi {
-			hi = o + l
-		}
-		first = false
-	}
-	var domain []byte
+	lo, hi, ok := union(slots)
+	var domain payload.P
 	var dLo int64
-	if i := f.aggIndex(); !first && i >= 0 {
+	if i := f.aggIndex(); ok && i >= 0 {
 		var dHi int64
 		dLo, dHi = f.span(i, lo, hi)
 		if dLo < dHi {
 			var err error
 			domain, err = f.os.Pread(f.fd, dHi-dLo, dLo)
 			if err != nil {
-				return nil, err
+				return payload.P{}, err
 			}
 		}
 	}
-	// Phase 2: redistribute aggregator buffers to everyone; each rank copies
-	// the overlap of every domain with [want, want+n).
-	h = extent(dLo, int64(len(domain)))
-	hdrs, domains := f.comm.Allgather(h[:], payload.Bytes(domain))
-	out := make([]byte, n)
-	want := f.disp + off
+	// Phase 2: redistribute the domains to everyone; each rank takes the
+	// overlap of every domain with [want, want+n).
+	h = extent(dLo, domain.Len())
+	hdrs, domains := f.comm.Allgather(h[:], domain)
+	out := assemble(hdrs, domains, want, n)
+	var err error
+	if ok {
+		err = f.lost(slots, "read", want, n, func(i int) [][2]int64 {
+			if dLo, dHi := f.span(i, lo, hi); dLo < dHi {
+				return [][2]int64{{dLo, dHi}}
+			}
+			return nil
+		})
+	}
+	emit(f, recorder.FuncMPIFileReadAtAll, ts, "", int64(f.fd), n, off)
+	if err != nil {
+		return payload.P{}, err
+	}
+	return out, nil
+}
+
+// assemble builds [want, want+n) from the redistributed domains. A domain
+// that covers it all gives its slice, copied if it is bytes (every rank
+// shares the aggregator's buffer); otherwise each domain's overlap is
+// copied into fresh bytes.
+func assemble(hdrs [][]byte, domains []payload.P, want, n int64) payload.P {
+	var out []byte
 	for i, s := range hdrs {
 		if len(s) == 0 {
 			continue // departed
 		}
 		o, l := decodeExtent(s)
 		lo, hi := max(o, want), min(o+l, want+n)
-		if lo < hi {
-			domains[i].Slice(lo-o, hi-o).CopyTo(out[lo-want : hi-want])
+		if lo >= hi {
+			continue
 		}
+		if lo == want && hi == want+n {
+			return domains[i].Slice(lo-o, hi-o).Clone()
+		}
+		if out == nil {
+			out = make([]byte, n)
+		}
+		domains[i].Slice(lo-o, hi-o).CopyTo(out[lo-want : hi-want])
 	}
-	emit(f, recorder.FuncMPIFileReadAtAll, ts, "", int64(f.fd), n, off)
-	return out, nil
+	if out == nil {
+		out = make([]byte, n)
+	}
+	return payload.Bytes(out)
 }
 
 // Sync flushes the file (a commit operation under commit semantics).

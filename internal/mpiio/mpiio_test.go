@@ -3,6 +3,7 @@ package mpiio
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/harness"
@@ -38,7 +39,7 @@ func TestIndependentWriteAtRoundTrip(t *testing.T) {
 			return err
 		}
 		ctx.MPI.Barrier()
-		got, err := f.ReadAt(int64(ctx.Rank)*32, 32)
+		got, err := bytesOf(f.ReadAt(int64(ctx.Rank)*32, 32))
 		if err != nil {
 			return err
 		}
@@ -102,7 +103,7 @@ func TestCollectiveWriteDataIntegrity(t *testing.T) {
 		if err := f.Sync(); err != nil {
 			return err
 		}
-		got, err := f.ReadAt(0, 60)
+		got, err := bytesOf(f.ReadAt(0, 60))
 		if err != nil {
 			return err
 		}
@@ -133,7 +134,7 @@ func TestCollectiveWriteWithGaps(t *testing.T) {
 			return err
 		}
 		ctx.MPI.Barrier()
-		got, err := f.ReadAt(200, 16)
+		got, err := bytesOf(f.ReadAt(200, 16))
 		if err != nil {
 			return err
 		}
@@ -198,11 +199,11 @@ func TestCollectiveReadAtAll(t *testing.T) {
 			ctx.MPI.Barrier()
 			for _, tc := range cases {
 				off, n := tc.req(ctx.Rank)
-				got, err := f.ReadAtAll(off, n)
+				got, err := bytesOf(f.ReadAtAll(off, n))
 				if err != nil {
 					return err
 				}
-				ref, err := f.ReadAt(off, n)
+				ref, err := bytesOf(f.ReadAt(off, n))
 				if err != nil {
 					return err
 				}
@@ -251,7 +252,7 @@ func TestIndividualPointerOps(t *testing.T) {
 			return err
 		}
 		f.SeekPtr(0, recorder.SeekSet)
-		got, err := f.Read(8)
+		got, err := bytesOf(f.Read(8))
 		if err != nil {
 			return err
 		}
@@ -328,19 +329,20 @@ func TestDoubleCloseFails(t *testing.T) {
 // TestCollectivesSkipDepartedRank: a rank that leaves the job after Open
 // deposits no request in the survivors' WriteAtAll and ReadAtAll, and the
 // survivors must complete both without it. With the default aggregators
-// the departed rank owns a file domain that nobody writes, so only the
-// ranks whose bytes live aggregators own read them back; with two
-// aggregators every survivor does.
+// the departed rank owns the file domain [225, 300), which nobody writes or
+// reads: rank 2, whose bytes are [200, 300), gets errDomainLost from both
+// calls, and the ranks whose bytes live aggregators own read them back.
+// With two aggregators every survivor does.
 func TestCollectivesSkipDepartedRank(t *testing.T) {
 	const ranks, ppn, gone, size = 4, 1, 3, 100
 	errGone := errors.New("left the job")
 	for _, tc := range []struct {
-		name     string
-		opts     Options
-		readBack func(rank int) bool
+		name string
+		opts Options
+		lost func(rank int) bool
 	}{
-		{"departed-aggregator", Options{}, func(r int) bool { return r < 2 }},
-		{"departed-non-aggregator", Options{CBNodes: 2}, func(int) bool { return true }},
+		{"departed-aggregator", Options{}, func(r int) bool { return r == 2 }},
+		{"departed-non-aggregator", Options{CBNodes: 2}, func(int) bool { return false }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := harness.Run(harness.Config{Ranks: ranks, PPN: ppn, Semantics: pfs.Strong},
@@ -353,16 +355,27 @@ func TestCollectivesSkipDepartedRank(t *testing.T) {
 						ctx.MPI.Detach()
 						return errGone
 					}
+					// check accepts errDomainLost naming [225, 300) where the
+					// case loses rank 2's bytes, and no error elsewhere.
+					check := func(call string, err error) error {
+						if !tc.lost(ctx.Rank) {
+							return err
+						}
+						if !errors.Is(err, errDomainLost) || !strings.Contains(err.Error(), "[225, 300)") {
+							ctx.Failf("rank %d %s: %v, want errDomainLost for [225, 300)", ctx.Rank, call, err)
+						}
+						return nil
+					}
 					data := bytes.Repeat([]byte{byte('a' + ctx.Rank)}, size)
 					off := int64(ctx.Rank) * size
-					if err := f.WriteAtAll(off, payload.Bytes(data)); err != nil {
+					if err := check("WriteAtAll", f.WriteAtAll(off, payload.Bytes(data))); err != nil {
 						return err
 					}
-					got, err := f.ReadAtAll(off, size)
-					if err != nil {
+					got, err := bytesOf(f.ReadAtAll(off, size))
+					if err := check("ReadAtAll", err); err != nil {
 						return err
 					}
-					if tc.readBack(ctx.Rank) && !bytes.Equal(got, data) {
+					if !tc.lost(ctx.Rank) && !bytes.Equal(got, data) {
 						ctx.Failf("rank %d read back %q, want %q", ctx.Rank, got, data)
 					}
 					if err := f.Close(); err != nil {
@@ -379,3 +392,6 @@ func TestCollectivesSkipDepartedRank(t *testing.T) {
 		})
 	}
 }
+
+// bytesOf passes a read's results through with the payload's bytes.
+func bytesOf(data payload.P, err error) ([]byte, error) { return data.Materialize(), err }

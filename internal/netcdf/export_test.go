@@ -13,7 +13,7 @@ func (f *File) GetRecord(v *Var, rec int64) ([]byte, error) {
 	off := v.offset + rec*f.recSize
 	data, err := f.os.Pread(f.fd, v.RecSize, off)
 	f.emit(recorder.FuncNCGetVara, ts, f.path, rec, v.RecSize)
-	return data, err
+	return data.Materialize(), err
 }
 
 // Sync flushes the file (nc_sync → fsync).

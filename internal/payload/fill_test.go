@@ -90,14 +90,14 @@ func TestFillSliceMatchesOracle(t *testing.T) {
 		if !bytes.Equal(s.Materialize(), want) {
 			t.Fatalf("n=%d [%d,%d): Materialize differs from fill[lo:hi]", n, lo, hi)
 		}
-		if !s.Equal(want) {
+		if !s.Equal(Bytes(want)) || !Bytes(want).Equal(s) {
 			t.Fatalf("n=%d [%d,%d): Equal rejects fill[lo:hi]", n, lo, hi)
 		}
 		// A slice of a slice is the slice of the whole.
-		if m := (hi - lo) / 2; !s.Slice(m, hi-lo).Equal(full[lo+m : hi]) {
+		if m := (hi - lo) / 2; !s.Slice(m, hi-lo).Equal(Bytes(full[lo+m : hi])) {
 			t.Fatalf("n=%d [%d,%d): nested Slice differs", n, lo, hi)
 		}
-		if b := Bytes(full).Slice(lo, hi); !b.Equal(want) || !bytes.Equal(b.Materialize(), want) {
+		if b := Bytes(full).Slice(lo, hi); !b.Equal(Bytes(want)) || !bytes.Equal(b.Materialize(), want) {
 			t.Fatalf("n=%d [%d,%d): Bytes payload Slice differs", n, lo, hi)
 		}
 	}
@@ -126,25 +126,73 @@ func TestEqualRejects(t *testing.T) {
 		for _, i := range []int64{0, n / 2, n - 1} {
 			flipped := append([]byte(nil), b...)
 			flipped[i] ^= 0x40
-			if p.Equal(flipped) || Bytes(b).Equal(flipped) {
+			if p.Equal(Bytes(flipped)) || Bytes(b).Equal(Bytes(flipped)) || Bytes(flipped).Equal(p) {
 				t.Errorf("n=%d: Equal accepts a buffer with byte %d flipped", n, i)
 			}
 		}
-		if p.Equal(b[:n-1]) || Bytes(b).Equal(b[:n-1]) {
+		if p.Equal(Bytes(b[:n-1])) || Bytes(b).Equal(Bytes(b[:n-1])) || p.Equal(p.Slice(0, n-1)) {
 			t.Errorf("n=%d: Equal accepts a short buffer", n)
 		}
-		if p.Equal(append(append([]byte(nil), b...), 0)) {
+		if p.Equal(Bytes(append(append([]byte(nil), b...), 0))) {
 			t.Errorf("n=%d: Equal accepts a long buffer", n)
 		}
 	}
 	b := []byte("abc")
-	for _, e := range []P{{}, Bytes(nil), Bytes(b[3:]), Bytes(b).Slice(3, 3), Bytes(b[:0]), Fill(1, 0)} {
-		if e.Len() != 0 || !e.Equal(nil) || len(e.Materialize()) != 0 || e.CopyTo(b) != 0 {
+	for _, e := range []P{{}, Bytes(nil), Bytes(b[3:]), Bytes(b).Slice(3, 3), Bytes(b[:0]), Fill(1, 0), Meta(1, 0, 4), Meta(1, 9, 4).Slice(9, 9)} {
+		if e.Len() != 0 || !e.Equal(P{}) || !(P{}).Equal(e) || len(e.Materialize()) != 0 || e.CopyTo(b) != 0 {
 			t.Errorf("empty payload %+v is not empty", e)
 		}
 	}
 	if string(b) != "abc" {
 		t.Error("an empty payload wrote bytes")
+	}
+}
+
+// Equal between two references: the same state is the same bytes, and
+// references whose states differ are compared by their bytes, whatever
+// their kinds.
+func TestEqualBetweenReferences(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int64{1, 8, 9, 272, chunkLen + 5, 5000} {
+		seed := rng.Uint64()
+		p := Fill(seed, n)
+		for _, lo := range []int64{0, 1, n / 3, n - 1} {
+			m, a := jump(uint64(lo))
+			if !p.Slice(lo, n).Equal(Fill(m*seed+a, n-lo)) {
+				t.Errorf("n=%d lo=%d: a slice differs from the fill at its start state", n, lo)
+			}
+		}
+		if p.Equal(Fill(seed+1, n)) || n > 1 && p.Slice(1, n).Equal(p.Slice(0, n-1)) {
+			t.Errorf("n=%d: Equal accepts fills of other states", n)
+		}
+		if c := Bytes(p.Materialize()); !c.Equal(p) || !p.Equal(c) || !p.Clone().Equal(c) {
+			t.Errorf("n=%d: a fill differs from its bytes", n)
+		}
+		if n > metaMax {
+			continue
+		}
+		q := Meta(seed, n, 3)
+		if c := Bytes(q.Materialize()); !c.Equal(q) || !q.Equal(c) || q.Equal(p) || p.Equal(q) || q.Equal(Meta(seed, n, 4)) {
+			t.Errorf("n=%d: metadata Equal is wrong", n)
+		}
+	}
+	// Masks of keys 1 and 257 agree in byte 0, so one-byte references of
+	// epochs 0 and 256 have the same bytes but not the same packed length.
+	if a, b := Meta(7, 1, 0), Meta(7, 1, 256); a.n == b.n || !a.Equal(b) || Meta(7, 2, 0).Equal(Meta(7, 2, 256)) {
+		t.Error("metadata references of different states are not compared by bytes")
+	}
+}
+
+// Clone copies a Bytes payload's buffer and keeps a reference as it is.
+func TestCloneSharesNoBuffer(t *testing.T) {
+	b := []byte("abcdef")
+	c := Bytes(b).Slice(1, 4).Clone()
+	b[2] = 'X'
+	if got := string(c.Materialize()); got != "bcd" {
+		t.Errorf("clone of a Bytes payload reads %q after its source changed, want %q", got, "bcd")
+	}
+	if f := Fill(3, 9).Slice(2, 7); f.Clone() != f {
+		t.Error("clone of a fill reference is not the reference")
 	}
 }
 

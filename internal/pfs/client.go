@@ -233,17 +233,19 @@ func (fs *FileSystem) lockCostLocked(f *file) uint64 {
 
 // Read returns up to n bytes from offset off as visible to this handle at
 // time now. Bytes inside the visible size that no visible extent covers read
-// as zero (holes). The returned count is min(n, visibleSize-off), never
-// negative.
-func (h *Handle) Read(off, n int64, now uint64) ([]byte, uint64, error) {
+// as zero (holes). The returned length is min(n, visibleSize-off), never
+// negative. A range that one reference extent covers reads as a slice of
+// that reference, so no byte of it is made; any other range reads as fresh
+// bytes, which the caller owns.
+func (h *Handle) Read(off, n int64, now uint64) (payload.P, uint64, error) {
 	if h.c.crashed {
-		return nil, 0, ErrCrashed
+		return payload.P{}, 0, ErrCrashed
 	}
 	if h.closed {
-		return nil, 0, errClosed
+		return payload.P{}, 0, errClosed
 	}
 	if !h.readable {
-		return nil, 0, errWriteOnly
+		return payload.P{}, 0, errWriteOnly
 	}
 	fs := h.c.fs
 	fs.mu.Lock()
@@ -252,7 +254,7 @@ func (h *Handle) Read(off, n int64, now uint64) ([]byte, uint64, error) {
 	if err != nil {
 		fs.recordHistoryLocked(HistoryEvent{Kind: EvRead, Rank: h.c.rank, Path: h.path,
 			Handle: h.id, Off: off, Len: n, Now: now, Err: errString(err)})
-		return nil, 0, err
+		return payload.P{}, 0, err
 	}
 	act := fs.interceptLocked(OpInfo{Kind: OpRead, Rank: h.c.rank, Path: h.path,
 		Off: off, Len: n, Now: now})
@@ -260,7 +262,7 @@ func (h *Handle) Read(off, n int64, now uint64) ([]byte, uint64, error) {
 		h.c.crashLocked()
 		fs.recordHistoryLocked(HistoryEvent{Kind: EvRead, Rank: h.c.rank, Path: h.path,
 			Handle: h.id, Off: off, Len: n, Now: now, Err: errString(ErrCrashed)})
-		return nil, 0, ErrCrashed
+		return payload.P{}, 0, ErrCrashed
 	}
 	fs.serverSpan(off, n)
 	cost := sim.IOCost(n)
@@ -272,7 +274,7 @@ func (h *Handle) Read(off, n int64, now uint64) ([]byte, uint64, error) {
 		if act.Transient {
 			fs.recordHistoryLocked(HistoryEvent{Kind: EvRead, Rank: h.c.rank, Path: h.path,
 				Handle: h.id, Off: off, Len: n, Now: now, Err: errString(ErrTransient)})
-			return nil, cost, fmt.Errorf("read %s: %w", h.path, ErrTransient)
+			return payload.P{}, cost, fmt.Errorf("read %s: %w", h.path, ErrTransient)
 		}
 	}
 	fs.stats.Reads++
@@ -291,23 +293,20 @@ func (h *Handle) Read(off, n int64, now uint64) ([]byte, uint64, error) {
 		}
 		own = rev
 	}
-	buf, visEnd := materialize(f, off, n, visible, own)
+	data := read(f, off, n, visible, own)
 	observeOp(OpRead, cost)
-	avail := visEnd - off
-	if avail <= 0 {
+	if data.Len() == 0 {
 		fs.recordHistoryLocked(HistoryEvent{Kind: EvRead, Rank: h.c.rank, Path: h.path,
 			Handle: h.id, Off: off, Len: n, Now: now})
-		return nil, cost, nil
+		return payload.P{}, cost, nil
 	}
-	if avail > n {
-		avail = n
-	}
-	fs.stats.BytesRead += avail
+	fs.stats.BytesRead += data.Len()
 	if fs.history != nil {
+		// The history's bytes are its own, apart from the reader's.
 		fs.recordHistoryLocked(HistoryEvent{Kind: EvRead, Rank: h.c.rank, Path: h.path,
-			Handle: h.id, Off: off, Len: n, Data: append([]byte(nil), buf[:avail]...), Now: now})
+			Handle: h.id, Off: off, Len: n, Data: data.Clone().Materialize(), Now: now})
 	}
-	return buf[:avail], cost, nil
+	return data, cost, nil
 }
 
 // VisibleSize returns the file size as visible to this handle at time now:

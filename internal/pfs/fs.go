@@ -322,39 +322,58 @@ func (fs *FileSystem) publishBatchLocked(f *file, exts []extent, now uint64, act
 	fs.publishLocked(f, exts, now+act.PublishDelay)
 }
 
-// materialize builds the visible content of [off, off+n) for a reader:
-// published extents passing the visibility predicate are applied in publish
-// order, then the reader's own pending extents are overlaid in write order.
-// Returns the bytes and the highest visible end offset within the range.
-// Only the part of each payload that overlaps the range is made.
-func materialize(f *file, off, n int64, visible func(*extent) bool, own []extent) ([]byte, int64) {
-	buf := make([]byte, n)
+// read returns the visible content of [off, off+n) for a reader:
+// published extents passing the visibility predicate are applied in
+// publish order, then the reader's own pending extents are overlaid in
+// write order, and the content ends at the highest visible end offset.
+// When the last extent applied over the range covers all of it, the
+// content is a slice of that extent's payload: a reference stays one, and
+// a Bytes payload's slice is copied, so no reader shares the file system's
+// buffers. Otherwise the bytes are built, and only the part of each
+// payload that overlaps the range is made.
+func read(f *file, off, n int64, visible func(*extent) bool, own []extent) payload.P {
 	var visEnd int64
-	apply := func(e *extent) {
-		hi := e.end()
-		if hi > visEnd {
-			visEnd = hi
-		}
-		if hi > off && e.off < off+n {
-			e.overlay(buf, off)
+	var last *extent
+	scan := func(e *extent) {
+		visEnd = max(visEnd, e.end())
+		if max(e.off, off) < min(e.end(), off+n) {
+			last = e
 		}
 	}
 	for i := range f.published {
 		if e := &f.published[i]; visible(e) {
-			apply(e)
+			scan(e)
 		}
 	}
 	for i := range own {
-		apply(&own[i])
+		scan(&own[i])
 	}
-	return buf, visEnd
+	n = min(n, visEnd-off)
+	if n <= 0 {
+		return payload.P{}
+	}
+	if last != nil && last.off <= off && last.end() >= off+n {
+		return last.data.Slice(off-last.off, off+n-last.off).Clone()
+	}
+	buf := make([]byte, n)
+	for i := range f.published {
+		if e := &f.published[i]; visible(e) {
+			e.overlay(buf, off)
+		}
+	}
+	for i := range own {
+		own[i].overlay(buf, off)
+	}
+	return payload.Bytes(buf)
 }
 
 // overlay copies the part of e that overlaps [off, off+len(buf)) into buf.
 func (e *extent) overlay(buf []byte, off int64) {
 	lo, hi := e.off, e.end()
 	from, to := max(lo, off), min(hi, off+int64(len(buf)))
-	e.data.Slice(from-lo, to-lo).CopyTo(buf[from-off:])
+	if from < to {
+		e.data.Slice(from-lo, to-lo).CopyTo(buf[from-off:])
+	}
 }
 
 // ContentDump snapshots every regular file's fully-published content —
@@ -371,7 +390,8 @@ func (fs *FileSystem) ContentDump() map[string][]byte {
 		if f.dir {
 			continue
 		}
-		buf, _ := materialize(f, 0, f.size, func(*extent) bool { return true }, nil)
+		buf := make([]byte, f.size)
+		read(f, 0, f.size, func(*extent) bool { return true }, nil).CopyTo(buf)
 		dump[path] = buf
 	}
 	return dump

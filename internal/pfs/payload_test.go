@@ -50,7 +50,7 @@ func runPayloadOps(t *testing.T, opts Options, mk func(seed uint64, n int64) pay
 	}
 	read := func(h *Handle, off, n int64) {
 		now += 10
-		b, _, err := h.Read(off, n, now)
+		b, _, err := mat(h.Read(off, n, now))
 		run.Reads = append(run.Reads, fmt.Sprintf("rank %d [%d,+%d) at %d: %x %v", h.c.rank, off, n, now, b, err))
 	}
 	write(h0, 0, 1, 1000)
@@ -116,5 +116,79 @@ func TestFillReferencesMatchBytes(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// A read that one fill extent covers returns a slice of that reference,
+// and a fill extent reads exactly as its twin written as bytes: at nonzero
+// offsets inside it, and across its bounds with the bytes extents it
+// overlaps, to the writer before and another client after a close, under
+// every model.
+func TestReadSlicesMatchBytesTwin(t *testing.T) {
+	const twinOff, twinLen = 100, 1000
+	fill := payload.Fill(0x5eed, twinLen)
+	head, tail := bytes.Repeat([]byte{0xa5}, 200), bytes.Repeat([]byte{0x3c}, 200)
+	want := make([]byte, 1250) // head, then the twin, then tail, each over the last
+	copy(want, head)
+	fill.CopyTo(want[twinOff:])
+	copy(want[1050:], tail)
+	ranges := [][2]int64{ // offset, length
+		{101, 1}, {107, 9}, {333, 512}, {100, 950}, {999, 51}, // inside the twin's visible part
+		{50, 200}, {1000, 200}, {0, 1250}, {1049, 2}, {1200, 400}, // straddling its bounds or the file's end
+	}
+	paths := []string{"/ref", "/bytes"}
+	for _, sem := range AllSemantics() {
+		t.Run(sem.String(), func(t *testing.T) {
+			fs := New(Options{Semantics: sem})
+			w, r := fs.NewClient(0, 0), fs.NewClient(1, 1)
+			check := func(who string, hs []*Handle, now uint64) {
+				for _, rg := range ranges {
+					var got [2][]byte
+					for i, h := range hs {
+						p, _, err := h.Read(rg[0], rg[1], now)
+						if err != nil {
+							t.Fatalf("%s %s %v: %v", who, h.Path(), rg, err)
+						}
+						if i == 0 && rg[0] >= twinOff && rg[0]+rg[1] <= 1050 &&
+							p != fill.Slice(rg[0]-twinOff, rg[0]+rg[1]-twinOff) {
+							t.Errorf("%s read %v of the fill extent is not a slice of its reference", who, rg)
+						}
+						got[i] = p.Materialize()
+					}
+					end := min(rg[0]+rg[1], int64(len(want)))
+					if !bytes.Equal(got[0], got[1]) || !bytes.Equal(got[0], want[rg[0]:end]) {
+						t.Errorf("%s read %v: fill extent and bytes twin differ", who, rg)
+					}
+				}
+			}
+			var hs []*Handle
+			for _, path := range paths {
+				h := mustOpen(t, w, path, OCreat|ORdwr, 1)
+				twin := fill
+				if path == "/bytes" {
+					twin = payload.Bytes(fill.Materialize())
+				}
+				for _, e := range []struct {
+					off  int64
+					data payload.P
+				}{{0, payload.Bytes(head)}, {twinOff, twin}, {1050, payload.Bytes(tail)}} {
+					if _, err := h.Write(e.off, e.data, 10); err != nil {
+						t.Fatal(err)
+					}
+				}
+				hs = append(hs, h)
+			}
+			check("writer", hs, 20)
+			for _, h := range hs {
+				if _, err := h.Close(30); err != nil {
+					t.Fatal(err)
+				}
+			}
+			hs = hs[:0]
+			for _, path := range paths {
+				hs = append(hs, mustOpen(t, r, path, ORdonly, 40))
+			}
+			check("reader", hs, 1_000_000_000) // past the eventual delay
+		})
 	}
 }

@@ -34,7 +34,12 @@ func readAll(t *testing.T, h *Handle, off, n int64, now uint64) []byte {
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	return data
+	return data.Materialize()
+}
+
+// mat passes a Read's results through with the payload's bytes.
+func mat(data payload.P, cost uint64, err error) ([]byte, uint64, error) {
+	return data.Materialize(), cost, err
 }
 
 func TestRegistryMatchesTable1(t *testing.T) {
@@ -473,7 +478,7 @@ func TestPropertyOwnDisjointWritesRoundTrip(t *testing.T) {
 			}
 			now += 10
 		}
-		got, _, err := h.Read(0, 128, now)
+		got, _, err := mat(h.Read(0, 128, now))
 		if err != nil || len(got) != 128 {
 			return false
 		}
@@ -517,7 +522,7 @@ func TestPropertySessionNoFutureLeak(t *testing.T) {
 		if _, err := hw.Close(now); err != nil {
 			return false
 		}
-		got, _, err := hr.Read(0, int64(n*4), now+10)
+		got, _, err := mat(hr.Read(0, int64(n*4), now+10))
 		return err == nil && len(got) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -231,11 +231,11 @@ func (r *runner) exec(op Op) error {
 	case OpWrite:
 		_, err = h.Write(op.Off, payload.Bytes(op.Data), now)
 	case OpRead:
-		var got []byte
+		var got payload.P
 		got, _, err = h.Read(op.Off, op.Len, now)
 		if err == nil {
 			r.mu.Lock()
-			r.reads = append(r.reads, ReadResult{Rank: op.Rank, Off: op.Off, Data: got})
+			r.reads = append(r.reads, ReadResult{Rank: op.Rank, Off: op.Off, Data: got.Materialize()})
 			r.mu.Unlock()
 		}
 	case OpCommit:

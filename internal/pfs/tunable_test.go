@@ -31,7 +31,7 @@ func TestTunablePathSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _, _ := hr.Read(0, 2, 30); len(got) != 0 {
+	if got, _, _ := mat(hr.Read(0, 2, 30)); len(got) != 0 {
 		t.Fatalf("commit-path data visible before commit: %q", got)
 	}
 
@@ -47,7 +47,7 @@ func TestTunablePathSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _, _ := hcr.Read(0, 2, 60); !bytes.Equal(got, []byte("go")) {
+	if got, _, _ := mat(hcr.Read(0, 2, 60)); !bytes.Equal(got, []byte("go")) {
 		t.Fatalf("strong-path data not immediately visible: %q", got)
 	}
 	if st := fs.Stats(); st.LockAcquires == 0 {

@@ -98,7 +98,7 @@ func (p *Proc) pfsWrite(h *pfs.Handle, off int64, data payload.P, now uint64) (u
 	return h.Write(off, data, now)
 }
 
-func (p *Proc) pfsRead(h *pfs.Handle, off, n int64, now uint64) ([]byte, uint64, error) {
+func (p *Proc) pfsRead(h *pfs.Handle, off, n int64, now uint64) (payload.P, uint64, error) {
 	if p.wal != nil {
 		return p.wal.Read(h, off, n, now)
 	}
@@ -252,22 +252,24 @@ func (p *Proc) Write(fdnum int, data payload.P) (int64, error) {
 }
 
 // Read reads up to n bytes at the current offset, advancing it by the count
-// actually read.
-func (p *Proc) Read(fdnum int, n int64) ([]byte, error) {
+// actually read. The bytes come as the file system's read returns them (see
+// pfs.Handle.Read): a reference where one reference extent covers the
+// range, fresh bytes otherwise.
+func (p *Proc) Read(fdnum int, n int64) (payload.P, error) {
 	ts := p.clock.Stamp()
 	f, err := p.get(fdnum)
 	if err != nil {
 		p.emit(recorder.FuncRead, ts, "", "", int64(fdnum), n, -1)
-		return nil, err
+		return payload.P{}, err
 	}
 	data, cost, rerr := p.pfsRead(f.h, f.offset, n, p.clock.Now())
 	p.advance(cost)
 	if rerr != nil {
 		p.emit(recorder.FuncRead, ts, "", "", int64(fdnum), n, -1)
-		return nil, rerr
+		return payload.P{}, rerr
 	}
-	f.offset += int64(len(data))
-	p.emit(recorder.FuncRead, ts, "", "", int64(fdnum), n, int64(len(data)))
+	f.offset += data.Len()
+	p.emit(recorder.FuncRead, ts, "", "", int64(fdnum), n, data.Len())
 	return data, nil
 }
 
@@ -292,20 +294,21 @@ func (p *Proc) Pwrite(fdnum int, data payload.P, off int64) (int64, error) {
 }
 
 // Pread reads at an explicit offset without moving the descriptor offset.
-func (p *Proc) Pread(fdnum int, n, off int64) ([]byte, error) {
+// Its bytes come as Read's do.
+func (p *Proc) Pread(fdnum int, n, off int64) (payload.P, error) {
 	ts := p.clock.Stamp()
 	f, err := p.get(fdnum)
 	if err != nil {
 		p.emit(recorder.FuncPread, ts, "", "", int64(fdnum), n, off, -1)
-		return nil, err
+		return payload.P{}, err
 	}
 	data, cost, rerr := p.pfsRead(f.h, off, n, p.clock.Now())
 	p.advance(cost)
 	if rerr != nil {
 		p.emit(recorder.FuncPread, ts, "", "", int64(fdnum), n, off, -1)
-		return nil, rerr
+		return payload.P{}, rerr
 	}
-	p.emit(recorder.FuncPread, ts, "", "", int64(fdnum), n, off, int64(len(data)))
+	p.emit(recorder.FuncPread, ts, "", "", int64(fdnum), n, off, data.Len())
 	return data, nil
 }
 

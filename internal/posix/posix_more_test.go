@@ -70,7 +70,7 @@ func TestFdatasyncPublishes(t *testing.T) {
 		t.Fatal(err)
 	}
 	fdb, _ := b.Open("/fd", recorder.ORdonly, 0)
-	if got, _ := b.Read(fdb, 4); string(got) != "data" {
+	if got, _ := bytesOf(b.Read(fdb, 4)); string(got) != "data" {
 		t.Fatalf("fdatasync did not publish: %q", got)
 	}
 	if err := a.Fdatasync(999); err == nil {
@@ -85,7 +85,7 @@ func TestFseekStream(t *testing.T) {
 	if off, err := p.Fseek(fd, 25, recorder.SeekSet); err != nil || off != 25 {
 		t.Fatalf("fseek = %d, %v", off, err)
 	}
-	got, err := p.Fread(fd, 5, 5)
+	got, err := bytesOf(p.Fread(fd, 5, 5))
 	if err != nil || len(got) != 25 {
 		t.Fatalf("fread after fseek = %d bytes, %v", len(got), err)
 	}

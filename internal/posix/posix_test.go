@@ -52,7 +52,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if _, err := p.Lseek(fd, 0, recorder.SeekSet); err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.Read(fd, 11)
+	got, err := bytesOf(p.Read(fd, 11))
 	if err != nil || !bytes.Equal(got, []byte("hello world")) {
 		t.Fatalf("read = %q, %v", got, err)
 	}
@@ -71,7 +71,7 @@ func TestOffsetTracking(t *testing.T) {
 		t.Fatalf("offset after two writes = %d, want 8", off)
 	}
 	p.Lseek(fd, 0, recorder.SeekSet)
-	got, _ := p.Read(fd, 8)
+	got, _ := bytesOf(p.Read(fd, 8))
 	if !bytes.Equal(got, []byte("aaaabbbb")) {
 		t.Fatalf("sequential writes produced %q", got)
 	}
@@ -88,7 +88,7 @@ func TestPwritePreadDoNotMoveOffset(t *testing.T) {
 	if off != 4 {
 		t.Fatalf("pwrite moved offset to %d", off)
 	}
-	got, err := p.Pread(fd, 4, 0)
+	got, err := bytesOf(p.Pread(fd, 4, 0))
 	if err != nil || !bytes.Equal(got, []byte("xZZx")) {
 		t.Fatalf("pread = %q, %v", got, err)
 	}
@@ -127,7 +127,7 @@ func TestAppendMode(t *testing.T) {
 	p.Write(fd2, payload.Bytes([]byte("+second")))
 	p.Close(fd2)
 	fd3, _ := p.Open("/log", recorder.ORdonly, 0)
-	got, _ := p.Read(fd3, 100)
+	got, _ := bytesOf(p.Read(fd3, 100))
 	if string(got) != "first+second" {
 		t.Fatalf("append produced %q", got)
 	}
@@ -152,7 +152,7 @@ func TestStdioStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	rd, _ := p.Fopen("/out.txt", "r")
-	got, err := p.Fread(rd, 1, 6)
+	got, err := bytesOf(p.Fread(rd, 1, 6))
 	if err != nil || string(got) != "abcdef" {
 		t.Fatalf("fread = %q, %v", got, err)
 	}
@@ -342,14 +342,14 @@ func TestFsyncPublishesUnderCommitSemantics(t *testing.T) {
 	fda, _ := a.Open("/shared", recorder.OCreat|recorder.OWronly, 0o644)
 	a.Write(fda, payload.Bytes([]byte("data")))
 	fdb, _ := b.Open("/shared", recorder.ORdonly, 0)
-	if got, _ := b.Read(fdb, 4); len(got) != 0 {
+	if got, _ := bytesOf(b.Read(fdb, 4)); len(got) != 0 {
 		t.Fatalf("uncommitted data visible: %q", got)
 	}
 	if err := a.Fsync(fda); err != nil {
 		t.Fatal(err)
 	}
 	b.Lseek(fdb, 0, recorder.SeekSet)
-	if got, _ := b.Read(fdb, 4); string(got) != "data" {
+	if got, _ := bytesOf(b.Read(fdb, 4)); string(got) != "data" {
 		t.Fatalf("committed data not visible: %q", got)
 	}
 }
@@ -360,7 +360,7 @@ func TestSessionSemanticsThroughPosix(t *testing.T) {
 	a.Write(fda, payload.Bytes([]byte("xyz")))
 	a.Close(fda)
 	fdb, _ := b.Open("/s", recorder.ORdonly, 0)
-	if got, _ := b.Read(fdb, 3); string(got) != "xyz" {
+	if got, _ := bytesOf(b.Read(fdb, 3)); string(got) != "xyz" {
 		t.Fatalf("close-to-open read = %q", got)
 	}
 }
@@ -376,3 +376,6 @@ func TestOpenRecordsArgs(t *testing.T) {
 		t.Fatalf("open args = %v", rec.Args)
 	}
 }
+
+// bytesOf passes a read's results through with the payload's bytes.
+func bytesOf(data payload.P, err error) ([]byte, error) { return data.Materialize(), err }

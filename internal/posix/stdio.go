@@ -70,22 +70,23 @@ func (p *Proc) Fwrite(fdnum int, data payload.P, size, nmemb int64) (int64, erro
 	return nmemb, nil
 }
 
-// Fread reads up to size*nmemb bytes at the stream position.
-func (p *Proc) Fread(fdnum int, size, nmemb int64) ([]byte, error) {
+// Fread reads up to size*nmemb bytes at the stream position. Its bytes
+// come as Read's do.
+func (p *Proc) Fread(fdnum int, size, nmemb int64) (payload.P, error) {
 	ts := p.clock.Stamp()
 	f, err := p.get(fdnum)
 	if err != nil {
 		p.emit(recorder.FuncFread, ts, "", "", int64(fdnum), size, nmemb, -1)
-		return nil, err
+		return payload.P{}, err
 	}
 	data, cost, rerr := p.pfsRead(f.h, f.offset, size*nmemb, p.clock.Now())
 	p.advance(cost)
 	if rerr != nil {
 		p.emit(recorder.FuncFread, ts, "", "", int64(fdnum), size, nmemb, -1)
-		return nil, rerr
+		return payload.P{}, rerr
 	}
-	f.offset += int64(len(data))
-	p.emit(recorder.FuncFread, ts, "", "", int64(fdnum), size, nmemb, int64(len(data)))
+	f.offset += data.Len()
+	p.emit(recorder.FuncFread, ts, "", "", int64(fdnum), size, nmemb, data.Len())
 	return data, nil
 }
 

@@ -26,7 +26,8 @@ import (
 
 // SaveDirOn persists a trace as a columnar directory: the "trace.meta"
 // JSON plus one rank stream per rank, as recorder.Trace.WriteStream
-// writes it.
+// writes it. One stream writer serves every rank, so its buffers are
+// allocated once per save.
 func SaveDirOn(b storage.Backend, dir string, tr *recorder.Trace) error {
 	if err := b.MkdirAll(dir); err != nil {
 		return err
@@ -51,8 +52,9 @@ func SaveDirOn(b storage.Backend, dir string, tr *recorder.Trace) error {
 	if err := put("trace.meta", func(w io.Writer) error { _, err := w.Write(metaBytes); return err }); err != nil {
 		return err
 	}
+	var sw recorder.StreamWriter
 	for rank := range tr.PerRank {
-		write := func(w io.Writer) error { return tr.WriteStream(w, rank) }
+		write := func(w io.Writer) error { return sw.WriteStream(w, tr, rank) }
 		if err := put(recorder.RankFileName(rank), write); err != nil {
 			return fmt.Errorf("colfmt: writing rank %d: %w", rank, err)
 		}

@@ -353,3 +353,32 @@ func TestSaveLoadDir(t *testing.T) {
 		}
 	}
 }
+
+// SaveDirOn writes every rank with one stream writer; each rank file is
+// still exactly the bytes a fresh writer makes, whether the rank before it
+// had more blocks, fewer records or a longer dictionary.
+func TestSaveDirReusedWriterBytes(t *testing.T) {
+	sizes := []int{9000, 3, 4097, 1, 200}
+	streams := make([][]recorder.Record, len(sizes))
+	for r, n := range sizes {
+		streams[r] = genStream(r, n, int64(40+r))
+	}
+	tr := traceOf(recorder.Meta{App: "colfmt-test", Ranks: len(sizes), PPN: 1, Steps: 1, Seed: 40}, streams)
+	dir := filepath.Join(t.TempDir(), "trace")
+	if err := SaveDirOn(storage.OS(), dir, tr); err != nil {
+		t.Fatal(err)
+	}
+	for rank := range sizes {
+		var want bytes.Buffer
+		if err := tr.WriteStream(&want, rank); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, recorder.RankFileName(rank)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("rank %d file differs from a fresh writer's stream", rank)
+		}
+	}
+}

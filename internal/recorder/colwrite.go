@@ -29,7 +29,8 @@ var (
 	dictHits      = obs.Default().Counter("recorder.colfmt.dict_hits")
 )
 
-// streamWriter carries one stream's reusable column and payload buffers.
+// streamWriter carries the buffered writer and the column and payload
+// buffers of a stream; writing streams one after another reuses them.
 type streamWriter struct {
 	w       *bufio.Writer
 	off     uint64 // bytes written so far, for the trailer's dictionary offset
@@ -43,16 +44,32 @@ func (sw *streamWriter) write(p []byte) error {
 	return err
 }
 
-// writeStream writes one rank's entries as a columnar stream of per
+// A StreamWriter writes trace rank streams one after another, reusing one
+// 64 KiB buffered writer and the column buffers from each stream to the
+// next. The zero value is ready to use; it is not safe for concurrent use.
+type StreamWriter struct{ sw streamWriter }
+
+// WriteStream writes rank's records of t to w as one columnar stream: the
+// bytes Trace.WriteStream writes.
+func (s *StreamWriter) WriteStream(w io.Writer, t *Trace, rank int) error {
+	return s.sw.stream(w, rank, t.PerRank[rank], t.tables(rank), 0)
+}
+
+// stream writes one rank's entries to w as a columnar stream of per
 // records per data block (colwire.BlockRecords when per <= 0).
-func writeStream(w io.Writer, rank int, es []Entry, tabs *rankTables, per int) error {
+func (sw *streamWriter) stream(w io.Writer, rank int, es []Entry, tabs *rankTables, per int) error {
 	if rank < 0 || rank >= colwire.MaxRank {
 		return fmt.Errorf("colfmt: rank %d out of range", rank)
 	}
 	if per <= 0 {
 		per = colwire.BlockRecords
 	}
-	sw := &streamWriter{w: bufio.NewWriterSize(w, 1<<16)}
+	if sw.w == nil {
+		sw.w = bufio.NewWriterSize(w, 1<<16)
+	} else {
+		sw.w.Reset(w)
+	}
+	sw.off = 0
 	hdr := binary.AppendUvarint([]byte(colwire.Magic), uint64(rank))
 	hdr = binary.AppendUvarint(hdr, uint64(len(es)))
 	if err := sw.write(hdr); err != nil {

@@ -227,7 +227,7 @@ func (t *RankTracer) WriteStream(w io.Writer, blockRecords int) error {
 		return t.err
 	}
 	es, tabs := t.take()
-	return writeStream(w, int(t.rank), es, &tabs, blockRecords)
+	return new(streamWriter).stream(w, int(t.rank), es, &tabs, blockRecords)
 }
 
 // TraceError reports records that cannot form a trace: a malformed record
@@ -404,7 +404,7 @@ func (t *Trace) tables(rank int) *rankTables {
 // WriteStream writes rank's records to w as one columnar (SEMFSCOL1)
 // stream — the bytes a trace directory holds for the rank.
 func (t *Trace) WriteStream(w io.Writer, rank int) error {
-	return writeStream(w, rank, t.PerRank[rank], t.tables(rank), 0)
+	return new(StreamWriter).WriteStream(w, t, rank)
 }
 
 // Stream walks one rank's records in stream order. The yielded Record is

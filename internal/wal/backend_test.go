@@ -199,7 +199,7 @@ func TestWALPersistentBackendFailureDegrades(t *testing.T) {
 	// Every write — logged or degraded — must be readable back at full size.
 	for i := 0; i < 5; i++ {
 		got, _, err := l.Read(h, int64(i)*32, 32, tick())
-		if err != nil || !bytes.Equal(got, block(i)) {
+		if err != nil || !bytes.Equal(got.Materialize(), block(i)) {
 			t.Fatalf("readback %d: %q, %v", i, got, err)
 		}
 	}

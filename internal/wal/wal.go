@@ -232,14 +232,14 @@ func (l *Log) Open(c *pfs.Client, path string, flags int, now uint64) (*pfs.Hand
 
 // Read is a drain barrier plus pfs read: read-your-writes holds because
 // every acked write is in the pfs before the read issues.
-func (l *Log) Read(h *pfs.Handle, off, n int64, now uint64) ([]byte, uint64, error) {
+func (l *Log) Read(h *pfs.Handle, off, n int64, now uint64) (payload.P, uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.takeDeferredLocked(); err != nil {
-		return nil, 0, err
+		return payload.P{}, 0, err
 	}
 	if err := l.drainAllLocked(); err != nil {
-		return nil, 0, err
+		return payload.P{}, 0, err
 	}
 	return h.Read(off, n, now)
 }

@@ -241,7 +241,8 @@ func TestWriteAcksAndBarrierDrains(t *testing.T) {
 	}
 	// Read-your-writes through the barrier: the read must see the queued
 	// write drained first.
-	data, _, err := l.Read(h, 0, 4, 40)
+	p, _, err := l.Read(h, 0, 4, 40)
+	data := p.Materialize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +301,8 @@ func TestLogFailureDegradesSticky(t *testing.T) {
 	if !l.Degraded() || got.WriteThrough != 2 || got.Acked != 0 {
 		t.Fatalf("degraded=%v stats=%+v, want sticky write-through", l.Degraded(), got)
 	}
-	data, _, err := h.Read(0, 8, 100)
+	p, _, err := h.Read(0, 8, 100)
+	data := p.Materialize()
 	if err != nil || !bytes.Equal(data, []byte("datadata")) {
 		t.Fatalf("read %q, %v; write-through writes must land", data, err)
 	}
