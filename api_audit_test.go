@@ -90,7 +90,6 @@ var unsetFieldAllow = map[string]string{
 	"internal/faults.SweepOptions.Kinds":                  "chaos tests narrow the fault taxonomy to pin one kind's effect",
 	"internal/faults.SweepOptions.Replay":                 "chaos tests re-run each cell to check determinism, which doubles a sweep's cost",
 	"internal/hdf5.Options.CollectiveMetadata":            "the paper's one-line FLASH fix (section 6.3), which apps' tests run under session semantics",
-	"internal/pfs.Options.PathRules":                      "per-path consistency models, a documented capability of the PFS (DESIGN.md)",
 	"internal/pfs.Options.UnorderedSameProcess":           "the BurstFS mode tests use as a reference to check verdicts against",
 	"internal/recorder/colfmt.EncodeOptions.BlockRecords": "the small-block salvage tests need blocks smaller than a test trace",
 	"internal/storage.GenOptions.Count":                   "wal's tests size generated flaky-backend schedules",

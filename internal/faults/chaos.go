@@ -52,8 +52,8 @@ type SweepOptions struct {
 	// Replay re-runs every cell and checks byte-identical traces and fault
 	// event logs. Doubles the cost.
 	Replay bool
-	// WAL routes every rank's file I/O through a host-side write-ahead log
-	// (internal/wal), so the fault schedules also exercise the background
+	// WAL routes every rank's writes through a host-side write-ahead log
+	// (internal/wal), so the fault schedules also exercise its in-call
 	// drain, retry and degradation paths. Leave Dir empty: each rank log
 	// then manages its own private temp directory.
 	WAL *wal.Options

@@ -1,9 +1,6 @@
 package faults
 
-import (
-	"repro/internal/pfs"
-	"repro/internal/storage"
-)
+import "repro/internal/storage"
 
 // KillPointHits returns how many times a point has been hit since arming
 // (always 0 before the first armKillPoints — unarmed processes do not
@@ -20,6 +17,5 @@ func ResetKillPoints() {
 	kill.mu.Lock()
 	kill.armed, kill.hits = nil, nil
 	kill.mu.Unlock()
-	pfs.SetKillPointHook(nil)
 	storage.SetKillPointHook(nil)
 }

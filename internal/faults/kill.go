@@ -7,9 +7,10 @@ package faults
 // acknowledged write was lost (see the WAL kill matrix in internal/wal).
 //
 // A kill point is a named call site (e.g. "wal.append.before-fsync",
-// "pfs.op.commit") that calls killHit. Arming "point:N" makes the Nth killHit of
-// that point kill the process with SIGKILL — no deferred functions, no
-// buffered flushes, exactly the discipline a real crash denies a process.
+// "wal.drain.before-publish") that calls killHit. Arming "point:N" makes
+// the Nth killHit of that point kill the process with SIGKILL — no deferred
+// functions, no buffered flushes, exactly the discipline a real crash
+// denies a process.
 // Points are armed explicitly (armKillPoints) or from the SEMFS_KILL
 // environment variable (ArmKillPointsFromEnv), which is how the harness
 // reaches into a re-exec'd child.
@@ -21,7 +22,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/pfs"
 	"repro/internal/storage"
 )
 
@@ -38,14 +38,11 @@ var kill struct {
 // armKillPoints parses a "point:N[,point:N...]" spec and arms each point: the
 // Nth call to killHit(point) will SIGKILL the process. Arming any point installs
 // the storage kill hook, through which the durable layers (wal.*,
-// storage.*) report their points. Arming a point whose name starts
-// with "pfs.op." also installs the pfs kill hook, so data-path operations
-// (write/read/commit/close) become killable sites too. An empty spec arms
-// nothing, and neither does a spec with any bad part: the whole spec is
-// parsed before the first point is armed.
+// storage.*) report their points. An empty spec arms nothing, and neither
+// does a spec with any bad part: the whole spec is parsed before the first
+// point is armed.
 func armKillPoints(spec string) error {
 	armed := make(map[string]int)
-	hookPFS := false
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -60,9 +57,6 @@ func armKillPoints(spec string) error {
 			return fmt.Errorf("faults: kill spec %q: N must be a positive integer", part)
 		}
 		armed[point] = n
-		if strings.HasPrefix(point, "pfs.op.") {
-			hookPFS = true
-		}
 	}
 	if len(armed) == 0 {
 		return nil
@@ -75,9 +69,6 @@ func armKillPoints(spec string) error {
 	}
 	for point, n := range armed {
 		kill.armed[point] = n
-	}
-	if hookPFS {
-		pfs.SetKillPointHook(func(op pfs.OpInfo) { killHit("pfs.op." + op.Kind.String()) })
 	}
 	storage.SetKillPointHook(killHit)
 	return nil

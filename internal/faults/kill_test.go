@@ -1,12 +1,6 @@
 package faults
 
-import (
-	"testing"
-
-	"repro/internal/harness"
-	"repro/internal/payload"
-	"repro/internal/recorder"
-)
+import "testing"
 
 // Fatal hits SIGKILL the process, so everything here arms thresholds the
 // test never reaches; the WAL kill-and-recover harness in internal/wal
@@ -57,38 +51,5 @@ func TestArmKillPointsRejectsBadSpecs(t *testing.T) {
 	ResetKillPoints()
 	if err := armKillPoints(""); err != nil {
 		t.Errorf("empty spec rejected: %v", err)
-	}
-}
-
-func TestPFSOpKillPointsObserveDataPath(t *testing.T) {
-	t.Cleanup(ResetKillPoints)
-	ResetKillPoints()
-	// Threshold far above anything the workload performs: the hook must
-	// observe and count operations without killing.
-	if err := armKillPoints("pfs.op.write:100000"); err != nil {
-		t.Fatalf("ArmKillPoints: %v", err)
-	}
-	meta := recorder.Meta{App: "kill-test", Ranks: 2, PPN: 2, Seed: 1}
-	res, err := harness.Run(harness.Config{Ranks: 2, PPN: 2, Seed: 1}, meta, func(c *harness.Ctx) error {
-		fd, err := c.OS.Open("/k.dat", recorder.OCreat|recorder.OWronly, 0o644)
-		if err != nil {
-			return err
-		}
-		if _, err := c.OS.Pwrite(fd, payload.Bytes(make([]byte, 32)), int64(c.Rank)*32); err != nil {
-			return err
-		}
-		return c.OS.Close(fd)
-	})
-	if err != nil {
-		t.Fatalf("harness.Run: %v", err)
-	}
-	if err := res.Err(); err != nil {
-		t.Fatalf("rank error: %v", err)
-	}
-	if got := KillPointHits("pfs.op.write"); got < 2 {
-		t.Fatalf("pfs.op.write hits = %d, want >= 2 (one write per rank)", got)
-	}
-	if got := KillPointHits("pfs.op.close"); got < 2 {
-		t.Fatalf("pfs.op.close hits = %d, want >= 2", got)
 	}
 }

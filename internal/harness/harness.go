@@ -31,9 +31,10 @@ type Config struct {
 	// and internal/faults).
 	Injector pfs.FaultInjector
 	// WAL, if set, gives every rank a host-side write-ahead log in front of
-	// its pfs client (see internal/wal): writes ack at local-append cost and
-	// drain in the background. Logs are closed (fully drained) after the
-	// final barrier; a drain error surfaces as that rank's error.
+	// its pfs writes (see internal/wal): a write acks at local-append cost
+	// and is in the pfs when it returns. Logs are closed after the final
+	// barrier, with nothing left to drain; a close error surfaces as that
+	// rank's error.
 	WAL *wal.Options
 }
 

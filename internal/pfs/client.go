@@ -112,7 +112,7 @@ func (h *Handle) visibleLocked(now uint64) func(*extent) bool {
 	if f, err := h.c.fs.ensure(h.path, false); err == nil && f.laminated {
 		return func(*extent) bool { return true }
 	}
-	switch h.c.fs.semFor(h.path) {
+	switch h.c.fs.opts.Semantics {
 	case Strong, Commit:
 		// Everything published is visible. (The models differ in *when*
 		// publishing happens, not in read-side filtering.)
@@ -194,7 +194,7 @@ func (h *Handle) Write(off int64, data payload.P, now uint64) (uint64, error) {
 	fs.stats.Writes++
 	fs.stats.BytesWritten += data.Len()
 	e := extent{off: off, data: data, writer: int32(h.c.rank)} // the caller's payload, not a copy (see Write)
-	switch fs.semFor(h.path) {
+	switch fs.opts.Semantics {
 	case Strong:
 		cost += fs.lockCostLocked(f)
 		fs.publishBatchLocked(f, []extent{e}, now, act)
@@ -278,7 +278,7 @@ func (h *Handle) Read(off, n int64, now uint64) (payload.P, uint64, error) {
 		}
 	}
 	fs.stats.Reads++
-	if fs.semFor(h.path) == Strong {
+	if fs.opts.Semantics == Strong {
 		cost += fs.lockCostLocked(f)
 	}
 	visible := h.visibleLocked(now)
@@ -311,7 +311,9 @@ func (h *Handle) Read(off, n int64, now uint64) (payload.P, uint64, error) {
 
 // VisibleSize returns the file size as visible to this handle at time now:
 // the maximum end offset over visible published extents and the client's own
-// pending extents. POSIX append mode and SEEK_END resolve against this.
+// pending extents, the same end a read resolves against. POSIX append mode
+// and SEEK_END resolve against this. A truncate that extends a file is not
+// modelled as visible size (DESIGN.md §12).
 func (h *Handle) VisibleSize(now uint64) int64 {
 	fs := h.c.fs
 	fs.mu.Lock()
@@ -320,21 +322,7 @@ func (h *Handle) VisibleSize(now uint64) int64 {
 	if err != nil {
 		return 0
 	}
-	visible := h.visibleLocked(now)
-	var size int64
-	for i := range f.published {
-		if e := &f.published[i]; visible(e) && e.end() > size {
-			size = e.end()
-		}
-	}
-	for _, e := range h.c.pending[h.path] {
-		if e.end() > size {
-			size = e.end()
-		}
-	}
-	if fs.semFor(h.path) == Strong && f.size > size {
-		size = f.size // truncation may have shrunk below extent ends
-	}
+	size, _ := visibleScan(f, 0, 0, h.visibleLocked(now), h.c.pending[h.path])
 	return size
 }
 
@@ -362,7 +350,7 @@ func (h *Handle) Commit(now uint64) (uint64, error) {
 	}
 	cost := sim.SyncCost
 	observeOp(OpCommit, cost)
-	if fs.semFor(h.path) != Commit {
+	if fs.opts.Semantics != Commit {
 		fs.recordHistoryLocked(HistoryEvent{Kind: EvCommit, Rank: h.c.rank, Path: h.path,
 			Handle: h.id, Now: now})
 		if act.CrashAfter {
@@ -435,7 +423,7 @@ func (h *Handle) Close(now uint64) (uint64, error) {
 	if f.sharers > 0 {
 		f.sharers--
 	}
-	switch fs.semFor(h.path) {
+	switch fs.opts.Semantics {
 	case Commit, Session:
 		fs.publishBatchLocked(f, h.c.pending[h.path], now, act)
 		delete(h.c.pending, h.path)

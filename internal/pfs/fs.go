@@ -35,12 +35,6 @@ type Options struct {
 	// same-process conflicts (WAW-S/RAW-S in Table 4) misbehave here even
 	// when the base semantics would otherwise suffice.
 	UnorderedSameProcess bool
-	// PathRules override the consistency model per path prefix — the
-	// "tunable consistency semantics" direction the paper cites (§2.3,
-	// Kuhn et al. / Vilayannur et al.): e.g. run checkpoints under commit
-	// semantics while a shared exchange file keeps strong semantics. First
-	// matching rule wins; unmatched paths use Options.Semantics.
-	PathRules []PathRule
 }
 
 // The data-server layout: ServerRequests counts one request per data
@@ -49,22 +43,6 @@ const (
 	stripeSize  int64 = 1 << 20 // bytes per stripe
 	dataServers       = 4
 )
-
-// PathRule binds a path prefix to a consistency model.
-type PathRule struct {
-	Prefix    string
-	Semantics Semantics
-}
-
-// semFor resolves the consistency model governing a path.
-func (fs *FileSystem) semFor(path string) Semantics {
-	for _, r := range fs.opts.PathRules {
-		if len(path) >= len(r.Prefix) && path[:len(r.Prefix)] == r.Prefix {
-			return r.Semantics
-		}
-	}
-	return fs.opts.Semantics
-}
 
 func (o Options) withDefaults() Options {
 	if o.EventualDelay == 0 {
@@ -322,16 +300,13 @@ func (fs *FileSystem) publishBatchLocked(f *file, exts []extent, now uint64, act
 	fs.publishLocked(f, exts, now+act.PublishDelay)
 }
 
-// read returns the visible content of [off, off+n) for a reader:
-// published extents passing the visibility predicate are applied in
-// publish order, then the reader's own pending extents are overlaid in
-// write order, and the content ends at the highest visible end offset.
-// When the last extent applied over the range covers all of it, the
-// content is a slice of that extent's payload: a reference stays one, and
-// a Bytes payload's slice is copied, so no reader shares the file system's
-// buffers. Otherwise the bytes are built, and only the part of each
-// payload that overlaps the range is made.
-func read(f *file, off, n int64, visible func(*extent) bool, own []extent) payload.P {
+// visibleScan walks the extents a reader sees — published extents passing
+// the visibility predicate in publish order, then the reader's own pending
+// extents in write order — and returns the highest visible end offset and
+// the last extent applied over [off, off+n), or nil. Read and VisibleSize
+// both resolve the visible end here, so a read never returns less than
+// VisibleSize promises.
+func visibleScan(f *file, off, n int64, visible func(*extent) bool, own []extent) (int64, *extent) {
 	var visEnd int64
 	var last *extent
 	scan := func(e *extent) {
@@ -348,6 +323,20 @@ func read(f *file, off, n int64, visible func(*extent) bool, own []extent) paylo
 	for i := range own {
 		scan(&own[i])
 	}
+	return visEnd, last
+}
+
+// read returns the visible content of [off, off+n) for a reader:
+// published extents passing the visibility predicate are applied in
+// publish order, then the reader's own pending extents are overlaid in
+// write order, and the content ends at the highest visible end offset.
+// When the last extent applied over the range covers all of it, the
+// content is a slice of that extent's payload: a reference stays one, and
+// a Bytes payload's slice is copied, so no reader shares the file system's
+// buffers. Otherwise the bytes are built, and only the part of each
+// payload that overlaps the range is made.
+func read(f *file, off, n int64, visible func(*extent) bool, own []extent) payload.P {
+	visEnd, last := visibleScan(f, off, n, visible, own)
 	n = min(n, visEnd-off)
 	if n <= 0 {
 		return payload.P{}

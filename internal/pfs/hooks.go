@@ -1,7 +1,5 @@
 package pfs
 
-import "sync/atomic"
-
 // Fault-injection hooks. A FaultInjector registered on a FileSystem
 // intercepts every client data-path operation and may perturb it: crash the
 // process, tear a write, drop a commit, delay or reorder a publish batch, or
@@ -106,36 +104,8 @@ const (
 	retryBackoffNS uint64 = 200_000
 )
 
-// KillPointFunc observes one intercepted data-path operation; see
-// SetKillPointHook.
-type KillPointFunc func(op OpInfo)
-
-// killHook is the process-wide kill-point hook, read on every intercepted
-// operation. It is atomic (not guarded by fs.mu) because it is installed by
-// CLI startup or a crash harness while file systems may already exist.
-var killHook atomic.Pointer[KillPointFunc]
-
-// SetKillPointHook installs (or, with nil, removes) a process-wide hook that
-// observes every intercepted client operation — before fault-injection
-// dispatch and regardless of whether an injector is registered. It exists
-// for crash-recovery harnesses: internal/faults installs a hook that
-// SIGKILLs the process at the Nth matching operation, turning every
-// write/read/commit/close into a potential real crash site. The hook runs
-// under fs.mu and must not call back into the file system.
-func SetKillPointHook(h KillPointFunc) {
-	if h == nil {
-		killHook.Store(nil)
-		return
-	}
-	killHook.Store(&h)
-}
-
-// interceptLocked runs the kill-point hook, if any, then consults the
-// injector, if any. Callers hold fs.mu.
+// interceptLocked consults the injector, if any. Callers hold fs.mu.
 func (fs *FileSystem) interceptLocked(op OpInfo) FaultAction {
-	if h := killHook.Load(); h != nil {
-		(*h)(op)
-	}
 	if fs.injector == nil {
 		return FaultAction{}
 	}

@@ -174,3 +174,31 @@ func TestLaminateOverridesSessionSnapshotAfterTruncate(t *testing.T) {
 		t.Fatalf("pre-existing session read = %q, want %q", got, want)
 	}
 }
+
+// TestExtendingTruncateVisibleSizeMatchesRead: after a truncate past the
+// last written byte, VisibleSize (what O_APPEND and SEEK_END resolve
+// against) must equal what a read returns, under every model.
+func TestExtendingTruncateVisibleSizeMatchesRead(t *testing.T) {
+	for _, sem := range AllSemantics() {
+		t.Run(sem.String(), func(t *testing.T) {
+			fs := newFS(sem)
+			c := fs.NewClient(0, 0)
+			h := mustOpen(t, c, "/f", OCreat|ORdwr, 10)
+			writeAll(t, h, 0, []byte("0123456789"), 20)
+			if _, err := h.Commit(30); err != nil {
+				t.Fatalf("commit: %v", err)
+			}
+			if _, err := h.Close(40); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			h = mustOpen(t, c, "/f", ORdwr, 50)
+			if _, err := h.Truncate(100); err != nil {
+				t.Fatalf("truncate: %v", err)
+			}
+			got := readAll(t, h, 0, 100, 60)
+			if size := h.VisibleSize(60); size != int64(len(got)) || size != 10 {
+				t.Fatalf("VisibleSize = %d, read returned %d bytes; want both 10", size, len(got))
+			}
+		})
+	}
+}

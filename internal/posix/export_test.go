@@ -141,10 +141,6 @@ func (p *Proc) Readdir(pth string) {
 func (p *Proc) Rename(oldPth, newPth string) error {
 	ts := p.clock.Stamp()
 	ao, an := p.abs(oldPth), p.abs(newPth)
-	if berr := p.metaBarrier(); berr != nil {
-		p.emit(recorder.FuncRename, ts, ao, an)
-		return berr
-	}
 	cost, err := p.client.FS().Rename(ao, an)
 	p.advance(cost + sim.MetaCost)
 	p.emit(recorder.FuncRename, ts, ao, an)
@@ -156,13 +152,13 @@ func (p *Proc) Truncate(pth string, length int64) error {
 	ts := p.clock.Stamp()
 	apth := p.abs(pth)
 	// Path truncate: open-truncate-close on the metadata path.
-	h, cost, err := p.pfsOpen(apth, recorder.OWronly, p.clock.Now())
+	h, cost, err := p.client.Open(apth, recorder.OWronly, p.clock.Now())
 	p.advance(cost)
 	if err == nil {
 		var tcost uint64
-		tcost, err = p.pfsTruncate(h, length)
+		tcost, err = h.Truncate(length)
 		p.advance(tcost)
-		ccost, _ := p.pfsClose(h, p.clock.Now())
+		ccost, _ := h.Close(p.clock.Now())
 		p.advance(ccost)
 	}
 	p.emit(recorder.FuncTruncate, ts, apth, "", length)

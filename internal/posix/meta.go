@@ -25,10 +25,6 @@ func (p *Proc) Lstat(pth string) (pfs.FileInfo, error) {
 func (p *Proc) statAs(fn recorder.Func, pth string) (pfs.FileInfo, error) {
 	ts := p.clock.Stamp()
 	apth := p.abs(pth)
-	if berr := p.metaBarrier(); berr != nil {
-		p.emit(fn, ts, apth, "")
-		return pfs.FileInfo{}, berr
-	}
 	info, cost, err := p.client.FS().Stat(apth)
 	p.advance(cost + sim.MetaCost)
 	p.emit(fn, ts, apth, "")
@@ -43,10 +39,6 @@ func (p *Proc) Fstat(fdnum int) (pfs.FileInfo, error) {
 		p.emit(recorder.FuncFstat, ts, "", "", int64(fdnum))
 		return pfs.FileInfo{}, err
 	}
-	if berr := p.metaBarrier(); berr != nil {
-		p.emit(recorder.FuncFstat, ts, "", "", int64(fdnum))
-		return pfs.FileInfo{}, berr
-	}
 	info, cost, serr := p.client.FS().Stat(f.path)
 	p.advance(cost + sim.MetaCost)
 	p.emit(recorder.FuncFstat, ts, "", "", int64(fdnum))
@@ -57,10 +49,6 @@ func (p *Proc) Fstat(fdnum int) (pfs.FileInfo, error) {
 func (p *Proc) Access(pth string) error {
 	ts := p.clock.Stamp()
 	apth := p.abs(pth)
-	if berr := p.metaBarrier(); berr != nil {
-		p.emit(recorder.FuncAccess, ts, apth, "")
-		return berr
-	}
 	_, cost, err := p.client.FS().Stat(apth)
 	p.advance(cost + sim.MetaCost)
 	p.emit(recorder.FuncAccess, ts, apth, "")
@@ -71,10 +59,6 @@ func (p *Proc) Access(pth string) error {
 func (p *Proc) Unlink(pth string) error {
 	ts := p.clock.Stamp()
 	apth := p.abs(pth)
-	if berr := p.metaBarrier(); berr != nil {
-		p.emit(recorder.FuncUnlink, ts, apth, "")
-		return berr
-	}
 	cost, err := p.client.FS().Unlink(apth)
 	p.advance(cost + sim.MetaCost)
 	p.emit(recorder.FuncUnlink, ts, apth, "")
@@ -85,10 +69,6 @@ func (p *Proc) Unlink(pth string) error {
 func (p *Proc) Remove(pth string) error {
 	ts := p.clock.Stamp()
 	apth := p.abs(pth)
-	if berr := p.metaBarrier(); berr != nil {
-		p.emit(recorder.FuncRemove, ts, apth, "")
-		return berr
-	}
 	cost, err := p.client.FS().Unlink(apth)
 	p.advance(cost + sim.MetaCost)
 	p.emit(recorder.FuncRemove, ts, apth, "")

@@ -74,73 +74,18 @@ func (p *Proc) Clock() *sim.Clock { return p.clock }
 func (p *Proc) SetJitter(rng *sim.RNG) { p.jit = rng }
 
 // SetWAL interposes a host-side write-ahead log between this rank's POSIX
-// layer and the pfs data path: writes return at local-append cost and drain
-// in the background, while every non-write operation is a drain barrier
-// (see internal/wal). Once attached, the log owns all access to the rank's
-// pfs client — posix must not bypass it, because the client itself is not
-// goroutine-safe against the background drainer.
+// writes and the pfs: a write returns at local-append cost, with its payload
+// already in the pfs (see internal/wal). Every other operation goes to the
+// pfs directly.
 func (p *Proc) SetWAL(l *wal.Log) { p.wal = l }
 
-// The pfs* helpers are the single seam where handle operations either go
-// straight to the pfs or through the attached WAL.
-
-func (p *Proc) pfsOpen(apth string, flags int, now uint64) (*pfs.Handle, uint64, error) {
-	if p.wal != nil {
-		return p.wal.Open(p.client, apth, flags, now)
-	}
-	return p.client.Open(apth, flags, now)
-}
-
+// pfsWrite is the one seam where a write either goes straight to the pfs or
+// through the attached WAL.
 func (p *Proc) pfsWrite(h *pfs.Handle, off int64, data payload.P, now uint64) (uint64, error) {
 	if p.wal != nil {
 		return p.wal.Write(h, off, data, now)
 	}
 	return h.Write(off, data, now)
-}
-
-func (p *Proc) pfsRead(h *pfs.Handle, off, n int64, now uint64) (payload.P, uint64, error) {
-	if p.wal != nil {
-		return p.wal.Read(h, off, n, now)
-	}
-	return h.Read(off, n, now)
-}
-
-func (p *Proc) pfsCommit(h *pfs.Handle, now uint64) (uint64, error) {
-	if p.wal != nil {
-		return p.wal.Commit(h, now)
-	}
-	return h.Commit(now)
-}
-
-func (p *Proc) pfsClose(h *pfs.Handle, now uint64) (uint64, error) {
-	if p.wal != nil {
-		return p.wal.CloseHandle(h, now)
-	}
-	return h.Close(now)
-}
-
-func (p *Proc) pfsTruncate(h *pfs.Handle, length int64) (uint64, error) {
-	if p.wal != nil {
-		return p.wal.Truncate(h, length)
-	}
-	return h.Truncate(length)
-}
-
-func (p *Proc) pfsVisibleSize(h *pfs.Handle, now uint64) int64 {
-	if p.wal != nil {
-		return p.wal.VisibleSize(h, now)
-	}
-	return h.VisibleSize(now)
-}
-
-// metaBarrier drains the WAL before a metadata operation that observes or
-// mutates fs-level state (stat, unlink, rename), so acked-but-undrained
-// writes are never invisible to metadata.
-func (p *Proc) metaBarrier() error {
-	if p.wal != nil {
-		return p.wal.Barrier()
-	}
-	return nil
 }
 
 // advance moves the clock by the operation cost plus jitter.
@@ -188,7 +133,7 @@ func (p *Proc) Open(pth string, flags int, mode int64) (int, error) {
 func (p *Proc) openAs(fn recorder.Func, pth string, flags int, mode int64, stdio bool) (int, error) {
 	ts := p.clock.Stamp()
 	apth := p.abs(pth)
-	h, cost, err := p.pfsOpen(apth, flags, p.clock.Now())
+	h, cost, err := p.client.Open(apth, flags, p.clock.Now())
 	p.advance(cost)
 	if err != nil {
 		p.emit(fn, ts, apth, "", int64(flags), mode, -1)
@@ -218,7 +163,7 @@ func (p *Proc) closeAs(fn recorder.Func, fdnum int) error {
 		p.emit(fn, ts, "", "", int64(fdnum))
 		return err
 	}
-	cost, cerr := p.pfsClose(f.h, p.clock.Now())
+	cost, cerr := f.h.Close(p.clock.Now())
 	p.advance(cost)
 	delete(p.fds, fdnum)
 	p.emit(fn, ts, "", "", int64(fdnum))
@@ -238,7 +183,7 @@ func (p *Proc) Write(fdnum int, data payload.P) (int64, error) {
 		return -1, err
 	}
 	if f.appendMd {
-		f.offset = p.pfsVisibleSize(f.h, p.clock.Now())
+		f.offset = f.h.VisibleSize(p.clock.Now())
 	}
 	cost, werr := p.pfsWrite(f.h, f.offset, data, p.clock.Now())
 	p.advance(cost)
@@ -262,7 +207,7 @@ func (p *Proc) Read(fdnum int, n int64) (payload.P, error) {
 		p.emit(recorder.FuncRead, ts, "", "", int64(fdnum), n, -1)
 		return payload.P{}, err
 	}
-	data, cost, rerr := p.pfsRead(f.h, f.offset, n, p.clock.Now())
+	data, cost, rerr := f.h.Read(f.offset, n, p.clock.Now())
 	p.advance(cost)
 	if rerr != nil {
 		p.emit(recorder.FuncRead, ts, "", "", int64(fdnum), n, -1)
@@ -302,7 +247,7 @@ func (p *Proc) Pread(fdnum int, n, off int64) (payload.P, error) {
 		p.emit(recorder.FuncPread, ts, "", "", int64(fdnum), n, off, -1)
 		return payload.P{}, err
 	}
-	data, cost, rerr := p.pfsRead(f.h, off, n, p.clock.Now())
+	data, cost, rerr := f.h.Read(off, n, p.clock.Now())
 	p.advance(cost)
 	if rerr != nil {
 		p.emit(recorder.FuncPread, ts, "", "", int64(fdnum), n, off, -1)
@@ -332,7 +277,7 @@ func (p *Proc) seekAs(fn recorder.Func, fdnum int, off int64, whence int) (int64
 	case recorder.SeekCur:
 		base = f.offset
 	case recorder.SeekEnd:
-		base = p.pfsVisibleSize(f.h, p.clock.Now())
+		base = f.h.VisibleSize(p.clock.Now())
 	default:
 		p.emit(fn, ts, "", "", int64(fdnum), off, int64(whence), -1)
 		return -1, fmt.Errorf("posix: bad whence %d", whence)
@@ -358,7 +303,7 @@ func (p *Proc) syncAs(fn recorder.Func, fdnum int) error {
 		p.emit(fn, ts, "", "", int64(fdnum))
 		return err
 	}
-	cost, serr := p.pfsCommit(f.h, p.clock.Now())
+	cost, serr := f.h.Commit(p.clock.Now())
 	p.advance(cost)
 	p.emit(fn, ts, "", "", int64(fdnum))
 	return serr
@@ -372,7 +317,7 @@ func (p *Proc) Ftruncate(fdnum int, length int64) error {
 		p.emit(recorder.FuncFtruncate, ts, "", "", int64(fdnum), length)
 		return err
 	}
-	cost, terr := p.pfsTruncate(f.h, length)
+	cost, terr := f.h.Truncate(length)
 	p.advance(cost)
 	p.emit(recorder.FuncFtruncate, ts, "", "", int64(fdnum), length)
 	return terr

@@ -57,7 +57,7 @@ func (p *Proc) Fwrite(fdnum int, data payload.P, size, nmemb int64) (int64, erro
 		return -1, err
 	}
 	if f.appendMd {
-		f.offset = p.pfsVisibleSize(f.h, p.clock.Now())
+		f.offset = f.h.VisibleSize(p.clock.Now())
 	}
 	cost, werr := p.pfsWrite(f.h, f.offset, data, p.clock.Now())
 	p.advance(cost)
@@ -79,7 +79,7 @@ func (p *Proc) Fread(fdnum int, size, nmemb int64) (payload.P, error) {
 		p.emit(recorder.FuncFread, ts, "", "", int64(fdnum), size, nmemb, -1)
 		return payload.P{}, err
 	}
-	data, cost, rerr := p.pfsRead(f.h, f.offset, size*nmemb, p.clock.Now())
+	data, cost, rerr := f.h.Read(f.offset, size*nmemb, p.clock.Now())
 	p.advance(cost)
 	if rerr != nil {
 		p.emit(recorder.FuncFread, ts, "", "", int64(fdnum), size, nmemb, -1)

@@ -2,16 +2,16 @@ package storage
 
 import "repro/internal/sim"
 
-// Backoff computes the delay before retry attempt n (0-based) after a
+// backoff computes the delay before retry attempt n (0-based) after a
 // transient fault. The nominal delay grows geometrically from BaseNS by
 // Multiplier, saturating at CapNS; deterministic jitter then spreads
 // retries across [¾·nominal, 5⁄4·nominal] — i.e. jitter is bounded by
 // ±25% of the nominal delay. Delay is a pure function of (Seed, attempt):
 // it derives a fresh splitmix64 stream per attempt instead of mutating
 // shared RNG state, so concurrent retriers with the same seed see the same
-// schedule regardless of interleaving — the property the faults package
-// tests lean on. The WAL drainer and the retry policy share it.
-type Backoff struct {
+// schedule regardless of interleaving. The retry policy (NewRetry) sleeps
+// its default schedule.
+type backoff struct {
 	BaseNS     uint64 // first-retry nominal delay; default 100µs
 	Multiplier uint64 // geometric growth per attempt; default 2
 	CapNS      uint64 // nominal-delay ceiling; default ~1s
@@ -19,7 +19,7 @@ type Backoff struct {
 }
 
 // withDefaults fills zero fields with the documented defaults.
-func (b Backoff) withDefaults() Backoff {
+func (b backoff) withDefaults() backoff {
 	if b.BaseNS == 0 {
 		b.BaseNS = 100_000
 	}
@@ -36,7 +36,7 @@ func (b Backoff) withDefaults() Backoff {
 }
 
 // Delay returns the jittered backoff for the given attempt, in nanoseconds.
-func (b Backoff) Delay(attempt int) uint64 {
+func (b backoff) Delay(attempt int) uint64 {
 	b = b.withDefaults()
 	if attempt < 0 {
 		attempt = 0

@@ -102,7 +102,7 @@ func BenchmarkStorageObjStorePublish(b *testing.B) {
 // BenchmarkStorageBackoffDelay: the pure backoff computation — zero-alloc,
 // so regressions in the hot retry path show up as allocs/op here.
 func BenchmarkStorageBackoffDelay(b *testing.B) {
-	bo := Backoff{Seed: 7}
+	bo := backoff{Seed: 7}
 	var sink uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -5,7 +5,7 @@ package storage
 // delay, and nominals grow geometrically saturating at CapNS. Independent
 // of Seed — the bound the retry policy's property tests pin every seed's
 // actual total under.
-func (b Backoff) MaxTotalDelay(attempts int) uint64 {
+func (b backoff) MaxTotalDelay(attempts int) uint64 {
 	b = b.withDefaults()
 	var total uint64
 	d := b.BaseNS

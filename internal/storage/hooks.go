@@ -16,7 +16,7 @@ import (
 //
 //	storage.{write,sync}.{before,after}   backend operations
 //	wal.append.*                          AppendFrame stages
-//	wal.drain.{before,after}-publish      the WAL drainer
+//	wal.drain.{before,after}-publish      wal.Log.Write's pfs write
 type KillPointFunc func(point string)
 
 var killHook atomic.Pointer[KillPointFunc]

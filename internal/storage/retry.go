@@ -16,7 +16,7 @@ type RetryOptions struct {
 }
 
 // The retry budget: at most maxAttempts tries per operation (first try
-// included), sleeping storage.Backoff's default schedule between them,
+// included), sleeping backoff's default schedule between them,
 // and no new attempt once retryDeadline of wall time (backoff sleeps
 // included) has passed since the first.
 const (
@@ -89,7 +89,7 @@ func (r *retrier) do(verb, name string, op func() error) error {
 	var err error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
-			d := time.Duration(Backoff{}.Delay(attempt - 1))
+			d := time.Duration(backoff{}.Delay(attempt - 1))
 			remain := retryDeadline - r.opts.Now().Sub(start)
 			if remain <= 0 || d > remain {
 				break

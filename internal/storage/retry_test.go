@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 )
@@ -16,11 +17,11 @@ import (
 func TestBackoffDelayPropertyBounds(t *testing.T) {
 	const attempts = 10
 	for seed := uint64(1); seed <= 256; seed++ {
-		b := Backoff{Seed: seed}
+		b := backoff{Seed: seed}
 		var total uint64
 		for a := 0; a < attempts; a++ {
 			d1 := b.Delay(a)
-			d2 := Backoff{Seed: seed}.Delay(a) // fresh value, same inputs
+			d2 := backoff{Seed: seed}.Delay(a) // fresh value, same inputs
 			if d1 != d2 {
 				t.Fatalf("seed %d attempt %d: Delay not deterministic (%d vs %d)", seed, a, d1, d2)
 			}
@@ -31,6 +32,45 @@ func TestBackoffDelayPropertyBounds(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBackoffJitterBounds: every delay stays within ±25% of the capped
+// geometric nominal, for several seeds and cap settings, and racing callers
+// see the same delays for a fixed seed.
+func TestBackoffJitterBounds(t *testing.T) {
+	for _, capNS := range []uint64{64_000, 1 << 30} {
+		for seed := uint64(1); seed <= 5; seed++ {
+			b := backoff{BaseNS: 1_000, Multiplier: 2, CapNS: capNS, Seed: seed}
+			nominal := uint64(1_000)
+			for attempt := 0; attempt < 24; attempt++ {
+				d := b.Delay(attempt)
+				if lo, hi := nominal-nominal/4, nominal+nominal/4; d < lo || d > hi {
+					t.Fatalf("cap %d seed %d attempt %d: delay %d outside [%d, %d] (nominal %d)",
+						capNS, seed, attempt, d, lo, hi, nominal)
+				}
+				nominal = min(nominal*2, capNS)
+			}
+		}
+	}
+
+	b := backoff{BaseNS: 1_000, Multiplier: 2, CapNS: 64_000, Seed: 7}
+	want := make([]uint64, 16)
+	for i := range want {
+		want[i] = b.Delay(i)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range want {
+				if d := b.Delay(i); d != want[i] {
+					t.Errorf("concurrent Delay(%d) = %d, want %d", i, d, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestRetryTotalSleepDeterministicAndBounded drives the policy wrapper
@@ -83,7 +123,7 @@ func TestRetryTotalSleepDeterministicAndBounded(t *testing.T) {
 	if len(s1) != maxAttempts-1 {
 		t.Fatalf("%d sleeps, want %d (one between each attempt)", len(s1), maxAttempts-1)
 	}
-	if bound := (Backoff{}).MaxTotalDelay(maxAttempts - 1); total > bound {
+	if bound := (backoff{}).MaxTotalDelay(maxAttempts - 1); total > bound {
 		t.Fatalf("total sleep %d exceeds analytic bound %d", total, bound)
 	}
 }

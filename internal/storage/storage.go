@@ -21,7 +21,7 @@
 //     Nth eligible operation, mirroring internal/faults' schedule
 //     discipline.
 //
-// Retry returns a policy wrapper adding per-op deadlines, Backoff-based
+// Retry returns a policy wrapper adding per-op deadlines, backoff-based
 // bounded retries on errTransient, and a health signal the WAL consumes
 // (it degrades to write-through).
 //

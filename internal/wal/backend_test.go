@@ -179,7 +179,7 @@ func TestWALPersistentBackendFailureDegrades(t *testing.T) {
 	}
 	var now uint64
 	tick := func() uint64 { now += 10; return now }
-	h, _, err := l.Open(c, "/degrade.dat", pfs.OCreat|pfs.ORdwr, tick())
+	h, _, err := c.Open("/degrade.dat", pfs.OCreat|pfs.ORdwr, tick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,12 +198,12 @@ func TestWALPersistentBackendFailureDegrades(t *testing.T) {
 	}
 	// Every write — logged or degraded — must be readable back at full size.
 	for i := 0; i < 5; i++ {
-		got, _, err := l.Read(h, int64(i)*32, 32, tick())
+		got, _, err := h.Read(int64(i)*32, 32, tick())
 		if err != nil || !bytes.Equal(got.Materialize(), block(i)) {
 			t.Fatalf("readback %d: %q, %v", i, got, err)
 		}
 	}
-	if _, err := l.CloseHandle(h, tick()); err != nil {
+	if _, err := h.Close(tick()); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {

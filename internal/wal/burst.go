@@ -131,7 +131,7 @@ func RunBurst(spec BurstSpec) (*BurstResult, error) {
 				if err != nil {
 					return err
 				}
-				defer func() { stats[r] = l.statsSnapshot() }()
+				defer func() { stats[r] = l.stats }()
 				ack, err := sb.Open(filepath.Join(spec.Log.Dir, ackName(r)),
 					storage.OCreate|storage.OWronly|storage.OAppend, 0o644)
 				if err != nil {
@@ -139,18 +139,18 @@ func RunBurst(spec BurstSpec) (*BurstResult, error) {
 					return err
 				}
 				c := fs.NewClient(r, 0)
-				h, _, err := l.Open(c, burstPath, pfs.OCreat|pfs.ORdwr, now())
+				h, _, err := c.Open(burstPath, pfs.OCreat|pfs.ORdwr, now())
 				if err != nil {
 					ack.Close()
 					l.Close()
 					return err
 				}
 				for k := 0; k < spec.Records; k++ {
-					through := l.statsSnapshot().WriteThrough
+					through := l.stats.WriteThrough
 					if _, err := l.Write(h, spec.offset(r, k), payload.Bytes(spec.payload(r, k)), now()); err != nil {
 						break
 					}
-					if l.statsSnapshot().WriteThrough > through {
+					if l.stats.WriteThrough > through {
 						fmt.Fprintf(ack, "%d%s\n", k, writeThroughMark)
 					} else {
 						fmt.Fprintf(ack, "%d\n", k)
@@ -161,17 +161,17 @@ func RunBurst(spec BurstSpec) (*BurstResult, error) {
 						}
 					}
 					if (k+1)%spec.CommitEvery == 0 {
-						if _, err := l.Commit(h, now()); err != nil {
+						if _, err := h.Commit(now()); err != nil {
 							break
 						}
 					}
 				}
-				if _, err := l.Commit(h, now()); err != nil {
+				if _, err := h.Commit(now()); err != nil {
 					ack.Close()
 					l.Close()
 					return err
 				}
-				if _, err := l.CloseHandle(h, now()); err != nil {
+				if _, err := h.Close(now()); err != nil {
 					ack.Close()
 					l.Close()
 					return err
@@ -400,8 +400,8 @@ func FormatBurst(spec BurstSpec, res *BurstResult) string {
 	fmt.Fprintf(&b, "wal burst: semantics=%s ranks=%d records=%d block=%d commit_every=%d\n",
 		spec.Semantics, spec.Ranks, spec.Records, spec.Block, spec.CommitEvery)
 	for r, st := range res.Stats {
-		fmt.Fprintf(&b, "  rank %d: acked=%d (%d bytes) drained=%d write_through=%d retries=%d queue_peak=%d\n",
-			r, st.Acked, st.AckedBytes, st.Drained, st.WriteThrough, st.Retries, st.QueuePeak)
+		fmt.Fprintf(&b, "  rank %d: acked=%d (%d bytes) drained=%d write_through=%d retries=%d\n",
+			r, st.Acked, st.AckedBytes, st.Drained, st.WriteThrough, st.Retries)
 	}
 	verdict := "ACCEPTED"
 	if !res.Spec.OK() {

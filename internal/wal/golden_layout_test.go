@@ -25,7 +25,7 @@ func TestOSDiskSegmentGoldenLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	var now uint64 = 10
-	h, _, err := l.Open(c, "/golden.dat", pfs.OCreat|pfs.ORdwr, now)
+	h, _, err := c.Open("/golden.dat", pfs.OCreat|pfs.ORdwr, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,9 +38,6 @@ func TestOSDiskSegmentGoldenLayout(t *testing.T) {
 		if _, err := l.Write(h, int64(i)*128, payload.Bytes(data), now); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
-	}
-	if err := l.Barrier(); err != nil {
-		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)

@@ -4,6 +4,6 @@ import "repro/internal/obs"
 
 // ackCostNS is the simulated cost of each acknowledgement the application
 // sees (DESIGN.md §9). Per-log counts (acks, drained records, retries,
-// queue peak, write-throughs, whether the log degraded) are Stats fields and
-// the degraded flag, and recovery's are the frame.Stats recoverDirOn returns.
+// write-throughs) are Stats fields, whether the log degraded is its degraded
+// flag, and recovery's counts are the frame.Stats recoverDirOn returns.
 var ackCostNS = obs.Default().Histogram("wal.ack.cost_ns")

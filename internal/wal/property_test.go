@@ -1,13 +1,12 @@
 package wal_test
 
-// WAL property suites: the tentpole's consistency claim. For every model,
-// randomized multi-rank schedules executed *through* per-rank write-ahead
-// logs must produce pfs histories the model's executable formal spec
-// (internal/consistency) accepts — WAL buffering, background drain and
-// barrier ordering must be invisible to the semantics. Serial runs pin a
-// deterministic foreground interleaving (drains still race, by design);
-// concurrent runs put every rank on its own goroutine and are the -race
-// drain-concurrency leg CI runs.
+// WAL property suites: the WAL's consistency claim. For every model,
+// randomized multi-rank schedules whose writes go *through* per-rank
+// write-ahead logs must produce pfs histories the model's executable formal
+// spec (internal/consistency) accepts — the log and its ack-time timestamps
+// must be invisible to the semantics. Serial runs pin one deterministic
+// interleaving; concurrent runs put every rank on its own goroutine and are
+// the -race leg CI runs.
 
 import (
 	"errors"
@@ -24,8 +23,8 @@ import (
 	"repro/internal/wal"
 )
 
-// walRunner mirrors pfstest's runner with every handle op routed through
-// the rank's Log.
+// walRunner mirrors pfstest's runner with every write routed through the
+// rank's Log; every other op goes to the handle, as posix does.
 type walRunner struct {
 	fs      *pfs.FileSystem
 	clients []*pfs.Client
@@ -53,7 +52,7 @@ func newWALRunner(t *testing.T, fs *pfs.FileSystem, ranks int) (*walRunner, erro
 		if rank == 0 {
 			flags |= pfs.OCreat
 		}
-		h, _, err := l.Open(r.clients[rank], pfstest.Path, flags, r.now())
+		h, _, err := r.clients[rank].Open(pfstest.Path, flags, r.now())
 		if err != nil {
 			return nil, fmt.Errorf("rank %d open: %w", rank, err)
 		}
@@ -73,20 +72,20 @@ func (r *walRunner) exec(op pfstest.Op) error {
 	case pfstest.OpWrite:
 		_, err = l.Write(h, op.Off, payload.Bytes(op.Data), now)
 	case pfstest.OpRead:
-		_, _, err = l.Read(h, op.Off, op.Len, now)
+		_, _, err = h.Read(op.Off, op.Len, now)
 	case pfstest.OpCommit:
-		_, err = l.Commit(h, now)
+		_, err = h.Commit(now)
 	case pfstest.OpReopen:
-		if _, err = l.CloseHandle(h, now); err == nil {
-			r.handles[op.Rank], _, err = l.Open(r.clients[op.Rank], pfstest.Path, pfs.ORdwr, r.now())
+		if _, err = h.Close(now); err == nil {
+			r.handles[op.Rank], _, err = r.clients[op.Rank].Open(pfstest.Path, pfs.ORdwr, r.now())
 		}
 	case pfstest.OpTruncate:
-		_, err = l.Truncate(h, op.Len)
+		_, err = h.Truncate(op.Len)
 	case pfstest.OpLaminate:
-		_, err = l.Laminate(h, now)
+		_, err = h.Laminate(now)
 	}
-	// Post-lamination failures (including a queued write whose drain found
-	// the file laminated) are part of the schedule contract, as in pfstest.
+	// Post-lamination failures (including a write whose drain found the
+	// file laminated) are part of the schedule contract, as in pfstest.
 	if errors.Is(err, pfs.ErrLaminated) {
 		return nil
 	}
@@ -186,9 +185,9 @@ func TestWALPropertySerial(t *testing.T) {
 	}
 }
 
-// TestWALPropertyConcurrent: per-rank goroutines, every foreground op racing
-// the background drainers — the -race leg proving drain concurrency is both
-// data-race-free and semantics-preserving.
+// TestWALPropertyConcurrent: per-rank goroutines racing each other through
+// their logs into one pfs — the -race leg proving WAL-mediated writes are
+// both data-race-free and semantics-preserving.
 func TestWALPropertyConcurrent(t *testing.T) {
 	for _, sem := range pfs.AllSemantics() {
 		sem := sem

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/payload"
 	"repro/internal/pfs"
@@ -23,27 +24,6 @@ func mustOpen(t *testing.T, fs *pfs.FileSystem, rank int, path string) *pfs.Hand
 		t.Fatal(err)
 	}
 	return h
-}
-
-// noDrainLog builds a Log whose background drainer never runs, so queue
-// state between operations is fully deterministic. Tests drive draining
-// through the foreground barrier paths.
-func noDrainLog(t *testing.T, opts Options) *Log {
-	t.Helper()
-	opts = opts.withDefaults()
-	if opts.Dir == "" {
-		opts.Dir = t.TempDir()
-	}
-	f, err := os.OpenFile(filepath.Join(opts.Dir, logName(0)), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { f.Close() })
-	l := &Log{rank: 0, opts: opts, dir: opts.Dir, file: f, done: make(chan struct{})}
-	l.cond = sync.NewCond(&l.mu)
-	close(l.done)
-	l.stopped = false
-	return l
 }
 
 func TestAppendRecoverRoundTrip(t *testing.T) {
@@ -155,7 +135,7 @@ func TestOpenSalvagesAndResumesAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := l2.statsSnapshot().Salvaged; got != 1 {
+	if got := l2.stats.Salvaged; got != 1 {
 		t.Fatalf("salvaged %d records, want 1", got)
 	}
 	fs2 := pfs.New(pfs.Options{Semantics: pfs.Strong})
@@ -220,10 +200,25 @@ func TestRecoverForgedLengthBoundedAlloc(t *testing.T) {
 	}
 }
 
-func TestWriteAcksAndBarrierDrains(t *testing.T) {
+// openLog opens rank 0's log in a fresh test directory.
+func openLog(t *testing.T, opts Options) *Log {
+	t.Helper()
+	opts.Dir = t.TempDir()
+	l, err := Open(0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	return l
+}
+
+// TestAckedWriteVisibleToNextRead: Write returns with the payload already
+// in the pfs, so the next read sees it with nothing in between, and the
+// ack still costs far less than the pfs write it made.
+func TestAckedWriteVisibleToNextRead(t *testing.T) {
 	fs := pfs.New(pfs.Options{Semantics: pfs.Strong})
 	h := mustOpen(t, fs, 0, "/f")
-	l := noDrainLog(t, Options{})
+	l := openLog(t, Options{})
 
 	ackCost, err := l.Write(h, 0, payload.Bytes(bytes.Repeat([]byte{1}, 4096)), 20)
 	if err != nil {
@@ -236,59 +231,22 @@ func TestWriteAcksAndBarrierDrains(t *testing.T) {
 	if ackCost >= directCost {
 		t.Fatalf("ack cost %d not cheaper than direct pfs write %d", ackCost, directCost)
 	}
-	if got := l.statsSnapshot(); got.Acked != 1 || got.Drained != 0 {
-		t.Fatalf("stats = %+v, want 1 acked, 0 drained", got)
+	if got := l.stats; got.Acked != 1 || got.Drained != 1 {
+		t.Fatalf("stats = %+v, want 1 acked, 1 drained", got)
 	}
-	// Read-your-writes through the barrier: the read must see the queued
-	// write drained first.
-	p, _, err := l.Read(h, 0, 4, 40)
-	data := p.Materialize()
+	p, _, err := h.Read(0, 4, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(data, []byte{1, 1, 1, 1}) {
-		t.Fatalf("read %v after barrier, want drained write visible", data)
-	}
-	if got := l.statsSnapshot(); got.Drained != 1 {
-		t.Fatalf("stats = %+v, want 1 drained", got)
-	}
-}
-
-func TestWatermarkDegradesToWriteThrough(t *testing.T) {
-	fs := pfs.New(pfs.Options{Semantics: pfs.Commit})
-	h := mustOpen(t, fs, 0, "/f")
-	l := noDrainLog(t, Options{NoFsync: true})
-
-	for i := 0; i < watermark; i++ {
-		if _, err := l.Write(h, int64(i)*4, payload.Bytes([]byte("abcd")), uint64(20+10*i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Queue is at the watermark: the next write must drain and write through.
-	now := uint64(20 + 10*watermark)
-	if _, err := l.Write(h, int64(watermark)*4, payload.Bytes([]byte("abcd")), now); err != nil {
-		t.Fatal(err)
-	}
-	got := l.statsSnapshot()
-	if got.Acked != watermark || got.WriteThrough != 1 || got.Drained != watermark || got.QueuePeak != watermark {
-		t.Fatalf("stats = %+v, want acked=%d writethrough=1 drained=%d peak=%d", got, watermark, watermark, watermark)
-	}
-	if l.Degraded() {
-		t.Fatal("watermark pressure must not stick the log in degraded mode")
-	}
-	// Pressure released: the next write acks from the log again.
-	if _, err := l.Write(h, int64(watermark+1)*4, payload.Bytes([]byte("abcd")), now+10); err != nil {
-		t.Fatal(err)
-	}
-	if got := l.statsSnapshot(); got.Acked != watermark+1 {
-		t.Fatalf("stats = %+v, want acked=%d after pressure release", got, watermark+1)
+	if data := p.Materialize(); !bytes.Equal(data, []byte{1, 1, 1, 1}) {
+		t.Fatalf("read %v right after the ack, want the acked write", data)
 	}
 }
 
 func TestLogFailureDegradesSticky(t *testing.T) {
 	fs := pfs.New(pfs.Options{Semantics: pfs.Strong})
 	h := mustOpen(t, fs, 0, "/f")
-	l := noDrainLog(t, Options{})
+	l := openLog(t, Options{})
 
 	// Kill the log disk out from under the Log.
 	l.file.Close()
@@ -297,9 +255,9 @@ func TestLogFailureDegradesSticky(t *testing.T) {
 			t.Fatalf("write %d must survive log failure via write-through: %v", i, err)
 		}
 	}
-	got := l.statsSnapshot()
-	if !l.Degraded() || got.WriteThrough != 2 || got.Acked != 0 {
-		t.Fatalf("degraded=%v stats=%+v, want sticky write-through", l.Degraded(), got)
+	got := l.stats
+	if !l.degraded || got.WriteThrough != 2 || got.Acked != 0 {
+		t.Fatalf("degraded=%v stats=%+v, want sticky write-through", l.degraded, got)
 	}
 	p, _, err := h.Read(0, 8, 100)
 	data := p.Materialize()
@@ -308,30 +266,31 @@ func TestLogFailureDegradesSticky(t *testing.T) {
 	}
 }
 
-func TestDeferredDrainErrorSurfaces(t *testing.T) {
+// TestWriteAfterCrashFails: a write whose pfs half fails returns that
+// error from the same call; no later operation inherits it.
+func TestWriteAfterCrashFails(t *testing.T) {
 	fs := pfs.New(pfs.Options{Semantics: pfs.Strong})
 	c := fs.NewClient(0, 0)
 	h, _, err := c.Open("/f", pfs.OCreat|pfs.ORdwr, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := noDrainLog(t, Options{})
-	if _, err := l.Write(h, 0, payload.Bytes([]byte("doomed")), 20); err != nil {
-		t.Fatal(err)
+	l := openLog(t, Options{})
+	c.Crash()
+	if _, err := l.Write(h, 0, payload.Bytes([]byte("doomed")), 20); !errors.Is(err, pfs.ErrCrashed) {
+		t.Fatalf("write after crash = %v, want ErrCrashed", err)
 	}
-	c.Crash() // the queued record can now never drain
-	if _, _, err := l.Read(h, 0, 6, 30); !errors.Is(err, pfs.ErrCrashed) {
-		t.Fatalf("barrier error = %v, want ErrCrashed from the failed drain", err)
+	if got := l.stats; got.Acked != 1 || got.Drained != 0 {
+		t.Fatalf("stats = %+v, want the write logged but not drained", got)
 	}
-	// The error was surfaced once; the barrier itself is clean afterwards.
-	if err := l.Barrier(); err != nil {
-		t.Fatalf("second barrier = %v, want nil (error already surfaced, record dropped)", err)
+	if err := l.Close(); err != nil {
+		t.Fatalf("close = %v, want nil (the write's error was already returned)", err)
 	}
 }
 
 // transientInjector fails every attempt of the first remaining write
 // operations, so each one fails past the client's retry budget and reaches
-// the WAL drain loop as pfs.ErrTransient; later writes pass.
+// the WAL's retry loop as pfs.ErrTransient; later writes pass.
 type transientInjector struct {
 	mu        sync.Mutex
 	remaining int
@@ -353,37 +312,51 @@ func (ti *transientInjector) Intercept(op pfs.OpInfo) pfs.FaultAction {
 	return pfs.FaultAction{Transient: ti.failing}
 }
 
-func TestDrainRetriesTransientWithBackoff(t *testing.T) {
+// TestWriteRetriesTransient: a write whose first two pfs attempts fail
+// transiently lands on the third, inside the one call.
+func TestWriteRetriesTransient(t *testing.T) {
 	fs := pfs.New(pfs.Options{Semantics: pfs.Strong})
 	h := mustOpen(t, fs, 0, "/f")
-	fs.SetInjector(&transientInjector{remaining: 1 << 30})
-	l := noDrainLog(t, Options{})
-
-	if _, err := l.Write(h, 0, payload.Bytes([]byte("x")), 20); err != nil {
-		t.Fatal(err)
-	}
-	err := l.Barrier()
-	if !errors.Is(err, pfs.ErrTransient) {
-		t.Fatalf("barrier = %v, want ErrTransient after retries exhausted", err)
-	}
-	if got := l.statsSnapshot(); got.Retries != maxDrainRetries || got.Drained != 0 {
-		t.Fatalf("stats = %+v, want %d retries, 0 drained", got, maxDrainRetries)
-	}
-
-	// Now let the fault clear after two failed drain attempts: the drain
-	// succeeds.
 	fs.SetInjector(&transientInjector{remaining: 2})
-	if _, err := l.Write(h, 0, payload.Bytes([]byte("y")), 30); err != nil {
-		t.Fatal(err)
+	l := openLog(t, Options{})
+
+	if _, err := l.Write(h, 0, payload.Bytes([]byte("y")), 20); err != nil {
+		t.Fatalf("write with 2 transient faults = %v", err)
 	}
-	if err := l.Barrier(); err != nil {
-		t.Fatalf("barrier after fault cleared = %v", err)
-	}
-	if got := l.statsSnapshot(); got.Drained != 1 || got.Retries != maxDrainRetries+2 {
-		t.Fatalf("stats = %+v, want the retried record drained after 2 more retries", got)
+	if got := l.stats; got.Retries != 2 || got.Drained != 1 {
+		t.Fatalf("stats = %+v, want 2 retries, 1 drained", got)
 	}
 }
 
+// TestWriteTransientExhausted: a write that never stops failing returns
+// ErrTransient after maxDrainRetries retries, and the retries sleep no host
+// time. Six retries at storage's default backoff would sleep at least
+// 4.7 ms; the fastest of five exhausted writes must stay under 2 ms.
+func TestWriteTransientExhausted(t *testing.T) {
+	fs := pfs.New(pfs.Options{Semantics: pfs.Strong})
+	h := mustOpen(t, fs, 0, "/f")
+	fs.SetInjector(&transientInjector{remaining: 1 << 30})
+	l := openLog(t, Options{NoFsync: true})
+
+	fastest := time.Hour
+	for i := 0; i < 5; i++ {
+		start := time.Now()
+		_, err := l.Write(h, 0, payload.Bytes([]byte("x")), uint64(20+10*i))
+		fastest = min(fastest, time.Since(start))
+		if !errors.Is(err, pfs.ErrTransient) {
+			t.Fatalf("write %d = %v, want ErrTransient after retries exhausted", i, err)
+		}
+	}
+	if got := l.stats; got.Retries != 5*maxDrainRetries || got.Drained != 0 {
+		t.Fatalf("stats = %+v, want %d retries, 0 drained", got, 5*maxDrainRetries)
+	}
+	if fastest >= 2*time.Millisecond {
+		t.Fatalf("fastest exhausted write took %v; the retries must not sleep", fastest)
+	}
+}
+
+// TestCloseDrainsEverything: every write is in the pfs by the time Close
+// returns, and closing twice is a no-op.
 func TestCloseDrainsEverything(t *testing.T) {
 	dir := t.TempDir()
 	fs := pfs.New(pfs.Options{Semantics: pfs.Eventual})
@@ -401,7 +374,7 @@ func TestCloseDrainsEverything(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st := l.statsSnapshot()
+	st := l.stats
 	if st.Drained+st.WriteThrough != 50 {
 		t.Fatalf("stats = %+v, want all 50 writes in the pfs", st)
 	}
@@ -412,42 +385,5 @@ func TestCloseDrainsEverything(t *testing.T) {
 	// Close is idempotent.
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBackoffJitterBounds(t *testing.T) {
-	b := storage.Backoff{BaseNS: 100_000, Multiplier: 2, CapNS: 1 << 30, Seed: 42}
-	nominal := uint64(100_000)
-	for attempt := 0; attempt < 20; attempt++ {
-		d := b.Delay(attempt)
-		lo, hi := nominal-nominal/4, nominal+nominal/4
-		if d < lo || d > hi {
-			t.Fatalf("attempt %d: delay %d outside documented ±25%% bounds [%d, %d] of nominal %d",
-				attempt, d, lo, hi, nominal)
-		}
-		if nominal < (1<<30)/2 {
-			nominal *= 2
-		} else {
-			nominal = 1 << 30
-		}
-	}
-	// Pure function of (Seed, attempt): identical across calls and goroutines.
-	for attempt := 0; attempt < 8; attempt++ {
-		want := b.Delay(attempt)
-		var wg sync.WaitGroup
-		got := make([]uint64, 8)
-		for i := range got {
-			wg.Add(1)
-			go func(i, attempt int) {
-				defer wg.Done()
-				got[i] = b.Delay(attempt)
-			}(i, attempt)
-		}
-		wg.Wait()
-		for i, g := range got {
-			if g != want {
-				t.Fatalf("concurrent Delay(%d) call %d = %d, want %d", attempt, i, g, want)
-			}
-		}
 	}
 }
