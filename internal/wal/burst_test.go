@@ -181,3 +181,36 @@ func TestRecoverBurstWedgedLog(t *testing.T) {
 		t.Fatalf("RecoverBurst after dropping a log-backed record: %v", err)
 	}
 }
+
+// TestBackoffJitterBounds: when the log's backend wedges, every append the
+// retry policy gives up on sleeps the default backoff between its tries —
+// the k-th sleep within ±25% of 100µs·2^k — and the sleep sequence of a
+// one-rank burst is identical run to run.
+func TestBackoffJitterBounds(t *testing.T) {
+	const perOp = 4 // retries of one exhausted operation
+	run := func() []time.Duration {
+		var sleeps []time.Duration
+		wedged := storage.NewRetry(storage.NewFlaky(storage.OS(), storage.Schedule{WedgeAfter: 8}),
+			storage.RetryOptions{Sleep: func(d time.Duration) { sleeps = append(sleeps, d) }})
+		spec := BurstSpec{Semantics: pfs.Commit, Ranks: 1, Records: 16, Block: 64,
+			Log: Options{Dir: t.TempDir(), Backend: logOnly{Backend: storage.OS(), log: wedged}}}
+		if _, err := RunBurst(spec); err != nil {
+			t.Fatal(err)
+		}
+		return sleeps
+	}
+
+	s1 := run()
+	if len(s1) == 0 || len(s1)%perOp != 0 {
+		t.Fatalf("%d sleeps, want a positive multiple of %d", len(s1), perOp)
+	}
+	for i, d := range s1 {
+		nominal := time.Duration(100_000) << (i % perOp)
+		if lo, hi := nominal-nominal/4, nominal+nominal/4; d < lo || d > hi {
+			t.Fatalf("sleep %d: %v outside [%v, %v] (nominal %v)", i, d, lo, hi, nominal)
+		}
+	}
+	if s2 := run(); !slices.Equal(s1, s2) {
+		t.Fatalf("sleep sequences differ run to run:\n%v\n%v", s1, s2)
+	}
+}
