@@ -51,8 +51,6 @@ var unusedExportAllow = map[string]string{
 	"internal/pfs.Client.Crashed":                         "faults' tests check which clients a schedule crashed",
 	"internal/pfs.ErrCrashed":                             "error contract: faults' and wal's tests match a crashed client with errors.Is",
 	"internal/pfs.ErrLaminated":                           "error contract: wal's tests and pfstest match a write to a laminated file with errors.Is",
-	"internal/pfs.FileSystem.Exists":                      "adios' and silo's tests check the files a dump created",
-	"internal/pfs.FileSystem.Paths":                       "adios' tests list the files a dump created",
 	"internal/pfs.FileSystem.Rename":                      "posix's test-only rename(2) renames through it",
 	"internal/pfs.Handle.Laminate":                        "wal's test-only laminate and pfstest laminate through it",
 	"internal/pfs.ORdonly":                                "open-flag set: production opens with ORdwr and OCreat, other packages' tests open read-only",

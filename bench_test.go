@@ -51,8 +51,8 @@ func BenchmarkTable1SemanticsModels(b *testing.B) {
 	for _, sem := range pfs.AllSemantics() {
 		b.Run(sem.String(), func(b *testing.B) {
 			fs := pfs.New(pfs.Options{Semantics: sem})
-			w := fs.NewClient(0, 0)
-			r := fs.NewClient(1, 0)
+			w := fs.NewClient(0)
+			r := fs.NewClient(1)
 			hw, _, err := w.Open("/f", pfs.OCreat|pfs.OWronly, 1)
 			if err != nil {
 				b.Fatal(err)

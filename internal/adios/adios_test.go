@@ -99,8 +99,10 @@ func TestMetadataFilesOnRank0(t *testing.T) {
 		w.EndStep()
 		return w.Close()
 	})
-	if !res.FS.Exists("/md.bp/md.0") || !res.FS.Exists("/md.bp/md.idx") {
-		t.Fatalf("metadata files missing: %v", res.FS.Paths())
+	for _, path := range []string{"/md.bp/md.0", "/md.bp/md.idx"} {
+		if _, _, err := res.FS.Stat(path); err != nil {
+			t.Fatalf("metadata file %s: %v", path, err)
+		}
 	}
 }
 

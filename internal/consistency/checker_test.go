@@ -26,29 +26,29 @@ func (h *hist) add(ev pfs.HistoryEvent) *hist {
 }
 
 func (h *hist) open(rank int, handle uint64, flags int, now uint64) *hist {
-	return h.add(pfs.HistoryEvent{Kind: pfs.EvOpen, Rank: rank, Handle: handle, Flags: flags, Now: now})
+	return h.add(pfs.HistoryEvent{Kind: pfs.OpOpen, Rank: rank, Handle: handle, Flags: flags, Now: now})
 }
 func (h *hist) write(rank int, handle uint64, off int64, data string, now uint64) *hist {
-	return h.add(pfs.HistoryEvent{Kind: pfs.EvWrite, Rank: rank, Handle: handle, Off: off,
+	return h.add(pfs.HistoryEvent{Kind: pfs.OpWrite, Rank: rank, Handle: handle, Off: off,
 		Len: int64(len(data)), Data: []byte(data), Now: now})
 }
 
 // read records a read that requested n bytes and returned got.
 func (h *hist) read(rank int, handle uint64, off, n int64, got string, now uint64) *hist {
-	return h.add(pfs.HistoryEvent{Kind: pfs.EvRead, Rank: rank, Handle: handle, Off: off,
+	return h.add(pfs.HistoryEvent{Kind: pfs.OpRead, Rank: rank, Handle: handle, Off: off,
 		Len: n, Data: []byte(got), Now: now})
 }
 func (h *hist) commit(rank int, handle uint64, now uint64) *hist {
-	return h.add(pfs.HistoryEvent{Kind: pfs.EvCommit, Rank: rank, Handle: handle, Now: now})
+	return h.add(pfs.HistoryEvent{Kind: pfs.OpCommit, Rank: rank, Handle: handle, Now: now})
 }
 func (h *hist) close(rank int, handle uint64, now uint64) *hist {
-	return h.add(pfs.HistoryEvent{Kind: pfs.EvClose, Rank: rank, Handle: handle, Now: now})
+	return h.add(pfs.HistoryEvent{Kind: pfs.OpClose, Rank: rank, Handle: handle, Now: now})
 }
 func (h *hist) laminate(rank int, handle uint64, now uint64) *hist {
-	return h.add(pfs.HistoryEvent{Kind: pfs.EvLaminate, Rank: rank, Handle: handle, Now: now})
+	return h.add(pfs.HistoryEvent{Kind: pfs.OpLaminate, Rank: rank, Handle: handle, Now: now})
 }
 func (h *hist) truncate(rank int, handle uint64, length int64) *hist {
-	return h.add(pfs.HistoryEvent{Kind: pfs.EvTruncate, Rank: rank, Handle: handle, Off: length})
+	return h.add(pfs.HistoryEvent{Kind: pfs.OpTruncate, Rank: rank, Handle: handle, Off: length})
 }
 
 func mustAccept(t *testing.T, model pfs.Semantics, h *hist, opt Options) Result {
@@ -70,7 +70,7 @@ func mustReject(t *testing.T, model pfs.Semantics, h *hist, opt Options, clause 
 		t.Fatalf("%v spec rejected with clause %s, want %s (%v)",
 			model, res.Violation.Clause, clause, res.Violation)
 	}
-	if res.Violation.Read.Kind != pfs.EvRead {
+	if res.Violation.Read.Kind != pfs.OpRead {
 		t.Fatalf("violation anchored to %v, want a read", res.Violation.Read.Kind)
 	}
 	return res.Violation
@@ -113,7 +113,7 @@ func TestCheckerStrongRejectsShortRead(t *testing.T) {
 		write(0, 1, 0, "abc", 30).
 		read(1, 2, 0, 3, "", 40) // hidden write: strong mandates visibility
 	v := mustReject(t, pfs.Strong, h, Options{}, "strong-read-latest")
-	if v.Write == nil || v.Write.Kind != pfs.EvWrite {
+	if v.Write == nil || v.Write.Kind != pfs.OpWrite {
 		t.Fatalf("counterexample should name the hidden write, got %+v", v.Write)
 	}
 	if v.Offset != -1 {
@@ -138,7 +138,7 @@ func TestCheckerCommit(t *testing.T) {
 		Options{}, "commit-visibility")
 	// A dropped commit (recorded as failed) publishes nothing.
 	dropped := pre()
-	dropped.add(pfs.HistoryEvent{Kind: pfs.EvCommit, Rank: 0, Handle: 1, Now: 40,
+	dropped.add(pfs.HistoryEvent{Kind: pfs.OpCommit, Rank: 0, Handle: 1, Now: 40,
 		Err: "fault: dropped commit"})
 	mustAccept(t, pfs.Commit, dropped.read(1, 2, 0, 3, "", 50), Options{})
 }
@@ -155,7 +155,7 @@ func TestCheckerCommitIsolationNamesLeakedWrite(t *testing.T) {
 		write(0, 1, 0, "abc", 50).
 		read(1, 2, 0, 3, "abc", 60)
 	v := mustReject(t, pfs.Commit, h, Options{}, "commit-isolation")
-	if v.Write == nil || v.Write.Rank != 0 || v.Write.Kind != pfs.EvWrite {
+	if v.Write == nil || v.Write.Rank != 0 || v.Write.Kind != pfs.OpWrite {
 		t.Fatalf("counterexample should name rank 0's uncommitted write, got %+v", v.Write)
 	}
 }
@@ -212,7 +212,7 @@ func TestCheckerReadYourWrites(t *testing.T) {
 	if v.Offset != 2 {
 		t.Fatalf("violating byte = %d, want 2", v.Offset)
 	}
-	if v.Write == nil || v.Write.Kind != pfs.EvWrite {
+	if v.Write == nil || v.Write.Kind != pfs.OpWrite {
 		t.Fatalf("counterexample should name the buffered write, got %+v", v.Write)
 	}
 }
@@ -240,7 +240,7 @@ func TestCheckerMalformedHistory(t *testing.T) {
 func TestCheckerSkipsFailedOps(t *testing.T) {
 	h := new(hist).
 		open(0, 1, pfs.OCreat|pfs.ORdwr, 10)
-	h.add(pfs.HistoryEvent{Kind: pfs.EvWrite, Rank: 0, Handle: 1, Off: 0, Len: 3,
+	h.add(pfs.HistoryEvent{Kind: pfs.OpWrite, Rank: 0, Handle: 1, Off: 0, Len: 3,
 		Now: 20, Err: "pfs: transient I/O error (retries exhausted)"})
 	mustAccept(t, pfs.Strong, h.read(0, 1, 0, 3, "", 30), Options{})
 }
@@ -329,8 +329,8 @@ func TestCheckLogEndToEnd(t *testing.T) {
 	fs := pfs.New(pfs.Options{Semantics: pfs.Commit})
 	log := NewLog()
 	fs.SetHistoryRecorder(log)
-	w := fs.NewClient(0, 0)
-	r := fs.NewClient(1, 0)
+	w := fs.NewClient(0)
+	r := fs.NewClient(1)
 	hw, _, err := w.Open("/f", pfs.OCreat|pfs.OWronly, 10)
 	if err != nil {
 		t.Fatal(err)

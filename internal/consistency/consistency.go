@@ -61,7 +61,7 @@ type Options struct {
 type Violation struct {
 	Model  pfs.Semantics
 	Clause string
-	// Read is the observing operation (always an EvRead).
+	// Read is the observing operation (always an OpRead).
 	Read pfs.HistoryEvent
 	// Write is the conflicting or missing operation, when one is
 	// identifiable (nil for malformed histories).
@@ -135,19 +135,19 @@ func checkHistory(model pfs.Semantics, events []pfs.HistoryEvent, opt Options) (
 			continue // failed ops left the file system unchanged
 		}
 		switch ev.Kind {
-		case pfs.EvOpen:
+		case pfs.OpOpen:
 			c.open(ev)
-		case pfs.EvWrite:
+		case pfs.OpWrite:
 			c.write(ev)
-		case pfs.EvCommit:
+		case pfs.OpCommit:
 			c.commit(ev)
-		case pfs.EvClose:
+		case pfs.OpClose:
 			c.close(ev)
-		case pfs.EvLaminate:
+		case pfs.OpLaminate:
 			c.laminate(ev)
-		case pfs.EvTruncate:
+		case pfs.OpTruncate:
 			c.truncate(ev)
-		case pfs.EvRead:
+		case pfs.OpRead:
 			res.Reads++
 			res.Bytes += int64(len(ev.Data))
 			if v := c.checkRead(ev); v != nil {

@@ -117,7 +117,7 @@ func TestMutantsRejected(t *testing.T) {
 			if v.Clause != m.clause {
 				t.Fatalf("rejected with clause %s, want %s (%v)", v.Clause, m.clause, v)
 			}
-			if v.Read.Kind != pfs.EvRead {
+			if v.Read.Kind != pfs.OpRead {
 				t.Fatalf("counterexample not anchored to a read: %v", v)
 			}
 			if v.String() == "" {

@@ -8,8 +8,10 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/consistency"
+	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/pfs"
+	"repro/internal/wal"
 )
 
 // ConsistencyCell is one (configuration, model) cell of the cross-model
@@ -56,7 +58,9 @@ func ConsistencyComparison(ctx context.Context, s Scale, names []string) ([]Cons
 			if err := ctx.Err(); err != nil {
 				return cells, err
 			}
-			cell, err := consistencyCell(cfg, sem, s)
+			span := obs.Default().Tracer().Start(cfg.Name()+"/"+sem.String(), "experiments.consistency")
+			cell, _, err := specCell(cfg, sem, s, false)
+			span.End()
 			if err != nil {
 				return cells, fmt.Errorf("experiments: %s under %v: %w", cfg.Name(), sem, err)
 			}
@@ -66,26 +70,36 @@ func ConsistencyComparison(ctx context.Context, s Scale, names []string) ([]Cons
 	return cells, nil
 }
 
-func consistencyCell(cfg *apps.Config, sem pfs.Semantics, s Scale) (ConsistencyCell, error) {
-	span := obs.Default().Tracer().Start(cfg.Name()+"/"+sem.String(), "experiments.consistency")
-	defer span.End()
-
+// specCell is the one spec-checked run both comparison tables are made of:
+// cfg under sem at scale s with the op-history recorder attached, through
+// per-rank write-ahead logs when withWAL is set, and the history checked
+// against the model's formal spec. It returns the cell and the run, for
+// columns of the caller's own.
+func specCell(cfg *apps.Config, sem pfs.Semantics, s Scale, withWAL bool) (ConsistencyCell, *harness.Result, error) {
 	fs := pfs.New(pfs.Options{Semantics: sem})
 	log := consistency.NewLog()
 	fs.SetHistoryRecorder(log)
-	res, err := apps.Execute(cfg, apps.Options{
+	opts := apps.Options{
 		Ranks:     s.Ranks,
 		PPN:       s.PPN,
 		Seed:      s.Seed,
 		Semantics: sem,
 		FS:        fs,
 		Params:    s.Params,
-	})
+	}
+	if withWAL {
+		// The acknowledgement cost model is what the WAL comparison
+		// measures; NoFsync only skips host-disk flushes of the
+		// simulation's own log files (durability is the kill-and-recover
+		// harness's department).
+		opts.WAL = &wal.Options{NoFsync: true}
+	}
+	res, err := apps.Execute(cfg, opts)
 	if err != nil {
-		return ConsistencyCell{}, err
+		return ConsistencyCell{}, nil, err
 	}
 	if err := res.Err(); err != nil {
-		return ConsistencyCell{}, err
+		return ConsistencyCell{}, nil, err
 	}
 	var elapsed uint64
 	for _, rs := range res.Trace.PerRank {
@@ -93,7 +107,6 @@ func consistencyCell(cfg *apps.Config, sem pfs.Semantics, s Scale) (ConsistencyC
 			elapsed = rs[len(rs)-1].TEnd
 		}
 	}
-	st := fs.Stats()
 	check := consistency.CheckLog(sem, log, consistency.Options{
 		EventualDelayNS: fs.Options().EventualDelay,
 	})
@@ -101,14 +114,14 @@ func consistencyCell(cfg *apps.Config, sem pfs.Semantics, s Scale) (ConsistencyC
 		Config:       cfg.Name(),
 		Semantics:    sem,
 		ElapsedNS:    elapsed,
-		LockAcquires: st.LockAcquires,
+		LockAcquires: fs.Stats().LockAcquires,
 		Events:       check.Events,
 		Accepted:     check.OK(),
 	}
 	if !check.OK() {
 		cell.Clause = check.Violation.Clause
 	}
-	return cell, nil
+	return cell, res, nil
 }
 
 // ConsistencyTable renders the cross-model comparison: per configuration,

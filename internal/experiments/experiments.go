@@ -341,8 +341,6 @@ type BenchResult struct {
 	ElapsedNS     uint64 // simulated wall time of the I/O phase
 	LockAcquires  int64
 	LockContended int64
-	MetaOps       int64
-	BytesWritten  int64
 }
 
 // PFSBenchWorkloads lists the ablation workloads.
@@ -420,8 +418,6 @@ func PFSBench(workload string, sem pfs.Semantics, ranks, ppn int, block int64, o
 		ElapsedNS:     elapsed,
 		LockAcquires:  st.LockAcquires,
 		LockContended: st.LockContended,
-		MetaOps:       st.MetaOps,
-		BytesWritten:  st.BytesWritten,
 	}, nil
 }
 

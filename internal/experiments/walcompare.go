@@ -7,10 +7,9 @@ import (
 	"strings"
 
 	"repro/internal/apps"
-	"repro/internal/consistency"
+	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/pfs"
-	"repro/internal/wal"
 )
 
 // WAL on/off checkpoint-burst comparison: the payoff table for the
@@ -39,9 +38,7 @@ type WALCell struct {
 	Writes    int     // POSIX-layer write records in the traced phase
 	AckMeanNS float64 // mean write acknowledgement latency (simulated)
 	AckP99NS  uint64  // 99th-percentile write acknowledgement latency
-	ElapsedNS uint64  // simulated wall time of the traced phase
 
-	Events   int    // recorded op-history length
 	Accepted bool   // history satisfies the model's formal spec
 	Clause   string // failed predicate clause when rejected
 }
@@ -64,11 +61,17 @@ func WALComparison(ctx context.Context, s Scale, names []string) ([]WALCell, err
 				if err := ctx.Err(); err != nil {
 					return cells, err
 				}
-				cell, err := walCell(cfg, sem, s, withWAL)
+				span := obs.Default().Tracer().Start(
+					fmt.Sprintf("%s/%s/wal=%v", cfg.Name(), sem, withWAL), "experiments.wal")
+				sc, res, err := specCell(cfg, sem, s, withWAL)
+				span.End()
 				if err != nil {
 					return cells, fmt.Errorf("experiments: %s under %v (wal=%v): %w",
 						cfg.Name(), sem, withWAL, err)
 				}
+				cell := WALCell{Config: sc.Config, Semantics: sem, WAL: withWAL,
+					Accepted: sc.Accepted, Clause: sc.Clause}
+				cell.Writes, cell.AckMeanNS, cell.AckP99NS = ackLatencies(res)
 				cells = append(cells, cell)
 			}
 		}
@@ -76,67 +79,25 @@ func WALComparison(ctx context.Context, s Scale, names []string) ([]WALCell, err
 	return cells, nil
 }
 
-func walCell(cfg *apps.Config, sem pfs.Semantics, s Scale, withWAL bool) (WALCell, error) {
-	span := obs.Default().Tracer().Start(
-		fmt.Sprintf("%s/%s/wal=%v", cfg.Name(), sem, withWAL), "experiments.wal")
-	defer span.End()
-
-	fs := pfs.New(pfs.Options{Semantics: sem})
-	log := consistency.NewLog()
-	fs.SetHistoryRecorder(log)
-	opts := apps.Options{
-		Ranks:     s.Ranks,
-		PPN:       s.PPN,
-		Seed:      s.Seed,
-		Semantics: sem,
-		FS:        fs,
-		Params:    s.Params,
-	}
-	if withWAL {
-		// The acknowledgement cost model is what the comparison measures;
-		// NoFsync only skips host-disk flushes of the simulation's own log
-		// files (durability is the kill-and-recover harness's department).
-		opts.WAL = &wal.Options{NoFsync: true}
-	}
-	res, err := apps.Execute(cfg, opts)
-	if err != nil {
-		return WALCell{}, err
-	}
-	if err := res.Err(); err != nil {
-		return WALCell{}, err
-	}
-
-	cell := WALCell{Config: cfg.Name(), Semantics: sem, WAL: withWAL}
+// ackLatencies returns a run's POSIX write count and the mean and 99th
+// percentile of their acknowledgement latency (TEnd-TStart, simulated).
+func ackLatencies(res *harness.Result) (n int, mean float64, p99 uint64) {
 	var lats []uint64
 	var sum float64
 	for rank := range res.Trace.PerRank {
 		for s := res.Trace.Stream(rank); s.Next(); {
-			r := s.Record()
-			if r.TEnd > cell.ElapsedNS {
-				cell.ElapsedNS = r.TEnd
-			}
-			if r.IsWriteOp() {
+			if r := s.Record(); r.IsWriteOp() {
 				d := r.TEnd - r.TStart
 				lats = append(lats, d)
 				sum += float64(d)
 			}
 		}
 	}
-	cell.Writes = len(lats)
-	if len(lats) > 0 {
-		cell.AckMeanNS = sum / float64(len(lats))
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		cell.AckP99NS = lats[len(lats)*99/100]
+	if len(lats) == 0 {
+		return 0, 0, 0
 	}
-	check := consistency.CheckLog(sem, log, consistency.Options{
-		EventualDelayNS: fs.Options().EventualDelay,
-	})
-	cell.Events = check.Events
-	cell.Accepted = check.OK()
-	if !check.OK() {
-		cell.Clause = check.Violation.Clause
-	}
-	return cell, nil
+	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	return len(lats), sum / float64(len(lats)), lats[len(lats)*99/100]
 }
 
 // WALTable renders the comparison: one row per (configuration, model) with

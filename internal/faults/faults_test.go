@@ -67,7 +67,7 @@ func injectorFS(t *testing.T, sem pfs.Semantics, injs ...faultInjection) (*pfs.F
 	inj := newFaultInjector(faultSchedule{Injections: injs})
 	fs := pfs.New(pfs.Options{Semantics: sem, EventualDelay: 1000})
 	fs.SetInjector(inj)
-	return fs, inj, fs.NewClient(0, 0), fs.NewClient(1, 0)
+	return fs, inj, fs.NewClient(0), fs.NewClient(1)
 }
 
 func write(t *testing.T, h *pfs.Handle, off int64, data []byte, now uint64) {
@@ -301,7 +301,7 @@ func TestEventLogStableAcrossIdenticalRuns(t *testing.T) {
 		fs := pfs.New(pfs.Options{Semantics: pfs.Strong})
 		fs.SetInjector(inj)
 		for rank := 0; rank < 2; rank++ {
-			c := fs.NewClient(rank, 0)
+			c := fs.NewClient(rank)
 			h, _, err := c.Open("/shared", pfs.OCreat|pfs.ORdwr, 1)
 			if err != nil {
 				t.Fatal(err)

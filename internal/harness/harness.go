@@ -146,7 +146,7 @@ func Run(cfg Config, meta recorder.Meta, body func(*Ctx) error) (*Result, error)
 		rng := root.Split(uint64(r))
 		clock := sim.NewClock(clockEpoch, rng.SkewNS(skewMaxNS))
 		tracers[r] = recorder.NewRankTracer(r)
-		client := fs.NewClient(r, topo.NodeOf(r))
+		client := fs.NewClient(r)
 		ctxs[r] = &Ctx{
 			Rank:   r,
 			Size:   cfg.Ranks,

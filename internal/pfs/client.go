@@ -14,14 +14,13 @@ import (
 type Client struct {
 	fs      *FileSystem
 	rank    int
-	node    int
 	pending map[string][]extent // written but not yet published, per path
 	crashed bool
 }
 
-// NewClient creates the client for a rank on a node.
-func (fs *FileSystem) NewClient(rank, node int) *Client {
-	return &Client{fs: fs, rank: rank, node: node, pending: make(map[string][]extent)}
+// NewClient creates the client for a rank.
+func (fs *FileSystem) NewClient(rank int) *Client {
+	return &Client{fs: fs, rank: rank, pending: make(map[string][]extent)}
 }
 
 // FS returns the shared file system this client talks to.
@@ -32,7 +31,6 @@ type Handle struct {
 	c        *Client
 	id       uint64 // open-description identity in the operation history
 	path     string
-	flags    int
 	openSeq  uint64 // publish sequence snapshot at open (session visibility)
 	closed   bool
 	readable bool
@@ -53,36 +51,125 @@ const (
 	accessMask = 0x3
 )
 
+// call is one client operation in flight: the history event that
+// describes it, built once when the call starts and recorded however the
+// call ends, and the fault action the injector chose for it.
+type call struct {
+	c   *Client
+	h   *Handle // nil for Open
+	ev  HistoryEvent
+	act FaultAction
+}
+
+// startLocked describes a call of the given kind on h into the zero call
+// k and guards it (see guardLocked). off is the offset, or the new length
+// of a truncate; n is the write's or the requested read's length. Callers
+// hold fs.mu.
+func (k *call) startLocked(h *Handle, kind OpKind, off, n int64, now uint64) error {
+	k.c, k.h = h.c, h
+	// Field by field: a composite literal would be built aside and copied.
+	ev := &k.ev
+	ev.Kind, ev.Rank, ev.Path, ev.Handle = kind, h.c.rank, h.path, h.id
+	ev.Off, ev.Len, ev.Now = off, n, now
+	return k.guardLocked()
+}
+
+// guardLocked is the one check every call passes: a crashed client, a
+// closed handle, or a handle not open for the access a write or read needs
+// rejects the call, and the rejection is recorded. Callers hold fs.mu.
+func (k *call) guardLocked() error {
+	var err error
+	switch h := k.h; {
+	case k.c.crashed:
+		// A dead process changes nothing; the attempt is still history.
+		err = ErrCrashed
+	case h == nil:
+	case h.closed:
+		err = errClosed
+	case k.ev.Kind == OpWrite && !h.writable:
+		err = errReadOnly
+	case k.ev.Kind == OpRead && !h.readable:
+		err = errWriteOnly
+	}
+	if err != nil {
+		return k.failLocked(err)
+	}
+	return nil
+}
+
+// beginLocked is the fault injector's one entry point: it consults the
+// injector, kills the client before the call if asked, and retries a
+// transient failure up to maxRetries times with a doubling backoff. It
+// returns cost plus the backoff paid, or 0 for a call that crashed. A call
+// that fails here is recorded. Callers hold fs.mu.
+func (k *call) beginLocked(cost uint64) (uint64, error) {
+	fs := k.c.fs
+	if fs.injector == nil {
+		return cost, nil
+	}
+	op := OpInfo{Kind: k.ev.Kind, Rank: k.c.rank, Path: k.ev.Path, Off: k.ev.Off, Len: k.ev.Len, Now: k.ev.Now}
+	backoff := retryBackoffNS
+	for ; ; op.Attempt++ {
+		k.act = fs.interceptLocked(op)
+		if k.act.CrashBefore {
+			k.c.crashLocked()
+			return 0, k.failLocked(ErrCrashed)
+		}
+		if !k.act.Transient {
+			return cost, nil
+		}
+		if op.Attempt == maxRetries {
+			fs.stats.TransientErrors++
+			return cost, fmt.Errorf("%v %s: %w", op.Kind, op.Path, k.failLocked(ErrTransient))
+		}
+		cost += backoff
+		backoff *= 2
+		fs.stats.Retries++
+	}
+}
+
+// failLocked records the call as failed with err and returns err.
+func (k *call) failLocked(err error) error {
+	k.ev.Err = errString(err)
+	k.c.fs.recordHistoryLocked(&k.ev)
+	return err
+}
+
+// endLocked records the call as done at the given cost, then applies a
+// crash the injector scheduled for after the call: the call took effect,
+// but the process never observed its completion.
+func (k *call) endLocked(cost uint64) (uint64, error) {
+	observeOp(k.ev.Kind, cost)
+	k.c.fs.recordHistoryLocked(&k.ev)
+	if k.act.CrashAfter {
+		k.c.crashLocked()
+		return cost, ErrCrashed
+	}
+	return cost, nil
+}
+
 // Open opens path with POSIX-style flags at simulation time now, returning
 // the handle and the simulated cost of the operation.
 func (c *Client) Open(path string, flags int, now uint64) (*Handle, uint64, error) {
 	fs := c.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if c.crashed {
-		// A dead process changes nothing; the attempt is still history.
-		fs.recordHistoryLocked(HistoryEvent{Kind: EvOpen, Rank: c.rank, Path: path,
-			Flags: flags, Now: now, Err: errString(ErrCrashed)})
-		return nil, 0, fmt.Errorf("open %s: %w", path, ErrCrashed)
+	k := call{c: c, ev: HistoryEvent{Kind: OpOpen, Rank: c.rank, Path: path, Flags: flags, Now: now}}
+	if err := k.guardLocked(); err != nil {
+		return nil, 0, fmt.Errorf("open %s: %w", path, err)
 	}
-	fs.stats.MetaOps++
 	cost := sim.MetaRPC + sim.OpenCost
 	f, err := fs.ensure(path, flags&OCreat != 0)
+	if err == nil && flags&OTrunc != 0 && f.laminated {
+		err = ErrLaminated
+	}
 	if err != nil {
-		fs.recordHistoryLocked(HistoryEvent{Kind: EvOpen, Rank: c.rank, Path: path,
-			Flags: flags, Now: now, Err: errString(err)})
-		return nil, cost, fmt.Errorf("open %s: %w", path, err)
+		return nil, cost, fmt.Errorf("open %s: %w", path, k.failLocked(err))
 	}
 	if flags&OTrunc != 0 {
-		if f.laminated {
-			fs.recordHistoryLocked(HistoryEvent{Kind: EvOpen, Rank: c.rank, Path: path,
-				Flags: flags, Now: now, Err: errString(ErrLaminated)})
-			return nil, cost, fmt.Errorf("open %s: %w", path, ErrLaminated)
-		}
 		f.truncateLocked(0)
 		delete(c.pending, path) // truncation discards this client's unpublished writes too
 	}
-	f.sharers++
 	if f.openers == nil {
 		f.openers = make(map[int32]bool)
 	}
@@ -93,13 +180,12 @@ func (c *Client) Open(path string, flags int, now uint64) (*Handle, uint64, erro
 		c:        c,
 		id:       fs.nextHandle,
 		path:     path,
-		flags:    flags,
 		openSeq:  fs.pubSeq,
 		readable: acc == ORdonly || acc == ORdwr,
 		writable: acc == OWronly || acc == ORdwr,
 	}
-	fs.recordHistoryLocked(HistoryEvent{Kind: EvOpen, Rank: c.rank, Path: path,
-		Handle: h.id, Flags: flags, Now: now})
+	k.ev.Handle = h.id
+	k.endLocked(cost)
 	return h, cost, nil
 }
 
@@ -143,79 +229,45 @@ func (h *Handle) visibleLocked(now uint64) func(*extent) bool {
 // written more than once, and a buffer that failed to write stays the
 // caller's.
 func (h *Handle) Write(off int64, data payload.P, now uint64) (uint64, error) {
-	if h.c.crashed {
-		return 0, ErrCrashed
-	}
-	if h.closed {
-		return 0, errClosed
-	}
-	if !h.writable {
-		return 0, errReadOnly
-	}
 	fs := h.c.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f, err := fs.ensure(h.path, false)
-	if err != nil {
-		fs.recordHistoryLocked(HistoryEvent{Kind: EvWrite, Rank: h.c.rank, Path: h.path,
-			Handle: h.id, Off: off, Len: data.Len(), Now: now, Err: errString(err)})
+	var k call
+	if err := k.startLocked(h, OpWrite, off, data.Len(), now); err != nil {
 		return 0, err
 	}
-	if f.laminated {
-		fs.recordHistoryLocked(HistoryEvent{Kind: EvWrite, Rank: h.c.rank, Path: h.path,
-			Handle: h.id, Off: off, Len: data.Len(), Now: now, Err: errString(ErrLaminated)})
-		return 0, ErrLaminated
+	f, err := fs.ensure(h.path, false)
+	if err == nil && f.laminated {
+		err = ErrLaminated
 	}
-	act := fs.interceptLocked(OpInfo{Kind: OpWrite, Rank: h.c.rank, Path: h.path,
-		Off: off, Len: data.Len(), Now: now})
-	if act.CrashBefore {
-		h.c.crashLocked()
-		fs.recordHistoryLocked(HistoryEvent{Kind: EvWrite, Rank: h.c.rank, Path: h.path,
-			Handle: h.id, Off: off, Len: data.Len(), Now: now, Err: errString(ErrCrashed)})
-		return 0, ErrCrashed
+	if err != nil {
+		return 0, k.failLocked(err)
 	}
-	fs.serverSpan(off, data.Len())
-	cost := sim.IOCost(data.Len())
-	if act.Transient {
-		var extra uint64
-		act, extra, _ = fs.retryTransientLocked(OpInfo{Kind: OpWrite, Rank: h.c.rank,
-			Path: h.path, Off: off, Len: data.Len(), Now: now})
-		cost += extra
-		if act.Transient {
-			fs.recordHistoryLocked(HistoryEvent{Kind: EvWrite, Rank: h.c.rank, Path: h.path,
-				Handle: h.id, Off: off, Len: data.Len(), Now: now, Err: errString(ErrTransient)})
-			return cost, fmt.Errorf("write %s: %w", h.path, ErrTransient)
-		}
+	cost, err := k.beginLocked(sim.IOCost(data.Len()))
+	if err != nil {
+		return cost, err
 	}
-	if act.Torn && act.TornKeep < data.Len() {
-		data = data.Slice(0, max(act.TornKeep, 0))
+	if k.act.Torn && k.act.TornKeep < data.Len() {
+		data = data.Slice(0, max(k.act.TornKeep, 0))
 	}
-	// Counted once the write is known to land, with the bytes it kept.
-	fs.stats.Writes++
-	fs.stats.BytesWritten += data.Len()
 	e := extent{off: off, data: data, writer: int32(h.c.rank)} // the caller's payload, not a copy (see Write)
 	switch fs.opts.Semantics {
 	case Strong:
 		cost += fs.lockCostLocked(f)
-		fs.publishBatchLocked(f, []extent{e}, now, act)
+		fs.publishBatchLocked(f, []extent{e}, now, k.act)
 	case Commit, Session:
 		h.c.pending[h.path] = append(h.c.pending[h.path], e)
 	case Eventual:
-		fs.publishBatchLocked(f, []extent{e}, now, act)
+		fs.publishBatchLocked(f, []extent{e}, now, k.act)
 	}
-	observeOp(OpWrite, cost)
 	// A crash-after write is recorded as successful: the data landed on the
-	// servers even though the process never observed the completion. Its
-	// bytes are made only for a recorder that keeps them.
+	// servers even though the process never observed the completion. The
+	// history holds the bytes the write kept, made only for a recorder.
+	k.ev.Len = data.Len()
 	if fs.history != nil {
-		fs.recordHistoryLocked(HistoryEvent{Kind: EvWrite, Rank: h.c.rank, Path: h.path,
-			Handle: h.id, Off: off, Len: data.Len(), Data: data.Materialize(), Now: now})
+		k.ev.Data = data.Materialize()
 	}
-	if act.CrashAfter {
-		h.c.crashLocked()
-		return cost, ErrCrashed
-	}
-	return cost, nil
+	return k.endLocked(cost)
 }
 
 // lockCostLocked models the distributed range-lock acquisition that strong
@@ -238,50 +290,24 @@ func (fs *FileSystem) lockCostLocked(f *file) uint64 {
 // that reference, so no byte of it is made; any other range reads as fresh
 // bytes, which the caller owns.
 func (h *Handle) Read(off, n int64, now uint64) (payload.P, uint64, error) {
-	if h.c.crashed {
-		return payload.P{}, 0, ErrCrashed
-	}
-	if h.closed {
-		return payload.P{}, 0, errClosed
-	}
-	if !h.readable {
-		return payload.P{}, 0, errWriteOnly
-	}
 	fs := h.c.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f, err := fs.ensure(h.path, false)
-	if err != nil {
-		fs.recordHistoryLocked(HistoryEvent{Kind: EvRead, Rank: h.c.rank, Path: h.path,
-			Handle: h.id, Off: off, Len: n, Now: now, Err: errString(err)})
+	var k call
+	if err := k.startLocked(h, OpRead, off, n, now); err != nil {
 		return payload.P{}, 0, err
 	}
-	act := fs.interceptLocked(OpInfo{Kind: OpRead, Rank: h.c.rank, Path: h.path,
-		Off: off, Len: n, Now: now})
-	if act.CrashBefore {
-		h.c.crashLocked()
-		fs.recordHistoryLocked(HistoryEvent{Kind: EvRead, Rank: h.c.rank, Path: h.path,
-			Handle: h.id, Off: off, Len: n, Now: now, Err: errString(ErrCrashed)})
-		return payload.P{}, 0, ErrCrashed
+	f, err := fs.ensure(h.path, false)
+	if err != nil {
+		return payload.P{}, 0, k.failLocked(err)
 	}
-	fs.serverSpan(off, n)
-	cost := sim.IOCost(n)
-	if act.Transient {
-		var extra uint64
-		act, extra, _ = fs.retryTransientLocked(OpInfo{Kind: OpRead, Rank: h.c.rank,
-			Path: h.path, Off: off, Len: n, Now: now})
-		cost += extra
-		if act.Transient {
-			fs.recordHistoryLocked(HistoryEvent{Kind: EvRead, Rank: h.c.rank, Path: h.path,
-				Handle: h.id, Off: off, Len: n, Now: now, Err: errString(ErrTransient)})
-			return payload.P{}, cost, fmt.Errorf("read %s: %w", h.path, ErrTransient)
-		}
+	cost, err := k.beginLocked(sim.IOCost(n))
+	if err != nil {
+		return payload.P{}, cost, err
 	}
-	fs.stats.Reads++
 	if fs.opts.Semantics == Strong {
 		cost += fs.lockCostLocked(f)
 	}
-	visible := h.visibleLocked(now)
 	own := h.c.pending[h.path]
 	if fs.opts.UnorderedSameProcess && len(own) > 1 {
 		// BurstFS-style: same-process overlapping writes resolve in an
@@ -293,20 +319,13 @@ func (h *Handle) Read(off, n int64, now uint64) (payload.P, uint64, error) {
 		}
 		own = rev
 	}
-	data := read(f, off, n, visible, own)
-	observeOp(OpRead, cost)
-	if data.Len() == 0 {
-		fs.recordHistoryLocked(HistoryEvent{Kind: EvRead, Rank: h.c.rank, Path: h.path,
-			Handle: h.id, Off: off, Len: n, Now: now})
-		return payload.P{}, cost, nil
-	}
-	fs.stats.BytesRead += data.Len()
-	if fs.history != nil {
+	data := read(f, off, n, h.visibleLocked(now), own)
+	if data.Len() > 0 && fs.history != nil {
 		// The history's bytes are its own, apart from the reader's.
-		fs.recordHistoryLocked(HistoryEvent{Kind: EvRead, Rank: h.c.rank, Path: h.path,
-			Handle: h.id, Off: off, Len: n, Data: data.Clone().Materialize(), Now: now})
+		k.ev.Data = data.Clone().Materialize()
 	}
-	return data, cost, nil
+	cost, err = k.endLocked(cost)
+	return data, cost, err
 }
 
 // VisibleSize returns the file size as visible to this handle at time now:
@@ -332,109 +351,64 @@ func (h *Handle) VisibleSize(now uint64) int64 {
 // pending writes stay pending. Under strong/eventual there is nothing to
 // publish. Returns the simulated cost.
 func (h *Handle) Commit(now uint64) (uint64, error) {
-	if h.c.crashed {
-		return 0, ErrCrashed
-	}
-	if h.closed {
-		return 0, errClosed
-	}
 	fs := h.c.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	act := fs.interceptLocked(OpInfo{Kind: OpCommit, Rank: h.c.rank, Path: h.path, Now: now})
-	if act.CrashBefore {
-		h.c.crashLocked()
-		fs.recordHistoryLocked(HistoryEvent{Kind: EvCommit, Rank: h.c.rank, Path: h.path,
-			Handle: h.id, Now: now, Err: errString(ErrCrashed)})
-		return 0, ErrCrashed
+	var k call
+	if err := k.startLocked(h, OpCommit, 0, 0, now); err != nil {
+		return 0, err
 	}
-	cost := sim.SyncCost
-	observeOp(OpCommit, cost)
+	cost, err := k.beginLocked(sim.SyncCost)
+	if err != nil {
+		return cost, err
+	}
 	if fs.opts.Semantics != Commit {
-		fs.recordHistoryLocked(HistoryEvent{Kind: EvCommit, Rank: h.c.rank, Path: h.path,
-			Handle: h.id, Now: now})
-		if act.CrashAfter {
-			h.c.crashLocked()
-			return cost, ErrCrashed
-		}
-		return cost, nil
+		return k.endLocked(cost)
 	}
 	f, err := fs.ensure(h.path, false)
 	if err != nil {
-		fs.recordHistoryLocked(HistoryEvent{Kind: EvCommit, Rank: h.c.rank, Path: h.path,
-			Handle: h.id, Now: now, Err: errString(err)})
-		return cost, err
+		return cost, k.failLocked(err)
 	}
-	if act.DropCommit {
+	if k.act.DropCommit {
 		// Lost fsync: the sync "succeeds" but nothing durably publishes —
 		// the silent failure mode commit-semantics protocols must tolerate.
-		// The history marks it as dropped so the checker treats it as the
+		// The history marks it as failed so the checker treats it as the
 		// no-op it server-side was.
-		fs.recordHistoryLocked(HistoryEvent{Kind: EvCommit, Rank: h.c.rank, Path: h.path,
-			Handle: h.id, Now: now, Err: "fault: dropped commit"})
+		k.failLocked(errDroppedCommit)
 		return cost, nil
 	}
-	fs.publishBatchLocked(f, h.c.pending[h.path], now, act)
+	fs.publishBatchLocked(f, h.c.pending[h.path], now, k.act)
 	delete(h.c.pending, h.path)
-	fs.recordHistoryLocked(HistoryEvent{Kind: EvCommit, Rank: h.c.rank, Path: h.path,
-		Handle: h.id, Now: now})
-	if act.CrashAfter {
-		h.c.crashLocked()
-		return cost, ErrCrashed
-	}
-	return cost, nil
+	return k.endLocked(cost)
 }
 
 // Close closes the handle. Under commit and session semantics closing
 // publishes the client's pending writes (close acts as a commit, and session
-// visibility is close-to-open). Returns the simulated cost.
+// visibility is close-to-open). A process that dies before close never ends
+// its session: its pending writes are lost. Returns the simulated cost.
 func (h *Handle) Close(now uint64) (uint64, error) {
-	if h.c.crashed {
-		return 0, ErrCrashed
-	}
-	if h.closed {
-		return 0, errClosed
-	}
 	fs := h.c.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	act := fs.interceptLocked(OpInfo{Kind: OpClose, Rank: h.c.rank, Path: h.path, Now: now})
-	if act.CrashBefore {
-		// The process dies before close: the session never ends, pending
-		// writes are lost, and the server eventually reaps the open handle.
-		h.c.crashLocked()
-		if f, err := fs.ensure(h.path, false); err == nil && f.sharers > 0 {
-			f.sharers--
-		}
-		h.closed = true
-		fs.recordHistoryLocked(HistoryEvent{Kind: EvClose, Rank: h.c.rank, Path: h.path,
-			Handle: h.id, Now: now, Err: errString(ErrCrashed)})
-		return 0, ErrCrashed
+	var k call
+	if err := k.startLocked(h, OpClose, 0, 0, now); err != nil {
+		return 0, err
 	}
 	h.closed = true
-	cost := sim.CloseCost + sim.MetaRPC
-	observeOp(OpClose, cost)
-	f, err := fs.ensure(h.path, false)
+	cost, err := k.beginLocked(sim.CloseCost + sim.MetaRPC)
 	if err != nil {
-		fs.recordHistoryLocked(HistoryEvent{Kind: EvClose, Rank: h.c.rank, Path: h.path,
-			Handle: h.id, Now: now, Err: errString(err)})
 		return cost, err
 	}
-	if f.sharers > 0 {
-		f.sharers--
+	f, err := fs.ensure(h.path, false)
+	if err != nil {
+		return cost, k.failLocked(err)
 	}
 	switch fs.opts.Semantics {
 	case Commit, Session:
-		fs.publishBatchLocked(f, h.c.pending[h.path], now, act)
+		fs.publishBatchLocked(f, h.c.pending[h.path], now, k.act)
 		delete(h.c.pending, h.path)
 	}
-	fs.recordHistoryLocked(HistoryEvent{Kind: EvClose, Rank: h.c.rank, Path: h.path,
-		Handle: h.id, Now: now})
-	if act.CrashAfter {
-		h.c.crashLocked()
-		return cost, ErrCrashed
-	}
-	return cost, nil
+	return k.endLocked(cost)
 }
 
 // Laminate implements UnifyFS's lamination (§3.2): the client's pending
@@ -445,28 +419,19 @@ func (h *Handle) Laminate(now uint64) (uint64, error) {
 	fs := h.c.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if h.c.crashed {
-		// A dead process changes nothing; the attempt is still history.
-		fs.recordHistoryLocked(HistoryEvent{Kind: EvLaminate, Rank: h.c.rank, Path: h.path,
-			Handle: h.id, Now: now, Err: errString(ErrCrashed)})
-		return 0, ErrCrashed
+	var k call
+	if err := k.startLocked(h, OpLaminate, 0, 0, now); err != nil {
+		return 0, err
 	}
-	if h.closed {
-		return 0, errClosed
-	}
-	f, err := fs.ensure(h.path, false)
 	cost := sim.SyncCost + sim.MetaRPC
+	f, err := fs.ensure(h.path, false)
 	if err != nil {
-		fs.recordHistoryLocked(HistoryEvent{Kind: EvLaminate, Rank: h.c.rank, Path: h.path,
-			Handle: h.id, Now: now, Err: errString(err)})
-		return cost, err
+		return cost, k.failLocked(err)
 	}
 	fs.publishLocked(f, h.c.pending[h.path], now)
 	delete(h.c.pending, h.path)
 	f.laminated = true
-	fs.recordHistoryLocked(HistoryEvent{Kind: EvLaminate, Rank: h.c.rank, Path: h.path,
-		Handle: h.id, Now: now})
-	return cost, nil
+	return k.endLocked(cost)
 }
 
 // Truncate sets the file length; the change is immediately visible in all
@@ -475,26 +440,16 @@ func (h *Handle) Truncate(length int64) (uint64, error) {
 	fs := h.c.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if h.c.crashed {
-		// A dead process changes nothing; the attempt is still history.
-		fs.recordHistoryLocked(HistoryEvent{Kind: EvTruncate, Rank: h.c.rank, Path: h.path,
-			Handle: h.id, Off: length, Err: errString(ErrCrashed)})
-		return 0, ErrCrashed
+	var k call
+	if err := k.startLocked(h, OpTruncate, length, 0, 0); err != nil {
+		return 0, err
 	}
-	if h.closed {
-		return 0, errClosed
-	}
-	fs.stats.MetaOps++
 	f, err := fs.ensure(h.path, false)
-	if err != nil {
-		fs.recordHistoryLocked(HistoryEvent{Kind: EvTruncate, Rank: h.c.rank, Path: h.path,
-			Handle: h.id, Off: length, Err: errString(err)})
-		return sim.MetaRPC, err
+	if err == nil && f.laminated {
+		err = ErrLaminated
 	}
-	if f.laminated {
-		fs.recordHistoryLocked(HistoryEvent{Kind: EvTruncate, Rank: h.c.rank, Path: h.path,
-			Handle: h.id, Off: length, Err: errString(ErrLaminated)})
-		return sim.MetaRPC, ErrLaminated
+	if err != nil {
+		return sim.MetaRPC, k.failLocked(err)
 	}
 	f.truncateLocked(length)
 	// Drop this client's pending extents beyond the new length.
@@ -513,9 +468,7 @@ func (h *Handle) Truncate(length int64) (uint64, error) {
 	} else {
 		h.c.pending[h.path] = kept
 	}
-	fs.recordHistoryLocked(HistoryEvent{Kind: EvTruncate, Rank: h.c.rank, Path: h.path,
-		Handle: h.id, Off: length})
-	return sim.MetaRPC, nil
+	return k.endLocked(sim.MetaRPC)
 }
 
 // Crash simulates the client's process dying: all unpublished (pending)

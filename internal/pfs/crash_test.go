@@ -16,8 +16,8 @@ import (
 
 func TestCrashLosesUncommittedWrites(t *testing.T) {
 	fs := newFS(Commit)
-	w := fs.NewClient(0, 0)
-	r := fs.NewClient(1, 0)
+	w := fs.NewClient(0)
+	r := fs.NewClient(1)
 	h := mustOpen(t, w, "/ckpt", OCreat|OWronly, 10)
 	writeAll(t, h, 0, []byte("saved"), 20)
 	if _, err := h.Commit(30); err != nil { // fsync: first half durable
@@ -42,8 +42,8 @@ func TestCrashLosesUncommittedWrites(t *testing.T) {
 
 func TestCrashUnderStrongLosesNothing(t *testing.T) {
 	fs := newFS(Strong)
-	w := fs.NewClient(0, 0)
-	r := fs.NewClient(1, 0)
+	w := fs.NewClient(0)
+	r := fs.NewClient(1)
 	h := mustOpen(t, w, "/ckpt", OCreat|OWronly, 10)
 	writeAll(t, h, 0, []byte("published"), 20)
 	w.Crash() // publish-on-write: nothing pending to lose
@@ -55,8 +55,8 @@ func TestCrashUnderStrongLosesNothing(t *testing.T) {
 
 func TestCrashUnderSessionLosesWholeOpenSession(t *testing.T) {
 	fs := newFS(Session)
-	w := fs.NewClient(0, 0)
-	r := fs.NewClient(1, 0)
+	w := fs.NewClient(0)
+	r := fs.NewClient(1)
 	h := mustOpen(t, w, "/ckpt", OCreat|OWronly, 10)
 	writeAll(t, h, 0, []byte("everything"), 20)
 	// fsync does not publish under session semantics — the whole session's
@@ -79,7 +79,7 @@ func TestCrashedClientCannotTruncateOrLaminate(t *testing.T) {
 	fs := newFS(Strong)
 	var hist historyLog
 	fs.SetHistoryRecorder(&hist)
-	w := fs.NewClient(0, 0)
+	w := fs.NewClient(0)
 	h := mustOpen(t, w, "/ckpt", OCreat|OWronly, 10)
 	writeAll(t, h, 0, []byte("published"), 20)
 	w.Crash()
@@ -90,7 +90,7 @@ func TestCrashedClientCannotTruncateOrLaminate(t *testing.T) {
 	if _, err := h.Laminate(30); !errors.Is(err, ErrCrashed) {
 		t.Errorf("laminate after crash: %v, want ErrCrashed", err)
 	}
-	for i, kind := range []EventKind{EvTruncate, EvLaminate} {
+	for i, kind := range []OpKind{OpTruncate, OpLaminate} {
 		ev := hist[len(hist)-2+i]
 		if ev.Kind != kind || ev.Err != ErrCrashed.Error() {
 			t.Errorf("history event %d = %v %q, want a failed %v", len(hist)-2+i, ev.Kind, ev.Err, kind)
@@ -100,7 +100,7 @@ func TestCrashedClientCannotTruncateOrLaminate(t *testing.T) {
 	if fi, _, err := fs.Stat("/ckpt"); err != nil || fi.Size != 9 {
 		t.Errorf("size after crashed truncate = %d (%v), want 9", fi.Size, err)
 	}
-	r := fs.NewClient(1, 1)
+	r := fs.NewClient(1)
 	hr := mustOpen(t, r, "/ckpt", ORdwr, 40)
 	if got := readAll(t, hr, 0, 9, 50); !bytes.Equal(got, []byte("published")) {
 		t.Errorf("content after crashed truncate = %q, want %q", got, "published")
@@ -119,27 +119,26 @@ func TestCrashedClientCannotOpen(t *testing.T) {
 	fs := newFS(Strong)
 	var hist historyLog
 	fs.SetHistoryRecorder(&hist)
-	w := fs.NewClient(0, 0)
+	w := fs.NewClient(0)
 	h := mustOpen(t, w, "/ckpt", OCreat|OWronly, 10)
 	writeAll(t, h, 0, []byte("published"), 20)
 	w.Crash()
-	paths := fs.Paths()
 
 	for _, path := range []string{"/ckpt", "/new"} {
 		if _, _, err := w.Open(path, OCreat|OTrunc|ORdwr, 30); !errors.Is(err, ErrCrashed) {
 			t.Errorf("open %s after crash: %v, want ErrCrashed", path, err)
 		}
-		if ev := hist[len(hist)-1]; ev.Kind != EvOpen || ev.Path != path || ev.Err != ErrCrashed.Error() {
+		if ev := hist[len(hist)-1]; ev.Kind != OpOpen || ev.Path != path || ev.Err != ErrCrashed.Error() {
 			t.Errorf("last history event = %v %s %q, want a failed open of %s", ev.Kind, ev.Path, ev.Err, path)
 		}
 	}
-	if got := fs.Paths(); fmt.Sprint(got) != fmt.Sprint(paths) {
-		t.Errorf("files after crashed opens = %v, want %v", got, paths)
+	if _, _, err := fs.Stat("/new"); err != errNotExist {
+		t.Errorf("stat /new after a crashed create: %v, want errNotExist", err)
 	}
 	if fi, _, err := fs.Stat("/ckpt"); err != nil || fi.Size != 9 {
 		t.Errorf("size after crashed open = %d (%v), want 9", fi.Size, err)
 	}
-	hr := mustOpen(t, fs.NewClient(1, 1), "/ckpt", ORdonly, 40)
+	hr := mustOpen(t, fs.NewClient(1), "/ckpt", ORdonly, 40)
 	if got := readAll(t, hr, 0, 9, 50); !bytes.Equal(got, []byte("published")) {
 		t.Errorf("content after crashed open = %q, want %q", got, "published")
 	}
@@ -147,8 +146,8 @@ func TestCrashedClientCannotOpen(t *testing.T) {
 
 func TestCrashDoesNotAffectOtherClients(t *testing.T) {
 	fs := newFS(Commit)
-	a := fs.NewClient(0, 0)
-	b := fs.NewClient(1, 0)
+	a := fs.NewClient(0)
+	b := fs.NewClient(1)
 	ha := mustOpen(t, a, "/a", OCreat|OWronly, 10)
 	hb := mustOpen(t, b, "/b", OCreat|OWronly, 10)
 	writeAll(t, ha, 0, []byte("a"), 20)
@@ -157,7 +156,7 @@ func TestCrashDoesNotAffectOtherClients(t *testing.T) {
 	if _, err := hb.Commit(30); err != nil {
 		t.Fatal(err)
 	}
-	r := fs.NewClient(2, 0)
+	r := fs.NewClient(2)
 	hr := mustOpen(t, r, "/b", ORdonly, 40)
 	if got := readAll(t, hr, 0, 1, 50); !bytes.Equal(got, []byte("b")) {
 		t.Fatalf("survivor's data affected by peer crash: %q", got)
@@ -207,8 +206,8 @@ func TestCrashMatrix(t *testing.T) {
 				}
 				t.Run(fmt.Sprintf("%s/%s/%s", sem, pointName[p], timing), func(t *testing.T) {
 					fs := newFS(sem)
-					w := fs.NewClient(0, 0)
-					r := fs.NewClient(1, 1)
+					w := fs.NewClient(0)
+					r := fs.NewClient(1)
 					h := mustOpen(t, w, "/m", OCreat|OWronly, 10)
 					var hr *Handle
 					if early {
@@ -239,5 +238,73 @@ func TestCrashMatrix(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestRejectedCallRecordsOneEvent pins history.go's contract that every
+// call produces one HistoryEvent: a call the client rejects (crashed
+// client, closed handle, wrong access mode, laminated file) records exactly
+// one failed event of its own kind, with the error the caller got.
+func TestRejectedCallRecordsOneEvent(t *testing.T) {
+	type callFunc func(h *Handle) error
+	write := func(h *Handle) error { _, err := h.Write(0, payload.Bytes([]byte("x")), 50); return err }
+	read := func(h *Handle) error { _, _, err := h.Read(0, 4, 50); return err }
+	commit := func(h *Handle) error { _, err := h.Commit(50); return err }
+	closeH := func(h *Handle) error { _, err := h.Close(50); return err }
+	laminate := func(h *Handle) error { _, err := h.Laminate(50); return err }
+	truncate := func(h *Handle) error { _, err := h.Truncate(1); return err }
+
+	// Each set-up opens /f with flags on a fresh file system that holds 4
+	// published bytes, then puts the handle into the rejecting state.
+	crashed := func(c *Client, h *Handle) { c.Crash() }
+	closed := func(c *Client, h *Handle) { h.Close(30) }
+	laminated := func(c *Client, h *Handle) { h.Laminate(30) }
+	cases := []struct {
+		name  string
+		flags int
+		setup func(c *Client, h *Handle)
+		call  callFunc
+		kind  OpKind
+		want  error
+	}{
+		{"crashed/write", ORdwr, crashed, write, OpWrite, ErrCrashed},
+		{"crashed/read", ORdwr, crashed, read, OpRead, ErrCrashed},
+		{"crashed/commit", ORdwr, crashed, commit, OpCommit, ErrCrashed},
+		{"crashed/close", ORdwr, crashed, closeH, OpClose, ErrCrashed},
+		{"closed/write", ORdwr, closed, write, OpWrite, errClosed},
+		{"closed/read", ORdwr, closed, read, OpRead, errClosed},
+		{"closed/commit", ORdwr, closed, commit, OpCommit, errClosed},
+		{"closed/close", ORdwr, closed, closeH, OpClose, errClosed},
+		{"closed/laminate", ORdwr, closed, laminate, OpLaminate, errClosed},
+		{"closed/truncate", ORdwr, closed, truncate, OpTruncate, errClosed},
+		{"readonly/write", ORdonly, nil, write, OpWrite, errReadOnly},
+		{"writeonly/read", OWronly, nil, read, OpRead, errWriteOnly},
+		{"laminated/write", ORdwr, laminated, write, OpWrite, ErrLaminated},
+		{"laminated/truncate", ORdwr, laminated, truncate, OpTruncate, ErrLaminated},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := newFS(Commit)
+			var hist historyLog
+			fs.SetHistoryRecorder(&hist)
+			c := fs.NewClient(0)
+			writeAll(t, mustOpen(t, c, "/f", OCreat|OWronly, 10), 0, []byte("data"), 20)
+			h := mustOpen(t, c, "/f", tc.flags, 25)
+			if tc.setup != nil {
+				tc.setup(c, h)
+			}
+			before := len(hist)
+			if err := tc.call(h); !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+			if got := len(hist) - before; got != 1 {
+				t.Fatalf("the rejected call recorded %d events, want 1", got)
+			}
+			ev := hist[len(hist)-1]
+			if ev.Kind != tc.kind || ev.Err != tc.want.Error() || ev.Rank != 0 || ev.Handle != h.id || ev.Path != "/f" {
+				t.Errorf("recorded %v rank %d handle %d %s err %q, want a failed %v by rank 0 on handle %d /f with %q",
+					ev.Kind, ev.Rank, ev.Handle, ev.Path, ev.Err, tc.kind, h.id, tc.want)
+			}
+		})
 	}
 }

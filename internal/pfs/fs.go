@@ -2,8 +2,6 @@ package pfs
 
 import (
 	"errors"
-	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/payload"
@@ -21,6 +19,9 @@ var (
 	ErrLaminated = errors.New("pfs: file is laminated (permanently read-only)")
 	ErrCrashed   = errors.New("pfs: client process has crashed")
 	ErrTransient = errors.New("pfs: transient I/O error (retries exhausted)")
+	// errDroppedCommit is what the history records for a commit that a
+	// lost-fsync fault made a no-op; the caller sees the commit succeed.
+	errDroppedCommit = errors.New("fault: dropped commit")
 )
 
 // Options configures a FileSystem.
@@ -36,13 +37,6 @@ type Options struct {
 	// when the base semantics would otherwise suffice.
 	UnorderedSameProcess bool
 }
-
-// The data-server layout: ServerRequests counts one request per data
-// server whose stripes a data operation touches.
-const (
-	stripeSize  int64 = 1 << 20 // bytes per stripe
-	dataServers       = 4
-)
 
 func (o Options) withDefaults() Options {
 	if o.EventualDelay == 0 {
@@ -68,24 +62,17 @@ func (e extent) end() int64 { return e.off + e.data.Len() }
 type file struct {
 	published []extent       // in publish (seq) order
 	size      int64          // max published end, adjusted by truncate
-	sharers   int            // handles currently open
 	openers   map[int32]bool // distinct clients that ever opened the file
 	acquires  int64          // strong-mode lock acquisitions on this file
 	dir       bool
 	laminated bool // UnifyFS lamination: permanently read-only, globally visible
 }
 
-// Stats aggregates server-side counters. Per-server request counts expose
-// the striping layout; lock counters expose the strong-semantics overhead
-// that motivates relaxed models (Section 3.1).
+// Stats aggregates server-side counters. The lock counters expose the
+// strong-semantics overhead that motivates relaxed models (Section 3.1).
 type Stats struct {
-	Reads, Writes   int64
-	BytesRead       int64
-	BytesWritten    int64
-	MetaOps         int64
 	LockAcquires    int64
 	LockContended   int64 // acquires on files shared by >1 distinct client
-	ServerRequests  []int64
 	Retries         int64 // transient-error retry attempts by clients
 	TransientErrors int64 // transient failures that exhausted the retry policy
 }
@@ -107,11 +94,7 @@ type FileSystem struct {
 // New creates a file system with the given options.
 func New(opts Options) *FileSystem {
 	o := opts.withDefaults()
-	return &FileSystem{
-		opts:  o,
-		files: make(map[string]*file),
-		stats: Stats{ServerRequests: make([]int64, dataServers)},
-	}
+	return &FileSystem{opts: o, files: make(map[string]*file)}
 }
 
 // Options returns the (defaulted) options the file system runs with.
@@ -125,8 +108,6 @@ func (fs *FileSystem) Stats() Stats {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	s := fs.stats
-	s.ServerRequests = append([]int64(nil), fs.stats.ServerRequests...)
-	s.LockContended = 0
 	for _, f := range fs.files {
 		if len(f.openers) > 1 {
 			s.LockContended += f.acquires
@@ -135,25 +116,11 @@ func (fs *FileSystem) Stats() Stats {
 	return s
 }
 
-// serverSpan counts one request per data server whose stripes intersect
-// [off, off+n).
-func (fs *FileSystem) serverSpan(off, n int64) {
-	if n <= 0 {
-		return
-	}
-	first := off / stripeSize
-	last := (off + n - 1) / stripeSize
-	for s := first; s <= last; s++ {
-		fs.stats.ServerRequests[s%dataServers]++
-	}
-}
-
 // mkdir creates a directory entry (directories are flat markers; the
 // analysis only needs the metadata traffic).
 func (fs *FileSystem) Mkdir(path string) (cost uint64, err error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.stats.MetaOps++
 	if f, ok := fs.files[path]; ok {
 		if f.dir {
 			return sim.MetaRPC, ErrExist
@@ -168,7 +135,6 @@ func (fs *FileSystem) Mkdir(path string) (cost uint64, err error) {
 func (fs *FileSystem) Unlink(path string) (cost uint64, err error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.stats.MetaOps++
 	f, ok := fs.files[path]
 	if !ok {
 		return sim.MetaRPC, errNotExist
@@ -184,7 +150,6 @@ func (fs *FileSystem) Unlink(path string) (cost uint64, err error) {
 func (fs *FileSystem) Rename(oldPath, newPath string) (cost uint64, err error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.stats.MetaOps++
 	f, ok := fs.files[oldPath]
 	if !ok {
 		return sim.MetaRPC, errNotExist
@@ -206,33 +171,11 @@ type FileInfo struct {
 func (fs *FileSystem) Stat(path string) (FileInfo, uint64, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.stats.MetaOps++
 	f, ok := fs.files[path]
 	if !ok {
 		return FileInfo{}, sim.MetaRPC, errNotExist
 	}
 	return FileInfo{Path: path, Size: f.size, IsDir: f.dir}, sim.MetaRPC, nil
-}
-
-// Exists reports whether a path exists (no cost accounting; used by tests
-// and examples).
-func (fs *FileSystem) Exists(path string) bool {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	_, ok := fs.files[path]
-	return ok
-}
-
-// Paths returns all existing paths in sorted order.
-func (fs *FileSystem) Paths() []string {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	out := make([]string, 0, len(fs.files))
-	for p := range fs.files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ensure returns the file at path, creating it if create is set.
@@ -384,8 +327,4 @@ func (fs *FileSystem) ContentDump() map[string][]byte {
 		dump[path] = buf
 	}
 	return dump
-}
-
-func (fs *FileSystem) String() string {
-	return fmt.Sprintf("pfs{%s, %d servers, stripe %d}", fs.opts.Semantics, dataServers, stripeSize)
 }

@@ -1,66 +1,38 @@
 package pfs
 
 // Operation-history recording. A HistoryRecorder registered on a FileSystem
-// receives one HistoryEvent per client data-path operation, stamped with a
-// total-order logical sequence number assigned under fs.mu — the same lock
-// that serializes the operations themselves, so the recorded order IS the
-// linearization the file system executed. The history is the input of the
-// formal consistency checker (internal/consistency), which re-derives
-// publication and visibility from the formal model definitions alone and
-// compares the predicted read results against the recorded ones.
+// receives one HistoryEvent per client call, a call the client rejects
+// (crashed client, closed handle, wrong access mode) or a fault fails
+// included, stamped with a total-order logical sequence number assigned
+// under fs.mu — the same lock that serializes the operations themselves,
+// so the recorded order IS the linearization the file system executed.
+// The history is the input of the formal consistency checker
+// (internal/consistency), which re-derives publication and visibility from
+// the formal model definitions alone and compares the predicted read
+// results against the recorded ones.
 //
 // Like FaultInjector, the recorder is invoked while fs.mu is held:
 // implementations must not call back into the file system and should be
 // cheap appends (see consistency.Log).
-
-// EventKind identifies one recorded client operation.
-type EventKind int
-
-const (
-	EvOpen EventKind = iota
-	EvWrite
-	EvRead
-	EvCommit // fsync/fdatasync (Handle.Commit)
-	EvClose
-	EvLaminate
-	EvTruncate
-)
-
-var eventKindNames = [...]string{
-	EvOpen:     "open",
-	EvWrite:    "write",
-	EvRead:     "read",
-	EvCommit:   "commit",
-	EvClose:    "close",
-	EvLaminate: "laminate",
-	EvTruncate: "truncate",
-}
-
-func (k EventKind) String() string {
-	if int(k) < len(eventKindNames) {
-		return eventKindNames[k]
-	}
-	return "event#" + string(rune('0'+int(k)))
-}
 
 // HistoryEvent is one recorded client operation.
 type HistoryEvent struct {
 	// Seq is the total-order logical timestamp (1-based), assigned under
 	// fs.mu in the order operations took effect.
 	Seq  uint64
-	Kind EventKind
+	Kind OpKind
 	Rank int
 	Path string
 	// Handle identifies the open file description: every operation through
 	// one Open carries the same value. Zero for failed opens.
 	Handle uint64
-	// Flags carries the POSIX open flags (EvOpen only); an O_TRUNC open
+	// Flags carries the POSIX open flags (OpOpen only); an O_TRUNC open
 	// truncates the file as part of the operation.
 	Flags int
-	// Off is the write/read offset, or the new length for EvTruncate.
+	// Off is the write/read offset, or the new length for OpTruncate.
 	Off int64
-	// Len is the payload length for EvWrite, the *requested* length for
-	// EvRead (the returned length is len(Data)).
+	// Len is the payload length for OpWrite, the *requested* length for
+	// OpRead (the returned length is len(Data)).
 	Len int64
 	// Data is the payload stored by a write or the bytes a read returned
 	// (copies — safe to retain).
@@ -103,14 +75,14 @@ func historyDigest(data []byte) uint64 {
 
 // recordHistoryLocked stamps and delivers one event. Callers hold fs.mu.
 // Data must already be a private copy (or otherwise never mutated again).
-func (fs *FileSystem) recordHistoryLocked(ev HistoryEvent) {
+func (fs *FileSystem) recordHistoryLocked(ev *HistoryEvent) {
 	if fs.history == nil {
 		return
 	}
 	fs.histSeq++
 	ev.Seq = fs.histSeq
 	ev.Digest = historyDigest(ev.Data)
-	fs.history.Record(ev)
+	fs.history.Record(*ev)
 }
 
 // errString renders an operation error for HistoryEvent.Err.

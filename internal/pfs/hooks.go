@@ -1,15 +1,16 @@
 package pfs
 
 // Fault-injection hooks. A FaultInjector registered on a FileSystem
-// intercepts every client data-path operation and may perturb it: crash the
-// process, tear a write, drop a commit, delay or reorder a publish batch, or
-// fail the operation transiently (subject to the client's retry policy). The
-// injector is consulted while fs.mu is held, so implementations must not
-// call back into the file system; they should be cheap, deterministic
-// functions of their own state (see internal/faults for the seed-driven
-// implementation).
+// intercepts every write, read, commit and close and may perturb it: crash
+// the process, tear a write, drop a commit, delay or reorder a publish
+// batch, or fail the operation transiently (subject to the client's retry
+// policy). The injector is consulted while fs.mu is held, so
+// implementations must not call back into the file system; they should be
+// cheap, deterministic functions of their own state (see internal/faults
+// for the seed-driven implementation).
 
-// OpKind identifies one interceptable client operation.
+// OpKind identifies one client operation, in the op history and to the
+// fault injector. The injector intercepts the first four.
 type OpKind int
 
 const (
@@ -17,13 +18,19 @@ const (
 	OpRead
 	OpCommit // fsync/fdatasync (Handle.Commit)
 	OpClose
+	OpOpen
+	OpLaminate
+	OpTruncate
 )
 
 var opKindNames = [...]string{
-	OpWrite:  "write",
-	OpRead:   "read",
-	OpCommit: "commit",
-	OpClose:  "close",
+	OpWrite:    "write",
+	OpRead:     "read",
+	OpCommit:   "commit",
+	OpClose:    "close",
+	OpOpen:     "open",
+	OpLaminate: "laminate",
+	OpTruncate: "truncate",
 }
 
 func (k OpKind) String() string {
@@ -104,38 +111,8 @@ const (
 	retryBackoffNS uint64 = 200_000
 )
 
-// interceptLocked consults the injector, if any. Callers hold fs.mu.
+// interceptLocked consults the injector. Its one caller, call.beginLocked,
+// holds fs.mu and has checked that an injector is set.
 func (fs *FileSystem) interceptLocked(op OpInfo) FaultAction {
-	if fs.injector == nil {
-		return FaultAction{}
-	}
 	return fs.injector.Intercept(op)
-}
-
-// retryTransientLocked runs the retry loop for an operation whose first
-// attempt the injector failed: it re-consults the injector with increasing
-// Attempt numbers, accumulating exponential backoff into cost, until an
-// attempt succeeds or the policy is exhausted. It returns the final action
-// (whose Transient flag reports whether the operation ultimately failed),
-// the added cost, and the number of retries performed. Callers hold fs.mu.
-func (fs *FileSystem) retryTransientLocked(op OpInfo) (FaultAction, uint64, int) {
-	backoff := retryBackoffNS
-	var extra uint64
-	act := FaultAction{Transient: true}
-	retries := 0
-	for attempt := 1; attempt <= maxRetries; attempt++ {
-		extra += backoff
-		backoff *= 2
-		retries++
-		op.Attempt = attempt
-		act = fs.interceptLocked(op)
-		if !act.Transient {
-			break
-		}
-	}
-	fs.stats.Retries += int64(retries)
-	if act.Transient {
-		fs.stats.TransientErrors++
-	}
-	return act, extra, retries
 }

@@ -12,8 +12,8 @@ func TestLaminationPublishesGlobally(t *testing.T) {
 	// Even under session semantics, a laminated file is visible to readers
 	// whose sessions predate the lamination (UnifyFS §3.2).
 	fs := newFS(Session)
-	w := fs.NewClient(0, 0)
-	r := fs.NewClient(1, 0)
+	w := fs.NewClient(0)
+	r := fs.NewClient(1)
 	hw := mustOpen(t, w, "/ckpt", OCreat|OWronly, 10)
 	writeAll(t, hw, 0, []byte("final"), 20)
 	hr := mustOpen(t, r, "/ckpt", ORdonly, 15) // opened before lamination
@@ -30,7 +30,7 @@ func TestLaminationPublishesGlobally(t *testing.T) {
 
 func TestLaminationMakesFileReadOnly(t *testing.T) {
 	fs := newFS(Commit)
-	c := fs.NewClient(0, 0)
+	c := fs.NewClient(0)
 	h := mustOpen(t, c, "/f", OCreat|ORdwr, 1)
 	writeAll(t, h, 0, []byte("x"), 10)
 	if _, err := h.Laminate(20); err != nil {
@@ -53,7 +53,7 @@ func TestLaminationMakesFileReadOnly(t *testing.T) {
 
 func TestLaminateClosedHandle(t *testing.T) {
 	fs := newFS(Commit)
-	c := fs.NewClient(0, 0)
+	c := fs.NewClient(0)
 	h := mustOpen(t, c, "/f", OCreat|OWronly, 1)
 	if _, err := h.Close(10); err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestUnorderedSameProcessQuirk(t *testing.T) {
 	// may return either value. Our model returns the older one, so a
 	// header-rewrite protocol reads stale data.
 	fs := New(Options{Semantics: Commit, UnorderedSameProcess: true})
-	c := fs.NewClient(0, 0)
+	c := fs.NewClient(0)
 	h := mustOpen(t, c, "/f", OCreat|ORdwr, 1)
 	writeAll(t, h, 0, []byte("old!"), 10)
 	writeAll(t, h, 0, []byte("new!"), 20)

@@ -19,8 +19,10 @@ var opCost = [...]*obs.Histogram{
 	OpClose:  obs.Default().Histogram("pfs.op.close.cost_ns"),
 }
 
-// observeOp tallies one completed client data-path operation and its
-// simulated cost.
+// observeOp tallies one completed client operation and its simulated cost;
+// only the four intercepted kinds have a histogram.
 func observeOp(kind OpKind, cost uint64) {
-	opCost[kind].Observe(int64(cost))
+	if int(kind) < len(opCost) {
+		opCost[kind].Observe(int64(cost))
+	}
 }

@@ -38,7 +38,7 @@ func runPayloadOps(t *testing.T, opts Options, mk func(seed uint64, n int64) pay
 		}
 		return FaultAction{}
 	}))
-	c0, c1 := fs.NewClient(0, 0), fs.NewClient(1, 1)
+	c0, c1 := fs.NewClient(0), fs.NewClient(1)
 	h0 := mustOpen(t, c0, "/f", OCreat|ORdwr, 1)
 	h1 := mustOpen(t, c1, "/f", OCreat|ORdwr, 2)
 	now := uint64(10)
@@ -140,7 +140,7 @@ func TestReadSlicesMatchBytesTwin(t *testing.T) {
 	for _, sem := range AllSemantics() {
 		t.Run(sem.String(), func(t *testing.T) {
 			fs := New(Options{Semantics: sem})
-			w, r := fs.NewClient(0, 0), fs.NewClient(1, 1)
+			w, r := fs.NewClient(0), fs.NewClient(1)
 			check := func(who string, hs []*Handle, now uint64) {
 				for _, rg := range ranges {
 					var got [2][]byte

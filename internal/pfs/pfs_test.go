@@ -86,8 +86,8 @@ func TestSemanticsOrdering(t *testing.T) {
 
 func TestStrongReadSeesWrite(t *testing.T) {
 	fs := newFS(Strong)
-	w := fs.NewClient(0, 0)
-	r := fs.NewClient(1, 0)
+	w := fs.NewClient(0)
+	r := fs.NewClient(1)
 	hw := mustOpen(t, w, "/f", OCreat|OWronly, 10)
 	writeAll(t, hw, 0, []byte("hello"), 20)
 	hr := mustOpen(t, r, "/f", ORdonly, 5) // opened before the write
@@ -99,8 +99,8 @@ func TestStrongReadSeesWrite(t *testing.T) {
 
 func TestCommitVisibilityRequiresCommit(t *testing.T) {
 	fs := newFS(Commit)
-	w := fs.NewClient(0, 0)
-	r := fs.NewClient(1, 0)
+	w := fs.NewClient(0)
+	r := fs.NewClient(1)
 	hw := mustOpen(t, w, "/f", OCreat|OWronly, 10)
 	writeAll(t, hw, 0, []byte("hello"), 20)
 	hr := mustOpen(t, r, "/f", ORdonly, 25)
@@ -117,8 +117,8 @@ func TestCommitVisibilityRequiresCommit(t *testing.T) {
 
 func TestCommitCloseActsAsCommit(t *testing.T) {
 	fs := newFS(Commit)
-	w := fs.NewClient(0, 0)
-	r := fs.NewClient(1, 0)
+	w := fs.NewClient(0)
+	r := fs.NewClient(1)
 	hw := mustOpen(t, w, "/f", OCreat|OWronly, 10)
 	writeAll(t, hw, 0, []byte("data"), 20)
 	if _, err := hw.Close(30); err != nil {
@@ -132,8 +132,8 @@ func TestCommitCloseActsAsCommit(t *testing.T) {
 
 func TestSessionCloseToOpen(t *testing.T) {
 	fs := newFS(Session)
-	w := fs.NewClient(0, 0)
-	r := fs.NewClient(1, 0)
+	w := fs.NewClient(0)
+	r := fs.NewClient(1)
 	hw := mustOpen(t, w, "/f", OCreat|OWronly, 10)
 	writeAll(t, hw, 0, []byte("vis"), 20)
 
@@ -155,8 +155,8 @@ func TestSessionCloseToOpen(t *testing.T) {
 
 func TestSessionFsyncDoesNotPublish(t *testing.T) {
 	fs := newFS(Session)
-	w := fs.NewClient(0, 0)
-	r := fs.NewClient(1, 0)
+	w := fs.NewClient(0)
+	r := fs.NewClient(1)
 	hw := mustOpen(t, w, "/f", OCreat|OWronly, 10)
 	writeAll(t, hw, 0, []byte("x"), 20)
 	if _, err := hw.Commit(30); err != nil { // fsync
@@ -170,8 +170,8 @@ func TestSessionFsyncDoesNotPublish(t *testing.T) {
 
 func TestEventualVisibilityAfterDelay(t *testing.T) {
 	fs := New(Options{Semantics: Eventual, EventualDelay: 1000})
-	w := fs.NewClient(0, 0)
-	r := fs.NewClient(1, 0)
+	w := fs.NewClient(0)
+	r := fs.NewClient(1)
 	hw := mustOpen(t, w, "/f", OCreat|OWronly, 10)
 	writeAll(t, hw, 0, []byte("ev"), 100)
 	hr := mustOpen(t, r, "/f", ORdonly, 10)
@@ -186,7 +186,7 @@ func TestEventualVisibilityAfterDelay(t *testing.T) {
 func TestOwnWritesAlwaysVisible(t *testing.T) {
 	for _, sem := range AllSemantics() {
 		fs := newFS(sem)
-		c := fs.NewClient(0, 0)
+		c := fs.NewClient(0)
 		h := mustOpen(t, c, "/f", OCreat|ORdwr, 10)
 		writeAll(t, h, 0, []byte("aaaa"), 20)
 		writeAll(t, h, 2, []byte("bb"), 30)
@@ -200,8 +200,8 @@ func TestOwnWritesAlwaysVisible(t *testing.T) {
 func TestOverlappingPublishOrder(t *testing.T) {
 	// Later published writes overwrite earlier ones.
 	fs := newFS(Strong)
-	a := fs.NewClient(0, 0)
-	b := fs.NewClient(1, 0)
+	a := fs.NewClient(0)
+	b := fs.NewClient(1)
 	ha := mustOpen(t, a, "/f", OCreat|ORdwr, 1)
 	hb := mustOpen(t, b, "/f", ORdwr, 2)
 	writeAll(t, ha, 0, []byte("11111"), 10)
@@ -214,7 +214,7 @@ func TestOverlappingPublishOrder(t *testing.T) {
 
 func TestReadHolesAreZero(t *testing.T) {
 	fs := newFS(Strong)
-	c := fs.NewClient(0, 0)
+	c := fs.NewClient(0)
 	h := mustOpen(t, c, "/f", OCreat|ORdwr, 1)
 	writeAll(t, h, 4, []byte("zz"), 10)
 	got := readAll(t, h, 0, 6, 20)
@@ -226,7 +226,7 @@ func TestReadHolesAreZero(t *testing.T) {
 
 func TestReadPastEOF(t *testing.T) {
 	fs := newFS(Strong)
-	c := fs.NewClient(0, 0)
+	c := fs.NewClient(0)
 	h := mustOpen(t, c, "/f", OCreat|ORdwr, 1)
 	writeAll(t, h, 0, []byte("abc"), 10)
 	if got := readAll(t, h, 0, 100, 20); !bytes.Equal(got, []byte("abc")) {
@@ -239,7 +239,7 @@ func TestReadPastEOF(t *testing.T) {
 
 func TestOpenTruncDiscards(t *testing.T) {
 	fs := newFS(Commit)
-	c := fs.NewClient(0, 0)
+	c := fs.NewClient(0)
 	h := mustOpen(t, c, "/f", OCreat|ORdwr, 1)
 	writeAll(t, h, 0, []byte("old data"), 10)
 	if _, err := h.Close(20); err != nil {
@@ -256,14 +256,14 @@ func TestOpenTruncDiscards(t *testing.T) {
 
 func TestVisibleSizeAndAppendBase(t *testing.T) {
 	fs := newFS(Session)
-	w := fs.NewClient(0, 0)
+	w := fs.NewClient(0)
 	hw := mustOpen(t, w, "/f", OCreat|OWronly, 1)
 	writeAll(t, hw, 0, make([]byte, 100), 10) // pending
 	if got := hw.VisibleSize(20); got != 100 {
 		t.Fatalf("own pending must count toward visible size: %d", got)
 	}
 	// Another client sees size 0 before close, 100 after close+reopen.
-	r := fs.NewClient(1, 0)
+	r := fs.NewClient(1)
 	hr := mustOpen(t, r, "/f", ORdonly, 15)
 	if got := hr.VisibleSize(20); got != 0 {
 		t.Fatalf("session: other rank sees size %d before close", got)
@@ -279,7 +279,7 @@ func TestVisibleSizeAndAppendBase(t *testing.T) {
 
 func TestTruncateTrimsData(t *testing.T) {
 	fs := newFS(Strong)
-	c := fs.NewClient(0, 0)
+	c := fs.NewClient(0)
 	h := mustOpen(t, c, "/f", OCreat|ORdwr, 1)
 	writeAll(t, h, 0, []byte("0123456789"), 10)
 	if _, err := h.Truncate(4); err != nil {
@@ -295,7 +295,7 @@ func TestTruncateTrimsData(t *testing.T) {
 
 func TestHandleModeEnforcement(t *testing.T) {
 	fs := newFS(Strong)
-	c := fs.NewClient(0, 0)
+	c := fs.NewClient(0)
 	hr := mustOpen(t, c, "/f", OCreat|ORdonly, 1)
 	if _, err := hr.Write(0, payload.Bytes([]byte("x")), 10); err == nil {
 		t.Fatal("write on read-only handle should fail")
@@ -308,7 +308,7 @@ func TestHandleModeEnforcement(t *testing.T) {
 
 func TestClosedHandleRejected(t *testing.T) {
 	fs := newFS(Strong)
-	c := fs.NewClient(0, 0)
+	c := fs.NewClient(0)
 	h := mustOpen(t, c, "/f", OCreat|ORdwr, 1)
 	if _, err := h.Close(10); err != nil {
 		t.Fatal(err)
@@ -326,7 +326,7 @@ func TestClosedHandleRejected(t *testing.T) {
 
 func TestOpenMissingWithoutCreate(t *testing.T) {
 	fs := newFS(Strong)
-	c := fs.NewClient(0, 0)
+	c := fs.NewClient(0)
 	if _, _, err := c.Open("/missing", ORdonly, 1); err == nil {
 		t.Fatal("open of missing file without O_CREAT should fail")
 	}
@@ -334,7 +334,7 @@ func TestOpenMissingWithoutCreate(t *testing.T) {
 
 func TestMetadataOps(t *testing.T) {
 	fs := newFS(Strong)
-	c := fs.NewClient(0, 0)
+	c := fs.NewClient(0)
 	if _, err := fs.Mkdir("/dir"); err != nil {
 		t.Fatal(err)
 	}
@@ -356,14 +356,17 @@ func TestMetadataOps(t *testing.T) {
 	if _, err := fs.Rename("/dir/f", "/dir/g"); err != nil {
 		t.Fatal(err)
 	}
-	if fs.Exists("/dir/f") || !fs.Exists("/dir/g") {
-		t.Fatal("rename did not move the file")
+	if _, _, err := fs.Stat("/dir/f"); err != errNotExist {
+		t.Fatalf("stat of the old name after rename: %v, want errNotExist", err)
+	}
+	if _, _, err := fs.Stat("/dir/g"); err != nil {
+		t.Fatalf("stat of the new name after rename: %v", err)
 	}
 	if _, err := fs.Unlink("/dir/g"); err != nil {
 		t.Fatal(err)
 	}
-	if fs.Exists("/dir/g") {
-		t.Fatal("unlink did not remove the file")
+	if _, _, err := fs.Stat("/dir/g"); err != errNotExist {
+		t.Fatalf("stat after unlink: %v, want errNotExist", err)
 	}
 	if _, err := fs.Unlink("/dir"); err != errIsDir {
 		t.Fatalf("unlink of dir: %v, want ErrIsDir", err)
@@ -376,8 +379,8 @@ func TestMetadataOps(t *testing.T) {
 func TestStrongLockCostAndStats(t *testing.T) {
 	strong := newFS(Strong)
 	commit := newFS(Commit)
-	ws := strong.NewClient(0, 0)
-	wc := commit.NewClient(0, 0)
+	ws := strong.NewClient(0)
+	wc := commit.NewClient(0)
 	hs := mustOpen(t, ws, "/f", OCreat|OWronly, 1)
 	hc := mustOpen(t, wc, "/f", OCreat|OWronly, 1)
 	strongCost, err := hs.Write(0, payload.Bytes([]byte("x")), 10)
@@ -392,7 +395,7 @@ func TestStrongLockCostAndStats(t *testing.T) {
 		t.Fatalf("strong write cost (%d) should exceed commit write cost (%d) by the lock RPC", strongCost, commitCost)
 	}
 	// Contention accounting: a second sharer makes acquisitions contended.
-	c2 := strong.NewClient(1, 0)
+	c2 := strong.NewClient(1)
 	mustOpen(t, c2, "/f", OWronly, 1)
 	if _, err := hs.Write(0, payload.Bytes([]byte("x")), 20); err != nil {
 		t.Fatal(err)
@@ -414,37 +417,11 @@ func TestStrongLockCostAndStats(t *testing.T) {
 
 func TestCommitModeSkipsLocks(t *testing.T) {
 	fs := newFS(Commit)
-	c := fs.NewClient(0, 0)
+	c := fs.NewClient(0)
 	h := mustOpen(t, c, "/f", OCreat|OWronly, 1)
 	writeAll(t, h, 0, []byte("x"), 10)
 	if st := fs.Stats(); st.LockAcquires != 0 {
 		t.Fatalf("commit semantics should not acquire locks, got %d", st.LockAcquires)
-	}
-}
-
-func TestServerRequestStriping(t *testing.T) {
-	fs := New(Options{Semantics: Strong})
-	c := fs.NewClient(0, 0)
-	h := mustOpen(t, c, "/f", OCreat|OWronly, 1)
-	// Write spanning stripes 0..dataServers-1 → one request on each server.
-	writeAll(t, h, 0, make([]byte, dataServers*stripeSize), 10)
-	st := fs.Stats()
-	for s, n := range st.ServerRequests {
-		if n != 1 {
-			t.Fatalf("server %d requests = %d, want 1 (%v)", s, n, st.ServerRequests)
-		}
-	}
-}
-
-func TestStatsCounts(t *testing.T) {
-	fs := newFS(Strong)
-	c := fs.NewClient(0, 0)
-	h := mustOpen(t, c, "/f", OCreat|ORdwr, 1)
-	writeAll(t, h, 0, []byte("abcd"), 10)
-	readAll(t, h, 0, 4, 20)
-	st := fs.Stats()
-	if st.Writes != 1 || st.Reads != 1 || st.BytesWritten != 4 || st.BytesRead != 4 {
-		t.Fatalf("stats = %+v", st)
 	}
 }
 
@@ -455,7 +432,7 @@ func TestPropertyOwnDisjointWritesRoundTrip(t *testing.T) {
 	f := func(seed uint8, semPick uint8) bool {
 		sem := AllSemantics()[int(semPick)%4]
 		fs := newFS(sem)
-		c := fs.NewClient(0, 0)
+		c := fs.NewClient(0)
 		h, _, err := c.Open("/f", OCreat|ORdwr, 1)
 		if err != nil {
 			return false
@@ -501,8 +478,8 @@ func TestPropertyOwnDisjointWritesRoundTrip(t *testing.T) {
 func TestPropertySessionNoFutureLeak(t *testing.T) {
 	f := func(nWrites uint8) bool {
 		fs := newFS(Session)
-		w := fs.NewClient(0, 0)
-		r := fs.NewClient(1, 0)
+		w := fs.NewClient(0)
+		r := fs.NewClient(1)
 		hw, _, err := w.Open("/f", OCreat|OWronly, 1)
 		if err != nil {
 			return false

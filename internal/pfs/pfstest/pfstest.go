@@ -204,7 +204,7 @@ func newRunner(fs *pfs.FileSystem, ranks int) (*runner, error) {
 	r := &runner{fs: fs, clients: make([]*pfs.Client, ranks), handles: make([]*pfs.Handle, ranks)}
 	r.clock.Store(10)
 	for rank := 0; rank < ranks; rank++ {
-		r.clients[rank] = fs.NewClient(rank, 0)
+		r.clients[rank] = fs.NewClient(rank)
 		flags := pfs.ORdwr
 		if rank == 0 {
 			flags |= pfs.OCreat

@@ -13,7 +13,7 @@ import (
 
 func TestTruncateThenLaminatePublishesClippedPending(t *testing.T) {
 	fs := newFS(Commit)
-	c := fs.NewClient(0, 0)
+	c := fs.NewClient(0)
 	h := mustOpen(t, c, "/f", OCreat|ORdwr, 10)
 	writeAll(t, h, 0, []byte("abcdef"), 20)
 	// Truncate clips the caller's own buffer before it ever publishes.
@@ -23,7 +23,7 @@ func TestTruncateThenLaminatePublishesClippedPending(t *testing.T) {
 	if _, err := h.Laminate(30); err != nil {
 		t.Fatalf("laminate: %v", err)
 	}
-	r := fs.NewClient(1, 0)
+	r := fs.NewClient(1)
 	hr := mustOpen(t, r, "/f", ORdonly, 40)
 	if got := readAll(t, hr, 0, 10, 50); !bytes.Equal(got, []byte("abc")) {
 		t.Fatalf("laminated content = %q, want %q", got, "abc")
@@ -32,7 +32,7 @@ func TestTruncateThenLaminatePublishesClippedPending(t *testing.T) {
 
 func TestLaminateThenTruncateRejected(t *testing.T) {
 	fs := newFS(Commit)
-	c := fs.NewClient(0, 0)
+	c := fs.NewClient(0)
 	h := mustOpen(t, c, "/f", OCreat|ORdwr, 10)
 	writeAll(t, h, 0, []byte("frozen"), 20)
 	if _, err := h.Laminate(30); err != nil {
@@ -51,8 +51,8 @@ func TestTruncateSparesOtherClientsPending(t *testing.T) {
 	// cut: only published data and the *caller's* buffer are clipped, so
 	// rank 0's later commit republishes beyond the truncation point.
 	fs := newFS(Commit)
-	a := fs.NewClient(0, 0)
-	b := fs.NewClient(1, 0)
+	a := fs.NewClient(0)
+	b := fs.NewClient(1)
 	ha := mustOpen(t, a, "/f", OCreat|ORdwr, 10)
 	hb := mustOpen(t, b, "/f", ORdwr, 20)
 	writeAll(t, ha, 0, []byte("abcdef"), 30)
@@ -71,8 +71,8 @@ func TestTruncateVisibleImmediatelyInEveryModel(t *testing.T) {
 	for _, sem := range AllSemantics() {
 		t.Run(sem.String(), func(t *testing.T) {
 			fs := newFS(sem)
-			w := fs.NewClient(0, 0)
-			r := fs.NewClient(1, 0)
+			w := fs.NewClient(0)
+			r := fs.NewClient(1)
 			hw := mustOpen(t, w, "/f", OCreat|ORdwr, 10)
 			writeAll(t, hw, 0, []byte("abcdef"), 20)
 			if _, err := hw.Commit(30); err != nil {
@@ -103,7 +103,7 @@ func TestTruncateVisibleImmediatelyInEveryModel(t *testing.T) {
 
 func TestTruncateExtendDoesNotMaterializeData(t *testing.T) {
 	fs := newFS(Strong)
-	c := fs.NewClient(0, 0)
+	c := fs.NewClient(0)
 	h := mustOpen(t, c, "/f", OCreat|ORdwr, 10)
 	writeAll(t, h, 0, []byte("abc"), 20)
 	if _, err := h.Truncate(100); err != nil {
@@ -128,8 +128,8 @@ func TestOTruncOpenSparesOtherClientsPending(t *testing.T) {
 	// O_TRUNC discards published data and the *opener's* buffer; another
 	// client's buffered writes survive and publish in full on close.
 	fs := newFS(Session)
-	a := fs.NewClient(0, 0)
-	b := fs.NewClient(1, 0)
+	a := fs.NewClient(0)
+	b := fs.NewClient(1)
 	ha := mustOpen(t, a, "/f", OCreat|ORdwr, 10)
 	writeAll(t, ha, 0, []byte("survives"), 20)
 	hb := mustOpen(t, b, "/f", ORdwr|OTrunc, 30)
@@ -141,7 +141,7 @@ func TestOTruncOpenSparesOtherClientsPending(t *testing.T) {
 	if _, err := hb2.Close(70); err != nil {
 		t.Fatalf("close b: %v", err)
 	}
-	r := fs.NewClient(2, 0)
+	r := fs.NewClient(2)
 	hr := mustOpen(t, r, "/f", ORdonly, 80)
 	if got := readAll(t, hr, 0, 20, 90); !bytes.Equal(got, []byte("survives")) {
 		t.Fatalf("read = %q, want %q", got, "survives")
@@ -153,8 +153,8 @@ func TestLaminateOverridesSessionSnapshotAfterTruncate(t *testing.T) {
 	// lamination sees the final laminated content: truncation applies
 	// immediately and lamination overrides the open-time snapshot.
 	fs := newFS(Session)
-	w := fs.NewClient(0, 0)
-	r := fs.NewClient(1, 0)
+	w := fs.NewClient(0)
+	r := fs.NewClient(1)
 	hw := mustOpen(t, w, "/f", OCreat|ORdwr, 10)
 	writeAll(t, hw, 0, []byte("aaaa"), 20)
 	if _, err := hw.Close(30); err != nil {
@@ -182,7 +182,7 @@ func TestExtendingTruncateVisibleSizeMatchesRead(t *testing.T) {
 	for _, sem := range AllSemantics() {
 		t.Run(sem.String(), func(t *testing.T) {
 			fs := newFS(sem)
-			c := fs.NewClient(0, 0)
+			c := fs.NewClient(0)
 			h := mustOpen(t, c, "/f", OCreat|ORdwr, 10)
 			writeAll(t, h, 0, []byte("0123456789"), 20)
 			if _, err := h.Commit(30); err != nil {

@@ -132,7 +132,7 @@ func TestPositionalBadFD(t *testing.T) {
 func TestJitterBoundsAndRank(t *testing.T) {
 	fs := pfs.New(pfs.Options{Semantics: pfs.Strong})
 	clock := sim.NewClock(0, 0)
-	p := NewProc(3, fs.NewClient(3, 0), clock, recorder.NewRankTracer(3))
+	p := NewProc(3, fs.NewClient(3), clock, recorder.NewRankTracer(3))
 	if p.Rank() != 3 {
 		t.Fatal("Rank accessor")
 	}

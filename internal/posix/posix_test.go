@@ -14,7 +14,7 @@ func newProc(t *testing.T, sem pfs.Semantics) (*Proc, *recorder.RankTracer) {
 	t.Helper()
 	fs := pfs.New(pfs.Options{Semantics: sem})
 	tracer := recorder.NewRankTracer(0)
-	p := NewProc(0, fs.NewClient(0, 0), sim.NewClock(0, 0), tracer)
+	p := NewProc(0, fs.NewClient(0), sim.NewClock(0, 0), tracer)
 	return p, tracer
 }
 
@@ -35,8 +35,8 @@ func records(tr *recorder.RankTracer) []recorder.Record {
 func twoProcs(t *testing.T, sem pfs.Semantics) (*Proc, *Proc) {
 	t.Helper()
 	fs := pfs.New(pfs.Options{Semantics: sem})
-	a := NewProc(0, fs.NewClient(0, 0), sim.NewClock(0, 0), recorder.NewRankTracer(0))
-	b := NewProc(1, fs.NewClient(1, 0), sim.NewClock(0, 0), recorder.NewRankTracer(1))
+	a := NewProc(0, fs.NewClient(0), sim.NewClock(0, 0), recorder.NewRankTracer(0))
+	b := NewProc(1, fs.NewClient(1), sim.NewClock(0, 0), recorder.NewRankTracer(1))
 	return a, b
 }
 

@@ -129,8 +129,8 @@ func TestSingleRankGroups(t *testing.T) {
 	res := runDump(t, 2, 1) // one rank per node: every rank is its own group root
 	for fidx := 0; fidx < 2; fidx++ {
 		path := fmt.Sprintf("/dump000.%03d.silo", fidx)
-		if !res.FS.Exists(path) {
-			t.Fatalf("%s missing", path)
+		if _, _, err := res.FS.Stat(path); err != nil {
+			t.Fatalf("%s: %v", path, err)
 		}
 	}
 }

@@ -22,8 +22,9 @@
 //     discipline.
 //
 // Retry returns a policy wrapper adding per-op deadlines, backoff-based
-// bounded retries on errTransient, and a health signal the WAL consumes
-// (it degrades to write-through).
+// bounded retries on errTransient, and a health signal (Health). The WAL
+// does not read that signal: it degrades to write-through on any append
+// error, exhausted retries included.
 //
 // The package sits below internal/faults in the import order (faults
 // imports wal imports storage), so process-kill points go through a hook:
@@ -61,8 +62,8 @@ var errTransient = errors.New("storage: transient backend error")
 
 // errUnavailable marks a backend the retry policy has given up on: the
 // per-op attempt budget or deadline was exhausted without a success. The
-// backend's Health then reads false, and the WAL falls back to synchronous
-// write-through.
+// backend's Health then reads false; the WAL, which sees the append fail,
+// falls back to synchronous write-through.
 var errUnavailable = errors.New("storage: backend unavailable")
 
 // File is one open object on a Backend. The durable layers use it as an

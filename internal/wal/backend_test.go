@@ -172,7 +172,7 @@ func TestWALPersistentBackendFailureDegrades(t *testing.T) {
 	b := storage.NewRetry(storage.NewFlaky(storage.OS(), storage.Schedule{WedgeAfter: 6}),
 		storage.RetryOptions{Sleep: func(time.Duration) {}})
 	fs := pfs.New(pfs.Options{Semantics: pfs.Strong})
-	c := fs.NewClient(0, 0)
+	c := fs.NewClient(0)
 	l, err := wal.Open(0, wal.Options{Dir: filepath.Join(t.TempDir(), "wal"), Backend: b})
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@ const benchBlock = 4096
 // local append's modeled cost, not the PFS round trip the same call makes.
 func BenchmarkWALWriteAck(b *testing.B) {
 	fs := pfs.New(pfs.Options{Semantics: pfs.Strong})
-	c := fs.NewClient(0, 0)
+	c := fs.NewClient(0)
 	l, err := Open(0, Options{Dir: b.TempDir(), NoFsync: true})
 	if err != nil {
 		b.Fatal(err)
@@ -50,7 +50,7 @@ func BenchmarkWALWriteAck(b *testing.B) {
 // strong semantics — the per-operation lock round trip the WAL hides.
 func BenchmarkWALDirectWrite(b *testing.B) {
 	fs := pfs.New(pfs.Options{Semantics: pfs.Strong})
-	c := fs.NewClient(0, 0)
+	c := fs.NewClient(0)
 	var now uint64 = 10
 	h, _, err := c.Open("/bench.dat", pfs.OCreat|pfs.ORdwr, now)
 	if err != nil {

@@ -138,7 +138,7 @@ func RunBurst(spec BurstSpec) (*BurstResult, error) {
 					l.Close()
 					return err
 				}
-				c := fs.NewClient(r, 0)
+				c := fs.NewClient(r)
 				h, _, err := c.Open(burstPath, pfs.OCreat|pfs.ORdwr, now())
 				if err != nil {
 					ack.Close()
@@ -333,7 +333,7 @@ func directDump(spec BurstSpec, counts []int) map[string][]byte {
 		if n == 0 {
 			continue
 		}
-		c := fs.NewClient(r, 0)
+		c := fs.NewClient(r)
 		h, _, err := c.Open(burstPath, pfs.OCreat|pfs.ORdwr, tick())
 		if err != nil {
 			panic(err) // deterministic workload on a fresh fs cannot fail

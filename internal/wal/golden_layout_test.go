@@ -19,7 +19,7 @@ import (
 func TestOSDiskSegmentGoldenLayout(t *testing.T) {
 	dir := t.TempDir()
 	fs := pfs.New(pfs.Options{Semantics: pfs.Commit})
-	c := fs.NewClient(0, 0)
+	c := fs.NewClient(0)
 	l, err := Open(0, Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)

@@ -47,7 +47,7 @@ func newWALRunner(t *testing.T, fs *pfs.FileSystem, ranks int) (*walRunner, erro
 			return nil, err
 		}
 		r.logs[rank] = l
-		r.clients[rank] = fs.NewClient(rank, 0)
+		r.clients[rank] = fs.NewClient(rank)
 		flags := pfs.ORdwr
 		if rank == 0 {
 			flags |= pfs.OCreat

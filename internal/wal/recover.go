@@ -82,7 +82,7 @@ func replayRecords(fs *pfs.FileSystem, recs map[int][]logRecord) error {
 	sort.Ints(ranks)
 	now := maxNow
 	for _, r := range ranks {
-		c := fs.NewClient(r, 0)
+		c := fs.NewClient(r)
 		handles := make(map[string]*pfs.Handle)
 		var order []string
 		for _, rec := range recs[r] {

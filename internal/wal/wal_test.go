@@ -18,7 +18,7 @@ import (
 
 func mustOpen(t *testing.T, fs *pfs.FileSystem, rank int, path string) *pfs.Handle {
 	t.Helper()
-	c := fs.NewClient(rank, 0)
+	c := fs.NewClient(rank)
 	h, _, err := c.Open(path, pfs.OCreat|pfs.ORdwr, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +270,7 @@ func TestLogFailureDegradesSticky(t *testing.T) {
 // error from the same call; no later operation inherits it.
 func TestWriteAfterCrashFails(t *testing.T) {
 	fs := pfs.New(pfs.Options{Semantics: pfs.Strong})
-	c := fs.NewClient(0, 0)
+	c := fs.NewClient(0)
 	h, _, err := c.Open("/f", pfs.OCreat|pfs.ORdwr, 10)
 	if err != nil {
 		t.Fatal(err)
