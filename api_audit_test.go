@@ -47,7 +47,7 @@ var unusedExportAllow = map[string]string{
 	"internal/obs.SpanInfo":                               "returned by Tracer.Spans",
 	"internal/obs.Tracer.SetEnabled":                      "cmd/semanalyze's one-sweep test switches span collection on",
 	"internal/obs.Tracer.Spans":                           "cmd/semanalyze's one-sweep test counts the pass spans of a run",
-	"internal/pfs.Client.Crash":                           "wal's tests crash a client under a queued drain",
+	"internal/pfs.Client.Crash":                           "wal's tests crash a client before a logged write drains",
 	"internal/pfs.Client.Crashed":                         "faults' tests check which clients a schedule crashed",
 	"internal/pfs.ErrCrashed":                             "error contract: faults' and wal's tests match a crashed client with errors.Is",
 	"internal/pfs.ErrLaminated":                           "error contract: wal's tests and pfstest match a write to a laminated file with errors.Is",

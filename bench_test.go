@@ -22,6 +22,7 @@ import (
 	"repro/internal/payload"
 	"repro/internal/pfs"
 	"repro/internal/recorder"
+	"repro/internal/storage"
 )
 
 // benchScale keeps full-registry benchmarks affordable.
@@ -186,6 +187,32 @@ func BenchmarkTraceSetup(b *testing.B) {
 				benchSink += res.Trace.NumRecords()
 			}
 		})
+	}
+}
+
+// BenchmarkAnalyzeDir measures the path semanalyze runs: a trace directory
+// on disk scanned and analyzed by semfs.AnalyzeDirOn on a pool of one. The
+// input is the ENZO-HDF5 run behind analyze-records at a tenth of its steps
+// (fixed seed), saved once, so B/op and allocs/op are deterministic; CI
+// gates both against BENCH_pr41.json, where a heap object per file or per
+// decoded record coming back shows as thousands of allocs/op.
+func BenchmarkAnalyzeDir(b *testing.B) {
+	res, err := semfs.Run("ENZO-HDF5", semfs.RunOptions{Ranks: 16, PPN: 8, Steps: 440, Seed: 1})
+	if err != nil || res.Err() != nil {
+		b.Fatal(err, res.Err())
+	}
+	dir := b.TempDir()
+	if err := semfs.SaveTraceOn(storage.OS(), dir, res.Trace); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		an, err := semfs.AnalyzeDirOn(storage.OS(), dir, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink += an.Report.Records
 	}
 }
 

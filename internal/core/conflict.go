@@ -171,10 +171,27 @@ type ModelConflicts struct {
 }
 
 // conflictBuf is the reusable scratch of one file's fused sweep: one
-// appender per model, whose lists grow in buffers kept from file to file
-// and are copied out at their exact size. Pooled like sweepBuf.
+// appender per model, whose lists grow in buffers kept from file to file,
+// and the arena each finished list is copied into at its exact size.
+// Pooled like sweepBuf, so each worker cuts its files' lists from its own
+// arena, and a pass makes an allocation per arena chunk, not per list.
 type conflictBuf struct {
-	apps []conflictAppender
+	apps  []conflictAppender
+	arena []Conflict // the current chunk's unused tail
+	chunk int        // the current chunk's length
+}
+
+// cut returns a zeroed run of n conflicts from the arena, capacity-clipped
+// so an append to it copies instead of overwriting the next run. Chunks
+// grow like staging chunks.
+func (cb *conflictBuf) cut(n int) []Conflict {
+	if len(cb.arena) < n {
+		cb.chunk = min(max(2*cb.chunk, stageChunkMin), stageChunkMax)
+		cb.arena = make([]Conflict, max(n, cb.chunk))
+	}
+	run := cb.arena[:n:n]
+	cb.arena = cb.arena[n:]
+	return run
 }
 
 var conflictBufs = sync.Pool{New: func() any { return new(conflictBuf) }}
@@ -191,16 +208,12 @@ var conflictBufs = sync.Pool{New: func() any { return new(conflictBuf) }}
 // the two models, the commit list is not built; if none does, it is the
 // session list, backing array included, so callers must treat the lists
 // as read-only.
-func detectConflictsMulti(fa *FileAccesses, models []pfs.Semantics) [][]Conflict {
-	out := make([][]Conflict, len(models))
-	active := 0
-	for _, m := range models {
-		if m != pfs.Strong {
-			active++
-		}
-	}
-	if active == 0 {
-		return out
+//
+// out[j*stride] receives models[j]'s list, nil when it has no conflicts;
+// each list is a capacity-clipped run of a pooled arena.
+func detectConflictsMulti(fa *FileAccesses, models []pfs.Semantics, out [][]Conflict, stride int) {
+	if !slices.ContainsFunc(models, func(m pfs.Semantics) bool { return m != pfs.Strong }) {
+		return
 	}
 	cb := conflictBufs.Get().(*conflictBuf)
 	defer conflictBufs.Put(cb)
@@ -249,15 +262,16 @@ func detectConflictsMulti(fa *FileAccesses, models []pfs.Semantics) [][]Conflict
 		if shared && i == ci {
 			continue // the session list, below
 		}
-		if len(apps[i].out) > 0 {
+		if n := len(apps[i].out); n > 0 {
 			sortConflicts(apps[i].out)
-			out[i] = slices.Clone(apps[i].out)
+			cs := cb.cut(n)
+			copy(cs, apps[i].out)
+			out[i*stride] = cs
 		}
 	}
 	if shared {
-		out[ci] = out[si]
+		out[ci*stride] = out[si*stride]
 	}
-	return out
 }
 
 func kindOf(second *Interval) ConflictKind {

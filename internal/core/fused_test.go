@@ -17,7 +17,7 @@ func TestFusedMatchesPerModelRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 300; trial++ {
 		fa := randomFA(rng)
-		lists := detectConflictsMulti(fa, allModels)
+		lists := conflictsMulti(fa, allModels)
 		for i, m := range allModels {
 			want := detectConflictsOracle(fa, m)
 			if !reflect.DeepEqual(lists[i], want) {
@@ -58,7 +58,7 @@ func TestConflictCapPreservesSignature(t *testing.T) {
 		if got := signatureOf(capped); got != wantSig {
 			t.Fatalf("trial %d: capped signature %+v, want %+v", trial, got, wantSig)
 		}
-		lists := detectConflictsMulti(fa, allModels)
+		lists := conflictsMulti(fa, allModels)
 		for i, m := range allModels {
 			if want := detectConflictsOracle(fa, m); !reflect.DeepEqual(lists[i], want) {
 				t.Fatalf("trial %d: capped fused list under %v diverges", trial, m)

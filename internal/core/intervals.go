@@ -57,8 +57,9 @@ type FileAccesses struct {
 	// each rank's intervals contiguous (its rank run), ranks ascending,
 	// each run in the rank's stream order, which is time order for a
 	// recorded trace. The per-file passes walk the rank runs in place (see
-	// rankOrdered). It is a capacity-clipped slice of one arena shared by
-	// all of an extraction's files, so len == cap and an append copies.
+	// rankOrdered). It is a capacity-clipped slice of storage shared with
+	// other files (an extraction's staging chunk or arena), so len == cap
+	// and an append copies.
 	Intervals []Interval
 	// Ranks holds the per-rank operation times on this file, sorted by
 	// rank, one entry per rank that opened, closed or committed it.
@@ -85,24 +86,6 @@ func (fa *FileAccesses) timesOf(rank int32) *RankTimes {
 	i, ok := slices.BinarySearchFunc(fa.Ranks, rank, cmpRank)
 	if !ok {
 		return nil
-	}
-	return &fa.Ranks[i]
-}
-
-// timesFor is timesOf that inserts an empty entry, in rank order, for a
-// rank not yet present. The pointer is valid until the next insertion.
-func (fa *FileAccesses) timesFor(rank int32) *RankTimes {
-	n := len(fa.Ranks)
-	switch {
-	case n > 0 && fa.Ranks[n-1].Rank == rank:
-		return &fa.Ranks[n-1]
-	case n == 0 || fa.Ranks[n-1].Rank < rank:
-		fa.Ranks = append(fa.Ranks, RankTimes{Rank: rank})
-		return &fa.Ranks[n]
-	}
-	i, ok := slices.BinarySearchFunc(fa.Ranks, rank, cmpRank)
-	if !ok {
-		fa.Ranks = slices.Insert(fa.Ranks, i, RankTimes{Rank: rank})
 	}
 	return &fa.Ranks[i]
 }

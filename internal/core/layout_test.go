@@ -157,7 +157,10 @@ func TestPropertyRankTimesMatchTables(t *testing.T) {
 // files and 16,001 intervals, extracted cold. The per-file interval slices
 // and per-rank time maps this layout replaced measured 16.2 (one worker)
 // and 16.3 (two workers) allocations per file and 411-418 B per interval;
-// one arena and flat per-rank tables bring it to about 6.5.
+// one growing array of FileAccesses, intervals kept in their staging
+// chunks, and slabs for the rank entries and their times bring it to 0.2
+// on one worker and 1.0 on two (each rank's part then pays its own tables
+// and first chunks).
 func TestExtractAllocsPerFile(t *testing.T) {
 	cfg, _ := apps.Lookup("ENZO-HDF5")
 	res, err := apps.Execute(cfg, apps.Options{Ranks: 16, PPN: 2, Seed: 1, Params: apps.Params{Steps: 200}})
@@ -187,6 +190,76 @@ func TestExtractAllocsPerFile(t *testing.T) {
 		if perFile >= 10 {
 			t.Errorf("workers=%d: %.1f allocations per file, want < 10", workers, perFile)
 		}
+	}
+}
+
+// nnStreams is an N-N trace of ranks×files files as record streams: each
+// rank opens each of its files, writes it twice over overlapping ranges
+// (one same-process WAW conflict under every relaxed model), fsyncs and
+// closes it. Paths are built here, so the streams themselves allocate
+// nothing.
+func nnStreams(ranks, files int) [][]recorder.Record {
+	perRank := make([][]recorder.Record, ranks)
+	for r := range perRank {
+		var clock uint64
+		rec := func(f recorder.Func, path string, args ...int64) recorder.Record {
+			clock += 10
+			return recorder.Record{Rank: int32(r), Layer: recorder.LayerPOSIX, Func: f, TStart: clock, TEnd: clock + 5, Path: path, Args: args}
+		}
+		for k := 0; k < files; k++ {
+			path := fmt.Sprintf("/out/rank%05d.%06d", r, k)
+			perRank[r] = append(perRank[r],
+				rec(recorder.FuncOpen, path, recorder.OCreat|recorder.OWronly, 0o644, 3),
+				rec(recorder.FuncPwrite, "", 3, 100, 0, 100),
+				rec(recorder.FuncPwrite, "", 3, 100, 50, 100),
+				rec(recorder.FuncFsync, "", 3),
+				rec(recorder.FuncClose, "", 3),
+			)
+		}
+	}
+	return perRank
+}
+
+// TestScanAllocsPerFile gates the path from record streams to conflict
+// lists on a pool of one: the scan keeps its files in one growing array,
+// their time tables in slabs and their intervals in staging chunks, and
+// the fused sweep cuts every list from an arena, so quadrupling the files
+// of an N-N trace adds well under one allocation per extra file (chunks,
+// table doublings and map growth only). A heap object per file, which
+// measured 7 per file, fails it.
+func TestScanAllocsPerFile(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled sweep buffers at random")
+	}
+	const ranks = 4
+	ctx := context.Background()
+	allocs := func(files int) float64 {
+		perRank := nnStreams(ranks, files)
+		streams := make([]sliceStream, ranks)
+		open := func(rank int) (RecordStream, func(), error) {
+			streams[rank] = sliceStream{rs: perRank[rank]}
+			return &streams[rank], func() {}, nil
+		}
+		return testing.AllocsPerRun(5, func() {
+			sc, err := ScanRanksCtx(ctx, ranks, 1, open)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms, err := ConflictsAllForFilesCtx(ctx, sc.Files, allModels, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(ms[2].ByFile); n != ranks*files {
+				t.Fatalf("%d files with session conflicts, want %d", n, ranks*files)
+			}
+		})
+	}
+	a1, a4 := allocs(64), allocs(256)
+	perFile := (a4 - a1) / (3 * ranks * 64)
+	t.Logf("%v allocs at %d files, %v at %d: %.3f per extra file", a1, ranks*64, a4, ranks*256, perFile)
+	if perFile > 0.1 {
+		t.Errorf("%.3f allocations per extra file (%v at %d files, %v at %d), want at most 0.1",
+			perFile, a1, ranks*64, a4, ranks*256)
 	}
 }
 

@@ -267,7 +267,14 @@ func extractAll(tr *recorder.Trace) []*FileAccesses {
 }
 
 func conflictsUnder(fa *FileAccesses, model pfs.Semantics) []Conflict {
-	return detectConflictsMulti(fa, []pfs.Semantics{model})[0]
+	return conflictsMulti(fa, []pfs.Semantics{model})[0]
+}
+
+// conflictsMulti is one file's fused sweep, its lists index-matching models.
+func conflictsMulti(fa *FileAccesses, models []pfs.Semantics) [][]Conflict {
+	out := make([][]Conflict, len(models))
+	detectConflictsMulti(fa, models, out, 1)
+	return out
 }
 
 func analyzeVerdict(tr *recorder.Trace) Verdict {

@@ -94,9 +94,12 @@ func ParallelForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 // Results index-match models. fas must not be mutated concurrently.
 func ConflictsAllForFilesCtx(ctx context.Context, fas []*FileAccesses, models []pfs.Semantics, workers int) ([]ModelConflicts, error) {
 	defer startPass("fused-conflicts")()
-	per := make([][][]Conflict, len(fas))
-	if err := ParallelForCtx(ctx, len(fas), workers, func(i int) {
-		per[i] = detectConflictsMulti(fas[i], models)
+	// Model j's lists are files[j*n:(j+1)*n], so the sweep writes each
+	// list where ModelConflicts.Files reads it.
+	n := len(fas)
+	files := make([][]Conflict, len(models)*n)
+	if err := ParallelForCtx(ctx, n, workers, func(i int) {
+		detectConflictsMulti(fas[i], models, files[i:], n)
 	}); err != nil {
 		return nil, err
 	}
@@ -104,11 +107,10 @@ func ConflictsAllForFilesCtx(ctx context.Context, fas []*FileAccesses, models []
 	for j, m := range models {
 		mc := &ms[j]
 		mc.Model = m
-		mc.Files = make([][]Conflict, len(fas))
+		mc.Files = files[j*n : (j+1)*n : (j+1)*n]
 		n := 0
-		for i := range fas {
-			if cs := per[i][j]; len(cs) > 0 {
-				mc.Files[i] = cs
+		for _, cs := range mc.Files {
+			if cs != nil {
 				n++
 			}
 		}

@@ -15,11 +15,13 @@ func randomFA(rng *rand.Rand) *FileAccesses {
 }
 
 // randomFATables is randomFA that also returns the map-based tables the
-// schedule's Ranks must agree with. Ranks act in random order, so Ranks is
+// schedule's Ranks must agree with. The history is folded and laid out as
+// an extraction's file is, and ranks act in random order, so Ranks is
 // built through timesFor's insertion path.
 func randomFATables(rng *rand.Rand) (*FileAccesses, rankTables) {
 	nRanks := 1 + rng.Intn(4)
-	fa := &FileAccesses{Path: "/f"}
+	x := &extraction{}
+	x.add("/f")
 	want := newRankTables()
 	var t uint64 = 1
 	type state struct{ open bool }
@@ -29,29 +31,29 @@ func randomFATables(rng *rand.Rand) (*FileAccesses, rankTables) {
 		t += uint64(rng.Intn(50)) + 1
 		switch rng.Intn(5) {
 		case 0: // open
-			rt := fa.timesFor(r)
-			rt.Opens = append(rt.Opens, t)
+			rt := x.timesFor(0, r)
+			rt.Opens = x.slots.append(rt.Opens, t)
 			want.opens[r] = append(want.opens[r], t)
 			st[r].open = true
 		case 1: // close (commit too)
 			if st[r].open {
-				rt := fa.timesFor(r)
-				rt.Closes = append(rt.Closes, t)
-				rt.Commits = append(rt.Commits, t)
+				rt := x.timesFor(0, r)
+				rt.Commits = x.slots.append(rt.Commits, t)
+				rt.Closes = x.slots.append(rt.Closes, t)
 				want.closes[r] = append(want.closes[r], t)
 				want.commits[r] = append(want.commits[r], t)
 				st[r].open = false
 			}
 		case 2: // fsync
 			if st[r].open {
-				rt := fa.timesFor(r)
-				rt.Commits = append(rt.Commits, t)
+				rt := x.timesFor(0, r)
+				rt.Commits = x.slots.append(rt.Commits, t)
 				want.commits[r] = append(want.commits[r], t)
 			}
 		default: // data op
 			if st[r].open {
 				os := int64(rng.Intn(300))
-				fa.Intervals = append(fa.Intervals, Interval{
+				x.ivs.add(0, Interval{
 					T: t, TEnd: t + 1, Rank: r,
 					Os: os, Oe: os + int64(rng.Intn(100)) + 1,
 					Write: rng.Intn(2) == 0,
@@ -59,7 +61,7 @@ func randomFATables(rng *rand.Rand) (*FileAccesses, rankTables) {
 			}
 		}
 	}
-	return fa, want
+	return x.layout()[0], want
 }
 
 // TestPropertyCommitConflictImpliesSessionConflict checks the model

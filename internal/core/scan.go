@@ -129,14 +129,9 @@ func (p *scanPart) intern(path string) int32 {
 func (p *scanPart) file(id int32) int32 {
 	ps := &p.paths[id]
 	if ps.file < 0 {
-		ps.file = p.x.add(&FileAccesses{Path: ps.name}, 0)
+		ps.file = p.x.add(ps.name)
 	}
 	return ps.file
-}
-
-// times returns rank's time tables on path id's file.
-func (p *scanPart) times(id int32, rank int32) *RankTimes {
-	return p.x.files[p.file(id)].timesFor(rank)
 }
 
 // metaID returns path id's index in the metadata path table, adding it on
@@ -348,8 +343,9 @@ func ScanRanksCtx(ctx context.Context, n, workers int, open func(rank int) (Reco
 // the metadata path table in each part's first-use order, events are
 // concatenated with their paths remapped, counters added, and the
 // extractions merged file by file. A rank's times are appended after the
-// earlier parts' times for the same rank, and its staged chunks, re-tagged
-// with the merged file indices, follow the earlier parts' chunks.
+// earlier parts' times for the same rank (the first part's lists are taken
+// as they are), and its staged chunks, re-tagged with the merged file
+// indices, follow the earlier parts' chunks.
 func mergeScanParts(parts []*scanPart) *scanPart {
 	merged := newScanPart()
 	x := merged.x
@@ -378,29 +374,20 @@ func mergeScanParts(parts []*scanPart) *scanPart {
 			if i < 0 {
 				continue
 			}
-			fa, ps := p.x.files[i], &merged.paths[ids[k]]
-			if ps.file < 0 {
-				ps.file = x.add(fa, p.x.counts[i])
-				files[i] = ps.file
-				continue
-			}
-			dst := x.files[ps.file]
-			for _, rt := range fa.Ranks {
-				d := dst.timesFor(rt.Rank)
+			files[i] = merged.file(ids[k])
+			for _, rt := range p.x.files[i].Ranks {
+				d := x.timesFor(files[i], rt.Rank)
+				if d.Opens == nil && d.Closes == nil && d.Commits == nil {
+					// The rank's first part: take its lists, clipped.
+					d.Opens, d.Closes, d.Commits = slices.Clip(rt.Opens), slices.Clip(rt.Closes), slices.Clip(rt.Commits)
+					continue
+				}
 				d.Opens = append(d.Opens, rt.Opens...)
 				d.Closes = append(d.Closes, rt.Closes...)
 				d.Commits = append(d.Commits, rt.Commits...)
 			}
-			x.counts[ps.file] += p.x.counts[i]
-			files[i] = ps.file
 		}
-		for _, c := range p.x.chunks {
-			for k := range c {
-				c[k].file = files[c[k].file]
-			}
-		}
-		x.chunks = append(x.chunks, p.x.chunks...)
-		p.x.chunks = nil // the merged extraction's layout releases them
+		x.ivs.absorb(&p.x.ivs, files)
 	}
 	return merged
 }

@@ -99,18 +99,22 @@ func (e *rankExtractor) step(r *recorder.Record, path int32, origin recorder.Lay
 		if flags&recorder.OTrunc != 0 {
 			e.setSize(path, 0)
 		}
-		rt := e.p.times(path, r.Rank)
-		rt.Opens = append(rt.Opens, r.TStart)
+		x := e.p.x
+		rt := x.timesFor(e.p.file(path), r.Rank)
+		rt.Opens = x.slots.append(rt.Opens, r.TStart)
 	case r.IsCloseOp():
 		if st := e.fds.closeFD(r.Arg(0)); st != nil {
-			rt := e.p.times(st.path, r.Rank)
-			rt.Closes = append(rt.Closes, r.TStart)
-			rt.Commits = append(rt.Commits, r.TStart)
+			// The commit first: after an fsync it can grow in place.
+			x := e.p.x
+			rt := x.timesFor(e.p.file(st.path), r.Rank)
+			rt.Commits = x.slots.append(rt.Commits, r.TStart)
+			rt.Closes = x.slots.append(rt.Closes, r.TStart)
 		}
 	case r.Func == recorder.FuncFsync || r.Func == recorder.FuncFdatasync || r.Func == recorder.FuncFflush:
 		if st := e.fds.get(r.Arg(0)); st != nil {
-			rt := e.p.times(st.path, r.Rank)
-			rt.Commits = append(rt.Commits, r.TStart)
+			x := e.p.x
+			rt := x.timesFor(e.p.file(st.path), r.Rank)
+			rt.Commits = x.slots.append(rt.Commits, r.TStart)
 		}
 	case r.Func == recorder.FuncLseek || r.Func == recorder.FuncFseek:
 		st := e.fds.get(r.Arg(0))
@@ -147,7 +151,7 @@ func (e *rankExtractor) step(r *recorder.Record, path int32, origin recorder.Lay
 		if iv.Oe > e.size(st.path) {
 			e.setSize(st.path, iv.Oe)
 		}
-		e.p.x.stage(e.p.file(st.path), iv)
+		e.p.x.ivs.add(e.p.file(st.path), iv)
 	}
 }
 
@@ -155,81 +159,183 @@ func (e *rankExtractor) step(r *recorder.Record, path int32, origin recorder.Lay
 // stageChunkMin to stageChunkMax entries and are never re-copied: a
 // partial of a many-rank trace with few intervals stays small, and a
 // million intervals cost no more than a few hundred chunk allocations.
+// Slab chunks grow the same way.
 const (
 	stageChunkMin = 64
 	stageChunkMax = 4096
 )
 
-// stagedInterval is one extracted interval tagged with its file's index in
-// the extraction that staged it.
-type stagedInterval struct {
-	iv   Interval
-	file int32
+// stage buffers an extraction's intervals in fold order, each tagged with
+// its file's index in the extraction that staged it. Intervals and tags
+// sit in parallel chunks, so a chunk of intervals is a plain []Interval
+// that layout can hand out in place.
+type stage struct {
+	chunks [][]Interval
+	files  [][]int32 // files[c][k] tags chunks[c][k]
 }
 
-// extraction accumulates the files of one or more rank streams. Each file's
-// time tables grow in place, while its intervals are staged in chunks in
-// fold order; layout then gives every file its slice of one arena, so a
-// file's intervals are allocated once instead of regrown per append. A
-// file's index is kept with its path's other state (pathState.file).
+func (s *stage) add(file int32, iv Interval) {
+	n := len(s.chunks)
+	if n == 0 || len(s.chunks[n-1]) == cap(s.chunks[n-1]) {
+		size := stageChunkMin
+		if n > 0 {
+			size = min(2*cap(s.chunks[n-1]), stageChunkMax)
+		}
+		s.chunks = append(s.chunks, make([]Interval, 0, size))
+		s.files = append(s.files, make([]int32, 0, size))
+		n++
+	}
+	s.chunks[n-1] = append(s.chunks[n-1], iv)
+	s.files[n-1] = append(s.files[n-1], file)
+}
+
+// absorb moves o's chunks after s's, re-tagged through files (o's file
+// indices in s).
+func (s *stage) absorb(o *stage, files []int32) {
+	for _, tags := range o.files {
+		for k, f := range tags {
+			tags[k] = files[f]
+		}
+	}
+	s.chunks = append(s.chunks, o.chunks...)
+	s.files = append(s.files, o.files...)
+	o.chunks, o.files = nil, nil // s's layout releases them
+}
+
+// slab hands out small lists from chunks: a list's first entry is taken
+// from the current chunk, and the list grows in place while it ends where
+// the chunk's last taken entry does. A rank's opens, commits and closes
+// of a file arrive together, so most time lists never move, and no file
+// costs a heap object for them; a list that cannot grow in place is
+// appended to the heap. Every list is capacity-clipped, so an append by
+// anyone else copies instead of overwriting the next list.
+type slab[T any] struct {
+	chunk []T
+	used  int
+}
+
+func (s *slab[T]) append(list []T, v T) []T {
+	n := len(list)
+	if n > 0 && (s.used == len(s.chunk) || &list[n-1] != &s.chunk[s.used-1]) {
+		return append(list, v)
+	}
+	if s.used == len(s.chunk) {
+		s.chunk, s.used = make([]T, min(max(2*len(s.chunk), stageChunkMin), stageChunkMax)), 0
+	}
+	s.chunk[s.used] = v
+	s.used++
+	return s.chunk[s.used-n-1 : s.used : s.used]
+}
+
+// extraction accumulates the files of one or more rank streams. A file's
+// times grow in place, its rank entries and time lists taken from slabs,
+// while its intervals are staged in chunks in fold order; layout then
+// gives every file its intervals without a heap object per file. A file's
+// index is kept with its path's other state (pathState.file).
 type extraction struct {
-	files  []*FileAccesses // Path and Ranks; layout fills Intervals
-	counts []int           // staged intervals per file
-	chunks [][]stagedInterval
+	files []FileAccesses // Path and Ranks; layout fills Intervals
+	ivs   stage
+	ranks slab[RankTimes]
+	slots slab[uint64]
 }
 
 // add appends a file and returns its index.
-func (x *extraction) add(fa *FileAccesses, staged int) int32 {
-	x.files = append(x.files, fa)
-	x.counts = append(x.counts, staged)
+func (x *extraction) add(path string) int32 {
+	x.files = append(x.files, FileAccesses{Path: path})
 	return int32(len(x.files) - 1)
 }
 
-func (x *extraction) stage(file int32, iv Interval) {
-	n := len(x.chunks)
-	if n == 0 || len(x.chunks[n-1]) == cap(x.chunks[n-1]) {
-		size := stageChunkMin
-		if n > 0 {
-			size = min(2*cap(x.chunks[n-1]), stageChunkMax)
-		}
-		x.chunks = append(x.chunks, make([]stagedInterval, 0, size))
-		n++
+// timesFor returns rank's time tables on file f, inserting an empty entry,
+// in rank order, for a rank not yet present. The pointer is valid until
+// the next insertion into the file's Ranks or the next add.
+func (x *extraction) timesFor(f int32, rank int32) *RankTimes {
+	rs := &x.files[f].Ranks
+	n := len(*rs)
+	switch {
+	case n > 0 && (*rs)[n-1].Rank == rank:
+		return &(*rs)[n-1]
+	case n == 0 || (*rs)[n-1].Rank < rank:
+		*rs = x.ranks.append(*rs, RankTimes{Rank: rank})
+		return &(*rs)[n]
 	}
-	x.chunks[n-1] = append(x.chunks[n-1], stagedInterval{iv: iv, file: file})
-	x.counts[file]++
+	i, ok := slices.BinarySearchFunc(*rs, rank, cmpRank)
+	if !ok {
+		*rs = slices.Insert(*rs, i, RankTimes{Rank: rank})
+	}
+	return &(*rs)[i]
 }
 
-// layout returns the files sorted by path, each holding a capacity-clipped
-// slice of one interval arena laid out in path order and filled in staging
-// order, which is each file's fold (rank, then stream) order. Each staging
-// chunk is released as soon as it is copied, so the arena and the staged
-// copy are not both held in full.
+// layout returns the files sorted by path, each holding its intervals in
+// staging order, which is each file's fold (rank, then stream) order (see
+// layoutIntervals).
 func (x *extraction) layout() []*FileAccesses {
 	order := make([]int32, len(x.files))
-	total := 0
-	for i, n := range x.counts {
+	for i := range order {
 		order[i] = int32(i)
-		total += n
 	}
 	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(x.files[a].Path, x.files[b].Path) })
-	arena := make([]Interval, total)
+	x.layoutIntervals(order)
 	out := make([]*FileAccesses, len(order))
-	off := 0
 	for k, i := range order {
-		fa, n := x.files[i], x.counts[i]
-		if n > 0 {
-			fa.Intervals = arena[off : off : off+n]
-		}
-		off += n
-		out[k] = fa
+		out[k] = &x.files[i]
 	}
-	for i, c := range x.chunks {
-		for k := range c {
-			fa := x.files[c[k].file]
-			fa.Intervals = append(fa.Intervals, c[k].iv)
-		}
-		x.chunks[i] = nil
-	}
-	x.chunks = nil
 	return out
+}
+
+// layoutIntervals gives every file its intervals. A file whose staged
+// intervals are one contiguous run of one chunk, as a file one rank writes
+// from open to close without touching another file's data is, keeps that
+// run in place; only the others are copied, in path order, into one arena.
+// So an N-N trace's intervals are stored once, in their staging chunks,
+// instead of staged and then copied. order lists the file indices in path
+// order.
+func (x *extraction) layoutIntervals(order []int32) {
+	// runs[f] is file f's run in chunk c, [start, end), while its staged
+	// intervals are contiguous; c is -1 once they are not.
+	type run struct{ c, start, end, n int32 }
+	runs := make([]run, len(x.files))
+	for c, tags := range x.ivs.files {
+		for k, f := range tags {
+			switch r := &runs[f]; {
+			case r.n == 0:
+				*r = run{int32(c), int32(k), int32(k), 0}
+				fallthrough
+			case r.c == int32(c) && r.end == int32(k):
+				r.end++
+			default:
+				r.c = -1
+			}
+			runs[f].n++
+		}
+	}
+	// The copied files' runs, in path order: start is where the next
+	// interval goes.
+	total := int32(0)
+	for _, i := range order {
+		switch r := &runs[i]; {
+		case r.n == 0:
+		case r.c >= 0:
+			x.files[i].Intervals = x.ivs.chunks[r.c][r.start:r.end:r.end]
+		default:
+			r.start, total = total, total+r.n
+		}
+	}
+	// Copy, dropping each chunk once it is read: one that holds a kept
+	// run stays alive through that run alone.
+	arena := make([]Interval, total)
+	for c, tags := range x.ivs.files {
+		for k, f := range tags {
+			if r := &runs[f]; r.c < 0 {
+				arena[r.start] = x.ivs.chunks[c][k]
+				r.start++
+			}
+		}
+		x.ivs.chunks[c], x.ivs.files[c] = nil, nil
+	}
+	x.ivs.chunks, x.ivs.files = nil, nil
+	for i, r := range runs {
+		if r.c < 0 {
+			x.files[i].Intervals = arena[r.start-r.n : r.start : r.start]
+		}
+	}
 }

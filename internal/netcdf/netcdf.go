@@ -152,6 +152,11 @@ func headerBytes(path string, n int64) []byte {
 	return b
 }
 
+// counterBytes encodes the record counter big-endian in numrecsLen bytes.
 func counterBytes(v int64) []byte {
-	return []byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}
+	b := make([]byte, numrecsLen)
+	for i := range b {
+		b[i] = byte(v >> (8 * (numrecsLen - 1 - i)))
+	}
+	return b
 }

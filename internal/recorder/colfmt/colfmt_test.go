@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -315,6 +317,127 @@ func TestCorruptBlockSkip(t *testing.T) {
 	}
 	want := append(append([]recorder.Record(nil), recs[:2*per]...), recs[3*per:]...)
 	requireRecordsEqual(t, want, got)
+}
+
+// rewriteBlock re-encodes a stream with frame block's payload replaced by
+// mutate's result: the frame's length and CRC are recomputed and the
+// trailer's dictionary offset follows the shift, so the footer stays
+// intact and only the block's contents are damaged.
+func rewriteBlock(data []byte, block int, mutate func(payload []byte) []byte) []byte {
+	off := len(colwire.Magic)
+	_, off, _ = uvarintAt(data, off)
+	_, off, _ = uvarintAt(data, off)
+	out := bytes.Clone(data[:off])
+	dictOff := 0
+	for b := 0; ; b++ {
+		kind := data[off]
+		plen := int(binary.LittleEndian.Uint32(data[off+1:]))
+		payload := data[off+colwire.FrameHdrLen : off+colwire.FrameHdrLen+plen]
+		off += colwire.FrameHdrLen + plen
+		if b == block {
+			payload = mutate(bytes.Clone(payload))
+		}
+		if kind == colwire.KindDict {
+			dictOff = len(out)
+		}
+		out = append(out, kind)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
+		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, colwire.Castagnoli))
+		out = append(out, payload...)
+		if kind == colwire.KindDict {
+			break
+		}
+	}
+	trailer := bytes.Clone(data[off:])
+	binary.LittleEndian.PutUint64(trailer, uint64(dictOff))
+	return append(out, trailer...)
+}
+
+// splitColumns splits a footer-mode data payload into its prefix (record
+// count and dictionary delta) and its column segments.
+func splitColumns(payload []byte) (prefix []byte, segs [colwire.Segments][]byte) {
+	_, off, _ := uvarintAt(payload, 0)
+	nnew, off, _ := uvarintAt(payload, off)
+	for i := uint64(0); i < nnew; i++ {
+		n, noff, _ := uvarintAt(payload, off)
+		off = noff + int(n)
+	}
+	prefix = payload[:off]
+	for s := range segs {
+		n, noff, _ := uvarintAt(payload, off)
+		segs[s] = payload[noff : noff+int(n)]
+		off = noff + int(n)
+	}
+	return prefix, segs
+}
+
+// TestCursorColumnBounds pins the cursor's column bounds on one block of
+// three: each of the eight columns cut short by one byte, and each
+// segment given a length past the payload. The strict cursor fails with a
+// corruptError for that block naming the column; the lenient cursor, the
+// footer intact, skips the block and keeps every other record.
+func TestCursorColumnBounds(t *testing.T) {
+	const n, per, bad = 48, 16, 1
+	recs := genStream(4, n, 29)
+	data := encode(t, 4, recs, EncodeOptions{BlockRecords: per})
+	want := slices.Concat(recs[:bad*per], recs[(bad+1)*per:])
+	type damage struct {
+		name   string
+		col    int
+		mutate func(payload []byte) []byte
+	}
+	var cases []damage
+	for s := 0; s < colwire.Segments; s++ {
+		cases = append(cases, damage{"cut short", s, func(payload []byte) []byte {
+			prefix, segs := splitColumns(payload)
+			out := bytes.Clone(prefix)
+			for k, seg := range segs {
+				if k == s {
+					seg = seg[:len(seg)-1]
+				}
+				out = binary.AppendUvarint(out, uint64(len(seg)))
+				out = append(out, seg...)
+			}
+			return out
+		}}, damage{"length past the payload", s, func(payload []byte) []byte {
+			prefix, segs := splitColumns(payload)
+			out := bytes.Clone(prefix)
+			for k, seg := range segs {
+				slen := uint64(len(seg))
+				if k == s {
+					slen = uint64(len(payload))
+				}
+				out = binary.AppendUvarint(out, slen)
+				out = append(out, seg...)
+			}
+			return out
+		}})
+	}
+	for _, d := range cases {
+		name := fmt.Sprintf("%s %s", colNames[d.col], d.name)
+		mut := rewriteBlock(data, bad+0, d.mutate)
+		r, err := NewReader(mut)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if r.dictOff < 0 {
+			t.Fatalf("%s: the footer did not survive the rewrite", name)
+		}
+		var ce *corruptError
+		if _, err := r.materialize(r.Cursor()); !errors.As(err, &ce) || ce.Block != bad ||
+			!strings.Contains(ce.Reason, colNames[d.col]+" column") {
+			t.Fatalf("%s: strict walk: %v; want a corruptError at block %d naming the %s column", name, err, bad, colNames[d.col])
+		}
+		lc := r.lenientCursor()
+		got, err := r.materialize(lc)
+		if err != nil {
+			t.Fatalf("%s: lenient walk: %v", name, err)
+		}
+		if st := lc.decodeStats(); st.Skipped != 1 || st.Blocks != n/per-1 {
+			t.Fatalf("%s: lenient stats %+v, want block %d skipped and the other %d kept", name, st, bad, n/per-1)
+		}
+		requireRecordsEqual(t, want, got)
+	}
 }
 
 func TestOpenMapsOnDisk(t *testing.T) {

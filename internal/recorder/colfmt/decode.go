@@ -109,7 +109,7 @@ func (r *Reader) probeFooter() {
 	if crc32.Checksum(payload, colwire.Castagnoli) != wantCRC {
 		return
 	}
-	dict, ok := parseDict(payload, nil)
+	dict, ok := parseDict(payload)
 	if !ok {
 		return
 	}
@@ -117,27 +117,27 @@ func (r *Reader) probeFooter() {
 	r.dict = dict
 }
 
-// parseDict decodes a string-table payload (or a per-block delta section
-// laid out the same way), appending to dst. Strings are copied out of data:
-// they must outlive an unmapped Reader.
-func parseDict(payload []byte, dst []string) ([]string, bool) {
+// parseDict decodes a string-table payload. The strings must outlive an
+// unmapped Reader, so the payload is copied out of the mapping once, as one
+// string, and each entry is a substring of it: one allocation per
+// dictionary instead of one per path.
+func parseDict(payload []byte) ([]string, bool) {
 	off := 0
 	count, off, ok := uvarintAt(payload, off)
 	if !ok || count > uint64(len(payload)) {
-		return dst, false
+		return nil, false
 	}
+	var dst []string
+	all := string(payload)
 	for i := uint64(0); i < count; i++ {
 		n, noff, ok := uvarintAt(payload, off)
 		if !ok || n > colwire.MaxString || noff+int(n) > len(payload) {
-			return dst, false
+			return nil, false
 		}
-		dst = append(dst, string(payload[noff:noff+int(n)]))
+		dst = append(dst, all[noff:noff+int(n)])
 		off = noff + int(n)
 	}
-	if off != len(payload) {
-		return dst, false
-	}
-	return dst, true
+	return dst, off == len(payload)
 }
 
 // declaredRecords returns the record count the header promises — the
@@ -157,6 +157,12 @@ type cursorStats struct {
 // both valid only until the next call to Next. Columns are consumed
 // in place from the mapped bytes; the only per-record heap work is nothing
 // at all once the args buffer has grown to its high-water mark.
+//
+// A block's payload is kept once and each column segment is read through
+// an int position into it, so decoding a field stores an int, never a
+// slice header: the cursor lives in the heap, and a pointer stored per
+// field would pay the GC's write barrier on every varint while a
+// collection is marking.
 type Cursor struct {
 	r       *Reader
 	lenient bool
@@ -165,17 +171,13 @@ type Cursor struct {
 	off     int  // offset of the next frame
 	block   int  // index of the next frame
 
-	// Current block state: remaining bytes of each column segment.
-	n, i    int
-	prevT   uint64
-	layers  []byte
-	funcs   []byte
-	tstarts []byte
-	durs    []byte
-	paths   []byte
-	paths2  []byte
-	nargs   []byte
-	args    []byte
+	// Current block state: the CRC-checked payload, and for each column
+	// segment the offset of its next unread byte and of its end.
+	n, i  int
+	prevT uint64
+	blk   []byte
+	pos   [colwire.Segments]int
+	end   [colwire.Segments]int
 
 	rec    recorder.Record
 	argbuf []int64
@@ -224,17 +226,9 @@ func (c *Cursor) Next() bool {
 			c.stats.Records++
 			return true
 		}
-		// decodeRecord set a corruption error for the current block; in a
-		// lenient footer-mode walk later blocks are independent (absolute
-		// dictionary refs, block-local timestamps), so drop the rest of this
-		// block and resync at the next frame.
-		if c.lenient && !c.incr {
-			c.err = nil
-			c.done = false
-			c.stats.Skipped++
-			c.n, c.i = 0, 0
-			continue
-		}
+		// decodeRecord set a corruption error for the current block. A
+		// lenient footer-mode walk never gets here: it decoded the block
+		// whole before yielding from it (see checkBlock).
 		c.done = true
 		return false
 	}
@@ -314,9 +308,11 @@ func (c *Cursor) nextBlock() bool {
 				}
 				return false
 			}
-			if !c.loadBlock(block, payload) {
-				// loadBlock failures are all corruptError; a lenient
-				// footer-mode walk resyncs at the next frame.
+			if !c.loadBlock(block, payload) || (c.lenient && !c.incr && !c.checkBlock()) {
+				// loadBlock and checkBlock failures are all corruptError;
+				// in a lenient footer-mode walk later blocks are
+				// independent (absolute dictionary refs, block-local
+				// timestamps), so it resyncs at the next frame.
 				if c.lenient && !c.incr {
 					c.err = nil
 					c.done = false
@@ -365,7 +361,24 @@ func (c *Cursor) finish() bool {
 	return false
 }
 
-// loadBlock parses a CRC-valid data payload into column slices. A false
+// checkBlock decodes the loaded block to its end and rewinds to its first
+// record, so that a lenient walk skips a malformed block whole instead of
+// yielding the records before the damage. The rewind restores a few ints.
+func (c *Cursor) checkBlock() bool {
+	pos, prevT := c.pos, c.prevT
+	for ; c.i < c.n; c.i++ {
+		if !c.decodeRecord() {
+			return false
+		}
+	}
+	c.i, c.pos, c.prevT = 0, pos, prevT
+	return true
+}
+
+// colNames names the column segments, by wire index, in corruption errors.
+var colNames = [colwire.Segments]string{"layers", "funcs", "tstarts", "durs", "paths", "paths2", "nargs", "args"}
+
+// loadBlock parses a CRC-valid data payload into column positions. A false
 // return with c.err == *corruptError means the payload was malformed.
 func (c *Cursor) loadBlock(block int, payload []byte) bool {
 	off := 0
@@ -399,30 +412,23 @@ func (c *Cursor) loadBlock(block int, payload []byte) bool {
 			off = noff + int(n)
 		}
 	}
-	var segs [colwire.Segments][]byte
+	var pos, end [colwire.Segments]int
 	for s := 0; s < colwire.Segments; s++ {
 		slen, noff, ok := uvarintAt(payload, off)
-		if !ok || noff+int(slen) > len(payload) {
-			return c.failCorrupt(block, "bad column segment %d", s)
+		if !ok || slen > uint64(len(payload)-noff) {
+			return c.failCorrupt(block, "bad %s column segment", colNames[s])
 		}
-		segs[s] = payload[noff : noff+int(slen)]
-		off = noff + int(slen)
+		pos[s], end[s] = noff, noff+int(slen)
+		off = end[s]
 	}
 	if off != len(payload) {
 		return c.failCorrupt(block, "trailing bytes after columns")
 	}
-	if uint64(len(segs[colwire.ColLayers])) != count {
-		return c.failCorrupt(block, "layer column length mismatch")
+	if uint64(end[colwire.ColLayers]-pos[colwire.ColLayers]) != count {
+		return c.failCorrupt(block, "layers column length mismatch")
 	}
 	c.n, c.i = int(count), 0
-	c.layers = segs[colwire.ColLayers]
-	c.funcs = segs[colwire.ColFuncs]
-	c.tstarts = segs[colwire.ColTStarts]
-	c.durs = segs[colwire.ColDurs]
-	c.paths = segs[colwire.ColPaths]
-	c.paths2 = segs[colwire.ColPaths2]
-	c.nargs = segs[colwire.ColNArgs]
-	c.args = segs[colwire.ColArgs]
+	c.blk, c.pos, c.end = payload, pos, end
 	return true
 }
 
@@ -446,24 +452,27 @@ func parseDictN(payload []byte, off *int, n uint64, dst []string) ([]string, boo
 // set a corruption error on the current block.
 func (c *Cursor) decodeRecord() bool {
 	block := c.block - 1
-	layer := c.layers[c.i] // length validated against count in loadBlock
-	fn, ok := takeUvarint(&c.funcs)
+	blk := c.blk
+	// The layers segment's length was validated against count in loadBlock.
+	layer := blk[c.pos[colwire.ColLayers]+c.i]
+	fn, ok := takeUvarint(blk[:c.end[colwire.ColFuncs]], &c.pos[colwire.ColFuncs])
 	if !ok {
 		return c.failCorrupt(block, "funcs column short")
 	}
 	var tstart uint64
+	tcol := blk[:c.end[colwire.ColTStarts]]
 	if c.i == 0 {
-		tstart, ok = takeUvarint(&c.tstarts)
+		tstart, ok = takeUvarint(tcol, &c.pos[colwire.ColTStarts])
 	} else {
 		var d int64
-		d, ok = takeVarint(&c.tstarts)
+		d, ok = takeVarint(tcol, &c.pos[colwire.ColTStarts])
 		tstart = c.prevT + uint64(d)
 	}
 	if !ok {
 		return c.failCorrupt(block, "tstarts column short")
 	}
 	c.prevT = tstart
-	dur, ok := takeUvarint(&c.durs)
+	dur, ok := takeUvarint(blk[:c.end[colwire.ColDurs]], &c.pos[colwire.ColDurs])
 	if !ok {
 		return c.failCorrupt(block, "durs column short")
 	}
@@ -471,7 +480,7 @@ func (c *Cursor) decodeRecord() bool {
 	if tend < tstart {
 		return c.failCorrupt(block, "duration overflows")
 	}
-	pref, ok := takeUvarint(&c.paths)
+	pref, ok := takeUvarint(blk[:c.end[colwire.ColPaths]], &c.pos[colwire.ColPaths])
 	if !ok {
 		return c.failCorrupt(block, "paths column short")
 	}
@@ -479,7 +488,7 @@ func (c *Cursor) decodeRecord() bool {
 	if !ok {
 		return c.failCorrupt(block, "path ref %d out of dictionary (%d entries)", pref, len(c.dict))
 	}
-	pref2, ok := takeUvarint(&c.paths2)
+	pref2, ok := takeUvarint(blk[:c.end[colwire.ColPaths2]], &c.pos[colwire.ColPaths2])
 	if !ok {
 		return c.failCorrupt(block, "paths2 column short")
 	}
@@ -487,7 +496,7 @@ func (c *Cursor) decodeRecord() bool {
 	if !ok {
 		return c.failCorrupt(block, "path2 ref %d out of dictionary (%d entries)", pref2, len(c.dict))
 	}
-	nargs, ok := takeUvarint(&c.nargs)
+	nargs, ok := takeUvarint(blk[:c.end[colwire.ColNArgs]], &c.pos[colwire.ColNArgs])
 	if !ok {
 		return c.failCorrupt(block, "nargs column short")
 	}
@@ -508,8 +517,9 @@ func (c *Cursor) decodeRecord() bool {
 			c.argbuf = make([]int64, nargs)
 		}
 		rec.Args = c.argbuf[:nargs]
+		acol := blk[:c.end[colwire.ColArgs]]
 		for j := range rec.Args {
-			a, ok := takeVarint(&c.args)
+			a, ok := takeVarint(acol, &c.pos[colwire.ColArgs])
 			if !ok {
 				return c.failCorrupt(block, "args column short")
 			}
@@ -559,15 +569,17 @@ func uvarintAt(data []byte, off int) (uint64, int, bool) {
 	return v, off + n, true
 }
 
-// takeUvarint consumes a uvarint from the front of a column slice. It is
-// binary.Uvarint (same overflow and short-buffer failures) written so that
-// the compiler inlines it into decodeRecord: with ~7 column values per
-// record, the call overhead was a tenth of a scan's CPU.
-func takeUvarint(col *[]byte) (uint64, bool) {
-	c := *col
+// takeUvarint consumes a uvarint from col at *pos, a column segment that
+// ends at len(col), and advances *pos past it; on failure *pos is left
+// unchanged. It is binary.Uvarint on col[*pos:] (same overflow and
+// short-buffer failures) written so that the compiler inlines it into
+// decodeRecord: with ~7 column values per record, the call overhead was a
+// tenth of a scan's CPU. *pos must lie in [0, len(col)].
+func takeUvarint(col []byte, pos *int) (uint64, bool) {
+	p := *pos
 	var x uint64
 	var s uint
-	for i, b := range c {
+	for i, b := range col[p:] {
 		if i == binary.MaxVarintLen64 {
 			return 0, false // overflow
 		}
@@ -575,7 +587,7 @@ func takeUvarint(col *[]byte) (uint64, bool) {
 			if i == binary.MaxVarintLen64-1 && b > 1 {
 				return 0, false // overflow
 			}
-			*col = c[i+1:]
+			*pos = p + i + 1
 			return x | uint64(b)<<s, true
 		}
 		x |= uint64(b&0x7f) << s
@@ -584,10 +596,10 @@ func takeUvarint(col *[]byte) (uint64, bool) {
 	return 0, false // short
 }
 
-// takeVarint consumes a zig-zag varint from the front of a column slice,
-// as binary.Varint decodes it.
-func takeVarint(col *[]byte) (int64, bool) {
-	ux, ok := takeUvarint(col)
+// takeVarint consumes a zig-zag varint from col at *pos, as binary.Varint
+// decodes it.
+func takeVarint(col []byte, pos *int) (int64, bool) {
+	ux, ok := takeUvarint(col, pos)
 	x := int64(ux >> 1)
 	if ux&1 != 0 {
 		x = ^x

@@ -9,7 +9,9 @@ import (
 
 // TestTakeVarintsMatchEncodingBinary: the inlined column readers decode,
 // consume and reject exactly what binary.Uvarint and binary.Varint do —
-// every length, the overflowing tenth byte, and short columns.
+// every length, the overflowing tenth byte, and short columns — from any
+// position in a column, advancing the position by the bytes consumed and
+// leaving it unchanged on failure.
 func TestTakeVarintsMatchEncodingBinary(t *testing.T) {
 	cols := [][]byte{
 		nil, {}, {0}, {0x7f}, {0x80}, {0x80, 0x01}, {0xff, 0xff, 0x03},
@@ -26,15 +28,18 @@ func TestTakeVarintsMatchEncodingBinary(t *testing.T) {
 		cols = append(cols, col, col[:rng.Intn(len(col)+1)])
 	}
 	for _, col := range cols {
-		wantU, n := binary.Uvarint(col)
-		c := col
-		if gotU, ok := takeUvarint(&c); ok != (n > 0) || (ok && (gotU != wantU || len(c) != len(col)-n)) || (!ok && len(c) != len(col)) {
-			t.Fatalf("takeUvarint(% x) = %d, %v, rest %d; binary.Uvarint = %d, %d", col, gotU, ok, len(c), wantU, n)
-		}
-		wantV, n := binary.Varint(col)
-		c = col
-		if gotV, ok := takeVarint(&c); ok != (n > 0) || (ok && (gotV != wantV || len(c) != len(col)-n)) || (!ok && len(c) != len(col)) {
-			t.Fatalf("takeVarint(% x) = %d, %v, rest %d; binary.Varint = %d, %d", col, gotV, ok, len(c), wantV, n)
+		for _, lead := range []int{0, 3} {
+			buf := append(make([]byte, lead), col...) // col at position lead
+			wantU, n := binary.Uvarint(col)
+			pos := lead
+			if gotU, ok := takeUvarint(buf, &pos); ok != (n > 0) || (ok && (gotU != wantU || pos != lead+n)) || (!ok && pos != lead) {
+				t.Fatalf("takeUvarint(% x at %d) = %d, %v, pos %d; binary.Uvarint = %d, %d", col, lead, gotU, ok, pos, wantU, n)
+			}
+			wantV, n := binary.Varint(col)
+			pos = lead
+			if gotV, ok := takeVarint(buf, &pos); ok != (n > 0) || (ok && (gotV != wantV || pos != lead+n)) || (!ok && pos != lead) {
+				t.Fatalf("takeVarint(% x at %d) = %d, %v, pos %d; binary.Varint = %d, %d", col, lead, gotV, ok, pos, wantV, n)
+			}
 		}
 	}
 }
