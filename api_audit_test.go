@@ -73,10 +73,7 @@ var unusedExportAllow = map[string]string{
 	"internal/storage.FaultTransient":                     "the flaky backend's fault taxonomy: wal's tests build schedules from it",
 	"internal/storage.GenOptions":                         "wal's tests generate flaky-backend schedules",
 	"internal/storage.GenSchedule":                        "wal's tests generate flaky-backend schedules",
-	"internal/storage.Health":                             "wal's tests check that a flaky backend stayed healthy",
 	"internal/storage.NewFlaky":                           "colfmt's and wal's tests wrap a backend with injected faults",
-	"internal/storage.NewObjStore":                        "wal's tests open an object store directly",
-	"internal/storage.ObjStoreOptions":                    "wal's tests open an object store directly",
 	"internal/storage.Schedule":                           "colfmt's and wal's tests pass flaky-backend schedules",
 	"internal/storage.Schedule.Encode":                    "wal's tests print a failing schedule",
 	"internal/storage.Schedule.TransientOnly":             "wal's tests check a generated schedule's kinds",
@@ -92,8 +89,6 @@ var unsetFieldAllow = map[string]string{
 	"internal/recorder/colfmt.EncodeOptions.BlockRecords": "the small-block salvage tests need blocks smaller than a test trace",
 	"internal/storage.GenOptions.Count":                   "wal's tests size generated flaky-backend schedules",
 	"internal/storage.GenOptions.Kinds":                   "wal's tests narrow generated flaky-backend schedules",
-	"internal/storage.ObjStoreOptions.Root":               "a deployment path; the -backend parser sets it inside storage",
-	"internal/storage.ObjStoreOptions.VisibilityDelay":    "the -backend parser sets it inside storage; wal's tests set it directly",
 	"internal/storage.RetryOptions.Now":                   "a seam for a fake clock in tests",
 	"internal/storage.RetryOptions.Sleep":                 "a seam for a fake clock in tests",
 }

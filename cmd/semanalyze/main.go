@@ -71,7 +71,6 @@ func run() (code int) {
 		workers  = flag.Int("workers", 0, "analysis worker pool size: 0 = GOMAXPROCS, 1 = a pool of one (every pass runs serially); the output is identical at every size")
 		lenient  = flag.Bool("lenient", false, "salvage valid records from truncated or corrupt rank streams instead of failing")
 		checkSem = flag.Bool("check-consistency", false, "re-run the traced configuration under all four consistency models and verify each op history against its formal spec")
-		spec     = flag.String("backend", "osdisk", "durable storage backend for -trace reads: osdisk | objstore[:delay=D,root=DIR] | flaky[:...]")
 		tele     obs.CLIFlags
 	)
 	tele.Register(flag.CommandLine)
@@ -80,12 +79,7 @@ func run() (code int) {
 		fmt.Fprintln(os.Stderr, "semanalyze: -trace is required")
 		return exitUsage
 	}
-	backend, err := storage.ParseSpec(*spec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "semanalyze: -backend:", err)
-		return exitUsage
-	}
-	backend = storage.NewRetry(backend, storage.RetryOptions{})
+	backend := storage.NewRetry(storage.OS(), storage.RetryOptions{})
 	if err := faults.ArmKillPointsFromEnv(); err != nil {
 		fmt.Fprintln(os.Stderr, "semanalyze:", err)
 		return exitUsage

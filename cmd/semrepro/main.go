@@ -76,7 +76,7 @@ func run() (code int) {
 		walRecover = flag.Bool("wal-recover", false, "recover a (possibly crash-interrupted) WAL burst from -wal-dir and verify zero acked-write loss")
 		walDir     = flag.String("wal-dir", "", "write-ahead log directory for -wal-burst / -wal-recover")
 		walApps    = flag.String("wal-apps", "", "comma-separated configuration names for -only walcompare (default: the FLASH/HACC burst set)")
-		backSpec   = flag.String("backend", "osdisk", "durable storage backend for -wal-burst/-wal-recover/-chaos state: osdisk | objstore[:delay=D,root=DIR] | flaky[:base=B,seed=N,count=N,kinds=transient|all]")
+		backSpec   = flag.String("backend", "osdisk", "durable storage backend for -wal-burst/-wal-recover/-chaos state: osdisk | flaky[:seed=N,count=N,kinds=transient|all]")
 		tele       obs.CLIFlags
 	)
 	tele.Register(flag.CommandLine)
@@ -202,8 +202,8 @@ func run() (code int) {
 			// machinery, not host-disk durability (the kill-and-recover
 			// harness covers that). A non-default -backend implies WAL
 			// routing — the WAL is the only layer chaos touches a durable
-			// backend through — and keeps fsync on, because on objstore/flaky
-			// the Sync path is exactly what is under test.
+			// backend through — and keeps fsync on, because on flaky the
+			// Sync path is exactly what is under test.
 			sweepOpts.WAL = &wal.Options{NoFsync: osdiskBackend, Backend: backend}
 		}
 		rep, err := faults.Sweep(context.Background(), sweepOpts)

@@ -38,7 +38,6 @@ func run() (code int) {
 		semantics = flag.String("semantics", "strong", "PFS consistency model: strong|commit|session|eventual")
 		verify    = flag.Bool("verify", false, "verify read data (surfaces stale reads on weak PFSs)")
 		out       = flag.String("out", "", "output trace directory (omit for a dry run)")
-		spec      = flag.String("backend", "osdisk", "durable storage backend for -out traces: osdisk | objstore[:delay=D,root=DIR] | flaky[:...]")
 		tele      obs.CLIFlags
 	)
 	tele.Register(flag.CommandLine)
@@ -86,12 +85,7 @@ func run() (code int) {
 		fmt.Printf("  rank error: %v\n", e)
 	}
 	if *out != "" {
-		backend, err := storage.ParseSpec(*spec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "semtrace: -backend:", err)
-			return 2
-		}
-		backend = storage.NewRetry(backend, storage.RetryOptions{})
+		backend := storage.NewRetry(storage.OS(), storage.RetryOptions{})
 		if err := semfs.SaveTraceOn(backend, *out, res.Trace); err != nil {
 			fmt.Fprintln(os.Stderr, "semtrace:", err)
 			return 1

@@ -99,9 +99,11 @@ func (k *call) guardLocked() error {
 
 // beginLocked is the fault injector's one entry point: it consults the
 // injector, kills the client before the call if asked, and retries a
-// transient failure up to maxRetries times with a doubling backoff. It
-// returns cost plus the backoff paid, or 0 for a call that crashed. A call
-// that fails here is recorded. Callers hold fs.mu.
+// transient failure up to maxRetries times with a doubling backoff. The
+// call's action is the merge of every attempt's (see FaultAction.merge),
+// so a fault that fires with a transient error still acts once a retry
+// succeeds. It returns cost plus the backoff paid, or 0 for a call that
+// crashed. A call that fails here is recorded. Callers hold fs.mu.
 func (k *call) beginLocked(cost uint64) (uint64, error) {
 	fs := k.c.fs
 	if fs.injector == nil {
@@ -110,12 +112,13 @@ func (k *call) beginLocked(cost uint64) (uint64, error) {
 	op := OpInfo{Kind: k.ev.Kind, Rank: k.c.rank, Path: k.ev.Path, Off: k.ev.Off, Len: k.ev.Len, Now: k.ev.Now}
 	backoff := retryBackoffNS
 	for ; ; op.Attempt++ {
-		k.act = fs.interceptLocked(op)
-		if k.act.CrashBefore {
+		act := fs.interceptLocked(op)
+		k.act.merge(act)
+		if act.CrashBefore {
 			k.c.crashLocked()
 			return 0, k.failLocked(ErrCrashed)
 		}
-		if !k.act.Transient {
+		if !act.Transient {
 			return cost, nil
 		}
 		if op.Attempt == maxRetries {

@@ -86,6 +86,21 @@ type FaultAction struct {
 	Transient bool
 }
 
+// merge folds one attempt's action b into a: the union of the faults, the
+// shortest torn prefix and the longest publish delay. Transient is b's, the
+// latest attempt's.
+func (a *FaultAction) merge(b FaultAction) {
+	a.CrashBefore = a.CrashBefore || b.CrashBefore
+	a.CrashAfter = a.CrashAfter || b.CrashAfter
+	if b.Torn && (!a.Torn || b.TornKeep < a.TornKeep) {
+		a.Torn, a.TornKeep = true, b.TornKeep
+	}
+	a.DropCommit = a.DropCommit || b.DropCommit
+	a.PublishDelay = max(a.PublishDelay, b.PublishDelay)
+	a.ReorderPublish = a.ReorderPublish || b.ReorderPublish
+	a.Transient = b.Transient
+}
+
 // FaultInjector intercepts client operations. Implementations must be safe
 // for concurrent calls from distinct ranks and must not call back into the
 // FileSystem (the client holds fs.mu across the call).

@@ -53,6 +53,26 @@ func TestStatsCountOnlyWhatLands(t *testing.T) {
 	}
 }
 
+// A fault that fires together with a transient error still acts when the
+// retry succeeds: the call's action merges every attempt's.
+func TestTornWriteSurvivesTransientRetry(t *testing.T) {
+	fs := newFS(Strong)
+	fs.SetInjector(injectFunc(func(op OpInfo) FaultAction {
+		if op.Kind == OpWrite && op.Attempt == 0 {
+			return FaultAction{Torn: true, TornKeep: 3, Transient: true}
+		}
+		return FaultAction{}
+	}))
+	h := mustOpen(t, fs.NewClient(0), "/f", OCreat|ORdwr, 1)
+	writeAll(t, h, 0, make([]byte, 10), 10)
+	if got := h.VisibleSize(20); got != 3 {
+		t.Fatalf("visible size after a 10-byte write torn to 3 on its failed attempt = %d, want 3", got)
+	}
+	if st := fs.Stats(); st.Retries != 1 || st.TransientErrors != 0 {
+		t.Fatalf("transient accounting = %d retries, %d errors; want 1, 0", st.Retries, st.TransientErrors)
+	}
+}
+
 // A written buffer belongs to the file system: strong writes keep it as the
 // extent's bytes instead of copying it, so N writes of 64 KiB allocate far
 // less than N×64 KiB. A copy that comes back fails here.

@@ -728,9 +728,9 @@ func saveSmallBlocks(dir string, tr *recorder.Trace) error {
 	return nil
 }
 
-// TestBackendFallback pins the storage seam: a flaky-wrapped or objstore
-// backend must not be mmap'd (its Read hooks have to fire), and loads still
-// work through the ReadFile fallback.
+// TestBackendFallback pins the storage seam: a flaky-wrapped backend must
+// not be mmap'd (its Read hooks have to fire), and loads still work through
+// the ReadFile fallback.
 func TestBackendFallback(t *testing.T) {
 	tr := mkTrace(3, 60, 37)
 	dir := t.TempDir()

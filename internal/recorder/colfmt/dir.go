@@ -202,10 +202,8 @@ type lenientCursor struct{ *Cursor }
 
 func (lenientCursor) Err() error { return nil }
 
-// MetaOn settles the backend (see storage.Settle) and reads and validates
-// a trace directory's trace.meta.
+// MetaOn reads and validates a trace directory's trace.meta.
 func MetaOn(b storage.Backend, dir string) (recorder.Meta, error) {
-	storage.Settle(b)
 	var meta recorder.Meta
 	metaBytes, err := b.ReadFile(filepath.Join(dir, "trace.meta"))
 	if err != nil {

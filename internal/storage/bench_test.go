@@ -16,13 +16,10 @@ import (
 const benchPayload = 4096
 
 // Simulated storage op costs, mirroring the WAL's ack pricing: a node-local
-// NVMe append is base + len/8 ns (the wal.Options default), and an
-// object-store publish pays an HTTP round trip plus streaming.
+// NVMe append is base + len/8 ns (the wal.Options default).
 const (
 	simDiskAppendBaseNS   = 1500
 	simDiskBytesPerNS     = 8
-	simPublishBaseNS      = 250_000 // one PUT round trip
-	simPublishBytesPerNS  = 4
 	simRetryCheckOverhead = 20 // policy bookkeeping per op, healthy path
 )
 
@@ -64,39 +61,6 @@ func BenchmarkStorageRetryAppendSync(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "seg.wal")
 	benchAppendSync(b, backend, path,
 		simDiskAppendBaseNS+benchPayload/simDiskBytesPerNS+simRetryCheckOverhead)
-}
-
-// BenchmarkStorageObjStorePublish: one 4 KiB object publish (write + Sync)
-// followed by a delete, on a zero-delay objstore. The delete keeps the
-// store's version listing bounded, so allocs/op does not depend on how many
-// iterations the bench runner picks. The simulated cost prices the pair as
-// two round trips (PUT + DELETE) plus streaming.
-func BenchmarkStorageObjStorePublish(b *testing.B) {
-	backend := NewObjStore(ObjStoreOptions{Root: b.TempDir(), VisibilityDelay: 0})
-	data := make([]byte, benchPayload)
-	b.ResetTimer()
-	var simTotal uint64
-	for i := 0; i < b.N; i++ {
-		f, err := backend.Open("bench/obj", OCreate|OWronly, 0o644)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := f.Write(data); err != nil {
-			b.Fatal(err)
-		}
-		if err := f.Sync(); err != nil {
-			b.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			b.Fatal(err)
-		}
-		if err := backend.Remove("bench/obj"); err != nil {
-			b.Fatal(err)
-		}
-		simTotal += 2*simPublishBaseNS + benchPayload/simPublishBytesPerNS
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(simTotal)/float64(b.N), "ns/op")
 }
 
 // BenchmarkStorageBackoffDelay: the pure backoff computation — zero-alloc,

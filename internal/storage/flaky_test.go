@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"path/filepath"
+	"slices"
 	"testing"
-	"time"
 )
 
 // TestGenScheduleDeterministic: same (seed, options) → byte-identical
@@ -136,26 +136,31 @@ func TestFlakyTornWriteIsPermanent(t *testing.T) {
 	}
 }
 
-// TestFlakyLostSync: the sync reports success but does not reach the inner
-// backend — on the objstore base that means the version is never published.
+// TestFlakyLostSync: the sync reports success but never reaches the inner
+// backend — osdisk's sync kill points, which bracket its fsync, stay silent.
 func TestFlakyLostSync(t *testing.T) {
-	inner := NewObjStore(ObjStoreOptions{Root: t.TempDir(), VisibilityDelay: time.Millisecond})
-	fb := NewFlaky(inner, Schedule{Injections: []faultInjection{{Kind: faultLostSync, N: 1}}})
-	f, err := fb.Open("k.dat", OCreate|OWronly, 0o644)
+	var points []string
+	SetKillPointHook(func(p string) { points = append(points, p) })
+	defer SetKillPointHook(nil)
+	fb := NewFlaky(OS(), Schedule{Injections: []faultInjection{{Kind: faultLostSync, N: 1}}})
+	f, err := fb.Open(filepath.Join(t.TempDir(), "k.dat"), OCreate|OWronly, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer f.Close()
 	if _, err := f.Write([]byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Sync(); err != nil {
 		t.Fatalf("lost sync must lie with success, got %v", err)
 	}
-	// Settle past the visibility horizon: the key must be absent because it
-	// was never published, not merely still inside the publish window.
-	Settle(inner)
-	if _, err := inner.ReadFile("k.dat"); !IsNotExist(err) {
-		t.Fatalf("lost sync actually published: err = %v", err)
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// Only the second sync reaches osdisk.
+	want := []string{"storage.write.before", "storage.write.after", "storage.sync.before", "storage.sync.after"}
+	if !slices.Equal(points, want) {
+		t.Fatalf("kill points = %v, want %v", points, want)
 	}
 }
 

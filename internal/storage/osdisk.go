@@ -110,9 +110,8 @@ func osRemoveAll(dir string) error               { return os.RemoveAll(dir) }
 
 var tmpCounter atomic.Uint64
 
-// uniqueSuffix names temporary directories and objstore upload stages.
-// Process-unique is enough: a stage is renamed or removed before anyone
-// else looks.
+// uniqueSuffix names temporary directories on backends other than osdisk.
+// Process-unique is enough: the directory is private to its creator.
 func uniqueSuffix() string {
 	n := tmpCounter.Add(1)
 	const digits = "0123456789"

@@ -3,7 +3,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
@@ -34,13 +33,6 @@ func (o RetryOptions) withDefaults() RetryOptions {
 	return o
 }
 
-// retryStats counts what the policy layer did.
-type retryStats struct {
-	Retries   int64 // extra attempts beyond the first
-	SleepNS   int64 // cumulative backoff sleep
-	Exhausted int64 // operations that ran out of attempts or deadline
-}
-
 // retrier wraps a backend with the degrade ladder's first rung: transient
 // failures are retried with bounded deterministic backoff; only when an
 // operation exhausts its budget does the error escape, rewrapped as
@@ -52,10 +44,6 @@ type retryStats struct {
 type retrier struct {
 	inner Backend
 	opts  RetryOptions
-
-	retries   atomic.Int64
-	sleepNS   atomic.Int64
-	exhausted atomic.Int64
 }
 
 // NewRetry wraps inner with the retry/degrade policy.
@@ -65,20 +53,6 @@ func NewRetry(inner Backend, opts RetryOptions) Backend {
 
 func (r *retrier) Name() string    { return "retry(" + r.inner.Name() + ")" }
 func (r *retrier) Unwrap() Backend { return r.inner }
-
-// Stats snapshots policy activity.
-func (r *retrier) Stats() retryStats {
-	return retryStats{
-		Retries:   r.retries.Load(),
-		SleepNS:   r.sleepNS.Load(),
-		Exhausted: r.exhausted.Load(),
-	}
-}
-
-// Healthy reports whether the policy has never had to give up on the
-// backend. Sticky-false after the first exhaustion: the layers above use
-// it as the "stop trusting this store" signal.
-func (r *retrier) Healthy() bool { return r.exhausted.Load() == 0 }
 
 // do runs op under the attempt/deadline budget. op must be side-effect-free
 // on errTransient failures (the backend contract). The operation is named by
@@ -95,8 +69,6 @@ func (r *retrier) do(verb, name string, op func() error) error {
 				break
 			}
 			r.opts.Sleep(d)
-			r.sleepNS.Add(int64(d))
-			r.retries.Add(1)
 		}
 		err = op()
 		if err == nil {
@@ -106,7 +78,6 @@ func (r *retrier) do(verb, name string, op func() error) error {
 			return err
 		}
 	}
-	r.exhausted.Add(1)
 	return fmt.Errorf("%w: %s %s gave up after %d attempts: %v",
 		errUnavailable, verb, name, maxAttempts, err)
 }
@@ -196,20 +167,4 @@ func (f *retryFile) WriteAt(p []byte, off int64) (int, error) {
 
 func (f *retryFile) Sync() error {
 	return f.r.do("sync", f.inner.Name(), func() error { return f.inner.Sync() })
-}
-
-// Health reports whether b (or any wrapper in its chain) has declared the
-// store unhealthy. Backends without a health signal are always healthy.
-func Health(b Backend) bool {
-	type healthy interface{ Healthy() bool }
-	for {
-		if h, ok := b.(healthy); ok && !h.Healthy() {
-			return false
-		}
-		u, ok := b.(unwrapper)
-		if !ok {
-			return true
-		}
-		b = u.Unwrap()
-	}
 }

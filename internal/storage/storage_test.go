@@ -2,8 +2,8 @@ package storage
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
-	"time"
 )
 
 // TestOSDiskRoundTrip drives the whole Backend surface on the OS backend —
@@ -69,7 +69,6 @@ func TestTempDirRemoveAll(t *testing.T) {
 		b    Backend
 	}{
 		{"osdisk", OS()},
-		{"objstore", NewObjStore(ObjStoreOptions{Root: t.TempDir(), VisibilityDelay: time.Millisecond})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir, err := TempDir(tc.b, "semfs-test-")
@@ -81,7 +80,6 @@ func TestTempDirRemoveAll(t *testing.T) {
 			if err := RemoveAll(tc.b, dir); err != nil {
 				t.Fatal(err)
 			}
-			Settle(tc.b)
 			if _, err := tc.b.ReadFile(path); !IsNotExist(err) {
 				t.Fatalf("after RemoveAll: err = %v, want not-exist", err)
 			}
@@ -90,18 +88,15 @@ func TestTempDirRemoveAll(t *testing.T) {
 }
 
 func TestParseSpec(t *testing.T) {
-	root := t.TempDir()
 	for _, tc := range []struct {
 		spec     string
 		wantName string
 		wantBase string
-		wantLag  time.Duration
 	}{
-		{"osdisk", "osdisk", "osdisk", 0},
-		{"", "osdisk", "osdisk", 0},
-		{"objstore:delay=5ms,root=" + root, "objstore", "objstore", 5 * time.Millisecond},
-		{"flaky:seed=3", "flaky(osdisk)", "osdisk", 0},
-		{"flaky:base=objstore,delay=1ms,root=" + root + ",seed=3,kinds=transient", "flaky(objstore)", "objstore", time.Millisecond},
+		{"osdisk", "osdisk", "osdisk"},
+		{"", "osdisk", "osdisk"},
+		{"flaky:seed=3", "flaky(osdisk)", "osdisk"},
+		{"flaky:seed=3,count=8,kinds=transient", "flaky(osdisk)", "osdisk"},
 	} {
 		b, err := ParseSpec(tc.spec)
 		if err != nil {
@@ -110,17 +105,18 @@ func TestParseSpec(t *testing.T) {
 		if b.Name() != tc.wantName {
 			t.Errorf("ParseSpec(%q).Name() = %q, want %q", tc.spec, b.Name(), tc.wantName)
 		}
-		if Base(b).Name() != tc.wantBase {
-			t.Errorf("ParseSpec(%q) base = %q, want %q", tc.spec, Base(b).Name(), tc.wantBase)
-		}
-		if got := publishLag(b); got != tc.wantLag {
-			t.Errorf("ParseSpec(%q) PublishLag = %v, want %v", tc.spec, got, tc.wantLag)
+		if base(b).Name() != tc.wantBase {
+			t.Errorf("ParseSpec(%q) base = %q, want %q", tc.spec, base(b).Name(), tc.wantBase)
 		}
 	}
-	for _, bad := range []string{"s3", "objstore:delay=nope", "flaky:base=tape", "flaky:kinds=spicy", "osdisk:x"} {
+	for _, bad := range []string{"s3", "objstore", "objstore:delay=5ms", "flaky:base=objstore",
+		"flaky:base=tape", "flaky:kinds=spicy", "osdisk:x"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) succeeded, want error", bad)
 		}
+	}
+	if _, err := ParseSpec("objstore"); err == nil || !strings.Contains(err.Error(), "osdisk|flaky") {
+		t.Errorf("ParseSpec(objstore) error = %v, want one naming osdisk|flaky", err)
 	}
 }
 
@@ -146,14 +142,11 @@ func TestParseSpecTransientKinds(t *testing.T) {
 	}
 }
 
-func TestBaseAndHealthWalkWrapperChains(t *testing.T) {
+func TestBaseWalksWrapperChains(t *testing.T) {
 	inner := OS()
 	b := NewRetry(NewFlaky(inner, Schedule{}), RetryOptions{})
-	if Base(b) != inner {
-		t.Fatalf("Base = %v", Base(b))
-	}
-	if !Health(b) {
-		t.Fatal("fresh chain reports unhealthy")
+	if base(b) != inner {
+		t.Fatalf("base = %v", base(b))
 	}
 }
 

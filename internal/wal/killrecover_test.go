@@ -99,46 +99,30 @@ func runWALKillChild(t *testing.T, dir, sem, backendSpec, killSpec string) ([]by
 }
 
 // killCell describes one backend column of the kill matrix: how to derive
-// the child's backend spec, the recovery backend spec (the flaky wrapper is
-// a child-side fault injector — the bytes land on its base, which is what
-// recovery reads), and the burst's Log.Dir from the cell's scratch dir.
+// the child's backend spec from a seed, and the recovery backend spec (the
+// flaky wrapper is a child-side fault injector — the bytes land on its
+// base, which is what recovery reads).
 type killCell struct {
 	name        string
-	childSpec   func(scratch string, seed int64) string
-	recoverSpec func(scratch string) string
-	logDir      func(scratch string) string
+	childSpec   func(seed int64) string
+	recoverSpec string
 }
 
 var killCells = []killCell{
 	{
 		name:        "osdisk",
-		childSpec:   func(scratch string, _ int64) string { return "osdisk" },
-		recoverSpec: func(scratch string) string { return "osdisk" },
-		logDir:      func(scratch string) string { return filepath.Join(scratch, "wal") },
-	},
-	{
-		// The store root is host state shared by both processes: the parent's
-		// fresh objstore instance over the same root sees every version the
-		// killed child managed to publish (after settling the delay).
-		name: "objstore",
-		childSpec: func(scratch string, _ int64) string {
-			return "objstore:root=" + filepath.Join(scratch, "store") + ",delay=5ms"
-		},
-		recoverSpec: func(scratch string) string {
-			return "objstore:root=" + filepath.Join(scratch, "store") + ",delay=5ms"
-		},
-		logDir: func(scratch string) string { return "wal" },
+		childSpec:   func(int64) string { return "osdisk" },
+		recoverSpec: "osdisk",
 	},
 	{
 		// Transient-only faults under the retry policy: the burst converges
 		// through the blips, then dies at the kill point like everyone else.
 		// The real bytes live on the flaky backend's osdisk base.
 		name: "flaky",
-		childSpec: func(scratch string, seed int64) string {
+		childSpec: func(seed int64) string {
 			return fmt.Sprintf("flaky:seed=%d,kinds=transient", seed)
 		},
-		recoverSpec: func(scratch string) string { return "osdisk" },
-		logDir:      func(scratch string) string { return filepath.Join(scratch, "wal") },
+		recoverSpec: "osdisk",
 	},
 }
 
@@ -160,25 +144,22 @@ func TestWALKillRecover(t *testing.T) {
 		"wal.drain.before-publish",
 		"wal.drain.after-publish",
 	}
-	cells := killCells
 	if testing.Short() {
 		semantics = semantics[:2]
 		points = []string{"wal.append.torn", "wal.drain.before-publish"}
-		cells = cells[:2]
 	}
 	for i, sem := range semantics {
 		sem := sem
 		rng := rand.New(rand.NewSource(0x5A1D + int64(i)))
 		t.Run(sem.String(), func(t *testing.T) {
 			t.Parallel()
-			for _, cell := range cells {
+			for _, cell := range killCells {
 				for _, point := range points {
 					// Seeded hit count: deep enough that acked records exist,
 					// shallow enough the burst cannot finish first.
 					kill := fmt.Sprintf("%s:%d", point, 2+rng.Intn(10))
-					scratch := t.TempDir()
-					dir := cell.logDir(scratch)
-					childSpec := cell.childSpec(scratch, 1+rng.Int63n(1<<20))
+					dir := filepath.Join(t.TempDir(), "wal")
+					childSpec := cell.childSpec(1 + rng.Int63n(1<<20))
 
 					out, err := runWALKillChild(t, dir, sem.String(), childSpec, kill)
 					if err == nil {
@@ -193,7 +174,7 @@ func TestWALKillRecover(t *testing.T) {
 						t.Fatalf("[%s] child armed with %s did not die by SIGKILL: %v\n%s", cell.name, kill, err, out)
 					}
 
-					rb, err := storage.ParseSpec(cell.recoverSpec(scratch))
+					rb, err := storage.ParseSpec(cell.recoverSpec)
 					if err != nil {
 						t.Fatal(err)
 					}

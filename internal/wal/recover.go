@@ -20,12 +20,7 @@ import (
 // and counted. A zero-length log file is a rank that opened its log but was
 // killed before the first acked append: it recovers as an explicit empty
 // record list, distinct from a rank with no log file at all (no map entry).
-//
-// On an eventually-consistent backend, recovery first waits out the
-// publish-visibility horizon (storage.Settle) so the List and the reads see
-// every version a crashed writer managed to publish.
 func recoverDirOn(b storage.Backend, dir string) (map[int][]logRecord, map[int]frame.Stats, error) {
-	storage.Settle(b)
 	names, err := b.List(dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)

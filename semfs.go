@@ -350,8 +350,8 @@ type Trace = recorder.Trace
 
 // SaveTraceOn persists a trace as a directory of per-rank binary streams
 // in the columnar format (see internal/recorder/colfmt) on a storage
-// backend (see internal/storage.ParseSpec for backend construction; use
-// storage.OS() for the local file system).
+// backend: storage.OS() for the local file system, which the CLIs wrap in
+// storage.NewRetry.
 func SaveTraceOn(b storage.Backend, dir string, tr *recorder.Trace) error {
 	return colfmt.SaveDirOn(b, dir, tr)
 }
